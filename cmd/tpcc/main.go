@@ -154,8 +154,8 @@ func main() {
 	s := db.Stats()
 	fmt.Printf("%s @%s: %.0f txn/sec (%d committed, %d rolled back)\n",
 		*engine, profile.Name, res.Throughput(), res.Committed, res.Aborted)
-	fmt.Printf("NVM: %d loads, %d stores, %.1f MB written\n",
-		s.Loads, s.Stores, float64(s.BytesWritten)/(1<<20))
+	fmt.Printf("NVM: %d loads, %d stores, %.1f MB written, %d fences\n",
+		s.Loads, s.Stores, float64(s.BytesWritten)/(1<<20), s.Fences)
 
 	if *doRecover {
 		db.Crash()

@@ -9,10 +9,10 @@ import (
 // Ablations beyond the paper's numbered figures: each isolates one design
 // choice DESIGN.md calls out.
 
-// CLWBResult compares the CLFLUSH-based sync primitive against CLWB
-// semantics (the Appendix C instruction-set extension: CLWB "can retain a
-// copy of the line in the cache hierarchy, reducing the possibility of
-// cache misses during subsequent accesses").
+// CLWBResult compares the default sync primitive, CLWB (the Appendix C
+// instruction-set extension: it "can retain a copy of the line in the cache
+// hierarchy, reducing the possibility of cache misses during subsequent
+// accesses"), against the CLFLUSH one the ablation switches back to.
 type CLWBResult struct {
 	// Throughput[engine][0] = CLFLUSH, [1] = CLWB.
 	Throughput map[testbed.EngineKind][2]float64

@@ -310,12 +310,29 @@ func TestVlogShape(t *testing.T) {
 			t.Errorf("%s %s/%s: zero throughput", p.Engine, p.Mix, p.Skew)
 		}
 	}
-	for _, kind := range []testbed.EngineKind{testbed.Log, testbed.NVMLog} {
-		// The artifact bar is 1.5x write throughput at 16KB with separation
-		// on; the tiny harness measures ~3x, so 1.5 leaves scheduling room.
-		if sp := res.Speedup[kind]["v16k"]; sp < 1.5 {
-			t.Errorf("%s v16k: vlog-on/off speedup %.2fx, want >= 1.5x", kind, sp)
+	// The artifact bar is 1.5x write throughput at 16KB with separation on;
+	// the tiny harness measures ~2x, so 1.5 leaves scheduling room. It holds
+	// for Log only: NVM-Log's compaction adopts carried-forward entry chunks
+	// by pointer, so its values stay put with or without the value log.
+	if sp := res.Speedup[testbed.Log]["v16k"]; sp < 1.5 {
+		t.Errorf("%s v16k: vlog-on/off speedup %.2fx, want >= 1.5x", testbed.Log, sp)
+	}
+	// NVM-Log's version of the shape, in exact counters: without separation
+	// it writes no more than with it (it used to write 4.8x as much).
+	var off, on uint64
+	for _, p := range res.Points {
+		if p.Engine == testbed.NVMLog && p.Mix == "v16k" {
+			if p.Skew == "vlog-off" {
+				off = p.BytesWritten
+			} else {
+				on = p.BytesWritten
+			}
 		}
+	}
+	if on == 0 || float64(off) > 1.25*float64(on) {
+		t.Errorf("%s v16k: %d bytes written with separation off, %d with it on; compaction is copying values again", testbed.NVMLog, off, on)
+	}
+	for _, kind := range []testbed.EngineKind{testbed.Log, testbed.NVMLog} {
 		// Below the threshold separation must not tax small values.
 		if sp := res.Speedup[kind]["v64"]; sp < 0.7 {
 			t.Errorf("%s v64: sub-threshold speedup %.2fx, want ~1x", kind, sp)

@@ -11,6 +11,12 @@
 // a consistent tree, and pages of the lost dirty directory are reclaimed by
 // a reachability sweep.
 //
+// A page is copied once per group-commit batch, not once per transaction: a
+// page allocated earlier in the still-unpersisted batch is reachable from no
+// durable root, so a later transaction of the batch changes it under its own
+// id. Its rollback is to drop the buffer — the pager still holds the image
+// the previous transaction committed.
+//
 // Keys are unique uint64s; values are byte slices that must fit in a page.
 // Transaction boundaries (Begin/Commit/Abort) give per-transaction rollback
 // inside a group-commit batch. Not safe for concurrent use.
@@ -20,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -73,8 +80,9 @@ type Tree struct {
 	meta     uint64 // user meta committed alongside the root
 	commRoot uint64
 
-	// mut holds buffers of pages allocated in the running transaction;
-	// these are mutable in place (they are invisible until commit).
+	// mut holds the buffers the running transaction changes in place: pages
+	// it allocated, and batch pages it shadowed under their own id. Commit
+	// writes them to the pager; Abort drops them.
 	mut map[uint64][]byte
 
 	inTxn     bool
@@ -83,13 +91,15 @@ type Tree struct {
 	txnAlloc  []uint64 // pages allocated by the running txn
 	txnFree   []uint64 // committed pages superseded by the running txn
 
-	batchAlloc []uint64 // allocated by committed-but-unpersisted txns
-	batchFree  []uint64 // superseded, reusable after next Persist
+	// batch is the set of pages allocated by committed-but-unpersisted
+	// txns: private to the batch until the next Persist.
+	batch     map[uint64]struct{}
+	batchFree []uint64 // committed pages superseded by the batch, reusable after next Persist
 }
 
 // Create initializes an empty tree on the pager and persists it.
 func Create(pg Pager) (*Tree, error) {
-	t := &Tree{pg: pg, psize: pg.PageSize(), mut: make(map[uint64][]byte)}
+	t := newTree(pg)
 	id, err := pg.AllocPage()
 	if err != nil {
 		return nil, err
@@ -106,9 +116,28 @@ func Create(pg Pager) (*Tree, error) {
 
 // Attach opens the tree at the pager's committed master record.
 func Attach(pg Pager) *Tree {
-	root, meta := pg.Committed()
-	return &Tree{pg: pg, psize: pg.PageSize(), mut: make(map[uint64][]byte),
-		root: root, commRoot: root, meta: meta}
+	t := newTree(pg)
+	t.root, t.meta = pg.Committed()
+	t.commRoot = t.root
+	return t
+}
+
+// sortedKeys returns a page map's ids in ascending order. Pages go to the
+// pager and to the device in this order, never in map order: the order
+// decides which cache lines stay resident, so it must repeat for the device
+// counters of a fixed schedule to repeat.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	ids := make([]uint64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+func newTree(pg Pager) *Tree {
+	return &Tree{pg: pg, psize: pg.PageSize(),
+		mut: make(map[uint64][]byte), batch: make(map[uint64]struct{})}
 }
 
 // Root returns the current (possibly uncommitted) root page id.
@@ -195,8 +224,8 @@ func innerRoute(buf []byte, k uint64) int {
 	return lo - 1
 }
 
-// page returns a read-only view of page id: the mutable buffer if the page
-// belongs to the running txn, otherwise a copy read from the pager.
+// page returns a read-only view of page id: the mutable buffer if the
+// running txn holds one, otherwise a copy read from the pager.
 func (t *Tree) page(id uint64) []byte {
 	if buf, ok := t.mut[id]; ok {
 		return buf
@@ -225,18 +254,20 @@ func (t *Tree) Commit() {
 	if !t.inTxn {
 		panic("cowbtree: Commit outside transaction")
 	}
-	// The txn's pages become batch pages: still volatile, no longer
-	// mutable in place (a later txn must re-copy them so it can roll back).
-	for id, buf := range t.mut {
-		t.pg.WritePage(id, buf)
-		delete(t.mut, id)
+	for _, id := range sortedKeys(t.mut) {
+		t.pg.WritePage(id, t.mut[id])
 	}
-	t.batchAlloc = append(t.batchAlloc, t.txnAlloc...)
+	clear(t.mut)
+	for _, id := range t.txnAlloc {
+		t.batch[id] = struct{}{}
+	}
 	t.batchFree = append(t.batchFree, t.txnFree...)
 	t.inTxn = false
 }
 
-// Abort rolls the transaction back, releasing its pages.
+// Abort rolls the transaction back: the pages it allocated are released and
+// the buffers of the batch pages it shadowed are dropped, which leaves the
+// pager's copy — the previous transaction's image — in force.
 func (t *Tree) Abort() {
 	if !t.inTxn {
 		panic("cowbtree: Abort outside transaction")
@@ -244,9 +275,9 @@ func (t *Tree) Abort() {
 	t.root = t.rootAtTxn
 	t.meta = t.metaAtTxn
 	for _, id := range t.txnAlloc {
-		delete(t.mut, id)
 		t.pg.FreePage(id)
 	}
+	clear(t.mut)
 	t.txnAlloc = t.txnAlloc[:0]
 	t.txnFree = t.txnFree[:0]
 	t.inTxn = false
@@ -268,7 +299,7 @@ func (t *Tree) Persist() error {
 		t.pg.FreePage(id)
 	}
 	t.batchFree = t.batchFree[:0]
-	t.batchAlloc = t.batchAlloc[:0]
+	clear(t.batch)
 	return nil
 }
 
@@ -331,10 +362,17 @@ func (t *Tree) Delete(k uint64) (bool, error) {
 	return err == nil, err
 }
 
-// shadow returns a mutable buffer for page id, copying it into the running
-// txn if needed, and returns the (possibly new) id.
+// shadow returns a mutable buffer for page id and the id the page has from
+// now on: its own if the batch already owns the page, a fresh copy's if the
+// page belongs to the committed tree.
 func (t *Tree) shadow(id uint64) (uint64, []byte, error) {
 	if buf, ok := t.mut[id]; ok {
+		return id, buf, nil
+	}
+	if _, ok := t.batch[id]; ok {
+		buf := make([]byte, t.psize)
+		t.pg.ReadPage(id, buf)
+		t.mut[id] = buf
 		return id, buf, nil
 	}
 	nid, err := t.pg.AllocPage()

@@ -326,13 +326,13 @@ func (p *ArenaPager) FreePage(id uint64) {
 // primitive, marks them persisted, and atomically installs the new master
 // record — no filesystem, no kernel crossing (§4.2).
 func (p *ArenaPager) Persist(root, meta uint64) error {
-	for id := range p.dirty {
+	for _, id := range sortedKeys(p.dirty) {
 		p.dev.Sync(int64(id), p.psize)
 		if p.arena.StateOf(pmalloc.Ptr(id)) == pmalloc.StateAllocated {
 			p.arena.SetPersisted(pmalloc.Ptr(id))
 		}
-		delete(p.dirty, id)
 	}
+	clear(p.dirty)
 	p.root, p.meta = root, meta
 	return p.writeMaster()
 }

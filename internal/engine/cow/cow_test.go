@@ -127,3 +127,10 @@ func TestOCCConformance(t *testing.T) {
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }
+
+// TestDeviceBudget pins the write path's cost per transaction in device
+// counters, about a tenth above what the fixed schedule costs today: loads /
+// stores / flushes / fences 156.8 / 105.3 / 192.9 / 0.13.
+func TestDeviceBudget(t *testing.T) {
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 172.5, Stores: 116, Flushes: 212, Fences: 0.15})
+}

@@ -182,3 +182,10 @@ func TestOCCConformance(t *testing.T) {
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }
+
+// TestDeviceBudget pins the write path's cost per transaction in device
+// counters, about a tenth above what the fixed schedule costs today: loads /
+// stores / flushes / fences 92.7 / 73.9 / 73.1 / 3.76.
+func TestDeviceBudget(t *testing.T) {
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 102, Stores: 81.5, Flushes: 80.5, Fences: 4.2})
+}

@@ -1,0 +1,296 @@
+package nvmlog
+
+import (
+	"fmt"
+	"testing"
+
+	"nstore/internal/core"
+	"nstore/internal/nvm"
+	"nstore/internal/pmalloc"
+)
+
+// adoptOpts make a rotation every 24 keys and a compaction at the third run;
+// values of 300 bytes and up go through the value log.
+var adoptOpts = core.Options{MemTableCap: 24, LSMGrowth: 3, BTreeNodeSize: 128,
+	VlogThreshold: 300, VlogSegSize: 64 << 10}
+
+// adoptStep is one single-operation transaction of the fixed schedule.
+type adoptStep struct {
+	kind byte // 'i' insert, 'u' update column a, 'd' delete
+	key  uint64
+	n    int // insert: length of column b
+}
+
+// adoptSchedule fills three MemTables. Run 1 and run 2 hold disjoint inserts,
+// half of them large enough to be separated, so the compaction that the last
+// step triggers carries most entries forward untouched; run 2 also updates
+// and deletes a few run-1 keys, so some keys are held by both victims and
+// take the merge path, and one tombstone is dropped.
+func adoptSchedule() []adoptStep {
+	var s []adoptStep
+	size := func(k uint64) int {
+		if k%2 == 0 {
+			return 600
+		}
+		return 40
+	}
+	for k := uint64(1); k <= 24; k++ {
+		s = append(s, adoptStep{'i', k, size(k)})
+	}
+	for k := uint64(25); k <= 40; k++ {
+		s = append(s, adoptStep{'i', k, size(k)})
+	}
+	for _, k := range []uint64{2, 3, 10, 11} {
+		s = append(s, adoptStep{'u', k, 0})
+	}
+	for _, k := range []uint64{4, 5} {
+		s = append(s, adoptStep{'d', k, 0})
+	}
+	for k := uint64(41); k <= 42; k++ {
+		s = append(s, adoptStep{'i', k, size(k)})
+	}
+	for k := uint64(43); k <= 66; k++ {
+		s = append(s, adoptStep{'i', k, size(k)})
+	}
+	return s
+}
+
+func applyAdoptStep(e *Engine, st adoptStep) error {
+	if err := e.Begin(); err != nil {
+		return err
+	}
+	var err error
+	switch st.kind {
+	case 'i':
+		err = e.Insert("t", st.key, bigRow(int64(st.key), st.n))
+	case 'u':
+		err = e.Update("t", st.key, core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(int64(st.key) * 7)}})
+	case 'd':
+		err = e.Delete("t", st.key)
+	}
+	if err != nil {
+		return err
+	}
+	return e.Commit()
+}
+
+// adoptModel is the table after the first n steps: key -> (a, len(b)).
+func adoptModel(steps []adoptStep, n int) map[uint64][2]int64 {
+	m := map[uint64][2]int64{}
+	for _, st := range steps[:n] {
+		switch st.kind {
+		case 'i':
+			m[st.key] = [2]int64{int64(st.key) * 2, int64(st.n)}
+		case 'u':
+			m[st.key] = [2]int64{int64(st.key) * 7, m[st.key][1]}
+		case 'd':
+			delete(m, st.key)
+		}
+	}
+	return m
+}
+
+func checkAdoptModel(e *Engine, m map[uint64][2]int64) error {
+	n := 0
+	var bad error
+	err := e.ScanRange("t", 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
+		n++
+		want, ok := m[pk]
+		if !ok || row[1].I != want[0] || int64(len(row[2].S)) != want[1] {
+			bad = fmt.Errorf("key %d = (a=%d, len(b)=%d), model has (%v, present=%v)", pk, row[1].I, len(row[2].S), want, ok)
+			return false
+		}
+		return true
+	})
+	if err == nil {
+		err = bad
+	}
+	if err == nil && n != len(m) {
+		err = fmt.Errorf("scan found %d rows, model has %d", n, len(m))
+	}
+	return err
+}
+
+// checkArenaMatchesReach: what the engine header reaches and what the
+// allocator holds must be the same set. A reachable chunk that is free was
+// released while a live tree still pointed at it (the double-free side of
+// chunk adoption); a persisted table, index or log chunk nobody reaches is a
+// leak.
+func checkArenaMatchesReach(e *Engine) error {
+	reach, _, _ := e.reachable()
+	var err error
+	held := int64(0)
+	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
+		switch {
+		case st == pmalloc.StateFree:
+			if reach[p] && err == nil {
+				err = fmt.Errorf("reachable chunk %d (%s, %d B) is free", p, pmalloc.TagNames[tag], size)
+			}
+			return
+		case !reach[p] && tag != pmalloc.TagOther && err == nil:
+			// TagOther is outside the sweep: a run list orphaned between
+			// its persisted mark and the anchor swap stays allocated.
+			err = fmt.Errorf("leaked chunk %d (%s, %d B, state %d)", p, pmalloc.TagNames[tag], size, st)
+		}
+		held += int64(size)
+	})
+	if err == nil && held != e.Env.Arena.Allocated() {
+		err = fmt.Errorf("arena accounts %d bytes, its chunks add up to %d", e.Env.Arena.Allocated(), held)
+	}
+	return err
+}
+
+// TestAdoptCarriesChunksForward: a compaction over runs with disjoint keys
+// rewrites no entry chunk, appends nothing to the value log and reports no
+// dead log bytes — every entry is adopted by pointer.
+func TestAdoptCarriesChunksForward(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+	e, err := New(env, bigSchema(), adoptOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunkOf := map[uint64]uint64{}
+	var before core.FlushStats
+	for k := uint64(1); k <= 72; k++ {
+		if k == 72 {
+			// The next commit rotates the third MemTable and compacts runs
+			// 1 and 2; note where their entries live.
+			for _, r := range e.runs {
+				r.tree.Iter(0, func(tk, v uint64) bool { chunkOf[tk] = v; return true })
+			}
+			before = e.FlushStats()
+		}
+		n := 40
+		if k%2 == 0 {
+			n = 600
+		}
+		if err := applyAdoptStep(e, adoptStep{'i', k, n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := e.FlushStats()
+	if after.Compactions != before.Compactions+1 || len(chunkOf) != 48 {
+		t.Fatalf("expected one compaction over 48 entries, got %d over %d", after.Compactions-before.Compactions, len(chunkOf))
+	}
+	if after.VlogDiscard != before.VlogDiscard {
+		t.Errorf("adopted pointers were reported dead: discard %d -> %d", before.VlogDiscard, after.VlogDiscard)
+	}
+	merged := e.runs[len(e.runs)-1].tree
+	n := 0
+	merged.Iter(0, func(tk, v uint64) bool {
+		n++
+		if chunkOf[tk] != v {
+			t.Errorf("key %d: entry chunk %d was rewritten to %d", core.TreePK(tk), chunkOf[tk], v)
+		}
+		return true
+	})
+	if n != 48 {
+		t.Errorf("merged run holds %d entries, want 48", n)
+	}
+	if err := checkArenaMatchesReach(e); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAdoptCrashWindows injects a power failure at every fence of the commit
+// that compacts — through the merge, the bulk load, the run-list swap and the
+// release of the victims — and requires after each: the committed table, an
+// allocator that holds exactly the reachable set, and an engine that
+// compacts again without tripping over a chunk freed twice.
+func TestAdoptCrashWindows(t *testing.T) {
+	steps := adoptSchedule()
+	last := len(steps) - 1
+
+	// Fence window of the compacting commit, from an uninterrupted run.
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+	e, err := New(env, bigSchema(), adoptOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lo uint64
+	for i, st := range steps {
+		if i == last {
+			lo = env.Dev.Stats().Fences
+			if e.FlushStats().Compactions != 0 {
+				t.Fatal("schedule compacted before its last step")
+			}
+		}
+		if err := applyAdoptStep(e, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hi := env.Dev.Stats().Fences
+	if e.FlushStats().Compactions != 1 {
+		t.Fatalf("last step ran %d compactions, want 1", e.FlushStats().Compactions)
+	}
+	if err := checkAdoptModel(e, adoptModel(steps, len(steps))); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkArenaMatchesReach(e); err != nil {
+		t.Fatal(err)
+	}
+
+	stride := uint64(1)
+	if testing.Short() {
+		stride = 7
+	}
+	for f := lo; f < hi; f += stride {
+		env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+		e, err := New(env, bigSchema(), adoptOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashed := false
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if r != nvm.ErrInjectedCrash {
+						panic(r)
+					}
+					crashed = true
+				}
+			}()
+			for i, st := range steps {
+				if i == last {
+					env.Dev.FailAfterFences(int(f - env.Dev.Stats().Fences))
+				}
+				if err := applyAdoptStep(e, st); err != nil {
+					t.Fatalf("fence %d: step %d: %v", f, i, err)
+				}
+			}
+		}()
+		if !crashed {
+			t.Fatalf("fence %d: no crash inside the window [%d,%d)", f, lo, hi)
+		}
+		env.Dev.Crash()
+		env2, err := env.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, err := Open(env2, bigSchema(), adoptOpts)
+		if err != nil {
+			t.Fatalf("fence %d: open: %v", f, err)
+		}
+		// The last step's own commit point is the window's first fences.
+		if checkAdoptModel(e2, adoptModel(steps, last)) != nil {
+			if err := checkAdoptModel(e2, adoptModel(steps, len(steps))); err != nil {
+				t.Fatalf("fence %d: recovered table matches neither side of the last commit: %v", f, err)
+			}
+		}
+		if err := checkArenaMatchesReach(e2); err != nil {
+			t.Fatalf("fence %d: after recovery: %v", f, err)
+		}
+		// Keep going until the survivor has compacted at least once more.
+		for k := uint64(1000); e2.FlushStats().Compactions == 0; k++ {
+			if k > 1100 {
+				t.Fatalf("fence %d: no compaction after recovery", f)
+			}
+			if err := applyAdoptStep(e2, adoptStep{'i', k, 40 + int(k%2)*560}); err != nil {
+				t.Fatalf("fence %d: insert %d after recovery: %v", f, k, err)
+			}
+		}
+		if err := checkArenaMatchesReach(e2); err != nil {
+			t.Fatalf("fence %d: after the next compaction: %v", f, err)
+		}
+	}
+}

@@ -16,6 +16,7 @@ package nvmlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -301,22 +302,18 @@ func (e *Engine) loadRuns() error {
 	return nil
 }
 
-// sweep reclaims persisted chunks orphaned by crashes during rotation,
-// compaction, or WAL truncation, and re-verifies each immutable run's Bloom
-// filter against its tree. The reachability marking and all device reads stay
-// on the owner goroutine; the chunk classification and the Bloom rebuilds are
-// host-memory work and fan out across RecoveryParallelism workers.
-func (e *Engine) sweep() error {
-	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
-	reach := make(map[pmalloc.Ptr]bool)
+// reachable marks every chunk the engine header reaches: the header and run
+// list, the MemTable's and every listed run's nodes and entry chunks, the
+// Bloom filters, the secondary indexes, and the value log's directory and
+// segments. It also returns the primary trees' entry chunks and each run's
+// keys, which the sweep needs next.
+func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, valChunks []uint64, runKeys [][]uint64) {
+	reach = make(map[pmalloc.Ptr]bool)
 	mark := func(p pmalloc.Ptr) { reach[p] = true }
 	reach[e.hdr] = true
 	if list := e.Env.Dev.ReadU64(int64(e.hdr) + hRunList); list != 0 {
 		reach[list] = true
 	}
-	// Entry chunks of the primary trees are collected for the value-log
-	// pointer validation below.
-	var valChunks []uint64
 	markTree := func(t *nvbtree.Tree, keys *[]uint64) {
 		t.Nodes(mark)
 		t.Iter(0, func(k, v uint64) bool {
@@ -329,9 +326,7 @@ func (e *Engine) sweep() error {
 		})
 	}
 	markTree(e.mem, nil)
-	// The marking pass over each run doubles as the key harvest for the
-	// parallel Bloom verification below.
-	runKeys := make([][]uint64, len(e.runs))
+	runKeys = make([][]uint64, len(e.runs))
 	for i, r := range e.runs {
 		markTree(r.tree, &runKeys[i])
 		if r.bloomPtr != 0 {
@@ -343,11 +338,25 @@ func (e *Engine) sweep() error {
 			st.Nodes(mark)
 		}
 	}
-	// The value log's directory and segment chunks are durable state, not
-	// orphans.
 	if e.backend != nil {
-		e.backend.Chunks(func(p pmalloc.Ptr) { reach[p] = true })
+		e.backend.Chunks(mark)
 	}
+	return reach, valChunks, runKeys
+}
+
+// sweep reclaims persisted chunks orphaned by crashes during rotation,
+// compaction, or WAL truncation, and re-verifies each immutable run's Bloom
+// filter against its tree. A chunk reachable from any listed tree survives,
+// which is what lets a compaction's merged run share entry chunks with the
+// runs it replaces. The reachability marking and all device reads stay on
+// the owner goroutine; the chunk classification and the Bloom rebuilds are
+// host-memory work and fan out across RecoveryParallelism workers.
+func (e *Engine) sweep() error {
+	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
+	// The marking pass over each run doubles as the key harvest for the
+	// parallel Bloom verification below; the primary trees' entry chunks
+	// feed the value-log pointer validation.
+	reach, valChunks, runKeys := e.reachable()
 	// Pointer validation: every separated-value pointer a durable tree
 	// carries must land inside a live segment's valid prefix. (A missing
 	// segment is legal only for shadowed stale entries; vlog.Validate
@@ -493,12 +502,17 @@ func (e *Engine) writeEntryChunk(ent lsm.Entry) (pmalloc.Ptr, error) {
 }
 
 func (e *Engine) readEntryChunk(p uint64) lsm.Entry {
-	d := e.Env.Dev
-	kind := d.ReadU8(int64(p))
-	n := int(d.ReadU32(int64(p) + 1))
+	kind, n := e.entryHead(p)
 	payload := make([]byte, n)
-	d.Read(int64(p)+5, payload)
+	e.Env.Dev.Read(int64(p)+5, payload)
 	return lsm.Entry{Kind: kind, Payload: payload}
+}
+
+// entryHead reads an entry chunk's kind and payload length only.
+func (e *Engine) entryHead(p uint64) (kind uint8, payloadLen int) {
+	var b [5]byte
+	e.Env.Dev.Read(int64(p), b[:])
+	return b[0], int(binary.LittleEndian.Uint32(b[1:]))
 }
 
 // discardIfPtr feeds the value log's discard stats when an entry chunk
@@ -535,11 +549,17 @@ func (e *Engine) resolveEntry(key uint64, ent lsm.Entry) (lsm.Entry, error) {
 	return lsm.Entry{Kind: lsm.KindFull, Payload: val}, nil
 }
 
+// separates reports whether separate would move an entry of this kind and
+// payload length into the value log.
+func (e *Engine) separates(kind uint8, payloadLen int) bool {
+	return e.vl != nil && kind == lsm.KindFull && payloadLen >= e.opts.VlogThreshold
+}
+
 // separate routes a large full image through the value log: the record is
 // appended and synced (durable before any chunk referencing it persists)
 // and the entry becomes a 12-byte pointer. Small images pass through.
 func (e *Engine) separate(tk uint64, ent lsm.Entry) (lsm.Entry, error) {
-	if e.vl == nil || ent.Kind != lsm.KindFull || len(ent.Payload) < e.opts.VlogThreshold {
+	if !e.separates(ent.Kind, len(ent.Payload)) {
 		return ent, nil
 	}
 	ptr, err := e.vl.Append(tk, ent.Payload)
@@ -937,7 +957,15 @@ func (e *Engine) swapRunList(runs []*run) error {
 // MemTables"). Merging only the deepest pair bounds the transient space to
 // roughly the size of that pair; tombstones are dropped because nothing
 // older remains below them. Superseded value-log pointers feed the discard
-// statistics that drive GC. Caller holds e.mu.
+// statistics that drive GC.
+//
+// An entry that only one of the two runs holds, and that separate would
+// leave alone, is carried forward verbatim — so its chunk is adopted by
+// pointer instead of being rewritten, and release does not free it. Whichever side
+// of the run-list swap a crash lands on, exactly one listed run reaches an
+// adopted chunk, and the recovery sweep keeps whatever a listed run reaches.
+// The merged run is bulk-loaded (nvbtree.Build) once every entry is known.
+// Caller holds e.mu.
 func (e *Engine) submitCompact() error {
 	if e.compactQueued || len(e.runs) < 2 {
 		return nil
@@ -945,6 +973,7 @@ func (e *Engine) submitCompact() error {
 	e.compactQueued = true
 	var newRun *run
 	var victims []*run
+	var dead []uint64 // the victims' entry chunks the merged run did not adopt
 	t := &lsm.FlushTask{Kind: "compact"}
 
 	t.Build = func() error {
@@ -957,28 +986,39 @@ func (e *Engine) submitCompact() error {
 		}
 		victims = e.runs[len(e.runs)-2:] // newest-first order: the two oldest
 
-		// Collect: for each key, entries newest-run first.
-		entries := make(map[uint64][]lsm.Entry)
+		// Collect: for each key, its entry chunks newest-run first.
+		holders := make(map[uint64][]uint64)
 		var order []uint64
 		for _, r := range victims {
 			r.tree.Iter(0, func(k, v uint64) bool {
-				if _, ok := entries[k]; !ok {
+				if _, ok := holders[k]; !ok {
 					order = append(order, k)
 				}
-				entries[k] = append(entries[k], e.readEntryChunk(v))
+				holders[k] = append(holders[k], v)
 				return true
 			})
 		}
 		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
-		merged, err := nvbtree.Create(e.Env.Arena, e.opts.BTreeNodeSize)
-		if err != nil {
-			return fail(err)
-		}
+		kvs := make([]nvbtree.KV, 0, len(order))
 		fl := bloom.New(len(order), 10)
 		for _, k := range order {
-			es := entries[k]
+			chunks := holders[k]
+			if len(chunks) == 1 {
+				kind, n := e.entryHead(chunks[0])
+				if kind != lsm.KindTomb && !e.separates(kind, n) {
+					kvs = append(kvs, nvbtree.KV{K: k, V: chunks[0]})
+					fl.Add(k)
+					continue
+				}
+			}
+			dead = append(dead, chunks...)
+			es := make([]lsm.Entry, len(chunks))
+			for i, c := range chunks {
+				es[i] = e.readEntryChunk(c)
+			}
 			acc := es[0]
+			var err error
 			for _, ent := range es[1:] {
 				acc, err = lsm.MergeR(e.Tables[core.TreeTable(k)].Schema, k, acc, ent, e.resolveEntry)
 				if err != nil {
@@ -1010,10 +1050,12 @@ func (e *Engine) submitCompact() error {
 			if err != nil {
 				return fail(err)
 			}
-			if err := merged.Put(k, uint64(cp)); err != nil {
-				return fail(err)
-			}
+			kvs = append(kvs, nvbtree.KV{K: k, V: uint64(cp)})
 			fl.Add(k)
+		}
+		merged, err := nvbtree.Build(e.Env.Arena, e.opts.BTreeNodeSize, kvs)
+		if err != nil {
+			return fail(err)
 		}
 		newRun, err = e.storeRun(merged, fl)
 		if err != nil {
@@ -1033,14 +1075,14 @@ func (e *Engine) submitCompact() error {
 	}
 
 	t.Release = func() error {
-		// Release the merged-away runs: their entry chunks, trees, blooms.
+		// Release the merged-away runs: the entry chunks the merged run did
+		// not adopt, the trees, the blooms.
+		for _, c := range dead {
+			if e.Env.Arena.StateOf(c) != pmalloc.StateFree {
+				e.Env.Arena.Free(c)
+			}
+		}
 		for _, r := range victims {
-			r.tree.Iter(0, func(k, v uint64) bool {
-				if e.Env.Arena.StateOf(v) != pmalloc.StateFree {
-					e.Env.Arena.Free(v)
-				}
-				return true
-			})
 			r.tree.Release()
 			if r.bloomPtr != 0 {
 				e.Env.Arena.Free(r.bloomPtr)

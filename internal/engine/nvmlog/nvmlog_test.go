@@ -192,3 +192,10 @@ func TestOCCConformance(t *testing.T) {
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }
+
+// TestDeviceBudget pins the write path's cost per transaction in device
+// counters, about a tenth above what the fixed schedule costs today: loads /
+// stores / flushes / fences 49.2 / 21.7 / 21.1 / 11.49.
+func TestDeviceBudget(t *testing.T) {
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 54, Stores: 24, Flushes: 23.5, Fences: 12.7})
+}

@@ -80,13 +80,7 @@ type Tree struct {
 // exhaustion is returned as an error, never a panic: tree creation is
 // reachable from runtime table growth.
 func Create(arena *pmalloc.Arena, nodeSize int) (*Tree, error) {
-	if nodeSize == 0 {
-		nodeSize = DefaultNodeSize
-	}
-	if nodeSize < nEntries+4*entSize {
-		panic("nvbtree: node size too small")
-	}
-	t := &Tree{arena: arena, dev: arena.Device(), nsize: nodeSize, cap: (nodeSize - nEntries) / entSize}
+	t := newHandle(arena, nodeSize)
 	hdr, err := arena.Alloc(hdrBytes, pmalloc.TagIndex)
 	if err != nil {
 		return nil, err
@@ -101,18 +95,123 @@ func Create(arena *pmalloc.Arena, nodeSize int) (*Tree, error) {
 	// points at them: a tree that is never written again (an empty table)
 	// would otherwise lose them to a power cut and read back as a zeroed
 	// inner node.
-	d := t.dev
-	d.Sync(int64(root), nEntries)
+	t.dev.Sync(int64(root), nEntries)
 	arena.SetPersisted(root)
-	d.WriteU64(int64(hdr)+hMagic, headerMagic)
-	d.WriteU64(int64(hdr)+hRoot, root)
-	d.WriteU64(int64(hdr)+hNodeSize, uint64(nodeSize))
-	for o := int64(hJOld); o < hdrBytes; o += 8 {
-		d.WriteU64(int64(hdr)+o, 0)
-	}
-	d.Sync(int64(hdr), hdrBytes)
+	t.writeHeader(root)
+	t.dev.Sync(int64(hdr), hdrBytes)
 	arena.SetPersisted(hdr)
 	return t, nil
+}
+
+func newHandle(arena *pmalloc.Arena, nodeSize int) *Tree {
+	if nodeSize == 0 {
+		nodeSize = DefaultNodeSize
+	}
+	if nodeSize < nEntries+4*entSize {
+		panic("nvbtree: node size too small")
+	}
+	return &Tree{arena: arena, dev: arena.Device(), nsize: nodeSize, cap: (nodeSize - nEntries) / entSize}
+}
+
+// writeHeader stores a fresh header (clear journal) naming root; the caller
+// makes it durable.
+func (t *Tree) writeHeader(root uint64) {
+	var b [hdrBytes]byte
+	binary.LittleEndian.PutUint64(b[hMagic:], headerMagic)
+	binary.LittleEndian.PutUint64(b[hRoot:], root)
+	binary.LittleEndian.PutUint64(b[hNodeSize:], uint64(t.nsize))
+	t.dev.Write(int64(t.hdr), b[:])
+}
+
+// KV is one key/value pair of a bulk load.
+type KV struct{ K, V uint64 }
+
+// Build bulk-loads a new tree from kvs, which must be in strictly ascending
+// key order with values below 2^63. Nodes are filled sequentially, level by
+// level, each written once and written back once; one fence makes all of
+// them and the header durable, and one batched mark (a second fence) turns
+// them persisted, the header last. Until the caller stores Header() under a
+// durable root nothing references the tree: a crash before the mark leaves
+// every chunk in the allocated state, which the allocator's recovery scan
+// reclaims, and one after it leaves unreferenced persisted chunks for the
+// owner's reachability sweep — the same two outcomes as a crash around
+// Create. Nodes keep minFree slots free, like rewritten ones, so later
+// appends (a repointed value) fit without an immediate split.
+func Build(arena *pmalloc.Arena, nodeSize int, kvs []KV) (*Tree, error) {
+	t := newHandle(arena, nodeSize)
+	fill := t.cap - minFree
+	if fill < 2 {
+		fill = 2
+	}
+	level := make([]entry, len(kvs))
+	for i, kv := range kvs {
+		if kv.V&tombstone != 0 {
+			panic("nvbtree: value uses the tombstone bit")
+		}
+		if i > 0 && kv.K <= kvs[i-1].K {
+			panic("nvbtree: Build input not in strictly ascending key order")
+		}
+		level[i] = entry{kv.K, kv.V}
+	}
+	var chunks []pmalloc.Ptr
+	abandon := func(err error) (*Tree, error) {
+		for _, p := range chunks {
+			arena.Free(p)
+		}
+		return nil, err
+	}
+	buf := make([]byte, t.nsize)
+	var root uint64
+	for leaf := true; root == 0; leaf = false {
+		nodes := (len(level) + fill - 1) / fill
+		if nodes == 0 {
+			nodes = 1 // an empty tree is one empty leaf
+		}
+		next := make([]entry, nodes)
+		for i := range next {
+			es := level[len(level)*i/nodes : len(level)*(i+1)/nodes]
+			p, err := arena.Alloc(t.nsize, pmalloc.TagIndex)
+			if err != nil {
+				return abandon(err)
+			}
+			chunks = append(chunks, p)
+			used := encodeNode(buf, leaf, es)
+			t.dev.Write(int64(p), buf[:used])
+			t.dev.WriteBack(int64(p), used)
+			next[i].v = p
+			if len(es) > 0 {
+				next[i].k = es[0].k
+			}
+		}
+		if nodes == 1 {
+			root = next[0].v
+		}
+		level = next
+	}
+	hdr, err := arena.Alloc(hdrBytes, pmalloc.TagIndex)
+	if err != nil {
+		return abandon(err)
+	}
+	t.hdr = hdr
+	t.writeHeader(root)
+	t.dev.WriteBack(int64(hdr), hdrBytes)
+	t.dev.Fence()
+	arena.SetPersisted(append(chunks, hdr)...)
+	return t, nil
+}
+
+// encodeNode lays a node holding es out in buf and returns the bytes used.
+func encodeNode(buf []byte, leaf bool, es []entry) int {
+	clear(buf[:nEntries])
+	if leaf {
+		buf[nFlags] = 1
+	}
+	binary.LittleEndian.PutUint64(buf[nCount:], uint64(len(es)))
+	for i, e := range es {
+		binary.LittleEndian.PutUint64(buf[nEntries+i*entSize:], e.k)
+		binary.LittleEndian.PutUint64(buf[nEntries+i*entSize+8:], e.v)
+	}
+	return nEntries + len(es)*entSize
 }
 
 // Open attaches to an existing tree at header ptr and completes or rolls

@@ -101,9 +101,11 @@ func TestFenceDrainsPendingOnce(t *testing.T) {
 	}
 }
 
-func TestCLWBRetainsAcrossSync(t *testing.T) {
+// The default sync primitive is CLWB + SFENCE (Appendix C): the synced line
+// stays cached, so the next read is a hit, and the bytes survive a crash.
+// SetSyncCLWB(false) is the CLFLUSH side of ablation A1.
+func TestCLWBIsTheDefaultSync(t *testing.T) {
 	d := NewDevice(DefaultConfig(1 << 20))
-	d.SetSyncCLWB(true)
 	p := []byte("clwb sync keeps the line")
 	d.Write(0, p)
 	d.Sync(0, len(p))
@@ -111,18 +113,45 @@ func TestCLWBRetainsAcrossSync(t *testing.T) {
 		t.Fatal("CLWB sync not durable")
 	}
 	loads := d.Stats().Loads
-	d.Read(0, make([]byte, len(p)))
+	got := make([]byte, len(p))
+	d.Read(0, got)
 	if d.Stats().Loads != loads {
-		t.Fatal("CLWB sync invalidated the line")
+		t.Fatal("default sync invalidated the line")
 	}
-	// Switch back to CLFLUSH: sync must invalidate.
+	d.Crash()
+	d.Read(0, got)
+	if string(got) != string(p) {
+		t.Fatalf("synced bytes lost in crash: %q", got)
+	}
+	// The ablation toggle: CLFLUSH sync must invalidate.
 	d.SetSyncCLWB(false)
 	d.Write(0, p)
 	d.Sync(0, len(p))
 	loads = d.Stats().Loads
-	d.Read(0, make([]byte, len(p)))
+	d.Read(0, got)
 	if d.Stats().Loads == loads {
 		t.Fatal("CLFLUSH sync retained the line")
+	}
+}
+
+// WriteBack + one Fence persists several ranges at one durability point.
+func TestCLWBWriteBackBatchesUnderOneFence(t *testing.T) {
+	d := NewDevice(DefaultConfig(1 << 20))
+	a, b := []byte("first range"), []byte("second range")
+	d.Write(0, a)
+	d.Write(4096, b)
+	d.WriteBack(0, len(a))
+	d.WriteBack(4096, len(b))
+	if d.DurableEqual(0, a) || d.DurableEqual(4096, b) {
+		t.Fatal("write-back alone made data durable (no fence yet)")
+	}
+	fences := d.Stats().Fences
+	d.Fence()
+	if !d.DurableEqual(0, a) || !d.DurableEqual(4096, b) {
+		t.Fatal("fence did not drain both write-backs")
+	}
+	if d.Stats().Fences != fences+1 {
+		t.Fatal("expected exactly one fence")
 	}
 }
 

@@ -5,17 +5,17 @@
 // The device is a flat arena of bytes (the durable medium). All application
 // loads and stores go through a set-associative write-back cache simulation.
 // A store is NOT durable until its cache line is written back, either by an
-// explicit Flush (CLFLUSH/CLWB) followed by Fence (SFENCE), or by an eviction
-// (the memory controller may evict cache lines at any time). Crash discards
-// the cache, so only written-back bytes survive — exactly the durability
-// hazard NVM-aware recovery protocols must handle.
+// explicit Flush (CLFLUSH) or WriteBack (CLWB) followed by Fence (SFENCE), or
+// by an eviction (the memory controller may evict cache lines at any time).
+// Crash discards the cache, so only written-back bytes survive — exactly the
+// durability hazard NVM-aware recovery protocols must handle.
 //
 // The device also keeps the perf counters the paper reads (NVM loads =
 // line fills from the medium, NVM stores = line write-backs to the medium)
 // and a simulated stall clock that accrues the extra latency NVM adds over
 // DRAM. Throughput experiments report txns / (wall time + stall).
 //
-// Ownership rule: data-path operations (Read, Write, Flush, FlushOpt, Fence,
+// Ownership rule: data-path operations (Read, Write, Flush, WriteBack, Fence,
 // Sync, Crash, EvictAll, fault arming) belong to a single owner goroutine —
 // the testbed gives each database partition its own device and executes its
 // transactions serially. The observation and tuning surface — Stats,
@@ -158,7 +158,7 @@ type Device struct {
 	// and lost in case of a power failure").
 	pending     map[int64][LineSize]byte
 	pendingKeys []int64 // insertion-ordered keys of pending (drain list)
-	syncCLWB    bool    // Sync uses CLWB instead of CLFLUSH (Appendix C)
+	syncCLFLUSH bool    // ablation A1: Sync invalidates (CLFLUSH) instead of retaining (CLWB)
 	// Fault injection (see fault.go).
 	plan      FaultPlan
 	planSet   bool // a plan is installed; Crash applies its effects
@@ -273,11 +273,11 @@ func (d *Device) SetSyncExtra(lat time.Duration) {
 	d.refreshLatency()
 }
 
-// SetSyncCLWB switches the sync primitive from CLFLUSH (write back and
-// invalidate) to CLWB semantics (write back, retain the line in the cache),
-// the instruction-set extension studied in Appendix C. CLWB avoids the
-// cache miss on the next access to a just-synced line.
-func (d *Device) SetSyncCLWB(on bool) { d.syncCLWB = on }
+// SetSyncCLWB selects the sync primitive's flush instruction. The default
+// (on) is CLWB — write back, retain the line clean in the cache — which
+// Appendix C recommends because the next access to a just-synced line hits.
+// Off is the CLFLUSH (write back and invalidate) side of ablation A1.
+func (d *Device) SetSyncCLWB(on bool) { d.syncCLFLUSH = !on }
 
 func (d *Device) checkRange(off int64, n int) {
 	if off < 0 || n < 0 || off+int64(n) > d.cfg.Size {
@@ -357,12 +357,6 @@ func (d *Device) Flush(off int64, n int) {
 	d.flushRange(off, n, true)
 }
 
-// FlushOpt writes back every cache line overlapping [off, off+n) but keeps
-// the lines valid and clean, like CLWB (Appendix C).
-func (d *Device) FlushOpt(off int64, n int) {
-	d.flushRange(off, n, false)
-}
-
 func (d *Device) flushRange(off int64, n int, invalidate bool) {
 	d.checkRange(off, n)
 	first := off &^ (LineSize - 1)
@@ -431,14 +425,18 @@ func (d *Device) Fence() {
 	}
 }
 
-// Sync is the paper's sync primitive: CLFLUSH over the range, then SFENCE
-// (or CLWB + SFENCE when SetSyncCLWB is enabled, per Appendix C).
+// WriteBack is the sync primitive's flush half: it writes back every cache
+// line overlapping [off, off+n) and keeps the lines valid and clean, like
+// CLWB (Appendix C) — or invalidates them, like Flush, after
+// SetSyncCLWB(false). A caller that persists several ranges at one
+// durability point writes each back and fences once.
+func (d *Device) WriteBack(off int64, n int) {
+	d.flushRange(off, n, d.syncCLFLUSH)
+}
+
+// Sync is the paper's sync primitive: WriteBack over the range, then SFENCE.
 func (d *Device) Sync(off int64, n int) {
-	if d.syncCLWB {
-		d.FlushOpt(off, n)
-	} else {
-		d.Flush(off, n)
-	}
+	d.WriteBack(off, n)
 	d.Fence()
 }
 

@@ -101,20 +101,20 @@ func TestEvictAllDrainsDirtyLines(t *testing.T) {
 	}
 }
 
-func TestFlushOptKeepsLineCached(t *testing.T) {
+func TestWriteBackKeepsLineCached(t *testing.T) {
 	d := newTestDevice(t)
 	p := []byte("clwb keeps the line")
 	d.Write(0, p)
 	before := d.Stats().Loads
-	d.FlushOpt(0, len(p))
+	d.WriteBack(0, len(p))
 	d.Fence()
 	if !d.DurableEqual(0, p) {
-		t.Fatal("FlushOpt did not write back")
+		t.Fatal("WriteBack did not write back")
 	}
 	got := make([]byte, len(p))
 	d.Read(0, got)
 	if d.Stats().Loads != before {
-		t.Error("read after FlushOpt missed; CLWB should retain the line")
+		t.Error("read after WriteBack missed; CLWB should retain the line")
 	}
 	// CLFLUSH by contrast invalidates.
 	d.Flush(0, len(p))

@@ -1,7 +1,7 @@
 // Package pmalloc is an NVM-aware memory allocator, modelled on the paper's
 // extension of libpmem (§2.3). It provides:
 //
-//   - a durability mechanism: the sync primitive (CLFLUSH + SFENCE via the
+//   - a durability mechanism: the sync primitive (CLWB + SFENCE via the
 //     device) plus per-chunk durability states, so that storage occupied by
 //     transactions that were uncommitted at a crash can be reclaimed;
 //   - a naming mechanism: a fixed directory of root pointers so that
@@ -202,8 +202,8 @@ func (a *Arena) writeHeader(off, size int64, tag Tag, st State) {
 }
 
 // writeHeaderLazy writes a header without syncing: valid only for
-// state/tag-only transitions (or fresh bump chunks whose durable bytes are
-// zero), where a stale durable header still parses to a same-size chunk.
+// state/tag-only transitions, where a stale durable header still parses to a
+// same-size chunk.
 func (a *Arena) writeHeaderLazy(off, size int64, tag Tag, st State) {
 	a.dev.WriteU64(off, packHeader(size, tag, st))
 }
@@ -235,9 +235,11 @@ func (a *Arena) Alloc(n int, tag Tag) (Ptr, error) {
 	if off+headerSize+need > a.base+a.size {
 		return 0, ErrOutOfMemory
 	}
-	// Fresh bump chunk: the durable bytes here are zero, so a crash before
-	// the chunk is persisted leaves a clean walk terminator; no sync needed.
-	a.writeHeaderLazy(off, need, tag, StateAllocated)
+	// The header must be durable before the bump pointer covers it: a
+	// durable heap end past a header that never reached the medium would end
+	// every later recovery walk at that hole, hiding the chunks behind it
+	// from the free lists, the accounting and the owners' sweeps for good.
+	a.writeHeader(off, need, tag, StateAllocated)
 	a.heapEnd = off + headerSize + need
 	a.dev.WriteU64Durable(a.base+offHeapEnd, uint64(a.heapEnd))
 	a.usage[tag] += need
@@ -309,15 +311,20 @@ func (a *Arena) Free(p Ptr) {
 	a.pushFree(off, size)
 }
 
-// SetPersisted durably marks the chunk persisted. After this, the chunk
-// survives the recovery scan. Callers must sync the payload contents first.
-func (a *Arena) SetPersisted(p Ptr) {
-	off := int64(p) - headerSize
-	size, tag, st := unpackHeader(a.dev.ReadU64(off))
-	if st == StateFree {
-		panic("pmalloc: SetPersisted on free chunk")
+// SetPersisted durably marks the chunks persisted, with one fence for all of
+// them. After this, the chunks survive the recovery scan. Callers must sync
+// the payload contents first.
+func (a *Arena) SetPersisted(ps ...Ptr) {
+	for _, p := range ps {
+		off := int64(p) - headerSize
+		size, tag, st := unpackHeader(a.dev.ReadU64(off))
+		if st == StateFree {
+			panic("pmalloc: SetPersisted on free chunk")
+		}
+		a.writeHeaderLazy(off, size, tag, StatePersisted)
+		a.dev.WriteBack(off, 8)
 	}
-	a.writeHeader(off, size, tag, StatePersisted)
+	a.dev.Fence()
 }
 
 // StateOf returns the durability state of the chunk at p.

@@ -230,8 +230,8 @@ func (db *DB) SetSyncExtra(lat time.Duration) {
 	}
 }
 
-// SetSyncCLWB switches every device's sync primitive between CLFLUSH and
-// CLWB semantics (Appendix C).
+// SetSyncCLWB switches every device's sync primitive between CLWB (the
+// default) and CLFLUSH semantics (Appendix C, ablation A1).
 func (db *DB) SetSyncCLWB(on bool) {
 	for _, part := range db.parts {
 		part.environ().Dev.SetSyncCLWB(on)

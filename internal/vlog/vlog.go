@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"sync"
 
 	"nstore/internal/core"
 )
@@ -125,8 +124,10 @@ type Manager struct {
 }
 
 // Open loads every listed segment and CRC-walks it to find the valid record
-// prefix, cutting filesystem debris durably. Walks run in parallel across
-// segments when cfg.Workers > 1 (the §8 recovery pipeline's fan-out).
+// prefix, cutting filesystem debris durably. Segment opens, image reads and
+// truncates are device accesses and stay on the calling goroutine (the
+// nvm.Device data path is single-owner); only the CRC walks over the host
+// images fan out across cfg.Workers (the §8 recovery pipeline's fan-out).
 func Open(b Backend, cfg Config) (*Manager, error) {
 	if cfg.SegSize <= 0 {
 		cfg.SegSize = 1 << 20
@@ -136,38 +137,47 @@ func Open(b Backend, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]*segInfo, len(ids))
-	errs := make([]error, len(ids))
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(ids) && len(ids) > 0 {
-		workers = len(ids)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				infos[i], errs[i] = openSeg(b, ids[i])
+	// One window of `workers` segments at a time, so at most that many
+	// segment images are held in host memory.
+	for lo := 0; lo < len(ids); lo += workers {
+		win := ids[lo:min(lo+workers, len(ids))]
+		segs := make([]Seg, len(win))
+		images := make([][]byte, len(win))
+		for i, id := range win {
+			s, err := b.Open(id)
+			if err != nil {
+				return nil, err
 			}
-		}()
-	}
-	for i := range ids {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i, id := range ids {
-		if errs[i] != nil {
-			return nil, errs[i]
+			segs[i] = s
+			images[i] = make([]byte, s.Extent())
+			if len(images[i]) > 0 {
+				if _, err := s.ReadAt(images[i], 0); err != nil {
+					return nil, err
+				}
+			}
 		}
-		m.segs[id] = infos[i]
-		if id > m.active {
-			m.active = id
+		valid := make([]int64, len(win))
+		_ = core.ParallelShards(len(win), func(i int) error {
+			valid[i] = validPrefix(images[i], win[i])
+			return nil
+		})
+		for i, id := range win {
+			if valid[i] < int64(len(images[i])) {
+				// Filesystem segments cut crash debris durably so later
+				// appends never land beyond it; arena segments re-derive the
+				// prefix by walk, so their Truncate is a no-op.
+				if err := segs[i].Truncate(valid[i]); err != nil {
+					return nil, err
+				}
+			}
+			m.segs[id] = &segInfo{seg: segs[i], size: valid[i]}
+			if id > m.active {
+				m.active = id
+			}
 		}
 	}
 	if m.active != 0 {
@@ -176,36 +186,17 @@ func Open(b Backend, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// openSeg opens one segment and establishes its valid prefix.
-func openSeg(b Backend, id uint32) (*segInfo, error) {
-	s, err := b.Open(id)
-	if err != nil {
-		return nil, err
-	}
-	ext := s.Extent()
-	data := make([]byte, ext)
-	if ext > 0 {
-		if _, err := s.ReadAt(data, 0); err != nil {
-			return nil, err
-		}
-	}
+// validPrefix CRC-walks a segment image and returns the length of its valid
+// record prefix. Pure host-memory work.
+func validPrefix(data []byte, id uint32) int64 {
 	valid := int64(0)
 	for {
 		_, _, n, ok := DecodeRecord(data[valid:], id)
 		if !ok {
-			break
+			return valid
 		}
 		valid += int64(n)
 	}
-	if valid < ext {
-		// Filesystem segments cut crash debris durably so later appends
-		// never land beyond it; arena segments re-derive the prefix by
-		// walk, so their Truncate is a no-op.
-		if err := s.Truncate(valid); err != nil {
-			return nil, err
-		}
-	}
-	return &segInfo{seg: s, size: valid}, nil
 }
 
 // RestrictToHead drops everything past the manifest-checkpointed head:

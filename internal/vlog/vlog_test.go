@@ -357,6 +357,66 @@ func TestArenaBackendRoundtrip(t *testing.T) {
 	}
 }
 
+// TestOpenParallelKeepsDeviceOnOwner: with Workers > 1 only the CRC walks fan
+// out; segment images are read on the calling goroutine, because the
+// nvm.Device data path (its simulated cache included) is single-owner. Twenty
+// crash + reopen cycles over a growing arena-backed log must find every
+// synced record again. Reading segments from the workers raced the cache,
+// misread images, and recovery then failed with "pointer past segment valid
+// prefix"; under -race it is also a reported data race.
+func TestOpenParallelKeepsDeviceOnOwner(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, CacheSize: 64 << 10})
+	const anchorSlot = 1
+	open := func() *Manager {
+		t.Helper()
+		arena := env.Arena
+		b, err := NewArenaBackend(arena,
+			func() uint64 { return arena.Root(anchorSlot) },
+			func(v uint64) { arena.SetRoot(anchorSlot, v) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(b, Config{SegSize: 8 << 10, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := open()
+	var ptrs []core.VlogPtr
+	for cycle := 0; cycle < 20; cycle++ {
+		for i := 0; i < 40; i++ {
+			key := uint64(len(ptrs))
+			p, err := m.Append(key, val(200+int(key%7)*100, byte(key)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptrs = append(ptrs, p)
+		}
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		env.Dev.Crash()
+		var err error
+		if env, err = env.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+		m = open()
+		for key, p := range ptrs {
+			if err := m.Validate(p); err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+			got, err := m.Read(p, uint64(key))
+			if err != nil || !bytes.Equal(got, val(200+key%7*100, byte(key))) {
+				t.Fatalf("cycle %d: key %d: %v", cycle, key, err)
+			}
+		}
+	}
+	if st := m.Stats(); st.Segments < 8 {
+		t.Fatalf("only %d segments; the parallel open was not exercised", st.Segments)
+	}
+}
+
 // FuzzVlogRecord bit-flips encoded records: decode must either reject
 // (ok=false) or return exactly the original key and value — never a wrong
 // value. Flips in the key or value body are caught by the CRC; flips in the
