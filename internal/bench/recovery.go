@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nstore/internal/core"
+	"nstore/internal/nvm"
 	"nstore/internal/testbed"
 	"nstore/internal/workload/tpcc"
 	"nstore/internal/workload/ycsb"
@@ -14,8 +15,12 @@ import (
 // number of transactions executed before the crash.
 type RecoveryResult struct {
 	Txns []int
-	// Latency[workload][engine][txnIdx]; workload: 0 YCSB, 1 TPC-C.
+	// Latency[engine][workload][txnIdx]; workload: 0 YCSB, 1 TPC-C.
 	Latency map[testbed.EngineKind][2][]time.Duration
+	// Device holds, in the same shape, the device counters each recovery
+	// consumed. They are exact where Latency carries run-to-run spread, so
+	// they are what the shape of Fig. 12 is asserted on.
+	Device map[testbed.EngineKind][2][]nvm.Stats
 }
 
 // Recovery reproduces Fig. 12. Checkpointing and MemTable flushing are
@@ -25,37 +30,37 @@ func (r *Runner) Recovery() (*RecoveryResult, error) {
 	res := &RecoveryResult{
 		Txns:    r.S.RecoveryTxns,
 		Latency: make(map[testbed.EngineKind][2][]time.Duration),
+		Device:  make(map[testbed.EngineKind][2][]nvm.Stats),
 	}
 	opts := r.S.Options
 	opts.CheckpointEvery = 1 << 30
 	opts.MemTableCap = 1 << 30
+	workloads := [2]func(testbed.EngineKind, core.Options, int) (time.Duration, nvm.Stats, error){
+		r.recoveryYCSB, r.recoveryTPCC}
 
 	for _, kind := range r.S.Engines {
 		if kind == testbed.CoW || kind == testbed.NVMCoW {
 			// The CoW engines have no recovery process (§3.2, §4.2); they
 			// are reported as ~0 like the paper's omission.
-			var pair [2][]time.Duration
-			for range res.Txns {
-				pair[0] = append(pair[0], 0)
-				pair[1] = append(pair[1], 0)
-			}
-			res.Latency[kind] = pair
+			zeros := make([]time.Duration, len(res.Txns))
+			res.Latency[kind] = [2][]time.Duration{zeros, zeros}
+			none := make([]nvm.Stats, len(res.Txns))
+			res.Device[kind] = [2][]nvm.Stats{none, none}
 			continue
 		}
-		var pair [2][]time.Duration
+		var lat [2][]time.Duration
+		var dev [2][]nvm.Stats
 		for _, n := range res.Txns {
-			d, err := r.recoveryYCSB(kind, opts, n)
-			if err != nil {
-				return nil, err
+			for wi, recoverAfter := range workloads {
+				d, st, err := recoverAfter(kind, opts, n)
+				if err != nil {
+					return nil, err
+				}
+				lat[wi] = append(lat[wi], d)
+				dev[wi] = append(dev[wi], st)
 			}
-			pair[0] = append(pair[0], d)
-			d, err = r.recoveryTPCC(kind, opts, n)
-			if err != nil {
-				return nil, err
-			}
-			pair[1] = append(pair[1], d)
 		}
-		res.Latency[kind] = pair
+		res.Latency[kind], res.Device[kind] = lat, dev
 	}
 
 	for wi, name := range []string{"YCSB", "TPC-C"} {
@@ -205,7 +210,19 @@ func (r *Runner) recoverMeasured(kind testbed.EngineKind, opts core.Options, txn
 	return db.RecoveryStats(), dig, nil
 }
 
-func (r *Runner) recoveryYCSB(kind testbed.EngineKind, opts core.Options, txns int) (time.Duration, error) {
+// crashAndRecover power-cycles db and returns its recovery's wall time and
+// the device counters the recovery consumed.
+func crashAndRecover(db *testbed.DB) (time.Duration, nvm.Stats, error) {
+	if err := db.Flush(); err != nil {
+		return 0, nvm.Stats{}, err
+	}
+	db.Crash()
+	before := db.Stats()
+	d, err := db.Recover()
+	return d, db.Stats().Sub(before), err
+}
+
+func (r *Runner) recoveryYCSB(kind testbed.EngineKind, opts core.Options, txns int) (time.Duration, nvm.Stats, error) {
 	cfg := r.ycsbCfg(ycsb.WriteHeavy, ycsb.LowSkew)
 	cfg.Txns = txns
 	db, err := testbed.New(testbed.Config{
@@ -216,22 +233,18 @@ func (r *Runner) recoveryYCSB(kind testbed.EngineKind, opts core.Options, txns i
 		Schemas:    ycsb.Schema(cfg),
 	})
 	if err != nil {
-		return 0, err
+		return 0, nvm.Stats{}, err
 	}
 	if err := ycsb.Load(db, cfg); err != nil {
-		return 0, err
+		return 0, nvm.Stats{}, err
 	}
 	if _, err := db.Execute(ycsb.Generate(cfg)); err != nil {
-		return 0, err
+		return 0, nvm.Stats{}, err
 	}
-	if err := db.Flush(); err != nil {
-		return 0, err
-	}
-	db.Crash()
-	return db.Recover()
+	return crashAndRecover(db)
 }
 
-func (r *Runner) recoveryTPCC(kind testbed.EngineKind, opts core.Options, txns int) (time.Duration, error) {
+func (r *Runner) recoveryTPCC(kind testbed.EngineKind, opts core.Options, txns int) (time.Duration, nvm.Stats, error) {
 	cfg := r.tpccCfg()
 	cfg.Txns = txns
 	db, err := testbed.New(testbed.Config{
@@ -242,17 +255,13 @@ func (r *Runner) recoveryTPCC(kind testbed.EngineKind, opts core.Options, txns i
 		Schemas:    tpcc.Schemas(),
 	})
 	if err != nil {
-		return 0, err
+		return 0, nvm.Stats{}, err
 	}
 	if err := tpcc.Load(db, cfg); err != nil {
-		return 0, err
+		return 0, nvm.Stats{}, err
 	}
 	if _, err := db.Execute(tpcc.Generate(cfg)); err != nil {
-		return 0, err
+		return 0, nvm.Stats{}, err
 	}
-	if err := db.Flush(); err != nil {
-		return 0, err
-	}
-	db.Crash()
-	return db.Recover()
+	return crashAndRecover(db)
 }

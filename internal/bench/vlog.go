@@ -28,12 +28,14 @@ const vlogBatch = 16
 // VlogResult holds the value-separation sweep (BENCH_vlog.json).
 type VlogResult struct {
 	Points []Measurement
-	// Speedup[engine][size] is vlog-on over vlog-off write throughput.
-	Speedup map[testbed.EngineKind]map[string]float64
+	// Speedup[size] is vlog-on over vlog-off write throughput.
+	Speedup map[string]float64
 }
 
-// Vlog measures what WiscKey-style value separation buys the Log engines as
-// values grow. For each engine and value size it runs the same deterministic
+// Vlog measures what WiscKey-style value separation buys the Log engine as
+// values grow (NVM-Log has no value log: its compaction carries entry chunks
+// forward by pointer, so its values already stay where they were first
+// written). For each value size it runs the same deterministic
 // insert+overwrite schedule twice — VlogThreshold 512 ("vlog-on") and -1
 // ("vlog-off") — on a single partition with a small memtable, so the run
 // spans many flushes and compactions. With separation off, every compaction
@@ -48,54 +50,32 @@ type VlogResult struct {
 // digest; the two configurations must agree exactly — separation and GC are
 // invisible to reads.
 func (r *Runner) Vlog() (*VlogResult, error) {
-	r.section("vlog — value separation write sweep on the Log engines")
-	res := &VlogResult{Speedup: make(map[testbed.EngineKind]map[string]float64)}
-	kinds := []testbed.EngineKind{testbed.Log, testbed.NVMLog}
-	for _, kind := range kinds {
-		res.Speedup[kind] = make(map[string]float64)
-		for _, sz := range vlogSizes {
-			var tput [2]float64
-			var digest [2]uint64
-			for i, threshold := range []int{-1, 512} { // off, then on
-				m, dig, err := r.vlogOne(kind, sz.bytes, sz.label, threshold)
-				if err != nil {
-					return nil, fmt.Errorf("bench: vlog: %s/%s thr=%d: %w", kind, sz.label, threshold, err)
-				}
-				res.Points = append(res.Points, m)
-				tput[i] = m.Throughput
-				digest[i] = dig
-			}
-			if digest[0] != digest[1] {
-				return nil, fmt.Errorf("bench: vlog: %s/%s: vlog-on digest %016x diverged from vlog-off oracle %016x",
-					kind, sz.label, digest[1], digest[0])
-			}
-			if tput[0] > 0 {
-				res.Speedup[kind][sz.label] = tput[1] / tput[0]
-			}
-		}
-	}
-
+	r.section("vlog — value separation write sweep on the Log engine")
+	res := &VlogResult{Speedup: make(map[string]float64)}
 	w := r.tab()
 	fprintf(w, "engine\tvalue\tvlog-off\tvlog-on\ton/off\tMB-written off\ton\n")
-	for _, kind := range kinds {
-		for _, sz := range vlogSizes {
-			var off, on *Measurement
-			for i := range res.Points {
-				m := &res.Points[i]
-				if m.Engine != kind || m.Mix != sz.label {
-					continue
-				}
-				if m.Skew == "vlog-off" {
-					off = m
-				} else {
-					on = m
-				}
+	for _, sz := range vlogSizes {
+		var pt [2]Measurement
+		var digest [2]uint64
+		for i, threshold := range []int{-1, 512} { // off, then on
+			var err error
+			if pt[i], digest[i], err = r.vlogOne(sz.bytes, sz.label, threshold); err != nil {
+				return nil, fmt.Errorf("bench: vlog: %s thr=%d: %w", sz.label, threshold, err)
 			}
-			fprintf(w, "%s\t%s\t%s\t%s\t%.2fx\t%.1f\t%.1f\n",
-				kind, sz.label, human(off.Throughput), human(on.Throughput),
-				res.Speedup[kind][sz.label],
-				float64(off.BytesWritten)/(1<<20), float64(on.BytesWritten)/(1<<20))
 		}
+		if digest[0] != digest[1] {
+			return nil, fmt.Errorf("bench: vlog: %s: vlog-on digest %016x diverged from vlog-off oracle %016x",
+				sz.label, digest[1], digest[0])
+		}
+		off, on := pt[0], pt[1]
+		res.Points = append(res.Points, off, on)
+		if off.Throughput > 0 {
+			res.Speedup[sz.label] = on.Throughput / off.Throughput
+		}
+		fprintf(w, "%s\t%s\t%s\t%s\t%.2fx\t%.1f\t%.1f\n",
+			testbed.Log, sz.label, human(off.Throughput), human(on.Throughput),
+			res.Speedup[sz.label],
+			float64(off.BytesWritten)/(1<<20), float64(on.BytesWritten)/(1<<20))
 	}
 	w.Flush()
 	return res, nil
@@ -138,7 +118,7 @@ func vlogRow(key int64, size int, gen byte) []core.Value {
 	}
 }
 
-func (r *Runner) vlogOne(kind testbed.EngineKind, size int, label string, threshold int) (Measurement, uint64, error) {
+func (r *Runner) vlogOne(size int, label string, threshold int) (Measurement, uint64, error) {
 	ops := r.vlogOps(size)
 	opts := r.S.Options
 	opts.MemTableCap = 128
@@ -147,7 +127,7 @@ func (r *Runner) vlogOne(kind testbed.EngineKind, size int, label string, thresh
 	env := r.envCfg(nvm.ProfileDRAM)
 	env.DeviceSize = r.S.DeviceSize // single partition gets the whole device
 	db, err := testbed.New(testbed.Config{
-		Engine:     kind,
+		Engine:     testbed.Log,
 		Partitions: 1,
 		Env:        env,
 		Options:    opts,
@@ -199,7 +179,7 @@ func (r *Runner) vlogOne(kind testbed.EngineKind, size int, label string, thresh
 	values := ops + ops/2
 	s := db.Stats()
 	m := Measurement{
-		Engine: kind, Mix: label, Latency: "dram",
+		Engine: testbed.Log, Mix: label, Latency: "dram",
 		Skew:       "vlog-off",
 		Throughput: float64(values) / out.Elapsed.Seconds(),
 		Elapsed:    out.Elapsed,
@@ -216,22 +196,21 @@ func (r *Runner) vlogOne(kind testbed.EngineKind, size int, label string, thresh
 	if err := db.Flush(); err != nil {
 		return Measurement{}, 0, err
 	}
-	st, hasStats := db.Engine(0).(core.FlushStatser)
-	if threshold > 0 && size >= threshold && hasStats {
-		if st.FlushStats().VlogBytes == 0 {
+	eng := db.Engine(0).(interface {
+		core.FlushStatser
+		GCVlog() error
+	})
+	if threshold > 0 && size >= threshold {
+		if eng.FlushStats().VlogBytes == 0 {
 			return Measurement{}, 0, fmt.Errorf("no bytes separated at %dB; sweep is vacuous", size)
 		}
-		gc, ok := db.Engine(0).(interface{ GCVlog() error })
-		if !ok {
-			return Measurement{}, 0, fmt.Errorf("engine %s lacks GCVlog", kind)
-		}
 		for pass := 0; pass < 4; pass++ {
-			if err := gc.GCVlog(); err != nil {
+			if err := eng.GCVlog(); err != nil {
 				return Measurement{}, 0, err
 			}
 		}
 	}
-	if threshold < 0 && hasStats && st.FlushStats().VlogBytes != 0 {
+	if threshold < 0 && eng.FlushStats().VlogBytes != 0 {
 		return Measurement{}, 0, fmt.Errorf("vlog-off configuration separated bytes")
 	}
 

@@ -26,13 +26,14 @@ type Options struct {
 	// methodology.
 	RecoveryParallelism int
 	// VlogThreshold is the value size (encoded row bytes) at or above which
-	// the Log engines separate the value into the append-only value log,
+	// the Log engine separates the value into the append-only value log,
 	// leaving a (segment, offset, len) pointer in the LSM tree. 0 selects
-	// the default (512 B); negative disables separation entirely.
+	// the default (512 B); negative disables separation entirely. Only the
+	// Log engine reads it: NVM-Log has no value log.
 	VlogThreshold int
-	// VlogSegSize is the value-log segment rotation threshold in bytes
-	// (default 1 MiB). A single record larger than this gets a segment of
-	// its own.
+	// VlogSegSize is the Log engine's value-log segment rotation threshold
+	// in bytes (default 1 MiB). A single record larger than this gets a
+	// segment of its own.
 	VlogSegSize int
 	// FlushWorkers selects how the Log engines run their staged
 	// flush/compaction pipeline: 0 executes stages inline at the trigger

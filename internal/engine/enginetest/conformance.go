@@ -105,10 +105,10 @@ func conformanceSchedule(f Factory, fam faultFamily, seed int64) error {
 	// Small capacities force the interesting paths (MemTable flushes, LSM
 	// merges, checkpoints) inside a short workload; GroupCommitSize 1 makes
 	// every engine durable-at-commit, so the committed model is exact.
-	// VlogThreshold 64 puts user rows (~85 B encoded) through value
-	// separation in the Log engines while item rows stay inline, so every
-	// crash schedule also exercises the value-log head replay and pointer
-	// validation.
+	// VlogThreshold 64 reaches the Log engine only: it puts user rows (~85 B
+	// encoded) through value separation there while item rows stay inline,
+	// so its every crash schedule also exercises the value-log head replay
+	// and pointer validation.
 	opts := core.Options{MemTableCap: 32, LSMGrowth: 3, BTreeNodeSize: 128,
 		GroupCommitSize: 1, CheckpointEvery: 40, VlogThreshold: 64}
 	schema := testSchema()

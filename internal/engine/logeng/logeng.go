@@ -186,21 +186,7 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 
 func (e *Engine) initFlushManager() {
 	e.fm = lsm.NewFlushManager(e.opts.FlushWorkers > 0,
-		func() { e.mu.Lock() }, func() { e.mu.Unlock() },
-		func(kind string, stage lsm.FlushStage, d time.Duration) {
-			// Called with e.mu held in every mode (inline: by the trigger
-			// under the caller's lock; background: inside execLocked).
-			switch stage {
-			case lsm.StagePrepare:
-				e.fstats.PrepareNs += d.Nanoseconds()
-			case lsm.StageBuild:
-				e.fstats.BuildNs += d.Nanoseconds()
-			case lsm.StageInstall:
-				e.fstats.InstallNs += d.Nanoseconds()
-			case lsm.StageRelease:
-				e.fstats.ReleaseNs += d.Nanoseconds()
-			}
-		})
+		func() { e.mu.Lock() }, func() { e.mu.Unlock() }, lsm.StageTimes(&e.fstats))
 }
 
 func (e *Engine) buildVolatile() {
@@ -341,31 +327,6 @@ func (e *Engine) rebuildSecondaries() error {
 	return nil
 }
 
-// MemTable entry chunks: kind u8, len u32, payload.
-
-func (e *Engine) writeEntryChunk(ent lsm.Entry) (pmalloc.Ptr, error) {
-	p, err := e.Env.Arena.Alloc(5+len(ent.Payload), pmalloc.TagTable)
-	if err != nil {
-		// Table-arena exhaustion is reachable from normal traffic: surface
-		// it so the transaction can abort cleanly instead of panicking.
-		return 0, err
-	}
-	dev := e.Env.Dev
-	dev.WriteU8(int64(p), ent.Kind)
-	dev.WriteU32(int64(p)+1, uint32(len(ent.Payload)))
-	dev.Write(int64(p)+5, ent.Payload)
-	return p, nil
-}
-
-func (e *Engine) readEntryChunk(p uint64) lsm.Entry {
-	dev := e.Env.Dev
-	kind := dev.ReadU8(int64(p))
-	n := int(dev.ReadU32(int64(p) + 1))
-	payload := make([]byte, n)
-	dev.Read(int64(p)+5, payload)
-	return lsm.Entry{Kind: kind, Payload: payload}
-}
-
 // discardIfPtr feeds the value log's discard stats when a chunk holding a
 // separated-value pointer is superseded or rolled back.
 func (e *Engine) discardIfPtr(chunk uint64) {
@@ -403,18 +364,18 @@ func (e *Engine) resolveEntry(key uint64, ent lsm.Entry) (lsm.Entry, error) {
 // the merged chunk. The superseded chunk is returned for deferred freeing.
 func (e *Engine) putMem(s *core.Schema, tk uint64, ent lsm.Entry) (oldPtr, newPtr uint64, err error) {
 	if old, ok := e.mem.Get(tk); ok {
-		merged, err := lsm.MergeR(s, tk, ent, e.readEntryChunk(old), e.resolveEntry)
+		merged, err := lsm.MergeR(s, tk, ent, lsm.ReadEntryChunk(e.Env.Dev, old), e.resolveEntry)
 		if err != nil {
 			return 0, 0, err
 		}
-		np, err := e.writeEntryChunk(merged)
+		np, err := lsm.WriteEntryChunk(e.Env.Arena, merged)
 		if err != nil {
 			return 0, 0, err
 		}
 		e.mem.Put(tk, np)
 		return old, np, nil
 	}
-	np, err := e.writeEntryChunk(ent)
+	np, err := lsm.WriteEntryChunk(e.Env.Arena, ent)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -688,12 +649,12 @@ func (e *Engine) chain(tk uint64) ([]lsm.Entry, error) {
 		return ent.Kind != lsm.KindDelta
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	if p, ok := e.mem.Get(tk); ok && add(e.readEntryChunk(p)) {
+	if p, ok := e.mem.Get(tk); ok && add(lsm.ReadEntryChunk(e.Env.Dev, p)) {
 		stopSt()
 		return entries, nil
 	}
 	for i := len(e.imm) - 1; i >= 0; i-- {
-		if p, ok := e.imm[i].tree.Get(tk); ok && add(e.readEntryChunk(p)) {
+		if p, ok := e.imm[i].tree.Get(tk); ok && add(lsm.ReadEntryChunk(e.Env.Dev, p)) {
 			stopSt()
 			return entries, nil
 		}
@@ -805,7 +766,7 @@ func (e *Engine) scanRange(table string, from, to uint64, fn func(pk uint64, row
 			if k >= hi {
 				return false
 			}
-			out = append(out, kv{k, e.readEntryChunk(p)})
+			out = append(out, kv{k, lsm.ReadEntryChunk(e.Env.Dev, p)})
 			return true
 		})
 		return out
@@ -1067,7 +1028,7 @@ func (e *Engine) flushTask(fz *frozenMem) *lsm.FlushTask {
 			return fail("", err)
 		}
 		fz.tree.Iter(0, func(k, p uint64) bool {
-			ent := e.readEntryChunk(p)
+			ent := lsm.ReadEntryChunk(e.Env.Dev, p)
 			if e.vl != nil && ent.Kind == lsm.KindFull && len(ent.Payload) >= e.opts.VlogThreshold {
 				ptr, aerr := e.vl.Append(k, ent.Payload)
 				if aerr != nil {

@@ -217,3 +217,10 @@ func TestOCCConformance(t *testing.T) {
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }
+
+// TestDeviceBudget pins the write path's cost per transaction in device
+// counters, about a tenth above what the fixed schedule costs today: loads /
+// stores / flushes / fences 114.9 / 48.4 / 25.8 / 0.86.
+func TestDeviceBudget(t *testing.T) {
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 126.4, Stores: 53.3, Flushes: 28.4, Fences: 0.95})
+}

@@ -3,6 +3,7 @@ package logeng
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"nstore/internal/bloom"
 	"nstore/internal/core"
@@ -115,13 +116,22 @@ func (c *blockCache) evictIfFull() {
 	delete(c.m, victim)
 }
 
-// drop removes all cached blocks of a deleted file.
+// drop removes all cached blocks of a deleted file, in ascending block
+// order: the order of the frees decides where the allocator places every
+// later chunk, so following Go's map order here made two identical runs
+// differ in cache residency and device counters.
 func (c *blockCache) drop(name string) {
-	for k, e := range c.m {
+	var idxs []int64
+	for k := range c.m {
 		if k.file == name {
-			c.arena.Free(e.ptr)
-			delete(c.m, k)
+			idxs = append(idxs, k.idx)
 		}
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		k := blockKey{name, idx}
+		c.arena.Free(c.m[k].ptr)
+		delete(c.m, k)
 	}
 }
 

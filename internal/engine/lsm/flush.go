@@ -93,6 +93,25 @@ func NewFlushManager(background bool, lock, unlock func(), observe func(kind str
 	return m
 }
 
+// StageTimes is the observer both engines hand NewFlushManager: it adds each
+// stage's wall time to st. The manager calls it with the engine monitor held
+// in every mode (inline: by the trigger under the caller's lock; background:
+// inside execLocked), so st needs no lock of its own.
+func StageTimes(st *core.FlushStats) func(kind string, stage FlushStage, d time.Duration) {
+	return func(_ string, stage FlushStage, d time.Duration) {
+		switch stage {
+		case StagePrepare:
+			st.PrepareNs += d.Nanoseconds()
+		case StageBuild:
+			st.BuildNs += d.Nanoseconds()
+		case StageInstall:
+			st.InstallNs += d.Nanoseconds()
+		case StageRelease:
+			st.ReleaseNs += d.Nanoseconds()
+		}
+	}
+}
+
 // Observe records a stage duration the engine measured itself (prepare runs
 // outside the manager).
 func (m *FlushManager) Observe(kind string, stage FlushStage, d time.Duration) {

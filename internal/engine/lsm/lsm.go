@@ -5,7 +5,13 @@
 // reconstructs a tuple from entries spread across LSM runs.
 package lsm
 
-import "nstore/internal/core"
+import (
+	"encoding/binary"
+
+	"nstore/internal/core"
+	"nstore/internal/nvm"
+	"nstore/internal/pmalloc"
+)
 
 // Entry kinds.
 const (
@@ -148,4 +154,43 @@ func CoalesceR(s *core.Schema, key uint64, entries []Entry, resolve Resolver) (r
 	default:
 		return nil, false, false, nil
 	}
+}
+
+// Entry chunks are how both engines' MemTables hold an Entry in allocator
+// memory: kind u8, len u32, payload.
+const entryChunkHdr = 5
+
+// EntryChunkSize is the chunk size WriteEntryChunk allocates for e.
+func EntryChunkSize(e Entry) int { return entryChunkHdr + len(e.Payload) }
+
+// WriteEntryChunk allocates a table chunk and stores e in it. The chunk is
+// volatile: an engine whose MemTable is durable syncs it and marks it
+// persisted.
+func WriteEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
+	p, err := a.Alloc(EntryChunkSize(e), pmalloc.TagTable)
+	if err != nil {
+		// Table-arena exhaustion is reachable from normal traffic: surface
+		// it so the transaction can abort cleanly instead of panicking.
+		return 0, err
+	}
+	d := a.Device()
+	d.WriteU8(int64(p), e.Kind)
+	d.WriteU32(int64(p)+1, uint32(len(e.Payload)))
+	d.Write(int64(p)+entryChunkHdr, e.Payload)
+	return p, nil
+}
+
+// EntryChunkHead reads an entry chunk's kind and payload length only.
+func EntryChunkHead(d *nvm.Device, p uint64) (kind uint8, payloadLen int) {
+	var b [entryChunkHdr]byte
+	d.Read(int64(p), b[:])
+	return b[0], int(binary.LittleEndian.Uint32(b[1:]))
+}
+
+// ReadEntryChunk reads the entry stored at p.
+func ReadEntryChunk(d *nvm.Device, p uint64) Entry {
+	kind, n := EntryChunkHead(d, p)
+	payload := make([]byte, n)
+	d.Read(int64(p)+entryChunkHdr, payload)
+	return Entry{Kind: kind, Payload: payload}
 }

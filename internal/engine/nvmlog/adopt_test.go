@@ -9,10 +9,22 @@ import (
 	"nstore/internal/pmalloc"
 )
 
-// adoptOpts make a rotation every 24 keys and a compaction at the third run;
-// values of 300 bytes and up go through the value log.
-var adoptOpts = core.Options{MemTableCap: 24, LSMGrowth: 3, BTreeNodeSize: 128,
-	VlogThreshold: 300, VlogSegSize: 64 << 10}
+// adoptOpts make a rotation every 24 keys and a compaction at the third run.
+var adoptOpts = core.Options{MemTableCap: 24, LSMGrowth: 3, BTreeNodeSize: 128}
+
+// adoptSizes are the lengths of column b the adoption tests give every even
+// key (odd keys get 40 bytes). Images of either size sit inline in their
+// entry chunk, so a compaction that copied values would show as bytes written
+// in proportion to them.
+var adoptSizes = []int{1 << 10, 16 << 10}
+
+// adoptLen is the length of column b for key k when large images are size.
+func adoptLen(k uint64, size int) int {
+	if k%2 == 0 {
+		return size
+	}
+	return 40
+}
 
 // adoptStep is one single-operation transaction of the fixed schedule.
 type adoptStep struct {
@@ -22,18 +34,13 @@ type adoptStep struct {
 }
 
 // adoptSchedule fills three MemTables. Run 1 and run 2 hold disjoint inserts,
-// half of them large enough to be separated, so the compaction that the last
-// step triggers carries most entries forward untouched; run 2 also updates
-// and deletes a few run-1 keys, so some keys are held by both victims and
-// take the merge path, and one tombstone is dropped.
-func adoptSchedule() []adoptStep {
+// half of them large, so the compaction that the last step triggers carries
+// most entries forward untouched; run 2 also updates and deletes a few run-1
+// keys, so some keys are held by both victims and take the merge path, and
+// one tombstone is dropped.
+func adoptSchedule(large int) []adoptStep {
 	var s []adoptStep
-	size := func(k uint64) int {
-		if k%2 == 0 {
-			return 600
-		}
-		return 40
-	}
+	size := func(k uint64) int { return adoptLen(k, large) }
 	for k := uint64(1); k <= 24; k++ {
 		s = append(s, adoptStep{'i', k, size(k)})
 	}
@@ -117,7 +124,7 @@ func checkAdoptModel(e *Engine, m map[uint64][2]int64) error {
 // chunk adoption); a persisted table, index or log chunk nobody reaches is a
 // leak.
 func checkArenaMatchesReach(e *Engine) error {
-	reach, _, _ := e.reachable()
+	reach, _ := e.reachable()
 	var err error
 	held := int64(0)
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
@@ -140,55 +147,63 @@ func checkArenaMatchesReach(e *Engine) error {
 	return err
 }
 
-// TestAdoptCarriesChunksForward: a compaction over runs with disjoint keys
-// rewrites no entry chunk, appends nothing to the value log and reports no
-// dead log bytes — every entry is adopted by pointer.
+// TestAdoptCarriesChunksForward: compactions over runs with disjoint keys
+// rewrite no entry chunk, whatever the image size — every entry is adopted by
+// pointer, and still sits in the chunk it was first written to after three
+// compactions have carried it forward. What a compacting commit writes is the
+// committing insert's own image plus the merged run's nodes, Bloom filter and
+// run list: bounded per entry, not per value byte.
 func TestAdoptCarriesChunksForward(t *testing.T) {
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
-	e, err := New(env, bigSchema(), adoptOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunkOf := map[uint64]uint64{}
-	var before core.FlushStats
-	for k := uint64(1); k <= 72; k++ {
-		if k == 72 {
-			// The next commit rotates the third MemTable and compacts runs
-			// 1 and 2; note where their entries live.
-			for _, r := range e.runs {
-				r.tree.Iter(0, func(tk, v uint64) bool { chunkOf[tk] = v; return true })
+	for _, size := range adoptSizes {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+			e, err := New(env, bigSchema(), adoptOpts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			before = e.FlushStats()
-		}
-		n := 40
-		if k%2 == 0 {
-			n = 600
-		}
-		if err := applyAdoptStep(e, adoptStep{'i', k, n}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := e.FlushStats()
-	if after.Compactions != before.Compactions+1 || len(chunkOf) != 48 {
-		t.Fatalf("expected one compaction over 48 entries, got %d over %d", after.Compactions-before.Compactions, len(chunkOf))
-	}
-	if after.VlogDiscard != before.VlogDiscard {
-		t.Errorf("adopted pointers were reported dead: discard %d -> %d", before.VlogDiscard, after.VlogDiscard)
-	}
-	merged := e.runs[len(e.runs)-1].tree
-	n := 0
-	merged.Iter(0, func(tk, v uint64) bool {
-		n++
-		if chunkOf[tk] != v {
-			t.Errorf("key %d: entry chunk %d was rewritten to %d", core.TreePK(tk), chunkOf[tk], v)
-		}
-		return true
-	})
-	if n != 48 {
-		t.Errorf("merged run holds %d entries, want 48", n)
-	}
-	if err := checkArenaMatchesReach(e); err != nil {
-		t.Error(err)
+			chunkOf := map[uint64]uint64{} // tree key -> the chunk it was first seen in
+			for k := uint64(1); e.FlushStats().Compactions < 3; k++ {
+				if k > 200 {
+					t.Fatal("no third compaction after 200 inserts")
+				}
+				// Every run listed before a commit that compacts is a victim
+				// of it: note where their entries live.
+				for _, r := range e.runs {
+					r.tree.Iter(0, func(tk, v uint64) bool {
+						if _, seen := chunkOf[tk]; !seen {
+							chunkOf[tk] = v
+						}
+						return true
+					})
+				}
+				compactions, written := e.FlushStats().Compactions, env.Dev.Stats().BytesWritten
+				if err := applyAdoptStep(e, adoptStep{'i', k, adoptLen(k, size)}); err != nil {
+					t.Fatal(err)
+				}
+				if e.FlushStats().Compactions == compactions {
+					continue
+				}
+				merged := e.runs[len(e.runs)-1].tree
+				n := 0
+				merged.Iter(0, func(tk, v uint64) bool {
+					n++
+					if chunkOf[tk] != v {
+						t.Errorf("key %d: entry chunk %d was rewritten to %d", core.TreePK(tk), chunkOf[tk], v)
+					}
+					return true
+				})
+				if n != len(chunkOf) {
+					t.Errorf("merged run holds %d entries, want %d", n, len(chunkOf))
+				}
+				written = env.Dev.Stats().BytesWritten - written
+				if max := uint64(adoptLen(k, size) + 2048 + 48*n); written > max {
+					t.Errorf("the commit that merged %d entries wrote %d bytes, want at most %d; compaction is copying values again", n, written, max)
+				}
+				if err := checkArenaMatchesReach(e); err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }
 
@@ -198,7 +213,13 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 // allocator that holds exactly the reachable set, and an engine that
 // compacts again without tripping over a chunk freed twice.
 func TestAdoptCrashWindows(t *testing.T) {
-	steps := adoptSchedule()
+	for _, size := range adoptSizes {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) { adoptCrashWindows(t, size) })
+	}
+}
+
+func adoptCrashWindows(t *testing.T, size int) {
+	steps := adoptSchedule(size)
 	last := len(steps) - 1
 
 	// Fence window of the compacting commit, from an uninterrupted run.
@@ -285,7 +306,7 @@ func TestAdoptCrashWindows(t *testing.T) {
 			if k > 1100 {
 				t.Fatalf("fence %d: no compaction after recovery", f)
 			}
-			if err := applyAdoptStep(e2, adoptStep{'i', k, 40 + int(k%2)*560}); err != nil {
+			if err := applyAdoptStep(e2, adoptStep{'i', k, adoptLen(k, size)}); err != nil {
 				t.Fatalf("fence %d: insert %d after recovery: %v", f, k, err)
 			}
 		}

@@ -16,7 +16,6 @@ package nvmlog
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -29,7 +28,6 @@ import (
 	"nstore/internal/mvcc"
 	"nstore/internal/nvbtree"
 	"nstore/internal/pmalloc"
-	"nstore/internal/vlog"
 )
 
 const (
@@ -42,13 +40,9 @@ const (
 	hWalHead   = 16
 	hMutable   = 24 // current mutable MemTable tree header
 	hRunList   = 32 // immutable run list chunk (0 = none)
-	hVlogDir   = 40 // value-log segment directory chunk (0 = none)
+	hVlogDir   = 40 // reserved, 0: the slot of a value-log segment directory
 	hNTables   = 48
 	hAnchors   = 56 // per table: secondary tree headers
-
-	// gcMinRatio is the dead-byte fraction at which a sealed value-log
-	// segment becomes a GC victim.
-	gcMinRatio = 0.5
 
 	// Run list chunk: n u64, then per run {treeHdr, bloomPtr, bloomMeta}.
 	// bloomMeta packs words<<8 | k. Runs are ordered newest first.
@@ -92,12 +86,8 @@ type Engine struct {
 	runs     []*run // newest first
 	second   [][]*nvbtree.Tree
 
-	backend *vlog.ArenaBackend
-	vl      *vlog.Manager // nil when value separation is disabled
-	fm      *lsm.FlushManager
-
+	fm            *lsm.FlushManager
 	compactQueued bool
-	gcQueued      bool
 	fstats        core.FlushStats
 
 	ops         []txnOp
@@ -156,9 +146,6 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	d.Sync(int64(hdr), hAnchors+8*nSec)
 	env.Arena.SetPersisted(hdr)
 	env.Arena.SetRoot(rootSlot, hdr)
-	if err := e.openVlog(); err != nil {
-		return nil, err
-	}
 	e.initFlushManager()
 	if err := e.InitSnapshots(e, schemas, e.TxnID); err != nil {
 		return nil, err
@@ -166,44 +153,9 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	return e, nil
 }
 
-// openVlog builds the arena-backed value log anchored at the engine header
-// (both constructors). A zero anchor means an empty directory.
-func (e *Engine) openVlog() error {
-	if e.opts.VlogThreshold <= 0 {
-		return nil
-	}
-	d := e.Env.Dev
-	b, err := vlog.NewArenaBackend(e.Env.Arena,
-		func() uint64 { return d.ReadU64(int64(e.hdr) + hVlogDir) },
-		func(v uint64) { d.WriteU64Durable(int64(e.hdr)+hVlogDir, v) })
-	if err != nil {
-		return err
-	}
-	vl, err := vlog.Open(b, vlog.Config{
-		SegSize: int64(e.opts.VlogSegSize),
-		Workers: core.RecoveryWorkers(e.opts.RecoveryParallelism)})
-	if err != nil {
-		return err
-	}
-	e.backend, e.vl = b, vl
-	return nil
-}
-
 func (e *Engine) initFlushManager() {
 	e.fm = lsm.NewFlushManager(e.opts.FlushWorkers > 0,
-		func() { e.mu.Lock() }, func() { e.mu.Unlock() },
-		func(kind string, stage lsm.FlushStage, d time.Duration) {
-			switch stage {
-			case lsm.StagePrepare:
-				e.fstats.PrepareNs += d.Nanoseconds()
-			case lsm.StageBuild:
-				e.fstats.BuildNs += d.Nanoseconds()
-			case lsm.StageInstall:
-				e.fstats.InstallNs += d.Nanoseconds()
-			case lsm.StageRelease:
-				e.fstats.ReleaseNs += d.Nanoseconds()
-			}
-		})
+		func() { e.mu.Lock() }, func() { e.mu.Unlock() }, lsm.StageTimes(&e.fstats))
 }
 
 // Open recovers the engine: reopen the durable MemTables and indexes, undo
@@ -226,6 +178,12 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	d := env.Dev
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(schemas) {
 		return nil, fmt.Errorf("nvmlog: schema mismatch")
+	}
+	// The engine has no value log. An entry chunk holding a value-log pointer
+	// cannot exist without a segment directory, so this one read vouches for
+	// every entry chunk in the image.
+	if d.ReadU64(int64(hdr)+hVlogDir) != 0 {
+		return nil, core.Corrupt(fmt.Errorf("nvmlog: reserved value-log directory slot is not zero"))
 	}
 	mem, err := nvbtree.Open(env.Arena, d.ReadU64(int64(hdr)+hMutable))
 	if err != nil {
@@ -257,12 +215,6 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 			off += 8
 		}
 		e.second = append(e.second, secs)
-	}
-	// The value log must be open before the WAL undo (freed pointer chunks
-	// feed discard statistics) and before the sweep (its chunks must be
-	// marked reachable, and the pointer validation needs it).
-	if err := e.openVlog(); err != nil {
-		return nil, err
 	}
 	if err := e.undoWAL(); err != nil {
 		return nil, err
@@ -304,10 +256,9 @@ func (e *Engine) loadRuns() error {
 
 // reachable marks every chunk the engine header reaches: the header and run
 // list, the MemTable's and every listed run's nodes and entry chunks, the
-// Bloom filters, the secondary indexes, and the value log's directory and
-// segments. It also returns the primary trees' entry chunks and each run's
-// keys, which the sweep needs next.
-func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, valChunks []uint64, runKeys [][]uint64) {
+// Bloom filters and the secondary indexes. It also returns each run's keys,
+// which the sweep needs next.
+func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, runKeys [][]uint64) {
 	reach = make(map[pmalloc.Ptr]bool)
 	mark := func(p pmalloc.Ptr) { reach[p] = true }
 	reach[e.hdr] = true
@@ -318,7 +269,6 @@ func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, valChunks []uint64, ru
 		t.Nodes(mark)
 		t.Iter(0, func(k, v uint64) bool {
 			reach[v] = true
-			valChunks = append(valChunks, v)
 			if keys != nil {
 				*keys = append(*keys, k)
 			}
@@ -338,10 +288,7 @@ func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, valChunks []uint64, ru
 			st.Nodes(mark)
 		}
 	}
-	if e.backend != nil {
-		e.backend.Chunks(mark)
-	}
-	return reach, valChunks, runKeys
+	return reach, runKeys
 }
 
 // sweep reclaims persisted chunks orphaned by crashes during rotation,
@@ -354,30 +301,8 @@ func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, valChunks []uint64, ru
 func (e *Engine) sweep() error {
 	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
 	// The marking pass over each run doubles as the key harvest for the
-	// parallel Bloom verification below; the primary trees' entry chunks
-	// feed the value-log pointer validation.
-	reach, valChunks, runKeys := e.reachable()
-	// Pointer validation: every separated-value pointer a durable tree
-	// carries must land inside a live segment's valid prefix. (A missing
-	// segment is legal only for shadowed stale entries; vlog.Validate
-	// distinguishes the cases.)
-	for _, v := range valChunks {
-		if e.Env.Dev.ReadU8(int64(v)) != lsm.KindFullPtr {
-			continue
-		}
-		var buf [core.VlogPtrSize]byte
-		e.Env.Dev.Read(int64(v)+5, buf[:])
-		ptr, ok := core.DecodeVlogPtr(buf[:])
-		if !ok {
-			return core.Corrupt(fmt.Errorf("nvmlog: malformed value-log pointer chunk"))
-		}
-		if e.vl == nil {
-			return core.Corrupt(fmt.Errorf("nvmlog: value-log pointer with separation disabled"))
-		}
-		if err := e.vl.Validate(ptr); err != nil {
-			return err
-		}
-	}
+	// parallel Bloom verification below.
+	reach, runKeys := e.reachable()
 
 	type chunkRec struct {
 		p   pmalloc.Ptr
@@ -484,92 +409,16 @@ func (e *Engine) verifyBlooms(workers int, runKeys [][]uint64) error {
 	return nil
 }
 
-// Entry chunks: kind u8, len u32, payload (TagTable, persisted).
-
+// writeEntryChunk stores ent in a persisted entry chunk: the MemTable is
+// durable, so the chunk is synced before any tree points at it.
 func (e *Engine) writeEntryChunk(ent lsm.Entry) (pmalloc.Ptr, error) {
-	p, err := e.Env.Arena.Alloc(5+len(ent.Payload), pmalloc.TagTable)
+	p, err := lsm.WriteEntryChunk(e.Env.Arena, ent)
 	if err != nil {
-		// Table-arena exhaustion is reachable from normal traffic.
 		return 0, err
 	}
-	d := e.Env.Dev
-	d.WriteU8(int64(p), ent.Kind)
-	d.WriteU32(int64(p)+1, uint32(len(ent.Payload)))
-	d.Write(int64(p)+5, ent.Payload)
-	d.Sync(int64(p), 5+len(ent.Payload))
+	e.Env.Dev.Sync(int64(p), lsm.EntryChunkSize(ent))
 	e.Env.Arena.SetPersisted(p)
 	return p, nil
-}
-
-func (e *Engine) readEntryChunk(p uint64) lsm.Entry {
-	kind, n := e.entryHead(p)
-	payload := make([]byte, n)
-	e.Env.Dev.Read(int64(p)+5, payload)
-	return lsm.Entry{Kind: kind, Payload: payload}
-}
-
-// entryHead reads an entry chunk's kind and payload length only.
-func (e *Engine) entryHead(p uint64) (kind uint8, payloadLen int) {
-	var b [5]byte
-	e.Env.Dev.Read(int64(p), b[:])
-	return b[0], int(binary.LittleEndian.Uint32(b[1:]))
-}
-
-// discardIfPtr feeds the value log's discard stats when an entry chunk
-// holding a separated-value pointer is superseded, rolled back, or merged
-// away.
-func (e *Engine) discardIfPtr(chunk uint64) {
-	if e.vl == nil || chunk == 0 {
-		return
-	}
-	if e.Env.Dev.ReadU8(int64(chunk)) != lsm.KindFullPtr {
-		return
-	}
-	var buf [core.VlogPtrSize]byte
-	e.Env.Dev.Read(int64(chunk)+5, buf[:])
-	if ptr, ok := core.DecodeVlogPtr(buf[:]); ok {
-		e.vl.Discard(ptr.Seg, vlog.DiscardOf(ptr))
-	}
-}
-
-// resolveEntry is the lsm.Resolver: it materializes a KindFullPtr entry by
-// reading the value log.
-func (e *Engine) resolveEntry(key uint64, ent lsm.Entry) (lsm.Entry, error) {
-	ptr, ok := core.DecodeVlogPtr(ent.Payload)
-	if !ok {
-		return lsm.Entry{}, core.Corrupt(fmt.Errorf("nvmlog: malformed value-log pointer for key %d", key))
-	}
-	if e.vl == nil {
-		return lsm.Entry{}, core.Corrupt(fmt.Errorf("nvmlog: value-log pointer for key %d with separation disabled", key))
-	}
-	val, err := e.vl.Read(ptr, key)
-	if err != nil {
-		return lsm.Entry{}, err
-	}
-	return lsm.Entry{Kind: lsm.KindFull, Payload: val}, nil
-}
-
-// separates reports whether separate would move an entry of this kind and
-// payload length into the value log.
-func (e *Engine) separates(kind uint8, payloadLen int) bool {
-	return e.vl != nil && kind == lsm.KindFull && payloadLen >= e.opts.VlogThreshold
-}
-
-// separate routes a large full image through the value log: the record is
-// appended and synced (durable before any chunk referencing it persists)
-// and the entry becomes a 12-byte pointer. Small images pass through.
-func (e *Engine) separate(tk uint64, ent lsm.Entry) (lsm.Entry, error) {
-	if !e.separates(ent.Kind, len(ent.Payload)) {
-		return ent, nil
-	}
-	ptr, err := e.vl.Append(tk, ent.Payload)
-	if err != nil {
-		return lsm.Entry{}, err
-	}
-	if err := e.vl.Sync(); err != nil {
-		return lsm.Entry{}, err
-	}
-	return lsm.Entry{Kind: lsm.KindFullPtr, Payload: ptr.Encode(nil)}, nil
 }
 
 // secFix describes a secondary-index change for WAL undo.
@@ -652,8 +501,6 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) error {
 		}
 	}
 	if newPtr != 0 && e.Env.Arena.StateOf(newPtr) != pmalloc.StateFree {
-		// A rolled-back separated value leaves its log record dead.
-		e.discardIfPtr(newPtr)
 		e.Env.Arena.Free(newPtr)
 	}
 	n := int(d.ReadU8(int64(p) + wNSec))
@@ -683,18 +530,7 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key uint64, ent lsm.Ent
 	if p, ok := e.mem.Get(tk); ok {
 		oldPtr = p
 		isNew = false
-		merged, err := lsm.MergeR(tm.Schema, tk, ent, e.readEntryChunk(p), e.resolveEntry)
-		if err != nil {
-			return err
-		}
-		ent = merged
-	}
-	// Separation happens after the merge: a delta landing on a separated
-	// image resolves to an inline full image, which re-separates here if it
-	// is still large.
-	ent, err := e.separate(tk, ent)
-	if err != nil {
-		return err
+		ent = lsm.Merge(tm.Schema, ent, lsm.ReadEntryChunk(e.Env.Dev, p))
 	}
 	newPtr, err := e.writeEntryChunk(ent)
 	if err != nil {
@@ -702,7 +538,6 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key uint64, ent lsm.Ent
 	}
 	entry, err := e.appendWAL(typ, tm.ID, key, oldPtr, uint64(newPtr), fixes)
 	if err != nil {
-		e.discardIfPtr(uint64(newPtr))
 		e.Env.Arena.Free(newPtr)
 		return err
 	}
@@ -760,7 +595,6 @@ func (e *Engine) Commit() error {
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
 	for _, op := range e.ops {
 		if op.oldPtr != 0 && e.Env.Arena.StateOf(op.oldPtr) != pmalloc.StateFree {
-			e.discardIfPtr(op.oldPtr)
 			e.Env.Arena.Free(op.oldPtr)
 		}
 		e.Env.Arena.Free(op.entry)
@@ -847,7 +681,7 @@ func (e *Engine) rotatePrepare() (*run, []uint64, error) {
 
 // rotateTask finishes a rotation: build computes the Bloom filter (pure
 // hashing), install persists it and relinks the run list, release chains
-// the compaction and GC checks. A failure leaves the run with an empty
+// the compaction check. A failure leaves the run with an empty
 // filter — correct, just slower — so nothing is retried.
 func (e *Engine) rotateTask(newRun *run, keys []uint64) *lsm.FlushTask {
 	t := &lsm.FlushTask{Kind: "flush"}
@@ -893,11 +727,8 @@ func (e *Engine) rotateTask(newRun *run, keys []uint64) *lsm.FlushTask {
 	t.Release = func() error {
 		e.fstats.Flushes++
 		if len(e.runs) >= e.opts.LSMGrowth {
-			if err := e.submitCompact(); err != nil {
-				return err
-			}
+			return e.submitCompact()
 		}
-		e.submitGC(gcMinRatio)
 		return nil
 	}
 	return t
@@ -956,11 +787,10 @@ func (e *Engine) swapRunList(runs []*run) error {
 // "we also modified the compaction process to merge a set of these
 // MemTables"). Merging only the deepest pair bounds the transient space to
 // roughly the size of that pair; tombstones are dropped because nothing
-// older remains below them. Superseded value-log pointers feed the discard
-// statistics that drive GC.
+// older remains below them.
 //
-// An entry that only one of the two runs holds, and that separate would
-// leave alone, is carried forward verbatim — so its chunk is adopted by
+// An entry that only one of the two runs holds, and that is not a tombstone,
+// is carried forward verbatim whatever its size — so its chunk is adopted by
 // pointer instead of being rewritten, and release does not free it. Whichever side
 // of the run-list swap a crash lands on, exactly one listed run reaches an
 // adopted chunk, and the recovery sweep keeps whatever a listed run reaches.
@@ -1005,43 +835,19 @@ func (e *Engine) submitCompact() error {
 		for _, k := range order {
 			chunks := holders[k]
 			if len(chunks) == 1 {
-				kind, n := e.entryHead(chunks[0])
-				if kind != lsm.KindTomb && !e.separates(kind, n) {
+				if kind, _ := lsm.EntryChunkHead(e.Env.Dev, chunks[0]); kind != lsm.KindTomb {
 					kvs = append(kvs, nvbtree.KV{K: k, V: chunks[0]})
 					fl.Add(k)
 					continue
 				}
 			}
 			dead = append(dead, chunks...)
-			es := make([]lsm.Entry, len(chunks))
-			for i, c := range chunks {
-				es[i] = e.readEntryChunk(c)
-			}
-			acc := es[0]
-			var err error
-			for _, ent := range es[1:] {
-				acc, err = lsm.MergeR(e.Tables[core.TreeTable(k)].Schema, k, acc, ent, e.resolveEntry)
-				if err != nil {
-					return fail(err)
-				}
+			acc := lsm.ReadEntryChunk(e.Env.Dev, chunks[0])
+			for _, c := range chunks[1:] {
 				if acc.Kind != lsm.KindDelta {
 					break
 				}
-			}
-			// A delta resolved over a separated image yields an inline full
-			// image; re-separate it if it is still large.
-			acc, err = e.separate(k, acc)
-			if err != nil {
-				return fail(err)
-			}
-			// Input pointers not carried forward verbatim are dead log bytes.
-			for _, ent := range es {
-				if ent.Kind == lsm.KindFullPtr && e.vl != nil &&
-					!(acc.Kind == lsm.KindFullPtr && bytes.Equal(ent.Payload, acc.Payload)) {
-					if ptr, ok := core.DecodeVlogPtr(ent.Payload); ok {
-						e.vl.Discard(ptr.Seg, vlog.DiscardOf(ptr))
-					}
-				}
+				acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, lsm.ReadEntryChunk(e.Env.Dev, c))
 			}
 			if acc.Kind == lsm.KindTomb {
 				continue // reclaim space during compaction (Table 2)
@@ -1091,7 +897,6 @@ func (e *Engine) submitCompact() error {
 		e.compactions++
 		e.fstats.Compactions++
 		e.compactQueued = false
-		e.submitGC(gcMinRatio)
 		return nil
 	}
 	if err := e.fm.Submit(t); err != nil {
@@ -1104,118 +909,6 @@ func (e *Engine) submitCompact() error {
 		return err
 	}
 	return nil
-}
-
-// submitGC queues a value-log GC pass if a sealed segment's dead ratio
-// reaches minRatio (0 forces the best victim regardless). Caller holds
-// e.mu.
-func (e *Engine) submitGC(minRatio float64) {
-	if e.vl == nil || e.gcQueued {
-		return
-	}
-	victim, ok := e.vl.PickVictim(minRatio)
-	if !ok {
-		return
-	}
-	e.gcQueued = true
-	t := &lsm.FlushTask{Kind: "gc"}
-	t.Build = func() error {
-		defer func() { e.gcQueued = false }()
-		if e.opts.FlushWorkers > 0 && e.InTx {
-			// A background GC pass must not repoint entry chunks an open
-			// transaction could still roll back (the undo would free the
-			// repointed chunk and restore one GC just freed). Skip; the
-			// next trigger re-picks the victim.
-			return nil
-		}
-		if !e.vl.Has(victim) {
-			return nil
-		}
-		if err := e.gcSegment(victim); err != nil {
-			e.fstats.Failures++
-			return err
-		}
-		e.fstats.GCRuns++
-		e.vl.NoteGCRun()
-		return nil
-	}
-	if err := e.fm.Submit(t); err != nil {
-		e.gcQueued = false
-	}
-}
-
-// gcSegment rewrites the victim segment's live records to the value-log
-// tail and repoints their entry chunks in place, then removes the segment.
-// Every step is individually crash-safe: the new record syncs before the
-// new chunk persists, the new chunk persists before the durable tree
-// repoint, and the victim only leaves the (anchor-swapped) directory after
-// every live record is repointed — a crash at any boundary leaves either
-// the old pointer valid or the new one installed, never a dangling pointer.
-func (e *Engine) gcSegment(victim uint32) error {
-	err := e.vl.Scan(victim, func(key uint64, ptr core.VlogPtr, val []byte) error {
-		tree, oldChunk, live := e.findLive(key, ptr)
-		if !live {
-			return nil
-		}
-		nptr, err := e.vl.Append(key, val)
-		if err != nil {
-			return err
-		}
-		if err := e.vl.Sync(); err != nil {
-			return err
-		}
-		np, err := e.writeEntryChunk(lsm.Entry{Kind: lsm.KindFullPtr, Payload: nptr.Encode(nil)})
-		if err != nil {
-			return err
-		}
-		if err := tree.Put(key, uint64(np)); err != nil {
-			return err
-		}
-		e.Env.Arena.Free(oldChunk)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return e.vl.Remove(victim)
-}
-
-// findLive locates the entry chunk referencing ptr, if the pointer is still
-// the terminal of its key's live chain. Deltas above a separated image keep
-// it live (reads resolve through it); a newer full image or tombstone
-// shadows it.
-func (e *Engine) findLive(tk uint64, ptr core.VlogPtr) (*nvbtree.Tree, uint64, bool) {
-	check := func(t *nvbtree.Tree) (uint64, int) { // 0 = keep walking, 1 = live, 2 = dead
-		p, ok := t.Get(tk)
-		if !ok {
-			return 0, 0
-		}
-		ent := e.readEntryChunk(p)
-		switch ent.Kind {
-		case lsm.KindDelta:
-			return 0, 0
-		case lsm.KindFullPtr:
-			if q, ok := core.DecodeVlogPtr(ent.Payload); ok && q == ptr {
-				return uint64(p), 1
-			}
-			return 0, 2
-		default:
-			return 0, 2
-		}
-	}
-	if p, v := check(e.mem); v == 1 {
-		return e.mem, p, true
-	} else if v == 2 {
-		return nil, 0, false
-	}
-	for _, r := range e.runs {
-		if p, v := check(r.tree); v == 1 {
-			return r.tree, p, true
-		} else if v == 2 {
-			return nil, 0, false
-		}
-	}
-	return nil, 0, false
 }
 
 // Insert adds a tuple (Table 2: sync tuple, log pointer, add to MemTable).
@@ -1320,7 +1013,6 @@ func (e *Engine) Delete(table string, key uint64) error {
 
 // Get coalesces entries from the mutable MemTable and the immutable runs
 // (newest first), probing each run's Bloom filter first (Table 2).
-// Separated values resolve through the value log.
 func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1341,7 +1033,7 @@ func (e *Engine) get(table string, key uint64) ([]core.Value, bool, error) {
 	done := false
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	if p, ok := e.mem.Get(tk); ok {
-		done = add(e.readEntryChunk(p))
+		done = add(lsm.ReadEntryChunk(e.Env.Dev, p))
 	}
 	stopSt()
 	if !done {
@@ -1354,16 +1046,13 @@ func (e *Engine) get(table string, key uint64) ([]core.Value, bool, error) {
 			if !ok {
 				continue
 			}
-			if add(e.readEntryChunk(p)) {
+			if add(lsm.ReadEntryChunk(e.Env.Dev, p)) {
 				break
 			}
 		}
 		stopIdx()
 	}
-	row, exists, _, err := lsm.CoalesceR(tm.Schema, tk, entries, e.resolveEntry)
-	if err != nil {
-		return nil, false, err
-	}
+	row, exists, _ := lsm.Coalesce(tm.Schema, entries)
 	return row, exists, nil
 }
 
@@ -1430,7 +1119,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 			if _, ok := entries[k]; !ok {
 				order = append(order, k)
 			}
-			entries[k] = append(entries[k], e.readEntryChunk(v))
+			entries[k] = append(entries[k], lsm.ReadEntryChunk(e.Env.Dev, v))
 			return true
 		})
 	}
@@ -1440,11 +1129,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, k := range order {
-		row, exists, _, err := lsm.CoalesceR(tm.Schema, k, entries[k], e.resolveEntry)
-		if err != nil {
-			return err
-		}
-		if exists {
+		if row, exists, _ := lsm.Coalesce(tm.Schema, entries[k]); exists {
 			if !fn(core.TreePK(k), row) {
 				return nil
 			}
@@ -1456,7 +1141,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 // Flush is a no-op: every commit is immediately durable.
 func (e *Engine) Flush() error { return nil }
 
-// Close drains in-flight background rotation/compaction/GC work, then marks
+// Close drains in-flight background rotation/compaction work, then marks
 // the engine closed. It must be called without e.mu held: the worker needs
 // the monitor to finish its current task.
 func (e *Engine) Close() error {
@@ -1481,30 +1166,12 @@ func (e *Engine) Runs() int {
 	return len(e.runs)
 }
 
-// FlushStats exposes the staged-pipeline and value-log counters
-// (core.FlushStatser).
+// FlushStats exposes the staged-pipeline counters (core.FlushStatser); the
+// engine has no value log, so those fields stay zero.
 func (e *Engine) FlushStats() core.FlushStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.fstats
-	if e.vl != nil {
-		vs := e.vl.Stats()
-		st.VlogSegments = int64(vs.Segments)
-		st.VlogBytes = vs.Bytes
-		st.VlogDiscard = vs.Discard
-		st.VlogReclaimed = vs.Reclaimed
-	}
-	return st
-}
-
-// GCVlog forces one value-log GC pass over the deadest sealed segment, if
-// any qualifies (test/bench hook).
-func (e *Engine) GCVlog() error {
-	e.mu.Lock()
-	e.submitGC(0)
-	e.mu.Unlock()
-	e.fm.Drain()
-	return e.fm.TakeErr()
+	return e.fstats
 }
 
 // Footprint reports storage usage (Fig. 14).

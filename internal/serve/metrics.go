@@ -87,7 +87,8 @@ func (rt *Runtime) buildMetrics() {
 	reg.GaugeFunc("wal_bytes", walGauge(func(s core.WalStats) int64 { return s.Bytes }))
 	reg.GaugeFunc("wal_flushes", walGauge(func(s core.WalStats) int64 { return s.Fsyncs }))
 
-	// Staged flush pipeline + value log (Log engines only; zero elsewhere).
+	// Staged flush pipeline (the two Log engines) + value log (Log only); zero
+	// elsewhere.
 	// Engine instances are rebuilt on partition heals, hence gauges.
 	flushGauge := func(sel func(core.FlushStats) int64) func() float64 {
 		return func() float64 {

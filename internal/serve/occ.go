@@ -8,121 +8,20 @@ package serve
 // serializes under engMu. First committer wins: a loser aborts with the
 // retryable core.ErrConflict, having never touched the engine, and is
 // retried against a fresh snapshot with jittered backoff. Acks still release
-// strictly after the durability barrier, exactly like the serial path.
-// Writers:1 does not enter this file at all — New spawns the untouched
-// serial run() loop.
+// strictly after the durability barrier, exactly like the serial path. The
+// executor loop, the supervisor policy and the barrier are the serial path's
+// own (run, serve, flushPending in serve.go); Writers: 1 does not enter this
+// file at all.
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"nstore/internal/core"
 	"nstore/internal/nvm"
 	"nstore/internal/testbed"
 )
-
-// runOCC is one optimistic writer. w is the writer's index within the
-// partition; its jitter RNG is derived deterministically from (seed,
-// partition, writer) so multi-writer runs stay -seed replayable without
-// sharing the non-goroutine-safe ex.rng.
-func (ex *executor) runOCC(w int) {
-	defer ex.rt.wg.Done()
-	rng := rand.New(rand.NewSource(ex.rt.cfg.Seed + int64(ex.part)*7919 + int64(w+1)*104729))
-	for req := range ex.ch {
-		if err := req.ctx.Err(); err != nil {
-			req.done <- err
-			continue
-		}
-		if ex.degraded.Load() {
-			req.done <- ErrDegraded
-			continue
-		}
-		if ex.recovering.Load() {
-			ex.rt.stats.recovering.Add(1)
-			req.done <- ErrRecovering
-			continue
-		}
-		deferred, err := ex.serveOCC(req, w, rng)
-		if deferred {
-			continue // the durability barrier owns the ack now
-		}
-		if err == nil {
-			ex.rt.stats.committed.Add(1)
-			ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
-		}
-		req.done <- err
-	}
-	// Close drained the queue; release any held acks durably. Every writer
-	// runs this on exit — the flush covers all writers' lists, so whichever
-	// writer commits last still gets its acks released.
-	ex.engMu.Lock()
-	ex.flushPendingOCC()
-	ex.engMu.Unlock()
-}
-
-// serveOCC runs one transaction under the supervisor policy — the same
-// decision table as the serial serve(), with two differences: ErrConflict
-// arrives through the retryable case (each retry re-executes against a
-// fresh snapshot), and heal/panic bookkeeping must take engMu explicitly
-// because the optimistic phase runs outside it.
-func (ex *executor) serveOCC(req *request, w int, rng *rand.Rand) (deferred bool, err error) {
-	if eng := ex.rt.db.Engine(ex.part); !occCapable(eng) {
-		// No MVCC substrate to validate against (not the case for any of
-		// the six engines): fall back to fully serialized execution under
-		// the partition lock. serve() already ran the supervisor policy, so
-		// the result returns as-is.
-		return ex.runOnceLocked(req, w)
-	}
-	cfg := &ex.rt.cfg
-	for attempt := 0; ; attempt++ {
-		deferred, err := ex.runOnceOCC(req, w)
-		switch {
-		case err == nil:
-			return deferred, nil
-
-		case errors.Is(err, testbed.ErrAbort):
-			ex.rt.stats.aborted.Add(1)
-			return false, err
-
-		case errors.Is(err, nvm.ErrInjectedCrash):
-			ex.withEngMu(func() { ex.heal(err) })
-			ex.rt.stats.failed.Add(1)
-			return false, ErrRecovering
-
-		case isPanicErr(err):
-			ex.rt.stats.panics.Add(1)
-			ex.rt.event(ex.part, EventPanic, err)
-			ex.withEngMu(func() {
-				if ex.panicStorm() {
-					ex.heal(err)
-				}
-			})
-			ex.rt.stats.failed.Add(1)
-			return false, err
-
-		case core.IsCorrupt(err):
-			ex.withEngMu(func() { ex.heal(err) })
-			ex.rt.stats.failed.Add(1)
-			return false, ErrRecovering
-
-		case core.IsRetryable(err):
-			if attempt >= cfg.MaxRetries {
-				ex.rt.stats.failed.Add(1)
-				return false, err
-			}
-			ex.rt.stats.retries.Add(1)
-			ex.rt.event(ex.part, EventRetry, err)
-			ex.backoffWith(rng, attempt)
-			continue
-
-		default:
-			ex.rt.stats.failed.Add(1)
-			return false, err
-		}
-	}
-}
 
 // runOnceOCC executes the transaction once: optimistic phase off-lock,
 // then validate + apply + ack bookkeeping under engMu. deferred reports
@@ -134,8 +33,8 @@ func (ex *executor) runOnceOCC(req *request, w int) (deferred bool, err error) {
 	sr, okSR := eng.(core.SnapshotReader)
 	vp, okVP := eng.(core.OccValidatorProvider)
 	if !okSR || !okVP {
-		// Capability is a property of the engine kind and was checked in
-		// serveOCC; a heal never changes the kind.
+		// All six engines serve snapshots and conflict queries; this is a
+		// foreign engine without the substrate the optimistic path needs.
 		return false, fmt.Errorf("serve: engine %s lost its MVCC substrate mid-run", eng.Name())
 	}
 
@@ -176,36 +75,7 @@ func (ex *executor) runOnceOCC(req *request, w int) (deferred bool, err error) {
 	if aerr := ex.applyOCC(eng, ot); aerr != nil {
 		return false, aerr
 	}
-	if ex.groupSize > 1 {
-		ex.wpending[w] = append(ex.wpending[w], req)
-		if ex.occPendingTotal() >= ex.groupSize || len(ex.ch) == 0 {
-			ex.flushPendingOCC()
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// runOnceLocked is the non-MVCC fallback: the serial supervisor under
-// engMu, with group-commit acks routed through the writer's pending list.
-func (ex *executor) runOnceLocked(req *request, w int) (deferred bool, err error) {
-	ex.engMu.Lock()
-	defer ex.engMu.Unlock()
-	if ex.recovering.Load() {
-		ex.rt.stats.recovering.Add(1)
-		return false, ErrRecovering
-	}
-	if err := ex.serve(req); err != nil {
-		return false, err
-	}
-	if ex.groupSize > 1 {
-		ex.wpending[w] = append(ex.wpending[w], req)
-		if ex.occPendingTotal() >= ex.groupSize || len(ex.ch) == 0 {
-			ex.flushPendingOCC()
-		}
-		return true, nil
-	}
-	return false, nil
+	return ex.holdAck(req, w), nil
 }
 
 // occBody runs the transaction body against the wrapper with the serial
@@ -253,67 +123,6 @@ func (ex *executor) applyOCC(eng core.Engine, ot *core.OccTxn) (err error) {
 		}
 	}
 	return nil
-}
-
-// occPendingTotal counts held acks across all writers. Caller holds engMu.
-func (ex *executor) occPendingTotal() int {
-	n := 0
-	for _, list := range ex.wpending {
-		n += len(list)
-	}
-	return n
-}
-
-// flushPendingOCC runs the durability barrier for every writer's held acks:
-// one engine Flush covers all of them — the group buffer is per partition,
-// not per writer. Failure semantics mirror flushPending: retryable errors
-// back off and retry, anything worse heals the partition, which fails every
-// held ack. Caller holds engMu.
-func (ex *executor) flushPendingOCC() {
-	if ex.occPendingTotal() == 0 {
-		return
-	}
-	cfg := &ex.rt.cfg
-	for attempt := 0; ; attempt++ {
-		err := ex.flushQuiet()
-		if err == nil {
-			for w, list := range ex.wpending {
-				ex.rt.stats.committed.Add(int64(len(list)))
-				for _, req := range list {
-					ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
-					req.done <- nil
-				}
-				ex.wpending[w] = list[:0]
-			}
-			return
-		}
-		if core.IsRetryable(err) && !errors.Is(err, nvm.ErrInjectedCrash) && attempt < cfg.MaxRetries {
-			ex.rt.stats.retries.Add(1)
-			ex.rt.event(ex.part, EventRetry, err)
-			ex.backoff(attempt) // engMu held: ex.rng is safe here
-			continue
-		}
-		// heal fails every writer's pending list (not durable).
-		ex.heal(err)
-		return
-	}
-}
-
-// withEngMu runs fn at the partition's serialization point. Two OCC writers
-// can race into heal for the same fault; the loser re-heals an already
-// healthy partition — a redundant power cycle, never a correctness issue.
-func (ex *executor) withEngMu(fn func()) {
-	ex.engMu.Lock()
-	fn()
-	ex.engMu.Unlock()
-}
-
-// occCapable reports whether the engine serves snapshots and conflict
-// queries — what the optimistic path needs.
-func occCapable(eng core.Engine) bool {
-	_, okSR := eng.(core.SnapshotReader)
-	_, okVP := eng.(core.OccValidatorProvider)
-	return okSR && okVP
 }
 
 // recordWriterAck feeds the per-(partition, writer) submit→ack histogram

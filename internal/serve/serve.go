@@ -66,12 +66,12 @@ type Config struct {
 	// group buffer; enable this when the client treats an ack as durable.
 	DurableAck bool
 	// Writers sets the number of write executors per partition (default 1).
-	// The default keeps the pre-OCC serial path, bit for bit. With
-	// Writers > 1, transactions execute optimistically against pinned MVCC
-	// snapshots without holding the partition lock, then OCC-validate their
-	// read sets at the commit point: first committer wins, losers abort
-	// with the retryable core.ErrConflict and are retried with backoff.
-	// Acks still release strictly after the group-commit durability
+	// The default executes each transaction serially at the engine, under the
+	// partition lock. With Writers > 1, transactions execute optimistically
+	// against pinned MVCC snapshots without holding the partition lock, then
+	// OCC-validate their read sets at the commit point: first committer wins,
+	// losers abort with the retryable core.ErrConflict and are retried with
+	// backoff. Acks still release strictly after the group-commit durability
 	// barrier. See occ.go and DESIGN.md §12.
 	Writers int
 	// Readers sets the per-partition snapshot reader pool size (default 4).
@@ -233,15 +233,14 @@ type executor struct {
 
 	// groupSize > 1 defers acks: a committed transaction may still sit in
 	// the engine's volatile group-commit buffer, so its ack is withheld
-	// until the group is durably flushed (pending holds the waiting
+	// until the group is durably flushed (wpending holds the waiting
 	// requests). This closes the ack-durability hole without forcing a
 	// flush per transaction the way DurableAck does.
 	groupSize int
-	pending   []*request
-	// wpending holds each OCC writer's commits awaiting the group
-	// durability barrier, indexed by writer (nil in serial mode, which uses
-	// pending). Guarded by engMu: every append, flush and drain happens at
-	// the partition's serialization point.
+	// wpending holds each writer's commits awaiting the group durability
+	// barrier, indexed by writer (the serial executor is writer 0). Guarded
+	// by engMu: every append, flush and drain happens at the partition's
+	// serialization point.
 	wpending [][]*request
 
 	panicTimes []time.Time // sliding window for panic-storm detection
@@ -255,7 +254,7 @@ func New(db *testbed.DB, cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{db: db, cfg: cfg}
 	// With group commit and no per-txn flush, an ack must wait for the
-	// group's durability barrier (see executor.pending).
+	// group's durability barrier (see executor.wpending).
 	groupSize := 1
 	if g := db.Options().GroupCommitSize; g > 1 && !cfg.DurableAck {
 		groupSize = g
@@ -274,19 +273,13 @@ func New(db *testbed.DB, cfg Config) *Runtime {
 	rt.schemas = db.Schemas()
 	rt.buildMetrics()
 	for _, ex := range rt.execs {
-		if cfg.Writers > 1 {
-			// OCC mode: N optimistic writers share the partition queue; each
-			// gets its own pending-ack list and (inside runOCC) its own
-			// deterministically derived jitter RNG.
-			ex.wpending = make([][]*request, cfg.Writers)
-			for w := 0; w < cfg.Writers; w++ {
-				rt.wg.Add(1)
-				go ex.runOCC(w)
-			}
-			continue
+		// The writers share the partition queue; each gets its own
+		// pending-ack list.
+		ex.wpending = make([][]*request, cfg.Writers)
+		for w := 0; w < cfg.Writers; w++ {
+			rt.wg.Add(1)
+			go ex.run(w)
 		}
-		rt.wg.Add(1)
-		go ex.run()
 	}
 	for i, q := range rt.readQs {
 		for r := 0; r < cfg.Readers; r++ {
@@ -432,9 +425,8 @@ func (rt *Runtime) recoverOne(i int) error {
 		ex.recovering.Store(false)
 		ex.engMu.Unlock()
 	}()
-	// Fail held acks — serial and per-writer lists alike: those commits sat
-	// in the volatile group buffer that the power cycle below wipes, so
-	// they must not be acked.
+	// Fail held acks: those commits sat in the volatile group buffer that
+	// the power cycle below wipes, so they must not be acked.
 	ex.failPendingLocked()
 	rt.db.Env(i).Dev.DisarmFail()
 	rt.db.CrashPartition(i)
@@ -473,11 +465,21 @@ func (rt *Runtime) event(part int, kind EventKind, err error) {
 	}
 }
 
-// run is the executor loop: serial transaction execution, which is the
-// testbed's concurrency contract — engines are single-partition and not
-// safe for concurrent use.
-func (ex *executor) run() {
+// run is writer w's executor loop. With Writers: 1 it is the paper's serial
+// executor — the testbed's concurrency contract, engines being
+// single-partition and not safe for concurrent use: engMu is held across the
+// whole transaction and runOnce drives the engine directly. With more
+// writers each one runs transactions optimistically (runOnceOCC, occ.go) and
+// only their commit points take engMu; its jitter RNG is then derived from
+// (seed, partition, writer), so multi-writer runs stay -seed replayable
+// without sharing the non-goroutine-safe ex.rng.
+func (ex *executor) run(w int) {
 	defer ex.rt.wg.Done()
+	serial := ex.rt.cfg.Writers == 1
+	rng := ex.rng
+	if !serial {
+		rng = rand.New(rand.NewSource(ex.rt.cfg.Seed + int64(ex.part)*7919 + int64(w+1)*104729))
+	}
 	for req := range ex.ch {
 		if err := req.ctx.Err(); err != nil {
 			req.done <- err
@@ -494,59 +496,94 @@ func (ex *executor) run() {
 			req.done <- ErrRecovering
 			continue
 		}
-		ex.engMu.Lock()
-		err := ex.serve(req)
-		if err == nil && ex.groupSize > 1 {
-			// Committed, but possibly only into the volatile group buffer:
-			// hold the ack until the group flushes. Flush when the group is
-			// full or the queue went idle (no point delaying the clients).
-			ex.pending = append(ex.pending, req)
-			if len(ex.pending) >= ex.groupSize || len(ex.ch) == 0 {
-				ex.flushPending()
-			}
+		var deferred bool
+		var err error
+		if serial {
+			ex.engMu.Lock()
+			deferred, err = ex.serve(rng, false, func() (bool, error) {
+				if err := ex.runOnce(req.txn); err != nil {
+					return false, err
+				}
+				return ex.holdAck(req, w), nil
+			})
 			ex.engMu.Unlock()
-			continue
+		} else {
+			deferred, err = ex.serve(rng, true, func() (bool, error) { return ex.runOnceOCC(req, w) })
 		}
-		ex.engMu.Unlock()
+		if deferred {
+			continue // the durability barrier owns the ack now
+		}
 		if err == nil {
 			ex.rt.stats.committed.Add(1)
+			ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
 		}
 		req.done <- err
 	}
-	// Close drained the queue; release any held acks durably.
+	// Close drained the queue; release any held acks durably. Every writer
+	// runs this on exit — the flush covers all writers' lists, so whichever
+	// writer commits last still gets its acks released.
 	ex.engMu.Lock()
 	ex.flushPending()
 	ex.engMu.Unlock()
 }
 
-// flushPending runs the durability barrier for the held acks: the engine's
-// Flush forces the group commit, after which every pending transaction is
+// holdAck is the tail of a commit under group commit: the transaction is
+// applied, but possibly only into the volatile group buffer, so its ack is
+// held until the group flushes — when the group is full or the queue went
+// idle (no point delaying the clients). It reports whether the ack is now the
+// durability barrier's to release. Caller holds engMu.
+func (ex *executor) holdAck(req *request, w int) bool {
+	if ex.groupSize <= 1 {
+		return false
+	}
+	ex.wpending[w] = append(ex.wpending[w], req)
+	if ex.pendingTotal() >= ex.groupSize || len(ex.ch) == 0 {
+		ex.flushPending()
+	}
+	return true
+}
+
+// pendingTotal counts held acks across all writers. Caller holds engMu.
+func (ex *executor) pendingTotal() int {
+	n := 0
+	for _, list := range ex.wpending {
+		n += len(list)
+	}
+	return n
+}
+
+// flushPending runs the durability barrier for every writer's held acks: the
+// engine's Flush forces the group commit — the group buffer is per
+// partition, not per writer — after which every pending transaction is
 // provably durable and acked. A barrier that cannot be completed (retries
 // exhausted, corruption, injected crash) means those commits were never
 // durable — the pending requests are failed and the partition heals back to
-// its last durable state.
+// its last durable state. Caller holds engMu.
 func (ex *executor) flushPending() {
-	if len(ex.pending) == 0 {
+	if ex.pendingTotal() == 0 {
 		return
 	}
 	cfg := &ex.rt.cfg
 	for attempt := 0; ; attempt++ {
 		err := ex.flushQuiet()
 		if err == nil {
-			ex.rt.stats.committed.Add(int64(len(ex.pending)))
-			for _, req := range ex.pending {
-				req.done <- nil
+			for w, list := range ex.wpending {
+				ex.rt.stats.committed.Add(int64(len(list)))
+				for _, req := range list {
+					ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
+					req.done <- nil
+				}
+				ex.wpending[w] = list[:0]
 			}
-			ex.pending = ex.pending[:0]
 			return
 		}
 		if core.IsRetryable(err) && !errors.Is(err, nvm.ErrInjectedCrash) && attempt < cfg.MaxRetries {
 			ex.rt.stats.retries.Add(1)
 			ex.rt.event(ex.part, EventRetry, err)
-			ex.backoff(attempt)
+			ex.backoff(attempt) // engMu held: ex.rng is safe here
 			continue
 		}
-		// heal fails ex.pending first (those commits are not durable).
+		// heal fails the pending lists first (those commits are not durable).
 		ex.heal(err)
 		return
 	}
@@ -569,60 +606,77 @@ func (ex *executor) flushQuiet() (err error) {
 }
 
 // serve runs one transaction under the supervisor policy: contain panics,
-// retry retryable failures with backoff, heal on anything worse.
-func (ex *executor) serve(req *request) error {
+// retry retryable failures with backoff, heal on anything worse. attempt
+// executes the transaction once and reports whether its ack was deferred to
+// the durability barrier; an optimistic attempt's core.ErrConflict arrives
+// through the retryable case, and each retry re-executes against a fresh
+// snapshot. lockHeal is set when the caller does not hold engMu (optimistic
+// writers run their bodies outside it): heal and the panic window then take
+// it themselves. Two writers can race into heal for the same fault; the
+// loser re-heals an already healthy partition — a redundant power cycle,
+// never a correctness issue.
+func (ex *executor) serve(rng *rand.Rand, lockHeal bool, attempt func() (deferred bool, err error)) (deferred bool, err error) {
+	atEngine := func(fn func()) {
+		if lockHeal {
+			ex.engMu.Lock()
+			defer ex.engMu.Unlock()
+		}
+		fn()
+	}
 	cfg := &ex.rt.cfg
-	for attempt := 0; ; attempt++ {
-		err := ex.runOnce(req.txn)
+	for n := 0; ; n++ {
+		deferred, err := attempt()
 		switch {
 		case err == nil:
 			// The committed counter is bumped at ack time (run or
 			// flushPending), so it never counts a commit whose ack a failed
 			// durability barrier later revoked.
-			return nil
+			return deferred, nil
 
 		case errors.Is(err, testbed.ErrAbort):
 			ex.rt.stats.aborted.Add(1)
-			return err
+			return false, err
 
 		case errors.Is(err, nvm.ErrInjectedCrash):
 			// The emulated device lost power mid-operation (fault
 			// injection): only the engine's crash-recovery protocol can
 			// bring the partition back.
-			ex.heal(err)
+			atEngine(func() { ex.heal(err) })
 			ex.rt.stats.failed.Add(1)
-			return ErrRecovering
+			return false, ErrRecovering
 
 		case isPanicErr(err):
 			ex.rt.stats.panics.Add(1)
 			ex.rt.event(ex.part, EventPanic, err)
-			if ex.panicStorm() {
-				ex.heal(err)
-			}
+			atEngine(func() {
+				if ex.panicStorm() {
+					ex.heal(err)
+				}
+			})
 			ex.rt.stats.failed.Add(1)
-			return err
+			return false, err
 
 		case core.IsCorrupt(err):
-			ex.heal(err)
+			atEngine(func() { ex.heal(err) })
 			ex.rt.stats.failed.Add(1)
-			return ErrRecovering
+			return false, ErrRecovering
 
 		case core.IsRetryable(err):
-			if attempt >= cfg.MaxRetries {
+			if n >= cfg.MaxRetries {
 				ex.rt.stats.failed.Add(1)
-				return err
+				return false, err
 			}
 			ex.rt.stats.retries.Add(1)
 			ex.rt.event(ex.part, EventRetry, err)
-			ex.backoff(attempt)
+			ex.backoffWith(rng, n)
 			continue
 
 		default:
 			// A plain error from the transaction body (e.g.
 			// core.ErrKeyExists) is the client's to handle; the abort in
-			// runOnce already restored the partition.
+			// the attempt already restored the partition.
 			ex.rt.stats.failed.Add(1)
-			return err
+			return false, err
 		}
 	}
 }
@@ -716,9 +770,8 @@ func (ex *executor) heal(cause error) {
 	rt := ex.rt
 	rt.event(ex.part, EventHeal, cause)
 
-	// Fail the held acks first — the serial list and every OCC writer's
-	// list alike: those commits sat in a volatile group buffer that the
-	// power cycle below wipes, so they must not be acked.
+	// Fail the held acks first: those commits sat in a volatile group buffer
+	// that the power cycle below wipes, so they must not be acked.
 	ex.failPendingLocked()
 
 	// Fail everything already queued behind the broken engine.
@@ -774,16 +827,10 @@ func (ex *executor) recoverQuiet() (err error) {
 	return err
 }
 
-// failPendingLocked fails every held ack (the serial pending list and all
-// OCC writers' lists) with ErrRecovering. Caller holds engMu (or is the
-// serial executor loop, which owns pending outright).
+// failPendingLocked fails every writer's held acks with ErrRecovering.
+// Caller holds engMu.
 func (ex *executor) failPendingLocked() {
 	rt := ex.rt
-	for _, req := range ex.pending {
-		rt.stats.recovering.Add(1)
-		req.done <- ErrRecovering
-	}
-	ex.pending = ex.pending[:0]
 	for w, list := range ex.wpending {
 		for _, req := range list {
 			rt.stats.recovering.Add(1)
@@ -794,10 +841,10 @@ func (ex *executor) failPendingLocked() {
 }
 
 // backoff sleeps the capped-exponential, jittered delay for the attempt,
-// drawing jitter from the executor's own RNG. The serial executor loop owns
-// ex.rng outright; OCC writers only reach this under engMu (heal and the
-// durability-barrier retry) — their lock-free retry path uses backoffWith
-// with a per-writer RNG instead.
+// drawing jitter from the executor's own RNG, which engMu guards: heal and
+// the durability-barrier retry run under it, and so does the serial
+// executor's whole transaction. An optimistic writer's lock-free retry path
+// uses backoffWith with a per-writer RNG instead.
 func (ex *executor) backoff(attempt int) { ex.backoffWith(ex.rng, attempt) }
 
 // backoffWith is backoff against an explicit RNG: each OCC writer carries

@@ -1,48 +1,19 @@
 package vlog
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 
-	"nstore/internal/pmalloc"
 	"nstore/internal/pmfs"
 )
 
-// Seg is one value-log segment: a flat byte extent the Manager appends
-// CRC-tailed records into. Segments are written strictly sequentially and
-// never modified after being sealed (except a durable truncation when a
-// crash left debris past the checkpointed head).
-type Seg interface {
-	ReadAt(p []byte, off int64) (int, error)
-	WriteAt(p []byte, off int64) (int, error)
-	// Sync makes every write so far durable.
-	Sync() error
-	// Truncate discards content past n. Backends with fixed extents (the
-	// arena) treat this as a logical no-op: the Manager re-derives the
-	// valid prefix by CRC walk, and overwritten bytes fail their checksum.
-	Truncate(n int64) error
-	// Extent is the upper bound of possibly-valid bytes: the file size for
-	// filesystem segments, the chunk capacity for arena segments.
-	Extent() int64
-}
-
-// Backend creates, opens, lists, and removes segments. Segment ids are
-// assigned by the Manager, start at 1, and are never reused.
-type Backend interface {
-	Create(id uint32, size int64) (Seg, error)
-	Open(id uint32) (Seg, error)
-	Remove(id uint32) error
-	List() ([]uint32, error)
-}
-
-// ---------------------------------------------------------------------------
-// Filesystem backend (logeng): one pmfs file per segment.
-
-// FSBackend stores segments as pmfs files named <prefix><id>.
+// FSBackend stores segments as pmfs files named <prefix><id>. A segment is a
+// flat byte extent the Manager appends CRC-tailed records into, written
+// strictly sequentially and never modified after being sealed (except a
+// durable truncation when a crash left debris past the checkpointed head).
+// Segment ids are assigned by the Manager, start at 1, and are never reused.
 type FSBackend struct {
 	fs     *pmfs.FS
 	prefix string
@@ -57,21 +28,9 @@ func (b *FSBackend) name(id uint32) string {
 	return fmt.Sprintf("%s%06d", b.prefix, id)
 }
 
-func (b *FSBackend) Create(id uint32, size int64) (Seg, error) {
-	f, err := b.fs.Create(b.name(id))
-	if err != nil {
-		return nil, err
-	}
-	return fsSeg{f}, nil
-}
+func (b *FSBackend) create(id uint32) (*pmfs.File, error) { return b.fs.Create(b.name(id)) }
 
-func (b *FSBackend) Open(id uint32) (Seg, error) {
-	f, err := b.fs.OpenFile(b.name(id))
-	if err != nil {
-		return nil, err
-	}
-	return fsSeg{f}, nil
-}
+func (b *FSBackend) open(id uint32) (*pmfs.File, error) { return b.fs.OpenFile(b.name(id)) }
 
 func (b *FSBackend) Remove(id uint32) error {
 	return b.fs.Remove(b.name(id))
@@ -92,184 +51,3 @@ func (b *FSBackend) List() ([]uint32, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, nil
 }
-
-type fsSeg struct{ f *pmfs.File }
-
-func (s fsSeg) ReadAt(p []byte, off int64) (int, error)  { return s.f.ReadAt(p, off) }
-func (s fsSeg) WriteAt(p []byte, off int64) (int, error) { return s.f.WriteAt(p, off) }
-func (s fsSeg) Sync() error                              { return s.f.Sync() }
-func (s fsSeg) Truncate(n int64) error                   { return s.f.Truncate(n) }
-func (s fsSeg) Extent() int64                            { return s.f.Size() }
-
-// ---------------------------------------------------------------------------
-// Arena backend (nvmlog): one allocator chunk per segment, with a durable
-// directory chunk anchored by the engine (a header field). The NVM engines
-// get only a sliver of pmfs space, so their value log lives in allocator
-// memory like the rest of their data.
-
-// ArenaBackend stores segments as pmalloc chunks. The directory — the list
-// of (id, chunk) pairs — is itself a chunk whose pointer the engine anchors
-// durably; directory updates are crash-atomic by writing a fresh directory
-// chunk, fencing it, swapping the anchor, and only then freeing the old one.
-type ArenaBackend struct {
-	arena       *pmalloc.Arena
-	readAnchor  func() uint64
-	writeAnchor func(uint64)
-
-	dirPtr pmalloc.Ptr
-	dir    map[uint32]pmalloc.Ptr
-}
-
-// NewArenaBackend loads (or initializes) the segment directory from the
-// engine-provided anchor. writeAnchor must store the value durably (fenced)
-// before returning.
-func NewArenaBackend(a *pmalloc.Arena, readAnchor func() uint64, writeAnchor func(uint64)) (*ArenaBackend, error) {
-	b := &ArenaBackend{
-		arena:       a,
-		readAnchor:  readAnchor,
-		writeAnchor: writeAnchor,
-		dir:         make(map[uint32]pmalloc.Ptr),
-	}
-	b.dirPtr = pmalloc.Ptr(readAnchor())
-	if b.dirPtr != 0 {
-		d := a.Device()
-		n := d.ReadU32(int64(b.dirPtr))
-		for i := 0; i < int(n); i++ {
-			off := int64(b.dirPtr) + 4 + int64(i)*12
-			id := d.ReadU32(off)
-			b.dir[id] = pmalloc.Ptr(d.ReadU64(off + 4))
-		}
-	}
-	return b, nil
-}
-
-// storeDir writes a fresh directory chunk reflecting b.dir, swaps the
-// anchor, and frees the old directory. Crash before the anchor swap leaves
-// the old directory live and the new chunk unreachable (reclaimed by the
-// engine's orphan sweep); crash after leaves the old chunk unreachable.
-func (b *ArenaBackend) storeDir() error {
-	buf := make([]byte, 4+len(b.dir)*12)
-	binary.LittleEndian.PutUint32(buf, uint32(len(b.dir)))
-	ids := make([]uint32, 0, len(b.dir))
-	for id := range b.dir {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for i, id := range ids {
-		binary.LittleEndian.PutUint32(buf[4+i*12:], id)
-		binary.LittleEndian.PutUint64(buf[4+i*12+4:], uint64(b.dir[id]))
-	}
-	np, err := b.arena.Alloc(len(buf), pmalloc.TagLog)
-	if err != nil {
-		return err
-	}
-	d := b.arena.Device()
-	d.Write(int64(np), buf)
-	b.arena.Sync(np, len(buf))
-	b.arena.SetPersisted(np)
-	b.writeAnchor(uint64(np))
-	if b.dirPtr != 0 {
-		b.arena.Free(b.dirPtr)
-	}
-	b.dirPtr = np
-	return nil
-}
-
-func (b *ArenaBackend) Create(id uint32, size int64) (Seg, error) {
-	p, err := b.arena.Alloc(int(size), pmalloc.TagTable)
-	if err != nil {
-		return nil, err
-	}
-	b.arena.SetPersisted(p)
-	b.dir[id] = p
-	if err := b.storeDir(); err != nil {
-		delete(b.dir, id)
-		b.arena.Free(p)
-		return nil, err
-	}
-	return &arenaSeg{a: b.arena, ptr: p, cap: int64(b.arena.SizeOf(p))}, nil
-}
-
-func (b *ArenaBackend) Open(id uint32) (Seg, error) {
-	p, ok := b.dir[id]
-	if !ok {
-		return nil, fmt.Errorf("vlog: arena segment %d not in directory", id)
-	}
-	return &arenaSeg{a: b.arena, ptr: p, cap: int64(b.arena.SizeOf(p))}, nil
-}
-
-func (b *ArenaBackend) Remove(id uint32) error {
-	p, ok := b.dir[id]
-	if !ok {
-		return nil
-	}
-	delete(b.dir, id)
-	if err := b.storeDir(); err != nil {
-		b.dir[id] = p
-		return err
-	}
-	b.arena.Free(p)
-	return nil
-}
-
-func (b *ArenaBackend) List() ([]uint32, error) {
-	ids := make([]uint32, 0, len(b.dir))
-	for id := range b.dir {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
-}
-
-// Chunks reports every live chunk the backend owns (the directory plus all
-// segments) so the engine's reachability sweep can mark them.
-func (b *ArenaBackend) Chunks(fn func(p pmalloc.Ptr)) {
-	if b.dirPtr != 0 {
-		fn(b.dirPtr)
-	}
-	for _, p := range b.dir {
-		fn(p)
-	}
-}
-
-type arenaSeg struct {
-	a       *pmalloc.Arena
-	ptr     pmalloc.Ptr
-	cap     int64
-	dirtyLo int64
-	dirtyHi int64
-}
-
-func (s *arenaSeg) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > s.cap {
-		return 0, fmt.Errorf("vlog: arena read [%d,%d) beyond capacity %d", off, off+int64(len(p)), s.cap)
-	}
-	s.a.Device().Read(int64(s.ptr)+off, p)
-	return len(p), nil
-}
-
-func (s *arenaSeg) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || off+int64(len(p)) > s.cap {
-		return 0, fmt.Errorf("vlog: arena write [%d,%d) beyond capacity %d", off, off+int64(len(p)), s.cap)
-	}
-	s.a.Device().Write(int64(s.ptr)+off, p)
-	if s.dirtyHi == 0 || off < s.dirtyLo {
-		s.dirtyLo = off
-	}
-	if off+int64(len(p)) > s.dirtyHi {
-		s.dirtyHi = off + int64(len(p))
-	}
-	return len(p), nil
-}
-
-func (s *arenaSeg) Sync() error {
-	if s.dirtyHi > s.dirtyLo {
-		s.a.Sync(s.ptr+pmalloc.Ptr(s.dirtyLo), int(s.dirtyHi-s.dirtyLo))
-	}
-	s.dirtyLo, s.dirtyHi = math.MaxInt64, 0
-	return nil
-}
-
-func (s *arenaSeg) Truncate(n int64) error { return nil }
-
-func (s *arenaSeg) Extent() int64 { return s.cap }

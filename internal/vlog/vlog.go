@@ -1,5 +1,5 @@
 // Package vlog implements WiscKey-style key/value separation for the Log
-// engines: large values are appended to a segment-rotated value log and the
+// engine: large values are appended to a segment-rotated value log and the
 // LSM tree keeps 12-byte (segment, offset, length) pointers, so SSTable
 // flushes and compactions move only keys and pointers. Records carry a CRC
 // tail seeded with the segment id, so recovery can tell a valid record from
@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"nstore/internal/core"
+	"nstore/internal/pmfs"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -93,7 +94,7 @@ type Head struct {
 }
 
 type segInfo struct {
-	seg     Seg
+	f       *pmfs.File
 	size    int64 // valid record bytes (written bytes for the active segment)
 	discard int64 // bytes reported dead by compaction / superseded writes
 }
@@ -111,7 +112,7 @@ type Stats struct {
 // Manager owns the segment set. It is not goroutine-safe: the owning engine
 // serializes access under its monitor lock, like the rest of the data path.
 type Manager struct {
-	b   Backend
+	b   *FSBackend
 	cfg Config
 
 	segs   map[uint32]*segInfo
@@ -124,11 +125,11 @@ type Manager struct {
 }
 
 // Open loads every listed segment and CRC-walks it to find the valid record
-// prefix, cutting filesystem debris durably. Segment opens, image reads and
+// prefix, cutting crash debris durably. Segment opens, image reads and
 // truncates are device accesses and stay on the calling goroutine (the
 // nvm.Device data path is single-owner); only the CRC walks over the host
 // images fan out across cfg.Workers (the §8 recovery pipeline's fan-out).
-func Open(b Backend, cfg Config) (*Manager, error) {
+func Open(b *FSBackend, cfg Config) (*Manager, error) {
 	if cfg.SegSize <= 0 {
 		cfg.SegSize = 1 << 20
 	}
@@ -145,17 +146,17 @@ func Open(b Backend, cfg Config) (*Manager, error) {
 	// segment images are held in host memory.
 	for lo := 0; lo < len(ids); lo += workers {
 		win := ids[lo:min(lo+workers, len(ids))]
-		segs := make([]Seg, len(win))
+		files := make([]*pmfs.File, len(win))
 		images := make([][]byte, len(win))
 		for i, id := range win {
-			s, err := b.Open(id)
+			f, err := b.open(id)
 			if err != nil {
 				return nil, err
 			}
-			segs[i] = s
-			images[i] = make([]byte, s.Extent())
+			files[i] = f
+			images[i] = make([]byte, f.Size())
 			if len(images[i]) > 0 {
-				if _, err := s.ReadAt(images[i], 0); err != nil {
+				if _, err := f.ReadAt(images[i], 0); err != nil {
 					return nil, err
 				}
 			}
@@ -167,14 +168,13 @@ func Open(b Backend, cfg Config) (*Manager, error) {
 		})
 		for i, id := range win {
 			if valid[i] < int64(len(images[i])) {
-				// Filesystem segments cut crash debris durably so later
-				// appends never land beyond it; arena segments re-derive the
-				// prefix by walk, so their Truncate is a no-op.
-				if err := segs[i].Truncate(valid[i]); err != nil {
+				// Cut crash debris durably so later appends never land
+				// beyond it.
+				if err := files[i].Truncate(valid[i]); err != nil {
 					return nil, err
 				}
 			}
-			m.segs[id] = &segInfo{seg: segs[i], size: valid[i]}
+			m.segs[id] = &segInfo{f: files[i], size: valid[i]}
 			if id > m.active {
 				m.active = id
 			}
@@ -226,7 +226,7 @@ func (m *Manager) RestrictToHead(h Head) error {
 		return core.Corrupt(fmt.Errorf("vlog: segment %d valid prefix %d short of manifest head %d", h.Seg, si.size, h.Off))
 	}
 	if si.size > h.Off {
-		if err := si.seg.Truncate(h.Off); err != nil {
+		if err := si.f.Truncate(h.Off); err != nil {
 			return err
 		}
 		si.size = h.Off
@@ -235,27 +235,22 @@ func (m *Manager) RestrictToHead(h Head) error {
 	return nil
 }
 
-// rotate seals the active segment and opens a fresh one sized for at least
-// need bytes.
-func (m *Manager) rotate(need int64) error {
+// rotate seals the active segment and opens a fresh one.
+func (m *Manager) rotate() error {
 	if m.active != 0 {
 		if err := m.Sync(); err != nil {
 			return err
 		}
 	}
-	size := m.cfg.SegSize
-	if need > size {
-		size = need
-	}
 	id := m.active + 1
 	for _, exists := m.segs[id]; exists; _, exists = m.segs[id] {
 		id++
 	}
-	s, err := m.b.Create(id, size)
+	f, err := m.b.create(id)
 	if err != nil {
 		return core.ClassifyDurability(err)
 	}
-	m.segs[id] = &segInfo{seg: s}
+	m.segs[id] = &segInfo{f: f}
 	m.active = id
 	m.synced = 0
 	return nil
@@ -267,13 +262,13 @@ func (m *Manager) rotate(need int64) error {
 func (m *Manager) Append(key uint64, val []byte) (core.VlogPtr, error) {
 	rec := int64(recOverhead + len(val))
 	if m.active == 0 || (m.segs[m.active].size > 0 && m.segs[m.active].size+rec > m.cfg.SegSize) {
-		if err := m.rotate(rec); err != nil {
+		if err := m.rotate(); err != nil {
 			return core.VlogPtr{}, err
 		}
 	}
 	si := m.segs[m.active]
 	buf := EncodeRecord(make([]byte, 0, rec), m.active, key, val)
-	if _, err := si.seg.WriteAt(buf, si.size); err != nil {
+	if _, err := si.f.WriteAt(buf, si.size); err != nil {
 		return core.VlogPtr{}, core.ClassifyDurability(err)
 	}
 	ptr := core.VlogPtr{Seg: m.active, Off: uint32(si.size), Len: uint32(len(val))}
@@ -288,7 +283,7 @@ func (m *Manager) Sync() error {
 		return nil
 	}
 	si := m.segs[m.active]
-	if err := si.seg.Sync(); err != nil {
+	if err := si.f.Sync(); err != nil {
 		return core.ClassifyDurability(err)
 	}
 	m.synced = si.size
@@ -314,7 +309,7 @@ func (m *Manager) Read(ptr core.VlogPtr, key uint64) ([]byte, error) {
 		return nil, core.Corrupt(fmt.Errorf("vlog: pointer [%d+%d] past segment %d valid prefix %d", ptr.Off, ptr.Len, ptr.Seg, si.size))
 	}
 	buf := make([]byte, int(recOverhead)+int(ptr.Len))
-	if _, err := si.seg.ReadAt(buf, int64(ptr.Off)); err != nil {
+	if _, err := si.f.ReadAt(buf, int64(ptr.Off)); err != nil {
 		return nil, core.Corrupt(err)
 	}
 	k, val, _, ok := DecodeRecord(buf, ptr.Seg)
@@ -350,7 +345,7 @@ func (m *Manager) Scan(id uint32, fn func(key uint64, ptr core.VlogPtr, val []by
 	}
 	data := make([]byte, si.size)
 	if si.size > 0 {
-		if _, err := si.seg.ReadAt(data, 0); err != nil {
+		if _, err := si.f.ReadAt(data, 0); err != nil {
 			return err
 		}
 	}

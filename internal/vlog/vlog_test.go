@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nstore/internal/core"
-	"nstore/internal/pmalloc"
 )
 
 func testFS(t *testing.T) *FSBackend {
@@ -99,7 +98,7 @@ func TestReopenRecoversValidPrefix(t *testing.T) {
 	head := m.HeadMark()
 	// Unsynced garbage past the head: an aborted append's debris.
 	si := m.segs[m.active]
-	if _, err := si.seg.WriteAt([]byte("torn-write-debris"), si.size); err != nil {
+	if _, err := si.f.WriteAt([]byte("torn-write-debris"), si.size); err != nil {
 		t.Fatal(err)
 	}
 
@@ -302,81 +301,18 @@ func TestScanWalksRecordsInOrder(t *testing.T) {
 	}
 }
 
-func TestArenaBackendRoundtrip(t *testing.T) {
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, FSExtent: 64 << 10})
-	var anchor uint64
-	newBackend := func() *ArenaBackend {
-		b, err := NewArenaBackend(env.Arena,
-			func() uint64 { return anchor },
-			func(v uint64) { anchor = v })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	m, err := Open(newBackend(), Config{SegSize: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ptrs []core.VlogPtr
-	for i := uint64(0); i < 30; i++ {
-		p, err := m.Append(i, val(300, byte(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ptrs = append(ptrs, p)
-	}
-	if err := m.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	m2Backend := newBackend()
-	nChunks := 0
-	m2Backend.Chunks(func(p pmalloc.Ptr) { nChunks++ })
-	if want := len(m2Backend.dir) + 1; nChunks != want { // segments + directory
-		t.Fatalf("Chunks reported %d chunks, want %d", nChunks, want)
-	}
-	m2, err := Open(m2Backend, Config{SegSize: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ptrs {
-		got, err := m2.Read(p, uint64(i))
-		if err != nil || !bytes.Equal(got, val(300, byte(i))) {
-			t.Fatalf("arena reopen read key %d: %v", i, err)
-		}
-	}
-	if err := m2.Remove(1); err != nil {
-		t.Fatal(err)
-	}
-	m3, err := Open(newBackend(), Config{SegSize: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3.Has(1) {
-		t.Fatal("removed arena segment resurrected after reopen")
-	}
-}
-
 // TestOpenParallelKeepsDeviceOnOwner: with Workers > 1 only the CRC walks fan
 // out; segment images are read on the calling goroutine, because the
 // nvm.Device data path (its simulated cache included) is single-owner. Twenty
-// crash + reopen cycles over a growing arena-backed log must find every
-// synced record again. Reading segments from the workers raced the cache,
+// crash + reopen cycles over a growing log must find every synced record
+// again. Reading segments from the workers raced the cache,
 // misread images, and recovery then failed with "pointer past segment valid
 // prefix"; under -race it is also a reported data race.
 func TestOpenParallelKeepsDeviceOnOwner(t *testing.T) {
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, CacheSize: 64 << 10})
-	const anchorSlot = 1
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, CacheSize: 64 << 10, FSExtent: 16 << 10})
 	open := func() *Manager {
 		t.Helper()
-		arena := env.Arena
-		b, err := NewArenaBackend(arena,
-			func() uint64 { return arena.Root(anchorSlot) },
-			func(v uint64) { arena.SetRoot(anchorSlot, v) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := Open(b, Config{SegSize: 8 << 10, Workers: 4})
+		m, err := Open(NewFSBackend(env.FS, "vlog-"), Config{SegSize: 8 << 10, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,8 +361,8 @@ func FuzzVlogRecord(f *testing.F) {
 	f.Add(uint32(1), uint64(42), []byte("hello"), 0, byte(0))
 	f.Add(uint32(1), uint64(0), []byte{}, 5, byte(0x80))
 	f.Add(uint32(7), uint64(1<<40), bytes.Repeat([]byte{0xEE}, 600), 9, byte(1))
-	f.Add(uint32(2), uint64(9), []byte("x"), 8, byte(0xFF))   // vlen field
-	f.Add(uint32(3), uint64(9), []byte("abcd"), 16, byte(4))  // crc tail
+	f.Add(uint32(2), uint64(9), []byte("x"), 8, byte(0xFF))  // vlen field
+	f.Add(uint32(3), uint64(9), []byte("abcd"), 16, byte(4)) // crc tail
 	f.Fuzz(func(t *testing.T, segID uint32, key uint64, v []byte, flipAt int, flipMask byte) {
 		if len(v) > 1<<16 {
 			t.Skip()
