@@ -156,6 +156,10 @@ func main() {
 		*engine, profile.Name, res.Throughput(), res.Committed, res.Aborted)
 	fmt.Printf("NVM: %d loads, %d stores, %.1f MB written, %d fences\n",
 		s.Loads, s.Stores, float64(s.BytesWritten)/(1<<20), s.Fences)
+	if n := float64(res.Txns); n > 0 {
+		fmt.Printf("per txn: %.1f loads, %.1f stores, %.1f fences\n",
+			float64(s.Loads)/n, float64(s.Stores)/n, float64(s.Fences)/n)
+	}
 
 	if *doRecover {
 		db.Crash()

@@ -22,6 +22,9 @@ func main() {
 		Secondary: []nstore.IndexSpec{{
 			Name:   "by_branch",
 			SecKey: func(row []nstore.Value) uint32 { return uint32(row[1].I) },
+			// The columns SecKey reads: an update of any other column
+			// (the balance, below) leaves the index and the old row alone.
+			Cols: []int{1},
 		}},
 	}
 

@@ -148,3 +148,24 @@ func TestQuickRowCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestIndexReads(t *testing.T) {
+	declared := &Schema{Secondary: []IndexSpec{{Name: "a", Cols: []int{1, 2}}, {Name: "b", Cols: []int{5}}}}
+	undeclared := &Schema{Secondary: []IndexSpec{{Name: "a", Cols: []int{1}}, {Name: "any"}}}
+	for _, c := range []struct {
+		s    *Schema
+		cols []int
+		want bool
+	}{
+		{declared, []int{3, 4}, false},
+		{declared, []int{4, 5}, true},
+		{declared, []int{2}, true},
+		{declared, nil, false},
+		{undeclared, []int{3}, true}, // an index that declares nothing reads anything
+		{&Schema{}, []int{0, 1}, false},
+	} {
+		if got := c.s.IndexReads(c.cols); got != c.want {
+			t.Errorf("IndexReads(%v) over %d indexes = %v, want %v", c.cols, len(c.s.Secondary), got, c.want)
+		}
+	}
+}

@@ -40,6 +40,13 @@ type Column struct {
 type IndexSpec struct {
 	Name   string
 	SecKey func(row []Value) uint32
+	// Cols lists the columns SecKey reads. An update that writes none of
+	// them cannot move the tuple within the index, so the engines neither
+	// call SecKey nor read the old row for it. nil means "any column" and
+	// keeps the whole-row path. A declaration that omits a column SecKey
+	// does read lets the index go stale silently; enginetest's Cols honesty
+	// property checks the schemas in the tree.
+	Cols []int
 }
 
 // Schema describes a table.
@@ -47,6 +54,25 @@ type Schema struct {
 	Name      string
 	Columns   []Column
 	Secondary []IndexSpec
+}
+
+// IndexReads reports whether an update of cols can change any secondary key
+// of the table: some index declares one of them, or declares nothing. When it
+// cannot, the update needs no image of the old row.
+func (s *Schema) IndexReads(cols []int) bool {
+	for _, ix := range s.Secondary {
+		if ix.Cols == nil {
+			return true
+		}
+		for _, c := range cols {
+			for _, r := range ix.Cols {
+				if c == r {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // FixedSize returns the size of the tuple's fixed-size slot: 8 bytes per

@@ -33,6 +33,10 @@ type Heap struct {
 	blocks []uint64 // volatile mirror of the block list
 	free   []uint64 // volatile free-slot pointers
 	live   int
+
+	allCols []int    // 0..len(Columns)-1, for WriteRow
+	strCols []int    // the TString columns, for PersistSlot
+	vps     []uint64 // scratch: var-slots of the call in progress
 }
 
 // Slot states within a heap block.
@@ -52,9 +56,7 @@ const (
 	defaultPerBlock = 64
 )
 
-// NewHeap creates an empty heap. In NVM mode the block list is durably
-// anchored; store Header() in an engine root to reopen after a crash.
-func NewHeap(arena *pmalloc.Arena, schema *Schema, nvmMode bool) *Heap {
+func newHeapHandle(arena *pmalloc.Arena, schema *Schema, nvmMode bool) *Heap {
 	h := &Heap{
 		arena:    arena,
 		dev:      arena.Device(),
@@ -63,6 +65,19 @@ func NewHeap(arena *pmalloc.Arena, schema *Schema, nvmMode bool) *Heap {
 		slotSize: slotData + schema.FixedSize(),
 		perBlock: defaultPerBlock,
 	}
+	for i, c := range schema.Columns {
+		h.allCols = append(h.allCols, i)
+		if c.Type == TString {
+			h.strCols = append(h.strCols, i)
+		}
+	}
+	return h
+}
+
+// NewHeap creates an empty heap. In NVM mode the block list is durably
+// anchored; store Header() in an engine root to reopen after a crash.
+func NewHeap(arena *pmalloc.Arena, schema *Schema, nvmMode bool) *Heap {
+	h := newHeapHandle(arena, schema, nvmMode)
 	if nvmMode {
 		hdr, err := arena.Alloc(16, pmalloc.TagTable)
 		if err != nil {
@@ -81,15 +96,8 @@ func NewHeap(arena *pmalloc.Arena, schema *Schema, nvmMode bool) *Heap {
 // reclaims slots that were allocated but never persisted and are not
 // covered by a WAL entry (the caller must run WAL undo first).
 func OpenHeap(arena *pmalloc.Arena, schema *Schema, hdr pmalloc.Ptr) *Heap {
-	h := &Heap{
-		arena:    arena,
-		dev:      arena.Device(),
-		schema:   schema,
-		nvmMod:   true,
-		slotSize: slotData + schema.FixedSize(),
-		perBlock: defaultPerBlock,
-		hdr:      hdr,
-	}
+	h := newHeapHandle(arena, schema, true)
+	h.hdr = hdr
 	for b := h.dev.ReadU64(int64(hdr)); b != 0; b = h.dev.ReadU64(int64(b) + blockNext) {
 		h.blocks = append(h.blocks, b)
 		for i := 0; i < h.perBlock; i++ {
@@ -125,11 +133,11 @@ func (h *Heap) slotAt(block uint64, i int) uint64 {
 	return block + blockHdr + uint64(i*h.slotSize)
 }
 
-func (h *Heap) newBlock() {
+func (h *Heap) newBlock() error {
 	size := blockHdr + h.perBlock*h.slotSize
 	b, err := h.arena.Alloc(size, pmalloc.TagTable)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	// Zero slot states.
 	for i := 0; i < h.perBlock; i++ {
@@ -148,14 +156,17 @@ func (h *Heap) newBlock() {
 	for i := h.perBlock - 1; i >= 0; i-- {
 		h.free = append(h.free, h.slotAt(b, i))
 	}
+	return nil
 }
 
 // AllocSlot grabs a free slot for the given primary key and marks it
 // SlotAllocated (durably in NVM mode). The tuple contents are garbage until
-// written.
-func (h *Heap) AllocSlot(key uint64) uint64 {
+// written. Growing the heap can exhaust the arena; nothing changed then.
+func (h *Heap) AllocSlot(key uint64) (uint64, error) {
 	if len(h.free) == 0 {
-		h.newBlock()
+		if err := h.newBlock(); err != nil {
+			return 0, err
+		}
 	}
 	slot := h.free[len(h.free)-1]
 	h.free = h.free[:len(h.free)-1]
@@ -164,7 +175,7 @@ func (h *Heap) AllocSlot(key uint64) uint64 {
 	if h.nvmMod {
 		h.dev.Sync(int64(slot), slotData)
 	}
-	return slot
+	return slot, nil
 }
 
 // Key returns the primary key stored in the slot.
@@ -173,33 +184,70 @@ func (h *Heap) Key(slot uint64) uint64 { return h.dev.ReadU64(int64(slot) + slot
 // State returns the slot's durability state.
 func (h *Heap) State(slot uint64) uint8 { return h.dev.ReadU8(int64(slot) + slotState) }
 
-// WriteRow stores a full row into the slot, allocating var-slots for string
-// columns. Contents are volatile until SyncTuple.
-func (h *Heap) WriteRow(slot uint64, row []Value) {
-	for i := range h.schema.Columns {
-		h.WriteCol(slot, i, row[i])
+// StoreRow allocates a slot for key and writes row into it. When the arena
+// runs out the heap is as it was.
+func (h *Heap) StoreRow(key uint64, row []Value) (uint64, error) {
+	slot, err := h.AllocSlot(key)
+	if err != nil {
+		return 0, err
 	}
+	if err := h.WriteRow(slot, row); err != nil {
+		h.FreeSlotOnly(slot) // WriteRow kept no var-slot
+		return 0, err
+	}
+	return slot, nil
 }
 
-// WriteCol stores one column value. For string columns a fresh var-slot is
-// allocated; the caller owns freeing any previous var-slot (FreeVar /
-// ColVarPtr).
-func (h *Heap) WriteCol(slot uint64, col int, v Value) {
-	field := int64(slot) + slotData + int64(col*8)
-	if h.schema.Columns[col].Type == TInt {
-		h.dev.WriteU64(field, uint64(v.I))
-		return
+// WriteRow stores a full row into the slot, allocating var-slots for string
+// columns. Contents are volatile until SyncTuple. All or nothing, like
+// WriteCols.
+func (h *Heap) WriteRow(slot uint64, row []Value) error {
+	return h.WriteCols(slot, h.allCols, row)
+}
+
+// WriteCol stores one column value; see WriteCols.
+func (h *Heap) WriteCol(slot uint64, col int, v Value) error {
+	return h.WriteCols(slot, []int{col}, []Value{v})
+}
+
+// WriteCols stores the values of the given columns. Every string column gets
+// a fresh var-slot; the caller owns freeing the previous one (ColVarPtr
+// before the call, FreeVar after). The var-slots are allocated before the
+// slot is touched, so when the arena runs out the ones already taken are
+// released, the slot still holds what it held, and the allocator's error is
+// returned.
+func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
+	vps := h.vps[:0]
+	for j, ci := range cols {
+		if h.schema.Columns[ci].Type != TString {
+			continue
+		}
+		b := vals[j].S
+		vp, err := h.arena.Alloc(4+len(b), pmalloc.TagTable)
+		if err != nil {
+			for _, p := range vps {
+				h.arena.Free(p)
+			}
+			return err
+		}
+		h.dev.WriteU32(int64(vp), uint32(len(b)))
+		h.dev.Write(int64(vp)+4, b)
+		if h.nvmMod {
+			h.dev.Sync(int64(vp), 4+len(b))
+		}
+		vps = append(vps, vp)
 	}
-	vp, err := h.arena.Alloc(4+len(v.S), pmalloc.TagTable)
-	if err != nil {
-		panic(err)
+	h.vps = vps[:0]
+	for j, ci := range cols {
+		field := int64(slot) + slotData + int64(ci*8)
+		if h.schema.Columns[ci].Type == TInt {
+			h.dev.WriteU64(field, uint64(vals[j].I))
+		} else {
+			h.dev.WriteU64(field, vps[0])
+			vps = vps[1:]
+		}
 	}
-	h.dev.WriteU32(int64(vp), uint32(len(v.S)))
-	h.dev.Write(int64(vp)+4, v.S)
-	if h.nvmMod {
-		h.dev.Sync(int64(vp), 4+len(v.S))
-	}
-	h.dev.WriteU64(field, vp)
+	return nil
 }
 
 // ColVarPtr returns the var-slot pointer of a string column (0 if unset).
@@ -241,23 +289,31 @@ func (h *Heap) SyncTuple(slot uint64) {
 	h.dev.Sync(int64(slot), h.slotSize)
 }
 
-// PersistSlot durably transitions the slot (and its var-slots) to the
-// persisted state. In NVM mode this is the point after which the tuple
-// survives recovery.
-func (h *Heap) PersistSlot(slot uint64) {
-	if h.nvmMod {
-		for i, c := range h.schema.Columns {
-			if c.Type == TString {
-				if vp := h.ColVarPtr(slot, i); vp != 0 &&
-					h.arena.StateOf(vp) == pmalloc.StateAllocated {
-					h.arena.SetPersisted(vp)
-				}
-			}
+// PersistCols durably marks the var-slots the given string columns point at
+// persisted, with one fence for all of them: an update persists what it
+// allocated and reads no other column's chunk header. No-op on a volatile
+// heap.
+func (h *Heap) PersistCols(slot uint64, cols ...int) {
+	if !h.nvmMod {
+		return
+	}
+	vps := h.vps[:0]
+	for _, ci := range cols {
+		if vp := h.ColVarPtr(slot, ci); vp != 0 {
+			vps = append(vps, vp)
 		}
 	}
-	if h.State(slot) == SlotPersisted {
-		return // re-persist of an already-live tuple (update path)
+	if len(vps) > 0 {
+		h.arena.SetPersisted(vps...)
 	}
+	h.vps = vps[:0]
+}
+
+// PersistSlot durably transitions a freshly written slot (and its var-slots)
+// to the persisted state. In NVM mode this is the point after which the
+// tuple survives recovery.
+func (h *Heap) PersistSlot(slot uint64) {
+	h.PersistCols(slot, h.strCols...)
 	h.dev.WriteU8(int64(slot)+slotState, SlotPersisted)
 	if h.nvmMod {
 		h.dev.Sync(int64(slot)+slotState, 1)

@@ -322,15 +322,25 @@ func (p *ArenaPager) FreePage(id uint64) {
 	p.arena.Free(pmalloc.Ptr(id))
 }
 
-// Persist syncs every dirty page with the allocator interface's sync
-// primitive, marks them persisted, and atomically installs the new master
-// record — no filesystem, no kernel crossing (§4.2).
+// Persist writes every dirty page back, fences once, marks the new ones
+// persisted with one more fence, and atomically installs the new master
+// record — no filesystem, no kernel crossing (§4.2). A crash before the
+// master record leaves the old tree: pages marked persisted that it does not
+// reach are the owner's reachability sweep's to reclaim, as they were when
+// each page was fenced and marked on its own.
 func (p *ArenaPager) Persist(root, meta uint64) error {
+	var fresh []pmalloc.Ptr
 	for _, id := range sortedKeys(p.dirty) {
-		p.dev.Sync(int64(id), p.psize)
+		p.dev.WriteBack(int64(id), p.psize)
 		if p.arena.StateOf(pmalloc.Ptr(id)) == pmalloc.StateAllocated {
-			p.arena.SetPersisted(pmalloc.Ptr(id))
+			fresh = append(fresh, pmalloc.Ptr(id))
 		}
+	}
+	if len(p.dirty) > 0 {
+		p.dev.Fence()
+	}
+	if len(fresh) > 0 {
+		p.arena.SetPersisted(fresh...)
 	}
 	clear(p.dirty)
 	p.root, p.meta = root, meta

@@ -34,13 +34,16 @@ func budgetSchema() []*core.Schema {
 	return []*core.Schema{{Name: "usertable", Columns: cols}}
 }
 
-func budgetField(rng *rand.Rand) core.Value {
-	b := make([]byte, 100)
+// randomString draws n lower-case letters.
+func randomString(rng *rand.Rand, n int) core.Value {
+	b := make([]byte, n)
 	for i := range b {
 		b[i] = byte('a' + rng.Intn(26))
 	}
-	return core.StrVal(string(b))
+	return core.BytesVal(b)
 }
+
+func budgetField(rng *rand.Rand) core.Value { return randomString(rng, 100) }
 
 // deviceCost runs the budget schedule on a fresh engine and returns the
 // device counters its update transactions (and the final Flush) consumed.

@@ -39,6 +39,7 @@ func testSchema() []*core.Schema {
 			SecKey: func(row []core.Value) uint32 {
 				return uint32(row[1].I)
 			},
+			Cols: []int{1},
 		}},
 	}
 	items := &core.Schema{

@@ -63,7 +63,8 @@ type undoRec struct {
 	op     uint8 // core.WalInsert etc.
 	table  int
 	key    uint64
-	before []core.Value // update/delete
+	before []core.Value // delete: the row
+	delta  core.Update  // update: the old values of the updated columns
 }
 
 // New creates a fresh InP engine on the partition environment.
@@ -162,13 +163,13 @@ func (e *Engine) replayWALSequential() (uint64, error) {
 			if err != nil {
 				return err
 			}
-			e.apply(tm, r.Key, row)
+			return e.apply(tm, r.Key, row)
 		case core.WalUpdate:
 			upd, err := core.DecodeDelta(tm.Schema, r.After)
 			if err != nil {
 				return err
 			}
-			e.applyUpdate(tm, r.Key, upd)
+			return e.applyUpdate(tm, r.Key, upd)
 		case core.WalDelete:
 			e.applyDelete(tm, r.Key)
 		}
@@ -222,13 +223,17 @@ func (e *Engine) replayWALParallel(workers int) (uint64, error) {
 		for i := range ops {
 			op := &ops[i]
 			tm := e.Tables[op.table]
+			var err error
 			switch op.kind {
 			case core.WalInsert:
-				e.apply(tm, op.key, op.row)
+				err = e.apply(tm, op.key, op.row)
 			case core.WalUpdate:
-				e.applyUpdate(tm, op.key, op.upd)
+				err = e.applyUpdate(tm, op.key, op.upd)
 			case core.WalDelete:
 				e.applyDelete(tm, op.key)
+			}
+			if err != nil {
+				return 0, err
 			}
 		}
 	}
@@ -333,8 +338,8 @@ func mergeDelta(old, add core.Update) core.Update {
 	return old
 }
 
-// apply installs a row (used by replay and checkpoint load).
-func (e *Engine) apply(tm *core.TableMeta, key uint64, row []core.Value) {
+// apply installs a row (used by replay, checkpoint load and rollback).
+func (e *Engine) apply(tm *core.TableMeta, key uint64, row []core.Value) error {
 	h := e.heaps[tm.ID]
 	if slot, ok := e.primary[tm.ID].Get(key); ok {
 		// Replayed insert over checkpointed tuple: replace.
@@ -342,30 +347,60 @@ func (e *Engine) apply(tm *core.TableMeta, key uint64, row []core.Value) {
 		h.FreeSlot(slot)
 		e.primary[tm.ID].Delete(key)
 	}
-	slot := h.AllocSlot(key)
-	h.WriteRow(slot, row)
+	slot, err := h.StoreRow(key, row)
+	if err != nil {
+		return err
+	}
 	h.PersistSlot(slot)
 	e.primary[tm.ID].Put(key, slot)
 	e.insertSecondaries(tm, key, row)
+	return nil
 }
 
-func (e *Engine) applyUpdate(tm *core.TableMeta, key uint64, upd core.Update) {
-	h := e.heaps[tm.ID]
+// applyUpdate writes a delta into an existing tuple (replay and rollback).
+func (e *Engine) applyUpdate(tm *core.TableMeta, key uint64, upd core.Update) error {
 	slot, ok := e.primary[tm.ID].Get(key)
 	if !ok {
-		return
+		return nil
 	}
-	old := h.ReadRow(slot)
-	e.removeSecondaries(tm, key, old)
-	for j, ci := range upd.Cols {
-		if tm.Schema.Columns[ci].Type == core.TString {
-			h.FreeVar(h.ColVarPtr(slot, ci))
+	return e.writeUpdate(tm, key, slot, upd, e.indexedRow(tm, slot, upd.Cols))
+}
+
+// indexedRow reads the tuple at slot when an update of cols can move it
+// within a secondary index, and returns nil when it cannot: an update reads
+// what it writes, and the rest of the row only to re-key an index.
+func (e *Engine) indexedRow(tm *core.TableMeta, slot uint64, cols []int) []core.Value {
+	if !tm.Schema.IndexReads(cols) {
+		return nil
+	}
+	return e.heaps[tm.ID].ReadRow(slot)
+}
+
+// writeUpdate writes upd into the tuple at slot, releases the var-slots it
+// supersedes and, given the old row (see indexedRow), re-keys the secondary
+// entries. When the arena runs out the tuple is unchanged.
+func (e *Engine) writeUpdate(tm *core.TableMeta, key, slot uint64, upd core.Update, old []core.Value) error {
+	h := e.heaps[tm.ID]
+	var oldVars []uint64
+	for _, ci := range upd.Cols {
+		if vp := h.ColVarPtr(slot, ci); vp != 0 {
+			oldVars = append(oldVars, vp)
 		}
-		h.WriteCol(slot, ci, upd.Vals[j])
 	}
-	now := core.CloneRow(old)
-	core.ApplyDelta(now, upd)
-	e.insertSecondaries(tm, key, now)
+	if err := h.WriteCols(slot, upd.Cols, upd.Vals); err != nil {
+		return err
+	}
+	for _, vp := range oldVars {
+		h.FreeVar(vp)
+	}
+	if old != nil {
+		stopIdx := e.Bd.Timer(&e.Bd.Index)
+		now := append([]core.Value(nil), old...)
+		core.ApplyDelta(now, upd)
+		e.refreshSecondaries(tm, key, old, now)
+		stopIdx()
+	}
+	return nil
 }
 
 func (e *Engine) applyDelete(tm *core.TableMeta, key uint64) {
@@ -460,13 +495,21 @@ func (e *Engine) rollback() error {
 	for i := len(e.undo) - 1; i >= 0; i-- {
 		u := e.undo[i]
 		tm := e.Tables[u.table]
+		var err error
 		switch u.op {
 		case core.WalInsert:
 			e.applyDelete(tm, u.key)
 		case core.WalUpdate:
-			e.apply(tm, u.key, u.before)
+			err = e.applyUpdate(tm, u.key, u.delta)
 		case core.WalDelete:
-			e.apply(tm, u.key, u.before)
+			err = e.apply(tm, u.key, u.before)
+		}
+		if err != nil {
+			// Putting an old image back needs arena space too. Without it
+			// the heap holds part of an aborted transaction: only recovery
+			// from the log can restore it.
+			_ = e.EndTx()
+			return core.Corrupt(err)
 		}
 	}
 	e.wal.DropTail(e.walMark)
@@ -491,14 +534,19 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	}
 
 	stop := e.Bd.Timer(&e.Bd.Recovery)
+	mark := e.wal.Mark()
 	e.wal.Append(core.WalRecord{Type: core.WalInsert, TxnID: e.TxnID,
 		Table: tm.ID, Key: key, After: core.EncodeRow(tm.Schema, row)})
 	stop()
 
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	h := e.heaps[tm.ID]
-	slot := h.AllocSlot(key)
-	h.WriteRow(slot, row)
+	slot, err := h.StoreRow(key, row)
+	if err != nil {
+		stopSt()
+		e.wal.DropTail(mark) // the record describes a tuple that was not stored
+		return err
+	}
 	h.PersistSlot(slot)
 	stopSt()
 
@@ -530,38 +578,36 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	h := e.heaps[tm.ID]
 
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	old := h.ReadRow(slot)
+	old := e.indexedRow(tm, slot, upd.Cols)
+	// Before image: the old values of the updated columns.
+	before := core.Update{Cols: append([]int(nil), upd.Cols...), Vals: make([]core.Value, len(upd.Cols))}
+	for j, ci := range upd.Cols {
+		if old != nil {
+			before.Vals[j] = old[ci]
+		} else {
+			before.Vals[j] = h.ReadCol(slot, ci)
+		}
+	}
 	stopSt()
 
-	// Before image: the old values of the updated columns.
-	beforeUpd := core.Update{Cols: upd.Cols, Vals: make([]core.Value, len(upd.Cols))}
-	for j, ci := range upd.Cols {
-		beforeUpd.Vals[j] = old[ci]
-	}
 	stop := e.Bd.Timer(&e.Bd.Recovery)
+	mark := e.wal.Mark()
 	e.wal.Append(core.WalRecord{Type: core.WalUpdate, TxnID: e.TxnID,
 		Table: tm.ID, Key: key,
-		Before: core.EncodeDelta(tm.Schema, beforeUpd),
+		Before: core.EncodeDelta(tm.Schema, before),
 		After:  core.EncodeDelta(tm.Schema, upd)})
 	stop()
 
 	stopSt = e.Bd.Timer(&e.Bd.Storage)
-	for j, ci := range upd.Cols {
-		if tm.Schema.Columns[ci].Type == core.TString {
-			h.FreeVar(h.ColVarPtr(slot, ci))
-		}
-		h.WriteCol(slot, ci, upd.Vals[j])
-	}
+	err = e.writeUpdate(tm, key, slot, upd, old)
 	stopSt()
+	if err != nil {
+		e.wal.DropTail(mark) // the record describes a write that did not happen
+		return err
+	}
 
-	stopIdx = e.Bd.Timer(&e.Bd.Index)
-	now := core.CloneRow(old)
-	core.ApplyDelta(now, upd)
-	e.refreshSecondaries(tm, key, old, now)
-	stopIdx()
-
-	e.undo = append(e.undo, undoRec{op: core.WalUpdate, table: tm.ID, key: key, before: old})
-	e.MV.StageUpsert(table, key, now)
+	e.undo = append(e.undo, undoRec{op: core.WalUpdate, table: tm.ID, key: key, delta: before})
+	e.MV.StageUpdate(table, key, upd)
 	return nil
 }
 
@@ -816,7 +862,9 @@ func (e *Engine) loadCheckpoint() error {
 			return err
 		}
 		off += n
-		e.apply(tm, key, row)
+		if err := e.apply(tm, key, row); err != nil {
+			return err
+		}
 	}
 	return nil
 }

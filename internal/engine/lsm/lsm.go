@@ -180,17 +180,11 @@ func WriteEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
 	return p, nil
 }
 
-// EntryChunkHead reads an entry chunk's kind and payload length only.
-func EntryChunkHead(d *nvm.Device, p uint64) (kind uint8, payloadLen int) {
-	var b [entryChunkHdr]byte
-	d.Read(int64(p), b[:])
-	return b[0], int(binary.LittleEndian.Uint32(b[1:]))
-}
-
 // ReadEntryChunk reads the entry stored at p.
 func ReadEntryChunk(d *nvm.Device, p uint64) Entry {
-	kind, n := EntryChunkHead(d, p)
-	payload := make([]byte, n)
+	var b [entryChunkHdr]byte
+	d.Read(int64(p), b[:])
+	payload := make([]byte, binary.LittleEndian.Uint32(b[1:]))
 	d.Read(int64(p)+entryChunkHdr, payload)
-	return Entry{Kind: kind, Payload: payload}
+	return Entry{Kind: b[0], Payload: payload}
 }

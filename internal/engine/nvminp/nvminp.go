@@ -268,14 +268,11 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) error {
 		// Release the tuple's storage using the pointer recorded in the WAL
 		// entry, and drop its index entries.
 		if h.State(slot) != core.SlotFree {
-			row := h.ReadRow(slot)
 			if _, err := e.primary[table].Delete(key); err != nil {
 				return err
 			}
-			for j, ix := range tm.Schema.Secondary {
-				if _, err := e.second[table][j].Delete(core.SecComposite(ix.SecKey(row), key)); err != nil {
-					return err
-				}
+			if err := e.unlinkSecondaries(tm, h, slot, key); err != nil {
+				return err
 			}
 			h.FreeSlot(slot)
 		}
@@ -289,7 +286,9 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) error {
 			ci := int(d.ReadU8(base))
 			val := d.ReadU64(base + 1)
 			if tm.Schema.Columns[ci].Type == core.TInt {
-				h.WriteCol(slot, ci, core.Value{I: int64(val)})
+				if err := h.WriteCol(slot, ci, core.Value{I: int64(val)}); err != nil {
+					return err
+				}
 			} else {
 				// Free the new var-slot and restore the old pointer.
 				cur := h.ColVarPtr(slot, ci)
@@ -324,14 +323,31 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) error {
 		if h.State(slot) == core.SlotFree {
 			return nil
 		}
-		row := h.ReadRow(slot)
 		if err := e.primary[table].Put(key, slot); err != nil {
 			return err
 		}
-		for j, ix := range tm.Schema.Secondary {
-			if err := e.second[table][j].Put(core.SecComposite(ix.SecKey(row), key), key); err != nil {
-				return err
+		if len(tm.Schema.Secondary) > 0 {
+			row := h.ReadRow(slot)
+			for j, ix := range tm.Schema.Secondary {
+				if err := e.second[table][j].Put(core.SecComposite(ix.SecKey(row), key), key); err != nil {
+					return err
+				}
 			}
+		}
+	}
+	return nil
+}
+
+// unlinkSecondaries removes the secondary entries of the tuple at slot. A
+// table without indexes has none, and its row is not read.
+func (e *Engine) unlinkSecondaries(tm *core.TableMeta, h *core.Heap, slot, key uint64) error {
+	if len(tm.Schema.Secondary) == 0 {
+		return nil
+	}
+	row := h.ReadRow(slot)
+	for j, ix := range tm.Schema.Secondary {
+		if _, err := e.second[tm.ID][j].Delete(core.SecComposite(ix.SecKey(row), key)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -377,8 +393,7 @@ func (e *Engine) appendWAL(typ uint8, table int, key, slot uint64, befCols []int
 		d.WriteU8(base+1, op)
 		d.WriteU64(base+2, f.composite)
 	}
-	d.Sync(int64(p), size)
-	e.Env.Arena.SetPersisted(p)
+	e.Env.Arena.Persist(p, size)
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, p)
 	return p, nil
 }
@@ -471,8 +486,11 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	h := e.heaps[tm.ID]
 
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	slot := h.AllocSlot(key)
-	h.WriteRow(slot, row)
+	slot, err := h.StoreRow(key, row)
+	if err != nil {
+		stopSt()
+		return err
+	}
 	h.SyncTuple(slot)
 	stopSt()
 
@@ -522,51 +540,56 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 		return core.ErrKeyNotFound
 	}
 	h := e.heaps[tm.ID]
-	old := h.ReadRow(slot)
 
-	befCols := make([]int, len(upd.Cols))
+	// The before-image is the updated fields and nothing else (Table 2): an
+	// int's value, a string's var-slot pointer. The rest of the row is read
+	// only when the update can move the tuple within a secondary index.
 	befVals := make([]uint64, len(upd.Cols))
 	var oldVars []uint64
 	for j, ci := range upd.Cols {
-		befCols[j] = ci
 		if tm.Schema.Columns[ci].Type == core.TInt {
-			befVals[j] = uint64(old[ci].I)
+			befVals[j] = uint64(h.ReadCol(slot, ci).I)
 		} else {
-			vp := h.ColVarPtr(slot, ci)
-			befVals[j] = vp
-			oldVars = append(oldVars, vp)
+			befVals[j] = h.ColVarPtr(slot, ci)
+			oldVars = append(oldVars, befVals[j])
 		}
 	}
-
-	now := core.CloneRow(old)
-	core.ApplyDelta(now, upd)
 	var fixes []secFix
-	for j, ix := range tm.Schema.Secondary {
-		ok, nk := ix.SecKey(old), ix.SecKey(now)
-		if ok != nk {
-			fixes = append(fixes,
-				secFix{idx: j, added: true, composite: core.SecComposite(nk, key)},
-				secFix{idx: j, added: false, composite: core.SecComposite(ok, key)})
+	if tm.Schema.IndexReads(upd.Cols) {
+		old := h.ReadRow(slot)
+		now := append([]core.Value(nil), old...)
+		core.ApplyDelta(now, upd)
+		for j, ix := range tm.Schema.Secondary {
+			ok, nk := ix.SecKey(old), ix.SecKey(now)
+			if ok != nk {
+				fixes = append(fixes,
+					secFix{idx: j, added: true, composite: core.SecComposite(nk, key)},
+					secFix{idx: j, added: false, composite: core.SecComposite(ok, key)})
+			}
 		}
 	}
 
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
-	entry, err := e.appendWAL(core.WalUpdate, tm.ID, key, slot, befCols, befVals, fixes)
+	entry, err := e.appendWAL(core.WalUpdate, tm.ID, key, slot, upd.Cols, befVals, fixes)
 	stopRec()
 	if err != nil {
 		return err
 	}
 	// Record the op before modifying anything so Abort can undo a
 	// partially applied update from the WAL entry's before-image.
-	e.ops = append(e.ops, txnOp{typ: core.WalUpdate, table: tm.ID, key: key,
-		slot: slot, entry: entry, oldVars: oldVars})
+	e.ops = append(e.ops, txnOp{typ: core.WalUpdate, table: tm.ID, key: key, slot: slot, entry: entry})
 
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	for j, ci := range upd.Cols {
-		h.WriteCol(slot, ci, upd.Vals[j])
+	if err := h.WriteCols(slot, upd.Cols, upd.Vals); err != nil {
+		// The slot is untouched and the logged before-image is what it
+		// holds, so undoing the entry changes nothing; the superseded
+		// var-slots stay the tuple's.
+		stopSt()
+		return err
 	}
+	e.ops[len(e.ops)-1].oldVars = oldVars
 	h.SyncTuple(slot)
-	h.PersistSlot(slot) // re-persist new var-slots
+	h.PersistCols(slot, upd.Cols...) // the var-slots this update allocated
 	stopSt()
 
 	stopIdx = e.Bd.Timer(&e.Bd.Index)
@@ -582,7 +605,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 			}
 		}
 	}
-	e.MV.StageUpsert(table, key, now)
+	e.MV.StageUpdate(table, key, upd)
 	return nil
 }
 
@@ -603,7 +626,6 @@ func (e *Engine) Delete(table string, key uint64) error {
 		return core.ErrKeyNotFound
 	}
 	h := e.heaps[tm.ID]
-	row := h.ReadRow(slot)
 
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
 	entry, err := e.appendWAL(core.WalDelete, tm.ID, key, slot, nil, nil, nil)
@@ -621,10 +643,8 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if _, err := e.primary[tm.ID].Delete(key); err != nil {
 		return err
 	}
-	for j, ix := range tm.Schema.Secondary {
-		if _, err := e.second[tm.ID][j].Delete(core.SecComposite(ix.SecKey(row), key)); err != nil {
-			return err
-		}
+	if err := e.unlinkSecondaries(tm, h, slot, key); err != nil {
+		return err
 	}
 	e.MV.StageDelete(table, key)
 	return nil

@@ -6,6 +6,7 @@ import (
 	"nstore/internal/core"
 	"nstore/internal/engine/enginetest"
 	"nstore/internal/nvm"
+	"nstore/internal/pmalloc"
 )
 
 func TestConformance(t *testing.T) {
@@ -274,7 +275,77 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 29.7 / 8.4 / 9.9 / 7.00.
+// stores / flushes / fences 4.8 / 8.4 / 9.9 / 7.00. (It loaded 29.7 lines
+// while Update read the whole row to change one column.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 33, Stores: 9.3, Flushes: 11, Fences: 7.7})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 5.3, Stores: 9.3, Flushes: 11, Fences: 7.7})
+}
+
+// TestUpdateTouchesOnlyItsLines: a cold one-column update loads the index
+// path, the slot's lines, the lines it allocates and writes, and the
+// superseded var-slot's header at commit — 13 to 18 lines, the same with
+// thirty columns or kilobyte ones beside the one it writes.
+func TestUpdateTouchesOnlyItsLines(t *testing.T) {
+	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 20)
+}
+
+// TestArenaExhaustion: a full arena is a typed error at the operation, not a
+// panic in the partition's goroutine, and costs the transaction only.
+func TestArenaExhaustion(t *testing.T) {
+	enginetest.RunArenaExhaustion(t, confFactory())
+}
+
+// TestLogEntryCostIgnoresLinePhase: the WAL entry chunk is recycled from
+// commit to commit, so it stays where the allocator first put it, and that
+// depends on every allocation made before. An update must cost the same
+// device stores wherever in a cache line the entry's header landed — the
+// benchmark's write_amp stepped by 5 % from seed to seed while it did not.
+// The update is of an int column, so the entry is the only chunk it writes.
+func TestLogEntryCostIgnoresLinePhase(t *testing.T) {
+	phases := map[int64]bool{}
+	var want nvm.Stats
+	for i, pad := range []int{0, 4096, 4112, 4128} {
+		env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20, Profile: nvm.ProfileLowNVM})
+		e, err := New(env, simpleSchema(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Begin()
+		for k := uint64(1); k <= 8; k++ {
+			if err := e.Insert("t", k, []core.Value{core.IntVal(int64(k)), core.IntVal(0), core.StrVal("x")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Commit()
+		if pad > 0 {
+			// Shift the bump pointer the first update entry is carved at
+			// (no free chunk is this large).
+			if _, err := env.Arena.Alloc(pad, pmalloc.TagOther); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st0 := env.Dev.Stats()
+		for n := int64(1); n <= 20; n++ {
+			e.Begin()
+			if err := e.Update("t", 3, core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(n)}}); err != nil {
+				t.Fatal(err)
+			}
+			env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
+				if tag == pmalloc.TagLog && st == pmalloc.StatePersisted {
+					phases[int64(p)%nvm.LineSize] = true
+				}
+			})
+			e.Commit()
+		}
+		got := env.Dev.Stats().Sub(st0)
+		if i == 0 {
+			want = got
+		} else if got.Stores != want.Stores || got.Flushes != want.Flushes || got.Fences != want.Fences {
+			t.Errorf("behind a %d-byte chunk 20 updates cost %d stores, %d flushes, %d fences; behind none %d, %d, %d",
+				pad, got.Stores, got.Flushes, got.Fences, want.Stores, want.Flushes, want.Fences)
+		}
+	}
+	if len(phases) < 3 {
+		t.Fatalf("the entry chunk landed at line offsets %v only: the test did not move it", phases)
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/engine/lsm"
+	"nstore/internal/nvbtree"
 	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
@@ -118,14 +120,37 @@ func checkAdoptModel(e *Engine, m map[uint64][2]int64) error {
 	return err
 }
 
-// checkArenaMatchesReach: what the engine header reaches and what the
-// allocator holds must be the same set. A reachable chunk that is free was
+// checkTags: every value in the MemTable and the runs is an aligned chunk
+// pointer carrying the kind its chunk records — through rotation, adoption,
+// merge and recovery the tag and the chunk never part ways.
+func checkTags(e *Engine) error {
+	var err error
+	check := func(where string, t *nvbtree.Tree) {
+		t.Iter(0, func(k, v uint64) bool {
+			var head [1]byte
+			e.Env.Dev.Read(int64(chunkOf(v)), head[:])
+			if kind := kindOf(v); kind < lsm.KindFull || kind > lsm.KindTomb || head[0] != kind {
+				err = fmt.Errorf("%s: key %d: pointer %#x is tagged %d, its chunk records kind %d", where, core.TreePK(k), v, kind, head[0])
+			}
+			return err == nil
+		})
+	}
+	check("MemTable", e.mem)
+	for i, r := range e.runs {
+		check(fmt.Sprintf("run %d", i), r.tree)
+	}
+	return err
+}
+
+// checkArenaMatchesReach: what the engine header reaches — its trees' values
+// with the kind tags stripped — and what the allocator holds must be the same
+// set, and every tag must be right (checkTags). A reachable chunk that is free was
 // released while a live tree still pointed at it (the double-free side of
 // chunk adoption); a persisted table, index or log chunk nobody reaches is a
 // leak.
 func checkArenaMatchesReach(e *Engine) error {
 	reach, _ := e.reachable()
-	var err error
+	err := checkTags(e)
 	held := int64(0)
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
 		switch {

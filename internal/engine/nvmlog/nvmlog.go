@@ -31,8 +31,11 @@ import (
 )
 
 const (
-	hdrMagic = 0x4e564d4c4f473132 // "NVMLOG12"
-	rootSlot = 0
+	hdrMagic = 0x4e564d4c4f473133 // "NVMLOG13"
+	// untaggedMagic marks an image whose trees hold bare entry-chunk
+	// pointers, without the kind in the low bits.
+	untaggedMagic = 0x4e564d4c4f473132 // "NVMLOG12"
+	rootSlot      = 0
 
 	// Engine header layout.
 	hMagic     = 0
@@ -60,6 +63,27 @@ const (
 	wSec    = 48 // nSec x {idx u8, op u8 (1 added, 2 removed), composite u64}
 	secRec  = 10
 )
+
+// The kind of an entry rides in the pointer to its chunk. pmalloc payloads
+// are 16-byte aligned, so the MemTable, every run and the undo list hold
+// ptr|kind: a lookup that ends at a tombstone, an existence check, and a
+// compaction deciding whether it may adopt a chunk all learn the kind from
+// the tree node they already read, without loading the chunk. The allocator
+// and the chunk reads see the bare pointer (chunkOf).
+const kindMask = 15
+
+func tagPtr(p pmalloc.Ptr, kind uint8) uint64 { return p | uint64(kind) }
+func chunkOf(v uint64) pmalloc.Ptr            { return v &^ kindMask }
+func kindOf(v uint64) uint8                   { return uint8(v & kindMask) }
+
+// readEntry returns the entry a tagged pointer names. A tombstone has no
+// payload, so its chunk is not read.
+func (e *Engine) readEntry(v uint64) lsm.Entry {
+	if kindOf(v) == lsm.KindTomb {
+		return lsm.Entry{Kind: lsm.KindTomb}
+	}
+	return lsm.ReadEntryChunk(e.Env.Dev, chunkOf(v))
+}
 
 // run is one immutable MemTable.
 type run struct {
@@ -97,7 +121,7 @@ type Engine struct {
 
 type txnOp struct {
 	entry  pmalloc.Ptr
-	oldPtr uint64 // superseded entry chunk, freed at commit
+	oldPtr uint64 // superseded entry chunk (tagged), freed at commit
 }
 
 // New creates a fresh NVM-Log engine anchored at arena root slot 0.
@@ -171,11 +195,20 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	defer stop()
 
 	hdr := env.Arena.Root(rootSlot)
-	if hdr == 0 || env.Dev.ReadU64(int64(hdr)+hMagic) != hdrMagic {
+	if hdr == 0 {
+		return nil, fmt.Errorf("nvmlog: no engine header")
+	}
+	d := env.Dev
+	switch d.ReadU64(int64(hdr) + hMagic) {
+	case hdrMagic:
+	case untaggedMagic:
+		// A device image is outside input: reading bare pointers as tagged
+		// ones would take every entry for an unknown kind.
+		return nil, core.Corrupt(fmt.Errorf("nvmlog: image holds untagged entry pointers (NVMLOG12)"))
+	default:
 		return nil, fmt.Errorf("nvmlog: no engine header")
 	}
 	e.hdr = hdr
-	d := env.Dev
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(schemas) {
 		return nil, fmt.Errorf("nvmlog: schema mismatch")
 	}
@@ -268,7 +301,7 @@ func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, runKeys [][]uint64) {
 	markTree := func(t *nvbtree.Tree, keys *[]uint64) {
 		t.Nodes(mark)
 		t.Iter(0, func(k, v uint64) bool {
-			reach[v] = true
+			reach[chunkOf(v)] = true
 			if keys != nil {
 				*keys = append(*keys, k)
 			}
@@ -409,16 +442,21 @@ func (e *Engine) verifyBlooms(workers int, runKeys [][]uint64) error {
 	return nil
 }
 
-// writeEntryChunk stores ent in a persisted entry chunk: the MemTable is
-// durable, so the chunk is synced before any tree points at it.
-func (e *Engine) writeEntryChunk(ent lsm.Entry) (pmalloc.Ptr, error) {
+// writeEntryChunk stores ent in a persisted entry chunk and returns the
+// tagged pointer to it: the MemTable is durable, so the chunk is synced
+// before any tree points at it.
+func (e *Engine) writeEntryChunk(ent lsm.Entry) (uint64, error) {
 	p, err := lsm.WriteEntryChunk(e.Env.Arena, ent)
 	if err != nil {
 		return 0, err
 	}
+	if p&kindMask != 0 {
+		e.Env.Arena.Free(p)
+		return 0, fmt.Errorf("nvmlog: entry chunk %d is not 16-byte aligned", p)
+	}
 	e.Env.Dev.Sync(int64(p), lsm.EntryChunkSize(ent))
 	e.Env.Arena.SetPersisted(p)
-	return p, nil
+	return tagPtr(p, ent.Kind), nil
 }
 
 // secFix describes a secondary-index change for WAL undo.
@@ -429,7 +467,8 @@ type secFix struct {
 }
 
 // appendWAL logs one MemTable operation: which mapping changed (old/new
-// entry-chunk pointers) and the secondary entries touched.
+// tagged entry-chunk pointers, as the tree holds them) and the secondary
+// entries touched.
 func (e *Engine) appendWAL(typ uint8, table int, key, oldPtr, newPtr uint64, fixes []secFix) (pmalloc.Ptr, error) {
 	d := e.Env.Dev
 	size := wSec + secRec*len(fixes)
@@ -500,8 +539,8 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) error {
 			return err
 		}
 	}
-	if newPtr != 0 && e.Env.Arena.StateOf(newPtr) != pmalloc.StateFree {
-		e.Env.Arena.Free(newPtr)
+	if newPtr != 0 && e.Env.Arena.StateOf(chunkOf(newPtr)) != pmalloc.StateFree {
+		e.Env.Arena.Free(chunkOf(newPtr))
 	}
 	n := int(d.ReadU8(int64(p) + wNSec))
 	for i := 0; i < n; i++ {
@@ -527,24 +566,28 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key uint64, ent lsm.Ent
 	tk := core.TreePrimary(tm.ID, key)
 	var oldPtr uint64
 	isNew := true
-	if p, ok := e.mem.Get(tk); ok {
-		oldPtr = p
+	if v, ok := e.mem.Get(tk); ok {
+		oldPtr = v
 		isNew = false
-		ent = lsm.Merge(tm.Schema, ent, lsm.ReadEntryChunk(e.Env.Dev, p))
+		// A full image or a tombstone replaces whatever the MemTable held;
+		// only a delta has to read it, to fold itself in.
+		if ent.Kind == lsm.KindDelta {
+			ent = lsm.Merge(tm.Schema, ent, e.readEntry(v))
+		}
 	}
 	newPtr, err := e.writeEntryChunk(ent)
 	if err != nil {
 		return err
 	}
-	entry, err := e.appendWAL(typ, tm.ID, key, oldPtr, uint64(newPtr), fixes)
+	entry, err := e.appendWAL(typ, tm.ID, key, oldPtr, newPtr, fixes)
 	if err != nil {
-		e.Env.Arena.Free(newPtr)
+		e.Env.Arena.Free(chunkOf(newPtr))
 		return err
 	}
 	// Record the op before touching the trees so Abort can undo a partially
 	// applied operation from the WAL entry.
 	e.ops = append(e.ops, txnOp{entry: entry, oldPtr: oldPtr})
-	if err := e.mem.Put(tk, uint64(newPtr)); err != nil {
+	if err := e.mem.Put(tk, newPtr); err != nil {
 		return err
 	}
 	if isNew {
@@ -594,8 +637,8 @@ func (e *Engine) Commit() error {
 	// Truncating the undo log is the atomic commit point (§4.3).
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
 	for _, op := range e.ops {
-		if op.oldPtr != 0 && e.Env.Arena.StateOf(op.oldPtr) != pmalloc.StateFree {
-			e.Env.Arena.Free(op.oldPtr)
+		if old := chunkOf(op.oldPtr); old != 0 && e.Env.Arena.StateOf(old) != pmalloc.StateFree {
+			e.Env.Arena.Free(old)
 		}
 		e.Env.Arena.Free(op.entry)
 	}
@@ -791,7 +834,8 @@ func (e *Engine) swapRunList(runs []*run) error {
 //
 // An entry that only one of the two runs holds, and that is not a tombstone,
 // is carried forward verbatim whatever its size — so its chunk is adopted by
-// pointer instead of being rewritten, and release does not free it. Whichever side
+// pointer instead of being rewritten, and release does not free it. The kind
+// is in the pointer, so deciding this reads no chunk. Whichever side
 // of the run-list swap a crash lands on, exactly one listed run reaches an
 // adopted chunk, and the recovery sweep keeps whatever a listed run reaches.
 // The merged run is bulk-loaded (nvbtree.Build) once every entry is known.
@@ -803,7 +847,7 @@ func (e *Engine) submitCompact() error {
 	e.compactQueued = true
 	var newRun *run
 	var victims []*run
-	var dead []uint64 // the victims' entry chunks the merged run did not adopt
+	var dead []pmalloc.Ptr // the victims' entry chunks the merged run did not adopt
 	t := &lsm.FlushTask{Kind: "compact"}
 
 	t.Build = func() error {
@@ -816,7 +860,7 @@ func (e *Engine) submitCompact() error {
 		}
 		victims = e.runs[len(e.runs)-2:] // newest-first order: the two oldest
 
-		// Collect: for each key, its entry chunks newest-run first.
+		// Collect: for each key, its tagged entry pointers newest-run first.
 		holders := make(map[uint64][]uint64)
 		var order []uint64
 		for _, r := range victims {
@@ -834,20 +878,20 @@ func (e *Engine) submitCompact() error {
 		fl := bloom.New(len(order), 10)
 		for _, k := range order {
 			chunks := holders[k]
-			if len(chunks) == 1 {
-				if kind, _ := lsm.EntryChunkHead(e.Env.Dev, chunks[0]); kind != lsm.KindTomb {
-					kvs = append(kvs, nvbtree.KV{K: k, V: chunks[0]})
-					fl.Add(k)
-					continue
-				}
+			if len(chunks) == 1 && kindOf(chunks[0]) != lsm.KindTomb {
+				kvs = append(kvs, nvbtree.KV{K: k, V: chunks[0]})
+				fl.Add(k)
+				continue
 			}
-			dead = append(dead, chunks...)
-			acc := lsm.ReadEntryChunk(e.Env.Dev, chunks[0])
+			for _, c := range chunks {
+				dead = append(dead, chunkOf(c))
+			}
+			acc := e.readEntry(chunks[0])
 			for _, c := range chunks[1:] {
 				if acc.Kind != lsm.KindDelta {
 					break
 				}
-				acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, lsm.ReadEntryChunk(e.Env.Dev, c))
+				acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, e.readEntry(c))
 			}
 			if acc.Kind == lsm.KindTomb {
 				continue // reclaim space during compaction (Table 2)
@@ -856,7 +900,7 @@ func (e *Engine) submitCompact() error {
 			if err != nil {
 				return fail(err)
 			}
-			kvs = append(kvs, nvbtree.KV{K: k, V: uint64(cp)})
+			kvs = append(kvs, nvbtree.KV{K: k, V: cp})
 			fl.Add(k)
 		}
 		merged, err := nvbtree.Build(e.Env.Arena, e.opts.BTreeNodeSize, kvs)
@@ -922,11 +966,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if err != nil {
 		return err
 	}
-	_, exists, err := e.get(table, key)
-	if err != nil {
-		return err
-	}
-	if exists {
+	if e.exists(core.TreePrimary(tm.ID, key)) {
 		return core.ErrKeyExists
 	}
 	var fixes []secFix
@@ -953,22 +993,29 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err != nil {
 		return err
 	}
-	old, exists, err := e.get(table, key)
-	if err != nil {
-		return err
-	}
-	if !exists {
+	if !e.exists(core.TreePrimary(tm.ID, key)) {
 		return core.ErrKeyNotFound
 	}
-	now := core.CloneRow(old)
-	core.ApplyDelta(now, upd)
+	// The delta is all the MemTable needs; the tuple is coalesced only when
+	// the update can move it within a secondary index.
 	var fixes []secFix
-	for j, ix := range tm.Schema.Secondary {
-		ok, nk := ix.SecKey(old), ix.SecKey(now)
-		if ok != nk {
-			fixes = append(fixes,
-				secFix{idx: j, added: false, composite: core.SecComposite(ok, key)},
-				secFix{idx: j, added: true, composite: core.SecComposite(nk, key)})
+	if tm.Schema.IndexReads(upd.Cols) {
+		old, found, err := e.get(table, key)
+		if err != nil {
+			return err
+		}
+		if !found {
+			return core.ErrKeyNotFound // an image that does not decode
+		}
+		now := append([]core.Value(nil), old...)
+		core.ApplyDelta(now, upd)
+		for j, ix := range tm.Schema.Secondary {
+			ok, nk := ix.SecKey(old), ix.SecKey(now)
+			if ok != nk {
+				fixes = append(fixes,
+					secFix{idx: j, added: false, composite: core.SecComposite(ok, key)},
+					secFix{idx: j, added: true, composite: core.SecComposite(nk, key)})
+			}
 		}
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
@@ -976,7 +1023,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err := e.applyMem(tm, core.WalUpdate, key, lsm.Entry{Kind: lsm.KindDelta, Payload: core.EncodeDelta(tm.Schema, upd)}, fixes); err != nil {
 		return err
 	}
-	e.MV.StageUpsert(table, key, now)
+	e.MV.StageUpdate(table, key, upd)
 	return nil
 }
 
@@ -991,16 +1038,21 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if err != nil {
 		return err
 	}
-	old, exists, err := e.get(table, key)
-	if err != nil {
-		return err
-	}
-	if !exists {
+	if !e.exists(core.TreePrimary(tm.ID, key)) {
 		return core.ErrKeyNotFound
 	}
 	var fixes []secFix
-	for j, ix := range tm.Schema.Secondary {
-		fixes = append(fixes, secFix{idx: j, added: false, composite: core.SecComposite(ix.SecKey(old), key)})
+	if len(tm.Schema.Secondary) > 0 {
+		old, found, err := e.get(table, key)
+		if err != nil {
+			return err
+		}
+		if !found {
+			return core.ErrKeyNotFound // an image that does not decode
+		}
+		for j, ix := range tm.Schema.Secondary {
+			fixes = append(fixes, secFix{idx: j, added: false, composite: core.SecComposite(ix.SecKey(old), key)})
+		}
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	defer stopSt()
@@ -1026,14 +1078,14 @@ func (e *Engine) get(table string, key uint64) ([]core.Value, bool, error) {
 	}
 	tk := core.TreePrimary(tm.ID, key)
 	var entries []lsm.Entry
-	add := func(ent lsm.Entry) bool {
-		entries = append(entries, ent)
-		return ent.Kind != lsm.KindDelta
+	add := func(v uint64) bool {
+		entries = append(entries, e.readEntry(v))
+		return kindOf(v) != lsm.KindDelta
 	}
 	done := false
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	if p, ok := e.mem.Get(tk); ok {
-		done = add(lsm.ReadEntryChunk(e.Env.Dev, p))
+	if v, ok := e.mem.Get(tk); ok {
+		done = add(v)
 	}
 	stopSt()
 	if !done {
@@ -1042,11 +1094,11 @@ func (e *Engine) get(table string, key uint64) ([]core.Value, bool, error) {
 			if !e.bloomHas(r, tk) {
 				continue
 			}
-			p, ok := r.tree.Get(tk)
+			v, ok := r.tree.Get(tk)
 			if !ok {
 				continue
 			}
-			if add(lsm.ReadEntryChunk(e.Env.Dev, p)) {
+			if add(v) {
 				break
 			}
 		}
@@ -1054,6 +1106,27 @@ func (e *Engine) get(table string, key uint64) ([]core.Value, bool, error) {
 	}
 	row, exists, _ := lsm.Coalesce(tm.Schema, entries)
 	return row, exists, nil
+}
+
+// exists decides from the index alone whether the tuple is live: the kind of
+// the newest entry for tk, in the MemTable or the newest run that holds one.
+// A delta is only ever written over a live tuple, and a delete above it would
+// be the newer entry, so anything but a tombstone means the tuple exists.
+func (e *Engine) exists(tk uint64) bool {
+	stopIdx := e.Bd.Timer(&e.Bd.Index)
+	defer stopIdx()
+	if v, ok := e.mem.Get(tk); ok {
+		return kindOf(v) != lsm.KindTomb
+	}
+	for _, r := range e.runs {
+		if !e.bloomHas(r, tk) {
+			continue
+		}
+		if v, ok := r.tree.Get(tk); ok {
+			return kindOf(v) != lsm.KindTomb
+		}
+	}
+	return false
 }
 
 func (e *Engine) bloomHas(r *run, key uint64) bool {
@@ -1119,7 +1192,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 			if _, ok := entries[k]; !ok {
 				order = append(order, k)
 			}
-			entries[k] = append(entries[k], lsm.ReadEntryChunk(e.Env.Dev, v))
+			entries[k] = append(entries[k], e.readEntry(v))
 			return true
 		})
 	}

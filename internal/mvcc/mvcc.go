@@ -11,7 +11,7 @@
 // Version lifecycle (all writer-side methods are called only from the
 // engine's owner goroutine):
 //
-//	StageUpsert/StageDelete   during Insert/Update/Delete
+//	StageUpsert/StageUpdate/StageDelete   during Insert/Update/Delete
 //	DropStaged                on Abort / rollback
 //	CommitStaged(ts, durable) at Commit; publishes now iff durable
 //	PublishDurable()          at Flush, when the durability barrier passes
@@ -172,11 +172,13 @@ type tableStore struct {
 	lastTs  uint64
 }
 
-// stagedOp is one uncommitted after-image.
+// stagedOp is one uncommitted change: a full after-image, a delete, or the
+// column delta of an update, which apply turns into an after-image.
 type stagedOp struct {
 	table int
 	key   uint64
-	row   []core.Value // nil = delete
+	row   []core.Value // nil and no delta = delete
+	delta *core.Update // non-nil = update of these columns over the chain head
 }
 
 // pendingGroup is a committed-but-not-yet-durable transaction.
@@ -236,6 +238,18 @@ func (s *Store) Seed(table string, key uint64, row []core.Value) {
 func (s *Store) StageUpsert(table string, key uint64, row []core.Value) {
 	if ti, ok := s.byName[table]; ok {
 		s.staged = append(s.staged, stagedOp{table: ti, key: key, row: core.CloneRow(row)})
+	}
+}
+
+// StageUpdate records an update as its column delta, so an engine that
+// modifies a tuple in place need not read the columns it does not write.
+// The after-image is built when the version is published (see apply). The
+// key must exist at that point — the engines check before they stage — and
+// a delta over a missing key is dropped.
+func (s *Store) StageUpdate(table string, key uint64, upd core.Update) {
+	if ti, ok := s.byName[table]; ok {
+		d := core.Update{Cols: append([]int(nil), upd.Cols...), Vals: core.CloneRow(upd.Vals)}
+		s.staged = append(s.staged, stagedOp{table: ti, key: key, delta: &d})
 	}
 }
 
@@ -303,24 +317,38 @@ func (s *Store) PublishDurable() {
 }
 
 // apply prepends one published version (and its secondary-membership
-// versions) at ts.
+// versions) at ts. A staged delta is materialised here, over the chain head:
+// the ops of a transaction and the pending groups are applied in commit
+// order, so the head is the row the engine updated. The new version shares
+// the unchanged columns' bytes with the head; versions are immutable.
 func (s *Store) apply(ts uint64, op stagedOp) {
 	t := s.tables[op.table]
-	ci, ok := t.chains.Load(op.key)
 	var c *chain
-	if !ok {
+	// Secondary membership diffs against the latest committed row.
+	var prev []core.Value
+	if ci, ok := t.chains.Load(op.key); ok {
+		c = ci.(*chain)
+		if h := c.head.Load(); h != nil {
+			prev = h.row
+		}
+	}
+	secs := t.schema.Secondary
+	if op.delta != nil {
+		if prev == nil {
+			return
+		}
+		op.row = append([]core.Value(nil), prev...)
+		core.ApplyDelta(op.row, *op.delta)
+		if !t.schema.IndexReads(op.delta.Cols) {
+			secs = nil // no secondary key can have moved
+		}
+	}
+	if c == nil {
 		c = &chain{}
 		t.chains.Store(op.key, c)
 		t.dir.insert(op.key)
-	} else {
-		c = ci.(*chain)
 	}
-	// Secondary membership diffs against the latest committed row.
-	var prev []core.Value
-	if h := c.head.Load(); h != nil {
-		prev = h.row
-	}
-	for j, ix := range t.schema.Secondary {
+	for j, ix := range secs {
 		var oldK, newK uint32
 		oldOK, newOK := prev != nil, op.row != nil
 		if oldOK {

@@ -17,6 +17,7 @@ func testSchemas() []*core.Schema {
 		Secondary: []core.IndexSpec{{
 			Name:   "by_v",
 			SecKey: func(row []core.Value) uint32 { return uint32(row[1].I) },
+			Cols:   []int{1},
 		}},
 	}}
 }

@@ -263,18 +263,20 @@ func (t *Tree) entAt(n uint64, i int) entry {
 }
 
 // readNode fills the tree's scratch buffer with node n's committed entries
-// and returns (buffer, count). One bulk device read replaces per-entry
-// reads on the hot paths.
+// and returns (buffer, count). It reads the header, then the committed
+// prefix only: the lines behind it hold nothing a reader may use, and a
+// half-full node is half the loads of its capacity.
 func (t *Tree) readNode(n uint64) ([]byte, int) {
 	if cap(t.scratch) < t.nsize {
 		t.scratch = make([]byte, t.nsize)
 	}
 	buf := t.scratch[:t.nsize]
-	t.dev.Read(int64(n), buf)
+	t.dev.Read(int64(n), buf[:nEntries])
 	c := int(binary.LittleEndian.Uint64(buf[nCount:]))
 	if c > t.cap {
 		c = t.cap
 	}
+	t.dev.Read(int64(n)+nEntries, buf[nEntries:nEntries+c*entSize])
 	return buf, c
 }
 

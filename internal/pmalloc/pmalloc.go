@@ -9,7 +9,8 @@
 //   - a rotating best-fit allocation policy that spreads allocations across
 //     the heap to level wear on the NVM device.
 //
-// Chunk layout: every chunk has a 16-byte header followed by the payload.
+// Chunk layout: every chunk has a 16-byte header followed by the payload,
+// and every payload pointer is 16-byte aligned.
 // The first header word packs the payload size, durability state, and a
 // usage tag (for the storage-footprint accounting of Fig. 14). Headers are
 // synced on every state change, so a recovery scan can walk the heap and
@@ -92,8 +93,11 @@ type Arena struct {
 	size int64
 
 	heapEnd int64 // volatile mirror of the durable bump pointer
-	// free lists are volatile and rebuilt by the recovery scan on Open.
-	free [numClasses][]int64 // chunk header offsets
+	// free lists are volatile and rebuilt by the recovery scan on Open. They
+	// carry each chunk's size so the best-fit scan reads no header from the
+	// device; the durable header is read and written only where a chunk
+	// changes state.
+	free [numClasses][]freeChunk
 	// rotate implements the rotating policy: each class starts its best-fit
 	// scan at a moving position so allocations spread across the heap.
 	rotate [numClasses]int
@@ -102,12 +106,17 @@ type Arena struct {
 	allocated int64          // total live payload bytes
 }
 
+// freeChunk is one free-list entry: the chunk's header offset and payload
+// size, a volatile copy of what its durable header says.
+type freeChunk struct{ off, size int64 }
+
 // Format initializes a fresh arena over dev[base, base+size) and returns it.
 func Format(dev *nvm.Device, base, size int64) *Arena {
-	if size < heapStart+headerSize+minPayload {
+	if size < heapStart+alignMask+headerSize+minPayload {
 		panic("pmalloc: arena too small")
 	}
-	a := &Arena{dev: dev, base: base, size: size, heapEnd: base + heapStart}
+	a := &Arena{dev: dev, base: base, size: size}
+	a.heapEnd = a.heapBase()
 	zero := make([]byte, rootDirOff+NumRoots*8)
 	dev.Write(base, zero)
 	dev.WriteU64(base+offMagic, magic)
@@ -134,6 +143,12 @@ func Open(dev *nvm.Device, base int64) (*Arena, error) {
 	return a, nil
 }
 
+// heapBase is the offset of the first chunk header. Headers and payload sizes
+// are multiples of 16, so rounding the heap's start up to a 16-byte device
+// offset makes every payload pointer 16-byte aligned whatever base the arena
+// was given: callers may keep four bits of their own in a Ptr's low end.
+func (a *Arena) heapBase() int64 { return alignUp(a.base + heapStart) }
+
 // header word: size<<16 | tag<<8 | state
 func packHeader(size int64, tag Tag, st State) uint64 {
 	return uint64(size)<<16 | uint64(tag)<<8 | uint64(st)
@@ -157,7 +172,7 @@ func alignUp(n int64) int64 { return (n + alignMask) &^ alignMask }
 // allocated-but-not-persisted chunks, and rebuilding the free lists and
 // usage accounting.
 func (a *Arena) recoverScan() {
-	off := a.base + heapStart
+	off := a.heapBase()
 	for off < a.heapEnd {
 		w := a.dev.ReadU64(off)
 		size, tag, st := unpackHeader(w)
@@ -210,7 +225,7 @@ func (a *Arena) writeHeaderLazy(off, size int64, tag Tag, st State) {
 
 func (a *Arena) pushFree(off, size int64) {
 	c := classOf(size)
-	a.free[c] = append(a.free[c], off)
+	a.free[c] = append(a.free[c], freeChunk{off, size})
 }
 
 // Alloc allocates n payload bytes tagged with tag and returns a non-volatile
@@ -262,8 +277,7 @@ func (a *Arena) takeFrom(c int, need int64, tag Tag) Ptr {
 	bestIdx, bestSize := -1, int64(-1)
 	for k := 0; k < limit; k++ {
 		i := (start + k) % len(list)
-		off := list[i]
-		size, _, _ := unpackHeader(a.dev.ReadU64(off))
+		size := list[i].size
 		if size >= need && (bestSize < 0 || size < bestSize) {
 			bestIdx, bestSize = i, size
 			if size == need {
@@ -275,7 +289,7 @@ func (a *Arena) takeFrom(c int, need int64, tag Tag) Ptr {
 		return 0
 	}
 	a.rotate[c]++
-	off := list[bestIdx]
+	off := list[bestIdx].off
 	list[bestIdx] = list[len(list)-1]
 	a.free[c] = list[:len(list)-1]
 
@@ -324,6 +338,40 @@ func (a *Arena) SetPersisted(ps ...Ptr) {
 		a.writeHeaderLazy(off, size, tag, StatePersisted)
 		a.dev.WriteBack(off, 8)
 	}
+	a.dev.Fence()
+}
+
+// Persist makes the first n payload bytes of the chunk at p durable and marks
+// the chunk persisted: Sync(p, n) followed by SetPersisted(p), with the same
+// two fences in the same order, except that the cache line the header shares
+// with the payload's first bytes is written back once, carrying the mark,
+// instead of once before the mark and once with it. When Persist returns the
+// chunk is persisted and whole, so a pointer to it may be made durable. The
+// payload bytes in the header's line are written before the mark and leave the
+// cache with it; a crash before the second fence that tears that line
+// (nvm.FaultTear) can leave an unreferenced chunk marked persisted around
+// unwritten bytes, which the owner's sweep of unreferenced chunks reclaims
+// like any other orphan.
+//
+// The cost is one write-back per line that header and payload cover, wherever
+// in a line the chunk starts; with Sync + SetPersisted it is one more unless
+// the header has a line to itself, which a recycled chunk's owner cannot
+// choose.
+func (a *Arena) Persist(p Ptr, n int) {
+	off := int64(p) - headerSize
+	size, tag, st := unpackHeader(a.dev.ReadU64(off))
+	if st == StateFree {
+		panic("pmalloc: Persist on free chunk")
+	}
+	// The header word is 8 bytes at a 16-aligned offset, so it lies in one
+	// line, and the next line starts at or after the payload.
+	rest := off&^(nvm.LineSize-1) + nvm.LineSize
+	if end := int64(p) + int64(n); rest < end {
+		a.dev.WriteBack(rest, int(end-rest))
+	}
+	a.dev.Fence()
+	a.writeHeaderLazy(off, size, tag, StatePersisted)
+	a.dev.WriteBack(off, 8)
 	a.dev.Fence()
 }
 
@@ -377,14 +425,14 @@ func (a *Arena) Allocated() int64 { return a.allocated }
 
 // HeapBytes returns the bytes of heap consumed (bump high-water mark),
 // which is the arena's storage footprint.
-func (a *Arena) HeapBytes() int64 { return a.heapEnd - (a.base + heapStart) }
+func (a *Arena) HeapBytes() int64 { return a.heapEnd - a.heapBase() }
 
 // Chunks walks every chunk in the heap in address order, calling fn with the
 // payload pointer, capacity, tag, and state. Engines use it for reachability
 // sweeps that asynchronously reclaim storage orphaned by a crash (§3.2).
 // fn must not allocate or free.
 func (a *Arena) Chunks(fn func(p Ptr, size int, tag Tag, st State)) {
-	off := a.base + heapStart
+	off := a.heapBase()
 	for off < a.heapEnd {
 		size, tag, st := unpackHeader(a.dev.ReadU64(off))
 		if size <= 0 || off+headerSize+size > a.heapEnd {

@@ -1,6 +1,7 @@
 package pmalloc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -345,6 +346,208 @@ func BenchmarkAlloc(b *testing.B) {
 		}
 		if i%2 == 0 {
 			a.Free(p)
+		}
+	}
+}
+
+// TestPayloadsAre16ByteAligned: whatever offset the arena is based at, every
+// payload pointer has its low four bits clear — before and after a crash and
+// the recovery scan — so an owner may keep a tag there.
+func TestPayloadsAre16ByteAligned(t *testing.T) {
+	for _, base := range []int64{0, 8, 4099, 65536 + 5} {
+		dev := nvm.NewDevice(nvm.DefaultConfig(2 << 20))
+		a := Format(dev, base, 1<<20)
+		rng := rand.New(rand.NewSource(base))
+		var live []Ptr
+		check := func(a *Arena, when string) {
+			a.Chunks(func(p Ptr, size int, tag Tag, st State) {
+				if p&15 != 0 || size&15 != 0 {
+					t.Fatalf("base %d, %s: chunk %d (size %d) is not 16-byte aligned", base, when, p, size)
+				}
+			})
+		}
+		for i := 0; i < 400; i++ {
+			p, err := a.Alloc(1+rng.Intn(700), TagOther)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p&15 != 0 {
+				t.Fatalf("base %d: Alloc returned %d", base, p)
+			}
+			a.SetPersisted(p)
+			if rng.Intn(3) == 0 {
+				a.Free(p)
+			} else {
+				live = append(live, p)
+			}
+		}
+		check(a, "before the crash")
+		dev.Crash()
+		a2, err := Open(dev, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(a2, "after recovery")
+		for _, p := range live {
+			if a2.StateOf(p) != StatePersisted {
+				t.Fatalf("base %d: persisted chunk %d lost", base, p)
+			}
+		}
+	}
+}
+
+// TestBestFitScanLoadsNoHeader: the free lists know their chunks' sizes, so
+// choosing among many free chunks reads none of their headers; the one chunk
+// taken has its header written, which is the only line the allocation touches.
+func TestBestFitScanLoadsNoHeader(t *testing.T) {
+	dev := nvm.NewDevice(nvm.DefaultConfig(8 << 20))
+	a := Format(dev, 0, 8<<20)
+	var ps []Ptr
+	for i := 0; i < 2*bestFitScan; i++ {
+		// One size class, distinct sizes, each chunk on lines of its own.
+		p, err := a.Alloc(1040+16*(i%60), TagOther)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	for _, p := range ps {
+		a.Free(p)
+	}
+	dev.EvictAll()
+	loads := dev.Stats().Loads
+	if _, err := a.Alloc(1040, TagOther); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Stats().Loads - loads; got > 2 {
+		t.Errorf("an allocation that scanned %d free chunks loaded %d lines, want the taken chunk's header (and its remainder's)", bestFitScan, got)
+	}
+}
+
+// persistAt formats an arena and returns a fresh chunk of n payload bytes
+// whose header starts phase bytes into a cache line.
+func persistAt(t *testing.T, phase int64, n int) (*nvm.Device, *Arena, Ptr) {
+	t.Helper()
+	dev := nvm.NewDevice(nvm.DefaultConfig(1 << 20))
+	a := Format(dev, 0, 1<<20)
+	// The heap starts on a line; one chunk in front shifts the next header.
+	if pad := map[int64]int{16: 64, 32: 16, 48: 32}[phase]; pad > 0 {
+		if _, err := a.Alloc(pad, TagOther); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := a.Alloc(n, TagLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := (int64(p) - headerSize) % nvm.LineSize; got != phase {
+		t.Fatalf("chunk header at phase %d, want %d", got, phase)
+	}
+	return dev, a, p
+}
+
+// TestPersistCostIgnoresLinePhase: a chunk recycled through the free lists
+// sits wherever its first allocation put it, so what its owner pays to persist
+// it must not depend on where in a cache line that was. A 49-byte record (an
+// NVM-InP update's WAL entry) costs two line write-backs and two fences at
+// each of the four 16-byte phases; Sync + SetPersisted costs three at three
+// of them.
+func TestPersistCostIgnoresLinePhase(t *testing.T) {
+	rec := make([]byte, 49)
+	for i := range rec {
+		rec[i] = byte(i + 1)
+	}
+	var old []uint64
+	for _, phase := range []int64{0, 16, 32, 48} {
+		dev, a, p := persistAt(t, phase, len(rec))
+		dev.Write(int64(p), rec)
+		st0 := dev.Stats()
+		a.Persist(p, len(rec))
+		d := dev.Stats().Sub(st0)
+		if d.Stores != 2 || d.Flushes != 2 || d.Fences != 2 {
+			t.Errorf("phase %d: Persist cost %d stores, %d flushes, %d fences; want 2, 2, 2", phase, d.Stores, d.Flushes, d.Fences)
+		}
+		if a.StateOf(p) != StatePersisted {
+			t.Errorf("phase %d: state %v after Persist", phase, a.StateOf(p))
+		}
+
+		dev, a, p = persistAt(t, phase, len(rec))
+		dev.Write(int64(p), rec)
+		st0 = dev.Stats()
+		dev.Sync(int64(p), len(rec))
+		a.SetPersisted(p)
+		old = append(old, dev.Stats().Sub(st0).Stores)
+	}
+	if old[0] == old[1] && old[1] == old[2] && old[2] == old[3] {
+		t.Errorf("Sync + SetPersisted cost %v stores at the four phases: the test no longer shows the difference", old)
+	}
+}
+
+// TestPersistCrashWindows: a crash at either fence of Persist, under every
+// fault mode, leaves a heap the recovery scan walks to its end, with the chunk
+// either reclaimed or persisted, and if persisted then whole beyond the
+// header's line (the first fence); once Persist has returned, the chunk is
+// persisted and every byte is the one written.
+func TestPersistCrashWindows(t *testing.T) {
+	rec := make([]byte, 49)
+	for i := range rec {
+		rec[i] = byte(i + 1)
+	}
+	for _, phase := range []int64{0, 16, 32, 48} {
+		for _, mode := range []nvm.FaultMode{nvm.FaultLoseAll, nvm.FaultReorder, nvm.FaultTear} {
+			for fence := 0; fence <= 2; fence++ {
+				for seed := int64(0); seed < 8; seed++ {
+					dev, a, p := persistAt(t, phase, len(rec))
+					after, err := a.Alloc(64, TagTable)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a.SetPersisted(after)
+					dev.Write(int64(p), rec)
+					dev.InjectFaults(nvm.FaultPlan{Seed: seed, Mode: mode, CrashAfterFences: fence, KeepProb: 0.5, TearProb: 0.5})
+					returned := false
+					func() {
+						defer func() {
+							if r := recover(); r != nil && r != nvm.ErrInjectedCrash {
+								panic(r)
+							}
+						}()
+						a.Persist(p, len(rec))
+						returned = true
+					}()
+					if returned != (fence == 2) {
+						t.Fatalf("fence %d: Persist returned = %v", fence, returned)
+					}
+					dev.Crash()
+					a2, err := Open(dev, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					where := func() string {
+						return fmt.Sprintf("phase %d, %s, seed %d, crash at fence %d", phase, mode, seed, fence)
+					}
+					if a2.StateOf(after) != StatePersisted {
+						t.Fatalf("%s: the chunk behind is %v after recovery", where(), a2.StateOf(after))
+					}
+					switch st := a2.StateOf(p); {
+					case st == StateAllocated:
+						t.Fatalf("%s: chunk left allocated by the recovery scan", where())
+					case returned && st != StatePersisted:
+						t.Fatalf("%s: chunk %v after a completed Persist", where(), st)
+					case st == StatePersisted:
+						// Marked mid-call: only the header's line may be short.
+						from := 0
+						if !returned {
+							from = int(nvm.LineSize - phase - headerSize)
+						}
+						got := make([]byte, len(rec))
+						dev.Read(int64(p), got)
+						if string(got[from:]) != string(rec[from:]) {
+							t.Fatalf("%s: persisted chunk holds %v from byte %d", where(), got[from:], from)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -114,6 +114,7 @@ func diffSchemas() []*core.Schema {
 			Secondary: []core.IndexSpec{{
 				Name:   "by_balance",
 				SecKey: func(row []core.Value) uint32 { return uint32(row[1].I) },
+				Cols:   []int{1},
 			}},
 		},
 		{

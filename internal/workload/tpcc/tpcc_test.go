@@ -216,3 +216,55 @@ func TestRecoveryAfterTPCC(t *testing.T) {
 		t.Error("nothing committed after recovery")
 	}
 }
+
+// updateSpy reports every Update that writes a column a secondary index
+// declares it reads.
+type updateSpy struct {
+	core.Engine
+	t       *testing.T
+	schemas map[string]*core.Schema
+	updates int
+}
+
+func (s *updateSpy) Update(table string, key uint64, upd core.Update) error {
+	s.updates++
+	if s.schemas[table].IndexReads(upd.Cols) {
+		s.t.Errorf("update of %s columns %v touches a secondary index", table, upd.Cols)
+	}
+	return s.Engine.Update(table, key, upd)
+}
+
+// TestUpdatesMissIndexColumns: no TPC-C transaction updates a column either
+// index reads, so on the engines that update in place the whole mix runs
+// without one old-row read or SecKey call on the update path.
+func TestUpdatesMissIndexColumns(t *testing.T) {
+	cfg := smallCfg()
+	db := newDB(t, testbed.NVMInP, cfg)
+	if err := Load(db, cfg); err != nil {
+		t.Fatal(err)
+	}
+	spy := &updateSpy{t: t, schemas: map[string]*core.Schema{}}
+	for _, s := range Schemas() {
+		spy.schemas[s.Name] = s
+	}
+	for p, txns := range Generate(cfg) {
+		spy.Engine = db.Engine(p)
+		for _, txn := range txns {
+			if err := spy.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn(spy); err != nil {
+				if err := spy.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if err := spy.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if spy.updates == 0 {
+		t.Fatal("the mix ran no update")
+	}
+}
