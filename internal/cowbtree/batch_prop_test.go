@@ -72,10 +72,79 @@ func genBatch(rng *rand.Rand, n int) []batchOp {
 	return ops
 }
 
+// countingPager checks what the tree asks of its pager while a group-commit
+// batch is open: the batch's pages — those allocated since the last Persist
+// and not given back by an abort — are never read from the pager, nothing is
+// written before Persist, and Persist writes each batch page exactly once.
+type countingPager struct {
+	Pager
+	live   map[uint64]bool // the batch's pages
+	writes map[uint64]int  // WritePage calls since the last Persist
+	err    error           // first violation
+}
+
+func newCountingPager(pg Pager) *countingPager {
+	return &countingPager{Pager: pg, live: map[uint64]bool{}, writes: map[uint64]int{}}
+}
+
+func (c *countingPager) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (c *countingPager) AllocPage() (uint64, error) {
+	id, err := c.Pager.AllocPage()
+	if err == nil {
+		c.live[id] = true
+	}
+	return id, err
+}
+
+func (c *countingPager) FreePage(id uint64) {
+	delete(c.live, id)
+	c.Pager.FreePage(id)
+}
+
+func (c *countingPager) ReadPage(id uint64, buf []byte) {
+	if c.live[id] {
+		c.fail("ReadPage of page %d, which the open batch allocated", id)
+	}
+	c.Pager.ReadPage(id, buf)
+}
+
+func (c *countingPager) WritePage(id uint64, buf []byte) {
+	c.writes[id]++
+	c.Pager.WritePage(id, buf)
+}
+
+func (c *countingPager) Persist(root, meta uint64) error {
+	for id := range c.live {
+		if c.writes[id] != 1 {
+			c.fail("Persist wrote batch page %d %d times", id, c.writes[id])
+		}
+	}
+	if len(c.writes) != len(c.live) {
+		c.fail("Persist wrote %d pages, the batch holds %d", len(c.writes), len(c.live))
+	}
+	clear(c.live)
+	clear(c.writes)
+	return c.Pager.Persist(root, meta)
+}
+
+// quiet reports a violation so far, or a page written outside Persist.
+func (c *countingPager) quiet() error {
+	if c.err == nil && len(c.writes) > 0 {
+		c.fail("%d pages written before Persist", len(c.writes))
+	}
+	return c.err
+}
+
 // batchHarness owns one tree and the way to bring it back after a crash.
 type batchHarness struct {
 	dev    *nvm.Device
 	tree   *Tree
+	pager  *countingPager
 	reopen func() (*Tree, error)
 }
 
@@ -93,13 +162,15 @@ func newBatchHarness(arenaPager bool) (*batchHarness, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr := Attach(pg)
+			h.pager = newCountingPager(pg)
+			tr := Attach(h.pager)
 			used := map[uint64]bool{}
 			tr.Reachable(func(id uint64) { used[id] = true }, nil)
 			pg.InitFree(used)
 			return tr, nil
 		}
-		h.tree, err = Create(pg)
+		h.pager = newCountingPager(pg)
+		h.tree, err = Create(h.pager)
 		return h, err
 	}
 	arena := pmalloc.Format(h.dev, 0, size)
@@ -116,7 +187,8 @@ func newBatchHarness(arenaPager bool) (*batchHarness, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr := Attach(pg)
+		h.pager = newCountingPager(pg)
+		tr := Attach(h.pager)
 		// The owner's sweep: persisted page chunks the master record does
 		// not reach are the lost dirty directory.
 		reach := map[uint64]bool{}
@@ -140,7 +212,8 @@ func newBatchHarness(arenaPager bool) (*batchHarness, error) {
 		}
 		return tr, nil
 	}
-	h.tree, err = Create(pg)
+	h.pager = newCountingPager(pg)
+	h.tree, err = Create(h.pager)
 	return h, err
 }
 
@@ -173,7 +246,8 @@ func checkTree(tr *Tree, model map[uint64][]byte) error {
 // runBatch replays ops against three models: the open transaction's view,
 // the batch as of the last Commit, and the tree as of the last Persist. An
 // Abort must return to the second, a crash to the third — whether the crash
-// comes straight after a Persist or with a half-built batch behind it.
+// comes straight after a Persist or with a half-built batch behind it. After
+// every step the counting pager must have seen the batch stay in its buffers.
 func runBatch(ops []batchOp, arenaPager bool) error {
 	h, err := newBatchHarness(arenaPager)
 	if err != nil {
@@ -233,6 +307,9 @@ func runBatch(ops []batchOp, arenaPager bool) error {
 			}
 			h.tree, inTxn = tr, false
 			committed, working = cloneKV(persisted), cloneKV(persisted)
+		}
+		if err := h.pager.quiet(); err != nil {
+			return fmt.Errorf("op %d %v: %w", i, o, err)
 		}
 		if o.kind == 'p' || o.kind == 'd' {
 			got, ok := h.tree.Get(o.k)

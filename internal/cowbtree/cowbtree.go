@@ -14,8 +14,11 @@
 // A page is copied once per group-commit batch, not once per transaction: a
 // page allocated earlier in the still-unpersisted batch is reachable from no
 // durable root, so a later transaction of the batch changes it under its own
-// id. Its rollback is to drop the buffer — the pager still holds the image
-// the previous transaction committed.
+// id. The batch's pages live in buffers until Persist, which hands each to the
+// pager once: a transaction changes a clone of the batch buffer, and its
+// rollback is to drop the clone — the batch buffer still holds the image the
+// previous transaction committed. Before Persist no byte of the batch is on
+// the pager's medium.
 //
 // Keys are unique uint64s; values are byte slices that must fit in a page.
 // Transaction boundaries (Begin/Commit/Abort) give per-transaction rollback
@@ -82,7 +85,7 @@ type Tree struct {
 
 	// mut holds the buffers the running transaction changes in place: pages
 	// it allocated, and batch pages it shadowed under their own id. Commit
-	// writes them to the pager; Abort drops them.
+	// moves them into batch; Abort drops them.
 	mut map[uint64][]byte
 
 	inTxn     bool
@@ -91,10 +94,13 @@ type Tree struct {
 	txnAlloc  []uint64 // pages allocated by the running txn
 	txnFree   []uint64 // committed pages superseded by the running txn
 
-	// batch is the set of pages allocated by committed-but-unpersisted
-	// txns: private to the batch until the next Persist.
-	batch     map[uint64]struct{}
+	// batch holds the images of the pages allocated by committed-but-
+	// unpersisted txns: private to the batch, and absent from the pager,
+	// until the next Persist writes each once.
+	batch     map[uint64][]byte
 	batchFree []uint64 // committed pages superseded by the batch, reusable after next Persist
+
+	scratch []byte // Get's page buffer; no page image outlives the call
 }
 
 // Create initializes an empty tree on the pager and persists it.
@@ -136,8 +142,8 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 }
 
 func newTree(pg Pager) *Tree {
-	return &Tree{pg: pg, psize: pg.PageSize(),
-		mut: make(map[uint64][]byte), batch: make(map[uint64]struct{})}
+	return &Tree{pg: pg, psize: pg.PageSize(), scratch: make([]byte, pg.PageSize()),
+		mut: make(map[uint64][]byte), batch: make(map[uint64][]byte)}
 }
 
 // Root returns the current (possibly uncommitted) root page id.
@@ -193,6 +199,22 @@ func leafFree(buf []byte) int {
 	return dataEnd(buf) - (pHdr + count(buf)*leafSlot)
 }
 
+// deadGap returns the byte range [lo, hi) of a page that nothing interprets,
+// from its header alone: the gap between a leaf's slot directory and its
+// value heap, or everything past an inner page's entries. initPage and
+// compactLeaf rebuild it and leafPlace only writes into it, so a pager need
+// not move it. A header that describes no such gap yields an empty one.
+func deadGap(buf []byte) (lo, hi int) {
+	lo, hi = pHdr+count(buf)*innerEnt, len(buf)
+	if isLeaf(buf) {
+		lo, hi = pHdr+count(buf)*leafSlot, dataEnd(buf)
+	}
+	if lo > hi || hi > len(buf) {
+		return len(buf), len(buf)
+	}
+	return lo, hi
+}
+
 // leafLowerBound returns the first slot with key >= k.
 func leafLowerBound(buf []byte, k uint64) int {
 	lo, hi := 0, count(buf)
@@ -224,13 +246,25 @@ func innerRoute(buf []byte, k uint64) int {
 	return lo - 1
 }
 
-// page returns a read-only view of page id: the mutable buffer if the
-// running txn holds one, otherwise a copy read from the pager.
+// page returns a read-only view of page id that the caller may retain: the
+// running txn's buffer if it holds one, else the batch's, otherwise a copy
+// read from the pager.
 func (t *Tree) page(id uint64) []byte {
-	if buf, ok := t.mut[id]; ok {
-		return buf
+	return t.pageInto(id, nil)
+}
+
+// pageInto is page reading a pager-resident page into buf (a fresh buffer if
+// nil). Only the bytes the page's header calls live are defined afterwards.
+func (t *Tree) pageInto(id uint64, buf []byte) []byte {
+	if b, ok := t.mut[id]; ok {
+		return b
 	}
-	buf := make([]byte, t.psize)
+	if b, ok := t.batch[id]; ok {
+		return b
+	}
+	if buf == nil {
+		buf = make([]byte, t.psize)
+	}
 	t.pg.ReadPage(id, buf)
 	return buf
 }
@@ -249,25 +283,23 @@ func (t *Tree) Begin() {
 	t.txnFree = t.txnFree[:0]
 }
 
-// Commit ends the transaction, keeping its changes in the dirty directory.
+// Commit ends the transaction, keeping its changes in the dirty directory:
+// its buffers become the batch's images. Nothing reaches the pager.
 func (t *Tree) Commit() {
 	if !t.inTxn {
 		panic("cowbtree: Commit outside transaction")
 	}
-	for _, id := range sortedKeys(t.mut) {
-		t.pg.WritePage(id, t.mut[id])
+	for id, buf := range t.mut {
+		t.batch[id] = buf
 	}
 	clear(t.mut)
-	for _, id := range t.txnAlloc {
-		t.batch[id] = struct{}{}
-	}
 	t.batchFree = append(t.batchFree, t.txnFree...)
 	t.inTxn = false
 }
 
 // Abort rolls the transaction back: the pages it allocated are released and
 // the buffers of the batch pages it shadowed are dropped, which leaves the
-// pager's copy — the previous transaction's image — in force.
+// batch's copy — the previous transaction's image — in force.
 func (t *Tree) Abort() {
 	if !t.inTxn {
 		panic("cowbtree: Abort outside transaction")
@@ -283,13 +315,17 @@ func (t *Tree) Abort() {
 	t.inTxn = false
 }
 
-// Persist durably commits the batch: the pager flushes every page written
-// since the last Persist and installs the new master record. Pages
-// superseded by the batch return to the free pool only afterwards, so the
-// previously committed tree stays intact until the swap is durable.
+// Persist durably commits the batch: each of its pages goes to the pager
+// once, in id order, and the pager makes them durable and installs the new
+// master record. Pages superseded by the batch return to the free pool only
+// afterwards, so the previously committed tree stays intact until the swap
+// is durable.
 func (t *Tree) Persist() error {
 	if t.inTxn {
 		panic("cowbtree: Persist inside transaction")
+	}
+	for _, id := range sortedKeys(t.batch) {
+		t.pg.WritePage(id, t.batch[id])
 	}
 	if err := t.pg.Persist(t.root, t.meta); err != nil {
 		return err
@@ -319,9 +355,9 @@ func (t *Tree) autoTxn(fn func() error) error {
 
 // Get returns the value for key k from the current directory.
 func (t *Tree) Get(k uint64) ([]byte, bool) {
-	buf := t.page(t.root)
+	buf := t.pageInto(t.root, t.scratch)
 	for !isLeaf(buf) {
-		buf = t.page(innerChild(buf, innerRoute(buf, k)))
+		buf = t.pageInto(innerChild(buf, innerRoute(buf, k)), t.scratch)
 	}
 	i := leafLowerBound(buf, k)
 	if i < count(buf) && leafKey(buf, i) == k {
@@ -369,9 +405,9 @@ func (t *Tree) shadow(id uint64) (uint64, []byte, error) {
 	if buf, ok := t.mut[id]; ok {
 		return id, buf, nil
 	}
-	if _, ok := t.batch[id]; ok {
-		buf := make([]byte, t.psize)
-		t.pg.ReadPage(id, buf)
+	if img, ok := t.batch[id]; ok {
+		// The clone is the change; the batch's image is the rollback.
+		buf := slices.Clone(img)
 		t.mut[id] = buf
 		return id, buf, nil
 	}

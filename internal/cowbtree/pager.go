@@ -297,13 +297,34 @@ func (p *ArenaPager) writeMaster() error {
 // PageSize returns the page size in bytes.
 func (p *ArenaPager) PageSize() int { return p.psize }
 
-// ReadPage fills buf with page id's contents.
-func (p *ArenaPager) ReadPage(id uint64, buf []byte) { p.dev.Read(int64(id), buf) }
+// ReadPage fills buf with page id's live bytes: the header, then the two
+// spans around the dead gap the header describes. The gap's bytes in buf are
+// left as they were.
+func (p *ArenaPager) ReadPage(id uint64, buf []byte) {
+	p.dev.Read(int64(id), buf[:pHdr])
+	lo, hi := deadGap(buf)
+	p.dev.Read(int64(id)+pHdr, buf[pHdr:lo])
+	p.dev.Read(int64(id)+int64(hi), buf[hi:])
+}
 
-// WritePage stores buf into the page chunk; it is synced at Persist.
+// WritePage streams buf's live bytes into the page chunk, durable at the
+// fence of the next Persist. The dead gap is skipped from the first device
+// cache-line boundary inside it to the last (page chunks are 16-byte, not
+// line, aligned), so the lines the two spans end in are written whole.
 func (p *ArenaPager) WritePage(id uint64, buf []byte) {
-	p.dev.Write(int64(id), buf)
 	p.dirty[id] = true
+	base := int64(id)
+	lo, hi := deadGap(buf)
+	lo = int((base+int64(lo)+nvm.LineSize-1)&^(nvm.LineSize-1) - base)
+	if hi < len(buf) {
+		hi = int((base+int64(hi))&^(nvm.LineSize-1) - base)
+	}
+	if lo >= hi {
+		p.dev.WriteStream(base, buf)
+		return
+	}
+	p.dev.WriteStream(base, buf[:lo])
+	p.dev.WriteStream(base+int64(hi), buf[hi:])
 }
 
 // AllocPage allocates a page chunk. It stays in the allocated (reclaimable)
@@ -322,8 +343,8 @@ func (p *ArenaPager) FreePage(id uint64) {
 	p.arena.Free(pmalloc.Ptr(id))
 }
 
-// Persist writes every dirty page back, fences once, marks the new ones
-// persisted with one more fence, and atomically installs the new master
+// Persist fences the pages streamed since the last Persist, marks the new
+// ones persisted with one more fence, and atomically installs the new master
 // record — no filesystem, no kernel crossing (§4.2). A crash before the
 // master record leaves the old tree: pages marked persisted that it does not
 // reach are the owner's reachability sweep's to reclaim, as they were when
@@ -331,7 +352,6 @@ func (p *ArenaPager) FreePage(id uint64) {
 func (p *ArenaPager) Persist(root, meta uint64) error {
 	var fresh []pmalloc.Ptr
 	for _, id := range sortedKeys(p.dirty) {
-		p.dev.WriteBack(int64(id), p.psize)
 		if p.arena.StateOf(pmalloc.Ptr(id)) == pmalloc.StateAllocated {
 			fresh = append(fresh, pmalloc.Ptr(id))
 		}

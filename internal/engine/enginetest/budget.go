@@ -10,8 +10,12 @@ import (
 )
 
 // DeviceBudget is a per-transaction ceiling in the device's own counters.
+// StallUS, if set, also caps the simulated stall they add up to (with the
+// filesystem's per-call charge), for an engine whose counters trade against
+// each other.
 type DeviceBudget struct {
 	Loads, Stores, Flushes, Fences float64
+	StallUS                        float64
 }
 
 // The budget schedule: the benchmark's write leg in small. A YCSB usertable
@@ -108,9 +112,12 @@ func RunDeviceBudget(t *testing.T, f Factory, max DeviceBudget) {
 		t.Errorf("%s: device counters differ between two identical executions:\n  %+v\n  %+v", f.Name, first, second)
 	}
 	per := func(n uint64) float64 { return float64(n) / budgetTxns }
+	stallUS := float64(first.Stall.Nanoseconds()) / 1e3 / budgetTxns
 	t.Logf("%s per txn: loads %.1f stores %.1f flushes %.1f fences %.2f (stall %.2f us)", f.Name,
-		per(first.Loads), per(first.Stores), per(first.Flushes), per(first.Fences),
-		float64(first.Stall.Nanoseconds())/1e3/budgetTxns)
+		per(first.Loads), per(first.Stores), per(first.Flushes), per(first.Fences), stallUS)
+	if max.StallUS > 0 && stallUS > max.StallUS {
+		t.Errorf("%s: %.2f us of stall per txn, budget %.2f", f.Name, stallUS, max.StallUS)
+	}
 	for _, c := range []struct {
 		name     string
 		got, max float64

@@ -76,6 +76,43 @@ func RunRecoveryConformance(t *testing.T, f Factory, schedules int) {
 	}
 }
 
+// RunConformanceCatchesMissingFence is the battery's self-test on an
+// NVM-aware engine: with the commit path's SFENCE removed (fences are no-ops
+// during the workload, restored for recovery) the battery must report a
+// failure — at every latency profile, because the default sync primitive
+// retains synced lines in the cache (CLWB) and streamed lines wait in the
+// memory controller's buffer, and neither may let a missing fence go
+// unnoticed. If this ever passes vacuously the suite has lost its teeth.
+// baseSeed picks the fault family of the first schedule (seed mod 3:
+// lose-all, reorder, tear).
+func RunConformanceCatchesMissingFence(t *testing.T, f Factory, baseSeed int64) {
+	for _, prof := range nvm.Profiles {
+		prof := prof
+		t.Run(prof.Name, func(t *testing.T) {
+			broken := Factory{
+				Name: f.Name + "-nofence",
+				New: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
+					env.Dev.SetLatency(prof)
+					e, err := f.New(env, schemas, opts)
+					if err == nil {
+						env.Dev.SetFenceNoop(true)
+					}
+					return e, err
+				},
+				Open: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
+					env.Dev.SetFenceNoop(false)
+					return f.Open(env, schemas, opts)
+				},
+			}
+			err := CheckRecoveryConformance(broken, 12, baseSeed)
+			if err == nil {
+				t.Fatal("conformance battery did not catch an engine whose commit fence was removed")
+			}
+			t.Logf("caught as expected: %v", err)
+		})
+	}
+}
+
 // CheckRecoveryConformance is the error-returning core of
 // RunRecoveryConformance, split out so the suite can verify it actually
 // catches broken recovery protocols (see the fence-removal test).

@@ -160,23 +160,38 @@ func CoalesceR(s *core.Schema, key uint64, entries []Entry, resolve Resolver) (r
 // memory: kind u8, len u32, payload.
 const entryChunkHdr = 5
 
-// EntryChunkSize is the chunk size WriteEntryChunk allocates for e.
-func EntryChunkSize(e Entry) int { return entryChunkHdr + len(e.Payload) }
+// allocEntryChunk allocates a table chunk for e and encodes e's image.
+func allocEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, []byte, error) {
+	img := make([]byte, entryChunkHdr+len(e.Payload))
+	img[0] = e.Kind
+	binary.LittleEndian.PutUint32(img[1:], uint32(len(e.Payload)))
+	copy(img[entryChunkHdr:], e.Payload)
+	// Table-arena exhaustion is reachable from normal traffic: surface it so
+	// the transaction can abort cleanly instead of panicking.
+	p, err := a.Alloc(len(img), pmalloc.TagTable)
+	return p, img, err
+}
 
-// WriteEntryChunk allocates a table chunk and stores e in it. The chunk is
-// volatile: an engine whose MemTable is durable syncs it and marks it
-// persisted.
+// WriteEntryChunk allocates a table chunk and stores e in it through the
+// cache. The chunk is volatile: the Log engine's MemTable is.
 func WriteEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
-	p, err := a.Alloc(EntryChunkSize(e), pmalloc.TagTable)
+	p, img, err := allocEntryChunk(a, e)
 	if err != nil {
-		// Table-arena exhaustion is reachable from normal traffic: surface
-		// it so the transaction can abort cleanly instead of panicking.
 		return 0, err
 	}
-	d := a.Device()
-	d.WriteU8(int64(p), e.Kind)
-	d.WriteU32(int64(p)+1, uint32(len(e.Payload)))
-	d.Write(int64(p)+entryChunkHdr, e.Payload)
+	a.Device().Write(int64(p), img)
+	return p, nil
+}
+
+// StreamEntryChunk allocates a table chunk and streams e into it: durable
+// at the caller's next fence, for an engine whose MemTable is durable and
+// which then marks the chunk persisted.
+func StreamEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
+	p, img, err := allocEntryChunk(a, e)
+	if err != nil {
+		return 0, err
+	}
+	a.Device().WriteStream(int64(p), img)
 	return p, nil
 }
 

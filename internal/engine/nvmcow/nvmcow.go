@@ -132,10 +132,11 @@ func (e *Engine) writeTuple(img []byte) (pmalloc.Ptr, error) {
 		// return it so the transaction can abort cleanly.
 		return 0, err
 	}
-	d := e.Env.Dev
-	d.WriteU32(int64(p), uint32(len(img)))
-	d.Write(int64(p)+4, img)
-	d.Sync(int64(p), 4+len(img))
+	buf := make([]byte, 4+len(img))
+	binary.LittleEndian.PutUint32(buf, uint32(len(img)))
+	copy(buf[4:], img)
+	e.Env.Dev.WriteStream(int64(p), buf)
+	e.Env.Dev.Fence()
 	e.Env.Arena.SetPersisted(p)
 	return p, nil
 }
@@ -347,11 +348,12 @@ func (e *Engine) Delete(table string, key uint64) error {
 		return err
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	if _, err := e.tree.Delete(tk); err != nil {
+	_, err = e.tree.Delete(tk)
+	stopSt()
+	if err != nil {
 		return err
 	}
 	e.txnOld = append(e.txnOld, oldPtr)
-	stopSt()
 	stopIdx := e.Bd.Timer(&e.Bd.Index)
 	defer stopIdx()
 	for j, ix := range tm.Schema.Secondary {

@@ -190,40 +190,10 @@ func TestConcurrentRecoveryConformance(t *testing.T) {
 	enginetest.RunConcurrentRecoveryConformance(t, confFactory(), 200)
 }
 
-// TestConformanceCatchesMissingFence is the harness's self-test: an engine
-// whose commit-path SFENCE has been removed (fences become no-ops during
-// the workload, restored for recovery) must make the battery report a
-// failure. If this test ever passes vacuously, the conformance suite has
-// lost its teeth.
+// TestConformanceCatchesMissingFence: the conformance battery must fail an
+// engine whose commit-path SFENCE has been removed.
 func TestConformanceCatchesMissingFence(t *testing.T) {
-	// At every latency profile: the default sync primitive retains synced
-	// lines in the cache (CLWB), and a retained line must not let a missing
-	// fence go unnoticed.
-	for _, prof := range nvm.Profiles {
-		prof := prof
-		t.Run(prof.Name, func(t *testing.T) {
-			broken := enginetest.Factory{
-				Name: "nvminp-nofence",
-				New: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-					env.Dev.SetLatency(prof)
-					e, err := New(env, schemas, opts)
-					if err == nil {
-						env.Dev.SetFenceNoop(true)
-					}
-					return e, err
-				},
-				Open: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-					env.Dev.SetFenceNoop(false)
-					return Open(env, schemas, opts)
-				},
-			}
-			err := enginetest.CheckRecoveryConformance(broken, 12, enginetest.BaseSeed())
-			if err == nil {
-				t.Fatal("conformance battery did not catch an engine whose commit fence was removed")
-			}
-			t.Logf("caught as expected: %v", err)
-		})
-	}
+	enginetest.RunConformanceCatchesMissingFence(t, confFactory(), enginetest.BaseSeed())
 }
 
 func TestSnapshotConformance(t *testing.T) {

@@ -443,10 +443,10 @@ func (e *Engine) verifyBlooms(workers int, runKeys [][]uint64) error {
 }
 
 // writeEntryChunk stores ent in a persisted entry chunk and returns the
-// tagged pointer to it: the MemTable is durable, so the chunk is synced
-// before any tree points at it.
+// tagged pointer to it: the MemTable is durable, so the chunk is streamed
+// and fenced before any tree points at it.
 func (e *Engine) writeEntryChunk(ent lsm.Entry) (uint64, error) {
-	p, err := lsm.WriteEntryChunk(e.Env.Arena, ent)
+	p, err := lsm.StreamEntryChunk(e.Env.Arena, ent)
 	if err != nil {
 		return 0, err
 	}
@@ -454,7 +454,7 @@ func (e *Engine) writeEntryChunk(ent lsm.Entry) (uint64, error) {
 		e.Env.Arena.Free(p)
 		return 0, fmt.Errorf("nvmlog: entry chunk %d is not 16-byte aligned", p)
 	}
-	e.Env.Dev.Sync(int64(p), lsm.EntryChunkSize(ent))
+	e.Env.Dev.Fence()
 	e.Env.Arena.SetPersisted(p)
 	return tagPtr(p, ent.Kind), nil
 }

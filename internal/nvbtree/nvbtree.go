@@ -128,8 +128,8 @@ type KV struct{ K, V uint64 }
 
 // Build bulk-loads a new tree from kvs, which must be in strictly ascending
 // key order with values below 2^63. Nodes are filled sequentially, level by
-// level, each written once and written back once; one fence makes all of
-// them and the header durable, and one batched mark (a second fence) turns
+// level, the used prefix of each streamed once; one fence makes all of them
+// and the header durable, and one batched mark (a second fence) turns
 // them persisted, the header last. Until the caller stores Header() under a
 // durable root nothing references the tree: a crash before the mark leaves
 // every chunk in the allocated state, which the allocator's recovery scan
@@ -176,8 +176,7 @@ func Build(arena *pmalloc.Arena, nodeSize int, kvs []KV) (*Tree, error) {
 			}
 			chunks = append(chunks, p)
 			used := encodeNode(buf, leaf, es)
-			t.dev.Write(int64(p), buf[:used])
-			t.dev.WriteBack(int64(p), used)
+			t.dev.WriteStream(int64(p), buf[:used])
 			next[i].v = p
 			if len(es) > 0 {
 				next[i].k = es[0].k

@@ -322,6 +322,36 @@ func (d *Device) Write(off int64, p []byte) {
 	}
 }
 
+// WriteStream copies p to offset off with non-temporal stores, for a bulk
+// write whose old contents nobody wants. Every cache line p covers whole
+// bypasses the cache: it is not filled, a cached copy (dirty or clean) is
+// dropped, and the 64 bytes go straight to the memory controller's buffer —
+// the state of a line after WriteBack, at a write-back's cost (one Stores,
+// WriteBackExtra) and without a CLWB. The partial lines at either end are an
+// ordinary Write + WriteBack. Either way the whole range has one contract: it
+// is durable after the next Fence.
+func (d *Device) WriteStream(off int64, p []byte) {
+	d.checkRange(off, len(p))
+	if head := int(-off & (LineSize - 1)); head > 0 {
+		if head > len(p) {
+			head = len(p)
+		}
+		d.Write(off, p[:head])
+		d.WriteBack(off, head)
+		off, p = off+int64(head), p[head:]
+	}
+	whole := len(p) &^ (LineSize - 1)
+	d.stats.bytesWritten.Add(uint64(whole))
+	for end := off + int64(whole); off < end; off, p = off+LineSize, p[LineSize:] {
+		d.cache.invalidate(off)
+		d.toController(off, p)
+	}
+	if len(p) > 0 {
+		d.Write(off, p)
+		d.WriteBack(off, len(p))
+	}
+}
+
 // lineFor returns the cache-resident buffer for the line at the given
 // (line-aligned) offset, filling it from the medium on a miss. If markDirty
 // is set the line is marked dirty.
@@ -366,14 +396,7 @@ func (d *Device) flushRange(off int64, n int, invalidate bool) {
 		d.stats.stallNS.Add(d.lat.flushLine.Load())
 		buf, present, dirty := d.cache.peek(line)
 		if present && dirty {
-			var pl [LineSize]byte
-			copy(pl[:], buf)
-			if _, ok := d.pending[line]; !ok {
-				d.pendingKeys = append(d.pendingKeys, line)
-			}
-			d.pending[line] = pl
-			d.stats.stores.Add(1)
-			d.stats.stallNS.Add(d.lat.writeBack.Load())
+			d.toController(line, buf)
 		}
 		if present {
 			if invalidate {
@@ -383,6 +406,18 @@ func (d *Device) flushRange(off int64, n int, invalidate bool) {
 			}
 		}
 	}
+}
+
+// toController hands the line's 64 bytes at the head of buf to the memory
+// controller's buffer, superseding an older buffered copy: one NVM store,
+// durable at the next Fence.
+func (d *Device) toController(line int64, buf []byte) {
+	if _, ok := d.pending[line]; !ok {
+		d.pendingKeys = append(d.pendingKeys, line)
+	}
+	d.pending[line] = [LineSize]byte(buf)
+	d.stats.stores.Add(1)
+	d.stats.stallNS.Add(d.lat.writeBack.Load())
 }
 
 // AddStall charges additional simulated latency to the stall clock. Higher
