@@ -130,14 +130,12 @@ func TestCrossShardConformance(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 196.3 / 102.3 / 102.9 / 0.13, 44.5 us of stall.
-// The loads ceiling ROSE when the tree began to hold a group's pages in
-// buffers until Persist (156.8 / 105.3 / 192.9 / 0.13, 49.1 us before): a
-// recycled page is written through pmfs once per group, not once per
-// transaction — which halves the CLWBs — but by then it has left the 128 KB
-// cache its source's read put it in, and pmfs's write-allocate fetches it
-// again. Stall is what the trade is judged by, so it has a ceiling too, below
-// the old figure.
+// stores / flushes / fences 102.0 / 102.8 / 0.10 / 0.13, 25.3 us of stall.
+// (196.3 / 102.3 / 102.9 / 0.13 and 44.5 us while pmfs wrote a page through
+// the cache: a recycled page written at Persist had left the 128 KB cache, so
+// the write-allocate fetched all 64 of its lines to overwrite them and fsync
+// flushed them one by one. A streamed page fetches and flushes nothing; the
+// loads left are the tree's own reads.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 216, Stores: 112.5, Flushes: 113, Fences: 0.15, StallUS: 49})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 112.3, Stores: 113.1, Flushes: 0.12, Fences: 0.15, StallUS: 28})
 }

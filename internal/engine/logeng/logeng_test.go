@@ -220,7 +220,8 @@ func TestCrossShardConformance(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 114.9 / 48.4 / 25.8 / 0.86.
+// stores / flushes / fences 90.2 / 48.7 / 2.5 / 0.86. (114.3 / 48.4 / 25.8
+// while pmfs wrote WAL, SSTable and value-log bytes through the cache.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 126.4, Stores: 53.3, Flushes: 28.4, Fences: 0.95})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 99.2, Stores: 53.6, Flushes: 2.8, Fences: 0.95})
 }

@@ -250,6 +250,9 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 		e.second = append(e.second, secs)
 	}
 	if err := e.undoWAL(); err != nil {
+		if errors.Is(err, nvbtree.ErrCorrupt) {
+			err = core.Corrupt(fmt.Errorf("nvmlog: undo: %w", err))
+		}
 		return nil, err
 	}
 	e.memCount = e.mem.Count()

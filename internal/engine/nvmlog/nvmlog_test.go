@@ -205,13 +205,12 @@ func TestDeviceBudget(t *testing.T) {
 
 // TestConformanceCatchesMissingFence: a streamed page, tuple, entry chunk or
 // built node waits in the memory controller's buffer for the fence, so the
-// conformance battery must fail the engine when the fence is removed. It
-// starts on a lose-all schedule (seed 3), which loses every commit cleanly:
-// a reordering crash of a fence-less image can keep an undo-list head whose
-// tree header never arrived, and this engine's undo then descends from node 0
-// for ever — caught too, but by the test timeout.
+// conformance battery must fail the engine when the fence is removed. Under
+// the reorder family a fence-less image can keep an undo-list head whose tree
+// header never arrived; the undo's descent from node 0 is bounded
+// (nvbtree.ErrCorrupt), so Open reports the image corrupt instead of spinning.
 func TestConformanceCatchesMissingFence(t *testing.T) {
-	enginetest.RunConformanceCatchesMissingFence(t, confFactory(), 3)
+	enginetest.RunConformanceCatchesMissingFence(t, confFactory(), enginetest.BaseSeed())
 }
 
 // TestArenaExhaustion: a failed allocation aborts one transaction and leaves

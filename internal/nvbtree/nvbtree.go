@@ -21,6 +21,7 @@ package nvbtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -387,13 +388,30 @@ func (t *Tree) routeChild(n uint64, k uint64) uint64 {
 	panic("nvbtree: inner node with no live children")
 }
 
-// Get returns the value stored for key k.
-func (t *Tree) Get(k uint64) (uint64, bool) {
+// ErrCorrupt reports a descent deeper than any healthy tree: a child pointer
+// that cycles back on itself, which only a damaged image can hold (e.g. one
+// written with its fences disabled).
+var ErrCorrupt = errors.New("nvbtree: descent exceeds the maximum tree depth (corrupt child pointer)")
+
+// get is Get with the depth overrun reported.
+func (t *Tree) get(k uint64) (uint64, bool, error) {
 	n := t.root()
-	for !t.isLeaf(n) {
+	for depth := 0; !t.isLeaf(n); depth++ {
+		if depth > maxIterDepth {
+			return 0, false, ErrCorrupt
+		}
 		n = t.routeChild(n, k)
 	}
-	return t.lookupIn(n, k)
+	v, ok := t.lookupIn(n, k)
+	return v, ok, nil
+}
+
+// Get returns the value stored for key k. Like Iter it gives up on a descent
+// past maxIterDepth and reports the key absent; Put and Delete return
+// ErrCorrupt for the same image.
+func (t *Tree) Get(k uint64) (uint64, bool) {
+	v, ok, _ := t.get(k)
+	return v, ok
 }
 
 // Put inserts or replaces k=v. v must be below 2^63. An index-arena
@@ -408,8 +426,8 @@ func (t *Tree) Put(k, v uint64) error {
 
 // Delete removes key k, reporting whether it was present.
 func (t *Tree) Delete(k uint64) (bool, error) {
-	if _, ok := t.Get(k); !ok {
-		return false, nil
+	if _, ok, err := t.get(k); err != nil || !ok {
+		return false, err
 	}
 	if err := t.modify(k, tombstone); err != nil {
 		return false, err
@@ -426,7 +444,10 @@ func (t *Tree) modify(k, v uint64) error {
 		var parent uint64
 		n := t.root()
 		restart := false
-		for !t.isLeaf(n) {
+		for depth := 0; !t.isLeaf(n); depth++ {
+			if depth > maxIterDepth {
+				return ErrCorrupt
+			}
 			if t.cap-t.count(n) < minFree {
 				if err := t.rewrite(n, parent, nil); err != nil {
 					return err
@@ -734,8 +755,8 @@ func (t *Tree) Iter(from uint64, fn func(k, v uint64) bool) {
 	}
 }
 
-// maxIterDepth bounds interior descents in Iter against corrupted child
-// pointers; legitimate trees never approach it.
+// maxIterDepth bounds every interior descent (Get, Put, Delete, Iter) against
+// corrupted child pointers; legitimate trees never approach it.
 const maxIterDepth = 80
 
 // successorLeafStart finds the smallest key >= from anywhere in the tree,

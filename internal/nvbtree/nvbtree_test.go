@@ -1,6 +1,7 @@
 package nvbtree
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -411,5 +412,34 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(uint64(i)%(1<<20) + 1)
+	}
+}
+
+// A child pointer that cycles back on itself (what a fence-less image can
+// hold after a reordering crash) ends every descent at maxIterDepth instead of
+// spinning: Put and Delete report ErrCorrupt, Get and Iter report nothing.
+func TestCyclicChildPointerEndsDescents(t *testing.T) {
+	dev, _, tr := newTree(t, 256)
+	for k := uint64(1); k <= 200; k++ {
+		put(t, tr, k, k)
+	}
+	root := tr.root()
+	if tr.isLeaf(root) {
+		t.Fatal("200 keys in 256-byte nodes left a leaf root")
+	}
+	for i := 0; i < tr.count(root); i++ {
+		dev.WriteU64(int64(root)+nEntries+int64(i)*entSize+8, root)
+	}
+	if err := tr.Put(7, 7); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Put = %v, want ErrCorrupt", err)
+	}
+	if ok, err := tr.Delete(7); ok || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Delete = %v, %v, want false, ErrCorrupt", ok, err)
+	}
+	if v, ok := tr.Get(7); ok {
+		t.Fatalf("Get found %d under a cyclic root", v)
+	}
+	if n := tr.Count(); n != 0 {
+		t.Fatalf("Iter emitted %d keys under a cyclic root", n)
 	}
 }

@@ -85,7 +85,7 @@ func TestWriteAllocatePolicy(t *testing.T) {
 func TestFenceDrainsPendingOnce(t *testing.T) {
 	d := NewDevice(DefaultConfig(1 << 20))
 	d.Write(0, []byte("abc"))
-	d.Flush(0, 3)
+	d.flushRange(0, 3, true)
 	if d.DurableEqual(0, []byte("abc")) {
 		t.Fatal("flush alone made data durable (no fence yet)")
 	}
@@ -167,8 +167,8 @@ func TestEvictionSupersedesStalePendingFlush(t *testing.T) {
 	a := []byte("AAAAAAAA")
 	b := []byte("BBBBBBBB")
 	d.Write(0, a)
-	d.Flush(0, len(a)) // A staged in the controller, line invalidated
-	d.Write(0, b)      // refill (overlays pending A), now dirty with B
+	d.flushRange(0, len(a), true) // A staged in the controller, line invalidated
+	d.Write(0, b)                 // refill (overlays pending A), now dirty with B
 	// Evict line 0 by touching two other lines in the single set.
 	d.Write(LineSize, []byte{1})
 	d.Write(2*LineSize, []byte{1})

@@ -5,18 +5,20 @@
 // The device is a flat arena of bytes (the durable medium). All application
 // loads and stores go through a set-associative write-back cache simulation.
 // A store is NOT durable until its cache line is written back, either by an
-// explicit Flush (CLFLUSH) or WriteBack (CLWB) followed by Fence (SFENCE), or
-// by an eviction (the memory controller may evict cache lines at any time).
-// Crash discards the cache, so only written-back bytes survive — exactly the
-// durability hazard NVM-aware recovery protocols must handle.
+// explicit WriteBack (CLWB) — or a WriteStream that bypasses the cache —
+// followed by Fence (SFENCE), or by an eviction (the memory controller may
+// evict cache lines, and drain its own buffer, at any time). Crash discards
+// the cache and the controller's buffer, so only fenced or evicted bytes
+// survive — exactly the durability hazard NVM-aware recovery protocols must
+// handle.
 //
 // The device also keeps the perf counters the paper reads (NVM loads =
 // line fills from the medium, NVM stores = line write-backs to the medium)
 // and a simulated stall clock that accrues the extra latency NVM adds over
 // DRAM. Throughput experiments report txns / (wall time + stall).
 //
-// Ownership rule: data-path operations (Read, Write, Flush, WriteBack, Fence,
-// Sync, Crash, EvictAll, fault arming) belong to a single owner goroutine —
+// Ownership rule: data-path operations (Read, Write, WriteStream, WriteBack,
+// Fence, Sync, Crash, EvictAll, fault arming) belong to a single owner goroutine —
 // the testbed gives each database partition its own device and executes its
 // transactions serially. The observation and tuning surface — Stats,
 // ResetStats, Config, SetLatency, SetSyncExtra, AddStall — is safe to call
@@ -152,13 +154,12 @@ type Device struct {
 	data  []byte // the durable medium
 	cache cache
 	stats deviceStats
-	// pending buffers flushed lines inside the "memory controller": a
-	// CLFLUSH'd line is not durable until an SFENCE drains it (§2.3:
+	// pending buffers written-back lines inside the "memory controller": a
+	// CLWB'd or streamed line is not durable until an SFENCE drains it (§2.3:
 	// "otherwise this data might still be buffered in the memory controller
 	// and lost in case of a power failure").
-	pending     map[int64][LineSize]byte
-	pendingKeys []int64 // insertion-ordered keys of pending (drain list)
-	syncCLFLUSH bool    // ablation A1: Sync invalidates (CLFLUSH) instead of retaining (CLWB)
+	pending     ctrlBuffer
+	syncCLFLUSH bool // ablation A1: Sync invalidates (CLFLUSH) instead of retaining (CLWB)
 	// Fault injection (see fault.go).
 	plan      FaultPlan
 	planSet   bool // a plan is installed; Crash applies its effects
@@ -200,7 +201,7 @@ func NewDevice(cfg Config) *Device {
 	d := &Device{
 		cfg:     cfg,
 		data:    make([]byte, cfg.Size),
-		pending: make(map[int64][LineSize]byte),
+		pending: ctrlBuffer{slot: make(map[int64]int32), limit: ctrlLines},
 	}
 	d.cache.init(cfg.CacheSize, cfg.CacheAssoc)
 	d.refreshLatency()
@@ -285,6 +286,13 @@ func (d *Device) checkRange(off int64, n int) {
 	}
 }
 
+// lineSpan returns the line-aligned bounds [first, last) of the cache lines
+// overlapping [off, off+n), after checking the range.
+func (d *Device) lineSpan(off int64, n int) (first, last int64) {
+	d.checkRange(off, n)
+	return off &^ (LineSize - 1), (off + int64(n) + LineSize - 1) &^ (LineSize - 1)
+}
+
 // Read copies len(p) bytes at offset off into p, through the cache.
 func (d *Device) Read(off int64, p []byte) {
 	d.checkRange(off, len(p))
@@ -363,13 +371,14 @@ func (d *Device) lineFor(line int64, markDirty bool) []byte {
 			// NVM. This can make un-flushed stores durable at any time. The
 			// evicted contents supersede any older pending flush of the line.
 			copy(d.data[victimLine:victimLine+LineSize], buf)
-			delete(d.pending, victimLine)
+			d.pending.remove(victimLine)
 			d.stats.stores.Add(1)
 			d.stats.stallNS.Add(d.lat.writeBack.Load())
 		}
-		copy(buf, d.data[line:line+LineSize])
-		if pl, ok := d.pending[line]; ok {
-			copy(buf, pl[:])
+		if pl := d.pending.get(line); pl != nil {
+			copy(buf, pl)
+		} else {
+			copy(buf, d.data[line:line+LineSize])
 		}
 		d.stats.loads.Add(1)
 		d.stats.stallNS.Add(d.lat.readMiss.Load())
@@ -380,17 +389,11 @@ func (d *Device) lineFor(line int64, markDirty bool) []byte {
 	return buf
 }
 
-// Flush writes back and invalidates every cache line overlapping
-// [off, off+n), like CLFLUSH. The data is not guaranteed durable until a
-// following Fence.
-func (d *Device) Flush(off int64, n int) {
-	d.flushRange(off, n, true)
-}
-
+// flushRange writes back every cache line overlapping [off, off+n) and then
+// invalidates it (CLFLUSH) or keeps it valid and clean (CLWB). The data is
+// not guaranteed durable until a following Fence.
 func (d *Device) flushRange(off int64, n int, invalidate bool) {
-	d.checkRange(off, n)
-	first := off &^ (LineSize - 1)
-	last := (off + int64(n) + LineSize - 1) &^ (LineSize - 1)
+	first, last := d.lineSpan(off, n)
 	for line := first; line < last; line += LineSize {
 		d.stats.flushes.Add(1)
 		d.stats.stallNS.Add(d.lat.flushLine.Load())
@@ -410,12 +413,11 @@ func (d *Device) flushRange(off int64, n int, invalidate bool) {
 
 // toController hands the line's 64 bytes at the head of buf to the memory
 // controller's buffer, superseding an older buffered copy: one NVM store,
-// durable at the next Fence.
+// durable at the next Fence — or earlier: a full buffer drains to the medium
+// to make room, at no charge, just as a dirty eviction may make any un-fenced
+// line durable at any time.
 func (d *Device) toController(line int64, buf []byte) {
-	if _, ok := d.pending[line]; !ok {
-		d.pendingKeys = append(d.pendingKeys, line)
-	}
-	d.pending[line] = [LineSize]byte(buf)
+	d.pending.put(line, buf, d.data)
 	d.stats.stores.Add(1)
 	d.stats.stallNS.Add(d.lat.writeBack.Load())
 }
@@ -428,7 +430,8 @@ func (d *Device) AddStall(t time.Duration) {
 	d.stats.stallNS.Add(int64(t))
 }
 
-// Fence orders preceding flushes, like SFENCE. After Flush+Fence the flushed
+// Fence orders preceding write-backs, like SFENCE: it drains the memory
+// controller's buffer, so after WriteBack+Fence (or WriteStream+Fence) the
 // bytes are durable.
 func (d *Device) Fence() {
 	if d.planArmed {
@@ -445,19 +448,7 @@ func (d *Device) Fence() {
 	if d.fenceNoop {
 		return
 	}
-	for _, line := range d.pendingKeys {
-		if pl, ok := d.pending[line]; ok {
-			copy(d.data[line:line+LineSize], pl[:])
-			delete(d.pending, line)
-		}
-	}
-	d.pendingKeys = d.pendingKeys[:0]
-	// Go maps never shrink; rebuild after a large burst so later fences
-	// stay cheap.
-	if cap(d.pendingKeys) > 4096 {
-		d.pending = make(map[int64][LineSize]byte)
-		d.pendingKeys = nil
-	}
+	d.pending.drain(d.data)
 }
 
 // WriteBack is the sync primitive's flush half: it writes back every cache
@@ -483,8 +474,7 @@ func (d *Device) Sync(off int64, n int) {
 func (d *Device) Crash() {
 	d.applyFaults()
 	d.cache.dropAll()
-	d.pending = make(map[int64][LineSize]byte)
-	d.pendingKeys = nil
+	d.pending.reset()
 	d.planSet = false
 	d.planArmed = false
 }
@@ -501,7 +491,7 @@ func (d *Device) EvictAll() {
 				line := int64(d.cache.tags[i]-1) * LineSize
 				buf := d.cache.data[i*LineSize : i*LineSize+LineSize]
 				copy(d.data[line:line+LineSize], buf)
-				delete(d.pending, line)
+				d.pending.remove(line)
 				d.stats.stores.Add(1)
 				d.stats.stallNS.Add(d.lat.writeBack.Load())
 			}

@@ -117,7 +117,7 @@ func TestWriteBackKeepsLineCached(t *testing.T) {
 		t.Error("read after WriteBack missed; CLWB should retain the line")
 	}
 	// CLFLUSH by contrast invalidates.
-	d.Flush(0, len(p))
+	d.flushRange(0, len(p), true)
 	d.Read(0, got)
 	if d.Stats().Loads == before {
 		t.Error("read after Flush hit; CLFLUSH should invalidate the line")
@@ -229,7 +229,7 @@ func TestOutOfRangePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { d.Read(1020, make([]byte, 8)) },
 		func() { d.Write(-1, make([]byte, 1)) },
-		func() { d.Flush(1024, 1) },
+		func() { d.flushRange(1024, 1, true) },
 	} {
 		func() {
 			defer func() {

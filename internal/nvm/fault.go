@@ -75,10 +75,26 @@ func (d *Device) ClearFaults() {
 
 // SetFenceNoop disables (or re-enables) the durability effect of Fence while
 // keeping its accounting and crash triggers: flushed lines stay buffered in
-// the memory controller instead of draining to the medium. This simulates a
-// protocol bug — a commit path whose SFENCE was removed — and exists so the
-// recovery-conformance suite can prove it catches such bugs.
+// the memory controller instead of draining to the medium (a full buffer
+// still drains itself, so what a crash loses is the newest lines, at most
+// ctrlLines of them). This simulates a protocol bug — a commit path whose
+// SFENCE was removed — and exists so the recovery-conformance suite can prove
+// it catches such bugs.
 func (d *Device) SetFenceNoop(on bool) { d.fenceNoop = on }
+
+// Discard forgets the un-fenced copies of every cache line overlapping
+// [off, off+n): the line leaves the memory controller's buffer and the cache,
+// so it reads as the medium has it. It is not an instruction a program could
+// issue; it exists for fault injection only — pmfs tears an fsync by
+// discarding the suffix of the file's un-fenced writes before the fence. A
+// line the controller already drained stays durable.
+func (d *Device) Discard(off int64, n int) {
+	first, last := d.lineSpan(off, n)
+	for line := first; line < last; line += LineSize {
+		d.pending.remove(line)
+		d.cache.invalidate(line)
+	}
+}
 
 // applyFaults applies the installed plan's durability effects to the
 // un-fenced lines. Called by Crash before the cache and controller buffer
@@ -95,11 +111,7 @@ func (d *Device) applyFaults() {
 	// copy, then newer cache copy); each copy survives independently, with
 	// the cache copy overwriting when both do — exactly the set of outcomes
 	// an arbitrary write-back schedule allows.
-	for _, line := range d.pendingKeys {
-		if pl, ok := d.pending[line]; ok {
-			d.maybePersistLine(rng, p, line, pl[:])
-		}
-	}
+	d.pending.each(func(line int64, pl []byte) { d.maybePersistLine(rng, p, line, pl) })
 	c := &d.cache
 	for i := range c.tags {
 		if c.tags[i] != 0 && c.dirty[i] {

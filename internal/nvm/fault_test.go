@@ -44,7 +44,7 @@ func TestFaultReorderSubset(t *testing.T) {
 		d.Write(0, fill(0x11, lines*LineSize))
 		d.Sync(0, lines*LineSize)
 		d.Write(0, fill(0x22, lines*LineSize))
-		d.Flush(0, lines*LineSize) // flushed, never fenced
+		d.flushRange(0, lines*LineSize, true) // flushed, never fenced
 		d.InjectFaults(FaultPlan{Seed: seed, Mode: FaultReorder, KeepProb: 0.5})
 		d.Crash()
 		got := make([]byte, lines*LineSize)
@@ -84,7 +84,7 @@ func TestFaultTearPrefix(t *testing.T) {
 		d.Write(0, fill(0xAA, LineSize))
 		d.Sync(0, LineSize)
 		d.Write(0, fill(0xBB, LineSize))
-		d.Flush(0, LineSize)
+		d.flushRange(0, LineSize, true)
 		d.InjectFaults(FaultPlan{Seed: seed, Mode: FaultTear, KeepProb: 1, TearProb: 1})
 		d.Crash()
 		got := make([]byte, LineSize)
@@ -164,5 +164,32 @@ func TestFenceNoopLosesSyncedData(t *testing.T) {
 	d.Crash()
 	if d.DurableEqual(0, want) {
 		t.Fatal("fence-noop device still persisted synced data")
+	}
+}
+
+// Discard forgets a line's un-fenced copies wherever they sit — dirty in the
+// cache, clean in the cache with a copy in the controller buffer, or streamed
+// — and nothing else: fenced bytes and neighbouring lines are untouched.
+func TestDiscard(t *testing.T) {
+	old, now := fill(0x11, 4*LineSize), fill(0x22, 4*LineSize)
+	d := testDev()
+	d.Write(0, old)
+	d.Sync(0, len(old))
+	d.Write(0, now[:LineSize])                  // line 0: dirty in the cache
+	d.Write(LineSize, now[:LineSize])           // line 1: written back, cached clean
+	d.WriteBack(LineSize, LineSize)             //
+	d.WriteStream(2*LineSize, now[:2*LineSize]) // lines 2, 3: streamed
+	d.Discard(0, 3*LineSize-1)                  // lines 0..2
+	got := make([]byte, 4*LineSize)
+	d.Read(0, got)
+	want := append(append([]byte(nil), old[:3*LineSize]...), now[:LineSize]...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("after Discard of lines 0-2 the device reads % x", got)
+	}
+	d.Fence()
+	d.EvictAll()
+	d.Crash()
+	if !d.DurableEqual(0, want) {
+		t.Fatal("a discarded line reached the medium, or the undiscarded one did not")
 	}
 }

@@ -14,15 +14,15 @@ import (
 )
 
 // ErrSyncFailed is returned by File.Sync when a transient sync failure is
-// injected (FailSyncs). It models an fsync returning EIO before any
-// write-back happened: nothing the fsync covered became durable, the file's
-// dirty ranges stay pending, and the process keeps running. Callers that
-// keep their write buffers intact may retry.
+// injected (FailSyncs). It models an fsync returning EIO before its fence:
+// nothing the fsync covered is promised durable, the file's unsynced ranges
+// stay recorded, and the process keeps running. Callers that keep their
+// write buffers intact may retry.
 var ErrSyncFailed = errors.New("pmfs: fsync failed")
 
 // FailSyncs arranges for the next `count` File.Sync calls (on any file)
 // after `after` further successful ones to fail with ErrSyncFailed without
-// flushing anything. Unlike SyncFault this is transient — no panic, no
+// fencing anything. Unlike SyncFault this is transient — no panic, no
 // crash — and is how the serving-layer tests exercise the retry path of the
 // error taxonomy. Passing count <= 0 clears any pending failure window.
 func (fs *FS) FailSyncs(after, count int) {
@@ -34,13 +34,16 @@ func (fs *FS) FailSyncs(after, count int) {
 type SyncFaultMode int
 
 const (
-	// SyncCrashLost crashes at fsync entry: nothing from this fsync is
-	// flushed, so all of the file's written-but-unsynced data is dropped.
+	// SyncCrashLost crashes at fsync entry, before its fence: the crash drops
+	// every line still in the controller's buffer, the file's unsynced writes
+	// and its inode update among them.
 	SyncCrashLost SyncFaultMode = iota
-	// SyncCrashTorn crashes mid-fsync: a seeded prefix of the file's dirty
-	// byte ranges is flushed and fenced (and the inode metadata with
-	// probability 1/2), then power fails. This is the torn-append case —
-	// the durable file may keep a garbage tail or lose its tail entirely.
+	// SyncCrashTorn crashes mid-fsync: a seeded byte prefix of the file's
+	// unsynced ranges, in write order and with the line holding the cut kept
+	// whole, reaches the medium (and the inode metadata with probability
+	// 1/2); the rest is dropped from the un-fenced window, then power fails.
+	// This is the torn-append case — the durable file may keep a garbage
+	// tail or lose its tail entirely.
 	SyncCrashTorn
 	// SyncCrashAfter completes the fsync and then crashes: everything the
 	// fsync covered must be durable.
@@ -94,37 +97,32 @@ func (fs *FS) crashSync(ino int) {
 			total += s.end - s.off
 		}
 		if total > 0 {
-			// Flush a seeded byte prefix of the dirty ranges, in write order
-			// (line granularity: the line containing the cut is flushed whole).
+			// Keep a seeded byte prefix of the unsynced ranges, in write order,
+			// and drop the rest before the fence (line granularity: the line
+			// containing the cut is kept whole). A line the controller drained
+			// early, or another file's fence covered, is durable regardless.
 			cut := rng.Int63n(total + 1)
 			for _, s := range spans {
-				n := s.end - s.off
-				if n > cut {
-					n = cut
+				keep := s.end - s.off
+				if keep > cut {
+					keep = cut
 				}
-				if n > 0 {
-					fs.dev.Flush(s.off, int(n))
+				cut -= keep
+				from := s.off
+				if keep > 0 {
+					from = (s.off + keep + nvm.LineSize - 1) &^ (nvm.LineSize - 1)
 				}
-				cut -= n
-				if cut <= 0 {
-					break
+				if from < s.end {
+					fs.dev.Discard(from, int(s.end-from))
 				}
 			}
 		}
 		if fs.metaDirty[ino] && rng.Intn(2) == 0 {
-			fs.dev.Flush(fs.inodeOff(ino), inodeSize)
+			fs.dev.WriteBack(fs.inodeOff(ino), inodeSize)
 		}
 		fs.dev.Fence()
 	case SyncCrashAfter:
-		for _, s := range fs.dirty[ino] {
-			fs.dev.Flush(s.off, int(s.end-s.off))
-		}
-		delete(fs.dirty, ino)
-		if fs.metaDirty[ino] {
-			fs.dev.Flush(fs.inodeOff(ino), inodeSize)
-			delete(fs.metaDirty, ino)
-		}
-		fs.dev.Fence()
+		fs.syncInode(ino)
 	}
 	panic(nvm.ErrInjectedCrash)
 }

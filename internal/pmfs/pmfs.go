@@ -3,11 +3,13 @@
 // it for their durable structures (WAL, checkpoints, SSTables, CoW B+tree
 // directories).
 //
-// Like PMFS, file data lives directly in NVM and fsync flushes the dirtied
-// cache lines. Unlike the allocator interface, every call pays a fixed
-// kernel-crossing (VFS) overhead plus one buffer copy between user and file
-// buffers — this is what produces the allocator-vs-filesystem bandwidth gap
-// of Fig. 1.
+// Like PMFS, file data lives directly in NVM and write() copies it there
+// with non-temporal stores (nvm.Device.WriteStream): whole cache lines bypass
+// the CPU cache and wait in the memory controller's buffer, so fsync has no
+// data to flush — it writes the inode back if it changed and fences. Unlike
+// the allocator interface, every call pays a fixed kernel-crossing (VFS)
+// overhead plus one buffer copy between user and file buffers — this is what
+// produces the allocator-vs-filesystem bandwidth gap of Fig. 1.
 //
 // On-device layout:
 //
@@ -83,7 +85,9 @@ type FS struct {
 	freeExts []int64 // volatile free list of extent indexes
 	nextExt  int64   // volatile bump cursor (durable via inode reachability)
 
-	// dirty tracks written-but-unsynced ranges per inode for fsync.
+	// dirty lists, per inode and in write order, the device ranges written
+	// since the file's last fsync. Nothing on the data path reads it: it is
+	// the fault injector's record of what a torn fsync may drop (fault.go).
 	dirty map[int][]span
 	// metaDirty marks inodes whose metadata (size, extents) changed since
 	// the last fsync, so fsync only flushes metadata when needed.
@@ -418,8 +422,10 @@ func (f *File) ensureSize(size int64) error {
 	return nil
 }
 
-// WriteAt writes p at offset off, growing the file as needed. Data is not
-// durable until Sync. Metadata (size, new extents) becomes durable at Sync.
+// WriteAt writes p at offset off, growing the file as needed, with
+// non-temporal stores: the data is readable at once and durable after the
+// next fence — this file's Sync at the latest. Metadata (size, new extents)
+// becomes durable at Sync.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	f.fs.chargeCall(len(p))
 	if err := f.ensureSize(off + int64(len(p))); err != nil {
@@ -433,7 +439,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		if chunk > contig {
 			chunk = contig
 		}
-		f.fs.dev.Write(addr, p[written:written+int(chunk)])
+		f.fs.dev.WriteStream(addr, p[written:written+int(chunk)])
 		f.fs.addDirty(f.ino, addr, addr+chunk)
 		written += int(chunk)
 	}
@@ -482,10 +488,9 @@ func (f *File) Truncate(n int64) error {
 			idx := int64(f.fs.dev.ReadU64(ino+inoExt+int64(e)*8)) - 1
 			if idx >= 0 {
 				f.fs.freeExts = append(f.fs.freeExts, idx)
-				// Drop pending dirty spans inside the freed extent: once it
-				// is reused by another file, a later fsync of this inode must
-				// not flush stale bytes into it out of the new owner's write
-				// order.
+				// Drop the unsynced spans inside the freed extent: once it is
+				// reused by another file, a torn fsync of this inode must not
+				// discard the new owner's un-fenced bytes.
 				f.fs.dropDirty(f.ino, f.fs.extBase+idx*f.fs.extSize, f.fs.extBase+(idx+1)*f.fs.extSize)
 			}
 		}
@@ -495,8 +500,9 @@ func (f *File) Truncate(n int64) error {
 	return nil
 }
 
-// Sync is fsync: it flushes all written-but-unsynced data of this file and
-// the inode metadata, then fences.
+// Sync is fsync: it writes the inode back if its metadata changed, then
+// fences. The file's data needs no flush — WriteAt left it in the memory
+// controller's buffer, which the fence drains.
 func (f *File) Sync() error {
 	start := time.Now()
 	f.fs.syncs.Add(1)
@@ -515,25 +521,28 @@ func (f *File) Sync() error {
 		if f.fs.failAfter > 0 {
 			f.fs.failAfter--
 		} else {
-			// Transient failure: flush nothing, keep every dirty range.
+			// Transient failure: no fence, so nothing written since the last
+			// fsync is promised durable; the retry covers all of it.
 			f.fs.failCount--
 			return ErrSyncFailed
 		}
 	}
-	for _, s := range f.fs.dirty[f.ino] {
-		f.fs.dev.Flush(s.off, int(s.end-s.off))
-	}
-	delete(f.fs.dirty, f.ino)
-	if f.fs.metaDirty[f.ino] {
-		f.fs.dev.Flush(f.fs.inodeOff(f.ino), inodeSize)
-		delete(f.fs.metaDirty, f.ino)
-	}
-	f.fs.dev.Fence()
+	f.fs.syncInode(f.ino)
 	return nil
 }
 
-// dropDirty removes the [off, end) device range from inode ino's pending
-// dirty spans, splitting spans that straddle a boundary.
+// syncInode is the work of a successful fsync.
+func (fs *FS) syncInode(ino int) {
+	delete(fs.dirty, ino)
+	if fs.metaDirty[ino] {
+		fs.dev.WriteBack(fs.inodeOff(ino), inodeSize)
+		delete(fs.metaDirty, ino)
+	}
+	fs.dev.Fence()
+}
+
+// dropDirty removes the [off, end) device range from inode ino's unsynced
+// spans, splitting spans that straddle a boundary.
 func (fs *FS) dropDirty(ino int, off, end int64) {
 	spans := fs.dirty[ino]
 	out := spans[:0]

@@ -339,8 +339,7 @@ func TestBreakerDegradesAfterRepeatedRecoveryFailure(t *testing.T) {
 			if off+n > dev.Size() {
 				n = dev.Size() - off
 			}
-			dev.Write(off, garbage[:n])
-			dev.Flush(off, int(n))
+			dev.WriteStream(off, garbage[:n])
 		}
 		dev.Fence()
 		panic(nvm.ErrInjectedCrash)
