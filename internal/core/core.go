@@ -143,6 +143,34 @@ type Engine interface {
 	Footprint() Footprint
 }
 
+// ColReader is an optional engine capability: GetCols returns the tuple as a
+// schema-width row in which only the named columns are filled and every other
+// column is the zero Value, so a caller that needs one field of a ten-field
+// tuple pays for one. It is not a method of Engine because an engine that
+// stores rows whole (a B+tree page, an SSTable entry) gains nothing from it;
+// call it through GetCols, which answers identically on every engine.
+type ColReader interface {
+	GetCols(table string, key uint64, cols []int) ([]Value, bool, error)
+}
+
+// GetCols reads the named columns of a tuple: natively when eng is a
+// ColReader, otherwise as the projection of Get. Either way the read is a read
+// of the key to anything that tracks reads (OccTxn marks it like Get).
+func GetCols(eng Engine, table string, key uint64, cols []int) ([]Value, bool, error) {
+	if cr, ok := eng.(ColReader); ok {
+		return cr.GetCols(table, key, cols)
+	}
+	row, ok, err := eng.Get(table, key)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	out := make([]Value, len(row))
+	for _, c := range cols {
+		out[c] = row[c]
+	}
+	return out, true, nil
+}
+
 // Breakdown accumulates time per engine component (Fig. 13): storage
 // management, recovery mechanisms (logging, checkpointing, persisting),
 // index accesses, and everything else.

@@ -274,14 +274,18 @@ func (h *Heap) ReadCol(slot uint64, col int) Value {
 	return Value{S: b}
 }
 
-// ReadRow reads the full row from a slot.
-func (h *Heap) ReadRow(slot uint64) []Value {
+// ReadCols reads the named columns into a schema-width row; the others stay
+// the zero Value and their fields and var-slots are not touched.
+func (h *Heap) ReadCols(slot uint64, cols []int) []Value {
 	row := make([]Value, len(h.schema.Columns))
-	for i := range row {
-		row[i] = h.ReadCol(slot, i)
+	for _, ci := range cols {
+		row[ci] = h.ReadCol(slot, ci)
 	}
 	return row
 }
+
+// ReadRow reads the full row from a slot.
+func (h *Heap) ReadRow(slot uint64) []Value { return h.ReadCols(slot, h.allCols) }
 
 // SyncTuple flushes the slot's fixed part (var-slot contents are synced as
 // they are written in NVM mode). Part of Table 2's "Sync tuple with NVM".

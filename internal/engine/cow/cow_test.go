@@ -128,6 +128,12 @@ func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }
 
+// TestColReader: core.GetCols, served by projecting Get, answers like the
+// engines that read columns natively.
+func TestColReader(t *testing.T) {
+	enginetest.RunColReader(t, confFactory(), false)
+}
+
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
 // stores / flushes / fences 102.0 / 102.8 / 0.10 / 0.13, 25.3 us of stall.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nstore/internal/core"
@@ -201,4 +202,140 @@ func RunArenaExhaustion(t *testing.T, f Factory) {
 	if _, ok, err := e.Get("usertable", k); err != nil || !ok {
 		t.Fatalf("%s: insert after space was released: found=%v err=%v", f.Name, ok, err)
 	}
+}
+
+// sameColsAsGet compares core.GetCols of every subset of the users table's
+// columns against the projection of Get: same verdict on existence, schema
+// width, the named columns equal, every other column the zero Value (nil S
+// included, which is what the wire codec tells an int from a string by).
+func sameColsAsGet(t *testing.T, when string, e core.Engine, key uint64) {
+	t.Helper()
+	want, wantOK, err := e.Get("users", key)
+	do(t, err)
+	width := len(testSchema()[0].Columns)
+	for mask := 0; mask < 1<<width; mask++ {
+		var cols []int
+		for c := width - 1; c >= 0; c-- { // descending: order must not matter
+			if mask&(1<<c) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		got, ok, err := core.GetCols(e, "users", key, cols)
+		if err != nil || ok != wantOK {
+			t.Fatalf("%s: GetCols(users/%d, %v) found=%v err=%v, Get found=%v", when, key, cols, ok, err, wantOK)
+		}
+		var exp []core.Value // the projection of Get; nil when the key is missing
+		if ok {
+			exp = make([]core.Value, width)
+			for _, c := range cols {
+				exp[c] = want[c]
+			}
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("%s: GetCols(users/%d, %v) = %+v, projection of Get is %+v", when, key, cols, got, exp)
+		}
+	}
+}
+
+// RunColReader is the conformance of core.GetCols, the read a wire RMW's
+// pre-image goes through: it must equal the projection of Get on committed
+// tuples, inside a transaction after Update and Delete, after Abort, on a
+// missing key and after crash + recovery — natively (native: the engine must
+// be a core.ColReader) or through the fallback. A core.OccTxn must record a
+// GetCols read exactly as it records a Get, negative reads included.
+func RunColReader(t *testing.T, f Factory, native bool) {
+	env := newEnv(t)
+	opts := core.Options{MemTableCap: 16, GroupCommitSize: 1}
+	e := mustEngine(t, f, env, opts)
+	if _, ok := e.(core.ColReader); ok != native {
+		t.Fatalf("%s: implements core.ColReader = %v, want %v", f.Name, ok, native)
+	}
+	const n = 40
+	do(t, e.Begin())
+	for k := uint64(1); k <= n; k++ {
+		do(t, e.Insert("users", k, userRow(int64(k))))
+	}
+	do(t, e.Insert("users", n+1, []core.Value{core.IntVal(n + 1), core.IntVal(0), core.StrVal(""), core.StrVal("")}))
+	do(t, e.Commit())
+	all := func(when string, e core.Engine) {
+		t.Helper()
+		for k := uint64(1); k <= n+1; k++ {
+			sameColsAsGet(t, when, e, k)
+		}
+		sameColsAsGet(t, when+", missing key", e, 9999)
+	}
+	all("committed", e)
+
+	upd := core.Update{Cols: []int{1, 3}, Vals: []core.Value{core.IntVal(777), core.StrVal("rewritten bio")}}
+	do(t, e.Begin())
+	do(t, e.Update("users", 3, upd))
+	do(t, e.Delete("users", 4))
+	sameColsAsGet(t, "in txn after Update", e, 3)
+	sameColsAsGet(t, "in txn after Delete", e, 4)
+	if row, ok, _ := core.GetCols(e, "users", 3, []int{1}); !ok || row[1].I != 777 {
+		t.Fatalf("%s: a transaction does not read its own update through GetCols: %v %v", f.Name, row, ok)
+	}
+	do(t, e.Abort())
+	all("after Abort", e)
+	if row, ok, _ := core.GetCols(e, "users", 3, []int{1}); !ok || row[1].I != 3 {
+		t.Fatalf("%s: GetCols after Abort: %v %v, want the old balance", f.Name, row, ok)
+	}
+	do(t, e.Begin())
+	do(t, e.Update("users", 3, upd))
+	do(t, e.Delete("users", 4))
+	do(t, e.Commit())
+	all("after Commit", e)
+
+	// An optimistic transaction's GetCols is a read of the key, like its Get.
+	sr, okSR := e.(core.SnapshotReader)
+	vp, okVP := e.(core.OccValidatorProvider)
+	if !okSR || !okVP {
+		t.Fatalf("%s lacks the MVCC substrate OCC needs", f.Name)
+	}
+	do(t, e.Flush())
+	viaGet := core.NewOccTxn(sr.SnapshotView(), e.Name(), testSchema())
+	viaCols := core.NewOccTxn(sr.SnapshotView(), e.Name(), testSchema())
+	defer viaGet.Close()
+	defer viaCols.Close()
+	for _, k := range []uint64{5, 6, 4} { // 4 is a negative read; 6 stays unwritten
+		_, gOK, err := viaGet.Get("users", k)
+		do(t, err)
+		_, cOK, err := core.GetCols(viaCols, "users", k, []int{2})
+		do(t, err)
+		if gOK != cOK {
+			t.Fatalf("%s: OccTxn GetCols found users/%d = %v, Get %v", f.Name, k, cOK, gOK)
+		}
+	}
+	verdicts := func() (error, error) {
+		return viaGet.Validate(vp.OccValidator()), viaCols.Validate(vp.OccValidator())
+	}
+	if g, c := verdicts(); g != nil || c != nil {
+		t.Fatalf("%s: nothing written yet, Validate: Get %v, GetCols %v", f.Name, g, c)
+	}
+	do(t, e.Begin())
+	do(t, e.Update("users", 7, upd)) // a key neither transaction read
+	do(t, e.Commit())
+	if g, c := verdicts(); g != nil || c != nil {
+		t.Fatalf("%s: a write to an unread key conflicts: Get %v, GetCols %v", f.Name, g, c)
+	}
+	do(t, e.Begin())
+	do(t, e.Update("users", 5, core.Update{Cols: []int{3}, Vals: []core.Value{core.StrVal("a column GetCols did not name")}}))
+	do(t, e.Commit())
+	if g, c := verdicts(); !errors.Is(g, core.ErrConflict) || !errors.Is(c, core.ErrConflict) {
+		t.Fatalf("%s: a write to a read key must conflict both ways: Get %v, GetCols %v", f.Name, g, c)
+	}
+	neg := core.NewOccTxn(sr.SnapshotView(), e.Name(), testSchema())
+	defer neg.Close()
+	if _, ok, err := core.GetCols(neg, "users", 4, []int{1}); ok || err != nil {
+		t.Fatalf("%s: OccTxn GetCols of the deleted users/4: found=%v err=%v", f.Name, ok, err)
+	}
+	do(t, e.Begin())
+	do(t, e.Insert("users", 4, userRow(4)))
+	do(t, e.Commit())
+	if err := neg.Validate(vp.OccValidator()); !errors.Is(err, core.ErrConflict) {
+		t.Fatalf("%s: a negative GetCols read must conflict with the insert: %v", f.Name, err)
+	}
+
+	do(t, e.Flush())
+	all("after crash + recovery", reopen(t, f, env, opts))
 }

@@ -658,22 +658,37 @@ func (e *Engine) Delete(table string, key uint64) error {
 	return nil
 }
 
-// Get reads a tuple by primary key.
-func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
+// find resolves a primary key to its heap and slot.
+func (e *Engine) find(table string, key uint64) (*core.Heap, uint64, bool, error) {
 	tm, err := e.Table(table)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
 	stopIdx := e.Bd.Timer(&e.Bd.Index)
 	slot, ok := e.primary[tm.ID].Get(key)
 	stopIdx()
+	return e.heaps[tm.ID], slot, ok, nil
+}
+
+// Get reads a tuple by primary key.
+func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
+	h, slot, ok, err := e.find(table, key)
 	if !ok {
-		return nil, false, nil
+		return nil, false, err
 	}
-	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	row := e.heaps[tm.ID].ReadRow(slot)
-	stopSt()
-	return row, true, nil
+	defer e.Bd.Timer(&e.Bd.Storage)()
+	return h.ReadRow(slot), true, nil
+}
+
+// GetCols implements core.ColReader: the index lookup of Get, then only the
+// named columns' fields and var-slots.
+func (e *Engine) GetCols(table string, key uint64, cols []int) ([]core.Value, bool, error) {
+	h, slot, ok, err := e.find(table, key)
+	if !ok {
+		return nil, false, err
+	}
+	defer e.Bd.Timer(&e.Bd.Storage)()
+	return h.ReadCols(slot, cols), true, nil
 }
 
 // ScanSecondary iterates primary keys matching a secondary key.

@@ -121,6 +121,12 @@ func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, factory(), 200)
 }
 
+// TestColReader: core.GetCols, served natively from the heap, equals the
+// projection of Get.
+func TestColReader(t *testing.T) {
+	enginetest.RunColReader(t, factory(), true)
+}
+
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
 // stores / flushes / fences 4.7 / 8.4 / 1.1 / 0.065. (It loaded 29.3 lines

@@ -218,6 +218,12 @@ func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }
 
+// TestColReader: core.GetCols, served by projecting Get, answers like the
+// engines that read columns natively.
+func TestColReader(t *testing.T) {
+	enginetest.RunColReader(t, confFactory(), false)
+}
+
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
 // stores / flushes / fences 90.2 / 48.7 / 2.5 / 0.86. (114.3 / 48.4 / 25.8

@@ -193,6 +193,12 @@ func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }
 
+// TestColReader: core.GetCols, served by projecting Get, answers like the
+// engines that read columns natively.
+func TestColReader(t *testing.T) {
+	enginetest.RunColReader(t, confFactory(), false)
+}
+
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
 // stores / flushes / fences 10.6 / 20.3 / 13.6 / 11.16. (It loaded 46.1 lines

@@ -193,6 +193,10 @@ type Doer interface {
 // transport drops. StatusKeyExists counts as acked: drill schedules make
 // every insert unique, so KeyExists on a retry is the ack an earlier dropped
 // connection swallowed (the same resolution the chaos soak uses).
+//
+// Every key has one owning worker (see owner), so a stream's operations on a
+// key reach the server in stream order and the final state equals a serial
+// run of the stream whatever the interleaving of the workers.
 func Drive(ctx context.Context, cl Doer, streams [][]*wire.Request, clients int) (Result, error) {
 	if clients <= 0 {
 		clients = 1
@@ -207,8 +211,11 @@ func Drive(ctx context.Context, cl Doer, streams [][]*wire.Request, clients int)
 			wg.Add(1)
 			go func(reqs []*wire.Request, c int) {
 				defer wg.Done()
-				for i := c; i < len(reqs); i += clients {
-					resp, err := cl.DoRetry(ctx, reqs[i])
+				for i, req := range reqs {
+					if owner(req, i, clients) != c {
+						continue
+					}
+					resp, err := cl.DoRetry(ctx, req)
 					switch {
 					case err != nil:
 						failed.Add(1)
@@ -232,6 +239,20 @@ func Drive(ctx context.Context, cl Doer, streams [][]*wire.Request, clients int)
 		return res, fmt.Errorf("netdrill: every request failed: %w", err)
 	}
 	return res, nil
+}
+
+// owner picks the worker that sends request i of a stream. A single-key
+// request belongs to its key's worker: two set-mode RMWs of one field do not
+// commute, and striping by index let two workers race them. The key is hashed
+// first because a stream's keys are the ones congruent to its partition, which
+// would leave workers idle whenever clients and partitions share a factor. A
+// TXN frame has no one key; the drill's are additive RMWs plus a unique
+// insert, which commute, so they keep index striping.
+func owner(req *wire.Request, i, clients int) int {
+	if req.Op == wire.OpTxn {
+		return i % clients
+	}
+	return int(((req.Key * 0x9E3779B97F4A7C15) >> 32) % uint64(clients))
 }
 
 // RunClient connects to addr, drives the streams, and prints a throughput

@@ -411,10 +411,11 @@ func (s *Server) exec(ctx context.Context, req *wire.Request) *wire.Response {
 			// commit-time apply will see.
 			resp.Subs = make([]wire.Response, len(req.Ops))
 			for i := range req.Ops {
-				if req.Ops[i].Op != wire.OpRmw {
+				sub := &req.Ops[i]
+				if sub.Op != wire.OpRmw {
 					continue
 				}
-				row, ok, err := eng.Get(req.Ops[i].Table, req.Ops[i].Key)
+				row, ok, err := core.GetCols(eng, sub.Table, sub.Key, sub.RmwReads(true))
 				if err != nil {
 					return err
 				}
@@ -497,7 +498,8 @@ func (s *Server) route(req *wire.Request) (int, error) {
 }
 
 // validate rejects schema-violating requests before they cost an executor
-// slot: unknown tables and ops, malformed rows, out-of-range RMW columns.
+// slot: unknown tables and ops, malformed rows, out-of-range or repeated RMW
+// columns.
 func (s *Server) validate(req *wire.Request) error {
 	if req.Op == wire.OpTxn {
 		for i := range req.Ops {
@@ -567,9 +569,17 @@ func (s *Server) validate(req *wire.Request) error {
 		if len(req.Cols) == 0 {
 			return errors.New("rmw with no columns")
 		}
-		for _, cm := range req.Cols {
+		for i, cm := range req.Cols {
 			if cm.Col < 0 || cm.Col >= len(sc.Columns) {
 				return fmt.Errorf("table %q has no column %d", req.Table, cm.Col)
+			}
+			// Two modifications of one column would both be computed from the
+			// same pre-image, and an engine would supersede the column's old
+			// var-slot twice.
+			for _, prev := range req.Cols[:i] {
+				if prev.Col == cm.Col {
+					return fmt.Errorf("rmw names column %q twice", sc.Columns[cm.Col].Name)
+				}
 			}
 			if cm.Add && sc.Columns[cm.Col].Type != core.TInt {
 				return fmt.Errorf("rmw add on non-integer column %q", sc.Columns[cm.Col].Name)
@@ -665,19 +675,21 @@ func (s *Server) apply(eng core.Engine, req *wire.Request, resp *wire.Response) 
 			}
 		}
 	}
-	return applyOp(eng, req, resp, s.cfg.ScanLimit)
+	return applyOp(eng, req, resp, s.cfg.ScanLimit, true)
 }
 
 // ApplyOps lowers a shipped batch of sub-ops into one replay transaction for
 // a backup: each op applied in order against the engine, results discarded.
 // RMW adds are recomputed from the local pre-image — replicas apply batches
 // in sequence order from identical state, so the recomputation lands on the
-// primary's value. Reads inside a batch are harmless no-ops.
+// primary's value — and since nobody sees the result, an RMW reads its Add
+// columns only: a set-mode RMW replays as a bare Update. Reads inside a batch
+// are harmless no-ops.
 func ApplyOps(ops []wire.Request) func(core.Engine) error {
 	return func(eng core.Engine) error {
 		for i := range ops {
 			var sink wire.Response
-			if err := applyOp(eng, &ops[i], &sink, 1); err != nil {
+			if err := applyOp(eng, &ops[i], &sink, 1, false); err != nil {
 				return err
 			}
 		}
@@ -685,7 +697,9 @@ func ApplyOps(ops []wire.Request) func(core.Engine) error {
 	}
 }
 
-func applyOp(eng core.Engine, req *wire.Request, resp *wire.Response, scanLimit int) error {
+// applyOp runs one op. preImage says whether anyone reads resp: a primary
+// reports an RMW's pre-image, a replay does not fetch it (wire.ApplyRmw).
+func applyOp(eng core.Engine, req *wire.Request, resp *wire.Response, scanLimit int, preImage bool) error {
 	switch req.Op {
 	case wire.OpGet:
 		row, ok, err := eng.Get(req.Table, req.Key)
@@ -712,25 +726,11 @@ func applyOp(eng core.Engine, req *wire.Request, resp *wire.Response, scanLimit 
 			return len(resp.Keys) < limit
 		})
 	case wire.OpRmw:
-		pre, ok, err := eng.Get(req.Table, req.Key)
-		if err != nil {
-			return err
+		pre, err := wire.ApplyRmw(eng, req, preImage)
+		if preImage && err == nil {
+			resp.Found, resp.Row = true, copyRow(pre)
 		}
-		if !ok {
-			return core.ErrKeyNotFound
-		}
-		resp.Found = true
-		resp.Row = copyRow(pre)
-		upd := core.Update{Cols: make([]int, len(req.Cols)), Vals: make([]core.Value, len(req.Cols))}
-		for i, cm := range req.Cols {
-			upd.Cols[i] = cm.Col
-			if cm.Add {
-				upd.Vals[i] = core.Value{I: resp.Row[cm.Col].I + cm.Val.I}
-			} else {
-				upd.Vals[i] = cm.Val
-			}
-		}
-		return eng.Update(req.Table, req.Key, upd)
+		return err
 	// The 2PC ops appear here for the backup replay path: a shipped
 	// prewrite/commit/abort/resolve replays against identical state, so the
 	// same deterministic mutation lands. Lock checks are skipped — the

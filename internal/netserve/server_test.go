@@ -140,7 +140,7 @@ func TestLoopbackOps(t *testing.T) {
 	}
 
 	// BadRequest family: unknown table, short row, type mismatch, additive
-	// string column, bad partition, bad rmw column.
+	// string column, bad partition, bad rmw column, rmw column named twice.
 	for _, req := range []*wire.Request{
 		{Part: -1, Op: wire.OpGet, Table: "nope", Key: 1},
 		{Part: -1, Op: wire.OpPut, Table: "t", Key: 1, Row: []core.Value{core.IntVal(1)}},
@@ -148,6 +148,8 @@ func TestLoopbackOps(t *testing.T) {
 		{Part: -1, Op: wire.OpRmw, Table: "t", Key: 1, Cols: []wire.RmwCol{{Col: 2, Add: true, Val: core.IntVal(1)}}},
 		{Part: 9, Op: wire.OpGet, Table: "t", Key: 1},
 		{Part: -1, Op: wire.OpRmw, Table: "t", Key: 1, Cols: []wire.RmwCol{{Col: 7, Val: core.IntVal(1)}}},
+		{Part: -1, Op: wire.OpRmw, Table: "t", Key: 1, Cols: []wire.RmwCol{
+			{Col: 1, Add: true, Val: core.IntVal(5)}, {Col: 1, Add: true, Val: core.IntVal(3)}}},
 	} {
 		must(req, wire.StatusBadRequest)
 	}

@@ -676,13 +676,12 @@ func (t *Tree) recoverJournal() {
 	if parent == 0 {
 		committed = t.root() == probe
 	} else {
-		// Scan the parent's committed entries for a live route to probe.
-		for i := t.count(parent) - 1; i >= 0; i-- {
-			if e := t.entAt(parent, i); e.v == probe {
-				committed = true
-				break
-			}
-		}
+		// Only a live route counts. The parent's entry array is append-only
+		// and keeps superseded routes, and a freed node's address is the
+		// first the allocator hands out again: a shadowed entry of an
+		// earlier node at probe's address would read as "committed", the
+		// live old node would be freed under the tree and its chunk reused.
+		_, committed = t.routingKeyFor(parent, probe)
 	}
 	if committed {
 		// The swap is visible: discard the replaced node if still live.

@@ -516,6 +516,18 @@ func (ex *executor) run(w int) {
 		if err == nil {
 			ex.rt.stats.committed.Add(1)
 			ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
+		} else {
+			// A failure is an answer too, and the body may have computed it
+			// from commits whose acks are still held: KeyExists on the retry
+			// of an insert whose first attempt sits in the group buffer reads
+			// to the client as that insert's ack. It waits for the same
+			// barrier; if the barrier fails the partition rolled back and the
+			// answer is void.
+			ex.engMu.Lock()
+			if !ex.flushPending() {
+				err = ErrRecovering
+			}
+			ex.engMu.Unlock()
 		}
 		req.done <- err
 	}
@@ -558,10 +570,10 @@ func (ex *executor) pendingTotal() int {
 // provably durable and acked. A barrier that cannot be completed (retries
 // exhausted, corruption, injected crash) means those commits were never
 // durable — the pending requests are failed and the partition heals back to
-// its last durable state. Caller holds engMu.
-func (ex *executor) flushPending() {
+// its last durable state, and flushPending reports false. Caller holds engMu.
+func (ex *executor) flushPending() bool {
 	if ex.pendingTotal() == 0 {
-		return
+		return true
 	}
 	cfg := &ex.rt.cfg
 	for attempt := 0; ; attempt++ {
@@ -575,7 +587,7 @@ func (ex *executor) flushPending() {
 				}
 				ex.wpending[w] = list[:0]
 			}
-			return
+			return true
 		}
 		if core.IsRetryable(err) && !errors.Is(err, nvm.ErrInjectedCrash) && attempt < cfg.MaxRetries {
 			ex.rt.stats.retries.Add(1)
@@ -585,7 +597,7 @@ func (ex *executor) flushPending() {
 		}
 		// heal fails the pending lists first (those commits are not durable).
 		ex.heal(err)
-		return
+		return false
 	}
 }
 

@@ -402,3 +402,65 @@ func TestCloseDrainsQueuedRequests(t *testing.T) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestFailureWaitsForHeldAcks: under group commit an insert's ack is held
+// until the group's durability barrier. The retry of that insert, run while
+// the ack is held, finds the key and answers KeyExists — which its client
+// reads as the first attempt's ack — so the answer must wait for the same
+// barrier: by the time it is out, the insert is durable, published to
+// snapshot reads, and acked. (It used to go out at once, and the held ack
+// then waited for the next request to arrive.)
+func TestFailureWaitsForHeldAcks(t *testing.T) {
+	db, err := testbed.New(testbed.Config{
+		Engine:     testbed.InP,
+		Partitions: 1,
+		Env:        core.EnvConfig{DeviceSize: 32 << 20},
+		Options:    core.Options{GroupCommitSize: 8},
+		Schemas:    schemas(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := New(db, Config{})
+	defer rt.Close()
+	ctx := context.Background()
+
+	// The first attempt parks inside its body until the retry is queued
+	// behind it, so its commit finds the queue busy and holds the ack.
+	inBody, gate := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		first <- rt.SubmitPart(ctx, 0, func(e core.Engine) error {
+			close(inBody)
+			<-gate
+			return insertTxn(7, 70)(e)
+		})
+	}()
+	<-inBody
+	retry := make(chan error, 1)
+	go func() { retry <- rt.SubmitPart(ctx, 0, insertTxn(7, 70)) }()
+	time.Sleep(10 * time.Millisecond) // the retry is in the queue
+	close(gate)
+
+	if err := <-retry; !errors.Is(err, core.ErrKeyExists) {
+		t.Fatalf("retry = %v, want ErrKeyExists", err)
+	}
+	var found bool
+	if err := rt.ReadPart(ctx, 0, func(v core.ReadView) error {
+		_, found, err = v.Get("t", 7)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatal("KeyExists was answered from an insert no snapshot read can see yet: its durability barrier has not run")
+	}
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatalf("first attempt = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held ack was never released")
+	}
+}

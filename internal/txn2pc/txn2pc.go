@@ -443,23 +443,8 @@ func applyBuffered(eng core.Engine, op *wire.Request) error {
 	case wire.OpDelete:
 		return eng.Delete(op.Table, op.Key)
 	case wire.OpRmw:
-		pre, ok, err := eng.Get(op.Table, op.Key)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return core.ErrKeyNotFound
-		}
-		upd := core.Update{Cols: make([]int, len(op.Cols)), Vals: make([]core.Value, len(op.Cols))}
-		for i, cm := range op.Cols {
-			upd.Cols[i] = cm.Col
-			if cm.Add {
-				upd.Vals[i] = core.Value{I: pre[cm.Col].I + cm.Val.I}
-			} else {
-				upd.Vals[i] = cm.Val
-			}
-		}
-		return eng.Update(op.Table, op.Key, upd)
+		_, err := wire.ApplyRmw(eng, op, false)
+		return err
 	}
 	return fmt.Errorf("txn2pc: cannot apply buffered op %v", op.Op)
 }

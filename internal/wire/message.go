@@ -19,7 +19,7 @@ const (
 	OpPut    Op = 2 // insert a full row
 	OpDelete Op = 3 // delete by primary key
 	OpScan   Op = 4 // ascending range scan [From, To), bounded by Limit
-	OpRmw    Op = 5 // read-modify-write: return the pre-image, apply column updates
+	OpRmw    Op = 5 // read-modify-write: return the pre-image of the named columns, apply the updates
 	OpTxn    Op = 6 // multi-op transaction (sub-ops may not nest another OpTxn)
 
 	// Replication / cluster metadata ops (the REPL_APPEND / REPL_ACK /
@@ -235,11 +235,61 @@ func (e *StatusError) Is(target error) bool {
 	return false
 }
 
-// RmwCol is one column modification inside an OpRmw.
+// RmwCol is one column modification inside an OpRmw. A request names each
+// column at most once (the server answers StatusBadRequest otherwise).
+//
+// Contract of the answer: Response.Row is the pre-image of the columns the
+// request names and of nothing else — a row of the table's schema width,
+// indexed by column as ever (Row[col]), in which every un-named column is the
+// zero core.Value. The server never reads what the client did not ask about.
 type RmwCol struct {
 	Col int  // column index in the table's schema
 	Add bool // true: add Val.I to the current value (TInt columns only)
 	Val core.Value
+}
+
+// RmwReads lists the columns an OpRmw reads before it writes: every column it
+// names when the caller reports the pre-image (a primary answering a client),
+// only the Add columns when the result is discarded (a backup's replay, a 2PC
+// commit) — a set-mode column's old value is then nobody's business.
+func (r *Request) RmwReads(preImage bool) []int {
+	var cols []int
+	for _, cm := range r.Cols {
+		if preImage || cm.Add {
+			cols = append(cols, cm.Col)
+		}
+	}
+	return cols
+}
+
+// ApplyRmw is the one lowering of an OpRmw onto an engine, inside the caller's
+// transaction: read RmwReads(preImage) through core.GetCols, compute the Add
+// columns from that read, Update. It returns what it read — the pre-image in
+// the Response.Row contract when preImage is set. With nothing to read (a
+// set-mode-only request whose result is discarded) the tuple is not fetched
+// at all and Update reports a missing key.
+func ApplyRmw(eng core.Engine, req *Request, preImage bool) ([]core.Value, error) {
+	var pre []core.Value
+	if reads := req.RmwReads(preImage); len(reads) > 0 {
+		row, ok, err := core.GetCols(eng, req.Table, req.Key, reads)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, core.ErrKeyNotFound
+		}
+		pre = row
+	}
+	upd := core.Update{Cols: make([]int, len(req.Cols)), Vals: make([]core.Value, len(req.Cols))}
+	for i, cm := range req.Cols {
+		upd.Cols[i] = cm.Col
+		if cm.Add {
+			upd.Vals[i] = core.Value{I: pre[cm.Col].I + cm.Val.I}
+		} else {
+			upd.Vals[i] = cm.Val
+		}
+	}
+	return pre, eng.Update(req.Table, req.Key, upd)
 }
 
 // LockRef names one lock record: the (table, key) a prewrite locked. Commit
@@ -320,7 +370,7 @@ type Response struct {
 	Msg    string // non-OK detail, empty on success
 
 	Found bool         // Get/Rmw: whether the key existed
-	Row   []core.Value // Get: the row; Rmw: the pre-image
+	Row   []core.Value // Get: the row; Rmw: the pre-image of the named columns (see RmwCol)
 
 	Keys []uint64       // Scan: primary keys, ascending
 	Rows [][]core.Value // Scan: rows parallel to Keys

@@ -65,6 +65,12 @@ func sampleRequests() []*Request {
 		{ID: 20, Part: -1, Op: OpMapLearn, Map: &ShardMap{Version: 8, Shards: []ShardRoute{
 			{Epoch: 4, Primary: "127.0.0.1:7002", Backup: "127.0.0.1:7003"},
 		}}},
+		// One column named twice: the codec carries it, netserve.validate
+		// answers StatusBadRequest.
+		{ID: 21, Part: -1, Op: OpRmw, Table: "t", Key: 1, Cols: []RmwCol{
+			{Col: 1, Add: true, Val: core.Value{I: 5}},
+			{Col: 1, Add: true, Val: core.Value{I: 3}},
+		}},
 	}
 }
 
@@ -102,6 +108,8 @@ func sampleResponses() []*Response {
 			{Epoch: 3, Primary: "127.0.0.1:7001", Backup: "127.0.0.1:7002"},
 		}}},
 		{ID: 18, Status: StatusStaleEpoch, Msg: "promised ballot 12", Epoch: 12},
+		// An RMW pre-image: schema width, only the named column filled.
+		{ID: 19, Status: StatusOK, Found: true, Row: []core.Value{{}, {}, {S: []byte("before")}, {}}},
 	}
 }
 
