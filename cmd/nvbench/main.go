@@ -3,17 +3,19 @@
 //
 // Usage:
 //
-//	nvbench [-run all|fig1|ycsb|tpcc|recovery|breakdown|footprint|costmodel|nodesize|synclat|wire|mvcc|cluster]
-//	        [-scale small|medium] [-partitions N] [-tuples N] [-txns N] [-seed N]
+//	nvbench [-run all|fig1|ycsb|tpcc|recovery|breakdown|footprint|costmodel|nodesize|synclat|ablations]
+//	        [-scale small|medium] [-partitions N] [-tuples N] [-txns N] [-tpcc-txns N] [-seed N]
 //	        [-short] [-out DIR]
 //
 // The ycsb and tpcc experiments additionally write machine-readable
 // BENCH_<workload>.json artifacts (the /metrics snapshot schema) into
 // -out. -short runs a tiny per-engine smoke pass instead and writes
-// BENCH_smoke.json.
+// BENCH_smoke.json. The serving layers (wire, replication, 2PC, snapshot
+// reads, value separation) are measured by `bash benchmark/run.sh`, not here.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +27,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run (comma-separated): all, fig1, ycsb, tpcc, recovery, breakdown, footprint, costmodel, nodesize, synclat, ablations, wire, mvcc, cluster, occ, vlog")
+	run := flag.String("run", "all", "experiment to run (comma-separated): all, fig1, ycsb, tpcc, recovery, breakdown, footprint, costmodel, nodesize, synclat, ablations")
 	scaleName := flag.String("scale", "small", "experiment scale: small or medium")
 	partitions := flag.Int("partitions", 0, "override partition count")
 	tuples := flag.Int("tuples", 0, "override YCSB tuple count")
@@ -34,7 +36,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "override workload seed")
 	short := flag.Bool("short", false, "run the tiny smoke pass only and write BENCH_smoke.json")
 	out := flag.String("out", ".", "directory for BENCH_*.json artifacts")
-	force := flag.Bool("force", false, "overwrite existing BENCH_*.json artifacts")
 	flag.Parse()
 
 	var scale bench.Scale
@@ -63,21 +64,8 @@ func main() {
 		scale.Seed = *seed
 	}
 
-	// artifactPath refuses to clobber an existing artifact unless -force:
-	// bench JSONs are trajectory data and an accidental rerun should not
-	// silently rewrite them.
-	artifactPath := func(workload string) string {
-		path := filepath.Join(*out, "BENCH_"+workload+".json")
-		if !*force {
-			if _, err := os.Stat(path); err == nil {
-				fmt.Fprintf(os.Stderr, "nvbench: %s already exists; pass -force to overwrite\n", path)
-				os.Exit(1)
-			}
-		}
-		return path
-	}
 	artifact := func(workload string, ms []bench.Measurement) {
-		path := artifactPath(workload)
+		path := filepath.Join(*out, "BENCH_"+workload+".json")
 		if err := bench.WriteSnapshot(path, workload, ms); err != nil {
 			fmt.Fprintf(os.Stderr, "nvbench: %v\n", err)
 			os.Exit(1)
@@ -103,82 +91,18 @@ func main() {
 
 	r := bench.New(scale, os.Stdout)
 	for _, name := range strings.Split(*run, ",") {
-		var err error
-		switch strings.TrimSpace(name) {
-		case "all":
-			err = r.All()
-		case "fig1":
-			_, err = r.Fig1()
-		case "ycsb":
-			var res *bench.YCSBResult
-			if res, err = r.YCSB(); err == nil {
-				artifact("ycsb", res.Points)
-			}
-		case "tpcc":
-			var res *bench.TPCCResult
-			if res, err = r.TPCC(); err == nil {
-				artifact("tpcc", res.Points)
-			}
-		case "recovery":
-			if _, err = r.Recovery(); err == nil {
-				var sweep *bench.RecoverySweepResult
-				if sweep, err = r.RecoverySweep(); err == nil {
-					path := artifactPath("recovery")
-					if err = bench.WriteRecoverySnapshot(path, sweep); err == nil {
-						fmt.Printf("wrote %s\n", path)
-					}
-				}
-			}
-		case "breakdown":
-			_, err = r.Breakdown()
-		case "footprint":
-			_, err = r.Footprint()
-		case "costmodel":
-			err = r.CostModel()
-		case "nodesize":
-			_, err = r.NodeSize()
-		case "synclat":
-			_, err = r.SyncLatency()
-		case "ablations":
-			err = r.Ablations()
-		case "wire":
-			var ms []bench.Measurement
-			if ms, err = r.Wire(); err == nil {
-				artifact("wire", ms)
-			}
-		case "mvcc":
-			var res *bench.MVCCResult
-			if res, err = r.MVCC(); err == nil {
-				artifact("mvcc", res.Points)
-			}
-		case "vlog":
-			var res *bench.VlogResult
-			if res, err = r.Vlog(); err == nil {
-				artifact("vlog", res.Points)
-			}
-		case "cluster":
-			var res *bench.ClusterResult
-			if res, err = r.Cluster(); err == nil {
-				path := artifactPath("cluster")
-				if err = bench.WriteClusterSnapshot(path, res); err == nil {
-					fmt.Printf("wrote %s\n", path)
-				}
-			}
-		case "occ":
-			var res *bench.OCCResult
-			if res, err = r.OCC(); err == nil {
-				path := artifactPath("occ")
-				if err = bench.WriteOCCSnapshot(path, res); err == nil {
-					fmt.Printf("wrote %s\n", path)
-				}
-			}
-		default:
+		name = strings.TrimSpace(name)
+		ms, err := r.Run(name)
+		if errors.Is(err, bench.ErrUnknownExperiment) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nvbench: %v\n", err)
 			os.Exit(1)
+		}
+		if ms != nil {
+			artifact(name, ms)
 		}
 	}
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))

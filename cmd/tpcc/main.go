@@ -14,7 +14,7 @@
 //	-cluster N      drive through an in-process replicated cluster of N nodes
 //	                (-cluster-kill adds a mid-drive primary kill + failover;
 //	                -cluster-txn drives payments as cross-shard 2PC vs
-//	                single-shard TXN frames and writes BENCH_txn.json)
+//	                single-shard TXN frames and prints both throughputs)
 package main
 
 import (
@@ -108,8 +108,8 @@ func main() {
 		if drill.ClusterTxn {
 			// Cross-shard 2PC drill: the same payments driven twice through
 			// Router.DoTxn — all-local (one TXN frame) vs remote-customer
-			// (percolator 2PC) — with the comparison written to BENCH_txn.json.
-			err = netdrill.RunClusterTxn(ccfg, db, cfg, drill, os.Stdout, drill.BenchOut)
+			// (percolator 2PC) — and the two throughputs printed.
+			err = netdrill.RunClusterTxn(ccfg, db, cfg, drill, os.Stdout)
 		} else {
 			// Replicated drill: replicate the loaded warehouses into an
 			// in-process cluster and drive payment-shaped transactions through

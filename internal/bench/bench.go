@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -116,7 +117,7 @@ func (r *Runner) tab() *tabwriter.Writer {
 	return tabwriter.NewWriter(r.W, 2, 4, 2, ' ', 0)
 }
 
-// ycsbEnvCfg builds per-partition storage sized for the YCSB scale.
+// envCfg builds per-partition storage at the runner's scale.
 func (r *Runner) envCfg(profile nvm.Profile) core.EnvConfig {
 	return core.EnvConfig{
 		DeviceSize: r.S.DeviceSize / int64(r.S.Partitions),
@@ -126,19 +127,35 @@ func (r *Runner) envCfg(profile nvm.Profile) core.EnvConfig {
 	}
 }
 
-// newYCSBDB creates and loads a YCSB database for the engine.
-func (r *Runner) newYCSBDB(kind testbed.EngineKind, cfg ycsb.Config) (*testbed.DB, error) {
-	db, err := testbed.New(testbed.Config{
+func (r *Runner) newDB(kind testbed.EngineKind, prof nvm.Profile, opts core.Options, schemas []*core.Schema) (*testbed.DB, error) {
+	return testbed.New(testbed.Config{
 		Engine:     kind,
 		Partitions: r.S.Partitions,
-		Env:        r.envCfg(nvm.ProfileDRAM),
-		Options:    r.S.Options,
-		Schemas:    ycsb.Schema(cfg),
+		Env:        r.envCfg(prof),
+		Options:    opts,
+		Schemas:    schemas,
 	})
+}
+
+// ycsbDB creates and loads a YCSB database for the engine.
+func (r *Runner) ycsbDB(kind testbed.EngineKind, prof nvm.Profile, opts core.Options, cfg ycsb.Config) (*testbed.DB, error) {
+	db, err := r.newDB(kind, prof, opts, ycsb.Schema(cfg))
 	if err != nil {
 		return nil, err
 	}
 	if err := ycsb.Load(db, cfg); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// tpccDB creates and loads a TPC-C database for the engine.
+func (r *Runner) tpccDB(kind testbed.EngineKind, prof nvm.Profile, opts core.Options, cfg tpcc.Config) (*testbed.DB, error) {
+	db, err := r.newDB(kind, prof, opts, tpcc.Schemas())
+	if err != nil {
+		return nil, err
+	}
+	if err := tpcc.Load(db, cfg); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -166,58 +183,104 @@ func (r *Runner) tpccCfg() tpcc.Config {
 	}
 }
 
-// newTPCCDB creates and loads a TPC-C database for the engine.
-func (r *Runner) newTPCCDB(kind testbed.EngineKind, cfg tpcc.Config) (*testbed.DB, error) {
-	db, err := testbed.New(testbed.Config{
-		Engine:     kind,
-		Partitions: r.S.Partitions,
-		Env:        r.envCfg(nvm.ProfileDRAM),
-		Options:    r.S.Options,
-		Schemas:    tpcc.Schemas(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := tpcc.Load(db, cfg); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// Measurement is one (engine, configuration) data point.
+// Measurement is one (engine, configuration) data point. The embedded
+// device counters (loads, stores, CLWBs, fences, bytes, simulated stall,
+// summed over partitions) are exact for a fixed scale and seed, so they are
+// what shape tests assert on; Throughput and Elapsed include wall time and
+// are for the printed figures only.
 type Measurement struct {
-	Engine       testbed.EngineKind
-	Mix          string
-	Skew         string
-	Latency      string
-	Throughput   float64
-	Loads        uint64
-	Stores       uint64
-	BytesRead    uint64
-	BytesWritten uint64
-	Elapsed      time.Duration
+	Engine  testbed.EngineKind
+	Mix     string
+	Skew    string
+	Latency string
+	Txns    int
+	nvm.Stats
+	Throughput float64
+	Elapsed    time.Duration
 }
 
-// All runs the complete experiment suite in the paper's order.
-func (r *Runner) All() error {
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"fig1", func() error { _, err := r.Fig1(); return err }},
-		{"ycsb", func() error { _, err := r.YCSB(); return err }},
-		{"tpcc", func() error { _, err := r.TPCC(); return err }},
-		{"recovery", func() error { _, err := r.Recovery(); return err }},
-		{"breakdown", func() error { _, err := r.Breakdown(); return err }},
-		{"footprint", func() error { _, err := r.Footprint(); return err }},
-		{"costmodel", func() error { return r.CostModel() }},
-		{"nodesize", func() error { _, err := r.NodeSize(); return err }},
-		{"synclat", func() error { _, err := r.SyncLatency(); return err }},
-	}
-	for _, s := range steps {
-		if err := s.fn(); err != nil {
-			return fmt.Errorf("bench: %s: %w", s.name, err)
+// Points is an experiment's measurements.
+type Points []Measurement
+
+// Find returns the data point for an exact configuration (TPC-C points
+// have no mixture or skew), or nil.
+func (ps Points) Find(e testbed.EngineKind, mix, skew, lat string) *Measurement {
+	for i := range ps {
+		p := &ps[i]
+		if p.Engine == e && p.Mix == mix && p.Skew == skew && p.Latency == lat {
+			return p
 		}
 	}
 	return nil
+}
+
+// StallPerTxn is the simulated NVM stall each transaction paid.
+func (m Measurement) StallPerTxn() time.Duration {
+	if m.Txns == 0 {
+		return 0
+	}
+	return m.Stall / time.Duration(m.Txns)
+}
+
+// measured executes work on db from zeroed counters and records the run,
+// then flushes what the engines batched so the next run starts from none.
+func measured(db *testbed.DB, kind testbed.EngineKind, mix, skew, lat string, work [][]testbed.Txn) (Measurement, error) {
+	db.ResetStats()
+	out, err := db.ExecuteSequential(work)
+	if err != nil {
+		return Measurement{}, fmt.Errorf("%s: %w", kind, err)
+	}
+	if err := db.Flush(); err != nil {
+		return Measurement{}, fmt.Errorf("%s: flush: %w", kind, err)
+	}
+	return Measurement{
+		Engine: kind, Mix: mix, Skew: skew, Latency: lat,
+		Txns:       out.Txns,
+		Stats:      out.Stats,
+		Throughput: out.Throughput(),
+		Elapsed:    out.Elapsed,
+	}, nil
+}
+
+// experiments names every runnable experiment, in the paper's order. Those
+// that return points have them published as BENCH_<name>.json by nvbench.
+var experiments = []struct {
+	name string
+	run  func(*Runner) (Points, error)
+}{
+	{"fig1", func(r *Runner) (Points, error) { _, err := r.Fig1(); return nil, err }},
+	{"ycsb", (*Runner).YCSB},
+	{"tpcc", (*Runner).TPCC},
+	{"recovery", func(r *Runner) (Points, error) { _, err := r.Recovery(); return nil, err }},
+	{"breakdown", func(r *Runner) (Points, error) { _, err := r.Breakdown(); return nil, err }},
+	{"footprint", func(r *Runner) (Points, error) { _, err := r.Footprint(); return nil, err }},
+	{"costmodel", func(r *Runner) (Points, error) { return nil, r.CostModel() }},
+	{"nodesize", func(r *Runner) (Points, error) { _, err := r.NodeSize(); return nil, err }},
+	{"synclat", func(r *Runner) (Points, error) { _, err := r.SyncLatency(); return nil, err }},
+	{"ablations", func(r *Runner) (Points, error) { return nil, r.Ablations() }},
+}
+
+// ErrUnknownExperiment is Run's error for a name it does not have.
+var ErrUnknownExperiment = errors.New("bench: unknown experiment")
+
+// Run runs one experiment by name. "all" is every table and figure of the
+// paper — everything but the ablations — and returns no points.
+func (r *Runner) Run(name string) (Points, error) {
+	if name == "all" {
+		for _, e := range experiments {
+			if e.name == "ablations" {
+				continue
+			}
+			if _, err := e.run(r); err != nil {
+				return nil, fmt.Errorf("bench: %s: %w", e.name, err)
+			}
+		}
+		return nil, nil
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(r)
+		}
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownExperiment, name)
 }

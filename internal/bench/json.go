@@ -14,106 +14,24 @@ import (
 // of tooling can consume live scrapes and benchmark artifacts alike. Each
 // measurement contributes a `<base>_txn_per_sec` gauge plus counters for
 // the NVM traffic it generated, where base encodes the configuration
-// (workload, engine, mixture, skew, latency — empty parts skipped).
+// (workload, engine, mixture, skew, latency — empty parts skipped; the flat
+// metric namespace spells '-' as '_').
 func WriteSnapshot(path, workload string, ms []Measurement) error {
 	reg := obs.New()
 	for _, m := range ms {
-		base := metricBase(workload, m)
+		parts := []string{workload, string(m.Engine)}
+		for _, p := range []string{m.Mix, m.Skew, m.Latency} {
+			if p != "" {
+				parts = append(parts, p)
+			}
+		}
+		base := strings.ReplaceAll(strings.Join(parts, "_"), "-", "_")
 		reg.Gauge(base + "_txn_per_sec").Set(m.Throughput)
 		reg.Gauge(base + "_elapsed_ns").Set(float64(m.Elapsed))
 		reg.Counter(base + "_loads").Add(int64(m.Loads))
 		reg.Counter(base + "_stores").Add(int64(m.Stores))
 		reg.Counter(base + "_bytes_read").Add(int64(m.BytesRead))
 		reg.Counter(base + "_bytes_written").Add(int64(m.BytesWritten))
-	}
-	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteRecoverySnapshot writes the recovery sweep to path in the same
-// obs.Snapshot schema as the other BENCH_*.json artifacts. Each point
-// contributes `recovery_<engine>_wal<txns>_{seq_ns,par_ns,speedup,records,
-// workers}` gauges.
-func WriteRecoverySnapshot(path string, res *RecoverySweepResult) error {
-	reg := obs.New()
-	for _, p := range res.Points {
-		base := fmt.Sprintf("recovery_%s_wal%d", strings.ReplaceAll(string(p.Engine), "-", "_"), p.Txns)
-		reg.Gauge(base + "_seq_ns").Set(float64(p.Sequential))
-		reg.Gauge(base + "_par_ns").Set(float64(p.Parallel))
-		reg.Gauge(base + "_speedup").Set(p.Speedup())
-		reg.Gauge(base + "_records").Set(float64(p.Records))
-		reg.Gauge(base + "_workers").Set(float64(p.Workers))
-	}
-	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteClusterSnapshot writes the replication experiment to path in the
-// obs.Snapshot schema: per engine, solo/repl `_txn_per_sec` gauges from the
-// measurements plus `cluster_<engine>_retention` (replicated throughput as a
-// fraction of solo) and `cluster_<engine>_failover_blackout_ns`.
-func WriteClusterSnapshot(path string, res *ClusterResult) error {
-	reg := obs.New()
-	for _, m := range res.Points {
-		base := metricBase("cluster", m)
-		if m.Mix == "failover" {
-			reg.Gauge(base + "_blackout_ns").Set(float64(m.Elapsed))
-			continue
-		}
-		reg.Gauge(base + "_txn_per_sec").Set(m.Throughput)
-	}
-	for kind, ret := range res.Retention {
-		base := "cluster_" + strings.ReplaceAll(string(kind), "-", "_")
-		reg.Gauge(base + "_retention").Set(ret)
-	}
-	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// metricBase builds the metric-name prefix for one measurement. Engine
-// kinds contain '-', which the flat metric namespace spells '_'.
-func metricBase(workload string, m Measurement) string {
-	parts := []string{workload, strings.ReplaceAll(string(m.Engine), "-", "_")}
-	for _, p := range []string{m.Mix, m.Skew, m.Latency} {
-		if p != "" {
-			parts = append(parts, strings.ReplaceAll(p, "-", "_"))
-		}
-	}
-	return strings.Join(parts, "_")
-}
-
-// WriteOCCSnapshot writes the OCC write-scaling sweep to path in the
-// obs.Snapshot schema: per (engine, mix, writers) `occ_*_txn_per_sec` and
-// `_elapsed_ns` gauges from the modeled sweep, per (engine, mix)
-// `_speedup_w4` and `_conflicts_w4`, and per engine the live-run gauges
-// `occ_<engine>_live_{txn_per_sec,p99_ns,conflicts}`.
-func WriteOCCSnapshot(path string, res *OCCResult) error {
-	reg := obs.New()
-	for _, m := range res.Points {
-		base := metricBase("occ", m)
-		reg.Gauge(base + "_txn_per_sec").Set(m.Throughput)
-		reg.Gauge(base + "_elapsed_ns").Set(float64(m.Elapsed))
-	}
-	for kind, byMix := range res.Speedup {
-		for mix, sp := range byMix {
-			base := fmt.Sprintf("occ_%s_%s", strings.ReplaceAll(string(kind), "-", "_"), mix)
-			reg.Gauge(base + "_speedup_w4").Set(sp)
-			reg.Gauge(base + "_conflicts_w4").Set(float64(res.Conflicts[kind][mix]))
-		}
-	}
-	for kind, p99 := range res.LiveP99 {
-		base := fmt.Sprintf("occ_%s_live", strings.ReplaceAll(string(kind), "-", "_"))
-		reg.Gauge(base + "_p99_ns").Set(float64(p99))
-		reg.Gauge(base + "_conflicts").Set(float64(res.LiveConflicts[kind]))
 	}
 	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 	if err != nil {

@@ -24,7 +24,7 @@ func (r *Runner) Breakdown() (*BreakdownResult, error) {
 		cfg := r.ycsbCfg(mix, ycsb.LowSkew)
 		work := ycsb.Generate(cfg)
 		for _, kind := range r.S.Engines {
-			db, err := r.newYCSBDB(kind, cfg)
+			db, err := r.ycsbDB(kind, nvm.ProfileDRAM, r.S.Options, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -85,37 +85,35 @@ func (r *Runner) Footprint() (*FootprintResult, error) {
 		YCSB: make(map[testbed.EngineKind]core.Footprint),
 		TPCC: make(map[testbed.EngineKind]core.Footprint),
 	}
-	ycfg := r.ycsbCfg(ycsb.Balanced, ycsb.LowSkew)
-	ywork := ycsb.Generate(ycfg)
-	for _, kind := range r.S.Engines {
-		db, err := r.newYCSBDB(kind, ycfg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := db.ExecuteSequential(ywork); err != nil {
-			return nil, err
+	// after executes work and reports what the engine then occupies, with
+	// a checkpoint taken so that component is included.
+	after := func(db *testbed.DB, work [][]testbed.Txn) (core.Footprint, error) {
+		if _, err := db.ExecuteSequential(work); err != nil {
+			return core.Footprint{}, err
 		}
 		if err := db.Flush(); err != nil {
-			return nil, err
+			return core.Footprint{}, err
 		}
 		checkpointAll(db)
-		res.YCSB[kind] = db.Footprint()
+		return db.Footprint(), nil
 	}
-	tcfg := r.tpccCfg()
-	twork := tpcc.Generate(tcfg)
+	ycfg, tcfg := r.ycsbCfg(ycsb.Balanced, ycsb.LowSkew), r.tpccCfg()
+	ywork, twork := ycsb.Generate(ycfg), tpcc.Generate(tcfg)
 	for _, kind := range r.S.Engines {
-		db, err := r.newTPCCDB(kind, tcfg)
+		ydb, err := r.ycsbDB(kind, nvm.ProfileDRAM, r.S.Options, ycfg)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := db.ExecuteSequential(twork); err != nil {
+		if res.YCSB[kind], err = after(ydb, ywork); err != nil {
 			return nil, err
 		}
-		if err := db.Flush(); err != nil {
+		tdb, err := r.tpccDB(kind, nvm.ProfileDRAM, r.S.Options, tcfg)
+		if err != nil {
 			return nil, err
 		}
-		checkpointAll(db)
-		res.TPCC[kind] = db.Footprint()
+		if res.TPCC[kind], err = after(tdb, twork); err != nil {
+			return nil, err
+		}
 	}
 
 	for wi, m := range []map[testbed.EngineKind]core.Footprint{res.YCSB, res.TPCC} {
@@ -157,7 +155,6 @@ func (r *Runner) CostModel() error {
 	schema := ycsb.Schema(ycsb.Config{Fields: 10, FieldSize: 100})
 	const ops = 400
 	for _, kind := range r.S.Engines {
-		env := core.NewEnv(core.EnvConfig{DeviceSize: 256 << 20})
 		db, err := testbed.New(testbed.Config{
 			Engine: kind, Partitions: 1,
 			Env:     core.EnvConfig{DeviceSize: 256 << 20},
@@ -166,7 +163,6 @@ func (r *Runner) CostModel() error {
 		if err != nil {
 			return err
 		}
-		_ = env
 		eng := db.Engine(0)
 		cfgLoad := ycsb.Config{Tuples: 2000, Partitions: 1, Seed: 3}
 		if err := ycsb.Load(db, cfgLoad); err != nil {
@@ -236,13 +232,4 @@ func checkpointAll(db *testbed.DB) {
 			ck.Checkpoint()
 		}
 	}
-}
-
-func profileByName(s Scale, name string) nvm.Profile {
-	for _, p := range s.Latencies {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nvm.ProfileDRAM
 }

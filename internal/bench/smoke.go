@@ -23,44 +23,20 @@ func SmokeScale() Scale {
 // Smoke runs a single balanced/low-skew YCSB configuration per engine at
 // the runner's scale and returns the measurements (for WriteSnapshot).
 func (r *Runner) Smoke() ([]Measurement, error) {
-	var mix ycsb.Mix
-	for _, m := range ycsb.Mixes {
-		if m.Name == "balanced" {
-			mix = m
-		}
-	}
-	if mix.Name == "" {
-		return nil, fmt.Errorf("bench: smoke: no balanced mix")
-	}
+	mix := ycsb.Balanced
 	cfg := r.ycsbCfg(mix, ycsb.LowSkew)
 	work := ycsb.Generate(cfg)
 
 	r.section("smoke — YCSB balanced/low @dram")
 	var ms []Measurement
 	for _, kind := range r.S.Engines {
-		db, err := r.newYCSBDB(kind, cfg)
+		db, err := r.ycsbDB(kind, nvm.ProfileDRAM, r.S.Options, cfg)
 		if err != nil {
 			return nil, err
 		}
-		db.ResetStats()
-		out, err := db.ExecuteSequential(work)
+		m, err := measured(db, kind, mix.Name, ycsb.LowSkew.Name, nvm.ProfileDRAM.Name, work)
 		if err != nil {
-			return nil, fmt.Errorf("bench: smoke: %s: %w", kind, err)
-		}
-		if err := db.Flush(); err != nil {
-			return nil, fmt.Errorf("bench: smoke: %s: flush: %w", kind, err)
-		}
-		m := Measurement{
-			Engine:       kind,
-			Mix:          mix.Name,
-			Skew:         ycsb.LowSkew.Name,
-			Latency:      nvm.ProfileDRAM.Name,
-			Throughput:   out.Throughput(),
-			Loads:        out.Stats.Loads,
-			Stores:       out.Stats.Stores,
-			BytesRead:    out.Stats.BytesRead,
-			BytesWritten: out.Stats.BytesWritten,
-			Elapsed:      out.Elapsed,
+			return nil, fmt.Errorf("bench: smoke: %w", err)
 		}
 		ms = append(ms, m)
 		r.printf("%s: %s txn/sec (%d stores, %.1f MB written)\n",

@@ -2,34 +2,17 @@ package bench
 
 import (
 	"nstore/internal/nvm"
-	"nstore/internal/testbed"
 	"nstore/internal/workload/tpcc"
 )
 
-// TPCCResult holds Fig. 8 (throughput per latency config) and Fig. 11
-// (NVM loads/stores) for the TPC-C benchmark.
-type TPCCResult struct {
-	Points []Measurement
-}
-
-// Find returns the data point for an engine and latency configuration.
-func (r *TPCCResult) Find(e testbed.EngineKind, lat string) *Measurement {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Engine == e && p.Latency == lat {
-			return p
-		}
-	}
-	return nil
-}
-
-// TPCC runs the TPC-C benchmark for every engine and latency configuration.
-func (r *Runner) TPCC() (*TPCCResult, error) {
-	res := &TPCCResult{}
+// TPCC runs the TPC-C benchmark for every engine and latency configuration:
+// Fig. 8 (throughput per latency config) and Fig. 11 (NVM loads/stores).
+func (r *Runner) TPCC() (Points, error) {
+	var res Points
 	cfg := r.tpccCfg()
 	work := tpcc.Generate(cfg)
 	for _, kind := range r.S.Engines {
-		db, err := r.newTPCCDB(kind, cfg)
+		db, err := r.tpccDB(kind, nvm.ProfileDRAM, r.S.Options, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +24,6 @@ func (r *Runner) TPCC() (*TPCCResult, error) {
 		}
 		for i, prof := range r.S.Latencies {
 			db.SetLatency(prof)
-			db.ResetStats()
 			// Later latency runs re-execute a fresh copy of the workload
 			// against the evolved database state; regenerate with a
 			// distinct seed so history keys do not collide.
@@ -51,23 +33,11 @@ func (r *Runner) TPCC() (*TPCCResult, error) {
 				c2.Seed = cfg.Seed + int64(i)*1000003
 				w = tpcc.Generate(c2)
 			}
-			out, err := db.ExecuteSequential(w)
+			m, err := measured(db, kind, "", "", prof.Name, w)
 			if err != nil {
 				return nil, err
 			}
-			if err := db.Flush(); err != nil {
-				return nil, err
-			}
-			res.Points = append(res.Points, Measurement{
-				Engine:       kind,
-				Latency:      prof.Name,
-				Throughput:   out.Throughput(),
-				Loads:        out.Stats.Loads,
-				Stores:       out.Stats.Stores,
-				BytesRead:    out.Stats.BytesRead,
-				BytesWritten: out.Stats.BytesWritten,
-				Elapsed:      out.Elapsed,
-			})
+			res = append(res, m)
 		}
 	}
 
@@ -81,7 +51,7 @@ func (r *Runner) TPCC() (*TPCCResult, error) {
 	for _, kind := range r.S.Engines {
 		fprintf(w, "%s", kind)
 		for _, prof := range r.S.Latencies {
-			if p := res.Find(kind, prof.Name); p != nil {
+			if p := res.Find(kind, "", "", prof.Name); p != nil {
 				fprintf(w, "\t%s", human(p.Throughput))
 			} else {
 				fprintf(w, "\t-")
@@ -95,7 +65,7 @@ func (r *Runner) TPCC() (*TPCCResult, error) {
 	w = r.tab()
 	fprintf(w, "engine\tloads\tstores\tMB written\n")
 	for _, kind := range r.S.Engines {
-		if p := res.Find(kind, nvm.ProfileDRAM.Name); p != nil {
+		if p := res.Find(kind, "", "", nvm.ProfileDRAM.Name); p != nil {
 			fprintf(w, "%s\t%s\t%s\t%.1f\n", kind, human(float64(p.Loads)), human(float64(p.Stores)),
 				float64(p.BytesWritten)/(1<<20))
 		}

@@ -3,13 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
-)
-
-// nowFn/sinceFn are indirection points for tests.
-var (
-	nowFn   = time.Now
-	sinceFn = time.Since
 )
 
 func fprintf(w io.Writer, format string, args ...interface{}) {

@@ -1,40 +1,27 @@
 package bench
 
 import (
+	"fmt"
+
 	"nstore/internal/nvm"
-	"nstore/internal/testbed"
 	"nstore/internal/workload/ycsb"
 )
-
-// YCSBResult holds the YCSB sweep: Figs. 5–7 (throughput per mixture, skew,
-// and latency configuration) and Figs. 9–10 (NVM loads and stores).
-type YCSBResult struct {
-	Points []Measurement
-}
-
-// Find returns the data point for an exact configuration.
-func (r *YCSBResult) Find(e testbed.EngineKind, mix, skew, lat string) *Measurement {
-	for i := range r.Points {
-		p := &r.Points[i]
-		if p.Engine == e && p.Mix == mix && p.Skew == skew && p.Latency == lat {
-			return p
-		}
-	}
-	return nil
-}
 
 // YCSB runs the full sweep: engines x mixtures x skews x latency configs.
 // The database is loaded once per (engine, mixture, skew) and the latency
 // profile is switched between runs on separate copies of the fixed
 // workload, matching §5.2's methodology.
-func (r *Runner) YCSB() (*YCSBResult, error) {
-	res := &YCSBResult{}
+//
+// The result holds Figs. 5–7 (throughput per mixture, skew, and latency
+// configuration) and Figs. 9–10 (NVM loads and stores).
+func (r *Runner) YCSB() (Points, error) {
+	var res Points
 	for _, mix := range ycsb.Mixes {
 		for _, skew := range ycsb.Skews {
 			cfg := r.ycsbCfg(mix, skew)
 			work := ycsb.Generate(cfg)
 			for _, kind := range r.S.Engines {
-				db, err := r.newYCSBDB(kind, cfg)
+				db, err := r.ycsbDB(kind, nvm.ProfileDRAM, r.S.Options, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -45,26 +32,11 @@ func (r *Runner) YCSB() (*YCSBResult, error) {
 				}
 				for _, prof := range r.S.Latencies {
 					db.SetLatency(prof)
-					db.ResetStats()
-					out, err := db.ExecuteSequential(work)
+					m, err := measured(db, kind, mix.Name, skew.Name, prof.Name, work)
 					if err != nil {
 						return nil, err
 					}
-					if err := db.Flush(); err != nil {
-						return nil, err
-					}
-					res.Points = append(res.Points, Measurement{
-						Engine:       kind,
-						Mix:          mix.Name,
-						Skew:         skew.Name,
-						Latency:      prof.Name,
-						Throughput:   out.Throughput(),
-						Loads:        out.Stats.Loads,
-						Stores:       out.Stats.Stores,
-						BytesRead:    out.Stats.BytesRead,
-						BytesWritten: out.Stats.BytesWritten,
-						Elapsed:      out.Elapsed,
-					})
+					res = append(res, m)
 				}
 			}
 		}
@@ -73,9 +45,10 @@ func (r *Runner) YCSB() (*YCSBResult, error) {
 	return res, nil
 }
 
-func (r *Runner) printYCSB(res *YCSBResult) {
-	for _, prof := range r.S.Latencies {
-		r.section("Figs. 5-7 — YCSB throughput (txn/sec), latency config: " + prof.Name)
+func (r *Runner) printYCSB(res Points) {
+	// grid prints one engine x mixture/skew table of the points at lat.
+	grid := func(title, lat string, cell func(*Measurement) string) {
+		r.section(title)
 		w := r.tab()
 		fprintf(w, "engine")
 		for _, mix := range ycsb.Mixes {
@@ -88,8 +61,8 @@ func (r *Runner) printYCSB(res *YCSBResult) {
 			fprintf(w, "%s", kind)
 			for _, mix := range ycsb.Mixes {
 				for _, skew := range ycsb.Skews {
-					if p := res.Find(kind, mix.Name, skew.Name, prof.Name); p != nil {
-						fprintf(w, "\t%s", human(p.Throughput))
+					if p := res.Find(kind, mix.Name, skew.Name, lat); p != nil {
+						fprintf(w, "\t%s", cell(p))
 					} else {
 						fprintf(w, "\t-")
 					}
@@ -99,32 +72,15 @@ func (r *Runner) printYCSB(res *YCSBResult) {
 		}
 		w.Flush()
 	}
-
+	for _, prof := range r.S.Latencies {
+		grid("Figs. 5-7 — YCSB throughput (txn/sec), latency config: "+prof.Name, prof.Name,
+			func(p *Measurement) string { return human(p.Throughput) })
+	}
 	// Figs. 9-10: loads and stores under the DRAM-latency configuration.
 	// Cells are loads/stores(cache-line write-backs)/MB-written(app bytes).
-	lat := nvm.ProfileDRAM.Name
-	r.section("Figs. 9-10 — YCSB NVM loads / stores / MB written")
-	w := r.tab()
-	fprintf(w, "engine")
-	for _, mix := range ycsb.Mixes {
-		for _, skew := range ycsb.Skews {
-			fprintf(w, "\t%s/%s", mix.Name, skew.Name)
-		}
-	}
-	fprintf(w, "\n")
-	for _, kind := range r.S.Engines {
-		fprintf(w, "%s", kind)
-		for _, mix := range ycsb.Mixes {
-			for _, skew := range ycsb.Skews {
-				if p := res.Find(kind, mix.Name, skew.Name, lat); p != nil {
-					fprintf(w, "\t%s/%s/%.0f", human(float64(p.Loads)), human(float64(p.Stores)),
-						float64(p.BytesWritten)/(1<<20))
-				} else {
-					fprintf(w, "\t-")
-				}
-			}
-		}
-		fprintf(w, "\n")
-	}
-	w.Flush()
+	grid("Figs. 9-10 — YCSB NVM loads / stores / MB written", nvm.ProfileDRAM.Name,
+		func(p *Measurement) string {
+			return fmt.Sprintf("%s/%s/%.0f", human(float64(p.Loads)), human(float64(p.Stores)),
+				float64(p.BytesWritten)/(1<<20))
+		})
 }

@@ -47,7 +47,6 @@ type Flags struct {
 	Cluster          int
 	ClusterKill      bool
 	ClusterTxn       bool
-	BenchOut         string
 }
 
 // Register installs the drill flags on fs, preserving the historical flag
@@ -66,7 +65,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Cluster, "cluster", 0, "drive the workload against an in-process replicated cluster of this many nodes (>= 2; one shard per partition, primary→backup log shipping in the ack path)")
 	fs.BoolVar(&f.ClusterKill, "cluster-kill", false, "cluster mode: kill shard 0's primary a third of the way in and drive the rest through the failover")
 	fs.BoolVar(&f.ClusterTxn, "cluster-txn", false, "cluster mode: drive payments as cross-shard 2PC transactions (customers at remote warehouses) vs single-shard TXN frames")
-	fs.StringVar(&f.BenchOut, "bench-out", "BENCH_txn.json", "cluster-txn mode: write the throughput comparison artifact here (empty to skip)")
 	return f
 }
 

@@ -2,13 +2,11 @@ package netdrill
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +14,6 @@ import (
 	"nstore/internal/cluster"
 	"nstore/internal/core"
 	"nstore/internal/netclient"
-	"nstore/internal/obs"
 	"nstore/internal/testbed"
 	"nstore/internal/txn2pc"
 	"nstore/internal/wire"
@@ -222,9 +219,9 @@ func DriveTxn(ctx context.Context, r *netclient.Router, streams [][][]wire.Reque
 // RunClusterTxn is the -cluster-txn drill: stand up a replicated cluster
 // with the 2PC tables attached, replicate the loaded warehouses into it,
 // then drive the same payment schedule twice — single-shard TXN frames,
-// then cross-shard 2PC (every customer remote) — and write the throughput
-// comparison to benchPath as an obs snapshot (the BENCH_txn.json artifact).
-func RunClusterTxn(ccfg cluster.Config, src *testbed.DB, cfg tpcc.Config, f *Flags, out io.Writer, benchPath string) error {
+// then cross-shard 2PC (every customer remote) — and print the throughput
+// comparison (the benchmark's ladder.txn.twopc_us is the measured figure).
+func RunClusterTxn(ccfg cluster.Config, src *testbed.DB, cfg tpcc.Config, f *Flags, out io.Writer) error {
 	if out == nil {
 		out = os.Stdout
 	}
@@ -279,37 +276,9 @@ func RunClusterTxn(ccfg cluster.Config, src *testbed.DB, cfg tpcc.Config, f *Fla
 	fmt.Fprintf(out, "cross-shard:  %.0f txn/sec (%d committed in %v) — %.0f%% of single-shard\n",
 		xres.Throughput(), xres.Acked, xres.Elapsed.Round(time.Millisecond), 100*ret)
 
-	if benchPath != "" {
-		if err := writeTxnSnapshot(benchPath, string(ccfg.Engine), sres, xres, ret); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", benchPath)
-	}
 	m := c.Coordinator().Map()
 	for s, route := range m.Shards {
 		fmt.Fprintf(out, "shard %d: epoch %d primary=%s backup=%s\n", s, route.Epoch, route.Primary, route.Backup)
 	}
 	return nil
-}
-
-// writeTxnSnapshot emits the cross-shard experiment in the same obs.Snapshot
-// schema as the other BENCH_*.json artifacts: per-phase txn/sec and elapsed
-// gauges plus the cross/single retention ratio.
-func writeTxnSnapshot(path, engine string, single, cross Result, retention float64) error {
-	reg := obs.New()
-	base := "txn_" + strings.ReplaceAll(engine, "-", "_")
-	for _, ph := range []struct {
-		name string
-		res  Result
-	}{{"single_shard", single}, {"cross_shard", cross}} {
-		reg.Gauge(base + "_" + ph.name + "_txn_per_sec").Set(ph.res.Throughput())
-		reg.Gauge(base + "_" + ph.name + "_elapsed_ns").Set(float64(ph.res.Elapsed))
-		reg.Counter(base + "_" + ph.name + "_committed").Add(ph.res.Acked)
-	}
-	reg.Gauge(base + "_cross_retention").Set(retention)
-	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return fmt.Errorf("netdrill: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

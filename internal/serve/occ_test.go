@@ -427,3 +427,70 @@ func TestOCCBackoffRNGRace(t *testing.T) {
 		t.Fatalf("key 0 = %d, want %d", got, clients*perClient)
 	}
 }
+
+// TestOCCReadOnlySuccessReleasesParkedAcks: a writer's commit that finds the
+// queue busy parks its ack for the group's barrier. If what then drains the
+// queue is a read-only transaction — which succeeds without joining the
+// group — nothing further arrives to run the barrier, so the read-only
+// success has to: the parked ack used to wait for the next request.
+func TestOCCReadOnlySuccessReleasesParkedAcks(t *testing.T) {
+	db, err := testbed.New(testbed.Config{
+		Engine:     testbed.NVMInP,
+		Partitions: 1,
+		Env:        core.EnvConfig{DeviceSize: 32 << 20},
+		Options:    core.Options{GroupCommitSize: 8},
+		Schemas:    schemas(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := New(db, Config{Writers: 2, Seed: 5})
+	defer rt.Close()
+	ctx := context.Background()
+	preload(t, rt, 0, 2)
+
+	// gated parks a transaction inside its body; a conflict retry would
+	// re-enter, hence the Once.
+	gated := func(body testbed.Txn) (txn testbed.Txn, inBody, gate chan struct{}) {
+		inBody, gate = make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		return func(e core.Engine) error {
+			once.Do(func() { close(inBody) })
+			<-gate
+			return body(e)
+		}, inBody, gate
+	}
+	readKey1 := func(e core.Engine) error {
+		_, _, err := e.Get("t", 1)
+		return err
+	}
+	writeTxn, writeIn, writeGate := gated(rmwTxn(0, 7))
+	parkTxn, parkIn, parkGate := gated(readKey1)
+	defer close(parkGate)
+
+	// One writer holds the write inside its body, the other a read-only
+	// transaction, and a second read-only transaction waits in the queue.
+	write, parked, queued := make(chan error, 1), make(chan error, 1), make(chan error, 1)
+	go func() { write <- rt.SubmitPart(ctx, 0, writeTxn) }()
+	<-writeIn
+	go func() { parked <- rt.SubmitPart(ctx, 0, parkTxn) }()
+	<-parkIn
+	go func() { queued <- rt.SubmitPart(ctx, 0, readKey1) }()
+	waitQueued(t, rt, 0, 1)
+
+	// The write commits behind a busy queue, so its ack is parked; its
+	// writer then serves the queued read-only transaction, which leaves the
+	// queue idle with the other writer still inside its body.
+	close(writeGate)
+	if err := <-queued; err != nil {
+		t.Fatalf("queued read-only txn = %v", err)
+	}
+	select {
+	case err := <-write:
+		if err != nil {
+			t.Fatalf("write = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the write's parked ack was not released when a read-only success left the queue idle")
+	}
+}

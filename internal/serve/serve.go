@@ -513,21 +513,25 @@ func (ex *executor) run(w int) {
 		if deferred {
 			continue // the durability barrier owns the ack now
 		}
-		if err == nil {
-			ex.rt.stats.committed.Add(1)
-			ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
-		} else {
+		if err != nil || len(ex.ch) == 0 {
 			// A failure is an answer too, and the body may have computed it
 			// from commits whose acks are still held: KeyExists on the retry
 			// of an insert whose first attempt sits in the group buffer reads
 			// to the client as that insert's ack. It waits for the same
 			// barrier; if the barrier fails the partition rolled back and the
-			// answer is void.
+			// answer is void. A success that was not deferred (a read-only
+			// optimistic transaction) runs the barrier when the queue is idle
+			// behind it: no later request will come to release the acks
+			// another writer parked.
 			ex.engMu.Lock()
 			if !ex.flushPending() {
 				err = ErrRecovering
 			}
 			ex.engMu.Unlock()
+		}
+		if err == nil {
+			ex.rt.stats.committed.Add(1)
+			ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
 		}
 		req.done <- err
 	}

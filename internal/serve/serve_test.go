@@ -50,28 +50,40 @@ func mustGet(t *testing.T, db *testbed.DB, p int, key uint64) int64 {
 	return row[1].I
 }
 
+// waitQueued blocks until partition part's submission queue holds n
+// requests (what the serve_partNN_queue_depth gauge reports).
+func waitQueued(t *testing.T, rt *Runtime, part, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for len(rt.execs[part].ch) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("partition %d queue holds %d requests, want %d", part, len(rt.execs[part].ch), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
 func TestSubmitHonorsContextCancellation(t *testing.T) {
 	db := newDB(t, testbed.InP, 1, 32<<20)
 	rt := New(db, Config{QueueDepth: 4})
+	// Deferred calls run last-in first-out: the gate opens before Close
+	// drains the executor, so a failed assertion below reports instead of
+	// hanging in Close behind the parked blocker.
 	defer rt.Close()
+	gate, inBody := make(chan struct{}), make(chan struct{})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	defer release()
 
-	gate := make(chan struct{})
 	blocked := make(chan error, 1)
 	go func() {
 		blocked <- rt.SubmitPart(context.Background(), 0, func(core.Engine) error {
+			close(inBody)
 			<-gate
 			return testbed.ErrAbort
 		})
 	}()
-	// Wait until the blocker holds the executor.
-	for rt.Stats().Committed+rt.Stats().Aborted == 0 {
-		select {
-		case <-gate:
-		default:
-		}
-		time.Sleep(time.Millisecond)
-		break
-	}
+	<-inBody // the blocker holds the executor
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := false
@@ -82,12 +94,12 @@ func TestSubmitHonorsContextCancellation(t *testing.T) {
 			return testbed.ErrAbort
 		})
 	}()
-	time.Sleep(5 * time.Millisecond) // let it queue behind the blocker
+	waitQueued(t, rt, 0, 1) // queued behind the blocker
 	cancel()
 	if err := <-res; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Submit after cancel = %v, want context.Canceled", err)
 	}
-	close(gate)
+	release()
 	if err := <-blocked; !errors.Is(err, testbed.ErrAbort) {
 		t.Fatalf("blocker = %v", err)
 	}

@@ -46,17 +46,13 @@ func (db *DB) RecoveryStats() []RecoveryStat {
 	return out
 }
 
-// RecoverWith reopens every partition after a crash behind a bounded worker
-// pool of the given size (<= 0 picks the RecoveryWorkers default, 1 recovers
-// the partitions strictly sequentially). It returns the wall-clock recovery
-// latency modeled on parallel hardware: the slowest single partition, since
-// each partition owns its device and there is no cross-partition
-// happens-before during recovery.
-func (db *DB) RecoverWith(parallelism int) (time.Duration, error) {
-	pool := parallelism
-	if pool <= 0 {
-		pool = core.RecoveryWorkers(0)
-	}
+// Recover reopens every partition after a crash, running the engine's
+// recovery protocol behind the default bounded worker pool. It returns the
+// wall-clock recovery latency modeled on parallel hardware: the slowest
+// single partition, since each partition owns its device and there is no
+// cross-partition happens-before during recovery.
+func (db *DB) Recover() (time.Duration, error) {
+	pool := core.RecoveryWorkers(0)
 	if pool > len(db.parts) {
 		pool = len(db.parts)
 	}
@@ -86,7 +82,7 @@ func (db *DB) RecoverWith(parallelism int) (time.Duration, error) {
 // StateDigest canonically serializes the database's visible state — primary
 // scans of every configured table, partition by partition — and hashes it.
 // Two recoveries of the same device images must produce the same digest
-// regardless of recovery parallelism; the bench sweep asserts exactly that.
+// regardless of recovery parallelism.
 func (db *DB) StateDigest() ([32]byte, error) {
 	h := sha256.New()
 	for p := 0; p < db.Partitions(); p++ {

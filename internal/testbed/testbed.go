@@ -453,11 +453,3 @@ func (db *DB) RecoverPartition(i int) (time.Duration, error) {
 	db.recordRecoveryStat(RecoveryStat{Partition: i, Wall: d, Records: rep.Records, Workers: rep.Workers})
 	return d, nil
 }
-
-// Recover reopens every partition after a crash, running the engine's
-// recovery protocol behind the default bounded worker pool, and returns the
-// wall-clock recovery latency (the slowest partition, since they recover in
-// parallel).
-func (db *DB) Recover() (time.Duration, error) {
-	return db.RecoverWith(0)
-}
