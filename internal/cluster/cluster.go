@@ -37,9 +37,14 @@ type Config struct {
 
 	// HeartbeatEvery is the node heartbeat / coordinator check interval
 	// (default 25ms). Lease is how stale a heartbeat may be before the
-	// node is declared dead (default 8× HeartbeatEvery).
+	// node is declared dead (default 1s: a loaded box starves a healthy
+	// node's heartbeat for longer than a few intervals, and a lease that
+	// expires by accident fails a shard over for nothing).
 	HeartbeatEvery time.Duration
 	Lease          time.Duration
+	// now is the clock heartbeats are stamped and leases are judged by;
+	// time.Now unless a test in this package owns it.
+	now func() time.Time
 	// ReplTimeout bounds one ship→ack round trip (default 5s).
 	ReplTimeout time.Duration
 	// ReseedTimeout bounds a whole snapshot re-seed (default 60s).
@@ -72,7 +77,10 @@ func (c Config) withDefaults() Config {
 		c.HeartbeatEvery = 25 * time.Millisecond
 	}
 	if c.Lease <= 0 {
-		c.Lease = 8 * c.HeartbeatEvery
+		c.Lease = time.Second
+	}
+	if c.now == nil {
+		c.now = time.Now
 	}
 	if c.ReplTimeout <= 0 {
 		c.ReplTimeout = 5 * time.Second
@@ -170,7 +178,7 @@ func Start(cfg Config) (*Cluster, error) {
 	c.Coord.mu.Lock()
 	c.Coord.m = m
 	c.Coord.proposeLocked(m.Clone())
-	now := time.Now()
+	now := cfg.now()
 	for _, n := range c.Nodes {
 		c.Coord.lastHB[n.addr] = now
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"nstore/internal/wire"
 )
@@ -243,7 +242,7 @@ func (c *Cluster) StartStandbyCoordinator() (*Coordinator, error) {
 		co.m.Shards[i].Reseeding = false
 	}
 	co.installLocked()
-	now := time.Now()
+	now := c.cfg.now()
 	for _, n := range c.Nodes {
 		if !n.dead.Load() {
 			co.lastHB[n.addr] = now

@@ -55,7 +55,7 @@ func newCoordinator(c *Cluster) *Coordinator {
 func (co *Coordinator) Heartbeat(addr string) {
 	co.mu.Lock()
 	if !co.dead[addr] {
-		co.lastHB[addr] = time.Now()
+		co.lastHB[addr] = co.c.cfg.now()
 	}
 	co.mu.Unlock()
 }
@@ -105,7 +105,7 @@ func (co *Coordinator) checkLeases() {
 		co.mu.Unlock()
 		return
 	}
-	now := time.Now()
+	now := co.c.cfg.now()
 	var expired []string
 	for addr, last := range co.lastHB {
 		if !co.dead[addr] && now.Sub(last) > co.c.cfg.Lease {

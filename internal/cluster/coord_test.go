@@ -88,3 +88,45 @@ func TestReseedRetriesAfterSpareDeath(t *testing.T) {
 	}
 	wantShardDigestEqual(t, 0, c.nodeByAddr(primary), c.nodeByAddr(lastSpare))
 }
+
+// TestReseedOfDemotedReplicaTakesSnapshot is the regression for the re-seed
+// that could never succeed. A coordinator killed between a re-seed's SnapDone
+// and its closing install leaves a spare enrolled on the node side that no
+// chosen map lists; its successor's first install (Backup "") demotes the
+// spare, which keeps its epoch and seq. The probe reported them, the primary
+// — same epoch, tail covering — chose log catch-up, and the demoted spare
+// refused every REPL_APPEND: the repair scan retried the same refusal at
+// every tick and the shard stayed without a backup (the coordinator-kill
+// soak's "did not heal"). A replica that is not enrolled reports no position.
+func TestReseedOfDemotedReplicaTakesSnapshot(t *testing.T) {
+	c := startCluster(t, testbed.InP, Config{
+		Shards: 1, Nodes: 2, Seed: 11,
+		HeartbeatEvery: time.Hour, Lease: 24 * time.Hour,
+	})
+	ctx := context.Background()
+	r := c.Router(netclient.Config{Seed: 11, RetryMax: 10})
+	defer r.Close()
+	for k := uint64(0); k < 20; k++ {
+		if resp, err := r.DoRetry(ctx, putReq(k)); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("warm put %d: %v %v", k, err, resp)
+		}
+	}
+	m := c.Coord.Map()
+	primary, backup := c.nodeByAddr(m.Shards[0].Primary), c.nodeByAddr(m.Shards[0].Backup)
+
+	// The successor's first install: the shard has no backup.
+	m.Version++
+	m.Shards[0].Backup = ""
+	primary.SetMap(m)
+	backup.SetMap(m)
+	for k := uint64(20); k < 25; k++ { // served unreplicated; the tail covers
+		if resp, err := r.DoRetry(ctx, putReq(k)); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("unreplicated put %d: %v %v", k, err, resp)
+		}
+	}
+
+	if err := primary.Reseed(ctx, 0, backup.addr); err != nil {
+		t.Fatalf("re-seed of a demoted replica: %v", err)
+	}
+	wantShardDigestEqual(t, 0, primary, backup)
+}

@@ -392,10 +392,17 @@ func (n *Node) Handle(ctx context.Context, req *wire.Request) *wire.Response {
 	s := n.shards[req.Part]
 	switch req.Op {
 	case wire.OpReplAck:
-		// A zero (epoch, seq) encodes as respNone, which the probe reads
-		// back as (0, 0) — same meaning, no special case needed.
+		// Only an enrolled backup has a position to catch up from. A
+		// replica a map demoted keeps its (epoch, seq) but refuses
+		// REPL_APPEND: were it to report them, the primary would choose log
+		// catch-up and be refused at every retry. It reports nothing and is
+		// re-seeded from a snapshot. A zero (epoch, seq) encodes as
+		// respNone, which the probe reads back as (0, 0) — same meaning, no
+		// special case needed.
 		s.mu.Lock()
-		resp.Epoch, resp.Seq = s.epoch, s.seq
+		if s.role == roleBackup {
+			resp.Epoch, resp.Seq = s.epoch, s.seq
+		}
 		s.mu.Unlock()
 	case wire.OpReplAppend:
 		n.handleReplAppend(ctx, int(req.Part), s, req, resp)

@@ -52,13 +52,76 @@ const (
 	clusterSoakWorkers = 6
 )
 
-func clusterSoakOne(t *testing.T, kind testbed.EngineKind, seed int64) {
+// soakClock is the coordinator's clock, owned by the soak. It stands still
+// until the latest heartbeat of every live node carries its current reading,
+// then moves on by 0.6 of a lease. A killed node stops stamping, is two steps
+// — 1.2 leases — stale after two rounds of heartbeats, and expires; a live
+// node is never more than one step stale, however long a loaded box starves
+// its heartbeat goroutine, so no lease expires by accident — which an 80 ms
+// lease on wall time can, under -race on two cores.
+type soakClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (k *soakClock) now() time.Time {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.t
+}
+
+// drive steps the clock until stop closes. It reads the heartbeats of
+// whichever coordinator is current: a killed one still records them, so time
+// does not stop between a coordinator's death and its standby's takeover.
+func (k *soakClock) drive(c *Cluster, stop <-chan struct{}) {
+	for {
+		select {
+		case <-stop:
+			return
+		case <-time.After(time.Millisecond):
+		}
+		now, current := k.now(), true
+		co := c.Coordinator()
+		co.mu.Lock()
+		for _, n := range c.Nodes {
+			if !n.dead.Load() && co.lastHB[n.addr].Before(now) {
+				current = false
+			}
+		}
+		co.mu.Unlock()
+		if current {
+			k.mu.Lock()
+			k.t = k.t.Add(c.cfg.Lease * 6 / 10)
+			k.mu.Unlock()
+		}
+	}
+}
+
+// startSoakCluster starts the cluster both kill soaks run on, its leases
+// judged by a soakClock.
+func startSoakCluster(t *testing.T, kind testbed.EngineKind, seed int64) *Cluster {
+	clock := &soakClock{t: time.Unix(0, 0)}
 	c := startCluster(t, kind, Config{
 		Shards: clusterSoakShards, Nodes: clusterSoakNodes, Seed: seed,
 		HeartbeatEvery: 10 * time.Millisecond,
 		Lease:          80 * time.Millisecond,
 		Options:        core.Options{GroupCommitSize: 4},
+		now:            clock.now,
 	})
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		clock.drive(c, stop)
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	return c
+}
+
+func clusterSoakOne(t *testing.T, kind testbed.EngineKind, seed int64) {
+	c := startSoakCluster(t, kind, seed)
 	r := c.Router(netclient.Config{
 		Conns:     2,
 		Seed:      seed,
@@ -267,12 +330,7 @@ func TestClusterCoordKillSoak(t *testing.T) {
 }
 
 func coordKillSoakOne(t *testing.T, kind testbed.EngineKind, seed int64) {
-	c := startCluster(t, kind, Config{
-		Shards: clusterSoakShards, Nodes: clusterSoakNodes, Seed: seed,
-		HeartbeatEvery: 10 * time.Millisecond,
-		Lease:          80 * time.Millisecond,
-		Options:        core.Options{GroupCommitSize: 4},
-	})
+	c := startSoakCluster(t, kind, seed)
 	r := c.Router(netclient.Config{
 		Conns:     2,
 		Seed:      seed,
@@ -292,8 +350,9 @@ func coordKillSoakOne(t *testing.T, kind testbed.EngineKind, seed int64) {
 		<-killTrigger
 		victim := c.nodeByAddr(c.Coordinator().Map().Shards[0].Primary)
 		victim.Kill()
-		// Mid-failover: the lease (80ms) has not expired; the coordinator
-		// dies knowing nothing. The standby must discover the dead node.
+		// Mid-failover: the lease has not expired (that takes two rounds of
+		// heartbeats on the soak's clock); the coordinator dies knowing
+		// nothing. The standby must discover the dead node.
 		c.KillCoordinator()
 		time.Sleep(20 * time.Millisecond)
 		if _, err := c.StartStandbyCoordinator(); err != nil {

@@ -113,8 +113,8 @@ func RunDeviceBudget(t *testing.T, f Factory, max DeviceBudget) {
 	}
 	per := func(n uint64) float64 { return float64(n) / budgetTxns }
 	stallUS := float64(first.Stall.Nanoseconds()) / 1e3 / budgetTxns
-	t.Logf("%s per txn: loads %.1f stores %.1f flushes %.1f fences %.2f (stall %.2f us)", f.Name,
-		per(first.Loads), per(first.Stores), per(first.Flushes), per(first.Fences), stallUS)
+	t.Logf("%s per txn: loads %.1f stores %.1f flushes %.1f fences %.2f (stall %.2f us); raw %+v", f.Name,
+		per(first.Loads), per(first.Stores), per(first.Flushes), per(first.Fences), stallUS, first)
 	if max.StallUS > 0 && stallUS > max.StallUS {
 		t.Errorf("%s: %.2f us of stall per txn, budget %.2f", f.Name, stallUS, max.StallUS)
 	}

@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 
 	"nstore/internal/core"
+	// Defines -seed: nightly CI passes it to every package under
+	// ./internal/engine/..., and a test binary without the flag fails at once.
+	_ "nstore/internal/engine/enginetest"
 )
 
 func schema() *core.Schema {

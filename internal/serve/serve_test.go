@@ -116,25 +116,26 @@ func TestSubmitOverloadedIsTypedAndRetryable(t *testing.T) {
 	db := newDB(t, testbed.InP, 1, 32<<20)
 	rt := New(db, Config{QueueDepth: 1})
 
-	gate := make(chan struct{})
+	gate, inBody := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		rt.SubmitPart(context.Background(), 0, func(core.Engine) error {
+			close(inBody)
 			<-gate
 			return testbed.ErrAbort
 		})
 	}()
-	time.Sleep(5 * time.Millisecond) // blocker occupies the executor
+	<-inBody // the blocker occupies the executor
 
 	// Fill the queue, then overflow it.
-	var overloaded error
-	for i := 0; i < 3; i++ {
-		go rt.SubmitPart(context.Background(), 0, func(core.Engine) error { return testbed.ErrAbort })
-		time.Sleep(2 * time.Millisecond)
-	}
-	overloaded = rt.SubmitPart(context.Background(), 0, insertTxn(1, 1))
+	go func() {
+		defer wg.Done()
+		rt.SubmitPart(context.Background(), 0, func(core.Engine) error { return testbed.ErrAbort })
+	}()
+	waitQueued(t, rt, 0, 1)
+	overloaded := rt.SubmitPart(context.Background(), 0, insertTxn(1, 1))
 	if !errors.Is(overloaded, ErrOverloaded) {
 		t.Fatalf("saturated Submit = %v, want ErrOverloaded", overloaded)
 	}
@@ -451,7 +452,7 @@ func TestFailureWaitsForHeldAcks(t *testing.T) {
 	<-inBody
 	retry := make(chan error, 1)
 	go func() { retry <- rt.SubmitPart(ctx, 0, insertTxn(7, 70)) }()
-	time.Sleep(10 * time.Millisecond) // the retry is in the queue
+	waitQueued(t, rt, 0, 1) // the retry is in the queue
 	close(gate)
 
 	if err := <-retry; !errors.Is(err, core.ErrKeyExists) {

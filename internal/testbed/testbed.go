@@ -16,7 +16,6 @@ import (
 	"nstore/internal/engine/cow"
 	"nstore/internal/engine/inp"
 	"nstore/internal/engine/logeng"
-	"nstore/internal/engine/nvmcow"
 	"nstore/internal/engine/nvminp"
 	"nstore/internal/engine/nvmlog"
 	"nstore/internal/nvm"
@@ -129,9 +128,9 @@ func buildEngine(kind EngineKind, env *core.Env, schemas []*core.Schema, opts co
 		return nvminp.New(env, schemas, opts)
 	case NVMCoW:
 		if recover {
-			return nvmcow.Open(env, schemas, opts)
+			return cow.OpenNVM(env, schemas, opts)
 		}
-		return nvmcow.New(env, schemas, opts)
+		return cow.NewNVM(env, schemas, opts)
 	case NVMLog:
 		if recover {
 			return nvmlog.Open(env, schemas, opts)

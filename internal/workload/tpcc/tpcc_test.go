@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/nvm"
 	"nstore/internal/testbed"
 )
 
@@ -17,10 +18,15 @@ func smallCfg() Config {
 
 func newDB(t testing.TB, kind testbed.EngineKind, cfg Config) *testbed.DB {
 	t.Helper()
+	return newDBOn(t, kind, cfg, core.EnvConfig{DeviceSize: 256 << 20})
+}
+
+func newDBOn(t testing.TB, kind testbed.EngineKind, cfg Config, env core.EnvConfig) *testbed.DB {
+	t.Helper()
 	db, err := testbed.New(testbed.Config{
 		Engine:     kind,
 		Partitions: cfg.Partitions,
-		Env:        core.EnvConfig{DeviceSize: 256 << 20},
+		Env:        env,
 		Schemas:    Schemas(),
 		Options:    core.Options{MemTableCap: 512},
 	})
@@ -53,6 +59,32 @@ func TestLoadAndRunAllEngines(t *testing.T) {
 			// commits must dominate.
 			if res.Aborted > res.Committed/5 {
 				t.Errorf("too many aborts: %d/%d", res.Aborted, res.Txns)
+			}
+		})
+	}
+}
+
+// TestTPCCCountersReproducible: one seed, one set of device counters. The
+// cache is small enough that the order a transaction reads its tuples in
+// shows up as loads, so a visit in Go map order (StockLevel's stock reads,
+// once) makes two runs differ on every engine.
+func TestTPCCCountersReproducible(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Txns = 600
+	run := func(t *testing.T, kind testbed.EngineKind) nvm.Stats {
+		db := newDBOn(t, kind, cfg, core.EnvConfig{DeviceSize: 256 << 20, Profile: nvm.ProfileLowNVM, CacheSize: 64 << 10})
+		if err := Load(db, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Execute(Generate(cfg)); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats()
+	}
+	for _, kind := range testbed.Kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			if a, b := run(t, kind), run(t, kind); a != b {
+				t.Errorf("device counters differ between two runs of seed %d:\n  %+v\n  %+v", cfg.Seed, a, b)
 			}
 		})
 	}

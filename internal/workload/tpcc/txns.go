@@ -3,6 +3,7 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"nstore/internal/core"
@@ -409,16 +410,19 @@ func genStockLevel(cfg Config, rng *rand.Rand, w int) testbed.Txn {
 		if lo < 1 {
 			lo = 1
 		}
-		items := make(map[int64]bool)
+		var items []int64
 		if err := e.ScanRange(TOrderLine, OrderKey(w, d, lo)<<4, OrderKey(w, d, next)<<4,
 			func(pk uint64, row []core.Value) bool {
-				items[row[OLIID].I] = true
+				items = append(items, row[OLIID].I)
 				return true
 			}); err != nil {
 			return err
 		}
+		// Distinct items in ascending id order: the order of the stock reads
+		// decides cache residency, so it may not follow Go map iteration.
+		slices.Sort(items)
 		low := 0
-		for i := range items {
+		for _, i := range slices.Compact(items) {
 			sRow, ok, err := e.Get(TStock, StockKey(w, int(i)))
 			if err != nil || !ok {
 				return orErr(err, "stock %d/%d", w, i)
