@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nstore/internal/nvm"
@@ -35,8 +36,8 @@ type Heap struct {
 	live   int
 
 	allCols []int    // 0..len(Columns)-1, for WriteRow
-	strCols []int    // the TString columns, for PersistSlot
 	vps     []uint64 // scratch: var-slots of the call in progress
+	img     []byte   // scratch: a var-slot's image on its way to the arena
 }
 
 // Slot states within a heap block.
@@ -65,11 +66,8 @@ func newHeapHandle(arena *pmalloc.Arena, schema *Schema, nvmMode bool) *Heap {
 		slotSize: slotData + schema.FixedSize(),
 		perBlock: defaultPerBlock,
 	}
-	for i, c := range schema.Columns {
+	for i := range schema.Columns {
 		h.allCols = append(h.allCols, i)
-		if c.Type == TString {
-			h.strCols = append(h.strCols, i)
-		}
 	}
 	return h
 }
@@ -106,9 +104,9 @@ func OpenHeap(arena *pmalloc.Arena, schema *Schema, hdr pmalloc.Ptr) *Heap {
 			case SlotPersisted:
 				h.live++
 			case SlotAllocated:
-				// Orphaned by a crash before its WAL entry was persisted;
-				// its var-slots were never persisted either, so the
-				// allocator's recovery scan already reclaimed them.
+				// An eviction made an in-flight insert's first store durable.
+				// The var-slots streamed for it are marked and now unnamed: the
+				// owner's sweep frees them (Reach).
 				h.dev.WriteU8(int64(slot)+slotState, SlotFree)
 				h.dev.Sync(int64(slot)+slotState, 1)
 				h.free = append(h.free, slot)
@@ -160,8 +158,10 @@ func (h *Heap) newBlock() error {
 }
 
 // AllocSlot grabs a free slot for the given primary key and marks it
-// SlotAllocated (durably in NVM mode). The tuple contents are garbage until
-// written. Growing the heap can exhaust the arena; nothing changed then.
+// SlotAllocated. Nothing is written back: a slot that is not SlotPersisted is
+// free to OpenHeap, and PersistSlot writes state and key back. The tuple
+// contents are garbage until written. Growing the heap can exhaust the arena;
+// nothing changed then.
 func (h *Heap) AllocSlot(key uint64) (uint64, error) {
 	if len(h.free) == 0 {
 		if err := h.newBlock(); err != nil {
@@ -172,9 +172,6 @@ func (h *Heap) AllocSlot(key uint64) (uint64, error) {
 	h.free = h.free[:len(h.free)-1]
 	h.dev.WriteU64(int64(slot)+slotKey, key)
 	h.dev.WriteU8(int64(slot)+slotState, SlotAllocated)
-	if h.nvmMod {
-		h.dev.Sync(int64(slot), slotData)
-	}
 	return slot, nil
 }
 
@@ -198,9 +195,7 @@ func (h *Heap) StoreRow(key uint64, row []Value) (uint64, error) {
 	return slot, nil
 }
 
-// WriteRow stores a full row into the slot, allocating var-slots for string
-// columns. Contents are volatile until SyncTuple. All or nothing, like
-// WriteCols.
+// WriteRow stores a full row into the slot; see WriteCols.
 func (h *Heap) WriteRow(slot uint64, row []Value) error {
 	return h.WriteCols(slot, h.allCols, row)
 }
@@ -215,7 +210,11 @@ func (h *Heap) WriteCol(slot uint64, col int, v Value) error {
 // before the call, FreeVar after). The var-slots are allocated before the
 // slot is touched, so when the arena runs out the ones already taken are
 // released, the slot still holds what it held, and the allocator's error is
-// returned.
+// returned. On an NVM heap each var-slot is streamed and marked persisted in
+// one fence interval (pmalloc.Arena.StreamPersisted) and the fields are left
+// in the cache (WriteBackCols, PersistSlot): all of it is durable at a fence
+// of the caller's, and a var-slot a crash leaves marked with no live slot
+// naming it is the owner's to sweep (Reach).
 func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 	vps := h.vps[:0]
 	for j, ci := range cols {
@@ -230,10 +229,9 @@ func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 			}
 			return err
 		}
-		h.dev.WriteU32(int64(vp), uint32(len(b)))
-		h.dev.Write(int64(vp)+4, b)
-		if h.nvmMod {
-			h.dev.Sync(int64(vp), 4+len(b))
+		if !h.nvmMod {
+			h.dev.WriteU32(int64(vp), uint32(len(b)))
+			h.dev.Write(int64(vp)+4, b)
 		}
 		vps = append(vps, vp)
 	}
@@ -242,12 +240,46 @@ func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 		field := int64(slot) + slotData + int64(ci*8)
 		if h.schema.Columns[ci].Type == TInt {
 			h.dev.WriteU64(field, uint64(vals[j].I))
-		} else {
-			h.dev.WriteU64(field, vps[0])
-			vps = vps[1:]
+			continue
 		}
+		if h.nvmMod {
+			b := vals[j].S
+			h.img = append(binary.LittleEndian.AppendUint32(h.img[:0], uint32(len(b))), b...)
+			h.arena.StreamPersisted(vps[0], h.img)
+		}
+		h.dev.WriteU64(field, vps[0])
+		vps = vps[1:]
 	}
 	return nil
+}
+
+// WriteBackCols writes back the cache lines holding the slot's fields for
+// cols, each line once — what an update dirtied, not the slot. Durable at the
+// caller's next fence. No-op on a volatile heap.
+func (h *Heap) WriteBackCols(slot uint64, cols []int) {
+	if !h.nvmMod {
+		return
+	}
+	done := int64(-1)
+	for _, ci := range cols {
+		field := int64(slot) + slotData + int64(ci*8)
+		if line := field &^ (nvm.LineSize - 1); line != done {
+			h.dev.WriteBack(field, 8)
+			done = line
+		}
+	}
+}
+
+// RawCol returns a column's 8-byte field as stored: an int's value, a
+// string's var-slot pointer. It is the before-image RestoreCol takes back.
+func (h *Heap) RawCol(slot uint64, col int) uint64 {
+	return h.dev.ReadU64(int64(slot) + slotData + int64(col*8))
+}
+
+// RestoreCol stores a field RawCol returned earlier. The var-slot a string
+// field pointed at since is the caller's to free.
+func (h *Heap) RestoreCol(slot uint64, col int, raw uint64) {
+	h.dev.WriteU64(int64(slot)+slotData+int64(col*8), raw)
 }
 
 // ColVarPtr returns the var-slot pointer of a string column (0 if unset).
@@ -258,69 +290,76 @@ func (h *Heap) ColVarPtr(slot uint64, col int) uint64 {
 	return h.dev.ReadU64(int64(slot) + slotData + int64(col*8))
 }
 
-// ReadCol reads one column value.
-func (h *Heap) ReadCol(slot uint64, col int) Value {
+// TryReadCol reads one column value. A string field that points outside the
+// arena, or at a var-slot claiming more bytes than the arena holds behind it,
+// is an error: only an image written with its fences disabled holds one, and
+// it must not take the process down.
+func (h *Heap) TryReadCol(slot uint64, col int) (Value, error) {
 	field := int64(slot) + slotData + int64(col*8)
 	if h.schema.Columns[col].Type == TInt {
-		return Value{I: int64(h.dev.ReadU64(field))}
+		return Value{I: int64(h.dev.ReadU64(field))}, nil
 	}
 	vp := h.dev.ReadU64(field)
 	if vp == 0 {
-		return Value{}
+		return Value{}, nil
+	}
+	if !h.arena.Holds(vp, 4) {
+		return Value{}, fmt.Errorf("core: slot %d column %d points at %d, outside the arena", slot, col, vp)
 	}
 	ln := int(h.dev.ReadU32(int64(vp)))
+	if !h.arena.Holds(vp, 4+ln) {
+		return Value{}, fmt.Errorf("core: var-slot %d of slot %d column %d claims %d bytes", vp, slot, col, ln)
+	}
 	b := make([]byte, ln)
 	h.dev.Read(int64(vp)+4, b)
-	return Value{S: b}
+	return Value{S: b}, nil
 }
 
-// ReadCols reads the named columns into a schema-width row; the others stay
-// the zero Value and their fields and var-slots are not touched.
-func (h *Heap) ReadCols(slot uint64, cols []int) []Value {
+// TryReadCols reads the named columns into a schema-width row; the others
+// stay the zero Value and their fields and var-slots are not touched.
+func (h *Heap) TryReadCols(slot uint64, cols []int) ([]Value, error) {
 	row := make([]Value, len(h.schema.Columns))
 	for _, ci := range cols {
-		row[ci] = h.ReadCol(slot, ci)
+		v, err := h.TryReadCol(slot, ci)
+		if err != nil {
+			return nil, err
+		}
+		row[ci] = v
+	}
+	return row, nil
+}
+
+// TryReadRow reads the full row from a slot.
+func (h *Heap) TryReadRow(slot uint64) ([]Value, error) { return h.TryReadCols(slot, h.allCols) }
+
+// ReadCol, ReadCols and ReadRow are the Try reads for a heap whose pointers
+// cannot be garbage — a volatile one, rebuilt from its log: an error panics.
+func (h *Heap) ReadCol(slot uint64, col int) Value {
+	v, err := h.TryReadCol(slot, col)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func (h *Heap) ReadCols(slot uint64, cols []int) []Value {
+	row, err := h.TryReadCols(slot, cols)
+	if err != nil {
+		panic(err)
 	}
 	return row
 }
 
-// ReadRow reads the full row from a slot.
 func (h *Heap) ReadRow(slot uint64) []Value { return h.ReadCols(slot, h.allCols) }
 
-// SyncTuple flushes the slot's fixed part (var-slot contents are synced as
-// they are written in NVM mode). Part of Table 2's "Sync tuple with NVM".
-func (h *Heap) SyncTuple(slot uint64) {
-	h.dev.Sync(int64(slot), h.slotSize)
-}
-
-// PersistCols durably marks the var-slots the given string columns point at
-// persisted, with one fence for all of them: an update persists what it
-// allocated and reads no other column's chunk header. No-op on a volatile
-// heap.
-func (h *Heap) PersistCols(slot uint64, cols ...int) {
-	if !h.nvmMod {
-		return
-	}
-	vps := h.vps[:0]
-	for _, ci := range cols {
-		if vp := h.ColVarPtr(slot, ci); vp != 0 {
-			vps = append(vps, vp)
-		}
-	}
-	if len(vps) > 0 {
-		h.arena.SetPersisted(vps...)
-	}
-	h.vps = vps[:0]
-}
-
-// PersistSlot durably transitions a freshly written slot (and its var-slots)
-// to the persisted state. In NVM mode this is the point after which the
-// tuple survives recovery.
+// PersistSlot transitions a freshly written slot to the persisted state. In
+// NVM mode the whole slot is new and is written back — state, key and fields —
+// and the caller's next fence is the point after which the tuple survives
+// recovery.
 func (h *Heap) PersistSlot(slot uint64) {
-	h.PersistCols(slot, h.strCols...)
 	h.dev.WriteU8(int64(slot)+slotState, SlotPersisted)
 	if h.nvmMod {
-		h.dev.Sync(int64(slot)+slotState, 1)
+		h.dev.WriteBack(int64(slot), h.slotSize)
 	}
 	h.live++
 }
@@ -377,6 +416,26 @@ func (h *Heap) Scan(fn func(slot uint64) bool) {
 			}
 		}
 	}
+}
+
+// Reach calls mark with every allocator chunk the heap holds: its anchor, its
+// blocks, and the var-slots its live slots name. A persisted table chunk that
+// neither this nor an index reaches is a leak.
+func (h *Heap) Reach(mark func(p pmalloc.Ptr)) {
+	if h.hdr != 0 {
+		mark(h.hdr)
+	}
+	for _, b := range h.blocks {
+		mark(b)
+	}
+	h.Scan(func(slot uint64) bool {
+		for ci, c := range h.schema.Columns {
+			if vp := h.ColVarPtr(slot, ci); c.Type == TString && vp != 0 {
+				mark(vp)
+			}
+		}
+		return true
+	})
 }
 
 // Validate checks internal consistency (test helper).

@@ -94,14 +94,16 @@ func TestHeapScan(t *testing.T) {
 func TestHeapNVMReopen(t *testing.T) {
 	dev, arena, h := newHeapEnv(t, true)
 	for i := uint64(1); i <= 100; i++ {
-		s := putRow(t, h, i, sampleRow())
-		h.SyncTuple(s)
-		h.PersistSlot(s)
+		h.PersistSlot(putRow(t, h, i, sampleRow()))
 	}
-	// One allocated-but-never-persisted slot (in-flight insert at crash).
-	if _, err := h.AllocSlot(999); err != nil {
+	dev.Fence()
+	// One allocated-but-never-persisted slot (in-flight insert at crash),
+	// whose first store an eviction made durable.
+	orphan, err := h.AllocSlot(999)
+	if err != nil {
 		t.Fatal(err)
 	}
+	dev.Sync(int64(orphan), 16)
 	arena.SetRoot(1, h.Header())
 
 	dev.Crash()
@@ -127,9 +129,7 @@ func TestHeapNVMReopen(t *testing.T) {
 	}
 	// The orphaned slot must have been reclaimed: inserting reuses it
 	// without growing live count incorrectly.
-	s := putRow(t, h2, 555, sampleRow())
-	h2.SyncTuple(s)
-	h2.PersistSlot(s)
+	h2.PersistSlot(putRow(t, h2, 555, sampleRow()))
 	if h2.Live() != 101 {
 		t.Errorf("Live = %d after one more insert", h2.Live())
 	}
@@ -154,7 +154,6 @@ func TestHeapWriteColReplacesVar(t *testing.T) {
 func TestHeapFreeSlotOnly(t *testing.T) {
 	_, _, h := newHeapEnv(t, true)
 	slot := putRow(t, h, 1, sampleRow())
-	h.SyncTuple(slot)
 	h.PersistSlot(slot)
 	vp := h.ColVarPtr(slot, 1)
 	h.FreeSlotOnly(slot)
@@ -220,28 +219,68 @@ func TestHeapWriteColsAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestHeapPersistCols: an update marks persisted the var-slots of the columns
-// it names and reads no other column's chunk header.
-func TestHeapPersistCols(t *testing.T) {
+// TestHeapUpdateMarksWhatItWrites: on an NVM heap an update's WriteCols
+// streams each var-slot it allocates with its persisted mark and stores the
+// fields, WriteBackCols writes back their line and nothing else of the slot,
+// neither fences, and no other column's field, var-slot or chunk header is
+// touched; the caller's one fence makes the update durable.
+func TestHeapUpdateMarksWhatItWrites(t *testing.T) {
 	dev, arena, h := newHeapEnv(t, true)
 	slot := putRow(t, h, 1, sampleRow())
-	h.SyncTuple(slot)
 	h.PersistSlot(slot)
-	other := h.ColVarPtr(slot, 3)
-	if err := h.WriteCols(slot, []int{1, 2}, []Value{StrVal("bob"), IntVal(9)}); err != nil {
+	dev.Fence()
+	old, other := h.ColVarPtr(slot, 1), h.ColVarPtr(slot, 3)
+	cols, vals := []int{1, 2}, []Value{StrVal("bob"), IntVal(9)}
+	// A chunk of the size on the free list: the allocator splits nothing.
+	spare, err := arena.Alloc(4+len("bob"), pmalloc.TagTable)
+	if err != nil {
 		t.Fatal(err)
 	}
-	h.SyncTuple(slot)
+	arena.Free(spare)
 	dev.EvictAll()
-	loads := dev.Stats().Loads
-	h.PersistCols(slot, 1, 2)
-	if got := dev.Stats().Loads - loads; got > 3 {
-		t.Errorf("PersistCols of one string column loaded %d lines, want the slot's and one chunk header", got)
+	st0 := dev.Stats()
+	if err := h.WriteCols(slot, cols, vals); err != nil {
+		t.Fatal(err)
 	}
-	if st := arena.StateOf(h.ColVarPtr(slot, 1)); st != pmalloc.StatePersisted {
-		t.Errorf("updated column's var-slot in state %d", st)
+	h.WriteBackCols(slot, cols)
+	got := dev.Stats().Sub(st0)
+	// The var-slot's header line and the fields' line, each filled once and
+	// written back once: "bob" fits beside its chunk header.
+	if got.Loads != 2 || got.Flushes != 2 || got.Stores != 2 || got.Fences != 0 {
+		t.Errorf("a two-column update cost %d loads, %d CLWBs, %d stores, %d fences; want 2, 2, 2, 0", got.Loads, got.Flushes, got.Stores, got.Fences)
 	}
-	if st := arena.StateOf(other); st != pmalloc.StatePersisted {
-		t.Errorf("untouched column's var-slot in state %d", st)
+	if vp := h.ColVarPtr(slot, 1); vp == old || arena.StateOf(vp) != pmalloc.StatePersisted {
+		t.Errorf("updated column points at %d (was %d) in state %d, want a new persisted var-slot", vp, old, arena.StateOf(vp))
+	}
+	if h.ColVarPtr(slot, 3) != other {
+		t.Errorf("untouched column now points at %d", h.ColVarPtr(slot, 3))
+	}
+	dev.Fence()
+	dev.Crash()
+	want := sampleRow()
+	want[1], want[2] = vals[0], vals[1]
+	if row := h.ReadRow(slot); !RowsEqual(h.Schema(), row, want) {
+		t.Errorf("after the fence and a crash the row reads %v", row)
+	}
+}
+
+// TestHeapTryReadSurvivesGarbage: a string field that points outside the
+// arena, or at a length word larger than the arena, is an error from the Try
+// reads instead of a panic in the device.
+func TestHeapTryReadSurvivesGarbage(t *testing.T) {
+	dev, _, h := newHeapEnv(t, true)
+	slot := putRow(t, h, 1, sampleRow())
+	if _, err := h.TryReadRow(slot); err != nil {
+		t.Fatal(err)
+	}
+	dev.WriteU32(int64(h.ColVarPtr(slot, 1)), 1<<31)
+	if v, err := h.TryReadCol(slot, 1); err == nil {
+		t.Errorf("garbage length read as %d bytes", len(v.S))
+	}
+	for _, bad := range []uint64{24, 1 << 40, 1 << 63} {
+		h.RestoreCol(slot, 3, bad)
+		if v, err := h.TryReadCols(slot, []int{0, 3}); err == nil {
+			t.Errorf("pointer %d read as %v", bad, v)
+		}
 	}
 }

@@ -244,11 +244,11 @@ func (e *Engine) read(tm *core.TableMeta, key uint64) (leaf []byte, row []core.V
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	var img []byte
 	if leaf, ok = e.tree.Get(core.TreePrimary(tm.ID, key)); ok {
-		img, ok = e.tup.get(leaf)
+		img, ok, err = e.tup.get(leaf)
 	}
 	stopSt()
 	if !ok {
-		return nil, nil, false, nil
+		return nil, nil, false, err
 	}
 	row, err = core.DecodeRow(tm.Schema, img)
 	return leaf, row, err == nil, err
@@ -325,7 +325,11 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 		if k >= hi {
 			return false
 		}
-		img, ok := e.tup.get(v)
+		img, ok, err := e.tup.get(v)
+		if err != nil {
+			derr = err
+			return false
+		}
 		if !ok {
 			return true
 		}

@@ -2,6 +2,7 @@ package cow
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"nstore/internal/core"
 	"nstore/internal/cowbtree"
@@ -14,8 +15,9 @@ import (
 type placement interface {
 	// put places a new tuple image and returns the leaf value that names it.
 	put(img []byte) (leaf []byte, err error)
-	// get returns the image a leaf value names; !ok if it names none.
-	get(leaf []byte) (img []byte, ok bool)
+	// get returns the image a leaf value names; !ok if it names none, and a
+	// Corrupt error if it names what cannot be one.
+	get(leaf []byte) (img []byte, ok bool, err error)
 	// retire notes that the running transaction unlinked leaf from the tree.
 	retire(leaf []byte)
 	// commit and abort end the running transaction and leave its lists empty
@@ -43,12 +45,12 @@ func filePlacement(env *core.Env, pageSize int, reopen bool) (cowbtree.Pager, pl
 	return pg, inline{pg}, err
 }
 
-func (inline) put(img []byte) ([]byte, error) { return img, nil }
-func (inline) get(leaf []byte) ([]byte, bool) { return leaf, true }
-func (inline) retire([]byte)                  {}
-func (inline) commit()                        {}
-func (inline) abort()                         {}
-func (inline) persisted()                     {}
+func (inline) put(img []byte) ([]byte, error)        { return img, nil }
+func (inline) get(leaf []byte) ([]byte, bool, error) { return leaf, true, nil }
+func (inline) retire([]byte)                         {}
+func (inline) commit()                               {}
+func (inline) abort()                                {}
+func (inline) persisted()                            {}
 
 // reclaim rebuilds the file's free-page list from the pages the tree reaches.
 func (p inline) reclaim(tr *cowbtree.Tree, workers int) int64 {
@@ -79,8 +81,11 @@ func arenaPlacement(env *core.Env, pageSize int, reopen bool) (cowbtree.Pager, p
 	return pg, &chunked{env: env}, err
 }
 
-// put persists the image as a chunk — one buffer, streamed, fenced, marked
-// persisted (Table 2). A full arena is an ordinary error: the txn aborts.
+// put persists the image as a chunk — one buffer, streamed with its persisted
+// mark (Table 2) — and leaves the fence to the pager: no leaf naming the chunk
+// is durable before the Persist that fences the group's pages, and a chunk a
+// crash leaves marked before that is reclaim's. A full arena is an ordinary
+// error: the txn aborts.
 func (c *chunked) put(img []byte) ([]byte, error) {
 	p, err := c.env.Arena.Alloc(4+len(img), pmalloc.TagTable)
 	if err != nil {
@@ -89,21 +94,28 @@ func (c *chunked) put(img []byte) ([]byte, error) {
 	buf := make([]byte, 4+len(img))
 	binary.LittleEndian.PutUint32(buf, uint32(len(img)))
 	copy(buf[4:], img)
-	c.env.Dev.WriteStream(int64(p), buf)
-	c.env.Dev.Fence()
-	c.env.Arena.SetPersisted(p)
+	c.env.Arena.StreamPersisted(p, buf)
 	c.txnNew = append(c.txnNew, p)
 	return binary.LittleEndian.AppendUint64(nil, p), nil
 }
 
-func (c *chunked) get(leaf []byte) ([]byte, bool) {
+// get follows the leaf's pointer. The pointer and the length word behind it
+// come from the image: what does not fit in the arena is reported, not read.
+func (c *chunked) get(leaf []byte) ([]byte, bool, error) {
 	if len(leaf) != 8 {
-		return nil, false
+		return nil, false, nil
 	}
-	p := int64(binary.LittleEndian.Uint64(leaf))
-	img := make([]byte, c.env.Dev.ReadU32(p))
-	c.env.Dev.Read(p+4, img)
-	return img, true
+	p := binary.LittleEndian.Uint64(leaf)
+	if !c.env.Arena.Holds(p, 4) {
+		return nil, false, core.Corrupt(fmt.Errorf("nvm-cow: leaf names a tuple at %d, outside the arena", p))
+	}
+	n := int(c.env.Dev.ReadU32(int64(p)))
+	if !c.env.Arena.Holds(p, 4+n) {
+		return nil, false, core.Corrupt(fmt.Errorf("nvm-cow: tuple chunk %d claims %d bytes", p, n))
+	}
+	img := make([]byte, n)
+	c.env.Dev.Read(int64(p)+4, img)
+	return img, true, nil
 }
 
 func (c *chunked) retire(leaf []byte) {

@@ -22,6 +22,10 @@ type Factory struct {
 	// Volatile marks traditional engines whose allocator region must be
 	// reformatted on reopen.
 	Volatile bool
+	// Leaks, if set, reports an allocator chunk that is persisted yet reached
+	// by nothing the engine holds — storage no later Open would reclaim. It
+	// needs the engine's internals, so the engine's own test package sets it.
+	Leaks func(e core.Engine) error
 }
 
 // testSchema builds a small two-table schema with a secondary index.

@@ -183,15 +183,16 @@ func WriteEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
 	return p, nil
 }
 
-// StreamEntryChunk allocates a table chunk and streams e into it: durable
-// at the caller's next fence, for an engine whose MemTable is durable and
-// which then marks the chunk persisted.
+// StreamEntryChunk allocates a table chunk and streams e into it with its
+// persisted mark (pmalloc.Arena.StreamPersisted), for an engine whose
+// MemTable is durable: chunk and mark are durable at the caller's next fence,
+// and until a tree names the chunk it is the caller's sweep's to reclaim.
 func StreamEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
 	p, img, err := allocEntryChunk(a, e)
 	if err != nil {
 		return 0, err
 	}
-	a.Device().WriteStream(int64(p), img)
+	a.StreamPersisted(p, img)
 	return p, nil
 }
 

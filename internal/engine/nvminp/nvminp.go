@@ -16,6 +16,7 @@
 package nvminp
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nstore/internal/core"
@@ -75,6 +76,7 @@ type Engine struct {
 
 	// Volatile transaction state.
 	ops []txnOp
+	rec []byte // scratch: the WAL entry being built
 }
 
 type txnOp struct {
@@ -209,23 +211,35 @@ func (e *Engine) undoWAL() error {
 		frees = append(frees, p)
 		// Truncation is the commit point: any entry still linked belongs to
 		// an uncommitted transaction.
-		if err := e.undoEntry(p); err != nil {
+		if err := e.undoEntry(p, true); err != nil {
 			return err
 		}
 	}
-	// Truncate: head reset is the atomic point; chunk frees follow.
+	// Truncate: head reset is the atomic point, behind a fence of its own so
+	// that no undone field can be lost with the entry that would redo the
+	// undo; chunk frees follow.
+	d.Fence()
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
 	for _, p := range frees {
 		if e.Env.Arena.StateOf(p) != pmalloc.StateFree {
 			e.Env.Arena.Free(p)
 		}
 	}
-	// Sweep WAL-tagged chunks orphaned by a crash between the commit
-	// marker and the chunk frees. The chunk directory is collected on the
-	// owner goroutine (the device data path is single-owner); the three-state
-	// classification of the stripes is pure host-memory work and fans out,
-	// then the frees happen serially.
+	// Sweep the chunks no one names any more: every persisted WAL chunk (the
+	// log is empty now), and every persisted table chunk no heap reaches — a
+	// var-slot streamed with its mark for a tuple or a field that the crash
+	// or the undo above took back, or one an update superseded or a delete
+	// released whose free at commit never reached the medium. This is the
+	// one place recovery frees a var-slot: nothing was freed while an entry
+	// that names it could still be replayed. The heaps are walked and the
+	// chunk directory is collected on the owner goroutine (the device data
+	// path is single-owner); the classification of the stripes is pure
+	// host-memory work and fans out, then the frees happen serially.
 	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
+	reach := make(map[pmalloc.Ptr]bool)
+	for _, h := range e.heaps {
+		h.Reach(func(p pmalloc.Ptr) { reach[p] = true })
+	}
 	type chunkRec struct {
 		p   pmalloc.Ptr
 		tag pmalloc.Tag
@@ -238,7 +252,7 @@ func (e *Engine) undoWAL() error {
 	orphans := make([][]pmalloc.Ptr, workers)
 	_ = core.ParallelChunks(workers, len(chunks), func(w, lo, hi int) error {
 		for _, c := range chunks[lo:hi] {
-			if c.tag == pmalloc.TagLog && c.st == pmalloc.StatePersisted {
+			if c.st == pmalloc.StatePersisted && (c.tag == pmalloc.TagLog || c.tag == pmalloc.TagTable && !reach[c.p]) {
 				orphans[w] = append(orphans[w], c.p)
 			}
 		}
@@ -253,147 +267,157 @@ func (e *Engine) undoWAL() error {
 	return nil
 }
 
-// undoEntry reverses one WAL entry's operation.
-func (e *Engine) undoEntry(p pmalloc.Ptr) error {
+// undoEntry reverses one WAL entry's operation. What it writes to the heap is
+// written back but not fenced: the caller fences before it unlinks the entry.
+//
+// In recovery every step is absolute and idempotent, so a crash inside an
+// interrupted undo re-converges: fields are restored, index entries put or
+// deleted by value, and no var-slot is freed — an index rewrite further down
+// the log could recycle the chunk, and a second run would free it again as a
+// live node. The var-slots the undone operation streamed are left unnamed for
+// undoWAL's sweep. Abort is not re-run and has no sweep behind it, so it frees
+// them here: the ones the slot's fields name and the before-image does not.
+func (e *Engine) undoEntry(p pmalloc.Ptr, recovering bool) error {
 	d := e.dev()
-	typ := d.ReadU8(int64(p) + wType)
 	table := int(d.ReadU8(int64(p) + wTable))
 	key := d.ReadU64(int64(p) + wKey)
 	slot := d.ReadU64(int64(p) + wSlot)
-	tm := e.Tables[table]
-	h := e.heaps[table]
+	tm, h := e.Tables[table], e.heaps[table]
+	if h.State(slot) == core.SlotFree {
+		return nil
+	}
 
-	switch typ {
+	switch d.ReadU8(int64(p) + wType) {
 	case core.WalInsert:
 		// Release the tuple's storage using the pointer recorded in the WAL
-		// entry, and drop its index entries.
-		if h.State(slot) != core.SlotFree {
-			if _, err := e.primary[table].Delete(key); err != nil {
+		// entry, and drop its index entries. A slot the crash caught marked
+		// ahead of its fields has none, and may not read as a row at all.
+		if _, err := e.primary[table].Delete(key); err != nil {
+			return err
+		}
+		if row, err := e.readForIndexes(tm, h, slot); err == nil {
+			if err := e.moveSecondaries(tm, row, key, false); err != nil {
 				return err
 			}
-			if err := e.unlinkSecondaries(tm, h, slot, key); err != nil {
-				return err
-			}
+		} else if !recovering {
+			return err
+		}
+		if recovering {
+			h.FreeSlotOnly(slot)
+		} else {
 			h.FreeSlot(slot)
 		}
 	case core.WalUpdate:
-		if h.State(slot) == core.SlotFree {
-			return nil
-		}
-		n := int(d.ReadU8(int64(p) + wNCols))
-		for i := 0; i < n; i++ {
-			base := int64(p) + wData + int64(i)*colRec
-			ci := int(d.ReadU8(base))
-			val := d.ReadU64(base + 1)
-			if tm.Schema.Columns[ci].Type == core.TInt {
-				if err := h.WriteCol(slot, ci, core.Value{I: int64(val)}); err != nil {
-					return err
-				}
-			} else {
-				// Free the new var-slot and restore the old pointer.
-				cur := h.ColVarPtr(slot, ci)
-				if cur != 0 && cur != val {
-					h.FreeVar(cur)
-				}
-				e.restoreVarPtr(slot, ci, val)
+		cols := make([]int, int(d.ReadU8(int64(p)+wNCols)))
+		base := int64(p) + wData
+		for i := range cols {
+			cols[i] = int(d.ReadU8(base))
+			bef := d.ReadU64(base + 1)
+			if cur := h.ColVarPtr(slot, cols[i]); !recovering && cur != 0 && cur != bef {
+				h.FreeVar(cur) // 0 for an int column
 			}
+			h.RestoreCol(slot, cols[i], bef)
+			base += colRec
 		}
-		h.SyncTuple(slot)
-		// Replay the logged secondary repair list: absolute, idempotent
-		// operations, safe to re-run if a crash interrupts this undo.
-		nSec := int(d.ReadU8(int64(p) + wNSec))
-		secBase := int64(p) + wData + int64(n)*colRec
-		for i := 0; i < nSec; i++ {
-			base := secBase + int64(i)*secRec
-			idx := int(d.ReadU8(base))
-			op := d.ReadU8(base + 1)
-			composite := d.ReadU64(base + 2)
-			if op == 1 {
-				if _, err := e.second[table][idx].Delete(composite); err != nil {
-					return err
-				}
-			} else {
-				if err := e.second[table][idx].Put(composite, core.SecPK(composite)); err != nil {
-					return err
-				}
+		h.WriteBackCols(slot, cols)
+		// Replay the logged secondary repair list.
+		for n := int(d.ReadU8(int64(p) + wNSec)); n > 0; n-- {
+			if err := e.fixSecondary(table, int(d.ReadU8(base)), d.ReadU8(base+1) != 1, d.ReadU64(base+2)); err != nil {
+				return err
 			}
+			base += secRec
 		}
 	case core.WalDelete:
 		// The tuple slot was only logically discarded; re-link the indexes.
-		if h.State(slot) == core.SlotFree {
-			return nil
-		}
 		if err := e.primary[table].Put(key, slot); err != nil {
 			return err
 		}
-		if len(tm.Schema.Secondary) > 0 {
-			row := h.ReadRow(slot)
-			for j, ix := range tm.Schema.Secondary {
-				if err := e.second[table][j].Put(core.SecComposite(ix.SecKey(row), key), key); err != nil {
-					return err
-				}
-			}
+		row, err := e.readForIndexes(tm, h, slot)
+		if err != nil {
+			return err
 		}
+		return e.moveSecondaries(tm, row, key, true)
 	}
 	return nil
 }
 
-// unlinkSecondaries removes the secondary entries of the tuple at slot. A
-// table without indexes has none, and its row is not read.
-func (e *Engine) unlinkSecondaries(tm *core.TableMeta, h *core.Heap, slot, key uint64) error {
+// readForIndexes reads the tuple at slot if the table has secondary indexes to
+// key it by; a table without them has no use for the row, and it is not read.
+func (e *Engine) readForIndexes(tm *core.TableMeta, h *core.Heap, slot uint64) ([]core.Value, error) {
 	if len(tm.Schema.Secondary) == 0 {
-		return nil
+		return nil, nil
 	}
-	row := h.ReadRow(slot)
+	row, err := h.TryReadRow(slot)
+	if err != nil {
+		return nil, core.Corrupt(err)
+	}
+	return row, nil
+}
+
+// moveSecondaries adds or removes the secondary entries of the tuple row.
+func (e *Engine) moveSecondaries(tm *core.TableMeta, row []core.Value, key uint64, add bool) error {
 	for j, ix := range tm.Schema.Secondary {
-		if _, err := e.second[tm.ID][j].Delete(core.SecComposite(ix.SecKey(row), key)); err != nil {
+		if err := e.fixSecondary(tm.ID, j, add, core.SecComposite(ix.SecKey(row), key)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// restoreVarPtr writes a raw var-slot pointer back into a string field.
-func (e *Engine) restoreVarPtr(slot uint64, col int, vp uint64) {
-	e.dev().WriteU64(int64(slot)+16+int64(col*8), vp)
+// fixSecondary adds or removes one secondary-index entry.
+func (e *Engine) fixSecondary(table, idx int, add bool, composite uint64) error {
+	if add {
+		return e.second[table][idx].Put(composite, core.SecPK(composite))
+	}
+	_, err := e.second[table][idx].Delete(composite)
+	return err
 }
 
-// appendWAL builds a WAL entry chunk, syncs it, and links it with an atomic
-// durable head update.
+// applyFixes carries out an operation's secondary-index changes.
+func (e *Engine) applyFixes(table int, fixes []secFix) error {
+	for _, f := range fixes {
+		if err := e.fixSecondary(table, f.idx, f.added, f.composite); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendWAL builds a WAL entry, streams it into a fresh chunk with its
+// persisted mark, fences, and links it with an atomic durable head update: two
+// fences, after which undo owns what the entry names. The first fence also
+// covers whatever the caller streamed or wrote back before the call. An entry
+// a crash leaves marked but unlinked is a persisted log chunk nothing reaches,
+// which undoWAL's sweep frees. Log-arena exhaustion is reachable from normal
+// traffic: it is an error, nothing was written, and the transaction can be
+// aborted cleanly.
 func (e *Engine) appendWAL(typ uint8, table int, key, slot uint64, befCols []int, befVals []uint64, fixes []secFix) (pmalloc.Ptr, error) {
 	d := e.dev()
-	size := wData + colRec*len(befCols) + secRec*len(fixes)
-	p, err := e.Env.Arena.Alloc(size, pmalloc.TagLog)
+	p, err := e.Env.Arena.Alloc(wData+colRec*len(befCols)+secRec*len(fixes), pmalloc.TagLog)
 	if err != nil {
-		// Log-arena exhaustion is reachable from normal traffic: surface it
-		// instead of panicking; the transaction can be aborted cleanly.
 		return 0, err
 	}
-	d.WriteU64(int64(p)+wNext, d.ReadU64(int64(e.hdr)+hWalHead))
-	d.WriteU64(int64(p)+wTxn, e.TxnID)
-	d.WriteU8(int64(p)+wType, typ)
-	d.WriteU8(int64(p)+wTable, uint8(table))
-	d.WriteU8(int64(p)+wNCols, uint8(len(befCols)))
-	d.WriteU8(int64(p)+wNSec, uint8(len(fixes)))
-	d.WriteU64(int64(p)+wKey, key)
-	d.WriteU64(int64(p)+wSlot, slot)
+	rec := append(e.rec[:0], make([]byte, wData)...)
+	le := binary.LittleEndian
+	le.PutUint64(rec[wNext:], d.ReadU64(int64(e.hdr)+hWalHead))
+	le.PutUint64(rec[wTxn:], e.TxnID)
+	rec[wType], rec[wTable] = typ, uint8(table)
+	rec[wNCols], rec[wNSec] = uint8(len(befCols)), uint8(len(fixes))
+	le.PutUint64(rec[wKey:], key)
+	le.PutUint64(rec[wSlot:], slot)
 	for i, ci := range befCols {
-		base := int64(p) + wData + int64(i)*colRec
-		d.WriteU8(base, uint8(ci))
-		d.WriteU64(base+1, befVals[i])
+		rec = le.AppendUint64(append(rec, uint8(ci)), befVals[i])
 	}
-	secBase := int64(p) + wData + int64(len(befCols))*colRec
-	for i, f := range fixes {
-		base := secBase + int64(i)*secRec
-		d.WriteU8(base, uint8(f.idx))
+	for _, f := range fixes {
 		op := uint8(2)
 		if f.added {
 			op = 1
 		}
-		d.WriteU8(base+1, op)
-		d.WriteU64(base+2, f.composite)
+		rec = le.AppendUint64(append(rec, uint8(f.idx), op), f.composite)
 	}
-	e.Env.Arena.Persist(p, size)
+	e.rec = rec
+	e.Env.Arena.StreamPersisted(p, rec)
+	d.Fence()
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, p)
 	return p, nil
 }
@@ -413,16 +437,18 @@ func (e *Engine) Begin() error {
 // Commit truncates the WAL with one atomic durable write — since the WAL is
 // undo-only and every change was persisted as it happened, an empty WAL *is*
 // the committed state — then reclaims space owed by deletes and updates
-// (Table 2: "Reclaim space at the end of transaction").
+// (Table 2: "Reclaim space at the end of transaction"). A transaction that
+// logged nothing left the WAL empty and writes nothing.
 func (e *Engine) Commit() error {
 	if err := e.RequireTx(); err != nil {
 		return err
 	}
 	stop := e.Bd.Timer(&e.Bd.Recovery)
 	defer stop()
-	d := e.dev()
-	// The atomic commit point: after this, recovery has nothing to undo.
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	if len(e.ops) > 0 {
+		// The atomic commit point: after this, recovery has nothing to undo.
+		e.dev().WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	}
 	for _, op := range e.ops {
 		for _, vp := range op.oldVars {
 			e.heaps[op.table].FreeVar(vp)
@@ -430,9 +456,7 @@ func (e *Engine) Commit() error {
 		if op.typ == core.WalDelete {
 			e.heaps[op.table].FreeSlot(op.delSlot)
 		}
-		if op.entry != 0 {
-			e.Env.Arena.Free(op.entry)
-		}
+		e.Env.Arena.Free(op.entry)
 	}
 	// The WAL truncation above is the durability barrier: versions publish
 	// to snapshot readers immediately (NVM-InP is durable at commit).
@@ -447,7 +471,7 @@ func (e *Engine) Abort() error {
 		return err
 	}
 	for i := len(e.ops) - 1; i >= 0; i-- {
-		if err := e.undoEntry(e.ops[i].entry); err != nil {
+		if err := e.undoEntry(e.ops[i].entry, false); err != nil {
 			// A failed rollback leaves volatile and durable state diverged;
 			// only the engine's crash-recovery path can restore consistency.
 			// The transaction is over either way — end it so recovery's
@@ -456,19 +480,21 @@ func (e *Engine) Abort() error {
 			return core.Corrupt(err)
 		}
 	}
-	d := e.dev()
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	if len(e.ops) > 0 {
+		d := e.dev()
+		d.Fence() // what undo restored, before the entries that would redo it go
+		d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	}
 	for _, op := range e.ops {
-		if op.entry != 0 {
-			e.Env.Arena.Free(op.entry)
-		}
+		e.Env.Arena.Free(op.entry)
 	}
 	e.MV.DropStaged()
 	return e.EndTx()
 }
 
-// Insert adds a tuple per Table 2: sync tuple, record its pointer in the
-// WAL, sync the entry, mark the slot persisted, add the index entries.
+// Insert adds a tuple (Table 2) in three fence intervals: the var-slots,
+// streamed with their marks, and the WAL entry that names the slot; the WAL
+// head; then the slot itself, state, key and fields. The index entries follow.
 func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if err := e.RequireTx(); err != nil {
 		return err
@@ -487,12 +513,10 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	slot, err := h.StoreRow(key, row)
+	stopSt()
 	if err != nil {
-		stopSt()
 		return err
 	}
-	h.SyncTuple(slot)
-	stopSt()
 
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
 	entry, err := e.appendWAL(core.WalInsert, tm.ID, key, slot, nil, nil, nil)
@@ -507,6 +531,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 
 	stopSt = e.Bd.Timer(&e.Bd.Storage)
 	h.PersistSlot(slot)
+	e.dev().Fence()
 	stopSt()
 
 	stopIdx = e.Bd.Timer(&e.Bd.Index)
@@ -515,7 +540,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 		return err
 	}
 	for j, ix := range tm.Schema.Secondary {
-		if err := e.second[tm.ID][j].Put(core.SecComposite(ix.SecKey(row), key), key); err != nil {
+		if err := e.fixSecondary(tm.ID, j, true, core.SecComposite(ix.SecKey(row), key)); err != nil {
 			return err
 		}
 	}
@@ -524,7 +549,8 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 }
 
 // Update records the before-image (field values / var-slot pointers) in the
-// WAL, then modifies the tuple in place and syncs the changes.
+// WAL, then modifies the tuple in place: the new var-slots are streamed with
+// their marks, the fields' lines written back, and one fence covers both.
 func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err := e.RequireTx(); err != nil {
 		return err
@@ -547,16 +573,17 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	befVals := make([]uint64, len(upd.Cols))
 	var oldVars []uint64
 	for j, ci := range upd.Cols {
-		if tm.Schema.Columns[ci].Type == core.TInt {
-			befVals[j] = uint64(h.ReadCol(slot, ci).I)
-		} else {
-			befVals[j] = h.ColVarPtr(slot, ci)
+		befVals[j] = h.RawCol(slot, ci)
+		if tm.Schema.Columns[ci].Type == core.TString {
 			oldVars = append(oldVars, befVals[j])
 		}
 	}
 	var fixes []secFix
 	if tm.Schema.IndexReads(upd.Cols) {
-		old := h.ReadRow(slot)
+		old, err := h.TryReadRow(slot)
+		if err != nil {
+			return core.Corrupt(err)
+		}
 		now := append([]core.Value(nil), old...)
 		core.ApplyDelta(now, upd)
 		for j, ix := range tm.Schema.Secondary {
@@ -568,12 +595,11 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 			}
 		}
 	}
-
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
 	entry, err := e.appendWAL(core.WalUpdate, tm.ID, key, slot, upd.Cols, befVals, fixes)
 	stopRec()
 	if err != nil {
-		return err
+		return err // nothing logged, nothing touched
 	}
 	// Record the op before modifying anything so Abort can undo a
 	// partially applied update from the WAL entry's before-image.
@@ -588,22 +614,14 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 		return err
 	}
 	e.ops[len(e.ops)-1].oldVars = oldVars
-	h.SyncTuple(slot)
-	h.PersistCols(slot, upd.Cols...) // the var-slots this update allocated
+	h.WriteBackCols(slot, upd.Cols)
+	e.dev().Fence()
 	stopSt()
 
 	stopIdx = e.Bd.Timer(&e.Bd.Index)
 	defer stopIdx()
-	for _, f := range fixes {
-		if f.added {
-			if err := e.second[tm.ID][f.idx].Put(f.composite, core.SecPK(f.composite)); err != nil {
-				return err
-			}
-		} else {
-			if _, err := e.second[tm.ID][f.idx].Delete(f.composite); err != nil {
-				return err
-			}
-		}
+	if err := e.applyFixes(tm.ID, fixes); err != nil {
+		return err
 	}
 	e.MV.StageUpdate(table, key, upd)
 	return nil
@@ -625,7 +643,6 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if !ok {
 		return core.ErrKeyNotFound
 	}
-	h := e.heaps[tm.ID]
 
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
 	entry, err := e.appendWAL(core.WalDelete, tm.ID, key, slot, nil, nil, nil)
@@ -643,7 +660,11 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if _, err := e.primary[tm.ID].Delete(key); err != nil {
 		return err
 	}
-	if err := e.unlinkSecondaries(tm, h, slot, key); err != nil {
+	row, err := e.readForIndexes(tm, e.heaps[tm.ID], slot)
+	if err != nil {
+		return err
+	}
+	if err := e.moveSecondaries(tm, row, key, false); err != nil {
 		return err
 	}
 	e.MV.StageDelete(table, key)
@@ -669,7 +690,15 @@ func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 		return nil, false, err
 	}
 	defer e.Bd.Timer(&e.Bd.Storage)()
-	return h.ReadRow(slot), true, nil
+	return checked(h.TryReadRow(slot))
+}
+
+// checked turns a read that met a garbage var-slot pointer into Corrupt.
+func checked(row []core.Value, err error) ([]core.Value, bool, error) {
+	if err != nil {
+		return nil, false, core.Corrupt(err)
+	}
+	return row, true, nil
 }
 
 // GetCols implements core.ColReader: the index lookup of Get, then only the
@@ -680,7 +709,7 @@ func (e *Engine) GetCols(table string, key uint64, cols []int) ([]core.Value, bo
 		return nil, false, err
 	}
 	defer e.Bd.Timer(&e.Bd.Storage)()
-	return h.ReadCols(slot, cols), true, nil
+	return checked(h.TryReadCols(slot, cols))
 }
 
 // ScanSecondary iterates primary keys matching a secondary key.
@@ -712,12 +741,18 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 		return err
 	}
 	h := e.heaps[tm.ID]
+	var damage error
 	e.primary[tm.ID].Iter(from, func(k, slot uint64) bool {
 		if k >= to {
 			return false
 		}
-		return fn(k, h.ReadRow(slot))
+		var row []core.Value
+		row, damage = h.TryReadRow(slot)
+		return damage == nil && fn(k, row)
 	})
+	if damage != nil {
+		return core.Corrupt(damage)
+	}
 	return nil
 }
 

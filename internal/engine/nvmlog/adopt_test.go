@@ -146,8 +146,7 @@ func checkTags(e *Engine) error {
 // with the kind tags stripped — and what the allocator holds must be the same
 // set, and every tag must be right (checkTags). A reachable chunk that is free was
 // released while a live tree still pointed at it (the double-free side of
-// chunk adoption); a persisted table, index or log chunk nobody reaches is a
-// leak.
+// chunk adoption); a persisted chunk nobody reaches is a leak.
 func checkArenaMatchesReach(e *Engine) error {
 	reach, _ := e.reachable()
 	err := checkTags(e)
@@ -159,9 +158,7 @@ func checkArenaMatchesReach(e *Engine) error {
 				err = fmt.Errorf("reachable chunk %d (%s, %d B) is free", p, pmalloc.TagNames[tag], size)
 			}
 			return
-		case !reach[p] && tag != pmalloc.TagOther && err == nil:
-			// TagOther is outside the sweep: a run list orphaned between
-			// its persisted mark and the anchor swap stays allocated.
+		case !reach[p] && err == nil:
 			err = fmt.Errorf("leaked chunk %d (%s, %d B, state %d)", p, pmalloc.TagNames[tag], size, st)
 		}
 		held += int64(size)

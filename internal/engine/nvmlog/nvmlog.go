@@ -16,6 +16,7 @@ package nvmlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -115,6 +116,7 @@ type Engine struct {
 	fstats        core.FlushStats
 
 	ops         []txnOp
+	rec         []byte // scratch: the WAL entry being built
 	compactions int
 	closed      bool
 }
@@ -327,11 +329,13 @@ func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, runKeys [][]uint64) {
 	return reach, runKeys
 }
 
-// sweep reclaims persisted chunks orphaned by crashes during rotation,
-// compaction, or WAL truncation, and re-verifies each immutable run's Bloom
-// filter against its tree. A chunk reachable from any listed tree survives,
-// which is what lets a compaction's merged run share entry chunks with the
-// runs it replaces. The reachability marking and all device reads stay on
+// sweep reclaims persisted chunks orphaned by crashes: an entry chunk, WAL
+// entry, Bloom filter or run list marked persisted (StreamPersisted) before
+// the crash kept it from being linked, and what rotation, compaction and WAL
+// truncation had unlinked but not yet freed. It then re-verifies each
+// immutable run's Bloom filter against its tree. A chunk reachable from any
+// listed tree survives, which is what lets a compaction's merged run share
+// entry chunks with the runs it replaces. The reachability marking and all device reads stay on
 // the owner goroutine; the chunk classification and the Bloom rebuilds are
 // host-memory work and fan out across RecoveryParallelism workers.
 func (e *Engine) sweep() error {
@@ -341,22 +345,17 @@ func (e *Engine) sweep() error {
 	reach, runKeys := e.reachable()
 
 	type chunkRec struct {
-		p   pmalloc.Ptr
-		tag pmalloc.Tag
-		st  pmalloc.State
+		p  pmalloc.Ptr
+		st pmalloc.State
 	}
 	var chunks []chunkRec
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
-		chunks = append(chunks, chunkRec{p: p, tag: tag, st: st})
+		chunks = append(chunks, chunkRec{p: p, st: st})
 	})
 	orphans := make([][]pmalloc.Ptr, workers)
 	_ = core.ParallelChunks(workers, len(chunks), func(w, lo, hi int) error {
 		for _, c := range chunks[lo:hi] {
-			if c.st != pmalloc.StatePersisted || reach[c.p] {
-				continue
-			}
-			switch c.tag {
-			case pmalloc.TagTable, pmalloc.TagIndex, pmalloc.TagLog:
+			if c.st == pmalloc.StatePersisted && !reach[c.p] {
 				orphans[w] = append(orphans[w], c.p)
 			}
 		}
@@ -422,13 +421,10 @@ func (e *Engine) verifyBlooms(workers int, runKeys [][]uint64) error {
 		}
 		// Geometry drifted (corrupt run-list metadata): persist a fresh
 		// filter chunk and relink the run list afterwards.
-		p, err := e.Env.Arena.Alloc(len(bits), pmalloc.TagIndex)
+		p, err := e.storeBloom(bits)
 		if err != nil {
 			return err
 		}
-		d.Write(int64(p), bits)
-		d.Sync(int64(p), len(bits))
-		e.Env.Arena.SetPersisted(p)
 		// bloomPtr 0 = a rotation crashed between run-list swap and bloom
 		// install; this path completes the interrupted build stage.
 		if r.bloomPtr != 0 {
@@ -445,9 +441,9 @@ func (e *Engine) verifyBlooms(workers int, runKeys [][]uint64) error {
 	return nil
 }
 
-// writeEntryChunk stores ent in a persisted entry chunk and returns the
-// tagged pointer to it: the MemTable is durable, so the chunk is streamed
-// and fenced before any tree points at it.
+// writeEntryChunk streams ent into an entry chunk marked persisted and returns
+// the tagged pointer to it. The MemTable is durable, so the caller fences
+// before any tree points at the chunk.
 func (e *Engine) writeEntryChunk(ent lsm.Entry) (uint64, error) {
 	p, err := lsm.StreamEntryChunk(e.Env.Arena, ent)
 	if err != nil {
@@ -457,9 +453,18 @@ func (e *Engine) writeEntryChunk(ent lsm.Entry) (uint64, error) {
 		e.Env.Arena.Free(p)
 		return 0, fmt.Errorf("nvmlog: entry chunk %d is not 16-byte aligned", p)
 	}
-	e.Env.Dev.Fence()
-	e.Env.Arena.SetPersisted(p)
 	return tagPtr(p, ent.Kind), nil
+}
+
+// storeBloom streams a filter's bits into an index chunk marked persisted,
+// durable at the fence swapRunList issues before it publishes the run.
+func (e *Engine) storeBloom(bits []byte) (pmalloc.Ptr, error) {
+	p, err := e.Env.Arena.Alloc(len(bits), pmalloc.TagIndex)
+	if err != nil {
+		return 0, err
+	}
+	e.Env.Arena.StreamPersisted(p, bits)
+	return p, nil
 }
 
 // secFix describes a secondary-index change for WAL undo.
@@ -471,35 +476,34 @@ type secFix struct {
 
 // appendWAL logs one MemTable operation: which mapping changed (old/new
 // tagged entry-chunk pointers, as the tree holds them) and the secondary
-// entries touched.
+// entries touched. The entry is streamed with its persisted mark; one fence
+// makes it and the new entry chunk durable, and a second links it at the
+// head, after which undo owns both.
 func (e *Engine) appendWAL(typ uint8, table int, key, oldPtr, newPtr uint64, fixes []secFix) (pmalloc.Ptr, error) {
 	d := e.Env.Dev
-	size := wSec + secRec*len(fixes)
-	p, err := e.Env.Arena.Alloc(size, pmalloc.TagLog)
-	if err != nil {
-		// Log-arena exhaustion is reachable from normal traffic.
-		return 0, err
-	}
-	d.WriteU64(int64(p)+wNext, d.ReadU64(int64(e.hdr)+hWalHead))
-	d.WriteU64(int64(p)+wTxn, e.TxnID)
-	d.WriteU8(int64(p)+wType, typ)
-	d.WriteU8(int64(p)+wTable, uint8(table))
-	d.WriteU8(int64(p)+wNSec, uint8(len(fixes)))
-	d.WriteU64(int64(p)+wKey, key)
-	d.WriteU64(int64(p)+wOldPtr, oldPtr)
-	d.WriteU64(int64(p)+wNewPtr, newPtr)
-	for i, f := range fixes {
-		base := int64(p) + wSec + int64(i)*secRec
-		d.WriteU8(base, uint8(f.idx))
+	rec := append(e.rec[:0], make([]byte, wSec)...)
+	le := binary.LittleEndian
+	le.PutUint64(rec[wNext:], d.ReadU64(int64(e.hdr)+hWalHead))
+	le.PutUint64(rec[wTxn:], e.TxnID)
+	rec[wType], rec[wTable], rec[wNSec] = typ, uint8(table), uint8(len(fixes))
+	le.PutUint64(rec[wKey:], key)
+	le.PutUint64(rec[wOldPtr:], oldPtr)
+	le.PutUint64(rec[wNewPtr:], newPtr)
+	for _, f := range fixes {
 		op := uint8(2)
 		if f.added {
 			op = 1
 		}
-		d.WriteU8(base+1, op)
-		d.WriteU64(base+2, f.composite)
+		rec = le.AppendUint64(append(rec, uint8(f.idx), op), f.composite)
 	}
-	d.Sync(int64(p), size)
-	e.Env.Arena.SetPersisted(p)
+	e.rec = rec
+	p, err := e.Env.Arena.Alloc(len(rec), pmalloc.TagLog)
+	if err != nil {
+		// Log-arena exhaustion is reachable from normal traffic.
+		return 0, err
+	}
+	e.Env.Arena.StreamPersisted(p, rec)
+	d.Fence()
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, p)
 	return p, nil
 }
@@ -636,9 +640,11 @@ func (e *Engine) Commit() error {
 		return err
 	}
 	stop := e.Bd.Timer(&e.Bd.Recovery)
-	d := e.Env.Dev
-	// Truncating the undo log is the atomic commit point (§4.3).
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	if len(e.ops) > 0 {
+		// Truncating the undo log is the atomic commit point (§4.3). A
+		// transaction that logged nothing left it empty.
+		e.Env.Dev.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	}
 	for _, op := range e.ops {
 		if old := chunkOf(op.oldPtr); old != 0 && e.Env.Arena.StateOf(old) != pmalloc.StateFree {
 			e.Env.Arena.Free(old)
@@ -687,9 +693,10 @@ func (e *Engine) Abort() error {
 			return core.Corrupt(err)
 		}
 	}
-	e.memCount = e.mem.Count()
-	d := e.Env.Dev
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	if len(e.ops) > 0 {
+		e.memCount = e.mem.Count()
+		e.Env.Dev.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+	}
 	for _, op := range e.ops {
 		e.Env.Arena.Free(op.entry)
 	}
@@ -783,14 +790,10 @@ func (e *Engine) rotateTask(newRun *run, keys []uint64) *lsm.FlushTask {
 // storeRun persists a bloom filter chunk and returns the run descriptor.
 func (e *Engine) storeRun(tree *nvbtree.Tree, fl *bloom.Filter) (*run, error) {
 	bm := fl.Marshal()
-	p, err := e.Env.Arena.Alloc(len(bm)-8, pmalloc.TagIndex)
+	p, err := e.storeBloom(bm[8:])
 	if err != nil {
 		return nil, err
 	}
-	d := e.Env.Dev
-	d.Write(int64(p), bm[8:])
-	d.Sync(int64(p), len(bm)-8)
-	e.Env.Arena.SetPersisted(p)
 	return &run{
 		tree:       tree,
 		bloomPtr:   p,
@@ -799,27 +802,29 @@ func (e *Engine) storeRun(tree *nvbtree.Tree, fl *bloom.Filter) (*run, error) {
 	}, nil
 }
 
-// swapRunList atomically installs a new immutable-run list.
+// swapRunList atomically installs a new immutable-run list. Its fence is the
+// one that makes the list, and whatever the caller streamed for the runs it
+// names — Bloom filters, a compaction's entry chunks — durable before the
+// anchor swings to them.
 func (e *Engine) swapRunList(runs []*run) error {
 	d := e.Env.Dev
 	old := d.ReadU64(int64(e.hdr) + hRunList)
 	var list pmalloc.Ptr
 	if len(runs) > 0 {
+		img := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+runEntSize*len(runs)), uint64(len(runs)))
+		for _, r := range runs {
+			img = binary.LittleEndian.AppendUint64(img, r.tree.Header())
+			img = binary.LittleEndian.AppendUint64(img, r.bloomPtr)
+			img = binary.LittleEndian.AppendUint64(img, r.bloomWords<<8|uint64(r.bloomK))
+		}
 		var err error
-		list, err = e.Env.Arena.Alloc(8+runEntSize*len(runs), pmalloc.TagOther)
+		list, err = e.Env.Arena.Alloc(len(img), pmalloc.TagOther)
 		if err != nil {
 			return err
 		}
-		d.WriteU64(int64(list), uint64(len(runs)))
-		for i, r := range runs {
-			base := int64(list) + 8 + int64(i)*runEntSize
-			d.WriteU64(base, r.tree.Header())
-			d.WriteU64(base+8, r.bloomPtr)
-			d.WriteU64(base+16, r.bloomWords<<8|uint64(r.bloomK))
-		}
-		d.Sync(int64(list), 8+runEntSize*len(runs))
-		e.Env.Arena.SetPersisted(list)
+		e.Env.Arena.StreamPersisted(list, img)
 	}
+	d.Fence()
 	d.WriteU64Durable(int64(e.hdr)+hRunList, uint64(list))
 	if old != 0 {
 		e.Env.Arena.Free(old)

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"sort"
 
 	"nstore/internal/nvm"
@@ -45,13 +46,14 @@ const (
 	hMagic    = 0
 	hRoot     = 8
 	hNodeSize = 16
-	hJOld     = 24 // journal: node being replaced
+	hJOld     = 24 // journal: node being replaced (0 = no journal)
 	hJParent  = 32 // journal: its parent (0 = root replace)
 	hJProbe   = 40 // journal: commit probe (new node that becomes reachable)
 	hJNew     = 48 // journal: up to 3 new nodes
-	hdrBytes  = 48 + 3*8
+	hJSum     = 72 // journal: checksum of the six words before it
+	hdrBytes  = 80
 
-	headerMagic = 0x4e56425452454531 // "NVBTREE1"
+	headerMagic = 0x4e56425452454532 // "NVBTREE2": the journal carries hJSum
 
 	// minFree is the preemptive threshold: inner nodes visited during a
 	// descent are rewritten/split if they have fewer free slots, so that a
@@ -345,8 +347,9 @@ func (t *Tree) lookupIn(n uint64, k uint64) (uint64, bool) {
 // routeChild picks the child of inner node n covering key k: the live
 // routing entry with the largest separator <= k, or the smallest separator
 // if k precedes all of them. Shadow resolution runs backwards over the
-// committed entries without allocating.
-func (t *Tree) routeChild(n uint64, k uint64) uint64 {
+// committed entries without allocating. An inner node with no live child —
+// which only a damaged image holds — routes nowhere: !ok.
+func (t *Tree) routeChild(n uint64, k uint64) (child uint64, ok bool) {
 	buf, c := t.readNode(n)
 	if cap(t.seen) < t.cap {
 		t.seen = make([]uint64, 0, t.cap)
@@ -380,27 +383,25 @@ func (t *Tree) routeChild(n uint64, k uint64) uint64 {
 		}
 	}
 	if haveBest {
-		return bestV
+		return bestV, true
 	}
-	if haveMin {
-		return minV
-	}
-	panic("nvbtree: inner node with no live children")
+	return minV, haveMin
 }
 
-// ErrCorrupt reports a descent deeper than any healthy tree: a child pointer
-// that cycles back on itself, which only a damaged image can hold (e.g. one
-// written with its fences disabled).
-var ErrCorrupt = errors.New("nvbtree: descent exceeds the maximum tree depth (corrupt child pointer)")
+// ErrCorrupt reports a descent no healthy tree allows — deeper than any, through
+// a child pointer that cycles back on itself, or into an inner node with no
+// live child — which only a damaged image can hold (e.g. one written with its
+// fences disabled).
+var ErrCorrupt = errors.New("nvbtree: descent exceeds the maximum tree depth or dead-ends (corrupt child pointer)")
 
 // get is Get with the depth overrun reported.
 func (t *Tree) get(k uint64) (uint64, bool, error) {
 	n := t.root()
 	for depth := 0; !t.isLeaf(n); depth++ {
-		if depth > maxIterDepth {
+		var ok bool
+		if n, ok = t.routeChild(n, k); !ok || depth > maxIterDepth {
 			return 0, false, ErrCorrupt
 		}
-		n = t.routeChild(n, k)
 	}
 	v, ok := t.lookupIn(n, k)
 	return v, ok, nil
@@ -456,7 +457,10 @@ func (t *Tree) modify(k, v uint64) error {
 				break
 			}
 			parent = n
-			n = t.routeChild(n, k)
+			var ok bool
+			if n, ok = t.routeChild(n, k); !ok {
+				return ErrCorrupt
+			}
 		}
 		if restart {
 			continue
@@ -608,20 +612,22 @@ func (t *Tree) rewrite(n, parent uint64, pending *entry) error {
 	}
 
 	// Journal the swap: {old, parent, probe, new...}, durably, before the
-	// new nodes are marked persisted.
+	// new nodes are marked persisted. The seven words can span two cache
+	// lines, and clearing the journal zeroes only the first, so the checksum
+	// is what tells recovery that all six it reads belong to this rewrite.
 	jNew := [3]uint64{}
 	copy(jNew[:], newNodes)
 	if newRoot != 0 {
 		jNew[len(newNodes)] = newRoot
 	}
-	d := t.dev
-	d.WriteU64(int64(t.hdr)+hJOld, n)
-	d.WriteU64(int64(t.hdr)+hJParent, parent)
-	d.WriteU64(int64(t.hdr)+hJProbe, probe)
-	for i, p := range jNew {
-		d.WriteU64(int64(t.hdr)+hJNew+int64(i)*8, p)
+	var j [hdrBytes - hJOld]byte
+	for i, w := range [...]uint64{n, parent, probe, jNew[0], jNew[1], jNew[2]} {
+		binary.LittleEndian.PutUint64(j[i*8:], w)
 	}
-	d.Sync(int64(t.hdr)+hJOld, hdrBytes-hJOld)
+	binary.LittleEndian.PutUint64(j[hJSum-hJOld:], journalSum(j[:hJSum-hJOld]))
+	d := t.dev
+	d.Write(int64(t.hdr)+hJOld, j[:])
+	d.Sync(int64(t.hdr)+hJOld, len(j))
 
 	for _, p := range jNew {
 		if p != 0 {
@@ -643,8 +649,7 @@ func (t *Tree) rewrite(n, parent uint64, pending *entry) error {
 
 	// Release the replaced node, then clear the journal.
 	t.arena.Free(pmalloc.Ptr(n))
-	d.WriteU64(int64(t.hdr)+hJOld, 0)
-	d.Sync(int64(t.hdr)+hJOld, 8)
+	d.WriteU64Durable(int64(t.hdr)+hJOld, 0)
 	return nil
 }
 
@@ -659,6 +664,11 @@ func (t *Tree) routingKeyFor(parent, c uint64) (uint64, bool) {
 	return 0, false
 }
 
+// journalSum is the checksum stored behind the journal's six words.
+func journalSum(words []byte) uint64 { return crc64.Checksum(words, journalTable) }
+
+var journalTable = crc64.MakeTable(crc64.ECMA)
+
 // recoverJournal completes or rolls back a rewrite interrupted by a crash.
 func (t *Tree) recoverJournal() {
 	d := t.dev
@@ -666,12 +676,19 @@ func (t *Tree) recoverJournal() {
 	if old == 0 {
 		return
 	}
-	parent := d.ReadU64(int64(t.hdr) + hJParent)
-	probe := d.ReadU64(int64(t.hdr) + hJProbe)
-	var news [3]uint64
-	for i := range news {
-		news[i] = d.ReadU64(int64(t.hdr) + hJNew + int64(i)*8)
+	var j [hdrBytes - hJOld]byte
+	d.Read(int64(t.hdr)+hJOld, j[:])
+	word := func(off int) uint64 { return binary.LittleEndian.Uint64(j[off-hJOld:]) }
+	if word(hJSum) != journalSum(j[:hJSum-hJOld]) {
+		// A journal write the crash tore or reordered: some of the six words
+		// are an earlier rewrite's. The rewrite publishes nothing — marks no
+		// new node, touches no parent — before its journal is durable, so
+		// there is nothing to complete or roll back.
+		d.WriteU64Durable(int64(t.hdr)+hJOld, 0)
+		return
 	}
+	parent, probe := word(hJParent), word(hJProbe)
+	news := [3]uint64{word(hJNew), word(hJNew + 8), word(hJNew + 16)}
 	committed := false
 	if parent == 0 {
 		committed = t.root() == probe
@@ -698,8 +715,7 @@ func (t *Tree) recoverJournal() {
 			}
 		}
 	}
-	d.WriteU64(int64(t.hdr)+hJOld, 0)
-	d.Sync(int64(t.hdr)+hJOld, 8)
+	d.WriteU64Durable(int64(t.hdr)+hJOld, 0)
 }
 
 // Iter calls fn for each key >= from in ascending order until fn returns
@@ -713,10 +729,10 @@ func (t *Tree) Iter(from uint64, fn func(k, v uint64) bool) {
 		// itself (possible after an injected crash with fences disabled).
 		// Bail out instead of spinning forever.
 		for depth := 0; !t.isLeaf(n); depth++ {
-			if depth > maxIterDepth {
+			var ok bool
+			if n, ok = t.routeChild(n, from); !ok || depth > maxIterDepth {
 				return
 			}
-			n = t.routeChild(n, from)
 		}
 		live := t.resolve(n)
 		emitted := false

@@ -165,6 +165,7 @@ type Device struct {
 	planSet   bool // a plan is installed; Crash applies its effects
 	planArmed bool // the plan's fence-countdown crash trigger is live
 	fenceNoop bool // simulated protocol bug: Fence loses its durability effect
+	dropFence int  // simulated protocol bug: the dropFence-th Fence from now drains nothing (0 = none)
 }
 
 // ErrInjectedCrash is the panic value raised by fault injection (see
@@ -445,6 +446,11 @@ func (d *Device) Fence() {
 	}
 	d.stats.fences.Add(1)
 	d.stats.stallNS.Add(d.lat.fence.Load() + d.lat.syncExtra.Load())
+	if d.dropFence > 0 {
+		if d.dropFence--; d.dropFence == 0 {
+			return
+		}
+	}
 	if d.fenceNoop {
 		return
 	}

@@ -82,6 +82,14 @@ func (d *Device) ClearFaults() {
 // it catches such bugs.
 func (d *Device) SetFenceNoop(on bool) { d.fenceNoop = on }
 
+// DropFence makes the n-th Fence from now (0 = the next) lose its durability
+// effect, once, like SetFenceNoop for a single fence: it is counted, charged and
+// may trigger an armed crash, but drains nothing, so the lines before it share
+// an interval with the lines after. It simulates a protocol whose ordering
+// fence between two dependent writes was deleted, and exists so that the
+// fence-window walk can prove it notices.
+func (d *Device) DropFence(n int) { d.dropFence = n + 1 }
+
 // Discard forgets the un-fenced copies of every cache line overlapping
 // [off, off+n): the line leaves the memory controller's buffer and the cache,
 // so it reads as the medium has it. It is not an instruction a program could
@@ -105,18 +113,25 @@ func (d *Device) applyFaults() {
 	}
 	p := d.plan
 	rng := rand.New(rand.NewSource(p.Seed))
-	// Visit candidate write-backs in a deterministic order: controller-
-	// buffered lines in flush order first, then dirty cache lines in slot
-	// order. A line flushed and then re-dirtied appears twice (old flushed
-	// copy, then newer cache copy); each copy survives independently, with
-	// the cache copy overwriting when both do — exactly the set of outcomes
-	// an arbitrary write-back schedule allows.
-	d.pending.each(func(line int64, pl []byte) { d.maybePersistLine(rng, p, line, pl) })
+	d.Unfenced(func(line int64, buf []byte) { d.maybePersistLine(rng, p, line, buf) })
+}
+
+// Unfenced calls fn for every line write-back a crash at this moment may keep
+// or lose, in a deterministic order: controller-buffered lines in flush order
+// first, then dirty cache lines in slot order. A line flushed and then
+// re-dirtied appears twice (old flushed copy, then newer cache copy); each
+// copy survives independently, with the cache copy overwriting when both do —
+// exactly the set of outcomes an arbitrary write-back schedule allows. buf is
+// the device's own and only valid during the call. A test that walks crash
+// outcomes instead of sampling them (one kept line at a time, say) reads the
+// candidates here and applies its choice to a copy of the medium
+// (WriteSnapshot / ReadSnapshot, then Write + Sync of the kept bytes).
+func (d *Device) Unfenced(fn func(line int64, buf []byte)) {
+	d.pending.each(fn)
 	c := &d.cache
 	for i := range c.tags {
 		if c.tags[i] != 0 && c.dirty[i] {
-			line := int64(c.tags[i]-1) * LineSize
-			d.maybePersistLine(rng, p, line, c.data[i*LineSize:i*LineSize+LineSize])
+			fn(int64(c.tags[i]-1)*LineSize, c.data[i*LineSize:i*LineSize+LineSize])
 		}
 	}
 }

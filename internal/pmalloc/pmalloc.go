@@ -176,7 +176,7 @@ func (a *Arena) recoverScan() {
 	for off < a.heapEnd {
 		w := a.dev.ReadU64(off)
 		size, tag, st := unpackHeader(w)
-		if size <= 0 || off+headerSize+size > a.heapEnd {
+		if size <= 0 || off+headerSize+size > a.heapEnd || tag >= numTags {
 			// Torn heap tail (crash between header write and bump-pointer
 			// update): everything from here is beyond the durable end.
 			break
@@ -341,38 +341,42 @@ func (a *Arena) SetPersisted(ps ...Ptr) {
 	a.dev.Fence()
 }
 
-// Persist makes the first n payload bytes of the chunk at p durable and marks
-// the chunk persisted: Sync(p, n) followed by SetPersisted(p), with the same
-// two fences in the same order, except that the cache line the header shares
-// with the payload's first bytes is written back once, carrying the mark,
-// instead of once before the mark and once with it. When Persist returns the
-// chunk is persisted and whole, so a pointer to it may be made durable. The
-// payload bytes in the header's line are written before the mark and leave the
-// cache with it; a crash before the second fence that tears that line
-// (nvm.FaultTear) can leave an unreferenced chunk marked persisted around
-// unwritten bytes, which the owner's sweep of unreferenced chunks reclaims
-// like any other orphan.
+// StreamPersisted fills the fresh chunk at p with payload and marks it
+// persisted in one fence interval: chunk and mark are durable at the caller's
+// next fence. The line the header shares with the payload's first bytes is
+// written through the cache and written back once, carrying the mark; what
+// lies behind it is streamed (nvm.Device.WriteStream), so a brand-new chunk's
+// old bytes are not filled, except in a last line the payload covers only in
+// part, which may hold the next chunk's header. The cost is one device store
+// per line that header and payload cover, one write-back for the header's line
+// and one for a partial last line, wherever in a line the chunk starts, and no
+// fence.
 //
-// The cost is one write-back per line that header and payload cover, wherever
-// in a line the chunk starts; with Sync + SetPersisted it is one more unless
-// the header has a line to itself, which a recycled chunk's owner cannot
-// choose.
-func (a *Arena) Persist(p Ptr, n int) {
+// Until that fence the lines reach the medium in any order, so a crash can
+// leave the chunk marked persisted around unwritten bytes. Nothing durable
+// names the chunk yet; the caller's owner must reclaim a persisted chunk that
+// nothing names when it reopens.
+func (a *Arena) StreamPersisted(p Ptr, payload []byte) {
 	off := int64(p) - headerSize
 	size, tag, st := unpackHeader(a.dev.ReadU64(off))
 	if st == StateFree {
-		panic("pmalloc: Persist on free chunk")
+		panic("pmalloc: StreamPersisted on free chunk")
 	}
+	if int64(len(payload)) > size {
+		panic("pmalloc: StreamPersisted past the chunk's capacity")
+	}
+	a.writeHeaderLazy(off, size, tag, StatePersisted)
 	// The header word is 8 bytes at a 16-aligned offset, so it lies in one
 	// line, and the next line starts at or after the payload.
-	rest := off&^(nvm.LineSize-1) + nvm.LineSize
-	if end := int64(p) + int64(n); rest < end {
-		a.dev.WriteBack(rest, int(end-rest))
+	head := int(off&^(nvm.LineSize-1) + nvm.LineSize - int64(p))
+	if head > len(payload) {
+		head = len(payload)
 	}
-	a.dev.Fence()
-	a.writeHeaderLazy(off, size, tag, StatePersisted)
+	a.dev.Write(int64(p), payload[:head])
 	a.dev.WriteBack(off, 8)
-	a.dev.Fence()
+	if rest := payload[head:]; len(rest) > 0 {
+		a.dev.WriteStream(int64(p)+int64(head), rest)
+	}
 }
 
 // StateOf returns the durability state of the chunk at p.
@@ -385,6 +389,13 @@ func (a *Arena) StateOf(p Ptr) State {
 func (a *Arena) SizeOf(p Ptr) int {
 	size, _, _ := unpackHeader(a.dev.ReadU64(int64(p) - headerSize))
 	return int(size)
+}
+
+// Holds reports whether the n bytes at p lie inside the heap's used extent. It
+// reads nothing from the device: a reader handed a pointer or a length by an
+// image it cannot trust checks them here before it follows them.
+func (a *Arena) Holds(p Ptr, n int) bool {
+	return n >= 0 && int64(p) >= a.heapBase()+headerSize && int64(p) <= a.heapEnd-int64(n)
 }
 
 // Root returns the value of root-pointer slot i (the naming mechanism).

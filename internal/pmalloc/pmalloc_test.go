@@ -448,54 +448,64 @@ func persistAt(t *testing.T, phase int64, n int) (*nvm.Device, *Arena, Ptr) {
 
 // TestPersistCostIgnoresLinePhase: a chunk recycled through the free lists
 // sits wherever its first allocation put it, so what its owner pays to persist
-// it must not depend on where in a cache line that was. A 49-byte record (an
-// NVM-InP update's WAL entry) costs two line write-backs and two fences at
-// each of the four 16-byte phases; Sync + SetPersisted costs three at three
-// of them.
+// it must not depend on where in a cache line that was. StreamPersisted costs
+// one device store per line that header and payload cover, two CLWBs (the
+// header's line and the partial last one) and no fence: two stores for a
+// 49-byte record (an NVM-InP update's WAL entry) at each of the four 16-byte
+// phases, where Write + Sync + SetPersisted stores the header's line twice at
+// three of them.
 func TestPersistCostIgnoresLinePhase(t *testing.T) {
-	rec := make([]byte, 49)
-	for i := range rec {
-		rec[i] = byte(i + 1)
-	}
-	var old []uint64
-	for _, phase := range []int64{0, 16, 32, 48} {
-		dev, a, p := persistAt(t, phase, len(rec))
-		dev.Write(int64(p), rec)
-		st0 := dev.Stats()
-		a.Persist(p, len(rec))
-		d := dev.Stats().Sub(st0)
-		if d.Stores != 2 || d.Flushes != 2 || d.Fences != 2 {
-			t.Errorf("phase %d: Persist cost %d stores, %d flushes, %d fences; want 2, 2, 2", phase, d.Stores, d.Flushes, d.Fences)
+	for _, n := range []int{49, 200} {
+		rec := make([]byte, n)
+		for i := range rec {
+			rec[i] = byte(i + 1)
 		}
-		if a.StateOf(p) != StatePersisted {
-			t.Errorf("phase %d: state %v after Persist", phase, a.StateOf(p))
-		}
+		var old []uint64
+		for _, phase := range []int64{0, 16, 32, 48} {
+			lines := uint64(phase+headerSize+int64(n)+nvm.LineSize-1) / nvm.LineSize
+			dev, a, p := persistAt(t, phase, n)
+			st0 := dev.Stats()
+			a.StreamPersisted(p, rec)
+			d := dev.Stats().Sub(st0)
+			if d.Stores != lines || d.Flushes != 2 || d.Fences != 0 {
+				t.Errorf("%d bytes at phase %d: StreamPersisted cost %d stores, %d flushes, %d fences; want %d, 2, 0",
+					n, phase, d.Stores, d.Flushes, d.Fences, lines)
+			}
+			dev.Fence()
+			dev.Crash()
+			got := make([]byte, n)
+			dev.Read(int64(p), got)
+			if a.StateOf(p) != StatePersisted || string(got) != string(rec) {
+				t.Errorf("%d bytes at phase %d: state %v, payload intact %v after the fence and a crash", n, phase, a.StateOf(p), string(got) == string(rec))
+			}
 
-		dev, a, p = persistAt(t, phase, len(rec))
-		dev.Write(int64(p), rec)
-		st0 = dev.Stats()
-		dev.Sync(int64(p), len(rec))
-		a.SetPersisted(p)
-		old = append(old, dev.Stats().Sub(st0).Stores)
-	}
-	if old[0] == old[1] && old[1] == old[2] && old[2] == old[3] {
-		t.Errorf("Sync + SetPersisted cost %v stores at the four phases: the test no longer shows the difference", old)
+			dev, a, p = persistAt(t, phase, n)
+			st0 = dev.Stats()
+			dev.Write(int64(p), rec)
+			dev.Sync(int64(p), n)
+			a.SetPersisted(p)
+			old = append(old, dev.Stats().Sub(st0).Stores)
+		}
+		if n == 49 && old[0] == old[1] && old[1] == old[2] && old[2] == old[3] {
+			t.Errorf("Write + Sync + SetPersisted of %d bytes cost %v stores at the four phases: the test no longer shows the difference", n, old)
+		}
 	}
 }
 
-// TestPersistCrashWindows: a crash at either fence of Persist, under every
-// fault mode, leaves a heap the recovery scan walks to its end, with the chunk
-// either reclaimed or persisted, and if persisted then whole beyond the
-// header's line (the first fence); once Persist has returned, the chunk is
-// persisted and every byte is the one written.
+// TestPersistCrashWindows: StreamPersisted leaves header and payload to the
+// caller's fence, so a crash before it keeps any subset of their lines, torn
+// or whole. Under every fault mode the recovery scan still walks the heap to
+// its end and finds the chunk reclaimed or persisted — never allocated, and
+// never at the cost of the chunk behind it; once the fence has passed, the
+// chunk is persisted and every byte is the one written.
 func TestPersistCrashWindows(t *testing.T) {
-	rec := make([]byte, 49)
+	rec := make([]byte, 200)
 	for i := range rec {
 		rec[i] = byte(i + 1)
 	}
 	for _, phase := range []int64{0, 16, 32, 48} {
 		for _, mode := range []nvm.FaultMode{nvm.FaultLoseAll, nvm.FaultReorder, nvm.FaultTear} {
-			for fence := 0; fence <= 2; fence++ {
+			for fence := 0; fence <= 1; fence++ {
 				for seed := int64(0); seed < 8; seed++ {
 					dev, a, p := persistAt(t, phase, len(rec))
 					after, err := a.Alloc(64, TagTable)
@@ -503,20 +513,20 @@ func TestPersistCrashWindows(t *testing.T) {
 						t.Fatal(err)
 					}
 					a.SetPersisted(after)
-					dev.Write(int64(p), rec)
 					dev.InjectFaults(nvm.FaultPlan{Seed: seed, Mode: mode, CrashAfterFences: fence, KeepProb: 0.5, TearProb: 0.5})
-					returned := false
+					fenced := false
 					func() {
 						defer func() {
 							if r := recover(); r != nil && r != nvm.ErrInjectedCrash {
 								panic(r)
 							}
 						}()
-						a.Persist(p, len(rec))
-						returned = true
+						a.StreamPersisted(p, rec)
+						dev.Fence()
+						fenced = true
 					}()
-					if returned != (fence == 2) {
-						t.Fatalf("fence %d: Persist returned = %v", fence, returned)
+					if fenced != (fence == 1) {
+						t.Fatalf("fence %d: the caller's fence passed = %v", fence, fenced)
 					}
 					dev.Crash()
 					a2, err := Open(dev, 0)
@@ -532,18 +542,13 @@ func TestPersistCrashWindows(t *testing.T) {
 					switch st := a2.StateOf(p); {
 					case st == StateAllocated:
 						t.Fatalf("%s: chunk left allocated by the recovery scan", where())
-					case returned && st != StatePersisted:
-						t.Fatalf("%s: chunk %v after a completed Persist", where(), st)
-					case st == StatePersisted:
-						// Marked mid-call: only the header's line may be short.
-						from := 0
-						if !returned {
-							from = int(nvm.LineSize - phase - headerSize)
-						}
+					case fenced && st != StatePersisted:
+						t.Fatalf("%s: chunk %v after the fence", where(), st)
+					case fenced:
 						got := make([]byte, len(rec))
 						dev.Read(int64(p), got)
-						if string(got[from:]) != string(rec[from:]) {
-							t.Fatalf("%s: persisted chunk holds %v from byte %d", where(), got[from:], from)
+						if string(got) != string(rec) {
+							t.Fatalf("%s: persisted chunk holds %v", where(), got)
 						}
 					}
 				}
