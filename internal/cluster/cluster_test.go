@@ -346,9 +346,10 @@ func TestBackupDropNoAck(t *testing.T) {
 // TestFailoverPromotesBackup kills a primary under a short lease and waits
 // for the coordinator to promote the backup, fence the epoch, re-seed a
 // replacement backup on the spare, and leave the cluster serving — with the
-// promoted replica and the fresh backup digest-identical.
+// promoted replica and the fresh backup digest-identical. Leases run on the
+// test's clock: only the killed node's can expire.
 func TestFailoverPromotesBackup(t *testing.T) {
-	c := startCluster(t, testbed.NVMCoW, Config{
+	c := startClockedCluster(t, testbed.NVMCoW, Config{
 		Shards: 2, Nodes: 3, Seed: 6,
 		HeartbeatEvery: 10 * time.Millisecond, Lease: 80 * time.Millisecond,
 	})

@@ -97,17 +97,12 @@ func (k *soakClock) drive(c *Cluster, stop <-chan struct{}) {
 	}
 }
 
-// startSoakCluster starts the cluster both kill soaks run on, its leases
-// judged by a soakClock.
-func startSoakCluster(t *testing.T, kind testbed.EngineKind, seed int64) *Cluster {
+// startClockedCluster starts a cluster whose leases are judged by a
+// soakClock the test owns, not by wall time.
+func startClockedCluster(t *testing.T, kind testbed.EngineKind, cfg Config) *Cluster {
 	clock := &soakClock{t: time.Unix(0, 0)}
-	c := startCluster(t, kind, Config{
-		Shards: clusterSoakShards, Nodes: clusterSoakNodes, Seed: seed,
-		HeartbeatEvery: 10 * time.Millisecond,
-		Lease:          80 * time.Millisecond,
-		Options:        core.Options{GroupCommitSize: 4},
-		now:            clock.now,
-	})
+	cfg.now = clock.now
+	c := startCluster(t, kind, cfg)
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -118,6 +113,16 @@ func startSoakCluster(t *testing.T, kind testbed.EngineKind, seed int64) *Cluste
 		<-done
 	})
 	return c
+}
+
+// startSoakCluster starts the cluster both kill soaks run on.
+func startSoakCluster(t *testing.T, kind testbed.EngineKind, seed int64) *Cluster {
+	return startClockedCluster(t, kind, Config{
+		Shards: clusterSoakShards, Nodes: clusterSoakNodes, Seed: seed,
+		HeartbeatEvery: 10 * time.Millisecond,
+		Lease:          80 * time.Millisecond,
+		Options:        core.Options{GroupCommitSize: 4},
+	})
 }
 
 func clusterSoakOne(t *testing.T, kind testbed.EngineKind, seed int64) {

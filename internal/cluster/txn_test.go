@@ -186,9 +186,10 @@ func TestClusterLockResolution(t *testing.T) {
 // prewrite two shards, commit the primary, kill the secondary shard's
 // primary node before roll-forward. The promoted backup must hold the
 // replicated lock AND the buffered write, so the next reader still resolves
-// the transaction forward — zero acked-commit loss across failover.
+// the transaction forward — zero acked-commit loss across failover. Leases
+// run on the test's clock: only the killed node's can expire.
 func TestClusterTxnLockSurvivesFailover(t *testing.T) {
-	c := startCluster(t, testbed.NVMCoW, Config{
+	c := startClockedCluster(t, testbed.NVMCoW, Config{
 		Shards: 2, Nodes: 3, Seed: 13, Schemas: txnSchemas(),
 		HeartbeatEvery: 10 * time.Millisecond, Lease: 80 * time.Millisecond,
 	})

@@ -32,6 +32,12 @@ var (
 // supervisor's backoff-and-retry policy already handles.
 var ErrConflict = Retryable(errors.New("core: optimistic concurrency conflict"))
 
+// ErrRetired fails a snapshot read of an engine whose device was
+// power-cycled under it (Base.Retire). The partition recovers into a new
+// engine instance; a read retried there succeeds, so the sentinel is tagged
+// retryable.
+var ErrRetired = Retryable(errors.New("core: engine retired by a power cycle"))
+
 // taggedError attaches a classification sentinel to a cause. Unwrap returns
 // both, so errors.Is matches the tag and the underlying error alike.
 type taggedError struct {

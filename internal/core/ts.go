@@ -7,17 +7,16 @@ import (
 
 // This file holds the intra-partition MVCC contract: the timestamp oracle
 // that orders commits against snapshot reads, and the interfaces a
-// versioned engine exposes to the reader pool. The design splits each
-// partition into one writer (the serial executor, which owns the engine and
-// the device) and many readers (snapshot views that never touch the device
-// mutex):
+// versioned engine exposes to the reader pool. The engine's own state is the
+// newest version of every row; a view reads it and rolls back what was
+// written after the view's timestamp (internal/mvcc keeps those pre-images):
 //
-//   - every committed-and-durable transaction publishes its versions at a
-//     commit timestamp, then advances the oracle's read timestamp;
+//   - every committed-and-durable transaction publishes at a commit
+//     timestamp, then advances the oracle's read timestamp;
 //   - a reader acquires a view pinned at the current read timestamp and
-//     observes exactly the versions with ts <= view.Ts();
+//     observes exactly the writes with ts <= view.Ts();
 //   - the watermark is the minimum timestamp any active view can observe;
-//     version GC may only reclaim versions strictly below it.
+//     a pre-image of a write at or below it is never needed again.
 //
 // Timestamps reuse Base.TxnID: it is monotone per partition, unique per
 // transaction, and recovery rebuilds it from the WAL txn floor — so a
@@ -104,18 +103,23 @@ func (o *TsOracle) ActiveViews() int {
 	return n
 }
 
-// ReadView is a pinned, immutable snapshot of one partition. All methods
-// are safe to call from any goroutine, concurrently with the partition's
-// executor: a view never takes the engine or device mutex. Close releases
-// the view's watermark pin; using a view after Close is a bug (GC may have
-// reclaimed its versions).
+// ReadView is a pinned snapshot of one partition. A view reads the engine
+// under its exclusion (Base), so a read waits for at most the one
+// transaction in flight and never for a group-commit barrier. A view from
+// SnapshotView may be used from any goroutine, but never from inside a
+// transaction on its own engine (the transaction holds the exclusion); the
+// view ReadSnapshot hands fn is valid inside fn only. Close releases the
+// view's watermark pin; using a view after Close is a bug (the pre-images it
+// needs may be gone).
 type ReadView interface {
 	// Ts returns the snapshot timestamp: the view observes exactly the
 	// committed-and-durable state as of this timestamp.
 	Ts() uint64
-	// Get returns the tuple visible at the snapshot, like Engine.Get.
+	// Get returns the tuple visible at the snapshot, like Engine.Get. The row
+	// may be shared with the version store: callers must not mutate it.
 	Get(table string, key uint64) ([]Value, bool, error)
-	// ScanRange iterates the snapshot like Engine.ScanRange.
+	// ScanRange iterates the snapshot like Engine.ScanRange. fn runs under
+	// the engine's exclusion and must not call back into the engine.
 	ScanRange(table string, from, to uint64, fn func(pk uint64, row []Value) bool) error
 	// ScanSecondary iterates the snapshot like Engine.ScanSecondary.
 	ScanSecondary(table, index string, sec uint32, fn func(pk uint64) bool) error
@@ -123,11 +127,33 @@ type ReadView interface {
 	Close()
 }
 
-// SnapshotReader is implemented by engines that serve lock-free MVCC
-// snapshot reads alongside their single-owner write path.
+// SnapshotReader is implemented by engines that serve MVCC snapshot reads
+// alongside their single-owner write path.
 type SnapshotReader interface {
-	// SnapshotView pins a view at the engine's newest durable timestamp.
+	// SnapshotView pins a view at the engine's newest durable timestamp,
+	// waiting for a transaction in flight: views pin only between
+	// transactions.
 	SnapshotView() ReadView
+	// ReadSnapshot pins a view and runs fn against it under one acquisition
+	// of the engine's exclusion, then closes it. It fails with ErrRetired on
+	// an engine whose device was power-cycled.
+	ReadSnapshot(fn func(ReadView) error) error
 	// Oracle exposes the engine's timestamp oracle (watermark, metrics).
 	Oracle() *TsOracle
+}
+
+// UndoStats is what snapshot readers cost a partition's writers.
+type UndoStats struct {
+	// Records is the number of pre-images the version store holds: the
+	// writes some pinned view, or a commit not yet published, may still
+	// have to be rolled back past.
+	Records int64
+	// Captures counts the pre-images durable-at-commit engines (nvm-inp,
+	// nvm-log) read from the device only because a view was pinned.
+	Captures int64
+}
+
+// UndoStatser is implemented by engines with a version store.
+type UndoStatser interface {
+	UndoStats() UndoStats
 }

@@ -174,7 +174,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if err := e.reindex(tm, key, nil, row); err != nil {
 		return err
 	}
-	e.MV.StageUpsert(table, key, row)
+	e.MV.StageInsert(table, key)
 	return nil
 }
 
@@ -195,7 +195,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err := e.reindex(tm, key, old, now); err != nil {
 		return err
 	}
-	e.MV.StageUpsert(table, key, now)
+	e.MV.StageUpdate(table, key, nil, old) // the copy's original
 	return nil
 }
 
@@ -217,7 +217,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if err := e.reindex(tm, key, old, nil); err != nil {
 		return err
 	}
-	e.MV.StageDelete(table, key)
+	e.MV.StageDelete(table, key, old)
 	return nil
 }
 
@@ -347,6 +347,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 // tagged retryable: Persist flushed nothing and may simply be retried. The
 // arena pager has no such failure, so NVM-CoW's errors pass through as they are.
 func (e *Engine) Flush() error {
+	defer e.Exclude()()
 	defer e.Bd.Timer(&e.Bd.Recovery)()
 	if err := core.ClassifyDurability(e.persist()); err != nil {
 		return err

@@ -556,7 +556,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	stopIdx()
 
 	e.undo = append(e.undo, undoRec{op: core.WalInsert, table: tm.ID, key: key})
-	e.MV.StageUpsert(table, key, row)
+	e.MV.StageInsert(table, key)
 	return nil
 }
 
@@ -607,7 +607,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	}
 
 	e.undo = append(e.undo, undoRec{op: core.WalUpdate, table: tm.ID, key: key, delta: before})
-	e.MV.StageUpdate(table, key, upd)
+	e.MV.StageUpdate(table, key, before.Cols, before.Vals) // the WAL's before-image
 	return nil
 }
 
@@ -654,7 +654,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 	stopIdx()
 
 	e.undo = append(e.undo, undoRec{op: core.WalDelete, table: tm.ID, key: key, before: old})
-	e.MV.StageDelete(table, key)
+	e.MV.StageDelete(table, key, old)
 	return nil
 }
 
@@ -731,6 +731,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 
 // Flush forces the pending group commit to disk.
 func (e *Engine) Flush() error {
+	defer e.Exclude()()
 	stop := e.Bd.Timer(&e.Bd.Recovery)
 	defer stop()
 	if err := e.wal.Flush(); err != nil {
@@ -746,6 +747,7 @@ func (e *Engine) WalStats() core.WalStats { return e.wal.Stats() }
 // Checkpoint serializes all live tuples to a gzip-compressed checkpoint
 // file, swaps it in atomically, and truncates the WAL (§3.1).
 func (e *Engine) Checkpoint() error {
+	defer e.Exclude()()
 	stop := e.Bd.Timer(&e.Bd.Recovery)
 	defer stop()
 	if err := e.wal.Flush(); err != nil {

@@ -185,8 +185,11 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 }
 
 func (e *Engine) initFlushManager() {
+	// A background stage takes the exclusion before the monitor, like a
+	// transaction: it runs between transactions and snapshot reads.
+	x := e.Exclusion()
 	e.fm = lsm.NewFlushManager(e.opts.FlushWorkers > 0,
-		func() { e.mu.Lock() }, func() { e.mu.Unlock() }, lsm.StageTimes(&e.fstats))
+		func() { x.Lock(); e.mu.Lock() }, func() { e.mu.Unlock(); x.Unlock() }, lsm.StageTimes(&e.fstats))
 }
 
 func (e *Engine) buildVolatile() {
@@ -389,11 +392,10 @@ func (e *Engine) Name() string { return "log" }
 
 // Begin starts a transaction.
 func (e *Engine) Begin() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.BeginTx(); err != nil {
+	if err := e.BeginTxUnder(e.mu.Lock); err != nil {
 		return err
 	}
+	defer e.mu.Unlock()
 	e.walMark = e.wal.Mark()
 	e.undo = e.undo[:0]
 	e.secUndo = e.secUndo[:0]
@@ -548,7 +550,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 		e.secAdd(tm, j, ix.SecKey(row), key)
 	}
 	stopIdx()
-	e.MV.StageUpsert(table, key, row)
+	e.MV.StageInsert(table, key)
 	return nil
 }
 
@@ -597,7 +599,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 		}
 	}
 	stopIdx()
-	e.MV.StageUpsert(table, key, now)
+	e.MV.StageUpdate(table, key, beforeUpd.Cols, beforeUpd.Vals) // the WAL's before-image
 	return nil
 }
 
@@ -635,7 +637,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 		e.secDel(tm, j, ix.SecKey(old), key)
 	}
 	stopIdx()
-	e.MV.StageDelete(table, key)
+	e.MV.StageDelete(table, key, old)
 	return nil
 }
 
@@ -861,6 +863,7 @@ func (e *Engine) scanRange(table string, from, to uint64, fn func(pk uint64, row
 
 // Flush forces the pending group commit (not a MemTable flush).
 func (e *Engine) Flush() error {
+	defer e.Exclude()()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	stop := e.Bd.Timer(&e.Bd.Recovery)
@@ -875,9 +878,11 @@ func (e *Engine) Flush() error {
 // FlushMemTable forces the MemTable through the full pipeline (test/bench
 // hook), draining background workers before returning.
 func (e *Engine) FlushMemTable() error {
+	release := e.Exclude()
 	e.mu.Lock()
 	err := e.triggerFlush(true)
 	e.mu.Unlock()
+	release() // a background worker takes it to finish
 	if err != nil {
 		return err
 	}
@@ -926,9 +931,11 @@ func (e *Engine) Compactions() int {
 // any qualifies (test/bench hook). The condemned segment is deleted once
 // the memtable generation holding its repointed records installs.
 func (e *Engine) GCVlog() error {
+	release := e.Exclude()
 	e.mu.Lock()
 	e.submitGC(0)
 	e.mu.Unlock()
+	release()
 	e.fm.Drain()
 	return e.fm.TakeErr()
 }
@@ -1253,13 +1260,6 @@ func (e *Engine) submitGC(minRatio float64) {
 	t := &lsm.FlushTask{Kind: "gc"}
 	t.Build = func() error {
 		defer func() { e.gcQueued = false }()
-		if e.opts.FlushWorkers > 0 && e.InTx {
-			// A background GC pass must not fold an in-flight transaction's
-			// uncommitted memtable entries into rewritten records (its
-			// rollback would resurrect pointers into the removed segment).
-			// Skip; the next trigger re-picks the victim.
-			return nil
-		}
 		if !e.vl.Has(victim) {
 			return nil
 		}

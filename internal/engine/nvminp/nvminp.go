@@ -444,7 +444,6 @@ func (e *Engine) Commit() error {
 		return err
 	}
 	stop := e.Bd.Timer(&e.Bd.Recovery)
-	defer stop()
 	if len(e.ops) > 0 {
 		// The atomic commit point: after this, recovery has nothing to undo.
 		e.dev().WriteU64Durable(int64(e.hdr)+hWalHead, 0)
@@ -458,6 +457,7 @@ func (e *Engine) Commit() error {
 		}
 		e.Env.Arena.Free(op.entry)
 	}
+	stop() // before EndTx: a snapshot read times into the same breakdown
 	// The WAL truncation above is the durability barrier: versions publish
 	// to snapshot readers immediately (NVM-InP is durable at commit).
 	e.MV.CommitStaged(e.TxnID, true)
@@ -544,7 +544,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 			return err
 		}
 	}
-	e.MV.StageUpsert(table, key, row)
+	e.MV.StageInsert(table, key)
 	return nil
 }
 
@@ -578,12 +578,17 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 			oldVars = append(oldVars, befVals[j])
 		}
 	}
+	// A pinned view needs the old values of the updated columns: the row
+	// read for the indexes, or, only then, the columns themselves.
 	var fixes []secFix
+	var preCols []int
+	var pre []core.Value
 	if tm.Schema.IndexReads(upd.Cols) {
 		old, err := h.TryReadRow(slot)
 		if err != nil {
 			return core.Corrupt(err)
 		}
+		pre = old
 		now := append([]core.Value(nil), old...)
 		core.ApplyDelta(now, upd)
 		for j, ix := range tm.Schema.Secondary {
@@ -592,6 +597,13 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 				fixes = append(fixes,
 					secFix{idx: j, added: true, composite: core.SecComposite(nk, key)},
 					secFix{idx: j, added: false, composite: core.SecComposite(ok, key)})
+			}
+		}
+	} else if e.MV.Capture() {
+		preCols, pre = upd.Cols, make([]core.Value, len(upd.Cols))
+		for j, ci := range upd.Cols {
+			if pre[j], err = h.TryReadCol(slot, ci); err != nil {
+				return core.Corrupt(err)
 			}
 		}
 	}
@@ -623,7 +635,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err := e.applyFixes(tm.ID, fixes); err != nil {
 		return err
 	}
-	e.MV.StageUpdate(table, key, upd)
+	e.MV.StageUpdate(table, key, preCols, pre)
 	return nil
 }
 
@@ -660,14 +672,20 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if _, err := e.primary[tm.ID].Delete(key); err != nil {
 		return err
 	}
-	row, err := e.readForIndexes(tm, e.heaps[tm.ID], slot)
+	h := e.heaps[tm.ID]
+	row, err := e.readForIndexes(tm, h, slot)
 	if err != nil {
 		return err
+	}
+	if row == nil && e.MV.Capture() { // a pinned view needs the row
+		if row, err = h.TryReadRow(slot); err != nil {
+			return core.Corrupt(err)
+		}
 	}
 	if err := e.moveSecondaries(tm, row, key, false); err != nil {
 		return err
 	}
-	e.MV.StageDelete(table, key)
+	e.MV.StageDelete(table, key, row)
 	return nil
 }
 

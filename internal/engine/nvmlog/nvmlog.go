@@ -180,8 +180,11 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 }
 
 func (e *Engine) initFlushManager() {
+	// A background stage takes the exclusion before the monitor, like a
+	// transaction: it runs between transactions and snapshot reads.
+	x := e.Exclusion()
 	e.fm = lsm.NewFlushManager(e.opts.FlushWorkers > 0,
-		func() { e.mu.Lock() }, func() { e.mu.Unlock() }, lsm.StageTimes(&e.fstats))
+		func() { x.Lock(); e.mu.Lock() }, func() { e.mu.Unlock(); x.Unlock() }, lsm.StageTimes(&e.fstats))
 }
 
 // Open recovers the engine: reopen the durable MemTables and indexes, undo
@@ -619,11 +622,10 @@ func (e *Engine) Name() string { return "nvm-log" }
 
 // Begin starts a transaction.
 func (e *Engine) Begin() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.BeginTx(); err != nil {
+	if err := e.BeginTxUnder(e.mu.Lock); err != nil {
 		return err
 	}
+	defer e.mu.Unlock()
 	e.ops = e.ops[:0]
 	return nil
 }
@@ -986,7 +988,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if err := e.applyMem(tm, core.WalInsert, key, lsm.Entry{Kind: lsm.KindFull, Payload: core.EncodeRow(tm.Schema, row)}, fixes); err != nil {
 		return err
 	}
-	e.MV.StageUpsert(table, key, row)
+	e.MV.StageInsert(table, key)
 	return nil
 }
 
@@ -1005,24 +1007,29 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 		return core.ErrKeyNotFound
 	}
 	// The delta is all the MemTable needs; the tuple is coalesced only when
-	// the update can move it within a secondary index.
+	// the update can move it within a secondary index, or a pinned view
+	// needs its pre-image.
 	var fixes []secFix
-	if tm.Schema.IndexReads(upd.Cols) {
-		old, found, err := e.get(table, key)
+	var old []core.Value
+	if reindex := tm.Schema.IndexReads(upd.Cols); reindex || e.MV.Capture() {
+		row, found, err := e.get(table, key)
 		if err != nil {
 			return err
 		}
 		if !found {
 			return core.ErrKeyNotFound // an image that does not decode
 		}
-		now := append([]core.Value(nil), old...)
-		core.ApplyDelta(now, upd)
-		for j, ix := range tm.Schema.Secondary {
-			ok, nk := ix.SecKey(old), ix.SecKey(now)
-			if ok != nk {
-				fixes = append(fixes,
-					secFix{idx: j, added: false, composite: core.SecComposite(ok, key)},
-					secFix{idx: j, added: true, composite: core.SecComposite(nk, key)})
+		old = row
+		if reindex {
+			now := append([]core.Value(nil), old...)
+			core.ApplyDelta(now, upd)
+			for j, ix := range tm.Schema.Secondary {
+				ok, nk := ix.SecKey(old), ix.SecKey(now)
+				if ok != nk {
+					fixes = append(fixes,
+						secFix{idx: j, added: false, composite: core.SecComposite(ok, key)},
+						secFix{idx: j, added: true, composite: core.SecComposite(nk, key)})
+				}
 			}
 		}
 	}
@@ -1031,7 +1038,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err := e.applyMem(tm, core.WalUpdate, key, lsm.Entry{Kind: lsm.KindDelta, Payload: core.EncodeDelta(tm.Schema, upd)}, fixes); err != nil {
 		return err
 	}
-	e.MV.StageUpdate(table, key, upd)
+	e.MV.StageUpdate(table, key, nil, old)
 	return nil
 }
 
@@ -1050,14 +1057,16 @@ func (e *Engine) Delete(table string, key uint64) error {
 		return core.ErrKeyNotFound
 	}
 	var fixes []secFix
-	if len(tm.Schema.Secondary) > 0 {
-		old, found, err := e.get(table, key)
+	var old []core.Value
+	if len(tm.Schema.Secondary) > 0 || e.MV.Capture() {
+		row, found, err := e.get(table, key)
 		if err != nil {
 			return err
 		}
 		if !found {
 			return core.ErrKeyNotFound // an image that does not decode
 		}
+		old = row
 		for j, ix := range tm.Schema.Secondary {
 			fixes = append(fixes, secFix{idx: j, added: false, composite: core.SecComposite(ix.SecKey(old), key)})
 		}
@@ -1067,7 +1076,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if err := e.applyMem(tm, core.WalDelete, key, lsm.Entry{Kind: lsm.KindTomb}, fixes); err != nil {
 		return err
 	}
-	e.MV.StageDelete(table, key)
+	e.MV.StageDelete(table, key, old)
 	return nil
 }
 

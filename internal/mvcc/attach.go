@@ -14,6 +14,10 @@ type Snapshots struct {
 // SnapshotView pins a read view at the newest durable timestamp.
 func (s *Snapshots) SnapshotView() core.ReadView { return s.MV.NewView() }
 
+// ReadSnapshot runs fn against a view pinned and read under one acquisition
+// of the engine's exclusion.
+func (s *Snapshots) ReadSnapshot(fn func(core.ReadView) error) error { return s.MV.ReadSnapshot(fn) }
+
 // Oracle returns the partition's timestamp oracle.
 func (s *Snapshots) Oracle() *core.TsOracle { return s.MV.Oracle() }
 
@@ -22,28 +26,16 @@ func (s *Snapshots) Oracle() *core.TsOracle { return s.MV.Oracle() }
 // serialization point — the same single-owner rule as the writer side.
 func (s *Snapshots) OccValidator() core.OccValidator { return s.MV }
 
-// rangeScanner is the slice of the engine contract InitSnapshots needs to
-// rebuild the store from recovered state.
-type rangeScanner interface {
-	ScanRange(table string, from, to uint64, fn func(pk uint64, row []core.Value) bool) error
-}
+// UndoStats reports what the partition's snapshot readers cost its writers
+// (core.UndoStatser).
+func (s *Snapshots) UndoStats() core.UndoStats { return s.MV.UndoStats() }
 
-// InitSnapshots builds the version store and seeds it from the engine's own
-// recovered state at the floor timestamp (the engine's recovered TxnID).
-// Called at the end of New/Open, before the engine is shared with readers,
-// so the scan needs no synchronization and every seeded version carries the
-// durable frontier's timestamp — snapshots are never served from
-// unrecovered state.
-func (s *Snapshots) InitSnapshots(eng rangeScanner, schemas []*core.Schema, floorTs uint64) error {
-	s.MV = NewStore(schemas, floorTs)
-	for _, sc := range schemas {
-		name := sc.Name
-		if err := eng.ScanRange(name, 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-			s.MV.Seed(name, pk, row)
-			return true
-		}); err != nil {
-			return err
-		}
-	}
+// InitSnapshots builds the version store over eng with the oracle floored at
+// floorTs (the engine's recovered TxnID). It reads nothing: the engine's
+// recovered state is every view's starting point, and the store holds only
+// what is written from here on. Called at the end of New/Open, before the
+// engine is shared with readers.
+func (s *Snapshots) InitSnapshots(eng core.Engine, schemas []*core.Schema, floorTs uint64) error {
+	s.MV = NewStore(eng, schemas, floorTs)
 	return nil
 }

@@ -1,219 +1,172 @@
-// Package mvcc provides a host-memory multi-version store that gives the
-// six single-owner storage engines lock-free snapshot reads. The engine's
-// executor remains the only writer: it stages after-images during a
-// transaction, hands them to the store at commit, and the store publishes
-// them to readers only once the commit is durable (immediately for
-// durable-at-commit engines, at the group-commit barrier otherwise). Reader
-// goroutines acquire immutable views that never touch the engine, the
-// device mutex, or the WAL — they traverse atomically published version
-// chains.
+// Package mvcc gives the six single-owner storage engines snapshot reads as
+// an undo overlay. The engine's own state is the newest version of every
+// row; the store holds only what a pinned view cannot read there: the
+// pre-images of the writes committed after the oldest pinned view, or not
+// yet published, plus the per-key commit stamps OCC validation checks. A
+// view reads the engine under its exclusion (core.Base) and rolls the result
+// back past every write newer than its timestamp. There is no copy of the
+// database in the Go heap, and nothing to rebuild at Open.
 //
-// Version lifecycle (all writer-side methods are called only from the
-// engine's owner goroutine):
+// Writer-side lifecycle (the engine's owner, inside its transaction or a
+// call that holds the exclusion):
 //
-//	StageUpsert/StageUpdate/StageDelete   during Insert/Update/Delete
-//	DropStaged                on Abort / rollback
-//	CommitStaged(ts, durable) at Commit; publishes now iff durable
-//	PublishDurable()          at Flush, when the durability barrier passes
+//	StageInsert/StageUpdate/StageDelete  during Insert/Update/Delete
+//	DropStaged                 on Abort / rollback
+//	CommitStaged(ts, durable)  at Commit; publishes now iff durable
+//	PublishDurable()           at Flush, when the durability barrier passes
 //
-// Published versions become visible when the oracle's read timestamp
-// advances past their commit timestamp, which happens only after the whole
-// transaction is published — so a view can never observe a torn or unacked
-// transaction. GC truncates version chains strictly below the oracle's
-// watermark (the minimum timestamp an active view is pinned at).
+// A pre-image is the old values of the updated columns, the whole row for a
+// delete, or "absent" for an insert. Engines that read the old row anyway
+// (inp's before-image, log / cow / nvm-cow's old tuple) stage it always;
+// nvm-inp and nvm-log publish at commit, so a pre-image is needed only when a
+// view is pinned at the time of the write, and they read one only then
+// (Capture). Views pin only between transactions, so that answer holds for
+// the whole transaction.
+//
+// The oracle's read timestamp advances past a commit only once the whole
+// transaction is published, so a view never observes a torn or unacked
+// transaction: a commit parked at a group-commit barrier has a timestamp
+// above every view's and is rolled back. GC drops pre-images at or below the
+// watermark (the oldest pinned view, or the read timestamp when none is).
 package mvcc
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"nstore/internal/core"
+	"nstore/internal/nvm"
 )
 
-// version is one immutable entry in a key's chain, newest first. row == nil
-// marks a tombstone. next is atomic so GC can truncate a chain while
-// readers traverse it.
-type version struct {
+// undo is one pre-image: what the row held before the write committed at
+// ts. With cols nil, pre is the whole row (nil: the key did not exist);
+// otherwise pre[j] is column cols[j]'s old value.
+type undo struct {
 	ts   uint64
-	row  []core.Value
-	next atomic.Pointer[version]
+	cols []int
+	pre  []core.Value
 }
 
-// chain is the per-key version list. head is atomic so the single writer
-// can prepend while readers traverse lock-free.
-type chain struct {
-	head atomic.Pointer[version]
-}
-
-// visible returns the newest version with ts <= at, or nil.
-func (c *chain) visible(at uint64) *version {
-	for v := c.head.Load(); v != nil; v = v.next.Load() {
-		if v.ts <= at {
-			return v
-		}
-	}
-	return nil
-}
-
-// directory is a sorted key index for range scans. Readers hold mu.RLock
-// only long enough to copy the in-range window; chains themselves are read
-// without any lock.
-type directory struct {
-	mu   sync.RWMutex
-	keys []uint64
-}
-
-func (d *directory) insert(key uint64) {
-	d.mu.Lock()
-	i := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] >= key })
-	if i == len(d.keys) || d.keys[i] != key {
-		d.keys = append(d.keys, 0)
-		copy(d.keys[i+1:], d.keys[i:])
-		d.keys[i] = key
-	}
-	d.mu.Unlock()
-}
-
-func (d *directory) remove(key uint64) {
-	d.mu.Lock()
-	i := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] >= key })
-	if i < len(d.keys) && d.keys[i] == key {
-		d.keys = append(d.keys[:i], d.keys[i+1:]...)
-	}
-	d.mu.Unlock()
-}
-
-// window copies the keys in [from, to). The copy lets readers run the scan
-// callback without holding the latch.
-func (d *directory) window(from, to uint64) []uint64 {
-	d.mu.RLock()
-	i := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] >= from })
-	j := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] >= to })
-	out := append([]uint64(nil), d.keys[i:j]...)
-	d.mu.RUnlock()
-	return out
-}
-
-// secKey identifies one secondary-index membership: index position j is
-// implied by the table's secDir slot; entries are ordered (sec, pk) to
-// match the engines' composite-key scan order.
-type secKey struct {
-	sec uint32
-	pk  uint64
-}
-
-type secDirectory struct {
-	mu   sync.RWMutex
-	keys []secKey
-}
-
-func secLess(a, b secKey) bool {
-	if a.sec != b.sec {
-		return a.sec < b.sec
-	}
-	return a.pk < b.pk
-}
-
-func (d *secDirectory) insert(k secKey) {
-	d.mu.Lock()
-	i := sort.Search(len(d.keys), func(i int) bool { return !secLess(d.keys[i], k) })
-	if i == len(d.keys) || d.keys[i] != k {
-		d.keys = append(d.keys, secKey{})
-		copy(d.keys[i+1:], d.keys[i:])
-		d.keys[i] = k
-	}
-	d.mu.Unlock()
-}
-
-func (d *secDirectory) remove(k secKey) {
-	d.mu.Lock()
-	i := sort.Search(len(d.keys), func(i int) bool { return !secLess(d.keys[i], k) })
-	if i < len(d.keys) && d.keys[i] == k {
-		d.keys = append(d.keys[:i], d.keys[i+1:]...)
-	}
-	d.mu.Unlock()
-}
-
-func (d *secDirectory) window(sec uint32) []secKey {
-	lo, hi := secKey{sec: sec}, secKey{sec: sec, pk: ^uint64(0)}
-	d.mu.RLock()
-	i := sort.Search(len(d.keys), func(i int) bool { return !secLess(d.keys[i], lo) })
-	j := sort.Search(len(d.keys), func(i int) bool { return secLess(hi, d.keys[i]) })
-	out := append([]secKey(nil), d.keys[i:j]...)
-	d.mu.RUnlock()
-	return out
-}
-
-// present is the non-nil row sentinel for secondary membership chains.
-var present = []core.Value{}
-
-// tableStore holds one table's version chains.
+// tableStore holds one table's pre-images and conflict stamps.
 type tableStore struct {
 	schema *core.Schema
-	chains sync.Map // uint64 -> *chain
-	dir    directory
-	// one membership map + directory per secondary index, in schema order.
-	secs    []sync.Map // secKey -> *chain
-	secDirs []secDirectory
+	// undo maps a key to its pre-images, oldest first.
+	undo map[uint64][]undo
 
-	// OCC conflict tracking (writer-side: same single-owner rule as the
-	// chains' writer methods; the serving runtime serializes CommitStaged
-	// and Latest*Ts queries under the partition's engine mutex). lastKey
-	// maps key -> newest commit timestamp that wrote it — including
-	// committed-but-unpublished group-commit transactions, which a snapshot
-	// cannot see yet but which must conflict with any transaction that read
-	// the key at an older timestamp. GC prunes entries at or below the
-	// watermark: a validating transaction keeps its snapshot pinned, so its
-	// snapshot timestamp is never below the watermark and a pruned entry can
-	// never hide a conflict. lastTs is the table-level aggregate for scan
-	// validation and is never pruned.
+	// OCC conflict tracking. lastKey maps key -> newest commit timestamp that
+	// wrote it — including committed-but-unpublished group-commit
+	// transactions, which a snapshot cannot see yet but which must conflict
+	// with any transaction that read the key at an older timestamp. GC prunes
+	// entries at or below the watermark: a validating transaction keeps its
+	// snapshot pinned, so its snapshot timestamp is never below the watermark
+	// and a pruned entry can never hide a conflict. lastTs is the table-level
+	// aggregate for scan validation and is never pruned.
 	lastKey map[uint64]uint64
 	lastTs  uint64
 }
 
-// stagedOp is one uncommitted change: a full after-image, a delete, or the
-// column delta of an update, which apply turns into an after-image.
-type stagedOp struct {
+// rollback turns the engine's current row for key (nil when absent) into
+// the row a view at ts sees, by applying the pre-images of the writes
+// committed after ts, newest first. The result may share a pre-image.
+func (t *tableStore) rollback(key uint64, row []core.Value, ts uint64) []core.Value {
+	list := t.undo[key]
+	owned := false
+	for i := len(list) - 1; i >= 0 && list[i].ts > ts; i-- {
+		u := &list[i]
+		if u.cols == nil {
+			row, owned = u.pre, false
+			continue
+		}
+		if row == nil {
+			continue // an update's pre-image always lands on a row
+		}
+		if !owned {
+			row, owned = append([]core.Value(nil), row...), true
+		}
+		for j, c := range u.cols {
+			row[c] = u.pre[j]
+		}
+	}
+	return row
+}
+
+// moved returns, ascending, the keys in [from, to) that a view at ts must
+// roll back.
+func (t *tableStore) moved(ts, from, to uint64) []uint64 {
+	var keys []uint64
+	for k, list := range t.undo {
+		if k >= from && k < to && list[len(list)-1].ts > ts {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// staged is one write of the running transaction.
+type staged struct {
+	table    int
+	key      uint64
+	u        undo
+	captured bool
+}
+
+// tkey names one written key.
+type tkey struct {
 	table int
 	key   uint64
-	row   []core.Value // nil and no delta = delete
-	delta *core.Update // non-nil = update of these columns over the chain head
 }
 
-// pendingGroup is a committed-but-not-yet-durable transaction.
-type pendingGroup struct {
-	ts  uint64
-	ops []stagedOp
+// group is one committed transaction's writes in commit order: what GC walks
+// to drop pre-images and conflict stamps once no view can need them.
+type group struct {
+	ts   uint64
+	keys []tkey
 }
 
-// Store is the per-partition multi-version store. Writer-side methods
-// (Stage*, DropStaged, CommitStaged, PublishDurable, GC) must be called
-// from the single owner goroutine; NewView and the views it returns are
+// Store is the per-partition undo overlay. Writer-side methods (Stage*,
+// DropStaged, CommitStaged, PublishDurable, GC) run on the engine's owner
+// with the engine's exclusion held; NewView, ReadSnapshot and the views are
 // safe from any goroutine.
 type Store struct {
-	tables  []*tableStore
-	byName  map[string]int
-	oracle  core.TsOracle
-	staged  []stagedOp
-	pending []pendingGroup
+	eng    core.Engine
+	x      *core.Exclusion
+	dev    *nvm.Device // the engine's device, whose reader clock views charge
+	tables []*tableStore
+	byName map[string]int
+	oracle core.TsOracle
+	staged []staged
+	// groups are the committed transactions above the last GC watermark,
+	// oldest first; the last `pending` of them are not yet published.
+	groups  []group
+	pending int
 
-	versions atomic.Int64 // live version nodes, for GC accounting
+	records  atomic.Int64
+	captures atomic.Int64
 	gcTick   int
 
-	// GCEvery is the number of publishes between automatic GC passes.
+	// GCEvery is the number of publishes between automatic GC passes (0:
+	// only explicit GC calls). A pass costs what it drops.
 	GCEvery int
 }
 
-// NewStore builds an empty store for the given schemas with the oracle
-// floored at floorTs (the engine's recovered TxnID — the durable frontier).
-func NewStore(schemas []*core.Schema, floorTs uint64) *Store {
-	s := &Store{byName: make(map[string]int, len(schemas)), GCEvery: 64}
+// NewStore builds an empty store over eng, with the oracle floored at
+// floorTs (the engine's recovered TxnID — the durable frontier). Views read
+// under eng's exclusion when it has one (every engine does, through
+// core.Base).
+func NewStore(eng core.Engine, schemas []*core.Schema, floorTs uint64) *Store {
+	s := &Store{eng: eng, byName: make(map[string]int, len(schemas)), GCEvery: 1}
+	if ex, ok := eng.(core.Excluder); ok {
+		s.x = ex.Exclusion()
+	} else {
+		s.x = new(core.Exclusion)
+	}
+	if e, ok := eng.(interface{ Environment() *core.Env }); ok && e.Environment() != nil {
+		s.dev = e.Environment().Dev
+	}
 	for i, sc := range schemas {
-		ts := &tableStore{schema: sc, lastKey: make(map[uint64]uint64)}
-		ts.secs = make([]sync.Map, len(sc.Secondary))
-		ts.secDirs = make([]secDirectory, len(sc.Secondary))
-		s.tables = append(s.tables, ts)
+		s.tables = append(s.tables, &tableStore{schema: sc,
+			undo: make(map[uint64][]undo), lastKey: make(map[uint64]uint64)})
 		s.byName[sc.Name] = i
 	}
 	s.oracle.Advance(floorTs)
@@ -223,64 +176,74 @@ func NewStore(schemas []*core.Schema, floorTs uint64) *Store {
 // Oracle returns the store's timestamp oracle.
 func (s *Store) Oracle() *core.TsOracle { return &s.oracle }
 
-// Seed installs one recovered row at the oracle floor. Called by the engine
-// while rebuilding the store from its own recovered state, before the store
-// is shared with readers.
-func (s *Store) Seed(table string, key uint64, row []core.Value) {
-	ti, ok := s.byName[table]
-	if !ok {
-		return
+// Capture reports whether the write the engine is about to make needs its
+// pre-image: some view is pinned, and one pinned later cannot see the write's
+// predecessor anyway. Only an engine that publishes at commit and would read
+// the pre-image for nothing else asks; each true answer is counted as one
+// capture (UndoStats.Captures).
+func (s *Store) Capture() bool {
+	if s.oracle.ActiveViews() == 0 {
+		return false
 	}
-	s.apply(s.oracle.ReadTs(), stagedOp{table: ti, key: key, row: core.CloneRow(row)})
+	s.captures.Add(1)
+	return true
 }
 
-// StageUpsert records the full after-image of an insert or update.
-func (s *Store) StageUpsert(table string, key uint64, row []core.Value) {
+func (s *Store) stage(table string, key uint64, u undo, captured bool) {
 	if ti, ok := s.byName[table]; ok {
-		s.staged = append(s.staged, stagedOp{table: ti, key: key, row: core.CloneRow(row)})
+		s.staged = append(s.staged, staged{table: ti, key: key, u: u, captured: captured})
 	}
 }
 
-// StageUpdate records an update as its column delta, so an engine that
-// modifies a tuple in place need not read the columns it does not write.
-// The after-image is built when the version is published (see apply). The
-// key must exist at that point — the engines check before they stage — and
-// a delta over a missing key is dropped.
-func (s *Store) StageUpdate(table string, key uint64, upd core.Update) {
-	if ti, ok := s.byName[table]; ok {
-		d := core.Update{Cols: append([]int(nil), upd.Cols...), Vals: core.CloneRow(upd.Vals)}
-		s.staged = append(s.staged, stagedOp{table: ti, key: key, delta: &d})
+// StageInsert records an insert; its pre-image is "absent".
+func (s *Store) StageInsert(table string, key uint64) { s.stage(table, key, undo{}, true) }
+
+// StageUpdate records an update of cols. pre holds the columns' old values,
+// parallel to cols — or, with cols nil, the whole old row — and must not be
+// mutated by the caller afterwards. A nil pre stages no pre-image: legal only
+// for an engine that publishes at commit, when Capture said no.
+func (s *Store) StageUpdate(table string, key uint64, cols []int, pre []core.Value) {
+	u := undo{pre: pre}
+	if cols != nil {
+		u.cols = append([]int(nil), cols...)
 	}
+	s.stage(table, key, u, pre != nil)
 }
 
-// StageDelete records a delete.
-func (s *Store) StageDelete(table string, key uint64) {
-	if ti, ok := s.byName[table]; ok {
-		s.staged = append(s.staged, stagedOp{table: ti, key: key})
-	}
+// StageDelete records a delete of row, the whole old tuple (nil: no
+// pre-image, as for StageUpdate).
+func (s *Store) StageDelete(table string, key uint64, row []core.Value) {
+	s.stage(table, key, undo{pre: row}, row != nil)
 }
 
-// DropStaged discards the current transaction's staged ops (abort path).
+// DropStaged discards the current transaction's staged writes (abort path).
 func (s *Store) DropStaged() { s.staged = s.staged[:0] }
 
-// CommitStaged seals the staged ops at commit timestamp ts. If the commit
-// is already durable (the WAL group flushed, the COW batch persisted, or
-// the engine is durable-at-commit) the versions publish immediately;
-// otherwise they wait in the pending queue for PublishDurable.
+// CommitStaged seals the staged writes at commit timestamp ts: their
+// pre-images join the overlay now, because the engine already holds the
+// writes. If the commit is durable (the WAL group flushed, the CoW batch
+// persisted, or the engine is durable-at-commit) it publishes immediately;
+// otherwise it waits for PublishDurable.
 func (s *Store) CommitStaged(ts uint64, durable bool) {
 	if len(s.staged) > 0 {
-		ops := make([]stagedOp, len(s.staged))
-		copy(ops, s.staged)
-		s.pending = append(s.pending, pendingGroup{ts: ts, ops: ops})
-		// Record conflict timestamps at the commit point, before the group
-		// publishes: a concurrent OCC transaction that read any of these
-		// keys at an older snapshot must fail validation even though the
-		// versions are not yet visible.
-		for _, op := range ops {
+		g := group{ts: ts, keys: make([]tkey, 0, len(s.staged))}
+		for _, op := range s.staged {
+			// Conflict stamps are set at the commit point, before the group
+			// publishes: a concurrent OCC transaction that read any of these
+			// keys at an older snapshot must fail validation even though the
+			// writes are not yet visible.
 			t := s.tables[op.table]
 			t.lastKey[op.key] = ts
 			t.lastTs = ts
+			g.keys = append(g.keys, tkey{op.table, op.key})
+			if op.captured {
+				op.u.ts = ts
+				t.undo[op.key] = append(t.undo[op.key], op.u)
+				s.records.Add(1)
+			}
 		}
+		s.groups = append(s.groups, g)
+		s.pending++
 	}
 	s.staged = s.staged[:0]
 	if durable {
@@ -289,10 +252,10 @@ func (s *Store) CommitStaged(ts uint64, durable bool) {
 		// persist covers the whole batch).
 		s.PublishDurable()
 		s.oracle.Advance(ts)
-	} else if len(s.pending) == 0 {
+	} else if s.pending == 0 {
 		// Read-only txn with nothing pending: trivially durable. With
-		// pending groups the timestamp must NOT advance — a view pinned
-		// past an unpublished commit would observe it appearing later.
+		// pending groups the timestamp must NOT advance — a view pinned past
+		// an unpublished commit would observe it appearing later.
 		s.oracle.Advance(ts)
 	}
 }
@@ -300,15 +263,10 @@ func (s *Store) CommitStaged(ts uint64, durable bool) {
 // PublishDurable publishes every pending transaction — the durability
 // barrier passed (Flush succeeded, or the commit itself was durable).
 func (s *Store) PublishDurable() {
-	for _, g := range s.pending {
-		for _, op := range g.ops {
-			s.apply(g.ts, op)
-		}
-		// Advance only after the whole txn is visible in the chains, so a
-		// view acquired at g.ts observes all of it or none of it.
-		s.oracle.Advance(g.ts)
+	if s.pending > 0 {
+		s.oracle.Advance(s.groups[len(s.groups)-1].ts)
+		s.pending = 0
 	}
-	s.pending = s.pending[:0]
 	s.gcTick++
 	if s.GCEvery > 0 && s.gcTick >= s.GCEvery {
 		s.gcTick = 0
@@ -316,155 +274,42 @@ func (s *Store) PublishDurable() {
 	}
 }
 
-// apply prepends one published version (and its secondary-membership
-// versions) at ts. A staged delta is materialised here, over the chain head:
-// the ops of a transaction and the pending groups are applied in commit
-// order, so the head is the row the engine updated. The new version shares
-// the unchanged columns' bytes with the head; versions are immutable.
-func (s *Store) apply(ts uint64, op stagedOp) {
-	t := s.tables[op.table]
-	var c *chain
-	// Secondary membership diffs against the latest committed row.
-	var prev []core.Value
-	if ci, ok := t.chains.Load(op.key); ok {
-		c = ci.(*chain)
-		if h := c.head.Load(); h != nil {
-			prev = h.row
-		}
-	}
-	secs := t.schema.Secondary
-	if op.delta != nil {
-		if prev == nil {
-			return
-		}
-		op.row = append([]core.Value(nil), prev...)
-		core.ApplyDelta(op.row, *op.delta)
-		if !t.schema.IndexReads(op.delta.Cols) {
-			secs = nil // no secondary key can have moved
-		}
-	}
-	if c == nil {
-		c = &chain{}
-		t.chains.Store(op.key, c)
-		t.dir.insert(op.key)
-	}
-	for j, ix := range secs {
-		var oldK, newK uint32
-		oldOK, newOK := prev != nil, op.row != nil
-		if oldOK {
-			oldK = ix.SecKey(prev)
-		}
-		if newOK {
-			newK = ix.SecKey(op.row)
-		}
-		if oldOK && newOK && oldK == newK {
-			continue
-		}
-		if oldOK {
-			s.applySec(t, j, secKey{sec: oldK, pk: op.key}, ts, nil)
-		}
-		if newOK {
-			s.applySec(t, j, secKey{sec: newK, pk: op.key}, ts, present)
-		}
-	}
-	v := &version{ts: ts, row: op.row}
-	v.next.Store(c.head.Load())
-	c.head.Store(v)
-	s.versions.Add(1)
-}
-
-func (s *Store) applySec(t *tableStore, j int, k secKey, ts uint64, row []core.Value) {
-	ci, ok := t.secs[j].Load(k)
-	var c *chain
-	if !ok {
-		c = &chain{}
-		t.secs[j].Store(k, c)
-		t.secDirs[j].insert(k)
-	} else {
-		c = ci.(*chain)
-	}
-	v := &version{ts: ts, row: row}
-	v.next.Store(c.head.Load())
-	c.head.Store(v)
-	s.versions.Add(1)
-}
-
-// GC reclaims versions strictly below the oracle's watermark: for every
-// chain the newest version with ts <= watermark stays (it is what a view
-// pinned at the watermark observes); everything older is truncated. Chains
-// whose surviving head is a tombstone at or below the watermark are
-// removed entirely. Returns the number of versions reclaimed. Writer-side.
+// GC drops every pre-image and conflict stamp at or below the oracle's
+// watermark: no view present or future is older. Returns the number of
+// pre-images dropped. Writer-side.
 func (s *Store) GC() int {
+	if len(s.groups) == 0 {
+		return 0
+	}
 	wm := s.oracle.Watermark()
-	reclaimed := 0
-	for _, t := range s.tables {
-		// Prune conflict entries no active or future snapshot can lose to:
-		// a validating transaction pins its snapshot, so its timestamp is
-		// >= wm and an entry with ts <= wm could never exceed it.
-		for k, ts := range t.lastKey {
-			if ts <= wm {
-				delete(t.lastKey, k)
+	dropped, i := 0, 0
+	for ; i < len(s.groups) && s.groups[i].ts <= wm; i++ {
+		g := s.groups[i]
+		for _, k := range g.keys {
+			t := s.tables[k.table]
+			if t.lastKey[k.key] == g.ts {
+				delete(t.lastKey, k.key)
 			}
-		}
-		var dead []uint64
-		t.chains.Range(func(k, ci any) bool {
-			c := ci.(*chain)
-			n, fullyDead := s.truncate(c, wm)
-			reclaimed += n
-			if fullyDead {
-				dead = append(dead, k.(uint64))
+			list := t.undo[k.key]
+			n := 0
+			for n < len(list) && list[n].ts <= wm {
+				n++
 			}
-			return true
-		})
-		for _, k := range dead {
-			t.chains.Delete(k)
-			t.dir.remove(k)
-			s.versions.Add(-1)
-			reclaimed++
-		}
-		for j := range t.secs {
-			var deadSec []secKey
-			t.secs[j].Range(func(k, ci any) bool {
-				c := ci.(*chain)
-				n, fullyDead := s.truncate(c, wm)
-				reclaimed += n
-				if fullyDead {
-					deadSec = append(deadSec, k.(secKey))
-				}
-				return true
-			})
-			for _, k := range deadSec {
-				t.secs[j].Delete(k)
-				t.secDirs[j].remove(k)
-				s.versions.Add(-1)
-				reclaimed++
+			switch {
+			case n == 0:
+			case n == len(list):
+				delete(t.undo, k.key)
+			default:
+				clear(list[:n])
+				t.undo[k.key] = list[n:]
 			}
+			dropped += n
 		}
+		s.groups[i] = group{}
 	}
-	return reclaimed
-}
-
-// truncate cuts chain c below the watermark. fullyDead reports that the
-// chain is a lone tombstone visible to every present and future view.
-func (s *Store) truncate(c *chain, wm uint64) (reclaimed int, fullyDead bool) {
-	v := c.head.Load()
-	if v == nil {
-		return 0, true
-	}
-	// Find the pivot: newest version with ts <= wm.
-	for v != nil && v.ts > wm {
-		v = v.next.Load()
-	}
-	if v == nil {
-		return 0, false // every version above the watermark stays
-	}
-	for n := v.next.Load(); n != nil; n = n.next.Load() {
-		reclaimed++
-		s.versions.Add(-1)
-	}
-	v.next.Store(nil)
-	head := c.head.Load()
-	return reclaimed, head == v && head.row == nil
+	s.groups = s.groups[i:]
+	s.records.Add(-int64(dropped))
+	return dropped
 }
 
 // LatestKeyTs returns the newest commit timestamp that wrote the key, or 0
@@ -491,23 +336,45 @@ func (s *Store) LatestTableTs(table string) uint64 {
 
 var _ core.OccValidator = (*Store)(nil)
 
-// Versions returns the number of live version nodes (including secondary
-// membership nodes).
-func (s *Store) Versions() int64 { return s.versions.Load() }
-
-// Pending returns the number of committed-but-unpublished transactions.
-func (s *Store) Pending() int { return len(s.pending) }
+// UndoStats reports the pre-images held and the captures made. Safe from any
+// goroutine.
+func (s *Store) UndoStats() core.UndoStats {
+	return core.UndoStats{Records: s.records.Load(), Captures: s.captures.Load()}
+}
 
 // View is a pinned snapshot; it implements core.ReadView.
 type View struct {
 	s      *Store
 	ts     uint64
+	held   bool  // ReadSnapshot holds the exclusion for the view's whole life
+	err    error // the engine was retired before the view could pin
 	closed atomic.Bool
 }
 
-// NewView pins a view at the current read timestamp.
+// NewView pins a view at the current read timestamp. It takes the exclusion
+// to pin, so it waits for a transaction in flight: a write made while no
+// view is pinned may have no pre-image.
 func (s *Store) NewView() core.ReadView {
-	return &View{s: s, ts: s.oracle.Acquire()}
+	if err := s.x.Enter(); err != nil {
+		v := &View{s: s, err: err}
+		v.closed.Store(true)
+		return v
+	}
+	v := &View{s: s, ts: s.oracle.Acquire()}
+	s.x.Unlock()
+	return v
+}
+
+// ReadSnapshot pins a view and runs fn against it under one acquisition of
+// the exclusion, then closes it.
+func (s *Store) ReadSnapshot(fn func(core.ReadView) error) error {
+	if err := s.x.Enter(); err != nil {
+		return err
+	}
+	defer s.x.Unlock()
+	v := &View{s: s, ts: s.oracle.Acquire(), held: true}
+	defer v.Close()
+	return fn(v)
 }
 
 // Ts returns the snapshot timestamp.
@@ -520,6 +387,24 @@ func (v *View) Close() {
 	}
 }
 
+// read runs fn with the engine's exclusion held, charging the device time it
+// spends to the reader's clock (nvm.Device.SnapshotRead).
+func (v *View) read(fn func() error) error {
+	if v.err != nil {
+		return v.err
+	}
+	if !v.held {
+		if err := v.s.x.Enter(); err != nil {
+			return err
+		}
+		defer v.s.x.Unlock()
+	}
+	if v.s.dev == nil {
+		return fn()
+	}
+	return v.s.dev.SnapshotRead(fn)
+}
+
 func (v *View) table(name string) (*tableStore, error) {
 	ti, ok := v.s.byName[name]
 	if !ok {
@@ -528,73 +413,113 @@ func (v *View) table(name string) (*tableStore, error) {
 	return v.s.tables[ti], nil
 }
 
-// Get returns the tuple visible at the snapshot. The returned row is an
-// immutable shared version — callers must not mutate it.
-func (v *View) Get(table string, key uint64) ([]core.Value, bool, error) {
+// Get returns the tuple visible at the snapshot.
+func (v *View) Get(table string, key uint64) (row []core.Value, found bool, err error) {
 	t, err := v.table(table)
 	if err != nil {
 		return nil, false, err
 	}
-	ci, ok := t.chains.Load(key)
-	if !ok {
-		return nil, false, nil
-	}
-	ver := ci.(*chain).visible(v.ts)
-	if ver == nil || ver.row == nil {
-		return nil, false, nil
-	}
-	return ver.row, true, nil
+	err = v.read(func() error {
+		cur, ok, err := v.s.eng.Get(table, key)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			cur = nil
+		}
+		row = t.rollback(key, cur, v.ts)
+		return nil
+	})
+	return row, row != nil && err == nil, err
 }
 
-// ScanRange iterates visible (pk, row) pairs in [from, to), ascending.
+// ScanRange iterates visible (pk, row) pairs in [from, to), ascending: the
+// engine's scan with the keys written since the view rolled back, including
+// ones the engine no longer holds.
 func (v *View) ScanRange(table string, from, to uint64, fn func(pk uint64, row []core.Value) bool) error {
 	t, err := v.table(table)
 	if err != nil {
 		return err
 	}
-	for _, key := range t.dir.window(from, to) {
-		ci, ok := t.chains.Load(key)
-		if !ok {
-			continue // reclaimed: the chain was dead below every live view
+	return v.read(func() error {
+		moved := t.moved(v.ts, from, to)
+		stopped := false
+		emit := func(pk uint64, row []core.Value) bool {
+			if row != nil && !fn(pk, row) {
+				stopped = true
+			}
+			return !stopped
 		}
-		ver := ci.(*chain).visible(v.ts)
-		if ver == nil || ver.row == nil {
-			continue
+		err := v.s.eng.ScanRange(table, from, to, func(pk uint64, row []core.Value) bool {
+			for ; len(moved) > 0 && moved[0] < pk; moved = moved[1:] {
+				if !emit(moved[0], t.rollback(moved[0], nil, v.ts)) { // deleted since
+					return false
+				}
+			}
+			if len(moved) > 0 && moved[0] == pk {
+				row, moved = t.rollback(pk, row, v.ts), moved[1:]
+			}
+			return emit(pk, row)
+		})
+		for ; err == nil && !stopped && len(moved) > 0; moved = moved[1:] {
+			emit(moved[0], t.rollback(moved[0], nil, v.ts))
 		}
-		if !fn(key, ver.row) {
-			return nil
-		}
-	}
-	return nil
+		return err
+	})
 }
 
 // ScanSecondary iterates primary keys whose secondary key equals sec at the
-// snapshot, in ascending pk order.
+// snapshot, in ascending pk order: the engine's index members, with every key
+// written since the view judged by its rolled-back row instead.
 func (v *View) ScanSecondary(table, index string, sec uint32, fn func(pk uint64) bool) error {
 	t, err := v.table(table)
 	if err != nil {
 		return err
 	}
-	j, ok := -1, false
-	for jj, ix := range t.schema.Secondary {
-		if ix.Name == index {
-			j, ok = jj, true
-			break
+	var ix *core.IndexSpec
+	for j := range t.schema.Secondary {
+		if t.schema.Secondary[j].Name == index {
+			ix = &t.schema.Secondary[j]
 		}
 	}
-	if !ok {
+	if ix == nil {
 		return core.ErrKeyNotFound
 	}
-	for _, k := range t.secDirs[j].window(sec) {
-		ci, loaded := t.secs[j].Load(k)
-		if !loaded {
-			continue
+	var pks []uint64
+	if err := v.read(func() error {
+		moved := make(map[uint64]bool)
+		for k, list := range t.undo {
+			if list[len(list)-1].ts > v.ts {
+				moved[k] = true
+			}
 		}
-		ver := ci.(*chain).visible(v.ts)
-		if ver == nil || ver.row == nil {
-			continue
+		if err := v.s.eng.ScanSecondary(table, index, sec, func(pk uint64) bool {
+			if !moved[pk] {
+				pks = append(pks, pk)
+			}
+			return true
+		}); err != nil {
+			return err
 		}
-		if !fn(k.pk) {
+		for k := range moved {
+			cur, ok, err := v.s.eng.Get(table, k)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				cur = nil
+			}
+			if row := t.rollback(k, cur, v.ts); row != nil && ix.SecKey(row) == sec {
+				pks = append(pks, k)
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	sort.Slice(pks, func(i, j int) bool { return pks[i] < pks[j] })
+	for _, pk := range pks {
+		if !fn(pk) {
 			return nil
 		}
 	}

@@ -88,8 +88,12 @@ type Stats struct {
 	// (before the cache), used for write-amplification analysis.
 	BytesRead    uint64
 	BytesWritten uint64
-	// Stall is the accumulated simulated extra latency of NVM over DRAM.
+	// Stall is the accumulated simulated extra latency of NVM over DRAM on
+	// the owner's clock: the partition executor's.
 	Stall time.Duration
+	// ReadStall is the same latency accrued by snapshot readers
+	// (SnapshotRead), on threads of their own beside the executor.
+	ReadStall time.Duration
 }
 
 // Sub returns the difference s - prev, counter by counter.
@@ -102,6 +106,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		BytesRead:    s.BytesRead - prev.BytesRead,
 		BytesWritten: s.BytesWritten - prev.BytesWritten,
 		Stall:        s.Stall - prev.Stall,
+		ReadStall:    s.ReadStall - prev.ReadStall,
 	}
 }
 
@@ -115,6 +120,7 @@ func (s Stats) Add(o Stats) Stats {
 		BytesRead:    s.BytesRead + o.BytesRead,
 		BytesWritten: s.BytesWritten + o.BytesWritten,
 		Stall:        s.Stall + o.Stall,
+		ReadStall:    s.ReadStall + o.ReadStall,
 	}
 }
 
@@ -129,6 +135,7 @@ type deviceStats struct {
 	bytesRead    atomic.Uint64
 	bytesWritten atomic.Uint64
 	stallNS      atomic.Int64
+	readStallNS  atomic.Int64
 }
 
 // latCells mirrors the Config latency fields in atomic nanosecond cells.
@@ -166,7 +173,15 @@ type Device struct {
 	planArmed bool // the plan's fence-countdown crash trigger is live
 	fenceNoop bool // simulated protocol bug: Fence loses its durability effect
 	dropFence int  // simulated protocol bug: the dropFence-th Fence from now drains nothing (0 = none)
+	// reading is set while a snapshot reader drives the device
+	// (SnapshotRead); rlines are the lines its misses filled.
+	reading atomic.Bool
+	rlines  map[int64][]byte
 }
+
+// readerLines bounds a snapshot reader's own lines (SnapshotRead): 32 KB, an
+// L1's worth. When full they are dropped and refilled.
+const readerLines = 512
 
 // ErrInjectedCrash is the panic value raised by fault injection (see
 // FailAfterFences). Tests recover it, call Crash, and re-open.
@@ -241,6 +256,7 @@ func (d *Device) Stats() Stats {
 		BytesRead:    d.stats.bytesRead.Load(),
 		BytesWritten: d.stats.bytesWritten.Load(),
 		Stall:        time.Duration(d.stats.stallNS.Load()),
+		ReadStall:    time.Duration(d.stats.readStallNS.Load()),
 	}
 }
 
@@ -253,6 +269,7 @@ func (d *Device) ResetStats() {
 	d.stats.bytesRead.Store(0)
 	d.stats.bytesWritten.Store(0)
 	d.stats.stallNS.Store(0)
+	d.stats.readStallNS.Store(0)
 }
 
 // SetLatency swaps the latency profile of a live device. Used by experiments
@@ -305,7 +322,12 @@ func (d *Device) Read(off int64, p []byte) {
 		if n > len(p) {
 			n = len(p)
 		}
-		buf := d.lineFor(line, false)
+		var buf []byte
+		if d.reading.Load() {
+			buf = d.readerLine(line)
+		} else {
+			buf = d.lineFor(line, false)
+		}
 		copy(p[:n], buf[lo:lo+n])
 		p = p[n:]
 		off += int64(n)
@@ -316,6 +338,9 @@ func (d *Device) Read(off int64, p []byte) {
 // until the covered lines are flushed (or evicted).
 func (d *Device) Write(off int64, p []byte) {
 	d.checkRange(off, len(p))
+	if d.reading.Load() {
+		clear(d.rlines) // a reader's own copy of a line must not outlive a write to it
+	}
 	d.stats.bytesWritten.Add(uint64(len(p)))
 	for len(p) > 0 {
 		line := off &^ (LineSize - 1)
@@ -350,6 +375,9 @@ func (d *Device) WriteStream(off int64, p []byte) {
 		off, p = off+int64(head), p[head:]
 	}
 	whole := len(p) &^ (LineSize - 1)
+	if d.reading.Load() {
+		clear(d.rlines)
+	}
 	d.stats.bytesWritten.Add(uint64(whole))
 	for end := off + int64(whole); off < end; off, p = off+LineSize, p[LineSize:] {
 		d.cache.invalidate(off)
@@ -374,7 +402,7 @@ func (d *Device) lineFor(line int64, markDirty bool) []byte {
 			copy(d.data[victimLine:victimLine+LineSize], buf)
 			d.pending.remove(victimLine)
 			d.stats.stores.Add(1)
-			d.stats.stallNS.Add(d.lat.writeBack.Load())
+			d.charge(d.lat.writeBack.Load())
 		}
 		if pl := d.pending.get(line); pl != nil {
 			copy(buf, pl)
@@ -382,11 +410,37 @@ func (d *Device) lineFor(line int64, markDirty bool) []byte {
 			copy(buf, d.data[line:line+LineSize])
 		}
 		d.stats.loads.Add(1)
-		d.stats.stallNS.Add(d.lat.readMiss.Load())
+		d.charge(d.lat.readMiss.Load())
 	}
 	if markDirty {
 		d.cache.markDirty(line)
 	}
+	return buf
+}
+
+// readerLine returns the line at the given (line-aligned) offset for a
+// snapshot reader: the owner's cached copy if there is one — possibly dirty,
+// the newest contents — without touching its recency, else the reader's own
+// copy, filled from the controller's buffer or the medium on a miss.
+func (d *Device) readerLine(line int64) []byte {
+	if buf, present, _ := d.cache.peek(line); present {
+		return buf
+	}
+	if buf, ok := d.rlines[line]; ok {
+		return buf
+	}
+	if len(d.rlines) >= readerLines {
+		clear(d.rlines)
+	}
+	buf := make([]byte, LineSize)
+	if pl := d.pending.get(line); pl != nil {
+		copy(buf, pl)
+	} else {
+		copy(buf, d.data[line:line+LineSize])
+	}
+	d.rlines[line] = buf
+	d.stats.loads.Add(1)
+	d.charge(d.lat.readMiss.Load())
 	return buf
 }
 
@@ -397,7 +451,7 @@ func (d *Device) flushRange(off int64, n int, invalidate bool) {
 	first, last := d.lineSpan(off, n)
 	for line := first; line < last; line += LineSize {
 		d.stats.flushes.Add(1)
-		d.stats.stallNS.Add(d.lat.flushLine.Load())
+		d.charge(d.lat.flushLine.Load())
 		buf, present, dirty := d.cache.peek(line)
 		if present && dirty {
 			d.toController(line, buf)
@@ -420,7 +474,7 @@ func (d *Device) flushRange(off int64, n int, invalidate bool) {
 func (d *Device) toController(line int64, buf []byte) {
 	d.pending.put(line, buf, d.data)
 	d.stats.stores.Add(1)
-	d.stats.stallNS.Add(d.lat.writeBack.Load())
+	d.charge(d.lat.writeBack.Load())
 }
 
 // AddStall charges additional simulated latency to the stall clock. Higher
@@ -428,7 +482,37 @@ func (d *Device) toController(line int64, buf []byte) {
 // kernel VFS overhead of the filesystem interface (§2.2). Safe from any
 // goroutine.
 func (d *Device) AddStall(t time.Duration) {
-	d.stats.stallNS.Add(int64(t))
+	d.charge(int64(t))
+}
+
+// charge adds ns of simulated stall to the clock of whoever drives the device
+// now: the owner's (Stall), or inside SnapshotRead the reader's (ReadStall).
+func (d *Device) charge(ns int64) {
+	if d.reading.Load() {
+		d.stats.readStallNS.Add(ns)
+		return
+	}
+	d.stats.stallNS.Add(ns)
+}
+
+// SnapshotRead runs fn, a snapshot reader's turn at the device. A reader
+// runs on a core of its own beside the owner (the partition executor), so
+// the cache is the owner's: fn's reads see the owner's cached lines, dirty
+// ones included, but its misses fill lines of the reader's own and evict
+// nothing; and the stall it accrues goes to ReadStall, not to Stall, the
+// owner's clock (a partition's effective time is its executor's wall time
+// plus Stall). Its loads count as any others. The caller keeps the owner off
+// the device meanwhile (the engine's exclusion does).
+func (d *Device) SnapshotRead(fn func() error) error {
+	if d.rlines == nil {
+		d.rlines = make(map[int64][]byte)
+	}
+	d.reading.Store(true)
+	defer func() {
+		d.reading.Store(false)
+		clear(d.rlines)
+	}()
+	return fn()
 }
 
 // Fence orders preceding write-backs, like SFENCE: it drains the memory
@@ -445,7 +529,7 @@ func (d *Device) Fence() {
 		d.plan.CrashAfterFences--
 	}
 	d.stats.fences.Add(1)
-	d.stats.stallNS.Add(d.lat.fence.Load() + d.lat.syncExtra.Load())
+	d.charge(d.lat.fence.Load() + d.lat.syncExtra.Load())
 	if d.dropFence > 0 {
 		if d.dropFence--; d.dropFence == 0 {
 			return
@@ -499,7 +583,7 @@ func (d *Device) EvictAll() {
 				copy(d.data[line:line+LineSize], buf)
 				d.pending.remove(line)
 				d.stats.stores.Add(1)
-				d.stats.stallNS.Add(d.lat.writeBack.Load())
+				d.charge(d.lat.writeBack.Load())
 			}
 			d.cache.tags[i] = 0
 			d.cache.dirty[i] = false

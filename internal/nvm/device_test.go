@@ -159,6 +159,33 @@ func TestStallAccounting(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadKeepsToItsOwnCore: a line a snapshot reader misses on counts
+// as a load like any other, goes on the reader's clock, and fills a line of
+// the reader's own — the owner's cache is left as it was, so the owner's next
+// read of it misses too. A line the owner has dirty in its cache, the reader
+// reads from there.
+func TestSnapshotReadKeepsToItsOwnCore(t *testing.T) {
+	cfg := DefaultConfig(1 << 20)
+	ProfileLowNVM.Apply(&cfg)
+	d := NewDevice(cfg)
+	miss := ProfileLowNVM.ReadMissExtra
+	d.WriteU64(128, 7) // dirty in the owner's cache: one load
+	var got uint64
+	_ = d.SnapshotRead(func() error {
+		d.Read(0, make([]byte, 64))
+		d.Read(0, make([]byte, 8)) // its own line now: no second load
+		got = d.ReadU64(128)
+		return nil
+	})
+	if s := d.Stats(); s.Loads != 2 || s.Stall != miss || s.ReadStall != miss || got != 7 {
+		t.Fatalf("reader: loads %d, stall %v, read stall %v, dirty line read %d; want 2, %v, %v, 7", s.Loads, s.Stall, s.ReadStall, got, miss, miss)
+	}
+	d.Read(0, make([]byte, 64))
+	if s := d.Stats(); s.Loads != 3 || s.Stall != 2*miss || s.ReadStall != miss {
+		t.Fatalf("owner's read of the reader's line: loads %d, stall %v, read stall %v; want 3, %v, %v", s.Loads, s.Stall, s.ReadStall, 2*miss, miss)
+	}
+}
+
 func TestSyncExtraLatency(t *testing.T) {
 	d := newTestDevice(t)
 	d.SetSyncExtra(time.Microsecond)

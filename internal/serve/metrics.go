@@ -54,6 +54,7 @@ func (rt *Runtime) buildMetrics() {
 	reg.CounterFunc("nvm_bytes_read", nvmCounter(func(s nvmStats) int64 { return s.bytesRead }))
 	reg.CounterFunc("nvm_bytes_written", nvmCounter(func(s nvmStats) int64 { return s.bytesWritten }))
 	reg.CounterFunc("nvm_stall_ns", nvmCounter(func(s nvmStats) int64 { return s.stallNS }))
+	reg.CounterFunc("nvm_read_stall_ns", nvmCounter(func(s nvmStats) int64 { return s.readStallNS }))
 
 	reg.GaugeFunc("pmfs_fsyncs", func() float64 {
 		var n int64
@@ -183,15 +184,28 @@ func (rt *Runtime) buildMetrics() {
 			return float64(recoveryStatOf(db, part).Workers)
 		})
 		// Active snapshot views pin the GC watermark; a stuck gauge here
-		// means some reader is holding back version reclamation. Reads the
-		// testbed's mutex-guarded engine pointer, so a scrape is safe
-		// against a concurrent partition heal.
+		// means some reader is holding back pre-image reclamation. What that
+		// costs the writers is the two gauges after it: the pre-images held,
+		// and the device reads nvm-inp / nvm-log writes made only because a
+		// view was pinned. They read the testbed's mutex-guarded engine
+		// pointer, so a scrape is safe against a concurrent partition heal,
+		// which restarts them from zero.
 		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_active_views", i), func() float64 {
 			if sr, ok := db.Engine(part).(core.SnapshotReader); ok {
 				return float64(sr.Oracle().ActiveViews())
 			}
 			return 0
 		})
+		undoGauge := func(sel func(core.UndoStats) int64) func() float64 {
+			return func() float64 {
+				if us, ok := db.Engine(part).(core.UndoStatser); ok {
+					return float64(sel(us.UndoStats()))
+				}
+				return 0
+			}
+		}
+		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_undo_records", i), undoGauge(func(s core.UndoStats) int64 { return s.Records }))
+		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_preimage_captures", i), undoGauge(func(s core.UndoStats) int64 { return s.Captures }))
 	}
 }
 
@@ -208,8 +222,8 @@ func recoveryStatOf(db *testbed.DB, part int) testbed.RecoveryStat {
 // nvmStats flattens the aggregated device counters to signed ints for the
 // counter callbacks.
 type nvmStats struct {
-	loads, stores, flushes, fences   int64
-	bytesRead, bytesWritten, stallNS int64
+	loads, stores, flushes, fences                int64
+	bytesRead, bytesWritten, stallNS, readStallNS int64
 }
 
 func nvmStatsOf(db *testbed.DB) nvmStats {
@@ -222,6 +236,7 @@ func nvmStatsOf(db *testbed.DB) nvmStats {
 		bytesRead:    int64(s.BytesRead),
 		bytesWritten: int64(s.BytesWritten),
 		stallNS:      int64(s.Stall),
+		readStallNS:  int64(s.ReadStall),
 	}
 }
 

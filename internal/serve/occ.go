@@ -67,6 +67,10 @@ func (ex *executor) runOnceOCC(req *request, w int) (deferred bool, err error) {
 		rt.stats.conflicts.Add(1)
 		return false, verr
 	}
+	// Validated under engMu, so nothing the pin protects is needed any more;
+	// held through Apply it would make nvm-inp / nvm-log read every
+	// pre-image of the write set for a view nobody reads.
+	ot.Close()
 	if ot.ReadOnly() {
 		// A read-only transaction serializes at its snapshot; nothing to
 		// apply, nothing to make durable.

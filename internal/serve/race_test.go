@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"nstore/internal/core"
 	"nstore/internal/testbed"
@@ -190,48 +189,5 @@ func TestSnapshotReadsRaceWritesAndRecovery(t *testing.T) {
 	st := rt.Stats()
 	if st.Reads == 0 {
 		t.Errorf("Stats.Reads = 0 after %d successful reads", reads.Load())
-	}
-}
-
-// TestSnapshotReadDoesNotWaitForWriter is what reader scaling rests on: a
-// snapshot read is served at the durable frontier while a write transaction
-// holds the partition — it neither queues behind the writer nor sees it.
-func TestSnapshotReadDoesNotWaitForWriter(t *testing.T) {
-	db := newDB(t, testbed.NVMInP, 1, 32<<20)
-	rt := New(db, Config{})
-	defer rt.Close()
-	ctx := context.Background()
-	if err := rt.SubmitPart(ctx, 0, insertTxn(3, 30)); err != nil {
-		t.Fatal(err)
-	}
-
-	inBody, gate := make(chan struct{}), make(chan struct{})
-	write := make(chan error, 1)
-	go func() {
-		write <- rt.SubmitPart(ctx, 0, func(e core.Engine) error {
-			if err := e.Update("t", 3, core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(31)}}); err != nil {
-				return err
-			}
-			close(inBody)
-			<-gate
-			return nil
-		})
-	}()
-	<-inBody // the writer holds the partition, its update applied but uncommitted
-
-	// Bounded, so a read that did wait for the writer fails instead of
-	// hanging the test.
-	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	row, found, err := rt.GetRow(rctx, "t", 3)
-	cancel()
-	close(gate)
-	if err != nil || !found || row[1].I != 30 {
-		t.Fatalf("GetRow beside a parked writer = %v, found %v, err %v; want the committed 30", row, found, err)
-	}
-	if err := <-write; err != nil {
-		t.Fatal(err)
-	}
-	if row, _, err := rt.GetRow(ctx, "t", 3); err != nil || row[1].I != 31 {
-		t.Fatalf("GetRow after the commit = %v, err %v; want 31", row, err)
 	}
 }

@@ -2,15 +2,18 @@ package serve
 
 // Snapshot read path: a per-partition pool of reader goroutines serving
 // Get/Scan against MVCC read views, alongside — never through — the serial
-// executor. A read pins a view at the partition's durable timestamp frontier
-// and traverses immutable version chains lock-free, so it neither takes the
-// engine mutex nor waits behind queued transactions. The visibility contract
-// is ack-aligned: the timestamp oracle only advances when a commit crosses
-// the durability barrier, so a view can never observe a write whose ack a
-// failed barrier would later revoke.
+// executor's queue. A read pins a view at the partition's durable timestamp
+// frontier and reads the engine under its exclusion, rolling back what was
+// written after the view (internal/mvcc), all under one acquisition. So a
+// read waits for at most the one transaction in flight, never for the
+// transactions queued behind it nor for a group-commit barrier. The
+// visibility contract is ack-aligned: the timestamp oracle only advances when
+// a commit crosses the durability barrier, so a view can never observe a
+// write whose ack a failed barrier would later revoke.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -122,9 +125,9 @@ func (rt *Runtime) readLoop(part int, q chan *readReq) {
 
 // serveRead pins a view on the partition's current engine and runs op,
 // converting a panic into a typed TxnError like the write path does. The
-// engine pointer is fetched per read (RecoverPartition swaps it), and the
-// view touches only the engine's in-memory version store — never the
-// device — so a concurrent power-cycle cannot fault a reader.
+// engine pointer is fetched per read (RecoverPartition swaps it); an engine
+// power-cycled under the read turns it away with core.ErrRetired, which the
+// client sees as ErrRecovering.
 func (rt *Runtime) serveRead(part int, op func(core.ReadView) error) (err error) {
 	eng := rt.db.Engine(part)
 	sr, ok := eng.(core.SnapshotReader)
@@ -140,7 +143,9 @@ func (rt *Runtime) serveRead(part int, op func(core.ReadView) error) (err error)
 			err = &core.TxnError{Engine: eng.Name(), Op: "read", Panicked: true, Err: perr}
 		}
 	}()
-	v := sr.SnapshotView()
-	defer v.Close()
-	return op(v)
+	if err = sr.ReadSnapshot(op); errors.Is(err, core.ErrRetired) {
+		rt.stats.recovering.Add(1)
+		return ErrRecovering
+	}
+	return err
 }

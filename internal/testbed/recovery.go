@@ -113,6 +113,7 @@ func (db *DB) digestPartition(h hash.Hash, p int) error {
 	var le [8]byte
 	writeU64 := func(v uint64) { binary.LittleEndian.PutUint64(le[:], v); h.Write(le[:]) }
 	e := db.Engine(p)
+	defer exclude(e)()
 	for _, sch := range db.cfg.Schemas {
 		// Hidden bookkeeping tables ("__" prefix: 2PC locks and txn status
 		// records) are transient protocol state, not visible data — a shard

@@ -411,21 +411,44 @@ func (db *DB) Breakdown() core.Breakdown {
 // Crash simulates a power failure on every partition: volatile CPU caches
 // and memory-controller buffers are lost.
 func (db *DB) Crash() {
-	for _, part := range db.parts {
-		part.env.Dev.Crash()
+	for i := range db.parts {
+		db.CrashPartition(i)
 	}
 }
 
 // CrashPartition simulates a power failure on partition i only, leaving
 // the other partitions serving. The serving runtime uses this to fence a
 // partition whose engine failed before re-running its recovery protocol.
-func (db *DB) CrashPartition(i int) { db.parts[i].env.Dev.Crash() }
+// The engine is retired first: a snapshot read in progress finishes, and
+// later ones fail with core.ErrRetired instead of reading the medium the
+// power cycle takes away.
+func (db *DB) CrashPartition(i int) {
+	part := db.parts[i]
+	retire(part.engine())
+	part.environ().Dev.Crash()
+}
+
+// retire shuts snapshot readers out of eng (core.Base.Retire).
+func retire(eng core.Engine) {
+	if x, ok := eng.(core.Excluder); ok {
+		x.Retire()
+	}
+}
+
+// exclude takes eng's exclusion for an owner-side read outside a transaction.
+func exclude(eng core.Engine) (release func()) {
+	if x, ok := eng.(core.Excluder); ok {
+		return x.Exclude()
+	}
+	return func() {}
+}
 
 // RecoverPartition reopens partition i after a crash, running the
 // engine's recovery protocol, and returns its recovery latency.
 func (db *DB) RecoverPartition(i int) (time.Duration, error) {
 	start := time.Now()
 	part := db.parts[i]
+	retire(part.engine()) // a caller that power-cycled the device itself
 	var env *core.Env
 	var err error
 	if db.cfg.Engine.IsNVMAware() {

@@ -277,7 +277,9 @@ func Prewrite(eng core.Engine, req *wire.Request) error {
 				PriTable: held.PriTable, PriKey: held.PriKey,
 				Table: sub.Table, Key: sub.Key}
 		}
-		_, exists, err := eng.Get(sub.Table, sub.Key)
+		// Only existence matters here: a read of no columns is the index
+		// lookup alone on the engines that store fields apart.
+		_, exists, err := core.GetCols(eng, sub.Table, sub.Key, nil)
 		if err != nil {
 			return err
 		}
