@@ -17,7 +17,11 @@ type Options struct {
 	// MemTableCap is the number of MemTable entries that triggers a flush
 	// (Log) or an immutable rotation (NVM-Log).
 	MemTableCap int
-	// LSMGrowth is the LSM tree growth factor k (default 4).
+	// LSMGrowth is the LSM tree growth factor k (default 4). Its one reader
+	// is NVM-Log's merge rule (lsm.MergeSet): after a rotation the newest
+	// immutable MemTables are merged while each next older one holds at most
+	// k times the keys gathered so far. The Log engine's binary cascade does
+	// not read it.
 	LSMGrowth int
 	// RecoveryParallelism bounds the fan-out of the recovery pipeline's
 	// CPU stages (WAL collapse, bloom rebuilds, reachability decode, slot

@@ -378,8 +378,14 @@ func (w *FsWAL) Flush() error {
 		return ClassifyDurability(err)
 	}
 	if appended {
+		// A group that used under a quarter of the buffer lets it go: a bulk
+		// load's groups would otherwise pin their high-water mark for good.
+		if w.bufLen < cap(w.scratch)/4 {
+			w.scratch = nil
+		} else {
+			w.scratch = w.scratch[:0]
+		}
 		w.bufLen = 0
-		w.scratch = w.scratch[:0]
 	}
 	w.fsyncs.Add(1)
 	w.pendingTxn = 0

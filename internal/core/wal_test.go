@@ -62,6 +62,43 @@ func TestWalGroupCommitBatching(t *testing.T) {
 	}
 }
 
+// TestWalBufferShrinksAfterLoad: a load-sized group grows the record buffer;
+// the buffer survives groups of like size, and the first group that uses under
+// a quarter of it releases it, so the load's high-water mark is not held for
+// the rest of the run.
+func TestWalBufferShrinksAfterLoad(t *testing.T) {
+	_, fs := newWalFS(t)
+	w, _ := NewFsWAL(fs, "wal", 1)
+	group := func(txn uint64, records, size int) {
+		for i := 0; i < records; i++ {
+			w.Append(WalRecord{Type: WalInsert, TxnID: txn, Key: uint64(i), After: make([]byte, size)})
+		}
+		if err := w.TxnCommitted(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group(1, 256, 1024)
+	loaded := cap(w.scratch)
+	if loaded < 256<<10 {
+		t.Fatalf("a 256 KB group left a %d-byte buffer", loaded)
+	}
+	group(2, 200, 1024)
+	if got := cap(w.scratch); got != loaded {
+		t.Errorf("a group of like size moved the buffer from %d to %d bytes", loaded, got)
+	}
+	group(3, 1, 100)
+	if got := cap(w.scratch); got >= loaded/4 {
+		t.Errorf("after a 100-byte group the buffer still holds %d bytes (the load grew it to %d)", got, loaded)
+	}
+	var n int
+	if _, err := w.Replay(0, func(WalRecord) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 457 {
+		t.Errorf("replayed %d records, want 457", n)
+	}
+}
+
 func TestWalDropTail(t *testing.T) {
 	_, fs := newWalFS(t)
 	w, _ := NewFsWAL(fs, "wal", 100)

@@ -115,7 +115,9 @@ func TestDeviceBudget(t *testing.T) {
 		"cow":     {Loads: 112.3, Stores: 113.1, Flushes: 0.12, Fences: 0.15, StallUS: 28},
 		"nvm-cow": {Loads: 51, Stores: 53.6, Flushes: 4.7, Fences: 0.25},
 	}
-	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunDeviceBudget(t, f, budgets[f.Name]) })
+	both(t, func(t *testing.T, f enginetest.Factory) {
+		enginetest.RunDeviceBudget(t, f, enginetest.Budget, budgets[f.Name])
+	})
 }
 
 // TestFlushErrorClass: Flush classifies its persist error on both pagers. A

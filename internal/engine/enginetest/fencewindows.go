@@ -1,7 +1,6 @@
 package enginetest
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -257,22 +256,30 @@ func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after map[ui
 	if !crashed {
 		return fmt.Errorf("the transaction ended before its fence %d", k)
 	}
+	return CrashOutcomes(env.Dev, func(dev *nvm.Device) error {
+		return recoverOutcome(f, dev, before, after, inCommit)
+	})
+}
+
+// CrashOutcomes walks the outcomes of the crash d was stopped at by an injected
+// fault: the un-fenced lines all lost, all kept, and each kept alone. For each
+// it calls check with a fresh device holding the medium plus the kept lines; a
+// panic inside check is that outcome's failure. A failure names the surviving
+// lines.
+func CrashOutcomes(d *nvm.Device, check func(dev *nvm.Device) error) error {
 	var unfenced []keptLine
-	env.Dev.Unfenced(func(line int64, buf []byte) {
+	d.Unfenced(func(line int64, buf []byte) {
 		kl := keptLine{line: line}
 		copy(kl.data[:], buf)
 		unfenced = append(unfenced, kl)
 	})
-	var medium bytes.Buffer
-	if err := env.Dev.WriteSnapshot(&medium); err != nil {
-		return err
-	}
+	medium := d.CloneMedium()
 	outcomes := [][]keptLine{nil, unfenced}
 	for i := range unfenced {
 		outcomes = append(outcomes, unfenced[i:i+1])
 	}
 	for _, kept := range outcomes {
-		if err := recoverOutcome(f, medium.Bytes(), kept, before, after, inCommit); err != nil {
+		if err := checkOutcome(medium, kept, check); err != nil {
 			lines := make([]string, len(kept))
 			for i, kl := range kept {
 				lines[i] = fmt.Sprintf("%#x", kl.line)
@@ -283,22 +290,23 @@ func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after map[ui
 	return nil
 }
 
-// recoverOutcome opens the engine on a copy of the medium with the kept lines
-// applied, and checks it. A panic on the way is this outcome's failure.
-func recoverOutcome(f Factory, medium []byte, kept []keptLine, before, after map[uint64][]core.Value, inCommit bool) (err error) {
+// checkOutcome copies the medium, applies the kept lines and runs check.
+func checkOutcome(medium *nvm.Device, kept []keptLine, check func(dev *nvm.Device) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("recovery panicked: %v", r)
 		}
 	}()
-	dev, err := nvm.ReadSnapshot(bytes.NewReader(medium))
-	if err != nil {
-		return err
-	}
+	dev := medium.CloneMedium()
 	for _, kl := range kept {
 		dev.Write(kl.line, kl.data[:])
 		dev.Sync(kl.line, nvm.LineSize)
 	}
+	return check(dev)
+}
+
+// recoverOutcome opens the engine on the crashed device and checks it.
+func recoverOutcome(f Factory, dev *nvm.Device, before, after map[uint64][]core.Value, inCommit bool) error {
 	env, err := (&core.Env{Dev: dev}).Reopen()
 	if err != nil {
 		return fmt.Errorf("env reopen: %w", err)

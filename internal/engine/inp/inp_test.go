@@ -133,7 +133,7 @@ func TestColReader(t *testing.T) {
 // while Update read the whole row to change one column, and 9.3 with 5.4
 // flushes while pmfs write-allocated every WAL line and fsync CLFLUSHed it.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, factory(), enginetest.DeviceBudget{Loads: 5.2, Stores: 9.3, Flushes: 1.25, Fences: 0.07})
+	enginetest.RunDeviceBudget(t, factory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 5.2, Stores: 9.3, Flushes: 1.25, Fences: 0.07})
 }
 
 // TestUpdateTouchesOnlyItsLines: a cold one-column update loads the index

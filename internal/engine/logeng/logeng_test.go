@@ -229,5 +229,5 @@ func TestColReader(t *testing.T) {
 // stores / flushes / fences 90.2 / 48.7 / 2.5 / 0.86. (114.3 / 48.4 / 25.8
 // while pmfs wrote WAL, SSTable and value-log bytes through the cache.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 99.2, Stores: 53.6, Flushes: 2.8, Fences: 0.95})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 99.2, Stores: 53.6, Flushes: 2.8, Fences: 0.95})
 }

@@ -58,6 +58,25 @@ type FlushTask struct {
 	Release func() error
 }
 
+// MergeSet is the size-ratio merge rule: given the key counts of the
+// immutable runs, newest first, it returns how many of the newest runs to merge
+// into one. The set starts at the newest run and takes in the next older run
+// while that run holds at most k times the keys gathered so far. A result below
+// two means "merge nothing". The run that stops a set holds more than k times
+// the set's keys, and so more than k times the merged run's, so a merge never
+// makes the rule want another.
+func MergeSet(keys []int, k int) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	n, gathered := 1, keys[0]
+	for n < len(keys) && keys[n] <= k*gathered {
+		gathered += keys[n]
+		n++
+	}
+	return n
+}
+
 // FlushManager runs flush tasks either inline (deterministic, the default)
 // or on one background worker goroutine. In background mode the engine's
 // monitor lock is taken around each task via the lock/unlock hooks, because

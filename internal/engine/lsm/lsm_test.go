@@ -122,6 +122,35 @@ func TestCoalesceUnresolvedDeltas(t *testing.T) {
 	}
 }
 
+// TestMergeSet: run sizes in, newest first; set length out.
+func TestMergeSet(t *testing.T) {
+	for _, c := range []struct {
+		k     int
+		sizes []int
+		want  int
+	}{
+		{2, nil, 0},
+		{2, []int{8}, 1},
+		{2, []int{8, 8}, 2},
+		{2, []int{8, 16}, 2},
+		{2, []int{8, 17}, 1},
+		{2, []int{8, 8, 24}, 3},         // 24 <= 2 x 16
+		{2, []int{8, 8, 40}, 2},         // stops above the oldest run
+		{2, []int{8, 16, 40}, 3},        // 16 <= 16, then 40 <= 48
+		{2, []int{8, 24, 8}, 1},         // a small old run behind a large one waits
+		{2, []int{8, 0}, 2},             // an empty run is always taken in
+		{4, []int{512, 512, 1024}, 3},   // 1024 <= 4 x 1024
+		{4, []int{512, 2048, 10241}, 2}, // 10241 > 4 x 2560
+		{4, []int{512, 2049}, 1},
+		{4, []int{512, 512, 512, 6144, 100000}, 4},
+		{4, []int{512, 512, 512, 6145}, 3},
+	} {
+		if got := MergeSet(c.sizes, c.k); got != c.want {
+			t.Errorf("MergeSet(%v, k=%d) = %d, want %d", c.sizes, c.k, got, c.want)
+		}
+	}
+}
+
 // Property: coalescing a random chain of deltas over a full image equals
 // applying the updates in order to the row.
 func TestQuickCoalesceEquivalence(t *testing.T) {

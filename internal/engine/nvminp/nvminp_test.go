@@ -301,7 +301,7 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 // back whole and every chunk marked persisted behind a fence of its own; it
 // loaded 29.7 lines while Update read the whole row to change one column.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.DeviceBudget{Loads: 4.3, Stores: 8.5, Flushes: 7.7, Fences: 4.4})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 4.3, Stores: 8.5, Flushes: 7.7, Fences: 4.4})
 }
 
 // TestUpdateTouchesOnlyItsLines: a cold one-column update loads the index

@@ -2,21 +2,27 @@ package nvmlog
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/engine/enginetest"
 	"nstore/internal/engine/lsm"
 	"nstore/internal/nvbtree"
 	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
 
-// adoptOpts make a rotation every 24 keys and a compaction at the third run.
-var adoptOpts = core.Options{MemTableCap: 24, LSMGrowth: 3, BTreeNodeSize: 128}
+// adoptOpts rotate every 8 keys and merge at growth factor 2, so a few
+// rotations build runs of 8, 16, 24 and 40 keys: sets that reach the oldest
+// run and sets that stop above it.
+var adoptOpts = core.Options{MemTableCap: 8, LSMGrowth: 2, BTreeNodeSize: 128}
 
 // adoptSizes are the lengths of column b the adoption tests give every even
 // key (odd keys get 40 bytes). Images of either size sit inline in their
-// entry chunk, so a compaction that copied values would show as bytes written
+// entry chunk, so a merge that copied values would show as bytes written
 // in proportion to them.
 var adoptSizes = []int{1 << 10, 16 << 10}
 
@@ -28,40 +34,12 @@ func adoptLen(k uint64, size int) int {
 	return 40
 }
 
-// adoptStep is one single-operation transaction of the fixed schedule.
+// adoptStep is one step of a fixed schedule: a single-operation transaction,
+// or work of the background worker.
 type adoptStep struct {
-	kind byte // 'i' insert, 'u' update column a, 'd' delete
+	kind byte // 'i' insert, 'u' update column a, 'd' delete; 'w' one background task, 'W' all of them
 	key  uint64
 	n    int // insert: length of column b
-}
-
-// adoptSchedule fills three MemTables. Run 1 and run 2 hold disjoint inserts,
-// half of them large, so the compaction that the last step triggers carries
-// most entries forward untouched; run 2 also updates and deletes a few run-1
-// keys, so some keys are held by both victims and take the merge path, and
-// one tombstone is dropped.
-func adoptSchedule(large int) []adoptStep {
-	var s []adoptStep
-	size := func(k uint64) int { return adoptLen(k, large) }
-	for k := uint64(1); k <= 24; k++ {
-		s = append(s, adoptStep{'i', k, size(k)})
-	}
-	for k := uint64(25); k <= 40; k++ {
-		s = append(s, adoptStep{'i', k, size(k)})
-	}
-	for _, k := range []uint64{2, 3, 10, 11} {
-		s = append(s, adoptStep{'u', k, 0})
-	}
-	for _, k := range []uint64{4, 5} {
-		s = append(s, adoptStep{'d', k, 0})
-	}
-	for k := uint64(41); k <= 42; k++ {
-		s = append(s, adoptStep{'i', k, size(k)})
-	}
-	for k := uint64(43); k <= 66; k++ {
-		s = append(s, adoptStep{'i', k, size(k)})
-	}
-	return s
 }
 
 func applyAdoptStep(e *Engine, st adoptStep) error {
@@ -169,12 +147,12 @@ func checkArenaMatchesReach(e *Engine) error {
 	return err
 }
 
-// TestAdoptCarriesChunksForward: compactions over runs with disjoint keys
-// rewrite no entry chunk, whatever the image size — every entry is adopted by
-// pointer, and still sits in the chunk it was first written to after three
-// compactions have carried it forward. What a compacting commit writes is the
-// committing insert's own image plus the merged run's nodes, Bloom filter and
-// run list: bounded per entry, not per value byte.
+// TestAdoptCarriesChunksForward: merges over runs with disjoint keys rewrite
+// no entry chunk, whatever the image size — every entry is adopted by pointer,
+// and still sits in the chunk it was first written to after three merges have
+// carried it forward. What a merging commit writes is the committing insert's
+// own image plus the merged run's nodes, Bloom filter and run list: bounded per
+// entry, not per value byte.
 func TestAdoptCarriesChunksForward(t *testing.T) {
 	for _, size := range adoptSizes {
 		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
@@ -183,43 +161,67 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chunkOf := map[uint64]uint64{} // tree key -> the chunk it was first seen in
+			first := map[uint64]uint64{} // tree key -> the chunk it was first written to
 			for k := uint64(1); e.FlushStats().Compactions < 3; k++ {
 				if k > 200 {
-					t.Fatal("no third compaction after 200 inserts")
+					t.Fatal("no third merge after 200 inserts")
 				}
-				// Every run listed before a commit that compacts is a victim
-				// of it: note where their entries live.
+				if err := e.Begin(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Insert("t", k, bigRow(int64(k), adoptLen(k, size))); err != nil {
+					t.Fatal(err)
+				}
+				// Every tree a commit that merges may take in: where their
+				// entries live, and how many each holds.
+				held := map[*nvbtree.Tree]int{e.mem: e.mem.Count()}
 				for _, r := range e.runs {
-					r.tree.Iter(0, func(tk, v uint64) bool {
-						if _, seen := chunkOf[tk]; !seen {
-							chunkOf[tk] = v
+					held[r.tree] = r.keys
+				}
+				for tr := range held {
+					tr.Iter(0, func(tk, v uint64) bool {
+						if _, seen := first[tk]; !seen {
+							first[tk] = v
 						}
 						return true
 					})
 				}
 				compactions, written := e.FlushStats().Compactions, env.Dev.Stats().BytesWritten
-				if err := applyAdoptStep(e, adoptStep{'i', k, adoptLen(k, size)}); err != nil {
+				if err := e.Commit(); err != nil {
 					t.Fatal(err)
 				}
 				if e.FlushStats().Compactions == compactions {
 					continue
 				}
-				merged := e.runs[len(e.runs)-1].tree
+				// The merged run is the one listed tree the commit made; the
+				// victims are the trees it took in.
+				var merged *nvbtree.Tree
+				victimKeys := 0
+				for _, r := range e.runs {
+					if _, old := held[r.tree]; !old {
+						merged = r.tree
+					}
+					delete(held, r.tree)
+				}
+				for tr, n := range held {
+					if tr != e.mem {
+						victimKeys += n
+					}
+				}
 				n := 0
 				merged.Iter(0, func(tk, v uint64) bool {
 					n++
-					if chunkOf[tk] != v {
-						t.Errorf("key %d: entry chunk %d was rewritten to %d", core.TreePK(tk), chunkOf[tk], v)
+					if first[tk] != v {
+						t.Errorf("key %d: entry chunk %d was rewritten to %d", core.TreePK(tk), first[tk], v)
 					}
 					return true
 				})
-				if n != len(chunkOf) {
-					t.Errorf("merged run holds %d entries, want %d", n, len(chunkOf))
+				if n != victimKeys {
+					t.Errorf("merged run holds %d entries, its victims held %d", n, victimKeys)
 				}
 				written = env.Dev.Stats().BytesWritten - written
 				if max := uint64(adoptLen(k, size) + 2048 + 48*n); written > max {
-					t.Errorf("the commit that merged %d entries wrote %d bytes, want at most %d; compaction is copying values again", n, written, max)
+					t.Errorf("the commit that merged %d entries wrote %d bytes, want at most %d; the merge is copying values again", n, written, max)
 				}
 				if err := checkArenaMatchesReach(e); err != nil {
 					t.Error(err)
@@ -229,111 +231,437 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 	}
 }
 
-// TestAdoptCrashWindows injects a power failure at every fence of the commit
-// that compacts — through the merge, the bulk load, the run-list swap and the
-// release of the victims — and requires after each: the committed table, an
-// allocator that holds exactly the reachable set, and an engine that
-// compacts again without tripping over a chunk freed twice.
-func TestAdoptCrashWindows(t *testing.T) {
-	for _, size := range adoptSizes {
-		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) { adoptCrashWindows(t, size) })
-	}
-}
-
-func adoptCrashWindows(t *testing.T, size int) {
-	steps := adoptSchedule(size)
-	last := len(steps) - 1
-
-	// Fence window of the compacting commit, from an uninterrupted run.
+// TestMergeAdoptsNewestFullImage: when two runs of a set hold a key and the
+// newer entry is a full image, that entry decides the key, so the merged run
+// adopts its chunk: no read of it, no copy. A key inserted in one run and
+// deleted and re-inserted, 16 KB, in the next is carried forward in the chunk
+// the re-insert wrote, and the merging commit writes far less than the image.
+func TestMergeAdoptsNewestFullImage(t *testing.T) {
+	const big = 16 << 10
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
 	e, err := New(env, bigSchema(), adoptOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lo uint64
-	for i, st := range steps {
-		if i == last {
-			lo = env.Dev.Stats().Fences
-			if e.FlushStats().Compactions != 0 {
-				t.Fatal("schedule compacted before its last step")
-			}
-		}
+	steps := []adoptStep{{'i', 1, big}}
+	for k := uint64(2); k <= 8; k++ {
+		steps = append(steps, adoptStep{'i', k, 40})
+	}
+	steps = append(steps, adoptStep{'d', 1, 0}, adoptStep{'i', 1, big})
+	for k := uint64(9); k <= 14; k++ {
+		steps = append(steps, adoptStep{'i', k, 40})
+	}
+	for _, st := range steps {
 		if err := applyAdoptStep(e, st); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hi := env.Dev.Stats().Fences
-	if e.FlushStats().Compactions != 1 {
-		t.Fatalf("last step ran %d compactions, want 1", e.FlushStats().Compactions)
+	if len(e.runs) != 1 || e.FlushStats().Compactions != 0 {
+		t.Fatalf("%d runs and %d merges before the last insert, want 1 and 0", len(e.runs), e.FlushStats().Compactions)
 	}
-	if err := checkAdoptModel(e, adoptModel(steps, len(steps))); err != nil {
+	newer, _ := e.mem.Get(core.TreePrimary(0, 1))
+	written := env.Dev.Stats().BytesWritten
+	if err := applyAdoptStep(e, adoptStep{'i', 15, 40}); err != nil {
 		t.Fatal(err)
+	}
+	written = env.Dev.Stats().BytesWritten - written
+	if len(e.runs) != 1 || e.FlushStats().Compactions != 1 {
+		t.Fatalf("%d runs and %d merges after the last insert, want 1 and 1", len(e.runs), e.FlushStats().Compactions)
+	}
+	if got, _ := e.runs[0].tree.Get(core.TreePrimary(0, 1)); got != newer {
+		t.Errorf("merged run names entry %#x for the re-inserted key, want the re-insert's %#x", got, newer)
+	}
+	if written >= big {
+		t.Errorf("the merging commit wrote %d bytes, a 16 KB image's worth", written)
+	}
+	if err := checkAdoptModel(e, adoptModel(append(steps, adoptStep{'i', 15, 40}), len(steps)+1)); err != nil {
+		t.Error(err)
 	}
 	if err := checkArenaMatchesReach(e); err != nil {
+		t.Error(err)
+	}
+}
+
+// adoptCase is a crash-window schedule: its steps, the first step whose
+// fences are crashed (every step after it is in the window too), and the
+// shape the uninterrupted run must end in, so the schedule provably exercises
+// what it is named for.
+type adoptCase struct {
+	name   string
+	opts   core.Options
+	steps  []adoptStep
+	window int
+	shape  func(e *Engine) error
+}
+
+// adoptPlan writes a schedule. fill inserts fresh keys, each a new MemTable
+// entry, so every eighth insert rotates.
+type adoptPlan struct {
+	steps []adoptStep
+	next  uint64
+	size  int
+	bg    bool // after each insert, let the background worker drain its queue
+}
+
+func (p *adoptPlan) add(st adoptStep) {
+	p.steps = append(p.steps, st)
+	if p.bg {
+		p.steps = append(p.steps, adoptStep{kind: 'W'})
+	}
+}
+
+// fill inserts n fresh keys, with 40-byte images when small.
+func (p *adoptPlan) fill(n int, small bool) {
+	for i := 0; i < n; i++ {
+		p.next++
+		size := adoptLen(p.next, p.size)
+		if small {
+			size = 40
+		}
+		p.add(adoptStep{'i', p.next, size})
+	}
+}
+
+// pick draws distinct keys from [lo, hi], odd ones where odd is set (their
+// images are 40 bytes, so a merge that folds a delta into one writes little).
+func pick(rng *rand.Rand, lo, hi uint64, taken map[uint64]bool, odd bool) uint64 {
+	for {
+		k := lo + uint64(rng.Int63n(int64(hi-lo+1)))
+		if !taken[k] && (!odd || k%2 == 1) {
+			taken[k] = true
+			return k
+		}
+	}
+}
+
+// runShape: the runs' key counts newest first, and the tombstones they hold.
+func runShape(e *Engine) (keys []int, tombs int) {
+	for _, r := range e.runs {
+		keys = append(keys, r.keys)
+		r.tree.Iter(0, func(_, v uint64) bool {
+			if kindOf(v) == lsm.KindTomb {
+				tombs++
+			}
+			return true
+		})
+	}
+	return keys, tombs
+}
+
+func wantShape(e *Engine, merges int64, keys []int, tombs int) error {
+	gotKeys, gotTombs := runShape(e)
+	if e.FlushStats().Compactions != merges || fmt.Sprint(gotKeys) != fmt.Sprint(keys) || gotTombs != tombs {
+		return fmt.Errorf("%d merges, runs of %v keys holding %d tombstones; want %d, %v, %d",
+			e.FlushStats().Compactions, gotKeys, gotTombs, merges, keys, tombs)
+	}
+	return nil
+}
+
+// adoptCases are the three schedules, their keys drawn from the -seed. With
+// rotations every 8 keys at k = 2, the fourth rotation leaves runs of 8 and 24
+// keys, the sixth 8 and 40 (the fifth merged everything).
+func adoptCases(size int, seed int64) []adoptCase {
+	rng := rand.New(rand.NewSource(seed))
+
+	// Stops above the oldest run: the seventh rotation's set is itself and
+	// the 8-key run above the 40-key one (40 > 2 x 16). A key only the oldest
+	// run holds is deleted, so the set holds a lone tombstone, and a key of
+	// the run above is deleted too: both tombstones must be carried forward.
+	// Another key of the run above is updated (read, folded, written) and a
+	// third deleted and re-inserted (the newest image adopted).
+	a := &adoptPlan{size: size}
+	a.fill(48, false)
+	taken := map[uint64]bool{}
+	gone, upd, again, lone := pick(rng, 1, 40, taken, false), pick(rng, 41, 48, taken, true),
+		pick(rng, 41, 48, taken, false), pick(rng, 1, 40, taken, true)
+	gone6 := pick(rng, 41, 48, taken, false)
+	for _, st := range []adoptStep{{'d', gone, 0}, {'u', upd, 0}, {'d', again, 0}, {'i', again, adoptLen(again, size)},
+		{'u', lone, 0}, {'d', gone6, 0}} {
+		a.add(st)
+	}
+	a.fill(3, true)
+
+	// Reaches the oldest run: the fifth rotation's set is 8 + 8 + 24 keys
+	// (24 <= 2 x 16). Keys of both older runs are deleted, so tombstones meet
+	// the images they delete and both are dropped.
+	b := &adoptPlan{size: size}
+	b.fill(32, false)
+	taken = map[uint64]bool{}
+	upd, gone, again = pick(rng, 1, 24, taken, true), pick(rng, 1, 24, taken, false), pick(rng, 1, 24, taken, false)
+	gone2 := pick(rng, 25, 32, taken, false)
+	fifth := []adoptStep{{'u', upd, 0}, {'d', gone, 0}, {'d', gone2, 0}, {'d', again, 0}, {'i', again, adoptLen(again, size)}}
+	for _, st := range fifth {
+		b.add(st)
+	}
+	b.fill(4, true)
+
+	// Background merge behind a rotation: schedule b's fifth rotation on the
+	// worker, which runs one task per 'w'. Its rotation task chooses the set;
+	// eight more inserts rotate again before the merge runs, so the run list
+	// the merge splices its victims out of has a new run at its head.
+	c := &adoptPlan{size: size, bg: true}
+	c.fill(32, false)
+	for _, st := range fifth {
+		c.add(st)
+	}
+	c.fill(3, true)
+	c.bg = false
+	c.fill(1, true)
+	c.add(adoptStep{kind: 'w'}) // the fifth rotation's task chooses the set
+	window := len(c.steps)
+	c.fill(8, true)             // the sixth rotation
+	c.add(adoptStep{kind: 'w'}) // the merge
+	c.add(adoptStep{kind: 'w'}) // the sixth rotation's task: no set
+	bgOpts := adoptOpts
+	bgOpts.FlushWorkers = 1
+
+	return []adoptCase{
+		{"stops-above-oldest", adoptOpts, a.steps, len(a.steps) - 1,
+			func(e *Engine) error { return wantShape(e, 4, []int{13, 40}, 2) }},
+		{"reaches-oldest", adoptOpts, b.steps, len(b.steps) - 1,
+			func(e *Engine) error { return wantShape(e, 3, []int{34}, 0) }},
+		{"background-rotation-behind-merge", bgOpts, c.steps, window,
+			func(e *Engine) error { return wantShape(e, 3, []int{8, 34}, 0) }},
+	}
+}
+
+// adoptGate admits the background worker to one task per token (-1: to all).
+type adoptGate struct {
+	mu       sync.Mutex
+	cond     *sync.Cond
+	tokens   int
+	finished int
+}
+
+func (g *adoptGate) enter() {
+	g.mu.Lock()
+	for g.tokens == 0 {
+		g.cond.Wait()
+	}
+	if g.tokens > 0 {
+		g.tokens--
+	}
+	g.mu.Unlock()
+}
+
+func (g *adoptGate) leave() {
+	g.mu.Lock()
+	g.finished++
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+func (g *adoptGate) allow(n int) {
+	g.mu.Lock()
+	g.tokens = n
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// runOne lets exactly one task through and waits for it.
+func (g *adoptGate) runOne() {
+	g.mu.Lock()
+	want := g.finished + 1
+	g.tokens = 1
+	g.cond.Broadcast()
+	for g.finished < want {
+		g.cond.Wait()
+	}
+	g.mu.Unlock()
+}
+
+// adoptRun drives an engine through a schedule. On the background worker it
+// replaces the engine's flush manager with one whose worker waits at gate.
+type adoptRun struct {
+	e    *Engine
+	gate *adoptGate
+}
+
+func startAdopt(env *core.Env, opts core.Options) (*adoptRun, error) {
+	e, err := New(env, bigSchema(), opts)
+	if err != nil {
+		return nil, err
+	}
+	r := &adoptRun{e: e}
+	if opts.FlushWorkers > 0 {
+		e.fm.Close()
+		r.gate = &adoptGate{}
+		r.gate.cond = sync.NewCond(&r.gate.mu)
+		x := e.Exclusion()
+		e.fm = lsm.NewFlushManager(true,
+			func() { r.gate.enter(); x.Lock(); e.mu.Lock() },
+			func() { e.mu.Unlock(); x.Unlock(); r.gate.leave() }, nil)
+	}
+	return r, nil
+}
+
+// step runs one step. A task of the worker reports its failure here.
+func (r *adoptRun) step(st adoptStep) error {
+	switch st.kind {
+	case 'w':
+		r.gate.runOne()
+		return r.e.fm.TakeErr()
+	case 'W':
+		r.gate.allow(-1)
+		r.e.fm.Drain()
+		r.gate.allow(0)
+		return r.e.fm.TakeErr()
+	}
+	return applyAdoptStep(r.e, st)
+}
+
+// crashStep runs one step and reports whether the injected crash struck in it,
+// on this goroutine or on the worker (which turns the panic into an error).
+func (r *adoptRun) crashStep(st adoptStep) (crashed bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if p != nvm.ErrInjectedCrash {
+				panic(p)
+			}
+			crashed = true
+		}
+	}()
+	err = r.step(st)
+	if err != nil && strings.Contains(err.Error(), nvm.ErrInjectedCrash.Error()) {
+		return true, nil
+	}
+	return false, err
+}
+
+// stop ends the run, whatever state a crash left the engine in: the exclusion
+// a cut-short transaction holds is released and the worker drained.
+func (r *adoptRun) stop() {
+	if r.gate != nil {
+		r.gate.allow(-1)
+	}
+	r.e.Retire()
+	_ = r.e.Close() // an engine stopped by a crash may fail its remaining tasks
+}
+
+// TestAdoptCrashWindows injects a power failure at every fence of a merge's
+// window — the merge, the bulk load, the run-list swap, the release of the
+// victims, and for the background schedule the rotation that lands between
+// the choice of the set and its merge — and, with the un-fenced lines all
+// lost, all kept and each kept alone, requires after recovery: the committed
+// table on one side of the interrupted step, an allocator that holds exactly
+// the reachable set, and an engine that merges again without tripping over a
+// chunk freed twice.
+func TestAdoptCrashWindows(t *testing.T) {
+	for _, size := range adoptSizes {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			for _, c := range adoptCases(size, enginetest.BaseSeed()) {
+				c := c
+				t.Run(c.name, func(t *testing.T) { adoptCrashWindows(t, c) })
+			}
+		})
+	}
+}
+
+// adoptEnv holds the largest schedule's sixteen-kilobyte images with room to
+// merge. The walk restores the device, cache included, once per crash outcome,
+// so both are kept small.
+var adoptEnv = core.EnvConfig{DeviceSize: 2 << 20, FSFraction: 0.25, FSExtent: 64 << 10, CacheSize: 64 << 10}
+
+func adoptCrashWindows(t *testing.T, c adoptCase) {
+	// The window's fences and the schedule's shape, from an uninterrupted run.
+	env := core.NewEnv(adoptEnv)
+	r, err := startAdopt(env, c.opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var lo uint64
+	for i, st := range c.steps {
+		if i == c.window {
+			lo = env.Dev.Stats().Fences
+		}
+		if err := r.step(st); err != nil {
+			t.Fatalf("step %d %c %d: %v", i, st.kind, st.key, err)
+		}
+	}
+	hi := env.Dev.Stats().Fences
+	if err := c.shape(r.e); err != nil {
+		t.Fatalf("uninterrupted: %v", err)
+	}
+	if err := checkAdoptModel(r.e, adoptModel(c.steps, len(c.steps))); err != nil {
+		t.Fatalf("uninterrupted: %v", err)
+	}
+	if err := checkArenaMatchesReach(r.e); err != nil {
+		t.Fatalf("uninterrupted: %v", err)
+	}
+	r.stop()
 
+	reopen := c.opts
+	reopen.FlushWorkers = 0
 	stride := uint64(1)
 	if testing.Short() {
 		stride = 7
 	}
 	for f := lo; f < hi; f += stride {
-		env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
-		e, err := New(env, bigSchema(), adoptOpts)
+		env := core.NewEnv(adoptEnv)
+		r, err := startAdopt(env, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrInjectedCrash {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
-			for i, st := range steps {
-				if i == last {
-					env.Dev.FailAfterFences(int(f - env.Dev.Stats().Fences))
-				}
-				if err := applyAdoptStep(e, st); err != nil {
-					t.Fatalf("fence %d: step %d: %v", f, i, err)
-				}
+		for _, st := range c.steps[:c.window] {
+			if err := r.step(st); err != nil {
+				t.Fatal(err)
 			}
-		}()
-		if !crashed {
+		}
+		env.Dev.InjectFaults(nvm.FaultPlan{Mode: nvm.FaultLoseAll, CrashAfterFences: int(f - env.Dev.Stats().Fences)})
+		at := -1
+		for i := c.window; i < len(c.steps) && at < 0; i++ {
+			crashed, err := r.crashStep(c.steps[i])
+			if err != nil {
+				t.Fatalf("fence %d: step %d: %v", f, i, err)
+			}
+			if crashed {
+				at = i
+			}
+		}
+		if at < 0 {
 			t.Fatalf("fence %d: no crash inside the window [%d,%d)", f, lo, hi)
 		}
-		env.Dev.Crash()
-		env2, err := env.Reopen()
+		before, after := adoptModel(c.steps, at), adoptModel(c.steps, at+1)
+		err = enginetest.CrashOutcomes(env.Dev, func(dev *nvm.Device) error {
+			return recoverAdopt(dev, reopen, before, after)
+		})
+		r.stop()
 		if err != nil {
-			t.Fatal(err)
-		}
-		e2, err := Open(env2, bigSchema(), adoptOpts)
-		if err != nil {
-			t.Fatalf("fence %d: open: %v", f, err)
-		}
-		// The last step's own commit point is the window's first fences.
-		if checkAdoptModel(e2, adoptModel(steps, last)) != nil {
-			if err := checkAdoptModel(e2, adoptModel(steps, len(steps))); err != nil {
-				t.Fatalf("fence %d: recovered table matches neither side of the last commit: %v", f, err)
-			}
-		}
-		if err := checkArenaMatchesReach(e2); err != nil {
-			t.Fatalf("fence %d: after recovery: %v", f, err)
-		}
-		// Keep going until the survivor has compacted at least once more.
-		for k := uint64(1000); e2.FlushStats().Compactions == 0; k++ {
-			if k > 1100 {
-				t.Fatalf("fence %d: no compaction after recovery", f)
-			}
-			if err := applyAdoptStep(e2, adoptStep{'i', k, adoptLen(k, size)}); err != nil {
-				t.Fatalf("fence %d: insert %d after recovery: %v", f, k, err)
-			}
-		}
-		if err := checkArenaMatchesReach(e2); err != nil {
-			t.Fatalf("fence %d: after the next compaction: %v", f, err)
+			t.Fatalf("fence %d (step %d %c %d): %v", f, at, c.steps[at].kind, c.steps[at].key, err)
 		}
 	}
+}
+
+// recoverAdopt opens the engine on a crashed device and checks it: the table
+// on one side of the interrupted step, the allocator holding exactly the
+// reachable set, and the same again after the next merge.
+func recoverAdopt(dev *nvm.Device, opts core.Options, before, after map[uint64][2]int64) error {
+	env, err := (&core.Env{Dev: dev}).Reopen()
+	if err != nil {
+		return err
+	}
+	e, err := Open(env, bigSchema(), opts)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
+	}
+	if checkAdoptModel(e, before) != nil {
+		if err := checkAdoptModel(e, after); err != nil {
+			return fmt.Errorf("recovered table matches neither side of the interrupted step: %w", err)
+		}
+	}
+	if err := checkArenaMatchesReach(e); err != nil {
+		return fmt.Errorf("after recovery: %w", err)
+	}
+	for k := uint64(1000); e.FlushStats().Compactions == 0; k++ {
+		if k > 1100 {
+			return fmt.Errorf("no merge after recovery")
+		}
+		if err := applyAdoptStep(e, adoptStep{'i', k, 40}); err != nil {
+			return fmt.Errorf("insert %d after recovery: %w", k, err)
+		}
+	}
+	if err := checkArenaMatchesReach(e); err != nil {
+		return fmt.Errorf("after the next merge: %w", err)
+	}
+	return nil
 }

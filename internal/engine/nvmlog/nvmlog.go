@@ -3,8 +3,8 @@
 //
 //   - MemTables are never flushed to the filesystem: a full MemTable is
 //     simply marked immutable (it is already durable on NVM) and a new
-//     mutable MemTable starts. Compaction merges the immutable MemTables
-//     into a new, larger MemTable.
+//     mutable MemTable starts. Compaction merges a set of the newest
+//     immutable MemTables, chosen by size ratio, into a new, larger one.
 //   - The WAL is a non-volatile linked list whose purpose is only to *undo*
 //     uncommitted transactions — the MemTable itself is durable, so there
 //     is no redo/rebuild at recovery (§4.3: "Its recovery latency is
@@ -88,7 +88,10 @@ func (e *Engine) readEntry(v uint64) lsm.Entry {
 
 // run is one immutable MemTable.
 type run struct {
-	tree       *nvbtree.Tree
+	tree *nvbtree.Tree
+	// keys is the number of entries the tree holds, for the merge rule. It is
+	// not persisted: rotation, a merge and the recovery sweep each count it.
+	keys       int
 	bloomPtr   pmalloc.Ptr
 	bloomWords uint64
 	bloomK     int
@@ -124,6 +127,7 @@ type Engine struct {
 type txnOp struct {
 	entry  pmalloc.Ptr
 	oldPtr uint64 // superseded entry chunk (tagged), freed at commit
+	added  bool   // the op added its key to the MemTable (counted in memCount)
 }
 
 // New creates a fresh NVM-Log engine anchored at arena root slot 0.
@@ -370,7 +374,8 @@ func (e *Engine) sweep() error {
 		}
 	}
 	var nkeys int64
-	for _, ks := range runKeys {
+	for i, ks := range runKeys {
+		e.runs[i].keys = len(ks)
 		nkeys += int64(len(ks))
 	}
 	e.Rec = core.RecoveryReport{Records: int64(len(chunks)) + nkeys, Workers: workers}
@@ -602,6 +607,7 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key uint64, ent lsm.Ent
 	}
 	if isNew {
 		e.memCount++
+		e.ops[len(e.ops)-1].added = true
 	}
 	for _, f := range fixes {
 		if f.added {
@@ -696,10 +702,12 @@ func (e *Engine) Abort() error {
 		}
 	}
 	if len(e.ops) > 0 {
-		e.memCount = e.mem.Count()
 		e.Env.Dev.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
 	}
 	for _, op := range e.ops {
+		if op.added {
+			e.memCount-- // undo deleted the key again
+		}
 		e.Env.Arena.Free(op.entry)
 	}
 	e.MV.DropStaged()
@@ -717,7 +725,7 @@ func (e *Engine) rotatePrepare() (*run, []uint64, error) {
 	defer stop()
 	var keys []uint64
 	e.mem.Iter(0, func(k, v uint64) bool { keys = append(keys, k); return true })
-	newRun := &run{tree: e.mem}
+	newRun := &run{tree: e.mem, keys: len(keys)}
 	if err := e.swapRunList(append([]*run{newRun}, e.runs...)); err != nil {
 		return nil, nil, err
 	}
@@ -735,8 +743,8 @@ func (e *Engine) rotatePrepare() (*run, []uint64, error) {
 }
 
 // rotateTask finishes a rotation: build computes the Bloom filter (pure
-// hashing), install persists it and relinks the run list, release chains
-// the compaction check. A failure leaves the run with an empty
+// hashing), install persists it and relinks the run list, release applies
+// the merge rule (submitCompact). A failure leaves the run with an empty
 // filter — correct, just slower — so nothing is retried.
 func (e *Engine) rotateTask(newRun *run, keys []uint64) *lsm.FlushTask {
 	t := &lsm.FlushTask{Kind: "flush"}
@@ -781,16 +789,13 @@ func (e *Engine) rotateTask(newRun *run, keys []uint64) *lsm.FlushTask {
 	}
 	t.Release = func() error {
 		e.fstats.Flushes++
-		if len(e.runs) >= e.opts.LSMGrowth {
-			return e.submitCompact()
-		}
-		return nil
+		return e.submitCompact()
 	}
 	return t
 }
 
 // storeRun persists a bloom filter chunk and returns the run descriptor.
-func (e *Engine) storeRun(tree *nvbtree.Tree, fl *bloom.Filter) (*run, error) {
+func (e *Engine) storeRun(tree *nvbtree.Tree, keys int, fl *bloom.Filter) (*run, error) {
 	bm := fl.Marshal()
 	p, err := e.storeBloom(bm[8:])
 	if err != nil {
@@ -798,6 +803,7 @@ func (e *Engine) storeRun(tree *nvbtree.Tree, fl *bloom.Filter) (*run, error) {
 	}
 	return &run{
 		tree:       tree,
+		keys:       keys,
 		bloomPtr:   p,
 		bloomWords: uint64((len(bm) - 8) / 8),
 		bloomK:     fl.K(),
@@ -835,28 +841,44 @@ func (e *Engine) swapRunList(runs []*run) error {
 	return nil
 }
 
-// submitCompact queues a compaction merging the two oldest immutable
-// MemTables into one new, larger MemTable with a fresh Bloom filter (§4.3:
-// "we also modified the compaction process to merge a set of these
-// MemTables"). Merging only the deepest pair bounds the transient space to
-// roughly the size of that pair; tombstones are dropped because nothing
-// older remains below them.
+// submitCompact applies the merge rule after a rotation: lsm.MergeSet starts
+// a set at the newest immutable MemTable and takes in each next older one
+// that holds at most LSMGrowth times the keys gathered so far, and a set of
+// two or more is queued to be merged into one new, larger MemTable with a
+// fresh Bloom filter (§4.3: "we also modified the compaction process to merge
+// a set of these MemTables"). A run is merged again only once the runs above
+// it have gathered a k-th of its keys, so the work a rotation causes does not
+// grow with the database.
 //
-// An entry that only one of the two runs holds, and that is not a tombstone,
-// is carried forward verbatim whatever its size — so its chunk is adopted by
-// pointer instead of being rewritten, and release does not free it. The kind
-// is in the pointer, so deciding this reads no chunk. Whichever side
-// of the run-list swap a crash lands on, exactly one listed run reaches an
-// adopted chunk, and the recovery sweep keeps whatever a listed run reaches.
-// The merged run is bulk-loaded (nvbtree.Build) once every entry is known.
-// Caller holds e.mu.
+// The set is chosen here, at the rotation; on the background worker more
+// rotations may prepend runs before the merge runs, so install splices the
+// victims out by identity. Tombstones are dropped only when the set reaches
+// the oldest run: above it, an older run may still hold the key.
+//
+// Where the newest entry of a key decides it — it is the set's only entry for
+// the key, a full image, or a tombstone that must be kept — its chunk is
+// adopted by pointer instead of being rewritten, whatever its size, and
+// release frees the key's older chunks only. The kind is in the pointer, so
+// deciding this reads no chunk; only a newest delta over older entries is
+// read, folded and written. Whichever side of the run-list swap a crash lands
+// on, exactly one listed run reaches an adopted chunk, and the recovery sweep
+// keeps whatever a listed run reaches. The merged run is bulk-loaded
+// (nvbtree.Build) once every entry is known. Caller holds e.mu.
 func (e *Engine) submitCompact() error {
-	if e.compactQueued || len(e.runs) < 2 {
+	if e.compactQueued {
+		return nil
+	}
+	sizes := make([]int, len(e.runs))
+	for i, r := range e.runs {
+		sizes[i] = r.keys
+	}
+	n := lsm.MergeSet(sizes, e.opts.LSMGrowth)
+	if n < 2 {
 		return nil
 	}
 	e.compactQueued = true
+	victims := append([]*run(nil), e.runs[:n]...) // newest first
 	var newRun *run
-	var victims []*run
 	var dead []pmalloc.Ptr // the victims' entry chunks the merged run did not adopt
 	t := &lsm.FlushTask{Kind: "compact"}
 
@@ -868,7 +890,9 @@ func (e *Engine) submitCompact() error {
 			e.fstats.Failures++
 			return err
 		}
-		victims = e.runs[len(e.runs)-2:] // newest-first order: the two oldest
+		// Rotations only prepend, so the set still ends at the oldest run if
+		// it did when it was chosen.
+		bottom := victims[len(victims)-1] == e.runs[len(e.runs)-1]
 
 		// Collect: for each key, its tagged entry pointers newest-run first.
 		holders := make(map[uint64][]uint64)
@@ -888,36 +912,44 @@ func (e *Engine) submitCompact() error {
 		fl := bloom.New(len(order), 10)
 		for _, k := range order {
 			chunks := holders[k]
-			if len(chunks) == 1 && kindOf(chunks[0]) != lsm.KindTomb {
-				kvs = append(kvs, nvbtree.KV{K: k, V: chunks[0]})
-				fl.Add(k)
-				continue
-			}
-			for _, c := range chunks {
-				dead = append(dead, chunkOf(c))
-			}
-			acc := e.readEntry(chunks[0])
-			for _, c := range chunks[1:] {
-				if acc.Kind != lsm.KindDelta {
-					break
+			v := chunks[0]
+			switch {
+			case kindOf(v) == lsm.KindTomb && bottom:
+				// Nothing older remains below: reclaim space during
+				// compaction (Table 2).
+				for _, c := range chunks {
+					dead = append(dead, chunkOf(c))
 				}
-				acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, e.readEntry(c))
+				continue
+			case kindOf(v) == lsm.KindDelta && len(chunks) > 1:
+				acc := e.readEntry(v)
+				for _, c := range chunks[1:] {
+					if acc.Kind != lsm.KindDelta {
+						break
+					}
+					acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, e.readEntry(c))
+				}
+				cp, err := e.writeEntryChunk(acc)
+				if err != nil {
+					return fail(err)
+				}
+				for _, c := range chunks {
+					dead = append(dead, chunkOf(c))
+				}
+				v = cp
+			default:
+				for _, c := range chunks[1:] {
+					dead = append(dead, chunkOf(c))
+				}
 			}
-			if acc.Kind == lsm.KindTomb {
-				continue // reclaim space during compaction (Table 2)
-			}
-			cp, err := e.writeEntryChunk(acc)
-			if err != nil {
-				return fail(err)
-			}
-			kvs = append(kvs, nvbtree.KV{K: k, V: cp})
+			kvs = append(kvs, nvbtree.KV{K: k, V: v})
 			fl.Add(k)
 		}
 		merged, err := nvbtree.Build(e.Env.Arena, e.opts.BTreeNodeSize, kvs)
 		if err != nil {
 			return fail(err)
 		}
-		newRun, err = e.storeRun(merged, fl)
+		newRun, err = e.storeRun(merged, len(kvs), fl)
 		if err != nil {
 			return fail(err)
 		}
@@ -925,7 +957,11 @@ func (e *Engine) submitCompact() error {
 	}
 
 	t.Install = func() error {
-		newList := append(append([]*run{}, e.runs[:len(e.runs)-2]...), newRun)
+		at := 0
+		for e.runs[at] != victims[0] {
+			at++
+		}
+		newList := append(append(append([]*run{}, e.runs[:at]...), newRun), e.runs[at+len(victims):]...)
 		if err := e.swapRunList(newList); err != nil {
 			e.compactQueued = false
 			e.fstats.Failures++

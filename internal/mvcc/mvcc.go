@@ -63,7 +63,15 @@ type tableStore struct {
 	// aggregate for scan validation and is never pruned.
 	lastKey map[uint64]uint64
 	lastTs  uint64
+
+	// peak is the most keys lastKey has held since the two maps were made.
+	// Go never shrinks a map, so GC replaces both once it has emptied them
+	// after they grew past shrinkPast. Every key undo holds is in lastKey.
+	peak int
 }
+
+// shrinkPast is the size past which an emptied map is replaced, not kept.
+const shrinkPast = 1024
 
 // rollback turns the engine's current row for key (nil when absent) into
 // the row a view at ts sees, by applying the pre-images of the writes
@@ -234,6 +242,7 @@ func (s *Store) CommitStaged(ts uint64, durable bool) {
 			// writes are not yet visible.
 			t := s.tables[op.table]
 			t.lastKey[op.key] = ts
+			t.peak = max(t.peak, len(t.lastKey))
 			t.lastTs = ts
 			g.keys = append(g.keys, tkey{op.table, op.key})
 			if op.captured {
@@ -309,6 +318,11 @@ func (s *Store) GC() int {
 	}
 	s.groups = s.groups[i:]
 	s.records.Add(-int64(dropped))
+	for _, t := range s.tables {
+		if len(t.lastKey) == 0 && t.peak > shrinkPast {
+			t.undo, t.lastKey, t.peak = make(map[uint64][]undo), make(map[uint64]uint64), 0
+		}
+	}
 	return dropped
 }
 

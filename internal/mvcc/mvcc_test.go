@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -371,6 +372,42 @@ func TestGCRespectsWatermark(t *testing.T) {
 	e.s.GC()
 	if n := e.s.UndoStats().Records; n != 0 {
 		t.Fatalf("post-GC pre-images = %d, want 0", n)
+	}
+}
+
+// TestGCReplacesGrownMaps: Go never shrinks a map, so a table whose pre-images
+// and commit stamps once covered a bulk load would hold that map for good. GC
+// replaces a table's maps when it empties them after they grew past 1 024
+// keys, and keeps smaller ones.
+func TestGCReplacesGrownMaps(t *testing.T) {
+	maps := func(e *memEngine) [2]uintptr {
+		tb := e.s.tables[0]
+		return [2]uintptr{reflect.ValueOf(tb.undo).Pointer(), reflect.ValueOf(tb.lastKey).Pointer()}
+	}
+	for _, keys := range []uint64{shrinkPast, shrinkPast + 1} {
+		e := newMem(testSchemas(), 0)
+		e.s.GCEvery = 0
+		before := maps(e)
+		e.txn(t, func() error {
+			for k := uint64(1); k <= keys; k++ {
+				if err := e.Insert("t", k, row(int64(k), 1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if n := e.s.GC(); n != int(keys) {
+			t.Fatalf("GC dropped %d pre-images, want %d", n, keys)
+		}
+		if replaced := maps(e) != before; replaced != (keys > shrinkPast) {
+			t.Errorf("%d keys written and dropped: maps replaced = %v", keys, replaced)
+		}
+		e.put(t, 1, 2)
+		v := e.s.NewView()
+		if got, ok, _ := v.Get("t", 1); !ok || got[1].I != 2 {
+			t.Errorf("after GC: key 1 = %v ok=%v, want v=2", got, ok)
+		}
+		v.Close()
 	}
 }
 

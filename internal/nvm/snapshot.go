@@ -45,6 +45,16 @@ func (d *Device) WriteSnapshot(w io.Writer) error {
 	return err
 }
 
+// CloneMedium returns a new device holding a copy of d's durable medium under
+// d's geometry, with a cold cache and nothing pending: what writing a snapshot
+// and reading it back gives, without serializing. A walk over crash outcomes
+// takes one copy per outcome.
+func (d *Device) CloneMedium() *Device {
+	c := NewDevice(d.Config())
+	copy(c.data, d.data)
+	return c
+}
+
 // ReadSnapshot reconstructs a device from a snapshot. The returned device
 // has a cold (empty) cache, as after a restart. Reading consumes exactly
 // one snapshot, so concatenated snapshots can be read in sequence.
