@@ -536,13 +536,20 @@ func (t *Tree) put(k uint64, val []byte) error {
 }
 
 // leafInsert places (k, val) into the shadowed leaf, compacting or
-// splitting as needed.
+// splitting as needed. A replace that does not grow the value overwrites it
+// where it is: the leaf is the transaction's own buffer, so Abort still has
+// the old value in the batch's image or on the pager.
 func (t *Tree) leafInsert(leaf pathEnt, path []pathEnt, k uint64, val []byte) error {
 	buf := leaf.buf
 	i := leafLowerBound(buf, k)
 	replacing := i < count(buf) && leafKey(buf, i) == k
 	need := leafSlot + len(val)
 	if replacing {
+		if old := leafVal(buf, i); len(val) <= len(old) {
+			copy(old, val)
+			binary.LittleEndian.PutUint16(buf[pHdr+i*leafSlot+10:], uint16(len(val)))
+			return nil
+		}
 		need = len(val) // slot already exists; old value becomes garbage
 	}
 	if leafFree(buf) < need {

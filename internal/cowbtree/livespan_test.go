@@ -43,40 +43,96 @@ func TestLiveSpans(t *testing.T) {
 	t.Run("poisoned gap", poisonedGap)
 }
 
-// liveSpansRoundTrip: the arena pager moves a page's header, entries and
-// value heap and nothing else, wherever the page chunk sits relative to the
-// device's cache lines, and what it moved is what comes back — from the
-// controller's buffer, and from the medium after a fence and a crash.
+// uniformPage fills buf with a leaf whose values all have one random width,
+// after replacements and deletes left values of other widths dead in its heap.
+func uniformPage(rng *rand.Rand, tr *Tree, buf []byte) {
+	initPage(buf, true, len(buf))
+	w := rng.Intn(200)
+	if rng.Intn(4) == 0 {
+		w = 8 // an NVM-CoW primary entry: a tuple pointer
+	}
+	for k := uint64(1); leafFree(buf) >= 2*leafSlot+w+400 && rng.Intn(60) != 0; k++ {
+		dead := make([]byte, rng.Intn(400))
+		tr.leafPlace(buf, count(buf), false, k, dead)
+		v := make([]byte, w)
+		rng.Read(v)
+		tr.leafPlace(buf, count(buf)-1, true, k, v) // the replaced value stays in the heap
+	}
+	for c := count(buf); c > 0 && rng.Intn(2) == 0; c-- {
+		setCount(buf, c-1)
+	}
+}
+
+// sameEntries reports whether two leaves hold the same keys and values.
+func sameEntries(a, b []byte) bool {
+	if !isLeaf(a) || !isLeaf(b) || count(a) != count(b) {
+		return false
+	}
+	for i := 0; i < count(a); i++ {
+		if leafKey(a, i) != leafKey(b, i) || !bytes.Equal(leafVal(a, i), leafVal(b, i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// liveSpansRoundTrip: wherever the page chunk sits relative to the device's
+// cache lines, the arena pager moves a leaf of one value width as its
+// entries alone, 8 + n × (8 + w) bytes each way, and any other page as its
+// header, entries and value heap and nothing else. What it moved is what
+// comes back — from the controller's buffer, and from the medium after a
+// fence and a crash: the same bytes of a slotted page, the same entries of a
+// packed one.
 func liveSpansRoundTrip(t *testing.T) {
 	dev, _, tr := newArenaPagerTree(t)
 	pg := tr.pg.(*ArenaPager)
 	rng := rand.New(rand.NewSource(*batchSeed))
 	phases := map[uint64]int{}
+	images := map[bool]int{}
 	var checks []func(when string)
-	for len(phases) < 4 || phases[0] < 50 {
+	for len(phases) < 4 || phases[0] < 50 || images[true] < 50 || images[false] < 50 {
 		id, err := pg.AllocPage()
 		if err != nil {
 			t.Fatal(err)
 		}
 		phases[id%nvm.LineSize]++
 		want := make([]byte, pg.PageSize())
-		randomPage(rng, tr, want)
+		if rng.Intn(2) == 0 {
+			uniformPage(rng, tr, want)
+		} else {
+			randomPage(rng, tr, want)
+		}
 		lo, hi := deadGap(want)
 		for i := lo; i < hi; i++ {
 			want[i] = byte(rng.Int()) // the gap may hold anything
 		}
+		_, packed := packLeaf(nil, want)
+		images[packed]++
+		moved := lo + len(want) - hi // the live span
+		if packed {
+			moved = pHdr
+			if n := count(want); n > 0 {
+				moved += n * (8 + len(leafVal(want, 0)))
+			}
+		}
+		before := dev.Stats().BytesWritten
 		pg.WritePage(id, want)
+		n := int(dev.Stats().BytesWritten - before)
+		if packed && n != moved || !packed && (n < moved || n >= moved+2*nvm.LineSize) {
+			t.Fatalf("page %d (packed=%v, count %d): WritePage moved %d bytes, the image has %d", id, packed, count(want), n, moved)
+		}
 		check := func(when string) {
 			t.Helper()
 			got := bytes.Repeat([]byte{0xA5}, len(want))
 			before := dev.Stats().BytesRead
 			pg.ReadPage(id, got)
-			if !bytes.Equal(got[:lo], want[:lo]) || !bytes.Equal(got[hi:], want[hi:]) {
-				t.Fatalf("%s: page %d (phase %d, leaf=%v, count %d, gap [%d,%d)) came back different on live bytes",
-					when, id, id%nvm.LineSize, isLeaf(want), count(want), lo, hi)
+			if packed && !sameEntries(got, want) ||
+				!packed && (!bytes.Equal(got[:lo], want[:lo]) || !bytes.Equal(got[hi:], want[hi:])) {
+				t.Fatalf("%s: page %d (phase %d, packed=%v, leaf=%v, count %d, gap [%d,%d)) came back different on live bytes",
+					when, id, id%nvm.LineSize, packed, isLeaf(want), count(want), lo, hi)
 			}
-			if n := int(dev.Stats().BytesRead - before); n != lo+len(want)-hi {
-				t.Fatalf("%s: ReadPage moved %d bytes, the page has %d live", when, n, lo+len(want)-hi)
+			if n := int(dev.Stats().BytesRead - before); n != moved {
+				t.Fatalf("%s: ReadPage moved %d bytes, the image has %d", when, n, moved)
 			}
 		}
 		check("before the fence")
@@ -91,6 +147,9 @@ func liveSpansRoundTrip(t *testing.T) {
 		if phases[ph] == 0 {
 			t.Fatalf("no page chunk at phase %d: %v", ph, phases)
 		}
+	}
+	if err := pg.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 

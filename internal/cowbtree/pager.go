@@ -1,6 +1,7 @@
 package cowbtree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nstore/internal/nvm"
@@ -221,6 +222,12 @@ func (p *FilePager) FileBytes() int64 { return p.f.Size() }
 // pair of checksummed slots updated with the sync primitive — the NVM-CoW
 // engine's "non-volatile copy-on-write B+tree using the allocator
 // interface" with its efficiently-updatable master record (§4.2).
+//
+// A page chunk holds one of two images, picked per page from its contents
+// at WritePage. A leaf whose values all have one width is packed: its
+// entries alone, without slots or the value heap's garbage. Any other page
+// (inner pages, leaves that mix widths) keeps its slotted layout, of which
+// only the live spans move.
 type ArenaPager struct {
 	arena *pmalloc.Arena
 	dev   *nvm.Device
@@ -232,6 +239,83 @@ type ArenaPager struct {
 	meta   uint64
 
 	dirty map[uint64]bool // pages written since the last Persist
+	img   []byte          // one page: a packed image on its way to or from the medium
+
+	// ioErr records the first malformed page image ReadPage met. It is
+	// surfaced — and cleared — at the next Persist, as FilePager's I/O
+	// failures are.
+	ioErr error
+}
+
+// Packed leaf image:
+//
+//	+0  flags (2 = packed leaf)
+//	+2  count (u16)
+//	+4  width (u32): the length of every value
+//	+8  count × (key u64 | value[width]), in key order
+//
+// It decodes into the slotted page the tree works on, with the value heap
+// compacted. A slotted page's flags are 0 or 1, so the first byte tells the
+// two images apart.
+const (
+	packedLeaf = 2
+	packedEnt  = 8 // key bytes of a packed entry; the value follows
+)
+
+// packLeaf appends the packed image of page buf to dst, if buf is a leaf
+// whose values all have one width (an empty leaf has width 0).
+func packLeaf(dst, buf []byte) ([]byte, bool) {
+	if !isLeaf(buf) {
+		return dst, false
+	}
+	n, w := count(buf), 0
+	if n > 0 {
+		w = len(leafVal(buf, 0))
+	}
+	for i := 1; i < n; i++ {
+		if len(leafVal(buf, i)) != w {
+			return dst, false
+		}
+	}
+	dst = append(dst, packedLeaf, 0)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(n))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(w))
+	for i := 0; i < n; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, leafKey(buf, i))
+		dst = append(dst, leafVal(buf, i)...)
+	}
+	return dst, true
+}
+
+// packedShape returns the entry count and value width a packed header
+// announces, or an error if the slotted page they decode into — larger than
+// the image, by a slot's offset and length per entry — would overrun a page
+// of psize bytes.
+func packedShape(hdr []byte, psize int) (n, w int, err error) {
+	n, w = count(hdr), int(binary.LittleEndian.Uint32(hdr[pDataEnd:]))
+	if pHdr+n*(leafSlot+w) > psize {
+		return 0, 0, fmt.Errorf("packed leaf of %d × %d-byte values overruns a %d-byte page", n, w, psize)
+	}
+	return n, w, nil
+}
+
+// unpackLeaf decodes the entries of a packed image, n values of width w,
+// into buf as a slotted leaf whose heap holds the values alone, in key order.
+// Every lookup through a packed leaf runs it whole, so each slot is written
+// with two stores.
+func unpackLeaf(buf, ents []byte, n, w int) {
+	heap := len(buf) - n*w
+	slots, vals := buf[pHdr:pHdr+n*leafSlot], buf[heap:]
+	for i := 0; i < n; i++ {
+		e := ents[i*(packedEnt+w):][:packedEnt+w]
+		s := slots[i*leafSlot:][:leafSlot]
+		copy(vals[i*w:], e[packedEnt:])
+		binary.LittleEndian.PutUint64(s, binary.LittleEndian.Uint64(e))
+		binary.LittleEndian.PutUint32(s[8:], uint32(heap+i*w)|uint32(w)<<16) // valOff, valLen
+	}
+	buf[pFlags], buf[pFlags+1] = 1, 0
+	setCount(buf, n)
+	setDataEnd(buf, heap)
 }
 
 // CreateArenaPager allocates the master block and stores its pointer in the
@@ -242,7 +326,7 @@ func CreateArenaPager(arena *pmalloc.Arena, rootSlot int, pageSize int) (*ArenaP
 		return nil, err
 	}
 	p := &ArenaPager{arena: arena, dev: arena.Device(), psize: pageSize,
-		master: m, dirty: make(map[uint64]bool)}
+		master: m, dirty: make(map[uint64]bool), img: make([]byte, 0, pageSize)}
 	zero := make([]byte, 128)
 	p.dev.Write(int64(m), zero)
 	p.dev.Sync(int64(m), 128)
@@ -261,7 +345,7 @@ func OpenArenaPager(arena *pmalloc.Arena, rootSlot int, pageSize int) (*ArenaPag
 		return nil, fmt.Errorf("cowbtree: arena root slot %d empty", rootSlot)
 	}
 	p := &ArenaPager{arena: arena, dev: arena.Device(), psize: pageSize,
-		master: m, dirty: make(map[uint64]bool)}
+		master: m, dirty: make(map[uint64]bool), img: make([]byte, 0, pageSize)}
 	found := false
 	for slot := int64(0); slot < 2; slot++ {
 		base := int64(m) + slot*64
@@ -297,23 +381,51 @@ func (p *ArenaPager) writeMaster() error {
 // PageSize returns the page size in bytes.
 func (p *ArenaPager) PageSize() int { return p.psize }
 
-// ReadPage fills buf with page id's live bytes: the header, then the two
-// spans around the dead gap the header describes. The gap's bytes in buf are
-// left as they were.
+// ReadPage fills buf with page id from its header on. A packed leaf's
+// entries are read into the pager's own buffer and decoded into buf; of a
+// slotted page, the two spans around the dead gap the header describes are
+// read, and the gap's bytes in buf are left as they were.
+//
+// A packed header whose entries would overrun the page is read no further:
+// buf becomes an empty leaf, and the next Persist refuses to commit.
 func (p *ArenaPager) ReadPage(id uint64, buf []byte) {
 	p.dev.Read(int64(id), buf[:pHdr])
+	if buf[pFlags] == packedLeaf {
+		n, w, err := packedShape(buf, len(buf))
+		if err != nil {
+			if p.ioErr == nil {
+				p.ioErr = fmt.Errorf("page %d: %w", id, err)
+			}
+			initPage(buf, true, len(buf))
+			return
+		}
+		ents := p.img[:n*(packedEnt+w)]
+		p.dev.Read(int64(id)+pHdr, ents)
+		unpackLeaf(buf, ents, n, w)
+		return
+	}
 	lo, hi := deadGap(buf)
 	p.dev.Read(int64(id)+pHdr, buf[pHdr:lo])
 	p.dev.Read(int64(id)+int64(hi), buf[hi:])
 }
 
-// WritePage streams buf's live bytes into the page chunk, durable at the
-// fence of the next Persist. The dead gap is skipped from the first device
-// cache-line boundary inside it to the last (page chunks are 16-byte, not
-// line, aligned), so the lines the two spans end in are written whole.
+// Err returns the malformed page image a read has met since the last
+// Persist, if any. An owner walking the tree at Open checks it before it
+// frees anything the walk did not reach.
+func (p *ArenaPager) Err() error { return p.ioErr }
+
+// WritePage streams page buf into the page chunk, durable at the fence of the
+// next Persist: packed if it is a leaf of one value width, else its live
+// bytes. The dead gap is skipped from the first device cache-line boundary
+// inside it to the last (page chunks are 16-byte, not line, aligned), so the
+// lines the two spans end in are written whole.
 func (p *ArenaPager) WritePage(id uint64, buf []byte) {
 	p.dirty[id] = true
 	base := int64(id)
+	if img, ok := packLeaf(p.img[:0], buf); ok {
+		p.dev.WriteStream(base, img)
+		return
+	}
 	lo, hi := deadGap(buf)
 	lo = int((base+int64(lo)+nvm.LineSize-1)&^(nvm.LineSize-1) - base)
 	if hi < len(buf) {
@@ -349,7 +461,14 @@ func (p *ArenaPager) FreePage(id uint64) {
 // master record leaves the old tree: pages marked persisted that it does not
 // reach are the owner's reachability sweep's to reclaim, as they were when
 // each page was fenced and marked on its own.
+//
+// If a read met a malformed page image since the last Persist, Persist
+// refuses to commit and returns that error instead, as FilePager does.
 func (p *ArenaPager) Persist(root, meta uint64) error {
+	if err := p.ioErr; err != nil {
+		p.ioErr = nil
+		return fmt.Errorf("cowbtree: malformed page image since last persist: %w", err)
+	}
 	var fresh []pmalloc.Ptr
 	for _, id := range sortedKeys(p.dirty) {
 		if p.arena.StateOf(pmalloc.Ptr(id)) == pmalloc.StateAllocated {

@@ -1,6 +1,7 @@
 package cowbtree
 
 import (
+	"math/rand"
 	"testing"
 
 	"nstore/internal/nvm"
@@ -122,6 +123,104 @@ func TestArenaPagerUnpersistedPagesReclaimed(t *testing.T) {
 	if st := arena2.StateOf(id); st != pmalloc.StateFree {
 		t.Fatalf("unpersisted page state = %v after recovery", st)
 	}
+}
+
+// TestArenaPagerMalformedLeafFailsPersist: a packed leaf whose header
+// overruns the page reads as an empty leaf, and the next Persist refuses to
+// install a master record over it.
+func TestArenaPagerMalformedLeafFailsPersist(t *testing.T) {
+	dev, _, tr := newArenaPagerTree(t)
+	for k := uint64(1); k <= 20; k++ {
+		if err := tr.Put(k, val(k, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	root := int64(tr.Root())
+	if dev.ReadU32(root)&0xff != packedLeaf {
+		t.Fatal("a leaf of 8-byte values was not written packed")
+	}
+	dev.Write(root+pCount, []byte{0xff, 0xff})
+	dev.Sync(root, pHdr)
+	if _, ok := tr.Get(3); ok {
+		t.Fatal("Get found a key in a leaf whose header overruns the page")
+	}
+	if err := tr.Put(3, val(3, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Persist(); err == nil {
+		t.Fatal("Persist committed over a malformed page image")
+	}
+}
+
+// FuzzArenaLeafImage: whatever a page chunk holds, ReadPage neither panics
+// nor decodes a leaf whose values leave the page, and reports a packed header
+// that overruns the page; and any leaf whose values share one width comes
+// back from the arena pager with the same entries, having moved 8 + n × (8 +
+// w) bytes each way.
+func FuzzArenaLeafImage(f *testing.F) {
+	const psize = 4096
+	dev := nvm.NewDevice(nvm.DefaultConfig(4 << 20))
+	pg, err := CreateArenaPager(pmalloc.Format(dev, 0, 4<<20), 0, psize)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tr := &Tree{pg: pg, psize: psize}
+	id, err := pg.AllocPage()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, width uint16, seed int64) {
+		img := make([]byte, psize)
+		copy(img, raw)
+		dev.Write(int64(id), img)
+		buf := make([]byte, psize)
+		pg.ioErr = nil
+		pg.ReadPage(id, buf)
+		if img[pFlags] == packedLeaf {
+			_, _, bad := packedShape(img, psize)
+			if (bad != nil) != (pg.ioErr != nil) {
+				t.Fatalf("header %x: shape error %v, pager recorded %v", img[:pHdr], bad, pg.ioErr)
+			}
+			if !isLeaf(buf) || pHdr+count(buf)*leafSlot > dataEnd(buf) || dataEnd(buf) > psize {
+				t.Fatalf("header %x decoded into a page with count %d, heap at %d", img[:pHdr], count(buf), dataEnd(buf))
+			}
+			for i := 0; i < count(buf); i++ {
+				leafVal(buf, i) // panics on a value outside the page
+			}
+		}
+		pg.ioErr = nil
+
+		rng := rand.New(rand.NewSource(seed))
+		w := int(width) % (tr.maxValue() + 1)
+		want := make([]byte, psize)
+		initPage(want, true, psize)
+		for k := uint64(1); leafFree(want) >= leafSlot+w && rng.Intn(40) != 0; k += 1 + uint64(rng.Intn(1000)) {
+			v := make([]byte, w)
+			rng.Read(v)
+			if leafFree(want) >= 2*leafSlot+2*w && rng.Intn(3) == 0 {
+				tr.leafPlace(want, count(want), false, k, make([]byte, rng.Intn(w+1)))
+				tr.leafPlace(want, count(want)-1, true, k, v) // the first value stays in the heap, dead
+				continue
+			}
+			tr.leafPlace(want, count(want), false, k, v)
+		}
+		moved := uint64(pHdr + count(want)*(8+w))
+		s0 := dev.Stats()
+		pg.WritePage(id, want)
+		s1 := dev.Stats()
+		got := make([]byte, psize)
+		pg.ReadPage(id, got)
+		s2 := dev.Stats()
+		if !sameEntries(got, want) || pg.ioErr != nil {
+			t.Fatalf("%d entries of width %d did not round-trip (%v)", count(want), w, pg.ioErr)
+		}
+		if wr, rd := s1.BytesWritten-s0.BytesWritten, s2.BytesRead-s1.BytesRead; wr != moved || rd != moved {
+			t.Fatalf("%d entries of width %d: wrote %d and read %d bytes, the image has %d", count(want), w, wr, rd, moved)
+		}
+	})
 }
 
 func TestOpenArenaPagerEmptySlot(t *testing.T) {

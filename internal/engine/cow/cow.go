@@ -79,7 +79,11 @@ func start(name string, mk func(*core.Env, int, bool) (cowbtree.Pager, placement
 		e.tree = cowbtree.Attach(pg)
 		e.TxnID = e.tree.Meta()
 		workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
-		e.Rec = core.RecoveryReport{Records: tup.reclaim(e.tree, workers), Workers: workers}
+		records, err := tup.reclaim(e.tree, workers)
+		if err != nil {
+			return nil, err
+		}
+		e.Rec = core.RecoveryReport{Records: records, Workers: workers}
 	} else if e.tree, err = cowbtree.Create(pg); err != nil {
 		return nil, err
 	}

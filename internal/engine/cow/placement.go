@@ -27,8 +27,9 @@ type placement interface {
 	abort()
 	persisted()
 	// reclaim runs at Open: it walks the committed tree, frees the storage
-	// nothing reaches, and reports the records it examined.
-	reclaim(tr *cowbtree.Tree, workers int) int64
+	// nothing reaches, and reports the records it examined. A walk that met a
+	// page it could not read frees nothing and returns a Corrupt error.
+	reclaim(tr *cowbtree.Tree, workers int) (int64, error)
 	footprint() core.Footprint
 }
 
@@ -53,11 +54,11 @@ func (inline) abort()                                {}
 func (inline) persisted()                            {}
 
 // reclaim rebuilds the file's free-page list from the pages the tree reaches.
-func (p inline) reclaim(tr *cowbtree.Tree, workers int) int64 {
+func (p inline) reclaim(tr *cowbtree.Tree, workers int) (int64, error) {
 	used := make(map[uint64]bool)
 	tr.ReachableParallel(workers, func(id uint64) { used[id] = true }, nil)
 	p.pg.InitFree(used)
-	return int64(len(used))
+	return int64(len(used)), nil
 }
 
 // footprint: the file holds tuples and index together (Fig. 14: table storage).
@@ -67,6 +68,7 @@ func (p inline) footprint() core.Footprint { return core.Footprint{Table: p.pg.F
 // allocator chunk `len u32 | image` and the leaf value is its 8-byte pointer.
 type chunked struct {
 	env         *core.Env
+	pg          *cowbtree.ArenaPager
 	txnNew      []pmalloc.Ptr // tuple copies made by the running txn
 	txnOld      []pmalloc.Ptr // tuples superseded by the running txn
 	pendingFree []pmalloc.Ptr // superseded tuples, freed after next Persist
@@ -78,7 +80,7 @@ func arenaPlacement(env *core.Env, pageSize int, reopen bool) (cowbtree.Pager, p
 		mk = cowbtree.OpenArenaPager
 	}
 	pg, err := mk(env.Arena, 0, pageSize) // anchored at root slot 0
-	return pg, &chunked{env: env}, err
+	return pg, &chunked{env: env, pg: pg}, err
 }
 
 // put persists the image as a chunk — one buffer, streamed with its persisted
@@ -148,13 +150,18 @@ func (c *chunked) free(ps []pmalloc.Ptr) {
 
 // reclaim frees the pages and tuple copies orphaned by the crash — persisted
 // table chunks the tree does not reach — once the walk has seen every chunk.
-func (c *chunked) reclaim(tr *cowbtree.Tree, workers int) int64 {
+// A page the pager could not decode hid the tuples it names from the walk, so
+// then nothing is freed.
+func (c *chunked) reclaim(tr *cowbtree.Tree, workers int) (int64, error) {
 	reach := make(map[uint64]bool)
 	tr.ReachableParallel(workers, func(id uint64) { reach[id] = true }, func(v []byte) {
 		if len(v) == 8 {
 			reach[binary.LittleEndian.Uint64(v)] = true
 		}
 	})
+	if err := c.pg.Err(); err != nil {
+		return 0, core.Corrupt(fmt.Errorf("nvm-cow: reclaim: %w", err))
+	}
 	var orphans []pmalloc.Ptr
 	chunks := 0
 	c.env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
@@ -166,7 +173,7 @@ func (c *chunked) reclaim(tr *cowbtree.Tree, workers int) int64 {
 	for _, p := range orphans {
 		c.env.Arena.Free(p)
 	}
-	return int64(len(reach) + chunks)
+	return int64(len(reach) + chunks), nil
 }
 
 // footprint: directory pages and tuples are both chunks tagged table storage.
