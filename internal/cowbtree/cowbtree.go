@@ -199,22 +199,6 @@ func leafFree(buf []byte) int {
 	return dataEnd(buf) - (pHdr + count(buf)*leafSlot)
 }
 
-// deadGap returns the byte range [lo, hi) of a page that nothing interprets,
-// from its header alone: the gap between a leaf's slot directory and its
-// value heap, or everything past an inner page's entries. initPage and
-// compactLeaf rebuild it and leafPlace only writes into it, so a pager need
-// not move it. A header that describes no such gap yields an empty one.
-func deadGap(buf []byte) (lo, hi int) {
-	lo, hi = pHdr+count(buf)*innerEnt, len(buf)
-	if isLeaf(buf) {
-		lo, hi = pHdr+count(buf)*leafSlot, dataEnd(buf)
-	}
-	if lo > hi || hi > len(buf) {
-		return len(buf), len(buf)
-	}
-	return lo, hi
-}
-
 // leafLowerBound returns the first slot with key >= k.
 func leafLowerBound(buf []byte, k uint64) int {
 	lo, hi := 0, count(buf)

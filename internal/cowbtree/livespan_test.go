@@ -2,137 +2,195 @@ package cowbtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nstore/internal/nvm"
 )
 
-// randomPage fills buf with a leaf that has seen inserts, replacements and
-// deletes (so its slot directory and value heap have moved independently), or
-// with an inner page of random fan-out.
-func randomPage(rng *rand.Rand, tr *Tree, buf []byte) {
-	if rng.Intn(3) == 0 {
+// The kinds of page randomPage makes.
+const (
+	uniformLeaf = iota
+	mixedLeaf
+	innerPage
+	pageKinds
+)
+
+// randomPage fills buf with a page of the given kind. Its keys ascend by
+// random steps from a random start. Its values are often 8-byte pointers —
+// 16-byte aligned and within a random distance of each other, as chunk
+// addresses are, or, on a quarter of the pages, anything at all — and are
+// otherwise random bytes: all one width on a uniform leaf, of any width on a
+// mixed one, where pointers sit beside the empty values of secondary-index
+// entries. A leaf has seen replacements and deletes, so its slot directory
+// and value heap have moved independently and the heap holds dead values.
+func randomPage(rng *rand.Rand, tr *Tree, buf []byte, kind int) {
+	k, step := rng.Uint64()>>1, 64-rng.Intn(25)
+	key := func() uint64 { k += 1 + rng.Uint64()>>step; return k }
+	base, spread, align := rng.Uint64(), 64-1-rng.Intn(40), ^uint64(15)
+	if rng.Intn(4) == 0 {
+		spread, align = 0, ^uint64(0)
+	}
+	ptr := func() uint64 { return base + rng.Uint64()>>spread&align }
+	if kind == innerPage {
 		initPage(buf, false, len(buf))
 		n := rng.Intn((len(buf) - pHdr) / innerEnt)
 		for i := 0; i < n; i++ {
-			setInner(buf, i, rng.Uint64(), rng.Uint64())
+			setInner(buf, i, key(), ptr())
 		}
 		setCount(buf, n)
 		return
 	}
-	initPage(buf, true, len(buf))
-	for k := uint64(1); ; k++ {
-		v := make([]byte, rng.Intn(400))
-		rng.Read(v)
-		if leafFree(buf) < leafSlot+len(v) || rng.Intn(40) == 0 {
-			break
+	pointers, w := rng.Intn(2) == 0, rng.Intn(200)
+	val := func() []byte {
+		switch {
+		case pointers && kind == mixedLeaf && rng.Intn(3) == 0:
+			return nil
+		case pointers:
+			return binary.LittleEndian.AppendUint64(nil, ptr())
+		case kind == mixedLeaf:
+			w = rng.Intn(400)
 		}
-		tr.leafPlace(buf, count(buf), false, k, v)
+		v := make([]byte, w)
+		rng.Read(v)
+		return v
+	}
+	initPage(buf, true, len(buf))
+	for leafFree(buf) >= 2*leafSlot+800 && rng.Intn(60) != 0 {
+		k := key()
+		if rng.Intn(2) == 0 {
+			tr.leafPlace(buf, count(buf), false, k, make([]byte, rng.Intn(400)))
+			tr.leafPlace(buf, count(buf)-1, true, k, val()) // the replaced value stays in the heap
+			continue
+		}
+		tr.leafPlace(buf, count(buf), false, k, val())
 	}
 	for c := count(buf); c > 0 && rng.Intn(2) == 0; c-- {
 		setCount(buf, c-1) // what del leaves behind: the value stays in the heap
 	}
 }
 
-// TestLiveSpans: a pager may move a page's live bytes alone, because the
-// arena pager does and nothing in the tree can tell.
-func TestLiveSpans(t *testing.T) {
-	t.Run("round trip", liveSpansRoundTrip)
-	t.Run("poisoned gap", poisonedGap)
+// imageSize states the arena pager's page image afresh: what it moves for
+// page buf, and which of its value columns the page gets. The header is 16
+// bytes, 24 with a value base; then every entry has a key delta and a value
+// column entry, each column as wide as its widest entry needs; a leaf that
+// mixes value widths has its values after its column of lengths.
+func imageSize(buf []byte) (kind string, size int) {
+	n := count(buf)
+	var keys, words []uint64
+	lens := map[int]bool{}
+	sum, longest := 0, 0
+	for i := 0; i < n; i++ {
+		if !isLeaf(buf) {
+			keys, words = append(keys, innerKey(buf, i)), append(words, innerChild(buf, i))
+			continue
+		}
+		v := leafVal(buf, i)
+		keys, lens[len(v)], sum, longest = append(keys, leafKey(buf, i)), true, sum+len(v), max(longest, len(v))
+		if len(v) == 8 {
+			words = append(words, binary.LittleEndian.Uint64(v))
+		}
+	}
+	kw := codeWidth(keys, false)
+	switch {
+	case !isLeaf(buf):
+		return "inner", 24 + n*(kw+codeWidth(words, true))
+	case len(lens) > 1:
+		return "mixed", 16 + n*(kw+codeWidth([]uint64{0, uint64(longest)}, false)) + sum
+	case lens[8]:
+		return "pointers", 24 + n*(kw+codeWidth(words, true))
+	}
+	return "uniform", 16 + n*kw + sum
 }
 
-// uniformPage fills buf with a leaf whose values all have one random width,
-// after replacements and deletes left values of other widths dead in its heap.
-func uniformPage(rng *rand.Rand, tr *Tree, buf []byte) {
-	initPage(buf, true, len(buf))
-	w := rng.Intn(200)
-	if rng.Intn(4) == 0 {
-		w = 8 // an NVM-CoW primary entry: a tuple pointer
+// codeWidth returns the bytes each entry of col takes as its distance from
+// the column's least entry — shifted right past the low zero bits all the
+// distances share, if shifted is set.
+func codeWidth(col []uint64, shifted bool) int {
+	if len(col) == 0 {
+		return 0
 	}
-	for k := uint64(1); leafFree(buf) >= 2*leafSlot+w+400 && rng.Intn(60) != 0; k++ {
-		dead := make([]byte, rng.Intn(400))
-		tr.leafPlace(buf, count(buf), false, k, dead)
-		v := make([]byte, w)
-		rng.Read(v)
-		tr.leafPlace(buf, count(buf)-1, true, k, v) // the replaced value stays in the heap
+	lo := slices.Min(col)
+	var hi, low uint64
+	for _, v := range col {
+		hi, low = max(hi, v-lo), low|(v-lo)
 	}
-	for c := count(buf); c > 0 && rng.Intn(2) == 0; c-- {
-		setCount(buf, c-1)
+	if shifted && low != 0 {
+		hi >>= bits.TrailingZeros64(low)
 	}
+	return (bits.Len64(hi) + 7) / 8
 }
 
-// sameEntries reports whether two leaves hold the same keys and values.
-func sameEntries(a, b []byte) bool {
-	if !isLeaf(a) || !isLeaf(b) || count(a) != count(b) {
+// samePage reports whether two pages hold the same entries: the same keys
+// and values of a leaf, the same keys and children of an inner page.
+func samePage(a, b []byte) bool {
+	if isLeaf(a) != isLeaf(b) || count(a) != count(b) {
 		return false
 	}
 	for i := 0; i < count(a); i++ {
-		if leafKey(a, i) != leafKey(b, i) || !bytes.Equal(leafVal(a, i), leafVal(b, i)) {
+		if isLeaf(a) && (leafKey(a, i) != leafKey(b, i) || !bytes.Equal(leafVal(a, i), leafVal(b, i))) ||
+			!isLeaf(a) && (innerKey(a, i) != innerKey(b, i) || innerChild(a, i) != innerChild(b, i)) {
 			return false
 		}
 	}
 	return true
 }
 
+// TestLiveSpans: a pager may move a page's entries alone, because the arena
+// pager does and nothing in the tree can tell.
+func TestLiveSpans(t *testing.T) {
+	t.Run("round trip", liveSpansRoundTrip)
+	t.Run("poisoned gap", poisonedGap)
+}
+
 // liveSpansRoundTrip: wherever the page chunk sits relative to the device's
-// cache lines, the arena pager moves a leaf of one value width as its
-// entries alone, 8 + n × (8 + w) bytes each way, and any other page as its
-// header, entries and value heap and nothing else. What it moved is what
-// comes back — from the controller's buffer, and from the medium after a
-// fence and a crash: the same bytes of a slotted page, the same entries of a
-// packed one.
+// cache lines, the arena pager moves every page — leaves of 8-byte pointers,
+// of another single width, of mixed widths, and inner pages — as its image,
+// header + n × (key width + value width) bytes each way, plus a mixed leaf's
+// values. What it moved is what comes back, from the controller's buffer and
+// from the medium after a fence and a crash: the same entries.
 func liveSpansRoundTrip(t *testing.T) {
 	dev, _, tr := newArenaPagerTree(t)
 	pg := tr.pg.(*ArenaPager)
 	rng := rand.New(rand.NewSource(*batchSeed))
 	phases := map[uint64]int{}
-	images := map[bool]int{}
+	kinds := map[string]int{}
 	var checks []func(when string)
-	for len(phases) < 4 || phases[0] < 50 || images[true] < 50 || images[false] < 50 {
+	fewest := func() int { return min(kinds["uniform"], kinds["pointers"], kinds["mixed"], kinds["inner"]) }
+	for len(phases) < 4 || phases[0] < 50 || fewest() < 50 {
 		id, err := pg.AllocPage()
 		if err != nil {
 			t.Fatal(err)
 		}
 		phases[id%nvm.LineSize]++
 		want := make([]byte, pg.PageSize())
-		if rng.Intn(2) == 0 {
-			uniformPage(rng, tr, want)
-		} else {
-			randomPage(rng, tr, want)
-		}
+		randomPage(rng, tr, want, rng.Intn(pageKinds))
 		lo, hi := deadGap(want)
 		for i := lo; i < hi; i++ {
 			want[i] = byte(rng.Int()) // the gap may hold anything
 		}
-		_, packed := packLeaf(nil, want)
-		images[packed]++
-		moved := lo + len(want) - hi // the live span
-		if packed {
-			moved = pHdr
-			if n := count(want); n > 0 {
-				moved += n * (8 + len(leafVal(want, 0)))
-			}
-		}
+		kind, moved := imageSize(want)
+		kinds[kind]++
 		before := dev.Stats().BytesWritten
 		pg.WritePage(id, want)
-		n := int(dev.Stats().BytesWritten - before)
-		if packed && n != moved || !packed && (n < moved || n >= moved+2*nvm.LineSize) {
-			t.Fatalf("page %d (packed=%v, count %d): WritePage moved %d bytes, the image has %d", id, packed, count(want), n, moved)
+		if n := int(dev.Stats().BytesWritten - before); n != moved {
+			t.Fatalf("page %d (%s, count %d): WritePage moved %d bytes, the image has %d", id, kind, count(want), n, moved)
 		}
 		check := func(when string) {
 			t.Helper()
 			got := bytes.Repeat([]byte{0xA5}, len(want))
 			before := dev.Stats().BytesRead
 			pg.ReadPage(id, got)
-			if packed && !sameEntries(got, want) ||
-				!packed && (!bytes.Equal(got[:lo], want[:lo]) || !bytes.Equal(got[hi:], want[hi:])) {
-				t.Fatalf("%s: page %d (phase %d, packed=%v, leaf=%v, count %d, gap [%d,%d)) came back different on live bytes",
-					when, id, id%nvm.LineSize, packed, isLeaf(want), count(want), lo, hi)
+			if !samePage(got, want) {
+				t.Fatalf("%s: page %d (phase %d, %s, count %d) came back with other entries",
+					when, id, id%nvm.LineSize, kind, count(want))
 			}
 			if n := int(dev.Stats().BytesRead - before); n != moved {
-				t.Fatalf("%s: ReadPage moved %d bytes, the image has %d", when, n, moved)
+				t.Fatalf("%s: ReadPage of a %s page moved %d bytes, the image has %d", when, kind, n, moved)
 			}
 		}
 		check("before the fence")
@@ -151,6 +209,22 @@ func liveSpansRoundTrip(t *testing.T) {
 	if err := pg.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// deadGap returns the byte range [lo, hi) of a page that nothing interprets,
+// from its header alone: the gap between a leaf's slot directory and its
+// value heap, or everything past an inner page's entries. initPage and
+// compactLeaf rebuild it and leafPlace only writes into it, so a pager need
+// not move it. A header that describes no such gap yields an empty one.
+func deadGap(buf []byte) (lo, hi int) {
+	lo, hi = pHdr+count(buf)*innerEnt, len(buf)
+	if isLeaf(buf) {
+		lo, hi = pHdr+count(buf)*leafSlot, dataEnd(buf)
+	}
+	if lo > hi || hi > len(buf) {
+		return len(buf), len(buf)
+	}
+	return lo, hi
 }
 
 // poisonPager overwrites the dead gap of every page image it returns, as a

@@ -3,6 +3,7 @@ package cowbtree
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
@@ -140,19 +141,47 @@ func (p *FilePager) writeMeta() error {
 // PageSize returns the page size in bytes.
 func (p *FilePager) PageSize() int { return p.psize }
 
-// ReadPage fills buf with page id's contents. A read failure zeroes buf
-// (so the caller never parses stale bytes as a node) and is reported at the
-// next Persist.
+// ReadPage fills buf with page id's contents. A read failure, or a page whose
+// entries overrun it, makes buf an empty leaf (so the caller never indexes
+// stale bytes as a node) and is reported at the next Persist.
 func (p *FilePager) ReadPage(id uint64, buf []byte) {
-	if _, err := p.f.ReadAt(buf, int64(id)*int64(p.psize)); err != nil {
-		for i := range buf {
-			buf[i] = 0
-		}
+	_, err := p.f.ReadAt(buf, int64(id)*int64(p.psize))
+	if err == nil {
+		err = checkSlotted(buf)
+	}
+	if err != nil {
+		initPage(buf, true, len(buf))
 		if p.ioErr == nil {
-			p.ioErr = err
+			p.ioErr = fmt.Errorf("page %d: %w", id, err)
 		}
 	}
 }
+
+// checkSlotted reports a slotted page whose count, value heap or value slots
+// reach past its end.
+func checkSlotted(buf []byte) error {
+	n := count(buf)
+	if !isLeaf(buf) {
+		if pHdr+n*innerEnt > len(buf) {
+			return fmt.Errorf("%d inner entries overrun a %d-byte page", n, len(buf))
+		}
+		return nil
+	}
+	if pHdr+n*leafSlot > dataEnd(buf) || dataEnd(buf) > len(buf) {
+		return fmt.Errorf("%d leaf slots and a heap at %d overrun a %d-byte page", n, dataEnd(buf), len(buf))
+	}
+	for i := 0; i < n; i++ {
+		off := int(binary.LittleEndian.Uint16(buf[pHdr+i*leafSlot+8:]))
+		if ln := int(binary.LittleEndian.Uint16(buf[pHdr+i*leafSlot+10:])); off+ln > len(buf) {
+			return fmt.Errorf("leaf value %d at [%d,%d) overruns a %d-byte page", i, off, off+ln, len(buf))
+		}
+	}
+	return nil
+}
+
+// Err returns the failed or malformed page read met since the last Persist,
+// if any, as ArenaPager.Err does.
+func (p *FilePager) Err() error { return p.ioErr }
 
 // WritePage stores buf as page id's contents (durable at the next Persist).
 // A write failure (e.g. disk full while growing the file) is reported at
@@ -223,11 +252,10 @@ func (p *FilePager) FileBytes() int64 { return p.f.Size() }
 // engine's "non-volatile copy-on-write B+tree using the allocator
 // interface" with its efficiently-updatable master record (§4.2).
 //
-// A page chunk holds one of two images, picked per page from its contents
-// at WritePage. A leaf whose values all have one width is packed: its
-// entries alone, without slots or the value heap's garbage. Any other page
-// (inner pages, leaves that mix widths) keeps its slotted layout, of which
-// only the live spans move.
+// A page chunk holds the page's image: its entries packed into a column of
+// key deltas and a column of values, each as narrow as its widest entry,
+// without slots or the value heap's garbage. WritePage encodes it from the
+// slotted page the tree works on and ReadPage decodes it back.
 type ArenaPager struct {
 	arena *pmalloc.Arena
 	dev   *nvm.Device
@@ -239,7 +267,9 @@ type ArenaPager struct {
 	meta   uint64
 
 	dirty map[uint64]bool // pages written since the last Persist
-	img   []byte          // one page: a packed image on its way to or from the medium
+	img   []byte          // one page image on its way to or from the medium, and 8 bytes of slack
+	keys  []uint64        // WritePage's key column before it is coded
+	vals  []uint64        // and its value column, when the values are coded
 
 	// ioErr records the first malformed page image ReadPage met. It is
 	// surfaced — and cleared — at the next Persist, as FilePager's I/O
@@ -247,75 +277,268 @@ type ArenaPager struct {
 	ioErr error
 }
 
-// Packed leaf image:
+// Page image, of every page a chunk holds:
 //
-//	+0  flags (2 = packed leaf)
-//	+2  count (u16)
-//	+4  width (u32): the length of every value
-//	+8  count × (key u64 | value[width]), in key order
+//	+0   flags (u8): imgLeaf, imgFOR, imgLens
+//	+1   kw (u8, ≤ 8): the width of a key delta
+//	+2   count (u16)
+//	+4   vw (u16): the width of a value column entry
+//	+6   shift (u8, < 64 under imgFOR)
+//	+7   0
+//	+8   key base (u64)
+//	+16  value base (u64), under imgFOR only
+//	     count × (key - key base), kw bytes each, in page order
+//	     count × value column entry, vw bytes each
+//	     under imgLens, the values back to back
 //
-// It decodes into the slotted page the tree works on, with the value heap
-// compacted. A slotted page's flags are 0 or 1, so the first byte tells the
-// two images apart.
+// A value column entry is one of three things. Under imgFOR — an inner page,
+// whose values are child ids, or a leaf whose values are all 8 bytes wide, as
+// NVM-CoW's tuple pointers are — it is (value - value base) >> shift, with vw
+// ≤ 8: chunk addresses are 16-byte aligned and close together. Under imgLens,
+// a leaf that mixes value widths, it is a value's length (vw ≤ 8), and the
+// values follow the column. Otherwise it is the value itself, vw bytes, all
+// of the leaf's values being that wide (the empty values of secondary-index
+// entries: vw = 0).
+//
+// An image decodes into the slotted page the tree works on, with the value
+// heap compacted.
 const (
-	packedLeaf = 2
-	packedEnt  = 8 // key bytes of a packed entry; the value follows
+	imgLeaf = 1 << iota // a leaf; else an inner page, always imgFOR
+	imgFOR              // values frame-of-reference coded
+	imgLens             // a length column, then the values
+
+	imgFixed = 8 // the header up to the key base
 )
 
-// packLeaf appends the packed image of page buf to dst, if buf is a leaf
-// whose values all have one width (an empty leaf has width 0).
-func packLeaf(dst, buf []byte) ([]byte, bool) {
-	if !isLeaf(buf) {
-		return dst, false
+// imgHead returns the length of an image's header: its fixed part, the key
+// base, and under imgFOR the value base.
+func imgHead(flags byte) int {
+	if flags&imgFOR != 0 {
+		return imgFixed + 16
 	}
-	n, w := count(buf), 0
-	if n > 0 {
-		w = len(leafVal(buf, 0))
+	return imgFixed + 8
+}
+
+// byteWidth returns the bytes needed to hold x.
+func byteWidth(x uint64) int { return (bits.Len64(x) + 7) / 8 }
+
+// column is an image's column of w-byte entries, w ≤ 8, entry i standing for
+// base + entry << shift. Its bytes run at least 8 past each entry's start, so
+// an entry is read as one 8-byte load and masked.
+type column struct {
+	b          []byte
+	w          int
+	mask, base uint64
+	shift      int
+}
+
+func newColumn(b []byte, w int, base uint64, shift int) column {
+	return column{b: b, w: w, mask: 1<<(8*w) - 1, base: base, shift: shift}
+}
+
+// at returns entry i. The shift is < 64, so masking it with 63 changes
+// nothing but spares the shift its range check.
+func (c column) at(i int) uint64 {
+	return c.base + (binary.LittleEndian.Uint64(c.b[i*c.w:])&c.mask)<<(c.shift&63)
+}
+
+// appendW appends the low w bytes of v, w ≤ 8, to b.
+func appendW(b []byte, v uint64, w int) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)[:len(b)+w]
+}
+
+// frame returns the base and shift that code col as (v - base) >> shift, with
+// a shift only if shifted is set, and the byte width of the widest code. Two
+// entries' difference and their XOR end in the same number of zero bits, so
+// the shift is read off the XORs with the first entry.
+func frame(col []uint64, shifted bool) (base uint64, shift, w int) {
+	if len(col) == 0 {
+		return 0, 0, 0
 	}
-	for i := 1; i < n; i++ {
-		if len(leafVal(buf, i)) != w {
-			return dst, false
+	base, hi, low := col[0], col[0], uint64(0)
+	for _, v := range col {
+		base, hi, low = min(base, v), max(hi, v), low|(v^col[0])
+	}
+	if shifted && low != 0 {
+		shift = bits.TrailingZeros64(low)
+	}
+	return base, shift, byteWidth((hi - base) >> shift)
+}
+
+// encode returns page buf's image, built in p.img.
+func (p *ArenaPager) encode(buf []byte) []byte {
+	n, leaf := count(buf), isLeaf(buf)
+	keys, vals := p.keys[:0], p.vals[:0]
+	flags, vw := byte(imgFOR), 0 // vw: the widest value, until it is a column's width
+	if leaf {
+		flags = imgLeaf
+	}
+	for i := 0; i < n; i++ {
+		if !leaf {
+			keys, vals = append(keys, innerKey(buf, i)), append(vals, innerChild(buf, i))
+			continue
+		}
+		v := leafVal(buf, i)
+		keys = append(keys, leafKey(buf, i))
+		if i > 0 && len(v) != vw {
+			flags |= imgLens
+		}
+		if vw = max(vw, len(v)); len(v) == 8 {
+			vals = append(vals, binary.LittleEndian.Uint64(v))
 		}
 	}
-	dst = append(dst, packedLeaf, 0)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(n))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(w))
-	for i := 0; i < n; i++ {
-		dst = binary.LittleEndian.AppendUint64(dst, leafKey(buf, i))
-		dst = append(dst, leafVal(buf, i)...)
+	if flags == imgLeaf && vw == 8 {
+		flags |= imgFOR
 	}
-	return dst, true
+	p.keys, p.vals = keys, vals
+	kbase, _, kw := frame(keys, false)
+	var vbase uint64
+	var shift int
+	switch {
+	case flags&imgFOR != 0:
+		vbase, shift, vw = frame(vals, true)
+	case flags&imgLens != 0:
+		vw = byteWidth(uint64(vw))
+	}
+
+	img := append(p.img[:0], flags, byte(kw))
+	img = binary.LittleEndian.AppendUint16(img, uint16(n))
+	img = binary.LittleEndian.AppendUint16(img, uint16(vw))
+	img = append(img, byte(shift), 0)
+	img = binary.LittleEndian.AppendUint64(img, kbase)
+	if flags&imgFOR != 0 {
+		img = binary.LittleEndian.AppendUint64(img, vbase)
+	}
+	for _, k := range keys {
+		img = appendW(img, k-kbase, kw)
+	}
+	if flags&imgFOR != 0 {
+		for _, v := range vals {
+			img = appendW(img, (v-vbase)>>shift, vw)
+		}
+		return img
+	}
+	for i := 0; flags&imgLens != 0 && i < n; i++ {
+		img = appendW(img, uint64(len(leafVal(buf, i))), vw)
+	}
+	for i := 0; i < n; i++ {
+		img = append(img, leafVal(buf, i)...)
+	}
+	return img
 }
 
-// packedShape returns the entry count and value width a packed header
-// announces, or an error if the slotted page they decode into — larger than
-// the image, by a slot's offset and length per entry — would overrun a page
-// of psize bytes.
-func packedShape(hdr []byte, psize int) (n, w int, err error) {
-	n, w = count(hdr), int(binary.LittleEndian.Uint32(hdr[pDataEnd:]))
-	if pHdr+n*(leafSlot+w) > psize {
-		return 0, 0, fmt.Errorf("packed leaf of %d × %d-byte values overruns a %d-byte page", n, w, psize)
-	}
-	return n, w, nil
+// imgHeader is an image's fixed header, checked.
+type imgHeader struct {
+	flags            byte
+	kw, n, vw, shift int
 }
 
-// unpackLeaf decodes the entries of a packed image, n values of width w,
-// into buf as a slotted leaf whose heap holds the values alone, in key order.
-// Every lookup through a packed leaf runs it whole, so each slot is written
-// with two stores.
-func unpackLeaf(buf, ents []byte, n, w int) {
-	heap := len(buf) - n*w
-	slots, vals := buf[pHdr:pHdr+n*leafSlot], buf[heap:]
-	for i := 0; i < n; i++ {
-		e := ents[i*(packedEnt+w):][:packedEnt+w]
-		s := slots[i*leafSlot:][:leafSlot]
-		copy(vals[i*w:], e[packedEnt:])
-		binary.LittleEndian.PutUint64(s, binary.LittleEndian.Uint64(e))
-		binary.LittleEndian.PutUint32(s[8:], uint32(heap+i*w)|uint32(w)<<16) // valOff, valLen
+// parseHeader reads an image's fixed header and checks every field against
+// a page of psize bytes: the flags, the widths, the shift, and the count —
+// by the bytes its columns take in the chunk and the slotted page they decode
+// into takes in the tree's buffer, values included unless a length column has
+// yet to say how long they are. It returns the header and the length of the
+// image up to the end of its value column.
+func parseHeader(b []byte, psize int) (h imgHeader, end int, err error) {
+	h = imgHeader{flags: b[0], kw: int(b[1]), n: int(binary.LittleEndian.Uint16(b[2:])),
+		vw: int(binary.LittleEndian.Uint16(b[4:])), shift: int(b[6])}
+	leaf, coded, lens := h.flags&imgLeaf != 0, h.flags&imgFOR != 0, h.flags&imgLens != 0
+	switch {
+	case h.flags&^(imgLeaf|imgFOR|imgLens) != 0 || coded && lens || !leaf && !coded:
+		return h, 0, fmt.Errorf("flags %#x name no page", h.flags)
+	case h.kw > 8:
+		return h, 0, fmt.Errorf("%d-byte key deltas", h.kw)
+	case (coded || lens) && h.vw > 8:
+		return h, 0, fmt.Errorf("%d-byte value column entries", h.vw)
+	case coded && h.shift >= 64:
+		return h, 0, fmt.Errorf("values shifted by %d", h.shift)
+	}
+	end = imgHead(h.flags) + h.n*(h.kw+h.vw)
+	page := pHdr + h.n*innerEnt
+	switch {
+	case leaf && coded:
+		page = pHdr + h.n*(leafSlot+8)
+	case leaf && lens:
+		page = pHdr + h.n*leafSlot
+	case leaf:
+		page = pHdr + h.n*(leafSlot+h.vw)
+	}
+	if end > psize || page > psize {
+		return h, 0, fmt.Errorf("%d entries (flags %#x) overrun a %d-byte page", h.n, h.flags, psize)
+	}
+	return h, end, nil
+}
+
+// readImage reads page base's image from the medium into p.img, header first,
+// and decodes it into buf. No field is used before it is checked, and no byte
+// past the image is read; nor any outside the arena, where a malformed parent
+// may name a page.
+func (p *ArenaPager) readImage(base int64, buf []byte) error {
+	if !p.arena.Holds(pmalloc.Ptr(base), p.psize) {
+		return fmt.Errorf("no page chunk fits at %d", base)
+	}
+	p.dev.Read(base, p.img[:imgFixed])
+	h, end, err := parseHeader(p.img, len(buf))
+	if err != nil {
+		return err
+	}
+	p.dev.Read(base+imgFixed, p.img[imgFixed:end])
+	head, coded, lens := imgHead(h.flags), h.flags&imgFOR != 0, h.flags&imgLens != 0
+	keys := newColumn(p.img[head:], h.kw, binary.LittleEndian.Uint64(p.img[imgFixed:]), 0)
+	raw := p.img[head+h.n*h.kw:] // the value column
+	vals := newColumn(raw, h.vw, 0, 0)
+	if coded {
+		vals = newColumn(raw, h.vw, binary.LittleEndian.Uint64(p.img[imgFixed+8:]), h.shift)
+	}
+	if h.flags&imgLeaf == 0 {
+		for i, e := 0, buf[pHdr:pHdr+h.n*innerEnt]; i < h.n; i, e = i+1, e[innerEnt:] {
+			binary.LittleEndian.PutUint64(e, keys.at(i))
+			binary.LittleEndian.PutUint64(e[8:], vals.at(i))
+		}
+		buf[pFlags], buf[pFlags+1] = 0, 0
+		setCount(buf, h.n)
+		setDataEnd(buf, len(buf))
+		return nil
+	}
+
+	size := h.n * h.vw // the values' bytes
+	switch {
+	case coded:
+		size = h.n * 8
+	case lens:
+		size = 0
+		for i := 0; i < h.n; i++ {
+			size += int(min(vals.at(i), uint64(len(buf))))
+		}
+		if end+size > len(buf) || pHdr+h.n*leafSlot+size > len(buf) {
+			return fmt.Errorf("%d values of %d bytes overrun a %d-byte page", h.n, size, len(buf))
+		}
+		p.dev.Read(base+int64(end), p.img[end:end+size])
+		raw = p.img[end:]
+	}
+	heap := len(buf) - size
+	off, voff := heap, 0 // where the next value goes in buf, and where it is in raw
+	for i, s := 0, buf[pHdr:pHdr+h.n*leafSlot]; i < h.n; i, s = i+1, s[leafSlot:] {
+		binary.LittleEndian.PutUint64(s, keys.at(i))
+		w := h.vw
+		switch {
+		case coded:
+			binary.LittleEndian.PutUint64(buf[off:], vals.at(i))
+			w = 8
+		case lens:
+			w = int(vals.at(i))
+			fallthrough
+		default:
+			copy(buf[off:off+w], raw[voff:])
+			voff += w
+		}
+		binary.LittleEndian.PutUint32(s[8:], uint32(off)|uint32(w)<<16) // valOff, valLen
+		off += w
 	}
 	buf[pFlags], buf[pFlags+1] = 1, 0
-	setCount(buf, n)
+	setCount(buf, h.n)
 	setDataEnd(buf, heap)
+	return nil
 }
 
 // CreateArenaPager allocates the master block and stores its pointer in the
@@ -326,7 +549,7 @@ func CreateArenaPager(arena *pmalloc.Arena, rootSlot int, pageSize int) (*ArenaP
 		return nil, err
 	}
 	p := &ArenaPager{arena: arena, dev: arena.Device(), psize: pageSize,
-		master: m, dirty: make(map[uint64]bool), img: make([]byte, 0, pageSize)}
+		master: m, dirty: make(map[uint64]bool), img: make([]byte, pageSize+8)}
 	zero := make([]byte, 128)
 	p.dev.Write(int64(m), zero)
 	p.dev.Sync(int64(m), 128)
@@ -345,7 +568,7 @@ func OpenArenaPager(arena *pmalloc.Arena, rootSlot int, pageSize int) (*ArenaPag
 		return nil, fmt.Errorf("cowbtree: arena root slot %d empty", rootSlot)
 	}
 	p := &ArenaPager{arena: arena, dev: arena.Device(), psize: pageSize,
-		master: m, dirty: make(map[uint64]bool), img: make([]byte, 0, pageSize)}
+		master: m, dirty: make(map[uint64]bool), img: make([]byte, pageSize+8)}
 	found := false
 	for slot := int64(0); slot < 2; slot++ {
 		base := int64(m) + slot*64
@@ -381,32 +604,20 @@ func (p *ArenaPager) writeMaster() error {
 // PageSize returns the page size in bytes.
 func (p *ArenaPager) PageSize() int { return p.psize }
 
-// ReadPage fills buf with page id from its header on. A packed leaf's
-// entries are read into the pager's own buffer and decoded into buf; of a
-// slotted page, the two spans around the dead gap the header describes are
-// read, and the gap's bytes in buf are left as they were.
+// ReadPage fills buf with page id, decoded from its image into the pager's
+// own buffer: buf's header, slots or inner entries, and value heap, whose
+// values are the live ones alone, in key order. The dead gap's bytes in buf
+// are left as they were.
 //
-// A packed header whose entries would overrun the page is read no further:
-// buf becomes an empty leaf, and the next Persist refuses to commit.
+// An image whose header fails a check is read no further: buf becomes an
+// empty leaf, and the next Persist refuses to commit.
 func (p *ArenaPager) ReadPage(id uint64, buf []byte) {
-	p.dev.Read(int64(id), buf[:pHdr])
-	if buf[pFlags] == packedLeaf {
-		n, w, err := packedShape(buf, len(buf))
-		if err != nil {
-			if p.ioErr == nil {
-				p.ioErr = fmt.Errorf("page %d: %w", id, err)
-			}
-			initPage(buf, true, len(buf))
-			return
+	if err := p.readImage(int64(id), buf); err != nil {
+		if p.ioErr == nil {
+			p.ioErr = fmt.Errorf("page %d: %w", id, err)
 		}
-		ents := p.img[:n*(packedEnt+w)]
-		p.dev.Read(int64(id)+pHdr, ents)
-		unpackLeaf(buf, ents, n, w)
-		return
+		initPage(buf, true, len(buf))
 	}
-	lo, hi := deadGap(buf)
-	p.dev.Read(int64(id)+pHdr, buf[pHdr:lo])
-	p.dev.Read(int64(id)+int64(hi), buf[hi:])
 }
 
 // Err returns the malformed page image a read has met since the last
@@ -414,29 +625,19 @@ func (p *ArenaPager) ReadPage(id uint64, buf []byte) {
 // frees anything the walk did not reach.
 func (p *ArenaPager) Err() error { return p.ioErr }
 
-// WritePage streams page buf into the page chunk, durable at the fence of the
-// next Persist: packed if it is a leaf of one value width, else its live
-// bytes. The dead gap is skipped from the first device cache-line boundary
-// inside it to the last (page chunks are 16-byte, not line, aligned), so the
-// lines the two spans end in are written whole.
+// WritePage streams page buf's image into the page chunk, durable at the
+// fence of the next Persist. No page the tree makes has an image larger than
+// the chunk; one that did would be reported at the next Persist.
 func (p *ArenaPager) WritePage(id uint64, buf []byte) {
 	p.dirty[id] = true
-	base := int64(id)
-	if img, ok := packLeaf(p.img[:0], buf); ok {
-		p.dev.WriteStream(base, img)
+	img := p.encode(buf)
+	if len(img) > p.psize {
+		if p.ioErr == nil {
+			p.ioErr = fmt.Errorf("page %d: a %d-byte image overruns its %d-byte chunk", id, len(img), p.psize)
+		}
 		return
 	}
-	lo, hi := deadGap(buf)
-	lo = int((base+int64(lo)+nvm.LineSize-1)&^(nvm.LineSize-1) - base)
-	if hi < len(buf) {
-		hi = int((base+int64(hi))&^(nvm.LineSize-1) - base)
-	}
-	if lo >= hi {
-		p.dev.WriteStream(base, buf)
-		return
-	}
-	p.dev.WriteStream(base, buf[:lo])
-	p.dev.WriteStream(base+int64(hi), buf[hi:])
+	p.dev.WriteStream(int64(id), img)
 }
 
 // AllocPage allocates a page chunk. It stays in the allocated (reclaimable)

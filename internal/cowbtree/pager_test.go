@@ -1,6 +1,7 @@
 package cowbtree
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestArenaPagerUnpersistedPagesReclaimed(t *testing.T) {
 	}
 }
 
-// TestArenaPagerMalformedLeafFailsPersist: a packed leaf whose header
+// TestArenaPagerMalformedLeafFailsPersist: a leaf whose image's count
 // overruns the page reads as an empty leaf, and the next Persist refuses to
 // install a master record over it.
 func TestArenaPagerMalformedLeafFailsPersist(t *testing.T) {
@@ -139,11 +140,11 @@ func TestArenaPagerMalformedLeafFailsPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := int64(tr.Root())
-	if dev.ReadU32(root)&0xff != packedLeaf {
-		t.Fatal("a leaf of 8-byte values was not written packed")
+	if dev.ReadU8(root) != imgLeaf|imgFOR {
+		t.Fatal("a leaf of 8-byte values was not written frame-of-reference coded")
 	}
-	dev.Write(root+pCount, []byte{0xff, 0xff})
-	dev.Sync(root, pHdr)
+	dev.Write(root+2, []byte{0xff, 0xff}) // the image's count
+	dev.Sync(root, imgFixed)
 	if _, ok := tr.Get(3); ok {
 		t.Fatal("Get found a key in a leaf whose header overruns the page")
 	}
@@ -155,12 +156,103 @@ func TestArenaPagerMalformedLeafFailsPersist(t *testing.T) {
 	}
 }
 
-// FuzzArenaLeafImage: whatever a page chunk holds, ReadPage neither panics
-// nor decodes a leaf whose values leave the page, and reports a packed header
-// that overruns the page; and any leaf whose values share one width comes
-// back from the arena pager with the same entries, having moved 8 + n × (8 +
-// w) bytes each way.
-func FuzzArenaLeafImage(f *testing.F) {
+// TestOversizedCountFailsPersist: on either pager, an inner page whose count
+// runs past the page's end reads as an empty leaf — Get finds nothing instead
+// of indexing out of the page — and the next Persist refuses to commit.
+func TestOversizedCountFailsPersist(t *testing.T) {
+	for _, arenaPager := range []bool{false, true} {
+		var tr *Tree
+		var corrupt func(id uint64)
+		if arenaPager {
+			dev, _, atr := newArenaPagerTree(t)
+			tr = atr
+			corrupt = func(id uint64) {
+				dev.Write(int64(id)+2, []byte{0xff, 0xff}) // the image's count
+				dev.Sync(int64(id), imgFixed)
+			}
+		} else {
+			_, fs, ftr := newFilePagerTree(t)
+			tr = ftr
+			corrupt = func(id uint64) {
+				f, err := fs.OpenFile("cow.db")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt([]byte{0xff, 0xff}, int64(id)*4096+pCount); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for k := uint64(1); k <= 2000; k++ {
+			if err := tr.Put(k, val(k, 30)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Persist(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Depth() < 2 {
+			t.Fatalf("arena=%v: depth %d, the root is no inner page", arenaPager, tr.Depth())
+		}
+		corrupt(tr.Root())
+		if _, ok := tr.Get(1000); ok {
+			t.Fatalf("arena=%v: Get found a key below an inner page whose count overruns it", arenaPager)
+		}
+		if err := tr.Put(1000, val(1, 30)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Persist(); err == nil {
+			t.Fatalf("arena=%v: Persist committed over an inner page whose count overruns it", arenaPager)
+		}
+	}
+}
+
+// overruns states the arena pager's header checks afresh: whether img's
+// header names no page, or a width, a shift or a count no page of psize bytes
+// holds — in the chunk, as an image, or in the tree's buffer, decoded.
+func overruns(img []byte, psize int) bool {
+	flags, kw, n := img[0], int(img[1]), int(binary.LittleEndian.Uint16(img[2:]))
+	vw, shift := int(binary.LittleEndian.Uint16(img[4:])), int(img[6])
+	coded, lens := flags&imgFOR != 0, flags&imgLens != 0
+	switch {
+	case flags != imgFOR && flags != imgLeaf && flags != imgLeaf|imgFOR && flags != imgLeaf|imgLens:
+		return true
+	case kw > 8 || (coded || lens) && vw > 8 || coded && shift >= 64:
+		return true
+	}
+	head := 16
+	if coded {
+		head = 24
+	}
+	size, decoded := head+n*(kw+vw), pHdr+n*innerEnt
+	switch {
+	case flags == imgLeaf|imgFOR:
+		decoded = pHdr + n*(leafSlot+8)
+	case flags == imgLeaf:
+		decoded = pHdr + n*(leafSlot+vw)
+	case lens && size <= psize:
+		decoded = pHdr + n*leafSlot
+		for i := 0; i < n; i++ {
+			var l uint64
+			for j := 0; j < vw; j++ {
+				l |= uint64(img[head+n*kw+i*vw+j]) << (8 * j)
+			}
+			if l > uint64(psize) {
+				return true
+			}
+			size, decoded = size+int(l), decoded+int(l)
+		}
+	}
+	return size > psize || decoded > psize
+}
+
+// FuzzArenaPageImage: whatever a page chunk holds, ReadPage neither panics nor
+// returns a page the tree can index out of, and it records a header exactly
+// when the header overruns the page; and every kind of page the tree makes —
+// a leaf of one value width, a leaf of mixed widths, an inner page — comes back
+// from the arena pager with the same entries, having moved exactly its image's
+// bytes each way.
+func FuzzArenaPageImage(f *testing.F) {
 	const psize = 4096
 	dev := nvm.NewDevice(nvm.DefaultConfig(4 << 20))
 	pg, err := CreateArenaPager(pmalloc.Format(dev, 0, 4<<20), 0, psize)
@@ -172,53 +264,42 @@ func FuzzArenaLeafImage(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, width uint16, seed int64) {
+	f.Fuzz(func(t *testing.T, raw []byte, kind uint8, seed int64) {
 		img := make([]byte, psize)
 		copy(img, raw)
 		dev.Write(int64(id), img)
 		buf := make([]byte, psize)
 		pg.ioErr = nil
 		pg.ReadPage(id, buf)
-		if img[pFlags] == packedLeaf {
-			_, _, bad := packedShape(img, psize)
-			if (bad != nil) != (pg.ioErr != nil) {
-				t.Fatalf("header %x: shape error %v, pager recorded %v", img[:pHdr], bad, pg.ioErr)
-			}
-			if !isLeaf(buf) || pHdr+count(buf)*leafSlot > dataEnd(buf) || dataEnd(buf) > psize {
-				t.Fatalf("header %x decoded into a page with count %d, heap at %d", img[:pHdr], count(buf), dataEnd(buf))
-			}
-			for i := 0; i < count(buf); i++ {
+		if bad := overruns(img, psize); bad != (pg.ioErr != nil) {
+			t.Fatalf("header %x: overruns %v, pager recorded %v", img[:24], bad, pg.ioErr)
+		}
+		if err := checkSlotted(buf); err != nil {
+			t.Fatalf("header %x decoded into a page the tree indexes out of: %v", img[:24], err)
+		}
+		for i := 0; i < count(buf); i++ {
+			if isLeaf(buf) {
 				leafVal(buf, i) // panics on a value outside the page
+			} else {
+				innerChild(buf, i)
 			}
 		}
 		pg.ioErr = nil
 
-		rng := rand.New(rand.NewSource(seed))
-		w := int(width) % (tr.maxValue() + 1)
 		want := make([]byte, psize)
-		initPage(want, true, psize)
-		for k := uint64(1); leafFree(want) >= leafSlot+w && rng.Intn(40) != 0; k += 1 + uint64(rng.Intn(1000)) {
-			v := make([]byte, w)
-			rng.Read(v)
-			if leafFree(want) >= 2*leafSlot+2*w && rng.Intn(3) == 0 {
-				tr.leafPlace(want, count(want), false, k, make([]byte, rng.Intn(w+1)))
-				tr.leafPlace(want, count(want)-1, true, k, v) // the first value stays in the heap, dead
-				continue
-			}
-			tr.leafPlace(want, count(want), false, k, v)
-		}
-		moved := uint64(pHdr + count(want)*(8+w))
+		randomPage(rand.New(rand.NewSource(seed)), tr, want, int(kind)%pageKinds)
+		shape, size := imageSize(want)
 		s0 := dev.Stats()
 		pg.WritePage(id, want)
 		s1 := dev.Stats()
 		got := make([]byte, psize)
 		pg.ReadPage(id, got)
 		s2 := dev.Stats()
-		if !sameEntries(got, want) || pg.ioErr != nil {
-			t.Fatalf("%d entries of width %d did not round-trip (%v)", count(want), w, pg.ioErr)
+		if !samePage(got, want) || pg.ioErr != nil {
+			t.Fatalf("a %s page of %d entries did not round-trip (%v)", shape, count(want), pg.ioErr)
 		}
-		if wr, rd := s1.BytesWritten-s0.BytesWritten, s2.BytesRead-s1.BytesRead; wr != moved || rd != moved {
-			t.Fatalf("%d entries of width %d: wrote %d and read %d bytes, the image has %d", count(want), w, wr, rd, moved)
+		if wr, rd := s1.BytesWritten-s0.BytesWritten, s2.BytesRead-s1.BytesRead; wr != uint64(size) || rd != uint64(size) {
+			t.Fatalf("a %s page of %d entries: wrote %d and read %d bytes, the image has %d", shape, count(want), wr, rd, size)
 		}
 	})
 }
@@ -228,5 +309,61 @@ func TestOpenArenaPagerEmptySlot(t *testing.T) {
 	arena := pmalloc.Format(dev, 0, 32<<20)
 	if _, err := OpenArenaPager(arena, 9, 4096); err == nil {
 		t.Fatal("opened a pager from an empty root slot")
+	}
+}
+
+// BenchmarkArenaPagerReadPage and BenchmarkArenaPagerWritePage time the
+// decode and the encode of a page image — the wall-clock cost the arena pager
+// adds to every page a lookup reads and a Persist writes — on a 100-entry leaf
+// of 8-byte tuple pointers and on an inner page of 100 children.
+func BenchmarkArenaPagerReadPage(b *testing.B)  { benchPager(b, false) }
+func BenchmarkArenaPagerWritePage(b *testing.B) { benchPager(b, true) }
+
+func benchPager(b *testing.B, write bool) {
+	for _, leaf := range []bool{true, false} {
+		name := "inner"
+		if leaf {
+			name = "leaf"
+		}
+		b.Run(name, func(b *testing.B) {
+			dev := nvm.NewDevice(nvm.DefaultConfig(4 << 20))
+			pg, err := CreateArenaPager(pmalloc.Format(dev, 0, 4<<20), 0, 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			id, err := pg.AllocPage()
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Keys as a table's primary keys pack them; tuple chunks of ~200
+			// bytes and page chunks of 4 KB, scattered over a few megabytes.
+			rng := rand.New(rand.NewSource(1))
+			page := make([]byte, 4096)
+			initPage(page, leaf, 4096)
+			tr := &Tree{pg: pg, psize: 4096}
+			for i := 0; i < 100; i++ {
+				k := uint64(3)<<40 | uint64(1000+3*i)
+				if leaf {
+					ptr := binary.LittleEndian.AppendUint64(nil, 1<<20+208*uint64(rng.Intn(16000)))
+					tr.leafPlace(page, i, false, k, ptr)
+				} else {
+					setInner(page, i, k, 1<<20+4112*uint64(rng.Intn(800)))
+				}
+			}
+			if !leaf {
+				setCount(page, 100)
+			}
+			pg.WritePage(id, page)
+			buf := make([]byte, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if write {
+					pg.WritePage(id, page)
+				} else {
+					pg.ReadPage(id, buf)
+				}
+			}
+		})
 	}
 }

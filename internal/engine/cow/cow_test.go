@@ -105,17 +105,19 @@ func TestColReader(t *testing.T) {
 // and fsync flushed them one by one. A streamed page fetches and flushes
 // nothing; the loads left are the tree's own reads.)
 //
-// nvm-cow: 37.4 / 39.8 / 4.4 / 0.22, 6.40 us of stall (three fences per batch
+// nvm-cow: 21.8 / 24.6 / 4.3 / 0.22, 3.82 us of stall (three fences per batch
 // of sixteen: its pages and tuples, their persisted marks, the master record).
-// It was 46.4 / 48.7 / 4.3 and 7.89 us while the arena pager wrote a leaf of
-// 8-byte tuple pointers slotted, slots and abandoned heap values included;
-// 49.4 / 5.0 / 2.22 while every tuple was fenced and then marked persisted
-// behind a second fence; and 92.7 / 73.9 / 73.1 while pages and tuples were
-// written through the cache, whole, once per transaction.
+// It was 37.4 / 39.8 / 4.4 and 6.40 us while the arena pager wrote a leaf of
+// 8-byte tuple pointers as a u64 key and a u64 pointer per entry, and an inner
+// page slotted; 46.4 / 48.7 / 4.3 and 7.89 us while it wrote every page
+// slotted, slots and abandoned heap values included; 49.4 / 5.0 / 2.22 while
+// every tuple was fenced and then marked persisted behind a second fence; and
+// 92.7 / 73.9 / 73.1 while pages and tuples were written through the cache,
+// whole, once per transaction.
 func TestDeviceBudget(t *testing.T) {
 	budgets := map[string]enginetest.DeviceBudget{
 		"cow":     {Loads: 112.3, Stores: 113.1, Flushes: 0.12, Fences: 0.15, StallUS: 28},
-		"nvm-cow": {Loads: 41, Stores: 44, Flushes: 4.8, Fences: 0.25},
+		"nvm-cow": {Loads: 24, Stores: 27, Flushes: 4.8, Fences: 0.25},
 	}
 	both(t, func(t *testing.T, f enginetest.Factory) {
 		enginetest.RunDeviceBudget(t, f, enginetest.Budget, budgets[f.Name])
@@ -306,9 +308,53 @@ func TestSweepReclaimsLostDirtyDirectory(t *testing.T) {
 	e2.Flush()
 }
 
-// TestMalformedLeafFailsOpen: a reachable leaf whose packed header claims more
-// entries than its page holds makes OpenNVM fail as corrupt, and the sweep
-// frees none of the tuples the unreadable leaf names.
+// TestOversizedCountFailsOpen: on both pagers, a root inner page whose count
+// runs past the page's end makes Open fail as corrupt, instead of panicking in
+// the walk or freeing the pages the unreadable root hides from it.
+func TestOversizedCountFailsOpen(t *testing.T) {
+	both(t, func(t *testing.T, f enginetest.Factory) {
+		env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+		ce, err := f.New(env, simpleSchema(), core.Options{GroupCommitSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := ce.(*Engine)
+		for i := int64(1); e.tree.Depth() < 2; i++ {
+			e.Begin()
+			if err := e.Insert("t", uint64(i), []core.Value{core.IntVal(i), core.StrVal("x")}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		root, reopen := int64(e.tree.Root()), env.Reopen
+		if f.Volatile {
+			file, err := env.FS.OpenFile("cow.db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			file.WriteAt([]byte{0xff, 0xff}, root*int64(e.opts.CowPageSize)+2) // the slotted page's count
+			file.Sync()
+			reopen = env.ReopenVolatile
+		} else {
+			env.Dev.Write(root+2, []byte{0xff, 0xff}) // the image's count
+			env.Dev.Sync(root, 8)
+		}
+		env.Dev.Crash()
+		env2, err := reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
+			t.Fatalf("Open over a root whose count overruns its page: %v, want a corrupt error", err)
+		}
+	})
+}
+
+// TestMalformedLeafFailsOpen: a reachable leaf whose image claims more entries
+// than its page holds makes OpenNVM fail as corrupt, and the sweep frees none
+// of the tuples the unreadable leaf names.
 func TestMalformedLeafFailsOpen(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
 	e, err := NewNVM(env, simpleSchema(), core.Options{GroupCommitSize: 1})

@@ -54,9 +54,14 @@ func (inline) abort()                                {}
 func (inline) persisted()                            {}
 
 // reclaim rebuilds the file's free-page list from the pages the tree reaches.
+// A page the pager could not read hid the pages below it from the walk, so
+// then no page is made free.
 func (p inline) reclaim(tr *cowbtree.Tree, workers int) (int64, error) {
 	used := make(map[uint64]bool)
 	tr.ReachableParallel(workers, func(id uint64) { used[id] = true }, nil)
+	if err := p.pg.Err(); err != nil {
+		return 0, core.Corrupt(fmt.Errorf("cow: reclaim: %w", err))
+	}
 	p.pg.InitFree(used)
 	return int64(len(used)), nil
 }
