@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"nstore/internal/core"
+	"nstore/internal/engine/enginetest"
 	"nstore/internal/netclient"
+	"nstore/internal/serve"
 	"nstore/internal/testbed"
 	"nstore/internal/wire"
 )
@@ -504,5 +507,92 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Start(Config{Engine: testbed.InP, Nodes: 1, Shards: 1, Schemas: schemas(),
 		Env: core.EnvConfig{DeviceSize: 32 << 20}}); err == nil {
 		t.Fatal("single-node cluster must be rejected")
+	}
+}
+
+// TestClusterBackupKillUnderTraffic: concurrent clients write through the
+// router while shard 0's backup dies and a replacement is re-seeded. An ack
+// means local durability barrier AND backup REPL_ACK, so at the end every
+// acked key must be readable and primary/backup digest equality must hold per
+// shard: zero acked-commit loss is the pass condition.
+func TestClusterBackupKillUnderTraffic(t *testing.T) {
+	seed := enginetest.BaseSeed() + 13
+	c := startCluster(t, testbed.NVMInP, Config{
+		Shards: 2, Nodes: 3, Seed: seed,
+		Serve: serve.Config{Seed: seed},
+	})
+	r := c.Router(netclient.Config{Seed: seed, RetryMax: 30, RetryCap: 100 * time.Millisecond})
+	defer r.Close()
+	ctx := context.Background()
+
+	const clients = 4
+	nKeys := 60
+	if testing.Short() {
+		nKeys = 25
+	}
+	var mu sync.Mutex
+	acked := make(map[uint64]bool)
+	var wg sync.WaitGroup
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			for i := 0; i < nKeys; i++ {
+				k := uint64(cl*nKeys + i)
+				resp, err := r.DoRetry(ctx, putReq(k))
+				if err != nil {
+					t.Errorf("put %d: %v", k, err)
+					return
+				}
+				if resp.Status == wire.StatusOK || resp.Status == wire.StatusKeyExists {
+					mu.Lock()
+					acked[k] = true
+					mu.Unlock()
+				}
+			}
+		}(cl)
+	}
+
+	// Mid-traffic: kill shard 0's backup; the coordinator drops it and
+	// re-seeds a replacement while the clients keep writing.
+	time.Sleep(20 * time.Millisecond)
+	m0 := c.Coord.Map()
+	victim := c.nodeByAddr(m0.Shards[0].Backup)
+	victim.Kill()
+	c.Coord.MarkDead(victim.addr)
+
+	wg.Wait()
+	if len(acked) == 0 {
+		t.Fatal("nothing acked across the whole run")
+	}
+
+	// Wait for the replacement backup so digest comparison has a target.
+	deadline := time.Now().Add(10 * time.Second)
+	var m *wire.ShardMap
+	for {
+		m = c.Coord.Map()
+		healed := true
+		for _, route := range m.Shards {
+			if route.Primary == "" || route.Backup == "" || route.Backup == victim.addr {
+				healed = false
+			}
+		}
+		if healed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster did not heal: %+v", m.Shards)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	for k := range acked {
+		resp, err := r.DoRetry(ctx, &wire.Request{Part: -1, Op: wire.OpGet, Table: "t", Key: k})
+		if err != nil || resp.Status != wire.StatusOK || !resp.Found {
+			t.Fatalf("acked key %d unreadable after failover: err=%v resp=%+v", k, err, resp)
+		}
+	}
+	for s, route := range m.Shards {
+		wantShardDigestEqual(t, s, c.nodeByAddr(route.Primary), c.nodeByAddr(route.Backup))
 	}
 }

@@ -550,8 +550,8 @@ func (n *Node) clearShard(ctx context.Context, part int) error {
 // Reseed (re)establishes addr as the shard's backup, called on the primary
 // by the coordinator. Fast path: if the replica's durable position is on our
 // epoch and within the retained tail, ship the missing batches. Otherwise a
-// full snapshot: SnapBegin, every table's rows in chunks read from the MVCC
-// snapshot pool (the executor keeps running; the shard mutex blocks writes
+// full snapshot: SnapBegin, every table's rows in chunks read through the
+// shard's MVCC snapshot reader (the executor keeps running; the shard mutex blocks writes
 // for the duration — the re-seed blackout the bench measures). Writes are
 // blocked rather than raced because the snapshot must correspond to an
 // exact (epoch, seq) position.

@@ -154,8 +154,7 @@ type ColReader interface {
 }
 
 // GetCols reads the named columns of a tuple: natively when eng is a
-// ColReader, otherwise as the projection of Get. Either way the read is a read
-// of the key to anything that tracks reads (OccTxn marks it like Get).
+// ColReader, otherwise as the projection of Get.
 func GetCols(eng Engine, table string, key uint64, cols []int) ([]Value, bool, error) {
 	if cr, ok := eng.(ColReader); ok {
 		return cr.GetCols(table, key, cols)

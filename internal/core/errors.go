@@ -24,14 +24,6 @@ var (
 	ErrCorrupt = errors.New("corrupt")
 )
 
-// ErrConflict is the first-committer-wins OCC validation failure: between a
-// transaction's snapshot and its commit point, another transaction committed
-// a key (or table, for scans) the loser read. The engine was never touched —
-// nothing to undo — and a retry against a fresh snapshot may well succeed, so
-// the sentinel is tagged retryable and flows through the same taxonomy the
-// supervisor's backoff-and-retry policy already handles.
-var ErrConflict = Retryable(errors.New("core: optimistic concurrency conflict"))
-
 // ErrRetired fails a snapshot read of an engine whose device was
 // power-cycled under it (Base.Retire). The partition recovers into a new
 // engine instance; a read retried there succeeds, so the sentinel is tagged

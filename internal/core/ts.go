@@ -7,7 +7,7 @@ import (
 
 // This file holds the intra-partition MVCC contract: the timestamp oracle
 // that orders commits against snapshot reads, and the interfaces a
-// versioned engine exposes to the reader pool. The engine's own state is the
+// versioned engine exposes to snapshot readers. The engine's own state is the
 // newest version of every row; a view reads it and rolls back what was
 // written after the view's timestamp (internal/mvcc keeps those pre-images):
 //

@@ -81,10 +81,6 @@ func TestSnapshotConformance(t *testing.T) {
 	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunSnapshotConformance(t, f, 200) })
 }
 
-func TestOCCConformance(t *testing.T) {
-	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunOCCConformance(t, f, 200) })
-}
-
 func TestCrossShardConformance(t *testing.T) {
 	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunCrossShardConformance(t, f, 200) })
 }

@@ -270,8 +270,7 @@ func sameColsAsGet(t *testing.T, when string, e core.Engine, key uint64) {
 // pre-image goes through: it must equal the projection of Get on committed
 // tuples, inside a transaction after Update and Delete, after Abort, on a
 // missing key and after crash + recovery — natively (native: the engine must
-// be a core.ColReader) or through the fallback. A core.OccTxn must record a
-// GetCols read exactly as it records a Get, negative reads included.
+// be a core.ColReader) or through the fallback.
 func RunColReader(t *testing.T, f Factory, native bool) {
 	env := newEnv(t)
 	opts := core.Options{MemTableCap: 16, GroupCommitSize: 1}
@@ -314,56 +313,6 @@ func RunColReader(t *testing.T, f Factory, native bool) {
 	do(t, e.Delete("users", 4))
 	do(t, e.Commit())
 	all("after Commit", e)
-
-	// An optimistic transaction's GetCols is a read of the key, like its Get.
-	sr, okSR := e.(core.SnapshotReader)
-	vp, okVP := e.(core.OccValidatorProvider)
-	if !okSR || !okVP {
-		t.Fatalf("%s lacks the MVCC substrate OCC needs", f.Name)
-	}
-	do(t, e.Flush())
-	viaGet := core.NewOccTxn(sr.SnapshotView(), e.Name(), testSchema())
-	viaCols := core.NewOccTxn(sr.SnapshotView(), e.Name(), testSchema())
-	defer viaGet.Close()
-	defer viaCols.Close()
-	for _, k := range []uint64{5, 6, 4} { // 4 is a negative read; 6 stays unwritten
-		_, gOK, err := viaGet.Get("users", k)
-		do(t, err)
-		_, cOK, err := core.GetCols(viaCols, "users", k, []int{2})
-		do(t, err)
-		if gOK != cOK {
-			t.Fatalf("%s: OccTxn GetCols found users/%d = %v, Get %v", f.Name, k, cOK, gOK)
-		}
-	}
-	verdicts := func() (error, error) {
-		return viaGet.Validate(vp.OccValidator()), viaCols.Validate(vp.OccValidator())
-	}
-	if g, c := verdicts(); g != nil || c != nil {
-		t.Fatalf("%s: nothing written yet, Validate: Get %v, GetCols %v", f.Name, g, c)
-	}
-	do(t, e.Begin())
-	do(t, e.Update("users", 7, upd)) // a key neither transaction read
-	do(t, e.Commit())
-	if g, c := verdicts(); g != nil || c != nil {
-		t.Fatalf("%s: a write to an unread key conflicts: Get %v, GetCols %v", f.Name, g, c)
-	}
-	do(t, e.Begin())
-	do(t, e.Update("users", 5, core.Update{Cols: []int{3}, Vals: []core.Value{core.StrVal("a column GetCols did not name")}}))
-	do(t, e.Commit())
-	if g, c := verdicts(); !errors.Is(g, core.ErrConflict) || !errors.Is(c, core.ErrConflict) {
-		t.Fatalf("%s: a write to a read key must conflict both ways: Get %v, GetCols %v", f.Name, g, c)
-	}
-	neg := core.NewOccTxn(sr.SnapshotView(), e.Name(), testSchema())
-	defer neg.Close()
-	if _, ok, err := core.GetCols(neg, "users", 4, []int{1}); ok || err != nil {
-		t.Fatalf("%s: OccTxn GetCols of the deleted users/4: found=%v err=%v", f.Name, ok, err)
-	}
-	do(t, e.Begin())
-	do(t, e.Insert("users", 4, userRow(4)))
-	do(t, e.Commit())
-	if err := neg.Validate(vp.OccValidator()); !errors.Is(err, core.ErrConflict) {
-		t.Fatalf("%s: a negative GetCols read must conflict with the insert: %v", f.Name, err)
-	}
 
 	do(t, e.Flush())
 	all("after crash + recovery", reopen(t, f, env, opts))

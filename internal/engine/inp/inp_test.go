@@ -113,10 +113,6 @@ func TestSnapshotConformance(t *testing.T) {
 	enginetest.RunSnapshotConformance(t, factory(), 200)
 }
 
-func TestOCCConformance(t *testing.T) {
-	enginetest.RunOCCConformance(t, factory(), 200)
-}
-
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, factory(), 200)
 }

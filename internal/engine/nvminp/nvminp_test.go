@@ -244,10 +244,6 @@ func TestSnapshotConformance(t *testing.T) {
 	enginetest.RunSnapshotConformance(t, confFactory(), 200)
 }
 
-func TestOCCConformance(t *testing.T) {
-	enginetest.RunOCCConformance(t, confFactory(), 200)
-}
-
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }

@@ -247,10 +247,6 @@ func TestSnapshotConformance(t *testing.T) {
 	enginetest.RunSnapshotConformance(t, confFactory(), 200)
 }
 
-func TestOCCConformance(t *testing.T) {
-	enginetest.RunOCCConformance(t, confFactory(), 200)
-}
-
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, confFactory(), 200)
 }

@@ -21,11 +21,6 @@ func (s *Snapshots) ReadSnapshot(fn func(core.ReadView) error) error { return s.
 // Oracle returns the partition's timestamp oracle.
 func (s *Snapshots) Oracle() *core.TsOracle { return s.MV.Oracle() }
 
-// OccValidator exposes the store's conflict oracle for optimistic commit
-// validation (core.OccValidatorProvider). Callers must hold the partition's
-// serialization point — the same single-owner rule as the writer side.
-func (s *Snapshots) OccValidator() core.OccValidator { return s.MV }
-
 // UndoStats reports what the partition's snapshot readers cost its writers
 // (core.UndoStatser).
 func (s *Snapshots) UndoStats() core.UndoStats { return s.MV.UndoStats() }

@@ -2,10 +2,9 @@
 // an undo overlay. The engine's own state is the newest version of every
 // row; the store holds only what a pinned view cannot read there: the
 // pre-images of the writes committed after the oldest pinned view, or not
-// yet published, plus the per-key commit stamps OCC validation checks. A
-// view reads the engine under its exclusion (core.Base) and rolls the result
-// back past every write newer than its timestamp. There is no copy of the
-// database in the Go heap, and nothing to rebuild at Open.
+// yet published. A view reads the engine under its exclusion (core.Base) and
+// rolls the result back past every write newer than its timestamp. There is
+// no copy of the database in the Go heap, and nothing to rebuild at Open.
 //
 // Writer-side lifecycle (the engine's owner, inside its transaction or a
 // call that holds the exclusion):
@@ -47,26 +46,15 @@ type undo struct {
 	pre  []core.Value
 }
 
-// tableStore holds one table's pre-images and conflict stamps.
+// tableStore holds one table's pre-images.
 type tableStore struct {
 	schema *core.Schema
 	// undo maps a key to its pre-images, oldest first.
 	undo map[uint64][]undo
 
-	// OCC conflict tracking. lastKey maps key -> newest commit timestamp that
-	// wrote it — including committed-but-unpublished group-commit
-	// transactions, which a snapshot cannot see yet but which must conflict
-	// with any transaction that read the key at an older timestamp. GC prunes
-	// entries at or below the watermark: a validating transaction keeps its
-	// snapshot pinned, so its snapshot timestamp is never below the watermark
-	// and a pruned entry can never hide a conflict. lastTs is the table-level
-	// aggregate for scan validation and is never pruned.
-	lastKey map[uint64]uint64
-	lastTs  uint64
-
-	// peak is the most keys lastKey has held since the two maps were made.
-	// Go never shrinks a map, so GC replaces both once it has emptied them
-	// after they grew past shrinkPast. Every key undo holds is in lastKey.
+	// peak is the most keys undo has held since the map was made. Go never
+	// shrinks a map, so GC replaces it once it has emptied it after it grew
+	// past shrinkPast.
 	peak int
 }
 
@@ -126,7 +114,7 @@ type tkey struct {
 }
 
 // group is one committed transaction's writes in commit order: what GC walks
-// to drop pre-images and conflict stamps once no view can need them.
+// to drop pre-images once no view can need them.
 type group struct {
 	ts   uint64
 	keys []tkey
@@ -174,7 +162,7 @@ func NewStore(eng core.Engine, schemas []*core.Schema, floorTs uint64) *Store {
 	}
 	for i, sc := range schemas {
 		s.tables = append(s.tables, &tableStore{schema: sc,
-			undo: make(map[uint64][]undo), lastKey: make(map[uint64]uint64)})
+			undo: make(map[uint64][]undo)})
 		s.byName[sc.Name] = i
 	}
 	s.oracle.Advance(floorTs)
@@ -236,18 +224,12 @@ func (s *Store) CommitStaged(ts uint64, durable bool) {
 	if len(s.staged) > 0 {
 		g := group{ts: ts, keys: make([]tkey, 0, len(s.staged))}
 		for _, op := range s.staged {
-			// Conflict stamps are set at the commit point, before the group
-			// publishes: a concurrent OCC transaction that read any of these
-			// keys at an older snapshot must fail validation even though the
-			// writes are not yet visible.
-			t := s.tables[op.table]
-			t.lastKey[op.key] = ts
-			t.peak = max(t.peak, len(t.lastKey))
-			t.lastTs = ts
 			g.keys = append(g.keys, tkey{op.table, op.key})
 			if op.captured {
+				t := s.tables[op.table]
 				op.u.ts = ts
 				t.undo[op.key] = append(t.undo[op.key], op.u)
+				t.peak = max(t.peak, len(t.undo))
 				s.records.Add(1)
 			}
 		}
@@ -283,9 +265,9 @@ func (s *Store) PublishDurable() {
 	}
 }
 
-// GC drops every pre-image and conflict stamp at or below the oracle's
-// watermark: no view present or future is older. Returns the number of
-// pre-images dropped. Writer-side.
+// GC drops every pre-image at or below the oracle's watermark: no view
+// present or future is older. Returns the number of pre-images dropped.
+// Writer-side.
 func (s *Store) GC() int {
 	if len(s.groups) == 0 {
 		return 0
@@ -296,9 +278,6 @@ func (s *Store) GC() int {
 		g := s.groups[i]
 		for _, k := range g.keys {
 			t := s.tables[k.table]
-			if t.lastKey[k.key] == g.ts {
-				delete(t.lastKey, k.key)
-			}
 			list := t.undo[k.key]
 			n := 0
 			for n < len(list) && list[n].ts <= wm {
@@ -319,36 +298,12 @@ func (s *Store) GC() int {
 	s.groups = s.groups[i:]
 	s.records.Add(-int64(dropped))
 	for _, t := range s.tables {
-		if len(t.lastKey) == 0 && t.peak > shrinkPast {
-			t.undo, t.lastKey, t.peak = make(map[uint64][]undo), make(map[uint64]uint64), 0
+		if len(t.undo) == 0 && t.peak > shrinkPast {
+			t.undo, t.peak = make(map[uint64][]undo), 0
 		}
 	}
 	return dropped
 }
-
-// LatestKeyTs returns the newest commit timestamp that wrote the key, or 0
-// when the key was never written or its entry was pruned below the GC
-// watermark. Writer-side (see tableStore.lastKey); implements
-// core.OccValidator.
-func (s *Store) LatestKeyTs(table string, key uint64) uint64 {
-	ti, ok := s.byName[table]
-	if !ok {
-		return 0
-	}
-	return s.tables[ti].lastKey[key]
-}
-
-// LatestTableTs returns the newest commit timestamp that wrote any key of
-// the table. Writer-side; implements core.OccValidator.
-func (s *Store) LatestTableTs(table string) uint64 {
-	ti, ok := s.byName[table]
-	if !ok {
-		return 0
-	}
-	return s.tables[ti].lastTs
-}
-
-var _ core.OccValidator = (*Store)(nil)
 
 // UndoStats reports the pre-images held and the captures made. Safe from any
 // goroutine.

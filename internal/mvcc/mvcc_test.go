@@ -376,13 +376,12 @@ func TestGCRespectsWatermark(t *testing.T) {
 }
 
 // TestGCReplacesGrownMaps: Go never shrinks a map, so a table whose pre-images
-// and commit stamps once covered a bulk load would hold that map for good. GC
-// replaces a table's maps when it empties them after they grew past 1 024
-// keys, and keeps smaller ones.
+// once covered a bulk load would hold that map for good. GC replaces a table's
+// undo map when it empties it after it grew past 1 024 keys, and keeps
+// smaller ones.
 func TestGCReplacesGrownMaps(t *testing.T) {
-	maps := func(e *memEngine) [2]uintptr {
-		tb := e.s.tables[0]
-		return [2]uintptr{reflect.ValueOf(tb.undo).Pointer(), reflect.ValueOf(tb.lastKey).Pointer()}
+	maps := func(e *memEngine) uintptr {
+		return reflect.ValueOf(e.s.tables[0].undo).Pointer()
 	}
 	for _, keys := range []uint64{shrinkPast, shrinkPast + 1} {
 		e := newMem(testSchemas(), 0)
@@ -400,7 +399,7 @@ func TestGCReplacesGrownMaps(t *testing.T) {
 			t.Fatalf("GC dropped %d pre-images, want %d", n, keys)
 		}
 		if replaced := maps(e) != before; replaced != (keys > shrinkPast) {
-			t.Errorf("%d keys written and dropped: maps replaced = %v", keys, replaced)
+			t.Errorf("%d keys written and dropped: map replaced = %v", keys, replaced)
 		}
 		e.put(t, 1, 2)
 		v := e.s.NewView()
@@ -480,73 +479,6 @@ func TestConcurrentReadersRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// TestOccValidatorTracksCommits pins the conflict oracle's contract: a
-// commit stamps its keys (and the table frontier) at the commit timestamp,
-// pending-but-unpublished groups are already visible to validation, and GC
-// prunes per-key entries only up to the watermark — which a pinned view
-// holds down, the invariant OCC validation-under-pin relies on.
-func TestOccValidatorTracksCommits(t *testing.T) {
-	e := newMem(testSchemas(), 0)
-	s := e.s
-	s.GCEvery = 0
-
-	if ts := s.LatestKeyTs("t", 1); ts != 0 {
-		t.Fatalf("unwritten key ts = %d, want 0", ts)
-	}
-	if ts := s.LatestKeyTs("nope", 1); ts != 0 {
-		t.Fatalf("unknown table ts = %d, want 0", ts)
-	}
-
-	e.TxnID = 4
-	e.put(t, 1, 10) // ts 5
-	if ts := s.LatestKeyTs("t", 1); ts != 5 {
-		t.Fatalf("key ts = %d, want 5", ts)
-	}
-	if ts := s.LatestTableTs("t"); ts != 5 {
-		t.Fatalf("table ts = %d, want 5", ts)
-	}
-
-	// A view pinned at ts 5 holds the watermark at 5 across what follows.
-	v := s.NewView()
-	if v.Ts() != 5 {
-		t.Fatalf("view ts = %d, want 5", v.Ts())
-	}
-
-	// Committed but NOT yet published: a group-commit buffer resident must
-	// already conflict with overlapping snapshots — it will become durable.
-	e.durable = false
-	e.put(t, 2, 20) // ts 6
-	if ts := s.LatestKeyTs("t", 2); ts != 6 {
-		t.Fatalf("pending key ts = %d, want 6", ts)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// With the watermark pinned at 5, key 2's entry (ts 6) must survive GC
-	// so a validator with snapshot 5 still sees it.
-	s.GC()
-	if ts := s.LatestKeyTs("t", 2); ts != 6 {
-		t.Fatalf("pinned-above entry pruned: ts = %d, want 6", ts)
-	}
-	// Key 1 (ts 5) sits exactly at the watermark — prunable: no validator
-	// can hold a snapshot older than the watermark by construction.
-	if ts := s.LatestKeyTs("t", 1); ts != 0 {
-		t.Fatalf("at-watermark entry kept: ts = %d, want 0 after GC", ts)
-	}
-	v.Close()
-
-	// Fully unpinned GC prunes the remaining entries; the table-level
-	// frontier is never pruned (scan/phantom protection).
-	s.GC()
-	if ts := s.LatestKeyTs("t", 2); ts != 0 {
-		t.Fatalf("entry survived full GC: ts = %d", ts)
-	}
-	if ts := s.LatestTableTs("t"); ts != 6 {
-		t.Fatalf("table frontier pruned: ts = %d, want 6", ts)
-	}
 }
 
 // TestCaptureOnlyWhilePinned: an engine that publishes at commit learns from

@@ -38,8 +38,8 @@ type txnGroup struct {
 }
 
 // DoTxn executes ops as one atomic transaction. If every op routes to the
-// same shard it degrades to a single OpTxn frame (full op set allowed,
-// server-side OCC). If the ops span shards it runs percolator-style 2PC:
+// same shard it degrades to a single OpTxn frame (full op set allowed, run
+// as one transaction on the shard's executor). If the ops span shards it runs percolator-style 2PC:
 // prewrite buffers each shard's writes as replicated lock records, the
 // primary-shard commit is the single atomic commit point, and secondary
 // shards roll forward afterwards — readers who hit a not-yet-settled lock

@@ -22,7 +22,7 @@ import (
 
 // TPCCPaymentTxns pre-generates two payment schedules as op lists for
 // Router.DoTxn: `single` keeps every transaction on its home warehouse's
-// partition (DoTxn degrades it to one OpTxn frame, server-side OCC), `cross`
+// partition (DoTxn degrades it to one OpTxn frame, one server transaction), `cross`
 // sends every customer to a warehouse homed on a DIFFERENT partition, so the
 // warehouse/district/history writes and the customer write split across two
 // shards and the router runs full percolator 2PC. Both schedules share one

@@ -7,10 +7,10 @@
 // merely buffered.
 //
 // Point reads (OpGet) and range scans (OpScan) outside a transaction take a
-// different road: serve.ReadPart hands them to a per-partition snapshot
-// reader pool, which serves them from an MVCC read view pinned at the
-// durable timestamp frontier — lock-free with respect to the executor, and
-// incapable of observing an unacked write. Reads inside OpTxn still run on
+// different road: serve.ReadPart hands them to the partition's snapshot
+// reader, which serves them from an MVCC read view pinned at the durable
+// timestamp frontier — outside the executor's queue, and incapable of
+// observing an unacked write. Reads inside OpTxn still run on
 // the executor so a transaction sees its own writes.
 //
 // Each connection gets a reader goroutine (frame decode, request dispatch)
@@ -660,8 +660,8 @@ func (s *Server) applyRead(v core.ReadView, req *wire.Request, resp *wire.Respon
 // Under 2PC the lock table is consulted first: a shadowing lock means some
 // cross-shard transaction holds the key between prewrite and resolution, so
 // both reads (partial-commit visibility) and writes (lost update against the
-// buffered op) must bounce. The lock-table read also lands in the OCC read
-// set, so a prewrite racing past this check loses to first-committer-wins.
+// buffered op) must bounce. The check and the op run in one transaction on
+// the partition's one executor, so no prewrite can land between them.
 func (s *Server) apply(eng core.Engine, req *wire.Request, resp *wire.Response) error {
 	if s.twoPC {
 		switch req.Op {

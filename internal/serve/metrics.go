@@ -38,7 +38,6 @@ func (rt *Runtime) buildMetrics() {
 	reg.CounterFunc("serve_recovering", rt.stats.recovering.Load)
 	reg.CounterFunc("serve_reads", rt.stats.reads.Load)
 	reg.CounterFunc("serve_read_fails", rt.stats.readFails.Load)
-	reg.CounterFunc("serve_conflicts", rt.stats.conflicts.Load)
 	reg.GaugeFunc("serve_degraded", func() float64 {
 		return float64(rt.stats.degraded.Load())
 	})
@@ -146,17 +145,6 @@ func (rt *Runtime) buildMetrics() {
 		ex := ex
 		rt.ackHist = append(rt.ackHist, reg.Histogram(fmt.Sprintf("serve_part%02d_ack_ns", i)))
 		rt.readHist = append(rt.readHist, reg.Histogram(fmt.Sprintf("serve_part%02d_read_ns", i)))
-		// Per-writer submit→ack histograms exist only in OCC mode: they
-		// split the partition's ack latency by which optimistic writer
-		// carried the transaction (skew here means one writer eating the
-		// conflict retries).
-		if rt.cfg.Writers > 1 {
-			hs := make([]*obs.Histogram, rt.cfg.Writers)
-			for w := range hs {
-				hs[w] = reg.Histogram(fmt.Sprintf("serve_part%02d_writer%02d_ack_ns", i, w))
-			}
-			rt.writerHist = append(rt.writerHist, hs)
-		}
 		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_queue_depth", i), func() float64 {
 			return float64(len(ex.ch))
 		})

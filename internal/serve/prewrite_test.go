@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"nstore/internal/core"
 	"nstore/internal/testbed"
@@ -30,28 +29,23 @@ func new2PCDB(t testing.TB, kind testbed.EngineKind) *testbed.DB {
 	return db
 }
 
-// TestOCCPrewriteFirstCommitterWins pins the property the wire server's
-// write path leans on: under optimistic executors, a cross-shard prewrite's
-// lock-table write and a plain client write to the same key are ordinary
-// OCC read/write-set entries, so first-committer-wins serializes them. The
-// loser revalidates against the winner's state and surfaces a semantic
-// failure (LockedError for the plain write, ErrKeyExists for the prewrite) —
-// never a lost update, never a plain write landing under a live lock.
-func TestOCCPrewriteFirstCommitterWins(t *testing.T) {
+// TestPrewriteAndPlainWriteSerialize pins the property the wire server's
+// write path leans on: a cross-shard prewrite's lock-table write and a plain
+// client write to the same key are both transactions on the partition's one
+// executor, so whichever runs first wins and the other sees its effect. The
+// loser surfaces a semantic failure (LockedError for the plain write,
+// ErrKeyExists for the prewrite) — never a lost update, never a plain write
+// landing under a live lock.
+func TestPrewriteAndPlainWriteSerialize(t *testing.T) {
 	const nKeys = 24
 	db := new2PCDB(t, testbed.NVMInP)
-	rt := New(db, Config{Writers: 4, Seed: 5, QueueDepth: 16})
+	rt := New(db, Config{}) // the default queue holds all 2 × nKeys submissions
 	defer rt.Close()
+	ctx := context.Background()
 
 	txnID := func(k uint64) uint64 { return 5000 + k }
 	prewrite := func(k uint64) testbed.Txn {
 		return func(e core.Engine) error {
-			// Touch the data key first so the read set is established before
-			// the yield parks the body — real contention on one core.
-			if _, _, err := e.Get("t", k); err != nil {
-				return err
-			}
-			time.Sleep(50 * time.Microsecond)
 			return txn2pc.Prewrite(e, &wire.Request{
 				Op: wire.OpTxnPrewrite, Txn: txnID(k), PriShard: 0,
 				Table: "t", Key: k,
@@ -65,21 +59,7 @@ func TestOCCPrewriteFirstCommitterWins(t *testing.T) {
 			if err := txn2pc.LockedAt(e, "t", k); err != nil {
 				return err
 			}
-			time.Sleep(50 * time.Microsecond)
 			return e.Insert("t", k, []core.Value{core.IntVal(int64(k)), core.IntVal(int64(200 + k))})
-		}
-	}
-
-	// race submits the transaction until it either acks (winner) or fails
-	// semantically (loser); OCC conflicts retry with a fresh snapshot.
-	race := func(txn testbed.Txn) error {
-		for attempt := 0; ; attempt++ {
-			err := rt.SubmitPart(context.Background(), 0, txn)
-			if core.IsRetryable(err) && attempt < 50 {
-				time.Sleep(time.Duration(100+50*attempt) * time.Microsecond)
-				continue
-			}
-			return err
 		}
 	}
 
@@ -88,10 +68,10 @@ func TestOCCPrewriteFirstCommitterWins(t *testing.T) {
 	for k := uint64(0); k < nKeys; k++ {
 		wg.Add(2)
 		errA := make(chan error, 1)
-		go func(k uint64) { defer wg.Done(); errA <- race(prewrite(k)) }(k)
+		go func(k uint64) { defer wg.Done(); errA <- rt.SubmitPart(ctx, 0, prewrite(k)) }(k)
 		go func(k uint64) {
 			defer wg.Done()
-			errB := race(guardedPut(k))
+			errB := rt.SubmitPart(ctx, 0, guardedPut(k))
 			a := <-errA
 			switch {
 			case a == nil && errB == nil:
@@ -121,7 +101,7 @@ func TestOCCPrewriteFirstCommitterWins(t *testing.T) {
 	for k := uint64(0); k < nKeys; k++ {
 		want := int64(200 + k)
 		if prewriteWon[k] {
-			err := rt.SubmitPart(context.Background(), 0, func(e core.Engine) error {
+			err := rt.SubmitPart(ctx, 0, func(e core.Engine) error {
 				return txn2pc.Commit(e, txnID(k), true, []wire.LockRef{{Table: "t", Key: k}})
 			})
 			if err != nil {

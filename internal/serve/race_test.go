@@ -93,7 +93,7 @@ func TestRecoverAllRacesSubmitAndMetrics(t *testing.T) {
 // committed key).
 func TestSnapshotReadsRaceWritesAndRecovery(t *testing.T) {
 	db := newDB(t, testbed.NVMInP, 4, 32<<20)
-	rt := New(db, Config{QueueDepth: 16, Readers: 3})
+	rt := New(db, Config{QueueDepth: 16})
 	defer rt.Close()
 
 	var (

@@ -1,15 +1,15 @@
 package serve
 
-// Snapshot read path: a per-partition pool of reader goroutines serving
-// Get/Scan against MVCC read views, alongside — never through — the serial
-// executor's queue. A read pins a view at the partition's durable timestamp
-// frontier and reads the engine under its exclusion, rolling back what was
-// written after the view (internal/mvcc), all under one acquisition. So a
-// read waits for at most the one transaction in flight, never for the
-// transactions queued behind it nor for a group-commit barrier. The
-// visibility contract is ack-aligned: the timestamp oracle only advances when
-// a commit crosses the durability barrier, so a view can never observe a
-// write whose ack a failed barrier would later revoke.
+// Snapshot read path: one reader goroutine per partition serving Get/Scan
+// against MVCC read views, alongside — never through — the executor's queue.
+// A read pins a view at the partition's durable timestamp frontier and reads
+// the engine under its exclusion, rolling back what was written after the
+// view (internal/mvcc), all under one acquisition. So a read waits for at
+// most the one transaction in flight, never for the transactions queued
+// behind it nor for a group-commit barrier. The visibility contract is
+// ack-aligned: the timestamp oracle only advances when a commit crosses the
+// durability barrier, so a view can never observe a write whose ack a failed
+// barrier would later revoke.
 
 import (
 	"context"
@@ -20,7 +20,7 @@ import (
 	"nstore/internal/core"
 )
 
-// readReq is one snapshot read waiting for a reader goroutine.
+// readReq is one snapshot read waiting for the partition's reader.
 type readReq struct {
 	ctx  context.Context
 	op   func(core.ReadView) error
@@ -99,13 +99,13 @@ func (rt *Runtime) GetRow(ctx context.Context, table string, key uint64) (row []
 	return row, found, err
 }
 
-// readLoop is one reader goroutine: it drains the partition's read queue,
+// readLoop is the partition's reader goroutine: it drains the read queue,
 // re-checks admission (the partition may have started healing while the
 // request sat queued), and serves the read against a fresh view.
-func (rt *Runtime) readLoop(part int, q chan *readReq) {
+func (rt *Runtime) readLoop(part int) {
 	defer rt.wg.Done()
 	ex := rt.execs[part]
-	for req := range q {
+	for req := range rt.readQs[part] {
 		if err := req.ctx.Err(); err != nil {
 			req.done <- err
 			continue

@@ -13,19 +13,10 @@ import (
 	"nstore/internal/testbed"
 )
 
-// The contract of the pool's snapshot reads over the undo overlay: a read
+// The contract of the partition reader's snapshot reads over the undo overlay: a read
 // holds the engine's exclusion, so it waits for a transaction in flight but
 // not for a group-commit barrier, and it rolls back what the barrier has not
 // published.
-
-// parked returns a transaction body that signals in and then waits for gate.
-func parked(in, gate chan struct{}) testbed.Txn {
-	return func(core.Engine) error {
-		close(in)
-		<-gate
-		return nil
-	}
-}
 
 func setTxn(key uint64, val int64) testbed.Txn {
 	return func(e core.Engine) error {
@@ -34,10 +25,11 @@ func setTxn(key uint64, val int64) testbed.Txn {
 }
 
 // TestReadBesideParkedBarrierDoesNotWait: a write committed into a
-// group-commit buffer whose ack is parked at the barrier holds nothing a read
-// needs. A GET beside it returns at once, with the value before the write.
-// It would hang if reads waited for the barrier, and read 31 if the engine
-// staged no pre-image for the unpublished write.
+// group-commit buffer and not yet flushed holds nothing a read needs. A GET
+// beside it returns at once, with the value before the write. It would hang
+// if reads waited for the barrier, and read 31 if the engine staged no
+// pre-image for the unpublished write. The test drives the engine itself, so
+// the commit sits in the 8-deep buffer until the explicit Flush.
 func TestReadBesideParkedBarrierDoesNotWait(t *testing.T) {
 	db, err := testbed.New(testbed.Config{
 		Engine:     testbed.InP,
@@ -49,55 +41,31 @@ func TestReadBesideParkedBarrierDoesNotWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := New(db, Config{Writers: 2})
+	rt := New(db, Config{})
 	defer rt.Close()
 	ctx := context.Background()
 	if err := rt.SubmitPart(ctx, 0, insertTxn(3, 30)); err != nil {
 		t.Fatal(err)
 	}
 
-	// C parks one optimistic writer outside the engine.
-	inC, gateC := make(chan struct{}), make(chan struct{})
-	doneC := make(chan error, 1)
-	go func() { doneC <- rt.SubmitPart(ctx, 0, parked(inC, gateC)) }()
-	<-inC
-	// A updates key 3 on the other writer once D is queued behind it, so its
-	// commit finds the queue busy and parks the ack; that writer then takes
-	// D, whose body parks as well. No transaction is left in flight.
-	inA, gateA := make(chan struct{}), make(chan struct{})
-	doneA := make(chan error, 1)
-	go func() {
-		doneA <- rt.SubmitPart(ctx, 0, func(e core.Engine) error {
-			close(inA)
-			<-gateA
-			return setTxn(3, 31)(e)
-		})
-	}()
-	<-inA
-	inD, gateD := make(chan struct{}), make(chan struct{})
-	doneD := make(chan error, 1)
-	go func() { doneD <- rt.SubmitPart(ctx, 0, parked(inD, gateD)) }()
-	waitQueued(t, rt, 0, 1)
-	close(gateA)
-	<-inD
-	select {
-	case err := <-doneA:
-		t.Fatalf("the update was acked before its barrier: %v", err)
-	default:
+	e := db.Engine(0)
+	if err := e.Begin(); err != nil {
+		t.Fatal(err)
 	}
-
+	if err := setTxn(3, 31)(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	row, found, err := rt.GetRow(rctx, "t", 3)
 	cancel()
-	close(gateC)
-	close(gateD)
 	if err != nil || !found || row[1].I != 30 {
-		t.Fatalf("GET beside a parked barrier = %v, found %v, err %v; want the published 30 at once", row, found, err)
+		t.Fatalf("GET beside an unflushed commit = %v, found %v, err %v; want the published 30 at once", row, found, err)
 	}
-	for _, ch := range []chan error{doneA, doneC, doneD} {
-		if err := <-ch; err != nil {
-			t.Fatal(err)
-		}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if row, _, err := rt.GetRow(ctx, "t", 3); err != nil || row[1].I != 31 {
 		t.Fatalf("GET after the barrier = %v, err %v; want 31", row, err)
@@ -158,10 +126,10 @@ func TestReadBesideOpenTransactionWaits(t *testing.T) {
 }
 
 // TestViewsSeeOnlyPublishedCommits: no view ever observes an uncommitted or an
-// unpublished write. The test drives the engine itself while the pool's
-// readers scan: each round publishes a value (commit + barrier), holds a
+// unpublished write. The test drives the engine itself while two clients
+// scan through the partition's reader: each round publishes a value (commit + barrier), holds a
 // transaction open on a second one and aborts it, commits a third into the
-// group-commit buffer and lets the readers scan past it, then power-cycles
+// group-commit buffer and lets the clients scan past it, then power-cycles
 // the partition, which loses the third. A reader may see only the first.
 // Without the exclusion a scan lands inside the open transaction; without
 // the unpublished commit's pre-images a scan reads the third value.
@@ -182,7 +150,7 @@ func publishedOnly(t *testing.T, kind testbed.EngineKind) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := New(db, Config{Readers: 2})
+	rt := New(db, Config{})
 	defer rt.Close()
 	const keys = 8
 
@@ -240,7 +208,7 @@ func publishedOnly(t *testing.T, kind testbed.EngineKind) {
 			}
 		}
 		if hold {
-			time.Sleep(2 * time.Millisecond) // readers arrive and wait
+			time.Sleep(2 * time.Millisecond) // reads arrive and wait
 			if err := e.Abort(); err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +230,7 @@ func publishedOnly(t *testing.T, kind testbed.EngineKind) {
 		}
 		write(open, true)
 		write(parked, false)
-		// Both readers finish a scan that began after the parked commit.
+		// Both clients finish a scan that began after the parked commit.
 		for want := scans.Load() + 3; scans.Load() < want; time.Sleep(50 * time.Microsecond) {
 			select {
 			case err := <-fails:
@@ -289,8 +257,8 @@ func publishedOnly(t *testing.T, kind testbed.EngineKind) {
 
 // TestPinnedViewCostsCaptures: nvm-inp reads a pre-image only for a pinned
 // view. A write with no view pinned makes no capture and leaves no
-// pre-image; an OCC transaction's view held across a write makes the writer
-// capture the old value, which is what that view goes on reading.
+// pre-image; a view held across a write makes the writer capture the old
+// value, which is what that view goes on reading.
 func TestPinnedViewCostsCaptures(t *testing.T) {
 	db := newDB(t, testbed.NVMInP, 1, 32<<20)
 	rt := New(db, Config{})
@@ -308,21 +276,17 @@ func TestPinnedViewCostsCaptures(t *testing.T) {
 		t.Fatalf("no view pinned: %v captures, %v pre-images held; want 0 and 0", c, r)
 	}
 
-	sr := db.Engine(0).(core.SnapshotReader)
-	ot := core.NewOccTxn(sr.SnapshotView(), "nvm-inp", schemas())
-	defer ot.Close()
+	v := db.Engine(0).(core.SnapshotReader).SnapshotView()
+	defer v.Close()
 	if err := rt.SubmitPart(ctx, 0, setTxn(5, 52)); err != nil {
 		t.Fatal(err)
 	}
 	if c, r := gauge("preimage_captures"), gauge("undo_records"); c < 1 || r < 1 {
-		t.Fatalf("a write beside a pinned OCC view: %v captures, %v pre-images held; want at least 1 of each", c, r)
+		t.Fatalf("a write beside a pinned view: %v captures, %v pre-images held; want at least 1 of each", c, r)
 	}
-	row, ok, err := ot.Get("t", 5)
+	row, ok, err := v.Get("t", 5)
 	if err != nil || !ok || row[1].I != 51 {
 		t.Fatalf("the pinned view reads %v (ok %v, err %v), want its snapshot's 51", row, ok, err)
-	}
-	if err := ot.Validate(db.Engine(0).(core.OccValidatorProvider).OccValidator()); !errors.Is(err, core.ErrConflict) {
-		t.Fatalf("the OCC transaction read a key written since its snapshot: Validate = %v, want ErrConflict", err)
 	}
 }
 
@@ -352,9 +316,9 @@ func TestPoolGetReadsTheDevice(t *testing.T) {
 	}
 	d := db.Stats().Sub(before)
 	if d.Loads == 0 || d.ReadStall == 0 {
-		t.Fatalf("a pool GET of a cold row made %d device loads, %v reader stall: it did not read the engine", d.Loads, d.ReadStall)
+		t.Fatalf("a snapshot GET of a cold row made %d device loads, %v reader stall: it did not read the engine", d.Loads, d.ReadStall)
 	}
 	if d.Stall != 0 {
-		t.Fatalf("a pool GET charged %v to the executor's stall clock", d.Stall)
+		t.Fatalf("a snapshot GET charged %v to the executor's stall clock", d.Stall)
 	}
 }

@@ -1,12 +1,13 @@
-// Package serve is the serving runtime over the testbed database: a
-// per-partition executor goroutine fed by a bounded submission queue, with
-// a supervisor that survives engine faults instead of crashing the
-// process. Requests are admitted with backpressure (ErrOverloaded), engine
-// panics are converted to typed core.TxnError at the transaction boundary,
-// retryable durability failures are retried with capped exponential
-// backoff, and a partition whose engine is beyond in-place repair is
-// quarantined, crash-recovered through the engine's own recovery protocol,
-// and put back in service — all while the other partitions keep committing.
+// Package serve is the serving runtime over the testbed database: one
+// executor goroutine per partition fed by a bounded submission queue, one
+// reader goroutine per partition serving snapshot reads, and a supervisor
+// that survives engine faults instead of crashing the process. Requests are
+// admitted with backpressure (ErrOverloaded), engine panics are converted to
+// typed core.TxnError at the transaction boundary, retryable durability
+// failures are retried with capped exponential backoff, and a partition whose
+// engine is beyond in-place repair is quarantined, crash-recovered through
+// the engine's own recovery protocol, and put back in service — all while the
+// other partitions keep committing.
 package serve
 
 import (
@@ -65,23 +66,18 @@ type Config struct {
 	// released. With GroupCommitSize > 1 a commit may sit in a volatile
 	// group buffer; enable this when the client treats an ack as durable.
 	DurableAck bool
-	// Writers sets the number of write executors per partition (default 1).
-	// The default executes each transaction serially at the engine, under the
-	// partition lock. With Writers > 1, transactions execute optimistically
-	// against pinned MVCC snapshots without holding the partition lock, then
-	// OCC-validate their read sets at the commit point: first committer wins,
-	// losers abort with the retryable core.ErrConflict and are retried with
-	// backoff. Acks still release strictly after the group-commit durability
-	// barrier. See occ.go and DESIGN.md §12.
+	// Writers is vestigial: each partition runs exactly one executor, which
+	// holds the engine for a whole transaction. Only 0 and 1 are accepted; New
+	// panics on any other value. It stays only because benchmark/netlegs.go
+	// sets it, and is deleted with the benchmark change of ROADMAP item 10.
 	Writers int
-	// Readers sets the per-partition snapshot reader pool size (default 4).
-	// Readers serve Get/Scan against the engine's MVCC read views without
-	// entering the executor queue, so they never contend with the write path
-	// and never take the engine lock.
+	// Readers is vestigial: each partition runs exactly one reader goroutine,
+	// which serves Get/Scan against MVCC read views beside the executor queue.
+	// A view reads the engine under its exclusion (core.Base), so it waits for
+	// the one transaction in flight, and a second reader would only queue on
+	// that exclusion too. Only 0 and 1 are accepted; New panics on any other
+	// value. Deleted with Writers.
 	Readers int
-	// ReadQueueDepth bounds each partition's read submission queue (defaults
-	// to QueueDepth).
-	ReadQueueDepth int
 	// Seed seeds the per-partition jitter RNGs so a run is replayable.
 	Seed int64
 	// OnEvent, when set, observes supervisor decisions (tests, logs).
@@ -110,16 +106,15 @@ func (c Config) withDefaults() Config {
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
-	if c.Writers <= 0 {
-		c.Writers = 1
-	}
-	if c.Readers <= 0 {
-		c.Readers = 4
-	}
-	if c.ReadQueueDepth <= 0 {
-		c.ReadQueueDepth = c.QueueDepth
-	}
 	return c
+}
+
+// mustOnePerPartition panics unless n, the value of the named Config field,
+// asks for at most one goroutine per partition.
+func mustOnePerPartition(field string, n int) {
+	if n < 0 || n > 1 {
+		panic(fmt.Sprintf("serve: Config.%s = %d: a partition runs exactly one; use 0 or 1", field, n))
+	}
 }
 
 // EventKind labels a supervisor decision for observability.
@@ -156,7 +151,6 @@ type Stats struct {
 	Degraded   int64 // partitions currently degraded
 	Reads      int64 // snapshot reads served
 	ReadFails  int64 // snapshot reads surfaced as errors
-	Conflicts  int64 // OCC validation failures (first-committer-wins aborts)
 }
 
 // Runtime serves transactions over a testbed database.
@@ -172,8 +166,8 @@ type Runtime struct {
 	reg     *obs.Registry
 	ackHist []*obs.Histogram
 
-	// readQs feed the per-partition snapshot reader pools (see read.go);
-	// readHist holds the per-partition read latency histograms.
+	// readQs feed the per-partition snapshot readers (see read.go); readHist
+	// holds the per-partition read latency histograms.
 	readQs   []chan *readReq
 	readHist []*obs.Histogram
 
@@ -191,13 +185,6 @@ type Runtime struct {
 	healthMu sync.Mutex
 	health   []HealthSource
 
-	// schemas indexes the database's table schemas for the OCC wrapper.
-	schemas []*core.Schema
-
-	// writerHist holds per-(partition, writer) submit→ack histograms,
-	// registered only when cfg.Writers > 1 (see metrics.go).
-	writerHist [][]*obs.Histogram
-
 	stats struct {
 		committed, aborted, failed atomic.Int64
 		retries, panics            atomic.Int64
@@ -205,15 +192,13 @@ type Runtime struct {
 		overloaded, recovering     atomic.Int64
 		degraded                   atomic.Int64
 		reads, readFails           atomic.Int64
-		conflicts                  atomic.Int64
 	}
 }
 
 type request struct {
-	ctx   context.Context
-	txn   testbed.Txn
-	start time.Time  // submit time, for the per-writer ack histograms
-	done  chan error // buffered(1): the executor never blocks on the reply
+	ctx  context.Context
+	txn  testbed.Txn
+	done chan error // buffered(1): the executor never blocks on the reply
 }
 
 type executor struct {
@@ -233,28 +218,29 @@ type executor struct {
 
 	// groupSize > 1 defers acks: a committed transaction may still sit in
 	// the engine's volatile group-commit buffer, so its ack is withheld
-	// until the group is durably flushed (wpending holds the waiting
+	// until the group is durably flushed (pending holds the waiting
 	// requests). This closes the ack-durability hole without forcing a
 	// flush per transaction the way DurableAck does.
 	groupSize int
-	// wpending holds each writer's commits awaiting the group durability
-	// barrier, indexed by writer (the serial executor is writer 0). Guarded
-	// by engMu: every append, flush and drain happens at the partition's
-	// serialization point.
-	wpending [][]*request
+	// pending holds the commits awaiting the group durability barrier.
+	// Guarded by engMu.
+	pending []*request
 
 	panicTimes []time.Time // sliding window for panic-storm detection
 	healFails  int         // consecutive failed heals (circuit breaker)
 	degraded   atomic.Bool // atomic: the metrics scraper reads it live
 }
 
-// New builds a serving runtime over db and starts one executor goroutine
-// per partition. The caller must Close it to drain and stop.
+// New builds a serving runtime over db and starts one executor goroutine and
+// one reader goroutine per partition. The caller must Close it to drain and
+// stop. It panics if cfg asks for more than one writer or reader.
 func New(db *testbed.DB, cfg Config) *Runtime {
+	mustOnePerPartition("Writers", cfg.Writers)
+	mustOnePerPartition("Readers", cfg.Readers)
 	cfg = cfg.withDefaults()
 	rt := &Runtime{db: db, cfg: cfg}
 	// With group commit and no per-txn flush, an ack must wait for the
-	// group's durability barrier (see executor.wpending).
+	// group's durability barrier (see executor.pending).
 	groupSize := 1
 	if g := db.Options().GroupCommitSize; g > 1 && !cfg.DurableAck {
 		groupSize = g
@@ -268,24 +254,13 @@ func New(db *testbed.DB, cfg Config) *Runtime {
 			groupSize: groupSize,
 		}
 		rt.execs = append(rt.execs, ex)
-		rt.readQs = append(rt.readQs, make(chan *readReq, cfg.ReadQueueDepth))
+		rt.readQs = append(rt.readQs, make(chan *readReq, cfg.QueueDepth))
 	}
-	rt.schemas = db.Schemas()
 	rt.buildMetrics()
-	for _, ex := range rt.execs {
-		// The writers share the partition queue; each gets its own
-		// pending-ack list.
-		ex.wpending = make([][]*request, cfg.Writers)
-		for w := 0; w < cfg.Writers; w++ {
-			rt.wg.Add(1)
-			go ex.run(w)
-		}
-	}
-	for i, q := range rt.readQs {
-		for r := 0; r < cfg.Readers; r++ {
-			rt.wg.Add(1)
-			go rt.readLoop(i, q)
-		}
+	for i, ex := range rt.execs {
+		rt.wg.Add(2)
+		go ex.run()
+		go rt.readLoop(i)
 	}
 	return rt
 }
@@ -315,7 +290,7 @@ func (rt *Runtime) SubmitPart(ctx context.Context, part int, txn testbed.Txn) er
 		return ErrRecovering
 	}
 	start := time.Now()
-	req := &request{ctx: ctx, txn: txn, start: start, done: make(chan error, 1)}
+	req := &request{ctx: ctx, txn: txn, done: make(chan error, 1)}
 	rt.mu.RLock()
 	if rt.closed.Load() {
 		rt.mu.RUnlock()
@@ -455,7 +430,6 @@ func (rt *Runtime) Stats() Stats {
 		Degraded:   rt.stats.degraded.Load(),
 		Reads:      rt.stats.reads.Load(),
 		ReadFails:  rt.stats.readFails.Load(),
-		Conflicts:  rt.stats.conflicts.Load(),
 	}
 }
 
@@ -465,21 +439,12 @@ func (rt *Runtime) event(part int, kind EventKind, err error) {
 	}
 }
 
-// run is writer w's executor loop. With Writers: 1 it is the paper's serial
-// executor — the testbed's concurrency contract, engines being
-// single-partition and not safe for concurrent use: engMu is held across the
-// whole transaction and runOnce drives the engine directly. With more
-// writers each one runs transactions optimistically (runOnceOCC, occ.go) and
-// only their commit points take engMu; its jitter RNG is then derived from
-// (seed, partition, writer), so multi-writer runs stay -seed replayable
-// without sharing the non-goroutine-safe ex.rng.
-func (ex *executor) run(w int) {
+// run is the partition's executor loop, the paper's serial executor and the
+// testbed's concurrency contract (engines are single-partition and not safe
+// for concurrent use): engMu is held across the whole transaction and runOnce
+// drives the engine directly.
+func (ex *executor) run() {
 	defer ex.rt.wg.Done()
-	serial := ex.rt.cfg.Writers == 1
-	rng := ex.rng
-	if !serial {
-		rng = rand.New(rand.NewSource(ex.rt.cfg.Seed + int64(ex.part)*7919 + int64(w+1)*104729))
-	}
 	for req := range ex.ch {
 		if err := req.ctx.Err(); err != nil {
 			req.done <- err
@@ -496,48 +461,31 @@ func (ex *executor) run(w int) {
 			req.done <- ErrRecovering
 			continue
 		}
-		var deferred bool
-		var err error
-		if serial {
-			ex.engMu.Lock()
-			deferred, err = ex.serve(rng, false, func() (bool, error) {
-				if err := ex.runOnce(req.txn); err != nil {
-					return false, err
-				}
-				return ex.holdAck(req, w), nil
-			})
-			ex.engMu.Unlock()
-		} else {
-			deferred, err = ex.serve(rng, true, func() (bool, error) { return ex.runOnceOCC(req, w) })
+		ex.engMu.Lock()
+		deferred, err := ex.serve(func() (bool, error) {
+			if err := ex.runOnce(req.txn); err != nil {
+				return false, err
+			}
+			return ex.holdAck(req), nil
+		})
+		// A failure is an answer too, and the body may have computed it from
+		// commits whose acks are still held: KeyExists on the retry of an
+		// insert whose first attempt sits in the group buffer reads to the
+		// client as that insert's ack. It waits for the same barrier; if the
+		// barrier fails the partition rolled back and the answer is void.
+		if err != nil && !ex.flushPending() {
+			err = ErrRecovering
 		}
+		ex.engMu.Unlock()
 		if deferred {
 			continue // the durability barrier owns the ack now
 		}
-		if err != nil || len(ex.ch) == 0 {
-			// A failure is an answer too, and the body may have computed it
-			// from commits whose acks are still held: KeyExists on the retry
-			// of an insert whose first attempt sits in the group buffer reads
-			// to the client as that insert's ack. It waits for the same
-			// barrier; if the barrier fails the partition rolled back and the
-			// answer is void. A success that was not deferred (a read-only
-			// optimistic transaction) runs the barrier when the queue is idle
-			// behind it: no later request will come to release the acks
-			// another writer parked.
-			ex.engMu.Lock()
-			if !ex.flushPending() {
-				err = ErrRecovering
-			}
-			ex.engMu.Unlock()
-		}
 		if err == nil {
 			ex.rt.stats.committed.Add(1)
-			ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
 		}
 		req.done <- err
 	}
-	// Close drained the queue; release any held acks durably. Every writer
-	// runs this on exit — the flush covers all writers' lists, so whichever
-	// writer commits last still gets its acks released.
+	// Close drained the queue; release any held acks durably.
 	ex.engMu.Lock()
 	ex.flushPending()
 	ex.engMu.Unlock()
@@ -548,58 +496,45 @@ func (ex *executor) run(w int) {
 // held until the group flushes — when the group is full or the queue went
 // idle (no point delaying the clients). It reports whether the ack is now the
 // durability barrier's to release. Caller holds engMu.
-func (ex *executor) holdAck(req *request, w int) bool {
+func (ex *executor) holdAck(req *request) bool {
 	if ex.groupSize <= 1 {
 		return false
 	}
-	ex.wpending[w] = append(ex.wpending[w], req)
-	if ex.pendingTotal() >= ex.groupSize || len(ex.ch) == 0 {
+	ex.pending = append(ex.pending, req)
+	if len(ex.pending) >= ex.groupSize || len(ex.ch) == 0 {
 		ex.flushPending()
 	}
 	return true
 }
 
-// pendingTotal counts held acks across all writers. Caller holds engMu.
-func (ex *executor) pendingTotal() int {
-	n := 0
-	for _, list := range ex.wpending {
-		n += len(list)
-	}
-	return n
-}
-
-// flushPending runs the durability barrier for every writer's held acks: the
-// engine's Flush forces the group commit — the group buffer is per
-// partition, not per writer — after which every pending transaction is
+// flushPending runs the durability barrier for the held acks: the engine's
+// Flush forces the group commit, after which every pending transaction is
 // provably durable and acked. A barrier that cannot be completed (retries
 // exhausted, corruption, injected crash) means those commits were never
 // durable — the pending requests are failed and the partition heals back to
 // its last durable state, and flushPending reports false. Caller holds engMu.
 func (ex *executor) flushPending() bool {
-	if ex.pendingTotal() == 0 {
+	if len(ex.pending) == 0 {
 		return true
 	}
 	cfg := &ex.rt.cfg
 	for attempt := 0; ; attempt++ {
 		err := ex.flushQuiet()
 		if err == nil {
-			for w, list := range ex.wpending {
-				ex.rt.stats.committed.Add(int64(len(list)))
-				for _, req := range list {
-					ex.rt.recordWriterAck(ex.part, w, time.Since(req.start))
-					req.done <- nil
-				}
-				ex.wpending[w] = list[:0]
+			ex.rt.stats.committed.Add(int64(len(ex.pending)))
+			for _, req := range ex.pending {
+				req.done <- nil
 			}
+			ex.pending = ex.pending[:0]
 			return true
 		}
 		if core.IsRetryable(err) && !errors.Is(err, nvm.ErrInjectedCrash) && attempt < cfg.MaxRetries {
 			ex.rt.stats.retries.Add(1)
 			ex.rt.event(ex.part, EventRetry, err)
-			ex.backoff(attempt) // engMu held: ex.rng is safe here
+			ex.backoff(attempt)
 			continue
 		}
-		// heal fails the pending lists first (those commits are not durable).
+		// heal fails the pending list first (those commits are not durable).
 		ex.heal(err)
 		return false
 	}
@@ -624,21 +559,8 @@ func (ex *executor) flushQuiet() (err error) {
 // serve runs one transaction under the supervisor policy: contain panics,
 // retry retryable failures with backoff, heal on anything worse. attempt
 // executes the transaction once and reports whether its ack was deferred to
-// the durability barrier; an optimistic attempt's core.ErrConflict arrives
-// through the retryable case, and each retry re-executes against a fresh
-// snapshot. lockHeal is set when the caller does not hold engMu (optimistic
-// writers run their bodies outside it): heal and the panic window then take
-// it themselves. Two writers can race into heal for the same fault; the
-// loser re-heals an already healthy partition — a redundant power cycle,
-// never a correctness issue.
-func (ex *executor) serve(rng *rand.Rand, lockHeal bool, attempt func() (deferred bool, err error)) (deferred bool, err error) {
-	atEngine := func(fn func()) {
-		if lockHeal {
-			ex.engMu.Lock()
-			defer ex.engMu.Unlock()
-		}
-		fn()
-	}
+// the durability barrier. Caller holds engMu.
+func (ex *executor) serve(attempt func() (deferred bool, err error)) (deferred bool, err error) {
 	cfg := &ex.rt.cfg
 	for n := 0; ; n++ {
 		deferred, err := attempt()
@@ -657,23 +579,21 @@ func (ex *executor) serve(rng *rand.Rand, lockHeal bool, attempt func() (deferre
 			// The emulated device lost power mid-operation (fault
 			// injection): only the engine's crash-recovery protocol can
 			// bring the partition back.
-			atEngine(func() { ex.heal(err) })
+			ex.heal(err)
 			ex.rt.stats.failed.Add(1)
 			return false, ErrRecovering
 
 		case isPanicErr(err):
 			ex.rt.stats.panics.Add(1)
 			ex.rt.event(ex.part, EventPanic, err)
-			atEngine(func() {
-				if ex.panicStorm() {
-					ex.heal(err)
-				}
-			})
+			if ex.panicStorm() {
+				ex.heal(err)
+			}
 			ex.rt.stats.failed.Add(1)
 			return false, err
 
 		case core.IsCorrupt(err):
-			atEngine(func() { ex.heal(err) })
+			ex.heal(err)
 			ex.rt.stats.failed.Add(1)
 			return false, ErrRecovering
 
@@ -684,7 +604,7 @@ func (ex *executor) serve(rng *rand.Rand, lockHeal bool, attempt func() (deferre
 			}
 			ex.rt.stats.retries.Add(1)
 			ex.rt.event(ex.part, EventRetry, err)
-			ex.backoffWith(rng, n)
+			ex.backoff(n)
 			continue
 
 		default:
@@ -843,36 +763,24 @@ func (ex *executor) recoverQuiet() (err error) {
 	return err
 }
 
-// failPendingLocked fails every writer's held acks with ErrRecovering.
-// Caller holds engMu.
+// failPendingLocked fails the held acks with ErrRecovering. Caller holds
+// engMu.
 func (ex *executor) failPendingLocked() {
-	rt := ex.rt
-	for w, list := range ex.wpending {
-		for _, req := range list {
-			rt.stats.recovering.Add(1)
-			req.done <- ErrRecovering
-		}
-		ex.wpending[w] = list[:0]
+	for _, req := range ex.pending {
+		ex.rt.stats.recovering.Add(1)
+		req.done <- ErrRecovering
 	}
+	ex.pending = ex.pending[:0]
 }
 
 // backoff sleeps the capped-exponential, jittered delay for the attempt,
-// drawing jitter from the executor's own RNG, which engMu guards: heal and
-// the durability-barrier retry run under it, and so does the serial
-// executor's whole transaction. An optimistic writer's lock-free retry path
-// uses backoffWith with a per-writer RNG instead.
-func (ex *executor) backoff(attempt int) { ex.backoffWith(ex.rng, attempt) }
-
-// backoffWith is backoff against an explicit RNG: each OCC writer carries
-// its own deterministically seeded RNG because math/rand.Rand is not
-// goroutine-safe and backoff sleeps must not serialize on the partition
-// lock just to draw jitter.
-func (ex *executor) backoffWith(rng *rand.Rand, attempt int) {
+// drawing jitter from the executor's RNG, which engMu guards.
+func (ex *executor) backoff(attempt int) {
 	d := ex.rt.cfg.RetryBase << uint(attempt)
 	if d > ex.rt.cfg.RetryCap || d <= 0 {
 		d = ex.rt.cfg.RetryCap
 	}
-	time.Sleep(d/2 + time.Duration(rng.Int63n(int64(d/2)+1)))
+	time.Sleep(d/2 + time.Duration(ex.rng.Int63n(int64(d/2)+1)))
 }
 
 func isPanicErr(err error) bool {

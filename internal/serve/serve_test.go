@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -475,5 +476,103 @@ func TestFailureWaitsForHeldAcks(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the held ack was never released")
+	}
+}
+
+// TestReadOnlySuccessReleasesParkedAcks: a commit that finds the queue busy
+// parks its ack for the group's barrier. If what then drains the queue is a
+// read-only transaction, nothing further arrives to run the barrier, so the
+// read-only success has to: the parked ack must not wait for the next
+// request.
+func TestReadOnlySuccessReleasesParkedAcks(t *testing.T) {
+	db, err := testbed.New(testbed.Config{
+		Engine:     testbed.NVMInP,
+		Partitions: 1,
+		Env:        core.EnvConfig{DeviceSize: 32 << 20},
+		Options:    core.Options{GroupCommitSize: 8},
+		Schemas:    schemas(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := New(db, Config{})
+	defer rt.Close()
+	ctx := context.Background()
+	if err := rt.SubmitPart(ctx, 0, insertTxn(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The write parks inside its body until the read-only transaction is
+	// queued behind it, so its commit finds the queue busy and parks the ack.
+	inBody, gate := make(chan struct{}), make(chan struct{})
+	write := make(chan error, 1)
+	go func() {
+		write <- rt.SubmitPart(ctx, 0, func(e core.Engine) error {
+			close(inBody)
+			<-gate
+			return e.Update("t", 1, core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(11)}})
+		})
+	}()
+	<-inBody
+	read := make(chan error, 1)
+	go func() {
+		read <- rt.SubmitPart(ctx, 0, func(e core.Engine) error {
+			_, _, err := e.Get("t", 1)
+			return err
+		})
+	}()
+	waitQueued(t, rt, 0, 1)
+	close(gate)
+
+	for _, r := range []struct {
+		name string
+		ch   chan error
+	}{{"read-only txn", read}, {"write", write}} {
+		select {
+		case err := <-r.ch:
+			if err != nil {
+				t.Fatalf("%s = %v", r.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the %s was not acked when a read-only success left the queue idle", r.name)
+		}
+	}
+	if got := mustGet(t, db, 0, 1); got != 11 {
+		t.Fatalf("key 1 = %d, want 11", got)
+	}
+}
+
+// TestOneExecutorPerPartition: a partition runs exactly one executor and one
+// reader, so New refuses a Config that asks for more, naming the field, and
+// starts and closes cleanly with the zero Config and with both set to 1.
+func TestOneExecutorPerPartition(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{{"Writers", Config{Writers: 2}}, {"Readers", Config{Readers: 2}}} {
+		t.Run(tc.field, func(t *testing.T) {
+			db := newDB(t, testbed.InP, 1, 32<<20)
+			defer func() {
+				r := recover()
+				msg, _ := r.(string)
+				if !strings.Contains(msg, "Config."+tc.field) {
+					t.Fatalf("New(%+v) recovered %v, want a panic naming Config.%s", tc.cfg, r, tc.field)
+				}
+			}()
+			New(db, tc.cfg).Close()
+		})
+	}
+	for _, cfg := range []Config{{}, {Readers: 1, Writers: 1}} {
+		db := newDB(t, testbed.InP, 2, 32<<20)
+		rt := New(db, cfg)
+		if err := rt.Submit(context.Background(), 1, insertTxn(1, 1)); err != nil {
+			t.Fatalf("Config %+v: Submit = %v", cfg, err)
+		}
+		if _, found, err := rt.GetRow(context.Background(), "t", 1); err != nil || !found {
+			t.Fatalf("Config %+v: GetRow found %v, err %v", cfg, found, err)
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatalf("Config %+v: Close = %v", cfg, err)
+		}
 	}
 }
