@@ -70,19 +70,19 @@ func both(t *testing.T, run func(*testing.T, enginetest.Factory)) {
 func TestConformance(t *testing.T) { both(t, enginetest.Run) }
 
 func TestRecoveryConformance(t *testing.T) {
-	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunRecoveryConformance(t, f, 200) })
+	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunRecoveryConformance(t, f) })
 }
 
 func TestConcurrentRecoveryConformance(t *testing.T) {
-	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunConcurrentRecoveryConformance(t, f, 200) })
+	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunConcurrentRecoveryConformance(t, f) })
 }
 
 func TestSnapshotConformance(t *testing.T) {
-	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunSnapshotConformance(t, f, 200) })
+	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunSnapshotConformance(t, f) })
 }
 
 func TestCrossShardConformance(t *testing.T) {
-	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunCrossShardConformance(t, f, 200) })
+	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunCrossShardConformance(t, f) })
 }
 
 // TestColReader: core.GetCols, served by projecting Get, answers like the
@@ -444,10 +444,6 @@ func TestTupleSpaceReclaimedAfterPersist(t *testing.T) {
 	if st := env.Arena.StateOf(env.Arena.Root(0)); st != pmalloc.StatePersisted {
 		t.Errorf("master block state = %v", st)
 	}
-}
-
-func TestCrashInjection(t *testing.T) {
-	enginetest.RunCrashInjection(t, nvmFactory(), 25)
 }
 
 // TestConformanceCatchesMissingFence: a streamed page, tuple, entry chunk or

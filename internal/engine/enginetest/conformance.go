@@ -1,7 +1,6 @@
 package enginetest
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,17 +9,6 @@ import (
 	"nstore/internal/nvm"
 	"nstore/internal/pmfs"
 )
-
-// seedFlag is the base seed for every fault-injection schedule in the
-// battery. Schedule i derives its seed from base+i, and each failure report
-// names the exact seed, so any observed failure replays with
-//
-//	go test -run RecoveryConformance -seed=<reported seed>
-var seedFlag = flag.Int64("seed", 1, "base seed for fault-injection schedules")
-
-// BaseSeed returns the -seed test flag (shared by the conformance,
-// crash-injection, and differential batteries).
-func BaseSeed() int64 { return *seedFlag }
 
 // faultFamily is one class of injected failure. Exactly one of device/sync
 // is set: device plans act on the NVM write-back hierarchy (all engines);
@@ -49,45 +37,52 @@ func conformanceFamilies(volatile bool) []faultFamily {
 	return fams
 }
 
-// cmodel is the in-memory reference state for both workload tables.
-type cmodel struct {
-	users map[uint64][]core.Value
-	items map[uint64][]core.Value
-}
-
-func newCmodel() *cmodel {
-	return &cmodel{users: make(map[uint64][]core.Value), items: make(map[uint64][]core.Value)}
-}
-
-func (m *cmodel) clone() *cmodel {
-	return &cmodel{users: cloneModel(m.users), items: cloneModel(m.items)}
-}
-
-// RunRecoveryConformance drives the engine through `schedules` randomized
-// workloads, each ending in a seeded injected crash — power loss at a fence
-// boundary, reordered or torn cache-line write-back, and (for the
-// traditional engines) lost or torn fsyncs — then recovers and asserts the
-// exact committed state survived. Pass schedules <= 0 for the default
-// battery size.
-func RunRecoveryConformance(t *testing.T, f Factory, schedules int) {
-	t.Helper()
-	if err := CheckRecoveryConformance(f, schedules, BaseSeed()); err != nil {
-		t.Fatal(err)
+// withFamily runs schedule under the seed's fault family — derived from the
+// seed, not the loop index, so -seed=N replays it under the same family —
+// and names the family in its failure.
+func withFamily(f Factory, schedule func(Factory, faultFamily, int64) error) func(int64) error {
+	fams := conformanceFamilies(f.Volatile)
+	return func(seed int64) error {
+		fam := fams[int(uint64(seed)%uint64(len(fams)))]
+		if err := schedule(f, fam, seed); err != nil {
+			return fmt.Errorf("[%s] %w", fam.name, err)
+		}
+		return nil
 	}
 }
 
+// arm installs the family's fault on env, seeded by seed: a device fault
+// fires at fence base+rng.Intn(span) from now, a sync fault at fsync
+// rng.Intn(syncs).
+func (fam faultFamily) arm(env *core.Env, seed int64, rng *rand.Rand, base, span, syncs int) {
+	if fam.device != nil {
+		p := *fam.device
+		p.Seed, p.CrashAfterFences = seed, base+rng.Intn(span)
+		env.Dev.InjectFaults(p)
+		return
+	}
+	sf := *fam.sync
+	sf.Seed, sf.AfterSyncs = seed, rng.Intn(syncs)
+	env.FS.InjectSyncFault(sf)
+}
+
+// RunRecoveryConformance drives the engine through seeded workloads, each
+// ending in an injected crash — power loss at a fence boundary, reordered or
+// torn cache-line write-back, and (for the traditional engines) lost or torn
+// fsyncs — then recovers and asserts the exact committed state survived.
+func RunRecoveryConformance(t *testing.T, f Factory) {
+	t.Helper()
+	runSchedules(t, withFamily(f, recoverySchedule))
+}
+
 // RunConformanceCatchesMissingFence is the battery's self-test on an
-// NVM-aware engine: with the commit path's SFENCE removed (fences are no-ops
-// during the workload, restored for recovery) the battery must report a
-// failure — at every latency profile, because the default sync primitive
-// retains synced lines in the cache (CLWB) and streamed lines wait in the
-// memory controller's buffer, and neither may let a missing fence go
-// unnoticed. If this ever passes vacuously the suite has lost its teeth.
-// baseSeed picks the fault family of the first schedule (seed mod 3:
-// lose-all, reorder, tear).
+// NVM-aware engine: with the SFENCE removed (fences are no-ops during the
+// workload, restored for recovery) 12 schedules from baseSeed (seed mod 3:
+// lose-all, reorder, tear) must report a failure at every latency profile —
+// synced lines retained in the cache (CLWB) and streamed lines waiting in the
+// memory controller's buffer must both expose a missing fence.
 func RunConformanceCatchesMissingFence(t *testing.T, f Factory, baseSeed int64) {
 	for _, prof := range nvm.Profiles {
-		prof := prof
 		t.Run(prof.Name, func(t *testing.T) {
 			broken := Factory{
 				Name: f.Name + "-nofence",
@@ -104,7 +99,7 @@ func RunConformanceCatchesMissingFence(t *testing.T, f Factory, baseSeed int64) 
 					return f.Open(env, schemas, opts)
 				},
 			}
-			err := CheckRecoveryConformance(broken, 12, baseSeed)
+			err := seedLoop(t.Name(), baseSeed, 12, withFamily(broken, recoverySchedule))
 			if err == nil {
 				t.Fatal("conformance battery did not catch an engine whose commit fence was removed")
 			}
@@ -113,172 +108,133 @@ func RunConformanceCatchesMissingFence(t *testing.T, f Factory, baseSeed int64) 
 	}
 }
 
-// CheckRecoveryConformance is the error-returning core of
-// RunRecoveryConformance, split out so the suite can verify it actually
-// catches broken recovery protocols (see the fence-removal test).
-func CheckRecoveryConformance(f Factory, schedules int, baseSeed int64) error {
-	if schedules <= 0 {
-		schedules = 200
-	}
-	fams := conformanceFamilies(f.Volatile)
-	for i := 0; i < schedules; i++ {
-		seed := baseSeed + int64(i)
-		// The family is derived from the seed (not the loop index) so a
-		// failure replayed via -seed=N re-runs under the same family.
-		fam := fams[int(uint64(seed)%uint64(len(fams)))]
-		if err := conformanceSchedule(f, fam, seed); err != nil {
-			return fmt.Errorf("%s: schedule %d [%s, seed %d]: %w\nreplay: go test -run RecoveryConformance -seed=%d",
-				f.Name, i, fam.name, seed, err, seed)
-		}
-	}
-	return nil
-}
-
-// conformanceSchedule runs one seeded workload + injected crash + recovery
-// cycle and checks the recovered state against the committed model.
-func conformanceSchedule(f Factory, fam faultFamily, seed int64) error {
+// recoverySchedule runs one seeded workload until its armed fault crashes
+// it, recovers, and checks the recovered state against the committed model.
+func recoverySchedule(f Factory, fam faultFamily, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, FSExtent: 64 << 10})
-	// Small capacities force the interesting paths (MemTable flushes, LSM
-	// merges, checkpoints) inside a short workload; GroupCommitSize 1 makes
-	// every engine durable-at-commit, so the committed model is exact.
-	// VlogThreshold 64 reaches the Log engine only: it puts user rows (~85 B
-	// encoded) through value separation there while item rows stay inline,
-	// so its every crash schedule also exercises the value-log head replay
-	// and pointer validation.
-	opts := core.Options{MemTableCap: 32, LSMGrowth: 3, BTreeNodeSize: 128,
-		GroupCommitSize: 1, CheckpointEvery: 40, VlogThreshold: 64}
-	schema := testSchema()
-	e, err := f.New(env, schema, opts)
+	env, opts, schemas := scheduleEnv(), scheduleOpts, testSchema()
+	// VlogThreshold 64 reaches the Log engine only: it separates user rows
+	// (~85 B encoded) but not item rows, so its every crash schedule also
+	// exercises the value-log head replay and pointer validation.
+	opts.VlogThreshold = 64
+	e, err := f.New(env, schemas, opts)
 	if err != nil {
 		return fmt.Errorf("New: %w", err)
 	}
 
-	// Arm the fault after setup: the crash window is the workload itself.
-	if fam.device != nil {
-		p := *fam.device
-		p.Seed = seed ^ 0x5eed
-		// The NVM engines fence on every durable pointer store; the
-		// traditional engines only fence at fsyncs, so their trigger range
-		// must be narrower to land inside the workload.
-		if f.Volatile {
-			p.CrashAfterFences = 5 + rng.Intn(200)
-		} else {
-			p.CrashAfterFences = 5 + rng.Intn(600)
-		}
-		env.Dev.InjectFaults(p)
-	} else {
-		sf := *fam.sync
-		sf.Seed = seed ^ 0x5eed
-		sf.AfterSyncs = rng.Intn(120)
-		env.FS.InjectSyncFault(sf)
-	}
-
-	committed := newCmodel()
-	working := newCmodel()
-	crashed := false
-	// A crash while Commit is in flight is the one ambiguous moment: the
-	// durable point may or may not have been reached, so recovery may
-	// legitimately surface either the pre- or post-commit state.
-	crashInCommit := false
-	phase := ""
-
-	runErr := func() (rerr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != nvm.ErrInjectedCrash {
-					panic(r)
-				}
-				crashed = true
-				crashInCommit = phase == "commit"
-			}
-		}()
-		for step := 0; step < 100; step++ {
-			phase = "begin"
-			if err := e.Begin(); err != nil {
-				return fmt.Errorf("step %d: Begin: %w", step, err)
-			}
-			nops := 1 + rng.Intn(3)
-			for o := 0; o < nops; o++ {
-				phase = "op"
-				if rng.Intn(4) == 3 {
-					if err := itemOp(rng, e, working); err != nil {
-						return fmt.Errorf("step %d: %w", step, err)
-					}
-				} else if err := userOp(rng, e, working, step); err != nil {
-					return fmt.Errorf("step %d: %w", step, err)
-				}
-			}
-			if rng.Intn(8) == 0 {
-				phase = "abort"
-				if err := e.Abort(); err != nil {
-					return fmt.Errorf("step %d: Abort: %w", step, err)
-				}
-				working = committed.clone()
-			} else {
-				phase = "commit"
-				if err := e.Commit(); err != nil {
-					return fmt.Errorf("step %d: Commit: %w", step, err)
-				}
-				committed = working.clone()
-			}
-		}
-		return nil
-	}()
-	if runErr != nil {
-		return runErr
-	}
-
-	// Whether or not the trigger fired, cut the power: Crash applies the
-	// plan's reorder/tear effects to whatever is still un-fenced.
-	env.Dev.Crash()
-	var env2 *core.Env
+	// Arm the fault after setup: the crash window is the workload itself. The
+	// traditional engines fence only at fsyncs, the NVM engines at every
+	// durable pointer store, so their trigger ranges differ.
+	span := 600
 	if f.Volatile {
-		env2, err = env.ReopenVolatile()
-	} else {
-		env2, err = env.Reopen()
+		span = 200
+	}
+	fam.arm(env, seed^0x5eed, rng, 5, span, 120)
+
+	// The workload runs until the fault fires: a schedule that outlived its
+	// crash would test only a clean power cut.
+	const maxTxns = 400
+	w := newWorkload(rng, e)
+	crashed, err := crashing(func() error { return w.txns(maxTxns) })
+	if err != nil {
+		return err
+	}
+	if !crashed {
+		return fmt.Errorf("the fault had not fired after %d transactions (%d fences taken)",
+			maxTxns, env.Dev.Stats().Fences)
+	}
+	e2, err := crashOpen(f, env, schemas, opts)
+	if err == nil {
+		err = checkAtomic(e2, schemas, w.committed, w.working, w.phase == "commit")
+	}
+	if err == nil {
+		err = probe(e2, "users", userRow(1<<40))
 	}
 	if err != nil {
-		return fmt.Errorf("env reopen (crashed=%v): %w", crashed, err)
-	}
-	e2, err := f.Open(env2, schema, opts)
-	if err != nil {
-		return fmt.Errorf("recovery open (crashed=%v): %w", crashed, err)
-	}
-
-	if errC := checkState(e2, schema, committed); errC != nil {
-		if !crashInCommit {
-			return fmt.Errorf("recovered state != committed model (crashed=%v, phase=%s): %w", crashed, phase, errC)
-		}
-		if errW := checkState(e2, schema, working); errW != nil {
-			return fmt.Errorf("crash in Commit, recovered state matches neither pre-commit (%v) nor post-commit (%v) model", errC, errW)
-		}
-	}
-
-	// The engine must be fully usable after recovery.
-	if err := e2.Begin(); err != nil {
-		return fmt.Errorf("post-recovery Begin: %w", err)
-	}
-	probe := uint64(1) << 40
-	if err := e2.Insert("users", probe, userRow(int64(probe))); err != nil {
-		return fmt.Errorf("post-recovery Insert: %w", err)
-	}
-	if err := e2.Commit(); err != nil {
-		return fmt.Errorf("post-recovery Commit: %w", err)
-	}
-	if _, ok, err := e2.Get("users", probe); err != nil || !ok {
-		return fmt.Errorf("post-recovery probe row missing (ok=%v, err=%v)", ok, err)
+		return fmt.Errorf("crash in phase %s: %w", w.phase, err)
 	}
 	return nil
 }
 
+// RunConcurrentRecoveryConformance is the conformance check for the parallel
+// recovery pipeline: a recovery pass must be restartable at any point without
+// changing the state it converges to.
+func RunConcurrentRecoveryConformance(t *testing.T, f Factory) {
+	t.Helper()
+	runSchedules(t, withFamily(f, concurrentSchedule))
+}
+
+// concurrentSchedule runs one cycle: workload → clean crash → control
+// recovery → crash → recovery attempt with a fault armed to fire
+// mid-recovery → crash → final recovery, to the same committed state.
+func concurrentSchedule(f Factory, fam faultFamily, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	env, opts, schemas := scheduleEnv(), scheduleOpts, testSchema()
+	e, err := f.New(env, schemas, opts)
+	if err != nil {
+		return fmt.Errorf("New: %w", err)
+	}
+	w := newWorkload(rng, e)
+	if err := w.txns(60); err != nil {
+		return err
+	}
+	if err := e.Flush(); err != nil {
+		return fmt.Errorf("Flush: %w", err)
+	}
+
+	// Control pass: clean power cycle. No transaction was in flight, so the
+	// committed model is unambiguous.
+	e2, err := crashOpen(f, env, schemas, opts)
+	if err == nil {
+		err = checkModel(e2, schemas, w.committed)
+	}
+	if err != nil {
+		return fmt.Errorf("control recovery: %w", err)
+	}
+
+	// Power-cycle again, then arm a fault timed to fire during the *next*
+	// recovery's device traffic — the power cut lands mid-replay. (Every
+	// reopen is of env's one device.)
+	env.Dev.Crash()
+	fam.arm(env, seed^0x7ec0, rng, 1, 40, 10)
+	crashed, err := attemptRecovery(f, env, schemas, opts)
+	if err != nil {
+		return fmt.Errorf("mid-recovery attempt: %w", err)
+	}
+
+	// Final pass: cut the power over whatever the interrupted recovery left
+	// behind (Crash applies the plan's reorder/tear effects to un-fenced
+	// write-back) and recover once more, to the same committed state.
+	e3, err := crashOpen(f, env, schemas, opts)
+	if err == nil {
+		err = checkModel(e3, schemas, w.committed)
+	}
+	if err == nil {
+		err = probe(e3, "users", userRow(1<<40))
+	}
+	if err != nil {
+		return fmt.Errorf("final recovery (mid-recovery crash fired: %v): %w", crashed, err)
+	}
+	return nil
+}
+
+// attemptRecovery recovers with the fault armed and reports whether it fired
+// (it may land past the recovery's traffic); any other failure is genuine.
+func attemptRecovery(f Factory, env *core.Env, schemas []*core.Schema, opts core.Options) (crashed bool, err error) {
+	return crashing(func() error {
+		_, err := recoverOn(f, env, schemas, opts)
+		return err
+	})
+}
+
 // userOp applies one random mutation or read to the users table, mirroring
 // it in the model.
-func userOp(rng *rand.Rand, e core.Engine, m *cmodel, step int) error {
+func userOp(rng *rand.Rand, e core.Engine, m model, step int) error {
+	users := m["users"]
 	key := uint64(rng.Intn(120)) + 1
 	switch rng.Intn(4) {
 	case 0:
-		if _, exists := m.users[key]; exists {
+		if _, exists := users[key]; exists {
 			return nil
 		}
 		row := userRow(int64(key))
@@ -286,9 +242,9 @@ func userOp(rng *rand.Rand, e core.Engine, m *cmodel, step int) error {
 		if err := e.Insert("users", key, row); err != nil {
 			return fmt.Errorf("Insert users/%d: %w", key, err)
 		}
-		m.users[key] = core.CloneRow(row)
+		users[key] = core.CloneRow(row)
 	case 1:
-		if _, exists := m.users[key]; !exists {
+		if _, exists := users[key]; !exists {
 			return nil
 		}
 		upd := core.Update{Cols: []int{1, 3}, Vals: []core.Value{
@@ -298,23 +254,23 @@ func userOp(rng *rand.Rand, e core.Engine, m *cmodel, step int) error {
 		if err := e.Update("users", key, upd); err != nil {
 			return fmt.Errorf("Update users/%d: %w", key, err)
 		}
-		row := core.CloneRow(m.users[key])
+		row := core.CloneRow(users[key])
 		core.ApplyDelta(row, upd)
-		m.users[key] = row
+		users[key] = row
 	case 2:
-		if _, exists := m.users[key]; !exists {
+		if _, exists := users[key]; !exists {
 			return nil
 		}
 		if err := e.Delete("users", key); err != nil {
 			return fmt.Errorf("Delete users/%d: %w", key, err)
 		}
-		delete(m.users, key)
+		delete(users, key)
 	case 3:
 		row, ok, err := e.Get("users", key)
 		if err != nil {
 			return fmt.Errorf("Get users/%d: %w", key, err)
 		}
-		want, exists := m.users[key]
+		want, exists := users[key]
 		if ok != exists || (ok && !core.RowsEqual(testSchema()[0], row, want)) {
 			return fmt.Errorf("read users/%d diverged from model (ok=%v exists=%v)", key, ok, exists)
 		}
@@ -323,96 +279,38 @@ func userOp(rng *rand.Rand, e core.Engine, m *cmodel, step int) error {
 }
 
 // itemOp applies one random mutation to the items table.
-func itemOp(rng *rand.Rand, e core.Engine, m *cmodel) error {
+func itemOp(rng *rand.Rand, e core.Engine, m model) error {
 	key := uint64(rng.Intn(60)) + 1
-	if _, exists := m.items[key]; !exists {
-		row := []core.Value{core.IntVal(int64(key)), core.IntVal(int64(rng.Intn(500)))}
-		if err := e.Insert("items", key, row); err != nil {
-			return fmt.Errorf("Insert items/%d: %w", key, err)
+	return mutate(rng, e, "items", m["items"], key, 3, func() []core.Value {
+		return []core.Value{core.IntVal(int64(key)), core.IntVal(int64(rng.Intn(500)))}
+	})
+}
+
+// mutate inserts the row newRow draws at key if rows lacks it, else deletes
+// the key one time in del, else sets its column 1 to a random int, mirroring
+// the write in rows.
+func mutate(rng *rand.Rand, e core.Engine, table string, rows map[uint64][]core.Value, key uint64, del int, newRow func() []core.Value) error {
+	if _, exists := rows[key]; !exists {
+		row := newRow()
+		if err := e.Insert(table, key, row); err != nil {
+			return fmt.Errorf("Insert %s/%d: %w", table, key, err)
 		}
-		m.items[key] = core.CloneRow(row)
+		rows[key] = core.CloneRow(row)
 		return nil
 	}
-	if rng.Intn(3) == 0 {
-		if err := e.Delete("items", key); err != nil {
-			return fmt.Errorf("Delete items/%d: %w", key, err)
+	if rng.Intn(del) == 0 {
+		if err := e.Delete(table, key); err != nil {
+			return fmt.Errorf("Delete %s/%d: %w", table, key, err)
 		}
-		delete(m.items, key)
+		delete(rows, key)
 		return nil
 	}
 	upd := core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(int64(rng.Intn(500)))}}
-	if err := e.Update("items", key, upd); err != nil {
-		return fmt.Errorf("Update items/%d: %w", key, err)
+	if err := e.Update(table, key, upd); err != nil {
+		return fmt.Errorf("Update %s/%d: %w", table, key, err)
 	}
-	row := core.CloneRow(m.items[key])
+	row := core.CloneRow(rows[key])
 	core.ApplyDelta(row, upd)
-	m.items[key] = row
-	return nil
-}
-
-// checkState asserts the engine's visible state — primary scans of both
-// tables, point reads, and the secondary index — equals the model exactly.
-func checkState(e core.Engine, schema []*core.Schema, m *cmodel) error {
-	tables := []struct {
-		name string
-		sch  *core.Schema
-		rows map[uint64][]core.Value
-	}{
-		{"users", schema[0], m.users},
-		{"items", schema[1], m.items},
-	}
-	for _, tb := range tables {
-		n := 0
-		var bad error
-		if err := e.ScanRange(tb.name, 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-			n++
-			want, ok := tb.rows[pk]
-			if !ok {
-				bad = fmt.Errorf("%s: phantom key %d", tb.name, pk)
-				return false
-			}
-			if !core.RowsEqual(tb.sch, row, want) {
-				bad = fmt.Errorf("%s: key %d row mismatch: got %v want %v", tb.name, pk, row, want)
-				return false
-			}
-			return true
-		}); err != nil {
-			return fmt.Errorf("%s: scan: %w", tb.name, err)
-		}
-		if bad != nil {
-			return bad
-		}
-		if n != len(tb.rows) {
-			return fmt.Errorf("%s: scan found %d rows, model has %d", tb.name, n, len(tb.rows))
-		}
-		for key, want := range tb.rows {
-			row, ok, err := e.Get(tb.name, key)
-			if err != nil {
-				return fmt.Errorf("%s: Get %d: %w", tb.name, key, err)
-			}
-			if !ok {
-				return fmt.Errorf("%s: committed key %d lost", tb.name, key)
-			}
-			if !core.RowsEqual(tb.sch, row, want) {
-				return fmt.Errorf("%s: key %d point-read mismatch", tb.name, key)
-			}
-		}
-	}
-	for key, row := range m.users {
-		sec := uint32(row[1].I)
-		found := false
-		if err := e.ScanSecondary("users", "by_balance", sec, func(pk uint64) bool {
-			if pk == key {
-				found = true
-				return false
-			}
-			return true
-		}); err != nil {
-			return fmt.Errorf("secondary scan: %w", err)
-		}
-		if !found {
-			return fmt.Errorf("users: key %d missing from secondary by_balance=%d", key, sec)
-		}
-	}
+	rows[key] = row
 	return nil
 }

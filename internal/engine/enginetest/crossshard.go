@@ -3,25 +3,13 @@ package enginetest
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"nstore/internal/core"
 	"nstore/internal/txn2pc"
 	"nstore/internal/wire"
 )
-
-// Cross-shard atomicity battery: each schedule builds 2-3 independent engine
-// instances ("shards"), drives percolator-style 2PC transactions across them
-// through the txn2pc protocol directly, and crashes the CLIENT at every 2PC
-// phase boundary — before any prewrite, between prewrites, after all
-// prewrites but before the commit point, right after the primary commit (the
-// transaction is acked the instant that lands), and between secondary
-// commits. Then every shard takes a device power cut and reopens. A recovery
-// sweep resolves the orphaned locks the same way a reader would — through
-// the primary shard's status record — and the battery asserts the one
-// invariant 2PC exists for: a transaction is visible on ALL of its shards or
-// NONE of them, and an acked commit survives everything.
 
 // crossSchema is the battery's user table; AugmentSchemas adds the hidden
 // lock and status tables the protocol needs.
@@ -53,32 +41,16 @@ const (
 	xsTxnsPerSchedule   = 8 // transactions per seeded schedule
 )
 
-// RunCrossShardConformance drives `schedules` seeded cross-shard 2PC
-// schedules (default 200; capped at 40 under -short) against the factory.
-func RunCrossShardConformance(t *testing.T, f Factory, schedules int) {
+// RunCrossShardConformance is the cross-shard atomicity battery: each schedule
+// builds 2-3 independent engine instances ("shards"), drives percolator-style
+// 2PC transactions across them through txn2pc directly, and crashes the CLIENT
+// at every 2PC phase boundary. Then every shard takes a power cut and reopens,
+// a recovery sweep resolves the orphaned locks the way a reader would —
+// through the primary shard's status record — and a transaction must be
+// visible on ALL of its shards or NONE of them, an acked commit on all.
+func RunCrossShardConformance(t *testing.T, f Factory) {
 	t.Helper()
-	if testing.Short() && (schedules <= 0 || schedules > 40) {
-		schedules = 40
-	}
-	if err := CheckCrossShardConformance(f, schedules, BaseSeed()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// CheckCrossShardConformance is the error-returning core, split out like the
-// other batteries so a harness self-test can assert it has teeth.
-func CheckCrossShardConformance(f Factory, schedules int, baseSeed int64) error {
-	if schedules <= 0 {
-		schedules = 200
-	}
-	for i := 0; i < schedules; i++ {
-		seed := baseSeed + int64(i)
-		if err := crossShardSchedule(f, seed); err != nil {
-			return fmt.Errorf("%s: cross-shard schedule %d [seed %d]: %w\nreplay: go test -run CrossShard -seed=%d",
-				f.Name, i, seed, err, seed)
-		}
-	}
-	return nil
+	runSchedules(t, func(seed int64) error { return crossShardSchedule(f, seed) })
 }
 
 // xsTxnRecord tracks one transaction's fate for the post-recovery audit.
@@ -87,28 +59,25 @@ type xsTxnRecord struct {
 	acked    bool // primary commit landed before the client died
 	touched  bool // at least one prewrite was issued
 	priShard int
-	priKey   uint64
 }
 
 func crossShardSchedule(f Factory, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	nshards := 2 + int(uint64(seed)%2)
 	schemas := txn2pc.AugmentSchemas(crossSchema())
-	opts := core.Options{MemTableCap: 32, LSMGrowth: 3, BTreeNodeSize: 128,
-		GroupCommitSize: 1, CheckpointEvery: 40}
 
 	envs := make([]*core.Env, nshards)
 	engines := make([]core.Engine, nshards)
-	committed := make([]map[uint64][]core.Value, nshards)
+	committed := make([]model, nshards)
 	nextKey := make([]uint64, nshards)
 	for s := 0; s < nshards; s++ {
-		envs[s] = core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, FSExtent: 64 << 10})
-		e, err := f.New(envs[s], schemas, opts)
+		envs[s] = scheduleEnv()
+		e, err := f.New(envs[s], schemas, scheduleOpts)
 		if err != nil {
 			return fmt.Errorf("shard %d: New: %w", s, err)
 		}
 		engines[s] = e
-		committed[s] = make(map[uint64][]core.Value)
+		committed[s] = model{"acct": {}}
 		nextKey[s] = uint64(s) + 1
 	}
 
@@ -128,20 +97,9 @@ func crossShardSchedule(f Factory, seed int64) error {
 
 	// Power cut on every shard, then recovery.
 	for s := 0; s < nshards; s++ {
-		envs[s].Dev.Crash()
-		var env2 *core.Env
 		var err error
-		if f.Volatile {
-			env2, err = envs[s].ReopenVolatile()
-		} else {
-			env2, err = envs[s].Reopen()
-		}
-		if err != nil {
-			return fmt.Errorf("shard %d: reopen: %w", s, err)
-		}
-		engines[s], err = f.Open(env2, schemas, opts)
-		if err != nil {
-			return fmt.Errorf("shard %d: recovery open: %w", s, err)
+		if engines[s], err = crashOpen(f, envs[s], schemas, scheduleOpts); err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
 
@@ -162,39 +120,21 @@ func crossShardSchedule(f Factory, seed int64) error {
 
 	// All-or-nothing: every shard's visible state equals the model built from
 	// acked transactions only; nothing from an unacked transaction leaked,
-	// nothing from an acked one is missing.
-	sch := crossSchema()[0]
+	// nothing from an acked one is missing. The sweep left no locks behind,
+	// and the shard stays usable.
 	for s := 0; s < nshards; s++ {
-		n := 0
-		var bad error
-		if err := engines[s].ScanRange("acct", 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-			n++
-			want, ok := committed[s][pk]
-			if !ok {
-				bad = fmt.Errorf("shard %d: phantom key %d (unacked txn leaked)", s, pk)
-				return false
-			}
-			if !core.RowsEqual(sch, row, want) {
-				bad = fmt.Errorf("shard %d: key %d = %v, want %v", s, pk, row, want)
-				return false
-			}
-			return true
-		}); err != nil {
-			return fmt.Errorf("shard %d: scan: %w", s, err)
+		if err := checkModel(engines[s], crossSchema(), committed[s]); err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		if bad != nil {
-			return bad
-		}
-		if n != len(committed[s]) {
-			return fmt.Errorf("shard %d: %d visible rows, acked model has %d (acked commit lost)", s, n, len(committed[s]))
-		}
-		// The sweep must leave no locks behind.
 		left, err := txn2pc.OrphanLocks(engines[s], schemas)
 		if err != nil {
 			return err
 		}
 		if len(left) != 0 {
 			return fmt.Errorf("shard %d: %d transactions still hold locks after resolution", s, len(left))
+		}
+		if err := probe(engines[s], "acct", acctRow(1<<40, 1)); err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
 
@@ -216,14 +156,6 @@ func crossShardSchedule(f Factory, seed int64) error {
 		}
 	}
 
-	// Shards stay usable.
-	for s := 0; s < nshards; s++ {
-		probe := uint64(1) << 40
-		e := engines[s]
-		if err := txn2pc.Run(e, func() error { return e.Insert("acct", probe, acctRow(probe, 1)) }); err != nil {
-			return fmt.Errorf("shard %d: post-recovery probe: %w", s, err)
-		}
-	}
 	return nil
 }
 
@@ -232,10 +164,8 @@ func crossShardSchedule(f Factory, seed int64) error {
 // would. The committed model is updated the moment the transaction is acked
 // (primary commit durable) — even when secondaries are still orphaned,
 // because resolution MUST roll them forward.
-func runCrossShardTxn(rng *rand.Rand, engines []core.Engine,
-	committed []map[uint64][]core.Value, nextKey []uint64,
+func runCrossShardTxn(rng *rand.Rand, engines []core.Engine, committed []model, nextKey []uint64,
 	nshards int, txn uint64, phase int) (xsTxnRecord, error) {
-
 	rec := xsTxnRecord{txn: txn}
 	if phase == xsPhasePrePrewrite {
 		return rec, nil // the client died before doing anything
@@ -258,9 +188,14 @@ func runCrossShardTxn(rng *rand.Rand, engines []core.Engine,
 	groups := make([]group, 0, width)
 	for _, s := range span {
 		g := group{shard: s}
-		s := s
 		for o := 0; o < 1+rng.Intn(2); o++ {
-			keys := sortedModelKeys(committed[s])
+			// Sorted: map order would make a -seed replay diverge.
+			acct := committed[s]["acct"]
+			keys := make([]uint64, 0, len(acct))
+			for k := range acct {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
 			switch {
 			case len(keys) > 0 && rng.Intn(3) == 0: // RMW an acked row
 				k := keys[rng.Intn(len(keys))]
@@ -270,20 +205,20 @@ func runCrossShardTxn(rng *rand.Rand, engines []core.Engine,
 				delta := int64(rng.Intn(100))
 				g.subs = append(g.subs, wire.Request{Op: wire.OpRmw, Table: "acct", Key: k,
 					Cols: []wire.RmwCol{{Col: 1, Add: true, Val: core.IntVal(delta)}}})
-				g.apply = append(g.apply, func() { committed[s][k][1].I += delta })
+				g.apply = append(g.apply, func() { acct[k][1].I += delta })
 			case len(keys) > 0 && rng.Intn(4) == 0: // delete an acked row
 				k := keys[rng.Intn(len(keys))]
 				if inRefs(g.refs, k) {
 					continue
 				}
 				g.subs = append(g.subs, wire.Request{Op: wire.OpDelete, Table: "acct", Key: k})
-				g.apply = append(g.apply, func() { delete(committed[s], k) })
+				g.apply = append(g.apply, func() { delete(acct, k) })
 			default: // insert a fresh row
 				k := nextKey[s]
 				nextKey[s] += uint64(nshards)
 				row := acctRow(k, int64(rng.Intn(1000)))
 				g.subs = append(g.subs, wire.Request{Op: wire.OpPut, Table: "acct", Key: k, Row: core.CloneRow(row)})
-				g.apply = append(g.apply, func() { committed[s][k] = core.CloneRow(row) })
+				g.apply = append(g.apply, func() { acct[k] = core.CloneRow(row) })
 			}
 			g.refs = append(g.refs, wire.LockRef{Table: "acct", Key: g.subs[len(g.subs)-1].Key})
 		}
@@ -291,7 +226,6 @@ func runCrossShardTxn(rng *rand.Rand, engines []core.Engine,
 	}
 	primary := groups[0]
 	rec.priShard = primary.shard
-	rec.priKey = primary.subs[0].Key
 
 	prewrite := func(g group) error {
 		req := &wire.Request{Op: wire.OpTxnPrewrite, Txn: txn,
@@ -387,23 +321,7 @@ func resolveCrossShard(engines []core.Engine, shard int, le *txn2pc.LockedError)
 	return txn2pc.Run(e, func() error { return txn2pc.Abort(e, le.Txn, false, refs) })
 }
 
-// sortedModelKeys returns the model's keys in deterministic order — map
-// iteration would make -seed replay diverge from the original run.
-func sortedModelKeys(m map[uint64][]core.Value) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // inRefs reports whether key is already targeted by this group.
 func inRefs(refs []wire.LockRef, key uint64) bool {
-	for _, r := range refs {
-		if r.Key == key {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(refs, func(r wire.LockRef) bool { return r.Key == key })
 }

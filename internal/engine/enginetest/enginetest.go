@@ -1,7 +1,8 @@
 // Package enginetest is a conformance battery run against every storage
 // engine: CRUD semantics, transactional atomicity, secondary indexes, range
 // scans, durability across crashes, and recovery of the exact committed
-// state. Each engine package invokes Run with its constructors.
+// state. Each engine package invokes Run with its constructors, and the
+// seeded crash batteries, which all run on the driver in driver.go.
 package enginetest
 
 import (
@@ -79,22 +80,12 @@ func mustEngine(t *testing.T, f Factory, env *core.Env, opts core.Options) core.
 	return e
 }
 
+// reopen cuts the power under env and recovers f's engine.
 func reopen(t *testing.T, f Factory, env *core.Env, opts core.Options) core.Engine {
 	t.Helper()
-	env.Dev.Crash()
-	var env2 *core.Env
-	var err error
-	if f.Volatile {
-		env2, err = env.ReopenVolatile()
-	} else {
-		env2, err = env.Reopen()
-	}
+	e, err := crashOpen(f, env, testSchema(), opts)
 	if err != nil {
-		t.Fatalf("%s: env reopen: %v", f.Name, err)
-	}
-	e, err := f.Open(env2, testSchema(), opts)
-	if err != nil {
-		t.Fatalf("%s: Open: %v", f.Name, err)
+		t.Fatalf("%s: %v", f.Name, err)
 	}
 	return e
 }
@@ -205,12 +196,6 @@ func testTxnAtomicity(t *testing.T, f Factory) {
 	if !found {
 		t.Error("secondary entry lost after abort")
 	}
-	var wrong bool
-	do(t, e.ScanSecondary("users", "by_balance", uint32(4294967291), func(pk uint64) bool {
-		wrong = true
-		return false
-	}))
-	_ = wrong
 }
 
 func testSecondary(t *testing.T, f Factory) {
@@ -497,81 +482,23 @@ func testRandomized(t *testing.T, f Factory) {
 			}
 		}
 	}
-	// Full verification.
-	for k, mrow := range model {
-		row, ok, _ := e.Get("users", k)
-		if !ok || !core.RowsEqual(schema, row, mrow) {
-			t.Fatalf("final check: key %d mismatch (ok=%v)", k, ok)
-		}
+	if err := checkModel(e, testSchema(), map[string]map[uint64][]core.Value{"users": model}); err != nil {
+		t.Fatalf("final check: %v", err)
 	}
 }
 
+// testRandomizedRecovery runs the crash schedules' transaction loop in groups
+// of four commits, with a clean power cycle after every 300 transactions.
 func testRandomizedRecovery(t *testing.T, f Factory) {
 	env := newEnv(t)
 	opts := core.Options{GroupCommitSize: 4}
-	e := mustEngine(t, f, env, opts)
-	model := make(map[uint64][]core.Value)
-	rng := rand.New(rand.NewSource(23))
-	schema := testSchema()[0]
-
+	w := newWorkload(rand.New(rand.NewSource(23)), mustEngine(t, f, env, opts))
 	for round := 0; round < 4; round++ {
-		for step := 0; step < 300; step++ {
-			key := uint64(rng.Intn(200)) + 1
-			do(t, e.Begin())
-			switch rng.Intn(3) {
-			case 0:
-				row := userRow(int64(key))
-				row[1].I = int64(rng.Intn(1000))
-				if _, exists := model[key]; !exists {
-					do(t, e.Insert("users", key, row))
-					model[key] = core.CloneRow(row)
-				}
-			case 1:
-				if _, exists := model[key]; exists {
-					upd := core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(int64(rng.Intn(1000)))}}
-					do(t, e.Update("users", key, upd))
-					row := core.CloneRow(model[key])
-					core.ApplyDelta(row, upd)
-					model[key] = row
-				}
-			case 2:
-				if _, exists := model[key]; exists {
-					do(t, e.Delete("users", key))
-					delete(model, key)
-				}
-			}
-			do(t, e.Commit())
-		}
-		do(t, e.Flush())
-		e = reopen(t, f, env, opts)
-		env = engineEnv(e)
-		for k, mrow := range model {
-			row, ok, _ := e.Get("users", k)
-			if !ok || !core.RowsEqual(schema, row, mrow) {
-				t.Fatalf("round %d: key %d mismatch after recovery (ok=%v)", round, k, ok)
-			}
-		}
-		// And nothing extra.
-		n := 0
-		do(t, e.ScanRange("users", 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-			n++
-			if _, exists := model[pk]; !exists {
-				t.Fatalf("round %d: phantom key %d after recovery", round, pk)
-			}
-			return true
-		}))
-		if n != len(model) {
-			t.Fatalf("round %d: scan found %d rows, model has %d", round, n, len(model))
+		do(t, w.txns(300))
+		do(t, w.e.Flush())
+		w.e = reopen(t, f, env, opts)
+		if err := checkModel(w.e, testSchema(), w.committed); err != nil {
+			t.Fatalf("round %d: after recovery: %v", round, err)
 		}
 	}
-}
-
-// engineEnv extracts the environment from an engine via the Base embed.
-type envHolder interface{ Environment() *core.Env }
-
-func engineEnv(e core.Engine) *core.Env {
-	if h, ok := e.(envHolder); ok {
-		return h.Environment()
-	}
-	panic("enginetest: engine does not expose Environment()")
 }

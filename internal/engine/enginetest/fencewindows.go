@@ -6,6 +6,7 @@ import (
 
 	"nstore/internal/core"
 	"nstore/internal/nvm"
+	"nstore/internal/txn2pc"
 )
 
 // The fence-window walk: where the conformance batteries sample crash points,
@@ -16,8 +17,7 @@ import (
 // window — none, all, and each line alone, which is what an engine that
 // assumed an order between two lines of one interval cannot survive.
 
-// windowsSchema is a users table wide enough for a ten-string row, under the
-// names crashState checks.
+// windowsSchema is a users table wide enough for a ten-string row.
 func windowsSchema() []*core.Schema {
 	cols := []core.Column{{Name: "id", Type: core.TInt}, {Name: "balance", Type: core.TInt}}
 	for i := 0; i < 10; i++ {
@@ -53,7 +53,8 @@ type windowOp struct {
 	del  bool
 }
 
-func (o windowOp) apply(e core.Engine, m map[uint64][]core.Value) error {
+func (o windowOp) apply(e core.Engine, mod model) error {
+	m := mod["users"]
 	switch {
 	case o.del:
 		delete(m, o.key)
@@ -99,34 +100,32 @@ var windowsOpts = core.Options{GroupCommitSize: 1}
 
 // windowsEngine builds the table the transaction starts from. Everything the
 // load left in the cache is evicted — legal at any time — so that every
-// un-fenced line at the crash is the transaction's own.
-func windowsEngine(f Factory) (*core.Env, core.Engine, map[uint64][]core.Value, error) {
+// un-fenced line at the crash is the transaction's own. drop >= 0 deletes
+// that fence of the transaction.
+func windowsEngine(f Factory, drop int) (*core.Env, core.Engine, model, error) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 64 << 10})
 	e, err := f.New(env, windowsSchema(), windowsOpts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	model := make(map[uint64][]core.Value)
+	m := model{"users": {}}
 	for k := uint64(1); k <= windowsKeys; k++ {
 		row := windowsRow(k, 0)
-		if err := e.Begin(); err != nil {
+		if err := txn2pc.Run(e, func() error { return e.Insert("users", k, row) }); err != nil {
 			return nil, nil, nil, err
 		}
-		if err := e.Insert("users", k, row); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := e.Commit(); err != nil {
-			return nil, nil, nil, err
-		}
-		model[k] = row
+		m["users"][k] = row
 	}
 	env.Dev.EvictAll()
-	return env, e, model, nil
+	if drop >= 0 {
+		env.Dev.DropFence(drop)
+	}
+	return env, e, m, nil
 }
 
 // windowsTxn runs the schedule's transaction and returns the fence counts at
 // its start, when it called Commit or Abort, and at its end.
-func windowsTxn(env *core.Env, e core.Engine, m map[uint64][]core.Value, sc windowSchedule) (start, end, done uint64, err error) {
+func windowsTxn(env *core.Env, e core.Engine, m model, sc windowSchedule) (start, end, done uint64, err error) {
 	start = env.Dev.Stats().Fences
 	if err = e.Begin(); err != nil {
 		return
@@ -160,7 +159,6 @@ type keptLine struct {
 // A failure names the schedule, the fence and the surviving lines.
 func RunFenceWindows(t *testing.T, f Factory) {
 	for _, sc := range windowSchedules() {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			if _, err := checkFenceWindows(f, sc, -1); err != nil {
 				t.Fatal(err)
@@ -199,14 +197,11 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 // transaction has. drop >= 0 deletes that fence of the transaction in every
 // pass.
 func checkFenceWindows(f Factory, sc windowSchedule, drop int) (int, error) {
-	env, e, before, err := windowsEngine(f)
+	env, e, before, err := windowsEngine(f, drop)
 	if err != nil {
 		return 0, err
 	}
-	after := cloneModel(before)
-	if drop >= 0 {
-		env.Dev.DropFence(drop)
-	}
+	after := before.clone()
 	start, end, done, err := windowsTxn(env, e, after, sc)
 	if err != nil {
 		return 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
@@ -214,7 +209,7 @@ func checkFenceWindows(f Factory, sc windowSchedule, drop int) (int, error) {
 	if sc.abort {
 		after = before
 	}
-	if err := crashState(e, windowsSchema()[0], after); err != nil {
+	if err := checkModel(e, windowsSchema(), after); err != nil {
 		return 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
 	}
 	fences := int(done - start)
@@ -229,35 +224,37 @@ func checkFenceWindows(f Factory, sc windowSchedule, drop int) (int, error) {
 
 // fenceWindow crashes one pass at fence k of the transaction and recovers every
 // outcome of the un-fenced lines.
-func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after map[uint64][]core.Value, inCommit bool) error {
-	env, e, model, err := windowsEngine(f)
+func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after model, inCommit bool) error {
+	env, e, m, err := windowsEngine(f, drop)
 	if err != nil {
 		return err
 	}
-	if drop >= 0 {
-		env.Dev.DropFence(drop)
-	}
 	env.Dev.InjectFaults(nvm.FaultPlan{Mode: nvm.FaultLoseAll, CrashAfterFences: k})
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r != nvm.ErrInjectedCrash {
-					panic(r)
-				}
-				crashed = true
-			}
-		}()
-		_, _, _, err = windowsTxn(env, e, model, sc)
-	}()
+	crashed, err := crashing(func() error {
+		_, _, _, err := windowsTxn(env, e, m, sc)
+		return err
+	})
 	if err != nil {
 		return err
 	}
 	if !crashed {
 		return fmt.Errorf("the transaction ended before its fence %d", k)
 	}
+	schemas := windowsSchema()
 	return CrashOutcomes(env.Dev, func(dev *nvm.Device) error {
-		return recoverOutcome(f, dev, before, after, inCommit)
+		e, err := crashOpen(f, &core.Env{Dev: dev}, schemas, windowsOpts)
+		if err != nil {
+			return err
+		}
+		if err := checkAtomic(e, schemas, before, after, inCommit); err != nil {
+			return err
+		}
+		if f.Leaks != nil {
+			if err := f.Leaks(e); err != nil {
+				return fmt.Errorf("after recovery: %w", err)
+			}
+		}
+		return probe(e, "users", windowsRow(1<<40, 1))
 	})
 }
 
@@ -303,44 +300,4 @@ func checkOutcome(medium *nvm.Device, kept []keptLine, check func(dev *nvm.Devic
 		dev.Sync(kl.line, nvm.LineSize)
 	}
 	return check(dev)
-}
-
-// recoverOutcome opens the engine on the crashed device and checks it.
-func recoverOutcome(f Factory, dev *nvm.Device, before, after map[uint64][]core.Value, inCommit bool) error {
-	env, err := (&core.Env{Dev: dev}).Reopen()
-	if err != nil {
-		return fmt.Errorf("env reopen: %w", err)
-	}
-	schema := windowsSchema()
-	e, err := f.Open(env, schema, windowsOpts)
-	if err != nil {
-		return fmt.Errorf("recovery open: %w", err)
-	}
-	if errB := crashState(e, schema[0], before); errB != nil {
-		if !inCommit {
-			return fmt.Errorf("in-flight transaction not absent: %w", errB)
-		}
-		if errA := crashState(e, schema[0], after); errA != nil {
-			return fmt.Errorf("crash in Commit, transaction neither absent (%v) nor whole (%v)", errB, errA)
-		}
-	}
-	if f.Leaks != nil {
-		if err := f.Leaks(e); err != nil {
-			return fmt.Errorf("after recovery: %w", err)
-		}
-	}
-	probe := uint64(1) << 40
-	if err := e.Begin(); err != nil {
-		return fmt.Errorf("post-recovery Begin: %w", err)
-	}
-	if err := e.Insert("users", probe, windowsRow(probe, 1)); err != nil {
-		return fmt.Errorf("post-recovery Insert: %w", err)
-	}
-	if err := e.Commit(); err != nil {
-		return fmt.Errorf("post-recovery Commit: %w", err)
-	}
-	if _, ok, err := e.Get("users", probe); err != nil || !ok {
-		return fmt.Errorf("post-recovery probe row missing (ok=%v, err=%v)", ok, err)
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package enginetest
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,52 +11,24 @@ import (
 	"nstore/internal/core"
 )
 
-// RunSnapshotConformance drives the engine through `schedules` seeded
-// concurrent read/write workloads and asserts snapshot isolation: every
-// view pinned by a concurrent reader is an exact, prefix-consistent
-// committed snapshot — no dirty reads, no torn scans, no phantom or lost
-// rows — view timestamps never move backwards, and a clean power cycle
-// rebuilds the same durable frontier. Pass schedules <= 0 for the default
-// battery (200); -short runs 40. A failure names its seed; replay with
-//
-//	go test -run SnapshotConformance -seed=<reported seed>
-func RunSnapshotConformance(t *testing.T, f Factory, schedules int) {
+// RunSnapshotConformance drives the engine through seeded concurrent
+// read/write workloads and asserts snapshot isolation: every view pinned by a
+// concurrent reader is an exact, prefix-consistent committed snapshot — no
+// dirty reads, no torn scans, no phantom or lost rows — view timestamps
+// never move backwards, and a clean power cycle rebuilds the same durable
+// frontier.
+func RunSnapshotConformance(t *testing.T, f Factory) {
 	t.Helper()
-	if schedules <= 0 {
-		schedules = 200
-	}
-	if testing.Short() && schedules > 40 {
-		schedules = 40
-	}
-	if err := CheckSnapshotConformance(f, schedules, BaseSeed()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// CheckSnapshotConformance is the error-returning core of
-// RunSnapshotConformance.
-func CheckSnapshotConformance(f Factory, schedules int, baseSeed int64) error {
-	if schedules <= 0 {
-		schedules = 200
-	}
-	for i := 0; i < schedules; i++ {
-		seed := baseSeed + int64(i)
-		if err := snapshotSchedule(f, seed); err != nil {
-			return fmt.Errorf("%s: schedule %d [seed %d]: %w\nreplay: go test -run SnapshotConformance -seed=%d",
-				f.Name, i, seed, err, seed)
-		}
-	}
-	return nil
+	runSchedules(t, func(seed int64) error { return snapshotSchedule(f, seed) })
 }
 
 // snapEntry records the exact committed state whose publication advanced
 // the oracle to ts. The writer appends inside the same critical section as
 // Commit, so a reader that pinned a view at ts T and then takes the lock is
-// guaranteed to find T's entry (the oracle only reaches T inside that
-// section).
+// guaranteed to find T's entry.
 type snapEntry struct {
-	ts    uint64
-	users map[uint64][]core.Value
+	ts uint64
+	m  model
 }
 
 // snapshotSchedule runs one seeded schedule: a single-owner writer commits,
@@ -64,15 +37,10 @@ type snapEntry struct {
 // cycle must recover exactly the final committed snapshot.
 func snapshotSchedule(f Factory, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, FSExtent: 64 << 10})
-	// GroupCommitSize 1 makes every commit durable — and therefore visible
-	// to snapshots — by the time Commit returns, so the logged model is the
-	// exact expectation for any view at that timestamp. Small capacities
-	// keep MemTable flushes and checkpoints inside the schedule.
-	opts := core.Options{MemTableCap: 32, LSMGrowth: 3, BTreeNodeSize: 128,
-		GroupCommitSize: 1, CheckpointEvery: 40}
-	schema := testSchema()
-	e, err := f.New(env, schema, opts)
+	// Every commit is durable, so visible to snapshots, when Commit returns:
+	// the logged model is exact for any view at that timestamp.
+	env, opts, schemas := scheduleEnv(), scheduleOpts, testSchema()
+	e, err := f.New(env, schemas, opts)
 	if err != nil {
 		return fmt.Errorf("New: %w", err)
 	}
@@ -82,7 +50,7 @@ func snapshotSchedule(f Factory, seed int64) error {
 	}
 
 	var mu sync.Mutex
-	hist := []snapEntry{{ts: sr.Oracle().ReadTs(), users: map[uint64][]core.Value{}}}
+	hist := []snapEntry{{ts: sr.Oracle().ReadTs(), m: model{}}}
 
 	var stop atomic.Bool
 	var readerErr atomic.Value
@@ -95,7 +63,7 @@ func snapshotSchedule(f Factory, seed int64) error {
 			var lastTs uint64
 			for !stop.Load() {
 				v := sr.SnapshotView()
-				err := checkSnapshotView(v, schema[0], &mu, &hist, lastTs)
+				err := checkSnapshotView(v, schemas, &mu, &hist, lastTs)
 				if v.Ts() > lastTs {
 					lastTs = v.Ts()
 				}
@@ -108,8 +76,8 @@ func snapshotSchedule(f Factory, seed int64) error {
 		}()
 	}
 
-	committed := map[uint64][]core.Value{}
-	working := map[uint64][]core.Value{}
+	committed := model{"users": {}}
+	working := committed.clone()
 	steps := 25 + rng.Intn(25)
 	writeErr := func() error {
 		for step := 0; step < steps; step++ {
@@ -118,7 +86,7 @@ func snapshotSchedule(f Factory, seed int64) error {
 			}
 			nops := 1 + rng.Intn(3)
 			for o := 0; o < nops; o++ {
-				if err := snapshotMutate(e, working, rng); err != nil {
+				if err := snapshotMutate(e, working["users"], rng); err != nil {
 					return fmt.Errorf("step %d: %w", step, err)
 				}
 			}
@@ -126,7 +94,7 @@ func snapshotSchedule(f Factory, seed int64) error {
 				if err := e.Abort(); err != nil {
 					return fmt.Errorf("step %d: Abort: %w", step, err)
 				}
-				working = cloneModel(committed)
+				working = committed.clone()
 				continue
 			}
 			// Commit and the history append share the critical section: the
@@ -135,14 +103,14 @@ func snapshotSchedule(f Factory, seed int64) error {
 			mu.Lock()
 			err := e.Commit()
 			if err == nil {
-				committed = cloneModel(working)
-				hist = append(hist, snapEntry{ts: sr.Oracle().ReadTs(), users: committed})
+				committed = working
+				hist = append(hist, snapEntry{ts: sr.Oracle().ReadTs(), m: committed})
 			}
 			mu.Unlock()
 			if err != nil {
 				return fmt.Errorf("step %d: Commit: %w", step, err)
 			}
-			working = cloneModel(committed)
+			working = committed.clone()
 		}
 		return nil
 	}()
@@ -160,156 +128,49 @@ func snapshotSchedule(f Factory, seed int64) error {
 	if err := e.Flush(); err != nil {
 		return fmt.Errorf("pre-crash Flush: %w", err)
 	}
-	env.Dev.Crash()
-	var env2 *core.Env
-	if f.Volatile {
-		env2, err = env.ReopenVolatile()
-	} else {
-		env2, err = env.Reopen()
-	}
+	e2, err := crashOpen(f, env, schemas, opts)
 	if err != nil {
-		return fmt.Errorf("reopen: %w", err)
-	}
-	e2, err := f.Open(env2, schema, opts)
-	if err != nil {
-		return fmt.Errorf("recovery open: %w", err)
+		return err
 	}
 	sr2, ok := core.Engine(e2).(core.SnapshotReader)
 	if !ok {
 		return fmt.Errorf("recovered engine lost core.SnapshotReader")
 	}
-	var recoveredMu sync.Mutex
-	recoveredHist := []snapEntry{{ts: sr2.Oracle().ReadTs(), users: committed}}
-	v := sr2.SnapshotView()
-	err = checkSnapshotView(v, schema[0], &recoveredMu, &recoveredHist, 0)
-	v.Close()
-	if err != nil {
+	if err := sr2.ReadSnapshot(func(v core.ReadView) error { return checkModel(v, schemas, committed) }); err != nil {
 		return fmt.Errorf("post-recovery snapshot != final committed state: %w", err)
 	}
 	return nil
 }
 
-// snapshotMutate applies one random users-table op to the engine and the
-// working model: insert a fresh key, update or delete an existing one.
-func snapshotMutate(e core.Engine, working map[uint64][]core.Value, rng *rand.Rand) error {
+// snapshotMutate applies one random users-table write to the engine and the
+// working rows: insert a fresh key, update or delete an existing one.
+func snapshotMutate(e core.Engine, users map[uint64][]core.Value, rng *rand.Rand) error {
 	key := uint64(rng.Intn(48))
-	if _, exists := working[key]; !exists {
+	return mutate(rng, e, "users", users, key, 4, func() []core.Value {
 		row := userRow(int64(key) + rng.Int63n(1000))
 		row[0] = core.IntVal(int64(key))
-		if err := e.Insert("users", key, row); err != nil {
-			return fmt.Errorf("Insert users/%d: %w", key, err)
-		}
-		working[key] = row
-		return nil
-	}
-	if rng.Intn(4) == 0 {
-		if err := e.Delete("users", key); err != nil {
-			return fmt.Errorf("Delete users/%d: %w", key, err)
-		}
-		delete(working, key)
-		return nil
-	}
-	upd := core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(int64(rng.Intn(500)))}}
-	if err := e.Update("users", key, upd); err != nil {
-		return fmt.Errorf("Update users/%d: %w", key, err)
-	}
-	row := core.CloneRow(working[key])
-	core.ApplyDelta(row, upd)
-	working[key] = row
-	return nil
+		return row
+	})
 }
 
 // checkSnapshotView asserts that the view is exactly the committed state
-// logged at the newest history entry with ts <= view ts: a full range scan
-// with no torn, phantom, stale or missing rows, point reads agreeing with
-// the scan, an absent-key probe, and secondary-index membership. minTs is
-// the reader's previous view timestamp (monotonicity).
-func checkSnapshotView(v core.ReadView, users *core.Schema, mu *sync.Mutex, hist *[]snapEntry, minTs uint64) error {
+// logged at the newest history entry with ts <= view ts — a commit published
+// between this view and a newer one must be invisible in its entirety.
+// minTs is the reader's previous view timestamp (monotonicity).
+func checkSnapshotView(v core.ReadView, schemas []*core.Schema, mu *sync.Mutex, hist *[]snapEntry, minTs uint64) error {
 	ts := v.Ts()
 	if ts < minTs {
 		return fmt.Errorf("view timestamps went backwards: %d after %d", ts, minTs)
 	}
 	mu.Lock()
 	entries := *hist
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entries[mid].ts <= ts {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		first := entries[0].ts
-		mu.Unlock()
-		return fmt.Errorf("view ts %d below the history floor %d", ts, first)
-	}
-	want := entries[lo-1].users
-	wantTs := entries[lo-1].ts
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].ts > ts })
 	mu.Unlock()
-
-	// Torn-scan / dirty-read check: the full scan must yield exactly the
-	// committed rows of the matched entry — a commit published between this
-	// view and a newer one must be invisible in its entirety.
-	n := 0
-	var bad error
-	if err := v.ScanRange("users", 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-		n++
-		wrow, ok := want[pk]
-		if !ok {
-			bad = fmt.Errorf("view ts %d: phantom key %d (model ts %d)", ts, pk, wantTs)
-			return false
-		}
-		if !core.RowsEqual(users, row, wrow) {
-			bad = fmt.Errorf("view ts %d: key %d mismatch: got %v want %v (model ts %d)", ts, pk, row, wrow, wantTs)
-			return false
-		}
-		return true
-	}); err != nil {
-		return fmt.Errorf("view ts %d: scan: %w", ts, err)
+	if i == 0 {
+		return fmt.Errorf("view ts %d below the history floor %d", ts, entries[0].ts)
 	}
-	if bad != nil {
-		return bad
-	}
-	if n != len(want) {
-		return fmt.Errorf("view ts %d: scan saw %d rows, model at ts %d has %d (torn or lost commit)", ts, n, wantTs, len(want))
-	}
-
-	probes := 0
-	for key, wrow := range want {
-		row, ok, err := v.Get("users", key)
-		if err != nil {
-			return fmt.Errorf("view ts %d: Get %d: %w", ts, key, err)
-		}
-		if !ok {
-			return fmt.Errorf("view ts %d: committed key %d invisible", ts, key)
-		}
-		if !core.RowsEqual(users, row, wrow) {
-			return fmt.Errorf("view ts %d: key %d point read disagrees with model", ts, key)
-		}
-		sec := uint32(wrow[1].I)
-		found := false
-		if err := v.ScanSecondary("users", "by_balance", sec, func(pk uint64) bool {
-			if pk == key {
-				found = true
-				return false
-			}
-			return true
-		}); err != nil {
-			return fmt.Errorf("view ts %d: secondary scan: %w", ts, err)
-		}
-		if !found {
-			return fmt.Errorf("view ts %d: key %d missing from secondary by_balance=%d", ts, key, sec)
-		}
-		if probes++; probes >= 4 {
-			break
-		}
-	}
-	if _, ok, err := v.Get("users", 1<<40); err != nil {
-		return fmt.Errorf("view ts %d: absent-key Get: %w", ts, err)
-	} else if ok {
-		return fmt.Errorf("view ts %d: absent key 1<<40 reported present", ts)
+	if err := checkModel(v, schemas, entries[i-1].m); err != nil {
+		return fmt.Errorf("view ts %d (model ts %d): %w", ts, entries[i-1].ts, err)
 	}
 	return nil
 }

@@ -102,19 +102,19 @@ func TestCheckpointCompression(t *testing.T) {
 }
 
 func TestRecoveryConformance(t *testing.T) {
-	enginetest.RunRecoveryConformance(t, factory(), 200)
+	enginetest.RunRecoveryConformance(t, factory())
 }
 
 func TestConcurrentRecoveryConformance(t *testing.T) {
-	enginetest.RunConcurrentRecoveryConformance(t, factory(), 200)
+	enginetest.RunConcurrentRecoveryConformance(t, factory())
 }
 
 func TestSnapshotConformance(t *testing.T) {
-	enginetest.RunSnapshotConformance(t, factory(), 200)
+	enginetest.RunSnapshotConformance(t, factory())
 }
 
 func TestCrossShardConformance(t *testing.T) {
-	enginetest.RunCrossShardConformance(t, factory(), 200)
+	enginetest.RunCrossShardConformance(t, factory())
 }
 
 // TestColReader: core.GetCols, served natively from the heap, equals the

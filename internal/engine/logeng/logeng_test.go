@@ -199,19 +199,19 @@ func confFactory() enginetest.Factory {
 }
 
 func TestRecoveryConformance(t *testing.T) {
-	enginetest.RunRecoveryConformance(t, confFactory(), 200)
+	enginetest.RunRecoveryConformance(t, confFactory())
 }
 
 func TestConcurrentRecoveryConformance(t *testing.T) {
-	enginetest.RunConcurrentRecoveryConformance(t, confFactory(), 200)
+	enginetest.RunConcurrentRecoveryConformance(t, confFactory())
 }
 
 func TestSnapshotConformance(t *testing.T) {
-	enginetest.RunSnapshotConformance(t, confFactory(), 200)
+	enginetest.RunSnapshotConformance(t, confFactory())
 }
 
 func TestCrossShardConformance(t *testing.T) {
-	enginetest.RunCrossShardConformance(t, confFactory(), 200)
+	enginetest.RunCrossShardConformance(t, confFactory())
 }
 
 // TestColReader: core.GetCols, served by projecting Get, answers like the

@@ -163,18 +163,6 @@ func TestVarSlotReclaimedOnUpdateCommit(t *testing.T) {
 	}
 }
 
-func TestCrashInjection(t *testing.T) {
-	enginetest.RunCrashInjection(t, enginetest.Factory{
-		Name: "nvminp",
-		New: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			return New(env, schemas, opts)
-		},
-		Open: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			return Open(env, schemas, opts)
-		},
-	}, 25)
-}
-
 // leaks reports a persisted chunk that the engine header, the heaps and the
 // indexes do not reach: after Open the WAL is empty, so every persisted chunk
 // must be one of theirs.
@@ -227,11 +215,11 @@ func TestFenceWindowsCatchDroppedFence(t *testing.T) {
 }
 
 func TestRecoveryConformance(t *testing.T) {
-	enginetest.RunRecoveryConformance(t, confFactory(), 200)
+	enginetest.RunRecoveryConformance(t, confFactory())
 }
 
 func TestConcurrentRecoveryConformance(t *testing.T) {
-	enginetest.RunConcurrentRecoveryConformance(t, confFactory(), 200)
+	enginetest.RunConcurrentRecoveryConformance(t, confFactory())
 }
 
 // TestConformanceCatchesMissingFence: the conformance battery must fail an
@@ -241,11 +229,11 @@ func TestConformanceCatchesMissingFence(t *testing.T) {
 }
 
 func TestSnapshotConformance(t *testing.T) {
-	enginetest.RunSnapshotConformance(t, confFactory(), 200)
+	enginetest.RunSnapshotConformance(t, confFactory())
 }
 
 func TestCrossShardConformance(t *testing.T) {
-	enginetest.RunCrossShardConformance(t, confFactory(), 200)
+	enginetest.RunCrossShardConformance(t, confFactory())
 }
 
 // TestColReader: core.GetCols, served natively from the heap, equals the

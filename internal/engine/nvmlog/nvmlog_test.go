@@ -195,18 +195,6 @@ func TestWALTruncatedAtCommit(t *testing.T) {
 	}
 }
 
-func TestCrashInjection(t *testing.T) {
-	enginetest.RunCrashInjection(t, enginetest.Factory{
-		Name: "nvmlog",
-		New: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			return New(env, schemas, opts)
-		},
-		Open: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			return Open(env, schemas, opts)
-		},
-	}, 25)
-}
-
 func confFactory() enginetest.Factory {
 	return enginetest.Factory{
 		Name: "nvm-log",
@@ -236,19 +224,19 @@ func TestFenceWindowsCatchDroppedFence(t *testing.T) {
 }
 
 func TestRecoveryConformance(t *testing.T) {
-	enginetest.RunRecoveryConformance(t, confFactory(), 200)
+	enginetest.RunRecoveryConformance(t, confFactory())
 }
 
 func TestConcurrentRecoveryConformance(t *testing.T) {
-	enginetest.RunConcurrentRecoveryConformance(t, confFactory(), 200)
+	enginetest.RunConcurrentRecoveryConformance(t, confFactory())
 }
 
 func TestSnapshotConformance(t *testing.T) {
-	enginetest.RunSnapshotConformance(t, confFactory(), 200)
+	enginetest.RunSnapshotConformance(t, confFactory())
 }
 
 func TestCrossShardConformance(t *testing.T) {
-	enginetest.RunCrossShardConformance(t, confFactory(), 200)
+	enginetest.RunCrossShardConformance(t, confFactory())
 }
 
 // TestColReader: core.GetCols, served by projecting Get, answers like the
