@@ -37,9 +37,8 @@ type Base struct {
 // Exclusion serializes everything that touches an engine's device. A
 // transaction holds it from BeginTx to EndTx; Flush and every other
 // owner-side entry point outside a transaction hold it for the call
-// (Base.Exclude); a background flush or compaction stage holds it for the
-// stage; a snapshot read holds it while it reads the engine and rolls the
-// result back to its timestamp (mvcc.View). So a reader never sees a
+// (Base.Exclude); a snapshot read holds it while it reads the engine and
+// rolls the result back to its timestamp (mvcc.View). So a reader never sees a
 // transaction half applied and waits for at most the one in flight. Retire
 // shuts readers out for good once the device is power-cycled.
 type Exclusion struct {
@@ -97,19 +96,11 @@ func (b *Base) Table(name string) (*TableMeta, error) {
 
 // BeginTx starts a transaction and takes the exclusion, waiting for a
 // snapshot read in progress.
-func (b *Base) BeginTx() error { return b.BeginTxUnder(func() {}) }
-
-// BeginTxUnder is BeginTx for an engine with a monitor of its own: it takes
-// the exclusion, then calls lock to take the monitor, and marks the
-// transaction under both. The order is the one a snapshot read takes them
-// in (the exclusion, then the engine's read methods take the monitor). On
-// success the caller releases the monitor; on ErrInTxn nothing was taken.
-func (b *Base) BeginTxUnder(lock func()) error {
+func (b *Base) BeginTx() error {
 	if b.InTx {
 		return ErrInTxn
 	}
 	b.excl.Lock()
-	lock()
 	b.InTx = true
 	b.TxnID++
 	return nil

@@ -39,10 +39,10 @@ type Options struct {
 	// in bytes (default 1 MiB). A single record larger than this gets a
 	// segment of its own.
 	VlogSegSize int
-	// FlushWorkers selects how the Log engines run their staged
-	// flush/compaction pipeline: 0 executes stages inline at the trigger
-	// point (deterministic, the conformance default), 1 runs them on a
-	// background worker drained by Flush/Close.
+	// FlushWorkers is vestigial and must be 0: the Log engines run their
+	// staged flush/compaction pipeline inline, at the trigger point, and
+	// their New and Open refuse any other value. The field remains only
+	// for callers that still pin it to 0.
 	FlushWorkers int
 }
 

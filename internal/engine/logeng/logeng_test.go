@@ -1,6 +1,7 @@
 package logeng
 
 import (
+	"strings"
 	"testing"
 
 	"nstore/internal/core"
@@ -226,4 +227,20 @@ func TestColReader(t *testing.T) {
 // while pmfs wrote WAL, SSTable and value-log bytes through the cache.)
 func TestDeviceBudget(t *testing.T) {
 	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 99.2, Stores: 53.6, Flushes: 2.8, Fences: 0.95})
+}
+
+// TestFlushWorkersRefused: the flush pipeline runs inline only, so New and
+// Open refuse any Options.FlushWorkers but 0, naming the field, instead of
+// ignoring it.
+func TestFlushWorkersRefused(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 16 << 20})
+	if _, err := New(env, simpleSchema(), core.Options{FlushWorkers: 1}); err == nil || !strings.Contains(err.Error(), "FlushWorkers") {
+		t.Fatalf("New with FlushWorkers 1: %v, want an error naming the field", err)
+	}
+	if _, err := New(env, simpleSchema(), core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(env, simpleSchema(), core.Options{FlushWorkers: 1}); err == nil || !strings.Contains(err.Error(), "FlushWorkers") {
+		t.Fatalf("Open with FlushWorkers 1: %v, want an error naming the field", err)
+	}
 }

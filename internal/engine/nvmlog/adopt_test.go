@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"nstore/internal/core"
@@ -14,6 +13,22 @@ import (
 	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
+
+func bigSchema() []*core.Schema {
+	return []*core.Schema{{
+		Name: "t",
+		Columns: []core.Column{
+			{Name: "id", Type: core.TInt},
+			{Name: "a", Type: core.TInt},
+			{Name: "b", Type: core.TString, Size: 16 << 10},
+		},
+	}}
+}
+
+func bigRow(i int64, n int) []core.Value {
+	pat := strings.Repeat(string(rune('a'+i%26)), n)
+	return []core.Value{core.IntVal(i), core.IntVal(i * 2), core.StrVal(pat)}
+}
 
 // adoptOpts rotate every 8 keys and merge at growth factor 2, so a few
 // rotations build runs of 8, 16, 24 and 40 keys: sets that reach the oldest
@@ -34,10 +49,9 @@ func adoptLen(k uint64, size int) int {
 	return 40
 }
 
-// adoptStep is one step of a fixed schedule: a single-operation transaction,
-// or work of the background worker.
+// adoptStep is one step of a fixed schedule: a single-operation transaction.
 type adoptStep struct {
-	kind byte // 'i' insert, 'u' update column a, 'd' delete; 'w' one background task, 'W' all of them
+	kind byte // 'i' insert, 'u' update column a, 'd' delete
 	key  uint64
 	n    int // insert: length of column b
 }
@@ -186,7 +200,9 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 						return true
 					})
 				}
-				compactions, written := e.FlushStats().Compactions, env.Dev.Stats().BytesWritten
+				// Inside the transaction, where FlushStats would wait for the
+				// exclusion the transaction holds.
+				compactions, written := e.fstats.Compactions, env.Dev.Stats().BytesWritten
 				if err := e.Commit(); err != nil {
 					t.Fatal(err)
 				}
@@ -288,7 +304,6 @@ func TestMergeAdoptsNewestFullImage(t *testing.T) {
 // what it is named for.
 type adoptCase struct {
 	name   string
-	opts   core.Options
 	steps  []adoptStep
 	window int
 	shape  func(e *Engine) error
@@ -300,15 +315,9 @@ type adoptPlan struct {
 	steps []adoptStep
 	next  uint64
 	size  int
-	bg    bool // after each insert, let the background worker drain its queue
 }
 
-func (p *adoptPlan) add(st adoptStep) {
-	p.steps = append(p.steps, st)
-	if p.bg {
-		p.steps = append(p.steps, adoptStep{kind: 'W'})
-	}
-}
+func (p *adoptPlan) add(st adoptStep) { p.steps = append(p.steps, st) }
 
 // fill inserts n fresh keys, with 40-byte images when small.
 func (p *adoptPlan) fill(n int, small bool) {
@@ -357,7 +366,7 @@ func wantShape(e *Engine, merges int64, keys []int, tombs int) error {
 	return nil
 }
 
-// adoptCases are the three schedules, their keys drawn from the -seed. With
+// adoptCases are the two schedules, their keys drawn from the -seed. With
 // rotations every 8 keys at k = 2, the fourth rotation leaves runs of 8 and 24
 // keys, the sixth 8 and 40 (the fifth merged everything).
 func adoptCases(size int, seed int64) []adoptCase {
@@ -389,130 +398,21 @@ func adoptCases(size int, seed int64) []adoptCase {
 	taken = map[uint64]bool{}
 	upd, gone, again = pick(rng, 1, 24, taken, true), pick(rng, 1, 24, taken, false), pick(rng, 1, 24, taken, false)
 	gone2 := pick(rng, 25, 32, taken, false)
-	fifth := []adoptStep{{'u', upd, 0}, {'d', gone, 0}, {'d', gone2, 0}, {'d', again, 0}, {'i', again, adoptLen(again, size)}}
-	for _, st := range fifth {
+	for _, st := range []adoptStep{{'u', upd, 0}, {'d', gone, 0}, {'d', gone2, 0}, {'d', again, 0}, {'i', again, adoptLen(again, size)}} {
 		b.add(st)
 	}
 	b.fill(4, true)
 
-	// Background merge behind a rotation: schedule b's fifth rotation on the
-	// worker, which runs one task per 'w'. Its rotation task chooses the set;
-	// eight more inserts rotate again before the merge runs, so the run list
-	// the merge splices its victims out of has a new run at its head.
-	c := &adoptPlan{size: size, bg: true}
-	c.fill(32, false)
-	for _, st := range fifth {
-		c.add(st)
-	}
-	c.fill(3, true)
-	c.bg = false
-	c.fill(1, true)
-	c.add(adoptStep{kind: 'w'}) // the fifth rotation's task chooses the set
-	window := len(c.steps)
-	c.fill(8, true)             // the sixth rotation
-	c.add(adoptStep{kind: 'w'}) // the merge
-	c.add(adoptStep{kind: 'w'}) // the sixth rotation's task: no set
-	bgOpts := adoptOpts
-	bgOpts.FlushWorkers = 1
-
 	return []adoptCase{
-		{"stops-above-oldest", adoptOpts, a.steps, len(a.steps) - 1,
+		{"stops-above-oldest", a.steps, len(a.steps) - 1,
 			func(e *Engine) error { return wantShape(e, 4, []int{13, 40}, 2) }},
-		{"reaches-oldest", adoptOpts, b.steps, len(b.steps) - 1,
+		{"reaches-oldest", b.steps, len(b.steps) - 1,
 			func(e *Engine) error { return wantShape(e, 3, []int{34}, 0) }},
-		{"background-rotation-behind-merge", bgOpts, c.steps, window,
-			func(e *Engine) error { return wantShape(e, 3, []int{8, 34}, 0) }},
 	}
 }
 
-// adoptGate admits the background worker to one task per token (-1: to all).
-type adoptGate struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	tokens   int
-	finished int
-}
-
-func (g *adoptGate) enter() {
-	g.mu.Lock()
-	for g.tokens == 0 {
-		g.cond.Wait()
-	}
-	if g.tokens > 0 {
-		g.tokens--
-	}
-	g.mu.Unlock()
-}
-
-func (g *adoptGate) leave() {
-	g.mu.Lock()
-	g.finished++
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-func (g *adoptGate) allow(n int) {
-	g.mu.Lock()
-	g.tokens = n
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// runOne lets exactly one task through and waits for it.
-func (g *adoptGate) runOne() {
-	g.mu.Lock()
-	want := g.finished + 1
-	g.tokens = 1
-	g.cond.Broadcast()
-	for g.finished < want {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
-
-// adoptRun drives an engine through a schedule. On the background worker it
-// replaces the engine's flush manager with one whose worker waits at gate.
-type adoptRun struct {
-	e    *Engine
-	gate *adoptGate
-}
-
-func startAdopt(env *core.Env, opts core.Options) (*adoptRun, error) {
-	e, err := New(env, bigSchema(), opts)
-	if err != nil {
-		return nil, err
-	}
-	r := &adoptRun{e: e}
-	if opts.FlushWorkers > 0 {
-		e.fm.Close()
-		r.gate = &adoptGate{}
-		r.gate.cond = sync.NewCond(&r.gate.mu)
-		x := e.Exclusion()
-		e.fm = lsm.NewFlushManager(true,
-			func() { r.gate.enter(); x.Lock(); e.mu.Lock() },
-			func() { e.mu.Unlock(); x.Unlock(); r.gate.leave() }, nil)
-	}
-	return r, nil
-}
-
-// step runs one step. A task of the worker reports its failure here.
-func (r *adoptRun) step(st adoptStep) error {
-	switch st.kind {
-	case 'w':
-		r.gate.runOne()
-		return r.e.fm.TakeErr()
-	case 'W':
-		r.gate.allow(-1)
-		r.e.fm.Drain()
-		r.gate.allow(0)
-		return r.e.fm.TakeErr()
-	}
-	return applyAdoptStep(r.e, st)
-}
-
-// crashStep runs one step and reports whether the injected crash struck in it,
-// on this goroutine or on the worker (which turns the panic into an error).
-func (r *adoptRun) crashStep(st adoptStep) (crashed bool, err error) {
+// crashStep runs one step and reports whether the injected crash struck in it.
+func crashStep(e *Engine, st adoptStep) (crashed bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if p != nvm.ErrInjectedCrash {
@@ -521,27 +421,12 @@ func (r *adoptRun) crashStep(st adoptStep) (crashed bool, err error) {
 			crashed = true
 		}
 	}()
-	err = r.step(st)
-	if err != nil && strings.Contains(err.Error(), nvm.ErrInjectedCrash.Error()) {
-		return true, nil
-	}
-	return false, err
-}
-
-// stop ends the run, whatever state a crash left the engine in: the exclusion
-// a cut-short transaction holds is released and the worker drained.
-func (r *adoptRun) stop() {
-	if r.gate != nil {
-		r.gate.allow(-1)
-	}
-	r.e.Retire()
-	_ = r.e.Close() // an engine stopped by a crash may fail its remaining tasks
+	return false, applyAdoptStep(e, st)
 }
 
 // TestAdoptCrashWindows injects a power failure at every fence of a merge's
 // window — the merge, the bulk load, the run-list swap, the release of the
-// victims, and for the background schedule the rotation that lands between
-// the choice of the set and its merge — and, with the un-fenced lines all
+// victims — and, with the un-fenced lines all
 // lost, all kept and each kept alone, requires after recovery: the committed
 // table on one side of the interrupted step, an allocator that holds exactly
 // the reachable set, and an engine that merges again without tripping over a
@@ -565,7 +450,7 @@ var adoptEnv = core.EnvConfig{DeviceSize: 2 << 20, FSFraction: 0.25, FSExtent: 6
 func adoptCrashWindows(t *testing.T, c adoptCase) {
 	// The window's fences and the schedule's shape, from an uninterrupted run.
 	env := core.NewEnv(adoptEnv)
-	r, err := startAdopt(env, c.opts)
+	e, err := New(env, bigSchema(), adoptOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,43 +459,40 @@ func adoptCrashWindows(t *testing.T, c adoptCase) {
 		if i == c.window {
 			lo = env.Dev.Stats().Fences
 		}
-		if err := r.step(st); err != nil {
+		if err := applyAdoptStep(e, st); err != nil {
 			t.Fatalf("step %d %c %d: %v", i, st.kind, st.key, err)
 		}
 	}
 	hi := env.Dev.Stats().Fences
-	if err := c.shape(r.e); err != nil {
+	if err := c.shape(e); err != nil {
 		t.Fatalf("uninterrupted: %v", err)
 	}
-	if err := checkAdoptModel(r.e, adoptModel(c.steps, len(c.steps))); err != nil {
+	if err := checkAdoptModel(e, adoptModel(c.steps, len(c.steps))); err != nil {
 		t.Fatalf("uninterrupted: %v", err)
 	}
-	if err := checkArenaMatchesReach(r.e); err != nil {
+	if err := checkArenaMatchesReach(e); err != nil {
 		t.Fatalf("uninterrupted: %v", err)
 	}
-	r.stop()
 
-	reopen := c.opts
-	reopen.FlushWorkers = 0
 	stride := uint64(1)
 	if testing.Short() {
 		stride = 7
 	}
 	for f := lo; f < hi; f += stride {
 		env := core.NewEnv(adoptEnv)
-		r, err := startAdopt(env, c.opts)
+		e, err := New(env, bigSchema(), adoptOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, st := range c.steps[:c.window] {
-			if err := r.step(st); err != nil {
+			if err := applyAdoptStep(e, st); err != nil {
 				t.Fatal(err)
 			}
 		}
 		env.Dev.InjectFaults(nvm.FaultPlan{Mode: nvm.FaultLoseAll, CrashAfterFences: int(f - env.Dev.Stats().Fences)})
 		at := -1
 		for i := c.window; i < len(c.steps) && at < 0; i++ {
-			crashed, err := r.crashStep(c.steps[i])
+			crashed, err := crashStep(e, c.steps[i])
 			if err != nil {
 				t.Fatalf("fence %d: step %d: %v", f, i, err)
 			}
@@ -623,9 +505,8 @@ func adoptCrashWindows(t *testing.T, c adoptCase) {
 		}
 		before, after := adoptModel(c.steps, at), adoptModel(c.steps, at+1)
 		err = enginetest.CrashOutcomes(env.Dev, func(dev *nvm.Device) error {
-			return recoverAdopt(dev, reopen, before, after)
+			return recoverAdopt(dev, before, after)
 		})
-		r.stop()
 		if err != nil {
 			t.Fatalf("fence %d (step %d %c %d): %v", f, at, c.steps[at].kind, c.steps[at].key, err)
 		}
@@ -635,12 +516,12 @@ func adoptCrashWindows(t *testing.T, c adoptCase) {
 // recoverAdopt opens the engine on a crashed device and checks it: the table
 // on one side of the interrupted step, the allocator holding exactly the
 // reachable set, and the same again after the next merge.
-func recoverAdopt(dev *nvm.Device, opts core.Options, before, after map[uint64][2]int64) error {
+func recoverAdopt(dev *nvm.Device, before, after map[uint64][2]int64) error {
 	env, err := (&core.Env{Dev: dev}).Reopen()
 	if err != nil {
 		return err
 	}
-	e, err := Open(env, bigSchema(), opts)
+	e, err := Open(env, bigSchema(), adoptOpts)
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}
