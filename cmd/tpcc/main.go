@@ -80,7 +80,7 @@ func main() {
 			Profile:    profile,
 			CacheSize:  *cache,
 		},
-		Options: core.Options{MemTableCap: 512, RecoveryParallelism: drill.RecoveryParallel},
+		Options: core.Options{MemTableCap: 512},
 		Schemas: tpcc.Schemas(),
 	})
 	if err != nil {
@@ -169,7 +169,7 @@ func main() {
 		}
 		fmt.Printf("crash + recovery: %v\n", d)
 		for _, rs := range db.RecoveryStats() {
-			fmt.Printf("  part %d: %v (%d records, %d workers)\n", rs.Partition, rs.Wall.Round(1000), rs.Records, rs.Workers)
+			fmt.Printf("  part %d: %v (%d records)\n", rs.Partition, rs.Wall.Round(1000), rs.Records)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func main() {
 			Profile:    profile,
 			CacheSize:  *cache,
 		},
-		Options: core.Options{MemTableCap: 512, CheckpointEvery: *txns / *partitions, RecoveryParallelism: drill.RecoveryParallel},
+		Options: core.Options{MemTableCap: 512, CheckpointEvery: *txns / *partitions},
 		Schemas: ycsb.Schema(cfg),
 	})
 	if err != nil {

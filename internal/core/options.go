@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Options tunes engine behaviour. The zero value selects the paper's
 // defaults (§5: 512 B STX B+tree nodes, 4 KB CoW B+tree nodes).
 type Options struct {
@@ -23,11 +25,10 @@ type Options struct {
 	// k times the keys gathered so far. The Log engine's binary cascade does
 	// not read it.
 	LSMGrowth int
-	// RecoveryParallelism bounds the fan-out of the recovery pipeline's
-	// CPU stages (WAL collapse, bloom rebuilds, reachability decode, slot
-	// sweeps). 0 picks a bounded number of CPUs (see RecoveryWorkers); 1
-	// forces fully sequential recovery, matching the paper's measurement
-	// methodology.
+	// RecoveryParallelism is vestigial and must be 0 or 1: every engine
+	// recovers on the goroutine that opens it, one step after another, as
+	// the paper measures recovery (Fig. 12). New and Open refuse any other
+	// value; the field remains only for callers that still pin it to 1.
 	RecoveryParallelism int
 	// VlogThreshold is the value size (encoded row bytes) at or above which
 	// the Log engine separates the value into the append-only value log,
@@ -44,6 +45,20 @@ type Options struct {
 	// their New and Open refuse any other value. The field remains only
 	// for callers that still pin it to 0.
 	FlushWorkers int
+}
+
+// CheckVestigial refuses a vestigial field set to a value no engine honors:
+// FlushWorkers other than 0, RecoveryParallelism other than 0 or 1. Every
+// engine's New and Open call it, so such an option fails loudly instead of
+// being silently ignored.
+func (o Options) CheckVestigial() error {
+	if o.FlushWorkers != 0 {
+		return fmt.Errorf("core: Options.FlushWorkers = %d, want 0: the flush pipeline runs inline only", o.FlushWorkers)
+	}
+	if o.RecoveryParallelism != 0 && o.RecoveryParallelism != 1 {
+		return fmt.Errorf("core: Options.RecoveryParallelism = %d, want 0 or 1: recovery runs on the opening goroutine", o.RecoveryParallelism)
+	}
+	return nil
 }
 
 // WithDefaults fills unset fields with the paper's defaults.

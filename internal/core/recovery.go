@@ -6,16 +6,12 @@ import (
 )
 
 // RecoveryReport summarizes an engine's last recovery pass: how much log or
-// metadata it had to process and how wide the fan-out stages actually ran.
-// Engines fill it during Open; the testbed and the serving runtime surface
-// it per partition through the metrics registry.
+// metadata it had to process. Engines fill it during Open; the testbed and
+// the serving runtime surface it per partition through the metrics registry.
 type RecoveryReport struct {
 	// Records counts the units of recovery work: WAL records replayed,
 	// tree pages warmed, allocator chunks classified.
 	Records int64
-	// Workers is the parallelism the fan-out stages ran with (1 =
-	// sequential recovery).
-	Workers int
 }
 
 // RecoveryReporter is implemented by engines that expose a RecoveryReport
@@ -24,44 +20,28 @@ type RecoveryReporter interface {
 	RecoveryReport() RecoveryReport
 }
 
-// RecoveryWorkers resolves the Options.RecoveryParallelism knob into an
-// actual worker count: explicit values are honored, 0 (the default) picks a
-// bounded number of CPUs so a wide fan-out cannot oversubscribe a small
-// machine or starve co-recovering partitions.
-func RecoveryWorkers(opt int) int {
-	if opt > 0 {
-		return opt
+// ParallelChunks splits [0, n) into one contiguous stripe per worker and
+// runs fn(lo, hi) for each stripe on its own goroutine, returning the first
+// error by stripe order. workers <= 0 picks the number of CPUs, capped at 8,
+// so co-recovering partitions cannot oversubscribe a small machine. Its use
+// is partition-level recovery: each partition owns its device, so stripes
+// share nothing. An engine's own recovery runs on the recovering goroutine.
+func ParallelChunks(workers, n int, fn func(lo, hi int) error) error {
+	if workers <= 0 {
+		workers = min(runtime.NumCPU(), 8)
 	}
-	w := runtime.NumCPU()
-	if w > 8 {
-		w = 8
+	workers = min(workers, n)
+	if workers == 1 {
+		return fn(0, n)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// ParallelShards runs fn(0) .. fn(shards-1) on up to `shards` goroutines and
-// returns the first error (by shard order). The intended use is recovery
-// fan-out over host-memory state: callers must keep all device access on
-// their own goroutine (the nvm.Device data path is single-owner) and hand
-// workers only buffers already copied out of the device.
-func ParallelShards(shards int, fn func(shard int) error) error {
-	if shards <= 1 {
-		if shards == 1 {
-			return fn(0)
-		}
-		return nil
-	}
-	errs := make([]error, shards)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	for w := range errs {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			errs[s] = fn(s)
-		}(s)
+			errs[w] = fn(n*w/workers, n*(w+1)/workers)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -70,21 +50,4 @@ func ParallelShards(shards int, fn func(shard int) error) error {
 		}
 	}
 	return nil
-}
-
-// ParallelChunks splits [0, n) into one contiguous stripe per worker and
-// runs fn(worker, lo, hi) concurrently, returning the first error (by stripe
-// order). Like ParallelShards, fn must only touch host memory.
-func ParallelChunks(workers, n int, fn func(worker, lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	return ParallelShards(workers, func(w int) error {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		return fn(w, lo, hi)
-	})
 }

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Pager supplies fixed-size pages and the durable master record.
@@ -715,8 +714,8 @@ func (t *Tree) Iter(from uint64, fn func(k uint64, v []byte) bool) {
 }
 
 // Reachable walks the committed tree and reports every reachable page id
-// (and leaf values via onVal, if non-nil). Used by recovery sweeps to
-// asynchronously reclaim the dirty directory lost in a crash.
+// (and leaf values via onVal, if non-nil), depth first. Recovery sweeps use
+// it to reclaim the dirty directory lost in a crash.
 func (t *Tree) Reachable(onPage func(id uint64), onVal func(v []byte)) {
 	var walk func(id uint64)
 	walk = func(id uint64) {
@@ -735,72 +734,6 @@ func (t *Tree) Reachable(onPage func(id uint64), onVal func(v []byte)) {
 		}
 	}
 	walk(t.commRoot)
-}
-
-// ReachableParallel is Reachable with the page decode fanned out over up to
-// `workers` goroutines. The walk proceeds level by level: the calling
-// goroutine reads each frontier page into a host buffer (pager reads are
-// device accesses, and the nvm.Device data path is single-owner), then
-// workers parse the host images concurrently to extract child ids and leaf
-// values. Both callbacks run on the calling goroutine, in a deterministic
-// order (parent order within a level), so callers need no locking.
-func (t *Tree) ReachableParallel(workers int, onPage func(id uint64), onVal func(v []byte)) {
-	if workers <= 1 {
-		t.Reachable(onPage, onVal)
-		return
-	}
-	type parsed struct {
-		children []uint64
-		vals     [][]byte
-	}
-	frontier := []uint64{t.commRoot}
-	for len(frontier) > 0 {
-		// Owner: report and read this level's pages.
-		bufs := make([][]byte, len(frontier))
-		for i, id := range frontier {
-			onPage(id)
-			bufs[i] = t.page(id)
-		}
-		// Workers: decode the host images.
-		outs := make([]parsed, len(bufs))
-		w := workers
-		if w > len(bufs) {
-			w = len(bufs)
-		}
-		var wg sync.WaitGroup
-		for s := 0; s < w; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for i := s; i < len(bufs); i += w {
-					buf := bufs[i]
-					if isLeaf(buf) {
-						if onVal != nil {
-							for j := 0; j < count(buf); j++ {
-								outs[i].vals = append(outs[i].vals, leafVal(buf, j))
-							}
-						}
-						continue
-					}
-					for j := 0; j < count(buf); j++ {
-						outs[i].children = append(outs[i].children, innerChild(buf, j))
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		// Owner: deliver values and advance the frontier in parent order.
-		var next []uint64
-		for _, o := range outs {
-			if onVal != nil {
-				for _, v := range o.vals {
-					onVal(v)
-				}
-			}
-			next = append(next, o.children...)
-		}
-		frontier = next
-	}
 }
 
 // Count returns the number of keys (test helper).

@@ -62,6 +62,9 @@ func OpenNVM(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine,
 // persisted txn id, and the placement reclaims what the dirty directory held.
 func start(name string, mk func(*core.Env, int, bool) (cowbtree.Pager, placement, error),
 	env *core.Env, schemas []*core.Schema, opts core.Options, reopen bool) (*Engine, error) {
+	if err := opts.CheckVestigial(); err != nil {
+		return nil, err
+	}
 	if err := core.ValidatePacked(schemas); err != nil {
 		return nil, err
 	}
@@ -78,12 +81,11 @@ func start(name string, mk func(*core.Env, int, bool) (cowbtree.Pager, placement
 	if reopen {
 		e.tree = cowbtree.Attach(pg)
 		e.TxnID = e.tree.Meta()
-		workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
-		records, err := tup.reclaim(e.tree, workers)
+		records, err := tup.reclaim(e.tree)
 		if err != nil {
 			return nil, err
 		}
-		e.Rec = core.RecoveryReport{Records: records, Workers: workers}
+		e.Rec = core.RecoveryReport{Records: records}
 	} else if e.tree, err = cowbtree.Create(pg); err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func nvmFactory() enginetest.Factory {
 func leaks(ce core.Engine) error {
 	e := ce.(*Engine)
 	reach := map[uint64]bool{e.Env.Arena.Root(0): true}
-	e.tree.ReachableParallel(1, func(id uint64) { reach[id] = true }, func(v []byte) {
+	e.tree.Reachable(func(id uint64) { reach[id] = true }, func(v []byte) {
 		if len(v) == 8 {
 			reach[binary.LittleEndian.Uint64(v)] = true
 		}

@@ -29,7 +29,7 @@ type placement interface {
 	// reclaim runs at Open: it walks the committed tree, frees the storage
 	// nothing reaches, and reports the records it examined. A walk that met a
 	// page it could not read frees nothing and returns a Corrupt error.
-	reclaim(tr *cowbtree.Tree, workers int) (int64, error)
+	reclaim(tr *cowbtree.Tree) (int64, error)
 	footprint() core.Footprint
 }
 
@@ -56,9 +56,9 @@ func (inline) persisted()                            {}
 // reclaim rebuilds the file's free-page list from the pages the tree reaches.
 // A page the pager could not read hid the pages below it from the walk, so
 // then no page is made free.
-func (p inline) reclaim(tr *cowbtree.Tree, workers int) (int64, error) {
+func (p inline) reclaim(tr *cowbtree.Tree) (int64, error) {
 	used := make(map[uint64]bool)
-	tr.ReachableParallel(workers, func(id uint64) { used[id] = true }, nil)
+	tr.Reachable(func(id uint64) { used[id] = true }, nil)
 	if err := p.pg.Err(); err != nil {
 		return 0, core.Corrupt(fmt.Errorf("cow: reclaim: %w", err))
 	}
@@ -157,9 +157,9 @@ func (c *chunked) free(ps []pmalloc.Ptr) {
 // table chunks the tree does not reach — once the walk has seen every chunk.
 // A page the pager could not decode hid the tuples it names from the walk, so
 // then nothing is freed.
-func (c *chunked) reclaim(tr *cowbtree.Tree, workers int) (int64, error) {
+func (c *chunked) reclaim(tr *cowbtree.Tree) (int64, error) {
 	reach := make(map[uint64]bool)
-	tr.ReachableParallel(workers, func(id uint64) { reach[id] = true }, func(v []byte) {
+	tr.Reachable(func(id uint64) { reach[id] = true }, func(v []byte) {
 		if len(v) == 8 {
 			reach[binary.LittleEndian.Uint64(v)] = true
 		}

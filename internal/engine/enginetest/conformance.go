@@ -156,8 +156,8 @@ func recoverySchedule(f Factory, fam faultFamily, seed int64) error {
 	return nil
 }
 
-// RunConcurrentRecoveryConformance is the conformance check for the parallel
-// recovery pipeline: a recovery pass must be restartable at any point without
+// RunConcurrentRecoveryConformance is the conformance check for crashes
+// inside recovery: a recovery pass must be restartable at any point without
 // changing the state it converges to.
 func RunConcurrentRecoveryConformance(t *testing.T, f Factory) {
 	t.Helper()

@@ -69,6 +69,9 @@ type undoRec struct {
 
 // New creates a fresh InP engine on the partition environment.
 func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, error) {
+	if err := opts.CheckVestigial(); err != nil {
+		return nil, err
+	}
 	e := &Engine{opts: opts.WithDefaults()}
 	e.InitBase(env, schemas)
 	wal, err := core.NewFsWAL(env.FS, walFile, e.opts.GroupCommitSize)
@@ -107,6 +110,9 @@ func (e *Engine) buildVolatile() {
 // replay the WAL, and rebuild the indexes. The allocator memory is treated
 // as volatile, so the caller must pass a freshly formatted arena.
 func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, error) {
+	if err := opts.CheckVestigial(); err != nil {
+		return nil, err
+	}
 	e := &Engine{opts: opts.WithDefaults()}
 	e.InitBase(env, schemas)
 	stop := e.Bd.Timer(&e.Bd.Recovery)
@@ -141,19 +147,11 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	return e, nil
 }
 
+// replayWAL is ARIES redo, record by record in log order, on the recovering
+// goroutine. Records at or below the checkpoint's transaction floor are
+// already in the checkpoint image; they reappear when a truncated log's
+// extents are reused and must not be applied twice (or out of order).
 func (e *Engine) replayWAL() (uint64, error) {
-	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
-	if workers <= 1 {
-		return e.replayWALSequential()
-	}
-	return e.replayWALParallel(workers)
-}
-
-func (e *Engine) replayWALSequential() (uint64, error) {
-	e.Rec.Workers = 1
-	// Records at or below the checkpoint's transaction floor are already in
-	// the checkpoint image; they reappear when a truncated log's extents are
-	// reused and must not be applied twice (or out of order).
 	return e.wal.Replay(e.ckptTxn, func(r core.WalRecord) error {
 		e.Rec.Records++
 		tm := e.Tables[r.Table]
@@ -175,167 +173,6 @@ func (e *Engine) replayWALSequential() (uint64, error) {
 		}
 		return nil
 	})
-}
-
-// replayOp is one collapsed per-tuple outcome of the redo analysis.
-type replayOp struct {
-	table int
-	key   uint64
-	kind  uint8 // core.WalInsert (full row), WalUpdate (merged delta), WalDelete
-	row   []core.Value
-	upd   core.Update
-}
-
-// replayWALParallel splits ARIES-style redo into an analysis pass and a
-// fan-out apply stage keyed by tuple id. Analysis runs on the recovering
-// goroutine (the WAL read is a device access; the nvm.Device data path is
-// single-owner) and shards the committed records by (table, key). Workers
-// then collapse each tuple's record sequence — decode, delta merging,
-// insert/delete cancellation — entirely in host memory, and the owner
-// applies one final operation per tuple. Per-tuple log order is preserved
-// inside a shard, and tuples in different shards are independent (the only
-// shared structures, the secondary indexes, are written in the serial apply
-// stage), so the collapse commutes with sequential replay.
-func (e *Engine) replayWALParallel(workers int) (uint64, error) {
-	shards := make([][]core.WalRecord, workers)
-	var nrec int64
-	maxTxn, err := e.wal.Replay(e.ckptTxn, func(r core.WalRecord) error {
-		nrec++
-		s := replayShard(r.Table, r.Key, workers)
-		shards[s] = append(shards[s], r)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	e.Rec = core.RecoveryReport{Records: nrec, Workers: workers}
-
-	outs := make([][]replayOp, workers)
-	err = core.ParallelShards(workers, func(s int) error {
-		ops, err := collapseRecords(e.Tables, shards[s])
-		outs[s] = ops
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	for _, ops := range outs {
-		for i := range ops {
-			op := &ops[i]
-			tm := e.Tables[op.table]
-			var err error
-			switch op.kind {
-			case core.WalInsert:
-				err = e.apply(tm, op.key, op.row)
-			case core.WalUpdate:
-				err = e.applyUpdate(tm, op.key, op.upd)
-			case core.WalDelete:
-				e.applyDelete(tm, op.key)
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
-	}
-	return maxTxn, nil
-}
-
-// replayShard assigns a tuple to a redo worker (Fibonacci-hash mix so dense
-// key ranges spread evenly).
-func replayShard(table int, key uint64, workers int) int {
-	h := (key ^ uint64(table)<<32) * 0x9e3779b97f4a7c15
-	return int((h >> 33) % uint64(workers))
-}
-
-// collapseRecords folds one shard's records (in log order) into at most one
-// operation per tuple. The state machine mirrors what sequential replay
-// would leave behind: an insert yields a full row that later deltas are
-// applied to; deltas over an absent tuple merge column-wise (later writes
-// win) and stay a delta, because the tuple may exist in the checkpoint
-// image; a delete cancels everything before it; an insert after a delete is
-// a plain replace. Only host memory is touched here.
-func collapseRecords(tables []*core.TableMeta, recs []core.WalRecord) ([]replayOp, error) {
-	type tupleKey struct {
-		table int
-		key   uint64
-	}
-	idx := make(map[tupleKey]int, len(recs))
-	var ops []replayOp
-	for _, r := range recs {
-		tm := tables[r.Table]
-		tk := tupleKey{r.Table, r.Key}
-		i, seen := idx[tk]
-		if !seen {
-			i = len(ops)
-			idx[tk] = i
-			ops = append(ops, replayOp{table: r.Table, key: r.Key, kind: core.WalDelete})
-			// Seed state: "no information yet". The first record below
-			// overwrites the placeholder kind.
-			switch r.Type {
-			case core.WalInsert:
-				row, err := core.DecodeRow(tm.Schema, r.After)
-				if err != nil {
-					return nil, err
-				}
-				ops[i].kind, ops[i].row = core.WalInsert, row
-			case core.WalUpdate:
-				upd, err := core.DecodeDelta(tm.Schema, r.After)
-				if err != nil {
-					return nil, err
-				}
-				ops[i].kind, ops[i].upd = core.WalUpdate, upd
-			case core.WalDelete:
-				ops[i].kind = core.WalDelete
-			}
-			continue
-		}
-		op := &ops[i]
-		switch r.Type {
-		case core.WalInsert:
-			row, err := core.DecodeRow(tm.Schema, r.After)
-			if err != nil {
-				return nil, err
-			}
-			op.kind, op.row, op.upd = core.WalInsert, row, core.Update{}
-		case core.WalUpdate:
-			upd, err := core.DecodeDelta(tm.Schema, r.After)
-			if err != nil {
-				return nil, err
-			}
-			switch op.kind {
-			case core.WalInsert:
-				core.ApplyDelta(op.row, upd)
-			case core.WalUpdate:
-				op.upd = mergeDelta(op.upd, upd)
-			case core.WalDelete:
-				// Update of a tuple this shard last saw deleted: sequential
-				// replay's applyUpdate would be a no-op on the missing key.
-			}
-		case core.WalDelete:
-			op.kind, op.row, op.upd = core.WalDelete, nil, core.Update{}
-		}
-	}
-	return ops, nil
-}
-
-// mergeDelta folds a later delta into an earlier one: later column writes
-// win, untouched columns pass through.
-func mergeDelta(old, add core.Update) core.Update {
-	for j, ci := range add.Cols {
-		replaced := false
-		for k, cj := range old.Cols {
-			if cj == ci {
-				old.Vals[k] = add.Vals[j]
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			old.Cols = append(old.Cols, ci)
-			old.Vals = append(old.Vals, add.Vals[j])
-		}
-	}
-	return old
 }
 
 // apply installs a row (used by replay, checkpoint load and rollback).

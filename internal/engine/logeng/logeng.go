@@ -205,9 +205,7 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 		return nil, err
 	}
 	if e.opts.VlogThreshold > 0 {
-		workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
-		vl, err := vlog.Open(vlog.NewFSBackend(env.FS, vlogPrefix), vlog.Config{
-			SegSize: int64(e.opts.VlogSegSize), Workers: workers})
+		vl, err := vlog.Open(vlog.NewFSBackend(env.FS, vlogPrefix), vlog.Config{SegSize: int64(e.opts.VlogSegSize)})
 		if err != nil {
 			return nil, err
 		}
@@ -1466,10 +1464,6 @@ func (e *Engine) loadManifest(head *vlog.Head) error {
 		specs = append(specs, sstSpec{level: level, name: string(buf[off : off+nameLen])})
 		off += nameLen
 	}
-	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
-	if workers > 1 && len(specs) > 1 {
-		return e.loadRunsParallel(specs, workers)
-	}
 	for _, sp := range specs {
 		run, err := openSSTable(e.Env.FS, e.Env.Arena, sp.name)
 		if err != nil {
@@ -1494,7 +1488,6 @@ func (e *Engine) loadManifest(head *vlog.Head) error {
 			it.next()
 		}
 	}
-	e.Rec.Workers = 1
 	return nil
 }
 
@@ -1510,66 +1503,6 @@ func (e *Engine) placeRun(sp sstSpec, run *sstable) {
 		e.levels = append(e.levels, nil)
 	}
 	e.levels[sp.level] = run
-}
-
-// loadRunsParallel loads all manifest runs with the bloom filters rebuilt
-// from the entry keys concurrently. File and device access stay on the owner
-// goroutine: the owner bulk-reads each run's entry and offset regions into
-// host buffers, workers harvest keys, rebuild the filters, and collect the
-// value-log pointers for validation, and the owner installs the filter bits
-// into allocator memory.
-func (e *Engine) loadRunsParallel(specs []sstSpec, workers int) error {
-	imgs := make([]*sstImage, len(specs))
-	for i, sp := range specs {
-		img, err := readSSTImage(e.Env.FS, sp)
-		if err != nil {
-			return err
-		}
-		imgs[i] = img
-	}
-	blooms := make([][]byte, len(specs))
-	kks := make([]int, len(specs))
-	ptrs := make([][]core.VlogPtr, len(specs))
-	err := core.ParallelChunks(workers, len(specs), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			bm, k, err := imgs[i].rebuildBloom()
-			if err != nil {
-				return err
-			}
-			blooms[i], kks[i] = bm, k
-			ps, err := imgs[i].harvestPtrs()
-			if err != nil {
-				return err
-			}
-			ptrs[i] = ps
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, img := range imgs {
-		bm := blooms[i]
-		ptr, err := e.Env.Arena.Alloc(len(bm)-8, pmalloc.TagIndex)
-		if err != nil {
-			return err
-		}
-		e.Env.Arena.Device().Write(int64(ptr), bm[8:])
-		e.placeRun(specs[i], &sstable{
-			name:       img.spec.name,
-			f:          img.f,
-			count:      img.count,
-			offsetsPos: img.offsetsPos,
-			bloomPtr:   ptr,
-			bloomWords: uint64((len(bm) - 8) / 8),
-			bloomK:     kks[i],
-			size:       img.size,
-		})
-		e.Rec.Records += img.count
-		e.pendingPtrs = append(e.pendingPtrs, ptrs[i]...)
-	}
-	e.Rec.Workers = workers
-	return nil
 }
 
 // removeOrphans deletes SSTable files not referenced by the manifest

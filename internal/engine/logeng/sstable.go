@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"nstore/internal/bloom"
-	"nstore/internal/core"
 	"nstore/internal/engine/lsm"
 	"nstore/internal/pmalloc"
 	"nstore/internal/pmfs"
@@ -264,105 +263,6 @@ type sstSpec struct {
 	level int
 	l0    bool
 	name  string
-}
-
-// sstImage is a run's host-memory image, read in bulk by the recovery owner
-// goroutine: the decoded footer plus the raw offsets and entry regions —
-// enough for a worker to harvest keys and rebuild the bloom filter without
-// touching the file or the device.
-type sstImage struct {
-	spec       sstSpec
-	f          *pmfs.File
-	size       int64
-	count      int64
-	offsetsPos int64
-	offsets    []byte // count x u64 entry offsets
-	entries    []byte // [0, offsetsPos)
-}
-
-// readSSTImage opens a run and bulk-reads its metadata regions (owner
-// goroutine only — pmfs and the device are single-owner on the data path).
-func readSSTImage(fs *pmfs.FS, spec sstSpec) (*sstImage, error) {
-	f, err := fs.OpenFile(spec.name)
-	if err != nil {
-		return nil, err
-	}
-	size := f.Size()
-	if size < footerSize {
-		return nil, fmt.Errorf("logeng: %s too small", spec.name)
-	}
-	var foot [footerSize]byte
-	if _, err := f.ReadAt(foot[:], size-footerSize); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint64(foot[32:]) != sstMagic {
-		return nil, fmt.Errorf("logeng: %s bad magic", spec.name)
-	}
-	img := &sstImage{
-		spec:       spec,
-		f:          f,
-		size:       size,
-		offsetsPos: int64(binary.LittleEndian.Uint64(foot[0:])),
-		count:      int64(binary.LittleEndian.Uint64(foot[8:])),
-	}
-	if img.offsetsPos < 0 || img.count < 0 || img.offsetsPos+img.count*8 > size {
-		return nil, fmt.Errorf("logeng: %s corrupt footer", spec.name)
-	}
-	img.offsets = make([]byte, img.count*8)
-	if _, err := f.ReadAt(img.offsets, img.offsetsPos); err != nil {
-		return nil, err
-	}
-	img.entries = make([]byte, img.offsetsPos)
-	if _, err := f.ReadAt(img.entries, 0); err != nil {
-		return nil, err
-	}
-	return img, nil
-}
-
-// rebuildBloom harvests the run's keys from its host-memory image and
-// rebuilds the bloom filter. Pure host-memory work — safe on a worker
-// goroutine. The writer sized the filter with the same constructor, so the
-// rebuild is bit-identical with what finish() persisted.
-func (img *sstImage) rebuildBloom() ([]byte, int, error) {
-	keys := make([]uint64, img.count)
-	for i := range keys {
-		off := binary.LittleEndian.Uint64(img.offsets[i*8:])
-		if off+8 > uint64(len(img.entries)) {
-			return nil, 0, fmt.Errorf("logeng: %s corrupt entry offset", img.spec.name)
-		}
-		keys[i] = binary.LittleEndian.Uint64(img.entries[off:])
-	}
-	fl := bloom.New(len(keys), 10)
-	for _, k := range keys {
-		fl.Add(k)
-	}
-	return fl.Marshal(), fl.K(), nil
-}
-
-// harvestPtrs collects every value-log pointer the run carries, for
-// recovery-time pointer validation. Pure host-memory work — safe on a
-// worker goroutine.
-func (img *sstImage) harvestPtrs() ([]core.VlogPtr, error) {
-	var ptrs []core.VlogPtr
-	for i := int64(0); i < img.count; i++ {
-		off := binary.LittleEndian.Uint64(img.offsets[i*8:])
-		if off+13 > uint64(len(img.entries)) {
-			return nil, fmt.Errorf("logeng: %s corrupt entry offset", img.spec.name)
-		}
-		if img.entries[off+8] != lsm.KindFullPtr {
-			continue
-		}
-		n := binary.LittleEndian.Uint32(img.entries[off+9:])
-		if n != core.VlogPtrSize || off+13+uint64(n) > uint64(len(img.entries)) {
-			return nil, fmt.Errorf("logeng: %s corrupt value-log pointer entry", img.spec.name)
-		}
-		ptr, ok := core.DecodeVlogPtr(img.entries[off+13 : off+13+uint64(n)])
-		if !ok {
-			return nil, fmt.Errorf("logeng: %s malformed value-log pointer", img.spec.name)
-		}
-		ptrs = append(ptrs, ptr)
-	}
-	return ptrs, nil
 }
 
 // mayContain probes the NVM-resident bloom filter.

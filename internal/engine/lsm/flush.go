@@ -8,12 +8,11 @@ import (
 )
 
 // Validate is what both Log engines check before New or Open builds anything:
-// the schemas fit the packed tree-key layout, and Options.FlushWorkers is 0.
-// The pipeline runs inline only; the field remains for callers that pin it to
-// 0, and any other value is refused rather than silently ignored.
+// the options set no vestigial field (core.Options.CheckVestigial), and the
+// schemas fit the packed tree-key layout.
 func Validate(schemas []*core.Schema, opts core.Options) error {
-	if opts.FlushWorkers != 0 {
-		return fmt.Errorf("lsm: Options.FlushWorkers = %d, want 0: the flush pipeline runs inline only", opts.FlushWorkers)
+	if err := opts.CheckVestigial(); err != nil {
+		return err
 	}
 	return core.ValidatePacked(schemas)
 }

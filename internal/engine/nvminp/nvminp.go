@@ -96,6 +96,9 @@ func anchorsPerTable(s *core.Schema) int { return 2 + len(s.Secondary) }
 
 // New creates a fresh NVM-InP engine anchored at arena root slot 0.
 func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, error) {
+	if err := opts.CheckVestigial(); err != nil {
+		return nil, err
+	}
 	e := &Engine{opts: opts.WithDefaults()}
 	e.InitBase(env, schemas)
 	n := 0
@@ -151,6 +154,9 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 // and heaps, undo in-flight transactions via the WAL, and truncate it. No
 // redo phase, no index rebuild (§4.1).
 func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, error) {
+	if err := opts.CheckVestigial(); err != nil {
+		return nil, err
+	}
 	e := &Engine{opts: opts.WithDefaults()}
 	e.InitBase(env, schemas)
 	stop := e.Bd.Timer(&e.Bd.Recovery)
@@ -231,39 +237,25 @@ func (e *Engine) undoWAL() error {
 	// or the undo above took back, or one an update superseded or a delete
 	// released whose free at commit never reached the medium. This is the
 	// one place recovery frees a var-slot: nothing was freed while an entry
-	// that names it could still be replayed. The heaps are walked and the
-	// chunk directory is collected on the owner goroutine (the device data
-	// path is single-owner); the classification of the stripes is pure
-	// host-memory work and fans out, then the frees happen serially.
-	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
+	// that names it could still be replayed. The directory walk lists the
+	// orphans; they are freed after it, so no free changes the directory under
+	// the walk.
 	reach := make(map[pmalloc.Ptr]bool)
 	for _, h := range e.heaps {
 		h.Reach(func(p pmalloc.Ptr) { reach[p] = true })
 	}
-	type chunkRec struct {
-		p   pmalloc.Ptr
-		tag pmalloc.Tag
-		st  pmalloc.State
-	}
-	var chunks []chunkRec
+	var orphans []pmalloc.Ptr
+	chunks := 0
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
-		chunks = append(chunks, chunkRec{p: p, tag: tag, st: st})
-	})
-	orphans := make([][]pmalloc.Ptr, workers)
-	_ = core.ParallelChunks(workers, len(chunks), func(w, lo, hi int) error {
-		for _, c := range chunks[lo:hi] {
-			if c.st == pmalloc.StatePersisted && (c.tag == pmalloc.TagLog || c.tag == pmalloc.TagTable && !reach[c.p]) {
-				orphans[w] = append(orphans[w], c.p)
-			}
+		chunks++
+		if st == pmalloc.StatePersisted && (tag == pmalloc.TagLog || tag == pmalloc.TagTable && !reach[p]) {
+			orphans = append(orphans, p)
 		}
-		return nil
 	})
-	for _, list := range orphans {
-		for _, p := range list {
-			e.Env.Arena.Free(p)
-		}
+	for _, p := range orphans {
+		e.Env.Arena.Free(p)
 	}
-	e.Rec = core.RecoveryReport{Records: int64(len(frees) + len(chunks)), Workers: workers}
+	e.Rec = core.RecoveryReport{Records: int64(len(frees) + chunks)}
 	return nil
 }
 

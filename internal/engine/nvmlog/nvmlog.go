@@ -323,86 +323,55 @@ func (e *Engine) reachable() (reach map[pmalloc.Ptr]bool, runKeys [][]uint64) {
 // truncation had unlinked but not yet freed. It then re-verifies each
 // immutable run's Bloom filter against its tree. A chunk reachable from any
 // listed tree survives, which is what lets a compaction's merged run share
-// entry chunks with the runs it replaces. The reachability marking and all device reads stay on
-// the owner goroutine; the chunk classification and the Bloom rebuilds are
-// host-memory work and fan out across RecoveryParallelism workers.
+// entry chunks with the runs it replaces.
 func (e *Engine) sweep() error {
-	workers := core.RecoveryWorkers(e.opts.RecoveryParallelism)
 	// The marking pass over each run doubles as the key harvest for the
-	// parallel Bloom verification below.
+	// Bloom verification below.
 	reach, runKeys := e.reachable()
-
-	type chunkRec struct {
-		p  pmalloc.Ptr
-		st pmalloc.State
-	}
-	var chunks []chunkRec
+	var orphans []pmalloc.Ptr
+	chunks := 0
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
-		chunks = append(chunks, chunkRec{p: p, st: st})
-	})
-	orphans := make([][]pmalloc.Ptr, workers)
-	_ = core.ParallelChunks(workers, len(chunks), func(w, lo, hi int) error {
-		for _, c := range chunks[lo:hi] {
-			if c.st == pmalloc.StatePersisted && !reach[c.p] {
-				orphans[w] = append(orphans[w], c.p)
-			}
+		chunks++
+		if st == pmalloc.StatePersisted && !reach[p] {
+			orphans = append(orphans, p)
 		}
-		return nil
 	})
-	for _, list := range orphans {
-		for _, p := range list {
-			e.Env.Arena.Free(p)
-		}
+	for _, p := range orphans {
+		e.Env.Arena.Free(p)
 	}
 	var nkeys int64
 	for i, ks := range runKeys {
 		e.runs[i].keys = len(ks)
 		nkeys += int64(len(ks))
 	}
-	e.Rec = core.RecoveryReport{Records: int64(len(chunks)) + nkeys, Workers: workers}
-	return e.verifyBlooms(workers, runKeys)
+	e.Rec = core.RecoveryReport{Records: int64(chunks) + nkeys}
+	return e.verifyBlooms(runKeys)
 }
 
 // verifyBlooms rebuilds each immutable run's Bloom filter from its tree keys
-// (in parallel — the rebuild is pure hashing over host memory) and compares it
-// with the persisted copy; a mismatched filter would silently turn lookups
-// into false negatives, so it is repaired in place. storeRun sizes filters
-// with the same constructor, so a rebuild from the same key count is
-// bit-compatible whenever the stored metadata is intact.
-func (e *Engine) verifyBlooms(workers int, runKeys [][]uint64) error {
-	if len(e.runs) == 0 {
-		return nil
-	}
+// and compares it with the persisted copy; a mismatched filter would silently
+// turn lookups into false negatives, so it is repaired in place. storeRun
+// sizes filters with the same constructor, so a rebuild from the same key
+// count is bit-compatible whenever the stored metadata is intact. Every
+// stored filter is read before the first repair writes.
+func (e *Engine) verifyBlooms(runKeys [][]uint64) error {
 	d := e.Env.Dev
 	stored := make([][]byte, len(e.runs))
 	for i, r := range e.runs {
 		stored[i] = make([]byte, r.bloomWords*8)
 		d.Read(int64(r.bloomPtr), stored[i])
 	}
-	rebuilt := make([][]byte, len(e.runs)) // bits only; nil = matches
-	ks := make([]int, len(e.runs))
-	_ = core.ParallelChunks(workers, len(e.runs), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			fl := bloom.New(len(runKeys[i]), 10)
-			for _, k := range runKeys[i] {
-				fl.Add(k)
-			}
-			bits := fl.Marshal()[8:]
-			ks[i] = fl.K()
-			if ks[i] == e.runs[i].bloomK && bytes.Equal(bits, stored[i]) {
-				continue
-			}
-			rebuilt[i] = bits
-		}
-		return nil
-	})
 	relink := false
-	for i, bits := range rebuilt {
-		if bits == nil {
+	for i, r := range e.runs {
+		fl := bloom.New(len(runKeys[i]), 10)
+		for _, k := range runKeys[i] {
+			fl.Add(k)
+		}
+		bits, k := fl.Marshal()[8:], fl.K()
+		if k == r.bloomK && bytes.Equal(bits, stored[i]) {
 			continue
 		}
-		r := e.runs[i]
-		if uint64(len(bits)) == r.bloomWords*8 && ks[i] == r.bloomK {
+		if uint64(len(bits)) == r.bloomWords*8 && k == r.bloomK {
 			// Same geometry: repair the persisted bits in place.
 			d.Write(int64(r.bloomPtr), bits)
 			d.Sync(int64(r.bloomPtr), len(bits))
@@ -421,7 +390,7 @@ func (e *Engine) verifyBlooms(workers int, runKeys [][]uint64) error {
 		}
 		r.bloomPtr = p
 		r.bloomWords = uint64(len(bits) / 8)
-		r.bloomK = ks[i]
+		r.bloomK = k
 		relink = true
 	}
 	if relink {

@@ -35,18 +35,17 @@ import (
 // -listen parks the loaded database behind a TCP wire server, and -connect
 // drives the workload against a remote server instead of a local database.
 type Flags struct {
-	Serve            bool
-	Clients          int
-	Fault            string
-	FaultAfter       int
-	Metrics          string
-	RecoveryParallel int
-	Listen           string
-	Connect          string
-	Conns            int
-	Cluster          int
-	ClusterKill      bool
-	ClusterTxn       bool
+	Serve       bool
+	Clients     int
+	Fault       string
+	FaultAfter  int
+	Metrics     string
+	Listen      string
+	Connect     string
+	Conns       int
+	Cluster     int
+	ClusterKill bool
+	ClusterTxn  bool
 }
 
 // Register installs the drill flags on fs, preserving the historical flag
@@ -58,7 +57,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Fault, "fault", "none", "serve mode: mid-traffic fault on every partition: none, fsync-transient, fsync-lost, fsync-torn, fence-lose, fence-reorder")
 	fs.IntVar(&f.FaultAfter, "fault-after", 50, "serve mode: fsyncs/fences to let through before the fault fires")
 	fs.StringVar(&f.Metrics, "metrics", "", "serve/listen mode: listen address for /metrics, /healthz and pprof (e.g. 127.0.0.1:8080, or :0 for an ephemeral port)")
-	fs.IntVar(&f.RecoveryParallel, "recovery-parallel", 0, "recovery fan-out per partition (0 = bounded CPU default, 1 = sequential)")
 	fs.StringVar(&f.Listen, "listen", "", "serve the loaded database over the wire protocol on this address (e.g. 127.0.0.1:7070)")
 	fs.StringVar(&f.Connect, "connect", "", "drive the workload against a wire server at this address instead of a local database")
 	fs.IntVar(&f.Conns, "conns", 4, "connect mode: client connection pool size")

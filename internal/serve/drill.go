@@ -86,7 +86,7 @@ func RunDrill(db *testbed.DB, perPart [][]testbed.Txn, schemas []*core.Schema, c
 	}
 	fmt.Fprintf(cfg.Out, "final crash + recovery: %v; %d rows intact\n", d, recovered)
 	for _, s := range db.RecoveryStats() {
-		fmt.Fprintf(cfg.Out, "  part %d: %v (%d records, %d workers)\n", s.Partition, s.Wall.Round(1000), s.Records, s.Workers)
+		fmt.Fprintf(cfg.Out, "  part %d: %v (%d records)\n", s.Partition, s.Wall.Round(1000), s.Records)
 	}
 	return nil
 }

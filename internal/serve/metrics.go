@@ -168,9 +168,6 @@ func (rt *Runtime) buildMetrics() {
 		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_recovery_records", i), func() float64 {
 			return float64(recoveryStatOf(db, part).Records)
 		})
-		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_recovery_workers", i), func() float64 {
-			return float64(recoveryStatOf(db, part).Workers)
-		})
 		// Active snapshot views pin the GC watermark; a stuck gauge here
 		// means some reader is holding back pre-image reclamation. What that
 		// costs the writers is the two gauges after it: the pre-images held,

@@ -12,8 +12,8 @@ import (
 	"nstore/internal/testbed"
 )
 
-// TestRecoverAllRacesSubmitAndMetrics is the race-detector regression for the
-// parallel recovery pipeline: client goroutines keep submitting transactions
+// TestRecoverAllRacesSubmitAndMetrics is the race-detector regression for
+// RecoverAll's concurrent partition recovery: client goroutines keep submitting transactions
 // while RecoverAll rips partitions out from under them and a scraper snapshots
 // the metrics registry (which reads per-partition recovery stats) the whole
 // time. No faults are armed — every recovery must succeed — so the only

@@ -355,7 +355,7 @@ func (rt *Runtime) adoptMetrics(ms *MetricsServer) {
 func (rt *Runtime) DB() *testbed.DB { return rt.db }
 
 // RecoverAll power-cycles and re-recovers every partition behind a bounded
-// worker pool of the given size (<= 0 picks the RecoveryWorkers default).
+// worker pool of the given size (<= 0 picks core.ParallelChunks' default).
 // Each partition is marked recovering first, so submissions and the executor
 // loop fail fast with ErrRecovering instead of blocking on the heal; the
 // partition returns to service the moment its own recovery completes — there
@@ -369,14 +369,7 @@ func (rt *Runtime) RecoverAll(parallelism int) error {
 	for _, ex := range rt.execs {
 		ex.recovering.Store(true)
 	}
-	pool := parallelism
-	if pool <= 0 {
-		pool = core.RecoveryWorkers(0)
-	}
-	if pool > len(rt.execs) {
-		pool = len(rt.execs)
-	}
-	err := core.ParallelChunks(pool, len(rt.execs), func(_, lo, hi int) error {
+	err := core.ParallelChunks(parallelism, len(rt.execs), func(lo, hi int) error {
 		var firstErr error
 		for i := lo; i < hi; i++ {
 			if rerr := rt.recoverOne(i); rerr != nil && firstErr == nil {

@@ -19,8 +19,6 @@ type RecoveryStat struct {
 	// Records is the engine's unit count of recovery work (WAL records
 	// replayed, pages warmed, chunks classified).
 	Records int64
-	// Workers is the intra-engine fan-out the recovery ran with.
-	Workers int
 }
 
 func (db *DB) recordRecoveryStat(s RecoveryStat) {
@@ -47,17 +45,14 @@ func (db *DB) RecoveryStats() []RecoveryStat {
 }
 
 // Recover reopens every partition after a crash, running the engine's
-// recovery protocol behind the default bounded worker pool. It returns the
+// recovery protocol behind the default bounded worker pool (each engine
+// recovers on its worker's goroutine, one step after another). It returns the
 // wall-clock recovery latency modeled on parallel hardware: the slowest
 // single partition, since each partition owns its device and there is no
 // cross-partition happens-before during recovery.
 func (db *DB) Recover() (time.Duration, error) {
-	pool := core.RecoveryWorkers(0)
-	if pool > len(db.parts) {
-		pool = len(db.parts)
-	}
 	durs := make([]time.Duration, len(db.parts))
-	err := core.ParallelChunks(pool, len(db.parts), func(_, lo, hi int) error {
+	err := core.ParallelChunks(0, len(db.parts), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			d, err := db.RecoverPartition(i)
 			if err != nil {
@@ -81,8 +76,8 @@ func (db *DB) Recover() (time.Duration, error) {
 
 // StateDigest canonically serializes the database's visible state — primary
 // scans of every configured table, partition by partition — and hashes it.
-// Two recoveries of the same device images must produce the same digest
-// regardless of recovery parallelism.
+// Two recoveries of the same device images must produce the same digest,
+// however many partitions recover at once.
 func (db *DB) StateDigest() ([32]byte, error) {
 	h := sha256.New()
 	for p := 0; p < db.Partitions(); p++ {

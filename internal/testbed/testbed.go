@@ -468,10 +468,10 @@ func (db *DB) RecoverPartition(i int) (time.Duration, error) {
 	part.mu.Unlock()
 	// Include the simulated NVM stall recovery work incurred.
 	d := time.Since(start)
-	rep := core.RecoveryReport{Workers: 1}
+	var rep core.RecoveryReport
 	if rr, ok := eng.(core.RecoveryReporter); ok {
 		rep = rr.RecoveryReport()
 	}
-	db.recordRecoveryStat(RecoveryStat{Partition: i, Wall: d, Records: rep.Records, Workers: rep.Workers})
+	db.recordRecoveryStat(RecoveryStat{Partition: i, Wall: d, Records: rep.Records})
 	return d, nil
 }

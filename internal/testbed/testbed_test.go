@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"nstore/internal/core"
@@ -131,6 +132,45 @@ func TestCrashRecoverAllEngines(t *testing.T) {
 				if !ok || row[1].I != 7 {
 					t.Fatalf("key %d wrong after recovery (ok=%v)", key, ok)
 				}
+			}
+		})
+	}
+}
+
+// TestRecoveryParallelismRefused: every engine recovers on the goroutine that
+// opens it, so New and Open of all six refuse any Options.RecoveryParallelism
+// but 0 or 1, naming the field, instead of silently ignoring it.
+func TestRecoveryParallelismRefused(t *testing.T) {
+	for _, kind := range Kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			refused := func(op string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "RecoveryParallelism") {
+					t.Fatalf("%s with RecoveryParallelism 2: %v, want an error naming the field", op, err)
+				}
+			}
+			env := core.NewEnv(core.EnvConfig{DeviceSize: 16 << 20})
+			_, err := buildEngine(kind, env, schemas(), core.Options{RecoveryParallelism: 2}, false)
+			refused("New", err)
+			e, err := buildEngine(kind, env, schemas(), core.Options{RecoveryParallelism: 1}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			env.Dev.Crash()
+			reopen := env.ReopenVolatile
+			if kind.IsNVMAware() {
+				reopen = env.Reopen
+			}
+			if env, err = reopen(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = buildEngine(kind, env, schemas(), core.Options{RecoveryParallelism: 2}, true)
+			refused("Open", err)
+			if _, err := buildEngine(kind, env, schemas(), core.Options{RecoveryParallelism: 1}, true); err != nil {
+				t.Fatalf("Open with RecoveryParallelism 1: %v", err)
 			}
 		})
 	}

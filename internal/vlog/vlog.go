@@ -82,8 +82,6 @@ type Config struct {
 	// SegSize is the rotation threshold (default 1 MiB). A single record
 	// larger than SegSize gets a segment of its own.
 	SegSize int64
-	// Workers bounds the parallel CRC walks at Open (0 = sequential).
-	Workers int
 }
 
 // Head is the durable watermark the engine checkpoints in its manifest:
@@ -124,11 +122,10 @@ type Manager struct {
 	gcRuns    int64
 }
 
-// Open loads every listed segment and CRC-walks it to find the valid record
-// prefix, cutting crash debris durably. Segment opens, image reads and
-// truncates are device accesses and stay on the calling goroutine (the
-// nvm.Device data path is single-owner); only the CRC walks over the host
-// images fan out across cfg.Workers (the §8 recovery pipeline's fan-out).
+// Open loads every listed segment in turn: it reads the segment's image,
+// CRC-walks it to find the valid record prefix and cuts the crash debris
+// behind that prefix durably, so later appends never land beyond it. Only
+// one segment image is held in host memory at a time.
 func Open(b *FSBackend, cfg Config) (*Manager, error) {
 	if cfg.SegSize <= 0 {
 		cfg.SegSize = 1 << 20
@@ -138,47 +135,25 @@ func Open(b *FSBackend, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// One window of `workers` segments at a time, so at most that many
-	// segment images are held in host memory.
-	for lo := 0; lo < len(ids); lo += workers {
-		win := ids[lo:min(lo+workers, len(ids))]
-		files := make([]*pmfs.File, len(win))
-		images := make([][]byte, len(win))
-		for i, id := range win {
-			f, err := b.open(id)
-			if err != nil {
+	for _, id := range ids {
+		f, err := b.open(id)
+		if err != nil {
+			return nil, err
+		}
+		image := make([]byte, f.Size())
+		if len(image) > 0 {
+			if _, err := f.ReadAt(image, 0); err != nil {
 				return nil, err
 			}
-			files[i] = f
-			images[i] = make([]byte, f.Size())
-			if len(images[i]) > 0 {
-				if _, err := f.ReadAt(images[i], 0); err != nil {
-					return nil, err
-				}
+		}
+		valid := validPrefix(image, id)
+		if valid < int64(len(image)) {
+			if err := f.Truncate(valid); err != nil {
+				return nil, err
 			}
 		}
-		valid := make([]int64, len(win))
-		_ = core.ParallelShards(len(win), func(i int) error {
-			valid[i] = validPrefix(images[i], win[i])
-			return nil
-		})
-		for i, id := range win {
-			if valid[i] < int64(len(images[i])) {
-				// Cut crash debris durably so later appends never land
-				// beyond it.
-				if err := files[i].Truncate(valid[i]); err != nil {
-					return nil, err
-				}
-			}
-			m.segs[id] = &segInfo{f: files[i], size: valid[i]}
-			if id > m.active {
-				m.active = id
-			}
-		}
+		m.segs[id] = &segInfo{f: f, size: valid}
+		m.active = max(m.active, id)
 	}
 	if m.active != 0 {
 		m.synced = m.segs[m.active].size
