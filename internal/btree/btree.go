@@ -10,7 +10,7 @@
 // be rebuilt during recovery, exactly as the traditional engines do (§3.1:
 // "all of the tables' indexes are rebuilt during recovery").
 //
-// Node layout (nodeSize bytes, default 512 as in §5):
+// Node layout (the payload of a nodeSize-byte chunk, default 512 as in §5):
 //
 //	+0  flags (1 = leaf)
 //	+2  count (u16)
@@ -24,7 +24,9 @@ import (
 	"nstore/internal/pmalloc"
 )
 
-// DefaultNodeSize matches the paper's STX B+tree configuration (512 B).
+// DefaultNodeSize matches the paper's STX B+tree configuration (512 B). A
+// node is an allocator chunk of that size, its header included, so a node
+// of a power-of-two size owns whole cache lines.
 const DefaultNodeSize = 512
 
 const (
@@ -38,7 +40,7 @@ const (
 // Tree is a volatile B+tree. Not safe for concurrent use.
 type Tree struct {
 	arena    *pmalloc.Arena
-	nodeSize int
+	nodeSize int // a node's chunk, header included
 	cap      int // entries per node
 	root     uint64
 	size     int // number of keys
@@ -49,10 +51,10 @@ func New(arena *pmalloc.Arena, nodeSize int) *Tree {
 	if nodeSize == 0 {
 		nodeSize = DefaultNodeSize
 	}
-	if nodeSize < hdrSize+2*entSize {
+	if nodeSize < pmalloc.HeaderSize+hdrSize+2*entSize {
 		panic("btree: node size too small")
 	}
-	t := &Tree{arena: arena, nodeSize: nodeSize, cap: (nodeSize - hdrSize) / entSize}
+	t := &Tree{arena: arena, nodeSize: nodeSize, cap: (nodeSize - pmalloc.HeaderSize - hdrSize) / entSize}
 	t.root = t.newNode(true)
 	return t
 }
@@ -76,7 +78,7 @@ type devIface interface {
 }
 
 func (t *Tree) newNode(leaf bool) uint64 {
-	p, err := t.arena.Alloc(t.nodeSize, pmalloc.TagIndex)
+	p, err := t.arena.Alloc(t.nodeSize-pmalloc.HeaderSize, pmalloc.TagIndex)
 	if err != nil {
 		panic(err) // index arena exhaustion is a config error
 	}

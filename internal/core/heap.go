@@ -207,14 +207,14 @@ func (h *Heap) WriteCol(slot uint64, col int, v Value) error {
 
 // WriteCols stores the values of the given columns. Every string column gets
 // a fresh var-slot; the caller owns freeing the previous one (ColVarPtr
-// before the call, FreeVar after). The var-slots are allocated before the
-// slot is touched, so when the arena runs out the ones already taken are
-// released, the slot still holds what it held, and the allocator's error is
-// returned. On an NVM heap each var-slot is streamed and marked persisted in
-// one fence interval (pmalloc.Arena.StreamPersisted) and the fields are left
-// in the cache (WriteBackCols, PersistSlot): all of it is durable at a fence
-// of the caller's, and a var-slot a crash leaves marked with no live slot
-// naming it is the owner's to sweep (Reach).
+// before the call, FreeVar after). The var-slots are taken before the slot is
+// touched, so when the arena runs out the ones already taken are released,
+// the slot still holds what it held, and the allocator's error is returned.
+// On an NVM heap each var-slot is streamed with its persisted mark in one
+// fence interval (pmalloc.Arena.StreamPersisted) and the fields are left in
+// the cache (WriteBackCols, PersistSlot): all of it is durable at a fence of
+// the caller's, and a var-slot a crash leaves marked with no live slot naming
+// it is the owner's to sweep (Reach).
 func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 	vps := h.vps[:0]
 	for j, ci := range cols {
@@ -222,16 +222,20 @@ func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 			continue
 		}
 		b := vals[j].S
-		vp, err := h.arena.Alloc(4+len(b), pmalloc.TagTable)
+		var vp pmalloc.Ptr
+		var err error
+		if h.nvmMod {
+			h.img = append(binary.LittleEndian.AppendUint32(h.img[:0], uint32(len(b))), b...)
+			vp, err = h.arena.StreamPersisted(pmalloc.TagTable, h.img)
+		} else if vp, err = h.arena.Alloc(4+len(b), pmalloc.TagTable); err == nil {
+			h.dev.WriteU32(int64(vp), uint32(len(b)))
+			h.dev.Write(int64(vp)+4, b)
+		}
 		if err != nil {
 			for _, p := range vps {
 				h.arena.Free(p)
 			}
 			return err
-		}
-		if !h.nvmMod {
-			h.dev.WriteU32(int64(vp), uint32(len(b)))
-			h.dev.Write(int64(vp)+4, b)
 		}
 		vps = append(vps, vp)
 	}
@@ -241,11 +245,6 @@ func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 		if h.schema.Columns[ci].Type == TInt {
 			h.dev.WriteU64(field, uint64(vals[j].I))
 			continue
-		}
-		if h.nvmMod {
-			b := vals[j].S
-			h.img = append(binary.LittleEndian.AppendUint32(h.img[:0], uint32(len(b))), b...)
-			h.arena.StreamPersisted(vps[0], h.img)
 		}
 		h.dev.WriteU64(field, vps[0])
 		vps = vps[1:]

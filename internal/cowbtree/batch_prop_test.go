@@ -73,18 +73,18 @@ func genBatch(rng *rand.Rand, n int) []batchOp {
 }
 
 // countingPager checks what the tree asks of its pager while a group-commit
-// batch is open: the batch's pages — those allocated since the last Persist
-// and not given back by an abort — are never read from the pager, nothing is
-// written before Persist, and Persist writes each batch page exactly once.
+// batch is open: no page is read by a provisional id, nothing is written
+// before Persist, and Persist writes each page of the tree's batch exactly
+// once, each under an id of its own.
 type countingPager struct {
 	Pager
-	live   map[uint64]bool // the batch's pages
-	writes map[uint64]int  // WritePage calls since the last Persist
-	err    error           // first violation
+	tree   *Tree          // once it exists: its batch is what Persist must write
+	writes map[uint64]int // WritePage ids since the last Persist
+	err    error          // first violation
 }
 
 func newCountingPager(pg Pager) *countingPager {
-	return &countingPager{Pager: pg, live: map[uint64]bool{}, writes: map[uint64]int{}}
+	return &countingPager{Pager: pg, writes: map[uint64]int{}}
 }
 
 func (c *countingPager) fail(format string, args ...any) {
@@ -93,41 +93,30 @@ func (c *countingPager) fail(format string, args ...any) {
 	}
 }
 
-func (c *countingPager) AllocPage() (uint64, error) {
-	id, err := c.Pager.AllocPage()
-	if err == nil {
-		c.live[id] = true
-	}
-	return id, err
-}
-
-func (c *countingPager) FreePage(id uint64) {
-	delete(c.live, id)
-	c.Pager.FreePage(id)
-}
-
 func (c *countingPager) ReadPage(id uint64, buf []byte) {
-	if c.live[id] {
-		c.fail("ReadPage of page %d, which the open batch allocated", id)
+	if id&provisional != 0 {
+		c.fail("ReadPage of page %#x, a provisional id of the open batch", id)
 	}
 	c.Pager.ReadPage(id, buf)
 }
 
-func (c *countingPager) WritePage(id uint64, buf []byte) {
-	c.writes[id]++
-	c.Pager.WritePage(id, buf)
+func (c *countingPager) WritePage(buf []byte) (uint64, error) {
+	id, err := c.Pager.WritePage(buf)
+	if err == nil {
+		c.writes[id]++
+	}
+	return id, err
 }
 
 func (c *countingPager) Persist(root, meta uint64) error {
-	for id := range c.live {
-		if c.writes[id] != 1 {
-			c.fail("Persist wrote batch page %d %d times", id, c.writes[id])
+	for id, n := range c.writes {
+		if n != 1 {
+			c.fail("Persist wrote %d pages under id %d", n, id)
 		}
 	}
-	if len(c.writes) != len(c.live) {
-		c.fail("Persist wrote %d pages, the batch holds %d", len(c.writes), len(c.live))
+	if c.tree != nil && len(c.writes) != len(c.tree.batch) {
+		c.fail("Persist wrote %d pages, the batch holds %d", len(c.writes), len(c.tree.batch))
 	}
-	clear(c.live)
 	clear(c.writes)
 	return c.Pager.Persist(root, meta)
 }
@@ -164,6 +153,7 @@ func newBatchHarness(arenaPager bool) (*batchHarness, error) {
 			}
 			h.pager = newCountingPager(pg)
 			tr := Attach(h.pager)
+			h.pager.tree = tr
 			used := map[uint64]bool{}
 			tr.Reachable(func(id uint64) { used[id] = true }, nil)
 			pg.InitFree(used)
@@ -171,6 +161,7 @@ func newBatchHarness(arenaPager bool) (*batchHarness, error) {
 		}
 		h.pager = newCountingPager(pg)
 		h.tree, err = Create(h.pager)
+		h.pager.tree = h.tree
 		return h, err
 	}
 	arena := pmalloc.Format(h.dev, 0, size)
@@ -189,6 +180,7 @@ func newBatchHarness(arenaPager bool) (*batchHarness, error) {
 		}
 		h.pager = newCountingPager(pg)
 		tr := Attach(h.pager)
+		h.pager.tree = tr
 		// The owner's sweep: persisted page chunks the master record does
 		// not reach are the lost dirty directory.
 		reach := map[uint64]bool{}
@@ -214,6 +206,7 @@ func newBatchHarness(arenaPager bool) (*batchHarness, error) {
 	}
 	h.pager = newCountingPager(pg)
 	h.tree, err = Create(h.pager)
+	h.pager.tree = h.tree
 	return h, err
 }
 

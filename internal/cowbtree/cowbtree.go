@@ -18,7 +18,9 @@
 // pager once: a transaction changes a clone of the batch buffer, and its
 // rollback is to drop the clone — the batch buffer still holds the image the
 // previous transaction committed. Before Persist no byte of the batch is on
-// the pager's medium.
+// the pager's medium, and a batch page has a provisional id of the tree's;
+// Persist writes the pages bottom-up, and the pager names each as it takes
+// it, so a page chunk can be sized to the page's image.
 //
 // Keys are unique uint64s; values are byte slices that must fit in a page.
 // Transaction boundaries (Begin/Commit/Abort) give per-transaction rollback
@@ -32,18 +34,22 @@ import (
 	"slices"
 )
 
-// Pager supplies fixed-size pages and the durable master record.
+// Pager stores pages of at most a fixed size and the durable master record.
 type Pager interface {
 	// PageSize returns the page size in bytes.
 	PageSize() int
 	// ReadPage fills buf with page id's contents.
 	ReadPage(id uint64, buf []byte)
-	// WritePage stores buf as page id's contents (volatile until Persist).
-	WritePage(id uint64, buf []byte)
-	// AllocPage returns a fresh page id.
-	AllocPage() (uint64, error)
+	// WritePage stores buf as a new page and returns its id (volatile until
+	// Persist). Ids are below 2^63.
+	WritePage(buf []byte) (uint64, error)
 	// FreePage returns a page to the free pool immediately.
 	FreePage(id uint64)
+	// Reserve reports whether the next Persist can take pages whose images
+	// take at most n bytes in all (pageBound): a pager that allocates at
+	// Persist refuses a transaction that would outgrow it, which can abort,
+	// rather than the Persist, which cannot.
+	Reserve(n int) error
 	// Persist durably commits all pages written since the last Persist and
 	// atomically installs (root, meta) as the master record.
 	Persist(root, meta uint64) error
@@ -90,7 +96,6 @@ type Tree struct {
 	inTxn     bool
 	rootAtTxn uint64
 	metaAtTxn uint64
-	txnAlloc  []uint64 // pages allocated by the running txn
 	txnFree   []uint64 // committed pages superseded by the running txn
 
 	// batch holds the images of the pages allocated by committed-but-
@@ -98,22 +103,22 @@ type Tree struct {
 	// until the next Persist writes each once.
 	batch     map[uint64][]byte
 	batchFree []uint64 // committed pages superseded by the batch, reusable after next Persist
+	named     uint64   // provisional ids handed out: batch page ids are provisional|n
+	reserve   int      // the batch pages' pageBound, summed
 
 	scratch []byte // Get's page buffer; no page image outlives the call
 }
 
+// provisional marks the id of a batch page the pager has not named yet.
+const provisional = 1 << 63
+
 // Create initializes an empty tree on the pager and persists it.
 func Create(pg Pager) (*Tree, error) {
 	t := newTree(pg)
-	id, err := pg.AllocPage()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, t.psize)
-	initPage(buf, true, t.psize)
-	pg.WritePage(id, buf)
-	t.root, t.commRoot = id, id
-	if err := pg.Persist(id, 0); err != nil {
+	t.root = t.name()
+	t.batch[t.root] = make([]byte, t.psize)
+	initPage(t.batch[t.root], true, t.psize)
+	if err := t.Persist(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -125,19 +130,6 @@ func Attach(pg Pager) *Tree {
 	t.root, t.meta = pg.Committed()
 	t.commRoot = t.root
 	return t
-}
-
-// sortedKeys returns a page map's ids in ascending order. Pages go to the
-// pager and to the device in this order, never in map order: the order
-// decides which cache lines stay resident, so it must repeat for the device
-// counters of a fixed schedule to repeat.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	ids := make([]uint64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 func newTree(pg Pager) *Tree {
@@ -262,7 +254,6 @@ func (t *Tree) Begin() {
 	t.inTxn = true
 	t.rootAtTxn = t.root
 	t.metaAtTxn = t.meta
-	t.txnAlloc = t.txnAlloc[:0]
 	t.txnFree = t.txnFree[:0]
 }
 
@@ -272,6 +263,7 @@ func (t *Tree) Commit() {
 	if !t.inTxn {
 		panic("cowbtree: Commit outside transaction")
 	}
+	t.reserve = t.pending()
 	for id, buf := range t.mut {
 		t.batch[id] = buf
 	}
@@ -280,46 +272,75 @@ func (t *Tree) Commit() {
 	t.inTxn = false
 }
 
-// Abort rolls the transaction back: the pages it allocated are released and
-// the buffers of the batch pages it shadowed are dropped, which leaves the
-// batch's copy — the previous transaction's image — in force.
+// Abort rolls the transaction back: the buffers of the pages it made and of
+// the batch pages it shadowed are dropped, which leaves the batch's copy —
+// the previous transaction's image — in force. None of them reached the
+// pager.
 func (t *Tree) Abort() {
 	if !t.inTxn {
 		panic("cowbtree: Abort outside transaction")
 	}
 	t.root = t.rootAtTxn
 	t.meta = t.metaAtTxn
-	for _, id := range t.txnAlloc {
-		t.pg.FreePage(id)
-	}
 	clear(t.mut)
-	t.txnAlloc = t.txnAlloc[:0]
 	t.txnFree = t.txnFree[:0]
 	t.inTxn = false
 }
 
-// Persist durably commits the batch: each of its pages goes to the pager
-// once, in id order, and the pager makes them durable and installs the new
-// master record. Pages superseded by the batch return to the free pool only
-// afterwards, so the previously committed tree stays intact until the swap
-// is durable.
+// Persist durably commits the batch: its pages go to the pager bottom-up,
+// each after the pages it names, which it names by the ids the pager gave
+// them; then the pager makes them durable and installs the new master record.
+// Pages superseded by the batch return to the free pool only afterwards, so
+// the previously committed tree stays intact until the swap is durable. A
+// failed Persist may be retried: a page the pager took keeps its id in its
+// parent's buffer, so the retry writes what was not taken and the root again
+// (a root taken before the pager's own Persist failed is left to the owner's
+// reachability sweep).
 func (t *Tree) Persist() error {
 	if t.inTxn {
 		panic("cowbtree: Persist inside transaction")
 	}
-	for _, id := range sortedKeys(t.batch) {
-		t.pg.WritePage(id, t.batch[id])
-	}
-	if err := t.pg.Persist(t.root, t.meta); err != nil {
+	root, err := t.write(t.root)
+	if err != nil {
 		return err
 	}
-	t.commRoot = t.root
+	if err := t.pg.Persist(root, t.meta); err != nil {
+		return err
+	}
+	t.root, t.commRoot = root, root
 	for _, id := range t.batchFree {
 		t.pg.FreePage(id)
 	}
 	t.batchFree = t.batchFree[:0]
 	clear(t.batch)
+	t.reserve = 0
 	return nil
+}
+
+// write hands page id to the pager, if the batch holds it, after the batch
+// pages it names, and returns the id the page has from now on. Children are
+// written in order, so a fixed schedule writes its pages in a fixed order:
+// the order decides which cache lines stay resident, so it must repeat for
+// the device counters to repeat.
+func (t *Tree) write(id uint64) (uint64, error) {
+	buf, ok := t.batch[id]
+	if !ok {
+		return id, nil
+	}
+	for i := 0; !isLeaf(buf) && i < count(buf); i++ {
+		c, err := t.write(innerChild(buf, i))
+		if err != nil {
+			return 0, err
+		}
+		setInner(buf, i, innerKey(buf, i), c)
+	}
+	return t.pg.WritePage(buf)
+}
+
+// name returns a fresh provisional page id.
+func (t *Tree) name() uint64 {
+	t.named++
+	return provisional | t.named
 }
 
 // autoTxn wraps a single operation in a transaction if none is running.
@@ -384,39 +405,29 @@ func (t *Tree) Delete(k uint64) (bool, error) {
 // shadow returns a mutable buffer for page id and the id the page has from
 // now on: its own if the batch already owns the page, a fresh copy's if the
 // page belongs to the committed tree.
-func (t *Tree) shadow(id uint64) (uint64, []byte, error) {
+func (t *Tree) shadow(id uint64) (uint64, []byte) {
 	if buf, ok := t.mut[id]; ok {
-		return id, buf, nil
+		return id, buf
 	}
 	if img, ok := t.batch[id]; ok {
 		// The clone is the change; the batch's image is the rollback.
 		buf := slices.Clone(img)
 		t.mut[id] = buf
-		return id, buf, nil
+		return id, buf
 	}
-	nid, err := t.pg.AllocPage()
-	if err != nil {
-		return 0, nil, err
-	}
-	buf := make([]byte, t.psize)
+	nid, buf := t.name(), make([]byte, t.psize)
 	t.pg.ReadPage(id, buf)
 	t.mut[nid] = buf
-	t.txnAlloc = append(t.txnAlloc, nid)
 	t.txnFree = append(t.txnFree, id)
-	return nid, buf, nil
+	return nid, buf
 }
 
-// newPage allocates a fresh txn-mutable page.
-func (t *Tree) newPage(leaf bool) (uint64, []byte, error) {
-	id, err := t.pg.AllocPage()
-	if err != nil {
-		return 0, nil, err
-	}
-	buf := make([]byte, t.psize)
+// newPage makes a fresh txn-mutable page.
+func (t *Tree) newPage(leaf bool) (uint64, []byte) {
+	id, buf := t.name(), make([]byte, t.psize)
 	initPage(buf, leaf, t.psize)
 	t.mut[id] = buf
-	t.txnAlloc = append(t.txnAlloc, id)
-	return id, buf, nil
+	return id, buf
 }
 
 type pathEnt struct {
@@ -433,14 +444,11 @@ func (t *Tree) innerFull(buf []byte) bool {
 
 // splitInnerChild splits the full inner node child (at parent slot idx) and
 // returns the two halves. parent must have room for the new separator.
-func (t *Tree) splitInnerChild(parent []byte, idx int, child pathEnt) (left, right pathEnt, sep uint64, err error) {
+func (t *Tree) splitInnerChild(parent []byte, idx int, child pathEnt) (left, right pathEnt, sep uint64) {
 	buf := child.buf
 	c := count(buf)
 	mid := c / 2
-	rid, rbuf, err := t.newPage(false)
-	if err != nil {
-		return pathEnt{}, pathEnt{}, 0, err
-	}
+	rid, rbuf := t.newPage(false)
 	for i := mid; i < c; i++ {
 		setInner(rbuf, i-mid, innerKey(buf, i), innerChild(buf, i))
 	}
@@ -453,30 +461,22 @@ func (t *Tree) splitInnerChild(parent []byte, idx int, child pathEnt) (left, rig
 	copy(parent[pHdr+(i+1)*innerEnt:pHdr+(pc+1)*innerEnt], parent[pHdr+i*innerEnt:pHdr+pc*innerEnt])
 	setInner(parent, i, sep, rid)
 	setCount(parent, pc+1)
-	return child, pathEnt{id: rid, buf: rbuf}, sep, nil
+	return child, pathEnt{id: rid, buf: rbuf}, sep
 }
 
 // descend shadows the path from the root to the leaf covering k,
 // preemptively splitting any full inner node on the way so a leaf split's
 // separator always fits in its parent. The shadowed path is fully linked.
-func (t *Tree) descend(k uint64) ([]pathEnt, error) {
-	id, buf, err := t.shadow(t.root)
-	if err != nil {
-		return nil, err
-	}
+func (t *Tree) descend(k uint64) []pathEnt {
+	id, buf := t.shadow(t.root)
 	t.root = id
 
 	// A full inner root gets a fresh root above it.
 	if !isLeaf(buf) && t.innerFull(buf) {
-		nid, nbuf, err := t.newPage(false)
-		if err != nil {
-			return nil, err
-		}
+		nid, nbuf := t.newPage(false)
 		setInner(nbuf, 0, innerKey(buf, 0), id)
 		setCount(nbuf, 1)
-		if _, _, _, err := t.splitInnerChild(nbuf, 0, pathEnt{id: id, buf: buf}); err != nil {
-			return nil, err
-		}
+		t.splitInnerChild(nbuf, 0, pathEnt{id: id, buf: buf})
 		t.root = nid
 		id, buf = nid, nbuf
 	}
@@ -485,18 +485,12 @@ func (t *Tree) descend(k uint64) ([]pathEnt, error) {
 	for !isLeaf(buf) {
 		idx := innerRoute(buf, k)
 		child := innerChild(buf, idx)
-		cid, cbuf, err := t.shadow(child)
-		if err != nil {
-			return nil, err
-		}
+		cid, cbuf := t.shadow(child)
 		if cid != child {
 			setInner(buf, idx, innerKey(buf, idx), cid)
 		}
 		if !isLeaf(cbuf) && t.innerFull(cbuf) {
-			_, right, sep, err := t.splitInnerChild(buf, idx, pathEnt{id: cid, buf: cbuf})
-			if err != nil {
-				return nil, err
-			}
+			_, right, sep := t.splitInnerChild(buf, idx, pathEnt{id: cid, buf: cbuf})
 			if k >= sep {
 				idx++
 				cid, cbuf = right.id, right.buf
@@ -506,16 +500,30 @@ func (t *Tree) descend(k uint64) ([]pathEnt, error) {
 		path = append(path, pathEnt{id: cid, buf: cbuf})
 		id, buf = cid, cbuf
 	}
-	return path, nil
+	return path
 }
 
 func (t *Tree) put(k uint64, val []byte) error {
-	path, err := t.descend(k)
-	if err != nil {
+	path := t.descend(k)
+	leaf := path[len(path)-1]
+	if err := t.leafInsert(leaf, path, k, val); err != nil {
 		return err
 	}
-	leaf := path[len(path)-1]
-	return t.leafInsert(leaf, path, k, val)
+	return t.pg.Reserve(t.pending())
+}
+
+// pending returns the pageBound of the pages the next Persist writes: the
+// batch's, and the running transaction's in place of the batch pages it
+// shadowed.
+func (t *Tree) pending() int {
+	n := t.reserve
+	for id, buf := range t.mut {
+		n += pageBound(buf)
+		if old, ok := t.batch[id]; ok {
+			n -= pageBound(old)
+		}
+	}
+	return n
 }
 
 // leafInsert places (k, val) into the shadowed leaf, compacting or
@@ -606,10 +614,7 @@ func (t *Tree) splitLeafInsert(leaf pathEnt, path []pathEnt, k uint64, val []byt
 		mid++
 	}
 
-	rid, rbuf, err := t.newPage(true)
-	if err != nil {
-		return err
-	}
+	rid, rbuf := t.newPage(true)
 	for i := mid; i < c; i++ {
 		t.leafPlace(rbuf, i-mid, false, leafKey(buf, i), leafVal(buf, i))
 	}
@@ -620,10 +625,7 @@ func (t *Tree) splitLeafInsert(leaf pathEnt, path []pathEnt, k uint64, val []byt
 	var rightPath []pathEnt
 	if len(path) == 1 {
 		// Leaf was the root: build a fresh root above the halves.
-		nid, nbuf, err := t.newPage(false)
-		if err != nil {
-			return err
-		}
+		nid, nbuf := t.newPage(false)
 		var minKey uint64
 		if count(buf) > 0 {
 			minKey = leafKey(buf, 0)
@@ -654,10 +656,7 @@ func (t *Tree) splitLeafInsert(leaf pathEnt, path []pathEnt, k uint64, val []byt
 }
 
 func (t *Tree) del(k uint64) error {
-	path, err := t.descend(k)
-	if err != nil {
-		return err
-	}
+	path := t.descend(k)
 	buf := path[len(path)-1].buf
 	i := leafLowerBound(buf, k)
 	if i >= count(buf) || leafKey(buf, i) != k {
@@ -667,7 +666,7 @@ func (t *Tree) del(k uint64) error {
 	copy(buf[pHdr+i*leafSlot:pHdr+(c-1)*leafSlot], buf[pHdr+(i+1)*leafSlot:pHdr+c*leafSlot])
 	setCount(buf, c-1)
 	// Lazy: no merging; empty leaves are tolerated and skipped by Iter.
-	return nil
+	return t.pg.Reserve(t.pending())
 }
 
 // Iter calls fn for each (key, value) with key >= from in ascending order

@@ -174,14 +174,6 @@ func TestAbortAfterOtherBatchTxns(t *testing.T) {
 	}
 }
 
-// allocCounter counts the pages a tree asks its pager for.
-type allocCounter struct {
-	Pager
-	n int
-}
-
-func (a *allocCounter) AllocPage() (uint64, error) { a.n++; return a.Pager.AllocPage() }
-
 // TestReplaceInPlaceNeverSplits: a replace that does not grow the value
 // overwrites it in the leaf, so a leaf too full to take one more value even
 // after compaction neither compacts nor splits, and Abort restores the old
@@ -194,8 +186,6 @@ func TestReplaceInPlaceNeverSplits(t *testing.T) {
 		} else {
 			_, _, tr = newFilePagerTree(t)
 		}
-		pg := &allocCounter{Pager: tr.pg}
-		tr.pg = pg
 		const w = 100
 		tr.Begin()
 		for k := uint64(1); leafFree(tr.page(tr.root)) >= leafSlot+w; k++ {
@@ -208,14 +198,14 @@ func TestReplaceInPlaceNeverSplits(t *testing.T) {
 		if !isLeaf(leaf) || leafFree(leaf) >= w {
 			t.Fatalf("arena=%v: setup: root leaf=%v with %d bytes free, want a leaf with under %d", arenaPager, isLeaf(leaf), leafFree(leaf), w)
 		}
-		root, allocs := tr.root, pg.n
+		root, allocs := tr.root, tr.named
 
 		tr.Begin()
 		if err := tr.Put(5, val(99, w)); err != nil {
 			t.Fatal(err)
 		}
-		if pg.n != allocs || tr.root != root {
-			t.Fatalf("arena=%v: a same-length replace allocated %d pages, root %d -> %d", arenaPager, pg.n-allocs, root, tr.root)
+		if tr.named != allocs || tr.root != root {
+			t.Fatalf("arena=%v: a same-length replace made %d pages, root %d -> %d", arenaPager, tr.named-allocs, root, tr.root)
 		}
 		if v, _ := tr.Get(5); !bytes.Equal(v, val(99, w)) {
 			t.Fatalf("arena=%v: Get after the replace returned the old value", arenaPager)

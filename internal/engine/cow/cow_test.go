@@ -94,16 +94,21 @@ func TestColReader(t *testing.T) {
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today.
 //
-// cow: loads / stores / flushes / fences 102.0 / 102.8 / 0.10 / 0.13, 25.3 us
-// of stall. (196.3 / 102.3 / 102.9 / 0.13 and 44.5 us while pmfs wrote a page
+// cow: loads / stores / flushes / fences 102.0 / 102.0 / 0.10 / 0.13, 25.3 us
+// of stall. (102.8 stores while the file pager wrote a zeroed page to grow the
+// file before writing the page itself; 196.3 / 102.3 / 102.9 / 0.13 and 44.5
+// us while pmfs wrote a page
 // through the cache: a recycled page written at Persist had left the 128 KB
 // cache, so the write-allocate fetched all 64 of its lines to overwrite them
 // and fsync flushed them one by one. A streamed page fetches and flushes
 // nothing; the loads left are the tree's own reads.)
 //
-// nvm-cow: 21.8 / 24.6 / 4.3 / 0.22, 3.82 us of stall (three fences per batch
-// of sixteen: its pages and tuples, their persisted marks, the master record).
-// It was 37.4 / 39.8 / 4.4 and 6.40 us while the arena pager wrote a leaf of
+// nvm-cow: 21.9 / 22.0 / 0.08 / 0.16, 3.64 us of stall (two fences per batch
+// of sixteen: its pages and tuples, each streamed with its persisted mark into
+// a chunk sized to it, then the master record; and the allocator's own at the
+// heap end). It was 21.8 / 24.6 / 4.3 / 0.22, 3.82 us while every page took a
+// 4 KB chunk, written back its header apart and marked persisted behind a
+// fence of its own; 37.4 / 39.8 / 4.4 and 6.40 us while the arena pager wrote a leaf of
 // 8-byte tuple pointers as a u64 key and a u64 pointer per entry, and an inner
 // page slotted; 46.4 / 48.7 / 4.3 and 7.89 us while it wrote every page
 // slotted, slots and abandoned heap values included; 49.4 / 5.0 / 2.22 while
@@ -112,8 +117,8 @@ func TestColReader(t *testing.T) {
 // whole, once per transaction.
 func TestDeviceBudget(t *testing.T) {
 	budgets := map[string]enginetest.DeviceBudget{
-		"cow":     {Loads: 112.3, Stores: 113.1, Flushes: 0.12, Fences: 0.15, StallUS: 28},
-		"nvm-cow": {Loads: 24, Stores: 27, Flushes: 4.8, Fences: 0.25},
+		"cow":     {Loads: 112.3, Stores: 112.3, Flushes: 0.12, Fences: 0.14, StallUS: 28},
+		"nvm-cow": {Loads: 24, Stores: 24.2, Flushes: 0.09, Fences: 0.18},
 	}
 	both(t, func(t *testing.T, f enginetest.Factory) {
 		enginetest.RunDeviceBudget(t, f, enginetest.Budget, budgets[f.Name])

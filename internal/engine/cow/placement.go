@@ -94,14 +94,13 @@ func arenaPlacement(env *core.Env, pageSize int, reopen bool) (cowbtree.Pager, p
 // crash leaves marked before that is reclaim's. A full arena is an ordinary
 // error: the txn aborts.
 func (c *chunked) put(img []byte) ([]byte, error) {
-	p, err := c.env.Arena.Alloc(4+len(img), pmalloc.TagTable)
-	if err != nil {
-		return nil, err
-	}
 	buf := make([]byte, 4+len(img))
 	binary.LittleEndian.PutUint32(buf, uint32(len(img)))
 	copy(buf[4:], img)
-	c.env.Arena.StreamPersisted(p, buf)
+	p, err := c.env.Arena.StreamPersisted(pmalloc.TagTable, buf)
+	if err != nil {
+		return nil, err
+	}
 	c.txnNew = append(c.txnNew, p)
 	return binary.LittleEndian.AppendUint64(nil, p), nil
 }

@@ -83,8 +83,8 @@ func wideSchema(n, width int) []*core.Schema {
 //
 // clwbs, for an engine that persists with the sync primitive, is the exact
 // number of CLWBs the update issues on each of the three tables — the lines
-// it dirtied, each once (a count moves by one with where in a line a chunk
-// happens to start, never with the table's shape beyond that). Such an engine
+// it dirtied through the cache, each once, the same whatever the table's
+// shape. Such an engine
 // also owes nothing for looking: a read-only transaction on the evicted cache
 // must issue no store, no CLWB and no fence.
 func RunUpdateTouchesOnlyItsLines(t *testing.T, f Factory, maxLoads uint64, clwbs ...uint64) {

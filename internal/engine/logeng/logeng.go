@@ -345,7 +345,11 @@ func (e *Engine) resolveEntry(key uint64, ent lsm.Entry) (lsm.Entry, error) {
 // the merged chunk. The superseded chunk is returned for deferred freeing.
 func (e *Engine) putMem(s *core.Schema, tk uint64, ent lsm.Entry) (oldPtr, newPtr uint64, err error) {
 	if old, ok := e.mem.Get(tk); ok {
-		merged, err := lsm.MergeR(s, tk, ent, lsm.ReadEntryChunk(e.Env.Dev, old), e.resolveEntry)
+		prev, err := lsm.ReadEntryChunk(e.Env.Arena, old)
+		if err != nil {
+			return 0, 0, err
+		}
+		merged, err := lsm.MergeR(s, tk, ent, prev, e.resolveEntry)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -615,14 +619,19 @@ func (e *Engine) chain(tk uint64) ([]lsm.Entry, error) {
 		return ent.Kind != lsm.KindDelta
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	if p, ok := e.mem.Get(tk); ok && add(lsm.ReadEntryChunk(e.Env.Dev, p)) {
-		stopSt()
-		return entries, nil
-	}
+	mems := []*btree.Tree{e.mem}
 	if e.imm != nil {
-		if p, ok := e.imm.tree.Get(tk); ok && add(lsm.ReadEntryChunk(e.Env.Dev, p)) {
+		mems = append(mems, e.imm.tree)
+	}
+	for _, t := range mems {
+		p, ok := t.Get(tk)
+		if !ok {
+			continue
+		}
+		ent, err := lsm.ReadEntryChunk(e.Env.Arena, p)
+		if err != nil || add(ent) {
 			stopSt()
-			return entries, nil
+			return entries, err
 		}
 	}
 	stopSt()
@@ -711,13 +720,19 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 		k uint64
 		e lsm.Entry
 	}
+	var readErr error
 	collect := func(t *btree.Tree) []kv {
 		var out []kv
 		t.Iter(lo, func(k, p uint64) bool {
 			if k >= hi {
 				return false
 			}
-			out = append(out, kv{k, lsm.ReadEntryChunk(e.Env.Dev, p)})
+			ent, err := lsm.ReadEntryChunk(e.Env.Arena, p)
+			if err != nil {
+				readErr = err
+				return false
+			}
+			out = append(out, kv{k, ent})
 			return true
 		})
 		return out
@@ -726,6 +741,9 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 	memSrcs = append(memSrcs, collect(e.mem))
 	if e.imm != nil {
 		memSrcs = append(memSrcs, collect(e.imm.tree))
+	}
+	if readErr != nil {
+		return readErr
 	}
 	memIdx := make([]int, len(memSrcs))
 
@@ -972,7 +990,10 @@ func (e *Engine) buildSST(fz *frozenMem) (b sstBuild, err error) {
 		}
 	}()
 	fz.tree.Iter(0, func(k, p uint64) bool {
-		ent := lsm.ReadEntryChunk(e.Env.Dev, p)
+		var ent lsm.Entry
+		if ent, err = lsm.ReadEntryChunk(e.Env.Arena, p); err != nil {
+			return false
+		}
 		if e.vl != nil && ent.Kind == lsm.KindFull && len(ent.Payload) >= e.opts.VlogThreshold {
 			var ptr core.VlogPtr
 			if ptr, err = e.vl.Append(k, ent.Payload); err != nil {

@@ -223,10 +223,12 @@ func TestColReader(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 90.2 / 48.7 / 2.5 / 0.86. (114.3 / 48.4 / 25.8
-// while pmfs wrote WAL, SSTable and value-log bytes through the cache.)
+// stores / flushes / fences 89.6 / 48.2 / 1.9 / 0.60. (90.2 / 48.7 / 2.5 /
+// 0.86 while the MemTable's chunks and index nodes shared cache lines with
+// their neighbours; 114.3 / 48.4 / 25.8 while pmfs wrote WAL, SSTable and
+// value-log bytes through the cache.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 99.2, Stores: 53.6, Flushes: 2.8, Fences: 0.95})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 98.6, Stores: 53, Flushes: 2.1, Fences: 0.67})
 }
 
 // TestFlushWorkersRefused: the flush pipeline runs inline only, so New and

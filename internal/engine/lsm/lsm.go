@@ -7,9 +7,9 @@ package lsm
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"nstore/internal/core"
-	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
 
@@ -160,22 +160,22 @@ func CoalesceR(s *core.Schema, key uint64, entries []Entry, resolve Resolver) (r
 // memory: kind u8, len u32, payload.
 const entryChunkHdr = 5
 
-// allocEntryChunk allocates a table chunk for e and encodes e's image.
-func allocEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, []byte, error) {
+// entryChunkImage encodes e's chunk image.
+func entryChunkImage(e Entry) []byte {
 	img := make([]byte, entryChunkHdr+len(e.Payload))
 	img[0] = e.Kind
 	binary.LittleEndian.PutUint32(img[1:], uint32(len(e.Payload)))
 	copy(img[entryChunkHdr:], e.Payload)
-	// Table-arena exhaustion is reachable from normal traffic: surface it so
-	// the transaction can abort cleanly instead of panicking.
-	p, err := a.Alloc(len(img), pmalloc.TagTable)
-	return p, img, err
+	return img
 }
 
 // WriteEntryChunk allocates a table chunk and stores e in it through the
-// cache. The chunk is volatile: the Log engine's MemTable is.
+// cache. The chunk is volatile: the Log engine's MemTable is. Table-arena
+// exhaustion is reachable from normal traffic: it is returned, so the
+// transaction can abort cleanly instead of panicking.
 func WriteEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
-	p, img, err := allocEntryChunk(a, e)
+	img := entryChunkImage(e)
+	p, err := a.Alloc(len(img), pmalloc.TagTable)
 	if err != nil {
 		return 0, err
 	}
@@ -183,24 +183,30 @@ func WriteEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
 	return p, nil
 }
 
-// StreamEntryChunk allocates a table chunk and streams e into it with its
-// persisted mark (pmalloc.Arena.StreamPersisted), for an engine whose
-// MemTable is durable: chunk and mark are durable at the caller's next fence,
-// and until a tree names the chunk it is the caller's sweep's to reclaim.
+// StreamEntryChunk streams e into a table chunk with its persisted mark
+// (pmalloc.Arena.StreamPersisted), for an engine whose MemTable is durable:
+// chunk and mark are durable at the caller's next fence, and until a tree
+// names the chunk it is the caller's sweep's to reclaim.
 func StreamEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
-	p, img, err := allocEntryChunk(a, e)
-	if err != nil {
-		return 0, err
-	}
-	a.StreamPersisted(p, img)
-	return p, nil
+	return a.StreamPersisted(pmalloc.TagTable, entryChunkImage(e))
 }
 
-// ReadEntryChunk reads the entry stored at p.
-func ReadEntryChunk(d *nvm.Device, p uint64) Entry {
+// ReadEntryChunk reads the entry stored at p. The pointer, and the length
+// word behind it, come from an image: one written with a fence missing may
+// hold anything, so what does not fit in the arena's used extent is a
+// corrupt error, not a read.
+func ReadEntryChunk(a *pmalloc.Arena, p uint64) (Entry, error) {
+	if !a.Holds(p, entryChunkHdr) {
+		return Entry{}, core.Corrupt(fmt.Errorf("lsm: entry chunk %d lies outside the arena", p))
+	}
+	d := a.Device()
 	var b [entryChunkHdr]byte
 	d.Read(int64(p), b[:])
-	payload := make([]byte, binary.LittleEndian.Uint32(b[1:]))
+	n := int(binary.LittleEndian.Uint32(b[1:]))
+	if !a.Holds(p, entryChunkHdr+n) {
+		return Entry{}, core.Corrupt(fmt.Errorf("lsm: entry chunk %d claims %d bytes", p, n))
+	}
+	payload := make([]byte, n)
 	d.Read(int64(p)+entryChunkHdr, payload)
-	return Entry{Kind: b[0], Payload: payload}
+	return Entry{Kind: b[0], Payload: payload}, nil
 }

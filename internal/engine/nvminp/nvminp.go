@@ -85,6 +85,7 @@ type txnOp struct {
 	key     uint64
 	slot    uint64
 	entry   pmalloc.Ptr
+	entryN  int      // the WAL entry's length, which frees it unread
 	oldVars []uint64 // var-slots superseded by this update (freed at commit)
 	delSlot uint64   // delete: slot reclaimed at commit
 }
@@ -382,13 +383,9 @@ func (e *Engine) applyFixes(table int, fixes []secFix) error {
 // a crash leaves marked but unlinked is a persisted log chunk nothing reaches,
 // which undoWAL's sweep frees. Log-arena exhaustion is reachable from normal
 // traffic: it is an error, nothing was written, and the transaction can be
-// aborted cleanly.
-func (e *Engine) appendWAL(typ uint8, table int, key, slot uint64, befCols []int, befVals []uint64, fixes []secFix) (pmalloc.Ptr, error) {
+// aborted cleanly. It returns the entry and its length.
+func (e *Engine) appendWAL(typ uint8, table int, key, slot uint64, befCols []int, befVals []uint64, fixes []secFix) (pmalloc.Ptr, int, error) {
 	d := e.dev()
-	p, err := e.Env.Arena.Alloc(wData+colRec*len(befCols)+secRec*len(fixes), pmalloc.TagLog)
-	if err != nil {
-		return 0, err
-	}
 	rec := append(e.rec[:0], make([]byte, wData)...)
 	le := binary.LittleEndian
 	le.PutUint64(rec[wNext:], d.ReadU64(int64(e.hdr)+hWalHead))
@@ -408,10 +405,13 @@ func (e *Engine) appendWAL(typ uint8, table int, key, slot uint64, befCols []int
 		rec = le.AppendUint64(append(rec, uint8(f.idx), op), f.composite)
 	}
 	e.rec = rec
-	e.Env.Arena.StreamPersisted(p, rec)
+	p, err := e.Env.Arena.StreamPersisted(pmalloc.TagLog, rec)
+	if err != nil {
+		return 0, 0, err
+	}
 	d.Fence()
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, p)
-	return p, nil
+	return p, len(rec), nil
 }
 
 // Name returns "nvm-inp".
@@ -447,7 +447,7 @@ func (e *Engine) Commit() error {
 		if op.typ == core.WalDelete {
 			e.heaps[op.table].FreeSlot(op.delSlot)
 		}
-		e.Env.Arena.Free(op.entry)
+		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
 	}
 	stop() // before EndTx: a snapshot read times into the same breakdown
 	// The WAL truncation above is the durability barrier: versions publish
@@ -478,7 +478,7 @@ func (e *Engine) Abort() error {
 		d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
 	}
 	for _, op := range e.ops {
-		e.Env.Arena.Free(op.entry)
+		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
 	}
 	e.MV.DropStaged()
 	return e.EndTx()
@@ -511,7 +511,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	}
 
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
-	entry, err := e.appendWAL(core.WalInsert, tm.ID, key, slot, nil, nil, nil)
+	entry, n, err := e.appendWAL(core.WalInsert, tm.ID, key, slot, nil, nil, nil)
 	stopRec()
 	if err != nil {
 		h.FreeSlot(slot)
@@ -519,7 +519,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	}
 	// Record the op before touching the indexes so Abort can undo a
 	// partially applied insert if an index update fails below.
-	e.ops = append(e.ops, txnOp{typ: core.WalInsert, table: tm.ID, key: key, slot: slot, entry: entry})
+	e.ops = append(e.ops, txnOp{typ: core.WalInsert, table: tm.ID, key: key, slot: slot, entry: entry, entryN: n})
 
 	stopSt = e.Bd.Timer(&e.Bd.Storage)
 	h.PersistSlot(slot)
@@ -600,14 +600,14 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 		}
 	}
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
-	entry, err := e.appendWAL(core.WalUpdate, tm.ID, key, slot, upd.Cols, befVals, fixes)
+	entry, n, err := e.appendWAL(core.WalUpdate, tm.ID, key, slot, upd.Cols, befVals, fixes)
 	stopRec()
 	if err != nil {
 		return err // nothing logged, nothing touched
 	}
 	// Record the op before modifying anything so Abort can undo a
 	// partially applied update from the WAL entry's before-image.
-	e.ops = append(e.ops, txnOp{typ: core.WalUpdate, table: tm.ID, key: key, slot: slot, entry: entry})
+	e.ops = append(e.ops, txnOp{typ: core.WalUpdate, table: tm.ID, key: key, slot: slot, entry: entry, entryN: n})
 
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	if err := h.WriteCols(slot, upd.Cols, upd.Vals); err != nil {
@@ -649,7 +649,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 	}
 
 	stopRec := e.Bd.Timer(&e.Bd.Recovery)
-	entry, err := e.appendWAL(core.WalDelete, tm.ID, key, slot, nil, nil, nil)
+	entry, n, err := e.appendWAL(core.WalDelete, tm.ID, key, slot, nil, nil, nil)
 	stopRec()
 	if err != nil {
 		return err
@@ -657,7 +657,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 	// Record the op first so Abort re-links the indexes if a removal below
 	// fails partway.
 	e.ops = append(e.ops, txnOp{typ: core.WalDelete, table: tm.ID, key: key,
-		slot: slot, entry: entry, delSlot: slot})
+		slot: slot, entry: entry, entryN: n, delSlot: slot})
 
 	stopIdx = e.Bd.Timer(&e.Bd.Index)
 	defer stopIdx()

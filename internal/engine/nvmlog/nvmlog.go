@@ -77,12 +77,13 @@ func chunkOf(v uint64) pmalloc.Ptr            { return v &^ kindMask }
 func kindOf(v uint64) uint8                   { return uint8(v & kindMask) }
 
 // readEntry returns the entry a tagged pointer names. A tombstone has no
-// payload, so its chunk is not read.
-func (e *Engine) readEntry(v uint64) lsm.Entry {
+// payload, so its chunk is not read. A pointer or a length the arena does not
+// hold is a corrupt error (lsm.ReadEntryChunk).
+func (e *Engine) readEntry(v uint64) (lsm.Entry, error) {
 	if kindOf(v) == lsm.KindTomb {
-		return lsm.Entry{Kind: lsm.KindTomb}
+		return lsm.Entry{Kind: lsm.KindTomb}, nil
 	}
-	return lsm.ReadEntryChunk(e.Env.Dev, chunkOf(v))
+	return lsm.ReadEntryChunk(e.Env.Arena, chunkOf(v))
 }
 
 // run is one immutable MemTable.
@@ -117,6 +118,7 @@ type Engine struct {
 
 type txnOp struct {
 	entry  pmalloc.Ptr
+	entryN int    // the WAL entry's length, which frees it unread
 	oldPtr uint64 // superseded entry chunk (tagged), freed at commit
 	added  bool   // the op added its key to the MemTable (counted in memCount)
 }
@@ -417,12 +419,7 @@ func (e *Engine) writeEntryChunk(ent lsm.Entry) (uint64, error) {
 // storeBloom streams a filter's bits into an index chunk marked persisted,
 // durable at the fence swapRunList issues before it publishes the run.
 func (e *Engine) storeBloom(bits []byte) (pmalloc.Ptr, error) {
-	p, err := e.Env.Arena.Alloc(len(bits), pmalloc.TagIndex)
-	if err != nil {
-		return 0, err
-	}
-	e.Env.Arena.StreamPersisted(p, bits)
-	return p, nil
+	return e.Env.Arena.StreamPersisted(pmalloc.TagIndex, bits)
 }
 
 // secFix describes a secondary-index change for WAL undo.
@@ -436,8 +433,8 @@ type secFix struct {
 // tagged entry-chunk pointers, as the tree holds them) and the secondary
 // entries touched. The entry is streamed with its persisted mark; one fence
 // makes it and the new entry chunk durable, and a second links it at the
-// head, after which undo owns both.
-func (e *Engine) appendWAL(typ uint8, table int, key, oldPtr, newPtr uint64, fixes []secFix) (pmalloc.Ptr, error) {
+// head, after which undo owns both. It returns the entry and its length.
+func (e *Engine) appendWAL(typ uint8, table int, key, oldPtr, newPtr uint64, fixes []secFix) (pmalloc.Ptr, int, error) {
 	d := e.Env.Dev
 	rec := append(e.rec[:0], make([]byte, wSec)...)
 	le := binary.LittleEndian
@@ -455,19 +452,21 @@ func (e *Engine) appendWAL(typ uint8, table int, key, oldPtr, newPtr uint64, fix
 		rec = le.AppendUint64(append(rec, uint8(f.idx), op), f.composite)
 	}
 	e.rec = rec
-	p, err := e.Env.Arena.Alloc(len(rec), pmalloc.TagLog)
+	p, err := e.Env.Arena.StreamPersisted(pmalloc.TagLog, rec)
 	if err != nil {
 		// Log-arena exhaustion is reachable from normal traffic.
-		return 0, err
+		return 0, 0, err
 	}
-	e.Env.Arena.StreamPersisted(p, rec)
 	d.Fence()
 	d.WriteU64Durable(int64(e.hdr)+hWalHead, p)
-	return p, nil
+	return p, len(rec), nil
 }
 
 // undoWAL reverses in-flight transactions (newest entry first) and
-// truncates the log.
+// truncates the log. The entry chunks the undone operations made are left
+// to the sweep behind it: freeing one here would let the index rewrites
+// further down the undo take its address, and a crash inside this pass
+// would run the undo again and free a live node.
 func (e *Engine) undoWAL() error {
 	d := e.Env.Dev
 	head := d.ReadU64(int64(e.hdr) + hWalHead)
@@ -475,7 +474,7 @@ func (e *Engine) undoWAL() error {
 	for p := head; p != 0; p = d.ReadU64(int64(p) + wNext) {
 		frees = append(frees, p)
 		// Truncation is the commit point: linked entries are uncommitted.
-		if err := e.undoEntry(p); err != nil {
+		if _, err := e.undoEntry(p); err != nil {
 			return err
 		}
 	}
@@ -488,7 +487,11 @@ func (e *Engine) undoWAL() error {
 	return nil
 }
 
-func (e *Engine) undoEntry(p pmalloc.Ptr) error {
+// undoEntry reverses the operation WAL entry p logged and returns the entry
+// chunk it made. The caller frees that chunk once the log no longer names it:
+// until the truncation is durable a crash runs this undo again, and a chunk
+// freed here could meanwhile be a node of the index rewrites below.
+func (e *Engine) undoEntry(p pmalloc.Ptr) (pmalloc.Ptr, error) {
 	d := e.Env.Dev
 	table := int(d.ReadU8(int64(p) + wTable))
 	key := d.ReadU64(int64(p) + wKey)
@@ -497,15 +500,12 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) error {
 	tk := core.TreePrimary(table, key)
 	if oldPtr != 0 {
 		if err := e.mem.Put(tk, oldPtr); err != nil {
-			return err
+			return 0, err
 		}
 	} else {
 		if _, err := e.mem.Delete(tk); err != nil {
-			return err
+			return 0, err
 		}
-	}
-	if newPtr != 0 && e.Env.Arena.StateOf(chunkOf(newPtr)) != pmalloc.StateFree {
-		e.Env.Arena.Free(chunkOf(newPtr))
 	}
 	n := int(d.ReadU8(int64(p) + wNSec))
 	for i := 0; i < n; i++ {
@@ -515,15 +515,15 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) error {
 		composite := d.ReadU64(base + 2)
 		if op == 1 {
 			if _, err := e.second[table][idx].Delete(composite); err != nil {
-				return err
+				return 0, err
 			}
 		} else {
 			if err := e.second[table][idx].Put(composite, core.SecPK(composite)); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
-	return nil
+	return chunkOf(newPtr), nil
 }
 
 // applyMem merges an entry into the mutable MemTable, logging undo info.
@@ -537,21 +537,25 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key uint64, ent lsm.Ent
 		// A full image or a tombstone replaces whatever the MemTable held;
 		// only a delta has to read it, to fold itself in.
 		if ent.Kind == lsm.KindDelta {
-			ent = lsm.Merge(tm.Schema, ent, e.readEntry(v))
+			old, err := e.readEntry(v)
+			if err != nil {
+				return err
+			}
+			ent = lsm.Merge(tm.Schema, ent, old)
 		}
 	}
 	newPtr, err := e.writeEntryChunk(ent)
 	if err != nil {
 		return err
 	}
-	entry, err := e.appendWAL(typ, tm.ID, key, oldPtr, newPtr, fixes)
+	entry, n, err := e.appendWAL(typ, tm.ID, key, oldPtr, newPtr, fixes)
 	if err != nil {
 		e.Env.Arena.Free(chunkOf(newPtr))
 		return err
 	}
 	// Record the op before touching the trees so Abort can undo a partially
 	// applied operation from the WAL entry.
-	e.ops = append(e.ops, txnOp{entry: entry, oldPtr: oldPtr})
+	e.ops = append(e.ops, txnOp{entry: entry, entryN: n, oldPtr: oldPtr})
 	if err := e.mem.Put(tk, newPtr); err != nil {
 		return err
 	}
@@ -604,7 +608,7 @@ func (e *Engine) Commit() error {
 		if old := chunkOf(op.oldPtr); old != 0 && e.Env.Arena.StateOf(old) != pmalloc.StateFree {
 			e.Env.Arena.Free(old)
 		}
-		e.Env.Arena.Free(op.entry)
+		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
 	}
 	stop()
 	// The WAL truncation above is the durability barrier: versions publish
@@ -626,8 +630,10 @@ func (e *Engine) Abort() error {
 	if err := e.RequireTx(); err != nil {
 		return err
 	}
+	made := make([]pmalloc.Ptr, len(e.ops))
 	for i := len(e.ops) - 1; i >= 0; i-- {
-		if err := e.undoEntry(e.ops[i].entry); err != nil {
+		var err error
+		if made[i], err = e.undoEntry(e.ops[i].entry); err != nil {
 			// A failed rollback leaves volatile and durable state diverged;
 			// only the engine's crash-recovery path can restore consistency.
 			// The transaction is over either way — end it so recovery's
@@ -639,11 +645,14 @@ func (e *Engine) Abort() error {
 	if len(e.ops) > 0 {
 		e.Env.Dev.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
 	}
-	for _, op := range e.ops {
+	for i, op := range e.ops {
 		if op.added {
 			e.memCount-- // undo deleted the key again
 		}
-		e.Env.Arena.Free(op.entry)
+		if c := made[i]; c != 0 && e.Env.Arena.StateOf(c) != pmalloc.StateFree {
+			e.Env.Arena.Free(c)
+		}
+		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
 	}
 	e.MV.DropStaged()
 	return e.EndTx()
@@ -731,11 +740,9 @@ func (e *Engine) swapRunList(runs []*run) error {
 			img = binary.LittleEndian.AppendUint64(img, r.bloomWords<<8|uint64(r.bloomK))
 		}
 		var err error
-		list, err = e.Env.Arena.Alloc(len(img), pmalloc.TagOther)
-		if err != nil {
+		if list, err = e.Env.Arena.StreamPersisted(pmalloc.TagOther, img); err != nil {
 			return err
 		}
-		e.Env.Arena.StreamPersisted(list, img)
 	}
 	d.Fence()
 	d.WriteU64Durable(int64(e.hdr)+hRunList, uint64(list))
@@ -816,12 +823,17 @@ func (e *Engine) compact() error {
 					}
 					continue
 				case kindOf(v) == lsm.KindDelta && len(chunks) > 1:
-					acc := e.readEntry(v)
+					acc, err := e.readEntry(v)
 					for _, c := range chunks[1:] {
-						if acc.Kind != lsm.KindDelta {
+						if err != nil || acc.Kind != lsm.KindDelta {
 							break
 						}
-						acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, e.readEntry(c))
+						var older lsm.Entry
+						older, err = e.readEntry(c)
+						acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, older)
+					}
+					if err != nil {
+						return fail(err)
 					}
 					cp, err := e.writeEntryChunk(acc)
 					if err != nil {
@@ -992,8 +1004,14 @@ func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 	}
 	tk := core.TreePrimary(tm.ID, key)
 	var entries []lsm.Entry
+	var readErr error
 	add := func(v uint64) bool {
-		entries = append(entries, e.readEntry(v))
+		ent, err := e.readEntry(v)
+		if err != nil {
+			readErr = err
+			return true
+		}
+		entries = append(entries, ent)
 		return kindOf(v) != lsm.KindDelta
 	}
 	done := false
@@ -1017,6 +1035,9 @@ func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 			}
 		}
 		stopIdx()
+	}
+	if readErr != nil {
+		return nil, false, readErr
 	}
 	row, exists, _ := lsm.Coalesce(tm.Schema, entries)
 	return row, exists, nil
@@ -1094,6 +1115,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 	}
 	entries := make(map[uint64][]lsm.Entry)
 	var order []uint64
+	var readErr error
 	collect := func(t *nvbtree.Tree) {
 		t.Iter(lo, func(k, v uint64) bool {
 			if k >= hi {
@@ -1102,13 +1124,21 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 			if _, ok := entries[k]; !ok {
 				order = append(order, k)
 			}
-			entries[k] = append(entries[k], e.readEntry(v))
+			ent, err := e.readEntry(v)
+			if err != nil {
+				readErr = err
+				return false
+			}
+			entries[k] = append(entries[k], ent)
 			return true
 		})
 	}
 	collect(e.mem)
 	for _, r := range e.runs {
 		collect(r.tree)
+	}
+	if readErr != nil {
+		return readErr
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, k := range order {

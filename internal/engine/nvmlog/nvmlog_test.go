@@ -6,6 +6,7 @@ import (
 
 	"nstore/internal/core"
 	"nstore/internal/engine/enginetest"
+	"nstore/internal/engine/lsm"
 )
 
 func TestConformance(t *testing.T) {
@@ -215,13 +216,18 @@ func TestFenceWindows(t *testing.T) {
 	enginetest.RunFenceWindows(t, confFactory())
 }
 
-// TestFenceWindowsCatchDroppedFence: an update ends record, head, the
-// MemTable's two fences, commit; without the record's fence the head can link
-// an entry that never reached the medium. (The head's own fence is the one
-// the walk cannot miss on NVM-InP; here the MemTable append fences once more
-// before it publishes, so the walk rightly finds nothing wrong without it.)
+// TestFenceWindowsCatchDroppedFence: an insert ends entry chunk, record,
+// head, the MemTable's four fences, commit; without the record's fence the
+// head can link a WAL entry that never reached the medium. The insert's WAL
+// entry takes back the chunk the previous commit's entry left
+// (pmalloc.Arena.FreeStreamed), so no allocation fences it first. (On
+// update-string both the entry chunk and the WAL entry are carved from fresh
+// memory, and the allocator fences each before the heap end moves over it, so
+// the walk rightly finds nothing wrong without the record's fence there; nor
+// without the head's, since the MemTable append fences once more before it
+// publishes.)
 func TestFenceWindowsCatchDroppedFence(t *testing.T) {
-	enginetest.RunFenceWindowsCatchesDroppedFence(t, confFactory(), "update-string", 5)
+	enginetest.RunFenceWindowsCatchesDroppedFence(t, confFactory(), "insert-ten-strings", 7)
 }
 
 func TestRecoveryConformance(t *testing.T) {
@@ -248,13 +254,14 @@ func TestColReader(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per update in device counters
 // on the steady budget schedule (6 000 updates after the load, then 12 000
-// measured): loads / stores / flushes / fences 24.4 / 27.2 / 10.9 / 5.34, 4.56
-// us of stall (24.5 / 27.0 / 10.8 / 5.34 while a rotation listed its run before
-// persisting the Bloom filter and swapped the run list again to name it: the
-// one swap costs less, but moves where later chunks land, and with it which
-// lines an update writes back). The ceilings sit a tenth above that, but no higher than what
-// merging the two oldest runs at every rotation cost on the same schedule:
-// 26.5 / 28.8 / 11.5 / 5.34, 4.92 us. The first 2 000 updates after the load
+// measured): loads / stores / flushes / fences 20.5 / 25.2 / 5.4 / 5.35, 3.71
+// us of stall, the ceilings a tenth above. Its entry chunks and WAL entries
+// are streamed on lines of their own; it was 24.4 / 27.2 / 10.9 / 5.34, 4.56
+// us while a chunk shared its first and last lines with its neighbours (24.5 /
+// 27.0 / 10.8 / 5.34 while a rotation listed its run before persisting the
+// Bloom filter and swapped the run list again to name it), and 26.5 / 28.8 /
+// 11.5 / 5.34, 4.92 us while it merged the two oldest runs at every rotation.
+// The first 2 000 updates after the load
 // measure the engine before its merges reach the oldest run: 10.6 / 19.4 /
 // 12.5 / 7.57 under that rule, which is what this test pinned until the merge
 // rule changed. (Those figures were 10.6 / 20.3 / 13.6 / 11.16 while the entry
@@ -264,7 +271,7 @@ func TestColReader(t *testing.T) {
 // built nodes were written through the cache.)
 func TestDeviceBudget(t *testing.T) {
 	enginetest.RunDeviceBudget(t, confFactory(), enginetest.SteadyBudget(3000),
-		enginetest.DeviceBudget{Loads: 26.5, Stores: 28.8, Flushes: 11.5, Fences: 5.9, StallUS: 4.92})
+		enginetest.DeviceBudget{Loads: 22.6, Stores: 27.7, Flushes: 6, Fences: 5.9, StallUS: 4.1})
 }
 
 // TestUpdateCostFlatInDatabaseSize: the steady-state cost of an update does
@@ -347,12 +354,13 @@ func TestOpenRejectsValueLogDirectory(t *testing.T) {
 
 // TestUpdateTouchesOnlyItsLines: a cold one-column update of a tuple in an
 // immutable run decides existence from tree nodes and Bloom words, writes its
-// delta and reads no image of the tuple, however many or wide its columns. Its
-// ten CLWBs are the partial lines of the entry chunk and the WAL entry, the WAL
-// head twice, the MemTable leaf's entry and count, and the allocator's two for
-// carving the delta's chunk; a read-only transaction writes nothing at all.
+// delta and reads no image of the tuple, however many or wide its columns:
+// 19 lines. It streams the delta's entry chunk and the WAL entry, chunks on
+// lines of their own, so its four CLWBs are the WAL head twice and the
+// MemTable leaf's entry and count; a read-only transaction writes nothing at
+// all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 36, 10, 10, 10)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 19, 4, 4, 4)
 }
 
 // TestOpenRejectsUntaggedImage: an image written before the kind rode in the
@@ -398,5 +406,55 @@ func TestFlushWorkersRefused(t *testing.T) {
 	}
 	if _, err := Open(env, simpleSchema(), core.Options{FlushWorkers: 1}); err == nil || !strings.Contains(err.Error(), "FlushWorkers") {
 		t.Fatalf("Open with FlushWorkers 1: %v, want an error naming the field", err)
+	}
+}
+
+// TestEntryReadsCheckTheImage: a MemTable leaf names its entry chunk, and the
+// chunk's length word sizes the read, both from the medium. A pointer outside
+// the arena, or a length past its used extent — what an image written with a
+// fence missing can hold — is a corrupt error from Get, ScanRange and an
+// update's merge with the entry it supersedes, never a panic in the device.
+func TestEntryReadsCheckTheImage(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(e *Engine, v uint64) uint64
+	}{
+		{"pointer", func(*Engine, uint64) uint64 { return tagPtr(0x3030303030303030&^kindMask, lsm.KindFull) }},
+		{"length", func(e *Engine, v uint64) uint64 {
+			e.Env.Dev.WriteU32(int64(chunkOf(v))+1, 1<<31-1)
+			return v
+		}},
+	} {
+		env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
+		e, err := New(env, simpleSchema(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(1); k <= 3; k++ {
+			e.Begin()
+			if err := e.Insert("t", uint64(k), row(k)); err != nil {
+				t.Fatal(err)
+			}
+			e.Commit()
+		}
+		tk := core.TreePrimary(0, 2)
+		v, ok := e.mem.Get(tk)
+		if !ok {
+			t.Fatal("key 2 is not in the MemTable")
+		}
+		if err := e.mem.Put(tk, tc.plant(e, v)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.Get("t", 2); !core.IsCorrupt(err) {
+			t.Errorf("%s: Get = %v, want a corrupt error", tc.name, err)
+		}
+		if err := e.ScanRange("t", 0, 10, func(uint64, []core.Value) bool { return true }); !core.IsCorrupt(err) {
+			t.Errorf("%s: ScanRange = %v, want a corrupt error", tc.name, err)
+		}
+		e.Begin()
+		if err := e.Update("t", 2, core.Update{Cols: []int{1}, Vals: []core.Value{core.IntVal(9)}}); !core.IsCorrupt(err) {
+			t.Errorf("%s: an update's merge = %v, want a corrupt error", tc.name, err)
+		}
+		e.Abort()
 	}
 }

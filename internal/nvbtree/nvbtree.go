@@ -30,7 +30,9 @@ import (
 	"nstore/internal/pmalloc"
 )
 
-// DefaultNodeSize matches the paper's STX B+tree configuration (512 B).
+// DefaultNodeSize matches the paper's STX B+tree configuration (512 B). A
+// node is an allocator chunk of that size, its header included, so a node
+// of a power-of-two size owns whole cache lines.
 const DefaultNodeSize = 512
 
 const (
@@ -69,7 +71,7 @@ type Tree struct {
 	arena *pmalloc.Arena
 	dev   *nvm.Device
 	hdr   pmalloc.Ptr
-	nsize int
+	nsize int // a node's payload: its chunk less the chunk header
 	cap   int
 
 	// Single-threaded scratch for whole-node reads and shadow resolution,
@@ -110,10 +112,11 @@ func newHandle(arena *pmalloc.Arena, nodeSize int) *Tree {
 	if nodeSize == 0 {
 		nodeSize = DefaultNodeSize
 	}
-	if nodeSize < nEntries+4*entSize {
+	nsize := nodeSize - pmalloc.HeaderSize
+	if nsize < nEntries+4*entSize {
 		panic("nvbtree: node size too small")
 	}
-	return &Tree{arena: arena, dev: arena.Device(), nsize: nodeSize, cap: (nodeSize - nEntries) / entSize}
+	return &Tree{arena: arena, dev: arena.Device(), nsize: nsize, cap: (nsize - nEntries) / entSize}
 }
 
 // writeHeader stores a fresh header (clear journal) naming root; the caller
@@ -233,8 +236,9 @@ func Open(arena *pmalloc.Arena, hdr pmalloc.Ptr) (*Tree, error) {
 // Header returns the tree's durable anchor pointer (the naming handle).
 func (t *Tree) Header() pmalloc.Ptr { return t.hdr }
 
-// NodeSize returns the configured node size.
-func (t *Tree) NodeSize() int { return t.nsize }
+// NodeSize returns the configured node size: a node's chunk, header
+// included.
+func (t *Tree) NodeSize() int { return t.nsize + pmalloc.HeaderSize }
 
 func (t *Tree) root() uint64 { return t.dev.ReadU64(int64(t.hdr) + hRoot) }
 

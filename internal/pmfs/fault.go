@@ -74,7 +74,9 @@ type SyncFault struct {
 }
 
 // InjectSyncFault installs a sync fault. Any previously installed fault is
-// replaced.
+// replaced. Only the writes made while a fault is installed are recorded, so
+// a torn fsync tears those: install the fault before the writes it is to
+// tear. A write made before it is never dropped by the tear.
 func (fs *FS) InjectSyncFault(f SyncFault) {
 	fs.syncFault = f
 	fs.syncFaultSet = true

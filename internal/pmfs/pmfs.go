@@ -86,8 +86,9 @@ type FS struct {
 	nextExt  int64   // volatile bump cursor (durable via inode reachability)
 
 	// dirty lists, per inode and in write order, the device ranges written
-	// since the file's last fsync. Nothing on the data path reads it: it is
-	// the fault injector's record of what a torn fsync may drop (fault.go).
+	// since the file's last fsync while a sync fault was installed. Nothing on
+	// the data path reads it: it is the fault injector's record of what a
+	// torn fsync may drop (fault.go), and is kept only when one may fire.
 	dirty map[int][]span
 	// metaDirty marks inodes whose metadata (size, extents) changed since
 	// the last fsync, so fsync only flushes metadata when needed.
@@ -440,7 +441,9 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 			chunk = contig
 		}
 		f.fs.dev.WriteStream(addr, p[written:written+int(chunk)])
-		f.fs.addDirty(f.ino, addr, addr+chunk)
+		if f.fs.syncFaultSet {
+			f.fs.addDirty(f.ino, addr, addr+chunk)
+		}
 		written += int(chunk)
 	}
 	return n, nil

@@ -148,6 +148,13 @@ func TestSyncFaultModel(t *testing.T) {
 						now := append([]byte(nil), prior...)
 						var order []int64 // lines touched, in write order
 						rng := rand.New(rand.NewSource(seed))
+						// Installed before the writes it is to tear; the other
+						// file's fsync, if any, passes.
+						after := 0
+						if between {
+							after = 1
+						}
+						fs.InjectSyncFault(SyncFault{Seed: seed, Mode: mode, AfterSyncs: after})
 						for i, w := range shape.writes {
 							p := make([]byte, w.n)
 							rng.Read(p)
@@ -173,7 +180,6 @@ func TestSyncFaultModel(t *testing.T) {
 						newSize := f.Size()
 						unfenced = !bytes.Equal(fenced, now)
 
-						fs.InjectSyncFault(SyncFault{Seed: seed, Mode: mode})
 						expectCrash(t, func() { f.Sync() })
 						dev.Crash()
 						got := make([]byte, region)
