@@ -2,6 +2,7 @@ package enginetest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -66,6 +67,16 @@ func (fam faultFamily) arm(env *core.Env, seed int64, rng *rand.Rand, base, span
 	env.FS.InjectSyncFault(sf)
 }
 
+// watch has a sync family's filesystem record every write from the start,
+// so the fault arm installs later may tear a write made before it: pmfs
+// records unsynced ranges only while a sync fault is installed. The fault
+// watch installs cannot fire before arm replaces it.
+func (fam faultFamily) watch(env *core.Env) {
+	if fam.sync != nil {
+		env.FS.InjectSyncFault(pmfs.SyncFault{AfterSyncs: math.MaxInt})
+	}
+}
+
 // RunRecoveryConformance drives the engine through seeded workloads, each
 // ending in an injected crash — power loss at a fence boundary, reordered or
 // torn cache-line write-back, and (for the traditional engines) lost or torn
@@ -117,6 +128,7 @@ func recoverySchedule(f Factory, fam faultFamily, seed int64) error {
 	// (~85 B encoded) but not item rows, so its every crash schedule also
 	// exercises the value-log head replay and pointer validation.
 	opts.VlogThreshold = 64
+	fam.watch(env)
 	e, err := f.New(env, schemas, opts)
 	if err != nil {
 		return fmt.Errorf("New: %w", err)
