@@ -20,7 +20,8 @@ import (
 //     be reopened immediately after a crash (OpenHeap).
 //
 // Slot layout: state byte (+7 pad), primary key u64, then 8 bytes per
-// column (inline int, or pointer to a var-slot holding u32 length + bytes).
+// column: an int inline, or a string's VarRef to a var-slot holding u32
+// length + bytes.
 type Heap struct {
 	arena  *pmalloc.Arena
 	dev    *nvm.Device
@@ -38,7 +39,37 @@ type Heap struct {
 	allCols []int    // 0..len(Columns)-1, for WriteRow
 	vps     []uint64 // scratch: var-slots of the call in progress
 	img     []byte   // scratch: a var-slot's image on its way to the arena
+
+	// kept is the var-slot of a line or more that FreeVar last released on
+	// an NVM heap (0: none). It is not freed: still marked persisted and named
+	// by nothing durable, it waits for the next var-slot of its chunk size,
+	// which WriteCols streams over it (pmalloc.Arena.Restream) with no load
+	// and no free mark. Reach names it; after a crash the owner's sweep frees
+	// it like any var-slot no slot names.
+	kept VarRef
 }
+
+// VarRef is a string column's 8-byte field: the pointer to its var-slot below
+// bit 40, the string's length above, so the var-slot's chunk size is known
+// without reading it. Zero is a field never written.
+type VarRef uint64
+
+const (
+	varPtrBits = 40
+	// MaxStringLen is the longest string a heap column holds.
+	MaxStringLen = 1<<(64-varPtrBits) - 1
+)
+
+func varRef(p pmalloc.Ptr, n int) VarRef { return VarRef(uint64(n)<<varPtrBits | p) }
+
+// Ptr returns the var-slot's payload pointer.
+func (r VarRef) Ptr() pmalloc.Ptr { return uint64(r) & (1<<varPtrBits - 1) }
+
+// Len returns the string's length in bytes.
+func (r VarRef) Len() int { return int(r >> varPtrBits) }
+
+// chunk returns the size of the var-slot's chunk, header included.
+func (r VarRef) chunk() int { return pmalloc.ChunkSize(4 + r.Len()) }
 
 // Slot states within a heap block.
 const (
@@ -58,6 +89,9 @@ const (
 )
 
 func newHeapHandle(arena *pmalloc.Arena, schema *Schema, nvmMode bool) *Heap {
+	if arena.Device().Size() > 1<<varPtrBits {
+		panic("core: a heap's var-slot pointers need a device below 1 TB")
+	}
 	h := &Heap{
 		arena:    arena,
 		dev:      arena.Device(),
@@ -206,15 +240,16 @@ func (h *Heap) WriteCol(slot uint64, col int, v Value) error {
 }
 
 // WriteCols stores the values of the given columns. Every string column gets
-// a fresh var-slot; the caller owns freeing the previous one (ColVarPtr
-// before the call, FreeVar after). The var-slots are taken before the slot is
+// a fresh var-slot; the caller owns freeing the previous one (ColVar before
+// the call, FreeVar after). The var-slots are taken before the slot is
 // touched, so when the arena runs out the ones already taken are released,
 // the slot still holds what it held, and the allocator's error is returned.
 // On an NVM heap each var-slot is streamed with its persisted mark in one
-// fence interval (pmalloc.Arena.StreamPersisted) and the fields are left in
-// the cache (WriteBackCols, PersistSlot): all of it is durable at a fence of
-// the caller's, and a var-slot a crash leaves marked with no live slot naming
-// it is the owner's to sweep (Reach).
+// fence interval (pmalloc.Arena.StreamPersisted, or Restream over the kept
+// var-slot when that is of its chunk size) and the fields are left in the
+// cache (WriteBackCols, PersistSlot): all of it is durable at a fence of the
+// caller's, and a var-slot a crash leaves marked with no live slot naming it
+// is the owner's to sweep (Reach).
 func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 	vps := h.vps[:0]
 	for j, ci := range cols {
@@ -224,9 +259,16 @@ func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 		b := vals[j].S
 		var vp pmalloc.Ptr
 		var err error
-		if h.nvmMod {
+		if len(b) > MaxStringLen {
+			err = fmt.Errorf("core: a %d-byte string is over the heap's %d-byte limit", len(b), MaxStringLen)
+		} else if h.nvmMod {
 			h.img = append(binary.LittleEndian.AppendUint32(h.img[:0], uint32(len(b))), b...)
-			vp, err = h.arena.StreamPersisted(pmalloc.TagTable, h.img)
+			if k := h.kept; k != 0 && k.chunk() == pmalloc.ChunkSize(len(h.img)) {
+				vp, h.kept = k.Ptr(), 0
+				h.arena.Restream(vp, pmalloc.TagTable, h.img)
+			} else {
+				vp, err = h.arena.StreamPersisted(pmalloc.TagTable, h.img)
+			}
 		} else if vp, err = h.arena.Alloc(4+len(b), pmalloc.TagTable); err == nil {
 			h.dev.WriteU32(int64(vp), uint32(len(b)))
 			h.dev.Write(int64(vp)+4, b)
@@ -246,7 +288,7 @@ func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 			h.dev.WriteU64(field, uint64(vals[j].I))
 			continue
 		}
-		h.dev.WriteU64(field, vps[0])
+		h.dev.WriteU64(field, uint64(varRef(vps[0], len(vals[j].S))))
 		vps = vps[1:]
 	}
 	return nil
@@ -270,7 +312,7 @@ func (h *Heap) WriteBackCols(slot uint64, cols []int) {
 }
 
 // RawCol returns a column's 8-byte field as stored: an int's value, a
-// string's var-slot pointer. It is the before-image RestoreCol takes back.
+// string's VarRef. It is the before-image RestoreCol takes back.
 func (h *Heap) RawCol(slot uint64, col int) uint64 {
 	return h.dev.ReadU64(int64(slot) + slotData + int64(col*8))
 }
@@ -281,33 +323,33 @@ func (h *Heap) RestoreCol(slot uint64, col int, raw uint64) {
 	h.dev.WriteU64(int64(slot)+slotData+int64(col*8), raw)
 }
 
-// ColVarPtr returns the var-slot pointer of a string column (0 if unset).
-func (h *Heap) ColVarPtr(slot uint64, col int) uint64 {
+// ColVar returns a string column's VarRef (0 if unset or an int column).
+func (h *Heap) ColVar(slot uint64, col int) VarRef {
 	if h.schema.Columns[col].Type != TString {
 		return 0
 	}
-	return h.dev.ReadU64(int64(slot) + slotData + int64(col*8))
+	return VarRef(h.dev.ReadU64(int64(slot) + slotData + int64(col*8)))
 }
 
 // TryReadCol reads one column value. A string field that points outside the
-// arena, or at a var-slot claiming more bytes than the arena holds behind it,
-// is an error: only an image written with its fences disabled holds one, and
-// it must not take the process down.
+// arena, or at a var-slot whose length word is not the field's, is an error:
+// only an image written with its fences disabled holds one, and it must not
+// take the process down.
 func (h *Heap) TryReadCol(slot uint64, col int) (Value, error) {
 	field := int64(slot) + slotData + int64(col*8)
 	if h.schema.Columns[col].Type == TInt {
 		return Value{I: int64(h.dev.ReadU64(field))}, nil
 	}
-	vp := h.dev.ReadU64(field)
-	if vp == 0 {
+	r := VarRef(h.dev.ReadU64(field))
+	if r == 0 {
 		return Value{}, nil
 	}
-	if !h.arena.Holds(vp, 4) {
-		return Value{}, fmt.Errorf("core: slot %d column %d points at %d, outside the arena", slot, col, vp)
-	}
-	ln := int(h.dev.ReadU32(int64(vp)))
+	vp, ln := r.Ptr(), r.Len()
 	if !h.arena.Holds(vp, 4+ln) {
-		return Value{}, fmt.Errorf("core: var-slot %d of slot %d column %d claims %d bytes", vp, slot, col, ln)
+		return Value{}, fmt.Errorf("core: slot %d column %d points at %d bytes at %d, outside the arena", slot, col, ln, vp)
+	}
+	if got := h.dev.ReadU32(int64(vp)); got != uint32(ln) {
+		return Value{}, fmt.Errorf("core: var-slot %d of slot %d column %d claims %d bytes, its field %d", vp, slot, col, got, ln)
 	}
 	b := make([]byte, ln)
 	h.dev.Read(int64(vp)+4, b)
@@ -363,14 +405,22 @@ func (h *Heap) PersistSlot(slot uint64) {
 	h.live++
 }
 
-// FreeVar releases one var-slot chunk if it is still live.
-func (h *Heap) FreeVar(vp uint64) {
-	if vp == 0 {
+// FreeVar releases the var-slot r names, which must be live and no longer
+// named by anything durable. On an NVM heap a var-slot of a line or more is
+// kept aside for the next of its chunk size (see kept) without a word to the
+// device, and the one kept before is freed.
+func (h *Heap) FreeVar(r VarRef) {
+	if r == 0 {
 		return
 	}
-	if h.arena.StateOf(vp) != pmalloc.StateFree {
-		h.arena.Free(vp)
+	if !h.nvmMod || r.chunk() < nvm.LineSize {
+		h.arena.Free(r.Ptr())
+		return
 	}
+	if h.kept != 0 {
+		h.arena.Free(h.kept.Ptr())
+	}
+	h.kept = r
 }
 
 // FreeSlot releases the slot and all its var-slots.
@@ -378,10 +428,8 @@ func (h *Heap) FreeSlot(slot uint64) {
 	if h.State(slot) == SlotPersisted {
 		h.live--
 	}
-	for i, c := range h.schema.Columns {
-		if c.Type == TString {
-			h.FreeVar(h.ColVarPtr(slot, i))
-		}
+	for i := range h.schema.Columns {
+		h.FreeVar(h.ColVar(slot, i))
 	}
 	h.dev.WriteU8(int64(slot)+slotState, SlotFree)
 	if h.nvmMod {
@@ -418,8 +466,8 @@ func (h *Heap) Scan(fn func(slot uint64) bool) {
 }
 
 // Reach calls mark with every allocator chunk the heap holds: its anchor, its
-// blocks, and the var-slots its live slots name. A persisted table chunk that
-// neither this nor an index reaches is a leak.
+// blocks, the var-slots its live slots name and the one it keeps aside. A
+// persisted table chunk that neither this nor an index reaches is a leak.
 func (h *Heap) Reach(mark func(p pmalloc.Ptr)) {
 	if h.hdr != 0 {
 		mark(h.hdr)
@@ -427,10 +475,13 @@ func (h *Heap) Reach(mark func(p pmalloc.Ptr)) {
 	for _, b := range h.blocks {
 		mark(b)
 	}
+	if h.kept != 0 {
+		mark(h.kept.Ptr())
+	}
 	h.Scan(func(slot uint64) bool {
-		for ci, c := range h.schema.Columns {
-			if vp := h.ColVarPtr(slot, ci); c.Type == TString && vp != 0 {
-				mark(vp)
+		for ci := range h.schema.Columns {
+			if r := h.ColVar(slot, ci); r != 0 {
+				mark(r.Ptr())
 			}
 		}
 		return true

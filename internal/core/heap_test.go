@@ -138,7 +138,7 @@ func TestHeapNVMReopen(t *testing.T) {
 func TestHeapWriteColReplacesVar(t *testing.T) {
 	_, _, h := newHeapEnv(t, false)
 	slot := putRow(t, h, 1, sampleRow())
-	oldVar := h.ColVarPtr(slot, 1)
+	oldVar := h.ColVar(slot, 1)
 	if oldVar == 0 {
 		t.Fatal("no var slot for string column")
 	}
@@ -155,7 +155,7 @@ func TestHeapFreeSlotOnly(t *testing.T) {
 	_, _, h := newHeapEnv(t, true)
 	slot := putRow(t, h, 1, sampleRow())
 	h.PersistSlot(slot)
-	vp := h.ColVarPtr(slot, 1)
+	vp := h.ColVar(slot, 1)
 	h.FreeSlotOnly(slot)
 	if h.Live() != 0 {
 		t.Errorf("Live = %d", h.Live())
@@ -229,7 +229,7 @@ func TestHeapUpdateMarksWhatItWrites(t *testing.T) {
 	slot := putRow(t, h, 1, sampleRow())
 	h.PersistSlot(slot)
 	dev.Fence()
-	old, other := h.ColVarPtr(slot, 1), h.ColVarPtr(slot, 3)
+	old, other := h.ColVar(slot, 1), h.ColVar(slot, 3)
 	cols, vals := []int{1, 2}, []Value{StrVal("bob"), IntVal(9)}
 	// A chunk of the size on the free list: the allocator splits nothing.
 	spare, err := arena.Alloc(4+len("bob"), pmalloc.TagTable)
@@ -254,11 +254,11 @@ func TestHeapUpdateMarksWhatItWrites(t *testing.T) {
 	if n := 1 + lines; got.Loads != n || got.Flushes != n || got.Stores != n || got.Fences != 0 {
 		t.Errorf("a two-column update cost %d loads, %d CLWBs, %d stores, %d fences; want %d, %d, %d, 0", got.Loads, got.Flushes, got.Stores, got.Fences, n, n, n)
 	}
-	if vp := h.ColVarPtr(slot, 1); vp == old || arena.StateOf(vp) != pmalloc.StatePersisted {
-		t.Errorf("updated column points at %d (was %d) in state %d, want a new persisted var-slot", vp, old, arena.StateOf(vp))
+	if r := h.ColVar(slot, 1); r.Ptr() == old.Ptr() || r.Len() != len("bob") || arena.StateOf(r.Ptr()) != pmalloc.StatePersisted {
+		t.Errorf("updated column points at %d bytes at %d (was %d) in state %d, want a new persisted var-slot of 3", r.Len(), r.Ptr(), old.Ptr(), arena.StateOf(r.Ptr()))
 	}
-	if h.ColVarPtr(slot, 3) != other {
-		t.Errorf("untouched column now points at %d", h.ColVarPtr(slot, 3))
+	if h.ColVar(slot, 3) != other {
+		t.Errorf("untouched column now points at %d", h.ColVar(slot, 3).Ptr())
 	}
 	dev.Fence()
 	dev.Crash()
@@ -278,7 +278,7 @@ func TestHeapTryReadSurvivesGarbage(t *testing.T) {
 	if _, err := h.TryReadRow(slot); err != nil {
 		t.Fatal(err)
 	}
-	dev.WriteU32(int64(h.ColVarPtr(slot, 1)), 1<<31)
+	dev.WriteU32(int64(h.ColVar(slot, 1).Ptr()), 1<<31)
 	if v, err := h.TryReadCol(slot, 1); err == nil {
 		t.Errorf("garbage length read as %d bytes", len(v.S))
 	}
@@ -287,5 +287,64 @@ func TestHeapTryReadSurvivesGarbage(t *testing.T) {
 		if v, err := h.TryReadCols(slot, []int{0, 3}); err == nil {
 			t.Errorf("pointer %d read as %v", bad, v)
 		}
+	}
+}
+
+// TestHeapKeepsOneVarSlot: on an NVM heap FreeVar keeps a var-slot of a line
+// or more aside without touching the device, Reach names it, and the next
+// var-slot of its chunk size is streamed over it; a var-slot of another size
+// leaves it kept, and keeping the next one frees it. A volatile heap frees at
+// once, as before.
+func TestHeapKeepsOneVarSlot(t *testing.T) {
+	reached := func(h *Heap, p pmalloc.Ptr) bool {
+		found := false
+		h.Reach(func(q pmalloc.Ptr) { found = found || q == p })
+		return found
+	}
+	long := func(n int) Value { return BytesVal(make([]byte, n)) }
+
+	dev, arena, h := newHeapEnv(t, true)
+	slot := putRow(t, h, 1, []Value{IntVal(1), long(100), IntVal(2), long(100)})
+	h.PersistSlot(slot)
+	old := h.ColVar(slot, 1)
+	if err := h.WriteCol(slot, 1, long(100)); err != nil {
+		t.Fatal(err)
+	}
+	st0 := dev.Stats()
+	h.FreeVar(old)
+	if d := dev.Stats().Sub(st0); d != (nvm.Stats{}) {
+		t.Errorf("keeping a var-slot cost %+v, want nothing", d)
+	}
+	if arena.StateOf(old.Ptr()) != pmalloc.StatePersisted || !reached(h, old.Ptr()) {
+		t.Errorf("the kept var-slot is %v, reached %v; want persisted and reached", arena.StateOf(old.Ptr()), reached(h, old.Ptr()))
+	}
+	if err := h.WriteCol(slot, 3, long(300)); err != nil {
+		t.Fatal(err)
+	}
+	if r := h.ColVar(slot, 3); r.Ptr() == old.Ptr() {
+		t.Error("a var-slot of another chunk size took the kept one")
+	}
+	if err := h.WriteCol(slot, 1, long(90)); err != nil {
+		t.Fatal(err)
+	}
+	if r := h.ColVar(slot, 1); r.Ptr() != old.Ptr() || r.Len() != 90 || string(h.ReadCol(slot, 1).S) != string(make([]byte, 90)) {
+		t.Errorf("the next var-slot of the kept one's size is %d bytes at %d, want 90 at %d", r.Len(), r.Ptr(), old.Ptr())
+	}
+	a, b := h.ColVar(slot, 1), h.ColVar(slot, 3)
+	if err := h.WriteCols(slot, []int{1, 3}, []Value{long(100), long(300)}); err != nil {
+		t.Fatal(err)
+	}
+	h.FreeVar(a)
+	h.FreeVar(b)
+	if arena.StateOf(a.Ptr()) != pmalloc.StateFree || reached(h, a.Ptr()) || !reached(h, b.Ptr()) {
+		t.Errorf("after keeping a second var-slot the first is %v, reached %v; the second reached %v", arena.StateOf(a.Ptr()), reached(h, a.Ptr()), reached(h, b.Ptr()))
+	}
+
+	_, arena, h = newHeapEnv(t, false)
+	slot = putRow(t, h, 1, []Value{IntVal(1), long(100), IntVal(2), long(100)})
+	old = h.ColVar(slot, 1)
+	h.FreeVar(old)
+	if arena.StateOf(old.Ptr()) != pmalloc.StateFree {
+		t.Errorf("a volatile heap's FreeVar left the var-slot %v", arena.StateOf(old.Ptr()))
 	}
 }

@@ -218,17 +218,17 @@ func (e *Engine) indexedRow(tm *core.TableMeta, slot uint64, cols []int) []core.
 // entries. When the arena runs out the tuple is unchanged.
 func (e *Engine) writeUpdate(tm *core.TableMeta, key, slot uint64, upd core.Update, old []core.Value) error {
 	h := e.heaps[tm.ID]
-	var oldVars []uint64
+	var oldVars []core.VarRef
 	for _, ci := range upd.Cols {
-		if vp := h.ColVarPtr(slot, ci); vp != 0 {
-			oldVars = append(oldVars, vp)
+		if r := h.ColVar(slot, ci); r != 0 {
+			oldVars = append(oldVars, r)
 		}
 	}
 	if err := h.WriteCols(slot, upd.Cols, upd.Vals); err != nil {
 		return err
 	}
-	for _, vp := range oldVars {
-		h.FreeVar(vp)
+	for _, r := range oldVars {
+		h.FreeVar(r)
 	}
 	if old != nil {
 		stopIdx := e.Bd.Timer(&e.Bd.Index)

@@ -85,9 +85,9 @@ type txnOp struct {
 	key     uint64
 	slot    uint64
 	entry   pmalloc.Ptr
-	entryN  int      // the WAL entry's length, which frees it unread
-	oldVars []uint64 // var-slots superseded by this update (freed at commit)
-	delSlot uint64   // delete: slot reclaimed at commit
+	entryN  int           // the WAL entry's length, which frees it unread
+	oldVars []core.VarRef // var-slots superseded by this update (freed at commit)
+	delSlot uint64        // delete: slot reclaimed at commit
 }
 
 func (e *Engine) dev() *nvm.Device { return e.Env.Dev }
@@ -306,7 +306,7 @@ func (e *Engine) undoEntry(p pmalloc.Ptr, recovering bool) error {
 		for i := range cols {
 			cols[i] = int(d.ReadU8(base))
 			bef := d.ReadU64(base + 1)
-			if cur := h.ColVarPtr(slot, cols[i]); !recovering && cur != 0 && cur != bef {
+			if cur := h.ColVar(slot, cols[i]); !recovering && cur != 0 && uint64(cur) != bef {
 				h.FreeVar(cur) // 0 for an int column
 			}
 			h.RestoreCol(slot, cols[i], bef)
@@ -441,8 +441,8 @@ func (e *Engine) Commit() error {
 		e.dev().WriteU64Durable(int64(e.hdr)+hWalHead, 0)
 	}
 	for _, op := range e.ops {
-		for _, vp := range op.oldVars {
-			e.heaps[op.table].FreeVar(vp)
+		for _, r := range op.oldVars {
+			e.heaps[op.table].FreeVar(r)
 		}
 		if op.typ == core.WalDelete {
 			e.heaps[op.table].FreeSlot(op.delSlot)
@@ -560,14 +560,14 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	h := e.heaps[tm.ID]
 
 	// The before-image is the updated fields and nothing else (Table 2): an
-	// int's value, a string's var-slot pointer. The rest of the row is read
-	// only when the update can move the tuple within a secondary index.
+	// int's value, a string's VarRef. The rest of the row is read only when
+	// the update can move the tuple within a secondary index.
 	befVals := make([]uint64, len(upd.Cols))
-	var oldVars []uint64
+	var oldVars []core.VarRef
 	for j, ci := range upd.Cols {
 		befVals[j] = h.RawCol(slot, ci)
 		if tm.Schema.Columns[ci].Type == core.TString {
-			oldVars = append(oldVars, befVals[j])
+			oldVars = append(oldVars, core.VarRef(befVals[j]))
 		}
 	}
 	// A pinned view needs the old values of the updated columns: the row

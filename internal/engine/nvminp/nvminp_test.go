@@ -144,7 +144,10 @@ func TestRecoveryLatencyIndependentOfHistory(t *testing.T) {
 	}
 }
 
-// TestVarSlotReclaimedOnUpdateCommit checks Table 2's space reclamation.
+// TestVarSlotReclaimedOnUpdateCommit checks Table 2's space reclamation: the
+// arena does not grow over same-size updates, the var-slot the heap keeps
+// aside for the next update is no leak, and after a crash the reopen sweep
+// frees it.
 func TestVarSlotReclaimedOnUpdateCommit(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 128 << 20})
 	e, _ := New(env, simpleSchema(), core.Options{})
@@ -160,6 +163,24 @@ func TestVarSlotReclaimedOnUpdateCommit(t *testing.T) {
 	after := e.Environment().Arena.Allocated()
 	if after > stable+2048 {
 		t.Errorf("allocator grew %d -> %d over 50 same-size updates; old var-slots leak", stable, after)
+	}
+	if err := leaks(e); err != nil {
+		t.Errorf("beside a kept var-slot: %v", err)
+	}
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(env2, simpleSchema(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leaks(e2); err != nil {
+		t.Errorf("after a crash: %v", err)
+	}
+	if got := env2.Arena.Allocated(); got >= after {
+		t.Errorf("after a crash the arena holds %d bytes, %d before it: the kept var-slot was not swept", got, after)
 	}
 }
 
@@ -279,28 +300,32 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 2.3 / 7.0 / 3.0 / 4.00 — one fence each for the
+// stores / flushes / fences 1.3 / 7.0 / 3.0 / 4.00 — one fence each for the
 // WAL entry, the WAL head, the tuple and the commit, and the WAL entry and
-// new var-slot streamed on lines of their own. (It was 3.9 / 7.7 / 7.0 / 4.00
-// while a chunk shared its first and last lines with its neighbours, so its
-// header line was filled and both were written back; 4.8 / 8.4 / 9.9 /
-// 7.00 while the new var-slot was written through the cache, the slot written
-// back whole and every chunk marked persisted behind a fence of its own; it
-// loaded 29.7 lines while Update read the whole row to change one column.)
+// new var-slot streamed on lines of their own, the var-slot over the one the
+// previous update superseded. (It loaded 2.3 while the index lookup read the
+// leaf's every entry and the commit read the superseded var-slot's header to
+// free it; it was 3.9 / 7.7 / 7.0 / 4.00 while a chunk shared its first and
+// last lines with its neighbours, so its header line was filled and both were
+// written back; 4.8 / 8.4 / 9.9 / 7.00 while the new var-slot was written
+// through the cache, the slot written back whole and every chunk marked
+// persisted behind a fence of its own; it loaded 29.7 lines while Update read
+// the whole row to change one column.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 2.6, Stores: 7.8, Flushes: 3.4, Fences: 4.4})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 1.4, Stores: 7.8, Flushes: 3.4, Fences: 4.4})
 }
 
 // TestUpdateTouchesOnlyItsLines: a cold one-column update loads the index
-// path, the slot's lines, the lines it writes through the cache, and the
-// superseded var-slot's header at commit — 14 lines, the same with thirty
-// columns or kilobyte ones beside the one it writes. It streams its WAL entry
-// and new var-slot, chunks on lines of their own, and writes back the lines it
-// dirtied through the cache, each once: the WAL head's for the link and again
-// for the commit, and the field's — three. A read-only transaction writes
-// nothing at all.
+// path — of the leaf, its first line and the entry its key's fingerprint
+// matches — the slot's lines and the lines it writes through the cache: 12
+// lines, the same with thirty columns or kilobyte ones beside the one it
+// writes; the var-slot it supersedes is kept aside for the next update,
+// unread. It streams its WAL entry and new var-slot, chunks on lines of their
+// own, and writes back the lines it dirtied through the cache, each once: the
+// WAL head's for the link and again for the commit, and the field's — three.
+// A read-only transaction writes nothing at all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 14, 3, 3, 3)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 12, 3, 3, 3)
 }
 
 // TestArenaExhaustion: a full arena is a typed error at the operation, not a

@@ -527,22 +527,18 @@ func (e *Engine) undoEntry(p pmalloc.Ptr) (pmalloc.Ptr, error) {
 }
 
 // applyMem merges an entry into the mutable MemTable, logging undo info.
-func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key uint64, ent lsm.Entry, fixes []secFix) error {
+// oldPtr is the MemTable's entry for the key, as exists found it (0: none).
+func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent lsm.Entry, fixes []secFix) error {
 	tk := core.TreePrimary(tm.ID, key)
-	var oldPtr uint64
-	isNew := true
-	if v, ok := e.mem.Get(tk); ok {
-		oldPtr = v
-		isNew = false
-		// A full image or a tombstone replaces whatever the MemTable held;
-		// only a delta has to read it, to fold itself in.
-		if ent.Kind == lsm.KindDelta {
-			old, err := e.readEntry(v)
-			if err != nil {
-				return err
-			}
-			ent = lsm.Merge(tm.Schema, ent, old)
+	isNew := oldPtr == 0
+	// A full image or a tombstone replaces whatever the MemTable held; only a
+	// delta has to read it, to fold itself in.
+	if !isNew && ent.Kind == lsm.KindDelta {
+		old, err := e.readEntry(oldPtr)
+		if err != nil {
+			return err
 		}
+		ent = lsm.Merge(tm.Schema, ent, old)
 	}
 	newPtr, err := e.writeEntryChunk(ent)
 	if err != nil {
@@ -895,7 +891,8 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if err != nil {
 		return err
 	}
-	if e.exists(core.TreePrimary(tm.ID, key)) {
+	live, memPtr := e.exists(core.TreePrimary(tm.ID, key))
+	if live {
 		return core.ErrKeyExists
 	}
 	var fixes []secFix
@@ -904,7 +901,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	defer stopSt()
-	if err := e.applyMem(tm, core.WalInsert, key, lsm.Entry{Kind: lsm.KindFull, Payload: core.EncodeRow(tm.Schema, row)}, fixes); err != nil {
+	if err := e.applyMem(tm, core.WalInsert, key, memPtr, lsm.Entry{Kind: lsm.KindFull, Payload: core.EncodeRow(tm.Schema, row)}, fixes); err != nil {
 		return err
 	}
 	e.MV.StageInsert(table, key)
@@ -920,7 +917,8 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err != nil {
 		return err
 	}
-	if !e.exists(core.TreePrimary(tm.ID, key)) {
+	live, memPtr := e.exists(core.TreePrimary(tm.ID, key))
+	if !live {
 		return core.ErrKeyNotFound
 	}
 	// The delta is all the MemTable needs; the tuple is coalesced only when
@@ -952,7 +950,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	defer stopSt()
-	if err := e.applyMem(tm, core.WalUpdate, key, lsm.Entry{Kind: lsm.KindDelta, Payload: core.EncodeDelta(tm.Schema, upd)}, fixes); err != nil {
+	if err := e.applyMem(tm, core.WalUpdate, key, memPtr, lsm.Entry{Kind: lsm.KindDelta, Payload: core.EncodeDelta(tm.Schema, upd)}, fixes); err != nil {
 		return err
 	}
 	e.MV.StageUpdate(table, key, nil, old)
@@ -968,7 +966,8 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if err != nil {
 		return err
 	}
-	if !e.exists(core.TreePrimary(tm.ID, key)) {
+	live, memPtr := e.exists(core.TreePrimary(tm.ID, key))
+	if !live {
 		return core.ErrKeyNotFound
 	}
 	var fixes []secFix
@@ -988,7 +987,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	defer stopSt()
-	if err := e.applyMem(tm, core.WalDelete, key, lsm.Entry{Kind: lsm.KindTomb}, fixes); err != nil {
+	if err := e.applyMem(tm, core.WalDelete, key, memPtr, lsm.Entry{Kind: lsm.KindTomb}, fixes); err != nil {
 		return err
 	}
 	e.MV.StageDelete(table, key, old)
@@ -1046,22 +1045,24 @@ func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 // exists decides from the index alone whether the tuple is live: the kind of
 // the newest entry for tk, in the MemTable or the newest run that holds one.
 // A delta is only ever written over a live tuple, and a delete above it would
-// be the newer entry, so anything but a tombstone means the tuple exists.
-func (e *Engine) exists(tk uint64) bool {
+// be the newer entry, so anything but a tombstone means the tuple exists. It
+// also returns the MemTable's entry for tk (0: none), which applyMem folds
+// the operation's entry into.
+func (e *Engine) exists(tk uint64) (live bool, memPtr uint64) {
 	stopIdx := e.Bd.Timer(&e.Bd.Index)
 	defer stopIdx()
 	if v, ok := e.mem.Get(tk); ok {
-		return kindOf(v) != lsm.KindTomb
+		return kindOf(v) != lsm.KindTomb, v
 	}
 	for _, r := range e.runs {
 		if !e.bloomHas(r, tk) {
 			continue
 		}
 		if v, ok := r.tree.Get(tk); ok {
-			return kindOf(v) != lsm.KindTomb
+			return kindOf(v) != lsm.KindTomb, 0
 		}
 	}
-	return false
+	return false, 0
 }
 
 func (e *Engine) bloomHas(r *run, key uint64) bool {

@@ -254,9 +254,12 @@ func TestColReader(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per update in device counters
 // on the steady budget schedule (6 000 updates after the load, then 12 000
-// measured): loads / stores / flushes / fences 20.5 / 25.2 / 5.4 / 5.35, 3.71
+// measured): loads / stores / flushes / fences 20.4 / 25.1 / 5.2 / 5.27, 3.68
 // us of stall, the ceilings a tenth above. Its entry chunks and WAL entries
-// are streamed on lines of their own; it was 24.4 / 27.2 / 10.9 / 5.34, 4.56
+// are streamed on lines of their own. It was 20.5 / 25.2 / 5.4 / 5.35, 3.71 us
+// while nodes held 30 entries and no fingerprints, a rewritten node was
+// fenced and written back whole and a built one kept three slots free; it was
+// 24.4 / 27.2 / 10.9 / 5.34, 4.56
 // us while a chunk shared its first and last lines with its neighbours (24.5 /
 // 27.0 / 10.8 / 5.34 while a rotation listed its run before persisting the
 // Bloom filter and swapped the run list again to name it), and 26.5 / 28.8 /
@@ -355,12 +358,12 @@ func TestOpenRejectsValueLogDirectory(t *testing.T) {
 // TestUpdateTouchesOnlyItsLines: a cold one-column update of a tuple in an
 // immutable run decides existence from tree nodes and Bloom words, writes its
 // delta and reads no image of the tuple, however many or wide its columns:
-// 19 lines. It streams the delta's entry chunk and the WAL entry, chunks on
+// 12 lines (19 while a leaf lookup read every entry of the leaf). It streams the delta's entry chunk and the WAL entry, chunks on
 // lines of their own, so its four CLWBs are the WAL head twice and the
 // MemTable leaf's entry and count; a read-only transaction writes nothing at
 // all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 19, 4, 4, 4)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 12, 4, 4, 4)
 }
 
 // TestOpenRejectsUntaggedImage: an image written before the kind rode in the

@@ -3,6 +3,7 @@ package nvbtree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nstore/internal/nvm"
@@ -20,14 +21,31 @@ func sortedKVs(rng *rand.Rand, n int) []KV {
 	return kvs
 }
 
+// capacity returns the entries a node of nodeSize bytes holds.
+func capacity(nodeSize int) int {
+	var t Tree
+	t.setSize(nodeSize - pmalloc.HeaderSize)
+	return t.cap
+}
+
 // TestBuildEqualsPuts: a bulk-loaded tree answers Get and Iter exactly like
 // one grown by N Puts, across node sizes and the sizes around a node's fill,
 // survives a crash, and takes later Puts and Deletes (a compacted run's
 // values are repointed in place by value-log GC).
 func TestBuildEqualsPuts(t *testing.T) {
 	for _, nodeSize := range []int{128, 256, 512} {
-		fill := (nodeSize-nEntries)/entSize - minFree
-		for _, n := range []int{0, 1, fill, fill + 1, fill*fill + 1, 3000} {
+		// fill is what Build packs into a node; part is a node's 16-byte
+		// slots less one for its head and minFree for insert headroom, at
+		// most fill, so its trees end each level in a partly full node.
+		fill := capacity(nodeSize)
+		part := nodeSize/entSize - 1 - minFree
+		var sizes []int
+		for _, n := range []int{0, 1, part, part + 1, part*part + 1, fill, fill + 1, fill*fill + 1, 3000} {
+			if !slices.Contains(sizes, n) {
+				sizes = append(sizes, n)
+			}
+		}
+		for _, n := range sizes {
 			t.Run(fmt.Sprintf("node%d/n%d", nodeSize, n), func(t *testing.T) {
 				kvs := sortedKVs(rand.New(rand.NewSource(int64(nodeSize+n))), n)
 				dev, arena, grown := newTree(t, nodeSize)

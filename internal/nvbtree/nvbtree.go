@@ -9,7 +9,10 @@
 // appends the entry to a list of entries in the node". Node entries are an
 // append-only unsorted list. An append writes the new entries, syncs them,
 // and then durably bumps the node's committed-entry count with a single
-// atomic 8-byte write — the commit point. Deletions and replacements append
+// atomic 8-byte write — the commit point. Beside the count each node keeps a
+// one-byte fingerprint per entry (FP-tree's fingerprint array, Oukid et al.),
+// so a leaf lookup loads the node's first line and only the entries whose
+// fingerprint matches its key. Deletions and replacements append
 // shadowing entries (a tombstone bit in the value word); full nodes are
 // resolved and rewritten copy-on-write, with the swap journaled in the tree
 // header so a crash at any point either completes or rolls back cleanly in
@@ -38,11 +41,13 @@ const DefaultNodeSize = 512
 const (
 	tombstone = uint64(1) << 63
 
-	// Node layout.
-	nFlags   = 0  // u8: 1 = leaf
-	nCount   = 8  // u64: committed entry count (atomic commit point)
-	nEntries = 16 // (key u64, val u64) pairs, append-only, unsorted
-	entSize  = 16
+	// Node layout. The count word, the flag and the fingerprints come first
+	// (one line at the default node size); the entries follow from the first
+	// 16-byte boundary behind the fingerprints, so no entry straddles a line.
+	nCount  = 0  // u64: committed entry count (low 16 bits, the atomic commit point) | fingerprint checksum << 16
+	nFlags  = 8  // u8: 1 = leaf
+	nFps    = 9  // u8 per entry slot: the fingerprint of its key
+	entSize = 16 // (key u64, val u64) pairs, append-only, unsorted
 
 	// Header chunk layout (the tree's durable anchor).
 	hMagic    = 0
@@ -55,7 +60,7 @@ const (
 	hJSum     = 72 // journal: checksum of the six words before it
 	hdrBytes  = 80
 
-	headerMagic = 0x4e56425452454532 // "NVBTREE2": the journal carries hJSum
+	headerMagic = 0x4e56425452454533 // "NVBTREE3": nodes carry fingerprints
 
 	// minFree is the preemptive threshold: inner nodes visited during a
 	// descent are rewritten/split if they have fewer free slots, so that a
@@ -73,11 +78,13 @@ type Tree struct {
 	hdr   pmalloc.Ptr
 	nsize int // a node's payload: its chunk less the chunk header
 	cap   int
+	ents  int // where a node's entries start
 
-	// Single-threaded scratch for whole-node reads and shadow resolution,
-	// avoiding per-entry device calls and per-lookup allocations.
+	// Single-threaded scratch for whole-node reads and writes and shadow
+	// resolution, avoiding per-entry device calls and per-lookup allocations.
 	scratch []byte
 	seen    []uint64
+	fps     []byte // a node's fingerprints (head)
 }
 
 // Create allocates a new empty tree and returns it. Store Header() in an
@@ -91,16 +98,19 @@ func Create(arena *pmalloc.Arena, nodeSize int) (*Tree, error) {
 		return nil, err
 	}
 	t.hdr = hdr
-	root, err := t.newNode(true)
+	root, err := arena.Alloc(t.nsize, pmalloc.TagIndex)
 	if err != nil {
 		arena.Free(hdr)
 		return nil, err
 	}
-	// The empty root's flag/count lines must be durable before the header
-	// points at them: a tree that is never written again (an empty table)
-	// would otherwise lose them to a power cut and read back as a zeroed
+	// An empty leaf: a zero count word (no entry, and the checksum of no
+	// fingerprints) and the leaf flag, in one line. It must be durable before
+	// the header points at it: a tree that is never written again (an empty
+	// table) would otherwise lose it to a power cut and read back as a zeroed
 	// inner node.
-	t.dev.Sync(int64(root), nEntries)
+	t.dev.WriteU64(int64(root)+nCount, 0)
+	t.dev.WriteU8(int64(root)+nFlags, 1)
+	t.dev.Sync(int64(root), nFps)
 	arena.SetPersisted(root)
 	t.writeHeader(root)
 	t.dev.Sync(int64(hdr), hdrBytes)
@@ -112,11 +122,25 @@ func newHandle(arena *pmalloc.Arena, nodeSize int) *Tree {
 	if nodeSize == 0 {
 		nodeSize = DefaultNodeSize
 	}
-	nsize := nodeSize - pmalloc.HeaderSize
-	if nsize < nEntries+4*entSize {
+	t := &Tree{arena: arena, dev: arena.Device()}
+	t.setSize(nodeSize - pmalloc.HeaderSize)
+	if t.cap < 4 {
 		panic("nvbtree: node size too small")
 	}
-	return &Tree{arena: arena, dev: arena.Device(), nsize: nsize, cap: (nsize - nEntries) / entSize}
+	return t
+}
+
+// setSize sizes the handle for nodes of nsize payload bytes: the most entries
+// that fit behind the count word, the flag and one fingerprint each, the
+// entries 16-byte aligned.
+func (t *Tree) setSize(nsize int) {
+	t.nsize = nsize
+	for c := (nsize - nFps) / (entSize + 1); c > 0; c-- {
+		if ents := (nFps + c + 15) &^ 15; ents+c*entSize <= nsize {
+			t.cap, t.ents = c, ents
+			return
+		}
+	}
 }
 
 // writeHeader stores a fresh header (clear journal) naming root; the caller
@@ -132,6 +156,17 @@ func (t *Tree) writeHeader(root uint64) {
 // KV is one key/value pair of a bulk load.
 type KV struct{ K, V uint64 }
 
+// fingerprint is the one-byte hash of key k a node keeps for its entry.
+func fingerprint(k uint64) byte { return byte(k * 0x9e3779b97f4a7c15 >> 56) }
+
+// countWord packs a node's committed count with a checksum of the
+// fingerprints of its first c entries. Both reach the medium in one atomic
+// store, so a count whose fingerprints a torn or lost line left stale is told
+// by its checksum. Zero is an empty node.
+func countWord(c int, fps []byte) uint64 {
+	return uint64(c) | crc64.Checksum(fps[:c], journalTable)<<16
+}
+
 // Build bulk-loads a new tree from kvs, which must be in strictly ascending
 // key order with values below 2^63. Nodes are filled sequentially, level by
 // level, the used prefix of each streamed once; one fence makes all of them
@@ -141,14 +176,11 @@ type KV struct{ K, V uint64 }
 // every chunk in the allocated state, which the allocator's recovery scan
 // reclaims, and one after it leaves unreferenced persisted chunks for the
 // owner's reachability sweep — the same two outcomes as a crash around
-// Create. Nodes keep minFree slots free, like rewritten ones, so later
-// appends (a repointed value) fit without an immediate split.
+// Create. Nodes are filled to capacity: a built tree is an LSM run, which is
+// read and never appended to (a Put into one rewrites the full node it lands
+// in, as for any full node).
 func Build(arena *pmalloc.Arena, nodeSize int, kvs []KV) (*Tree, error) {
 	t := newHandle(arena, nodeSize)
-	fill := t.cap - minFree
-	if fill < 2 {
-		fill = 2
-	}
 	level := make([]entry, len(kvs))
 	for i, kv := range kvs {
 		if kv.V&tombstone != 0 {
@@ -169,7 +201,7 @@ func Build(arena *pmalloc.Arena, nodeSize int, kvs []KV) (*Tree, error) {
 	buf := make([]byte, t.nsize)
 	var root uint64
 	for leaf := true; root == 0; leaf = false {
-		nodes := (len(level) + fill - 1) / fill
+		nodes := (len(level) + t.cap - 1) / t.cap
 		if nodes == 0 {
 			nodes = 1 // an empty tree is one empty leaf
 		}
@@ -181,7 +213,7 @@ func Build(arena *pmalloc.Arena, nodeSize int, kvs []KV) (*Tree, error) {
 				return abandon(err)
 			}
 			chunks = append(chunks, p)
-			used := encodeNode(buf, leaf, es)
+			used := t.encodeNode(buf, leaf, es)
 			t.dev.WriteStream(int64(p), buf[:used])
 			next[i].v = p
 			if len(es) > 0 {
@@ -206,17 +238,19 @@ func Build(arena *pmalloc.Arena, nodeSize int, kvs []KV) (*Tree, error) {
 }
 
 // encodeNode lays a node holding es out in buf and returns the bytes used.
-func encodeNode(buf []byte, leaf bool, es []entry) int {
-	clear(buf[:nEntries])
+func (t *Tree) encodeNode(buf []byte, leaf bool, es []entry) int {
+	clear(buf[:t.ents])
 	if leaf {
 		buf[nFlags] = 1
 	}
-	binary.LittleEndian.PutUint64(buf[nCount:], uint64(len(es)))
+	fps := buf[nFps : nFps+len(es)]
 	for i, e := range es {
-		binary.LittleEndian.PutUint64(buf[nEntries+i*entSize:], e.k)
-		binary.LittleEndian.PutUint64(buf[nEntries+i*entSize+8:], e.v)
+		fps[i] = fingerprint(e.k)
+		binary.LittleEndian.PutUint64(buf[t.ents+i*entSize:], e.k)
+		binary.LittleEndian.PutUint64(buf[t.ents+i*entSize+8:], e.v)
 	}
-	return nEntries + len(es)*entSize
+	binary.LittleEndian.PutUint64(buf[nCount:], countWord(len(es), fps))
+	return t.ents + len(es)*entSize
 }
 
 // Open attaches to an existing tree at header ptr and completes or rolls
@@ -227,8 +261,7 @@ func Open(arena *pmalloc.Arena, hdr pmalloc.Ptr) (*Tree, error) {
 		return nil, fmt.Errorf("nvbtree: no tree header at %d", hdr)
 	}
 	t := &Tree{arena: arena, dev: d, hdr: hdr}
-	t.nsize = int(d.ReadU64(int64(hdr) + hNodeSize))
-	t.cap = (t.nsize - nEntries) / entSize
+	t.setSize(int(d.ReadU64(int64(hdr) + hNodeSize)))
 	t.recoverJournal()
 	return t, nil
 }
@@ -246,68 +279,98 @@ func (t *Tree) setRootDurable(n uint64) {
 	t.dev.WriteU64Durable(int64(t.hdr)+hRoot, n)
 }
 
-func (t *Tree) newNode(leaf bool) (uint64, error) {
+// writeNode allocates a node holding es and writes back the lines it uses:
+// durable at the fence that makes the rewrite's journal durable, before
+// anything marks or names the node.
+func (t *Tree) writeNode(leaf bool, es []entry) (uint64, error) {
 	p, err := t.arena.Alloc(t.nsize, pmalloc.TagIndex)
 	if err != nil {
 		return 0, err
 	}
-	var fl byte
-	if leaf {
-		fl = 1
-	}
-	t.dev.WriteU8(int64(p)+nFlags, fl)
-	t.dev.WriteU64(int64(p)+nCount, 0)
+	buf := t.buf()
+	used := t.encodeNode(buf, leaf, es)
+	t.dev.Write(int64(p), buf[:used])
+	t.dev.WriteBack(int64(p), used)
 	return uint64(p), nil
 }
 
 func (t *Tree) isLeaf(n uint64) bool { return t.dev.ReadU8(int64(n)+nFlags) == 1 }
-func (t *Tree) count(n uint64) int   { return int(t.dev.ReadU64(int64(n) + nCount)) }
+func (t *Tree) count(n uint64) int   { return int(t.dev.ReadU64(int64(n)+nCount) & 0xffff) }
 
 func (t *Tree) entAt(n uint64, i int) entry {
-	off := int64(n) + nEntries + int64(i)*entSize
+	off := int64(n) + int64(t.ents) + int64(i)*entSize
 	return entry{t.dev.ReadU64(off), t.dev.ReadU64(off + 8)}
 }
 
-// readNode fills the tree's scratch buffer with node n's committed entries
-// and returns (buffer, count). It reads the header, then the committed
-// prefix only: the lines behind it hold nothing a reader may use, and a
-// half-full node is half the loads of its capacity.
+// head reads node n's count word and the fingerprints of the entries it
+// commits — one line at the default node size — and reports whether the
+// word's checksum vouches for them.
+func (t *Tree) head(n uint64) (c int, fps []byte, ok bool) {
+	w := t.dev.ReadU64(int64(n) + nCount)
+	c = min(int(w&0xffff), t.cap)
+	if cap(t.fps) < t.cap {
+		t.fps = make([]byte, t.cap)
+	}
+	fps = t.fps[:c]
+	t.dev.Read(int64(n)+nFps, fps)
+	return c, fps, w == countWord(c, fps)
+}
+
+// readNode returns node n's committed entries, read into the tree's scratch
+// buffer: the count word, then the committed prefix only — the lines behind
+// it hold nothing a reader may use, and a half-full node is half the loads of
+// its capacity.
 func (t *Tree) readNode(n uint64) ([]byte, int) {
+	c := min(t.count(n), t.cap)
+	es := t.buf()[:c*entSize]
+	t.dev.Read(int64(n)+int64(t.ents), es)
+	return es, c
+}
+
+// buf returns the tree's scratch buffer, a node's payload long.
+func (t *Tree) buf() []byte {
 	if cap(t.scratch) < t.nsize {
 		t.scratch = make([]byte, t.nsize)
 	}
-	buf := t.scratch[:t.nsize]
-	t.dev.Read(int64(n), buf[:nEntries])
-	c := int(binary.LittleEndian.Uint64(buf[nCount:]))
-	if c > t.cap {
-		c = t.cap
-	}
-	t.dev.Read(int64(n)+nEntries, buf[nEntries:nEntries+c*entSize])
-	return buf, c
+	return t.scratch[:t.nsize]
 }
 
-func bufEnt(buf []byte, i int) entry {
-	off := nEntries + i*entSize
+func bufEnt(es []byte, i int) entry {
 	return entry{
-		k: binary.LittleEndian.Uint64(buf[off:]),
-		v: binary.LittleEndian.Uint64(buf[off+8:]),
+		k: binary.LittleEndian.Uint64(es[i*entSize:]),
+		v: binary.LittleEndian.Uint64(es[i*entSize+8:]),
 	}
 }
 
 // appendEntries writes entries at the end of node n and commits them with a
-// single atomic durable count update (the multi-entry commit point).
+// single atomic durable update of the count word (the multi-entry commit
+// point). Their fingerprints go beside the count, which writes them back with
+// it where they share its line. Fingerprints the count's checksum does not
+// vouch for — a crash tore or lost their line — are derived again from the
+// committed keys first.
 func (t *Tree) appendEntries(n uint64, es ...entry) {
-	c := t.count(n)
+	c, fps, ok := t.head(n)
 	if c+len(es) > t.cap {
 		panic("nvbtree: append past node capacity")
 	}
-	base := int64(n) + nEntries + int64(c)*entSize
+	from := c
+	if !ok {
+		keys, _ := t.readNode(n)
+		for i := range fps {
+			fps[i] = fingerprint(bufEnt(keys, i).k)
+		}
+		from = 0
+	}
+	fps = fps[:c+len(es)]
+	base := int64(n) + int64(t.ents) + int64(c)*entSize
 	for i, e := range es {
+		fps[c+i] = fingerprint(e.k)
 		t.dev.WriteU64(base+int64(i)*entSize, e.k)
 		t.dev.WriteU64(base+int64(i)*entSize+8, e.v)
 	}
+	t.dev.Write(int64(n)+nFps+int64(from), fps[from:])
 	t.dev.Sync(base, len(es)*entSize)
-	t.dev.WriteU64Durable(int64(n)+nCount, uint64(c+len(es)))
+	t.dev.WriteU64Durable(int64(n)+nCount, countWord(len(fps), fps))
 }
 
 // resolve returns the live (shadow- and tombstone-resolved) entries of node
@@ -333,11 +396,26 @@ func (t *Tree) resolve(n uint64) []entry {
 	return live
 }
 
-// lookupIn scans node n backwards for key k; the newest entry wins.
+// lookupIn searches node n backwards for key k; the newest entry wins. It
+// reads only the entries whose fingerprint matches k's, or every committed
+// one when the count's checksum does not vouch for the fingerprints.
 func (t *Tree) lookupIn(n uint64, k uint64) (uint64, bool) {
-	buf, c := t.readNode(n)
+	c, fps, ok := t.head(n)
+	var all []byte
+	if !ok {
+		all, c = t.readNode(n)
+	}
+	f := fingerprint(k)
 	for i := c - 1; i >= 0; i-- {
-		e := bufEnt(buf, i)
+		var e entry
+		switch {
+		case !ok:
+			e = bufEnt(all, i)
+		case fps[i] != f:
+			continue
+		default:
+			e = t.entAt(n, i)
+		}
 		if e.k == k {
 			if e.v&tombstone != 0 {
 				return 0, false
@@ -532,21 +610,6 @@ func (t *Tree) rewrite(n, parent uint64, pending *entry) error {
 		}
 		return err
 	}
-	buildNode := func(es []entry) (uint64, error) {
-		nn, err := t.newNode(leaf)
-		if err != nil {
-			return 0, err
-		}
-		c := len(es)
-		base := int64(nn) + nEntries
-		for i, e := range es {
-			t.dev.WriteU64(base+int64(i)*entSize, e.k)
-			t.dev.WriteU64(base+int64(i)*entSize+8, e.v)
-		}
-		t.dev.WriteU64(int64(nn)+nCount, uint64(c))
-		t.dev.Sync(int64(nn), t.nsize)
-		return nn, nil
-	}
 	sepOf := func(es []entry) uint64 {
 		if len(es) == 0 {
 			return 0
@@ -556,19 +619,19 @@ func (t *Tree) rewrite(n, parent uint64, pending *entry) error {
 	if len(live) > t.cap-minFree {
 		mid := len(live) / 2
 		l, r := live[:mid], live[mid:]
-		ln, err := buildNode(l)
+		ln, err := t.writeNode(leaf, l)
 		if err != nil {
 			return abandon(err)
 		}
 		newNodes = append(newNodes, ln)
-		rn, err := buildNode(r)
+		rn, err := t.writeNode(leaf, r)
 		if err != nil {
 			return abandon(err)
 		}
 		newNodes = append(newNodes, rn)
 		seps = []uint64{sepOf(l), sepOf(r)}
 	} else {
-		nn, err := buildNode(live)
+		nn, err := t.writeNode(leaf, live)
 		if err != nil {
 			return abandon(err)
 		}
@@ -598,25 +661,19 @@ func (t *Tree) rewrite(n, parent uint64, pending *entry) error {
 	probe := newNodes[0]
 	if parent == 0 && len(newNodes) == 2 {
 		// Root split: a fresh root routes to the two halves.
-		nr, err := t.newNode(false)
+		nr, err := t.writeNode(false, []entry{{seps[0], newNodes[0]}, {seps[1], newNodes[1]}})
 		if err != nil {
 			return abandon(err)
 		}
 		newRoot = nr
-		base := int64(newRoot) + nEntries
-		for i := range newNodes {
-			t.dev.WriteU64(base+int64(i)*entSize, seps[i])
-			t.dev.WriteU64(base+int64(i)*entSize+8, newNodes[i])
-		}
-		t.dev.WriteU64(int64(newRoot)+nCount, 2)
-		t.dev.Sync(int64(newRoot), t.nsize)
 		probe = newRoot
 	} else if parent == 0 {
 		probe = newNodes[0]
 	}
 
 	// Journal the swap: {old, parent, probe, new...}, durably, before the
-	// new nodes are marked persisted. The seven words can span two cache
+	// new nodes are marked persisted; the same fence makes the new nodes'
+	// written-back lines durable. The seven words can span two cache
 	// lines, and clearing the journal zeroes only the first, so the checksum
 	// is what tells recovery that all six it reads belong to this rewrite.
 	jNew := [3]uint64{}

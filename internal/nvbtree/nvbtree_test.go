@@ -428,7 +428,7 @@ func TestCyclicChildPointerEndsDescents(t *testing.T) {
 		t.Fatal("200 keys in 256-byte nodes left a leaf root")
 	}
 	for i := 0; i < tr.count(root); i++ {
-		dev.WriteU64(int64(root)+nEntries+int64(i)*entSize+8, root)
+		dev.WriteU64(int64(root)+int64(tr.ents)+int64(i)*entSize+8, root)
 	}
 	if err := tr.Put(7, 7); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Put = %v, want ErrCorrupt", err)

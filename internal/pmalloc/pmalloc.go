@@ -501,23 +501,7 @@ func (a *Arena) StreamPersisted(tag Tag, payload []byte) (Ptr, error) {
 	}
 	w := packHeader(total-HeaderSize, tag, StatePersisted)
 	if a.ownsLine(off, total) {
-		// The first line carries the header, the last ones the payload's
-		// tail and the zero padding; whole lines of payload between them
-		// stream from the caller's buffer.
-		var b [line]byte
-		binary.LittleEndian.PutUint64(b[:], w)
-		rest := payload[copy(b[HeaderSize:], payload):]
-		a.dev.WriteStream(off, b[:])
-		at := off + line
-		if whole := len(rest) &^ (line - 1); whole > 0 {
-			a.dev.WriteStream(at, rest[:whole])
-			at, rest = at+int64(whole), rest[whole:]
-		}
-		for end := off + lineUp(total); at < end; at += line {
-			b = [line]byte{}
-			rest = rest[copy(b[:], rest):]
-			a.dev.WriteStream(at, b[:])
-		}
+		a.stream(off, total, w, payload)
 	} else {
 		a.dev.WriteU64(off, w)
 		a.dev.Write(off+HeaderSize, payload)
@@ -530,6 +514,48 @@ func (a *Arena) StreamPersisted(tag Tag, payload []byte) (Ptr, error) {
 	a.account(tag, total-HeaderSize)
 	return Ptr(off + HeaderSize), nil
 }
+
+// stream writes the chunk of total bytes at off whole, as non-temporal lines:
+// the first line carries header word w, the last ones the payload's tail and
+// the zero padding; whole lines of payload between them stream from the
+// caller's buffer.
+func (a *Arena) stream(off, total int64, w uint64, payload []byte) {
+	var b [line]byte
+	binary.LittleEndian.PutUint64(b[:], w)
+	rest := payload[copy(b[HeaderSize:], payload):]
+	a.dev.WriteStream(off, b[:])
+	at := off + line
+	if whole := len(rest) &^ (line - 1); whole > 0 {
+		a.dev.WriteStream(at, rest[:whole])
+		at, rest = at+int64(whole), rest[whole:]
+	}
+	for end := off + lineUp(total); at < end; at += line {
+		b = [line]byte{}
+		rest = rest[copy(b[:], rest):]
+		a.dev.WriteStream(at, b[:])
+	}
+}
+
+// Restream refills the live chunk at p with payload, as StreamPersisted fills
+// a new one: header, payload and padding streamed whole, marked persisted,
+// durable at the caller's next fence. It reads nothing and allocates nothing:
+// the caller knows the chunk is ChunkSize(len(payload)) bytes, at least a
+// line, that it is accounted under tag, and that nothing durable names it —
+// an owner's chunk it superseded and kept aside instead of freeing. A crash
+// before the fence leaves a persisted chunk nothing names, as StreamPersisted
+// does.
+func (a *Arena) Restream(p Ptr, tag Tag, payload []byte) {
+	total := chunkSize(int64(len(payload)))
+	if total < line {
+		panic("pmalloc: Restream of a chunk inside a line")
+	}
+	a.stream(int64(p)-HeaderSize, total, packHeader(total-HeaderSize, tag, StatePersisted), payload)
+}
+
+// ChunkSize returns the bytes, header included, of a chunk holding n payload
+// bytes. From a line up (n of 48 or more) that is exactly the chunk
+// StreamPersisted fills; a smaller one may have taken 16 bytes more.
+func ChunkSize(n int) int { return int(chunkSize(int64(n))) }
 
 // StateOf returns the durability state of the chunk at p.
 func (a *Arena) StateOf(p Ptr) State {

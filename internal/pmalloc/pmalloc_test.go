@@ -564,6 +564,47 @@ func TestFreeStreamedReadsNothing(t *testing.T) {
 	}
 }
 
+// TestRestreamReadsNothing: Restream refills a live chunk of its payload's
+// chunk size as StreamPersisted fills a new one — one store per line, no
+// load, no CLWB, no fence, the accounting unmoved — and the new image and the
+// persisted mark are what a crash behind the caller's fence keeps.
+func TestRestreamReadsNothing(t *testing.T) {
+	for _, n := range []int{48, 104, 300} {
+		dev, a, _ := persistSetup(t, carveFresh, 0, 0)
+		p, err := a.StreamPersisted(TagTable, make([]byte, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.Fence()
+		usage := a.Usage()
+		img := make([]byte, n)
+		for i := range img {
+			img[i] = byte(i + 1)
+		}
+		st0 := dev.Stats()
+		a.Restream(p, TagTable, img)
+		lines := uint64(ChunkSize(n) / nvm.LineSize)
+		if d := dev.Stats().Sub(st0); d.Loads != 0 || d.Flushes != 0 || d.Fences != 0 || d.Stores != lines {
+			t.Errorf("%d bytes: Restream cost %d loads, %d CLWBs, %d fences, %d stores; want 0, 0, 0, %d", n, d.Loads, d.Flushes, d.Fences, d.Stores, lines)
+		}
+		if got := a.Usage(); got[TagTable] != usage[TagTable] || a.Allocated() != usage[TagTable] {
+			t.Errorf("%d bytes: Restream moved the accounting: %v, allocated %d, was %v", n, got, a.Allocated(), usage)
+		}
+		dev.Fence()
+		dev.Crash()
+		a2, err := Open(dev, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLayout(t, a2, fmt.Sprintf("%d bytes, restreamed and crashed", n))
+		got := make([]byte, n)
+		dev.Read(int64(p), got)
+		if a2.StateOf(p) != StatePersisted || string(got) != string(img) {
+			t.Errorf("%d bytes: after the fence and a crash the chunk is %v, image intact %v", n, a2.StateOf(p), string(got) == string(img))
+		}
+	}
+}
+
 // TestFreeStreamedKeepsOne: FreeStreamed keeps one chunk aside; the next
 // pushes it out, which streams its free mark — one store, no load, no CLWB —
 // and joins the free lists, durable as free at the next fence.
