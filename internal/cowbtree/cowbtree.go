@@ -38,10 +38,12 @@ import (
 type Pager interface {
 	// PageSize returns the page size in bytes.
 	PageSize() int
-	// ReadPage fills buf with page id's contents.
+	// ReadPage fills buf with page id's contents. An id is opaque to the
+	// tree, and must be one WritePage returned.
 	ReadPage(id uint64, buf []byte)
 	// WritePage stores buf as a new page and returns its id (volatile until
-	// Persist). Ids are below 2^63.
+	// Persist): opaque, below 2^63, and the only name ReadPage and FreePage
+	// take for the page.
 	WritePage(buf []byte) (uint64, error)
 	// FreePage returns a page to the free pool immediately.
 	FreePage(id uint64)
@@ -106,7 +108,18 @@ type Tree struct {
 	named     uint64   // provisional ids handed out: batch page ids are provisional|n
 	reserve   int      // the batch pages' pageBound, summed
 
-	scratch []byte // Get's page buffer; no page image outlives the call
+	// kept holds the committed pages Get last read from the pager, one per
+	// level of its path, for shadow to clone instead of reading them again.
+	// A committed page changes only when Persist frees it and a later
+	// Persist writes over it, so Persist drops them.
+	kept []keptPage
+}
+
+// keptPage is a committed page Get read: its id, or 0 if none, and its
+// contents.
+type keptPage struct {
+	id  uint64
+	buf []byte
 }
 
 // provisional marks the id of a batch page the pager has not named yet.
@@ -133,7 +146,7 @@ func Attach(pg Pager) *Tree {
 }
 
 func newTree(pg Pager) *Tree {
-	return &Tree{pg: pg, psize: pg.PageSize(), scratch: make([]byte, pg.PageSize()),
+	return &Tree{pg: pg, psize: pg.PageSize(),
 		mut: make(map[uint64][]byte), batch: make(map[uint64][]byte)}
 }
 
@@ -225,23 +238,49 @@ func innerRoute(buf []byte, k uint64) int {
 // running txn's buffer if it holds one, else the batch's, otherwise a copy
 // read from the pager.
 func (t *Tree) page(id uint64) []byte {
-	return t.pageInto(id, nil)
-}
-
-// pageInto is page reading a pager-resident page into buf (a fresh buffer if
-// nil). Only the bytes the page's header calls live are defined afterwards.
-func (t *Tree) pageInto(id uint64, buf []byte) []byte {
-	if b, ok := t.mut[id]; ok {
+	if b, ok := t.dirty(id); ok {
 		return b
 	}
-	if b, ok := t.batch[id]; ok {
-		return b
-	}
-	if buf == nil {
-		buf = make([]byte, t.psize)
-	}
+	buf := make([]byte, t.psize)
 	t.pg.ReadPage(id, buf)
 	return buf
+}
+
+// dirty returns the running txn's buffer of page id if it holds one, else
+// the batch's.
+func (t *Tree) dirty(id uint64) ([]byte, bool) {
+	if b, ok := t.mut[id]; ok {
+		return b, true
+	}
+	b, ok := t.batch[id]
+	return b, ok
+}
+
+// pathPage returns page id, level lvl of Get's path: the running txn's or the
+// batch's buffer, else the committed page read into the level's kept buffer,
+// where only the bytes the page's header calls live are defined.
+func (t *Tree) pathPage(lvl int, id uint64) []byte {
+	if b, ok := t.dirty(id); ok {
+		return b
+	}
+	for len(t.kept) <= lvl {
+		t.kept = append(t.kept, keptPage{buf: make([]byte, t.psize)})
+	}
+	k := &t.kept[lvl]
+	k.id = id
+	t.pg.ReadPage(id, k.buf)
+	return k.buf
+}
+
+// keptCopy returns the kept copy of committed page id, if Get read it since
+// the last Persist and has not read another page on its level since.
+func (t *Tree) keptCopy(id uint64) ([]byte, bool) {
+	for _, k := range t.kept {
+		if k.id == id {
+			return k.buf, true
+		}
+	}
+	return nil, false
 }
 
 // Begin starts a transaction. Transactions nest the group-commit batch:
@@ -291,7 +330,8 @@ func (t *Tree) Abort() {
 // each after the pages it names, which it names by the ids the pager gave
 // them; then the pager makes them durable and installs the new master record.
 // Pages superseded by the batch return to the free pool only afterwards, so
-// the previously committed tree stays intact until the swap is durable. A
+// the previously committed tree stays intact until the swap is durable; the
+// pages Get kept are dropped, since a later Persist may write over them. A
 // failed Persist may be retried: a page the pager took keeps its id in its
 // parent's buffer, so the retry writes what was not taken and the root again
 // (a root taken before the pager's own Persist failed is left to the owner's
@@ -299,6 +339,9 @@ func (t *Tree) Abort() {
 func (t *Tree) Persist() error {
 	if t.inTxn {
 		panic("cowbtree: Persist inside transaction")
+	}
+	for i := range t.kept {
+		t.kept[i].id = 0
 	}
 	root, err := t.write(t.root)
 	if err != nil {
@@ -357,11 +400,12 @@ func (t *Tree) autoTxn(fn func() error) error {
 	return nil
 }
 
-// Get returns the value for key k from the current directory.
+// Get returns the value for key k from the current directory. It keeps the
+// committed pages of its path for an update of k to shadow.
 func (t *Tree) Get(k uint64) ([]byte, bool) {
-	buf := t.pageInto(t.root, t.scratch)
-	for !isLeaf(buf) {
-		buf = t.pageInto(innerChild(buf, innerRoute(buf, k)), t.scratch)
+	buf := t.pathPage(0, t.root)
+	for lvl := 1; !isLeaf(buf); lvl++ {
+		buf = t.pathPage(lvl, innerChild(buf, innerRoute(buf, k)))
 	}
 	i := leafLowerBound(buf, k)
 	if i < count(buf) && leafKey(buf, i) == k {
@@ -404,7 +448,7 @@ func (t *Tree) Delete(k uint64) (bool, error) {
 
 // shadow returns a mutable buffer for page id and the id the page has from
 // now on: its own if the batch already owns the page, a fresh copy's if the
-// page belongs to the committed tree.
+// page belongs to the committed tree — of the page Get kept, if it kept it.
 func (t *Tree) shadow(id uint64) (uint64, []byte) {
 	if buf, ok := t.mut[id]; ok {
 		return id, buf
@@ -416,7 +460,11 @@ func (t *Tree) shadow(id uint64) (uint64, []byte) {
 		return id, buf
 	}
 	nid, buf := t.name(), make([]byte, t.psize)
-	t.pg.ReadPage(id, buf)
+	if kept, ok := t.keptCopy(id); ok {
+		copy(buf, kept)
+	} else {
+		t.pg.ReadPage(id, buf)
+	}
 	t.mut[nid] = buf
 	t.txnFree = append(t.txnFree, id)
 	return nid, buf

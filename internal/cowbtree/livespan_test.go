@@ -373,8 +373,9 @@ func checkReachable(tr *Tree, model map[uint64][]byte) error {
 	return nil
 }
 
-// TestGetDoesNotAllocatePages: a lookup reads the pages on its path into a
-// buffer the tree owns; its one allocation is the value it returns.
+// TestGetDoesNotAllocatePages: a lookup reads the pages on its path into
+// buffers the tree owns, one per level; its one allocation is the value it
+// returns.
 func TestGetDoesNotAllocatePages(t *testing.T) {
 	for _, arenaPager := range []bool{false, true} {
 		tr := (*Tree)(nil)

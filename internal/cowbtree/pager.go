@@ -39,6 +39,15 @@ func metaSum(seq, root, npages, user uint64) uint64 {
 // copy-on-write B+tree "on the filesystem" (§3.2). Page 0 holds two
 // checksummed master-record slots written alternately; the master record is
 // "located at a fixed offset within the file".
+//
+// Every other page has a psize-byte slot of the file, and the slot holds the
+// page's image: the header and the inner entries of an inner page; the
+// header and the slot directory of a leaf, followed directly by its value
+// heap [dataEnd, psize), holes left by replaced or deleted values included.
+// WritePage writes the image padded to whole lines — the whole slot, if the
+// page extends the file — and returns the id pageNo | len<<idLenShift, len
+// being the image's length; ReadPage reads exactly len bytes and moves the
+// heap back to the end of the page.
 type FilePager struct {
 	fs    *pmfs.FS
 	f     *pmfs.File
@@ -47,8 +56,9 @@ type FilePager struct {
 	seq    uint64
 	root   uint64
 	meta   uint64
-	npages uint64 // file length in pages, including page 0
-	free   []uint64
+	npages uint64   // file length in pages, including page 0
+	free   []uint64 // page numbers
+	img    []byte   // a leaf's image on its way to the file
 
 	// ioErr records the first ReadPage failure (the Pager interface keeps
 	// it void). It is surfaced — and cleared — at the next Persist, which
@@ -57,7 +67,18 @@ type FilePager struct {
 	ioErr error
 }
 
+// A FilePager id is the page number below idLenShift and the image's length
+// above it.
+const (
+	idLenShift = 40
+	pageMask   = 1<<idLenShift - 1
+)
+
 const metaSlotBytes = 40 // seq, root, npages, userMeta, sum
+
+func newFilePager(fs *pmfs.FS, f *pmfs.File, pageSize int) *FilePager {
+	return &FilePager{fs: fs, f: f, psize: pageSize, img: make([]byte, pageSize)}
+}
 
 // CreateFilePager creates the backing file and an empty pager.
 func CreateFilePager(fs *pmfs.FS, name string, pageSize int) (*FilePager, error) {
@@ -65,9 +86,9 @@ func CreateFilePager(fs *pmfs.FS, name string, pageSize int) (*FilePager, error)
 	if err != nil {
 		return nil, err
 	}
-	p := &FilePager{fs: fs, f: f, psize: pageSize, npages: 1}
-	zero := make([]byte, pageSize)
-	if _, err := f.WriteAt(zero, 0); err != nil {
+	p := newFilePager(fs, f, pageSize)
+	p.npages = 1
+	if _, err := f.WriteAt(p.img, 0); err != nil {
 		return nil, err
 	}
 	if err := p.writeMeta(); err != nil {
@@ -88,7 +109,7 @@ func OpenFilePager(fs *pmfs.FS, name string, pageSize int) (*FilePager, error) {
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, err
 	}
-	p := &FilePager{fs: fs, f: f, psize: pageSize}
+	p := newFilePager(fs, f, pageSize)
 	found := false
 	for slot := 0; slot < 2; slot++ {
 		b := hdr[slot*64:]
@@ -141,20 +162,56 @@ func (p *FilePager) writeMeta() error {
 // PageSize returns the page size in bytes.
 func (p *FilePager) PageSize() int { return p.psize }
 
-// ReadPage fills buf with page id's contents. A read failure, or a page whose
+// PageOffset returns the file offset of page id's slot.
+func (p *FilePager) PageOffset(id uint64) int64 { return int64(id&pageMask) * int64(p.psize) }
+
+// ReadPage fills buf with page id, an id WritePage returned: it reads the
+// page's image with one ReadAt and moves a leaf's value heap back to the end
+// of buf. The dead gap's bytes in buf are undefined afterwards. A read
+// failure, a length the page's header disagrees with, or a page whose
 // entries overrun it, makes buf an empty leaf (so the caller never indexes
 // stale bytes as a node) and is reported at the next Persist.
 func (p *FilePager) ReadPage(id uint64, buf []byte) {
-	_, err := p.f.ReadAt(buf, int64(id)*int64(p.psize))
-	if err == nil {
-		err = checkSlotted(buf)
-	}
-	if err != nil {
+	if err := p.readImage(id, buf); err != nil {
 		initPage(buf, true, len(buf))
 		if p.ioErr == nil {
-			p.ioErr = fmt.Errorf("page %d: %w", id, err)
+			p.ioErr = fmt.Errorf("page %d (%d-byte image): %w", id&pageMask, id>>idLenShift, err)
 		}
 	}
+}
+
+func (p *FilePager) readImage(id uint64, buf []byte) error {
+	n := int(id >> idLenShift)
+	if n < pHdr || n > len(buf) {
+		return fmt.Errorf("an image of %d bytes does not fit a %d-byte page", n, len(buf))
+	}
+	if _, err := p.f.ReadAt(buf[:n], p.PageOffset(id)); err != nil {
+		return err
+	}
+	if isLeaf(buf) {
+		// With n at most len(buf), a length that matches also puts the heap
+		// after the slots.
+		slots, heap := pHdr+count(buf)*leafSlot, dataEnd(buf)
+		if heap > len(buf) || slots+len(buf)-heap != n {
+			return fmt.Errorf("a leaf of %d slots and a heap at %d has no %d-byte image", count(buf), heap, n)
+		}
+		copy(buf[heap:], buf[slots:n])
+	} else if pHdr+count(buf)*innerEnt != n {
+		return fmt.Errorf("%d inner entries have no %d-byte image", count(buf), n)
+	}
+	return checkSlotted(buf)
+}
+
+// image returns page buf's image: buf's own bytes for an inner page,
+// the slot directory and value heap gathered in p.img for a leaf.
+func (p *FilePager) image(buf []byte) []byte {
+	if !isLeaf(buf) {
+		return buf[:pHdr+count(buf)*innerEnt]
+	}
+	slots := pHdr + count(buf)*leafSlot
+	n := copy(p.img, buf[:slots])
+	n += copy(p.img[n:], buf[dataEnd(buf):])
+	return p.img[:n]
 }
 
 // checkSlotted reports a slotted page whose count, value heap or value slots
@@ -183,15 +240,22 @@ func checkSlotted(buf []byte) error {
 // if any, as ArenaPager.Err does.
 func (p *FilePager) Err() error { return p.ioErr }
 
-// WritePage stores buf in a free page, growing the file if there is none,
-// and returns the page's id (durable at the next Persist). A failed write
-// takes no page.
+// WritePage writes page buf's image into a free page's slot, padded to whole
+// lines, or into a new slot at the end of the file, whole, and returns the
+// page's id (durable at the next Persist). A failed write takes no page.
 func (p *FilePager) WritePage(buf []byte) (uint64, error) {
-	id, n := p.npages, len(p.free)
+	no, n := p.npages, len(p.free)
 	if n > 0 {
-		id = p.free[n-1]
+		no = p.free[n-1]
 	}
-	if _, err := p.f.WriteAt(buf, int64(id)*int64(p.psize)); err != nil {
+	img := p.image(buf)
+	size := len(img)
+	// What buf or p.img holds past the image pads it: the bytes are never read.
+	img = img[:min((size+nvm.LineSize-1)&^(nvm.LineSize-1), p.psize)]
+	if n == 0 {
+		img = img[:p.psize]
+	}
+	if _, err := p.f.WriteAt(img, p.PageOffset(no)); err != nil {
 		return 0, err
 	}
 	if n > 0 {
@@ -199,11 +263,11 @@ func (p *FilePager) WritePage(buf []byte) (uint64, error) {
 	} else {
 		p.npages++
 	}
-	return id, nil
+	return no | uint64(size)<<idLenShift, nil
 }
 
 // FreePage returns a page to the free pool.
-func (p *FilePager) FreePage(id uint64) { p.free = append(p.free, id) }
+func (p *FilePager) FreePage(id uint64) { p.free = append(p.free, id&pageMask) }
 
 // Reserve accepts any batch: the file grows at Persist.
 func (p *FilePager) Reserve(int) error { return nil }
@@ -228,13 +292,19 @@ func (p *FilePager) Persist(root, meta uint64) error {
 // Committed returns the durable master record.
 func (p *FilePager) Committed() (root, meta uint64) { return p.root, p.meta }
 
-// InitFree installs the free list from a reachability sweep: every page
-// except page 0 and the reachable set is free.
+// InitFree installs the free list from a reachability sweep's page ids:
+// every page except page 0 and the reachable ones is free.
 func (p *FilePager) InitFree(used map[uint64]bool) {
+	inUse := make([]bool, p.npages)
+	for id := range used {
+		if no := id & pageMask; no < p.npages {
+			inUse[no] = true
+		}
+	}
 	p.free = p.free[:0]
-	for id := uint64(1); id < p.npages; id++ {
-		if !used[id] {
-			p.free = append(p.free, id)
+	for no := uint64(1); no < p.npages; no++ {
+		if !inUse[no] {
+			p.free = append(p.free, no)
 		}
 	}
 }

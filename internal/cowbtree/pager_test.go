@@ -219,7 +219,7 @@ func TestOversizedCountFailsPersist(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := f.WriteAt([]byte{0xff, 0xff}, int64(id)*4096+pCount); err != nil {
+				if _, err := f.WriteAt([]byte{0xff, 0xff}, ftr.pg.(*FilePager).PageOffset(id)+pCount); err != nil {
 					t.Fatal(err)
 				}
 			}
