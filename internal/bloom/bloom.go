@@ -11,6 +11,10 @@ type Filter struct {
 	k    int
 }
 
+// MaxK is the most hash probes per key a filter uses: a marshalled filter
+// claiming more did not come from New.
+const MaxK = 30
+
 // New creates a filter sized for n keys at roughly the given bits-per-key
 // budget (10 bits/key ≈ 1% false-positive rate).
 func New(n int, bitsPerKey int) *Filter {
@@ -28,8 +32,8 @@ func New(n int, bitsPerKey int) *Filter {
 	if k < 1 {
 		k = 1
 	}
-	if k > 30 {
-		k = 30
+	if k > MaxK {
+		k = MaxK
 	}
 	return &Filter{bits: make([]uint64, (m+63)/64), k: k}
 }

@@ -249,7 +249,8 @@ func (h *Heap) WriteCol(slot uint64, col int, v Value) error {
 // var-slot when that is of its chunk size) and the fields are left in the
 // cache (WriteBackCols, PersistSlot): all of it is durable at a fence of the
 // caller's, and a var-slot a crash leaves marked with no live slot naming it
-// is the owner's to sweep (Reach).
+// is the owner's to sweep (Reach). On a volatile heap each var-slot is
+// streamed the same way but left allocated (pmalloc.Arena.StreamAlloc).
 func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 	vps := h.vps[:0]
 	for j, ci := range cols {
@@ -261,17 +262,17 @@ func (h *Heap) WriteCols(slot uint64, cols []int, vals []Value) error {
 		var err error
 		if len(b) > MaxStringLen {
 			err = fmt.Errorf("core: a %d-byte string is over the heap's %d-byte limit", len(b), MaxStringLen)
-		} else if h.nvmMod {
+		} else {
 			h.img = append(binary.LittleEndian.AppendUint32(h.img[:0], uint32(len(b))), b...)
-			if k := h.kept; k != 0 && k.chunk() == pmalloc.ChunkSize(len(h.img)) {
+			switch k := h.kept; {
+			case !h.nvmMod:
+				vp, err = h.arena.StreamAlloc(pmalloc.TagTable, h.img)
+			case k != 0 && k.chunk() == pmalloc.ChunkSize(len(h.img)):
 				vp, h.kept = k.Ptr(), 0
 				h.arena.Restream(vp, pmalloc.TagTable, h.img)
-			} else {
+			default:
 				vp, err = h.arena.StreamPersisted(pmalloc.TagTable, h.img)
 			}
-		} else if vp, err = h.arena.Alloc(4+len(b), pmalloc.TagTable); err == nil {
-			h.dev.WriteU32(int64(vp), uint32(len(b)))
-			h.dev.Write(int64(vp)+4, b)
 		}
 		if err != nil {
 			for _, p := range vps {

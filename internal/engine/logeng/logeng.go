@@ -749,13 +749,17 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 
 	// Run-backed sources, newest first: L0 newest to oldest, then levels
 	// shallow to deep.
-	var iters []*sstIter
+	var runs []*runScanner
 	addRun := func(run *sstable) error {
-		pos, err := run.lowerBound(e.cache, lo)
+		off, err := run.lowerBound(e.cache, lo)
 		if err != nil {
 			return err
 		}
-		iters = append(iters, &sstIter{t: run, c: e.cache, pos: pos})
+		s := run.scanRange(e.cache, off, hi)
+		if !s.next() {
+			return s.err
+		}
+		runs = append(runs, s)
 		return nil
 	}
 	for i := len(e.l0) - 1; i >= 0; i-- {
@@ -780,16 +784,9 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 				minKey = src[memIdx[s]].k
 			}
 		}
-		for _, it := range iters {
-			if !it.valid() {
-				continue
-			}
-			k, _, err := it.entry()
-			if err != nil {
-				return err
-			}
-			if k < minKey {
-				minKey = k
+		for _, s := range runs {
+			if s.valid && s.key < minKey {
+				minKey = s.key
 			}
 		}
 		if minKey >= hi {
@@ -803,17 +800,12 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 				memIdx[s]++
 			}
 		}
-		for _, it := range iters {
-			if !it.valid() {
-				continue
-			}
-			k, ent, err := it.entry()
-			if err != nil {
-				return err
-			}
-			if k == minKey {
-				entries = append(entries, ent)
-				it.next()
+		for _, s := range runs {
+			if s.valid && s.key == minKey {
+				entries = append(entries, s.ent)
+				if !s.next() && s.err != nil {
+					return s.err
+				}
 			}
 		}
 		row, exists, _, err := lsm.CoalesceR(tm.Schema, minKey, entries, e.resolveEntry)
@@ -1253,65 +1245,44 @@ func (e *Engine) mergeRuns(newer, older *sstable, dropTombs bool) (*sstable, err
 	if err != nil {
 		return nil, err
 	}
-	a := &sstIter{t: newer, c: e.cache}
-	b := &sstIter{t: older, c: e.cache}
+	a, b := newer.scan(e.cache), older.scan(e.cache)
 	emit := func(k uint64, ent lsm.Entry) {
 		if dropTombs && ent.Kind == lsm.KindTomb {
 			return
 		}
 		w.add(k, ent)
 	}
-	for a.valid() || b.valid() {
+	a.next()
+	b.next()
+	for a.valid || b.valid {
 		switch {
-		case !b.valid():
-			k, ent, err := a.entry()
-			if err != nil {
-				return nil, err
-			}
-			emit(k, ent)
+		case !b.valid || a.valid && a.key < b.key:
+			emit(a.key, a.ent)
 			a.next()
-		case !a.valid():
-			k, ent, err := b.entry()
-			if err != nil {
-				return nil, err
-			}
-			emit(k, ent)
+		case !a.valid || b.key < a.key:
+			emit(b.key, b.ent)
 			b.next()
 		default:
-			ka, ea, err := a.entry()
+			// Schema for Merge: decode the table from the packed key.
+			tm := e.Tables[core.TreeTable(a.key)]
+			merged, err := lsm.MergeR(tm.Schema, a.key, a.ent, b.ent, e.resolveEntry)
 			if err != nil {
 				return nil, err
 			}
-			kb, eb, err := b.entry()
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case ka < kb:
-				emit(ka, ea)
-				a.next()
-			case kb < ka:
-				emit(kb, eb)
-				b.next()
-			default:
-				// Schema for Merge: decode the table from the packed key.
-				tm := e.Tables[core.TreeTable(ka)]
-				merged, err := lsm.MergeR(tm.Schema, ka, ea, eb, e.resolveEntry)
-				if err != nil {
-					return nil, err
+			if b.ent.Kind == lsm.KindFullPtr && e.vl != nil {
+				// The older separated value is superseded: its log
+				// bytes are dead.
+				if ptr, ok := core.DecodeVlogPtr(b.ent.Payload); ok {
+					e.vl.Discard(ptr.Seg, vlog.DiscardOf(ptr))
 				}
-				if eb.Kind == lsm.KindFullPtr && e.vl != nil {
-					// The older separated value is superseded: its log
-					// bytes are dead.
-					if ptr, ok := core.DecodeVlogPtr(eb.Payload); ok {
-						e.vl.Discard(ptr.Seg, vlog.DiscardOf(ptr))
-					}
-				}
-				emit(ka, merged)
-				a.next()
-				b.next()
 			}
+			emit(a.key, merged)
+			a.next()
+			b.next()
 		}
+	}
+	if err := errors.Join(a.err, b.err); err != nil {
+		return nil, err
 	}
 	if err := w.finish(); err != nil {
 		return nil, err
@@ -1493,20 +1464,18 @@ func (e *Engine) loadManifest(head *vlog.Head) error {
 		e.placeRun(sp, run)
 		e.Rec.Records += run.count
 		// Harvest pointers for validation once the value log is open.
-		it := &sstIter{t: run, c: e.cache}
-		for it.valid() {
-			_, ent, err := it.entry()
-			if err != nil {
-				return err
-			}
-			if ent.Kind == lsm.KindFullPtr {
-				ptr, ok := core.DecodeVlogPtr(ent.Payload)
+		s := run.scan(e.cache)
+		for s.next() {
+			if s.ent.Kind == lsm.KindFullPtr {
+				ptr, ok := core.DecodeVlogPtr(s.ent.Payload)
 				if !ok {
 					return core.Corrupt(fmt.Errorf("logeng: %s carries malformed value-log pointer", run.name))
 				}
 				e.pendingPtrs = append(e.pendingPtrs, ptr)
 			}
-			it.next()
+		}
+		if s.err != nil {
+			return s.err
 		}
 	}
 	return nil

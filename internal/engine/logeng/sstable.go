@@ -1,11 +1,13 @@
 package logeng
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"nstore/internal/bloom"
+	"nstore/internal/core"
 	"nstore/internal/engine/lsm"
 	"nstore/internal/pmalloc"
 	"nstore/internal/pmfs"
@@ -21,6 +23,7 @@ const (
 	sstMagic   = 0x5353544142312121
 	footerSize = 40
 	blockSize  = 4096
+	entryHdr   = 13 // key, kind, payload length
 )
 
 // blockCache is a small user-space cache of SSTable blocks kept in
@@ -58,45 +61,51 @@ func (c *blockCache) read(f *pmfs.File, name string, off int64, p []byte) error 
 	size := f.Size()
 	for len(p) > 0 {
 		idx := off / blockSize
-		blockOff := idx * blockSize
-		k := blockKey{name, idx}
-		e, ok := c.m[k]
-		if !ok {
-			n := int(size - blockOff)
-			if n > blockSize {
-				n = blockSize
+		lo := int(off - idx*blockSize)
+		c.tick++
+		var n int
+		if e, ok := c.m[blockKey{name, idx}]; ok {
+			e.used = c.tick
+			if n = min(e.n-lo, len(p)); n <= 0 {
+				return fmt.Errorf("logeng: read past block end of %s", name)
 			}
-			if n <= 0 {
-				return fmt.Errorf("logeng: read past EOF of %s", name)
-			}
-			buf := make([]byte, n)
-			if _, err := f.ReadAt(buf, blockOff); err != nil {
-				return err
-			}
-			ptr, err := c.arena.Alloc(n, pmalloc.TagOther)
+			dev.Read(int64(e.ptr)+int64(lo), p[:n])
+		} else {
+			buf, err := c.fill(f, name, idx, size)
 			if err != nil {
 				return err
 			}
-			dev.Write(int64(ptr), buf)
-			e = &blockEnt{ptr: ptr, n: n}
-			c.evictIfFull()
-			c.m[k] = e
+			if lo >= len(buf) {
+				return fmt.Errorf("logeng: read past block end of %s", name)
+			}
+			n = copy(p, buf[lo:])
 		}
-		c.tick++
-		e.used = c.tick
-		lo := int(off - blockOff)
-		n := e.n - lo
-		if n <= 0 {
-			return fmt.Errorf("logeng: read past block end of %s", name)
-		}
-		if n > len(p) {
-			n = len(p)
-		}
-		dev.Read(int64(e.ptr)+int64(lo), p[:n])
 		p = p[n:]
 		off += int64(n)
 	}
 	return nil
+}
+
+// fill reads block idx of a file of size bytes on a miss, keeps a streamed
+// copy of it (pmalloc.Arena.StreamAlloc: no line filled, none written back)
+// and returns the bytes it read. The caller is served from those, not from
+// the copy, whose lines the stream left out of the CPU cache.
+func (c *blockCache) fill(f *pmfs.File, name string, idx, size int64) ([]byte, error) {
+	n := min(size-idx*blockSize, blockSize)
+	if n <= 0 {
+		return nil, fmt.Errorf("logeng: read past EOF of %s", name)
+	}
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, idx*blockSize); err != nil {
+		return nil, err
+	}
+	c.evictIfFull()
+	ptr, err := c.arena.StreamAlloc(pmalloc.TagOther, buf)
+	if err != nil {
+		return nil, err
+	}
+	c.m[blockKey{name, idx}] = &blockEnt{ptr: ptr, n: int(n), used: c.tick}
+	return buf, nil
 }
 
 func (c *blockCache) evictIfFull() {
@@ -178,7 +187,7 @@ func newSSTWriter(fs *pmfs.FS, name string) (*sstWriter, error) {
 func (w *sstWriter) add(key uint64, e lsm.Entry) {
 	w.offsets = append(w.offsets, int64(len(w.buf)))
 	w.keys = append(w.keys, key)
-	var hdr [13]byte
+	var hdr [entryHdr]byte
 	binary.LittleEndian.PutUint64(hdr[0:], key)
 	hdr[8] = e.Kind
 	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(e.Payload)))
@@ -216,7 +225,11 @@ func (w *sstWriter) finish() error {
 	return w.f.Sync()
 }
 
-// openSSTable opens a run and loads its bloom filter into allocator memory.
+// openSSTable opens a run and streams its bloom filter into allocator
+// memory. The footer comes from the file, so it is checked before it sizes
+// anything: the offsets array must end where the filter starts and the filter
+// where the footer starts, and the filter must hold its probe count and at
+// least one word. An image that breaks any of these is corrupt.
 func openSSTable(fs *pmfs.FS, arena *pmalloc.Arena, name string) (*sstable, error) {
 	f, err := fs.OpenFile(name)
 	if err != nil {
@@ -224,37 +237,47 @@ func openSSTable(fs *pmfs.FS, arena *pmalloc.Arena, name string) (*sstable, erro
 	}
 	size := f.Size()
 	if size < footerSize {
-		return nil, fmt.Errorf("logeng: %s too small", name)
+		return nil, core.Corrupt(fmt.Errorf("logeng: %s too small", name))
 	}
 	var foot [footerSize]byte
 	if _, err := f.ReadAt(foot[:], size-footerSize); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint64(foot[32:]) != sstMagic {
-		return nil, fmt.Errorf("logeng: %s bad magic", name)
+		return nil, core.Corrupt(fmt.Errorf("logeng: %s bad magic", name))
 	}
-	t := &sstable{
-		name:       name,
-		f:          f,
-		offsetsPos: int64(binary.LittleEndian.Uint64(foot[0:])),
-		count:      int64(binary.LittleEndian.Uint64(foot[8:])),
-		size:       size,
+	offsetsPos := binary.LittleEndian.Uint64(foot[0:])
+	count := binary.LittleEndian.Uint64(foot[8:])
+	bloomPos := binary.LittleEndian.Uint64(foot[16:])
+	bloomLen := binary.LittleEndian.Uint64(foot[24:])
+	body := uint64(size - footerSize)
+	if offsetsPos > body || count > body/8 || offsetsPos+8*count != bloomPos ||
+		bloomLen > body || bloomPos+bloomLen != body || bloomLen < 16 || bloomLen%8 != 0 {
+		return nil, core.Corrupt(fmt.Errorf("logeng: %s footer (offsets %d, count %d, bloom %d+%d) does not fit its %d bytes",
+			name, offsetsPos, count, bloomPos, bloomLen, size))
 	}
-	bloomPos := int64(binary.LittleEndian.Uint64(foot[16:]))
-	bloomLen := int(binary.LittleEndian.Uint64(foot[24:]))
 	bm := make([]byte, bloomLen)
-	if _, err := f.ReadAt(bm, bloomPos); err != nil {
+	if _, err := f.ReadAt(bm, int64(bloomPos)); err != nil {
 		return nil, err
 	}
-	t.bloomK = int(binary.LittleEndian.Uint64(bm))
-	t.bloomWords = uint64((bloomLen - 8) / 8)
-	ptr, err := arena.Alloc(bloomLen-8, pmalloc.TagIndex)
+	k := binary.LittleEndian.Uint64(bm)
+	if k < 1 || k > bloom.MaxK {
+		return nil, core.Corrupt(fmt.Errorf("logeng: %s bloom filter claims %d probes", name, k))
+	}
+	ptr, err := arena.StreamAlloc(pmalloc.TagIndex, bm[8:])
 	if err != nil {
 		return nil, err
 	}
-	arena.Device().Write(int64(ptr), bm[8:])
-	t.bloomPtr = ptr
-	return t, nil
+	return &sstable{
+		name:       name,
+		f:          f,
+		count:      int64(count),
+		offsetsPos: int64(offsetsPos),
+		bloomPtr:   ptr,
+		bloomWords: (bloomLen - 8) / 8,
+		bloomK:     int(k),
+		size:       size,
+	}, nil
 }
 
 // sstSpec is a parsed manifest entry awaiting load. For L0 runs, level is
@@ -282,44 +305,72 @@ func (t *sstable) mayContain(dev interface{ ReadU64(int64) uint64 }, key uint64)
 	return ok
 }
 
-// entryAt reads entry i via the block cache.
-func (t *sstable) entryAt(c *blockCache, i int64) (key uint64, e lsm.Entry, err error) {
-	var ob [8]byte
-	if err := c.read(t.f, t.name, t.offsetsPos+i*8, ob[:]); err != nil {
-		return 0, e, err
+// probe reads entry i's offset from the offsets array and the entry's key:
+// all a binary-search step needs. The offset must leave room for the entry's
+// header inside the entry region.
+func (t *sstable) probe(c *blockCache, i int64) (off int64, key uint64, err error) {
+	var b [8]byte
+	if err := c.read(t.f, t.name, t.offsetsPos+i*8, b[:]); err != nil {
+		return 0, 0, err
 	}
-	off := int64(binary.LittleEndian.Uint64(ob[:]))
-	var hdr [13]byte
-	if err := c.read(t.f, t.name, off, hdr[:]); err != nil {
-		return 0, e, err
+	o := binary.LittleEndian.Uint64(b[:])
+	if t.offsetsPos < entryHdr || o > uint64(t.offsetsPos-entryHdr) {
+		return 0, 0, core.Corrupt(fmt.Errorf("logeng: %s entry %d at offset %d lies outside its %d-byte entry region", t.name, i, o, t.offsetsPos))
 	}
-	key = binary.LittleEndian.Uint64(hdr[0:])
-	e.Kind = hdr[8]
-	n := int(binary.LittleEndian.Uint32(hdr[9:]))
-	e.Payload = make([]byte, n)
-	if n > 0 {
-		if err := c.read(t.f, t.name, off+13, e.Payload); err != nil {
-			return 0, e, err
-		}
+	off = int64(o)
+	if err := c.read(t.f, t.name, off, b[:]); err != nil {
+		return 0, 0, err
 	}
-	return key, e, nil
+	return off, binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// get binary-searches the run for key (checking the bloom filter first).
+// entryAt reads the kind, length and payload of the entry at off, whose key
+// a probe has read. The length must fit the entry region before anything is
+// allocated for it.
+func (t *sstable) entryAt(c *blockCache, off int64) (lsm.Entry, error) {
+	var b [entryHdr - 8]byte
+	if err := c.read(t.f, t.name, off+8, b[:]); err != nil {
+		return lsm.Entry{}, err
+	}
+	n := int64(binary.LittleEndian.Uint32(b[1:]))
+	if n > t.offsetsPos-off-entryHdr {
+		return lsm.Entry{}, t.overlong(off, n)
+	}
+	e := lsm.Entry{Kind: b[0], Payload: make([]byte, n)}
+	if err := c.read(t.f, t.name, off+entryHdr, e.Payload); err != nil {
+		return lsm.Entry{}, err
+	}
+	return e, nil
+}
+
+// overlong is the error for the entry at off whose n payload bytes would run
+// past the entry region.
+func (t *sstable) overlong(off, n int64) error {
+	return core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d claims %d bytes past its %d-byte entry region", t.name, off, n, t.offsetsPos))
+}
+
+// get looks key up in the run, checking the bloom filter first.
 func (t *sstable) get(c *blockCache, dev interface{ ReadU64(int64) uint64 }, key uint64) (lsm.Entry, bool, error) {
 	if !t.mayContain(dev, key) {
 		return lsm.Entry{}, false, nil
 	}
+	return t.find(c, key)
+}
+
+// find binary-searches the run for key. A step reads its entry's offset and
+// key; only the match reads the rest.
+func (t *sstable) find(c *blockCache, key uint64) (lsm.Entry, bool, error) {
 	lo, hi := int64(0), t.count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k, e, err := t.entryAt(c, mid)
+		off, k, err := t.probe(c, mid)
 		if err != nil {
 			return lsm.Entry{}, false, err
 		}
 		switch {
 		case k == key:
-			return e, true, nil
+			e, err := t.entryAt(c, off)
+			return e, err == nil, err
 		case k < key:
 			lo = mid + 1
 		default:
@@ -329,22 +380,23 @@ func (t *sstable) get(c *blockCache, dev interface{ ReadU64(int64) uint64 }, key
 	return lsm.Entry{}, false, nil
 }
 
-// lowerBound returns the first entry index with key >= from.
+// lowerBound returns the file offset of the first entry with key >= from,
+// the end of the entry region if there is none.
 func (t *sstable) lowerBound(c *blockCache, from uint64) (int64, error) {
-	lo, hi := int64(0), t.count
+	lo, hi, hiOff := int64(0), t.count, t.offsetsPos
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k, _, err := t.entryAt(c, mid)
+		off, k, err := t.probe(c, mid)
 		if err != nil {
 			return 0, err
 		}
 		if k < from {
 			lo = mid + 1
 		} else {
-			hi = mid
+			hi, hiOff = mid, off
 		}
 	}
-	return lo, nil
+	return hiOff, nil
 }
 
 // release frees the bloom filter and drops cached blocks.
@@ -356,17 +408,106 @@ func (t *sstable) release(arena *pmalloc.Arena, c *blockCache) {
 	c.drop(t.name)
 }
 
-// sstIter iterates a run's entries in key order.
-type sstIter struct {
-	t   *sstable
-	c   *blockCache
-	pos int64
+// runScanner reads a run's entries in key order, each entry decoded once,
+// with no read of the offsets array. A whole-run scan (compaction, the
+// manifest's pointer harvest) reads the entry region one block-aligned window
+// at a time through the block cache; a bounded one (ScanRange) reads each
+// entry's bytes alone and ends at the first key at or past its bound, so a
+// short range reads the entries it returns and the header of the one that
+// ends it.
+type runScanner struct {
+	t       *sstable
+	c       *blockCache
+	win     []byte // entry-region bytes from winOff on
+	winOff  int64
+	off     int64 // the next entry's file offset
+	n       int64 // entries decoded
+	bounded bool  // the scan ends before the first key >= hi
+	hi      uint64
+
+	valid bool // key and ent hold the entry the last next decoded
+	key   uint64
+	ent   lsm.Entry
+	err   error
 }
 
-func (it *sstIter) valid() bool { return it.pos < it.t.count }
-
-func (it *sstIter) entry() (uint64, lsm.Entry, error) {
-	return it.t.entryAt(it.c, it.pos)
+// scan returns a scanner over the whole run.
+func (t *sstable) scan(c *blockCache) *runScanner {
+	return &runScanner{t: t, c: c}
 }
 
-func (it *sstIter) next() { it.pos++ }
+// scanRange returns a scanner over the run's entries from the one at file
+// offset off (lowerBound's result) up to the first key >= hi.
+func (t *sstable) scanRange(c *blockCache, off int64, hi uint64) *runScanner {
+	return &runScanner{t: t, c: c, winOff: off, off: off, bounded: true, hi: hi}
+}
+
+// next decodes the next entry into key and ent and reports, as valid does,
+// whether there was one: not at the end of the entry region or of a bounded
+// scan's range, nor on an error, which it leaves in err. An entry that runs
+// past the region, or a whole-run scan that found other than the footer's
+// count of entries, is corrupt.
+func (s *runScanner) next() bool {
+	s.valid = s.decode()
+	return s.valid
+}
+
+func (s *runScanner) decode() bool {
+	if s.err != nil {
+		return false
+	}
+	if s.off >= s.t.offsetsPos {
+		if !s.bounded && s.n != s.t.count {
+			s.err = core.Corrupt(fmt.Errorf("logeng: %s holds %d entries, its footer says %d", s.t.name, s.n, s.t.count))
+		}
+		return false
+	}
+	if s.off+entryHdr > s.t.offsetsPos {
+		s.err = core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d is cut off by the end of its %d-byte entry region", s.t.name, s.off, s.t.offsetsPos))
+		return false
+	}
+	hdr, err := s.window(entryHdr)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	key, kind, n := binary.LittleEndian.Uint64(hdr), hdr[8], int64(binary.LittleEndian.Uint32(hdr[9:]))
+	if s.bounded && key >= s.hi {
+		return false
+	}
+	if n > s.t.offsetsPos-s.off-entryHdr {
+		s.err = s.t.overlong(s.off, n)
+		return false
+	}
+	b, err := s.window(entryHdr + int(n))
+	if err != nil {
+		s.err = err
+		return false
+	}
+	s.key, s.ent = key, lsm.Entry{Kind: kind, Payload: bytes.Clone(b[entryHdr:])}
+	s.off += entryHdr + n
+	s.n++
+	return true
+}
+
+// window returns the n bytes at the scanner's offset, reading through the
+// cache while it holds fewer: the entry region's next block-aligned window on
+// a whole-run scan, only the missing bytes on a bounded one. The bytes, which
+// the caller has checked lie inside the region, are valid until the next
+// call.
+func (s *runScanner) window(n int) ([]byte, error) {
+	for s.off+int64(n) > s.winOff+int64(len(s.win)) {
+		end := s.winOff + int64(len(s.win))
+		w := int(s.off + int64(n) - end)
+		if !s.bounded {
+			w = int(min((end/blockSize+1)*blockSize, s.t.offsetsPos) - end)
+		}
+		kept := copy(s.win, s.win[s.off-s.winOff:])
+		s.win, s.winOff = slices.Grow(s.win[:kept], w)[:kept+w], s.off
+		if err := s.c.read(s.t.f, s.t.name, end, s.win[kept:]); err != nil {
+			return nil, err
+		}
+	}
+	lo := s.off - s.winOff
+	return s.win[lo : lo+int64(n)], nil
+}

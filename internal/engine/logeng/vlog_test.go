@@ -610,7 +610,9 @@ func TestVlogSeparationWriteBytes(t *testing.T) {
 		if err := sameState(bigSchema()[0], onState, offState); err != nil {
 			t.Fatalf("%d B values: separation changed visible state: %v", size, err)
 		}
-		// Sized at 0.465x and 1.000x; both runs are exact.
+		// Sized at 0.494x and 1.000x; both runs are exact. The bytes include
+		// the block cache's fills: in filesystem bytes alone the 16 KB
+		// ratio is 0.525x.
 		ratio := float64(on) / float64(off)
 		if size >= 512 && ratio > 0.5 {
 			t.Errorf("%d B values: separation wrote %d bytes, %.3fx of the %d without; want <= 0.5x", size, on, ratio, off)

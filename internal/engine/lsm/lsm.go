@@ -169,18 +169,12 @@ func entryChunkImage(e Entry) []byte {
 	return img
 }
 
-// WriteEntryChunk allocates a table chunk and stores e in it through the
-// cache. The chunk is volatile: the Log engine's MemTable is. Table-arena
+// WriteEntryChunk streams e into a new table chunk (pmalloc.Arena.StreamAlloc)
+// and leaves it volatile: the Log engine's MemTable is. Table-arena
 // exhaustion is reachable from normal traffic: it is returned, so the
 // transaction can abort cleanly instead of panicking.
 func WriteEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
-	img := entryChunkImage(e)
-	p, err := a.Alloc(len(img), pmalloc.TagTable)
-	if err != nil {
-		return 0, err
-	}
-	a.Device().Write(int64(p), img)
-	return p, nil
+	return a.StreamAlloc(pmalloc.TagTable, entryChunkImage(e))
 }
 
 // StreamEntryChunk streams e into a table chunk with its persisted mark

@@ -495,17 +495,43 @@ func (a *Arena) SetPersisted(ps ...Ptr) {
 // durable names the chunk yet; the caller's owner must reclaim a persisted
 // chunk that nothing names when it reopens.
 func (a *Arena) StreamPersisted(tag Tag, payload []byte) (Ptr, error) {
+	return a.streamNew(tag, StatePersisted, payload)
+}
+
+// StreamAlloc is Alloc followed by a write of the whole payload, for a
+// volatile chunk: the chunk is in StateAllocated, and recovery reclaims it.
+// It is laid out and streamed as StreamPersisted streams a chunk, so a chunk
+// that owns its lines costs one device store per line, no load and no CLWB —
+// where Alloc and a write through the cache fill every line they touch. A
+// chunk sharing its line is written through the cache, as Alloc and a write
+// leave it. Accounting and placement are Alloc's.
+func (a *Arena) StreamAlloc(tag Tag, payload []byte) (Ptr, error) {
+	return a.streamNew(tag, StateAllocated, payload)
+}
+
+// streamNew carves a chunk for payload and fills it in state st: streamed
+// whole if it owns its lines, else through the cache — written back only
+// where the chunk's header must be durable, a persisted chunk's or one in
+// fresh memory.
+func (a *Arena) streamNew(tag Tag, st State, payload []byte) (Ptr, error) {
 	off, total, grow, err := a.carve(int64(len(payload)))
 	if err != nil {
 		return 0, err
 	}
-	w := packHeader(total-HeaderSize, tag, StatePersisted)
-	if a.ownsLine(off, total) {
+	w := packHeader(total-HeaderSize, tag, st)
+	switch {
+	case a.ownsLine(off, total):
 		a.stream(off, total, w, payload)
-	} else {
+	case st == StatePersisted:
 		a.dev.WriteU64(off, w)
 		a.dev.Write(off+HeaderSize, payload)
 		a.dev.WriteBack(off, HeaderSize+len(payload))
+	default:
+		a.dev.WriteU64(off, w)
+		if grow {
+			a.dev.WriteBack(off, 8)
+		}
+		a.dev.Write(off+HeaderSize, payload)
 	}
 	if grow {
 		a.dev.Fence()

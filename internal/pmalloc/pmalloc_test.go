@@ -526,6 +526,100 @@ func TestPersistCostIgnoresLinePhase(t *testing.T) {
 	}
 }
 
+// TestStreamAllocIsAllocStreamed: StreamAlloc is Alloc and a write of the
+// whole payload, at a stream's cost. A chunk that owns its lines costs what
+// StreamPersisted's does — taken whole from a free list, one store per line
+// and no load, CLWB or fence — where Alloc and a write fill every line. It
+// lands where Alloc puts it, in StateAllocated, under the same accounting,
+// and a crash leaves the recovery scan to reclaim it as it reclaims an
+// Alloc'ed chunk. A chunk inside a line costs exactly what Alloc and the
+// write cost. Each arena starts cold, its free marks on the medium.
+func TestStreamAllocIsAllocStreamed(t *testing.T) {
+	shared := 0
+	for _, n := range []int{8, 20, 49, 200, 1000, 4096} {
+		rec := make([]byte, n)
+		for i := range rec {
+			rec[i] = byte(i + 1)
+		}
+		for _, cp := range []struct {
+			c   carving
+			pad int
+		}{{carveWhole, 0}, {carveSplit, 0}, {carveFresh, 0}, {carveWhole, 32}, {carveFresh, 32}} {
+			c, pad := cp.c, cp.pad
+			where := fmt.Sprintf("%d bytes, %s after %d bytes", n, c, pad)
+			devA, a, _ := persistSetup(t, c, pad, n)
+			devA.EvictAll()
+			st0 := devA.Stats()
+			pa, err := a.Alloc(n, TagTable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devA.Write(int64(pa), rec)
+			alloc := devA.Stats().Sub(st0)
+
+			dev, s, _ := persistSetup(t, c, pad, n)
+			dev.EvictAll()
+			st0 = dev.Stats()
+			p, err := s.StreamAlloc(TagTable, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := dev.Stats().Sub(st0)
+			got := nvm.Stats{Loads: d.Loads, Stores: d.Stores, Flushes: d.Flushes, Fences: d.Fences}
+			lines := uint64(lineUp(HeaderSize+int64(s.SizeOf(p))) / nvm.LineSize)
+			// Fresh memory also loads the cold line of the heap end it moves
+			// and, where the heap ended inside a line, the line of the free
+			// chunk that fills the rest of it.
+			want := map[carving]nvm.Stats{
+				carveWhole: {Stores: lines},
+				carveSplit: {Stores: lines + 1, Fences: 1},
+				carveFresh: {Loads: 1, Stores: lines + 1, Flushes: 1, Fences: 2},
+			}[c]
+			if c == carveFresh && pad%nvm.LineSize != 0 {
+				want = nvm.Stats{Loads: 2, Stores: lines + 2, Flushes: 2, Fences: 2}
+			}
+			// ownsLine's rule: a line or more, or first in a line of fresh memory.
+			if owns := (int64(p)-HeaderSize)%nvm.LineSize == 0 && (s.SizeOf(p)+HeaderSize >= nvm.LineSize || c == carveFresh); !owns {
+				want = nvm.Stats{Loads: alloc.Loads, Stores: alloc.Stores, Flushes: alloc.Flushes, Fences: alloc.Fences}
+				shared++
+			} else if alloc.Loads < lines {
+				t.Errorf("%s: Alloc and a write loaded %d lines, fewer than the chunk's %d", where, alloc.Loads, lines)
+			}
+			if got != want {
+				t.Errorf("%s: StreamAlloc cost %d loads, %d stores, %d CLWBs, %d fences; want %d, %d, %d, %d",
+					where, got.Loads, got.Stores, got.Flushes, got.Fences, want.Loads, want.Stores, want.Flushes, want.Fences)
+			}
+			if p != pa || s.StateOf(p) != StateAllocated || fmt.Sprint(s.Usage()) != fmt.Sprint(a.Usage()) ||
+				s.Allocated() != a.Allocated() || s.HeapBytes() != a.HeapBytes() {
+				t.Errorf("%s: StreamAlloc gave %d (%v), usage %v, allocated %d, heap %d; Alloc gave %d, %v, %d, %d",
+					where, p, s.StateOf(p), s.Usage(), s.Allocated(), s.HeapBytes(), pa, a.Usage(), a.Allocated(), a.HeapBytes())
+			}
+			back := make([]byte, n)
+			dev.Read(int64(p), back)
+			if string(back) != string(rec) {
+				t.Errorf("%s: the payload did not read back", where)
+			}
+			var after [2]*Arena
+			for i, dv := range []*nvm.Device{devA, dev} {
+				dv.Fence()
+				dv.Crash()
+				if after[i], err = Open(dv, 0); err != nil {
+					t.Fatal(err)
+				}
+				checkLayout(t, after[i], where+", crashed")
+			}
+			if after[1].StateOf(p) != StateFree || fmt.Sprint(after[1].Usage()) != fmt.Sprint(after[0].Usage()) ||
+				after[1].Allocated() != after[0].Allocated() {
+				t.Errorf("%s: after a crash the streamed chunk is %v, usage %v (%d); the Alloc'ed one's arena %v (%d)",
+					where, after[1].StateOf(p), after[1].Usage(), after[1].Allocated(), after[0].Usage(), after[0].Allocated())
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no case carved a chunk that shares its line")
+	}
+}
+
 // TestFreeStreamedReadsNothing: a chunk StreamPersisted wrote is freed by its
 // length and tag with no device access at all, and its space is the next
 // chunk's, accounting and all. Until that chunk takes it, the medium keeps it
