@@ -34,7 +34,7 @@ import (
 
 func main() {
 	engine := flag.String("engine", "nvm-inp", "storage engine: inp, cow, log, nvm-inp, nvm-cow, nvm-log")
-	warehouses := flag.Int("warehouses", 4, "warehouses")
+	warehouses := flag.Int("warehouses", 4, "warehouses (at most 15: from 16 an order key reaches 2^24, which the orders table's secondary index refuses, and the load fails)")
 	customers := flag.Int("customers", 100, "customers per district")
 	items := flag.Int("items", 500, "items")
 	txns := flag.Int("txns", 4000, "transactions")

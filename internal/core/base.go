@@ -12,6 +12,38 @@ type TableMeta struct {
 	secIdx map[string]int // index name -> position in Schema.Secondary
 }
 
+// CheckKey enforces the key rule, which every engine's Insert applies before
+// it writes: a primary key fits the 56 bits of a packed tree key, and on a
+// table with secondary indexes the 24 bits a TreeSecondary entry keeps (a
+// SecComposite keeps 32). So every engine stores exactly the keys it accepts,
+// and all six refuse the same ones with ErrKeyRange.
+func (t *TableMeta) CheckKey(pk uint64) error {
+	bits := 56
+	if len(t.Schema.Secondary) > 0 {
+		bits = 24
+	}
+	if pk>>bits != 0 {
+		return fmt.Errorf("%w: table %s: key %d is not below 2^%d", ErrKeyRange, t.Schema.Name, pk, bits)
+	}
+	return nil
+}
+
+// CheckKey applies the key rule of eng's table to key: whether eng's Insert
+// of key would be refused before it wrote.
+func CheckKey(eng Engine, table string, key uint64) error {
+	r, ok := eng.(interface {
+		Table(string) (*TableMeta, error)
+	})
+	if !ok {
+		return nil
+	}
+	tm, err := r.Table(table)
+	if err != nil {
+		return err
+	}
+	return tm.CheckKey(key)
+}
+
 // SecPos returns the position of a named secondary index.
 func (t *TableMeta) SecPos(name string) (int, bool) {
 	i, ok := t.secIdx[name]
@@ -143,6 +175,25 @@ func (b *Base) Retire() {
 	}
 	b.excl.retired = true
 	b.excl.Unlock()
+}
+
+// WriteTable resolves the table of an update or a delete, which must run
+// inside a transaction.
+func (b *Base) WriteTable(name string) (*TableMeta, error) {
+	if err := b.RequireTx(); err != nil {
+		return nil, err
+	}
+	return b.Table(name)
+}
+
+// InsertTable is WriteTable for an insert of key, and applies the key rule
+// (TableMeta.CheckKey) before the engine writes anything.
+func (b *Base) InsertTable(name string, key uint64) (*TableMeta, error) {
+	tm, err := b.WriteTable(name)
+	if err != nil {
+		return nil, err
+	}
+	return tm, tm.CheckKey(key)
 }
 
 // RequireTx fails unless a transaction is running.

@@ -182,6 +182,67 @@ func SecRange(sec uint32) (lo, hi uint64) {
 // SecPK extracts the primary key from a composite key.
 func SecPK(composite uint64) uint64 { return composite & 0xffffffff }
 
+// SecFix is one change an operation makes to a secondary index: the entry
+// (Sec, PK) of index Idx is added or removed. Each engine maps it onto its own
+// tree key: Composite, or TreeSecondary in a packed tree.
+type SecFix struct {
+	Idx int
+	Add bool
+	Sec uint32
+	PK  uint64
+}
+
+// Composite returns the fix's key in a composite-keyed index tree.
+func (f SecFix) Composite() uint64 { return SecComposite(f.Sec, f.PK) }
+
+// SecFixes appends the secondary-index changes of an operation that takes
+// tuple pk from row old to row now. An insert passes no old row, a delete no
+// new row, and an update yields only the indexes whose key changed, each
+// removal before its add.
+func (s *Schema) SecFixes(fixes []SecFix, pk uint64, old, now []Value) []SecFix {
+	for j, ix := range s.Secondary {
+		var was, is uint32
+		if old != nil {
+			was = ix.SecKey(old)
+		}
+		if now != nil {
+			is = ix.SecKey(now)
+		}
+		if old != nil && (now == nil || was != is) {
+			fixes = append(fixes, SecFix{Idx: j, Sec: was, PK: pk})
+		}
+		if now != nil && (old == nil || was != is) {
+			fixes = append(fixes, SecFix{Idx: j, Add: true, Sec: is, PK: pk})
+		}
+	}
+	return fixes
+}
+
+// IndexTree is an ordered index of uint64 keys and values (btree, nvbtree):
+// a primary index of heap slots, or a secondary index of composite keys
+// valued with their primary keys.
+type IndexTree interface {
+	Get(k uint64) (uint64, bool)
+	Iter(from uint64, fn func(k, v uint64) bool)
+}
+
+// ScanSecondary is Engine.ScanSecondary for an engine that keeps index j of
+// table t as the composite-keyed tree second[t][j].
+func ScanSecondary[T IndexTree](b *Base, second [][]T, table, index string, sec uint32, fn func(pk uint64) bool) error {
+	tm, err := b.Table(table)
+	if err != nil {
+		return err
+	}
+	j, ok := tm.SecPos(index)
+	if !ok {
+		return fmt.Errorf("core: unknown index %q", index)
+	}
+	defer b.Bd.Timer(&b.Bd.Index)()
+	lo, hi := SecRange(sec)
+	second[tm.ID][j].Iter(lo, func(k, pk uint64) bool { return k < hi && fn(pk) })
+	return nil
+}
+
 // Packed tree keys for the CoW engines, which keep every table and index of
 // a partition in one copy-on-write B+tree so a transaction's changes across
 // tables commit atomically under a single master record (§3.2); the log
@@ -223,7 +284,7 @@ func TreePrimary(table int, pk uint64) uint64 {
 }
 
 // TreeSecondary builds the tree key of a secondary-index entry. Primary
-// keys of secondary-indexed tables must fit in 24 bits.
+// keys of secondary-indexed tables fit in 24 bits (TableMeta.CheckKey).
 func TreeSecondary(table, index int, sec uint32, pk uint64) uint64 {
 	return uint64(table)<<59 | uint64(index+1)<<56 | uint64(sec)<<24 | pk&0xffffff
 }

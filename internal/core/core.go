@@ -96,6 +96,10 @@ var (
 	ErrKeyNotFound = errors.New("core: key not found")
 	ErrNoTxn       = errors.New("core: no transaction in progress")
 	ErrInTxn       = errors.New("core: transaction already in progress")
+	// ErrKeyRange refuses a primary key outside the key rule
+	// (TableMeta.CheckKey). It is neither retryable nor corrupt: the key is
+	// refused the same way on every engine, every time.
+	ErrKeyRange = errors.New("core: primary key out of range")
 )
 
 // Update describes a partial tuple modification: parallel slices of column
@@ -281,6 +285,32 @@ type Footprint struct {
 // Total returns the sum over all categories.
 func (f Footprint) Total() int64 {
 	return f.Table + f.Index + f.Log + f.Checkpoint + f.Other
+}
+
+// ArenaFootprint is the footprint of an engine that keeps everything in its
+// arena: the live payload bytes of each allocation tag.
+func ArenaFootprint(a *pmalloc.Arena) Footprint {
+	u := a.Usage()
+	return Footprint{Table: u[pmalloc.TagTable], Index: u[pmalloc.TagIndex], Log: u[pmalloc.TagLog], Other: u[pmalloc.TagOther]}
+}
+
+// FreeOrphans is the sweep of an NVM engine's recovery: it frees each
+// persisted chunk of the arena that orphan names, and returns the number of
+// chunks. The directory walk lists the orphans; they are freed after it, so no
+// free changes the directory under the walk.
+func FreeOrphans(a *pmalloc.Arena, orphan func(p pmalloc.Ptr, tag pmalloc.Tag) bool) int {
+	var orphans []pmalloc.Ptr
+	chunks := 0
+	a.Chunks(func(p pmalloc.Ptr, _ int, tag pmalloc.Tag, st pmalloc.State) {
+		chunks++
+		if st == pmalloc.StatePersisted && orphan(p, tag) {
+			orphans = append(orphans, p)
+		}
+	})
+	for _, p := range orphans {
+		a.Free(p)
+	}
+	return chunks
 }
 
 // Env bundles the per-partition storage resources an engine runs on: the

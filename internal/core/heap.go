@@ -394,6 +394,55 @@ func (h *Heap) ReadCols(slot uint64, cols []int) []Value {
 
 func (h *Heap) ReadRow(slot uint64) []Value { return h.ReadCols(slot, h.allCols) }
 
+// IndexGet looks key up in t: index time.
+func IndexGet[T IndexTree](b *Base, t T, key uint64) (uint64, bool) {
+	defer b.Bd.Timer(&b.Bd.Index)()
+	return t.Get(key)
+}
+
+// HeapGet is Engine.Get (all) and ColReader.GetCols (cols) for an engine that
+// keeps table t's tuples in heaps[t] under the index primary[t]: the index
+// lookup, then only the named columns' fields and var-slots. A field that
+// points outside the arena is a corrupt error.
+func HeapGet[T IndexTree](b *Base, primary []T, heaps []*Heap, table string, key uint64, cols []int, all bool) ([]Value, bool, error) {
+	tm, err := b.Table(table)
+	if err != nil {
+		return nil, false, err
+	}
+	slot, ok := IndexGet(b, primary[tm.ID], key)
+	if !ok {
+		return nil, false, nil
+	}
+	defer b.Bd.Timer(&b.Bd.Storage)()
+	h := heaps[tm.ID]
+	if all {
+		cols = h.allCols
+	}
+	row, err := h.TryReadCols(slot, cols)
+	if err != nil {
+		return nil, false, Corrupt(err)
+	}
+	return row, true, nil
+}
+
+// HeapScan is Engine.ScanRange for the engines of HeapGet.
+func HeapScan[T IndexTree](b *Base, primary []T, heaps []*Heap, table string, from, to uint64, fn func(pk uint64, row []Value) bool) error {
+	tm, err := b.Table(table)
+	if err != nil {
+		return err
+	}
+	var damage error
+	primary[tm.ID].Iter(from, func(k, slot uint64) bool {
+		if k >= to {
+			return false
+		}
+		var row []Value
+		row, damage = heaps[tm.ID].TryReadRow(slot)
+		return damage == nil && fn(k, row)
+	})
+	return Corrupt(damage)
+}
+
 // PersistSlot transitions a freshly written slot to the persisted state. In
 // NVM mode the whole slot is new and is written back — state, key and fields —
 // and the caller's next fence is the point after which the tuple survives

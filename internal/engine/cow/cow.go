@@ -160,10 +160,7 @@ func (e *Engine) Abort() error {
 
 // Insert places the tuple and stores its leaf value in the dirty directory.
 func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.InsertTable(table, key)
 	if err != nil {
 		return err
 	}
@@ -230,10 +227,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 // current resolves a write to an existing tuple: inside a transaction, the
 // table, the tuple's leaf value and its decoded row, or ErrKeyNotFound.
 func (e *Engine) current(table string, key uint64) (*core.TableMeta, []byte, []core.Value, error) {
-	if err := e.RequireTx(); err != nil {
-		return nil, nil, nil, err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -274,19 +268,16 @@ func (e *Engine) store(tk uint64, img []byte) error {
 // row has none: index time.
 func (e *Engine) reindex(tm *core.TableMeta, key uint64, old, now []core.Value) error {
 	defer e.Bd.Timer(&e.Bd.Index)()
-	for j, ix := range tm.Schema.Secondary {
-		if old != nil && now != nil && ix.SecKey(old) == ix.SecKey(now) {
-			continue
+	for _, f := range tm.Schema.SecFixes(nil, key, old, now) {
+		k := core.TreeSecondary(tm.ID, f.Idx, f.Sec, f.PK)
+		var err error
+		if f.Add {
+			err = e.tree.Put(k, nil)
+		} else {
+			_, err = e.tree.Delete(k)
 		}
-		if old != nil {
-			if _, err := e.tree.Delete(core.TreeSecondary(tm.ID, j, ix.SecKey(old), key)); err != nil {
-				return err
-			}
-		}
-		if now != nil {
-			if err := e.tree.Put(core.TreeSecondary(tm.ID, j, ix.SecKey(now), key), nil); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

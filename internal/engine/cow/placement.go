@@ -166,22 +166,9 @@ func (c *chunked) reclaim(tr *cowbtree.Tree) (int64, error) {
 	if err := c.pg.Err(); err != nil {
 		return 0, core.Corrupt(fmt.Errorf("nvm-cow: reclaim: %w", err))
 	}
-	var orphans []pmalloc.Ptr
-	chunks := 0
-	c.env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
-		chunks++
-		if tag == pmalloc.TagTable && st == pmalloc.StatePersisted && !reach[p] {
-			orphans = append(orphans, p)
-		}
-	})
-	for _, p := range orphans {
-		c.env.Arena.Free(p)
-	}
+	chunks := core.FreeOrphans(c.env.Arena, func(p pmalloc.Ptr, tag pmalloc.Tag) bool { return tag == pmalloc.TagTable && !reach[p] })
 	return int64(len(reach) + chunks), nil
 }
 
 // footprint: directory pages and tuples are both chunks tagged table storage.
-func (c *chunked) footprint() core.Footprint {
-	u := c.env.Arena.Usage()
-	return core.Footprint{Table: u[pmalloc.TagTable], Index: u[pmalloc.TagIndex], Other: u[pmalloc.TagOther]}
-}
+func (c *chunked) footprint() core.Footprint { return core.ArenaFootprint(c.env.Arena) }

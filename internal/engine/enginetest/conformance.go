@@ -160,7 +160,7 @@ func recoverySchedule(f Factory, fam faultFamily, seed int64) error {
 		err = checkAtomic(e2, schemas, w.committed, w.working, w.phase == "commit")
 	}
 	if err == nil {
-		err = probe(e2, "users", userRow(1<<40))
+		err = probe(e2, "users", userRow(probeKey))
 	}
 	if err != nil {
 		return fmt.Errorf("crash in phase %s: %w", w.phase, err)
@@ -222,7 +222,7 @@ func concurrentSchedule(f Factory, fam faultFamily, seed int64) error {
 		err = checkModel(e3, schemas, w.committed)
 	}
 	if err == nil {
-		err = probe(e3, "users", userRow(1<<40))
+		err = probe(e3, "users", userRow(probeKey))
 	}
 	if err != nil {
 		return fmt.Errorf("final recovery (mid-recovery crash fired: %v): %w", crashed, err)

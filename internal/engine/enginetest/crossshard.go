@@ -133,7 +133,7 @@ func crossShardSchedule(f Factory, seed int64) error {
 		if len(left) != 0 {
 			return fmt.Errorf("shard %d: %d transactions still hold locks after resolution", s, len(left))
 		}
-		if err := probe(engines[s], "acct", acctRow(1<<40, 1)); err != nil {
+		if err := probe(engines[s], "acct", acctRow(probeKey, 1)); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 	}

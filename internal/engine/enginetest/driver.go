@@ -240,10 +240,14 @@ func checkAtomic(r rowReader, schemas []*core.Schema, before, after model, inCom
 	return nil
 }
 
-// probe commits row at key 1<<40 of table and reads it back: a recovered
+// probeKey is a key no schedule draws, below the key rule's bound for a table
+// with secondary indexes (core.TableMeta.CheckKey).
+const probeKey = 1 << 23
+
+// probe commits row at probeKey of table and reads it back: a recovered
 // engine must take new transactions.
 func probe(e core.Engine, table string, row []core.Value) error {
-	const key = uint64(1) << 40
+	const key = uint64(probeKey)
 	if err := txn2pc.Run(e, func() error { return e.Insert(table, key, row) }); err != nil {
 		return fmt.Errorf("post-recovery transaction: %w", err)
 	}

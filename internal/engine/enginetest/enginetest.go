@@ -6,6 +6,7 @@
 package enginetest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -243,6 +244,43 @@ func testSecondary(t *testing.T, f Factory) {
 	}))
 	if len(pks) != 1 || pks[0] != 42 {
 		t.Errorf("balance=7777 matched %v", pks)
+	}
+
+	// The key rule (core.TableMeta.CheckKey): beside key 305, keys that a
+	// 24-bit (TreeSecondary) or 32-bit (SecComposite) secondary entry, or a
+	// 56-bit packed primary key, would alias with it are refused with one
+	// typed error, and every engine scans back the same keys.
+	do(t, e.Begin())
+	for _, k := range []uint64{305, 1<<24 + 305, 1<<32 + 305, 1<<56 + 305} {
+		row := userRow(int64(k))
+		row[1].I = 9999
+		err := e.Insert("users", k, row)
+		if refused := k != 305; refused != errors.Is(err, core.ErrKeyRange) || core.IsRetryable(err) || core.IsCorrupt(err) {
+			t.Errorf("insert users/%d: %v", k, err)
+		}
+	}
+	for _, k := range []uint64{5, 1<<32 + 5, 1<<56 + 5} {
+		err := e.Insert("items", k, []core.Value{core.IntVal(int64(k)), core.IntVal(1)})
+		if refused := k == 1<<56+5; refused != errors.Is(err, core.ErrKeyRange) {
+			t.Errorf("insert items/%d: %v", k, err)
+		}
+	}
+	do(t, e.Commit())
+	pks = pks[:0]
+	do(t, e.ScanSecondary("users", "by_balance", 9999, func(pk uint64) bool {
+		pks = append(pks, pk)
+		return true
+	}))
+	if len(pks) != 1 || pks[0] != 305 {
+		t.Errorf("balance=9999 matched %v, want [305]", pks)
+	}
+	pks = pks[:0]
+	do(t, e.ScanRange("items", 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
+		pks = append(pks, pk)
+		return true
+	}))
+	if len(pks) != 2 || pks[0] != 5 || pks[1] != 1<<32+5 {
+		t.Errorf("items scan %v, want [5 %d]", pks, uint64(1<<32+5))
 	}
 }
 

@@ -254,7 +254,7 @@ func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after model,
 				return fmt.Errorf("after recovery: %w", err)
 			}
 		}
-		return probe(e, "users", windowsRow(1<<40, 1))
+		return probe(e, "users", windowsRow(probeKey, 1))
 	})
 }
 

@@ -180,7 +180,7 @@ func (e *Engine) apply(tm *core.TableMeta, key uint64, row []core.Value) error {
 	h := e.heaps[tm.ID]
 	if slot, ok := e.primary[tm.ID].Get(key); ok {
 		// Replayed insert over checkpointed tuple: replace.
-		e.removeSecondaries(tm, key, h.ReadRow(slot))
+		e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, h.ReadRow(slot), nil))
 		h.FreeSlot(slot)
 		e.primary[tm.ID].Delete(key)
 	}
@@ -190,7 +190,7 @@ func (e *Engine) apply(tm *core.TableMeta, key uint64, row []core.Value) error {
 	}
 	h.PersistSlot(slot)
 	e.primary[tm.ID].Put(key, slot)
-	e.insertSecondaries(tm, key, row)
+	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, nil, row))
 	return nil
 }
 
@@ -234,7 +234,7 @@ func (e *Engine) writeUpdate(tm *core.TableMeta, key, slot uint64, upd core.Upda
 		stopIdx := e.Bd.Timer(&e.Bd.Index)
 		now := append([]core.Value(nil), old...)
 		core.ApplyDelta(now, upd)
-		e.refreshSecondaries(tm, key, old, now)
+		e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, old, now))
 		stopIdx()
 	}
 	return nil
@@ -246,20 +246,19 @@ func (e *Engine) applyDelete(tm *core.TableMeta, key uint64) {
 	if !ok {
 		return
 	}
-	e.removeSecondaries(tm, key, h.ReadRow(slot))
+	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, h.ReadRow(slot), nil))
 	h.FreeSlot(slot)
 	e.primary[tm.ID].Delete(key)
 }
 
-func (e *Engine) insertSecondaries(tm *core.TableMeta, key uint64, row []core.Value) {
-	for j, ix := range tm.Schema.Secondary {
-		e.second[tm.ID][j].Put(core.SecComposite(ix.SecKey(row), key), key)
-	}
-}
-
-func (e *Engine) removeSecondaries(tm *core.TableMeta, key uint64, row []core.Value) {
-	for j, ix := range tm.Schema.Secondary {
-		e.second[tm.ID][j].Delete(core.SecComposite(ix.SecKey(row), key))
+// fixSecondaries carries out an operation's secondary-index changes.
+func (e *Engine) fixSecondaries(tm *core.TableMeta, fixes []core.SecFix) {
+	for _, f := range fixes {
+		if f.Add {
+			e.second[tm.ID][f.Idx].Put(f.Composite(), f.PK)
+		} else {
+			e.second[tm.ID][f.Idx].Delete(f.Composite())
+		}
 	}
 }
 
@@ -356,16 +355,11 @@ func (e *Engine) rollback() error {
 
 // Insert adds a tuple (§3.1: WAL first, then table storage, then indexes).
 func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.InsertTable(table, key)
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	_, exists := e.primary[tm.ID].Get(key)
-	stopIdx()
+	_, exists := core.IndexGet(&e.Base, e.primary[tm.ID], key)
 	if exists {
 		return core.ErrKeyExists
 	}
@@ -387,9 +381,9 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	h.PersistSlot(slot)
 	stopSt()
 
-	stopIdx = e.Bd.Timer(&e.Bd.Index)
+	stopIdx := e.Bd.Timer(&e.Bd.Index)
 	e.primary[tm.ID].Put(key, slot)
-	e.insertSecondaries(tm, key, row)
+	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, nil, row))
 	stopIdx()
 
 	e.undo = append(e.undo, undoRec{op: core.WalInsert, table: tm.ID, key: key})
@@ -399,16 +393,11 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 
 // Update modifies columns of an existing tuple in place.
 func (e *Engine) Update(table string, key uint64, upd core.Update) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	slot, ok := e.primary[tm.ID].Get(key)
-	stopIdx()
+	slot, ok := core.IndexGet(&e.Base, e.primary[tm.ID], key)
 	if !ok {
 		return core.ErrKeyNotFound
 	}
@@ -448,29 +437,13 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	return nil
 }
 
-// refreshSecondaries re-keys secondary entries whose key changed.
-func (e *Engine) refreshSecondaries(tm *core.TableMeta, key uint64, old, now []core.Value) {
-	for j, ix := range tm.Schema.Secondary {
-		ok, nk := ix.SecKey(old), ix.SecKey(now)
-		if ok != nk {
-			e.second[tm.ID][j].Delete(core.SecComposite(ok, key))
-			e.second[tm.ID][j].Put(core.SecComposite(nk, key), key)
-		}
-	}
-}
-
 // Delete removes a tuple.
 func (e *Engine) Delete(table string, key uint64) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	slot, ok := e.primary[tm.ID].Get(key)
-	stopIdx()
+	slot, ok := core.IndexGet(&e.Base, e.primary[tm.ID], key)
 	if !ok {
 		return core.ErrKeyNotFound
 	}
@@ -485,9 +458,9 @@ func (e *Engine) Delete(table string, key uint64) error {
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	h.FreeSlot(slot)
 	stopSt()
-	stopIdx = e.Bd.Timer(&e.Bd.Index)
+	stopIdx := e.Bd.Timer(&e.Bd.Index)
 	e.primary[tm.ID].Delete(key)
-	e.removeSecondaries(tm, key, old)
+	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, old, nil))
 	stopIdx()
 
 	e.undo = append(e.undo, undoRec{op: core.WalDelete, table: tm.ID, key: key, before: old})
@@ -495,75 +468,25 @@ func (e *Engine) Delete(table string, key uint64) error {
 	return nil
 }
 
-// find resolves a primary key to its heap and slot.
-func (e *Engine) find(table string, key uint64) (*core.Heap, uint64, bool, error) {
-	tm, err := e.Table(table)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	slot, ok := e.primary[tm.ID].Get(key)
-	stopIdx()
-	return e.heaps[tm.ID], slot, ok, nil
-}
-
-// Get reads a tuple by primary key.
+// Get reads a tuple through the primary index.
 func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
-	h, slot, ok, err := e.find(table, key)
-	if !ok {
-		return nil, false, err
-	}
-	defer e.Bd.Timer(&e.Bd.Storage)()
-	return h.ReadRow(slot), true, nil
+	return core.HeapGet(&e.Base, e.primary, e.heaps, table, key, nil, true)
 }
 
 // GetCols implements core.ColReader: the index lookup of Get, then only the
 // named columns' fields and var-slots.
 func (e *Engine) GetCols(table string, key uint64, cols []int) ([]core.Value, bool, error) {
-	h, slot, ok, err := e.find(table, key)
-	if !ok {
-		return nil, false, err
-	}
-	defer e.Bd.Timer(&e.Bd.Storage)()
-	return h.ReadCols(slot, cols), true, nil
+	return core.HeapGet(&e.Base, e.primary, e.heaps, table, key, cols, false)
 }
 
 // ScanSecondary iterates primary keys matching a secondary key.
 func (e *Engine) ScanSecondary(table, index string, sec uint32, fn func(pk uint64) bool) error {
-	tm, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	j, ok := tm.SecPos(index)
-	if !ok {
-		return fmt.Errorf("inp: unknown index %q", index)
-	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
-	lo, hi := core.SecRange(sec)
-	e.second[tm.ID][j].Iter(lo, func(k, pk uint64) bool {
-		if k >= hi {
-			return false
-		}
-		return fn(pk)
-	})
-	return nil
+	return core.ScanSecondary(&e.Base, e.second, table, index, sec, fn)
 }
 
 // ScanRange iterates rows with primary key in [from, to).
 func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row []core.Value) bool) error {
-	tm, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	h := e.heaps[tm.ID]
-	e.primary[tm.ID].Iter(from, func(k, slot uint64) bool {
-		if k >= to {
-			return false
-		}
-		return fn(k, h.ReadRow(slot))
-	})
-	return nil
+	return core.HeapScan(&e.Base, e.primary, e.heaps, table, from, to, fn)
 }
 
 // Flush forces the pending group commit to disk.

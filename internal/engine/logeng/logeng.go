@@ -126,11 +126,10 @@ type memUndo struct {
 	newPtr uint64
 }
 
+// secUndo is a secondary-index change rollback reverses.
 type secUndo struct {
-	table, idx int
-	composite  uint64
-	pk         uint64
-	added      bool // true: entry was added (undo = delete)
+	table int
+	core.SecFix
 }
 
 // New creates a fresh Log engine.
@@ -296,8 +295,8 @@ func (e *Engine) rebuildSecondaries() error {
 			continue
 		}
 		err := e.ScanRange(tm.Schema.Name, 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-			for j, ix := range tm.Schema.Secondary {
-				e.second[tm.ID][j].Put(core.SecComposite(ix.SecKey(row), pk), pk)
+			for _, f := range tm.Schema.SecFixes(nil, pk, nil, row) {
+				e.fixSecondary(tm.ID, f)
 			}
 			return true
 		})
@@ -451,11 +450,8 @@ func (e *Engine) rollback() error {
 	}
 	for i := len(e.secUndo) - 1; i >= 0; i-- {
 		u := e.secUndo[i]
-		if u.added {
-			e.second[u.table][u.idx].Delete(u.composite)
-		} else {
-			e.second[u.table][u.idx].Put(u.composite, u.pk)
-		}
+		u.Add = !u.Add
+		e.fixSecondary(u.table, u.SecFix)
 	}
 	e.wal.DropTail(e.walMark)
 	e.MV.DropStaged()
@@ -463,16 +459,23 @@ func (e *Engine) rollback() error {
 	return e.EndTx()
 }
 
-func (e *Engine) secAdd(tm *core.TableMeta, j int, sec uint32, pk uint64) {
-	c := core.SecComposite(sec, pk)
-	e.second[tm.ID][j].Put(c, pk)
-	e.secUndo = append(e.secUndo, secUndo{table: tm.ID, idx: j, composite: c, pk: pk, added: true})
+// fixSecondaries carries out an operation's secondary-index changes, each
+// recorded for rollback: index time.
+func (e *Engine) fixSecondaries(tm *core.TableMeta, fixes []core.SecFix) {
+	defer e.Bd.Timer(&e.Bd.Index)()
+	for _, f := range fixes {
+		e.fixSecondary(tm.ID, f)
+		e.secUndo = append(e.secUndo, secUndo{tm.ID, f})
+	}
 }
 
-func (e *Engine) secDel(tm *core.TableMeta, j int, sec uint32, pk uint64) {
-	c := core.SecComposite(sec, pk)
-	e.second[tm.ID][j].Delete(c)
-	e.secUndo = append(e.secUndo, secUndo{table: tm.ID, idx: j, composite: c, pk: pk, added: false})
+// fixSecondary adds or removes one secondary-index entry.
+func (e *Engine) fixSecondary(table int, f core.SecFix) {
+	if f.Add {
+		e.second[table][f.Idx].Put(f.Composite(), f.PK)
+	} else {
+		e.second[table][f.Idx].Delete(f.Composite())
+	}
 }
 
 // applyMem routes one logical change through the memtable with undo
@@ -492,10 +495,7 @@ func (e *Engine) applyMem(tm *core.TableMeta, key uint64, ent lsm.Entry) error {
 
 // Insert adds a tuple.
 func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.InsertTable(table, key)
 	if err != nil {
 		return err
 	}
@@ -517,21 +517,14 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	for j, ix := range tm.Schema.Secondary {
-		e.secAdd(tm, j, ix.SecKey(row), key)
-	}
-	stopIdx()
+	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, nil, row))
 	e.MV.StageInsert(table, key)
 	return nil
 }
 
 // Update records the updated fields as a delta entry.
 func (e *Engine) Update(table string, key uint64, upd core.Update) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
@@ -558,17 +551,9 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
 	now := core.CloneRow(old)
 	core.ApplyDelta(now, upd)
-	for j, ix := range tm.Schema.Secondary {
-		ok, nk := ix.SecKey(old), ix.SecKey(now)
-		if ok != nk {
-			e.secDel(tm, j, ok, key)
-			e.secAdd(tm, j, nk, key)
-		}
-	}
-	stopIdx()
+	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, old, now))
 	e.MV.StageUpdate(table, key, beforeUpd.Cols, beforeUpd.Vals) // the WAL's before-image
 	return nil
 }
@@ -576,10 +561,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 // Delete marks the tuple with a tombstone; space is reclaimed during
 // compaction (§3.3).
 func (e *Engine) Delete(table string, key uint64) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
@@ -600,11 +582,7 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	for j, ix := range tm.Schema.Secondary {
-		e.secDel(tm, j, ix.SecKey(old), key)
-	}
-	stopIdx()
+	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, old, nil))
 	e.MV.StageDelete(table, key, old)
 	return nil
 }
@@ -682,24 +660,7 @@ func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 
 // ScanSecondary iterates primary keys matching a secondary key.
 func (e *Engine) ScanSecondary(table, index string, sec uint32, fn func(pk uint64) bool) error {
-	tm, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	j, ok := tm.SecPos(index)
-	if !ok {
-		return fmt.Errorf("logeng: unknown index %q", index)
-	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
-	lo, hi := core.SecRange(sec)
-	e.second[tm.ID][j].Iter(lo, func(k, pk uint64) bool {
-		if k >= hi {
-			return false
-		}
-		return fn(pk)
-	})
-	return nil
+	return core.ScanSecondary(&e.Base, e.second, table, index, sec, fn)
 }
 
 // ScanRange merges the MemTable, the frozen memtable, and every run over the

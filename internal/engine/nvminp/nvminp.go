@@ -20,14 +20,14 @@ import (
 	"fmt"
 
 	"nstore/internal/core"
+	"nstore/internal/engine/undolog"
 	"nstore/internal/mvcc"
 	"nstore/internal/nvbtree"
-	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
 
 const (
-	hdrMagic = 0x4e564d494e503131 // "NVMINP11"
+	hdrMagic = 0x4e564d494e503132 // "NVMINP12"
 
 	rootSlot = 0
 
@@ -38,30 +38,12 @@ const (
 	hNTables   = 24
 	hAnchors   = 32
 
-	// WAL entry layout (chunk, tagged TagLog).
-	wNext  = 0
-	wTxn   = 8
-	wType  = 16 // core.WalInsert / WalUpdate / WalDelete
-	wTable = 17
-	wNCols = 18
-	wNSec  = 19
-	wKey   = 24
-	wSlot  = 32
-	wData  = 40 // update before-image: nCols x (col u8, value u64), then
-	// the secondary repair list: nSec x (idx u8, op u8, composite u64).
-	// Undo replays the repair list with absolute, idempotent operations
-	// (op 1 = was added, undo deletes; op 2 = was removed, undo re-adds),
-	// so a crash anywhere inside an interrupted undo re-converges.
+	// An undo entry's body (undolog): the slot, then an update's
+	// before-image, a record per column (col u8, value u64).
 	colRec = 9
-	secRec = 10
 )
 
-// secFix describes one secondary-index change for idempotent WAL undo.
-type secFix struct {
-	idx       int
-	added     bool
-	composite uint64
-}
+var le = binary.LittleEndian
 
 // Engine is the NVM-aware in-place updates engine.
 type Engine struct {
@@ -73,24 +55,19 @@ type Engine struct {
 	heaps   []*core.Heap
 	primary []*nvbtree.Tree
 	second  [][]*nvbtree.Tree
+	log     *undolog.Log
 
 	// Volatile transaction state.
-	ops []txnOp
-	rec []byte // scratch: the WAL entry being built
+	ops  []txnOp // one per undo entry
+	body []byte  // scratch: the undo entry's body being built
 }
 
 type txnOp struct {
 	typ     uint8
 	table   int
-	key     uint64
-	slot    uint64
-	entry   pmalloc.Ptr
-	entryN  int           // the WAL entry's length, which frees it unread
+	slot    uint64        // delete: reclaimed at commit
 	oldVars []core.VarRef // var-slots superseded by this update (freed at commit)
-	delSlot uint64        // delete: slot reclaimed at commit
 }
-
-func (e *Engine) dev() *nvm.Device { return e.Env.Dev }
 
 // anchorsPerTable returns the number of u64 anchors table t needs.
 func anchorsPerTable(s *core.Schema) int { return 2 + len(s.Secondary) }
@@ -110,8 +87,8 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	e.hdr = hdr
-	d := e.dev()
+	e.hdr, e.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	d := e.Env.Dev
 	d.WriteU64(int64(hdr)+hMagic, hdrMagic)
 	d.WriteU64(int64(hdr)+hCommitted, 0)
 	d.WriteU64(int64(hdr)+hWalHead, 0)
@@ -167,8 +144,8 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	if hdr == 0 || env.Dev.ReadU64(int64(hdr)+hMagic) != hdrMagic {
 		return nil, fmt.Errorf("nvminp: no engine header")
 	}
-	e.hdr = hdr
-	d := e.dev()
+	e.hdr, e.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	d := e.Env.Dev
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(schemas) {
 		return nil, fmt.Errorf("nvminp: schema mismatch")
 	}
@@ -211,26 +188,11 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 // undoWAL removes the effects of the transactions in flight at the crash
 // (newest entry first — the list head is the most recent append).
 func (e *Engine) undoWAL() error {
-	d := e.dev()
-	head := d.ReadU64(int64(e.hdr) + hWalHead)
-	var frees []pmalloc.Ptr
-	for p := head; p != 0; p = d.ReadU64(int64(p) + wNext) {
-		frees = append(frees, p)
-		// Truncation is the commit point: any entry still linked belongs to
-		// an uncommitted transaction.
-		if err := e.undoEntry(p, true); err != nil {
-			return err
-		}
-	}
-	// Truncate: head reset is the atomic point, behind a fence of its own so
-	// that no undone field can be lost with the entry that would redo the
-	// undo; chunk frees follow.
-	d.Fence()
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
-	for _, p := range frees {
-		if e.Env.Arena.StateOf(p) != pmalloc.StateFree {
-			e.Env.Arena.Free(p)
-		}
+	// The truncation waits behind a fence of its own, so that no undone field
+	// can be lost with the entry that would redo the undo.
+	undone, err := e.log.Recover(func(ent undolog.Entry) error { return e.undoEntry(ent, true) }, true)
+	if err != nil {
+		return err
 	}
 	// Sweep the chunks no one names any more: every persisted WAL chunk (the
 	// log is empty now), and every persisted table chunk no heap reaches — a
@@ -238,29 +200,19 @@ func (e *Engine) undoWAL() error {
 	// or the undo above took back, or one an update superseded or a delete
 	// released whose free at commit never reached the medium. This is the
 	// one place recovery frees a var-slot: nothing was freed while an entry
-	// that names it could still be replayed. The directory walk lists the
-	// orphans; they are freed after it, so no free changes the directory under
-	// the walk.
+	// that names it could still be replayed.
 	reach := make(map[pmalloc.Ptr]bool)
 	for _, h := range e.heaps {
 		h.Reach(func(p pmalloc.Ptr) { reach[p] = true })
 	}
-	var orphans []pmalloc.Ptr
-	chunks := 0
-	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
-		chunks++
-		if st == pmalloc.StatePersisted && (tag == pmalloc.TagLog || tag == pmalloc.TagTable && !reach[p]) {
-			orphans = append(orphans, p)
-		}
+	chunks := core.FreeOrphans(e.Env.Arena, func(p pmalloc.Ptr, tag pmalloc.Tag) bool {
+		return tag == pmalloc.TagLog || tag == pmalloc.TagTable && !reach[p]
 	})
-	for _, p := range orphans {
-		e.Env.Arena.Free(p)
-	}
-	e.Rec = core.RecoveryReport{Records: int64(len(frees) + chunks)}
+	e.Rec = core.RecoveryReport{Records: int64(undone + chunks)}
 	return nil
 }
 
-// undoEntry reverses one WAL entry's operation. What it writes to the heap is
+// undoEntry reverses one undo entry's operation. What it writes to the heap is
 // written back but not fenced: the caller fences before it unlinks the entry.
 //
 // In recovery every step is absolute and idempotent, so a crash inside an
@@ -270,26 +222,27 @@ func (e *Engine) undoWAL() error {
 // live node. The var-slots the undone operation streamed are left unnamed for
 // undoWAL's sweep. Abort is not re-run and has no sweep behind it, so it frees
 // them here: the ones the slot's fields name and the before-image does not.
-func (e *Engine) undoEntry(p pmalloc.Ptr, recovering bool) error {
-	d := e.dev()
-	table := int(d.ReadU8(int64(p) + wTable))
-	key := d.ReadU64(int64(p) + wKey)
-	slot := d.ReadU64(int64(p) + wSlot)
-	tm, h := e.Tables[table], e.heaps[table]
+func (e *Engine) undoEntry(ent undolog.Entry, recovering bool) error {
+	tm, h, b := e.Tables[ent.Table], e.heaps[ent.Table], ent.Body
+	// The slot it names is a state word, a key word and the fields.
+	if len(b) < 8 || (len(b)-8)%colRec != 0 || !e.Env.Arena.Holds(le.Uint64(b), 16+tm.Schema.FixedSize()) {
+		return core.Corrupt(fmt.Errorf("nvminp: undo entry body of %d bytes", len(b)))
+	}
+	slot, key := le.Uint64(b), ent.Key
 	if h.State(slot) == core.SlotFree {
 		return nil
 	}
 
-	switch d.ReadU8(int64(p) + wType) {
+	switch ent.Type {
 	case core.WalInsert:
 		// Release the tuple's storage using the pointer recorded in the WAL
 		// entry, and drop its index entries. A slot the crash caught marked
 		// ahead of its fields has none, and may not read as a row at all.
-		if _, err := e.primary[table].Delete(key); err != nil {
+		if _, err := e.primary[tm.ID].Delete(key); err != nil {
 			return err
 		}
 		if row, err := e.readForIndexes(tm, h, slot); err == nil {
-			if err := e.moveSecondaries(tm, row, key, false); err != nil {
+			if err := undolog.Fix(e.second[tm.ID], tm.Schema.SecFixes(nil, key, row, nil), false); err != nil {
 				return err
 			}
 		} else if !recovering {
@@ -301,35 +254,30 @@ func (e *Engine) undoEntry(p pmalloc.Ptr, recovering bool) error {
 			h.FreeSlot(slot)
 		}
 	case core.WalUpdate:
-		cols := make([]int, int(d.ReadU8(int64(p)+wNCols)))
-		base := int64(p) + wData
+		cols := make([]int, (len(b)-8)/colRec)
 		for i := range cols {
-			cols[i] = int(d.ReadU8(base))
-			bef := d.ReadU64(base + 1)
+			r := b[8+i*colRec:]
+			if cols[i] = int(r[0]); cols[i] >= len(tm.Schema.Columns) {
+				return core.Corrupt(fmt.Errorf("nvminp: undo entry names column %d", cols[i]))
+			}
+			bef := le.Uint64(r[1:])
 			if cur := h.ColVar(slot, cols[i]); !recovering && cur != 0 && uint64(cur) != bef {
 				h.FreeVar(cur) // 0 for an int column
 			}
 			h.RestoreCol(slot, cols[i], bef)
-			base += colRec
 		}
 		h.WriteBackCols(slot, cols)
-		// Replay the logged secondary repair list.
-		for n := int(d.ReadU8(int64(p) + wNSec)); n > 0; n-- {
-			if err := e.fixSecondary(table, int(d.ReadU8(base)), d.ReadU8(base+1) != 1, d.ReadU64(base+2)); err != nil {
-				return err
-			}
-			base += secRec
-		}
+		return undolog.Fix(e.second[tm.ID], ent.Fixes, true)
 	case core.WalDelete:
 		// The tuple slot was only logically discarded; re-link the indexes.
-		if err := e.primary[table].Put(key, slot); err != nil {
+		if err := e.primary[tm.ID].Put(key, slot); err != nil {
 			return err
 		}
 		row, err := e.readForIndexes(tm, h, slot)
 		if err != nil {
 			return err
 		}
-		return e.moveSecondaries(tm, row, key, true)
+		return undolog.Fix(e.second[tm.ID], tm.Schema.SecFixes(nil, key, nil, row), false)
 	}
 	return nil
 }
@@ -347,71 +295,22 @@ func (e *Engine) readForIndexes(tm *core.TableMeta, h *core.Heap, slot uint64) (
 	return row, nil
 }
 
-// moveSecondaries adds or removes the secondary entries of the tuple row.
-func (e *Engine) moveSecondaries(tm *core.TableMeta, row []core.Value, key uint64, add bool) error {
-	for j, ix := range tm.Schema.Secondary {
-		if err := e.fixSecondary(tm.ID, j, add, core.SecComposite(ix.SecKey(row), key)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fixSecondary adds or removes one secondary-index entry.
-func (e *Engine) fixSecondary(table, idx int, add bool, composite uint64) error {
-	if add {
-		return e.second[table][idx].Put(composite, core.SecPK(composite))
-	}
-	_, err := e.second[table][idx].Delete(composite)
-	return err
-}
-
-// applyFixes carries out an operation's secondary-index changes.
-func (e *Engine) applyFixes(table int, fixes []secFix) error {
-	for _, f := range fixes {
-		if err := e.fixSecondary(table, f.idx, f.added, f.composite); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendWAL builds a WAL entry, streams it into a fresh chunk with its
-// persisted mark, fences, and links it with an atomic durable head update: two
-// fences, after which undo owns what the entry names. The first fence also
-// covers whatever the caller streamed or wrote back before the call. An entry
-// a crash leaves marked but unlinked is a persisted log chunk nothing reaches,
-// which undoWAL's sweep frees. Log-arena exhaustion is reachable from normal
-// traffic: it is an error, nothing was written, and the transaction can be
-// aborted cleanly. It returns the entry and its length.
-func (e *Engine) appendWAL(typ uint8, table int, key, slot uint64, befCols []int, befVals []uint64, fixes []secFix) (pmalloc.Ptr, int, error) {
-	d := e.dev()
-	rec := append(e.rec[:0], make([]byte, wData)...)
-	le := binary.LittleEndian
-	le.PutUint64(rec[wNext:], d.ReadU64(int64(e.hdr)+hWalHead))
-	le.PutUint64(rec[wTxn:], e.TxnID)
-	rec[wType], rec[wTable] = typ, uint8(table)
-	rec[wNCols], rec[wNSec] = uint8(len(befCols)), uint8(len(fixes))
-	le.PutUint64(rec[wKey:], key)
-	le.PutUint64(rec[wSlot:], slot)
+// logOp appends the undo entry of an operation on slot (undolog.Log.Append):
+// its body is the slot and an update's before-image, the fields' values and
+// var-slot pointers. It records the op, so Abort can undo a partially applied
+// one from the entry.
+func (e *Engine) logOp(typ uint8, tm *core.TableMeta, key, slot uint64, befCols []int, befVals []uint64, fixes []core.SecFix) error {
+	defer e.Bd.Timer(&e.Bd.Recovery)()
+	b := le.AppendUint64(e.body[:0], slot)
 	for i, ci := range befCols {
-		rec = le.AppendUint64(append(rec, uint8(ci)), befVals[i])
+		b = le.AppendUint64(append(b, uint8(ci)), befVals[i])
 	}
-	for _, f := range fixes {
-		op := uint8(2)
-		if f.added {
-			op = 1
-		}
-		rec = le.AppendUint64(append(rec, uint8(f.idx), op), f.composite)
+	e.body = b
+	if err := e.log.Append(e.TxnID, undolog.Entry{Type: typ, Table: tm.ID, Key: key, Fixes: fixes, Body: b}); err != nil {
+		return err
 	}
-	e.rec = rec
-	p, err := e.Env.Arena.StreamPersisted(pmalloc.TagLog, rec)
-	if err != nil {
-		return 0, 0, err
-	}
-	d.Fence()
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, p)
-	return p, len(rec), nil
+	e.ops = append(e.ops, txnOp{typ: typ, table: tm.ID, slot: slot})
+	return nil
 }
 
 // Name returns "nvm-inp".
@@ -436,19 +335,17 @@ func (e *Engine) Commit() error {
 		return err
 	}
 	stop := e.Bd.Timer(&e.Bd.Recovery)
-	if len(e.ops) > 0 {
-		// The atomic commit point: after this, recovery has nothing to undo.
-		e.dev().WriteU64Durable(int64(e.hdr)+hWalHead, 0)
-	}
-	for _, op := range e.ops {
+	// The atomic commit point: after the truncation, recovery has nothing to
+	// undo.
+	e.log.Truncate(func(i int) {
+		op := e.ops[i]
 		for _, r := range op.oldVars {
 			e.heaps[op.table].FreeVar(r)
 		}
 		if op.typ == core.WalDelete {
-			e.heaps[op.table].FreeSlot(op.delSlot)
+			e.heaps[op.table].FreeSlot(op.slot)
 		}
-		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
-	}
+	})
 	stop() // before EndTx: a snapshot read times into the same breakdown
 	// The WAL truncation above is the durability barrier: versions publish
 	// to snapshot readers immediately (NVM-InP is durable at commit).
@@ -462,24 +359,18 @@ func (e *Engine) Abort() error {
 	if err := e.RequireTx(); err != nil {
 		return err
 	}
-	for i := len(e.ops) - 1; i >= 0; i-- {
-		if err := e.undoEntry(e.ops[i].entry, false); err != nil {
-			// A failed rollback leaves volatile and durable state diverged;
-			// only the engine's crash-recovery path can restore consistency.
-			// The transaction is over either way — end it so recovery's
-			// replacement Begin path is not blocked by ErrInTxn.
-			_ = e.EndTx()
-			return core.Corrupt(err)
-		}
+	if err := e.log.Undo(func(_ int, ent undolog.Entry) error { return e.undoEntry(ent, false) }); err != nil {
+		// A failed rollback leaves volatile and durable state diverged;
+		// only the engine's crash-recovery path can restore consistency.
+		// The transaction is over either way — end it so recovery's
+		// replacement Begin path is not blocked by ErrInTxn.
+		_ = e.EndTx()
+		return core.Corrupt(err)
 	}
 	if len(e.ops) > 0 {
-		d := e.dev()
-		d.Fence() // what undo restored, before the entries that would redo it go
-		d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
+		e.Env.Dev.Fence() // what undo restored, before the entries that would redo it go
 	}
-	for _, op := range e.ops {
-		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
-	}
+	e.log.Truncate(nil)
 	e.MV.DropStaged()
 	return e.EndTx()
 }
@@ -488,16 +379,11 @@ func (e *Engine) Abort() error {
 // streamed with their marks, and the WAL entry that names the slot; the WAL
 // head; then the slot itself, state, key and fields. The index entries follow.
 func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.InsertTable(table, key)
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	_, exists := e.primary[tm.ID].Get(key)
-	stopIdx()
+	_, exists := core.IndexGet(&e.Base, e.primary[tm.ID], key)
 	if exists {
 		return core.ErrKeyExists
 	}
@@ -510,31 +396,22 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 		return err
 	}
 
-	stopRec := e.Bd.Timer(&e.Bd.Recovery)
-	entry, n, err := e.appendWAL(core.WalInsert, tm.ID, key, slot, nil, nil, nil)
-	stopRec()
-	if err != nil {
+	if err := e.logOp(core.WalInsert, tm, key, slot, nil, nil, nil); err != nil {
 		h.FreeSlot(slot)
 		return err
 	}
-	// Record the op before touching the indexes so Abort can undo a
-	// partially applied insert if an index update fails below.
-	e.ops = append(e.ops, txnOp{typ: core.WalInsert, table: tm.ID, key: key, slot: slot, entry: entry, entryN: n})
 
 	stopSt = e.Bd.Timer(&e.Bd.Storage)
 	h.PersistSlot(slot)
-	e.dev().Fence()
+	e.Env.Dev.Fence()
 	stopSt()
 
-	stopIdx = e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
+	defer e.Bd.Timer(&e.Bd.Index)()
 	if err := e.primary[tm.ID].Put(key, slot); err != nil {
 		return err
 	}
-	for j, ix := range tm.Schema.Secondary {
-		if err := e.fixSecondary(tm.ID, j, true, core.SecComposite(ix.SecKey(row), key)); err != nil {
-			return err
-		}
+	if err := undolog.Fix(e.second[tm.ID], tm.Schema.SecFixes(nil, key, nil, row), false); err != nil {
+		return err
 	}
 	e.MV.StageInsert(table, key)
 	return nil
@@ -544,16 +421,11 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 // WAL, then modifies the tuple in place: the new var-slots are streamed with
 // their marks, the fields' lines written back, and one fence covers both.
 func (e *Engine) Update(table string, key uint64, upd core.Update) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	slot, ok := e.primary[tm.ID].Get(key)
-	stopIdx()
+	slot, ok := core.IndexGet(&e.Base, e.primary[tm.ID], key)
 	if !ok {
 		return core.ErrKeyNotFound
 	}
@@ -572,7 +444,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	}
 	// A pinned view needs the old values of the updated columns: the row
 	// read for the indexes, or, only then, the columns themselves.
-	var fixes []secFix
+	var fixes []core.SecFix
 	var preCols []int
 	var pre []core.Value
 	if tm.Schema.IndexReads(upd.Cols) {
@@ -583,14 +455,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 		pre = old
 		now := append([]core.Value(nil), old...)
 		core.ApplyDelta(now, upd)
-		for j, ix := range tm.Schema.Secondary {
-			ok, nk := ix.SecKey(old), ix.SecKey(now)
-			if ok != nk {
-				fixes = append(fixes,
-					secFix{idx: j, added: true, composite: core.SecComposite(nk, key)},
-					secFix{idx: j, added: false, composite: core.SecComposite(ok, key)})
-			}
-		}
+		fixes = tm.Schema.SecFixes(nil, key, old, now)
 	} else if e.MV.Capture() {
 		preCols, pre = upd.Cols, make([]core.Value, len(upd.Cols))
 		for j, ci := range upd.Cols {
@@ -599,15 +464,9 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 			}
 		}
 	}
-	stopRec := e.Bd.Timer(&e.Bd.Recovery)
-	entry, n, err := e.appendWAL(core.WalUpdate, tm.ID, key, slot, upd.Cols, befVals, fixes)
-	stopRec()
-	if err != nil {
+	if err := e.logOp(core.WalUpdate, tm, key, slot, upd.Cols, befVals, fixes); err != nil {
 		return err // nothing logged, nothing touched
 	}
-	// Record the op before modifying anything so Abort can undo a
-	// partially applied update from the WAL entry's before-image.
-	e.ops = append(e.ops, txnOp{typ: core.WalUpdate, table: tm.ID, key: key, slot: slot, entry: entry, entryN: n})
 
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	if err := h.WriteCols(slot, upd.Cols, upd.Vals); err != nil {
@@ -619,12 +478,11 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	}
 	e.ops[len(e.ops)-1].oldVars = oldVars
 	h.WriteBackCols(slot, upd.Cols)
-	e.dev().Fence()
+	e.Env.Dev.Fence()
 	stopSt()
 
-	stopIdx = e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
-	if err := e.applyFixes(tm.ID, fixes); err != nil {
+	defer e.Bd.Timer(&e.Bd.Index)()
+	if err := undolog.Fix(e.second[tm.ID], fixes, false); err != nil {
 		return err
 	}
 	e.MV.StageUpdate(table, key, preCols, pre)
@@ -634,33 +492,20 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 // Delete logs the tuple pointer, discards the index entries, and reclaims
 // the slot at commit (Table 2).
 func (e *Engine) Delete(table string, key uint64) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	slot, ok := e.primary[tm.ID].Get(key)
-	stopIdx()
+	slot, ok := core.IndexGet(&e.Base, e.primary[tm.ID], key)
 	if !ok {
 		return core.ErrKeyNotFound
 	}
 
-	stopRec := e.Bd.Timer(&e.Bd.Recovery)
-	entry, n, err := e.appendWAL(core.WalDelete, tm.ID, key, slot, nil, nil, nil)
-	stopRec()
-	if err != nil {
+	if err := e.logOp(core.WalDelete, tm, key, slot, nil, nil, nil); err != nil {
 		return err
 	}
-	// Record the op first so Abort re-links the indexes if a removal below
-	// fails partway.
-	e.ops = append(e.ops, txnOp{typ: core.WalDelete, table: tm.ID, key: key,
-		slot: slot, entry: entry, entryN: n, delSlot: slot})
 
-	stopIdx = e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
+	defer e.Bd.Timer(&e.Bd.Index)()
 	if _, err := e.primary[tm.ID].Delete(key); err != nil {
 		return err
 	}
@@ -674,108 +519,36 @@ func (e *Engine) Delete(table string, key uint64) error {
 			return core.Corrupt(err)
 		}
 	}
-	if err := e.moveSecondaries(tm, row, key, false); err != nil {
+	if err := undolog.Fix(e.second[tm.ID], tm.Schema.SecFixes(nil, key, row, nil), false); err != nil {
 		return err
 	}
 	e.MV.StageDelete(table, key, row)
 	return nil
 }
 
-// find resolves a primary key to its heap and slot.
-func (e *Engine) find(table string, key uint64) (*core.Heap, uint64, bool, error) {
-	tm, err := e.Table(table)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	slot, ok := e.primary[tm.ID].Get(key)
-	stopIdx()
-	return e.heaps[tm.ID], slot, ok, nil
-}
-
-// Get reads a tuple through the non-volatile primary index.
+// Get reads a tuple through the primary index.
 func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
-	h, slot, ok, err := e.find(table, key)
-	if !ok {
-		return nil, false, err
-	}
-	defer e.Bd.Timer(&e.Bd.Storage)()
-	return checked(h.TryReadRow(slot))
-}
-
-// checked turns a read that met a garbage var-slot pointer into Corrupt.
-func checked(row []core.Value, err error) ([]core.Value, bool, error) {
-	if err != nil {
-		return nil, false, core.Corrupt(err)
-	}
-	return row, true, nil
+	return core.HeapGet(&e.Base, e.primary, e.heaps, table, key, nil, true)
 }
 
 // GetCols implements core.ColReader: the index lookup of Get, then only the
 // named columns' fields and var-slots.
 func (e *Engine) GetCols(table string, key uint64, cols []int) ([]core.Value, bool, error) {
-	h, slot, ok, err := e.find(table, key)
-	if !ok {
-		return nil, false, err
-	}
-	defer e.Bd.Timer(&e.Bd.Storage)()
-	return checked(h.TryReadCols(slot, cols))
+	return core.HeapGet(&e.Base, e.primary, e.heaps, table, key, cols, false)
 }
 
 // ScanSecondary iterates primary keys matching a secondary key.
 func (e *Engine) ScanSecondary(table, index string, sec uint32, fn func(pk uint64) bool) error {
-	tm, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	j, ok := tm.SecPos(index)
-	if !ok {
-		return fmt.Errorf("nvminp: unknown index %q", index)
-	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
-	lo, hi := core.SecRange(sec)
-	e.second[tm.ID][j].Iter(lo, func(k, pk uint64) bool {
-		if k >= hi {
-			return false
-		}
-		return fn(pk)
-	})
-	return nil
+	return core.ScanSecondary(&e.Base, e.second, table, index, sec, fn)
 }
 
 // ScanRange iterates rows with primary key in [from, to).
 func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row []core.Value) bool) error {
-	tm, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	h := e.heaps[tm.ID]
-	var damage error
-	e.primary[tm.ID].Iter(from, func(k, slot uint64) bool {
-		if k >= to {
-			return false
-		}
-		var row []core.Value
-		row, damage = h.TryReadRow(slot)
-		return damage == nil && fn(k, row)
-	})
-	if damage != nil {
-		return core.Corrupt(damage)
-	}
-	return nil
+	return core.HeapScan(&e.Base, e.primary, e.heaps, table, from, to, fn)
 }
 
 // Flush is a no-op: every commit is immediately durable.
 func (e *Engine) Flush() error { return nil }
 
 // Footprint reports storage usage (Fig. 14).
-func (e *Engine) Footprint() core.Footprint {
-	u := e.Env.Arena.Usage()
-	return core.Footprint{
-		Table: u[pmalloc.TagTable],
-		Index: u[pmalloc.TagIndex],
-		Log:   u[pmalloc.TagLog],
-		Other: u[pmalloc.TagOther],
-	}
-}
+func (e *Engine) Footprint() core.Footprint { return core.ArenaFootprint(e.Env.Arena) }

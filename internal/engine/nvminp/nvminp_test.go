@@ -622,3 +622,29 @@ func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenRefusesCorruptUndoEntry: a linked undo entry whose table byte names
+// a table the schemas do not have is refused by Open with a corrupt error. It
+// panicked with an index out of range when the entry was read unchecked.
+func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
+	e, err := New(env, simpleSchema(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Begin()
+	if err := e.Insert("t", 1, []core.Value{core.IntVal(1), core.IntVal(0), core.StrVal("x")}); err != nil {
+		t.Fatal(err)
+	}
+	table := int64(env.Dev.ReadU64(int64(e.hdr)+hWalHead)) + 17
+	env.Dev.WriteU8(table, 200)
+	env.Dev.Sync(table, 1)
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
+		t.Fatalf("Open over an undo entry of table 200: %v, want a corrupt error", err)
+	}
+}

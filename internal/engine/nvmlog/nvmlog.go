@@ -25,13 +25,14 @@ import (
 	"nstore/internal/bloom"
 	"nstore/internal/core"
 	"nstore/internal/engine/lsm"
+	"nstore/internal/engine/undolog"
 	"nstore/internal/mvcc"
 	"nstore/internal/nvbtree"
 	"nstore/internal/pmalloc"
 )
 
 const (
-	hdrMagic = 0x4e564d4c4f473133 // "NVMLOG13"
+	hdrMagic = 0x4e564d4c4f473134 // "NVMLOG14"
 	// untaggedMagic marks an image whose trees hold bare entry-chunk
 	// pointers, without the kind in the low bits.
 	untaggedMagic = 0x4e564d4c4f473132 // "NVMLOG12"
@@ -51,17 +52,9 @@ const (
 	// bloomMeta packs words<<8 | k. Runs are ordered newest first.
 	runEntSize = 24
 
-	// WAL entry layout (TagLog chunk).
-	wNext   = 0
-	wTxn    = 8
-	wType   = 16
-	wTable  = 17
-	wNSec   = 18
-	wKey    = 24
-	wOldPtr = 32
-	wNewPtr = 40
-	wSec    = 48 // nSec x {idx u8, op u8 (1 added, 2 removed), composite u64}
-	secRec  = 10
+	// An undo entry's body (undolog): the key's old and new tagged
+	// entry-chunk pointers, as the MemTable held them (old 0: none).
+	bodySize = 16
 )
 
 // The kind of an entry rides in the pointer to its chunk. pmalloc payloads
@@ -108,17 +101,15 @@ type Engine struct {
 	memCount int
 	runs     []*run // newest first
 	second   [][]*nvbtree.Tree
+	log      *undolog.Log
 
 	fstats core.FlushStats
 
-	ops         []txnOp
-	rec         []byte // scratch: the WAL entry being built
+	ops         []txnOp // one per undo entry
 	compactions int
 }
 
 type txnOp struct {
-	entry  pmalloc.Ptr
-	entryN int    // the WAL entry's length, which frees it unread
 	oldPtr uint64 // superseded entry chunk (tagged), freed at commit
 	added  bool   // the op added its key to the MemTable (counted in memCount)
 }
@@ -138,7 +129,7 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	e.hdr = hdr
+	e.hdr, e.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
 	d := env.Dev
 	d.WriteU64(int64(hdr)+hMagic, hdrMagic)
 	d.WriteU64(int64(hdr)+hCommitted, 0)
@@ -201,7 +192,7 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	default:
 		return nil, fmt.Errorf("nvmlog: no engine header")
 	}
-	e.hdr = hdr
+	e.hdr, e.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(schemas) {
 		return nil, fmt.Errorf("nvmlog: schema mismatch")
 	}
@@ -242,7 +233,14 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 		}
 		e.second = append(e.second, secs)
 	}
-	if err := e.undoWAL(); err != nil {
+	// The entry chunks the undone operations made are left to the sweep
+	// below: freeing one here would let the index rewrites further down the
+	// undo take its address, and a crash inside this pass would run the undo
+	// again and free a live node.
+	if _, err := e.log.Recover(func(ent undolog.Entry) error {
+		_, err := e.undoEntry(ent)
+		return err
+	}, false); err != nil {
 		if errors.Is(err, nvbtree.ErrCorrupt) {
 			err = core.Corrupt(fmt.Errorf("nvmlog: undo: %w", err))
 		}
@@ -330,17 +328,7 @@ func (e *Engine) sweep() error {
 	// The marking pass over each run doubles as the key harvest for the
 	// Bloom verification below.
 	reach, runKeys := e.reachable()
-	var orphans []pmalloc.Ptr
-	chunks := 0
-	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
-		chunks++
-		if st == pmalloc.StatePersisted && !reach[p] {
-			orphans = append(orphans, p)
-		}
-	})
-	for _, p := range orphans {
-		e.Env.Arena.Free(p)
-	}
+	chunks := core.FreeOrphans(e.Env.Arena, func(p pmalloc.Ptr, _ pmalloc.Tag) bool { return !reach[p] })
 	var nkeys int64
 	for i, ks := range runKeys {
 		e.runs[i].keys = len(ks)
@@ -422,113 +410,31 @@ func (e *Engine) storeBloom(bits []byte) (pmalloc.Ptr, error) {
 	return e.Env.Arena.StreamPersisted(pmalloc.TagIndex, bits)
 }
 
-// secFix describes a secondary-index change for WAL undo.
-type secFix struct {
-	idx       int
-	added     bool
-	composite uint64
-}
-
-// appendWAL logs one MemTable operation: which mapping changed (old/new
-// tagged entry-chunk pointers, as the tree holds them) and the secondary
-// entries touched. The entry is streamed with its persisted mark; one fence
-// makes it and the new entry chunk durable, and a second links it at the
-// head, after which undo owns both. It returns the entry and its length.
-func (e *Engine) appendWAL(typ uint8, table int, key, oldPtr, newPtr uint64, fixes []secFix) (pmalloc.Ptr, int, error) {
-	d := e.Env.Dev
-	rec := append(e.rec[:0], make([]byte, wSec)...)
-	le := binary.LittleEndian
-	le.PutUint64(rec[wNext:], d.ReadU64(int64(e.hdr)+hWalHead))
-	le.PutUint64(rec[wTxn:], e.TxnID)
-	rec[wType], rec[wTable], rec[wNSec] = typ, uint8(table), uint8(len(fixes))
-	le.PutUint64(rec[wKey:], key)
-	le.PutUint64(rec[wOldPtr:], oldPtr)
-	le.PutUint64(rec[wNewPtr:], newPtr)
-	for _, f := range fixes {
-		op := uint8(2)
-		if f.added {
-			op = 1
-		}
-		rec = le.AppendUint64(append(rec, uint8(f.idx), op), f.composite)
-	}
-	e.rec = rec
-	p, err := e.Env.Arena.StreamPersisted(pmalloc.TagLog, rec)
-	if err != nil {
-		// Log-arena exhaustion is reachable from normal traffic.
-		return 0, 0, err
-	}
-	d.Fence()
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, p)
-	return p, len(rec), nil
-}
-
-// undoWAL reverses in-flight transactions (newest entry first) and
-// truncates the log. The entry chunks the undone operations made are left
-// to the sweep behind it: freeing one here would let the index rewrites
-// further down the undo take its address, and a crash inside this pass
-// would run the undo again and free a live node.
-func (e *Engine) undoWAL() error {
-	d := e.Env.Dev
-	head := d.ReadU64(int64(e.hdr) + hWalHead)
-	var frees []pmalloc.Ptr
-	for p := head; p != 0; p = d.ReadU64(int64(p) + wNext) {
-		frees = append(frees, p)
-		// Truncation is the commit point: linked entries are uncommitted.
-		if _, err := e.undoEntry(p); err != nil {
-			return err
-		}
-	}
-	d.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
-	for _, p := range frees {
-		if e.Env.Arena.StateOf(p) != pmalloc.StateFree {
-			e.Env.Arena.Free(p)
-		}
-	}
-	return nil
-}
-
-// undoEntry reverses the operation WAL entry p logged and returns the entry
+// undoEntry reverses the operation an undo entry logged and returns the entry
 // chunk it made. The caller frees that chunk once the log no longer names it:
 // until the truncation is durable a crash runs this undo again, and a chunk
 // freed here could meanwhile be a node of the index rewrites below.
-func (e *Engine) undoEntry(p pmalloc.Ptr) (pmalloc.Ptr, error) {
-	d := e.Env.Dev
-	table := int(d.ReadU8(int64(p) + wTable))
-	key := d.ReadU64(int64(p) + wKey)
-	oldPtr := d.ReadU64(int64(p) + wOldPtr)
-	newPtr := d.ReadU64(int64(p) + wNewPtr)
-	tk := core.TreePrimary(table, key)
+func (e *Engine) undoEntry(ent undolog.Entry) (pmalloc.Ptr, error) {
+	if len(ent.Body) != bodySize {
+		return 0, core.Corrupt(fmt.Errorf("nvmlog: undo entry body of %d bytes", len(ent.Body)))
+	}
+	oldPtr, newPtr := binary.LittleEndian.Uint64(ent.Body), binary.LittleEndian.Uint64(ent.Body[8:])
+	tk := core.TreePrimary(ent.Table, ent.Key)
+	var err error
 	if oldPtr != 0 {
-		if err := e.mem.Put(tk, oldPtr); err != nil {
-			return 0, err
-		}
+		err = e.mem.Put(tk, oldPtr)
 	} else {
-		if _, err := e.mem.Delete(tk); err != nil {
-			return 0, err
-		}
+		_, err = e.mem.Delete(tk)
 	}
-	n := int(d.ReadU8(int64(p) + wNSec))
-	for i := 0; i < n; i++ {
-		base := int64(p) + wSec + int64(i)*secRec
-		idx := int(d.ReadU8(base))
-		op := d.ReadU8(base + 1)
-		composite := d.ReadU64(base + 2)
-		if op == 1 {
-			if _, err := e.second[table][idx].Delete(composite); err != nil {
-				return 0, err
-			}
-		} else {
-			if err := e.second[table][idx].Put(composite, core.SecPK(composite)); err != nil {
-				return 0, err
-			}
-		}
+	if err == nil {
+		err = undolog.Fix(e.second[ent.Table], ent.Fixes, true)
 	}
-	return chunkOf(newPtr), nil
+	return chunkOf(newPtr), err
 }
 
 // applyMem merges an entry into the mutable MemTable, logging undo info.
 // oldPtr is the MemTable's entry for the key, as exists found it (0: none).
-func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent lsm.Entry, fixes []secFix) error {
+func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent lsm.Entry, fixes []core.SecFix) error {
 	tk := core.TreePrimary(tm.ID, key)
 	isNew := oldPtr == 0
 	// A full image or a tombstone replaces whatever the MemTable held; only a
@@ -544,14 +450,17 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent
 	if err != nil {
 		return err
 	}
-	entry, n, err := e.appendWAL(typ, tm.ID, key, oldPtr, newPtr, fixes)
-	if err != nil {
+	// The undo entry makes the new chunk durable with its first fence.
+	var body [bodySize]byte
+	binary.LittleEndian.PutUint64(body[:], oldPtr)
+	binary.LittleEndian.PutUint64(body[8:], newPtr)
+	if err := e.log.Append(e.TxnID, undolog.Entry{Type: typ, Table: tm.ID, Key: key, Fixes: fixes, Body: body[:]}); err != nil {
 		e.Env.Arena.Free(chunkOf(newPtr))
 		return err
 	}
 	// Record the op before touching the trees so Abort can undo a partially
-	// applied operation from the WAL entry.
-	e.ops = append(e.ops, txnOp{entry: entry, entryN: n, oldPtr: oldPtr})
+	// applied operation from the undo entry.
+	e.ops = append(e.ops, txnOp{oldPtr: oldPtr})
 	if err := e.mem.Put(tk, newPtr); err != nil {
 		return err
 	}
@@ -559,18 +468,7 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent
 		e.memCount++
 		e.ops[len(e.ops)-1].added = true
 	}
-	for _, f := range fixes {
-		if f.added {
-			if err := e.second[tm.ID][f.idx].Put(f.composite, core.SecPK(f.composite)); err != nil {
-				return err
-			}
-		} else {
-			if _, err := e.second[tm.ID][f.idx].Delete(f.composite); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return undolog.Fix(e.second[tm.ID], fixes, false)
 }
 
 // Name returns "nvm-log".
@@ -595,17 +493,12 @@ func (e *Engine) Commit() error {
 		return err
 	}
 	stop := e.Bd.Timer(&e.Bd.Recovery)
-	if len(e.ops) > 0 {
-		// Truncating the undo log is the atomic commit point (§4.3). A
-		// transaction that logged nothing left it empty.
-		e.Env.Dev.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
-	}
-	for _, op := range e.ops {
-		if old := chunkOf(op.oldPtr); old != 0 && e.Env.Arena.StateOf(old) != pmalloc.StateFree {
+	// Truncating the undo log is the atomic commit point (§4.3).
+	e.log.Truncate(func(i int) {
+		if old := chunkOf(e.ops[i].oldPtr); old != 0 && e.Env.Arena.StateOf(old) != pmalloc.StateFree {
 			e.Env.Arena.Free(old)
 		}
-		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
-	}
+	})
 	stop()
 	// The WAL truncation above is the durability barrier: versions publish
 	// to snapshot readers immediately (NVM-Log is durable at commit).
@@ -627,29 +520,25 @@ func (e *Engine) Abort() error {
 		return err
 	}
 	made := make([]pmalloc.Ptr, len(e.ops))
-	for i := len(e.ops) - 1; i >= 0; i-- {
-		var err error
-		if made[i], err = e.undoEntry(e.ops[i].entry); err != nil {
-			// A failed rollback leaves volatile and durable state diverged;
-			// only the engine's crash-recovery path can restore consistency.
-			// The transaction is over either way — end it so recovery's
-			// replacement Begin path is not blocked by ErrInTxn.
-			_ = e.EndTx()
-			return core.Corrupt(err)
-		}
+	if err := e.log.Undo(func(i int, ent undolog.Entry) (err error) {
+		made[i], err = e.undoEntry(ent)
+		return err
+	}); err != nil {
+		// A failed rollback leaves volatile and durable state diverged;
+		// only the engine's crash-recovery path can restore consistency.
+		// The transaction is over either way — end it so recovery's
+		// replacement Begin path is not blocked by ErrInTxn.
+		_ = e.EndTx()
+		return core.Corrupt(err)
 	}
-	if len(e.ops) > 0 {
-		e.Env.Dev.WriteU64Durable(int64(e.hdr)+hWalHead, 0)
-	}
-	for i, op := range e.ops {
-		if op.added {
+	e.log.Truncate(func(i int) {
+		if e.ops[i].added {
 			e.memCount-- // undo deleted the key again
 		}
 		if c := made[i]; c != 0 && e.Env.Arena.StateOf(c) != pmalloc.StateFree {
 			e.Env.Arena.Free(c)
 		}
-		e.Env.Arena.FreeStreamed(op.entry, op.entryN, pmalloc.TagLog)
-	}
+	})
 	e.MV.DropStaged()
 	return e.EndTx()
 }
@@ -884,10 +773,7 @@ func (e *Engine) compact() error {
 
 // Insert adds a tuple (Table 2: sync tuple, log pointer, add to MemTable).
 func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.InsertTable(table, key)
 	if err != nil {
 		return err
 	}
@@ -895,10 +781,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if live {
 		return core.ErrKeyExists
 	}
-	var fixes []secFix
-	for j, ix := range tm.Schema.Secondary {
-		fixes = append(fixes, secFix{idx: j, added: true, composite: core.SecComposite(ix.SecKey(row), key)})
-	}
+	fixes := tm.Schema.SecFixes(nil, key, nil, row)
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	defer stopSt()
 	if err := e.applyMem(tm, core.WalInsert, key, memPtr, lsm.Entry{Kind: lsm.KindFull, Payload: core.EncodeRow(tm.Schema, row)}, fixes); err != nil {
@@ -910,10 +793,7 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 
 // Update records the updated fields in the MemTable.
 func (e *Engine) Update(table string, key uint64, upd core.Update) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
@@ -924,7 +804,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	// The delta is all the MemTable needs; the tuple is coalesced only when
 	// the update can move it within a secondary index, or a pinned view
 	// needs its pre-image.
-	var fixes []secFix
+	var fixes []core.SecFix
 	var old []core.Value
 	if reindex := tm.Schema.IndexReads(upd.Cols); reindex || e.MV.Capture() {
 		row, found, err := e.Get(table, key)
@@ -938,14 +818,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 		if reindex {
 			now := append([]core.Value(nil), old...)
 			core.ApplyDelta(now, upd)
-			for j, ix := range tm.Schema.Secondary {
-				ok, nk := ix.SecKey(old), ix.SecKey(now)
-				if ok != nk {
-					fixes = append(fixes,
-						secFix{idx: j, added: false, composite: core.SecComposite(ok, key)},
-						secFix{idx: j, added: true, composite: core.SecComposite(nk, key)})
-				}
-			}
+			fixes = tm.Schema.SecFixes(nil, key, old, now)
 		}
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
@@ -959,10 +832,7 @@ func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 
 // Delete marks the tuple with a tombstone in the MemTable.
 func (e *Engine) Delete(table string, key uint64) error {
-	if err := e.RequireTx(); err != nil {
-		return err
-	}
-	tm, err := e.Table(table)
+	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
@@ -970,7 +840,6 @@ func (e *Engine) Delete(table string, key uint64) error {
 	if !live {
 		return core.ErrKeyNotFound
 	}
-	var fixes []secFix
 	var old []core.Value
 	if len(tm.Schema.Secondary) > 0 || e.MV.Capture() {
 		row, found, err := e.Get(table, key)
@@ -981,13 +850,10 @@ func (e *Engine) Delete(table string, key uint64) error {
 			return core.ErrKeyNotFound // an image that does not decode
 		}
 		old = row
-		for j, ix := range tm.Schema.Secondary {
-			fixes = append(fixes, secFix{idx: j, added: false, composite: core.SecComposite(ix.SecKey(old), key)})
-		}
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
 	defer stopSt()
-	if err := e.applyMem(tm, core.WalDelete, key, memPtr, lsm.Entry{Kind: lsm.KindTomb}, fixes); err != nil {
+	if err := e.applyMem(tm, core.WalDelete, key, memPtr, lsm.Entry{Kind: lsm.KindTomb}, tm.Schema.SecFixes(nil, key, old, nil)); err != nil {
 		return err
 	}
 	e.MV.StageDelete(table, key, old)
@@ -1084,24 +950,7 @@ func (e *Engine) bloomHas(r *run, key uint64) bool {
 
 // ScanSecondary iterates primary keys matching a secondary key.
 func (e *Engine) ScanSecondary(table, index string, sec uint32, fn func(pk uint64) bool) error {
-	tm, err := e.Table(table)
-	if err != nil {
-		return err
-	}
-	j, ok := tm.SecPos(index)
-	if !ok {
-		return fmt.Errorf("nvmlog: unknown index %q", index)
-	}
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
-	lo, hi := core.SecRange(sec)
-	e.second[tm.ID][j].Iter(lo, func(k, pk uint64) bool {
-		if k >= hi {
-			return false
-		}
-		return fn(pk)
-	})
-	return nil
+	return core.ScanSecondary(&e.Base, e.second, table, index, sec, fn)
 }
 
 // ScanRange merges the MemTable and the runs over the key range.
@@ -1173,12 +1022,4 @@ func (e *Engine) FlushStats() core.FlushStats {
 }
 
 // Footprint reports storage usage (Fig. 14).
-func (e *Engine) Footprint() core.Footprint {
-	u := e.Env.Arena.Usage()
-	return core.Footprint{
-		Table: u[pmalloc.TagTable],
-		Index: u[pmalloc.TagIndex],
-		Log:   u[pmalloc.TagLog],
-		Other: u[pmalloc.TagOther],
-	}
-}
+func (e *Engine) Footprint() core.Footprint { return core.ArenaFootprint(e.Env.Arena) }

@@ -461,3 +461,30 @@ func TestEntryReadsCheckTheImage(t *testing.T) {
 		e.Abort()
 	}
 }
+
+// TestOpenRefusesCorruptUndoEntry: a linked undo entry whose table byte names
+// a table the schemas do not have is refused by Open with a corrupt error.
+// Read unchecked, its undo deleted a MemTable key in table 200's key space and
+// Open succeeded.
+func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
+	e, err := New(env, simpleSchema(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Begin()
+	if err := e.Insert("t", 1, row(1)); err != nil {
+		t.Fatal(err)
+	}
+	table := int64(env.Dev.ReadU64(int64(e.hdr)+hWalHead)) + 17
+	env.Dev.WriteU8(table, 200)
+	env.Dev.Sync(table, 1)
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
+		t.Fatalf("Open over an undo entry of table 200: %v, want a corrupt error", err)
+	}
+}

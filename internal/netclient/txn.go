@@ -22,9 +22,11 @@ var txnSeq atomic.Uint64
 
 // nextTxnID mints a transaction id: wall-clock nanoseconds shifted up with a
 // process-local sequence low, so concurrent clients collide only if two
-// processes mint in the same nanosecond AND the same sequence slot. Never 0.
+// processes mint in the same nanosecond AND the same sequence slot. The id is
+// the primary key of the transaction's status record, so it stays below the
+// key rule's 2^56 (core.TableMeta.CheckKey). Never 0.
 func nextTxnID() uint64 {
-	id := uint64(time.Now().UnixNano())<<10 | (txnSeq.Add(1) & 1023)
+	id := (uint64(time.Now().UnixNano())<<10 | (txnSeq.Add(1) & 1023)) & (1<<56 - 1)
 	if id == 0 {
 		id = 1
 	}

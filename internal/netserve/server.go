@@ -793,6 +793,8 @@ func statusOf(err error) (wire.Status, string) {
 		return wire.StatusNotFound, err.Error()
 	case errors.Is(err, core.ErrKeyExists):
 		return wire.StatusKeyExists, err.Error()
+	case errors.Is(err, core.ErrKeyRange):
+		return wire.StatusBadRequest, err.Error()
 	case errors.Is(err, txn2pc.ErrTxnAborted):
 		return wire.StatusAborted, err.Error()
 	case errors.Is(err, txn2pc.ErrTxnCommitted):

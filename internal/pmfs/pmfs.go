@@ -252,10 +252,13 @@ func (fs *FS) Create(name string) (*File, error) {
 		if fs.dev.ReadU64(ino+inoFlags) == 1 {
 			continue
 		}
+		// Name and size are durable before the used flag: a crash between
+		// the two leaves a free inode, never a used one whose name is torn.
 		var nb [nameLen]byte
 		copy(nb[:], name)
 		fs.dev.Write(ino+inoName, nb[:])
 		fs.dev.WriteU64(ino+inoSize, 0)
+		fs.dev.Sync(ino+inoSize, 8+nameLen)
 		fs.dev.WriteU64(ino+inoFlags, 1)
 		fs.dev.Sync(ino, inodeSize)
 		return &File{fs: fs, ino: i}, nil

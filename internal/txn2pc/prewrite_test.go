@@ -1,6 +1,7 @@
 package txn2pc_test
 
 import (
+	"errors"
 	"testing"
 
 	"nstore/internal/core"
@@ -68,5 +69,45 @@ func TestPrewriteDeviceLoads(t *testing.T) {
 	}
 	if withGet.Loads <= got.Loads {
 		t.Errorf("a whole-row Get ahead of the prewrite loaded %d lines, the prewrite alone %d: the row was not cold", withGet.Loads, got.Loads)
+	}
+}
+
+// TestPrewriteRefusesKeyOutOfRange: a buffered put whose insert the commit
+// could not apply — a key the table's Insert refuses under the key rule
+// (core.TableMeta.CheckKey) — fails at prewrite with core.ErrKeyRange on every
+// engine and buffers no lock, so a cross-shard commit never meets the refusal.
+// An order key of warehouse 16 reaches 2^24 on the indexed orders table; a
+// history key of 2^56 is past every table's bound.
+func TestPrewriteRefusesKeyOutOfRange(t *testing.T) {
+	orderRow := func(key uint64) []core.Value {
+		row := make([]core.Value, 8)
+		row[0], row[1], row[2] = core.IntVal(1), core.IntVal(1), core.IntVal(int64(key>>20))
+		return row
+	}
+	histRow := []core.Value{core.IntVal(1), core.IntVal(1), core.IntVal(1), core.IntVal(1), core.IntVal(0), core.IntVal(5), core.StrVal("h")}
+	for _, kind := range testbed.Kinds {
+		db, err := testbed.New(testbed.Config{Engine: kind, Partitions: 1,
+			Env: core.EnvConfig{DeviceSize: 32 << 20}, Schemas: txn2pc.AugmentSchemas(tpcc.Schemas())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := db.Engine(0)
+		for i, put := range []wire.Request{
+			{Op: wire.OpPut, Table: tpcc.TOrder, Key: tpcc.OrderKey(16, 1, 1), Row: orderRow(tpcc.OrderKey(16, 1, 1))},
+			{Op: wire.OpPut, Table: tpcc.THistory, Key: 1 << 56, Row: histRow},
+			{Op: wire.OpPut, Table: tpcc.TOrder, Key: tpcc.OrderKey(15, 1, 1), Row: orderRow(tpcc.OrderKey(15, 1, 1))},
+		} {
+			err := txn2pc.Run(eng, func() error {
+				return txn2pc.Prewrite(eng, &wire.Request{Op: wire.OpTxnPrewrite, Txn: uint64(90 + i),
+					Table: put.Table, Key: put.Key, Ops: []wire.Request{put}})
+			})
+			_, locked, lerr := txn2pc.ReadLock(eng, put.Table, put.Key)
+			if refused := i < 2; refused != errors.Is(err, core.ErrKeyRange) || lerr != nil || locked == refused {
+				t.Errorf("%s: prewrite of %s/%d: %v, lock buffered %v (%v)", kind, put.Table, put.Key, err, locked, lerr)
+			}
+			if core.IsRetryable(err) || core.IsCorrupt(err) {
+				t.Errorf("%s: the key rule's error is tagged retryable or corrupt: %v", kind, err)
+			}
+		}
 	}
 }

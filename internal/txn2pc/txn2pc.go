@@ -267,6 +267,13 @@ func Prewrite(eng core.Engine, req *wire.Request) error {
 	}
 	for i := range req.Ops {
 		sub := &req.Ops[i]
+		// The insert a commit applies passes the key rule here, so a
+		// cross-shard commit never fails on it.
+		if sub.Op == wire.OpPut {
+			if err := core.CheckKey(eng, sub.Table, sub.Key); err != nil {
+				return fmt.Errorf("prewrite %s/%d: %w", sub.Table, sub.Key, err)
+			}
+		}
 		if held, ok, err := ReadLock(eng, sub.Table, sub.Key); err != nil {
 			return err
 		} else if ok {
