@@ -151,6 +151,9 @@ type UndoStats struct {
 	// Captures counts the pre-images durable-at-commit engines (nvm-inp,
 	// nvm-log) read from the device only because a view was pinned.
 	Captures int64
+	// Materialized counts the lazy pre-images (log's) a view rebuilt from
+	// the engine because it pinned before their group's fsync.
+	Materialized int64
 }
 
 // UndoStatser is implemented by engines with a version store.

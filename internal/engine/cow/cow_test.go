@@ -81,6 +81,13 @@ func TestSnapshotConformance(t *testing.T) {
 	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunSnapshotConformance(t, f) })
 }
 
+// TestGroupCommitSnapshotConformance: the snapshot battery with four
+// transactions to a group commit, so views pin between a commit and its
+// group's fsync.
+func TestGroupCommitSnapshotConformance(t *testing.T) {
+	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunGroupCommitSnapshotConformance(t, f) })
+}
+
 func TestCrossShardConformance(t *testing.T) {
 	both(t, func(t *testing.T, f enginetest.Factory) { enginetest.RunCrossShardConformance(t, f) })
 }

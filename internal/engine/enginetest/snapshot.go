@@ -19,7 +19,19 @@ import (
 // frontier.
 func RunSnapshotConformance(t *testing.T, f Factory) {
 	t.Helper()
-	runSchedules(t, func(seed int64) error { return snapshotSchedule(f, seed) })
+	runSchedules(t, func(seed int64) error { return snapshotSchedule(f, scheduleOpts, seed) })
+}
+
+// RunGroupCommitSnapshotConformance is RunSnapshotConformance with four
+// transactions to a group commit, for an engine that publishes a commit only
+// at its group's fsync: a view pinned between the two must roll the commit
+// back, and one pinned after must see it whole. The history logs the
+// committed state each time the oracle advances.
+func RunGroupCommitSnapshotConformance(t *testing.T, f Factory) {
+	t.Helper()
+	opts := scheduleOpts
+	opts.GroupCommitSize = 4
+	runSchedules(t, func(seed int64) error { return snapshotSchedule(f, opts, seed) })
 }
 
 // snapEntry records the exact committed state whose publication advanced
@@ -31,15 +43,14 @@ type snapEntry struct {
 	m  model
 }
 
-// snapshotSchedule runs one seeded schedule: a single-owner writer commits,
-// aborts and deletes through the engine while concurrent readers pin views
-// and compare them against the logged committed history, then a clean power
-// cycle must recover exactly the final committed snapshot.
-func snapshotSchedule(f Factory, seed int64) error {
+// snapshotSchedule runs one seeded schedule under opts: a single-owner
+// writer commits, aborts and deletes through the engine while concurrent
+// readers pin views and compare them against the logged committed history,
+// then a clean power cycle must recover exactly the final committed
+// snapshot.
+func snapshotSchedule(f Factory, opts core.Options, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	// Every commit is durable, so visible to snapshots, when Commit returns:
-	// the logged model is exact for any view at that timestamp.
-	env, opts, schemas := scheduleEnv(), scheduleOpts, testSchema()
+	env, schemas := scheduleEnv(), testSchema()
 	e, err := f.New(env, schemas, opts)
 	if err != nil {
 		return fmt.Errorf("New: %w", err)
@@ -76,7 +87,7 @@ func snapshotSchedule(f Factory, seed int64) error {
 		}()
 	}
 
-	committed := model{"users": {}}
+	committed := model{"users": {}, "items": {}}
 	working := committed.clone()
 	steps := 25 + rng.Intn(25)
 	writeErr := func() error {
@@ -86,7 +97,7 @@ func snapshotSchedule(f Factory, seed int64) error {
 			}
 			nops := 1 + rng.Intn(3)
 			for o := 0; o < nops; o++ {
-				if err := snapshotMutate(e, working["users"], rng); err != nil {
+				if err := snapshotMutate(e, working, rng); err != nil {
 					return fmt.Errorf("step %d: %w", step, err)
 				}
 			}
@@ -98,13 +109,18 @@ func snapshotSchedule(f Factory, seed int64) error {
 				continue
 			}
 			// Commit and the history append share the critical section: the
-			// oracle advances to this transaction's timestamp inside Commit,
-			// so no reader can pin that timestamp and miss its entry.
+			// oracle advances inside Commit — to this transaction's timestamp
+			// when it is durable, not at all while its group waits for the
+			// fsync — so no reader can pin a timestamp and miss its entry. An
+			// advance publishes every commit so far, so the state it
+			// publishes is the committed one.
 			mu.Lock()
 			err := e.Commit()
 			if err == nil {
 				committed = working
-				hist = append(hist, snapEntry{ts: sr.Oracle().ReadTs(), m: committed})
+				if ts := sr.Oracle().ReadTs(); ts > hist[len(hist)-1].ts {
+					hist = append(hist, snapEntry{ts: ts, m: committed})
+				}
 			}
 			mu.Unlock()
 			if err != nil {
@@ -142,11 +158,17 @@ func snapshotSchedule(f Factory, seed int64) error {
 	return nil
 }
 
-// snapshotMutate applies one random users-table write to the engine and the
-// working rows: insert a fresh key, update or delete an existing one.
-func snapshotMutate(e core.Engine, users map[uint64][]core.Value, rng *rand.Rand) error {
+// snapshotMutate applies one random write to the engine and the working
+// model: insert a fresh key, update or delete an existing one, in users —
+// whose secondary index every update moves — or in items, which has none.
+func snapshotMutate(e core.Engine, working model, rng *rand.Rand) error {
 	key := uint64(rng.Intn(48))
-	return mutate(rng, e, "users", users, key, 4, func() []core.Value {
+	if rng.Intn(2) == 0 {
+		return mutate(rng, e, "items", working["items"], key, 4, func() []core.Value {
+			return []core.Value{core.IntVal(int64(key)), core.IntVal(rng.Int63n(1000))}
+		})
+	}
+	return mutate(rng, e, "users", working["users"], key, 4, func() []core.Value {
 		row := userRow(int64(key) + rng.Int63n(1000))
 		row[0] = core.IntVal(int64(key))
 		return row

@@ -113,6 +113,13 @@ func TestSnapshotConformance(t *testing.T) {
 	enginetest.RunSnapshotConformance(t, factory())
 }
 
+// TestGroupCommitSnapshotConformance: the snapshot battery with four
+// transactions to a group commit, so views pin between a commit and its
+// group's fsync.
+func TestGroupCommitSnapshotConformance(t *testing.T) {
+	enginetest.RunGroupCommitSnapshotConformance(t, factory())
+}
+
 func TestCrossShardConformance(t *testing.T) {
 	enginetest.RunCrossShardConformance(t, factory())
 }

@@ -111,7 +111,11 @@ type Engine struct {
 	walMark  int
 	undo     []memUndo
 	secUndo  []secUndo
-	txnFrees []pmalloc.Ptr // superseded chunks, freed at commit
+	txnFrees []pmalloc.Ptr // chunks the running transaction superseded
+	// superseded are the chunks committed writes superseded, freed at the
+	// next publish: a lazy pre-image of the pending groups may name one
+	// (mvcc.Store.StageLazy).
+	superseded []pmalloc.Ptr
 
 	// pendingPtrs are value-log pointers harvested from the manifest runs
 	// during recovery, validated once the value log is open.
@@ -343,29 +347,33 @@ func (e *Engine) resolveEntry(key uint64, ent lsm.Entry) (lsm.Entry, error) {
 // putMem merges ent over any existing memtable entry for tk and installs
 // the merged chunk. The superseded chunk is returned for deferred freeing.
 func (e *Engine) putMem(s *core.Schema, tk uint64, ent lsm.Entry) (oldPtr, newPtr uint64, err error) {
-	if old, ok := e.mem.Get(tk); ok {
+	oldPtr, _ = e.mem.Get(tk)
+	newPtr, err = e.putMemAt(s, tk, oldPtr, ent)
+	return oldPtr, newPtr, err
+}
+
+// putMemAt installs ent as tk's memtable entry over old, the chunk the
+// memtable holds for tk (0: none). A full image or a tombstone replaces old;
+// only a delta reads it, to fold itself in.
+func (e *Engine) putMemAt(s *core.Schema, tk, old uint64, ent lsm.Entry) (uint64, error) {
+	if old != 0 && ent.Kind == lsm.KindDelta {
 		prev, err := lsm.ReadEntryChunk(e.Env.Arena, old)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		merged, err := lsm.MergeR(s, tk, ent, prev, e.resolveEntry)
-		if err != nil {
-			return 0, 0, err
+		if ent, err = lsm.MergeR(s, tk, ent, prev, e.resolveEntry); err != nil {
+			return 0, err
 		}
-		np, err := lsm.WriteEntryChunk(e.Env.Arena, merged)
-		if err != nil {
-			return 0, 0, err
-		}
-		e.mem.Put(tk, np)
-		return old, np, nil
 	}
 	np, err := lsm.WriteEntryChunk(e.Env.Arena, ent)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	e.mem.Put(tk, np)
-	e.memCount++
-	return 0, np, nil
+	if old == 0 {
+		e.memCount++
+	}
+	return np, nil
 }
 
 // Name returns "log".
@@ -404,12 +412,13 @@ func (e *Engine) Commit() error {
 		}
 		return err
 	}
-	e.MV.CommitStaged(e.TxnID, e.wal.PendingTxns() == 0)
-	for _, p := range e.txnFrees {
-		e.discardIfPtr(uint64(p))
-		e.Env.Arena.Free(p)
-	}
+	durable := e.wal.PendingTxns() == 0
+	e.MV.CommitStaged(e.TxnID, durable)
+	e.superseded = append(e.superseded, e.txnFrees...)
 	e.txnFrees = e.txnFrees[:0]
+	if durable {
+		e.freeSuperseded()
+	}
 	var flushErr error
 	if e.memCount >= e.opts.MemTableCap || e.imm != nil {
 		flushErr = e.triggerFlush(e.memCount >= e.opts.MemTableCap)
@@ -422,6 +431,23 @@ func (e *Engine) Commit() error {
 		return flushErr
 	}
 	return endErr
+}
+
+// publish publishes every pending group to the snapshot readers, once the
+// WAL's group has reached the device, and frees the chunks their writes
+// superseded: no lazy pre-image names one any more.
+func (e *Engine) publish() {
+	e.MV.PublishDurable()
+	e.freeSuperseded()
+}
+
+// freeSuperseded frees the chunks committed writes superseded.
+func (e *Engine) freeSuperseded() {
+	for _, p := range e.superseded {
+		e.discardIfPtr(uint64(p))
+		e.Env.Arena.Free(p)
+	}
+	e.superseded = e.superseded[:0]
 }
 
 // Abort rolls back memtable and secondary-index changes.
@@ -479,18 +505,26 @@ func (e *Engine) fixSecondary(table int, f core.SecFix) {
 }
 
 // applyMem routes one logical change through the memtable with undo
-// tracking.
-func (e *Engine) applyMem(tm *core.TableMeta, key uint64, ent lsm.Entry) error {
+// tracking. memPtr is the memtable's entry for the key, as exists found it
+// (0: none).
+func (e *Engine) applyMem(tm *core.TableMeta, key, memPtr uint64, ent lsm.Entry) error {
 	tk := core.TreePrimary(tm.ID, key)
-	oldPtr, newPtr, err := e.putMem(tm.Schema, tk, ent)
+	newPtr, err := e.putMemAt(tm.Schema, tk, memPtr, ent)
 	if err != nil {
 		return err
 	}
-	e.undo = append(e.undo, memUndo{key: tk, oldPtr: oldPtr, newPtr: newPtr})
-	if oldPtr != 0 {
-		e.txnFrees = append(e.txnFrees, pmalloc.Ptr(oldPtr))
+	e.undo = append(e.undo, memUndo{key: tk, oldPtr: memPtr, newPtr: newPtr})
+	if memPtr != 0 {
+		e.txnFrees = append(e.txnFrees, pmalloc.Ptr(memPtr))
 	}
 	return nil
+}
+
+// logWrite appends an operation's WAL record. Only the after-image is
+// logged: replay redoes it, and rollback undoes through the memtable.
+func (e *Engine) logWrite(typ uint8, tm *core.TableMeta, key uint64, after []byte) {
+	defer e.Bd.Timer(&e.Bd.Recovery)()
+	e.wal.Append(core.WalRecord{Type: typ, TxnID: e.TxnID, Table: tm.ID, Key: key, After: after})
 }
 
 // Insert adds a tuple.
@@ -499,20 +533,17 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	if err != nil {
 		return err
 	}
-	_, exists, err := e.Get(table, key)
+	live, memPtr, err := e.exists(core.TreePrimary(tm.ID, key))
 	if err != nil {
 		return err
 	}
-	if exists {
+	if live {
 		return core.ErrKeyExists
 	}
 	img := core.EncodeRow(tm.Schema, row)
-	stop := e.Bd.Timer(&e.Bd.Recovery)
-	e.wal.Append(core.WalRecord{Type: core.WalInsert, TxnID: e.TxnID,
-		Table: tm.ID, Key: key, After: img})
-	stop()
+	e.logWrite(core.WalInsert, tm, key, img)
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	err = e.applyMem(tm, key, lsm.Entry{Kind: lsm.KindFull, Payload: img})
+	err = e.applyMem(tm, key, memPtr, lsm.Entry{Kind: lsm.KindFull, Payload: img})
 	stopSt()
 	if err != nil {
 		return err
@@ -522,121 +553,260 @@ func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	return nil
 }
 
-// Update records the updated fields as a delta entry.
+// Update records the updated fields as a delta entry. The delta is all the
+// memtable needs: the tuple is coalesced only when the update can move it
+// within a secondary index, or a pinned view needs its pre-image now.
+// Otherwise its pre-image is staged as a pointer, the chunk the delta
+// superseded, which a view pinned before the group's fsync has coalesced
+// (PreImage).
 func (e *Engine) Update(table string, key uint64, upd core.Update) error {
 	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
-	old, exists, err := e.Get(table, key)
+	live, memPtr, err := e.exists(core.TreePrimary(tm.ID, key))
 	if err != nil {
 		return err
 	}
-	if !exists {
+	if !live {
 		return core.ErrKeyNotFound
 	}
-	beforeUpd := core.Update{Cols: upd.Cols, Vals: make([]core.Value, len(upd.Cols))}
-	for j, ci := range upd.Cols {
-		beforeUpd.Vals[j] = old[ci]
+	var old []core.Value
+	reindex := tm.Schema.IndexReads(upd.Cols)
+	if reindex || e.MV.Capture() {
+		if old, err = e.liveRow(tm, key); err != nil {
+			return err
+		}
 	}
 	delta := core.EncodeDelta(tm.Schema, upd)
-	stop := e.Bd.Timer(&e.Bd.Recovery)
-	e.wal.Append(core.WalRecord{Type: core.WalUpdate, TxnID: e.TxnID,
-		Table: tm.ID, Key: key,
-		Before: core.EncodeDelta(tm.Schema, beforeUpd), After: delta})
-	stop()
+	e.logWrite(core.WalUpdate, tm, key, delta)
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	err = e.applyMem(tm, key, lsm.Entry{Kind: lsm.KindDelta, Payload: delta})
+	err = e.applyMem(tm, key, memPtr, lsm.Entry{Kind: lsm.KindDelta, Payload: delta})
 	stopSt()
 	if err != nil {
 		return err
 	}
-	now := core.CloneRow(old)
-	core.ApplyDelta(now, upd)
-	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, old, now))
-	e.MV.StageUpdate(table, key, beforeUpd.Cols, beforeUpd.Vals) // the WAL's before-image
+	if old == nil {
+		e.MV.StageLazy(table, key, memPtr)
+		return nil
+	}
+	if reindex {
+		now := core.CloneRow(old)
+		core.ApplyDelta(now, upd)
+		e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, old, now))
+	}
+	pre := make([]core.Value, len(upd.Cols))
+	for j, ci := range upd.Cols {
+		pre[j] = old[ci]
+	}
+	e.MV.StageUpdate(table, key, upd.Cols, pre)
 	return nil
 }
 
 // Delete marks the tuple with a tombstone; space is reclaimed during
-// compaction (§3.3).
+// compaction (§3.3). The tuple is coalesced only for a table with secondary
+// indexes, or for a pinned view; otherwise its pre-image is a pointer, as
+// for Update.
 func (e *Engine) Delete(table string, key uint64) error {
 	tm, err := e.WriteTable(table)
 	if err != nil {
 		return err
 	}
-	old, exists, err := e.Get(table, key)
+	live, memPtr, err := e.exists(core.TreePrimary(tm.ID, key))
 	if err != nil {
 		return err
 	}
-	if !exists {
+	if !live {
 		return core.ErrKeyNotFound
 	}
-	stop := e.Bd.Timer(&e.Bd.Recovery)
-	e.wal.Append(core.WalRecord{Type: core.WalDelete, TxnID: e.TxnID,
-		Table: tm.ID, Key: key, Before: core.EncodeRow(tm.Schema, old)})
-	stop()
+	var old []core.Value
+	if len(tm.Schema.Secondary) > 0 || e.MV.Capture() {
+		if old, err = e.liveRow(tm, key); err != nil {
+			return err
+		}
+	}
+	e.logWrite(core.WalDelete, tm, key, nil)
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	err = e.applyMem(tm, key, lsm.Entry{Kind: lsm.KindTomb})
+	err = e.applyMem(tm, key, memPtr, lsm.Entry{Kind: lsm.KindTomb})
 	stopSt()
 	if err != nil {
 		return err
+	}
+	if old == nil {
+		e.MV.StageLazy(table, key, memPtr)
+		return nil
 	}
 	e.fixSecondaries(tm, tm.Schema.SecFixes(nil, key, old, nil))
 	e.MV.StageDelete(table, key, old)
 	return nil
 }
 
-// chain collects the entries for a tree key newest-first — memtable, frozen
-// memtable, L0 runs, then the levels — stopping at the first non-delta
-// (terminal) entry.
-func (e *Engine) chain(tk uint64) ([]lsm.Entry, error) {
-	var entries []lsm.Entry
-	add := func(ent lsm.Entry) bool {
-		entries = append(entries, ent)
-		return ent.Kind != lsm.KindDelta
+// liveRow coalesces the row of a key exists called live. The probe and the
+// coalesced chain end at the same newest entry, so a row that is not there
+// is a corrupt chain.
+func (e *Engine) liveRow(tm *core.TableMeta, key uint64) ([]core.Value, error) {
+	row, found, err := e.Get(tm.Schema.Name, key)
+	if err == nil && !found {
+		err = core.Corrupt(fmt.Errorf("logeng: key %d of %s is live by its newest entry's kind, absent by its chain", key, tm.Schema.Name))
 	}
+	return row, err
+}
+
+// PreImage is mvcc.PreImager: the row of key before the write that
+// superseded ref, the memtable chunk the write replaced (0: the key was not
+// in the memtable, so nothing above the frozen memtable and the runs held
+// it). Nothing below ref changes before the write's group is published: ref
+// is freed at the publish, and a memtable freezes only after one.
+func (e *Engine) PreImage(table string, key, ref uint64) ([]core.Value, error) {
+	tm, err := e.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	tk := core.TreePrimary(tm.ID, key)
+	var top []lsm.Entry
+	if ref != 0 {
+		ent, err := lsm.ReadEntryChunk(e.Env.Arena, ref)
+		if err != nil {
+			return nil, err
+		}
+		top = append(top, ent)
+	}
+	row, _, err := e.coalesce(tm, tk, top, false)
+	return row, err
+}
+
+// exists decides from the kind of tk's newest entry alone whether the tuple
+// is live: the first entry of the memtable, the frozen memtable, L0 newest
+// first, then the levels. A delta is only ever written over a live tuple,
+// and a delete above it would be the newer entry, so anything but a
+// tombstone means the tuple exists. It reads a memtable chunk's kind byte,
+// or a run's filter, the offsets and keys its search probes and the entry's
+// header: no payload, and no value log. It also returns the memtable's
+// entry for tk (0: none), which the write folds into.
+func (e *Engine) exists(tk uint64) (live bool, memPtr uint64, err error) {
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
-	mems := []*btree.Tree{e.mem}
-	if e.imm != nil {
-		mems = append(mems, e.imm.tree)
-	}
-	for _, t := range mems {
+	for i, t := range e.mems(true) {
+		if t == nil {
+			continue
+		}
 		p, ok := t.Get(tk)
 		if !ok {
 			continue
 		}
-		ent, err := lsm.ReadEntryChunk(e.Env.Arena, p)
-		if err != nil || add(ent) {
-			stopSt()
-			return entries, err
+		kind, err := lsm.ReadEntryKind(e.Env.Arena, p)
+		stopSt()
+		if i == 0 {
+			memPtr = p
 		}
+		return kind != lsm.KindTomb, memPtr, err
 	}
 	stopSt()
-	stopIdx := e.Bd.Timer(&e.Bd.Index)
-	defer stopIdx()
+	defer e.Bd.Timer(&e.Bd.Index)()
+	var kind uint8
+	found := false
+	err = e.eachRun(func(run *sstable) (bool, error) {
+		var err error
+		kind, found, err = run.kindOf(e.cache, e.Env.Dev, tk)
+		return found, err
+	})
+	return found && kind != lsm.KindTomb, 0, err
+}
+
+// mems returns the memtables newest first: the active one if active is set,
+// then the frozen one, if any; an entry is nil where there is none.
+func (e *Engine) mems(active bool) [2]*btree.Tree {
+	var ts [2]*btree.Tree
+	if active {
+		ts[0] = e.mem
+	}
+	if e.imm != nil {
+		ts[1] = e.imm.tree
+	}
+	return ts
+}
+
+// eachRun calls fn on every run newest first — L0 newest to oldest, then the
+// levels shallow to deep — until fn says stop or fails.
+func (e *Engine) eachRun(fn func(run *sstable) (stop bool, err error)) error {
 	for i := len(e.l0) - 1; i >= 0; i-- {
-		ent, ok, err := e.l0[i].get(e.cache, e.Env.Dev, tk)
-		if err != nil {
-			return nil, err
-		}
-		if ok && add(ent) {
-			return entries, nil
+		if stop, err := fn(e.l0[i]); stop || err != nil {
+			return err
 		}
 	}
 	for _, run := range e.levels {
 		if run == nil {
 			continue
 		}
-		ent, ok, err := run.get(e.cache, e.Env.Dev, tk)
+		if stop, err := fn(run); stop || err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// chain collects the entries for a tree key newest-first after those in
+// entries — the active memtable if active is set, the frozen memtable, L0
+// runs, then the levels — stopping at the first non-delta (terminal) entry.
+func (e *Engine) chain(tk uint64, entries []lsm.Entry, active bool) ([]lsm.Entry, error) {
+	done := func() bool { return len(entries) > 0 && entries[len(entries)-1].Kind != lsm.KindDelta }
+	if done() {
+		return entries, nil
+	}
+	stopSt := e.Bd.Timer(&e.Bd.Storage)
+	for _, t := range e.mems(active) {
+		if t == nil {
+			continue
+		}
+		p, ok := t.Get(tk)
+		if !ok {
+			continue
+		}
+		ent, err := lsm.ReadEntryChunk(e.Env.Arena, p)
 		if err != nil {
+			stopSt()
 			return nil, err
 		}
-		if ok && add(ent) {
+		if entries = append(entries, ent); done() {
+			stopSt()
 			return entries, nil
 		}
 	}
+	stopSt()
+	defer e.Bd.Timer(&e.Bd.Index)()
+	err := e.eachRun(func(run *sstable) (bool, error) {
+		ent, ok, err := run.get(e.cache, e.Env.Dev, tk)
+		if ok {
+			entries = append(entries, ent)
+		}
+		return done(), err
+	})
+	if err != nil {
+		return nil, err
+	}
 	return entries, nil
+}
+
+// coalesce reconstructs tk's tuple from the entries in top and those chain
+// finds below them.
+func (e *Engine) coalesce(tm *core.TableMeta, tk uint64, top []lsm.Entry, active bool) ([]core.Value, bool, error) {
+	entries, err := e.chain(tk, top, active)
+	if err != nil {
+		return nil, false, err
+	}
+	return e.rowOf(tm, tk, entries)
+}
+
+// rowOf coalesces every entry of tk, newest first. A chain of deltas with no
+// image under it is corrupt: a delta is only ever written over a live tuple.
+func (e *Engine) rowOf(tm *core.TableMeta, tk uint64, entries []lsm.Entry) ([]core.Value, bool, error) {
+	row, exists, resolved, err := lsm.CoalesceR(tm.Schema, tk, entries, e.resolveEntry)
+	if err == nil && !resolved && len(entries) > 0 {
+		err = core.Corrupt(fmt.Errorf("logeng: key %d of %s has deltas and no image under them", core.TreePK(tk), tm.Schema.Name))
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return row, exists, nil
 }
 
 // Get reconstructs a tuple by coalescing entries from the MemTable and the
@@ -646,16 +816,7 @@ func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	tk := core.TreePrimary(tm.ID, key)
-	entries, err := e.chain(tk)
-	if err != nil {
-		return nil, false, err
-	}
-	row, exists, _, err := lsm.CoalesceR(tm.Schema, tk, entries, e.resolveEntry)
-	if err != nil {
-		return nil, false, err
-	}
-	return row, exists, nil
+	return e.coalesce(tm, core.TreePrimary(tm.ID, key), nil, true)
 }
 
 // ScanSecondary iterates primary keys matching a secondary key.
@@ -708,33 +869,21 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 	}
 	memIdx := make([]int, len(memSrcs))
 
-	// Run-backed sources, newest first: L0 newest to oldest, then levels
-	// shallow to deep.
+	// Run-backed sources, newest first.
 	var runs []*runScanner
-	addRun := func(run *sstable) error {
+	err = e.eachRun(func(run *sstable) (bool, error) {
 		off, err := run.lowerBound(e.cache, lo)
 		if err != nil {
-			return err
+			return false, err
 		}
 		s := run.scanRange(e.cache, off, hi)
-		if !s.next() {
-			return s.err
+		if s.next() {
+			runs = append(runs, s)
 		}
-		runs = append(runs, s)
-		return nil
-	}
-	for i := len(e.l0) - 1; i >= 0; i-- {
-		if err := addRun(e.l0[i]); err != nil {
-			return err
-		}
-	}
-	for _, run := range e.levels {
-		if run == nil {
-			continue
-		}
-		if err := addRun(run); err != nil {
-			return err
-		}
+		return false, s.err
+	})
+	if err != nil {
+		return err
 	}
 
 	for {
@@ -769,7 +918,7 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 				}
 			}
 		}
-		row, exists, _, err := lsm.CoalesceR(tm.Schema, minKey, entries, e.resolveEntry)
+		row, exists, err := e.rowOf(tm, minKey, entries)
 		if err != nil {
 			return err
 		}
@@ -789,7 +938,7 @@ func (e *Engine) Flush() error {
 	if err := e.wal.Flush(); err != nil {
 		return err
 	}
-	e.MV.PublishDurable()
+	e.publish()
 	return nil
 }
 
@@ -863,7 +1012,7 @@ func (e *Engine) freeze() error {
 	if err := e.wal.Flush(); err != nil {
 		return err
 	}
-	e.MV.PublishDurable()
+	e.publish()
 	sealed, err := e.wal.Rotate()
 	if err != nil {
 		return err
@@ -1142,7 +1291,7 @@ func (e *Engine) gc(minRatio float64) error {
 func (e *Engine) gcSegment(victim uint32) error {
 	gen := e.memGen
 	err := e.vl.Scan(victim, func(key uint64, ptr core.VlogPtr, val []byte) error {
-		entries, err := e.chain(key)
+		entries, err := e.chain(key, nil, true)
 		if err != nil {
 			return err
 		}
@@ -1158,7 +1307,7 @@ func (e *Engine) gcSegment(victim uint32) error {
 			return nil // dead: the live chain points elsewhere
 		}
 		tm := e.Tables[core.TreeTable(key)]
-		row, exists, _, err := lsm.CoalesceR(tm.Schema, key, entries, e.resolveEntry)
+		row, exists, err := e.rowOf(tm, key, entries)
 		if err != nil {
 			return err
 		}

@@ -324,29 +324,42 @@ func (t *sstable) probe(c *blockCache, i int64) (off int64, key uint64, err erro
 	return off, binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// entryAt reads the kind, length and payload of the entry at off, whose key
-// a probe has read. The length must fit the entry region before anything is
-// allocated for it.
-func (t *sstable) entryAt(c *blockCache, off int64) (lsm.Entry, error) {
+// header reads the kind and payload length of the entry at off, whose key a
+// probe has read. The kind must be a known one and the length must fit the
+// entry region.
+func (t *sstable) header(c *blockCache, off int64) (kind uint8, n int64, err error) {
 	var b [entryHdr - 8]byte
 	if err := c.read(t.f, t.name, off+8, b[:]); err != nil {
+		return 0, 0, err
+	}
+	kind, n = b[0], int64(binary.LittleEndian.Uint32(b[1:]))
+	return kind, n, t.checkHeader(off, kind, n)
+}
+
+// checkHeader refuses the header of the entry at off when its kind is none of
+// the four or its n payload bytes would run past the entry region.
+func (t *sstable) checkHeader(off int64, kind uint8, n int64) error {
+	if !lsm.KnownKind(kind) {
+		return core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d holds kind %d", t.name, off, kind))
+	}
+	if n > t.offsetsPos-off-entryHdr {
+		return core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d claims %d bytes past its %d-byte entry region", t.name, off, n, t.offsetsPos))
+	}
+	return nil
+}
+
+// entryAt reads the entry at off, whose key a probe has read: its header,
+// checked before anything is allocated for the payload, then the payload.
+func (t *sstable) entryAt(c *blockCache, off int64) (lsm.Entry, error) {
+	kind, n, err := t.header(c, off)
+	if err != nil {
 		return lsm.Entry{}, err
 	}
-	n := int64(binary.LittleEndian.Uint32(b[1:]))
-	if n > t.offsetsPos-off-entryHdr {
-		return lsm.Entry{}, t.overlong(off, n)
-	}
-	e := lsm.Entry{Kind: b[0], Payload: make([]byte, n)}
+	e := lsm.Entry{Kind: kind, Payload: make([]byte, n)}
 	if err := c.read(t.f, t.name, off+entryHdr, e.Payload); err != nil {
 		return lsm.Entry{}, err
 	}
 	return e, nil
-}
-
-// overlong is the error for the entry at off whose n payload bytes would run
-// past the entry region.
-func (t *sstable) overlong(off, n int64) error {
-	return core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d claims %d bytes past its %d-byte entry region", t.name, off, n, t.offsetsPos))
 }
 
 // get looks key up in the run, checking the bloom filter first.
@@ -357,27 +370,51 @@ func (t *sstable) get(c *blockCache, dev interface{ ReadU64(int64) uint64 }, key
 	return t.find(c, key)
 }
 
-// find binary-searches the run for key. A step reads its entry's offset and
-// key; only the match reads the rest.
+// kindOf returns the kind of the run's entry for key, checking the bloom
+// filter first: the filter's words, the binary search's offsets and keys,
+// and the entry's header are all it reads.
+func (t *sstable) kindOf(c *blockCache, dev interface{ ReadU64(int64) uint64 }, key uint64) (kind uint8, ok bool, err error) {
+	if !t.mayContain(dev, key) {
+		return 0, false, nil
+	}
+	off, ok, err := t.search(c, key)
+	if !ok || err != nil {
+		return 0, false, err
+	}
+	kind, _, err = t.header(c, off)
+	return kind, err == nil, err
+}
+
+// find binary-searches the run for key and reads its entry.
 func (t *sstable) find(c *blockCache, key uint64) (lsm.Entry, bool, error) {
+	off, ok, err := t.search(c, key)
+	if !ok || err != nil {
+		return lsm.Entry{}, false, err
+	}
+	e, err := t.entryAt(c, off)
+	return e, err == nil, err
+}
+
+// search binary-searches the run for key and returns its entry's offset. A
+// step reads its entry's offset and key, nothing else.
+func (t *sstable) search(c *blockCache, key uint64) (off int64, ok bool, err error) {
 	lo, hi := int64(0), t.count
 	for lo < hi {
 		mid := (lo + hi) / 2
 		off, k, err := t.probe(c, mid)
 		if err != nil {
-			return lsm.Entry{}, false, err
+			return 0, false, err
 		}
 		switch {
 		case k == key:
-			e, err := t.entryAt(c, off)
-			return e, err == nil, err
+			return off, true, nil
 		case k < key:
 			lo = mid + 1
 		default:
 			hi = mid
 		}
 	}
-	return lsm.Entry{}, false, nil
+	return 0, false, nil
 }
 
 // lowerBound returns the file offset of the first entry with key >= from,
@@ -444,9 +481,9 @@ func (t *sstable) scanRange(c *blockCache, off int64, hi uint64) *runScanner {
 
 // next decodes the next entry into key and ent and reports, as valid does,
 // whether there was one: not at the end of the entry region or of a bounded
-// scan's range, nor on an error, which it leaves in err. An entry that runs
-// past the region, or a whole-run scan that found other than the footer's
-// count of entries, is corrupt.
+// scan's range, nor on an error, which it leaves in err. An entry of no known
+// kind or that runs past the region, or a whole-run scan that found other
+// than the footer's count of entries, is corrupt.
 func (s *runScanner) next() bool {
 	s.valid = s.decode()
 	return s.valid
@@ -475,8 +512,8 @@ func (s *runScanner) decode() bool {
 	if s.bounded && key >= s.hi {
 		return false
 	}
-	if n > s.t.offsetsPos-s.off-entryHdr {
-		s.err = s.t.overlong(s.off, n)
+	if err := s.t.checkHeader(s.off, kind, n); err != nil {
+		s.err = err
 		return false
 	}
 	b, err := s.window(entryHdr + int(n))

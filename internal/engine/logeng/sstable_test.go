@@ -436,7 +436,8 @@ func allocatedMB() float64 {
 // scan run — with no panic and no allocation beyond a few times the file.
 // The footer once sized an allocation by its unchecked filter length (2^40:
 // the process died out of memory), an entry header claiming 2 GB was
-// allocated before it failed, and a count of 2^62 opened.
+// allocated before it failed, a count of 2^62 opened, and an entry of no
+// known kind was read back as one.
 func FuzzSSTableImage(f *testing.F) {
 	// fromEnd places a patch n bytes before the image's end: the footer's
 	// words start 40, 32, 24, 16 and 8 bytes before it.
@@ -449,6 +450,7 @@ func FuzzSSTableImage(f *testing.F) {
 	f.Add(int64(6), fromEnd(8), []byte("notmagic"))                            // magic
 	f.Add(int64(7), fromEnd(24), binary.LittleEndian.AppendUint64(nil, 1))     // filter position
 	f.Add(int64(8), uint32(100), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(int64(9), uint32(8), []byte{0x7f}) // first entry's kind
 	f.Fuzz(func(t *testing.T, seed int64, at uint32, patch []byte) {
 		env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 16 << 10})
 		ents := genRun(rand.New(rand.NewSource(seed)))

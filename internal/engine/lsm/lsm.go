@@ -29,116 +29,117 @@ type Entry struct {
 }
 
 // Resolver materializes a KindFullPtr entry into a KindFull one by reading
-// the value log. Merge only invokes it when a delta must be applied on top
+// the value log. MergeR only invokes it when a delta must be applied on top
 // of a separated image — untouched pointers flow through compaction without
 // touching their values, which is the point of the separation.
 type Resolver func(key uint64, e Entry) (Entry, error)
 
-// Merge folds a newer entry over an older one, producing the equivalent
-// single entry. It is associative in application order (newest first).
-// KindFullPtr entries pass through opaquely; use MergeR when a resolver is
-// available.
-func Merge(s *core.Schema, newer, older Entry) Entry {
-	e, _ := MergeR(s, 0, newer, older, nil)
-	return e
+// KnownKind reports whether kind is one of the four entry kinds. An entry
+// read back from a MemTable chunk or a run with any other kind byte is
+// corrupt: taken for a live delta or image it would make a key exist that
+// no write made.
+func KnownKind(kind uint8) bool { return kind >= KindFull && kind <= KindFullPtr }
+
+// corrupt is the error for the entry of key that does not decode.
+func corrupt(key uint64, what string, e Entry) error {
+	return core.Corrupt(fmt.Errorf("lsm: key %d: %s (kind %d, %d bytes)", key, what, e.Kind, len(e.Payload)))
 }
 
-// MergeR is Merge with value-log resolution: applying a delta over a
-// separated image reads the value, applies the delta, and yields an inline
-// full image. Resolver errors (a corrupt value-log record) propagate.
+// MergeR folds a newer entry over an older one, producing the equivalent
+// single entry; it is associative in application order (newest first).
+// Applying a delta over a separated image reads the value through resolve,
+// applies the delta, and yields an inline full image; every other
+// KindFullPtr passes through opaquely. An entry of no known kind, a payload
+// that does not decode, and a separated image a delta must land on with no
+// resolver are core.ErrCorrupt, as are resolver errors.
 func MergeR(s *core.Schema, key uint64, newer, older Entry, resolve Resolver) (Entry, error) {
 	switch newer.Kind {
 	case KindFull, KindTomb, KindFullPtr:
 		return newer, nil
 	case KindDelta:
-		if older.Kind == KindFullPtr {
-			if resolve == nil {
-				// No resolver: leave the delta unresolved so the caller
-				// keeps reading deeper entries (matches the unknown-kind
-				// behaviour below).
-				return newer, nil
-			}
-			full, err := resolve(key, older)
-			if err != nil {
-				return Entry{}, err
-			}
-			older = full
-		}
-		switch older.Kind {
-		case KindFull:
-			row, err := core.DecodeRow(s, older.Payload)
-			if err != nil {
-				return newer, nil
-			}
-			upd, err := core.DecodeDelta(s, newer.Payload)
-			if err != nil {
-				return newer, nil
-			}
-			core.ApplyDelta(row, upd)
-			return Entry{Kind: KindFull, Payload: core.EncodeRow(s, row)}, nil
-		case KindDelta:
-			oldUpd, err1 := core.DecodeDelta(s, older.Payload)
-			newUpd, err2 := core.DecodeDelta(s, newer.Payload)
-			if err1 != nil || err2 != nil {
-				return newer, nil
-			}
-			// Newer columns win; older columns not overwritten survive.
-			merged := core.Update{}
-			seen := make(map[int]bool)
-			for j, ci := range newUpd.Cols {
-				merged.Cols = append(merged.Cols, ci)
-				merged.Vals = append(merged.Vals, newUpd.Vals[j])
-				seen[ci] = true
-			}
-			for j, ci := range oldUpd.Cols {
-				if !seen[ci] {
-					merged.Cols = append(merged.Cols, ci)
-					merged.Vals = append(merged.Vals, oldUpd.Vals[j])
-				}
-			}
-			return Entry{Kind: KindDelta, Payload: core.EncodeDelta(s, merged)}, nil
-		default:
-			return newer, nil
-		}
+	default:
+		return Entry{}, corrupt(key, "unknown entry kind", newer)
 	}
-	return newer, nil
+	if older.Kind == KindFullPtr {
+		if resolve == nil {
+			return Entry{}, corrupt(key, "separated image with no value log", older)
+		}
+		full, err := resolve(key, older)
+		if err != nil {
+			return Entry{}, err
+		}
+		older = full
+	}
+	upd, err := core.DecodeDelta(s, newer.Payload)
+	if err != nil {
+		return Entry{}, corrupt(key, "undecodable delta", newer)
+	}
+	switch older.Kind {
+	case KindFull:
+		row, err := core.DecodeRow(s, older.Payload)
+		if err != nil {
+			return Entry{}, corrupt(key, "undecodable full image", older)
+		}
+		core.ApplyDelta(row, upd)
+		return Entry{Kind: KindFull, Payload: core.EncodeRow(s, row)}, nil
+	case KindDelta:
+		oldUpd, err := core.DecodeDelta(s, older.Payload)
+		if err != nil {
+			return Entry{}, corrupt(key, "undecodable delta", older)
+		}
+		// Newer columns win; older columns not overwritten survive.
+		merged := core.Update{}
+		seen := make(map[int]bool)
+		for j, ci := range upd.Cols {
+			merged.Cols = append(merged.Cols, ci)
+			merged.Vals = append(merged.Vals, upd.Vals[j])
+			seen[ci] = true
+		}
+		for j, ci := range oldUpd.Cols {
+			if !seen[ci] {
+				merged.Cols = append(merged.Cols, ci)
+				merged.Vals = append(merged.Vals, oldUpd.Vals[j])
+			}
+		}
+		return Entry{Kind: KindDelta, Payload: core.EncodeDelta(s, merged)}, nil
+	case KindTomb:
+		// A delta is only ever written over a live tuple.
+		return Entry{}, corrupt(key, "delta over a tombstone", newer)
+	default:
+		return Entry{}, corrupt(key, "unknown entry kind", older)
+	}
 }
 
-// Coalesce reconstructs the current tuple from entries ordered newest
-// first (the paper's tuple-coalescing read path). It reports:
+// CoalesceR reconstructs the current tuple from entries ordered newest
+// first (the paper's tuple-coalescing read path), materializing a separated
+// image that ends up the terminal entry (or that a delta must land on)
+// through resolve. It reports:
 //
 //	row, true, true   — the key exists with this row
 //	nil, false, true  — the key is deleted (resolved by a tombstone)
 //	nil, false, false — unresolved: only deltas seen, caller must read
 //	                    deeper runs
-func Coalesce(s *core.Schema, entries []Entry) (row []core.Value, exists bool, resolved bool) {
-	row, exists, resolved, _ = CoalesceR(s, 0, entries, nil)
-	return row, exists, resolved
-}
-
-// CoalesceR is Coalesce with value-log resolution: a separated image that
-// ends up the terminal entry (or that a delta must land on) is materialized
-// through the resolver. Resolver errors propagate.
+//
+// Everything MergeR refuses, and a terminal full image that does not
+// decode, is core.ErrCorrupt.
 func CoalesceR(s *core.Schema, key uint64, entries []Entry, resolve Resolver) (row []core.Value, exists bool, resolved bool, err error) {
 	if len(entries) == 0 {
 		return nil, false, false, nil
 	}
 	acc := entries[0]
 	for _, e := range entries[1:] {
-		acc, err = MergeR(s, key, acc, e, resolve)
-		if err != nil {
-			return nil, false, false, err
-		}
 		if acc.Kind != KindDelta {
 			break
+		}
+		if acc, err = MergeR(s, key, acc, e, resolve); err != nil {
+			return nil, false, false, err
 		}
 	}
 	if acc.Kind == KindFullPtr {
 		if resolve == nil {
-			return nil, false, false, nil
+			return nil, false, false, corrupt(key, "separated image with no value log", acc)
 		}
-		acc, err = resolve(key, acc)
-		if err != nil {
+		if acc, err = resolve(key, acc); err != nil {
 			return nil, false, false, err
 		}
 	}
@@ -148,11 +149,16 @@ func CoalesceR(s *core.Schema, key uint64, entries []Entry, resolve Resolver) (r
 	case KindFull:
 		r, derr := core.DecodeRow(s, acc.Payload)
 		if derr != nil {
-			return nil, false, true, nil
+			return nil, false, false, corrupt(key, "undecodable full image", acc)
 		}
 		return r, true, true, nil
-	default:
+	case KindDelta:
+		if _, derr := core.DecodeDelta(s, acc.Payload); derr != nil {
+			return nil, false, false, corrupt(key, "undecodable delta", acc)
+		}
 		return nil, false, false, nil
+	default:
+		return nil, false, false, corrupt(key, "unknown entry kind", acc)
 	}
 }
 
@@ -185,10 +191,23 @@ func StreamEntryChunk(a *pmalloc.Arena, e Entry) (pmalloc.Ptr, error) {
 	return a.StreamPersisted(pmalloc.TagTable, entryChunkImage(e))
 }
 
+// ReadEntryKind reads only the kind byte of the entry stored at p, checked
+// as ReadEntryChunk checks it: all a liveness probe needs.
+func ReadEntryKind(a *pmalloc.Arena, p uint64) (uint8, error) {
+	if !a.Holds(p, entryChunkHdr) {
+		return 0, core.Corrupt(fmt.Errorf("lsm: entry chunk %d lies outside the arena", p))
+	}
+	kind := a.Device().ReadU8(int64(p))
+	if !KnownKind(kind) {
+		return 0, core.Corrupt(fmt.Errorf("lsm: entry chunk %d holds kind %d", p, kind))
+	}
+	return kind, nil
+}
+
 // ReadEntryChunk reads the entry stored at p. The pointer, and the length
 // word behind it, come from an image: one written with a fence missing may
-// hold anything, so what does not fit in the arena's used extent is a
-// corrupt error, not a read.
+// hold anything, so what does not fit in the arena's used extent, or a kind
+// byte of no known kind, is a corrupt error, not a read.
 func ReadEntryChunk(a *pmalloc.Arena, p uint64) (Entry, error) {
 	if !a.Holds(p, entryChunkHdr) {
 		return Entry{}, core.Corrupt(fmt.Errorf("lsm: entry chunk %d lies outside the arena", p))
@@ -199,6 +218,9 @@ func ReadEntryChunk(a *pmalloc.Arena, p uint64) (Entry, error) {
 	n := int(binary.LittleEndian.Uint32(b[1:]))
 	if !a.Holds(p, entryChunkHdr+n) {
 		return Entry{}, core.Corrupt(fmt.Errorf("lsm: entry chunk %d claims %d bytes", p, n))
+	}
+	if !KnownKind(b[0]) {
+		return Entry{}, core.Corrupt(fmt.Errorf("lsm: entry chunk %d holds kind %d", p, b[0]))
 	}
 	payload := make([]byte, n)
 	d.Read(int64(p)+entryChunkHdr, payload)

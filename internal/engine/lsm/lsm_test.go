@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -26,13 +27,33 @@ func full(s *core.Schema, a, b int64, c string) Entry {
 		core.IntVal(a), core.IntVal(b), core.StrVal(c)})}
 }
 
+// merge is MergeR with no value log, failing t on an error.
+func merge(t testing.TB, s *core.Schema, newer, older Entry) Entry {
+	t.Helper()
+	e, err := MergeR(s, 0, newer, older, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// coalesce is CoalesceR with no value log, failing t on an error.
+func coalesce(t testing.TB, s *core.Schema, entries []Entry) (row []core.Value, exists, resolved bool) {
+	t.Helper()
+	row, exists, resolved, err := CoalesceR(s, 0, entries, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row, exists, resolved
+}
+
 func delta(s *core.Schema, cols []int, vals []core.Value) Entry {
 	return Entry{Kind: KindDelta, Payload: core.EncodeDelta(s, core.Update{Cols: cols, Vals: vals})}
 }
 
 func TestMergeFullWins(t *testing.T) {
 	s := schema()
-	got := Merge(s, full(s, 1, 2, "x"), delta(s, []int{1}, []core.Value{core.IntVal(99)}))
+	got := merge(t, s, full(s, 1, 2, "x"), delta(s, []int{1}, []core.Value{core.IntVal(99)}))
 	if got.Kind != KindFull {
 		t.Fatalf("kind = %d", got.Kind)
 	}
@@ -44,7 +65,7 @@ func TestMergeFullWins(t *testing.T) {
 
 func TestMergeDeltaOverFull(t *testing.T) {
 	s := schema()
-	got := Merge(s, delta(s, []int{1, 2}, []core.Value{core.IntVal(99), core.StrVal("new")}), full(s, 1, 2, "x"))
+	got := merge(t, s, delta(s, []int{1, 2}, []core.Value{core.IntVal(99), core.StrVal("new")}), full(s, 1, 2, "x"))
 	if got.Kind != KindFull {
 		t.Fatalf("kind = %d", got.Kind)
 	}
@@ -58,7 +79,7 @@ func TestMergeDeltaOverDelta(t *testing.T) {
 	s := schema()
 	newer := delta(s, []int{1}, []core.Value{core.IntVal(100)})
 	older := delta(s, []int{1, 2}, []core.Value{core.IntVal(50), core.StrVal("old")})
-	got := Merge(s, newer, older)
+	got := merge(t, s, newer, older)
 	if got.Kind != KindDelta {
 		t.Fatalf("kind = %d", got.Kind)
 	}
@@ -80,7 +101,7 @@ func TestMergeDeltaOverDelta(t *testing.T) {
 
 func TestMergeTombWins(t *testing.T) {
 	s := schema()
-	got := Merge(s, Entry{Kind: KindTomb}, full(s, 1, 2, "x"))
+	got := merge(t, s, Entry{Kind: KindTomb}, full(s, 1, 2, "x"))
 	if got.Kind != KindTomb {
 		t.Fatalf("kind = %d", got.Kind)
 	}
@@ -94,7 +115,7 @@ func TestCoalesce(t *testing.T) {
 		delta(s, []int{2}, []core.Value{core.StrVal("mid")}),
 		full(s, 10, 20, "base"),
 	}
-	row, exists, resolved := Coalesce(s, entries)
+	row, exists, resolved := coalesce(t, s, entries)
 	if !exists || !resolved {
 		t.Fatalf("exists=%v resolved=%v", exists, resolved)
 	}
@@ -105,7 +126,7 @@ func TestCoalesce(t *testing.T) {
 
 func TestCoalesceTombstone(t *testing.T) {
 	s := schema()
-	_, exists, resolved := Coalesce(s, []Entry{{Kind: KindTomb}, full(s, 1, 2, "x")})
+	_, exists, resolved := coalesce(t, s, []Entry{{Kind: KindTomb}, full(s, 1, 2, "x")})
 	if exists || !resolved {
 		t.Fatalf("tombstone: exists=%v resolved=%v", exists, resolved)
 	}
@@ -113,11 +134,11 @@ func TestCoalesceTombstone(t *testing.T) {
 
 func TestCoalesceUnresolvedDeltas(t *testing.T) {
 	s := schema()
-	_, exists, resolved := Coalesce(s, []Entry{delta(s, []int{1}, []core.Value{core.IntVal(1)})})
+	_, exists, resolved := coalesce(t, s, []Entry{delta(s, []int{1}, []core.Value{core.IntVal(1)})})
 	if exists || resolved {
 		t.Fatalf("bare delta: exists=%v resolved=%v", exists, resolved)
 	}
-	if _, exists, resolved := Coalesce(s, nil); exists || resolved {
+	if _, exists, resolved := coalesce(t, s, nil); exists || resolved {
 		t.Fatal("empty entry list resolved")
 	}
 }
@@ -170,7 +191,7 @@ func TestQuickCoalesceEquivalence(t *testing.T) {
 			chain = append([]Entry{delta(s, upd.Cols, upd.Vals)}, chain...)
 		}
 		chain = append(chain, Entry{Kind: KindFull, Payload: core.EncodeRow(s, row)})
-		got, exists, resolved := Coalesce(s, chain)
+		got, exists, resolved := coalesce(t, s, chain)
 		if !exists || !resolved {
 			return false
 		}
@@ -178,5 +199,72 @@ func TestQuickCoalesceEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMergeRefusesCorruptEntries: an entry that does not decode, or has no
+// known kind, is core.ErrCorrupt — not a delta left unresolved, which a
+// reader takes for an absent tuple while the kind byte says it is live.
+func TestMergeRefusesCorruptEntries(t *testing.T) {
+	s := schema()
+	d := delta(s, []int{1}, []core.Value{core.IntVal(7)})
+	bad := []byte{1, 2, 3}
+	for _, c := range []struct {
+		name         string
+		newer, older Entry
+	}{
+		{"delta over an undecodable full image", d, Entry{Kind: KindFull, Payload: bad}},
+		{"undecodable delta over a full image", Entry{Kind: KindDelta, Payload: bad}, full(s, 1, 2, "x")},
+		{"delta over an undecodable delta", d, Entry{Kind: KindDelta, Payload: bad}},
+		{"delta over a tombstone", d, Entry{Kind: KindTomb}},
+		{"unknown newer kind", Entry{Kind: 9, Payload: bad}, full(s, 1, 2, "x")},
+		{"delta over an unknown kind", d, Entry{Kind: 0, Payload: bad}},
+		{"delta over a separated image with no value log", d, Entry{Kind: KindFullPtr, Payload: make([]byte, 12)}},
+	} {
+		if _, err := MergeR(s, 5, c.newer, c.older, nil); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: MergeR returned %v, want core.ErrCorrupt", c.name, err)
+		}
+		if _, _, _, err := CoalesceR(s, 5, []Entry{c.newer, c.older}, nil); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: CoalesceR returned %v, want core.ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// TestCoalesceRefusesCorruptTerminal: the entry a chain ends at is checked
+// as well — a full image that does not decode, a lone delta that does not,
+// and a kind byte of no known kind are core.ErrCorrupt, not "deleted".
+func TestCoalesceRefusesCorruptTerminal(t *testing.T) {
+	s := schema()
+	for _, e := range []Entry{
+		{Kind: KindFull, Payload: []byte{1, 2, 3}},
+		{Kind: KindDelta, Payload: []byte{9, 9}},
+		{Kind: 0},
+		{Kind: 200, Payload: []byte("x")},
+	} {
+		if _, _, _, err := CoalesceR(s, 5, []Entry{e}, nil); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("kind %d (%d bytes): CoalesceR returned %v, want core.ErrCorrupt", e.Kind, len(e.Payload), err)
+		}
+	}
+}
+
+// TestReadEntryChunkRefusesUnknownKind: a MemTable chunk whose kind byte is
+// none of the four kinds is corrupt when read back.
+func TestReadEntryChunkRefusesUnknownKind(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 16 << 10})
+	for _, kind := range []uint8{0, 5, 255} {
+		p, err := WriteEntryChunk(env.Arena, Entry{Kind: kind, Payload: []byte("row")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadEntryChunk(env.Arena, uint64(p)); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("kind %d: ReadEntryChunk returned %v, want core.ErrCorrupt", kind, err)
+		}
+	}
+	p, err := WriteEntryChunk(env.Arena, Entry{Kind: KindTomb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := ReadEntryChunk(env.Arena, uint64(p)); err != nil || e.Kind != KindTomb {
+		t.Fatalf("a tombstone chunk read back as %v, %v", e, err)
 	}
 }

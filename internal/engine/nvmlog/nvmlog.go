@@ -444,7 +444,9 @@ func (e *Engine) applyMem(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent
 		if err != nil {
 			return err
 		}
-		ent = lsm.Merge(tm.Schema, ent, old)
+		if ent, err = lsm.MergeR(tm.Schema, tk, ent, old, nil); err != nil {
+			return err
+		}
 	}
 	newPtr, err := e.writeEntryChunk(ent)
 	if err != nil {
@@ -714,8 +716,9 @@ func (e *Engine) compact() error {
 							break
 						}
 						var older lsm.Entry
-						older, err = e.readEntry(c)
-						acc = lsm.Merge(e.Tables[core.TreeTable(k)].Schema, acc, older)
+						if older, err = e.readEntry(c); err == nil {
+							acc, err = lsm.MergeR(e.Tables[core.TreeTable(k)].Schema, k, acc, older, nil)
+						}
 					}
 					if err != nil {
 						return fail(err)
@@ -904,8 +907,8 @@ func (e *Engine) Get(table string, key uint64) ([]core.Value, bool, error) {
 	if readErr != nil {
 		return nil, false, readErr
 	}
-	row, exists, _ := lsm.Coalesce(tm.Schema, entries)
-	return row, exists, nil
+	row, exists, _, err := lsm.CoalesceR(tm.Schema, tk, entries, nil)
+	return row, exists, err
 }
 
 // exists decides from the index alone whether the tuple is live: the kind of
@@ -992,7 +995,11 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, k := range order {
-		if row, exists, _ := lsm.Coalesce(tm.Schema, entries[k]); exists {
+		row, exists, _, err := lsm.CoalesceR(tm.Schema, k, entries[k], nil)
+		if err != nil {
+			return err
+		}
+		if exists {
 			if !fn(core.TreePK(k), row) {
 				return nil
 			}

@@ -10,6 +10,7 @@
 // call that holds the exclusion):
 //
 //	StageInsert/StageUpdate/StageDelete  during Insert/Update/Delete
+//	StageLazy                  for a pre-image the engine can find later
 //	DropStaged                 on Abort / rollback
 //	CommitStaged(ts, durable)  at Commit; publishes now iff durable
 //	PublishDurable()           at Flush, when the durability barrier passes
@@ -21,6 +22,15 @@
 // view is pinned at the time of the write, and they read one only then
 // (Capture). Views pin only between transactions, so that answer holds for
 // the whole transaction.
+//
+// log publishes at its group-commit fsync, so a view pinned between a commit
+// and that fsync must roll the commit back: every write needs a pre-image,
+// pinned view or not. It stages a lazy record instead (StageLazy): the
+// table, the key and a reference only the engine can resolve. The first view
+// that pins while such a record is pending has the engine materialize it
+// (PreImager), under the exclusion and on the reader's device clock; the
+// records a publish finds unmaterialized are dropped, since no view pinned
+// from then on is older than them.
 //
 // The oracle's read timestamp advances past a commit only once the whole
 // transaction is published, so a view never observes a torn or unacked
@@ -99,12 +109,27 @@ func (t *tableStore) moved(ts, from, to uint64) []uint64 {
 	return keys
 }
 
-// staged is one write of the running transaction.
+// staged is one write of the running transaction, and one record of the
+// lazy list.
 type staged struct {
 	table    int
 	key      uint64
 	u        undo
 	captured bool
+	// lazy: the pre-image is not in u, the engine materializes it from ref
+	// (PreImager.PreImage).
+	lazy bool
+	ref  uint64
+}
+
+// PreImager is an engine that stages lazy records (StageLazy): it rebuilds
+// the pre-image such a record stands for. It is called with the exclusion
+// held, before anything has changed below the record's reference since the
+// write that staged it.
+type PreImager interface {
+	// PreImage returns the whole row key of table held before the write
+	// whose reference is ref (nil: the key did not exist).
+	PreImage(table string, key, ref uint64) ([]core.Value, error)
 }
 
 // tkey names one written key.
@@ -136,10 +161,17 @@ type Store struct {
 	// oldest first; the last `pending` of them are not yet published.
 	groups  []group
 	pending int
+	// lazy holds, in commit order, the committed records of the pending
+	// groups from the first lazy one on: a pre-image a later write captured
+	// waits behind an earlier lazy one, so each key's list stays in write
+	// order when they join the overlay. Empty whenever a view is pinned.
+	lazy []staged
+	pre  PreImager // the engine, if it stages lazy records
 
-	records  atomic.Int64
-	captures atomic.Int64
-	gcTick   int
+	records      atomic.Int64
+	captures     atomic.Int64
+	materialized atomic.Int64
+	gcTick       int
 
 	// GCEvery is the number of publishes between automatic GC passes (0:
 	// only explicit GC calls). A pass costs what it drops.
@@ -160,6 +192,7 @@ func NewStore(eng core.Engine, schemas []*core.Schema, floorTs uint64) *Store {
 	if e, ok := eng.(interface{ Environment() *core.Env }); ok && e.Environment() != nil {
 		s.dev = e.Environment().Dev
 	}
+	s.pre, _ = eng.(PreImager)
 	for i, sc := range schemas {
 		s.tables = append(s.tables, &tableStore{schema: sc,
 			undo: make(map[uint64][]undo)})
@@ -197,7 +230,8 @@ func (s *Store) StageInsert(table string, key uint64) { s.stage(table, key, undo
 // StageUpdate records an update of cols. pre holds the columns' old values,
 // parallel to cols — or, with cols nil, the whole old row — and must not be
 // mutated by the caller afterwards. A nil pre stages no pre-image: legal only
-// for an engine that publishes at commit, when Capture said no.
+// for an engine that publishes at commit, when Capture said no; one that
+// publishes later stages a lazy record instead (StageLazy).
 func (s *Store) StageUpdate(table string, key uint64, cols []int, pre []core.Value) {
 	u := undo{pre: pre}
 	if cols != nil {
@@ -210,6 +244,15 @@ func (s *Store) StageUpdate(table string, key uint64, cols []int, pre []core.Val
 // pre-image, as for StageUpdate).
 func (s *Store) StageDelete(table string, key uint64, row []core.Value) {
 	s.stage(table, key, undo{pre: row}, row != nil)
+}
+
+// StageLazy records an update or delete of key whose whole old row the
+// engine can rebuild from ref until the write's group is published
+// (PreImager). Only a PreImager stages one, and only when Capture said no.
+func (s *Store) StageLazy(table string, key, ref uint64) {
+	if ti, ok := s.byName[table]; ok {
+		s.staged = append(s.staged, staged{table: ti, key: key, lazy: true, ref: ref})
+	}
 }
 
 // DropStaged discards the current transaction's staged writes (abort path).
@@ -225,12 +268,12 @@ func (s *Store) CommitStaged(ts uint64, durable bool) {
 		g := group{ts: ts, keys: make([]tkey, 0, len(s.staged))}
 		for _, op := range s.staged {
 			g.keys = append(g.keys, tkey{op.table, op.key})
-			if op.captured {
-				t := s.tables[op.table]
-				op.u.ts = ts
-				t.undo[op.key] = append(t.undo[op.key], op.u)
-				t.peak = max(t.peak, len(t.undo))
-				s.records.Add(1)
+			op.u.ts = ts
+			switch {
+			case op.lazy || op.captured && len(s.lazy) > 0:
+				s.lazy = append(s.lazy, op)
+			case op.captured:
+				s.join(op)
 			}
 		}
 		s.groups = append(s.groups, g)
@@ -251,13 +294,24 @@ func (s *Store) CommitStaged(ts uint64, durable bool) {
 	}
 }
 
+// join adds a committed pre-image to its key's list.
+func (s *Store) join(op staged) {
+	t := s.tables[op.table]
+	t.undo[op.key] = append(t.undo[op.key], op.u)
+	t.peak = max(t.peak, len(t.undo))
+	s.records.Add(1)
+}
+
 // PublishDurable publishes every pending transaction — the durability
-// barrier passed (Flush succeeded, or the commit itself was durable).
+// barrier passed (Flush succeeded, or the commit itself was durable). The
+// lazy records no view materialized go: every view pinned from now on reads
+// at or past them.
 func (s *Store) PublishDurable() {
 	if s.pending > 0 {
 		s.oracle.Advance(s.groups[len(s.groups)-1].ts)
 		s.pending = 0
 	}
+	s.lazy = nil
 	s.gcTick++
 	if s.GCEvery > 0 && s.gcTick >= s.GCEvery {
 		s.gcTick = 0
@@ -308,7 +362,46 @@ func (s *Store) GC() int {
 // UndoStats reports the pre-images held and the captures made. Safe from any
 // goroutine.
 func (s *Store) UndoStats() core.UndoStats {
-	return core.UndoStats{Records: s.records.Load(), Captures: s.captures.Load()}
+	return core.UndoStats{Records: s.records.Load(), Captures: s.captures.Load(),
+		Materialized: s.materialized.Load()}
+}
+
+// pin pins a view at the read timestamp; the caller holds the exclusion. A
+// view pinned while lazy records are pending is older than their writes, so
+// the engine materializes them first, in commit order, on the reader's
+// device clock.
+func (s *Store) pin() (uint64, error) {
+	if len(s.lazy) > 0 {
+		err := s.snapshotRead(func() error {
+			for i, op := range s.lazy {
+				if op.lazy {
+					row, err := s.pre.PreImage(s.tables[op.table].schema.Name, op.key, op.ref)
+					if err != nil {
+						s.lazy = s.lazy[i:]
+						return err
+					}
+					op.u = undo{ts: op.u.ts, pre: row}
+					s.materialized.Add(1)
+				}
+				s.join(op)
+			}
+			s.lazy = nil
+			return nil
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return s.oracle.Acquire(), nil
+}
+
+// snapshotRead runs fn with the device time it spends charged to the
+// reader's clock (nvm.Device.SnapshotRead).
+func (s *Store) snapshotRead(fn func() error) error {
+	if s.dev == nil {
+		return fn()
+	}
+	return s.dev.SnapshotRead(fn)
 }
 
 // View is a pinned snapshot; it implements core.ReadView.
@@ -324,13 +417,22 @@ type View struct {
 // to pin, so it waits for a transaction in flight: a write made while no
 // view is pinned may have no pre-image.
 func (s *Store) NewView() core.ReadView {
-	if err := s.x.Enter(); err != nil {
-		v := &View{s: s, err: err}
-		v.closed.Store(true)
-		return v
+	err := s.x.Enter()
+	if err != nil {
+		return failedView(s, err)
 	}
-	v := &View{s: s, ts: s.oracle.Acquire()}
+	ts, err := s.pin()
 	s.x.Unlock()
+	if err != nil {
+		return failedView(s, err)
+	}
+	return &View{s: s, ts: ts}
+}
+
+// failedView is a closed view whose every read returns err.
+func failedView(s *Store, err error) *View {
+	v := &View{s: s, err: err}
+	v.closed.Store(true)
 	return v
 }
 
@@ -341,7 +443,11 @@ func (s *Store) ReadSnapshot(fn func(core.ReadView) error) error {
 		return err
 	}
 	defer s.x.Unlock()
-	v := &View{s: s, ts: s.oracle.Acquire(), held: true}
+	ts, err := s.pin()
+	if err != nil {
+		return err
+	}
+	v := &View{s: s, ts: ts, held: true}
 	defer v.Close()
 	return fn(v)
 }
@@ -368,10 +474,7 @@ func (v *View) read(fn func() error) error {
 		}
 		defer v.s.x.Unlock()
 	}
-	if v.s.dev == nil {
-		return fn()
-	}
-	return v.s.dev.SnapshotRead(fn)
+	return v.s.snapshotRead(fn)
 }
 
 func (v *View) table(name string) (*tableStore, error) {

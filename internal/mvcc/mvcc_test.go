@@ -729,3 +729,76 @@ func TestStageUpdateEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// preImages is a PreImager over a map from reference to the row it stands
+// for.
+type preImages map[uint64][]core.Value
+
+func (p preImages) PreImage(table string, key, ref uint64) ([]core.Value, error) {
+	return core.CloneRow(p[ref]), nil
+}
+
+// TestLazyPreImagesKeepWriteOrder: lazy records and a pre-image captured
+// between them, all in groups still waiting for their fsync, join a key's
+// list in write order when a view pins — the view rolls back to the value
+// before the first — and the view keeps them past the publish. Records no
+// view materialized are dropped at the publish.
+func TestLazyPreImagesKeepWriteOrder(t *testing.T) {
+	e := newMem(testSchemas(), 0)
+	pre := preImages{}
+	e.s.pre = pre
+	e.durable = false
+	e.put(t, 1, 10)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// lazy writes key 1 to v, staging the row it replaces as reference ref.
+	lazy := func(v int64, ref uint64) {
+		e.txn(t, func() error {
+			pre[ref] = e.rows["t"][1]
+			e.rows["t"][1] = row(1, v)
+			e.s.StageLazy("t", 1, ref)
+			return nil
+		})
+	}
+	lazy(20, 7)
+	e.put(t, 1, 30) // captured: 20
+	lazy(40, 8)
+
+	v := e.s.NewView()
+	defer v.Close()
+	get := func(v core.ReadView) int64 {
+		t.Helper()
+		r, ok, err := v.Get("t", 1)
+		if err != nil || !ok {
+			t.Fatalf("Get = %v, %v, %v", r, ok, err)
+		}
+		return r[1].I
+	}
+	if got := get(v); got != 10 {
+		t.Fatalf("a view pinned before the group's fsync reads %d, want 10", got)
+	}
+	if us := e.s.UndoStats(); us.Materialized != 2 || us.Records != 3 {
+		t.Fatalf("undo stats %+v, want 2 materialized of 3 records", us)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(v); got != 10 {
+		t.Fatalf("after the publish the view reads %d, want 10", got)
+	}
+	v.Close()
+
+	lazy(50, 9)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w := e.s.NewView()
+	defer w.Close()
+	if got := get(w); got != 50 {
+		t.Fatalf("a view pinned after the publish reads %d, want 50", got)
+	}
+	if us := e.s.UndoStats(); us.Materialized != 2 || len(e.s.lazy) != 0 {
+		t.Fatalf("undo stats %+v with %d lazy records left: the unmaterialized record must go at the publish", us, len(e.s.lazy))
+	}
+}

@@ -1,7 +1,8 @@
 // Property test for the watermark/GC contract, driven through real engines:
 // nvm-inp and nvm-log publish at commit and read a pre-image only while a
 // view is pinned; cow publishes a group of three at its barrier and stages the old
-// tuple it copies. Randomized interleavings of writes, view pins/releases,
+// tuple it copies; log publishes a group of three at its fsync and stages a
+// pointer its first view pinned before the fsync materializes. Randomized interleavings of writes, view pins/releases,
 // barriers and GC passes must never drop a pre-image a pinned view still
 // rolls back through — every view reads exactly the serial model's state as
 // of the last publish before it pinned — and a power cycle after arbitrary
@@ -16,6 +17,7 @@ import (
 
 	"nstore/internal/core"
 	"nstore/internal/engine/cow"
+	"nstore/internal/engine/logeng"
 	"nstore/internal/engine/nvminp"
 	"nstore/internal/engine/nvmlog"
 	"nstore/internal/mvcc"
@@ -47,6 +49,17 @@ var propEngines = []propEngine{
 		open := nvmlog.New
 		if reopen {
 			open = nvmlog.Open
+		}
+		e, err := open(env, schemas, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return e, e.MV, nil
+	}},
+	{name: "log", volatile: true, build: func(env *core.Env, schemas []*core.Schema, opts core.Options, reopen bool) (core.Engine, *mvcc.Store, error) {
+		open := logeng.New
+		if reopen {
+			open = logeng.Open
 		}
 		e, err := open(env, schemas, opts)
 		if err != nil {

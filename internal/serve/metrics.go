@@ -191,6 +191,7 @@ func (rt *Runtime) buildMetrics() {
 		}
 		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_undo_records", i), undoGauge(func(s core.UndoStats) int64 { return s.Records }))
 		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_preimage_captures", i), undoGauge(func(s core.UndoStats) int64 { return s.Captures }))
+		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_preimage_materialized", i), undoGauge(func(s core.UndoStats) int64 { return s.Materialized }))
 	}
 }
 
