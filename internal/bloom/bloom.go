@@ -38,6 +38,16 @@ func New(n int, bitsPerKey int) *Filter {
 	return &Filter{bits: make([]uint64, (m+63)/64), k: k}
 }
 
+// Build returns a filter sized for n keys at 10 bits a key that holds keys:
+// the filter every run of the log-structured engines carries.
+func Build(n int, keys []uint64) *Filter {
+	f := New(n, 10)
+	for _, k := range keys {
+		f.Add(k)
+	}
+	return f
+}
+
 // mix is a 64-bit finalizer (splitmix64) used to derive the k probe
 // positions via double hashing.
 func mix(x uint64) uint64 {

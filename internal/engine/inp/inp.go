@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"nstore/internal/btree"
@@ -25,19 +24,10 @@ import (
 
 const (
 	walFile = "inp.wal"
-	// Checkpoints alternate between two slot files: the writer never touches
-	// the newest valid checkpoint, so a crash anywhere mid-write (including a
-	// torn fsync) costs at most the in-progress slot. This replaces a
-	// tmp-file + rename swap, which is not crash-atomic on pmfs.
-	ckptSlotA = "inp.ckpt.0"
-	ckptSlotB = "inp.ckpt.1"
-
-	ckptMagic   = 0x4e53434b50543031 // "NSCKPT01"
-	ckptHdrSize = 40                 // magic, seq, txn floor, payload len (u64) + payload crc (u32) + pad
+	// ckptMagic tags a checkpoint slot (core.TwoSlot: inp.ckpt.0 and .1), its
+	// one header word the highest TxnID the checkpoint covers.
+	ckptMagic = 0x4e53434b50543032 // "NSCKPT02"
 )
-
-// ckptCRC is the checksum polynomial for checkpoint slot validation.
-var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Engine is the in-place updates engine.
 type Engine struct {
@@ -54,7 +44,7 @@ type Engine struct {
 	walMark     int // buffer mark at txn begin, for abort
 	undo        []undoRec
 	sinceCkpt   int
-	ckptSeq     uint64
+	ckpt        core.TwoSlot
 	ckptTxn     uint64 // highest TxnID covered by the loaded/written checkpoint
 	ckptDurable int64  // durable checkpoint size (Fig. 14)
 }
@@ -72,7 +62,7 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	if err := opts.CheckVestigial(); err != nil {
 		return nil, err
 	}
-	e := &Engine{opts: opts.WithDefaults()}
+	e := &Engine{opts: opts.WithDefaults(), ckpt: ckptSlots(env)}
 	e.InitBase(env, schemas)
 	wal, err := core.NewFsWAL(env.FS, walFile, e.opts.GroupCommitSize)
 	if err != nil {
@@ -113,7 +103,7 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	if err := opts.CheckVestigial(); err != nil {
 		return nil, err
 	}
-	e := &Engine{opts: opts.WithDefaults()}
+	e := &Engine{opts: opts.WithDefaults(), ckpt: ckptSlots(env)}
 	e.InitBase(env, schemas)
 	stop := e.Bd.Timer(&e.Bd.Recovery)
 	defer stop()
@@ -540,81 +530,32 @@ func (e *Engine) Checkpoint() error {
 	if err := zw.Close(); err != nil {
 		return err
 	}
-	// Write the next slot: header (seq, txn floor, payload crc) + payload,
-	// one fsync. The newest valid slot is never the one being overwritten,
-	// so any crash here leaves the previous checkpoint intact; the WAL is
-	// truncated only after the new slot is durable.
-	seq := e.ckptSeq + 1
-	name := ckptSlotA
-	if seq%2 == 1 {
-		name = ckptSlotB
-	}
+	// The newest valid slot is never the one being overwritten, so any crash
+	// here leaves the previous checkpoint intact; the WAL is truncated only
+	// after the new slot is durable.
 	payload := buf.Bytes()
-	img := make([]byte, ckptHdrSize+len(payload))
-	binary.LittleEndian.PutUint64(img[0:], ckptMagic)
-	binary.LittleEndian.PutUint64(img[8:], seq)
-	binary.LittleEndian.PutUint64(img[16:], e.TxnID)
-	binary.LittleEndian.PutUint64(img[24:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(img[32:], crc32.Checksum(payload, ckptCRC))
-	copy(img[ckptHdrSize:], payload)
-	f, err := e.Env.FS.OpenOrCreate(name)
-	if err != nil {
+	if err := e.ckpt.Write([]uint64{e.TxnID}, payload); err != nil {
 		return err
 	}
-	if err := f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := f.WriteAt(img, 0); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	e.ckptDurable = int64(len(img))
-	e.ckptSeq = seq
+	e.ckptDurable = e.ckpt.Bytes(len(payload))
 	e.ckptTxn = e.TxnID
 	e.sinceCkpt = 0
 	return e.wal.Truncate()
 }
 
-// readCkptSlot parses one checkpoint slot, returning its sequence number,
-// transaction floor, and decompressed payload, or ok=false if the slot is
-// missing, torn, or stale debris.
-func (e *Engine) readCkptSlot(name string) (seq, txn uint64, payload []byte, ok bool) {
-	f, err := e.Env.FS.OpenFile(name)
-	if err != nil || f.Size() < ckptHdrSize {
-		return 0, 0, nil, false
-	}
-	raw := make([]byte, f.Size())
-	if _, err := f.ReadAt(raw, 0); err != nil {
-		return 0, 0, nil, false
-	}
-	if binary.LittleEndian.Uint64(raw[0:]) != ckptMagic {
-		return 0, 0, nil, false
-	}
-	n := binary.LittleEndian.Uint64(raw[24:])
-	if ckptHdrSize+n > uint64(len(raw)) {
-		return 0, 0, nil, false
-	}
-	payload = raw[ckptHdrSize : ckptHdrSize+n]
-	if crc32.Checksum(payload, ckptCRC) != binary.LittleEndian.Uint32(raw[32:]) {
-		return 0, 0, nil, false
-	}
-	return binary.LittleEndian.Uint64(raw[8:]), binary.LittleEndian.Uint64(raw[16:]), payload, true
+// ckptSlots is the checkpoint's two-slot record.
+func ckptSlots(env *core.Env) core.TwoSlot {
+	return core.TwoSlot{FS: env.FS, Names: [2]string{"inp.ckpt.0", "inp.ckpt.1"}, Magic: ckptMagic, Words: 1}
 }
 
 // loadCheckpoint restores tuples from the newest valid checkpoint slot, if
 // any.
 func (e *Engine) loadCheckpoint() error {
-	var payload []byte
-	for _, name := range []string{ckptSlotA, ckptSlotB} {
-		if seq, txn, p, ok := e.readCkptSlot(name); ok && seq > e.ckptSeq {
-			e.ckptSeq, e.ckptTxn, payload = seq, txn, p
-		}
-	}
-	if payload == nil {
+	words, payload, ok := e.ckpt.Load()
+	if !ok {
 		return nil
 	}
+	e.ckptTxn = words[0]
 	zr, err := gzip.NewReader(bytes.NewReader(payload))
 	if err != nil {
 		return err
@@ -623,7 +564,7 @@ func (e *Engine) loadCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	e.ckptDurable = int64(ckptHdrSize + len(payload))
+	e.ckptDurable = e.ckpt.Bytes(len(payload))
 	off := 0
 	for off+20 <= len(data) {
 		tid := int(binary.LittleEndian.Uint32(data[off:]))

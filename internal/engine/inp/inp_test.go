@@ -45,8 +45,8 @@ func TestCheckpointAndTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.ckptSeq < 3 {
-		t.Errorf("expected >=3 checkpoints, got %d", e.ckptSeq)
+	if e.ckpt.Seq < 3 {
+		t.Errorf("expected >=3 checkpoints, got %d", e.ckpt.Seq)
 	}
 	fp := e.Footprint()
 	if fp.Checkpoint == 0 {
@@ -74,6 +74,76 @@ func TestCheckpointAndTruncate(t *testing.T) {
 	for i := int64(1); i <= 350; i++ {
 		if _, ok, _ := e2.Get("t", uint64(i)); !ok {
 			t.Fatalf("key %d lost (checkpoint recovery)", i)
+		}
+	}
+}
+
+// TestCheckpointSlotWordsAreChecked: a checkpoint slot's checksum covers its
+// sequence and transaction-floor words, not only the payload. Corrupt either
+// word of the newer slot, payload intact, and Open must refuse that slot and
+// load the older one; a slot accepted with a wrong floor replays the WAL
+// from the wrong transaction.
+func TestCheckpointSlotWordsAreChecked(t *testing.T) {
+	schemas := []*core.Schema{{
+		Name:    "t",
+		Columns: []core.Column{{Name: "id", Type: core.TInt}, {Name: "v", Type: core.TString, Size: 100}},
+	}}
+	opts := core.Options{CheckpointEvery: 1 << 20, GroupCommitSize: 1}
+	for _, word := range []struct {
+		name string
+		off  int64
+	}{{"sequence", 8}, {"floor", 16}} {
+		env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+		e, err := New(env, schemas, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int64 // each checkpoint's slot size, oldest first
+		for _, n := range []int64{10, 40} {
+			for i := int64(len(sizes)*10 + 1); i <= n; i++ {
+				if err := e.Begin(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Insert("t", uint64(i), []core.Value{core.IntVal(i), core.StrVal("checkpointed row")}); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, e.Footprint().Checkpoint)
+		}
+		// The second checkpoint went to slot 0, the first to slot 1.
+		f, err := env.FS.OpenFile("inp.ckpt.0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [8]byte
+		if _, err := f.ReadAt(b[:], word.off); err != nil {
+			t.Fatal(err)
+		}
+		b[5] ^= 0x40 // 2^46 more or less: a far newer sequence, a far later floor
+		if _, err := f.WriteAt(b[:], word.off); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		env.Dev.Crash()
+		env2, err := env.ReopenVolatile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, err := Open(env2, schemas, opts)
+		if err != nil {
+			t.Fatalf("%s word corrupt: Open: %v", word.name, err)
+		}
+		if got := e2.Footprint().Checkpoint; got != sizes[0] {
+			t.Errorf("%s word of the newer slot corrupt: loaded a %d-byte checkpoint, want the older slot's %d (the newer is %d)",
+				word.name, got, sizes[0], sizes[1])
 		}
 	}
 }

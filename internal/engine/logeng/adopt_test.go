@@ -1,9 +1,8 @@
-package nvmlog
+package logeng
 
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"nstore/internal/core"
@@ -14,7 +13,8 @@ import (
 	"nstore/internal/pmalloc"
 )
 
-func bigSchema() []*core.Schema {
+// adoptSchema's column b holds the adoption tests' 16 KB images.
+func adoptSchema() []*core.Schema {
 	return []*core.Schema{{
 		Name: "t",
 		Columns: []core.Column{
@@ -23,11 +23,6 @@ func bigSchema() []*core.Schema {
 			{Name: "b", Type: core.TString, Size: 16 << 10},
 		},
 	}}
-}
-
-func bigRow(i int64, n int) []core.Value {
-	pat := strings.Repeat(string(rune('a'+i%26)), n)
-	return []core.Value{core.IntVal(i), core.IntVal(i * 2), core.StrVal(pat)}
 }
 
 // adoptOpts rotate every 8 keys and merge at growth factor 2, so a few
@@ -121,14 +116,14 @@ func checkTags(e *Engine) error {
 		t.Iter(0, func(k, v uint64) bool {
 			var head [1]byte
 			e.Env.Dev.Read(int64(chunkOf(v)), head[:])
-			if kind := kindOf(v); kind < lsm.KindFull || kind > lsm.KindTomb || head[0] != kind {
+			if kind := tagKind(v); kind < lsm.KindFull || kind > lsm.KindTomb || head[0] != kind {
 				err = fmt.Errorf("%s: key %d: pointer %#x is tagged %d, its chunk records kind %d", where, core.TreePK(k), v, kind, head[0])
 			}
 			return err == nil
 		})
 	}
-	check("MemTable", e.mem)
-	for i, r := range e.runs {
+	check("MemTable", e.nvm().mem)
+	for i, r := range e.nvm().runs {
 		check(fmt.Sprintf("run %d", i), r.tree)
 	}
 	return err
@@ -140,7 +135,7 @@ func checkTags(e *Engine) error {
 // released while a live tree still pointed at it (the double-free side of
 // chunk adoption); a persisted chunk nobody reaches is a leak.
 func checkArenaMatchesReach(e *Engine) error {
-	reach, _ := e.reachable()
+	reach, _ := e.nvm().reachable()
 	err := checkTags(e)
 	held := int64(0)
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
@@ -171,7 +166,7 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 	for _, size := range adoptSizes {
 		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
 			env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
-			e, err := New(env, bigSchema(), adoptOpts)
+			e, err := NewNVM(env, adoptSchema(), adoptOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,8 +183,8 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 				}
 				// Every tree a commit that merges may take in: where their
 				// entries live, and how many each holds.
-				held := map[*nvbtree.Tree]int{e.mem: e.mem.Count()}
-				for _, r := range e.runs {
+				held := map[*nvbtree.Tree]int{e.nvm().mem: e.nvm().mem.Count()}
+				for _, r := range e.nvm().runs {
 					held[r.tree] = r.keys
 				}
 				for tr := range held {
@@ -213,14 +208,14 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 				// victims are the trees it took in.
 				var merged *nvbtree.Tree
 				victimKeys := 0
-				for _, r := range e.runs {
+				for _, r := range e.nvm().runs {
 					if _, old := held[r.tree]; !old {
 						merged = r.tree
 					}
 					delete(held, r.tree)
 				}
 				for tr, n := range held {
-					if tr != e.mem {
+					if tr != e.nvm().mem {
 						victimKeys += n
 					}
 				}
@@ -255,7 +250,7 @@ func TestAdoptCarriesChunksForward(t *testing.T) {
 func TestMergeAdoptsNewestFullImage(t *testing.T) {
 	const big = 16 << 10
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
-	e, err := New(env, bigSchema(), adoptOpts)
+	e, err := NewNVM(env, adoptSchema(), adoptOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,19 +267,19 @@ func TestMergeAdoptsNewestFullImage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(e.runs) != 1 || e.FlushStats().Compactions != 0 {
-		t.Fatalf("%d runs and %d merges before the last insert, want 1 and 0", len(e.runs), e.FlushStats().Compactions)
+	if len(e.nvm().runs) != 1 || e.FlushStats().Compactions != 0 {
+		t.Fatalf("%d runs and %d merges before the last insert, want 1 and 0", len(e.nvm().runs), e.FlushStats().Compactions)
 	}
-	newer, _ := e.mem.Get(core.TreePrimary(0, 1))
+	newer, _ := e.nvm().mem.Get(core.TreePrimary(0, 1))
 	written := env.Dev.Stats().BytesWritten
 	if err := applyAdoptStep(e, adoptStep{'i', 15, 40}); err != nil {
 		t.Fatal(err)
 	}
 	written = env.Dev.Stats().BytesWritten - written
-	if len(e.runs) != 1 || e.FlushStats().Compactions != 1 {
-		t.Fatalf("%d runs and %d merges after the last insert, want 1 and 1", len(e.runs), e.FlushStats().Compactions)
+	if len(e.nvm().runs) != 1 || e.FlushStats().Compactions != 1 {
+		t.Fatalf("%d runs and %d merges after the last insert, want 1 and 1", len(e.nvm().runs), e.FlushStats().Compactions)
 	}
-	if got, _ := e.runs[0].tree.Get(core.TreePrimary(0, 1)); got != newer {
+	if got, _ := e.nvm().runs[0].tree.Get(core.TreePrimary(0, 1)); got != newer {
 		t.Errorf("merged run names entry %#x for the re-inserted key, want the re-insert's %#x", got, newer)
 	}
 	if written >= big {
@@ -345,10 +340,10 @@ func pick(rng *rand.Rand, lo, hi uint64, taken map[uint64]bool, odd bool) uint64
 
 // runShape: the runs' key counts newest first, and the tombstones they hold.
 func runShape(e *Engine) (keys []int, tombs int) {
-	for _, r := range e.runs {
+	for _, r := range e.nvm().runs {
 		keys = append(keys, r.keys)
 		r.tree.Iter(0, func(_, v uint64) bool {
-			if kindOf(v) == lsm.KindTomb {
+			if tagKind(v) == lsm.KindTomb {
 				tombs++
 			}
 			return true
@@ -450,7 +445,7 @@ var adoptEnv = core.EnvConfig{DeviceSize: 2 << 20, FSFraction: 0.25, FSExtent: 6
 func adoptCrashWindows(t *testing.T, c adoptCase) {
 	// The window's fences and the schedule's shape, from an uninterrupted run.
 	env := core.NewEnv(adoptEnv)
-	e, err := New(env, bigSchema(), adoptOpts)
+	e, err := NewNVM(env, adoptSchema(), adoptOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +475,7 @@ func adoptCrashWindows(t *testing.T, c adoptCase) {
 	}
 	for f := lo; f < hi; f += stride {
 		env := core.NewEnv(adoptEnv)
-		e, err := New(env, bigSchema(), adoptOpts)
+		e, err := NewNVM(env, adoptSchema(), adoptOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +516,7 @@ func recoverAdopt(dev *nvm.Device, before, after map[uint64][2]int64) error {
 	if err != nil {
 		return err
 	}
-	e, err := Open(env, bigSchema(), adoptOpts)
+	e, err := OpenNVM(env, adoptSchema(), adoptOpts)
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}

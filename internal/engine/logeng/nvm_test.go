@@ -1,7 +1,6 @@
-package nvmlog
+package logeng
 
 import (
-	"strings"
 	"testing"
 
 	"nstore/internal/core"
@@ -9,40 +8,9 @@ import (
 	"nstore/internal/engine/lsm"
 )
 
-func TestConformance(t *testing.T) {
-	enginetest.Run(t, enginetest.Factory{
-		Name: "nvm-log",
-		New: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			opts.MemTableCap = 64 // force rotations and compactions
-			opts.LSMGrowth = 3
-			return New(env, schemas, opts)
-		},
-		Open: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			opts.MemTableCap = 64
-			opts.LSMGrowth = 3
-			return Open(env, schemas, opts)
-		},
-	})
-}
-
-func simpleSchema() []*core.Schema {
-	return []*core.Schema{{
-		Name: "t",
-		Columns: []core.Column{
-			{Name: "id", Type: core.TInt},
-			{Name: "a", Type: core.TInt},
-			{Name: "b", Type: core.TString, Size: 100},
-		},
-	}}
-}
-
-func row(i int64) []core.Value {
-	return []core.Value{core.IntVal(i), core.IntVal(i * 2), core.StrVal("payload")}
-}
-
 func TestRotationAndCompaction(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 512 << 20})
-	e, err := New(env, simpleSchema(), core.Options{MemTableCap: 50, LSMGrowth: 3})
+	e, err := NewNVM(env, simpleSchema(), core.Options{MemTableCap: 50, LSMGrowth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +24,8 @@ func TestRotationAndCompaction(t *testing.T) {
 	if e.Compactions() == 0 {
 		t.Error("no compactions after 12 rotations")
 	}
-	if e.Runs() >= 600/50 {
-		t.Errorf("%d immutable runs; compaction not bounding the tree", e.Runs())
+	if len(e.nvm().runs) >= 600/50 {
+		t.Errorf("%d immutable runs; compaction not bounding the tree", len(e.nvm().runs))
 	}
 	for i := int64(1); i <= 600; i++ {
 		r, ok, err := e.Get("t", uint64(i))
@@ -70,7 +38,7 @@ func TestRotationAndCompaction(t *testing.T) {
 func TestImmediateDurabilityAcrossRotation(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 512 << 20})
 	opts := core.Options{MemTableCap: 40, LSMGrowth: 3}
-	e, _ := New(env, simpleSchema(), opts)
+	e, _ := NewNVM(env, simpleSchema(), opts)
 	for i := int64(1); i <= 300; i++ {
 		e.Begin()
 		e.Insert("t", uint64(i), row(i))
@@ -83,7 +51,7 @@ func TestImmediateDurabilityAcrossRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(env2, simpleSchema(), opts)
+	e2, err := OpenNVM(env2, simpleSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +73,7 @@ func TestImmediateDurabilityAcrossRotation(t *testing.T) {
 
 func TestTombstonesReclaimedDuringCompaction(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 512 << 20})
-	e, _ := New(env, simpleSchema(), core.Options{MemTableCap: 50, LSMGrowth: 2})
+	e, _ := NewNVM(env, simpleSchema(), core.Options{MemTableCap: 50, LSMGrowth: 2})
 	for i := int64(1); i <= 100; i++ {
 		e.Begin()
 		e.Insert("t", uint64(i), row(i))
@@ -128,7 +96,7 @@ func TestTombstonesReclaimedDuringCompaction(t *testing.T) {
 		}
 	}
 	total := 0
-	for _, r := range e.runs {
+	for _, r := range e.nvm().runs {
 		total += r.tree.Count()
 	}
 	// After compactions the runs should not hold ~200 entries of dead keys.
@@ -143,7 +111,7 @@ func TestTombstonesReclaimedDuringCompaction(t *testing.T) {
 func TestAbortCostIgnoresMemTableSize(t *testing.T) {
 	abortLoads := func(entries int) uint64 {
 		env := core.NewEnv(core.EnvConfig{DeviceSize: 16 << 20})
-		e, err := New(env, simpleSchema(), core.Options{MemTableCap: 1024})
+		e, err := NewNVM(env, simpleSchema(), core.Options{MemTableCap: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +141,8 @@ func TestAbortCostIgnoresMemTableSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		loads := env.Dev.Stats().Loads - before
-		if e.memCount != entries {
-			t.Errorf("%d entries: the MemTable counts %d after the abort", entries, e.memCount)
+		if e.nvm().memCount != entries {
+			t.Errorf("%d entries: the MemTable counts %d after the abort", entries, e.nvm().memCount)
 		}
 		return loads
 	}
@@ -185,7 +153,7 @@ func TestAbortCostIgnoresMemTableSize(t *testing.T) {
 
 func TestWALTruncatedAtCommit(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 128 << 20})
-	e, _ := New(env, simpleSchema(), core.Options{})
+	e, _ := NewNVM(env, simpleSchema(), core.Options{})
 	e.Begin()
 	e.Insert("t", 1, row(1))
 	if e.Footprint().Log == 0 {
@@ -197,23 +165,10 @@ func TestWALTruncatedAtCommit(t *testing.T) {
 	}
 }
 
-func confFactory() enginetest.Factory {
-	return enginetest.Factory{
-		Name: "nvm-log",
-		New: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			return New(env, schemas, opts)
-		},
-		Open: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
-			return Open(env, schemas, opts)
-		},
-		Leaks: func(e core.Engine) error { return checkArenaMatchesReach(e.(*Engine)) },
-	}
-}
-
 // TestFenceWindows: every fence of a one-transaction schedule, every outcome
 // of the lines behind it that the walk tries.
 func TestFenceWindows(t *testing.T) {
-	enginetest.RunFenceWindows(t, confFactory())
+	enginetest.RunFenceWindows(t, nvmFactory())
 }
 
 // TestFenceWindowsCatchDroppedFence: an insert ends entry chunk, record,
@@ -227,54 +182,7 @@ func TestFenceWindows(t *testing.T) {
 // without the head's, since the MemTable append fences once more before it
 // publishes.)
 func TestFenceWindowsCatchDroppedFence(t *testing.T) {
-	enginetest.RunFenceWindowsCatchesDroppedFence(t, confFactory(), "insert-ten-strings", 7)
-}
-
-func TestRecoveryConformance(t *testing.T) {
-	enginetest.RunRecoveryConformance(t, confFactory())
-}
-
-func TestConcurrentRecoveryConformance(t *testing.T) {
-	enginetest.RunConcurrentRecoveryConformance(t, confFactory())
-}
-
-func TestSnapshotConformance(t *testing.T) {
-	enginetest.RunSnapshotConformance(t, confFactory())
-}
-
-func TestCrossShardConformance(t *testing.T) {
-	enginetest.RunCrossShardConformance(t, confFactory())
-}
-
-// TestColReader: core.GetCols, served by projecting Get, answers like the
-// engines that read columns natively.
-func TestColReader(t *testing.T) {
-	enginetest.RunColReader(t, confFactory(), false)
-}
-
-// TestDeviceBudget pins the write path's cost per update in device counters
-// on the steady budget schedule (6 000 updates after the load, then 12 000
-// measured): loads / stores / flushes / fences 20.4 / 25.1 / 5.2 / 5.27, 3.68
-// us of stall, the ceilings a tenth above. Its entry chunks and WAL entries
-// are streamed on lines of their own. It was 20.5 / 25.2 / 5.4 / 5.35, 3.71 us
-// while nodes held 30 entries and no fingerprints, a rewritten node was
-// fenced and written back whole and a built one kept three slots free; it was
-// 24.4 / 27.2 / 10.9 / 5.34, 4.56
-// us while a chunk shared its first and last lines with its neighbours (24.5 /
-// 27.0 / 10.8 / 5.34 while a rotation listed its run before persisting the
-// Bloom filter and swapped the run list again to name it), and 26.5 / 28.8 /
-// 11.5 / 5.34, 4.92 us while it merged the two oldest runs at every rotation.
-// The first 2 000 updates after the load
-// measure the engine before its merges reach the oldest run: 10.6 / 19.4 /
-// 12.5 / 7.57 under that rule, which is what this test pinned until the merge
-// rule changed. (Those figures were 10.6 / 20.3 / 13.6 / 11.16 while the entry
-// chunk and the WAL entry were each fenced and then marked persisted behind a
-// second fence; 46.1 loads while Update coalesced the tuple and compaction
-// read every adopted chunk, and 16.7 with 20.3 flushes while entry chunks and
-// built nodes were written through the cache.)
-func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.SteadyBudget(3000),
-		enginetest.DeviceBudget{Loads: 22.6, Stores: 27.7, Flushes: 6, Fences: 5.9, StallUS: 4.1})
+	enginetest.RunFenceWindowsCatchesDroppedFence(t, nvmFactory(), "insert-ten-strings", 7)
 }
 
 // TestUpdateCostFlatInDatabaseSize: the steady-state cost of an update does
@@ -289,7 +197,7 @@ func TestUpdateCostFlatInDatabaseSize(t *testing.T) {
 	}
 	stall := func(tuples int) float64 {
 		s := enginetest.SteadyBudget(tuples)
-		st, err := enginetest.DeviceCost(confFactory(), s)
+		st, err := enginetest.DeviceCost(nvmFactory(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,13 +223,13 @@ func TestUpdateCostFlatInDatabaseSize(t *testing.T) {
 // header never arrived; the undo's descent from node 0 is bounded
 // (nvbtree.ErrCorrupt), so Open reports the image corrupt instead of spinning.
 func TestConformanceCatchesMissingFence(t *testing.T) {
-	enginetest.RunConformanceCatchesMissingFence(t, confFactory(), enginetest.BaseSeed())
+	enginetest.RunConformanceCatchesMissingFence(t, nvmFactory(), enginetest.BaseSeed())
 }
 
 // TestArenaExhaustion: a failed allocation aborts one transaction and leaves
 // the table as it was.
 func TestArenaExhaustion(t *testing.T) {
-	enginetest.RunArenaExhaustion(t, confFactory())
+	enginetest.RunArenaExhaustion(t, nvmFactory())
 }
 
 // TestOpenRejectsValueLogDirectory: a device image is outside input. The
@@ -331,7 +239,7 @@ func TestArenaExhaustion(t *testing.T) {
 func TestOpenRejectsValueLogDirectory(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
 	opts := core.Options{MemTableCap: 8, LSMGrowth: 3}
-	e, err := New(env, simpleSchema(), opts)
+	e, err := NewNVM(env, simpleSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +252,13 @@ func TestOpenRejectsValueLogDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	env.Dev.WriteU64Durable(int64(e.hdr)+hVlogDir, e.mem.Header())
+	env.Dev.WriteU64Durable(int64(e.nvm().hdr)+hVlogDir, e.nvm().mem.Header())
 	env.Dev.Crash()
 	env2, err := env.Reopen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(env2, simpleSchema(), opts); !core.IsCorrupt(err) {
+	if _, err := OpenNVM(env2, simpleSchema(), opts); !core.IsCorrupt(err) {
 		t.Fatalf("Open on an image with a value-log directory: %v, want a corrupt error", err)
 	}
 }
@@ -363,7 +271,7 @@ func TestOpenRejectsValueLogDirectory(t *testing.T) {
 // MemTable leaf's entry and count; a read-only transaction writes nothing at
 // all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 12, 4, 4, 4)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), 12, 4, 4, 4)
 }
 
 // TestOpenRejectsUntaggedImage: an image written before the kind rode in the
@@ -372,7 +280,7 @@ func TestUpdateTouchesOnlyItsLines(t *testing.T) {
 func TestOpenRejectsUntaggedImage(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
 	opts := core.Options{MemTableCap: 8, LSMGrowth: 3}
-	e, err := New(env, simpleSchema(), opts)
+	e, err := NewNVM(env, simpleSchema(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,30 +293,14 @@ func TestOpenRejectsUntaggedImage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	env.Dev.WriteU64Durable(int64(e.hdr)+hMagic, untaggedMagic)
+	env.Dev.WriteU64Durable(int64(e.nvm().hdr)+hMagic, untaggedMagic)
 	env.Dev.Crash()
 	env2, err := env.Reopen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(env2, simpleSchema(), opts); !core.IsCorrupt(err) {
+	if _, err := OpenNVM(env2, simpleSchema(), opts); !core.IsCorrupt(err) {
 		t.Fatalf("Open on an NVMLOG12 image: %v, want a corrupt error", err)
-	}
-}
-
-// TestFlushWorkersRefused: rotations and merges run inline only, so New and
-// Open refuse any Options.FlushWorkers but 0, naming the field, instead of
-// ignoring it.
-func TestFlushWorkersRefused(t *testing.T) {
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 16 << 20})
-	if _, err := New(env, simpleSchema(), core.Options{FlushWorkers: 1}); err == nil || !strings.Contains(err.Error(), "FlushWorkers") {
-		t.Fatalf("New with FlushWorkers 1: %v, want an error naming the field", err)
-	}
-	if _, err := New(env, simpleSchema(), core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(env, simpleSchema(), core.Options{FlushWorkers: 1}); err == nil || !strings.Contains(err.Error(), "FlushWorkers") {
-		t.Fatalf("Open with FlushWorkers 1: %v, want an error naming the field", err)
 	}
 }
 
@@ -429,7 +321,7 @@ func TestEntryReadsCheckTheImage(t *testing.T) {
 		}},
 	} {
 		env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
-		e, err := New(env, simpleSchema(), core.Options{})
+		e, err := NewNVM(env, simpleSchema(), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,11 +333,11 @@ func TestEntryReadsCheckTheImage(t *testing.T) {
 			e.Commit()
 		}
 		tk := core.TreePrimary(0, 2)
-		v, ok := e.mem.Get(tk)
+		v, ok := e.nvm().mem.Get(tk)
 		if !ok {
 			t.Fatal("key 2 is not in the MemTable")
 		}
-		if err := e.mem.Put(tk, tc.plant(e, v)); err != nil {
+		if err := e.nvm().mem.Put(tk, tc.plant(e, v)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := e.Get("t", 2); !core.IsCorrupt(err) {
@@ -468,7 +360,7 @@ func TestEntryReadsCheckTheImage(t *testing.T) {
 // Open succeeded.
 func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
-	e, err := New(env, simpleSchema(), core.Options{})
+	e, err := NewNVM(env, simpleSchema(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +368,7 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	if err := e.Insert("t", 1, row(1)); err != nil {
 		t.Fatal(err)
 	}
-	table := int64(env.Dev.ReadU64(int64(e.hdr)+hWalHead)) + 17
+	table := int64(env.Dev.ReadU64(int64(e.nvm().hdr)+hWalHead)) + 17
 	env.Dev.WriteU8(table, 200)
 	env.Dev.Sync(table, 1)
 	env.Dev.Crash()
@@ -484,7 +376,7 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
+	if _, err := OpenNVM(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
 		t.Fatalf("Open over an undo entry of table 200: %v, want a corrupt error", err)
 	}
 }

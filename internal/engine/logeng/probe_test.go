@@ -54,7 +54,7 @@ func TestViewPinnedBeforeGroupFsyncSeesOldValues(t *testing.T) {
 	txn1(t, e, set(1, 100))
 	txn1(t, e, set(1, 200))
 	txn1(t, e, func() error { return e.Delete("t", 2) })
-	if n := e.wal.PendingTxns(); n != 3 {
+	if n := e.disk().wal.PendingTxns(); n != 3 {
 		t.Fatalf("%d transactions wait for the group's fsync, want 3", n)
 	}
 
@@ -103,7 +103,7 @@ func TestUpdateOverSeparatedImageReadsNoValue(t *testing.T) {
 	if err := e.FlushMemTable(); err != nil {
 		t.Fatal(err)
 	}
-	if e.vl == nil || e.vl.Stats().Appends != 200 {
+	if e.disk().vl == nil || e.disk().vl.Stats().Appends != 200 {
 		t.Fatal("the flush separated no values")
 	}
 	for _, name := range env.FS.List() {
@@ -148,52 +148,56 @@ func TestRunEntryOfUnknownKindIsCorrupt(t *testing.T) {
 	ents := evenEntries(20, 30)
 	ents[5].ent.Kind = 9
 	run, _ := writeRun(t, env, "sst-000001", ents)
-	c := newBlockCache(env.Arena, 4)
-	if _, _, err := run.kindOf(c, env.Dev, ents[5].key); !errors.Is(err, core.ErrCorrupt) {
+	run.c = newBlockCache(env.Arena, 4)
+	if _, _, err := run.kindOf(ents[5].key); !errors.Is(err, core.ErrCorrupt) {
 		t.Errorf("kindOf returned %v, want core.ErrCorrupt", err)
 	}
-	if _, _, err := run.get(c, env.Dev, ents[5].key); !errors.Is(err, core.ErrCorrupt) {
+	if _, _, err := get(run, env.Dev, ents[5].key); !errors.Is(err, core.ErrCorrupt) {
 		t.Errorf("get returned %v, want core.ErrCorrupt", err)
 	}
-	s := run.scan(c)
+	s := run.scan()
 	for s.next() {
 	}
 	if !errors.Is(s.err, core.ErrCorrupt) {
 		t.Errorf("a scan returned %v, want core.ErrCorrupt", s.err)
 	}
-	if kind, ok, err := run.kindOf(c, env.Dev, ents[4].key); err != nil || !ok || kind != lsm.KindFull {
+	if kind, ok, err := run.kindOf(ents[4].key); err != nil || !ok || kind != lsm.KindFull {
 		t.Errorf("kindOf a sound entry = %d, %v, %v", kind, ok, err)
 	}
 }
 
 // TestProbeMatchesGet: across seeded schedules of inserts, updates, deletes
 // and re-inserts, aborts, MemTable rotations, flushes and compactions,
-// value separation, group commits and crashes with recovery, the liveness
-// probe the write path uses (exists) agrees with Get on every key after
-// every transaction, and both with the committed model. 40 schedules from
-// -seed, 10 under -short.
+// value separation (Log), merges (NVM-Log), group commits and crashes with
+// recovery, the liveness probe the write path uses (exists) agrees with Get
+// on every key after every transaction, and both with the committed model.
+// 40 schedules a store from -seed, 10 under -short.
 func TestProbeMatchesGet(t *testing.T) {
 	n := 40
 	if testing.Short() {
 		n = 10
 	}
-	for seed := enginetest.BaseSeed(); seed < enginetest.BaseSeed()+int64(n); seed++ {
-		if err := probeSchedule(seed); err != nil {
-			t.Fatalf("seed %d: %v\nreplay: go test -run '^TestProbeMatchesGet$' -seed=%d", seed, err, seed)
+	both(t, func(t *testing.T, f enginetest.Factory) {
+		for seed := enginetest.BaseSeed(); seed < enginetest.BaseSeed()+int64(n); seed++ {
+			if err := probeSchedule(f, seed); err != nil {
+				t.Fatalf("seed %d: %v\nreplay: go test -run '^TestProbeMatchesGet$/^%s$' -seed=%d", seed, err, f.Name, seed)
+			}
 		}
-	}
+	})
 }
 
 // probeSchedule runs one seeded schedule of TestProbeMatchesGet.
-func probeSchedule(seed int64) error {
+func probeSchedule(f enginetest.Factory, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	const keys = 40
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, FSExtent: 64 << 10})
 	opts := core.Options{MemTableCap: 8 + rng.Intn(16), GroupCommitSize: 1 + rng.Intn(4), VlogThreshold: 64}
-	e, err := New(env, bigSchema(), opts)
+	ce, err := f.New(env, bigSchema(), opts)
 	if err != nil {
 		return err
 	}
+	e := ce.(*Engine)
+	_, disk := e.st.(*diskStore)
 	committed := map[uint64]bool{}
 	check := func(when string, model map[uint64]bool) error {
 		for k := uint64(0); k < keys; k++ {
@@ -250,12 +254,19 @@ func probeSchedule(seed int64) error {
 			}
 			committed = working
 		}
+		// NVM-Log rotates and merges only when its MemTable fills.
 		switch rng.Intn(12) {
 		case 0:
+			if !disk {
+				break
+			}
 			if err := e.FlushMemTable(); err != nil {
 				return fmt.Errorf("step %d: FlushMemTable: %w", step, err)
 			}
 		case 1:
+			if !disk {
+				break
+			}
 			if err := e.GCVlog(); err != nil {
 				return fmt.Errorf("step %d: GCVlog: %w", step, err)
 			}
@@ -266,14 +277,18 @@ func probeSchedule(seed int64) error {
 				return err
 			}
 			env.Dev.Crash()
-			env2, err := env.ReopenVolatile()
+			reopen := env.Reopen
+			if f.Volatile {
+				reopen = env.ReopenVolatile
+			}
+			env2, err := reopen()
 			if err != nil {
 				return err
 			}
-			if e, err = Open(env2, bigSchema(), opts); err != nil {
+			if ce, err = f.Open(env2, bigSchema(), opts); err != nil {
 				return fmt.Errorf("step %d: Open: %w", step, err)
 			}
-			env = env2
+			e, env = ce.(*Engine), env2
 		}
 		if err := check(fmt.Sprintf("step %d", step), committed); err != nil {
 			return err

@@ -152,19 +152,17 @@ func (c *blockCache) bytes() int64 {
 	return n
 }
 
-// sstable is an open, immutable sorted run.
+// sstable is an open, immutable sorted run, read through the block cache c.
+// Its Bloom filter is resident in (volatile) allocator memory.
 type sstable struct {
+	filter
 	name  string
 	f     *pmfs.File
+	c     *blockCache
 	count int64
 
 	offsetsPos int64
-	// bloom filter resident in (volatile) allocator memory.
-	bloomPtr   pmalloc.Ptr
-	bloomWords uint64
-	bloomK     int
-
-	size int64
+	size       int64
 }
 
 // sstWriter streams sorted entries into a new SSTable file.
@@ -203,12 +201,8 @@ func (w *sstWriter) finish() error {
 		binary.LittleEndian.PutUint64(b8[:], uint64(o))
 		w.buf = append(w.buf, b8[:]...)
 	}
-	fl := bloom.New(len(w.keys), 10)
-	for _, k := range w.keys {
-		fl.Add(k)
-	}
 	bloomPos := int64(len(w.buf))
-	bm := fl.Marshal()
+	bm := bloom.Build(len(w.keys), w.keys).Marshal()
 	w.buf = append(w.buf, bm...)
 
 	var foot [footerSize]byte
@@ -225,12 +219,12 @@ func (w *sstWriter) finish() error {
 	return w.f.Sync()
 }
 
-// openSSTable opens a run and streams its bloom filter into allocator
-// memory. The footer comes from the file, so it is checked before it sizes
-// anything: the offsets array must end where the filter starts and the filter
-// where the footer starts, and the filter must hold its probe count and at
-// least one word. An image that breaks any of these is corrupt.
-func openSSTable(fs *pmfs.FS, arena *pmalloc.Arena, name string) (*sstable, error) {
+// openSSTable opens a run, read through c, and streams its bloom filter into
+// allocator memory. The footer comes from the file, so it is checked before
+// it sizes anything: the offsets array must end where the filter starts and
+// the filter where the footer starts, and the filter must hold its probe
+// count and at least one word. An image that breaks any of these is corrupt.
+func openSSTable(fs *pmfs.FS, c *blockCache, name string) (*sstable, error) {
 	f, err := fs.OpenFile(name)
 	if err != nil {
 		return nil, err
@@ -264,53 +258,27 @@ func openSSTable(fs *pmfs.FS, arena *pmalloc.Arena, name string) (*sstable, erro
 	if k < 1 || k > bloom.MaxK {
 		return nil, core.Corrupt(fmt.Errorf("logeng: %s bloom filter claims %d probes", name, k))
 	}
-	ptr, err := arena.StreamAlloc(pmalloc.TagIndex, bm[8:])
+	fl, err := newFilter(bm, c.arena.StreamAlloc)
 	if err != nil {
 		return nil, err
 	}
 	return &sstable{
+		filter:     fl,
 		name:       name,
 		f:          f,
+		c:          c,
 		count:      int64(count),
 		offsetsPos: int64(offsetsPos),
-		bloomPtr:   ptr,
-		bloomWords: (bloomLen - 8) / 8,
-		bloomK:     int(k),
 		size:       size,
 	}, nil
-}
-
-// sstSpec is a parsed manifest entry awaiting load. For L0 runs, level is
-// the position in the (oldest-first) L0 list rather than an LSM level.
-type sstSpec struct {
-	level int
-	l0    bool
-	name  string
-}
-
-// mayContain probes the NVM-resident bloom filter.
-func (t *sstable) mayContain(dev interface{ ReadU64(int64) uint64 }, key uint64) bool {
-	if t.bloomWords == 0 {
-		return true
-	}
-	ok := true
-	bloom.Probes(key, t.bloomK, t.bloomWords*64, func(bit uint64) bool {
-		w := dev.ReadU64(int64(t.bloomPtr) + int64(bit/64)*8)
-		if w&(1<<(bit%64)) == 0 {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
 }
 
 // probe reads entry i's offset from the offsets array and the entry's key:
 // all a binary-search step needs. The offset must leave room for the entry's
 // header inside the entry region.
-func (t *sstable) probe(c *blockCache, i int64) (off int64, key uint64, err error) {
+func (t *sstable) probe(i int64) (off int64, key uint64, err error) {
 	var b [8]byte
-	if err := c.read(t.f, t.name, t.offsetsPos+i*8, b[:]); err != nil {
+	if err := t.c.read(t.f, t.name, t.offsetsPos+i*8, b[:]); err != nil {
 		return 0, 0, err
 	}
 	o := binary.LittleEndian.Uint64(b[:])
@@ -318,7 +286,7 @@ func (t *sstable) probe(c *blockCache, i int64) (off int64, key uint64, err erro
 		return 0, 0, core.Corrupt(fmt.Errorf("logeng: %s entry %d at offset %d lies outside its %d-byte entry region", t.name, i, o, t.offsetsPos))
 	}
 	off = int64(o)
-	if err := c.read(t.f, t.name, off, b[:]); err != nil {
+	if err := t.c.read(t.f, t.name, off, b[:]); err != nil {
 		return 0, 0, err
 	}
 	return off, binary.LittleEndian.Uint64(b[:]), nil
@@ -327,9 +295,9 @@ func (t *sstable) probe(c *blockCache, i int64) (off int64, key uint64, err erro
 // header reads the kind and payload length of the entry at off, whose key a
 // probe has read. The kind must be a known one and the length must fit the
 // entry region.
-func (t *sstable) header(c *blockCache, off int64) (kind uint8, n int64, err error) {
+func (t *sstable) header(off int64) (kind uint8, n int64, err error) {
 	var b [entryHdr - 8]byte
-	if err := c.read(t.f, t.name, off+8, b[:]); err != nil {
+	if err := t.c.read(t.f, t.name, off+8, b[:]); err != nil {
 		return 0, 0, err
 	}
 	kind, n = b[0], int64(binary.LittleEndian.Uint32(b[1:]))
@@ -350,58 +318,46 @@ func (t *sstable) checkHeader(off int64, kind uint8, n int64) error {
 
 // entryAt reads the entry at off, whose key a probe has read: its header,
 // checked before anything is allocated for the payload, then the payload.
-func (t *sstable) entryAt(c *blockCache, off int64) (lsm.Entry, error) {
-	kind, n, err := t.header(c, off)
+func (t *sstable) entryAt(off int64) (lsm.Entry, error) {
+	kind, n, err := t.header(off)
 	if err != nil {
 		return lsm.Entry{}, err
 	}
 	e := lsm.Entry{Kind: kind, Payload: make([]byte, n)}
-	if err := c.read(t.f, t.name, off+entryHdr, e.Payload); err != nil {
+	if err := t.c.read(t.f, t.name, off+entryHdr, e.Payload); err != nil {
 		return lsm.Entry{}, err
 	}
 	return e, nil
 }
 
-// get looks key up in the run, checking the bloom filter first.
-func (t *sstable) get(c *blockCache, dev interface{ ReadU64(int64) uint64 }, key uint64) (lsm.Entry, bool, error) {
-	if !t.mayContain(dev, key) {
-		return lsm.Entry{}, false, nil
-	}
-	return t.find(c, key)
-}
-
-// kindOf returns the kind of the run's entry for key, checking the bloom
-// filter first: the filter's words, the binary search's offsets and keys,
-// and the entry's header are all it reads.
-func (t *sstable) kindOf(c *blockCache, dev interface{ ReadU64(int64) uint64 }, key uint64) (kind uint8, ok bool, err error) {
-	if !t.mayContain(dev, key) {
-		return 0, false, nil
-	}
-	off, ok, err := t.search(c, key)
+// kindOf returns the kind of the run's entry for key: the binary search's
+// offsets and keys and the entry's header are all it reads.
+func (t *sstable) kindOf(key uint64) (kind uint8, ok bool, err error) {
+	off, ok, err := t.search(key)
 	if !ok || err != nil {
 		return 0, false, err
 	}
-	kind, _, err = t.header(c, off)
+	kind, _, err = t.header(off)
 	return kind, err == nil, err
 }
 
 // find binary-searches the run for key and reads its entry.
-func (t *sstable) find(c *blockCache, key uint64) (lsm.Entry, bool, error) {
-	off, ok, err := t.search(c, key)
+func (t *sstable) find(key uint64) (lsm.Entry, bool, error) {
+	off, ok, err := t.search(key)
 	if !ok || err != nil {
 		return lsm.Entry{}, false, err
 	}
-	e, err := t.entryAt(c, off)
+	e, err := t.entryAt(off)
 	return e, err == nil, err
 }
 
 // search binary-searches the run for key and returns its entry's offset. A
 // step reads its entry's offset and key, nothing else.
-func (t *sstable) search(c *blockCache, key uint64) (off int64, ok bool, err error) {
+func (t *sstable) search(key uint64) (off int64, ok bool, err error) {
 	lo, hi := int64(0), t.count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		off, k, err := t.probe(c, mid)
+		off, k, err := t.probe(mid)
 		if err != nil {
 			return 0, false, err
 		}
@@ -419,11 +375,11 @@ func (t *sstable) search(c *blockCache, key uint64) (off int64, ok bool, err err
 
 // lowerBound returns the file offset of the first entry with key >= from,
 // the end of the entry region if there is none.
-func (t *sstable) lowerBound(c *blockCache, from uint64) (int64, error) {
+func (t *sstable) lowerBound(from uint64) (int64, error) {
 	lo, hi, hiOff := int64(0), t.count, t.offsetsPos
 	for lo < hi {
 		mid := (lo + hi) / 2
-		off, k, err := t.probe(c, mid)
+		off, k, err := t.probe(mid)
 		if err != nil {
 			return 0, err
 		}
@@ -437,12 +393,12 @@ func (t *sstable) lowerBound(c *blockCache, from uint64) (int64, error) {
 }
 
 // release frees the bloom filter and drops cached blocks.
-func (t *sstable) release(arena *pmalloc.Arena, c *blockCache) {
-	if t.bloomPtr != 0 {
-		arena.Free(t.bloomPtr)
-		t.bloomPtr = 0
+func (t *sstable) release() {
+	if t.ptr != 0 {
+		t.c.arena.Free(t.ptr)
+		t.ptr = 0
 	}
-	c.drop(t.name)
+	t.c.drop(t.name)
 }
 
 // runScanner reads a run's entries in key order, each entry decoded once,
@@ -454,7 +410,6 @@ func (t *sstable) release(arena *pmalloc.Arena, c *blockCache) {
 // ends it.
 type runScanner struct {
 	t       *sstable
-	c       *blockCache
 	win     []byte // entry-region bytes from winOff on
 	winOff  int64
 	off     int64 // the next entry's file offset
@@ -469,14 +424,26 @@ type runScanner struct {
 }
 
 // scan returns a scanner over the whole run.
-func (t *sstable) scan(c *blockCache) *runScanner {
-	return &runScanner{t: t, c: c}
+func (t *sstable) scan() *runScanner {
+	return &runScanner{t: t}
 }
 
 // scanRange returns a scanner over the run's entries from the one at file
 // offset off (lowerBound's result) up to the first key >= hi.
-func (t *sstable) scanRange(c *blockCache, off int64, hi uint64) *runScanner {
-	return &runScanner{t: t, c: c, winOff: off, off: off, bounded: true, hi: hi}
+func (t *sstable) scanRange(off int64, hi uint64) *runScanner {
+	return &runScanner{t: t, winOff: off, off: off, bounded: true, hi: hi}
+}
+
+// from is the run's range-merge source over [lo, hi): a bounded scanner
+// positioned at the first entry at or past lo.
+func (t *sstable) from(lo, hi uint64) (source, error) {
+	off, err := t.lowerBound(lo)
+	if err != nil {
+		return nil, err
+	}
+	s := t.scanRange(off, hi)
+	s.next()
+	return s, s.err
 }
 
 // next decodes the next entry into key and ent and reports, as valid does,
@@ -487,6 +454,13 @@ func (t *sstable) scanRange(c *blockCache, off int64, hi uint64) *runScanner {
 func (s *runScanner) next() bool {
 	s.valid = s.decode()
 	return s.valid
+}
+
+func (s *runScanner) head() (uint64, lsm.Entry, bool) { return s.key, s.ent, s.valid }
+
+func (s *runScanner) advance() error {
+	s.next()
+	return s.err
 }
 
 func (s *runScanner) decode() bool {
@@ -541,7 +515,7 @@ func (s *runScanner) window(n int) ([]byte, error) {
 		}
 		kept := copy(s.win, s.win[s.off-s.winOff:])
 		s.win, s.winOff = slices.Grow(s.win[:kept], w)[:kept+w], s.off
-		if err := s.c.read(s.t.f, s.t.name, end, s.win[kept:]); err != nil {
+		if err := s.t.c.read(s.t.f, s.t.name, end, s.win[kept:]); err != nil {
 			return nil, err
 		}
 	}

@@ -36,7 +36,7 @@ func writeRun(t testing.TB, env *core.Env, name string, ents []runEntry) (*sstab
 	if err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
-	run, err := openSSTable(env.FS, env.Arena, name)
+	run, err := openSSTable(env.FS, newBlockCache(env.Arena, 0), name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestProbeLoadsOnlyOffsetsAndKeys(t *testing.T) {
 	ents := evenEntries(200, 200)
 	offs := entryOffsets(ents)
 	run, img := writeRun(t, env, "sst-000001", ents)
-	c := newBlockCache(env.Arena, 0)
+	c := run.c
 	if err := c.read(run.f, run.name, 0, make([]byte, len(img))); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestProbeLoadsOnlyOffsetsAndKeys(t *testing.T) {
 		env.Dev.EvictAll()
 		run.f.Size() // the run's inode: warm, as on any lookup path
 		before := env.Dev.Stats().Loads
-		e, ok, err := run.find(c, key)
+		e, ok, err := run.find(key)
 		loads := env.Dev.Stats().Loads - before
 		if err != nil || ok != (found >= 0) || ok && !bytes.Equal(e.Payload, ents[found].ent.Payload) {
 			t.Fatalf("find(%d) = %v, %v; want found %v", core.TreePK(key), ok, err, found >= 0)
@@ -190,7 +190,7 @@ func TestRangeScanLoadsOnlyItsEntries(t *testing.T) {
 	ents := evenEntries(200, 100)
 	offs := entryOffsets(ents)
 	run, img := writeRun(t, env, "sst-000001", ents)
-	c := newBlockCache(env.Arena, 0)
+	c := run.c
 	if err := c.read(run.f, run.name, 0, make([]byte, len(img))); err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +227,12 @@ func TestRangeScanLoadsOnlyItsEntries(t *testing.T) {
 		env.Dev.EvictAll()
 		run.f.Size() // the run's inode: warm, as on any scan path
 		before := env.Dev.Stats().Loads
-		off, err := run.lowerBound(c, from)
+		off, err := run.lowerBound(from)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []uint64
-		for s := run.scanRange(c, off, to); s.next(); {
+		for s := run.scanRange(off, to); s.next(); {
 			got = append(got, s.key)
 		}
 		loads := env.Dev.Stats().Loads - before
@@ -273,20 +273,23 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 	b, _ := writeRun(t, env, "sst-900002", older)
 	a2, _ := writeRun(t, env, "sst-900003", newer)
 	b2, _ := writeRun(t, env, "sst-900004", older)
+	for _, run := range []*sstable{a, b, a2, b2} {
+		run.c = e.disk().cache
+	}
 
-	warm, err := e.mergeRuns(a, b, false)
+	warm, err := e.disk().mergeRuns(a, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, run := range []*sstable{warm, a, b} {
-		run.release(env.Arena, e.cache)
+		run.release()
 	}
 	if err := env.FS.Remove(warm.name); err != nil {
 		t.Fatal(err)
 	}
 
 	st0 := env.Dev.Stats()
-	out, err := e.mergeRuns(a2, b2, false)
+	out, err := e.disk().mergeRuns(a2, b2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +308,7 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	s := out.scan(e.cache)
+	s := out.scan()
 	for _, k := range keys {
 		if !s.next() || s.key != k || !bytes.Equal(s.ent.Payload, byKey[k].Payload) {
 			t.Fatalf("merged run lost or changed key %d (scan at %d: %v)", core.TreePK(k), core.TreePK(s.key), s.err)
@@ -328,26 +331,34 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 	}
 }
 
+// get looks key up in run as the engine does: its filter, then its search.
+func get(run *sstable, dev *nvm.Device, key uint64) (lsm.Entry, bool, error) {
+	if !run.mayContain(dev, key) {
+		return lsm.Entry{}, false, nil
+	}
+	return run.find(key)
+}
+
 // checkRun reads run back through get, lowerBound and the scanner and
 // compares it with ents, the entries it was written from.
 func checkRun(t *testing.T, env *core.Env, run *sstable, ents []runEntry) {
 	t.Helper()
-	c := newBlockCache(env.Arena, 4)
-	defer run.release(env.Arena, c)
+	run.c = newBlockCache(env.Arena, 4)
+	defer run.release()
 	offs := entryOffsets(ents)
 	for i, re := range ents {
-		e, ok, err := run.get(c, env.Dev, re.key)
+		e, ok, err := get(run, env.Dev, re.key)
 		if err != nil || !ok || e.Kind != re.ent.Kind || !bytes.Equal(e.Payload, re.ent.Payload) {
 			t.Fatalf("get(%d) = %v %v %v; want entry %d", re.key, e, ok, err, i)
 		}
-		if _, ok, err := run.find(c, re.key+1); err != nil || ok != (i+1 < len(ents) && ents[i+1].key == re.key+1) {
+		if _, ok, err := run.find(re.key + 1); err != nil || ok != (i+1 < len(ents) && ents[i+1].key == re.key+1) {
 			t.Fatalf("find(%d) = %v, %v", re.key+1, ok, err)
 		}
-		off, err := run.lowerBound(c, re.key)
+		off, err := run.lowerBound(re.key)
 		if err != nil || off != offs[i] {
 			t.Fatalf("lowerBound(%d) = %d, %v; want %d", re.key, off, err, offs[i])
 		}
-		s := run.scanRange(c, off, re.key+1)
+		s := run.scanRange(off, re.key+1)
 		if !s.next() || s.key != re.key || !bytes.Equal(s.ent.Payload, re.ent.Payload) {
 			t.Fatalf("a scan from entry %d starts at key %d (%v)", i, s.key, s.err)
 		}
@@ -355,10 +366,10 @@ func checkRun(t *testing.T, env *core.Env, run *sstable, ents []runEntry) {
 			t.Fatalf("a scan of entry %d alone ran on to key %d (%v)", i, s.key, s.err)
 		}
 	}
-	if off, err := run.lowerBound(c, ^uint64(0)); err != nil || off != run.offsetsPos {
+	if off, err := run.lowerBound(^uint64(0)); err != nil || off != run.offsetsPos {
 		t.Fatalf("lowerBound past the last key = %d, %v; want the region's end %d", off, err, run.offsetsPos)
 	}
-	s := run.scan(c)
+	s := run.scan()
 	for i, re := range ents {
 		if !s.next() || s.key != re.key || s.ent.Kind != re.ent.Kind || !bytes.Equal(s.ent.Payload, re.ent.Payload) {
 			t.Fatalf("scan entry %d: key %d (%v), want %d", i, s.key, s.err, re.key)
@@ -372,22 +383,22 @@ func checkRun(t *testing.T, env *core.Env, run *sstable, ents []runEntry) {
 // readAll reads run back every way a caller can and reports the first
 // error: a corrupt image must end in one, not a panic.
 func readAll(env *core.Env, run *sstable, keys []uint64) error {
-	c := newBlockCache(env.Arena, 4)
-	defer run.release(env.Arena, c)
+	run.c = newBlockCache(env.Arena, 4)
+	defer run.release()
 	var errs []error
 	for _, k := range keys {
-		_, _, err := run.get(c, env.Dev, k)
-		_, _, err2 := run.find(c, k)
-		off, err3 := run.lowerBound(c, k)
+		_, _, err := get(run, env.Dev, k)
+		_, _, err2 := run.find(k)
+		off, err3 := run.lowerBound(k)
 		errs = append(errs, err, err2, err3)
 		if err3 == nil {
-			s := run.scanRange(c, off, k+8)
+			s := run.scanRange(off, k+8)
 			for s.next() {
 			}
 			errs = append(errs, s.err)
 		}
 	}
-	s := run.scan(c)
+	s := run.scan()
 	for s.next() {
 	}
 	return errors.Join(append(errs, s.err)...)
@@ -420,7 +431,7 @@ func openImage(t testing.TB, env *core.Env, name string, img []byte) (*sstable, 
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	return openSSTable(env.FS, env.Arena, name)
+	return openSSTable(env.FS, newBlockCache(env.Arena, 0), name)
 }
 
 // allocatedMB returns the bytes the Go heap has handed out so far, in MB.
@@ -530,11 +541,11 @@ func TestCorruptFooterRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := allocatedMB()
-	c := newBlockCache(env.Arena, 4)
-	if _, _, err := run.find(c, ents[0].key); !errors.Is(err, core.ErrCorrupt) {
+	run.c = newBlockCache(env.Arena, 4)
+	if _, _, err := run.find(ents[0].key); !errors.Is(err, core.ErrCorrupt) {
 		t.Errorf("find of the overlong entry returned %v, want core.ErrCorrupt", err)
 	}
-	if s := run.scan(c); s.next() || !errors.Is(s.err, core.ErrCorrupt) {
+	if s := run.scan(); s.next() || !errors.Is(s.err, core.ErrCorrupt) {
 		t.Errorf("a scan over the overlong entry returned %v, want core.ErrCorrupt", s.err)
 	}
 	if mb := allocatedMB() - start; mb > 1 {

@@ -286,16 +286,16 @@ func TestFlushFailureRetries(t *testing.T) {
 	if err := e.FlushMemTable(); err != nil {
 		t.Fatalf("retried flush still failing: %v", err)
 	}
-	installed := len(e.l0) > 0 || func() bool {
-		for _, r := range e.levels {
+	installed := len(e.disk().l0) > 0 || func() bool {
+		for _, r := range e.disk().levels {
 			if r != nil {
 				return true
 			}
 		}
 		return false
 	}()
-	if !installed || e.imm != nil {
-		t.Fatalf("retry did not install (installed=%v, frozen memtable pending=%v)", installed, e.imm != nil)
+	if !installed || e.disk().imm != nil {
+		t.Fatalf("retry did not install (installed=%v, frozen memtable pending=%v)", installed, e.disk().imm != nil)
 	}
 	for i := int64(1); i <= 9; i++ {
 		if _, ok, err := e.Get("t", uint64(i)); !ok || err != nil {
@@ -322,9 +322,9 @@ func TestCrashAfterPrepareBeforeInstall(t *testing.T) {
 			for i := int64(1); i <= 50; i++ {
 				put1(t, e, i, 600)
 			}
-			err = e.freeze()
+			err = e.disk().freeze()
 			if err == nil && variant == "after-build" {
-				_, err = e.buildSST(e.imm)
+				_, err = e.disk().buildSST(e.disk().imm)
 			}
 			if err != nil {
 				t.Fatal(err)

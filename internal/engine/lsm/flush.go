@@ -7,16 +7,6 @@ import (
 	"nstore/internal/core"
 )
 
-// Validate is what both Log engines check before New or Open builds anything:
-// the options set no vestigial field (core.Options.CheckVestigial), and the
-// schemas fit the packed tree-key layout.
-func Validate(schemas []*core.Schema, opts core.Options) error {
-	if err := opts.CheckVestigial(); err != nil {
-		return err
-	}
-	return core.ValidatePacked(schemas)
-}
-
 // RunStages runs the tail of the flush pipeline (the NoKV-style stage
 // machine) inline, on the caller's goroutine: build, then install, then
 // release, each skipped when nil, adding each stage's wall time to st. The

@@ -31,12 +31,11 @@ const (
 
 	rootSlot = 0
 
-	// Engine header layout.
-	hMagic     = 0
-	hCommitted = 8
-	hWalHead   = 16
-	hNTables   = 24
-	hAnchors   = 32
+	// Engine header layout. Word 8 is reserved.
+	hMagic   = 0
+	hWalHead = 16
+	hNTables = 24
+	hAnchors = 32
 
 	// An undo entry's body (undolog): the slot, then an update's
 	// before-image, a record per column (col u8, value u64).
@@ -90,7 +89,6 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	e.hdr, e.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
 	d := e.Env.Dev
 	d.WriteU64(int64(hdr)+hMagic, hdrMagic)
-	d.WriteU64(int64(hdr)+hCommitted, 0)
 	d.WriteU64(int64(hdr)+hWalHead, 0)
 	d.WriteU64(int64(hdr)+hNTables, uint64(len(schemas)))
 

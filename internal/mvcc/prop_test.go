@@ -19,7 +19,6 @@ import (
 	"nstore/internal/engine/cow"
 	"nstore/internal/engine/logeng"
 	"nstore/internal/engine/nvminp"
-	"nstore/internal/engine/nvmlog"
 	"nstore/internal/mvcc"
 )
 
@@ -46,9 +45,9 @@ var propEngines = []propEngine{
 		return e, e.MV, nil
 	}},
 	{name: "nvm-log", build: func(env *core.Env, schemas []*core.Schema, opts core.Options, reopen bool) (core.Engine, *mvcc.Store, error) {
-		open := nvmlog.New
+		open := logeng.NewNVM
 		if reopen {
-			open = nvmlog.Open
+			open = logeng.OpenNVM
 		}
 		e, err := open(env, schemas, opts)
 		if err != nil {

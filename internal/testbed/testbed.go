@@ -17,7 +17,6 @@ import (
 	"nstore/internal/engine/inp"
 	"nstore/internal/engine/logeng"
 	"nstore/internal/engine/nvminp"
-	"nstore/internal/engine/nvmlog"
 	"nstore/internal/nvm"
 )
 
@@ -133,9 +132,9 @@ func buildEngine(kind EngineKind, env *core.Env, schemas []*core.Schema, opts co
 		return cow.NewNVM(env, schemas, opts)
 	case NVMLog:
 		if recover {
-			return nvmlog.Open(env, schemas, opts)
+			return logeng.OpenNVM(env, schemas, opts)
 		}
-		return nvmlog.New(env, schemas, opts)
+		return logeng.NewNVM(env, schemas, opts)
 	}
 	return nil, fmt.Errorf("testbed: unknown engine %q", kind)
 }
