@@ -574,22 +574,30 @@ func (t *Tree) pending() int {
 	return n
 }
 
+// imgSlack returns the bytes by which a leaf of n entries' image (encode) may
+// exceed its live bytes in the slotted page: a mixed-width leaf's image has a
+// header 8 bytes longer, and per entry up to 8 + 2 bytes of key delta and
+// length where the page has a 12-byte slot. Every other image fits in the
+// slotted page's live bytes.
+func imgSlack(n int) int { return max(0, 8-2*n) }
+
 // leafInsert places (k, val) into the shadowed leaf, compacting or
-// splitting as needed. A replace that does not grow the value overwrites it
-// where it is: the leaf is the transaction's own buffer, so Abort still has
-// the old value in the batch's image or on the pager.
+// splitting as needed, and leaves the leaf room for its image. A replace that
+// does not grow the value overwrites it where it is: the leaf is the
+// transaction's own buffer, so Abort still has the old value in the batch's
+// image or on the pager.
 func (t *Tree) leafInsert(leaf pathEnt, path []pathEnt, k uint64, val []byte) error {
 	buf := leaf.buf
 	i := leafLowerBound(buf, k)
 	replacing := i < count(buf) && leafKey(buf, i) == k
-	need := leafSlot + len(val)
+	need := leafSlot + len(val) + imgSlack(count(buf)+1)
 	if replacing {
 		if old := leafVal(buf, i); len(val) <= len(old) {
 			copy(old, val)
 			binary.LittleEndian.PutUint16(buf[pHdr+i*leafSlot+10:], uint16(len(val)))
 			return nil
 		}
-		need = len(val) // slot already exists; old value becomes garbage
+		need = len(val) + imgSlack(count(buf)) // slot already exists; old value becomes garbage
 	}
 	if leafFree(buf) < need {
 		t.compactLeaf(buf)

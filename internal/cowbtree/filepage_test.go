@@ -3,47 +3,28 @@ package cowbtree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"nstore/internal/nvm"
+	"nstore/internal/pmalloc"
 	"nstore/internal/pmfs"
 )
 
-// fileImageLen states the file pager's page image afresh: an inner page's
-// header and entries; a leaf's header and slot directory, and its value heap
-// to the end of the page, dead values included.
-func fileImageLen(buf []byte) int {
-	if isLeaf(buf) {
-		return pHdr + count(buf)*leafSlot + len(buf) - dataEnd(buf)
-	}
-	return pHdr + count(buf)*innerEnt
-}
-
 // fileImageBad states the file pager's checks afresh: whether a slot holding
 // raw, read through an id whose length is n, must be refused — a length below
-// the header or above the page, a length the header does not imply, a heap
-// that overlaps the slots or leaves the page, or a value outside the page.
+// the fixed header or above the page, an image the decoder's checks refuse
+// (overruns), or one whose length is not n.
 func fileImageBad(raw []byte, n, psize int) bool {
-	if n < pHdr || n > psize {
+	if n < imgFixed || n > psize {
 		return true
 	}
-	c := int(binary.LittleEndian.Uint16(raw[pCount:]))
-	if raw[pFlags] != 1 {
-		return pHdr+c*innerEnt != n
-	}
-	slots, heap := pHdr+c*leafSlot, int(binary.LittleEndian.Uint32(raw[pDataEnd:]))
-	if slots > heap || heap > psize || slots+psize-heap != n {
-		return true
-	}
-	for i := 0; i < c; i++ {
-		s := raw[pHdr+i*leafSlot:]
-		if int(binary.LittleEndian.Uint16(s[8:]))+int(binary.LittleEndian.Uint16(s[10:])) > psize {
-			return true
-		}
-	}
-	return false
+	img := make([]byte, psize) // the bytes past n are never read
+	copy(img, raw[:n])
+	size, bad := overruns(img, psize)
+	return bad || size != n
 }
 
 // FuzzFilePageImage: whatever a page's slot of the file holds, and whatever
@@ -52,9 +33,9 @@ func fileImageBad(raw []byte, n, psize int) bool {
 // refuse the image, and the next Persist then refuses to commit; and every
 // kind of page the tree makes — leaves with replaced and deleted values,
 // compacted or not, and inner pages — comes back from the file pager with the
-// same entries under an id that carries its image's length, having been
-// written as that image padded to whole lines. An id whose length is short,
-// oversized or disagrees with the leaf's heap ends in a refused Persist.
+// same entries under an id that carries its column image's length, having
+// been written as that image padded to whole lines. An id whose length is
+// short, oversized or not the image's ends in a refused Persist.
 func FuzzFilePageImage(f *testing.F) {
 	const psize = 4096
 	dev := nvm.NewDevice(nvm.DefaultConfig(8 << 20))
@@ -80,19 +61,21 @@ func FuzzFilePageImage(f *testing.F) {
 	}
 	pg.FreePage(spare)
 
-	leaf := func(n, heap int) []byte {
-		b := make([]byte, pHdr)
-		b[pFlags] = 1
-		binary.LittleEndian.PutUint16(b[pCount:], uint16(n))
-		return binary.LittleEndian.AppendUint32(b[:pDataEnd], uint32(heap))
-	}
-	f.Add([]byte(nil), uint16(pHdr), uint8(innerPage), int64(1))
-	f.Add(leaf(0, psize), uint16(pHdr), uint8(uniformLeaf), int64(2))
-	f.Add(leaf(2, psize-10), uint16(pHdr+2*leafSlot+10), uint8(mixedLeaf), int64(3))
-	f.Add(leaf(2, psize-10), uint16(pHdr+2*leafSlot+9), uint8(mixedLeaf|4), int64(4))
-	f.Add(leaf(0xffff, psize), uint16(psize), uint8(uniformLeaf|4), int64(5))
-	f.Add([]byte{0, 0, 0xff, 0xff}, uint16(psize), uint8(innerPage), int64(6))
-	f.Add([]byte(nil), uint16(psize+1), uint8(mixedLeaf), int64(7))
+	// Images: an empty leaf; a leaf of three mixed values (key deltas 0, 1,
+	// 2; lengths 8, 0, 3); an inner page of one child; an inner page whose
+	// count overruns the page; a zeroed slot, whose flags name no page.
+	emptyLeaf := []byte{imgLeaf, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	mixed := []byte("\x05\x01\x03\x00\x01\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x01\x02\x08\x00\x03AAAAAAAAxyz")
+	inner := binary.LittleEndian.AppendUint64([]byte{imgFOR, 0, 1, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0}, 1|64<<idLenShift)
+	f.Add(emptyLeaf, uint16(len(emptyLeaf)), uint8(uniformLeaf), int64(1))
+	f.Add(mixed, uint16(len(mixed)), uint8(mixedLeaf), int64(2))
+	f.Add(mixed, uint16(len(mixed)-1), uint8(mixedLeaf|4), int64(3))
+	f.Add(mixed, uint16(len(mixed)+1), uint8(uniformLeaf|4), int64(4))
+	f.Add(inner, uint16(len(inner)), uint8(innerPage), int64(5))
+	f.Add([]byte{imgFOR, 8, 0xff, 0xff, 8}, uint16(psize), uint8(innerPage), int64(6))
+	f.Add([]byte(nil), uint16(imgFixed+8), uint8(mixedLeaf), int64(7))
+	f.Add(emptyLeaf, uint16(imgFixed-1), uint8(uniformLeaf), int64(8))
+	f.Add(emptyLeaf, uint16(psize+1), uint8(innerPage), int64(9))
 	f.Fuzz(func(t *testing.T, raw []byte, n uint16, kind uint8, seed int64) {
 		slot := make([]byte, psize)
 		copy(slot, raw)
@@ -103,10 +86,10 @@ func FuzzFilePageImage(f *testing.F) {
 		pg.ReadPage(rawID&pageMask|uint64(n)<<idLenShift, buf)
 		bad := fileImageBad(slot, int(n), psize)
 		if bad != (pg.Err() != nil) {
-			t.Fatalf("header %x through a %d-byte id: refused %v, pager recorded %v", slot[:pHdr], n, bad, pg.Err())
+			t.Fatalf("header %x through a %d-byte id: refused %v, pager recorded %v", slot[:imgFixed], n, bad, pg.Err())
 		}
-		if err := checkSlotted(buf); err != nil {
-			t.Fatalf("header %x through a %d-byte id decoded into a page the tree indexes out of: %v", slot[:pHdr], n, err)
+		if err := indexable(buf); err != nil {
+			t.Fatalf("header %x through a %d-byte id decoded into a page the tree indexes out of: %v", slot[:imgFixed], n, err)
 		}
 		for i := 0; i < count(buf); i++ {
 			if isLeaf(buf) {
@@ -116,7 +99,7 @@ func FuzzFilePageImage(f *testing.F) {
 			}
 		}
 		if bad && pg.Persist(pg.root, pg.meta) == nil {
-			t.Fatalf("header %x through a %d-byte id: Persist committed over a refused image", slot[:pHdr], n)
+			t.Fatalf("header %x through a %d-byte id: Persist committed over a refused image", slot[:imgFixed], n)
 		}
 
 		rng := rand.New(rand.NewSource(seed))
@@ -129,7 +112,7 @@ func FuzzFilePageImage(f *testing.F) {
 		for i := lo; i < hi; i++ {
 			want[i] = byte(rng.Int()) // the gap may hold anything
 		}
-		size := fileImageLen(want)
+		_, size := imageSize(want)
 		before := dev.Stats().BytesWritten
 		id, err := pg.WritePage(want)
 		if err != nil {
@@ -146,11 +129,11 @@ func FuzzFilePageImage(f *testing.F) {
 		if !samePage(got, want) || pg.Err() != nil {
 			t.Fatalf("a page of %d entries (leaf %v) did not round-trip (%v)", count(want), isLeaf(want), pg.Err())
 		}
-		mismatch := pHdr + rng.Intn(psize-pHdr+1)
+		mismatch := imgFixed + rng.Intn(psize-imgFixed+1)
 		if mismatch == size {
 			mismatch = size + 1
 		}
-		for _, n := range []int{rng.Intn(pHdr), psize + 1 + rng.Intn(psize), mismatch} {
+		for _, n := range []int{rng.Intn(imgFixed), psize + 1 + rng.Intn(psize), mismatch} {
 			pg.ReadPage(id&pageMask|uint64(n)<<idLenShift, got)
 			if pg.Persist(pg.root, pg.meta) == nil {
 				t.Fatalf("a %d-byte image read through a %d-byte id: Persist committed", size, n)
@@ -161,9 +144,9 @@ func FuzzFilePageImage(f *testing.F) {
 }
 
 // TestFilePagerColdReadCost: a ReadPage of a page none of whose lines is
-// cached loads exactly the lines of its image and charges one filesystem
-// call that copies the image's bytes — on a slot the file grew by and on a
-// recycled one.
+// cached loads exactly the lines of its column image and charges one
+// filesystem call that copies the image's bytes — on a slot the file grew by
+// and on a recycled one.
 func TestFilePagerColdReadCost(t *testing.T) {
 	dev, _, tr := newFilePagerTree(t)
 	dev.SetLatency(nvm.ProfileLowNVM)
@@ -178,7 +161,7 @@ func TestFilePagerColdReadCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := fileImageLen(want)
+		_, n := imageSize(want)
 		lines := (n + nvm.LineSize - 1) / nvm.LineSize
 		s0 := dev.Stats()
 		pg.ReadPage(id, got)
@@ -310,6 +293,137 @@ func TestUpdateReadsPathOnce(t *testing.T) {
 	for k := uint64(1); k <= 3; k++ {
 		if v, _ := tr.Get(k); !bytes.Equal(v, val(k+100, 16)) {
 			t.Fatalf("Get(%d) after the rewrite = %x, want %x", k, v, val(k+100, 16))
+		}
+	}
+}
+
+// TestInnerImageSameOnBothPagers: the same puts make the same inner root on
+// either pager, and both store it as the same bytes — flags, key width,
+// count, key base and key column — but for the child-id framing: a file
+// page's child is pageNo | len<<idLenShift, an arena page's a chunk address,
+// so the value column's width, shift and base and its codes differ, and each
+// pager's column decodes to the children its own tree names.
+func TestInnerImageSameOnBothPagers(t *testing.T) {
+	var imgs [2][]byte
+	for i, arenaPager := range []bool{false, true} {
+		var tr *Tree
+		var raw func(id uint64, n int) []byte
+		if arenaPager {
+			dev, _, atr := newArenaPagerTree(t)
+			tr = atr
+			raw = func(id uint64, n int) []byte {
+				b := make([]byte, n)
+				dev.Read(int64(id), b)
+				return b
+			}
+		} else {
+			_, fs, ftr := newFilePagerTree(t)
+			tr = ftr
+			raw = func(id uint64, n int) []byte {
+				if int(id>>idLenShift) != n {
+					t.Fatalf("the file root's id carries %d bytes, its image has %d", id>>idLenShift, n)
+				}
+				f, err := fs.OpenFile("cow.db")
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := make([]byte, n)
+				if _, err := f.ReadAt(b, ftr.pg.(*FilePager).PageOffset(id)); err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+		}
+		for k := uint64(1); k <= 3000; k++ {
+			if err := tr.Put(k*7, val(k, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Persist(); err != nil {
+			t.Fatal(err)
+		}
+		root := tr.page(tr.Root())
+		if isLeaf(root) || count(root) < 2 {
+			t.Fatalf("arena=%v: the root is no inner page of several children", arenaPager)
+		}
+		_, size := imageSize(root)
+		img := raw(tr.Root(), size)
+		n, kw, vw := count(root), int(img[1]), int(binary.LittleEndian.Uint16(img[4:]))
+		if img[0] != imgFOR || size != imgHead(imgFOR)+n*(kw+vw) {
+			t.Fatalf("arena=%v: an inner root of %d entries stored as flags %#x, %d-byte deltas and %d-byte codes in %d bytes",
+				arenaPager, n, img[0], kw, vw, size)
+		}
+		codes := append(img[imgHead(imgFOR)+n*kw:], make([]byte, 8)...)
+		col := newColumn(codes, vw, binary.LittleEndian.Uint64(img[imgFixed+8:]), int(img[6]))
+		for j := 0; j < n; j++ {
+			if c := col.at(j); c != innerChild(root, j) {
+				t.Fatalf("arena=%v: child %d decodes to %#x, the tree names %#x", arenaPager, j, c, innerChild(root, j))
+			}
+		}
+		imgs[i] = img
+	}
+	file, arena := imgs[0], imgs[1]
+	if len(file) < imgHead(imgFOR) || len(arena) < imgHead(imgFOR) {
+		t.Fatal("an image shorter than its header")
+	}
+	n, kw := int(binary.LittleEndian.Uint16(file[2:])), int(file[1])
+	same := func(lo, hi int) bool { return bytes.Equal(file[lo:hi], arena[lo:hi]) }
+	if !same(0, 4) || !same(imgFixed, imgFixed+8) || file[7] != 0 || arena[7] != 0 ||
+		!same(imgHead(imgFOR), imgHead(imgFOR)+n*kw) {
+		t.Fatalf("the inner root's image differs outside its child ids:\nfile  %x\narena %x", file[:imgHead(imgFOR)+n*kw], arena[:min(len(arena), imgHead(imgFOR)+n*kw)])
+	}
+}
+
+// TestEveryLeafFitsItsImage: on either pager, a put the tree takes persists.
+// A leaf of two or three values of mixed widths, keys 2^61 apart, filled to
+// within a few bytes of its page, has an image up to 4 bytes larger than the
+// page (imgSlack): the tree splits such a leaf, or refuses the put that would
+// make it, instead of leaving it to a Persist that cannot write it.
+func TestEveryLeafFitsItsImage(t *testing.T) {
+	for _, arenaPager := range []bool{false, true} {
+		for n := 2; n <= 3; n++ {
+			for gap := 0; gap <= 8; gap++ {
+				dev := nvm.NewDevice(nvm.DefaultConfig(1 << 20))
+				var pg Pager
+				var err error
+				if arenaPager {
+					pg, err = CreateArenaPager(pmalloc.Format(dev, 0, 1<<20), 0, 4096)
+				} else {
+					pg, err = CreateFilePager(pmfs.Format(dev, 0, 1<<20, pmfs.Config{ExtentSize: 64 << 10}), "cow.db", 4096)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := Create(pg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := tr.psize - pHdr - n*leafSlot - gap // the values' bytes
+				want := map[uint64][]byte{}
+				for i := 0; i < n; i++ {
+					size := total/n - i
+					if i == n-1 {
+						size = total - (total/n)*(n-1) + (n-1)*n/2 - i
+					}
+					k, v := uint64(i)<<61, val(uint64(i), size)
+					err := tr.Put(k, v)
+					if errors.Is(err, ErrValueTooLarge) {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[k] = v
+				}
+				if err := tr.Persist(); err != nil {
+					t.Fatalf("arena=%v, %d values in %d bytes: %d puts taken, Persist: %v", arenaPager, n, total, len(want), err)
+				}
+				for k, v := range want {
+					if got, ok := tr.Get(k); !ok || !bytes.Equal(got, v) {
+						t.Fatalf("arena=%v: key %#x lost", arenaPager, k)
+					}
+				}
+			}
 		}
 	}
 }

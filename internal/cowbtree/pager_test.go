@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -248,18 +249,19 @@ func TestOversizedCountFailsPersist(t *testing.T) {
 	}
 }
 
-// overruns states the arena pager's header checks afresh: whether img's
-// header names no page, or a width, a shift or a count no page of psize bytes
-// holds — in the chunk, as an image, or in the tree's buffer, decoded.
-func overruns(img []byte, psize int) bool {
+// overruns states the decoder's checks afresh: whether img's header names no
+// page, or a width, a shift or a count no page of psize bytes holds — as an
+// image, or in the tree's buffer, decoded. If not, size is the image's length
+// as its header and length column state it.
+func overruns(img []byte, psize int) (size int, bad bool) {
 	flags, kw, n := img[0], int(img[1]), int(binary.LittleEndian.Uint16(img[2:]))
 	vw, shift := int(binary.LittleEndian.Uint16(img[4:])), int(img[6])
 	coded, lens := flags&imgFOR != 0, flags&imgLens != 0
 	switch {
 	case flags != imgFOR && flags != imgLeaf && flags != imgLeaf|imgFOR && flags != imgLeaf|imgLens:
-		return true
+		return 0, true
 	case kw > 8 || (coded || lens) && vw > 8 || coded && shift >= 64:
-		return true
+		return 0, true
 	}
 	head := 16
 	if coded {
@@ -279,12 +281,34 @@ func overruns(img []byte, psize int) bool {
 				l |= uint64(img[head+n*kw+i*vw+j]) << (8 * j)
 			}
 			if l > uint64(psize) {
-				return true
+				return 0, true
 			}
 			size, decoded = size+int(l), decoded+int(l)
 		}
 	}
-	return size > psize || decoded > psize
+	return size, size > psize || decoded > psize
+}
+
+// indexable reports a decoded page whose count, value heap or value slots
+// reach past its end: no page a pager returns may be one.
+func indexable(buf []byte) error {
+	n := count(buf)
+	if !isLeaf(buf) {
+		if pHdr+n*innerEnt > len(buf) {
+			return fmt.Errorf("%d inner entries overrun a %d-byte page", n, len(buf))
+		}
+		return nil
+	}
+	if pHdr+n*leafSlot > dataEnd(buf) || dataEnd(buf) > len(buf) {
+		return fmt.Errorf("%d leaf slots and a heap at %d overrun a %d-byte page", n, dataEnd(buf), len(buf))
+	}
+	for i := 0; i < n; i++ {
+		off := int(binary.LittleEndian.Uint16(buf[pHdr+i*leafSlot+8:]))
+		if ln := int(binary.LittleEndian.Uint16(buf[pHdr+i*leafSlot+10:])); off+ln > len(buf) {
+			return fmt.Errorf("leaf value %d at [%d,%d) overruns a %d-byte page", i, off, off+ln, len(buf))
+		}
+	}
+	return nil
 }
 
 // FuzzArenaPageImage: whatever a page chunk holds, ReadPage neither panics nor
@@ -312,10 +336,10 @@ func FuzzArenaPageImage(f *testing.F) {
 		buf := make([]byte, psize)
 		pg.ioErr = nil
 		pg.ReadPage(id, buf)
-		if bad := overruns(img, psize); bad != (pg.ioErr != nil) {
+		if _, bad := overruns(img, psize); bad != (pg.ioErr != nil) {
 			t.Fatalf("header %x: overruns %v, pager recorded %v", img[:24], bad, pg.ioErr)
 		}
-		if err := checkSlotted(buf); err != nil {
+		if err := indexable(buf); err != nil {
 			t.Fatalf("header %x decoded into a page the tree indexes out of: %v", img[:24], err)
 		}
 		for i := 0; i < count(buf); i++ {

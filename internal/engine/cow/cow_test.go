@@ -101,11 +101,14 @@ func TestColReader(t *testing.T) {
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today.
 //
-// cow: loads / stores / flushes / fences 53.0 / 53.4 / 0.10 / 0.13, 12.85 us
-// of stall: the file pager reads and writes a page's image — header, slots or
-// entries, and a leaf's value heap, padded to whole lines on a recycled slot —
-// and an update clones the pages its Get read instead of reading them through
-// the filesystem again. (102.0 / 102.0 / 0.10 / 0.13 and 25.3 us while every
+// cow: loads / stores / flushes / fences 38.3 / 38.8 / 0.10 / 0.13, 9.94 us
+// of stall: the file pager reads and writes a page's column image, the one
+// the arena pager's chunks hold — key deltas and frame-of-reference-coded
+// child ids or values, padded to whole lines on a recycled slot — and an
+// update clones the pages its Get read instead of reading them through the
+// filesystem again. (53.0 / 53.4 and 12.85 us while a file page's image was
+// its slotted form — header, slots or 16-byte inner entries, and a leaf's
+// value heap; 102.0 / 102.0 / 0.10 / 0.13 and 25.3 us while every
 // page moved whole, 4 KB a read and a write, and shadow read the path a second
 // time; 102.8 stores while the file pager wrote a zeroed page to grow the
 // file before writing the page itself; 196.3 / 102.3 / 102.9 / 0.13 and 44.5
@@ -129,7 +132,7 @@ func TestColReader(t *testing.T) {
 // whole, once per transaction.
 func TestDeviceBudget(t *testing.T) {
 	budgets := map[string]enginetest.DeviceBudget{
-		"cow":     {Loads: 58.5, Stores: 58.5, Flushes: 0.12, Fences: 0.14, StallUS: 14.1},
+		"cow":     {Loads: 42.1, Stores: 42.7, Flushes: 0.12, Fences: 0.14, StallUS: 10.9},
 		"nvm-cow": {Loads: 24, Stores: 24.2, Flushes: 0.09, Fences: 0.18},
 	}
 	both(t, func(t *testing.T, f enginetest.Factory) {
@@ -347,7 +350,7 @@ func TestOversizedCountFailsOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			file.WriteAt([]byte{0xff, 0xff}, e.tup.(inline).pg.PageOffset(uint64(root))+2) // the slotted page's count
+			file.WriteAt([]byte{0xff, 0xff}, e.tup.(inline).pg.PageOffset(uint64(root))+2) // the image's count
 			file.Sync()
 			reopen = env.ReopenVolatile
 		} else {

@@ -634,7 +634,8 @@ func (s *nvmStore) swapRunList(runs []*nvmRun) error {
 // read, folded and written. Whichever side of the run-list swap a crash lands
 // on, exactly one listed run reaches an adopted chunk, and the recovery sweep
 // keeps whatever a listed run reaches. The merged run is bulk-loaded
-// (nvbtree.Build) once every entry is known.
+// (nvbtree.Build) once every entry is known; a bottom set whose every key's
+// newest entry is a tombstone leaves no run at all.
 func (s *nvmStore) compact() error {
 	sizes := make([]int, len(s.runs))
 	for i, r := range s.runs {
@@ -713,18 +714,26 @@ func (s *nvmStore) compact() error {
 				kvs = append(kvs, nvbtree.KV{K: k, V: v})
 				kept = append(kept, k)
 			}
+			if len(kvs) == 0 {
+				return nil // the set cancelled out: no run takes its place
+			}
 			merged, err := nvbtree.Build(s.Env.Arena, s.opts.BTreeNodeSize, kvs)
 			if err != nil {
 				return fail(err)
 			}
-			// The filter is sized for every key of the set, dropped ones too.
-			if newRun, err = s.storeRun(merged, len(kvs), bloom.Build(len(order), kept)); err != nil {
+			// The filter is sized for the kept keys, as the recovery sweep's
+			// rebuild (verifyBlooms) sizes it.
+			if newRun, err = s.storeRun(merged, len(kvs), bloom.Build(len(kept), kept)); err != nil {
 				return fail(err)
 			}
 			return nil
 		},
 		func() error {
-			if err := s.swapRunList(append([]*nvmRun{newRun}, s.runs[n:]...)); err != nil {
+			runs := s.runs[n:]
+			if newRun != nil {
+				runs = append([]*nvmRun{newRun}, runs...)
+			}
+			if err := s.swapRunList(runs); err != nil {
 				return fail(err)
 			}
 			return nil

@@ -1,6 +1,7 @@
 package logeng
 
 import (
+	"bytes"
 	"testing"
 
 	"nstore/internal/core"
@@ -378,5 +379,135 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	}
 	if _, err := OpenNVM(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
 		t.Fatalf("Open over an undo entry of table 200: %v, want a corrupt error", err)
+	}
+}
+
+// TestMergeFilterSizedByKeptKeys: a bottom merge that drops tombstones sizes
+// the merged run's Bloom filter by the keys it keeps, as the recovery sweep
+// rebuilds it, so the open after the merge finds the filter intact: it keeps
+// the run list and the filter where they are and writes neither.
+func TestMergeFilterSizedByKeptKeys(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+	opts := core.Options{MemTableCap: 50, LSMGrowth: 2}
+	e, err := NewNVM(env, simpleSchema(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(op func() error) {
+		t.Helper()
+		if err := e.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One run of 50 inserts; then 25 of them deleted and 25 new keys, whose
+	// rotation merges both runs at the bottom and drops the 25 tombstones.
+	for i := int64(1); i <= 50; i++ {
+		commit(func() error { return e.Insert("t", uint64(i), row(i)) })
+	}
+	for i := int64(1); i <= 25; i++ {
+		commit(func() error { return e.Delete("t", uint64(i)) })
+		commit(func() error { return e.Insert("t", uint64(100+i), row(100+i)) })
+	}
+	s := e.nvm()
+	if e.Compactions() != 1 || len(s.runs) != 1 || s.runs[0].keys != 50 {
+		t.Fatalf("%d compactions left %d runs (first of %d keys), want one merge to one run of the 50 kept keys",
+			e.Compactions(), len(s.runs), s.runs[0].keys)
+	}
+	list, fl := env.Dev.ReadU64(int64(s.hdr)+hRunList), s.runs[0].filter
+	bits := make([]byte, fl.words*8)
+	env.Dev.Read(int64(fl.ptr), bits)
+
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := OpenNVM(env2, simpleSchema(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := e2.nvm()
+	if got := env2.Dev.ReadU64(int64(s2.hdr) + hRunList); got != list || len(s2.runs) != 1 || s2.runs[0].filter != fl {
+		t.Fatalf("the open after the merge relinked: run list %d → %d, filter %+v → %+v", list, got, fl, s2.runs[0].filter)
+	}
+	after := make([]byte, fl.words*8)
+	env2.Dev.Read(int64(fl.ptr), after)
+	if !bytes.Equal(after, bits) {
+		t.Fatal("the open after the merge rewrote the merged run's filter")
+	}
+	for i := int64(1); i <= 125; i++ {
+		if _, ok, err := e2.Get("t", uint64(i)); err != nil || ok != (i > 25 && i <= 50 || i > 100) {
+			t.Fatalf("Get(%d) after the open = %v, %v", i, ok, err)
+		}
+	}
+}
+
+// TestNoEmptyRunWhenMergeCancels: on TestTombstonesReclaimedDuringCompaction's
+// schedule a bottom merge meets a set whose every key's newest entry is a
+// tombstone; it lists no run in the set's place, so no listed run is ever
+// empty, and the engine reopens to the same keys.
+func TestNoEmptyRunWhenMergeCancels(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+	opts := core.Options{MemTableCap: 50, LSMGrowth: 2}
+	e, err := NewNVM(env, simpleSchema(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptied := false
+	step := func(op func() error) {
+		t.Helper()
+		if err := e.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range e.nvm().runs {
+			if r.keys == 0 || r.tree.Count() == 0 {
+				t.Fatalf("after %d compactions run %d of %d is empty", e.Compactions(), i, len(e.nvm().runs))
+			}
+		}
+		emptied = emptied || len(e.nvm().runs) == 0 && e.Compactions() > 0
+	}
+	for i := int64(1); i <= 100; i++ {
+		step(func() error { return e.Insert("t", uint64(i), row(i)) })
+	}
+	for i := int64(1); i <= 100; i++ {
+		step(func() error { return e.Delete("t", uint64(i)) })
+	}
+	if !emptied {
+		t.Fatal("no merge cancelled out: the schedule tests nothing")
+	}
+	for i := int64(1000); i <= 1200; i++ {
+		step(func() error { return e.Insert("t", uint64(i), row(i)) })
+	}
+
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := OpenNVM(env2, simpleSchema(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range e2.nvm().runs {
+		if r.keys == 0 {
+			t.Fatal("a listed run is empty after the reopen")
+		}
+	}
+	for _, i := range []int64{1, 50, 100, 1000, 1100, 1200} {
+		if _, ok, err := e2.Get("t", uint64(i)); err != nil || ok != (i >= 1000) {
+			t.Fatalf("Get(%d) after the reopen = %v, %v", i, ok, err)
+		}
 	}
 }
