@@ -600,6 +600,13 @@ func (t *Tree) leafInsert(leaf pathEnt, path []pathEnt, k uint64, val []byte) er
 		need = len(val) + imgSlack(count(buf)) // slot already exists; old value becomes garbage
 	}
 	if leafFree(buf) < need {
+		if replacing && count(buf) == 1 {
+			// The old value is the leaf's only one: dropping it before the
+			// compaction leaves the new value the whole page, which a value
+			// within maxValue fits.
+			setCount(buf, 0)
+			i, replacing, need = 0, false, leafSlot+len(val)+imgSlack(1)
+		}
 		t.compactLeaf(buf)
 		i = leafLowerBound(buf, k)
 	}
@@ -650,31 +657,43 @@ func (t *Tree) compactLeaf(buf []byte) {
 
 // splitLeafInsert splits a full leaf at a byte-balanced point and retries
 // the insert, re-splitting the target half if variable-length values left
-// it too full. The parent has room for the separators thanks to preemptive
-// inner splits.
+// it too full. A one-entry leaf (a new key beside one value too large to
+// share the page) splits around the new key instead: it gets a leaf of its
+// own on its side of the separator. The parent has room for the separators
+// thanks to preemptive inner splits.
 func (t *Tree) splitLeafInsert(leaf pathEnt, path []pathEnt, k uint64, val []byte) error {
 	buf := leaf.buf
 	c := count(buf)
-	if c < 2 {
-		return fmt.Errorf("%w: split of %d-entry leaf, key %#x val %d", ErrValueTooLarge, c, k, len(val))
+	if c < 1 {
+		return fmt.Errorf("%w: split of an empty leaf, key %#x val %d", ErrValueTooLarge, k, len(val))
 	}
-	// Byte-balanced split point: first index where the prefix reaches half
-	// of the payload bytes, clamped to [1, c-1].
-	total := 0
-	for i := 0; i < c; i++ {
-		total += leafSlot + len(leafVal(buf, i))
-	}
-	mid, acc := 1, leafSlot+len(leafVal(buf, 0))
-	for mid < c-1 && acc < total/2 {
-		acc += leafSlot + len(leafVal(buf, mid))
-		mid++
+	var mid int
+	var sep uint64
+	if c == 1 {
+		// k is new: leafInsert makes room for a replace in a one-entry leaf.
+		if k > leafKey(buf, 0) {
+			mid, sep = 1, k
+		} else {
+			mid, sep = 0, leafKey(buf, 0)
+		}
+	} else {
+		// Byte-balanced split point: first index where the prefix reaches
+		// half of the payload bytes, clamped to [1, c-1].
+		total := 0
+		for i := 0; i < c; i++ {
+			total += leafSlot + len(leafVal(buf, i))
+		}
+		acc := leafSlot + len(leafVal(buf, 0))
+		for mid = 1; mid < c-1 && acc < total/2; mid++ {
+			acc += leafSlot + len(leafVal(buf, mid))
+		}
+		sep = leafKey(buf, mid)
 	}
 
 	rid, rbuf := t.newPage(true)
 	for i := mid; i < c; i++ {
 		t.leafPlace(rbuf, i-mid, false, leafKey(buf, i), leafVal(buf, i))
 	}
-	sep := leafKey(buf, mid)
 	setCount(buf, mid)
 	t.compactLeaf(buf)
 

@@ -383,21 +383,7 @@ func TestEveryLeafFitsItsImage(t *testing.T) {
 	for _, arenaPager := range []bool{false, true} {
 		for n := 2; n <= 3; n++ {
 			for gap := 0; gap <= 8; gap++ {
-				dev := nvm.NewDevice(nvm.DefaultConfig(1 << 20))
-				var pg Pager
-				var err error
-				if arenaPager {
-					pg, err = CreateArenaPager(pmalloc.Format(dev, 0, 1<<20), 0, 4096)
-				} else {
-					pg, err = CreateFilePager(pmfs.Format(dev, 0, 1<<20, pmfs.Config{ExtentSize: 64 << 10}), "cow.db", 4096)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr, err := Create(pg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				tr := newPagerTree(t, arenaPager)
 				total := tr.psize - pHdr - n*leafSlot - gap // the values' bytes
 				want := map[uint64][]byte{}
 				for i := 0; i < n; i++ {
@@ -424,6 +410,66 @@ func TestEveryLeafFitsItsImage(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// newPagerTree returns an empty tree of 4 KB pages on a 1 MB device, over the
+// arena pager or the file pager.
+func newPagerTree(t *testing.T, arenaPager bool) *Tree {
+	t.Helper()
+	dev := nvm.NewDevice(nvm.DefaultConfig(1 << 20))
+	var pg Pager
+	var err error
+	if arenaPager {
+		pg, err = CreateArenaPager(pmalloc.Format(dev, 0, 1<<20), 0, 4096)
+	} else {
+		pg, err = CreateFilePager(pmfs.Format(dev, 0, 1<<20, pmfs.Config{ExtentSize: 64 << 10}), "cow.db", 4096)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Create(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestOneEntryLeafSplits: on either pager, a value within maxValue is taken
+// beside a leaf's one other value however large the two are together. Two
+// values of 2 100 bytes under adjacent keys, and a third below them, each get
+// a leaf of their own on their side of the separator; a one-entry leaf's value
+// grown to maxValue replaces the old one in its leaf. Every put is persisted
+// and read back. A one-entry leaf once refused to split ("split of 1-entry
+// leaf") and the put failed with ErrValueTooLarge.
+func TestOneEntryLeafSplits(t *testing.T) {
+	for _, arenaPager := range []bool{false, true} {
+		tr := newPagerTree(t, arenaPager)
+		want := map[uint64][]byte{}
+		put := func(k uint64, v []byte) {
+			t.Helper()
+			if err := tr.Put(k, v); err != nil {
+				t.Fatalf("arena=%v: put of %d bytes at key %d: %v", arenaPager, len(v), k, err)
+			}
+			want[k] = v
+		}
+		put(1000, val(1, 2100))
+		put(1001, val(2, 2100))
+		put(999, val(3, 2100))
+		put(5, val(4, 100))
+		put(5, val(5, tr.maxValue()))
+		put(5, val(6, tr.maxValue()-1))
+		if err := tr.Persist(); err != nil {
+			t.Fatalf("arena=%v: Persist: %v", arenaPager, err)
+		}
+		for k, v := range want {
+			if got, ok := tr.GetCommitted(k); !ok || !bytes.Equal(got, v) {
+				t.Fatalf("arena=%v: key %d lost or changed after Persist", arenaPager, k)
+			}
+		}
+		if n := tr.Count(); n != len(want) {
+			t.Fatalf("arena=%v: the tree holds %d keys, want %d", arenaPager, n, len(want))
 		}
 	}
 }

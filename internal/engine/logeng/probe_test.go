@@ -88,9 +88,10 @@ func TestViewPinnedBeforeGroupFsyncSeesOldValues(t *testing.T) {
 // and writes its delta; it reads no value-log byte (the value log is
 // overwritten with zeros first, so a read would fail its checksum) and, with
 // the run's blocks cached and the CPU cache cold, loads at most 24 lines
-// (19–22 today): the filter words, the search's offsets and keys and the
-// entry's header, then the memtable path and the WAL buffer it writes. The
-// separated image alone is 17 lines.
+// (16–18 today; 19–22 while the search read each step's key from the entry
+// region and the probe the entry's header): the filter words and the index
+// slots the search probes, then the memtable path and the WAL buffer it
+// writes. The separated image alone is 17 lines.
 func TestUpdateOverSeparatedImageReadsNoValue(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20, Profile: nvm.ProfileLowNVM})
 	e, err := New(env, bigSchema(), core.Options{VlogThreshold: 256, MemTableCap: 1 << 20})

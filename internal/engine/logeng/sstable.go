@@ -16,14 +16,22 @@ import (
 // SSTable file layout (§3.3):
 //
 //	entries:  {key u64, kind u8, len u32, payload} ... sorted by key
-//	offsets:  count x u64 entry offsets (the per-SSTable index)
+//	index:    count x {key u64, kind u8 << 56 | offset u56} slots, sorted by
+//	          key, four to a cache line (the per-SSTable index block)
 //	bloom:    marshalled bloom filter
-//	footer:   offsetsPos u64, count u64, bloomPos u64, bloomLen u64, magic
+//	footer:   indexPos u64, count u64, bloomPos u64, bloomLen u64, magic
+//
+// A lookup binary-searches the index: its key, kind and offset are all a
+// step reads, so the write path's liveness probe (kindOf) never touches the
+// entry region, and find reads the one entry it returns, whose bytes end
+// where the next slot's begin. A run of any other layout fails to open as
+// corrupt.
 const (
-	sstMagic   = 0x5353544142312121
+	sstMagic   = 0x5353544142322121
 	footerSize = 40
 	blockSize  = 4096
 	entryHdr   = 13 // key, kind, payload length
+	slotSize   = 16 // key, kind and offset
 )
 
 // blockCache is a small user-space cache of SSTable blocks kept in
@@ -161,17 +169,17 @@ type sstable struct {
 	c     *blockCache
 	count int64
 
-	offsetsPos int64
-	size       int64
+	indexPos int64
+	size     int64
 }
 
 // sstWriter streams sorted entries into a new SSTable file.
 type sstWriter struct {
-	f       *pmfs.File
-	name    string
-	offsets []int64
-	keys    []uint64
-	buf     []byte
+	f     *pmfs.File
+	name  string
+	index []byte // the index slots
+	keys  []uint64
+	buf   []byte
 }
 
 func newSSTWriter(fs *pmfs.FS, name string) (*sstWriter, error) {
@@ -183,7 +191,8 @@ func newSSTWriter(fs *pmfs.FS, name string) (*sstWriter, error) {
 }
 
 func (w *sstWriter) add(key uint64, e lsm.Entry) {
-	w.offsets = append(w.offsets, int64(len(w.buf)))
+	w.index = binary.LittleEndian.AppendUint64(w.index, key)
+	w.index = binary.LittleEndian.AppendUint64(w.index, uint64(e.Kind)<<56|uint64(len(w.buf)))
 	w.keys = append(w.keys, key)
 	var hdr [entryHdr]byte
 	binary.LittleEndian.PutUint64(hdr[0:], key)
@@ -195,19 +204,15 @@ func (w *sstWriter) add(key uint64, e lsm.Entry) {
 
 // finish writes entries, index, bloom filter, and footer, then fsyncs.
 func (w *sstWriter) finish() error {
-	offPos := int64(len(w.buf))
-	var b8 [8]byte
-	for _, o := range w.offsets {
-		binary.LittleEndian.PutUint64(b8[:], uint64(o))
-		w.buf = append(w.buf, b8[:]...)
-	}
+	indexPos := int64(len(w.buf))
+	w.buf = append(w.buf, w.index...)
 	bloomPos := int64(len(w.buf))
 	bm := bloom.Build(len(w.keys), w.keys).Marshal()
 	w.buf = append(w.buf, bm...)
 
 	var foot [footerSize]byte
-	binary.LittleEndian.PutUint64(foot[0:], uint64(offPos))
-	binary.LittleEndian.PutUint64(foot[8:], uint64(len(w.offsets)))
+	binary.LittleEndian.PutUint64(foot[0:], uint64(indexPos))
+	binary.LittleEndian.PutUint64(foot[8:], uint64(len(w.keys)))
 	binary.LittleEndian.PutUint64(foot[16:], uint64(bloomPos))
 	binary.LittleEndian.PutUint64(foot[24:], uint64(len(bm)))
 	binary.LittleEndian.PutUint64(foot[32:], sstMagic)
@@ -221,7 +226,7 @@ func (w *sstWriter) finish() error {
 
 // openSSTable opens a run, read through c, and streams its bloom filter into
 // allocator memory. The footer comes from the file, so it is checked before
-// it sizes anything: the offsets array must end where the filter starts and
+// it sizes anything: the index must end where the filter starts and
 // the filter where the footer starts, and the filter must hold its probe
 // count and at least one word. An image that breaks any of these is corrupt.
 func openSSTable(fs *pmfs.FS, c *blockCache, name string) (*sstable, error) {
@@ -240,15 +245,15 @@ func openSSTable(fs *pmfs.FS, c *blockCache, name string) (*sstable, error) {
 	if binary.LittleEndian.Uint64(foot[32:]) != sstMagic {
 		return nil, core.Corrupt(fmt.Errorf("logeng: %s bad magic", name))
 	}
-	offsetsPos := binary.LittleEndian.Uint64(foot[0:])
+	indexPos := binary.LittleEndian.Uint64(foot[0:])
 	count := binary.LittleEndian.Uint64(foot[8:])
 	bloomPos := binary.LittleEndian.Uint64(foot[16:])
 	bloomLen := binary.LittleEndian.Uint64(foot[24:])
 	body := uint64(size - footerSize)
-	if offsetsPos > body || count > body/8 || offsetsPos+8*count != bloomPos ||
+	if indexPos > body || count > body/slotSize || indexPos+slotSize*count != bloomPos ||
 		bloomLen > body || bloomPos+bloomLen != body || bloomLen < 16 || bloomLen%8 != 0 {
-		return nil, core.Corrupt(fmt.Errorf("logeng: %s footer (offsets %d, count %d, bloom %d+%d) does not fit its %d bytes",
-			name, offsetsPos, count, bloomPos, bloomLen, size))
+		return nil, core.Corrupt(fmt.Errorf("logeng: %s footer (index %d, count %d, bloom %d+%d) does not fit its %d bytes",
+			name, indexPos, count, bloomPos, bloomLen, size))
 	}
 	bm := make([]byte, bloomLen)
 	if _, err := f.ReadAt(bm, int64(bloomPos)); err != nil {
@@ -263,45 +268,36 @@ func openSSTable(fs *pmfs.FS, c *blockCache, name string) (*sstable, error) {
 		return nil, err
 	}
 	return &sstable{
-		filter:     fl,
-		name:       name,
-		f:          f,
-		c:          c,
-		count:      int64(count),
-		offsetsPos: int64(offsetsPos),
-		size:       size,
+		filter:   fl,
+		name:     name,
+		f:        f,
+		c:        c,
+		count:    int64(count),
+		indexPos: int64(indexPos),
+		size:     size,
 	}, nil
 }
 
-// probe reads entry i's offset from the offsets array and the entry's key:
-// all a binary-search step needs. The offset must leave room for the entry's
-// header inside the entry region.
-func (t *sstable) probe(i int64) (off int64, key uint64, err error) {
-	var b [8]byte
-	if err := t.c.read(t.f, t.name, t.offsetsPos+i*8, b[:]); err != nil {
-		return 0, 0, err
-	}
-	o := binary.LittleEndian.Uint64(b[:])
-	if t.offsetsPos < entryHdr || o > uint64(t.offsetsPos-entryHdr) {
-		return 0, 0, core.Corrupt(fmt.Errorf("logeng: %s entry %d at offset %d lies outside its %d-byte entry region", t.name, i, o, t.offsetsPos))
-	}
-	off = int64(o)
-	if err := t.c.read(t.f, t.name, off, b[:]); err != nil {
-		return 0, 0, err
-	}
-	return off, binary.LittleEndian.Uint64(b[:]), nil
+// slot is one index slot: an entry's key, kind and file offset.
+type slot struct {
+	key  uint64
+	kind uint8
+	off  int64
 }
 
-// header reads the kind and payload length of the entry at off, whose key a
-// probe has read. The kind must be a known one and the length must fit the
-// entry region.
-func (t *sstable) header(off int64) (kind uint8, n int64, err error) {
-	var b [entryHdr - 8]byte
-	if err := t.c.read(t.f, t.name, off+8, b[:]); err != nil {
-		return 0, 0, err
+// slot reads index slot i, all a binary-search step needs. The offset must
+// leave room for the entry's header inside the entry region.
+func (t *sstable) slot(i int64) (slot, error) {
+	var b [slotSize]byte
+	if err := t.c.read(t.f, t.name, t.indexPos+i*slotSize, b[:]); err != nil {
+		return slot{}, err
 	}
-	kind, n = b[0], int64(binary.LittleEndian.Uint32(b[1:]))
-	return kind, n, t.checkHeader(off, kind, n)
+	w := binary.LittleEndian.Uint64(b[8:])
+	s := slot{key: binary.LittleEndian.Uint64(b[:]), kind: uint8(w >> 56), off: int64(w & (1<<56 - 1))}
+	if t.indexPos < entryHdr || s.off > t.indexPos-entryHdr {
+		return slot{}, core.Corrupt(fmt.Errorf("logeng: %s entry %d at offset %d lies outside its %d-byte entry region", t.name, i, s.off, t.indexPos))
+	}
+	return s, nil
 }
 
 // checkHeader refuses the header of the entry at off when its kind is none of
@@ -310,83 +306,96 @@ func (t *sstable) checkHeader(off int64, kind uint8, n int64) error {
 	if !lsm.KnownKind(kind) {
 		return core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d holds kind %d", t.name, off, kind))
 	}
-	if n > t.offsetsPos-off-entryHdr {
-		return core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d claims %d bytes past its %d-byte entry region", t.name, off, n, t.offsetsPos))
+	if n > t.indexPos-off-entryHdr {
+		return core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d claims %d bytes past its %d-byte entry region", t.name, off, n, t.indexPos))
 	}
 	return nil
 }
 
-// entryAt reads the entry at off, whose key a probe has read: its header,
-// checked before anything is allocated for the payload, then the payload.
-func (t *sstable) entryAt(off int64) (lsm.Entry, error) {
-	kind, n, err := t.header(off)
-	if err != nil {
-		return lsm.Entry{}, err
-	}
-	e := lsm.Entry{Kind: kind, Payload: make([]byte, n)}
-	if err := t.c.read(t.f, t.name, off+entryHdr, e.Payload); err != nil {
-		return lsm.Entry{}, err
-	}
-	return e, nil
-}
-
-// kindOf returns the kind of the run's entry for key: the binary search's
-// offsets and keys and the entry's header are all it reads.
+// kindOf returns the kind of the run's entry for key from its index slot:
+// the write path's probe reads no byte of the entry region.
 func (t *sstable) kindOf(key uint64) (kind uint8, ok bool, err error) {
-	off, ok, err := t.search(key)
+	_, s, ok, err := t.search(key)
 	if !ok || err != nil {
 		return 0, false, err
 	}
-	kind, _, err = t.header(off)
-	return kind, err == nil, err
+	if !lsm.KnownKind(s.kind) {
+		return 0, false, core.Corrupt(fmt.Errorf("logeng: %s slot of key %d holds kind %d", t.name, key, s.kind))
+	}
+	return s.kind, true, nil
 }
 
-// find binary-searches the run for key and reads its entry.
+// find binary-searches the run's index for key and reads its entry, header
+// and payload, in one block-cache read: the entry ends where the next slot's
+// begins, or at the end of the entry region. An entry whose header disagrees
+// with its slot (key, kind, or a length other than the span's) is corrupt.
 func (t *sstable) find(key uint64) (lsm.Entry, bool, error) {
-	off, ok, err := t.search(key)
+	i, s, ok, err := t.search(key)
 	if !ok || err != nil {
 		return lsm.Entry{}, false, err
 	}
-	e, err := t.entryAt(off)
-	return e, err == nil, err
+	end := t.indexPos
+	if i+1 < t.count {
+		next, err := t.slot(i + 1)
+		if err != nil {
+			return lsm.Entry{}, false, err
+		}
+		end = next.off
+	}
+	if end < s.off+entryHdr {
+		return lsm.Entry{}, false, core.Corrupt(fmt.Errorf("logeng: %s entry %d spans [%d, %d), shorter than its header", t.name, i, s.off, end))
+	}
+	b := make([]byte, end-s.off)
+	if err := t.c.read(t.f, t.name, s.off, b); err != nil {
+		return lsm.Entry{}, false, err
+	}
+	k, kind, n := binary.LittleEndian.Uint64(b), b[8], int64(binary.LittleEndian.Uint32(b[9:]))
+	if err := t.checkHeader(s.off, kind, n); err != nil {
+		return lsm.Entry{}, false, err
+	}
+	if k != s.key || kind != s.kind || n != int64(len(b))-entryHdr {
+		return lsm.Entry{}, false, core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d (key %d, kind %d, %d bytes) disagrees with its slot (key %d, kind %d, %d bytes)",
+			t.name, s.off, k, kind, n, s.key, s.kind, int64(len(b))-entryHdr))
+	}
+	return lsm.Entry{Kind: kind, Payload: b[entryHdr:]}, true, nil
 }
 
-// search binary-searches the run for key and returns its entry's offset. A
-// step reads its entry's offset and key, nothing else.
-func (t *sstable) search(key uint64) (off int64, ok bool, err error) {
+// search binary-searches the run's index for key and returns its slot and
+// the slot's index. A step reads one slot, nothing else.
+func (t *sstable) search(key uint64) (i int64, s slot, ok bool, err error) {
 	lo, hi := int64(0), t.count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		off, k, err := t.probe(mid)
+		s, err := t.slot(mid)
 		if err != nil {
-			return 0, false, err
+			return 0, slot{}, false, err
 		}
 		switch {
-		case k == key:
-			return off, true, nil
-		case k < key:
+		case s.key == key:
+			return mid, s, true, nil
+		case s.key < key:
 			lo = mid + 1
 		default:
 			hi = mid
 		}
 	}
-	return 0, false, nil
+	return 0, slot{}, false, nil
 }
 
 // lowerBound returns the file offset of the first entry with key >= from,
-// the end of the entry region if there is none.
+// the end of the entry region if there is none. It reads index slots only.
 func (t *sstable) lowerBound(from uint64) (int64, error) {
-	lo, hi, hiOff := int64(0), t.count, t.offsetsPos
+	lo, hi, hiOff := int64(0), t.count, t.indexPos
 	for lo < hi {
 		mid := (lo + hi) / 2
-		off, k, err := t.probe(mid)
+		s, err := t.slot(mid)
 		if err != nil {
 			return 0, err
 		}
-		if k < from {
+		if s.key < from {
 			lo = mid + 1
 		} else {
-			hi, hiOff = mid, off
+			hi, hiOff = mid, s.off
 		}
 	}
 	return hiOff, nil
@@ -402,7 +411,7 @@ func (t *sstable) release() {
 }
 
 // runScanner reads a run's entries in key order, each entry decoded once,
-// with no read of the offsets array. A whole-run scan (compaction, the
+// with no read of the index. A whole-run scan (compaction, the
 // manifest's pointer harvest) reads the entry region one block-aligned window
 // at a time through the block cache; a bounded one (ScanRange) reads each
 // entry's bytes alone and ends at the first key at or past its bound, so a
@@ -467,14 +476,14 @@ func (s *runScanner) decode() bool {
 	if s.err != nil {
 		return false
 	}
-	if s.off >= s.t.offsetsPos {
+	if s.off >= s.t.indexPos {
 		if !s.bounded && s.n != s.t.count {
 			s.err = core.Corrupt(fmt.Errorf("logeng: %s holds %d entries, its footer says %d", s.t.name, s.n, s.t.count))
 		}
 		return false
 	}
-	if s.off+entryHdr > s.t.offsetsPos {
-		s.err = core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d is cut off by the end of its %d-byte entry region", s.t.name, s.off, s.t.offsetsPos))
+	if s.off+entryHdr > s.t.indexPos {
+		s.err = core.Corrupt(fmt.Errorf("logeng: %s entry at offset %d is cut off by the end of its %d-byte entry region", s.t.name, s.off, s.t.indexPos))
 		return false
 	}
 	hdr, err := s.window(entryHdr)
@@ -511,7 +520,7 @@ func (s *runScanner) window(n int) ([]byte, error) {
 		end := s.winOff + int64(len(s.win))
 		w := int(s.off + int64(n) - end)
 		if !s.bounded {
-			w = int(min((end/blockSize+1)*blockSize, s.t.offsetsPos) - end)
+			w = int(min((end/blockSize+1)*blockSize, s.t.indexPos) - end)
 		}
 		kept := copy(s.win, s.win[s.off-s.winOff:])
 		s.win, s.winOff = slices.Grow(s.win[:kept], w)[:kept+w], s.off

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -128,9 +129,11 @@ func TestBlockMissStreamsItsCopy(t *testing.T) {
 }
 
 // TestProbeLoadsOnlyOffsetsAndKeys: with every block cached and the CPU
-// cache cold, a run lookup loads exactly the lines of the offsets and keys
-// its binary search probes — no payload line — and, for a key it holds, the
-// lines of that entry's header and payload.
+// cache cold, a run lookup loads exactly the lines of the index slots its
+// binary search probes — no line of the entry region — and, for a key it
+// holds, the line of the next slot, where the entry ends, and the lines of
+// that entry's header and payload. The write path's probe, kindOf, loads the
+// probed slots' lines and nothing else: the kind is in the slot.
 func TestProbeLoadsOnlyOffsetsAndKeys(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 16 << 20, Profile: nvm.ProfileLowNVM})
 	ents := evenEntries(200, 200)
@@ -149,15 +152,13 @@ func TestProbeLoadsOnlyOffsetsAndKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		key := core.TreePrimary(0, uint64(rng.Intn(2*len(ents)+3)))
-		want := map[int64]bool{}
+		slots := map[int64]bool{}
 		found := -1
 		for lo, hi := 0, len(ents); lo < hi; {
 			mid := (lo + hi) / 2
-			mark(want, run.offsetsPos+int64(mid)*8, 8)
-			mark(want, offs[mid], 8)
+			mark(slots, run.indexPos+int64(mid)*slotSize, slotSize)
 			if k := ents[mid].key; k == key {
 				found = mid
-				mark(want, offs[mid]+8, entryHdr-8+len(ents[mid].ent.Payload))
 				break
 			} else if k < key {
 				lo = mid + 1
@@ -165,16 +166,35 @@ func TestProbeLoadsOnlyOffsetsAndKeys(t *testing.T) {
 				hi = mid
 			}
 		}
+		want := maps.Clone(slots)
+		if found >= 0 {
+			if found+1 < len(ents) {
+				mark(want, run.indexPos+int64(found+1)*slotSize, slotSize)
+			}
+			mark(want, offs[found], entryHdr+len(ents[found].ent.Payload))
+		}
 		env.Dev.EvictAll()
 		run.f.Size() // the run's inode: warm, as on any lookup path
 		before := env.Dev.Stats().Loads
-		e, ok, err := run.find(key)
+		kind, ok, err := run.kindOf(key)
 		loads := env.Dev.Stats().Loads - before
+		if err != nil || ok != (found >= 0) || ok && kind != ents[found].ent.Kind {
+			t.Fatalf("kindOf(%d) = %d, %v, %v; want found %v", core.TreePK(key), kind, ok, err, found >= 0)
+		}
+		if loads != uint64(len(slots)) {
+			t.Errorf("kindOf(%d) (held %v) loaded %d lines, want the %d of the index slots it probes",
+				core.TreePK(key), ok, loads, len(slots))
+		}
+		env.Dev.EvictAll()
+		run.f.Size()
+		before = env.Dev.Stats().Loads
+		e, ok, err := run.find(key)
+		loads = env.Dev.Stats().Loads - before
 		if err != nil || ok != (found >= 0) || ok && !bytes.Equal(e.Payload, ents[found].ent.Payload) {
 			t.Fatalf("find(%d) = %v, %v; want found %v", core.TreePK(key), ok, err, found >= 0)
 		}
 		if loads != uint64(len(want)) {
-			t.Errorf("find(%d) (held %v) loaded %d lines, want the %d of the offsets and keys it probes and the entry it returns",
+			t.Errorf("find(%d) (held %v) loaded %d lines, want the %d of the index slots it probes, the next slot and the entry it returns",
 				core.TreePK(key), ok, loads, len(want))
 		}
 	}
@@ -182,7 +202,7 @@ func TestProbeLoadsOnlyOffsetsAndKeys(t *testing.T) {
 
 // TestRangeScanLoadsOnlyItsEntries: with every block cached and the CPU
 // cache cold, a short range scan of a run (lowerBound, then a bounded
-// scanner) loads exactly the lines of the offsets and keys lowerBound probes,
+// scanner) loads exactly the lines of the index slots lowerBound probes,
 // of the entries in the range, and of the header of the entry that ends it —
 // nothing past it in the block.
 func TestRangeScanLoadsOnlyItsEntries(t *testing.T) {
@@ -207,8 +227,7 @@ func TestRangeScanLoadsOnlyItsEntries(t *testing.T) {
 		lo, hi := 0, len(ents)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			mark(want, run.offsetsPos+int64(mid)*8, 8)
-			mark(want, offs[mid], 8)
+			mark(want, run.indexPos+int64(mid)*slotSize, slotSize)
 			if ents[mid].key < from {
 				lo = mid + 1
 			} else {
@@ -248,7 +267,7 @@ func TestRangeScanLoadsOnlyItsEntries(t *testing.T) {
 
 // TestCompactionLoadsInputsOnce: a merge of two cold runs loads each line of
 // their entry regions once — the file's, by the block-cache miss that reads
-// it — and no line of the offsets arrays or of the cached copies; beyond
+// it — and no line of the index slots or of the cached copies; beyond
 // them it loads only the output's filter and footer lines, which opening the
 // output reads back. Entries are 64 bytes and runs whole blocks of them, so
 // a miss reads entries alone; a first merge of twin runs warms the metadata,
@@ -318,8 +337,8 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 		t.Fatalf("merged run holds more than %d entries (%v)", len(keys), s.err)
 	}
 
-	inputs := uint64((a2.offsetsPos + b2.offsetsPos) / nvm.LineSize)
-	bloomPos := out.offsetsPos + 8*out.count
+	inputs := uint64((a2.indexPos + b2.indexPos) / nvm.LineSize)
+	bloomPos := out.indexPos + slotSize*out.count
 	tail := (out.size - 1) / nvm.LineSize
 	outLines := uint64(tail - bloomPos/nvm.LineSize + 1)
 	if out.size%nvm.LineSize != 0 {
@@ -327,7 +346,7 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 	}
 	if want := inputs + outLines; loads != want {
 		t.Errorf("merging %d + %d input lines loaded %d lines, want %d: each input line once and the output's %d filter and footer lines",
-			a2.offsetsPos/nvm.LineSize, b2.offsetsPos/nvm.LineSize, loads, want, outLines)
+			a2.indexPos/nvm.LineSize, b2.indexPos/nvm.LineSize, loads, want, outLines)
 	}
 }
 
@@ -366,8 +385,8 @@ func checkRun(t *testing.T, env *core.Env, run *sstable, ents []runEntry) {
 			t.Fatalf("a scan of entry %d alone ran on to key %d (%v)", i, s.key, s.err)
 		}
 	}
-	if off, err := run.lowerBound(^uint64(0)); err != nil || off != run.offsetsPos {
-		t.Fatalf("lowerBound past the last key = %d, %v; want the region's end %d", off, err, run.offsetsPos)
+	if off, err := run.lowerBound(^uint64(0)); err != nil || off != run.indexPos {
+		t.Fatalf("lowerBound past the last key = %d, %v; want the region's end %d", off, err, run.indexPos)
 	}
 	s := run.scan()
 	for i, re := range ents {
@@ -441,6 +460,10 @@ func allocatedMB() float64 {
 	return float64(ms.TotalAlloc) / (1 << 20)
 }
 
+// oldSSTMagic is the magic of the layout whose index held entry offsets
+// alone: a run of it is refused at open.
+const oldSSTMagic = 0x5353544142312121
+
 // FuzzSSTableImage: a valid run round-trips through get, find, lowerBound and
 // the scanner; the same run with any bytes overwritten anywhere is refused
 // at open with core.ErrCorrupt or read back — every key looked up, every
@@ -448,7 +471,10 @@ func allocatedMB() float64 {
 // The footer once sized an allocation by its unchecked filter length (2^40:
 // the process died out of memory), an entry header claiming 2 GB was
 // allocated before it failed, a count of 2^62 opened, and an entry of no
-// known kind was read back as one.
+// known kind was read back as one. The index slots carry each entry's key,
+// kind and offset: seeds give a slot an unknown kind, an offset past the
+// entry region and a key its entry does not hold, and the image the old
+// magic.
 func FuzzSSTableImage(f *testing.F) {
 	// fromEnd places a patch n bytes before the image's end: the footer's
 	// words start 40, 32, 24, 16 and 8 bytes before it.
@@ -462,6 +488,25 @@ func FuzzSSTableImage(f *testing.F) {
 	f.Add(int64(7), fromEnd(24), binary.LittleEndian.AppendUint64(nil, 1))     // filter position
 	f.Add(int64(8), uint32(100), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(int64(9), uint32(8), []byte{0x7f}) // first entry's kind
+	// Index slots of seed 10's run: the first slot's kind and offset, and the
+	// key of a slot whose next key is not one above it.
+	const seed = 10
+	ents := genRun(rand.New(rand.NewSource(seed)))
+	_, img := writeRun(f, core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 16 << 10}), "sst-000001", ents)
+	index := uint32(binary.LittleEndian.Uint64(img[len(img)-footerSize:]))
+	gap := -1
+	for i := 0; i+1 < len(ents) && gap < 0; i++ {
+		if ents[i+1].key > ents[i].key+1 {
+			gap = i
+		}
+	}
+	if gap < 0 {
+		f.Fatalf("seed %d's run of %d entries has no slot to patch", seed, len(ents))
+	}
+	f.Add(int64(seed), index+slotSize-1, []byte{0x7f})                                                     // kind
+	f.Add(int64(seed), index+8, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})                          // offset
+	f.Add(int64(seed), index+slotSize*uint32(gap), binary.LittleEndian.AppendUint64(nil, ents[gap].key+1)) // key
+	f.Add(int64(seed), fromEnd(8), binary.LittleEndian.AppendUint64(nil, oldSSTMagic))                     // magic
 	f.Fuzz(func(t *testing.T, seed int64, at uint32, patch []byte) {
 		env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 16 << 10})
 		ents := genRun(rand.New(rand.NewSource(seed)))
@@ -550,5 +595,55 @@ func TestCorruptFooterRefused(t *testing.T) {
 	}
 	if mb := allocatedMB() - start; mb > 1 {
 		t.Errorf("reading the overlong entry allocated %.1f MB", mb)
+	}
+}
+
+// TestCorruptIndexRefused names the index slots FuzzSSTableImage's seeds
+// reach: a slot of no known kind, one whose offset lies past the entry region
+// or points at another entry, one whose key its entry does not hold, and a
+// run of the old layout. Each is core.ErrCorrupt at open or to the lookups
+// that read it, with no panic.
+func TestCorruptIndexRefused(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 16 << 10})
+	ents := evenEntries(20, 30)
+	offs := entryOffsets(ents)
+	_, img := writeRun(t, env, "sst-000001", ents)
+	index := int(binary.LittleEndian.Uint64(img[len(img)-footerSize:]))
+	const bad = 5
+	at := index + bad*slotSize
+	word := binary.LittleEndian.Uint64(img[at+8:])
+	for i, c := range []struct {
+		name  string
+		at    int
+		v     uint64
+		key   uint64 // the key whose lookups must fail
+		probe bool   // kindOf must fail too; the slot alone shows the fault
+	}{
+		{"slot of kind 0x7f", at + 8, word&(1<<56-1) | 0x7f<<56, ents[bad].key, true},
+		{"slot offset past the entry region", at + 8, word&^(1<<56-1) | uint64(index), ents[bad].key, true},
+		{"slot offset at the next entry", at + 8, word&^(1<<56-1) | uint64(offs[bad+1]), ents[bad].key, false},
+		{"slot key its entry does not hold", at, ents[bad].key + 1, ents[bad].key + 1, false},
+		{"the old magic", len(img) - 8, oldSSTMagic, 0, false},
+	} {
+		img2 := bytes.Clone(img)
+		binary.LittleEndian.PutUint64(img2[c.at:], c.v)
+		run, err := openImage(t, env, fmt.Sprintf("sst-3%05d", i), img2)
+		if c.key == 0 {
+			if !errors.Is(err, core.ErrCorrupt) {
+				t.Errorf("%s: open returned %v, want core.ErrCorrupt", c.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: open: %v", c.name, err)
+		}
+		run.c = newBlockCache(env.Arena, 4)
+		if _, _, err := run.find(c.key); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: find returned %v, want core.ErrCorrupt", c.name, err)
+		}
+		if _, _, err := run.kindOf(c.key); c.probe && !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("%s: kindOf returned %v, want core.ErrCorrupt", c.name, err)
+		}
+		run.release()
 	}
 }

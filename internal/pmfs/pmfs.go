@@ -19,7 +19,10 @@
 //
 // Inodes are synced on metadata changes; the extent free list is volatile
 // and rebuilt on Open by a reachability scan over the inodes, so a crash can
-// never leak or double-use extents across restarts.
+// never leak or double-use extents across restarts. So is the name table,
+// the dentry cache real PMFS sits behind: Open builds it in the same scan,
+// and a lookup by name (OpenFile, Exists, FileSize, List, Create's free-inode
+// choice) reads no inode line.
 package pmfs
 
 import (
@@ -85,6 +88,12 @@ type FS struct {
 	freeExts []int64 // volatile free list of extent indexes
 	nextExt  int64   // volatile bump cursor (durable via inode reachability)
 
+	// names maps each file's name to its inode, and used marks the inodes
+	// that hold a file: the volatile name table. Open builds it from the
+	// inode scan; Create, Remove and Rename keep it equal to the inode table.
+	names map[string]int
+	used  [NumInodes]bool
+
 	// dirty lists, per inode and in write order, the device ranges written
 	// since the file's last fsync while a sync fault was installed. Nothing on
 	// the data path reads it: it is the fault injector's record of what a
@@ -138,6 +147,7 @@ func Format(dev *nvm.Device, base, size int64, cfg Config) *FS {
 		extCount:  (base + size - extBase) / extSize,
 		dirty:     make(map[int][]span),
 		metaDirty: make(map[int]bool),
+		names:     make(map[string]int),
 	}
 	zero := make([]byte, sbSize+NumInodes*inodeSize)
 	dev.Write(base, zero)
@@ -166,6 +176,7 @@ func Open(dev *nvm.Device, base int64) (*FS, error) {
 		extBase:   int64(dev.ReadU64(base + offExtBase)),
 		dirty:     make(map[int][]span),
 		metaDirty: make(map[int]bool),
+		names:     make(map[string]int),
 	}
 	fs.extCount = (base + fs.size - fs.extBase) / fs.extSize
 	used := make([]bool, fs.extCount)
@@ -173,6 +184,12 @@ func Open(dev *nvm.Device, base int64) (*FS, error) {
 		ino := fs.inodeOff(i)
 		if dev.ReadU64(ino+inoFlags) != 1 {
 			continue
+		}
+		// A name two inodes hold (only a corrupt table has one) resolves to
+		// the lower inode, as a scan finds it, and is listed once.
+		fs.used[i] = true
+		if name := fs.readName(i); fs.findInode(name) < 0 {
+			fs.names[name] = i
 		}
 		size := int64(dev.ReadU64(ino + inoSize))
 		// Crash scrub: a torn inode flush can leave a durable size whose
@@ -212,18 +229,11 @@ func (fs *FS) chargeCall(bytes int) {
 	fs.dev.AddStall(VFSCost + time.Duration(float64(bytes)*CopyCostPerByte)*time.Nanosecond)
 }
 
+// findInode returns the inode of the file named name, -1 if there is none:
+// a lookup in the name table.
 func (fs *FS) findInode(name string) int {
-	if len(name) == 0 || len(name) > nameLen {
-		return -1
-	}
-	for i := 0; i < NumInodes; i++ {
-		ino := fs.inodeOff(i)
-		if fs.dev.ReadU64(ino+inoFlags) != 1 {
-			continue
-		}
-		if fs.readName(i) == name {
-			return i
-		}
+	if i, ok := fs.names[name]; ok {
+		return i
 	}
 	return -1
 }
@@ -248,10 +258,10 @@ func (fs *FS) Create(name string) (*File, error) {
 		return nil, ErrExist
 	}
 	for i := 0; i < NumInodes; i++ {
-		ino := fs.inodeOff(i)
-		if fs.dev.ReadU64(ino+inoFlags) == 1 {
+		if fs.used[i] {
 			continue
 		}
+		ino := fs.inodeOff(i)
 		// Name and size are durable before the used flag: a crash between
 		// the two leaves a free inode, never a used one whose name is torn.
 		var nb [nameLen]byte
@@ -261,6 +271,7 @@ func (fs *FS) Create(name string) (*File, error) {
 		fs.dev.Sync(ino+inoSize, 8+nameLen)
 		fs.dev.WriteU64(ino+inoFlags, 1)
 		fs.dev.Sync(ino, inodeSize)
+		fs.used[i], fs.names[name] = true, i
 		return &File{fs: fs, ino: i}, nil
 	}
 	return nil, ErrFileTable
@@ -302,15 +313,21 @@ func (fs *FS) Remove(name string) error {
 	fs.dev.WriteU64(ino+inoFlags, 0)
 	fs.dev.Sync(ino+inoFlags, 8)
 	delete(fs.dirty, i)
+	fs.used[i] = false
+	delete(fs.names, name)
 	return nil
 }
 
-// Rename atomically renames a file, replacing any existing target.
+// Rename atomically renames a file, replacing any existing target. A file
+// renamed to its own name stays as it is.
 func (fs *FS) Rename(oldName, newName string) error {
 	fs.chargeCall(0)
 	i := fs.findInode(oldName)
 	if i < 0 {
 		return ErrNotExist
+	}
+	if oldName == newName {
+		return nil
 	}
 	if j := fs.findInode(newName); j >= 0 {
 		if err := fs.Remove(newName); err != nil {
@@ -322,16 +339,16 @@ func (fs *FS) Rename(oldName, newName string) error {
 	ino := fs.inodeOff(i)
 	fs.dev.Write(ino+inoName, nb[:])
 	fs.dev.Sync(ino+inoName, nameLen)
+	delete(fs.names, oldName)
+	fs.names[newName] = i
 	return nil
 }
 
-// List returns the names of all files.
+// List returns the names of all files, from the name table.
 func (fs *FS) List() []string {
 	var names []string
-	for i := 0; i < NumInodes; i++ {
-		if fs.dev.ReadU64(fs.inodeOff(i)+inoFlags) == 1 {
-			names = append(names, fs.readName(i))
-		}
+	for name := range fs.names {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
@@ -343,10 +360,9 @@ func (fs *FS) Exists(name string) bool { return fs.findInode(name) >= 0 }
 // UsedBytes returns the total durable size of all files (Fig. 14 accounting).
 func (fs *FS) UsedBytes() int64 {
 	var total int64
-	for i := 0; i < NumInodes; i++ {
-		ino := fs.inodeOff(i)
-		if fs.dev.ReadU64(ino+inoFlags) == 1 {
-			total += int64(fs.dev.ReadU64(ino + inoSize))
+	for i, used := range fs.used {
+		if used {
+			total += int64(fs.dev.ReadU64(fs.inodeOff(i) + inoSize))
 		}
 	}
 	return total
