@@ -22,7 +22,8 @@ type Options struct {
 	// LSMGrowth is the LSM tree growth factor k (default 4). Its one reader
 	// is NVM-Log's merge rule (lsm.MergeSet): after a rotation the newest
 	// immutable MemTables are merged while each next older one holds at most
-	// k times the keys gathered so far. The Log engine's binary cascade does
+	// k times the keys gathered so far. The Log engine's cascade rule (every
+	// L0 run and the levels above the first empty one merge into it) does
 	// not read it.
 	LSMGrowth int
 	// RecoveryParallelism is vestigial and must be 0 or 1: every engine

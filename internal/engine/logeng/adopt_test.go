@@ -408,15 +408,8 @@ func adoptCases(size int, seed int64) []adoptCase {
 
 // crashStep runs one step and reports whether the injected crash struck in it.
 func crashStep(e *Engine, st adoptStep) (crashed bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if p != nvm.ErrInjectedCrash {
-				panic(p)
-			}
-			crashed = true
-		}
-	}()
-	return false, applyAdoptStep(e, st)
+	crashed = crashes(func() { err = applyAdoptStep(e, st) })
+	return crashed, err
 }
 
 // TestAdoptCrashWindows injects a power failure at every fence of a merge's

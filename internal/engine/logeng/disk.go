@@ -2,7 +2,6 @@ package logeng
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -583,9 +582,10 @@ func (s *diskStore) flush() error {
 }
 
 // buildSST is a flush's build stage: it writes fz as an SSTable, separating
-// large values into the value log and syncing their records, which must be
-// durable before the manifest that installs pointers to them. A failure
-// removes the partial table and marks the appended values dead.
+// large values into the value log — a large delta as the image it folds into
+// (foldOnRuns) — and syncing their records, which must be durable before the
+// manifest that installs pointers to them. A failure removes the partial
+// table and marks the appended values dead.
 func (s *diskStore) buildSST(fz *frozenMem) (b sstBuild, err error) {
 	stop := s.Bd.Timer(&s.Bd.Storage)
 	defer stop()
@@ -605,6 +605,11 @@ func (s *diskStore) buildSST(fz *frozenMem) (b sstBuild, err error) {
 		var ent lsm.Entry
 		if ent, err = lsm.ReadEntryChunk(s.Env.Arena, p); err != nil {
 			return false
+		}
+		if s.vl != nil && ent.Kind == lsm.KindDelta && len(ent.Payload) >= s.opts.VlogThreshold {
+			if ent, err = s.foldOnRuns(k, ent); err != nil {
+				return false
+			}
 		}
 		if s.vl != nil && ent.Kind == lsm.KindFull && len(ent.Payload) >= s.opts.VlogThreshold {
 			var ptr core.VlogPtr
@@ -633,6 +638,23 @@ func (s *diskStore) buildSST(fz *frozenMem) (b sstBuild, err error) {
 	return b, err
 }
 
+// foldOnRuns folds a frozen MemTable's delta for tk onto tk's entries in the
+// runs into a full image, which the flush then separates like any other. The
+// active MemTable is newer than the frozen one and is not read. A delta with
+// no image under it is corrupt.
+func (s *diskStore) foldOnRuns(tk uint64, delta lsm.Entry) (lsm.Entry, error) {
+	entries, err := s.runChain(tk, []lsm.Entry{delta})
+	if err != nil {
+		return lsm.Entry{}, err
+	}
+	tm := s.Tables[core.TreeTable(tk)]
+	row, _, err := s.rowOf(tm, tk, entries)
+	if err != nil {
+		return lsm.Entry{}, err
+	}
+	return lsm.Entry{Kind: lsm.KindFull, Payload: core.EncodeRow(tm.Schema, row)}, nil
+}
+
 // dropBuild undoes a failed flush's build: the SSTable file, and the value
 // bytes appended for it (dead weight the GC can count).
 func (s *diskStore) dropBuild(name string, appended []core.VlogPtr) {
@@ -658,96 +680,70 @@ func (s *diskStore) releaseCondemned(gen uint64) {
 	s.condemned = kept
 }
 
-// compact folds every L0 run into the levels (one run per level, each deeper
-// run larger), then runs a value-log GC pass if the merges' discard stats
-// pushed a segment over the threshold.
+// compact merges every L0 run and the levels above the first empty one into
+// that level (one run per level, each deeper run larger) in one pass, then
+// runs a value-log GC pass if the merge's discard stats pushed a segment over
+// the threshold. A lone L0 run over an empty level 0 moves down unmerged.
 func (s *diskStore) compact() error {
 	if len(s.l0) == 0 {
 		return nil
 	}
-	var l0n, rest int
-	var cur *sstable
-	var obsolete []*sstable
-
-	fail := func(err error) error {
-		// Drop intermediate runs the cascade produced; input runs (still
-		// referenced from l0/levels and the durable manifest) stay.
-		inputs := s.ssts()
-		for _, o := range obsolete {
-			if o != nil && o != cur && !slices.Contains(inputs, o) {
-				o.release()
-				_ = s.Env.FS.Remove(o.name)
-			}
-		}
-		if cur != nil && !slices.Contains(inputs, cur) {
-			cur.release()
-			_ = s.Env.FS.Remove(cur.name)
+	rest := 0
+	for rest < len(s.levels) && s.levels[rest] != nil {
+		rest++
+	}
+	// The inputs newest first: L0 newest to oldest, then the levels.
+	inputs := slices.Concat(s.l0, s.levels[:rest])
+	slices.Reverse(inputs[:len(s.l0)])
+	// Tombstones may only be dropped by a merge into a level, and only when no
+	// deeper run could still hold the shadowed tuples.
+	dropTombs := rest > 0 && !slices.ContainsFunc(s.levels[min(rest+1, len(s.levels)):], func(r *sstable) bool { return r != nil })
+	out := inputs[0]
+	merged := len(inputs) > 1
+	drop := func(err error) error {
+		if out != inputs[0] {
+			out.release()
+			_ = s.Env.FS.Remove(out.name)
 		}
 		s.fstats.Failures++
 		return err
 	}
-
 	return lsm.RunStages(&s.fstats, "compact",
 		func() error {
-			stop := s.Bd.Timer(&s.Bd.Storage)
-			defer stop()
-			l0n = len(s.l0)
-			cur = s.l0[l0n-1]
-			fold := func(older *sstable, dropTombs bool) error {
-				merged, err := s.mergeRuns(cur, older, dropTombs)
-				if err != nil {
-					return err
-				}
-				obsolete = append(obsolete, cur, older)
-				cur = merged
-				s.compactions++
+			if !merged {
 				return nil
 			}
-			// Newer L0 runs fold over older ones, then cascade into the levels.
-			for i := l0n - 2; i >= 0; i-- {
-				if err := fold(s.l0[i], false); err != nil {
-					return fail(err)
-				}
+			defer s.Bd.Timer(&s.Bd.Storage)()
+			run, err := s.mergeRuns(inputs, dropTombs)
+			if err != nil {
+				return drop(err)
 			}
-			for rest < len(s.levels) && s.levels[rest] != nil {
-				rest++
-			}
-			deeper := false
-			for j := rest + 1; j < len(s.levels); j++ {
-				if s.levels[j] != nil {
-					deeper = true
-				}
-			}
-			for i := 0; i < rest; i++ {
-				// Tombstones may only be dropped on the final merge of the
-				// cascade, and only when no deeper run could still hold the
-				// shadowed tuples.
-				if err := fold(s.levels[i], i == rest-1 && !deeper); err != nil {
-					return fail(err)
-				}
-			}
+			out = run
+			s.compactions++
 			return nil
 		},
 		func() error {
-			savedL0, savedLevels := s.l0, append([]*sstable(nil), s.levels...)
-			s.l0 = append([]*sstable(nil), s.l0[l0n:]...)
+			savedL0, savedLevels := s.l0, slices.Clone(s.levels)
+			s.l0 = nil
 			for i := 0; i < rest; i++ {
 				s.levels[i] = nil
 			}
 			for len(s.levels) <= rest {
 				s.levels = append(s.levels, nil)
 			}
-			s.levels[rest] = cur
+			s.levels[rest] = out
 			if err := s.writeManifest(s.walFloor); err != nil {
 				s.l0, s.levels = savedL0, savedLevels
-				return fail(err)
+				return drop(err)
 			}
 			return nil
 		},
 		func() error {
-			for _, o := range obsolete {
-				o.release()
-				_ = s.Env.FS.Remove(o.name)
+			if merged {
+				for _, r := range inputs {
+					r.release()
+					_ = s.Env.FS.Remove(r.name)
+				}
 			}
 			s.fstats.Compactions++
 			// The compaction has installed; a failed GC pass is counted and
@@ -843,56 +839,60 @@ func (s *diskStore) gcSegment(victim uint32) error {
 	return nil
 }
 
-// mergeRuns merges a newer run over an older one into a fresh SSTable.
-// Value-log pointers flow through opaquely unless a delta lands on one;
-// superseded pointers feed the discard statistics that drive GC.
-func (s *diskStore) mergeRuns(newer, older *sstable, dropTombs bool) (*sstable, error) {
+// mergeRuns merges runs, newest first, into one fresh SSTable in one k-way
+// pass. Each key's entries fold newest over older (lsm.MergeR): the left fold
+// a cascade of pairwise merges computes, in its order. Value-log pointers flow
+// through opaquely unless a delta lands on one; every pointer folded under a
+// newer entry feeds the discard statistics that drive GC. dropTombs drops the
+// merged tombstones. A failed merge removes its partial table.
+func (s *diskStore) mergeRuns(runs []*sstable, dropTombs bool) (_ *sstable, err error) {
 	s.seq++
 	name := fmt.Sprintf("sst-%06d", s.seq)
 	w, err := newSSTWriter(s.Env.FS, name)
 	if err != nil {
 		return nil, err
 	}
-	a, b := newer.scan(), older.scan()
-	emit := func(k uint64, ent lsm.Entry) {
-		if dropTombs && ent.Kind == lsm.KindTomb {
-			return
+	defer func() {
+		if err != nil {
+			_ = s.Env.FS.Remove(name)
 		}
-		w.add(k, ent)
+	}()
+	srcs := make([]source, len(runs))
+	for i, r := range runs {
+		sc := r.scan()
+		if !sc.next() && sc.err != nil {
+			return nil, sc.err
+		}
+		srcs[i] = sc
 	}
-	a.next()
-	b.next()
-	for a.valid || b.valid {
-		switch {
-		case !b.valid || a.valid && a.key < b.key:
-			emit(a.key, a.ent)
-			a.next()
-		case !a.valid || b.key < a.key:
-			emit(b.key, b.ent)
-			b.next()
-		default:
-			// Schema for Merge: decode the table from the packed key.
-			tm := s.Tables[core.TreeTable(a.key)]
-			merged, err := lsm.MergeR(tm.Schema, a.key, a.ent, b.ent, s.resolve)
-			if err != nil {
+	var entries []lsm.Entry
+	for {
+		var k uint64
+		if k, entries, err = nextKey(srcs, entries[:0]); err != nil {
+			return nil, err
+		}
+		if len(entries) == 0 {
+			break
+		}
+		sch := s.Tables[core.TreeTable(k)].Schema
+		acc := entries[0]
+		for _, older := range entries[1:] {
+			if acc, err = lsm.MergeR(sch, k, acc, older, s.resolve); err != nil {
 				return nil, err
 			}
-			if b.ent.Kind == lsm.KindFullPtr && s.vl != nil {
-				// The older separated value is superseded: its log
-				// bytes are dead.
-				if ptr, ok := core.DecodeVlogPtr(b.ent.Payload); ok {
+			if older.Kind == lsm.KindFullPtr && s.vl != nil {
+				// The older separated value is superseded: its log bytes
+				// are dead.
+				if ptr, ok := core.DecodeVlogPtr(older.Payload); ok {
 					s.vl.Discard(ptr.Seg, vlog.DiscardOf(ptr))
 				}
 			}
-			emit(a.key, merged)
-			a.next()
-			b.next()
+		}
+		if !dropTombs || acc.Kind != lsm.KindTomb {
+			w.add(k, acc)
 		}
 	}
-	if err := errors.Join(a.err, b.err); err != nil {
-		return nil, err
-	}
-	if err := w.finish(); err != nil {
+	if err = w.finish(); err != nil {
 		return nil, err
 	}
 	return openSSTable(s.Env.FS, s.cache, name)

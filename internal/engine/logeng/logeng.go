@@ -10,8 +10,10 @@
 //   - the disk store: a volatile MemTable behind a redo WAL on the filesystem,
 //     flushed through a staged pipeline — prepare, build, install, release —
 //     into SSTables on pmfs, listed by a two-slot manifest, read through a
-//     block cache and folded into levels by a binary cascade; large values
-//     are separated WiscKey-style into a value log whose GC rewrites live
+//     block cache; a compaction merges every L0 run and the levels above the
+//     first empty one into that level in one k-way pass. Large values — full
+//     images, and large deltas folded into images at the flush — are
+//     separated WiscKey-style into a value log whose GC rewrites live
 //     records and removes dead segments crash-atomically;
 //   - the NVM store: the MemTable is durable, so a full one is simply listed
 //     as the newest immutable run (one run-list swap) and a fresh one starts,
@@ -384,11 +386,9 @@ func (e *Engine) exists(tk uint64) (live bool, memPtr uint64, err error) {
 
 // chain collects the entries for a tree key newest-first after those in
 // entries — the active MemTable if active is set, a frozen one, then the
-// runs whose filters pass the key — stopping at the first non-delta
-// (terminal) entry.
+// runs (runChain) — stopping at the first non-delta (terminal) entry.
 func (e *Engine) chain(tk uint64, entries []lsm.Entry, active bool) ([]lsm.Entry, error) {
-	done := func() bool { return len(entries) > 0 && entries[len(entries)-1].Kind != lsm.KindDelta }
-	if done() {
+	if terminal(entries) {
 		return entries, nil
 	}
 	stopSt := e.Bd.Timer(&e.Bd.Storage)
@@ -405,13 +405,25 @@ func (e *Engine) chain(tk uint64, entries []lsm.Entry, active bool) ([]lsm.Entry
 			stopSt()
 			return nil, err
 		}
-		if entries = append(entries, ent); done() {
+		if entries = append(entries, ent); terminal(entries) {
 			stopSt()
 			return entries, nil
 		}
 	}
 	stopSt()
 	defer e.Bd.Timer(&e.Bd.Index)()
+	return e.runChain(tk, entries)
+}
+
+// terminal reports whether entries, newest first, end in a full image or a
+// tombstone: no older entry can change the row.
+func terminal(entries []lsm.Entry) bool {
+	return len(entries) > 0 && entries[len(entries)-1].Kind != lsm.KindDelta
+}
+
+// runChain appends tk's entries in the runs whose filters pass it, newest
+// first, to entries, stopping at the first terminal one.
+func (e *Engine) runChain(tk uint64, entries []lsm.Entry) ([]lsm.Entry, error) {
 	err := e.st.eachRun(func(r run) (bool, error) {
 		if !r.mayContain(e.Env.Dev, tk) {
 			return false, nil
@@ -420,12 +432,9 @@ func (e *Engine) chain(tk uint64, entries []lsm.Entry, active bool) ([]lsm.Entry
 		if ok {
 			entries = append(entries, ent)
 		}
-		return done(), err
+		return terminal(entries), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return entries, nil
+	return entries, err
 }
 
 // coalesce reconstructs tk's tuple from the entries in top and those chain
@@ -541,34 +550,42 @@ func (e *Engine) ScanRange(table string, from, to uint64, fn func(pk uint64, row
 	if err != nil {
 		return err
 	}
+	var entries []lsm.Entry
 	for {
-		// The smallest next key across the sources, then its entries.
-		minKey := ^uint64(0)
-		for _, s := range srcs {
-			if k, _, ok := s.head(); ok && k < minKey {
-				minKey = k
-			}
+		var k uint64
+		if k, entries, err = nextKey(srcs, entries[:0]); err != nil || len(entries) == 0 {
+			return err
 		}
-		if minKey >= hi {
-			return nil
-		}
-		var entries []lsm.Entry
-		for _, s := range srcs {
-			if k, ent, ok := s.head(); ok && k == minKey {
-				entries = append(entries, ent)
-				if err := s.advance(); err != nil {
-					return err
-				}
-			}
-		}
-		row, exists, err := e.rowOf(tm, minKey, entries)
+		row, exists, err := e.rowOf(tm, k, entries)
 		if err != nil {
 			return err
 		}
-		if exists && !fn(core.TreePK(minKey), row) {
+		if exists && !fn(core.TreePK(k), row) {
 			return nil
 		}
 	}
+}
+
+// nextKey is one step of a merge of sorted sources, newest first: it appends
+// the entries of the smallest next key across srcs to entries, newest source
+// first, and advances each source past it. It appends none once every source
+// is spent.
+func nextKey(srcs []source, entries []lsm.Entry) (uint64, []lsm.Entry, error) {
+	minKey, found := uint64(0), false
+	for _, s := range srcs {
+		if k, _, ok := s.head(); ok && (!found || k < minKey) {
+			minKey, found = k, true
+		}
+	}
+	for _, s := range srcs {
+		if k, ent, ok := s.head(); ok && k == minKey {
+			entries = append(entries, ent)
+			if err := s.advance(); err != nil {
+				return 0, nil, err
+			}
+		}
+	}
+	return minKey, entries, nil
 }
 
 // Flush forces the pending group commit (not a MemTable flush).

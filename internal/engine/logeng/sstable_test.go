@@ -265,13 +265,13 @@ func TestRangeScanLoadsOnlyItsEntries(t *testing.T) {
 	}
 }
 
-// TestCompactionLoadsInputsOnce: a merge of two cold runs loads each line of
-// their entry regions once — the file's, by the block-cache miss that reads
-// it — and no line of the index slots or of the cached copies; beyond
-// them it loads only the output's filter and footer lines, which opening the
-// output reads back. Entries are 64 bytes and runs whole blocks of them, so
-// a miss reads entries alone; a first merge of twin runs warms the metadata,
-// the output's extent and the arena's free chunks.
+// TestCompactionLoadsInputsOnce: a one-pass merge of three cold runs loads
+// each line of their entry regions once — the file's, by the block-cache miss
+// that reads it — and no line of the index slots or of the cached copies;
+// beyond them it loads only the output's filter and footer lines, which
+// opening the output reads back. Entries are 64 bytes and runs whole blocks of
+// them, so a miss reads entries alone; a first merge of twin runs warms the
+// metadata, the output's extent and the arena's free chunks.
 func TestCompactionLoadsInputsOnce(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20, Profile: nvm.ProfileLowNVM})
 	e, err := New(env, simpleSchema(), core.Options{})
@@ -287,20 +287,21 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 		return ents
 	}
 	const perBlock = blockSize / 64
-	newer, older := entries(2*perBlock, 2, 'a'), entries(3*perBlock, 3, 'b')
-	a, _ := writeRun(t, env, "sst-900001", newer)
-	b, _ := writeRun(t, env, "sst-900002", older)
-	a2, _ := writeRun(t, env, "sst-900003", newer)
-	b2, _ := writeRun(t, env, "sst-900004", older)
-	for _, run := range []*sstable{a, b, a2, b2} {
-		run.c = e.disk().cache
+	// Newest first.
+	ins := [][]runEntry{entries(2*perBlock, 2, 'a'), entries(3*perBlock, 3, 'b'), entries(2*perBlock, 5, 'c')}
+	var warmRuns, runs []*sstable
+	for i, ents := range ins {
+		w, _ := writeRun(t, env, fmt.Sprintf("sst-90000%d", i), ents)
+		r, _ := writeRun(t, env, fmt.Sprintf("sst-90001%d", i), ents)
+		w.c, r.c = e.disk().cache, e.disk().cache
+		warmRuns, runs = append(warmRuns, w), append(runs, r)
 	}
 
-	warm, err := e.disk().mergeRuns(a, b, false)
+	warm, err := e.disk().mergeRuns(warmRuns, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range []*sstable{warm, a, b} {
+	for _, run := range append(warmRuns, warm) {
 		run.release()
 	}
 	if err := env.FS.Remove(warm.name); err != nil {
@@ -308,19 +309,18 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 	}
 
 	st0 := env.Dev.Stats()
-	out, err := e.disk().mergeRuns(a2, b2, false)
+	out, err := e.disk().mergeRuns(runs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := env.Dev.Stats().Sub(st0).Loads
 
-	// The merge's result: newer wins on a shared key.
+	// The merge's result: the newest run wins on a shared key.
 	byKey := map[uint64]lsm.Entry{}
-	for _, re := range older {
-		byKey[re.key] = re.ent
-	}
-	for _, re := range newer {
-		byKey[re.key] = re.ent
+	for i := len(ins) - 1; i >= 0; i-- {
+		for _, re := range ins[i] {
+			byKey[re.key] = re.ent
+		}
 	}
 	var keys []uint64
 	for k := range byKey {
@@ -337,7 +337,10 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 		t.Fatalf("merged run holds more than %d entries (%v)", len(keys), s.err)
 	}
 
-	inputs := uint64((a2.indexPos + b2.indexPos) / nvm.LineSize)
+	var inputs uint64
+	for _, r := range runs {
+		inputs += uint64(r.indexPos / nvm.LineSize)
+	}
 	bloomPos := out.indexPos + slotSize*out.count
 	tail := (out.size - 1) / nvm.LineSize
 	outLines := uint64(tail - bloomPos/nvm.LineSize + 1)
@@ -345,8 +348,8 @@ func TestCompactionLoadsInputsOnce(t *testing.T) {
 		outLines-- // the partial last line, written through the cache
 	}
 	if want := inputs + outLines; loads != want {
-		t.Errorf("merging %d + %d input lines loaded %d lines, want %d: each input line once and the output's %d filter and footer lines",
-			a2.indexPos/nvm.LineSize, b2.indexPos/nvm.LineSize, loads, want, outLines)
+		t.Errorf("merging %d input lines loaded %d lines, want %d: each input line once and the output's %d filter and footer lines",
+			inputs, loads, want, outLines)
 	}
 }
 
