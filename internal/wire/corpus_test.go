@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,9 +9,10 @@ import (
 )
 
 // TestGenerateSeedCorpus regenerates testdata/fuzz/FuzzWireFrame from the
-// sample messages when WIRE_GEN_CORPUS=1 is set; otherwise it verifies the
-// checked-in corpus is present and parseable, so a stale tree fails loudly
-// instead of fuzzing from nothing.
+// sample messages when WIRE_GEN_CORPUS=1 is set; otherwise it requires every
+// checked-in file to equal, byte for byte, a fresh encoding of its sample.
+// The corpus is the wire format's golden copy: a codec change that moves one
+// byte of any sample message fails here.
 func TestGenerateSeedCorpus(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzWireFrame")
 	var seeds [][]byte
@@ -39,8 +41,7 @@ func TestGenerateSeedCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, seed := range seeds {
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-			if err := os.WriteFile(filepath.Join(dir, names[i]), []byte(body), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, names[i]), corpusFile(seed), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -51,7 +52,22 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seed corpus missing (run with WIRE_GEN_CORPUS=1 to regenerate): %v", err)
 	}
-	if len(entries) < len(seeds) {
-		t.Fatalf("seed corpus has %d files, want >= %d (regenerate with WIRE_GEN_CORPUS=1)", len(entries), len(seeds))
+	if len(entries) != len(seeds) {
+		t.Errorf("seed corpus has %d files, the samples make %d", len(entries), len(seeds))
 	}
+	for i, seed := range seeds {
+		got, err := os.ReadFile(filepath.Join(dir, names[i]))
+		if err != nil {
+			t.Errorf("%s: %v", names[i], err)
+			continue
+		}
+		if want := corpusFile(seed); !bytes.Equal(got, want) {
+			t.Errorf("%s: checked-in bytes differ from a fresh encoding\n file %q\nfresh %q", names[i], got, want)
+		}
+	}
+}
+
+// corpusFile is the go-fuzz corpus file holding one []byte input.
+func corpusFile(seed []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed))
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"nstore/internal/core"
@@ -29,6 +30,22 @@ func lockOpSamples(t *testing.T) [][]byte {
 		out[i] = b
 	}
 	return out
+}
+
+// TestLockRecordBytes pins lockOpSamples' records byte for byte. Lock
+// records are stored as engine rows, so a codec change that moves one of
+// their bytes moves every engine's device counters under a 2PC workload.
+func TestLockRecordBytes(t *testing.T) {
+	want := []string{
+		"02017407030007000000000000000031000000000000000105736576656e",
+		"03066f72646572738080808020",
+		"0501740902010100fcffffffffffffff0200010178",
+	}
+	for i, b := range lockOpSamples(t) {
+		if got := hex.EncodeToString(b); got != want[i] {
+			t.Errorf("lock record %d:\n got %s\nwant %s", i, got, want[i])
+		}
+	}
 }
 
 func TestDecodeOpRoundTrip(t *testing.T) {

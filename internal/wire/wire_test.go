@@ -409,3 +409,56 @@ func TestDecodeRequestRejectsHostileCounts(t *testing.T) {
 		t.Fatal("want error for trailing bytes")
 	}
 }
+
+// TestCodecAllocs pins the heap allocations of encoding and decoding the
+// sample messages, summed over the samples: an encoder's allocations are its
+// buffer's growth, a decoder's the message and the slices and strings it
+// returns. Exact counts, not wall time.
+func TestCodecAllocs(t *testing.T) {
+	reqs, resps := sampleRequests(), sampleResponses()
+	var reqPay, respPay [][]byte
+	for _, r := range reqs {
+		b, err := EncodeRequest(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqPay = append(reqPay, b)
+	}
+	for _, r := range resps {
+		b, err := EncodeResponse(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		respPay = append(respPay, b)
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"encode requests", 49, func() {
+			for _, r := range reqs {
+				_, _ = EncodeRequest(r)
+			}
+		}},
+		{"decode requests", 63, func() {
+			for _, b := range reqPay {
+				_, _ = DecodeRequest(b)
+			}
+		}},
+		{"encode responses", 44, func() {
+			for _, r := range resps {
+				_, _ = EncodeResponse(r)
+			}
+		}},
+		{"decode responses", 47, func() {
+			for _, b := range respPay {
+				_, _ = DecodeResponse(b)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(20, c.fn); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}
