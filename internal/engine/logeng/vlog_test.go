@@ -366,7 +366,7 @@ func TestCrashAfterPrepareBeforeInstall(t *testing.T) {
 
 // vlogOp is one step of the randomized separation/GC workload.
 type vlogOp struct {
-	kind byte // 'p' put big, 's' put small, 'd' delete, 'f' flush, 'g' gc
+	kind byte // 'p' put big, 's' put small, 'u' update big column, 'd' delete, 'f' flush, 'g' gc
 	k    uint64
 	n    int
 }
@@ -377,6 +377,8 @@ func (o vlogOp) String() string {
 		return fmt.Sprintf("PutBig(%d,%dB)", o.k, o.n)
 	case 's':
 		return fmt.Sprintf("PutSmall(%d)", o.k)
+	case 'u':
+		return fmt.Sprintf("UpdateBig(%d,%dB)", o.k, o.n)
 	case 'd':
 		return fmt.Sprintf("Delete(%d)", o.k)
 	case 'f':
@@ -390,7 +392,7 @@ func genVlogOps(rng *rand.Rand, n int) []vlogOp {
 	ops := make([]vlogOp, n)
 	for i := range ops {
 		k := uint64(rng.Intn(40))
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0, 1, 2, 3:
 			ops[i] = vlogOp{kind: 'p', k: k, n: 300 + rng.Intn(1200)}
 		case 4, 5:
@@ -399,6 +401,10 @@ func genVlogOps(rng *rand.Rand, n int) []vlogOp {
 			ops[i] = vlogOp{kind: 'd', k: k}
 		case 7, 8:
 			ops[i] = vlogOp{kind: 'f'}
+		case 9, 10:
+			// A delta of at least the threshold: a flush folds it onto the
+			// key's image in the runs and separates the result.
+			ops[i] = vlogOp{kind: 'u', k: k, n: 256 + rng.Intn(1200)}
 		default:
 			ops[i] = vlogOp{kind: 'g'}
 		}
@@ -480,6 +486,18 @@ func runVlogProp(ops []vlogOp) error {
 				return e.Insert("t", o.k, row)
 			})
 			if err != nil {
+				return fmt.Errorf("op %d %v: %w", i, o, err)
+			}
+			model[o.k] = row
+		case 'u':
+			old, exists := model[o.k]
+			if !exists {
+				continue
+			}
+			row := append([]core.Value(nil), old...)
+			row[2] = bigRow(int64(o.k)+int64(i), o.n)[2]
+			upd := core.Update{Cols: []int{2}, Vals: []core.Value{row[2]}}
+			if err := txn(func() error { return e.Update("t", o.k, upd) }); err != nil {
 				return fmt.Errorf("op %d %v: %w", i, o, err)
 			}
 			model[o.k] = row

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"nstore/internal/core"
@@ -51,73 +49,87 @@ const (
 	SnapDone  byte = 2 // snapshot complete; the replica is a backup at (Epoch, Seq)
 )
 
+// opPlane says who executes an op and what may carry it.
+type opPlane byte
+
+const (
+	planeRead  opPlane = 1 + iota // data read: a TXN or REPL_APPEND sub-op
+	planeWrite                    // data write: also a prewrite's buffered op and a lock record
+	planeTxn                      // OpTxn: carries data ops, never itself
+	planeRepl                     // replication, cluster-metadata and consensus plane
+	plane2PC                      // cross-shard 2PC: executes and replicates like a write
+)
+
+// opTable names every op and its plane, indexed by the op's wire byte; a
+// zero entry is no op.
+var opTable = [...]struct {
+	name  string
+	plane opPlane
+}{
+	OpGet:         {"get", planeRead},
+	OpPut:         {"put", planeWrite},
+	OpDelete:      {"delete", planeWrite},
+	OpScan:        {"scan", planeRead},
+	OpRmw:         {"rmw", planeWrite},
+	OpTxn:         {"txn", planeTxn},
+	OpReplAppend:  {"repl-append", planeRepl},
+	OpReplAck:     {"repl-ack", planeRepl},
+	OpShardMap:    {"shardmap", planeRepl},
+	OpReplSnap:    {"repl-snap", planeRepl},
+	OpTxnPrewrite: {"txn-prewrite", plane2PC},
+	OpTxnCommit:   {"txn-commit", plane2PC},
+	OpTxnAbort:    {"txn-abort", plane2PC},
+	OpTxnResolve:  {"txn-resolve", plane2PC},
+	OpMapPrepare:  {"map-prepare", planeRepl},
+	OpMapAccept:   {"map-accept", planeRepl},
+	OpMapLearn:    {"map-learn", planeRepl},
+}
+
+func (o Op) plane() opPlane {
+	if int(o) < len(opTable) {
+		return opTable[o].plane
+	}
+	return 0
+}
+
 // IsRepl reports whether the op belongs to the replication/cluster-metadata
 // plane (dispatched to the server's Replicator, never to the executor). The
 // consensus ops live on this plane too: acceptors answer them without
 // touching the storage executors.
-func (o Op) IsRepl() bool {
-	return o == OpReplAppend || o == OpReplAck || o == OpShardMap || o == OpReplSnap ||
-		o == OpMapPrepare || o == OpMapAccept || o == OpMapLearn
-}
+func (o Op) IsRepl() bool { return o.plane() == planeRepl }
 
 // Is2PC reports whether the op is a cross-shard transaction-protocol op.
 // These execute on the storage executor (and replicate) like ordinary
 // writes, but carry the extra txn fields.
-func (o Op) Is2PC() bool {
-	return o == OpTxnPrewrite || o == OpTxnCommit || o == OpTxnAbort || o == OpTxnResolve
-}
+func (o Op) Is2PC() bool { return o.plane() == plane2PC }
 
-// basic reports whether the op is a plain data op (legal as an OpTxn sub-op
-// and as a prewrite's buffered write, where only the write subset applies).
-func (o Op) basic() bool {
-	return o == OpGet || o == OpPut || o == OpDelete || o == OpScan || o == OpRmw
-}
+// basic reports whether the op is a plain data op (legal as an OpTxn sub-op).
+func (o Op) basic() bool { return o.plane() == planeRead || o.plane() == planeWrite }
+
+// buffered reports whether the op is a data write, the subset a prewrite
+// buffers and a lock record stores.
+func (o Op) buffered() bool { return o.plane() == planeWrite }
+
+// replicable reports whether the op may ride a REPL_APPEND batch.
+func (o Op) replicable() bool { return o.basic() || o.Is2PC() }
 
 func (o Op) String() string {
-	switch o {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDelete:
-		return "delete"
-	case OpScan:
-		return "scan"
-	case OpRmw:
-		return "rmw"
-	case OpTxn:
-		return "txn"
-	case OpReplAppend:
-		return "repl-append"
-	case OpReplAck:
-		return "repl-ack"
-	case OpShardMap:
-		return "shardmap"
-	case OpReplSnap:
-		return "repl-snap"
-	case OpTxnPrewrite:
-		return "txn-prewrite"
-	case OpTxnCommit:
-		return "txn-commit"
-	case OpTxnAbort:
-		return "txn-abort"
-	case OpTxnResolve:
-		return "txn-resolve"
-	case OpMapPrepare:
-		return "map-prepare"
-	case OpMapAccept:
-		return "map-accept"
-	case OpMapLearn:
-		return "map-learn"
+	if o.plane() != 0 {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("op(%d)", byte(o))
 }
 
 // Ops lists the op set (for metrics registration and sweeps).
-var Ops = []Op{OpGet, OpPut, OpDelete, OpScan, OpRmw, OpTxn,
-	OpReplAppend, OpReplAck, OpShardMap, OpReplSnap,
-	OpTxnPrewrite, OpTxnCommit, OpTxnAbort, OpTxnResolve,
-	OpMapPrepare, OpMapAccept, OpMapLearn}
+var Ops = func() []Op {
+	var out []Op
+	for o := range opTable {
+		if Op(o).plane() != 0 {
+			out = append(out, Op(o))
+		}
+	}
+	return out
+}()
 
 // Status is a typed response code. The set mirrors the internal/core error
 // taxonomy plus the serving runtime's admission states, so a client on the
@@ -153,56 +165,53 @@ const (
 	StatusLocked Status = 14
 )
 
+// statusTable names every status, indexed by its wire byte, and says
+// whether it invites a resubmit: the request did not commit, the server is
+// (or will be) healthy, and the client did nothing wrong — core.IsRetryable
+// across the wire.
+var statusTable = [...]struct {
+	name      string
+	retryable bool
+}{
+	StatusOK:         {"ok", false},
+	StatusNotFound:   {"not-found", false},
+	StatusKeyExists:  {"key-exists", false},
+	StatusAborted:    {"aborted", false},
+	StatusBadRequest: {"bad-request", false},
+	StatusOverloaded: {"overloaded", true},
+	StatusRecovering: {"recovering", true},
+	StatusRetryable:  {"retryable", true},
+	StatusCorrupt:    {"corrupt", false},
+	StatusDegraded:   {"degraded", false},
+	StatusClosed:     {"closed", false},
+	StatusInternal:   {"internal", false},
+	StatusNotPrimary: {"not-primary", false},
+	StatusStaleEpoch: {"stale-epoch", false},
+	StatusLocked:     {"locked", false},
+}
+
+// maxStatus is the highest status a response may carry.
+const maxStatus = Status(len(statusTable) - 1)
+
 func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusNotFound:
-		return "not-found"
-	case StatusKeyExists:
-		return "key-exists"
-	case StatusAborted:
-		return "aborted"
-	case StatusBadRequest:
-		return "bad-request"
-	case StatusOverloaded:
-		return "overloaded"
-	case StatusRecovering:
-		return "recovering"
-	case StatusRetryable:
-		return "retryable"
-	case StatusCorrupt:
-		return "corrupt"
-	case StatusDegraded:
-		return "degraded"
-	case StatusClosed:
-		return "closed"
-	case StatusInternal:
-		return "internal"
-	case StatusNotPrimary:
-		return "not-primary"
-	case StatusStaleEpoch:
-		return "stale-epoch"
-	case StatusLocked:
-		return "locked"
+	if s <= maxStatus {
+		return statusTable[s].name
 	}
 	return fmt.Sprintf("status(%d)", byte(s))
 }
 
 // Statuses lists every status (for metrics registration).
-var Statuses = []Status{
-	StatusOK, StatusNotFound, StatusKeyExists, StatusAborted, StatusBadRequest,
-	StatusOverloaded, StatusRecovering, StatusRetryable, StatusCorrupt,
-	StatusDegraded, StatusClosed, StatusInternal, StatusNotPrimary,
-	StatusStaleEpoch, StatusLocked,
-}
+var Statuses = func() []Status {
+	out := make([]Status, len(statusTable))
+	for s := range out {
+		out[s] = Status(s)
+	}
+	return out
+}()
 
-// Retryable reports whether the status is an invitation to resubmit: the
-// request did not commit, the server is (or will be) healthy, and the client
-// did nothing wrong. Mirrors core.IsRetryable across the wire.
-func (s Status) Retryable() bool {
-	return s == StatusOverloaded || s == StatusRecovering || s == StatusRetryable
-}
+// Retryable reports whether the status is an invitation to resubmit (see
+// statusTable).
+func (s Status) Retryable() bool { return s <= maxStatus && statusTable[s].retryable }
 
 // StatusError is the client-side error form of a non-OK status. Is makes the
 // core taxonomy predicates work unchanged on the far side of the connection:
@@ -409,873 +418,3 @@ const (
 	tagInt   byte = 0
 	tagBytes byte = 1
 )
-
-var errTruncated = errors.New("wire: truncated message")
-
-// dec is a bounds-checked little decoder over one payload.
-type dec struct {
-	b   []byte
-	off int
-}
-
-func (d *dec) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *dec) byte() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, errTruncated
-	}
-	c := d.b[d.off]
-	d.off++
-	return c, nil
-}
-
-func (d *dec) bytes(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.b) {
-		return nil, errTruncated
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s, nil
-}
-
-func (d *dec) remaining() int { return len(d.b) - d.off }
-
-// count reads a uvarint element count and rejects values that could not
-// possibly fit in the remaining bytes (each element costs at least min
-// bytes), so a hostile count cannot pre-allocate unbounded memory.
-func (d *dec) count(min int) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(d.remaining()/min+1) {
-		return 0, fmt.Errorf("wire: count %d exceeds remaining payload", v)
-	}
-	return int(v), nil
-}
-
-func (d *dec) str() (string, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return "", err
-	}
-	b, err := d.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendValue(dst []byte, v core.Value) []byte {
-	if v.S != nil {
-		dst = append(dst, tagBytes)
-		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-		return append(dst, v.S...)
-	}
-	dst = append(dst, tagInt)
-	return binary.LittleEndian.AppendUint64(dst, uint64(v.I))
-}
-
-func (d *dec) value() (core.Value, error) {
-	tag, err := d.byte()
-	if err != nil {
-		return core.Value{}, err
-	}
-	switch tag {
-	case tagInt:
-		b, err := d.bytes(8)
-		if err != nil {
-			return core.Value{}, err
-		}
-		return core.Value{I: int64(binary.LittleEndian.Uint64(b))}, nil
-	case tagBytes:
-		n, err := d.count(1)
-		if err != nil {
-			return core.Value{}, err
-		}
-		b, err := d.bytes(n)
-		if err != nil {
-			return core.Value{}, err
-		}
-		return core.Value{S: append(make([]byte, 0, n), b...)}, nil
-	}
-	return core.Value{}, fmt.Errorf("wire: unknown value tag %d", tag)
-}
-
-func appendRow(dst []byte, row []core.Value) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(row)))
-	for _, v := range row {
-		dst = appendValue(dst, v)
-	}
-	return dst
-}
-
-func (d *dec) row() ([]core.Value, error) {
-	n, err := d.count(2)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]core.Value, n)
-	for i := range row {
-		if row[i], err = d.value(); err != nil {
-			return nil, err
-		}
-	}
-	return row, nil
-}
-
-// appendOpBody appends the op-specific body fields shared by top-level
-// requests and OpTxn sub-ops.
-func appendOpBody(dst []byte, req *Request) ([]byte, error) {
-	dst = appendStr(dst, req.Table)
-	switch req.Op {
-	case OpGet, OpDelete:
-		dst = binary.AppendUvarint(dst, req.Key)
-	case OpPut:
-		dst = binary.AppendUvarint(dst, req.Key)
-		dst = appendRow(dst, req.Row)
-	case OpScan:
-		dst = binary.AppendUvarint(dst, req.From)
-		dst = binary.AppendUvarint(dst, req.To)
-		dst = binary.AppendUvarint(dst, uint64(req.Limit))
-	case OpRmw:
-		dst = binary.AppendUvarint(dst, req.Key)
-		dst = binary.AppendUvarint(dst, uint64(len(req.Cols)))
-		for _, c := range req.Cols {
-			dst = binary.AppendUvarint(dst, uint64(c.Col))
-			mode := byte(0)
-			if c.Add {
-				mode = 1
-			}
-			dst = append(dst, mode)
-			dst = appendValue(dst, c.Val)
-		}
-	case OpTxnPrewrite:
-		if req.Txn == 0 {
-			return nil, errors.New("wire: prewrite with zero txn id")
-		}
-		if len(req.Ops) == 0 {
-			return nil, errors.New("wire: empty prewrite")
-		}
-		if req.PriShard < 0 {
-			return nil, fmt.Errorf("wire: prewrite primary shard %d out of range", req.PriShard)
-		}
-		dst = binary.AppendUvarint(dst, req.Txn)
-		dst = binary.AppendUvarint(dst, uint64(req.PriShard))
-		dst = binary.AppendUvarint(dst, req.Key)
-		dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
-		for i := range req.Ops {
-			sub := &req.Ops[i]
-			if sub.Op != OpPut && sub.Op != OpDelete && sub.Op != OpRmw {
-				return nil, fmt.Errorf("wire: prewrite cannot buffer op %v", sub.Op)
-			}
-			dst = append(dst, byte(sub.Op))
-			var err error
-			if dst, err = appendOpBody(dst, sub); err != nil {
-				return nil, err
-			}
-		}
-	case OpTxnCommit, OpTxnAbort:
-		if req.Txn == 0 {
-			return nil, errors.New("wire: txn settle with zero txn id")
-		}
-		if req.Phase > 1 {
-			return nil, fmt.Errorf("wire: txn phase %d out of range", req.Phase)
-		}
-		dst = binary.AppendUvarint(dst, req.Txn)
-		dst = append(dst, req.Phase)
-		dst = binary.AppendUvarint(dst, uint64(len(req.Locks)))
-		for _, l := range req.Locks {
-			dst = appendStr(dst, l.Table)
-			dst = binary.AppendUvarint(dst, l.Key)
-		}
-	case OpTxnResolve:
-		if req.Txn == 0 {
-			return nil, errors.New("wire: resolve with zero txn id")
-		}
-		if req.Phase > 1 {
-			return nil, fmt.Errorf("wire: resolve phase %d out of range", req.Phase)
-		}
-		dst = binary.AppendUvarint(dst, req.Txn)
-		dst = append(dst, req.Phase)
-		dst = binary.AppendUvarint(dst, req.Key)
-	default:
-		return nil, fmt.Errorf("wire: cannot encode op %v", req.Op)
-	}
-	return dst, nil
-}
-
-func (d *dec) opBody(req *Request) error {
-	var err error
-	if req.Table, err = d.str(); err != nil {
-		return err
-	}
-	switch req.Op {
-	case OpGet, OpDelete:
-		req.Key, err = d.uvarint()
-		return err
-	case OpPut:
-		if req.Key, err = d.uvarint(); err != nil {
-			return err
-		}
-		req.Row, err = d.row()
-		return err
-	case OpScan:
-		if req.From, err = d.uvarint(); err != nil {
-			return err
-		}
-		if req.To, err = d.uvarint(); err != nil {
-			return err
-		}
-		limit, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if limit > 1<<31 {
-			return fmt.Errorf("wire: scan limit %d out of range", limit)
-		}
-		req.Limit = uint32(limit)
-		return nil
-	case OpRmw:
-		if req.Key, err = d.uvarint(); err != nil {
-			return err
-		}
-		n, err := d.count(3)
-		if err != nil {
-			return err
-		}
-		req.Cols = make([]RmwCol, n)
-		for i := range req.Cols {
-			col, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			if col > 1<<16 {
-				return fmt.Errorf("wire: rmw column %d out of range", col)
-			}
-			req.Cols[i].Col = int(col)
-			mode, err := d.byte()
-			if err != nil {
-				return err
-			}
-			if mode > 1 {
-				return fmt.Errorf("wire: unknown rmw mode %d", mode)
-			}
-			req.Cols[i].Add = mode == 1
-			if req.Cols[i].Val, err = d.value(); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpTxnPrewrite:
-		if req.Txn, err = d.uvarint(); err != nil {
-			return err
-		}
-		if req.Txn == 0 {
-			return errors.New("wire: prewrite with zero txn id")
-		}
-		shard, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if shard > 1<<20 {
-			return fmt.Errorf("wire: prewrite primary shard %d out of range", shard)
-		}
-		req.PriShard = int32(shard)
-		if req.Key, err = d.uvarint(); err != nil {
-			return err
-		}
-		n, err := d.count(3)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return errors.New("wire: empty prewrite")
-		}
-		req.Ops = make([]Request, n)
-		for i := range req.Ops {
-			opb, err := d.byte()
-			if err != nil {
-				return err
-			}
-			req.Ops[i].Op = Op(opb)
-			req.Ops[i].Part = -1
-			if o := req.Ops[i].Op; o != OpPut && o != OpDelete && o != OpRmw {
-				return fmt.Errorf("wire: prewrite cannot buffer op %v", o)
-			}
-			if err := d.opBody(&req.Ops[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpTxnCommit, OpTxnAbort:
-		if req.Txn, err = d.uvarint(); err != nil {
-			return err
-		}
-		if req.Txn == 0 {
-			return errors.New("wire: txn settle with zero txn id")
-		}
-		if req.Phase, err = d.byte(); err != nil {
-			return err
-		}
-		if req.Phase > 1 {
-			return fmt.Errorf("wire: txn phase %d out of range", req.Phase)
-		}
-		n, err := d.count(2)
-		if err != nil {
-			return err
-		}
-		req.Locks = make([]LockRef, n)
-		for i := range req.Locks {
-			if req.Locks[i].Table, err = d.str(); err != nil {
-				return err
-			}
-			if req.Locks[i].Key, err = d.uvarint(); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpTxnResolve:
-		if req.Txn, err = d.uvarint(); err != nil {
-			return err
-		}
-		if req.Txn == 0 {
-			return errors.New("wire: resolve with zero txn id")
-		}
-		if req.Phase, err = d.byte(); err != nil {
-			return err
-		}
-		if req.Phase > 1 {
-			return fmt.Errorf("wire: resolve phase %d out of range", req.Phase)
-		}
-		req.Key, err = d.uvarint()
-		return err
-	}
-	return fmt.Errorf("wire: unknown op %v", req.Op)
-}
-
-// EncodeRequest serializes a request payload (frame it with AppendFrame or
-// WriteFrame). Layout:
-//
-//	id uvarint | part+1 uvarint | op byte | body
-//	body(get/delete) := table key
-//	body(put)        := table key row
-//	body(scan)       := table from to limit
-//	body(rmw)        := table key ncols { col mode value }*
-//	body(txn)        := "" nops { op byte, body }*   (sub-ops may not nest)
-//	body(repl-append):= epoch seq nops { op byte, body }*   (write sub-ops only)
-//	body(repl-ack)   := epoch
-//	body(shardmap)   := (empty)
-//	body(repl-snap)  := epoch seq phase table nrows { key row }*
-//	body(txn-prewrite) := pri-table txn pri-shard pri-key nops { op byte, body }*
-//	body(txn-commit/abort) := "" txn phase nlocks { table key }*
-//	body(txn-resolve)  := pri-table txn phase pri-key
-//	body(map-prepare)  := ballot          (carried in Epoch)
-//	body(map-accept)   := ballot shardmap
-//	body(map-learn)    := shardmap
-func EncodeRequest(req *Request) ([]byte, error) {
-	if req.Part < -1 {
-		return nil, fmt.Errorf("wire: partition %d out of range", req.Part)
-	}
-	dst := binary.AppendUvarint(nil, req.ID)
-	dst = binary.AppendUvarint(dst, uint64(req.Part+1))
-	dst = append(dst, byte(req.Op))
-	if req.Op.IsRepl() {
-		return appendReplBody(dst, req)
-	}
-	if req.Op != OpTxn {
-		return appendOpBody(dst, req)
-	}
-	if len(req.Ops) == 0 {
-		return nil, errors.New("wire: empty transaction")
-	}
-	dst = appendStr(dst, "")
-	dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
-	for i := range req.Ops {
-		sub := &req.Ops[i]
-		if sub.Op == OpTxn {
-			return nil, errors.New("wire: nested transaction")
-		}
-		if !sub.Op.basic() {
-			return nil, fmt.Errorf("wire: op %v cannot nest in a transaction", sub.Op)
-		}
-		dst = append(dst, byte(sub.Op))
-		var err error
-		if dst, err = appendOpBody(dst, sub); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-// appendReplBody encodes the body of a replication-plane request.
-func appendReplBody(dst []byte, req *Request) ([]byte, error) {
-	switch req.Op {
-	case OpReplAppend:
-		if len(req.Ops) == 0 {
-			return nil, errors.New("wire: empty repl batch")
-		}
-		dst = binary.AppendUvarint(dst, req.Epoch)
-		dst = binary.AppendUvarint(dst, req.Seq)
-		dst = binary.AppendUvarint(dst, uint64(len(req.Ops)))
-		for i := range req.Ops {
-			sub := &req.Ops[i]
-			dst = append(dst, byte(sub.Op))
-			var err error
-			if dst, err = appendOpBody(dst, sub); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
-	case OpReplAck:
-		return binary.AppendUvarint(dst, req.Epoch), nil
-	case OpShardMap:
-		return dst, nil
-	case OpReplSnap:
-		if req.Phase > SnapDone {
-			return nil, fmt.Errorf("wire: unknown snapshot phase %d", req.Phase)
-		}
-		if len(req.SnapKeys) != len(req.SnapRows) {
-			return nil, fmt.Errorf("wire: snapshot chunk %d keys vs %d rows", len(req.SnapKeys), len(req.SnapRows))
-		}
-		dst = binary.AppendUvarint(dst, req.Epoch)
-		dst = binary.AppendUvarint(dst, req.Seq)
-		dst = append(dst, req.Phase)
-		dst = appendStr(dst, req.Table)
-		dst = binary.AppendUvarint(dst, uint64(len(req.SnapKeys)))
-		for i, k := range req.SnapKeys {
-			dst = binary.AppendUvarint(dst, k)
-			dst = appendRow(dst, req.SnapRows[i])
-		}
-		return dst, nil
-	case OpMapPrepare:
-		return binary.AppendUvarint(dst, req.Epoch), nil
-	case OpMapAccept:
-		if req.Map == nil {
-			return nil, errors.New("wire: map accept without a map")
-		}
-		dst = binary.AppendUvarint(dst, req.Epoch)
-		return appendShardMap(dst, req.Map), nil
-	case OpMapLearn:
-		if req.Map == nil {
-			return nil, errors.New("wire: map learn without a map")
-		}
-		return appendShardMap(dst, req.Map), nil
-	}
-	return nil, fmt.Errorf("wire: cannot encode repl op %v", req.Op)
-}
-
-func (d *dec) replBody(req *Request) error {
-	var err error
-	switch req.Op {
-	case OpReplAppend:
-		if req.Epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		if req.Seq, err = d.uvarint(); err != nil {
-			return err
-		}
-		n, err := d.count(3)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return errors.New("wire: empty repl batch")
-		}
-		req.Ops = make([]Request, n)
-		for i := range req.Ops {
-			opb, err := d.byte()
-			if err != nil {
-				return err
-			}
-			req.Ops[i].Op = Op(opb)
-			req.Ops[i].Part = -1
-			if err := d.opBody(&req.Ops[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpReplAck:
-		req.Epoch, err = d.uvarint()
-		return err
-	case OpShardMap:
-		return nil
-	case OpReplSnap:
-		if req.Epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		if req.Seq, err = d.uvarint(); err != nil {
-			return err
-		}
-		if req.Phase, err = d.byte(); err != nil {
-			return err
-		}
-		if req.Phase > SnapDone {
-			return fmt.Errorf("wire: unknown snapshot phase %d", req.Phase)
-		}
-		if req.Table, err = d.str(); err != nil {
-			return err
-		}
-		n, err := d.count(3)
-		if err != nil {
-			return err
-		}
-		req.SnapKeys = make([]uint64, n)
-		req.SnapRows = make([][]core.Value, n)
-		for i := 0; i < n; i++ {
-			if req.SnapKeys[i], err = d.uvarint(); err != nil {
-				return err
-			}
-			if req.SnapRows[i], err = d.row(); err != nil {
-				return err
-			}
-		}
-		return nil
-	case OpMapPrepare:
-		req.Epoch, err = d.uvarint()
-		return err
-	case OpMapAccept:
-		if req.Epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		req.Map, err = d.shardMap()
-		return err
-	case OpMapLearn:
-		req.Map, err = d.shardMap()
-		return err
-	}
-	return fmt.Errorf("wire: unknown repl op %v", req.Op)
-}
-
-// EncodeOp serializes one buffered write op (op byte + body) — the form a
-// prewrite stores inside a lock record. Only the write subset is legal.
-func EncodeOp(sub *Request) ([]byte, error) {
-	if sub.Op != OpPut && sub.Op != OpDelete && sub.Op != OpRmw {
-		return nil, fmt.Errorf("wire: cannot buffer op %v in a lock record", sub.Op)
-	}
-	return appendOpBody([]byte{byte(sub.Op)}, sub)
-}
-
-// DecodeOp parses a buffered write op from a lock record. Trailing bytes and
-// truncations are errors — a torn lock record must never silently decode as
-// a different (or shorter) write, which is what keeps a torn prewrite from
-// ever surfacing as committed.
-func DecodeOp(b []byte) (*Request, error) {
-	d := &dec{b: b}
-	opb, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	req := &Request{Op: Op(opb), Part: -1}
-	if req.Op != OpPut && req.Op != OpDelete && req.Op != OpRmw {
-		return nil, fmt.Errorf("wire: lock record buffers op %v", req.Op)
-	}
-	if err := d.opBody(req); err != nil {
-		return nil, err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after lock record", d.remaining())
-	}
-	return req, nil
-}
-
-// RequestID extracts the request ID from a payload prefix, for error
-// responses to frames whose full decode failed.
-func RequestID(payload []byte) (uint64, bool) {
-	v, n := binary.Uvarint(payload)
-	return v, n > 0
-}
-
-// DecodeRequest parses a request payload.
-func DecodeRequest(payload []byte) (*Request, error) {
-	d := &dec{b: payload}
-	req := &Request{}
-	var err error
-	if req.ID, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	part, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if part > 1<<20 {
-		return nil, fmt.Errorf("wire: partition %d out of range", part)
-	}
-	req.Part = int32(part) - 1
-	op, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	req.Op = Op(op)
-	if req.Op.IsRepl() {
-		if err := d.replBody(req); err != nil {
-			return nil, err
-		}
-	} else if req.Op != OpTxn {
-		if err := d.opBody(req); err != nil {
-			return nil, err
-		}
-	} else {
-		if _, err := d.str(); err != nil { // reserved empty table slot
-			return nil, err
-		}
-		n, err := d.count(3)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, errors.New("wire: empty transaction")
-		}
-		req.Ops = make([]Request, n)
-		for i := range req.Ops {
-			opb, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			req.Ops[i].Op = Op(opb)
-			req.Ops[i].Part = -1
-			if req.Ops[i].Op == OpTxn {
-				return nil, errors.New("wire: nested transaction")
-			}
-			if !req.Ops[i].Op.basic() {
-				return nil, fmt.Errorf("wire: op %v cannot nest in a transaction", req.Ops[i].Op)
-			}
-			if err := d.opBody(&req.Ops[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after request", d.remaining())
-	}
-	return req, nil
-}
-
-// EncodeResponse serializes a response payload. Layout:
-//
-//	id uvarint | status byte | msg | kind byte | body
-//	body(row)  := found byte [row]
-//	body(scan) := n { key row }*
-//	body(subs) := n { status byte, msg, kind, body }*   (subs may not nest)
-func EncodeResponse(resp *Response) ([]byte, error) {
-	dst := binary.AppendUvarint(nil, resp.ID)
-	return appendRespBody(dst, resp, false)
-}
-
-func appendRespBody(dst []byte, resp *Response, sub bool) ([]byte, error) {
-	dst = append(dst, byte(resp.Status))
-	dst = appendStr(dst, resp.Msg)
-	switch {
-	case resp.Subs != nil:
-		if sub {
-			return nil, errors.New("wire: nested sub-responses")
-		}
-		dst = append(dst, respSubs)
-		dst = binary.AppendUvarint(dst, uint64(len(resp.Subs)))
-		for i := range resp.Subs {
-			var err error
-			if dst, err = appendRespBody(dst, &resp.Subs[i], true); err != nil {
-				return nil, err
-			}
-		}
-	case resp.Keys != nil || resp.Rows != nil:
-		if len(resp.Keys) != len(resp.Rows) {
-			return nil, fmt.Errorf("wire: scan response %d keys vs %d rows", len(resp.Keys), len(resp.Rows))
-		}
-		dst = append(dst, respScan)
-		dst = binary.AppendUvarint(dst, uint64(len(resp.Keys)))
-		for i, k := range resp.Keys {
-			dst = binary.AppendUvarint(dst, k)
-			dst = appendRow(dst, resp.Rows[i])
-		}
-	case resp.Found || resp.Row != nil:
-		dst = append(dst, respRow)
-		if resp.Found {
-			dst = append(dst, 1)
-			dst = appendRow(dst, resp.Row)
-		} else {
-			dst = append(dst, 0)
-		}
-	case resp.Txn != 0:
-		if resp.TxnState > TxnAborted {
-			return nil, fmt.Errorf("wire: txn state %d out of range", resp.TxnState)
-		}
-		if resp.PriShard < 0 {
-			return nil, fmt.Errorf("wire: txn primary shard %d out of range", resp.PriShard)
-		}
-		dst = append(dst, respTxn)
-		dst = binary.AppendUvarint(dst, resp.Txn)
-		dst = append(dst, resp.TxnState)
-		dst = binary.AppendUvarint(dst, uint64(resp.PriShard))
-		dst = appendStr(dst, resp.PriTable)
-		dst = binary.AppendUvarint(dst, resp.PriKey)
-		dst = appendStr(dst, resp.LockTable)
-		dst = binary.AppendUvarint(dst, resp.LockKey)
-	case resp.Map != nil && resp.Epoch != 0:
-		// Consensus: an accepted (ballot, map) pair from a prepare promise.
-		dst = append(dst, respCons)
-		dst = binary.AppendUvarint(dst, resp.Epoch)
-		dst = appendShardMap(dst, resp.Map)
-	case resp.Map != nil:
-		dst = append(dst, respMap)
-		dst = appendShardMap(dst, resp.Map)
-	case resp.Epoch != 0 || resp.Seq != 0:
-		dst = append(dst, respRepl)
-		dst = binary.AppendUvarint(dst, resp.Epoch)
-		dst = binary.AppendUvarint(dst, resp.Seq)
-	default:
-		dst = append(dst, respNone)
-	}
-	return dst, nil
-}
-
-// DecodeResponse parses a response payload.
-func DecodeResponse(payload []byte) (*Response, error) {
-	d := &dec{b: payload}
-	resp := &Response{}
-	var err error
-	if resp.ID, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if err := d.respBody(resp, false); err != nil {
-		return nil, err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after response", d.remaining())
-	}
-	return resp, nil
-}
-
-func (d *dec) respBody(resp *Response, sub bool) error {
-	status, err := d.byte()
-	if err != nil {
-		return err
-	}
-	if status > byte(StatusLocked) {
-		return fmt.Errorf("wire: unknown status %d", status)
-	}
-	resp.Status = Status(status)
-	if resp.Msg, err = d.str(); err != nil {
-		return err
-	}
-	kind, err := d.byte()
-	if err != nil {
-		return err
-	}
-	switch kind {
-	case respNone:
-		return nil
-	case respRow:
-		found, err := d.byte()
-		if err != nil {
-			return err
-		}
-		if found > 1 {
-			return fmt.Errorf("wire: found flag %d", found)
-		}
-		if found == 1 {
-			resp.Found = true
-			if resp.Row, err = d.row(); err != nil {
-				return err
-			}
-		}
-		return nil
-	case respScan:
-		n, err := d.count(3)
-		if err != nil {
-			return err
-		}
-		resp.Keys = make([]uint64, n)
-		resp.Rows = make([][]core.Value, n)
-		for i := 0; i < n; i++ {
-			if resp.Keys[i], err = d.uvarint(); err != nil {
-				return err
-			}
-			if resp.Rows[i], err = d.row(); err != nil {
-				return err
-			}
-		}
-		return nil
-	case respSubs:
-		if sub {
-			return errors.New("wire: nested sub-responses")
-		}
-		n, err := d.count(3)
-		if err != nil {
-			return err
-		}
-		resp.Subs = make([]Response, n)
-		for i := range resp.Subs {
-			if err := d.respBody(&resp.Subs[i], true); err != nil {
-				return err
-			}
-		}
-		return nil
-	case respMap:
-		resp.Map, err = d.shardMap()
-		return err
-	case respRepl:
-		if resp.Epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		resp.Seq, err = d.uvarint()
-		return err
-	case respTxn:
-		if resp.Txn, err = d.uvarint(); err != nil {
-			return err
-		}
-		if resp.Txn == 0 {
-			return errors.New("wire: txn response with zero txn id")
-		}
-		if resp.TxnState, err = d.byte(); err != nil {
-			return err
-		}
-		if resp.TxnState > TxnAborted {
-			return fmt.Errorf("wire: txn state %d out of range", resp.TxnState)
-		}
-		shard, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if shard > 1<<20 {
-			return fmt.Errorf("wire: txn primary shard %d out of range", shard)
-		}
-		resp.PriShard = int32(shard)
-		if resp.PriTable, err = d.str(); err != nil {
-			return err
-		}
-		if resp.PriKey, err = d.uvarint(); err != nil {
-			return err
-		}
-		if resp.LockTable, err = d.str(); err != nil {
-			return err
-		}
-		resp.LockKey, err = d.uvarint()
-		return err
-	case respCons:
-		if resp.Epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		if resp.Epoch == 0 {
-			return errors.New("wire: consensus response with zero ballot")
-		}
-		resp.Map, err = d.shardMap()
-		return err
-	}
-	return fmt.Errorf("wire: unknown response kind %d", kind)
-}

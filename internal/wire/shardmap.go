@@ -1,10 +1,5 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // ShardRoute is one shard's placement: the primary that accepts writes, an
 // optional backup receiving shipped log batches, and the fencing epoch. The
 // epoch increments on every primary change; a REPL frame carrying an older
@@ -58,59 +53,42 @@ func (m *ShardMap) Clone() *ShardMap {
 	return out
 }
 
-// maxShards bounds a decoded map (a hostile count must not balloon memory).
+// maxShards bounds a map's routes (a hostile count must not balloon memory).
 const maxShards = 1 << 16
 
-// appendShardMap serializes a map: version nshards
+// shardMap moves a map that must be present: version nshards
 // { epoch primary backup flags }*; flags bit 0 is Reseeding.
-func appendShardMap(dst []byte, m *ShardMap) []byte {
-	dst = binary.AppendUvarint(dst, m.Version)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Shards)))
-	for _, s := range m.Shards {
-		dst = binary.AppendUvarint(dst, s.Epoch)
-		dst = appendStr(dst, s.Primary)
-		dst = appendStr(dst, s.Backup)
+func (c *codec) shardMap(mp **ShardMap) {
+	if c.enc && *mp == nil {
+		c.failf("wire: shard map missing")
+	}
+	if !c.enc {
+		*mp = &ShardMap{}
+	}
+	if c.err != nil {
+		return
+	}
+	m := *mp
+	c.u64(&m.Version)
+	n := c.count(len(m.Shards), 3)
+	if n > maxShards {
+		c.failf("wire: shard map with %d shards", n)
+	}
+	if !c.enc && c.err == nil {
+		m.Shards = make([]ShardRoute, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		s := &m.Shards[i]
+		c.u64(&s.Epoch)
+		c.str(&s.Primary)
+		c.str(&s.Backup)
 		var flags uint64
 		if s.Reseeding {
-			flags |= 1
+			flags = 1
 		}
-		dst = binary.AppendUvarint(dst, flags)
+		uv(c, &flags, 1, "shard route flags")
+		if !c.enc {
+			s.Reseeding = flags == 1
+		}
 	}
-	return dst
-}
-
-func (d *dec) shardMap() (*ShardMap, error) {
-	m := &ShardMap{}
-	var err error
-	if m.Version, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	n, err := d.count(3)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxShards {
-		return nil, fmt.Errorf("wire: shard map with %d shards", n)
-	}
-	m.Shards = make([]ShardRoute, n)
-	for i := range m.Shards {
-		if m.Shards[i].Epoch, err = d.uvarint(); err != nil {
-			return nil, err
-		}
-		if m.Shards[i].Primary, err = d.str(); err != nil {
-			return nil, err
-		}
-		if m.Shards[i].Backup, err = d.str(); err != nil {
-			return nil, err
-		}
-		flags, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if flags > 1 {
-			return nil, fmt.Errorf("wire: shard route flags %#x", flags)
-		}
-		m.Shards[i].Reseeding = flags&1 != 0
-	}
-	return m, nil
 }

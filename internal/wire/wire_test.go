@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nstore/internal/core"
@@ -210,10 +211,38 @@ func TestEncodeRequestRejects(t *testing.T) {
 		{ID: 8, Part: 0, Op: OpReplSnap, Phase: 9}, // unknown phase
 		{ID: 9, Part: 0, Op: OpReplSnap, Phase: SnapChunk, Table: "t",
 			SnapKeys: []uint64{1}}, // keys without rows
+		// Values the decoder refuses, so the encoder must too.
+		{ID: 10, Part: -1, Op: OpScan, Table: "t", Limit: 1<<31 + 1},
+		{ID: 11, Part: -1, Op: OpRmw, Table: "t", Key: 1, Cols: []RmwCol{{Col: -1}}},
+		{ID: 12, Part: -1, Op: OpRmw, Table: "t", Key: 1, Cols: []RmwCol{{Col: 70_000}}},
+		{ID: 13, Part: 1 << 21, Op: OpGet, Table: "t"},
+		{ID: 14, Part: 0, Op: OpTxnPrewrite, Txn: 1, PriShard: 1 << 21, Table: "t",
+			Ops: []Request{{Op: OpDelete, Table: "t", Key: 1}}},
+		{ID: 15, Part: -1, Op: OpMapLearn, Map: &ShardMap{Shards: make([]ShardRoute, maxShards+1)}},
+		{ID: 16, Part: 0, Op: OpReplSnap, Phase: SnapChunk, Table: "t",
+			SnapKeys: []uint64{1, 2, 3, 4}, SnapRows: make([][]core.Value, 4)}, // pairs of 2 bytes
 	}
 	for _, req := range cases {
 		if _, err := EncodeRequest(req); err == nil {
 			t.Errorf("encode %+v: want error", req)
+		}
+	}
+}
+
+func TestEncodeResponseRejects(t *testing.T) {
+	cases := []*Response{
+		{ID: 1, Subs: []Response{{Subs: []Response{}}}},                    // nested subs
+		{ID: 2, Keys: []uint64{1}},                                         // keys without rows
+		{ID: 3, Txn: 1, TxnState: TxnAborted + 1},                          // unknown txn state
+		{ID: 4, Txn: 1, PriShard: -1},                                      // negative shard
+		{ID: 5, Status: 200},                                               // unknown status
+		{ID: 6, Txn: 1, PriShard: 1 << 21},                                 // shard out of range
+		{ID: 7, Map: &ShardMap{Shards: make([]ShardRoute, maxShards+1)}},   // too many routes
+		{ID: 8, Keys: []uint64{1, 2, 3, 4}, Rows: make([][]core.Value, 4)}, // pairs of 2 bytes
+	}
+	for _, resp := range cases {
+		if _, err := EncodeResponse(resp); err == nil {
+			t.Errorf("encode %+v: want error", resp)
 		}
 	}
 }
@@ -459,6 +488,40 @@ func TestCodecAllocs(t *testing.T) {
 	} {
 		if got := testing.AllocsPerRun(20, c.fn); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestOpAndStatusNames pins every op's and status's name: netserve registers
+// the wire_op_<name> and wire_status_<name> metrics from them.
+func TestOpAndStatusNames(t *testing.T) {
+	var ops, statuses []string
+	for _, o := range Ops {
+		ops = append(ops, o.String())
+	}
+	for _, s := range Statuses {
+		statuses = append(statuses, s.String())
+	}
+	wantOps := "get put delete scan rmw txn repl-append repl-ack shardmap repl-snap " +
+		"txn-prewrite txn-commit txn-abort txn-resolve map-prepare map-accept map-learn"
+	wantStatuses := "ok not-found key-exists aborted bad-request overloaded recovering retryable " +
+		"corrupt degraded closed internal not-primary stale-epoch locked"
+	if got := strings.Join(ops, " "); got != wantOps {
+		t.Errorf("ops: %s", got)
+	}
+	if got := strings.Join(statuses, " "); got != wantStatuses {
+		t.Errorf("statuses: %s", got)
+	}
+	if Op(0).String() != "op(0)" || Op(18).String() != "op(18)" || Status(15).String() != "status(15)" {
+		t.Errorf("unknown values print as %v, %v, %v", Op(0), Op(18), Status(15))
+	}
+	for _, o := range Ops {
+		if o.IsRepl() != (o == OpReplAppend || o == OpReplAck || o == OpShardMap || o == OpReplSnap ||
+			o == OpMapPrepare || o == OpMapAccept || o == OpMapLearn) {
+			t.Errorf("%v.IsRepl() = %v", o, o.IsRepl())
+		}
+		if o.Is2PC() != (o >= OpTxnPrewrite && o <= OpTxnResolve) {
+			t.Errorf("%v.Is2PC() = %v", o, o.Is2PC())
 		}
 	}
 }
