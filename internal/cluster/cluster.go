@@ -45,13 +45,8 @@ type Config struct {
 	// now is the clock heartbeats are stamped and leases are judged by;
 	// time.Now unless a test in this package owns it.
 	now func() time.Time
-	// ReplTimeout bounds one ship→ack round trip (default 5s).
-	ReplTimeout time.Duration
 	// ReseedTimeout bounds a whole snapshot re-seed (default 60s).
 	ReseedTimeout time.Duration
-	// TailLen bounds the per-shard unacked tail ring; beyond it the oldest
-	// batches drop and a returning backup needs a snapshot (default 1024).
-	TailLen int
 
 	// Seed drives every seeded component (backoff jitter, serve retries).
 	Seed int64
@@ -62,9 +57,15 @@ type Config struct {
 	Schemas []*core.Schema
 	// Serve configures each node's runtime.
 	Serve serve.Config
-	// Net configures each node's wire server (Repl is set by Start).
-	Net netserve.Config
 }
+
+const (
+	// replTimeout bounds one ship→ack round trip.
+	replTimeout = 5 * time.Second
+	// tailLen bounds the per-shard unacked tail ring; beyond it the oldest
+	// batches drop and a returning backup needs a snapshot.
+	tailLen = 1024
+)
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -82,14 +83,8 @@ func (c Config) withDefaults() Config {
 	if c.now == nil {
 		c.now = time.Now
 	}
-	if c.ReplTimeout <= 0 {
-		c.ReplTimeout = 5 * time.Second
-	}
 	if c.ReseedTimeout <= 0 {
 		c.ReseedTimeout = 60 * time.Second
-	}
-	if c.TailLen <= 0 {
-		c.TailLen = 1024
 	}
 	return c
 }
@@ -98,10 +93,10 @@ func (c Config) withDefaults() Config {
 func (c Config) peerClientConfig() netclient.Config {
 	return netclient.Config{
 		Conns:   1,
-		Timeout: c.ReplTimeout,
+		Timeout: replTimeout,
 		Seed:    c.Seed + 7,
 		// A dead peer should fail fast; the tail keeps the data safe.
-		DialTimeout: c.ReplTimeout,
+		DialTimeout: replTimeout,
 		MaxRedials:  3,
 	}
 }
@@ -216,9 +211,7 @@ func (c *Cluster) startNode(name string) (*Node, error) {
 	for i := range n.shards {
 		n.shards[i] = &shardState{}
 	}
-	ncfg := c.cfg.Net
-	ncfg.Repl = n
-	srv, err := netserve.New(rt, "127.0.0.1:0", ncfg)
+	srv, err := netserve.New(rt, "127.0.0.1:0", netserve.Config{Repl: n})
 	if err != nil {
 		rt.Close()
 		return nil, fmt.Errorf("cluster: %s: %w", name, err)

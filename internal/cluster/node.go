@@ -294,11 +294,11 @@ func (n *Node) Commit(ctx context.Context, part int, req *wire.Request, submit f
 		e := replEntry{seq: s.seq, bytes: opsBytes(ops), ops: ops}
 		s.tail = append(s.tail, e)
 		s.lagBytes.Add(e.bytes)
-		// Bound the tail: beyond TailLen the oldest entries are dropped and
+		// Bound the tail: beyond tailLen the oldest entries are dropped and
 		// log catch-up is off the table — a returning backup needs a full
 		// snapshot re-seed instead.
-		if max := n.cl.cfg.TailLen; len(s.tail) > max {
-			drop := len(s.tail) - max
+		if len(s.tail) > tailLen {
+			drop := len(s.tail) - tailLen
 			for _, d := range s.tail[:drop] {
 				s.lagBytes.Add(-d.bytes)
 			}

@@ -8,8 +8,9 @@ type Options struct {
 	// GroupCommitSize is the number of transactions batched per WAL fsync
 	// or per CoW directory swap (§3.1, §3.2).
 	GroupCommitSize int
-	// CheckpointEvery is the number of committed transactions between InP
-	// checkpoints (0 = only on Flush).
+	// CheckpointEvery is the number of committed writing transactions
+	// between InP checkpoints. WithDefaults turns 0 into 50 000, a negative
+	// value disables checkpoints, and Flush never checkpoints.
 	CheckpointEvery int
 	// BTreeNodeSize is the node size of the STX-style and non-volatile
 	// B+trees (default 512, Fig. 15).

@@ -74,8 +74,9 @@ func (w *FsWAL) Stats() WalStats {
 	}
 }
 
-// WalStatser is implemented by engines that expose their WAL's counters
-// (the WAL-based engines: inp, nvm-inp via its own log, log, nvm-log).
+// WalStatser is implemented by engines that expose their WAL's counters:
+// inp and log, and nvm-log, whose counters stay zero (it shares log's
+// engine but keeps no FsWAL). nvm-inp does not implement it.
 type WalStatser interface {
 	WalStats() WalStats
 }
@@ -98,9 +99,9 @@ type WalRecord struct {
 	After  []byte
 }
 
-// NewFsWAL creates (or truncates) the log file. The arena backs the
-// volatile log buffer; pass nil to keep the buffer in process memory only
-// (tests).
+// NewFsWAL creates (or truncates) the log file name on fs, flushed with one
+// fsync per groupSize committed transactions (at least 1). Its buffer is in
+// process memory until UseArenaBuffer moves it into an arena.
 func NewFsWAL(fs *pmfs.FS, name string, groupSize int) (*FsWAL, error) {
 	if fs.Exists(name) {
 		if err := fs.Remove(name); err != nil {

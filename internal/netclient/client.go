@@ -44,8 +44,6 @@ type Config struct {
 	// Conns is the connection pool size (default 1). Requests round-robin
 	// over the pool; each connection pipelines independently.
 	Conns int
-	// MaxFrame bounds a response frame (default wire.DefaultMaxFrame).
-	MaxFrame int
 	// Timeout bounds one attempt from send to matched response (default 10s).
 	Timeout time.Duration
 	// DialTimeout bounds connection establishment (default 5s).
@@ -71,9 +69,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Conns <= 0 {
 		c.Conns = 1
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
@@ -280,7 +275,7 @@ func (cc *cconn) dialLocked() error {
 func (cc *cconn) read(c net.Conn, gen uint64) {
 	br := bufio.NewReaderSize(c, 64<<10)
 	for {
-		payload, err := wire.ReadFrame(br, cc.cl.cfg.MaxFrame)
+		payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 		if err != nil {
 			cc.mu.Lock()
 			cc.failIfGenLocked(gen, err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"nstore/internal/cluster"
@@ -88,26 +87,21 @@ func seedCluster(ctx context.Context, r *netclient.Router, src *testbed.DB) (int
 	return total, nil
 }
 
-// RunCluster stands up an in-process replicated cluster, replicates the
-// locally loaded database into it, and drives the partition-pinned request
-// streams through the shard router. With f.ClusterKill the drill SIGKILLs
-// shard 0's primary after the first third of each stream and drives the rest
-// through the failover — the throughput split shows the blackout's cost.
-func RunCluster(ccfg cluster.Config, src *testbed.DB, streams [][]*wire.Request, f *Flags, out io.Writer) error {
-	if out == nil {
-		out = os.Stdout
-	}
+// withCluster stands up an in-process replicated cluster, replicates the
+// locally loaded database into it, and runs drive through a shard router
+// with conns connections a node. It reports the replicated load before the
+// drive and the shard map after it.
+func withCluster(ccfg cluster.Config, src *testbed.DB, conns int, out io.Writer, drive func(ctx context.Context, c *cluster.Cluster, r *netclient.Router) error) error {
 	if ccfg.Shards != src.Partitions() {
 		return fmt.Errorf("netdrill: cluster shards (%d) must match workload partitions (%d)", ccfg.Shards, src.Partitions())
 	}
-	ccfg.Nodes = f.Cluster
 	c, err := cluster.Start(ccfg)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 	r := c.Router(netclient.Config{
-		Conns:    f.Conns,
+		Conns:    conns,
 		Seed:     ccfg.Seed,
 		RetryMax: 40,
 		RetryCap: 100 * time.Millisecond,
@@ -120,53 +114,52 @@ func RunCluster(ccfg cluster.Config, src *testbed.DB, streams [][]*wire.Request,
 	if err != nil {
 		return err
 	}
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
 	fmt.Fprintf(out, "cluster: %d nodes, %d shards; replicated %d rows in %v\n",
-		f.Cluster, ccfg.Shards, rows, time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(out, "driving %d requests (%d workers/partition) through the shard router...\n",
-		total, f.Clients)
-
-	report := func(phase string, res Result) {
-		fmt.Fprintf(out, "%s: %.0f req/sec (%d acked, %d failed in %v)\n",
-			phase, res.Throughput(), res.Acked, res.Failed, res.Elapsed.Round(time.Millisecond))
+		ccfg.Nodes, ccfg.Shards, rows, time.Since(start).Round(time.Millisecond))
+	if err := drive(ctx, c, r); err != nil {
+		return err
 	}
-	if f.ClusterKill {
+	for s, route := range c.Coordinator().Map().Shards {
+		fmt.Fprintf(out, "shard %d: epoch %d primary=%s backup=%s\n", s, route.Epoch, route.Primary, route.Backup)
+	}
+	return nil
+}
+
+// RunCluster drives the partition-pinned request streams through a cluster
+// of ccfg.Nodes nodes. With f.ClusterKill the drill SIGKILLs shard 0's
+// primary after the first third of each stream and drives the rest through
+// the failover — the throughput split shows the blackout's cost.
+func RunCluster(ccfg cluster.Config, src *testbed.DB, streams [][]*wire.Request, f *Flags, out io.Writer) error {
+	return withCluster(ccfg, src, f.Conns, out, func(ctx context.Context, c *cluster.Cluster, r *netclient.Router) error {
+		fmt.Fprintf(out, "driving %d requests (%d workers/partition) through the shard router...\n",
+			total(streams), f.Clients)
+		phase := func(name string, streams [][]*wire.Request) error {
+			res, err := Drive(ctx, r, streams, f.Clients)
+			if err == nil {
+				fmt.Fprintf(out, "%s: %.0f req/sec (%d acked, %d failed in %v)\n",
+					name, res.Throughput(), res.Acked, res.Failed, res.Elapsed.Round(time.Millisecond))
+			}
+			return err
+		}
+		if !f.ClusterKill {
+			return phase("replicated", streams)
+		}
 		head := make([][]*wire.Request, len(streams))
 		tail := make([][]*wire.Request, len(streams))
 		for i, s := range streams {
 			cut := len(s) / 3
 			head[i], tail[i] = s[:cut], s[cut:]
 		}
-		res, err := Drive(ctx, r, head, f.Clients)
-		if err != nil {
+		if err := phase("pre-kill", head); err != nil {
 			return err
 		}
-		report("pre-kill", res)
-		victim := c.Coord.Map().Shards[0].Primary
+		victim := c.Coordinator().Map().Shards[0].Primary
 		for _, n := range c.Nodes {
 			if n.Addr() == victim {
 				n.Kill()
 			}
 		}
 		fmt.Fprintf(out, "killed shard 0's primary (%s); driving on through the failover...\n", victim)
-		res, err = Drive(ctx, r, tail, f.Clients)
-		if err != nil {
-			return err
-		}
-		report("through-failover", res)
-	} else {
-		res, err := Drive(ctx, r, streams, f.Clients)
-		if err != nil {
-			return err
-		}
-		report("replicated", res)
-	}
-	m := c.Coord.Map()
-	for s, route := range m.Shards {
-		fmt.Fprintf(out, "shard %d: epoch %d primary=%s backup=%s\n", s, route.Epoch, route.Primary, route.Backup)
-	}
-	return nil
+		return phase("through-failover", tail)
+	})
 }

@@ -1,9 +1,9 @@
-// Package netdrill is the shared plumbing behind the cmd/ycsb and cmd/tpcc
-// drill modes: one flag set (-serve, -listen, -connect, -metrics, ...), a
-// server loop that parks a loaded database behind the wire protocol, and a
-// client driver that pushes pre-generated workload schedules through a
-// netclient pool and reports throughput. The two commands differ only in
-// how they build their request streams (YCSBRequests / TPCCRequests).
+// Package netdrill runs every drill of cmd/ycsb and cmd/tpcc. A command
+// registers its workload's own flags beside the shared ones (Register),
+// describes the workload (Workload) and hands both to Main, which owns the
+// rest: the testbed build and load, the modes (-connect, -cluster, -listen,
+// -serve or a plain in-process run) and the report. A mode, a flag or a
+// report line is added here once, for both workloads.
 package netdrill
 
 import (
@@ -20,9 +20,11 @@ import (
 	"syscall"
 	"time"
 
+	"nstore/internal/cluster"
 	"nstore/internal/core"
 	"nstore/internal/netclient"
 	"nstore/internal/netserve"
+	"nstore/internal/nvm"
 	"nstore/internal/serve"
 	"nstore/internal/testbed"
 	"nstore/internal/wire"
@@ -30,11 +32,20 @@ import (
 	"nstore/internal/workload/ycsb"
 )
 
-// Flags is the drill flag set shared by cmd/ycsb and cmd/tpcc. The three
-// modes are mutually exclusive: -serve runs the in-process fault drill,
-// -listen parks the loaded database behind a TCP wire server, and -connect
-// drives the workload against a remote server instead of a local database.
+// Flags is the flag set Main owns. The four modes are mutually
+// exclusive: -serve runs the in-process fault drill, -listen parks the loaded
+// database behind a TCP wire server, -connect drives the workload against a
+// remote server instead of a local database, and -cluster drives it through
+// an in-process replicated cluster. With none of them the workload runs
+// in-process and the report prints its device counters.
 type Flags struct {
+	Engine     string
+	Latency    string
+	Partitions int
+	Cache      int
+	Seed       int64
+	Recover    bool
+
 	Serve       bool
 	Clients     int
 	Fault       string
@@ -48,10 +59,15 @@ type Flags struct {
 	ClusterTxn  bool
 }
 
-// Register installs the drill flags on fs, preserving the historical flag
-// names both commands used before the plumbing was shared.
+// Register installs Main's flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
+	fs.StringVar(&f.Engine, "engine", "nvm-inp", "storage engine: inp, cow, log, nvm-inp, nvm-cow, nvm-log")
+	fs.StringVar(&f.Latency, "latency", "dram", "NVM latency: dram, 2x, 8x")
+	fs.IntVar(&f.Partitions, "partitions", 4, "partitions")
+	fs.IntVar(&f.Cache, "cache", 128<<10, "simulated CPU cache per partition (bytes)")
+	fs.Int64Var(&f.Seed, "seed", 42, "workload and fault-schedule seed")
+	fs.BoolVar(&f.Recover, "recover", true, "crash and measure recovery at the end")
 	fs.BoolVar(&f.Serve, "serve", false, "run through the serving runtime (concurrent clients, supervised partitions)")
 	fs.IntVar(&f.Clients, "clients", 2, "serve/connect mode: concurrent clients per partition")
 	fs.StringVar(&f.Fault, "fault", "none", "serve mode: mid-traffic fault on every partition: none, fsync-transient, fsync-lost, fsync-torn, fence-lose, fence-reorder")
@@ -66,38 +82,168 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Validate rejects contradictory mode combinations.
-func (f *Flags) Validate() error {
-	n := 0
-	if f.Serve {
-		n++
+// profiles maps each -latency value to its device profile.
+var profiles = map[string]nvm.Profile{"dram": nvm.ProfileDRAM, "2x": nvm.ProfileLowNVM, "8x": nvm.ProfileHighNVM}
+
+// validate refuses a value no profile or mode can honour, contradictory mode
+// combinations, and a mode the workload has no schedule for.
+func (f *Flags) validate(w *Workload) error {
+	if _, ok := profiles[f.Latency]; !ok {
+		return fmt.Errorf("unknown latency %q", f.Latency)
 	}
-	if f.Listen != "" {
-		n++
+	modes := 0
+	for _, on := range []bool{f.Serve, f.Listen != "", f.Connect != "", f.Cluster != 0} {
+		if on {
+			modes++
+		}
 	}
-	if f.Connect != "" {
-		n++
-	}
-	if f.Cluster != 0 {
-		n++
-	}
-	if n > 1 {
+	switch {
+	case f.Partitions < 1:
+		return errors.New("netdrill: -partitions must be at least 1")
+	case modes > 1:
 		return errors.New("netdrill: -serve, -listen, -connect and -cluster are mutually exclusive")
-	}
-	if f.Cluster != 0 && f.Cluster < 2 {
+	case f.Cluster != 0 && f.Cluster < 2:
 		return errors.New("netdrill: -cluster needs at least 2 nodes to replicate")
-	}
-	if f.ClusterKill && f.Cluster == 0 {
+	case f.ClusterKill && f.Cluster == 0:
 		return errors.New("netdrill: -cluster-kill requires -cluster")
-	}
-	if f.ClusterTxn && f.Cluster == 0 {
+	case f.ClusterTxn && f.Cluster == 0:
 		return errors.New("netdrill: -cluster-txn requires -cluster")
-	}
-	if f.ClusterTxn && f.ClusterKill {
+	case f.ClusterTxn && f.ClusterKill:
 		return errors.New("netdrill: -cluster-txn and -cluster-kill are mutually exclusive")
+	case f.ClusterTxn && w.Payments == nil:
+		return fmt.Errorf("netdrill: -cluster-txn needs a cross-shard transaction schedule, and %s has none", w.Name)
 	}
 	return nil
 }
+
+// Workload describes what a drill command runs. The schedules are built on
+// demand, so a mode generates only the one it drives.
+type Workload struct {
+	// Name is the command's name, which prefixes its error messages.
+	Name string
+	// Size says what Load loads, for the report ("20000 tuples").
+	Size    string
+	Schemas []*core.Schema
+	// CheckpointEvery sets the testbed's core.Options.CheckpointEvery.
+	CheckpointEvery int
+	Load            func(*testbed.DB) error
+	// Txns is the in-process schedule, one list per partition: the plain
+	// run's and -serve's.
+	Txns func() [][]testbed.Txn
+	// Requests is the schedule lowered to wire requests: -connect's and
+	// -cluster's. In a cluster a request with no partition (Part -1) is
+	// pinned to key % partitions, the workload's own rule, since the shard
+	// id is the partition index.
+	Requests func() [][]*wire.Request
+	// Payments is -cluster-txn's schedule, the same transactions single-shard
+	// and cross-shard (see TPCCPaymentTxns). A workload without one refuses
+	// -cluster-txn.
+	Payments func() (single, cross [][][]wire.Request)
+	// WantRows is the row count -serve expects after its final power cycle,
+	// or -1 for a workload that inserts, which checks live == recovered.
+	WantRows int64
+	// Label follows the engine in the run report's headline ("" for none),
+	// and Tally is the headline's account of the transactions run.
+	Label string
+	Tally func(testbed.Result) string
+}
+
+// Main runs the drill f selects on w. It exits 2 on a flag value it refuses
+// and 1 when the drill fails.
+func Main(f *Flags, w Workload) {
+	if err := f.validate(&w); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := run(f, &w, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", w.Name, err)
+		os.Exit(1)
+	}
+}
+
+func run(f *Flags, w *Workload, out io.Writer) error {
+	if f.Connect != "" {
+		// The server loaded the same configuration; this side only generates
+		// the identical schedule and drives it over the wire.
+		return RunClient(f.Connect, w.Requests(), f.Conns, f.Clients, out)
+	}
+	engine := testbed.EngineKind(f.Engine)
+	env := core.EnvConfig{DeviceSize: 2 << 30 / int64(f.Partitions), Profile: profiles[f.Latency], CacheSize: f.Cache}
+	db, err := testbed.New(testbed.Config{
+		Engine: engine, Partitions: f.Partitions, Env: env, Schemas: w.Schemas,
+		Options: core.Options{MemTableCap: 512, CheckpointEvery: w.CheckpointEvery},
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "loading %s on %s (%d partitions)...\n", w.Size, f.Engine, f.Partitions)
+	if err := w.Load(db); err != nil {
+		return fmt.Errorf("load: %w", err)
+	}
+	db.ResetStats()
+	switch {
+	case f.Cluster > 0:
+		// The loaded database is replicated into the cluster, one shard per
+		// partition.
+		env.DeviceSize = 256 << 20 / int64(f.Partitions)
+		ccfg := cluster.Config{Engine: engine, Nodes: f.Cluster, Shards: f.Partitions, Seed: f.Seed,
+			Env: env, Options: core.Options{MemTableCap: 512}, Schemas: w.Schemas}
+		if f.ClusterTxn {
+			single, cross := w.Payments()
+			return RunClusterTxn(ccfg, db, single, cross, f, out)
+		}
+		streams := w.Requests()
+		PinByKey(streams, f.Partitions)
+		return RunCluster(ccfg, db, streams, f, out)
+	case f.Listen != "":
+		return RunServer(db, f.Listen, ServerConfig{Seed: f.Seed, Metrics: f.Metrics, Out: out, Errw: os.Stderr})
+	case f.Serve:
+		// Concurrent clients drive the schedule through the supervised
+		// runtime while the chosen fault fires on every partition
+		// mid-traffic; committed data must survive the live recoveries and a
+		// final power cycle.
+		return serve.RunDrill(db, w.Txns(), w.Schemas, serve.DrillConfig{
+			Clients: f.Clients, Fault: f.Fault, FaultAfter: f.FaultAfter, Seed: f.Seed,
+			WantRows: w.WantRows, Metrics: f.Metrics, Out: out, Errw: os.Stderr,
+		})
+	}
+	res, err := db.ExecuteSequential(w.Txns())
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
+	}
+	if err := db.Flush(); err != nil {
+		return fmt.Errorf("flush: %w", err)
+	}
+	head := f.Engine
+	if w.Label != "" {
+		head += " " + w.Label
+	}
+	s, fp := db.Stats(), db.Footprint()
+	fmt.Fprintf(out, "%s @%s: %.0f txn/sec (%s)\n", head, env.Profile.Name, res.Throughput(), w.Tally(res))
+	fmt.Fprintf(out, "NVM: %d loads, %d stores, %.1f MB written, %d fences\n",
+		s.Loads, s.Stores, mb(s.BytesWritten), s.Fences)
+	if n := float64(res.Txns); n > 0 {
+		fmt.Fprintf(out, "per txn: %.1f loads, %.1f stores, %.1f fences\n",
+			float64(s.Loads)/n, float64(s.Stores)/n, float64(s.Fences)/n)
+	}
+	fmt.Fprintf(out, "footprint: table %.1fMB index %.1fMB log %.1fMB ckpt %.1fMB other %.1fMB\n",
+		mb(fp.Table), mb(fp.Index), mb(fp.Log), mb(fp.Checkpoint), mb(fp.Other))
+	if !f.Recover {
+		return nil
+	}
+	db.Crash()
+	d, err := db.Recover()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "crash + recovery: %v\n", d)
+	for _, rs := range db.RecoveryStats() {
+		fmt.Fprintf(out, "  part %d: %v (%d records)\n", rs.Partition, rs.Wall.Round(1000), rs.Records)
+	}
+	return nil
+}
+
+func mb[T int64 | uint64](n T) float64 { return float64(n) / (1 << 20) }
 
 // ServerConfig parameterizes RunServer.
 type ServerConfig struct {
@@ -194,47 +340,68 @@ type Doer interface {
 // key reach the server in stream order and the final state equals a serial
 // run of the stream whatever the interleaving of the workers.
 func Drive(ctx context.Context, cl Doer, streams [][]*wire.Request, clients int) (Result, error) {
-	if clients <= 0 {
-		clients = 1
-	}
-	var res Result
-	var acked, failed atomic.Int64
-	var firstErr atomic.Value
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, reqs := range streams {
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(reqs []*wire.Request, c int) {
-				defer wg.Done()
-				for i, req := range reqs {
-					if owner(req, i, clients) != c {
-						continue
-					}
-					resp, err := cl.DoRetry(ctx, req)
-					switch {
-					case err != nil:
-						failed.Add(1)
-						firstErr.CompareAndSwap(nil, err)
-					case resp.Status == wire.StatusOK || resp.Status == wire.StatusKeyExists:
-						acked.Add(1)
-					default:
-						failed.Add(1)
-						firstErr.CompareAndSwap(nil, error(&wire.StatusError{Status: resp.Status, Msg: resp.Msg}))
-					}
-				}
-			}(reqs, c)
+	clients = max(clients, 1)
+	res, err := fanOut(len(streams), clients, func(t *tally, s, c int) {
+		for i, req := range streams[s] {
+			if owner(req, i, clients) != c {
+				continue
+			}
+			resp, err := cl.DoRetry(ctx, req)
+			switch {
+			case err != nil:
+				t.fail(err)
+			case resp.Status == wire.StatusOK || resp.Status == wire.StatusKeyExists:
+				t.acked.Add(1)
+			default:
+				t.fail(&wire.StatusError{Status: resp.Status, Msg: resp.Msg})
+			}
 		}
-	}
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.Acked = acked.Load()
-	res.Failed = failed.Load()
+	})
 	if res.Acked == 0 && res.Failed > 0 {
-		err, _ := firstErr.Load().(error)
 		return res, fmt.Errorf("netdrill: every request failed: %w", err)
 	}
 	return res, nil
+}
+
+// tally counts one drive's outcomes across its workers and keeps the first
+// failure.
+type tally struct {
+	acked, failed atomic.Int64
+	once          sync.Once
+	first         error
+}
+
+func (t *tally) fail(err error) {
+	t.failed.Add(1)
+	t.once.Do(func() { t.first = err })
+}
+
+// fanOut runs worker(t, s, c) for each of clients workers c on each of n
+// streams s, and returns their tally and first failure once all are done.
+func fanOut(n, clients int, worker func(t *tally, s, c int)) (Result, error) {
+	var t tally
+	start := time.Now()
+	var wg sync.WaitGroup
+	for s := 0; s < n; s++ {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				worker(&t, s, c)
+			}()
+		}
+	}
+	wg.Wait()
+	return Result{Acked: t.acked.Load(), Failed: t.failed.Load(), Elapsed: time.Since(start)}, t.first
+}
+
+// total counts the entries of a schedule's streams.
+func total[T any](streams [][]T) int {
+	n := 0
+	for _, s := range streams {
+		n += len(s)
+	}
+	return n
 }
 
 // owner picks the worker that sends request i of a stream. A single-key
@@ -255,20 +422,13 @@ func owner(req *wire.Request, i, clients int) int {
 // report. Failures are tolerated (a drill against a recovering server sees
 // some) unless nothing at all succeeds.
 func RunClient(addr string, streams [][]*wire.Request, conns, clients int, out io.Writer) error {
-	if out == nil {
-		out = os.Stdout
-	}
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
 	cl := netclient.New(addr, netclient.Config{
 		Conns:    conns,
 		RetryMax: 30,
 	})
 	defer cl.Close()
 	fmt.Fprintf(out, "driving %d requests over %d conns (%d workers/partition) against %s...\n",
-		total, conns, clients, addr)
+		total(streams), conns, clients, addr)
 	res, err := Drive(context.Background(), cl, streams, clients)
 	if err != nil {
 		return err

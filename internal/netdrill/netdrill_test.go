@@ -3,6 +3,7 @@ package netdrill
 import (
 	"bytes"
 	"context"
+	"errors"
 	"regexp"
 	"sync"
 	"testing"
@@ -214,5 +215,39 @@ func TestRunServerServesAndDrains(t *testing.T) {
 	}
 	if s := out.String(); !regexp.MustCompile(`served: `).MatchString(s) {
 		t.Fatalf("missing drain report in output: %q", s)
+	}
+}
+
+// doerFunc answers DoRetry with a function of the request.
+type doerFunc func(req *wire.Request) (*wire.Response, error)
+
+func (f doerFunc) DoRetry(_ context.Context, req *wire.Request) (*wire.Response, error) {
+	return f(req)
+}
+
+// TestDriveMixedFailures: one drive's failures may be of different error
+// types (a refused status, then a dropped connection); each is counted, and
+// the first is the one reported when nothing was acked.
+func TestDriveMixedFailures(t *testing.T) {
+	cl := doerFunc(func(req *wire.Request) (*wire.Response, error) {
+		switch req.Key {
+		case 0:
+			return &wire.Response{Status: wire.StatusOK}, nil
+		case 1:
+			return &wire.Response{Status: wire.StatusAborted, Msg: "refused"}, nil
+		}
+		return nil, errors.New("connection reset")
+	})
+	get := func(key uint64) *wire.Request {
+		return &wire.Request{Part: -1, Op: wire.OpGet, Table: ycsb.TableName, Key: key}
+	}
+	res, err := Drive(context.Background(), cl, [][]*wire.Request{{get(1), get(2), get(0)}}, 1)
+	if err != nil || res.Acked != 1 || res.Failed != 2 {
+		t.Fatalf("acked %d failed %d err %v, want 1/2/nil", res.Acked, res.Failed, err)
+	}
+	res, err = Drive(context.Background(), cl, [][]*wire.Request{{get(1), get(2)}}, 1)
+	var se *wire.StatusError
+	if !errors.As(err, &se) || res.Failed != 2 {
+		t.Fatalf("failed %d err %v, want 2 failures reporting the refused status first", res.Failed, err)
 	}
 }

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nstore/internal/cluster"
@@ -131,154 +128,75 @@ func paymentOps(cfg tpcc.Config, p, w, cw, d, c, seq int, amount int64) []wire.R
 // the ack a dropped connection swallowed. ErrTxnUnknown counts as failed —
 // re-running an RMW transaction whose outcome is unknown could double-apply.
 func DriveTxn(ctx context.Context, r *netclient.Router, streams [][][]wire.Request, clients int) (Result, error) {
-	if clients <= 0 {
-		clients = 1
-	}
-	var res Result
-	var acked, failed atomic.Int64
-	var firstErr atomic.Value
-	debug := os.Getenv("NETDRILL_DEBUG") != ""
-	start := time.Now()
-	var wg sync.WaitGroup
-	for p, txns := range streams {
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(txns [][]wire.Request, p, c int) {
-				defer wg.Done()
-				// Jittered retry backoff: colliding workers sleeping identical
-				// round-indexed delays retry in lockstep and collide forever.
-				rng := rand.New(rand.NewSource(int64(c)*1e6 + int64(len(txns))))
-				backoff := func(round int) {
-					time.Sleep(time.Duration(500+rng.Intn(2000*(1+round))) * time.Microsecond)
-				}
-				for i := c; i < len(txns); i += clients {
-					landed := false
-					for round := 0; round < 100 && !landed; round++ {
-						resp, err := r.DoTxn(ctx, txns[i])
-						switch {
-						case errors.Is(err, netclient.ErrTxnUnknown):
-							failed.Add(1)
-							firstErr.CompareAndSwap(nil, err)
-							return
-						case err != nil:
-							// Any other DoTxn error fenced and aborted the
-							// attempt before returning (a hot lock can outlast
-							// a prewrite's routed retries); the whole
-							// transaction is safe to re-run.
-							if debug && round >= 10 {
-								fmt.Fprintf(os.Stderr, "drivetxn: p%d/c%d txn %d round %d: err %v\n", p, c, i, round, err)
-							}
-							backoff(round)
-						case resp.Status == wire.StatusOK || resp.Status == wire.StatusKeyExists:
-							landed = true
-							acked.Add(1)
-						case resp.Status == wire.StatusAborted || resp.Status == wire.StatusLocked:
-							if debug && round >= 10 {
-								fmt.Fprintf(os.Stderr, "drivetxn: p%d/c%d txn %d round %d: %v %s\n", p, c, i, round, resp.Status, resp.Msg)
-							}
-							backoff(round)
-						default:
-							failed.Add(1)
-							firstErr.CompareAndSwap(nil, error(&wire.StatusError{Status: resp.Status, Msg: resp.Msg}))
-							return
-						}
-					}
-					if !landed {
-						failed.Add(1)
-						firstErr.CompareAndSwap(nil, errors.New("netdrill: transaction never committed in 100 rounds"))
-					}
-				}
-			}(txns, p, c)
+	clients = max(clients, 1)
+	res, err := fanOut(len(streams), clients, func(t *tally, s, c int) {
+		txns := streams[s]
+		// Jittered retry backoff: colliding workers sleeping identical
+		// round-indexed delays retry in lockstep and collide forever.
+		rng := rand.New(rand.NewSource(int64(c)*1e6 + int64(len(txns))))
+		backoff := func(round int) {
+			time.Sleep(time.Duration(500+rng.Intn(2000*(1+round))) * time.Microsecond)
 		}
-	}
-	debugDone := make(chan struct{})
-	if os.Getenv("NETDRILL_DEBUG") != "" {
-		go func() {
-			for {
-				select {
-				case <-debugDone:
+		for i := c; i < len(txns); i += clients {
+			landed := false
+			for round := 0; round < 100 && !landed; round++ {
+				resp, err := r.DoTxn(ctx, txns[i])
+				switch {
+				case errors.Is(err, netclient.ErrTxnUnknown):
+					t.fail(err)
 					return
-				case <-time.After(2 * time.Second):
-					fmt.Fprintf(os.Stderr, "drivetxn: acked=%d failed=%d\n", acked.Load(), failed.Load())
+				case err != nil:
+					// Any other DoTxn error fenced and aborted the attempt
+					// before returning (a hot lock can outlast a prewrite's
+					// routed retries); the whole transaction is safe to re-run.
+					backoff(round)
+				case resp.Status == wire.StatusOK || resp.Status == wire.StatusKeyExists:
+					landed = true
+					t.acked.Add(1)
+				case resp.Status == wire.StatusAborted || resp.Status == wire.StatusLocked:
+					backoff(round)
+				default:
+					t.fail(&wire.StatusError{Status: resp.Status, Msg: resp.Msg})
+					return
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(debugDone)
-	res.Elapsed = time.Since(start)
-	res.Acked = acked.Load()
-	res.Failed = failed.Load()
+			if !landed {
+				t.fail(errors.New("netdrill: transaction never committed in 100 rounds"))
+			}
+		}
+	})
 	if res.Failed > 0 {
-		err, _ := firstErr.Load().(error)
 		return res, fmt.Errorf("netdrill: %d transactions failed: %w", res.Failed, err)
 	}
 	return res, nil
 }
 
 // RunClusterTxn is the -cluster-txn drill: stand up a replicated cluster
-// with the 2PC tables attached, replicate the loaded warehouses into it,
-// then drive the same payment schedule twice — single-shard TXN frames,
-// then cross-shard 2PC (every customer remote) — and print the throughput
-// comparison (the benchmark's ladder.txn.twopc_us is the measured figure).
-func RunClusterTxn(ccfg cluster.Config, src *testbed.DB, cfg tpcc.Config, f *Flags, out io.Writer) error {
-	if out == nil {
-		out = os.Stdout
-	}
-	if ccfg.Shards != src.Partitions() {
-		return fmt.Errorf("netdrill: cluster shards (%d) must match workload partitions (%d)", ccfg.Shards, src.Partitions())
-	}
-	ccfg.Nodes = f.Cluster
+// with the 2PC tables attached, replicate the loaded database into it, then
+// drive the same payments twice — single-shard TXN frames, then cross-shard
+// 2PC — and print the throughput comparison (the benchmark's
+// ladder.txn.twopc_us is the measured figure).
+func RunClusterTxn(ccfg cluster.Config, src *testbed.DB, single, cross [][][]wire.Request, f *Flags, out io.Writer) error {
 	ccfg.Schemas = txn2pc.AugmentSchemas(ccfg.Schemas)
-	c, err := cluster.Start(ccfg)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	r := c.Router(netclient.Config{
-		Conns:    f.Conns,
-		Seed:     ccfg.Seed,
-		RetryMax: 40,
-		RetryCap: 100 * time.Millisecond,
+	return withCluster(ccfg, src, f.Conns, out, func(ctx context.Context, _ *cluster.Cluster, r *netclient.Router) error {
+		fmt.Fprintf(out, "driving %d payments twice (%d workers/partition): single-shard TXN, then cross-shard 2PC...\n",
+			total(single), f.Clients)
+		sres, err := DriveTxn(ctx, r, single, f.Clients)
+		if err != nil {
+			return fmt.Errorf("netdrill: single-shard phase: %w", err)
+		}
+		fmt.Fprintf(out, "single-shard: %.0f txn/sec (%d committed in %v)\n",
+			sres.Throughput(), sres.Acked, sres.Elapsed.Round(time.Millisecond))
+		xres, err := DriveTxn(ctx, r, cross, f.Clients)
+		if err != nil {
+			return fmt.Errorf("netdrill: cross-shard phase: %w", err)
+		}
+		ret := 0.0
+		if sres.Throughput() > 0 {
+			ret = xres.Throughput() / sres.Throughput()
+		}
+		fmt.Fprintf(out, "cross-shard:  %.0f txn/sec (%d committed in %v) — %.0f%% of single-shard\n",
+			xres.Throughput(), xres.Acked, xres.Elapsed.Round(time.Millisecond), 100*ret)
+		return nil
 	})
-	defer r.Close()
-	ctx := context.Background()
-
-	start := time.Now()
-	rows, err := seedCluster(ctx, r, src)
-	if err != nil {
-		return err
-	}
-	single, cross := TPCCPaymentTxns(cfg)
-	total := 0
-	for _, s := range single {
-		total += len(s)
-	}
-	fmt.Fprintf(out, "cluster: %d nodes, %d shards; replicated %d rows in %v\n",
-		f.Cluster, ccfg.Shards, rows, time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(out, "driving %d payments twice (%d workers/partition): single-shard TXN, then cross-shard 2PC...\n",
-		total, f.Clients)
-
-	sres, err := DriveTxn(ctx, r, single, f.Clients)
-	if err != nil {
-		return fmt.Errorf("netdrill: single-shard phase: %w", err)
-	}
-	fmt.Fprintf(out, "single-shard: %.0f txn/sec (%d committed in %v)\n",
-		sres.Throughput(), sres.Acked, sres.Elapsed.Round(time.Millisecond))
-	xres, err := DriveTxn(ctx, r, cross, f.Clients)
-	if err != nil {
-		return fmt.Errorf("netdrill: cross-shard phase: %w", err)
-	}
-	ret := 0.0
-	if sres.Throughput() > 0 {
-		ret = xres.Throughput() / sres.Throughput()
-	}
-	fmt.Fprintf(out, "cross-shard:  %.0f txn/sec (%d committed in %v) — %.0f%% of single-shard\n",
-		xres.Throughput(), xres.Acked, xres.Elapsed.Round(time.Millisecond), 100*ret)
-
-	m := c.Coordinator().Map()
-	for s, route := range m.Shards {
-		fmt.Fprintf(out, "shard %d: epoch %d primary=%s backup=%s\n", s, route.Epoch, route.Primary, route.Backup)
-	}
-	return nil
 }

@@ -63,11 +63,6 @@ type Config struct {
 	// over the limit is accepted and immediately closed, which a client
 	// sees as a dial-then-EOF — the standard "try another replica" signal.
 	MaxConns int
-	// MaxFrame bounds a request frame's payload (default wire.DefaultMaxFrame).
-	MaxFrame int
-	// ScanLimit caps rows per scan when the request asks for no limit or a
-	// larger one (default 1024).
-	ScanLimit int
 	// Repl, when non-nil, is the cluster layer's hook into the request
 	// path: role admission, ack-after-replication on writes, and the
 	// replication-plane ops.
@@ -78,14 +73,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 256
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
-	if c.ScanLimit <= 0 {
-		c.ScanLimit = 1024
-	}
 	return c
 }
+
+// scanLimit caps the rows of a scan that asks for no limit or a larger one.
+const scanLimit = 1024
 
 // Server serves the wire protocol over TCP on top of a serve.Runtime. The
 // caller owns the runtime; Close tears down only the network layer (graceful
@@ -263,7 +255,7 @@ func (c *srvConn) read() {
 	defer c.s.wg.Done()
 	br := bufio.NewReaderSize(c.c, 64<<10)
 	for {
-		payload, err := wire.ReadFrame(br, c.s.cfg.MaxFrame)
+		payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 		if err != nil {
 			// A corrupt or oversized frame means the stream can't be
 			// trusted; EOF means the client is done. Either way: drain.
@@ -639,8 +631,8 @@ func (s *Server) applyRead(v core.ReadView, req *wire.Request, resp *wire.Respon
 		return nil
 	case wire.OpScan:
 		limit := int(req.Limit)
-		if limit <= 0 || limit > s.cfg.ScanLimit {
-			limit = s.cfg.ScanLimit
+		if limit <= 0 || limit > scanLimit {
+			limit = scanLimit
 		}
 		resp.Keys = []uint64{}
 		resp.Rows = [][]core.Value{}
@@ -675,7 +667,7 @@ func (s *Server) apply(eng core.Engine, req *wire.Request, resp *wire.Response) 
 			}
 		}
 	}
-	return applyOp(eng, req, resp, s.cfg.ScanLimit, true)
+	return applyOp(eng, req, resp, scanLimit, true)
 }
 
 // ApplyOps lowers a shipped batch of sub-ops into one replay transaction for

@@ -62,10 +62,6 @@ type Config struct {
 	// BreakerThreshold consecutive failed heals open the circuit breaker
 	// and degrade the partition to fail-fast (default 3).
 	BreakerThreshold int
-	// DurableAck forces Engine.Flush after every commit before the ack is
-	// released. With GroupCommitSize > 1 a commit may sit in a volatile
-	// group buffer; enable this when the client treats an ack as durable.
-	DurableAck bool
 	// Writers is vestigial: each partition runs exactly one executor, which
 	// holds the engine for a whole transaction. Only 0 and 1 are accepted; New
 	// panics on any other value. It stays only because benchmark/netlegs.go
@@ -220,7 +216,7 @@ type executor struct {
 	// the engine's volatile group-commit buffer, so its ack is withheld
 	// until the group is durably flushed (pending holds the waiting
 	// requests). This closes the ack-durability hole without forcing a
-	// flush per transaction the way DurableAck does.
+	// flush per transaction.
 	groupSize int
 	// pending holds the commits awaiting the group durability barrier.
 	// Guarded by engMu.
@@ -239,12 +235,9 @@ func New(db *testbed.DB, cfg Config) *Runtime {
 	mustOnePerPartition("Readers", cfg.Readers)
 	cfg = cfg.withDefaults()
 	rt := &Runtime{db: db, cfg: cfg}
-	// With group commit and no per-txn flush, an ack must wait for the
-	// group's durability barrier (see executor.pending).
-	groupSize := 1
-	if g := db.Options().GroupCommitSize; g > 1 && !cfg.DurableAck {
-		groupSize = g
-	}
+	// With group commit, an ack must wait for the group's durability
+	// barrier (see executor.pending).
+	groupSize := max(db.Options().GroupCommitSize, 1)
 	for i := 0; i < db.Partitions(); i++ {
 		ex := &executor{
 			rt:        rt,
@@ -652,14 +645,6 @@ func (ex *executor) runOnce(txn testbed.Txn) (err error) {
 		// extra Abort here would just trip ErrNoTxn. Corrupt errors
 		// escalate to heal in the caller.
 		return cerr
-	}
-	if ex.rt.cfg.DurableAck {
-		op = "flush"
-		if ferr := eng.Flush(); ferr != nil {
-			// The commit is applied but not provably durable; the ack
-			// contract is broken, so treat it like a commit failure.
-			return ferr
-		}
 	}
 	return nil
 }

@@ -22,7 +22,10 @@ type codec struct {
 	need int // encoding: the least payload length every count's bound allows
 }
 
-var errTruncated = errors.New("wire: truncated message")
+var (
+	errTruncated = errors.New("wire: truncated message")
+	errOverlong  = errors.New("wire: over-long uvarint")
+)
 
 // noMax bounds a uvarint that may take any value.
 const noMax = ^uint64(0)
@@ -49,7 +52,9 @@ func (c *codec) done(what string) ([]byte, error) {
 }
 
 // uv moves a uvarint no greater than max. A signed field moves its
-// two's-complement bits, so a negative value is out of range.
+// two's-complement bits, so a negative value is out of range. Decoding
+// refuses a uvarint longer than its shortest form (a last byte of 0 after
+// the first), so every accepted message re-encodes to its own bytes.
 func uv[T ~uint64 | ~uint32 | ~int | ~int32 | ~int64](c *codec, v *T, max uint64, what string) {
 	if c.err != nil {
 		return
@@ -65,6 +70,10 @@ func uv[T ~uint64 | ~uint32 | ~int | ~int32 | ~int64](c *codec, v *T, max uint64
 	x, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
 		c.err = errTruncated
+		return
+	}
+	if n > 1 && c.b[c.off+n-1] == 0 {
+		c.err = errOverlong
 		return
 	}
 	if x > max {

@@ -33,8 +33,14 @@ func TestGenerateSeedCorpus(t *testing.T) {
 		seeds = append(seeds, AppendFrame(nil, payload))
 		names = append(names, fmt.Sprintf("seed-resp-%d", i))
 	}
-	seeds = append(seeds, AppendFrame(nil, nil), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
-	names = append(names, "seed-empty-frame", "seed-hostile-length")
+	// A response whose four counts are over-long uvarints (80 00 for 0): the
+	// decoder must refuse them, since their canonical re-encoding is shorter.
+	overlong := []byte{1, 0, 0, 2, 4}
+	for i := 0; i < 4; i++ {
+		overlong = append(overlong, 0x80, 0, 0)
+	}
+	seeds = append(seeds, AppendFrame(nil, nil), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x40}, AppendFrame(nil, overlong))
+	names = append(names, "seed-empty-frame", "seed-hostile-length", "seed-overlong-uvarint")
 
 	if os.Getenv("WIRE_GEN_CORPUS") == "1" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
