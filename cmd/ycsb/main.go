@@ -44,9 +44,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown mix %q\n", *mixName)
 		os.Exit(2)
 	}
-	skew := ycsb.LowSkew
-	if *skewName == "high" {
-		skew = ycsb.HighSkew
+	skews := map[string]ycsb.Skew{"low": ycsb.LowSkew, "high": ycsb.HighSkew}
+	skew, ok := skews[*skewName]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown skew %q\n", *skewName)
+		os.Exit(2)
 	}
 	// A read-modify-write workload over a fixed table: every key is loaded
 	// once, and the run neither inserts nor deletes.

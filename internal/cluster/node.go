@@ -613,7 +613,7 @@ func (n *Node) Reseed(ctx context.Context, shard int, addr string) error {
 		err := n.rt.ReadPart(ctx, shard, func(v core.ReadView) error {
 			return v.ScanRange(table, 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
 				keys = append(keys, pk)
-				rows = append(rows, copyRow(row))
+				rows = append(rows, core.CloneRow(row))
 				if len(keys) >= 128 {
 					if flushErr = flush(); flushErr != nil {
 						return false
@@ -640,17 +640,6 @@ func (n *Node) Reseed(ctx context.Context, shard int, addr string) error {
 	s.ackSeq = s.seq
 	s.dropTailLocked()
 	return nil
-}
-
-func copyRow(row []core.Value) []core.Value {
-	out := make([]core.Value, len(row))
-	for i, v := range row {
-		if v.S != nil {
-			v.S = append(make([]byte, 0, len(v.S)), v.S...)
-		}
-		out[i] = v
-	}
-	return out
 }
 
 // HealthCheck implements serve.HealthSource: one line per shard with role,

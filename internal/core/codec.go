@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -56,7 +57,7 @@ func DecodeRow(s *Schema, b []byte) ([]Value, error) {
 			if off+ln > len(b) {
 				return nil, fmt.Errorf("core: truncated string column %d", i)
 			}
-			row[i].S = append([]byte(nil), b[off:off+ln]...)
+			row[i].S = bytes.Clone(b[off : off+ln])
 			off += ln
 		}
 	}
@@ -119,7 +120,7 @@ func DecodeDelta(s *Schema, b []byte) (Update, error) {
 			if off+ln > len(b) {
 				return upd, fmt.Errorf("core: truncated delta string")
 			}
-			v.S = append([]byte(nil), b[off:off+ln]...)
+			v.S = bytes.Clone(b[off : off+ln])
 			off += ln
 		}
 		upd.Cols = append(upd.Cols, ci)
@@ -135,14 +136,15 @@ func ApplyDelta(row []Value, upd Update) {
 	}
 }
 
-// CloneRow deep-copies a row.
+// CloneRow deep-copies a row. A nil row stays nil, and an empty string
+// stays an empty string, never nil (a nil S is an integer column).
 func CloneRow(row []Value) []Value {
+	if row == nil {
+		return nil
+	}
 	out := make([]Value, len(row))
 	for i, v := range row {
-		out[i].I = v.I
-		if v.S != nil {
-			out[i].S = append([]byte(nil), v.S...)
-		}
+		out[i] = Value{I: v.I, S: bytes.Clone(v.S)}
 	}
 	return out
 }

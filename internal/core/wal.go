@@ -208,9 +208,6 @@ func (w *FsWAL) Rotate() (sealed uint64, err error) {
 	return sealed, nil
 }
 
-// SegSeq returns the active segment number (0 in single-file mode).
-func (w *FsWAL) SegSeq() uint64 { return w.segSeq }
-
 // ReleaseThrough deletes sealed segments numbered <= seq. The engine calls
 // this only after the manifest commit that installed the flushed data those
 // segments protected — release strictly after install.

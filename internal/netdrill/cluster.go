@@ -58,14 +58,7 @@ func seedCluster(ctx context.Context, r *netclient.Router, src *testbed.DB) (int
 			}
 			var flushErr error
 			err := src.Engine(p).ScanRange(sc.Name, 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-				cp := make([]core.Value, len(row))
-				for i, v := range row {
-					if v.S != nil {
-						v.S = append(make([]byte, 0, len(v.S)), v.S...)
-					}
-					cp[i] = v
-				}
-				ops = append(ops, wire.Request{Op: wire.OpPut, Table: sc.Name, Key: pk, Row: cp})
+				ops = append(ops, wire.Request{Op: wire.OpPut, Table: sc.Name, Key: pk, Row: core.CloneRow(row)})
 				if len(ops) >= batch {
 					if flushErr = flush(); flushErr != nil {
 						return false

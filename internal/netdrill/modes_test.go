@@ -297,6 +297,33 @@ func TestYCSBRefusesClusterTxn(t *testing.T) {
 	}
 }
 
+// TestYCSBRefusesUnknownSkew: ycsb refuses a -skew it has no distribution
+// for, as it refuses an unknown -mix, instead of running low-skew.
+func TestYCSBRefusesUnknownSkew(t *testing.T) {
+	code, stderr := exitCode(t, "ycsb", args(ycsbArgs, "-skew", "bogus"))
+	if code != 2 || !strings.Contains(stderr, `unknown skew "bogus"`) {
+		t.Fatalf("ycsb -skew bogus: exit %d, stderr %q; want exit 2 naming the skew", code, stderr)
+	}
+}
+
+// TestFaultRequiresServe: only -serve fires a fault, so a fault named in any
+// other mode is refused at validation instead of ignored.
+func TestFaultRequiresServe(t *testing.T) {
+	code, stderr := exitCode(t, "ycsb", args(ycsbArgs, "-fault", "fsync-lost"))
+	if code != 2 || !strings.Contains(stderr, "-fault") {
+		t.Fatalf("ycsb -fault fsync-lost: exit %d, stderr %q; want exit 2 naming -fault", code, stderr)
+	}
+}
+
+// TestServeRefusesUnknownFault: an unknown fault is refused at validation,
+// exit 2, before the database is loaded.
+func TestServeRefusesUnknownFault(t *testing.T) {
+	code, stderr := exitCode(t, "ycsb", args(ycsbArgs, "-serve", "-fault", "bogus"))
+	if code != 2 || !strings.Contains(stderr, `unknown fault "bogus"`) {
+		t.Fatalf("ycsb -serve -fault bogus: exit %d, stderr %q; want exit 2 naming the fault", code, stderr)
+	}
+}
+
 // digest hashes request streams as their wire encodings, each with its
 // stream and position, so any change to a generated request shows.
 func digest(t *testing.T, streams [][]*wire.Request) string {

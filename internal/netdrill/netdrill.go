@@ -91,6 +91,10 @@ func (f *Flags) validate(w *Workload) error {
 	if _, ok := profiles[f.Latency]; !ok {
 		return fmt.Errorf("unknown latency %q", f.Latency)
 	}
+	arm, ok := faults[f.Fault]
+	if !ok {
+		return fmt.Errorf("unknown fault %q", f.Fault)
+	}
 	modes := 0
 	for _, on := range []bool{f.Serve, f.Listen != "", f.Connect != "", f.Cluster != 0} {
 		if on {
@@ -102,6 +106,8 @@ func (f *Flags) validate(w *Workload) error {
 		return errors.New("netdrill: -partitions must be at least 1")
 	case modes > 1:
 		return errors.New("netdrill: -serve, -listen, -connect and -cluster are mutually exclusive")
+	case arm != nil && !f.Serve:
+		return errors.New("netdrill: -fault requires -serve")
 	case f.Cluster != 0 && f.Cluster < 2:
 		return errors.New("netdrill: -cluster needs at least 2 nodes to replicate")
 	case f.ClusterKill && f.Cluster == 0:
@@ -198,14 +204,7 @@ func run(f *Flags, w *Workload, out io.Writer) error {
 	case f.Listen != "":
 		return RunServer(db, f.Listen, ServerConfig{Seed: f.Seed, Metrics: f.Metrics, Out: out, Errw: os.Stderr})
 	case f.Serve:
-		// Concurrent clients drive the schedule through the supervised
-		// runtime while the chosen fault fires on every partition
-		// mid-traffic; committed data must survive the live recoveries and a
-		// final power cycle.
-		return serve.RunDrill(db, w.Txns(), w.Schemas, serve.DrillConfig{
-			Clients: f.Clients, Fault: f.Fault, FaultAfter: f.FaultAfter, Seed: f.Seed,
-			WantRows: w.WantRows, Metrics: f.Metrics, Out: out, Errw: os.Stderr,
-		})
+		return runServe(db, w, f, out, os.Stderr)
 	}
 	res, err := db.ExecuteSequential(w.Txns())
 	if err != nil {
@@ -312,6 +311,7 @@ func RunServer(db *testbed.DB, listen string, cfg ServerConfig) error {
 // Result aggregates one client drive.
 type Result struct {
 	Acked   int64 // requests answered StatusOK (or KeyExists on a retry — see Drive)
+	Aborted int64 // transactions that rolled back cleanly (testbed.ErrAbort; -serve only)
 	Failed  int64 // requests that exhausted retries or got a terminal error status
 	Elapsed time.Duration
 }
@@ -366,9 +366,9 @@ func Drive(ctx context.Context, cl Doer, streams [][]*wire.Request, clients int)
 // tally counts one drive's outcomes across its workers and keeps the first
 // failure.
 type tally struct {
-	acked, failed atomic.Int64
-	once          sync.Once
-	first         error
+	acked, aborted, failed atomic.Int64
+	once                   sync.Once
+	first                  error
 }
 
 func (t *tally) fail(err error) {
@@ -392,7 +392,7 @@ func fanOut(n, clients int, worker func(t *tally, s, c int)) (Result, error) {
 		}
 	}
 	wg.Wait()
-	return Result{Acked: t.acked.Load(), Failed: t.failed.Load(), Elapsed: time.Since(start)}, t.first
+	return Result{Acked: t.acked.Load(), Aborted: t.aborted.Load(), Failed: t.failed.Load(), Elapsed: time.Since(start)}, t.first
 }
 
 // total counts the entries of a schedule's streams.

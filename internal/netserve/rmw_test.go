@@ -98,7 +98,7 @@ func TestRmwDeviceBudget(t *testing.T) {
 		if err != nil || !ok {
 			return errors.Join(err, core.ErrKeyNotFound)
 		}
-		copyRow(row)
+		core.CloneRow(row)
 		return eng.Update(ycsb.TableName, key, core.Update{Cols: []int{col}, Vals: []core.Value{val}})
 	})
 	if err != nil {
@@ -185,7 +185,7 @@ func TestApplyOpsReadsOnlyAddColumns(t *testing.T) {
 	var resps [3]wire.Response
 	for i := range ops {
 		i := i
-		if err := run(primary, func(eng core.Engine) error { return applyOp(eng, &ops[i], &resps[i], 1, true) }); err != nil {
+		if err := run(primary, func(eng core.Engine) error { return applyOp(eng, &ops[i], &resps[i], true) }); err != nil {
 			t.Fatal(err)
 		}
 	}

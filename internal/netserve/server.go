@@ -7,11 +7,12 @@
 // merely buffered.
 //
 // Point reads (OpGet) and range scans (OpScan) outside a transaction take a
-// different road: serve.ReadPart hands them to the partition's snapshot
-// reader, which serves them from an MVCC read view pinned at the durable
-// timestamp frontier — outside the executor's queue, and incapable of
-// observing an unacked write. Reads inside OpTxn still run on
-// the executor so a transaction sees its own writes.
+// different road: serve.ReadPart serves them on the request's own handler
+// goroutine from an MVCC read view pinned at the durable timestamp frontier —
+// outside the executor's queue, and incapable of observing an unacked write.
+// Reads inside OpTxn still run on the executor so a transaction sees its own
+// writes. Both roads, and a backup's replay (ApplyOps), run an op through one
+// function, applyOp.
 //
 // Each connection gets a reader goroutine (frame decode, request dispatch)
 // and a writer goroutine (response serialization); requests execute in their
@@ -362,82 +363,16 @@ func (s *Server) exec(ctx context.Context, req *wire.Request) *wire.Response {
 		resp.Status, resp.Msg = wire.StatusBadRequest, err.Error()
 		return resp
 	}
-	// Point reads and range scans bypass the executor queue entirely: a
-	// reader goroutine serves them from an MVCC view pinned at the
-	// partition's durable frontier, so they never wait behind writes and
-	// never observe an unacked commit.
+	// Point reads and range scans bypass the executor queue entirely: they
+	// run here, on the handler goroutine, against an MVCC view pinned at the
+	// partition's durable frontier, so they never wait behind queued writes
+	// and never observe an unacked commit.
 	if req.Op == wire.OpGet || req.Op == wire.OpScan {
-		err = s.rt.ReadPart(ctx, part, func(v core.ReadView) error {
-			resp.Found, resp.Row, resp.Keys, resp.Rows = false, nil, nil, nil
-			// A lock shadowing the key means a cross-shard transaction is
-			// between its commit point and this shard's roll-forward: serving
-			// the pre-image here while the primary shard already shows the
-			// new state would expose a partial commit. Kick the resolution
-			// back to the client (StatusLocked carries the primary pointer).
-			if s.twoPC {
-				if req.Op == wire.OpGet {
-					if err := txn2pc.LockedAt(v, req.Table, req.Key); err != nil {
-						return err
-					}
-				} else if err := txn2pc.LockedInRange(v, req.Table, req.From, req.To); err != nil {
-					return err
-				}
-			}
-			return s.applyRead(v, req, resp)
-		})
+		err = s.rt.ReadPart(ctx, part, func(v core.ReadView) error { return s.apply(v, part, req, resp) })
 		s.finish(resp, err)
 		return resp
 	}
-	// The executor retries retryable transaction failures in place, so the
-	// closure must reset its result fields each attempt.
-	txn := func(eng core.Engine) error {
-		resp.Found, resp.Row, resp.Keys, resp.Rows, resp.Subs = false, nil, nil, nil, nil
-		resp.Txn, resp.TxnState, resp.PriShard, resp.PriTable, resp.PriKey = 0, 0, 0, "", 0
-		switch req.Op {
-		case wire.OpTxnPrewrite:
-			if err := txn2pc.Prewrite(eng, req); err != nil {
-				return err
-			}
-			// Report RMW pre-images alongside the locks: the lock excludes
-			// every other writer, so the value read here is the value the
-			// commit-time apply will see.
-			resp.Subs = make([]wire.Response, len(req.Ops))
-			for i := range req.Ops {
-				sub := &req.Ops[i]
-				if sub.Op != wire.OpRmw {
-					continue
-				}
-				row, ok, err := core.GetCols(eng, sub.Table, sub.Key, sub.RmwReads(true))
-				if err != nil {
-					return err
-				}
-				resp.Subs[i].Found = ok
-				resp.Subs[i].Row = copyRow(row)
-			}
-			return nil
-		case wire.OpTxnCommit:
-			return txn2pc.Commit(eng, req.Txn, req.Phase == 1, req.Locks)
-		case wire.OpTxnAbort:
-			return txn2pc.Abort(eng, req.Txn, req.Phase == 1, req.Locks)
-		case wire.OpTxnResolve:
-			st, err := txn2pc.Resolve(eng, req.Txn, req.Table, req.Key, req.Phase == 1)
-			if err != nil {
-				return err
-			}
-			resp.Txn, resp.TxnState = req.Txn, st
-			resp.PriShard, resp.PriTable, resp.PriKey = int32(part), req.Table, req.Key
-			return nil
-		case wire.OpTxn:
-			resp.Subs = make([]wire.Response, len(req.Ops))
-			for i := range req.Ops {
-				if err := s.apply(eng, &req.Ops[i], &resp.Subs[i]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return s.apply(eng, req, resp)
-	}
+	txn := func(eng core.Engine) error { return s.apply(eng, part, req, resp) }
 	if s.cfg.Repl != nil {
 		// The cluster layer owns the write: it serializes per shard, runs
 		// submit (local durability), ships the batch, and only returns when
@@ -616,58 +551,53 @@ func checkValue(sc *core.Schema, col int, v core.Value) error {
 	return nil
 }
 
-// applyRead serves a read-only op from a pinned snapshot view. Rows are
-// deep-copied for the same reason apply copies them: the response is
-// encoded after the view closes.
-func (s *Server) applyRead(v core.ReadView, req *wire.Request, resp *wire.Response) error {
-	switch req.Op {
-	case wire.OpGet:
-		row, ok, err := v.Get(req.Table, req.Key)
-		if err != nil {
-			return err
-		}
-		resp.Found = ok
-		resp.Row = copyRow(row)
-		return nil
-	case wire.OpScan:
-		limit := int(req.Limit)
-		if limit <= 0 || limit > scanLimit {
-			limit = scanLimit
-		}
-		resp.Keys = []uint64{}
-		resp.Rows = [][]core.Value{}
-		return v.ScanRange(req.Table, req.From, req.To, func(pk uint64, row []core.Value) bool {
-			resp.Keys = append(resp.Keys, pk)
-			resp.Rows = append(resp.Rows, copyRow(row))
-			return len(resp.Keys) < limit
-		})
-	}
-	return fmt.Errorf("unknown read op %v", req.Op)
+// reader is what a read op needs of a partition: core.Engine inside the
+// executor's transaction, core.ReadView on a snapshot read.
+type reader interface {
+	Get(table string, key uint64) ([]core.Value, bool, error)
+	ScanRange(table string, from, to uint64, fn func(pk uint64, row []core.Value) bool) error
 }
 
-// apply runs one op against the engine, inside the executor's transaction.
-// Result rows are deep-copied: the response is encoded after the executor
-// has moved on, and engines hand out views into storage they may rewrite.
+// apply runs one client request on partition part — an op, or a TXN's sub-ops
+// in order — inside the executor's transaction (r is the engine) or a
+// snapshot read (r is the view). The executor retries retryable failures in
+// place, so each attempt starts from an empty response.
 //
 // Under 2PC the lock table is consulted first: a shadowing lock means some
 // cross-shard transaction holds the key between prewrite and resolution, so
-// both reads (partial-commit visibility) and writes (lost update against the
-// buffered op) must bounce. The check and the op run in one transaction on
-// the partition's one executor, so no prewrite can land between them.
-func (s *Server) apply(eng core.Engine, req *wire.Request, resp *wire.Response) error {
+// both reads (partial-commit visibility: the primary shard may already show
+// the new state) and writes (lost update against the buffered op) must
+// bounce, and StatusLocked carries the primary pointer back to the client.
+// The check and the op run under one hold of the partition's exclusion, so
+// no prewrite can land between them.
+func (s *Server) apply(r reader, part int, req *wire.Request, resp *wire.Response) error {
+	*resp = wire.Response{ID: resp.ID}
+	if req.Op == wire.OpTxn {
+		resp.Subs = make([]wire.Response, len(req.Ops))
+		for i := range req.Ops {
+			if err := s.apply(r, part, &req.Ops[i], &resp.Subs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	if s.twoPC {
 		switch req.Op {
 		case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpRmw:
-			if err := txn2pc.LockedAt(eng, req.Table, req.Key); err != nil {
+			if err := txn2pc.LockedAt(r, req.Table, req.Key); err != nil {
 				return err
 			}
 		case wire.OpScan:
-			if err := txn2pc.LockedInRange(eng, req.Table, req.From, req.To); err != nil {
+			if err := txn2pc.LockedInRange(r, req.Table, req.From, req.To); err != nil {
 				return err
 			}
 		}
 	}
-	return applyOp(eng, req, resp, scanLimit, true)
+	if err := applyOp(r, req, resp, true); err != nil || req.Op != wire.OpTxnResolve {
+		return err
+	}
+	resp.PriShard = int32(part)
+	return nil
 }
 
 // ApplyOps lowers a shipped batch of sub-ops into one replay transaction for
@@ -681,7 +611,7 @@ func ApplyOps(ops []wire.Request) func(core.Engine) error {
 	return func(eng core.Engine) error {
 		for i := range ops {
 			var sink wire.Response
-			if err := applyOp(eng, &ops[i], &sink, 1, false); err != nil {
+			if err := applyOp(eng, &ops[i], &sink, false); err != nil {
 				return err
 			}
 		}
@@ -689,70 +619,89 @@ func ApplyOps(ops []wire.Request) func(core.Engine) error {
 	}
 }
 
-// applyOp runs one op. preImage says whether anyone reads resp: a primary
-// reports an RMW's pre-image, a replay does not fetch it (wire.ApplyRmw).
-func applyOp(eng core.Engine, req *wire.Request, resp *wire.Response, scanLimit int, preImage bool) error {
+// applyOp runs one op; a write needs r to be the engine. report says whether
+// anyone reads resp: a primary answers its client, a replay answers nobody,
+// so it scans one row, fetches no RMW pre-image (wire.ApplyRmw) and reports
+// no 2PC result. Result rows are deep-copied: the response is encoded after
+// the transaction or view has moved on, and engines hand out views into
+// storage they may rewrite.
+//
+// The 2PC ops appear here for the backup replay path too: a shipped
+// prewrite/commit/abort/resolve replays against identical state, so the same
+// deterministic mutation lands. Lock checks are the caller's (apply) — the
+// primary already ran them.
+func applyOp(r reader, req *wire.Request, resp *wire.Response, report bool) error {
 	switch req.Op {
 	case wire.OpGet:
-		row, ok, err := eng.Get(req.Table, req.Key)
+		row, ok, err := r.Get(req.Table, req.Key)
 		if err != nil {
 			return err
 		}
-		resp.Found = ok
-		resp.Row = copyRow(row)
+		resp.Found, resp.Row = ok, core.CloneRow(row)
 		return nil
+	case wire.OpScan:
+		limit := scanLimit
+		if !report {
+			limit = 1
+		}
+		if req.Limit > 0 && int(req.Limit) < limit {
+			limit = int(req.Limit)
+		}
+		resp.Keys = []uint64{}
+		resp.Rows = [][]core.Value{}
+		return r.ScanRange(req.Table, req.From, req.To, func(pk uint64, row []core.Value) bool {
+			resp.Keys = append(resp.Keys, pk)
+			resp.Rows = append(resp.Rows, core.CloneRow(row))
+			return len(resp.Keys) < limit
+		})
+	}
+	eng, ok := r.(core.Engine)
+	if !ok {
+		return fmt.Errorf("netserve: %v on a snapshot view", req.Op)
+	}
+	switch req.Op {
 	case wire.OpPut:
 		return eng.Insert(req.Table, req.Key, req.Row)
 	case wire.OpDelete:
 		return eng.Delete(req.Table, req.Key)
-	case wire.OpScan:
-		limit := int(req.Limit)
-		if limit <= 0 || limit > scanLimit {
-			limit = scanLimit
-		}
-		resp.Keys = []uint64{}
-		resp.Rows = [][]core.Value{}
-		return eng.ScanRange(req.Table, req.From, req.To, func(pk uint64, row []core.Value) bool {
-			resp.Keys = append(resp.Keys, pk)
-			resp.Rows = append(resp.Rows, copyRow(row))
-			return len(resp.Keys) < limit
-		})
 	case wire.OpRmw:
-		pre, err := wire.ApplyRmw(eng, req, preImage)
-		if preImage && err == nil {
-			resp.Found, resp.Row = true, copyRow(pre)
+		pre, err := wire.ApplyRmw(eng, req, report)
+		if report && err == nil {
+			resp.Found, resp.Row = true, core.CloneRow(pre)
 		}
 		return err
-	// The 2PC ops appear here for the backup replay path: a shipped
-	// prewrite/commit/abort/resolve replays against identical state, so the
-	// same deterministic mutation lands. Lock checks are skipped — the
-	// primary already ran them, and re-running them against the replica's
-	// own lock table would be a no-op on identical state anyway.
 	case wire.OpTxnPrewrite:
-		return txn2pc.Prewrite(eng, req)
+		if err := txn2pc.Prewrite(eng, req); err != nil || !report {
+			return err
+		}
+		// Report RMW pre-images alongside the locks: the lock excludes every
+		// other writer, so the value read here is the value the commit-time
+		// apply will see.
+		resp.Subs = make([]wire.Response, len(req.Ops))
+		for i := range req.Ops {
+			sub := &req.Ops[i]
+			if sub.Op != wire.OpRmw {
+				continue
+			}
+			row, ok, err := core.GetCols(eng, sub.Table, sub.Key, sub.RmwReads(true))
+			if err != nil {
+				return err
+			}
+			resp.Subs[i].Found, resp.Subs[i].Row = ok, core.CloneRow(row)
+		}
+		return nil
 	case wire.OpTxnCommit:
 		return txn2pc.Commit(eng, req.Txn, req.Phase == 1, req.Locks)
 	case wire.OpTxnAbort:
 		return txn2pc.Abort(eng, req.Txn, req.Phase == 1, req.Locks)
 	case wire.OpTxnResolve:
-		_, err := txn2pc.Resolve(eng, req.Txn, req.Table, req.Key, req.Phase == 1)
+		st, err := txn2pc.Resolve(eng, req.Txn, req.Table, req.Key, req.Phase == 1)
+		if report && err == nil {
+			resp.Txn, resp.TxnState, resp.PriTable, resp.PriKey = req.Txn, st, req.Table, req.Key
+		}
 		return err
 	}
 	return fmt.Errorf("unknown op %v", req.Op)
-}
-
-func copyRow(row []core.Value) []core.Value {
-	if row == nil {
-		return nil
-	}
-	out := make([]core.Value, len(row))
-	for i, v := range row {
-		if v.S != nil {
-			v.S = append(make([]byte, 0, len(v.S)), v.S...)
-		}
-		out[i] = v
-	}
-	return out
 }
 
 // statusOf maps the runtime's error taxonomy onto wire statuses. Corrupt is

@@ -65,21 +65,13 @@ func histUpperNS(i int) int64 { return 1000 << uint(i) }
 // atomic adds and one atomic increment); quantiles are computed on demand
 // from a bucket walk with linear interpolation inside the landing bucket.
 type Histogram struct {
-	disabled atomic.Bool
-	count    atomic.Int64
-	sumNS    atomic.Int64
-	buckets  [histBuckets]atomic.Int64
+	count   atomic.Int64
+	sumNS   atomic.Int64
+	buckets [histBuckets]atomic.Int64
 }
-
-// SetEnabled turns recording on or off. A disabled histogram makes Record a
-// single atomic load, for measuring the observability layer's own overhead.
-func (h *Histogram) SetEnabled(on bool) { h.disabled.Store(!on) }
 
 // Record adds one observation.
 func (h *Histogram) Record(d time.Duration) {
-	if h.disabled.Load() {
-		return
-	}
 	ns := int64(d)
 	if ns < 0 {
 		ns = 0
@@ -229,15 +221,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{}
 	r.hists[name] = h
 	return h
-}
-
-// SetHistogramsEnabled toggles recording on every registered histogram.
-func (r *Registry) SetHistogramsEnabled(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, h := range r.hists {
-		h.SetEnabled(on)
-	}
 }
 
 // Snapshot reads every registered metric. encoding/json marshals map keys

@@ -82,9 +82,6 @@ func (fs *FS) InjectSyncFault(f SyncFault) {
 	fs.syncFaultSet = true
 }
 
-// ClearSyncFault removes an installed sync fault without firing it.
-func (fs *FS) ClearSyncFault() { fs.syncFaultSet = false }
-
 // crashSync fires the installed sync fault during an fsync of inode ino.
 // It never returns.
 func (fs *FS) crashSync(ino int) {

@@ -148,10 +148,6 @@ func (rt *Runtime) buildMetrics() {
 		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_queue_depth", i), func() float64 {
 			return float64(len(ex.ch))
 		})
-		readQ := rt.readQs[i]
-		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_read_queue_depth", i), func() float64 {
-			return float64(len(readQ))
-		})
 		reg.GaugeFunc(fmt.Sprintf("serve_part%02d_degraded", i), func() float64 {
 			if ex.degraded.Load() {
 				return 1

@@ -13,7 +13,7 @@ import (
 	"nstore/internal/testbed"
 )
 
-// The contract of the partition reader's snapshot reads over the undo overlay: a read
+// The contract of snapshot reads (ReadPart) over the undo overlay: a read
 // holds the engine's exclusion, so it waits for a transaction in flight but
 // not for a group-commit barrier, and it rolls back what the barrier has not
 // published.
@@ -127,7 +127,7 @@ func TestReadBesideOpenTransactionWaits(t *testing.T) {
 
 // TestViewsSeeOnlyPublishedCommits: no view ever observes an uncommitted or an
 // unpublished write. The test drives the engine itself while two clients
-// scan through the partition's reader: each round publishes a value (commit + barrier), holds a
+// scan through ReadPart: each round publishes a value (commit + barrier), holds a
 // transaction open on a second one and aborts it, commits a third into the
 // group-commit buffer and lets the clients scan past it, then power-cycles
 // the partition, which loses the third. A reader may see only the first.
@@ -320,5 +320,94 @@ func TestPoolGetReadsTheDevice(t *testing.T) {
 	}
 	if d.Stall != 0 {
 		t.Fatalf("a snapshot GET charged %v to the executor's stall clock", d.Stall)
+	}
+}
+
+// TestReadPartRacesClose: snapshot reads run on their callers' goroutines
+// beside writes while Close races them. Every read returns its result or
+// ErrClosed, and none is still running once Close has returned: Close waits
+// for the reads in flight before its final Flush.
+func TestReadPartRacesClose(t *testing.T) {
+	db := newDB(t, testbed.NVMInP, 1, 32<<20)
+	rt := New(db, Config{})
+	ctx := context.Background()
+	for k := uint64(1); k <= 64; k++ {
+		if err := rt.SubmitPart(ctx, 0, insertTxn(k, int64(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var closed atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 16; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				err := rt.ReadPart(ctx, 0, func(v core.ReadView) error {
+					err := v.ScanRange("t", 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
+						return row[1].I == int64(pk)
+					})
+					if closed.Load() {
+						t.Error("a read was still running after Close returned")
+					}
+					return err
+				})
+				switch {
+				case err == nil:
+					reads.Add(1)
+				case errors.Is(err, ErrClosed):
+					return
+				default:
+					t.Errorf("ReadPart: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := uint64(1000); ; k++ {
+			if err := rt.SubmitPart(ctx, 0, setTxn(k%64+1, int64(k%64+1))); errors.Is(err, ErrClosed) {
+				return
+			} else if err != nil && !errors.Is(err, ErrOverloaded) {
+				t.Errorf("SubmitPart: %v", err)
+				return
+			}
+		}
+	}()
+	for reads.Load() < 200 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	wg.Wait()
+}
+
+// TestReadPartAllocs pins what a snapshot point read costs the serving
+// layer in allocations, the view's Get included.
+func TestReadPartAllocs(t *testing.T) {
+	db := newDB(t, testbed.NVMInP, 1, 32<<20)
+	rt := New(db, Config{})
+	defer rt.Close()
+	ctx := context.Background()
+	if err := rt.SubmitPart(ctx, 0, insertTxn(7, 70)); err != nil {
+		t.Fatal(err)
+	}
+	op := func(v core.ReadView) error {
+		_, _, err := v.Get("t", 7)
+		return err
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := rt.ReadPart(ctx, 0, op); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadPart: %.1f allocations a read", allocs)
+	if allocs > 4 {
+		t.Errorf("ReadPart made %.1f allocations a read, want at most 4", allocs)
 	}
 }

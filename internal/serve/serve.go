@@ -1,13 +1,13 @@
 // Package serve is the serving runtime over the testbed database: one
-// executor goroutine per partition fed by a bounded submission queue, one
-// reader goroutine per partition serving snapshot reads, and a supervisor
-// that survives engine faults instead of crashing the process. Requests are
-// admitted with backpressure (ErrOverloaded), engine panics are converted to
-// typed core.TxnError at the transaction boundary, retryable durability
-// failures are retried with capped exponential backoff, and a partition whose
-// engine is beyond in-place repair is quarantined, crash-recovered through
-// the engine's own recovery protocol, and put back in service — all while the
-// other partitions keep committing.
+// executor goroutine per partition fed by a bounded submission queue,
+// snapshot reads served on their callers' goroutines beside it, and a
+// supervisor that survives engine faults instead of crashing the process.
+// Requests are admitted with backpressure (ErrOverloaded), engine panics are
+// converted to typed core.TxnError at the transaction boundary, retryable
+// durability failures are retried with capped exponential backoff, and a
+// partition whose engine is beyond in-place repair is quarantined,
+// crash-recovered through the engine's own recovery protocol, and put back
+// in service — all while the other partitions keep committing.
 package serve
 
 import (
@@ -67,12 +67,11 @@ type Config struct {
 	// panics on any other value. It stays only because benchmark/netlegs.go
 	// sets it, and is deleted with the benchmark change of ROADMAP item 10.
 	Writers int
-	// Readers is vestigial: each partition runs exactly one reader goroutine,
-	// which serves Get/Scan against MVCC read views beside the executor queue.
-	// A view reads the engine under its exclusion (core.Base), so it waits for
-	// the one transaction in flight, and a second reader would only queue on
-	// that exclusion too. Only 0 and 1 are accepted; New panics on any other
-	// value. Deleted with Writers.
+	// Readers is vestigial: a snapshot read runs on its caller's goroutine
+	// (ReadPart), so no partition runs a reader. A view reads the engine under
+	// its exclusion (core.Base), so concurrent reads of one partition take
+	// turns on that exclusion whatever this says. Only 0 and 1 are accepted;
+	// New panics on any other value. Deleted with Writers.
 	Readers int
 	// Seed seeds the per-partition jitter RNGs so a run is replayable.
 	Seed int64
@@ -162,13 +161,13 @@ type Runtime struct {
 	reg     *obs.Registry
 	ackHist []*obs.Histogram
 
-	// readQs feed the per-partition snapshot readers (see read.go); readHist
-	// holds the per-partition read latency histograms.
-	readQs   []chan *readReq
+	// readHist holds the per-partition snapshot read latency histograms
+	// (see read.go).
 	readHist []*obs.Histogram
 
-	// mu serializes submissions against Close: Submit holds the read
-	// side while enqueueing, so Close cannot close a queue mid-send.
+	// mu serializes submissions and reads against Close: Submit holds the
+	// read side while enqueueing, so Close cannot close a queue mid-send, and
+	// ReadPart while it joins wg, so Close waits for every read it admitted.
 	mu     sync.RWMutex
 	closed atomic.Bool
 
@@ -227,9 +226,9 @@ type executor struct {
 	degraded   atomic.Bool // atomic: the metrics scraper reads it live
 }
 
-// New builds a serving runtime over db and starts one executor goroutine and
-// one reader goroutine per partition. The caller must Close it to drain and
-// stop. It panics if cfg asks for more than one writer or reader.
+// New builds a serving runtime over db and starts one executor goroutine per
+// partition. The caller must Close it to drain and stop. It panics if cfg
+// asks for more than one writer or reader.
 func New(db *testbed.DB, cfg Config) *Runtime {
 	mustOnePerPartition("Writers", cfg.Writers)
 	mustOnePerPartition("Readers", cfg.Readers)
@@ -247,13 +246,11 @@ func New(db *testbed.DB, cfg Config) *Runtime {
 			groupSize: groupSize,
 		}
 		rt.execs = append(rt.execs, ex)
-		rt.readQs = append(rt.readQs, make(chan *readReq, cfg.QueueDepth))
 	}
 	rt.buildMetrics()
-	for i, ex := range rt.execs {
-		rt.wg.Add(2)
+	for _, ex := range rt.execs {
+		rt.wg.Add(1)
 		go ex.run()
-		go rt.readLoop(i)
 	}
 	return rt
 }
@@ -310,8 +307,9 @@ func (rt *Runtime) SubmitPart(ctx context.Context, part int, txn testbed.Txn) er
 	}
 }
 
-// Close drains every partition queue (queued requests still execute),
-// stops the executors, and flushes batched durability work.
+// Close drains every partition queue (queued requests still execute), waits
+// for the snapshot reads in flight, stops the executors, and flushes batched
+// durability work. Reads and submissions after it starts get ErrClosed.
 func (rt *Runtime) Close() error {
 	rt.mu.Lock()
 	if rt.closed.Swap(true) {
@@ -320,9 +318,6 @@ func (rt *Runtime) Close() error {
 	}
 	for _, ex := range rt.execs {
 		close(ex.ch)
-	}
-	for _, q := range rt.readQs {
-		close(q)
 	}
 	rt.mu.Unlock()
 	rt.wg.Wait()
@@ -334,6 +329,16 @@ func (rt *Runtime) Close() error {
 		_ = ms.Close()
 	}
 	return rt.db.Flush()
+}
+
+// Arm runs fn on partition p's executor goroutine inside an immediately
+// aborted transaction, so fault-injection state installed by fn is
+// properly ordered with the executor's engine accesses.
+func (rt *Runtime) Arm(ctx context.Context, p int, fn func()) {
+	rt.SubmitPart(ctx, p, func(core.Engine) error {
+		fn()
+		return testbed.ErrAbort
+	})
 }
 
 // adoptMetrics records a metrics server for teardown in Close.
