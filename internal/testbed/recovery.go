@@ -45,22 +45,17 @@ func (db *DB) RecoveryStats() []RecoveryStat {
 }
 
 // Recover reopens every partition after a crash, running the engine's
-// recovery protocol behind the default bounded worker pool (each engine
-// recovers on its worker's goroutine, one step after another). It returns the
+// recovery protocol through EachPartition (each engine recovers on its
+// worker's goroutine, one step after another). It returns the
 // wall-clock recovery latency modeled on parallel hardware: the slowest
 // single partition, since each partition owns its device and there is no
 // cross-partition happens-before during recovery.
 func (db *DB) Recover() (time.Duration, error) {
 	durs := make([]time.Duration, len(db.parts))
-	err := core.ParallelChunks(0, len(db.parts), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			d, err := db.RecoverPartition(i)
-			if err != nil {
-				return err
-			}
-			durs[i] = d
-		}
-		return nil
+	err := db.EachPartition(func(i int) error {
+		d, err := db.RecoverPartition(i)
+		durs[i] = d
+		return err
 	})
 	if err != nil {
 		return 0, err

@@ -141,15 +141,17 @@ func buildEngine(kind EngineKind, env *core.Env, schemas []*core.Schema, opts co
 
 // Attach builds a database over previously restored partition devices
 // (e.g. from snapshots), running each engine's recovery protocol as after a
-// power failure.
+// power failure. Each partition's environment is reopened and its engine
+// recovered on its EachPartition worker; the lowest failing partition's
+// error is returned.
 func Attach(cfg Config, devs []*nvm.Device) (*DB, error) {
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("testbed: no devices")
 	}
 	cfg.Partitions = len(devs)
-	db := &DB{cfg: cfg}
-	for i, dev := range devs {
-		tmp := &core.Env{Dev: dev}
+	db := &DB{cfg: cfg, parts: make([]*partition, len(devs))}
+	err := db.EachPartition(func(i int) error {
+		tmp := &core.Env{Dev: devs[i]}
 		var env *core.Env
 		var err error
 		if cfg.Engine.IsNVMAware() {
@@ -158,37 +160,65 @@ func Attach(cfg Config, devs []*nvm.Device) (*DB, error) {
 			env, err = tmp.ReopenVolatile()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("testbed: partition %d env: %w", i, err)
+			return fmt.Errorf("testbed: partition %d env: %w", i, err)
 		}
 		eng, err := buildEngine(cfg.Engine, env, cfg.Schemas, cfg.Options, true)
 		if err != nil {
-			return nil, fmt.Errorf("testbed: partition %d: %w", i, err)
+			return fmt.Errorf("testbed: partition %d: %w", i, err)
 		}
-		db.parts = append(db.parts, &partition{env: env, eng: eng})
+		db.parts[i] = &partition{env: env, eng: eng}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return db, nil
 }
 
-// New creates a database with freshly formatted partitions.
+// New creates a database with freshly formatted partitions. Each
+// partition's environment and engine are built on its EachPartition worker;
+// the lowest failing partition's error is returned.
 func New(cfg Config) (*DB, error) {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 8
 	}
-	db := &DB{cfg: cfg}
+	db := &DB{cfg: cfg, parts: make([]*partition, cfg.Partitions)}
 	if cfg.Env.FSFraction == 0 && cfg.Engine.IsNVMAware() {
 		// NVM-aware engines only use the allocator interface; leave just a
 		// sliver of the device for the (unused) filesystem.
 		cfg.Env.FSFraction = 0.05
 	}
-	for i := 0; i < cfg.Partitions; i++ {
+	err := db.EachPartition(func(i int) error {
 		env := core.NewEnv(cfg.Env)
 		eng, err := buildEngine(cfg.Engine, env, cfg.Schemas, cfg.Options, false)
 		if err != nil {
-			return nil, fmt.Errorf("testbed: partition %d: %w", i, err)
+			return fmt.Errorf("testbed: partition %d: %w", i, err)
 		}
-		db.parts = append(db.parts, &partition{env: env, eng: eng})
+		db.parts[i] = &partition{env: env, eng: eng}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return db, nil
+}
+
+// EachPartition runs fn(p) for every partition p on core.ParallelChunks'
+// default pool: the partitions are split into one contiguous stripe per
+// worker, and each stripe calls fn for its partitions in index order on one
+// goroutine, stopping at its first error. EachPartition returns once every
+// stripe has stopped, with the error of the lowest partition that failed.
+// Partitions share nothing, so fn may touch partition p's engine and device
+// only: it runs beside fn for other partitions.
+func (db *DB) EachPartition(fn func(p int) error) error {
+	return core.ParallelChunks(0, len(db.parts), func(lo, hi int) error {
+		for p := lo; p < hi; p++ {
+			if err := fn(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Partitions returns the partition count.
@@ -356,14 +386,16 @@ func (db *DB) execute(perPart [][]Txn, parallel bool) (Result, error) {
 	return res, nil
 }
 
-// Flush forces batched durability work on every partition.
+// Flush forces batched durability work on every partition, the partitions
+// concurrently through EachPartition, and returns the lowest failing
+// partition's error.
 func (db *DB) Flush() error {
-	for _, part := range db.parts {
-		if err := part.eng.Flush(); err != nil {
-			return err
+	return db.EachPartition(func(i int) error {
+		if err := db.parts[i].eng.Flush(); err != nil {
+			return fmt.Errorf("testbed: flush partition %d: %w", i, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Stats aggregates NVM perf counters across partitions. Safe from any

@@ -105,25 +105,44 @@ func str(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// Load populates the initial database: items are replicated into every
-// partition; warehouses (with their districts, customers, stock, orders)
-// go to their home partitions.
+// Load populates the initial database, then flushes: items are replicated
+// into every partition; warehouses (with their districts, customers, stock,
+// orders) go to their home partitions. Each partition loads on its
+// testbed.DB.EachPartition worker, its items first and then its own
+// warehouses in increasing order; the partitions load concurrently. The
+// lowest failing partition's error is returned.
 func Load(db *testbed.DB, cfg Config) error {
 	cfg = cfg.withDefaults()
 	if db.Partitions() != cfg.Partitions {
 		return fmt.Errorf("tpcc: db has %d partitions, config %d", db.Partitions(), cfg.Partitions)
 	}
-	for p := 0; p < cfg.Partitions; p++ {
-		if err := loadItems(db.Engine(p), cfg, p); err != nil {
-			return err
+	err := db.EachPartition(func(p int) error {
+		if err := loadPartition(db.Engine(p), cfg, p); err != nil {
+			return fmt.Errorf("tpcc: partition %d: %w", p, err)
 		}
-	}
-	for w := 1; w <= cfg.Warehouses; w++ {
-		if err := loadWarehouse(db.Engine(cfg.PartitionOf(w)), cfg, w); err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	return db.Flush()
+}
+
+// loadPartition loads partition p's copy of the items, then the warehouses
+// whose home partition is p.
+func loadPartition(eng core.Engine, cfg Config, p int) error {
+	if err := loadItems(eng, cfg, p); err != nil {
+		return err
+	}
+	for w := 1; w <= cfg.Warehouses; w++ {
+		if cfg.PartitionOf(w) != p {
+			continue
+		}
+		if err := loadWarehouse(eng, cfg, w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // batcher groups loader inserts into batch-sized transactions.

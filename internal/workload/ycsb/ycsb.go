@@ -114,40 +114,53 @@ func randBytes(rng *rand.Rand, n int) []byte {
 }
 
 // Load bulk-inserts the initial database, round-robin across partitions,
-// batching inserts to amortize commit costs, then flushes.
+// then flushes. Each partition's rows are inserted on its
+// testbed.DB.EachPartition worker, from the partition's own RNG stream, in
+// 256-insert transactions; the partitions load concurrently. The lowest
+// failing partition's error is returned.
 func Load(db *testbed.DB, cfg Config) error {
 	cfg = cfg.withDefaults()
+	err := db.EachPartition(func(p int) error {
+		if err := loadPartition(db, cfg, p); err != nil {
+			return fmt.Errorf("ycsb: partition %d: %w", p, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return db.Flush()
+}
+
+// loadPartition inserts partition p's keys (p, p+P, p+2P, ...) in batches.
+func loadPartition(db *testbed.DB, cfg Config, p int) error {
 	const batch = 256
-	for p := 0; p < db.Partitions(); p++ {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(p)))
-		eng := db.Engine(p)
-		n := 0
-		inTxn := false
-		for key := uint64(p); key < uint64(cfg.Tuples); key += uint64(db.Partitions()) {
-			if !inTxn {
-				if err := eng.Begin(); err != nil {
-					return err
-				}
-				inTxn = true
-			}
-			if err := eng.Insert(TableName, key, makeRow(cfg, key, rng)); err != nil {
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(p)))
+	eng := db.Engine(p)
+	n := 0
+	inTxn := false
+	for key := uint64(p); key < uint64(cfg.Tuples); key += uint64(db.Partitions()) {
+		if !inTxn {
+			if err := eng.Begin(); err != nil {
 				return err
 			}
-			n++
-			if n%batch == 0 {
-				if err := eng.Commit(); err != nil {
-					return err
-				}
-				inTxn = false
-			}
+			inTxn = true
 		}
-		if inTxn {
+		if err := eng.Insert(TableName, key, makeRow(cfg, key, rng)); err != nil {
+			return err
+		}
+		n++
+		if n%batch == 0 {
 			if err := eng.Commit(); err != nil {
 				return err
 			}
+			inTxn = false
 		}
 	}
-	return db.Flush()
+	if inTxn {
+		return eng.Commit()
+	}
+	return nil
 }
 
 // pickKey draws a key local to partition p under the skew setting: with
