@@ -604,9 +604,7 @@ func (s *Server) apply(r reader, part int, req *wire.Request, resp *wire.Respons
 // a backup: each op applied in order against the engine, results discarded.
 // RMW adds are recomputed from the local pre-image — replicas apply batches
 // in sequence order from identical state, so the recomputation lands on the
-// primary's value — and since nobody sees the result, an RMW reads its Add
-// columns only: a set-mode RMW replays as a bare Update. Reads inside a batch
-// are harmless no-ops.
+// primary's value. Reads inside a batch are harmless no-ops.
 func ApplyOps(ops []wire.Request) func(core.Engine) error {
 	return func(eng core.Engine) error {
 		for i := range ops {
@@ -621,10 +619,11 @@ func ApplyOps(ops []wire.Request) func(core.Engine) error {
 
 // applyOp runs one op; a write needs r to be the engine. report says whether
 // anyone reads resp: a primary answers its client, a replay answers nobody,
-// so it scans one row, fetches no RMW pre-image (wire.ApplyRmw) and reports
-// no 2PC result. Result rows are deep-copied: the response is encoded after
-// the transaction or view has moved on, and engines hand out views into
-// storage they may rewrite.
+// so it scans one row and reports no result. An RMW reads the same on both,
+// its Add columns and nothing else (wire.ApplyRmw), and a prewrite reports
+// the same pre-image a primary's RMW answers. Result rows are deep-copied:
+// the response is encoded after the transaction or view has moved on, and
+// engines hand out views into storage they may rewrite.
 //
 // The 2PC ops appear here for the backup replay path too: a shipped
 // prewrite/commit/abort/resolve replays against identical state, so the same
@@ -665,8 +664,8 @@ func applyOp(r reader, req *wire.Request, resp *wire.Response, report bool) erro
 	case wire.OpDelete:
 		return eng.Delete(req.Table, req.Key)
 	case wire.OpRmw:
-		pre, err := wire.ApplyRmw(eng, req, report)
-		if report && err == nil {
+		pre, err := wire.ApplyRmw(eng, req)
+		if report && err == nil && pre != nil {
 			resp.Found, resp.Row = true, core.CloneRow(pre)
 		}
 		return err
@@ -676,14 +675,15 @@ func applyOp(r reader, req *wire.Request, resp *wire.Response, report bool) erro
 		}
 		// Report RMW pre-images alongside the locks: the lock excludes every
 		// other writer, so the value read here is the value the commit-time
-		// apply will see.
+		// apply will compute from.
 		resp.Subs = make([]wire.Response, len(req.Ops))
 		for i := range req.Ops {
 			sub := &req.Ops[i]
-			if sub.Op != wire.OpRmw {
-				continue
+			reads := sub.RmwReads()
+			if len(reads) == 0 {
+				continue // not an RMW, or a set-only one
 			}
-			row, ok, err := core.GetCols(eng, sub.Table, sub.Key, sub.RmwReads(true))
+			row, ok, err := core.GetCols(eng, sub.Table, sub.Key, reads)
 			if err != nil {
 				return err
 			}

@@ -452,7 +452,7 @@ func applyBuffered(eng core.Engine, op *wire.Request) error {
 	case wire.OpDelete:
 		return eng.Delete(op.Table, op.Key)
 	case wire.OpRmw:
-		_, err := wire.ApplyRmw(eng, op, false)
+		_, err := wire.ApplyRmw(eng, op)
 		return err
 	}
 	return fmt.Errorf("txn2pc: cannot apply buffered op %v", op.Op)

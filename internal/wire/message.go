@@ -17,7 +17,7 @@ const (
 	OpPut    Op = 2 // insert a full row
 	OpDelete Op = 3 // delete by primary key
 	OpScan   Op = 4 // ascending range scan [From, To), bounded by Limit
-	OpRmw    Op = 5 // read-modify-write: return the pre-image of the named columns, apply the updates
+	OpRmw    Op = 5 // read-modify-write: read the Add columns, apply the updates, return what was read
 	OpTxn    Op = 6 // multi-op transaction (sub-ops may not nest another OpTxn)
 
 	// Replication / cluster metadata ops (the REPL_APPEND / REPL_ACK /
@@ -247,24 +247,24 @@ func (e *StatusError) Is(target error) bool {
 // RmwCol is one column modification inside an OpRmw. A request names each
 // column at most once (the server answers StatusBadRequest otherwise).
 //
-// Contract of the answer: Response.Row is the pre-image of the columns the
-// request names and of nothing else — a row of the table's schema width,
-// indexed by column as ever (Row[col]), in which every un-named column is the
-// zero core.Value. The server never reads what the client did not ask about.
+// Contract of the answer: an RMW reads what it computes from. Response.Row is
+// the pre-image of the request's Add columns and of nothing else — a row of
+// the table's schema width, indexed by column as ever (Row[col]), in which
+// every other column is the zero core.Value. A set-mode column is written
+// blind, so a set-only RMW answers with a bare status; a client that wants a
+// set column's old value sends a GET in the same TXN frame.
 type RmwCol struct {
 	Col int  // column index in the table's schema
 	Add bool // true: add Val.I to the current value (TInt columns only)
 	Val core.Value
 }
 
-// RmwReads lists the columns an OpRmw reads before it writes: every column it
-// names when the caller reports the pre-image (a primary answering a client),
-// only the Add columns when the result is discarded (a backup's replay, a 2PC
-// commit) — a set-mode column's old value is then nobody's business.
-func (r *Request) RmwReads(preImage bool) []int {
+// RmwReads lists the columns an OpRmw reads before it writes: its Add
+// columns, the ones it computes from.
+func (r *Request) RmwReads() []int {
 	var cols []int
 	for _, cm := range r.Cols {
-		if preImage || cm.Add {
+		if cm.Add {
 			cols = append(cols, cm.Col)
 		}
 	}
@@ -272,14 +272,14 @@ func (r *Request) RmwReads(preImage bool) []int {
 }
 
 // ApplyRmw is the one lowering of an OpRmw onto an engine, inside the caller's
-// transaction: read RmwReads(preImage) through core.GetCols, compute the Add
-// columns from that read, Update. It returns what it read — the pre-image in
-// the Response.Row contract when preImage is set. With nothing to read (a
-// set-mode-only request whose result is discarded) the tuple is not fetched
-// at all and Update reports a missing key.
-func ApplyRmw(eng core.Engine, req *Request, preImage bool) ([]core.Value, error) {
+// transaction, for the primary, a backup's replay and a 2PC commit alike:
+// read RmwReads through core.GetCols, compute the Add columns from that read,
+// Update. It returns what it read, the pre-image in the RmwCol contract. A
+// set-only request reads nothing and is a bare Update, which reports a
+// missing key.
+func ApplyRmw(eng core.Engine, req *Request) ([]core.Value, error) {
 	var pre []core.Value
-	if reads := req.RmwReads(preImage); len(reads) > 0 {
+	if reads := req.RmwReads(); len(reads) > 0 {
 		row, ok, err := core.GetCols(eng, req.Table, req.Key, reads)
 		if err != nil {
 			return nil, err
@@ -378,8 +378,8 @@ type Response struct {
 	Status Status
 	Msg    string // non-OK detail, empty on success
 
-	Found bool         // Get/Rmw: whether the key existed
-	Row   []core.Value // Get: the row; Rmw: the pre-image of the named columns (see RmwCol)
+	Found bool         // Get: whether the key existed; Rmw: whether it read a pre-image
+	Row   []core.Value // Get: the row; Rmw: the pre-image of the Add columns (see RmwCol)
 
 	Keys []uint64       // Scan: primary keys, ascending
 	Rows [][]core.Value // Scan: rows parallel to Keys
