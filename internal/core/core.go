@@ -6,6 +6,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -337,8 +338,7 @@ type EnvConfig struct {
 	CacheSize int
 }
 
-// NewEnv formats a fresh partition environment.
-func NewEnv(cfg EnvConfig) *Env {
+func (cfg EnvConfig) withDefaults() EnvConfig {
 	if cfg.DeviceSize == 0 {
 		cfg.DeviceSize = 256 << 20
 	}
@@ -348,6 +348,38 @@ func NewEnv(cfg EnvConfig) *Env {
 	if cfg.FSExtent == 0 {
 		cfg.FSExtent = 256 << 10
 	}
+	return cfg
+}
+
+// fsSize is the filesystem's share of the device; the arena has the rest.
+func (cfg EnvConfig) fsSize() int64 { return int64(float64(cfg.DeviceSize) * cfg.FSFraction) }
+
+// Check reports, as an error that names the sizes, a geometry NewEnv cannot
+// format: a filesystem share without room for pmfs's superblock, inode table
+// and one extent, or an arena share without room for its header.
+func (cfg EnvConfig) Check() error {
+	cfg = cfg.withDefaults()
+	if fs, need := cfg.fsSize(), pmfs.MinSize(pmfs.Config{ExtentSize: cfg.FSExtent}); fs < need {
+		return fmt.Errorf("core: a %d B device gives its filesystem %d B, under the %d B of pmfs's superblock, inode table and one %d B extent",
+			cfg.DeviceSize, fs, need, cfg.FSExtent)
+	}
+	return checkArena(cfg.DeviceSize, cfg.fsSize())
+}
+
+// checkArena reports an arena at base of a devSize device without room for
+// its header.
+func checkArena(devSize, base int64) error {
+	if need := pmalloc.MinSize(base); devSize-base < need {
+		return fmt.Errorf("core: a %d B device gives its arena %d B from offset %d, under the %d B of its header and one line",
+			devSize, devSize-base, base, need)
+	}
+	return nil
+}
+
+// NewEnv formats a fresh partition environment. It panics on a geometry
+// Check refuses.
+func NewEnv(cfg EnvConfig) *Env {
+	cfg = cfg.withDefaults()
 	devCfg := nvm.DefaultConfig(cfg.DeviceSize)
 	if cfg.Profile.Name != "" {
 		cfg.Profile.Apply(&devCfg)
@@ -356,7 +388,7 @@ func NewEnv(cfg EnvConfig) *Env {
 		devCfg.CacheSize = cfg.CacheSize
 	}
 	dev := nvm.NewDevice(devCfg)
-	fsSize := int64(float64(cfg.DeviceSize) * cfg.FSFraction)
+	fsSize := cfg.fsSize()
 	fs := pmfs.Format(dev, 0, fsSize, pmfs.Config{ExtentSize: cfg.FSExtent})
 	arena := pmalloc.Format(dev, fsSize, cfg.DeviceSize-fsSize)
 	return &Env{Dev: dev, Arena: arena, FS: fs}
@@ -374,6 +406,9 @@ func (e *Env) Reopen() (*Env, error) {
 		return nil, err
 	}
 	fsSize = fsBase(e)
+	if err := checkArena(e.Dev.Size(), fsSize); err != nil {
+		return nil, err
+	}
 	arena, err := pmalloc.Open(e.Dev, fsSize)
 	if err != nil {
 		return nil, err
@@ -391,6 +426,9 @@ func (e *Env) ReopenVolatile() (*Env, error) {
 		return nil, err
 	}
 	base := fsBase(e)
+	if err := checkArena(e.Dev.Size(), base); err != nil {
+		return nil, err
+	}
 	arena := pmalloc.Format(e.Dev, base, e.Dev.Size()-base)
 	return &Env{Dev: e.Dev, Arena: arena, FS: fs}, nil
 }

@@ -125,13 +125,18 @@ type Arena struct {
 // size, a volatile copy of what its durable header says.
 type freeChunk struct{ off, size int64 }
 
+// MinSize is the smallest arena Format accepts at base: the header and one
+// line of heap.
+func MinSize(base int64) int64 { return lineUp(base+heapStart) + line - base }
+
 // Format initializes a fresh arena over dev[base, base+size) and returns it.
+// It panics on a size under MinSize(base).
 func Format(dev *nvm.Device, base, size int64) *Arena {
-	a := &Arena{dev: dev, base: base, size: size}
-	a.heapEnd = a.heapBase()
-	if a.heapEnd+line > base+size {
+	if size < MinSize(base) {
 		panic("pmalloc: arena too small")
 	}
+	a := &Arena{dev: dev, base: base, size: size}
+	a.heapEnd = a.heapBase()
 	zero := make([]byte, rootDirOff+NumRoots*8)
 	dev.Write(base, zero)
 	dev.WriteU64(base+offMagic, magic)

@@ -131,16 +131,25 @@ type Config struct {
 	ExtentSize int64
 }
 
-// Format initializes a filesystem over dev[base, base+size).
-func Format(dev *nvm.Device, base, size int64, cfg Config) *FS {
-	extSize := cfg.ExtentSize
-	if extSize <= 0 {
-		extSize = 256 << 10
+func (c Config) extent() int64 {
+	if c.ExtentSize <= 0 {
+		return 256 << 10
 	}
-	extBase := base + sbSize + NumInodes*inodeSize
-	if extBase+extSize > base+size {
+	return c.ExtentSize
+}
+
+// MinSize is the smallest region Format accepts for cfg: the superblock, the
+// inode table and one extent.
+func MinSize(cfg Config) int64 { return sbSize + NumInodes*inodeSize + cfg.extent() }
+
+// Format initializes a filesystem over dev[base, base+size). It panics on a
+// region under MinSize(cfg).
+func Format(dev *nvm.Device, base, size int64, cfg Config) *FS {
+	if size < MinSize(cfg) {
 		panic("pmfs: region too small")
 	}
+	extSize := cfg.extent()
+	extBase := base + sbSize + NumInodes*inodeSize
 	fs := &FS{
 		dev: dev, base: base, size: size,
 		extSize: extSize, extBase: extBase,

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"nstore/internal/core"
+	"nstore/internal/nvm"
+	"nstore/internal/pmfs"
 	"nstore/internal/testbed"
 	"nstore/internal/workload/tpcc"
 	"nstore/internal/workload/ycsb"
@@ -80,6 +82,38 @@ func TestNewRefusedByEveryPartition(t *testing.T) {
 			t.Fatalf("run %d (%s): %v, want partition 0's refusal", run, kind, err)
 		}
 		settle(t, base)
+	}
+}
+
+// TestUndersizedDeviceIsAnError: a device too small for its filesystem share
+// or its arena fails New, before any partition is built, and Attach with an
+// error that names the sizes, where formatting or opening it would panic on
+// a fan-out worker and end the process.
+func TestUndersizedDeviceIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		env  core.EnvConfig
+		kind testbed.EngineKind
+		want string
+	}{
+		{"filesystem", core.EnvConfig{DeviceSize: 4 << 20}, testbed.NVMInP,
+			"a 4194304 B device gives its filesystem 209715 B, under the 528384 B"},
+		{"arena", core.EnvConfig{DeviceSize: 4 << 20, FSFraction: 0.9999}, testbed.InP,
+			"a 4194304 B device gives its arena 420 B"},
+	} {
+		_, err := testbed.New(testbed.Config{Engine: c.kind, Partitions: 2, Env: c.env, Schemas: tpcc.Schemas()})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New with an undersized %s: %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// A filesystem that claims the whole device leaves its arena nothing.
+	for _, kind := range []testbed.EngineKind{testbed.InP, testbed.NVMInP} {
+		dev := nvm.NewDevice(nvm.DefaultConfig(4 << 20))
+		pmfs.Format(dev, 0, dev.Size(), pmfs.Config{})
+		_, err := testbed.Attach(testbed.Config{Engine: kind, Schemas: tpcc.Schemas()}, []*nvm.Device{dev})
+		if want := "a 4194304 B device gives its arena 0 B"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Attach (%s) of a device with no arena: %v, want an error containing %q", kind, err, want)
+		}
 	}
 }
 

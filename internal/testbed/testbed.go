@@ -188,6 +188,9 @@ func New(cfg Config) (*DB, error) {
 		// sliver of the device for the (unused) filesystem.
 		cfg.Env.FSFraction = 0.05
 	}
+	if err := cfg.Env.Check(); err != nil {
+		return nil, fmt.Errorf("testbed: %w", err)
+	}
 	err := db.EachPartition(func(i int) error {
 		env := core.NewEnv(cfg.Env)
 		eng, err := buildEngine(cfg.Engine, env, cfg.Schemas, cfg.Options, false)
