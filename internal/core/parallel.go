@@ -8,8 +8,9 @@ import (
 // ParallelChunks splits [0, n) into one contiguous stripe per worker and
 // runs fn(lo, hi) for each stripe on its own goroutine. It waits for every
 // stripe, then returns the first error by stripe order. workers <= 0 picks
-// the number of CPUs, capped at 8, so the partitions of one database cannot
-// oversubscribe a small machine.
+// the processors the process may use (GOMAXPROCS), capped at 8, so the
+// partitions of one database cannot oversubscribe a small machine or a
+// process limited to fewer processors than the machine has.
 //
 // It is the fan-out for per-partition work: each partition owns its device
 // and engine, so stripes share nothing, and a stripe visits its partitions in
@@ -18,7 +19,7 @@ import (
 // loaders (through DB.EachPartition), and serve.Runtime.RecoverAll.
 func ParallelChunks(workers, n int, fn func(lo, hi int) error) error {
 	if workers <= 0 {
-		workers = min(runtime.NumCPU(), 8)
+		workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	workers = min(workers, n)
 	if workers == 1 {
