@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"nstore/internal/core"
@@ -463,6 +464,23 @@ func allocatedMB() float64 {
 	return float64(ms.TotalAlloc) / (1 << 20)
 }
 
+// fuzzMedium is a freshly formatted 1 MiB partition: both run files of any
+// genRun fit it, and its simulated CPU cache is 64 KiB.
+var fuzzMedium = sync.OnceValue(func() *nvm.Device {
+	return core.NewEnv(core.EnvConfig{DeviceSize: 1 << 20, FSExtent: 16 << 10, CacheSize: 64 << 10}).Dev
+})
+
+// fuzzEnv is a fresh partition for one fuzz input: a copy of fuzzMedium,
+// reopened. Formatting one per input (zeroing and writing back pmfs's inode
+// table, and a 4 MiB cache) cost more than the input.
+func fuzzEnv(t testing.TB) *core.Env {
+	env, err := (&core.Env{Dev: fuzzMedium().CloneMedium()}).Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 // oldSSTMagic is the magic of the layout whose index held entry offsets
 // alone: a run of it is refused at open.
 const oldSSTMagic = 0x5353544142312121
@@ -495,7 +513,7 @@ func FuzzSSTableImage(f *testing.F) {
 	// key of a slot whose next key is not one above it.
 	const seed = 10
 	ents := genRun(rand.New(rand.NewSource(seed)))
-	_, img := writeRun(f, core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 16 << 10}), "sst-000001", ents)
+	_, img := writeRun(f, fuzzEnv(f), "sst-000001", ents)
 	index := uint32(binary.LittleEndian.Uint64(img[len(img)-footerSize:]))
 	gap := -1
 	for i := 0; i+1 < len(ents) && gap < 0; i++ {
@@ -511,7 +529,7 @@ func FuzzSSTableImage(f *testing.F) {
 	f.Add(int64(seed), index+slotSize*uint32(gap), binary.LittleEndian.AppendUint64(nil, ents[gap].key+1)) // key
 	f.Add(int64(seed), fromEnd(8), binary.LittleEndian.AppendUint64(nil, oldSSTMagic))                     // magic
 	f.Fuzz(func(t *testing.T, seed int64, at uint32, patch []byte) {
-		env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 16 << 10})
+		env := fuzzEnv(t)
 		ents := genRun(rand.New(rand.NewSource(seed)))
 		run, img := writeRun(t, env, "sst-000001", ents)
 		checkRun(t, env, run, ents)
