@@ -359,11 +359,12 @@ func (cfg EnvConfig) fsSize() int64 { return int64(float64(cfg.DeviceSize) * cfg
 // and one extent, or an arena share without room for its header.
 func (cfg EnvConfig) Check() error {
 	cfg = cfg.withDefaults()
-	if fs, need := cfg.fsSize(), pmfs.MinSize(pmfs.Config{ExtentSize: cfg.FSExtent}); fs < need {
+	fs := cfg.fsSize()
+	if need := pmfs.MinSize(pmfs.Config{ExtentSize: cfg.FSExtent}); fs < need {
 		return fmt.Errorf("core: a %d B device gives its filesystem %d B, under the %d B of pmfs's superblock, inode table and one %d B extent",
 			cfg.DeviceSize, fs, need, cfg.FSExtent)
 	}
-	return checkArena(cfg.DeviceSize, cfg.fsSize())
+	return checkArena(cfg.DeviceSize, fs)
 }
 
 // checkArena reports an arena at base of a devSize device without room for

@@ -679,15 +679,13 @@ func applyOp(r reader, req *wire.Request, resp *wire.Response, report bool) erro
 		resp.Subs = make([]wire.Response, len(req.Ops))
 		for i := range req.Ops {
 			sub := &req.Ops[i]
-			reads := sub.RmwReads()
-			if len(reads) == 0 {
-				continue // not an RMW, or a set-only one
+			if reads := sub.RmwReads(); len(reads) > 0 { // an RMW that adds to a column
+				row, ok, err := core.GetCols(eng, sub.Table, sub.Key, reads)
+				if err != nil {
+					return err
+				}
+				resp.Subs[i].Found, resp.Subs[i].Row = ok, core.CloneRow(row)
 			}
-			row, ok, err := core.GetCols(eng, sub.Table, sub.Key, reads)
-			if err != nil {
-				return err
-			}
-			resp.Subs[i].Found, resp.Subs[i].Row = ok, core.CloneRow(row)
 		}
 		return nil
 	case wire.OpTxnCommit:

@@ -131,6 +131,7 @@ type Config struct {
 	ExtentSize int64
 }
 
+// extent is the extent size c asks for, 256 KiB by default.
 func (c Config) extent() int64 {
 	if c.ExtentSize <= 0 {
 		return 256 << 10
