@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
 
@@ -181,5 +182,63 @@ func TestRecoverRefusesCycle(t *testing.T) {
 	env.Dev.WriteU64Durable(oldest+oNext, newest)
 	if _, err := l.Recover(func(Entry) error { return nil }, false); !core.IsCorrupt(err) {
 		t.Fatalf("Recover over a cyclic list: %v, want a corrupt error", err)
+	}
+}
+
+// TestAppendCost pins what the log costs the device, counter by counter: an
+// append of an entry that fills one line, one of an entry that spans two
+// lines with three repair records, and the truncation that commits them, on a
+// cold cache (everything evicted before each step) and on a warm one. The
+// transaction measured is the third: the first two carved the chunks it
+// recycles, as a transaction in steady state does.
+func TestAppendCost(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 8 << 20})
+	hdr, err := env.Arena.Alloc(8, pmalloc.TagOther)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := int64(hdr)
+	env.Dev.WriteU64Durable(head, 0)
+	l := New(env.Arena, head, testTables())
+	oneLine := Entry{Type: core.WalUpdate, Table: 1, Key: 3, Body: make([]byte, 16)}
+	twoLines := Entry{Type: core.WalUpdate, Table: 0, Key: 9, Body: make([]byte, 16), Fixes: []core.SecFix{
+		{Idx: 0, Sec: 1, PK: 9}, {Idx: 0, Add: true, Sec: 2, PK: 9}, {Idx: 1, Add: true, Sec: 3, PK: 9}}}
+	if n := headerSize + len(oneLine.Body); pmalloc.ChunkSize(n) != nvm.LineSize {
+		t.Fatalf("the one-line entry is a %d-byte chunk", pmalloc.ChunkSize(n))
+	}
+	if n := headerSize + fixSize*3 + len(twoLines.Body); pmalloc.ChunkSize(n) != 2*nvm.LineSize {
+		t.Fatalf("the two-line entry is a %d-byte chunk", pmalloc.ChunkSize(n))
+	}
+	type counts struct{ loads, stores, clwbs, fences uint64 }
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"append one line", func() error { return l.Append(1, oneLine) }},
+		{"append two lines", func() error { return l.Append(1, twoLines) }},
+		{"truncate", func() error { l.Truncate(nil); return nil }},
+	}
+	for _, c := range []struct {
+		cache string
+		want  []counts // per step
+	}{
+		{"cold", []counts{{1, 2, 1, 2}, {1, 3, 1, 2}, {1, 2, 1, 1}}},
+		{"warm", []counts{{0, 2, 1, 2}, {0, 3, 1, 2}, {0, 2, 1, 1}}},
+	} {
+		for txn := 0; txn < 3; txn++ {
+			for i, s := range steps {
+				if c.cache == "cold" {
+					env.Dev.EvictAll()
+				}
+				before := env.Dev.Stats()
+				if err := s.do(); err != nil {
+					t.Fatal(err)
+				}
+				d := env.Dev.Stats().Sub(before)
+				if got := (counts{d.Loads, d.Stores, d.Flushes, d.Fences}); txn == 2 && got != c.want[i] {
+					t.Errorf("%s cache, %s: %d loads, %d stores, %d CLWBs, %d fences; want %+v", c.cache, s.name, got.loads, got.stores, got.clwbs, got.fences, c.want[i])
+				}
+			}
+		}
 	}
 }
