@@ -295,23 +295,38 @@ func ArenaFootprint(a *pmalloc.Arena) Footprint {
 	return Footprint{Table: u[pmalloc.TagTable], Index: u[pmalloc.TagIndex], Log: u[pmalloc.TagLog], Other: u[pmalloc.TagOther]}
 }
 
-// FreeOrphans is the sweep of an NVM engine's recovery: it frees each
-// persisted chunk of the arena that orphan names, and returns the number of
-// chunks. The directory walk lists the orphans; they are freed after it, so no
-// free changes the directory under the walk.
-func FreeOrphans(a *pmalloc.Arena, orphan func(p pmalloc.Ptr, tag pmalloc.Tag) bool) int {
-	var orphans []pmalloc.Ptr
-	chunks := 0
-	a.Chunks(func(p pmalloc.Ptr, _ int, tag pmalloc.Tag, st pmalloc.State) {
-		chunks++
-		if st == pmalloc.StatePersisted && orphan(p, tag) {
-			orphans = append(orphans, p)
+// Chunk is an allocator chunk that a recovery walk found persisted.
+type Chunk struct {
+	P    pmalloc.Ptr
+	Size int // payload capacity
+	Tag  pmalloc.Tag
+}
+
+// PersistedChunks is the one walk an NVM engine's recovery makes over the
+// arena's chunks: it returns the persisted ones in address order and the
+// number of chunks walked. The undo log picks its entries from them
+// (undolog.Log.Recover) and the sweep its orphans (FreeOrphans).
+func PersistedChunks(a *pmalloc.Arena) (chunks []Chunk, walked int) {
+	a.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
+		walked++
+		if st == pmalloc.StatePersisted {
+			chunks = append(chunks, Chunk{p, size, tag})
 		}
 	})
-	for _, p := range orphans {
-		a.Free(p)
+	return chunks, walked
+}
+
+// FreeOrphans is the sweep of an NVM engine's recovery: it frees each of the
+// chunks PersistedChunks found that orphan names. They are freed after the
+// walk, so no free changes the directory under it; a caller whose recovery
+// may itself free a chunk between the walk and the sweep checks its state in
+// orphan.
+func FreeOrphans(a *pmalloc.Arena, chunks []Chunk, orphan func(c Chunk) bool) {
+	for _, c := range chunks {
+		if orphan(c) {
+			a.Free(c.P)
+		}
 	}
-	return chunks
 }
 
 // Env bundles the per-partition storage resources an engine runs on: the

@@ -166,8 +166,9 @@ func (c *chunked) reclaim(tr *cowbtree.Tree) (int64, error) {
 	if err := c.pg.Err(); err != nil {
 		return 0, core.Corrupt(fmt.Errorf("nvm-cow: reclaim: %w", err))
 	}
-	chunks := core.FreeOrphans(c.env.Arena, func(p pmalloc.Ptr, tag pmalloc.Tag) bool { return tag == pmalloc.TagTable && !reach[p] })
-	return int64(len(reach) + chunks), nil
+	chunks, walked := core.PersistedChunks(c.env.Arena)
+	core.FreeOrphans(c.env.Arena, chunks, func(c core.Chunk) bool { return c.Tag == pmalloc.TagTable && !reach[c.P] })
+	return int64(len(reach) + walked), nil
 }
 
 // footprint: directory pages and tuples are both chunks tagged table storage.

@@ -74,10 +74,15 @@ func (o windowOp) apply(e core.Engine, mod model) error {
 }
 
 // windowSchedule is one transaction: its operations, then Commit or Abort.
+// A prior transaction, if there is one, runs to its end — committed, or
+// aborted if priorAbort is set — before the one walked, which starts from
+// its effects.
 type windowSchedule struct {
-	name  string
-	ops   []windowOp
-	abort bool
+	name       string
+	prior      []windowOp
+	priorAbort bool
+	ops        []windowOp
+	abort      bool
 }
 
 // windowSchedules are the one-transaction schedules the walk covers.
@@ -86,6 +91,9 @@ func windowSchedules() []windowSchedule {
 		return windowOp{key: key, cols: []int{col}, row: windowsRow(key, 100)}
 	}
 	insert := windowOp{key: 50, row: windowsRow(50, 0)}
+	wide := func(key uint64) windowOp {
+		return windowOp{key: key, cols: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, row: windowsRow(key, 100)}
+	}
 	return []windowSchedule{
 		{name: "update-string", ops: []windowOp{str(3, 5)}},
 		{name: "update-indexed-int", ops: []windowOp{{key: 4, cols: []int{1}, row: windowsRow(4, 100)}}},
@@ -93,16 +101,32 @@ func windowSchedules() []windowSchedule {
 		{name: "delete", ops: []windowOp{{key: 6, del: true}}},
 		{name: "three-ops", ops: []windowOp{str(2, 11), insert, {key: 7, del: true}}},
 		{name: "abort", ops: []windowOp{str(5, 2), insert}, abort: true},
+		// An update of the indexed int and every string, after the same
+		// update of another key: an undo log's entry spans two lines or more
+		// and streams over the chunk of the committed one's, so a crash
+		// inside its append's fence interval can keep any one line alone
+		// over the old entry's others — a torn entry, which recovery must not
+		// undo.
+		{name: "update-multiline-entry", prior: []windowOp{wide(3)}, ops: []windowOp{wide(4)}},
+		// The same update as the committed transaction before it, of another
+		// key: an undo log's entry streams over the chunk that transaction's
+		// entry was freed to and kept aside still marked persisted
+		// (pmalloc.Arena.FreeStreamed). A crash that loses the new lines
+		// leaves the old entry whole, which recovery must not undo.
+		{name: "over-freed-entry", prior: []windowOp{str(2, 5)}, ops: []windowOp{str(3, 5)}},
+		// The operations an aborted transaction undid, again: recovery must
+		// undo this transaction's entries, and only those.
+		{name: "after-abort", prior: []windowOp{str(5, 2), insert}, priorAbort: true, ops: []windowOp{str(5, 2), insert}},
 	}
 }
 
 var windowsOpts = core.Options{GroupCommitSize: 1}
 
-// windowsEngine builds the table the transaction starts from. Everything the
-// load left in the cache is evicted — legal at any time — so that every
-// un-fenced line at the crash is the transaction's own. drop >= 0 deletes
-// that fence of the transaction.
-func windowsEngine(f Factory, drop int) (*core.Env, core.Engine, model, error) {
+// windowsEngine builds the table the transaction starts from, and runs the
+// schedule's prior transaction. Everything the load left in the cache is
+// evicted — legal at any time — so that every un-fenced line at the crash is
+// the transaction's own. drop >= 0 deletes that fence of the transaction.
+func windowsEngine(f Factory, sc windowSchedule, drop int) (*core.Env, core.Engine, model, error) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 64 << 10})
 	e, err := f.New(env, windowsSchema(), windowsOpts)
 	if err != nil {
@@ -115,6 +139,25 @@ func windowsEngine(f Factory, drop int) (*core.Env, core.Engine, model, error) {
 			return nil, nil, nil, err
 		}
 		m["users"][k] = row
+	}
+	if sc.prior != nil {
+		if err := e.Begin(); err != nil {
+			return nil, nil, nil, err
+		}
+		after := m.clone()
+		for _, o := range sc.prior {
+			if err := o.apply(e, after); err != nil {
+				return nil, nil, nil, fmt.Errorf("prior transaction: %w", err)
+			}
+		}
+		if sc.priorAbort {
+			err = e.Abort()
+		} else {
+			err, m = e.Commit(), after
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("prior transaction: %w", err)
+		}
 	}
 	env.Dev.EvictAll()
 	if drop >= 0 {
@@ -170,8 +213,8 @@ func RunFenceWindows(t *testing.T, f Factory) {
 // RunFenceWindowsCatchesDroppedFence is the walk's self-test: with one fence of
 // the named schedule's transaction deleted (nvm.Device.DropFence) — the
 // fromEnd-th from its last, so 1 is the commit point itself — the walk must
-// report a failure. The engine's test names the fence that orders its undo
-// record's link before the write the record undoes.
+// report a failure. The engine's test names a fence whose loss some crash
+// state exposes.
 func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string, fromEnd int) {
 	for _, sc := range windowSchedules() {
 		if sc.name != schedule {
@@ -197,7 +240,7 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 // transaction has. drop >= 0 deletes that fence of the transaction in every
 // pass.
 func checkFenceWindows(f Factory, sc windowSchedule, drop int) (int, error) {
-	env, e, before, err := windowsEngine(f, drop)
+	env, e, before, err := windowsEngine(f, sc, drop)
 	if err != nil {
 		return 0, err
 	}
@@ -225,7 +268,7 @@ func checkFenceWindows(f Factory, sc windowSchedule, drop int) (int, error) {
 // fenceWindow crashes one pass at fence k of the transaction and recovers every
 // outcome of the un-fenced lines.
 func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after model, inCommit bool) error {
-	env, e, m, err := windowsEngine(f, drop)
+	env, e, m, err := windowsEngine(f, sc, drop)
 	if err != nil {
 		return err
 	}

@@ -17,15 +17,12 @@ import (
 )
 
 const (
-	hdrMagic = 0x4e564d4c4f473134 // "NVMLOG14"
-	// untaggedMagic marks an image whose trees hold bare entry-chunk
-	// pointers, without the kind in the low bits.
-	untaggedMagic = 0x4e564d4c4f473132 // "NVMLOG12"
-	rootSlot      = 0
+	hdrMagic = 0x4e564d4c4f473135 // "NVMLOG15": self-validating undo entries
+	rootSlot = 0
 
 	// Engine header layout. Word 8 is reserved.
 	hMagic   = 0
-	hWalHead = 16
+	hWalHead = 16 // the undo log's epoch
 	hMutable = 24 // current mutable MemTable tree header
 	hRunList = 32 // immutable run list chunk (0 = none)
 	hVlogDir = 40 // reserved, 0: the slot of a value-log segment directory
@@ -42,7 +39,7 @@ const (
 )
 
 // The kind of an entry rides in the pointer to its chunk. pmalloc payloads
-// are 16-byte aligned, so the MemTable, every run and the undo list hold
+// are 16-byte aligned, so the MemTable, every run and the undo log hold
 // ptr|kind: a lookup that ends at a tombstone, an existence check, and a
 // compaction deciding whether it may adopt a chunk all learn the kind from
 // the tree node they already read, without loading the chunk. The allocator
@@ -128,10 +125,9 @@ func newNVM(e *Engine, reopen bool) error {
 	if err != nil {
 		return err
 	}
-	s.hdr, s.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	s.hdr, s.log = hdr, undolog.Format(env.Arena, int64(hdr)+hWalHead, e.Tables)
 	d := env.Dev
 	d.WriteU64(int64(hdr)+hMagic, hdrMagic)
-	d.WriteU64(int64(hdr)+hWalHead, 0)
 	d.WriteU64(int64(hdr)+hRunList, 0)
 	d.WriteU64(int64(hdr)+hVlogDir, 0)
 	d.WriteU64(int64(hdr)+hNTables, uint64(len(e.Tables)))
@@ -184,16 +180,16 @@ func (s *nvmStore) recover() error {
 		return fmt.Errorf("logeng: nvm-log: no engine header")
 	}
 	d := env.Dev
-	switch d.ReadU64(int64(hdr) + hMagic) {
-	case hdrMagic:
-	case untaggedMagic:
-		// A device image is outside input: reading bare pointers as tagged
-		// ones would take every entry for an unknown kind.
-		return core.Corrupt(fmt.Errorf("logeng: nvm-log: image holds untagged entry pointers (NVMLOG12)"))
-	default:
+	if m := d.ReadU64(int64(hdr) + hMagic); m != hdrMagic {
+		// A device image is outside input: one of an earlier format — bare
+		// entry pointers (NVMLOG12), linked undo entries (NVMLOG14) — would
+		// be misread.
+		if m>>16 == hdrMagic>>16 {
+			return core.Corrupt(fmt.Errorf("logeng: nvm-log: image of format %q", binary.BigEndian.AppendUint64(nil, m)))
+		}
 		return fmt.Errorf("logeng: nvm-log: no engine header")
 	}
-	s.hdr, s.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, s.Tables)
+	s.hdr, s.log = hdr, undolog.Open(env.Arena, int64(hdr)+hWalHead, s.Tables)
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(s.Tables) {
 		return fmt.Errorf("logeng: nvm-log: schema mismatch")
 	}
@@ -223,11 +219,14 @@ func (s *nvmStore) recover() error {
 	}); err != nil {
 		return err
 	}
-	// The entry chunks the undone operations made are left to the sweep
-	// below: freeing one here would let the index rewrites further down the
-	// undo take its address, and a crash inside this pass would run the undo
-	// again and free a live node.
-	if _, err := s.log.Recover(func(ent undolog.Entry) error {
+	// One walk over the arena's chunks serves both passes: the log picks the
+	// open epoch's entries from it, and the sweep its orphans. The entry
+	// chunks the undone operations made are left to the sweep: freeing one
+	// here would let the index rewrites further down the undo take its
+	// address, and a crash inside this pass would run the undo again and free
+	// a live node.
+	chunks, walked := core.PersistedChunks(env.Arena)
+	if _, err := s.log.Recover(chunks, func(ent undolog.Entry) error {
 		_, err := s.undoEntry(ent)
 		return err
 	}, false); err != nil {
@@ -237,7 +236,7 @@ func (s *nvmStore) recover() error {
 		return err
 	}
 	s.memCount = s.mem.Count()
-	return s.sweep()
+	return s.sweep(chunks, walked)
 }
 
 func (s *nvmStore) loadRuns() error {
@@ -300,24 +299,27 @@ func (s *nvmStore) reachable() (reach map[pmalloc.Ptr]bool, runKeys [][]uint64) 
 	return reach, runKeys
 }
 
-// sweep reclaims persisted chunks orphaned by crashes: an entry chunk, WAL
-// entry, Bloom filter or run list marked persisted (StreamPersisted) before
-// the crash kept it from being linked, and what rotation, compaction and WAL
-// truncation had unlinked but not yet freed. It then re-verifies each
+// sweep reclaims, of the persisted chunks the recovery walk found, those
+// orphaned by crashes: an entry chunk, Bloom filter or run list marked
+// persisted (StreamPersisted) before the crash kept it from being linked, what
+// rotation and compaction had unlinked but not yet freed, and every WAL entry,
+// which the recovery's epoch has moved past. It then re-verifies each
 // immutable run's Bloom filter against its tree. A chunk reachable from any
 // listed tree survives, which is what lets a compaction's merged run share
 // entry chunks with the runs it replaces.
-func (s *nvmStore) sweep() error {
+func (s *nvmStore) sweep(chunks []core.Chunk, walked int) error {
 	// The marking pass over each run doubles as the key harvest for the
 	// Bloom verification below.
 	reach, runKeys := s.reachable()
-	chunks := core.FreeOrphans(s.Env.Arena, func(p pmalloc.Ptr, _ pmalloc.Tag) bool { return !reach[p] })
+	a := s.Env.Arena
+	// The undo after the walk may have freed a tree node the walk found.
+	core.FreeOrphans(a, chunks, func(c core.Chunk) bool { return !reach[c.P] && a.StateOf(c.P) == pmalloc.StatePersisted })
 	var nkeys int64
 	for i, ks := range runKeys {
 		s.runs[i].keys = len(ks)
 		nkeys += int64(len(ks))
 	}
-	s.Rec = core.RecoveryReport{Records: int64(chunks) + nkeys}
+	s.Rec = core.RecoveryReport{Records: int64(walked) + nkeys}
 	return s.verifyBlooms(runKeys)
 }
 
@@ -429,7 +431,7 @@ func (s *nvmStore) write(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent 
 	var body [bodySize]byte
 	binary.LittleEndian.PutUint64(body[:], oldPtr)
 	binary.LittleEndian.PutUint64(body[8:], newPtr)
-	if err := s.log.Append(s.TxnID, undolog.Entry{Type: typ, Table: tm.ID, Key: key, Fixes: fixes, Body: body[:]}); err != nil {
+	if err := s.log.Append(undolog.Entry{Type: typ, Table: tm.ID, Key: key, Fixes: fixes, Body: body[:]}); err != nil {
 		s.Env.Arena.Free(chunkOf(newPtr))
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"nstore/internal/core"
 	"nstore/internal/engine/enginetest"
 	"nstore/internal/engine/lsm"
+	"nstore/internal/engine/undolog"
 )
 
 func TestRotationAndCompaction(t *testing.T) {
@@ -172,18 +173,15 @@ func TestFenceWindows(t *testing.T) {
 	enginetest.RunFenceWindows(t, nvmFactory())
 }
 
-// TestFenceWindowsCatchDroppedFence: an insert ends entry chunk, record,
-// head, the MemTable's four fences, commit; without the record's fence the
-// head can link a WAL entry that never reached the medium. The insert's WAL
-// entry takes back the chunk the previous commit's entry left
-// (pmalloc.Arena.FreeStreamed), so no allocation fences it first. (On
-// update-string both the entry chunk and the WAL entry are carved from fresh
-// memory, and the allocator fences each before the heap end moves over it, so
-// the walk rightly finds nothing wrong without the record's fence there; nor
-// without the head's, since the MemTable append fences once more before it
-// publishes.)
+// TestFenceWindowsCatchDroppedFence: an update whose WAL entry takes back the
+// chunk the previous commit's entry left (pmalloc.Arena.FreeStreamed) ends
+// record, MemTable leaf entry, MemTable count, commit. Without the leaf's
+// fence the count can publish an entry that never reached the medium. (The
+// record's own fence is not the one removed: the leaf's fence drains the
+// record too before the count publishes anything, so the walk rightly finds
+// every state consistent without it, here and on every other schedule.)
 func TestFenceWindowsCatchDroppedFence(t *testing.T) {
-	enginetest.RunFenceWindowsCatchesDroppedFence(t, nvmFactory(), "insert-ten-strings", 7)
+	enginetest.RunFenceWindowsCatchesDroppedFence(t, nvmFactory(), "over-freed-entry", 3)
 }
 
 // TestUpdateCostFlatInDatabaseSize: the steady-state cost of an update does
@@ -267,41 +265,46 @@ func TestOpenRejectsValueLogDirectory(t *testing.T) {
 // TestUpdateTouchesOnlyItsLines: a cold one-column update of a tuple in an
 // immutable run decides existence from tree nodes and Bloom words, writes its
 // delta and reads no image of the tuple, however many or wide its columns:
-// 12 lines (19 while a leaf lookup read every entry of the leaf). It streams the delta's entry chunk and the WAL entry, chunks on
-// lines of their own, so its four CLWBs are the WAL head twice and the
-// MemTable leaf's entry and count; a read-only transaction writes nothing at
-// all.
+// 12 lines (19 while a leaf lookup read every entry of the leaf). It streams
+// the delta's entry chunk and the WAL entry, chunks on lines of their own, so
+// its three CLWBs are the MemTable leaf's entry and count and the WAL epoch
+// word at the commit (four while the WAL head was written back to link the
+// entry too); a read-only transaction writes nothing at all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), 12, 4, 4, 4)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), 12, 3, 3, 3)
 }
 
-// TestOpenRejectsUntaggedImage: an image written before the kind rode in the
-// entry pointers (NVMLOG12) holds bare pointers; read as tagged ones every
-// entry would have kind 0. Open must refuse it with a typed corrupt error.
+// TestOpenRejectsUntaggedImage: an image of an earlier format is refused by
+// Open with a typed corrupt error: one written before the kind rode in the
+// entry pointers (NVMLOG12) holds bare pointers, which read as tagged ones
+// would give every entry kind 0, and one written before self-validating undo
+// entries (NVMLOG14) holds a pointer where the epoch word is.
 func TestOpenRejectsUntaggedImage(t *testing.T) {
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
-	opts := core.Options{MemTableCap: 8, LSMGrowth: 3}
-	e, err := NewNVM(env, simpleSchema(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 20; i++ {
-		e.Begin()
-		if err := e.Insert("t", uint64(i), row(i)); err != nil {
+	for _, magic := range []uint64{0x4e564d4c4f473132, 0x4e564d4c4f473134} {
+		env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+		opts := core.Options{MemTableCap: 8, LSMGrowth: 3}
+		e, err := NewNVM(env, simpleSchema(), opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Commit(); err != nil {
+		for i := int64(1); i <= 20; i++ {
+			e.Begin()
+			if err := e.Insert("t", uint64(i), row(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env.Dev.WriteU64Durable(int64(e.nvm().hdr)+hMagic, magic)
+		env.Dev.Crash()
+		env2, err := env.Reopen()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	env.Dev.WriteU64Durable(int64(e.nvm().hdr)+hMagic, untaggedMagic)
-	env.Dev.Crash()
-	env2, err := env.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenNVM(env2, simpleSchema(), opts); !core.IsCorrupt(err) {
-		t.Fatalf("Open on an NVMLOG12 image: %v, want a corrupt error", err)
+		if _, err := OpenNVM(env2, simpleSchema(), opts); !core.IsCorrupt(err) {
+			t.Fatalf("Open on a %#x image: %v, want a corrupt error", magic, err)
+		}
 	}
 }
 
@@ -355,10 +358,10 @@ func TestEntryReadsCheckTheImage(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesCorruptUndoEntry: a linked undo entry whose table byte names
-// a table the schemas do not have is refused by Open with a corrupt error.
-// Read unchecked, its undo deleted a MemTable key in table 200's key space and
-// Open succeeded.
+// TestOpenRefusesCorruptUndoEntry: an undo entry of the open epoch that
+// proves itself — its CRC holds — yet names a table the schemas do not have
+// is refused by Open with a corrupt error. Read unchecked, its undo deleted a
+// MemTable key in table 200's key space and Open succeeded.
 func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
 	e, err := NewNVM(env, simpleSchema(), core.Options{})
@@ -369,9 +372,9 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	if err := e.Insert("t", 1, row(1)); err != nil {
 		t.Fatal(err)
 	}
-	table := int64(env.Dev.ReadU64(int64(e.nvm().hdr)+hWalHead)) + 17
-	env.Dev.WriteU8(table, 200)
-	env.Dev.Sync(table, 1)
+	if err := e.nvm().log.Append(undolog.Entry{Type: core.WalInsert, Table: 200, Key: 1, Body: make([]byte, bodySize)}); err != nil {
+		t.Fatal(err)
+	}
 	env.Dev.Crash()
 	env2, err := env.Reopen()
 	if err != nil {

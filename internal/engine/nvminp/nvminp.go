@@ -2,13 +2,13 @@
 // §4.1) — the engine the paper finds best overall. Differences from the
 // traditional InP engine:
 //
-//   - The WAL is a non-volatile linked list of entries that record
+//   - The WAL is a non-volatile log of self-validating entries that record
 //     non-volatile *pointers* to tuples (inserts/deletes) and before-images
 //     of just the updated fields (updates) — no full after-images, since
 //     the referenced data is itself durable on NVM.
 //   - Changes are persisted with the allocator interface's sync primitive
-//     when they happen; commit is a single atomic durable write of the
-//     committed-transaction marker, after which the log is truncated.
+//     when they happen; commit is a single atomic durable write that moves
+//     the log's epoch on, after which its entries are stale and freed.
 //   - Indexes are non-volatile B+trees usable immediately after restart.
 //   - Recovery has no redo phase: it only undoes the transactions that were
 //     in flight at the crash, so its latency is independent of the number
@@ -27,13 +27,13 @@ import (
 )
 
 const (
-	hdrMagic = 0x4e564d494e503132 // "NVMINP12"
+	hdrMagic = 0x4e564d494e503133 // "NVMINP13": self-validating undo entries
 
 	rootSlot = 0
 
 	// Engine header layout. Word 8 is reserved.
 	hMagic   = 0
-	hWalHead = 16
+	hWalHead = 16 // the undo log's epoch
 	hNTables = 24
 	hAnchors = 32
 
@@ -86,10 +86,9 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	e.hdr, e.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	e.hdr, e.log = hdr, undolog.Format(env.Arena, int64(hdr)+hWalHead, e.Tables)
 	d := e.Env.Dev
 	d.WriteU64(int64(hdr)+hMagic, hdrMagic)
-	d.WriteU64(int64(hdr)+hWalHead, 0)
 	d.WriteU64(int64(hdr)+hNTables, uint64(len(schemas)))
 
 	off := int64(hAnchors)
@@ -139,10 +138,16 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	defer stop()
 
 	hdr := env.Arena.Root(rootSlot)
-	if hdr == 0 || env.Dev.ReadU64(int64(hdr)+hMagic) != hdrMagic {
+	if hdr == 0 {
 		return nil, fmt.Errorf("nvminp: no engine header")
 	}
-	e.hdr, e.log = hdr, undolog.New(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	if m := env.Dev.ReadU64(int64(hdr) + hMagic); m != hdrMagic {
+		if m>>16 == hdrMagic>>16 { // "NVMINP" of another format
+			return nil, core.Corrupt(fmt.Errorf("nvminp: image of format %q", binary.BigEndian.AppendUint64(nil, m)))
+		}
+		return nil, fmt.Errorf("nvminp: no engine header")
+	}
+	e.hdr, e.log = hdr, undolog.Open(env.Arena, int64(hdr)+hWalHead, e.Tables)
 	d := e.Env.Dev
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(schemas) {
 		return nil, fmt.Errorf("nvminp: schema mismatch")
@@ -183,35 +188,41 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 	return e, nil
 }
 
-// undoWAL removes the effects of the transactions in flight at the crash
-// (newest entry first — the list head is the most recent append).
+// undoWAL removes the effects of the transaction in flight at the crash,
+// newest entry first.
 func (e *Engine) undoWAL() error {
-	// The truncation waits behind a fence of its own, so that no undone field
+	// One walk over the arena's chunks serves both passes: the log picks the
+	// open epoch's entries from it, and the sweep below its orphans. Recovery
+	// frees no log or table chunk in between, so each is still what the walk
+	// found.
+	chunks, walked := core.PersistedChunks(e.Env.Arena)
+	// The epoch moves on behind a fence of its own, so that no undone field
 	// can be lost with the entry that would redo the undo.
-	undone, err := e.log.Recover(func(ent undolog.Entry) error { return e.undoEntry(ent, true) }, true)
+	undone, err := e.log.Recover(chunks, func(ent undolog.Entry) error { return e.undoEntry(ent, true) }, true)
 	if err != nil {
 		return err
 	}
 	// Sweep the chunks no one names any more: every persisted WAL chunk (the
-	// log is empty now), and every persisted table chunk no heap reaches — a
-	// var-slot streamed with its mark for a tuple or a field that the crash
-	// or the undo above took back, or one an update superseded or a delete
-	// released whose free at commit never reached the medium. This is the
-	// one place recovery frees a var-slot: nothing was freed while an entry
-	// that names it could still be replayed.
+	// epoch has moved past them all), and every persisted table chunk no heap
+	// reaches — a var-slot streamed with its mark for a tuple or a field that
+	// the crash or the undo above took back, or one an update superseded or a
+	// delete released whose free at commit never reached the medium. This is
+	// the one place recovery frees a var-slot: nothing was freed while an
+	// entry that names it could still be replayed.
 	reach := make(map[pmalloc.Ptr]bool)
 	for _, h := range e.heaps {
 		h.Reach(func(p pmalloc.Ptr) { reach[p] = true })
 	}
-	chunks := core.FreeOrphans(e.Env.Arena, func(p pmalloc.Ptr, tag pmalloc.Tag) bool {
-		return tag == pmalloc.TagLog || tag == pmalloc.TagTable && !reach[p]
+	core.FreeOrphans(e.Env.Arena, chunks, func(c core.Chunk) bool {
+		return c.Tag == pmalloc.TagLog || c.Tag == pmalloc.TagTable && !reach[c.P]
 	})
-	e.Rec = core.RecoveryReport{Records: int64(undone + chunks)}
+	e.Rec = core.RecoveryReport{Records: int64(undone + walked)}
 	return nil
 }
 
 // undoEntry reverses one undo entry's operation. What it writes to the heap is
-// written back but not fenced: the caller fences before it unlinks the entry.
+// written back but not fenced: the caller fences before the epoch moves past
+// the entry.
 //
 // In recovery every step is absolute and idempotent, so a crash inside an
 // interrupted undo re-converges: fields are restored, index entries put or
@@ -304,7 +315,7 @@ func (e *Engine) logOp(typ uint8, tm *core.TableMeta, key, slot uint64, befCols 
 		b = le.AppendUint64(append(b, uint8(ci)), befVals[i])
 	}
 	e.body = b
-	if err := e.log.Append(e.TxnID, undolog.Entry{Type: typ, Table: tm.ID, Key: key, Fixes: fixes, Body: b}); err != nil {
+	if err := e.log.Append(undolog.Entry{Type: typ, Table: tm.ID, Key: key, Fixes: fixes, Body: b}); err != nil {
 		return err
 	}
 	e.ops = append(e.ops, txnOp{typ: typ, table: tm.ID, slot: slot})
@@ -323,9 +334,10 @@ func (e *Engine) Begin() error {
 	return nil
 }
 
-// Commit truncates the WAL with one atomic durable write — since the WAL is
-// undo-only and every change was persisted as it happened, an empty WAL *is*
-// the committed state — then reclaims space owed by deletes and updates
+// Commit truncates the WAL with one atomic durable write of its next epoch —
+// since the WAL is undo-only and every change was persisted as it happened, a
+// WAL with no entry of the open epoch *is* the committed state — then
+// reclaims space owed by deletes and updates
 // (Table 2: "Reclaim space at the end of transaction"). A transaction that
 // logged nothing left the WAL empty and writes nothing.
 func (e *Engine) Commit() error {
@@ -373,9 +385,9 @@ func (e *Engine) Abort() error {
 	return e.EndTx()
 }
 
-// Insert adds a tuple (Table 2) in three fence intervals: the var-slots,
-// streamed with their marks, and the WAL entry that names the slot; the WAL
-// head; then the slot itself, state, key and fields. The index entries follow.
+// Insert adds a tuple (Table 2) in two fence intervals: the var-slots,
+// streamed with their marks, and the WAL entry that names the slot; then the
+// slot itself, state, key and fields. The index entries follow.
 func (e *Engine) Insert(table string, key uint64, row []core.Value) error {
 	tm, err := e.InsertTable(table, key)
 	if err != nil {

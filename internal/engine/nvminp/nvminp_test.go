@@ -9,6 +9,7 @@ import (
 
 	"nstore/internal/core"
 	"nstore/internal/engine/enginetest"
+	"nstore/internal/engine/undolog"
 	"nstore/internal/nvbtree"
 	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
@@ -228,11 +229,13 @@ func TestFenceWindows(t *testing.T) {
 	enginetest.RunFenceWindows(t, confFactory())
 }
 
-// TestFenceWindowsCatchDroppedFence: an update ends record, head, in-place
-// write, commit; without the head's fence the field can outlive the link to
-// the record that would restore it.
+// TestFenceWindowsCatchDroppedFence: an update whose entry takes back the
+// chunk the previous commit's entry left (pmalloc.Arena.FreeStreamed) ends
+// record, in-place write, commit — three fences, no allocation's among them.
+// Without the record's fence the field can outlive the record that would
+// restore it.
 func TestFenceWindowsCatchDroppedFence(t *testing.T) {
-	enginetest.RunFenceWindowsCatchesDroppedFence(t, confFactory(), "update-string", 3)
+	enginetest.RunFenceWindowsCatchesDroppedFence(t, confFactory(), "over-freed-entry", 3)
 }
 
 func TestRecoveryConformance(t *testing.T) {
@@ -300,10 +303,12 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 1.3 / 7.0 / 3.0 / 4.00 — one fence each for the
-// WAL entry, the WAL head, the tuple and the commit, and the WAL entry and
-// new var-slot streamed on lines of their own, the var-slot over the one the
-// previous update superseded. (It loaded 2.3 while the index lookup read the
+// stores / flushes / fences 1.3 / 6.0 / 2.0 / 3.00 — one fence each for the
+// WAL entry, the tuple and the commit, and the WAL entry and new var-slot
+// streamed on lines of their own, the var-slot over the one the previous
+// update superseded. (It was 1.3 / 7.0 / 3.0 / 4.00 while each entry was
+// linked through the WAL head with a durable write of its own; it loaded 2.3
+// while the index lookup read the
 // leaf's every entry and the commit read the superseded var-slot's header to
 // free it; it was 3.9 / 7.7 / 7.0 / 4.00 while a chunk shared its first and
 // last lines with its neighbours, so its header line was filled and both were
@@ -312,7 +317,7 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 // persisted behind a fence of its own; it loaded 29.7 lines while Update read
 // the whole row to change one column.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 1.4, Stores: 7.8, Flushes: 3.4, Fences: 4.4})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 1.4, Stores: 6.6, Flushes: 2.2, Fences: 3.3})
 }
 
 // TestUpdateTouchesOnlyItsLines: a cold one-column update loads the index
@@ -322,10 +327,11 @@ func TestDeviceBudget(t *testing.T) {
 // writes; the var-slot it supersedes is kept aside for the next update,
 // unread. It streams its WAL entry and new var-slot, chunks on lines of their
 // own, and writes back the lines it dirtied through the cache, each once: the
-// WAL head's for the link and again for the commit, and the field's — three.
-// A read-only transaction writes nothing at all.
+// field's, and the WAL epoch word's for the commit — two (three while the
+// WAL head was written back to link the entry too). A read-only transaction
+// writes nothing at all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 12, 3, 3, 3)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 12, 2, 2, 2)
 }
 
 // TestArenaExhaustion: a full arena is a typed error at the operation, not a
@@ -623,9 +629,10 @@ func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesCorruptUndoEntry: a linked undo entry whose table byte names
-// a table the schemas do not have is refused by Open with a corrupt error. It
-// panicked with an index out of range when the entry was read unchecked.
+// TestOpenRefusesCorruptUndoEntry: an undo entry of the open epoch that
+// proves itself — its CRC holds — yet names a table the schemas do not have
+// is refused by Open with a corrupt error. It panicked with an index out of
+// range when the entry was read unchecked.
 func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
 	e, err := New(env, simpleSchema(), core.Options{})
@@ -636,9 +643,9 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	if err := e.Insert("t", 1, []core.Value{core.IntVal(1), core.IntVal(0), core.StrVal("x")}); err != nil {
 		t.Fatal(err)
 	}
-	table := int64(env.Dev.ReadU64(int64(e.hdr)+hWalHead)) + 17
-	env.Dev.WriteU8(table, 200)
-	env.Dev.Sync(table, 1)
+	if err := e.log.Append(undolog.Entry{Type: core.WalInsert, Table: 200, Key: 1, Body: make([]byte, 8)}); err != nil {
+		t.Fatal(err)
+	}
 	env.Dev.Crash()
 	env2, err := env.Reopen()
 	if err != nil {
@@ -646,5 +653,25 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	}
 	if _, err := Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
 		t.Fatalf("Open over an undo entry of table 200: %v, want a corrupt error", err)
+	}
+}
+
+// TestOpenRejectsEarlierFormat: an image of the format before self-validating
+// undo entries (NVMINP12) links its entries from the epoch word. Open refuses
+// it with a corrupt error rather than take a pointer for an epoch.
+func TestOpenRejectsEarlierFormat(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
+	e, err := New(env, simpleSchema(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Dev.WriteU64Durable(int64(e.hdr)+hMagic, 0x4e564d494e503132) // "NVMINP12"
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
+		t.Fatalf("Open on an NVMINP12 image: %v, want a corrupt error", err)
 	}
 }

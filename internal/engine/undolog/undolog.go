@@ -1,19 +1,23 @@
 // Package undolog is the write-ahead log NVM-InP (§4.1) and NVM-Log (§4.3)
-// share: an undo-only, non-volatile linked list of entries in the allocator's
-// arena, newest first, whose head word lives in the engine's header. Each
-// operation's changes are durable before the transaction ends, so an empty
-// log is the committed state and the head's reset is the commit point; what a
-// crash leaves linked is undone at recovery.
+// share: an undo-only log of self-validating entries, one allocator chunk
+// each, and an epoch word in the engine's header that names the open
+// transaction's entries. Each operation's changes are durable before the
+// transaction ends, so moving the epoch on is the commit point; the entries a
+// crash leaves under the open epoch are undone at recovery.
 //
 // The log owns the entry's framing, the secondary-index repair list, the
-// two-fence append, the walks, truncation and the entries' frees. The engine
-// owns the body it appends and what undoing an entry means. DESIGN.md
-// "The undo log" states the format and the protocol.
+// one-fence append, the choice of the entries recovery undoes, truncation and
+// the entries' frees. The engine owns the body it appends, what undoing an
+// entry means, and the one walk over the arena's chunks that hands recovery
+// the log's. DESIGN.md "The undo log" states the format and the protocol.
 package undolog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"sort"
 
 	"nstore/internal/core"
 	"nstore/internal/nvbtree"
@@ -23,8 +27,9 @@ import (
 
 // Entry layout (a TagLog chunk):
 //
-//	 0 next  u64  the entry appended before it (0: none)
-//	 8 txn   u64
+//	 0 epoch u64  the log's epoch when the entry was appended
+//	 8 seq   u32  the entry's place in its epoch, from 0
+//	12 crc   u32  CRC-32C of the frame, this word zero
 //	16 type  u8   core.WalInsert / WalUpdate / WalDelete
 //	17 table u8
 //	18 fixes u8   repair-list records
@@ -33,11 +38,14 @@ import (
 //	32 the repair list: fixes x (index u8, op u8, composite u64)
 //	   then the engine's body
 //
-// Undo replays the repair list with absolute, idempotent operations (op 1 =
-// was added, undo deletes; op 2 = was removed, undo re-adds), so a crash
-// anywhere inside an interrupted undo re-converges.
+// The frame is the entry's first 32 + 10 x fixes + body bytes. Undo replays
+// the repair list with absolute, idempotent operations (op 1 = was added,
+// undo deletes; op 2 = was removed, undo re-adds), so a crash anywhere inside
+// an interrupted undo re-converges.
 const (
-	oNext  = 0
+	oEpoch = 0
+	oSeq   = 8
+	oCRC   = 12
 	oType  = 16
 	oTable = 17
 	oFixes = 18
@@ -50,7 +58,12 @@ const (
 	opAdded, opRemoved = 1, 2
 )
 
-var le = binary.LittleEndian
+var (
+	le         = binary.LittleEndian
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	// errStale refuses an image that is not an entry of the epoch asked for.
+	errStale = errors.New("undolog: not an entry of the open epoch")
+)
 
 // Entry is one logged operation.
 type Entry struct {
@@ -65,7 +78,9 @@ type Entry struct {
 type Log struct {
 	arena  *pmalloc.Arena
 	dev    *nvm.Device
-	head   int64 // device offset of the head word
+	head   int64  // device offset of the epoch word
+	epoch  uint64 // the open epoch, what the word holds
+	seq    uint32 // the next entry's place in the epoch
 	tables []*core.TableMeta
 	rec    []byte // scratch: the entry being built or read
 	// ents are this transaction's entries, oldest first, with their lengths,
@@ -78,23 +93,32 @@ type appended struct {
 	n int
 }
 
-// New returns the log whose head word is at device offset head, for entries
-// of the given tables.
-func New(arena *pmalloc.Arena, head int64, tables []*core.TableMeta) *Log {
-	return &Log{arena: arena, dev: arena.Device(), head: head, tables: tables}
+// Format writes a new log's first epoch into its word at device offset head,
+// for the caller's sync of its header to make durable, and returns the log,
+// for entries of the given tables.
+func Format(arena *pmalloc.Arena, head int64, tables []*core.TableMeta) *Log {
+	l := &Log{arena: arena, dev: arena.Device(), head: head, epoch: 1, tables: tables}
+	l.dev.WriteU64(head, l.epoch)
+	return l
 }
 
-// Append logs an operation: the entry is streamed into a fresh chunk with its
-// persisted mark, fenced, and linked with an atomic durable head update — two
-// fences, after which undo owns what the entry names. The first fence also
-// covers whatever the caller streamed or wrote back before the call. An entry
-// a crash leaves marked but unlinked is a persisted log chunk nothing reaches,
-// for the engine's sweep. Log-arena exhaustion is reachable from normal
-// traffic: it is an error, nothing was written, and the transaction can be
-// aborted cleanly.
-func (l *Log) Append(txn uint64, ent Entry) error {
-	rec := le.AppendUint64(l.rec[:0], l.dev.ReadU64(l.head))
-	rec = le.AppendUint64(rec, txn)
+// Open returns the log whose epoch word is at device offset head. Recover
+// runs before its first append.
+func Open(arena *pmalloc.Arena, head int64, tables []*core.TableMeta) *Log {
+	return &Log{arena: arena, dev: arena.Device(), head: head, epoch: arena.Device().ReadU64(head), tables: tables}
+}
+
+// Append logs an operation: the entry, which carries the open epoch, its
+// place in it and a CRC of its frame, is streamed into a fresh chunk with its
+// persisted mark and fenced — one fence, after which undo owns what the entry
+// names. No pointer links it: recovery finds it among the arena's chunks, and
+// the CRC tells a whole entry from one a crash tore inside its fence interval.
+// The fence also covers whatever the caller streamed or wrote back before the
+// call. Log-arena exhaustion is reachable from normal traffic: it is an
+// error, nothing was written, and the transaction can be aborted cleanly.
+func (l *Log) Append(ent Entry) error {
+	rec := le.AppendUint64(l.rec[:0], l.epoch)
+	rec = le.AppendUint64(rec, uint64(l.seq)) // the CRC word is zero
 	rec = append(rec, ent.Type, uint8(ent.Table), uint8(len(ent.Fixes)), 0)
 	rec = append(le.AppendUint16(rec, uint16(len(ent.Body))), 0, 0)
 	rec = le.AppendUint64(rec, ent.Key)
@@ -106,19 +130,21 @@ func (l *Log) Append(txn uint64, ent Entry) error {
 		rec = le.AppendUint64(append(rec, uint8(f.Idx), op), f.Composite())
 	}
 	rec = append(rec, ent.Body...)
+	le.PutUint32(rec[oCRC:], frameCRC(rec))
 	l.rec = rec
 	p, err := l.arena.StreamPersisted(pmalloc.TagLog, rec)
 	if err != nil {
 		return err
 	}
 	l.dev.Fence()
-	l.dev.WriteU64Durable(l.head, p)
+	l.seq++
 	l.ents = append(l.ents, appended{p, len(rec)})
 	return nil
 }
 
 // Undo walks this transaction's entries newest first, for an abort. A failed
-// walk leaves the entries to recovery: the transaction forgets them.
+// walk leaves the entries to recovery: the transaction forgets them, and the
+// epoch stays open.
 func (l *Log) Undo(undo func(i int, ent Entry) error) error {
 	for i := len(l.ents) - 1; i >= 0; i-- {
 		ent, err := l.read(l.ents[i].p, l.ents[i].n)
@@ -133,47 +159,63 @@ func (l *Log) Undo(undo func(i int, ent Entry) error) error {
 	return nil
 }
 
-// Recover undoes the durable list newest first — every entry still linked
-// belongs to a transaction that had not committed — and empties the log as
-// Truncate does, fencing first if the undo left written-back lines the
-// truncation must follow. It returns the number of entries undone.
-func (l *Log) Recover(undo func(ent Entry) error, fence bool) (int, error) {
-	var found []pmalloc.Ptr
-	seen := make(map[pmalloc.Ptr]bool)
-	for p := l.dev.ReadU64(l.head); p != 0; p = l.dev.ReadU64(int64(p) + oNext) {
-		if !l.arena.Holds(p, headerSize) || seen[p] {
-			return 0, core.Corrupt(fmt.Errorf("undolog: entry %d lies outside the arena or closes a cycle", p))
+// Recover undoes the open epoch's entries newest first — each belongs to the
+// transaction in flight at the crash — and then moves the epoch on as
+// Truncate does, fencing first if the undo left written-back lines that must
+// be durable before it. The entries are the persisted log chunks among
+// chunks, the engine's one walk over the arena, that carry the open epoch and
+// a frame whose CRC holds. An entry a crash tore inside its append's fence
+// interval fails its CRC, and guards no write: the operation writes in place
+// only after that fence. A chunk of an earlier epoch — an entry a committed or
+// aborted transaction freed, or one a crash left behind — is not undone.
+// Recover frees nothing: every log chunk is the engine's sweep's once the
+// epoch has moved past it. It returns the number of entries undone.
+func (l *Log) Recover(chunks []core.Chunk, undo func(ent Entry) error, fence bool) (int, error) {
+	type open struct {
+		seq uint32
+		ent Entry
+	}
+	var found []open
+	var epoch [8]byte
+	for _, c := range chunks {
+		if c.Tag != pmalloc.TagLog || c.Size < headerSize {
+			continue
 		}
-		seen[p] = true
-		ent, err := l.read(p, l.arena.SizeOf(p))
+		if l.dev.Read(int64(c.P)+oEpoch, epoch[:]); le.Uint64(epoch[:]) != l.epoch {
+			continue
+		}
+		b := make([]byte, c.Size)
+		l.dev.Read(int64(c.P), b)
+		ent, err := Decode(b, l.epoch, l.tables)
+		if err == errStale {
+			continue
+		}
 		if err != nil {
 			return 0, err
 		}
-		found = append(found, p)
-		if err := undo(ent); err != nil {
+		found = append(found, open{le.Uint32(b[oSeq:]), ent})
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].seq > found[j].seq })
+	for _, o := range found {
+		if err := undo(o.ent); err != nil {
 			return 0, err
 		}
 	}
 	if fence {
 		l.dev.Fence()
 	}
-	l.dev.WriteU64Durable(l.head, 0)
-	for _, p := range found {
-		if l.arena.StateOf(p) != pmalloc.StateFree {
-			l.arena.Free(p)
-		}
-	}
+	l.advance()
 	return len(found), nil
 }
 
-// Truncate empties the log with one durable write of the head word. That
-// write is the commit point, so the caller fences first whatever must be
-// durable before it. The entries are freed after it, oldest first, free(i)
-// running ahead of entry i's. A transaction that appended nothing writes
-// nothing.
+// Truncate empties the log with one durable write, of the next epoch into its
+// word. That write is the commit point, so the caller fences first whatever
+// must be durable before it. The entries are freed after it, oldest first,
+// free(i) running ahead of entry i's. A transaction that appended nothing
+// writes nothing.
 func (l *Log) Truncate(free func(i int)) {
 	if len(l.ents) > 0 {
-		l.dev.WriteU64Durable(l.head, 0)
+		l.advance()
 	}
 	for i, a := range l.ents {
 		if free != nil {
@@ -184,33 +226,51 @@ func (l *Log) Truncate(free func(i int)) {
 	l.ents = l.ents[:0]
 }
 
-// read loads the entry at p, which holds at most n bytes, from its type byte
-// on — an undo never needs the link words — and decodes it.
+// advance closes the open epoch: every entry appended under it is stale from
+// the durable write on.
+func (l *Log) advance() {
+	l.epoch++
+	l.seq = 0
+	l.dev.WriteU64Durable(l.head, l.epoch)
+}
+
+// read loads this transaction's entry at p, n bytes, and decodes it. It
+// carries the open epoch and its CRC holds, or the image is corrupt.
 func (l *Log) read(p pmalloc.Ptr, n int) (Entry, error) {
-	if n < headerSize || !l.arena.Holds(p, n) {
-		return Entry{}, core.Corrupt(fmt.Errorf("undolog: entry %d of %d bytes", p, n))
-	}
 	if cap(l.rec) < n {
 		l.rec = make([]byte, n)
 	}
 	rec := l.rec[:n]
-	l.dev.Read(int64(p)+oType, rec[oType:headerSize])
-	if end := headerSize + fixSize*int(rec[oFixes]) + int(le.Uint16(rec[oBody:])); end <= n {
-		l.dev.Read(int64(p)+headerSize, rec[headerSize:end])
+	l.dev.Read(int64(p), rec)
+	ent, err := Decode(rec, l.epoch, l.tables)
+	if err == errStale {
+		err = core.Corrupt(fmt.Errorf("undolog: entry %d of the open transaction fails its check", p))
 	}
-	return Decode(rec, l.tables)
+	return ent, err
 }
 
-// Decode parses the entry image b; its link words are not read. It refuses,
-// with a corrupt error, an unknown type, a table the schemas do not have, a
-// repair record of an index its table does not have or of an unknown op, and
-// records that do not end inside b. The body is a slice of b.
-func Decode(b []byte, tables []*core.TableMeta) (Entry, error) {
+// Decode parses the entry image b as an entry of epoch. An image that does
+// not prove itself one — of another epoch, too short for the frame its header
+// states, or whose CRC fails — is refused with errStale, and is no entry at
+// all: a torn append, or a chunk a crash left behind. An entry that proves
+// itself is refused, with a corrupt error, if it names an unknown type, a
+// table the schemas do not have, or a repair record of an index its table
+// does not have or of an unknown op: no crash writes one. The body is a slice
+// of b.
+func Decode(b []byte, epoch uint64, tables []*core.TableMeta) (Entry, error) {
+	if len(b) < headerSize || le.Uint64(b[oEpoch:]) != epoch {
+		return Entry{}, errStale
+	}
+	nfix, nbody := int(b[oFixes]), int(le.Uint16(b[oBody:]))
+	end := headerSize + fixSize*nfix + nbody
+	if end > len(b) {
+		return Entry{}, errStale
+	}
+	if frameCRC(b[:end]) != le.Uint32(b[oCRC:]) {
+		return Entry{}, errStale
+	}
 	bad := func(format string, a ...any) (Entry, error) {
 		return Entry{}, core.Corrupt(fmt.Errorf("undolog: "+format, a...))
-	}
-	if len(b) < headerSize {
-		return bad("entry of %d bytes", len(b))
 	}
 	ent := Entry{Type: b[oType], Table: int(b[oTable]), Key: le.Uint64(b[oKey:])}
 	if ent.Type < core.WalInsert || ent.Type > core.WalDelete {
@@ -218,11 +278,6 @@ func Decode(b []byte, tables []*core.TableMeta) (Entry, error) {
 	}
 	if ent.Table >= len(tables) {
 		return bad("table %d of %d", ent.Table, len(tables))
-	}
-	nfix, nbody := int(b[oFixes]), int(le.Uint16(b[oBody:]))
-	end := headerSize + fixSize*nfix + nbody
-	if end > len(b) {
-		return bad("%d repair records and a %d-byte body overrun a %d-byte entry", nfix, nbody, len(b))
 	}
 	secs := len(tables[ent.Table].Schema.Secondary)
 	for r := b[headerSize : headerSize+fixSize*nfix]; len(r) > 0; r = r[fixSize:] {
@@ -234,6 +289,12 @@ func Decode(b []byte, tables []*core.TableMeta) (Entry, error) {
 	}
 	ent.Body = b[end-nbody : end]
 	return ent, nil
+}
+
+// frameCRC is the CRC-32C of the frame b, its CRC word read as zero.
+func frameCRC(b []byte) uint32 {
+	var zero [4]byte
+	return crc32.Update(crc32.Update(crc32.Checksum(b[:oCRC], castagnoli), castagnoli, zero[:]), castagnoli, b[oType:])
 }
 
 // Fix carries out fixes on a table's secondary-index trees, each reversed if

@@ -3,6 +3,7 @@ package undolog
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -24,57 +25,101 @@ func testTables() []*core.TableMeta {
 	return b.Tables
 }
 
-// image builds an entry image as Append lays it out, link words zero.
+// testEpoch is the epoch the fuzzed images are decoded against.
+const testEpoch = 7
+
+// image builds an entry image of testEpoch as Append lays it out, sealed.
 func image(typ, table uint8, key uint64, fixes [][2]uint8, body []byte) []byte {
 	b := make([]byte, headerSize)
+	binary.LittleEndian.PutUint64(b[oEpoch:], testEpoch)
+	binary.LittleEndian.PutUint32(b[oSeq:], 3)
 	b[oType], b[oTable], b[oFixes] = typ, table, uint8(len(fixes))
 	binary.LittleEndian.PutUint16(b[oBody:], uint16(len(body)))
 	binary.LittleEndian.PutUint64(b[oKey:], key)
 	for i, f := range fixes {
 		b = binary.LittleEndian.AppendUint64(append(b, f[0], f[1]), uint64(i+7)<<32|uint64(i+1))
 	}
-	return append(b, body...)
+	return seal(append(b, body...))
 }
 
-// refused states Decode's checks on their own: an image shorter than the
-// header, an unknown type, a table out of range, records that overrun the
-// image, or a repair record of an index the table lacks or of an unknown op.
-func refused(b []byte, tables []*core.TableMeta) bool {
-	if len(b) < headerSize || b[oType] < core.WalInsert || b[oType] > core.WalDelete || int(b[oTable]) >= len(tables) {
-		return true
+// frameEnd returns the end of the frame b's header states, and whether b
+// holds it.
+func frameEnd(b []byte) (int, bool) {
+	if len(b) < headerSize {
+		return 0, false
 	}
-	n := int(b[oFixes])
-	if headerSize+fixSize*n+int(binary.LittleEndian.Uint16(b[oBody:])) > len(b) {
-		return true
+	end := headerSize + fixSize*int(b[oFixes]) + int(binary.LittleEndian.Uint16(b[oBody:]))
+	return end, end <= len(b)
+}
+
+// seal writes into b the CRC-32C of its frame, computed over a copy whose CRC
+// word is zero, if b holds the frame.
+func seal(b []byte) []byte {
+	if end, ok := frameEnd(b); ok {
+		c := append([]byte(nil), b[:end]...)
+		binary.LittleEndian.PutUint32(c[oCRC:], 0)
+		binary.LittleEndian.PutUint32(b[oCRC:], crc32.Checksum(c, crc32.MakeTable(crc32.Castagnoli)))
 	}
-	for i := 0; i < n; i++ {
+	return b
+}
+
+// refused states Decode's checks on their own. An image is stale — no entry
+// of testEpoch — if it is shorter than the header, of another epoch, shorter
+// than its frame, or its CRC fails; it is corrupt if it proves itself but has
+// an unknown type, a table out of range, or a repair record of an index the
+// table lacks or of an unknown op.
+func refused(b []byte, tables []*core.TableMeta) (stale, corrupt bool) {
+	if _, ok := frameEnd(b); !ok || binary.LittleEndian.Uint64(b[oEpoch:]) != testEpoch {
+		return true, false
+	}
+	if sealed := seal(append([]byte(nil), b...)); !bytes.Equal(sealed[oCRC:oCRC+4], b[oCRC:oCRC+4]) {
+		return true, false
+	}
+	if b[oType] < core.WalInsert || b[oType] > core.WalDelete || int(b[oTable]) >= len(tables) {
+		return false, true
+	}
+	for i := 0; i < int(b[oFixes]); i++ {
 		r := b[headerSize+fixSize*i:]
 		if int(r[0]) >= len(tables[b[oTable]].Schema.Secondary) || r[1] != opAdded && r[1] != opRemoved {
-			return true
+			return false, true
 		}
 	}
-	return false
+	return false, false
 }
 
-// FuzzUndoEntry: no entry image panics Decode, an image is refused — with a
-// corrupt error — exactly when refused says so, and an accepted one decodes
-// to the fields and the body it holds.
+// FuzzUndoEntry: no entry image panics Decode; an image is refused as stale,
+// refused with a corrupt error, or decoded, exactly as refused says; and an
+// accepted one decodes to the fields and the body it holds. With seal set the
+// image's CRC is made to hold first, so that the checks behind it are reached.
 func FuzzUndoEntry(f *testing.F) {
 	tables := testTables()
-	f.Add(image(core.WalInsert, 1, 5, nil, make([]byte, 8)))
-	f.Add(image(core.WalUpdate, 0, 9, [][2]uint8{{0, opRemoved}, {1, opAdded}}, make([]byte, 17)))
-	f.Add(image(core.WalDelete, 0, 3, [][2]uint8{{2, opAdded}}, nil))
-	f.Add(image(core.WalInsert, 200, 5, nil, nil))
-	f.Add(image(core.WalUpdate, 1, 5, [][2]uint8{{0, opAdded}}, nil))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		ent, err := Decode(b, tables)
-		if want := refused(b, tables); want != (err != nil) {
-			t.Fatalf("refused %v, Decode: %v", want, err)
+	f.Add(image(core.WalInsert, 1, 5, nil, make([]byte, 8)), false)
+	f.Add(image(core.WalUpdate, 0, 9, [][2]uint8{{0, opRemoved}, {1, opAdded}}, make([]byte, 17)), false)
+	f.Add(image(core.WalDelete, 0, 3, [][2]uint8{{2, opAdded}}, nil), false)
+	f.Add(image(core.WalInsert, 200, 5, nil, nil), false)
+	f.Add(image(core.WalUpdate, 1, 5, [][2]uint8{{0, opAdded}}, nil), false)
+	badCRC := image(core.WalUpdate, 0, 9, [][2]uint8{{0, opRemoved}}, make([]byte, 17))
+	badCRC[len(badCRC)-1] ^= 1
+	f.Add(badCRC, false)
+	otherEpoch := image(core.WalInsert, 1, 5, nil, make([]byte, 8))
+	binary.LittleEndian.PutUint64(otherEpoch[oEpoch:], testEpoch-1)
+	f.Add(seal(otherEpoch), false)
+	pastChunk := image(core.WalUpdate, 1, 5, nil, make([]byte, 16))
+	f.Add(pastChunk[:len(pastChunk)-1], true)
+	f.Fuzz(func(t *testing.T, b []byte, sealIt bool) {
+		if sealIt {
+			seal(b)
+		}
+		ent, err := Decode(b, testEpoch, tables)
+		switch stale, corrupt := refused(b, tables); {
+		case stale && err != errStale:
+			t.Fatalf("a stale image: Decode %v, want errStale", err)
+		case corrupt && !core.IsCorrupt(err):
+			t.Fatalf("a corrupt entry: Decode %v, want a corrupt error", err)
+		case !stale && !corrupt && err != nil:
+			t.Fatalf("a valid entry: Decode %v", err)
 		}
 		if err != nil {
-			if !core.IsCorrupt(err) {
-				t.Fatalf("refusal %v is not a corrupt error", err)
-			}
 			return
 		}
 		if ent.Type != b[oType] || ent.Table != int(b[oTable]) || ent.Key != binary.LittleEndian.Uint64(b[oKey:]) || len(ent.Fixes) != int(b[oFixes]) {
@@ -93,28 +138,58 @@ func FuzzUndoEntry(f *testing.F) {
 	})
 }
 
-// TestAppendUndoRecover: the entries a transaction appends are walked back
-// newest first as they were appended, by Undo and, after a crash, by Recover,
-// which empties the log and frees every entry.
-func TestAppendUndoRecover(t *testing.T) {
+// newLog formats a log whose epoch word is a chunk of its own.
+func newLog(t *testing.T) (*core.Env, *Log) {
+	t.Helper()
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 8 << 20})
 	hdr, err := env.Arena.Alloc(8, pmalloc.TagOther)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := int64(hdr)
-	env.Dev.WriteU64(head, 0)
-	env.Dev.Sync(head, 8)
+	l := Format(env.Arena, int64(hdr), testTables())
+	env.Dev.Sync(int64(hdr), 8)
 	env.Arena.SetPersisted(hdr)
-	tables := testTables()
+	return env, l
+}
+
+// crash crashes env's device and reopens its arena.
+func crash(t *testing.T, env *core.Env) *core.Env {
+	t.Helper()
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env2
+}
+
+// recoverLog opens the log at head and recovers it, collecting the entries
+// undone in order, and then frees every log chunk as an engine's sweep does.
+func recoverLog(env *core.Env, head int64) (*Log, []Entry, error) {
+	l := Open(env.Arena, head, testTables())
+	chunks, _ := core.PersistedChunks(env.Arena)
+	var got []Entry
+	_, err := l.Recover(chunks, func(ent Entry) error {
+		ent.Body = append([]byte{}, ent.Body...)
+		got = append(got, ent)
+		return nil
+	}, false)
+	core.FreeOrphans(env.Arena, chunks, func(c core.Chunk) bool { return c.Tag == pmalloc.TagLog })
+	return l, got, err
+}
+
+// TestAppendUndoRecover: the entries a transaction appends are walked back
+// newest first as they were appended, by Undo and, after a crash, by Recover,
+// which moves the epoch on.
+func TestAppendUndoRecover(t *testing.T) {
+	env, l := newLog(t)
 	ents := []Entry{
 		{Type: core.WalInsert, Table: 1, Key: 4, Body: []byte{1, 2, 3}},
 		{Type: core.WalUpdate, Table: 0, Key: 9, Fixes: []core.SecFix{{Idx: 1, Sec: 3, PK: 9}, {Idx: 1, Add: true, Sec: 4, PK: 9}}, Body: []byte{5}},
 		{Type: core.WalDelete, Table: 0, Key: 2, Fixes: []core.SecFix{{Idx: 0, Sec: 8, PK: 2}}, Body: []byte{}},
 	}
-	l := New(env.Arena, head, tables)
 	for _, ent := range ents {
-		if err := l.Append(77, ent); err != nil {
+		if err := l.Append(ent); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,49 +214,60 @@ func TestAppendUndoRecover(t *testing.T) {
 	}
 	walk(got)
 
-	env.Dev.Crash()
-	env2, err := env.Reopen()
+	env2 := crash(t, env)
+	l2, got, err := recoverLog(env2, l.head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l = New(env2.Arena, head, tables)
-	got = got[:0]
-	n, err := l.Recover(func(ent Entry) error {
-		ent.Body = append([]byte{}, ent.Body...)
-		got = append(got, ent)
-		return nil
-	}, false)
-	if err != nil || n != len(ents) {
-		t.Fatalf("Recover: %d entries, %v", n, err)
-	}
 	walk(got)
-	if h, u := env2.Dev.ReadU64(head), env2.Arena.Usage()[pmalloc.TagLog]; h != 0 || u != 0 {
-		t.Errorf("Recover left head %d and %d log bytes", h, u)
+	if e, u := env2.Dev.ReadU64(l.head), env2.Arena.Usage()[pmalloc.TagLog]; e != l.epoch+1 || l2.epoch != e || u != 0 {
+		t.Errorf("Recover left epoch %d (the log's %d, want %d) and %d log bytes", e, l2.epoch, l.epoch+1, u)
 	}
 }
 
-// TestRecoverRefusesCycle: a durable list whose oldest entry links back to the
-// newest — no crash makes one, a corrupt image can — is refused as corrupt
-// instead of walked for ever.
-func TestRecoverRefusesCycle(t *testing.T) {
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 8 << 20})
-	hdr, err := env.Arena.Alloc(8, pmalloc.TagOther)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := int64(hdr)
-	env.Dev.WriteU64Durable(head, 0)
-	l := New(env.Arena, head, testTables())
+// TestRecoverPicksTheOpenEpoch: of the log chunks a crash leaves persisted,
+// Recover undoes exactly those of the open epoch whose CRC holds. A committed
+// transaction's entries — stale behind its epoch, one still marked persisted
+// (pmalloc.Arena.FreeStreamed) — are not undone, and neither is an entry torn
+// inside its append's fence interval.
+func TestRecoverPicksTheOpenEpoch(t *testing.T) {
+	env, l := newLog(t)
 	for k := uint64(1); k <= 2; k++ {
-		if err := l.Append(1, Entry{Type: core.WalInsert, Table: 1, Key: k}); err != nil {
+		if err := l.Append(Entry{Type: core.WalUpdate, Table: 1, Key: k, Body: make([]byte, 100)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	newest := env.Dev.ReadU64(head)
-	oldest := int64(env.Dev.ReadU64(int64(newest) + oNext))
-	env.Dev.WriteU64Durable(oldest+oNext, newest)
-	if _, err := l.Recover(func(Entry) error { return nil }, false); !core.IsCorrupt(err) {
-		t.Fatalf("Recover over a cyclic list: %v, want a corrupt error", err)
+	l.Truncate(nil)
+	open := []Entry{
+		{Type: core.WalInsert, Table: 1, Key: 10, Body: []byte{1}},
+		{Type: core.WalUpdate, Table: 0, Key: 11, Fixes: []core.SecFix{{Idx: 0, Sec: 8, PK: 11}}, Body: []byte{2}},
+	}
+	for _, ent := range append(open, Entry{Type: core.WalUpdate, Table: 1, Key: 12, Body: bytes.Repeat([]byte{7}, 40)}) {
+		if err := l.Append(ent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last entry's second line never reached the medium.
+	torn := int64(l.ents[2].p) + nvm.LineSize - pmalloc.HeaderSize
+	env.Dev.Write(torn, make([]byte, nvm.LineSize))
+	env.Dev.Sync(torn, nvm.LineSize)
+	env2 := crash(t, env)
+	stale := 0
+	chunks, _ := core.PersistedChunks(env2.Arena)
+	for _, c := range chunks {
+		if c.Tag == pmalloc.TagLog && env2.Dev.ReadU64(int64(c.P)) == l.epoch-1 {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no committed entry is left persisted: the test checks nothing")
+	}
+	_, got, err := recoverLog(env2, l.head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Entry{open[1], open[0]}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Recover undid %+v, want %+v", got, want)
 	}
 }
 
@@ -197,9 +283,8 @@ func TestAppendCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := int64(hdr)
-	env.Dev.WriteU64Durable(head, 0)
-	l := New(env.Arena, head, testTables())
+	l := Format(env.Arena, int64(hdr), testTables())
+	env.Dev.Sync(int64(hdr), 8)
 	oneLine := Entry{Type: core.WalUpdate, Table: 1, Key: 3, Body: make([]byte, 16)}
 	twoLines := Entry{Type: core.WalUpdate, Table: 0, Key: 9, Body: make([]byte, 16), Fixes: []core.SecFix{
 		{Idx: 0, Sec: 1, PK: 9}, {Idx: 0, Add: true, Sec: 2, PK: 9}, {Idx: 1, Add: true, Sec: 3, PK: 9}}}
@@ -214,16 +299,16 @@ func TestAppendCost(t *testing.T) {
 		name string
 		do   func() error
 	}{
-		{"append one line", func() error { return l.Append(1, oneLine) }},
-		{"append two lines", func() error { return l.Append(1, twoLines) }},
+		{"append one line", func() error { return l.Append(oneLine) }},
+		{"append two lines", func() error { return l.Append(twoLines) }},
 		{"truncate", func() error { l.Truncate(nil); return nil }},
 	}
 	for _, c := range []struct {
 		cache string
 		want  []counts // per step
 	}{
-		{"cold", []counts{{1, 2, 1, 2}, {1, 3, 1, 2}, {1, 2, 1, 1}}},
-		{"warm", []counts{{0, 2, 1, 2}, {0, 3, 1, 2}, {0, 2, 1, 1}}},
+		{"cold", []counts{{0, 1, 0, 1}, {0, 2, 0, 1}, {1, 2, 1, 1}}},
+		{"warm", []counts{{0, 1, 0, 1}, {0, 2, 0, 1}, {0, 2, 1, 1}}},
 	} {
 		for txn := 0; txn < 3; txn++ {
 			for i, s := range steps {

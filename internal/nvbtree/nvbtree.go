@@ -879,11 +879,18 @@ func (t *Tree) Count() int {
 }
 
 // Nodes calls fn with every node chunk pointer of the tree plus its header
-// chunk. Recovery sweeps use it to mark reachable index storage.
+// chunk. Recovery sweeps use it to mark reachable index storage. Each node is
+// visited once, so a child pointer that cycles back — which only a damaged
+// image holds — ends the walk instead of recursing for ever.
 func (t *Tree) Nodes(fn func(p pmalloc.Ptr)) {
 	fn(t.hdr)
+	seen := make(map[uint64]bool)
 	var walk func(n uint64)
 	walk = func(n uint64) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
 		fn(pmalloc.Ptr(n))
 		if !t.isLeaf(n) {
 			for _, e := range t.resolve(n) {
