@@ -167,7 +167,7 @@ func (c *chunked) reclaim(tr *cowbtree.Tree) (int64, error) {
 		return 0, core.Corrupt(fmt.Errorf("nvm-cow: reclaim: %w", err))
 	}
 	chunks, walked := core.PersistedChunks(c.env.Arena)
-	core.FreeOrphans(c.env.Arena, chunks, func(c core.Chunk) bool { return c.Tag == pmalloc.TagTable && !reach[c.P] })
+	core.FreeOrphans(c.env.Arena, chunks, func(ch core.Chunk) bool { return ch.Tag == pmalloc.TagTable && !reach[ch.P] })
 	return int64(len(reach) + walked), nil
 }
 

@@ -181,6 +181,7 @@ func (l *Log) Recover(chunks []core.Chunk, undo func(ent Entry) error, fence boo
 		if c.Tag != pmalloc.TagLog || c.Size < headerSize {
 			continue
 		}
+		// A stale chunk costs its first line, not its every line.
 		if l.dev.Read(int64(c.P)+oEpoch, epoch[:]); le.Uint64(epoch[:]) != l.epoch {
 			continue
 		}
@@ -263,10 +264,7 @@ func Decode(b []byte, epoch uint64, tables []*core.TableMeta) (Entry, error) {
 	}
 	nfix, nbody := int(b[oFixes]), int(le.Uint16(b[oBody:]))
 	end := headerSize + fixSize*nfix + nbody
-	if end > len(b) {
-		return Entry{}, errStale
-	}
-	if frameCRC(b[:end]) != le.Uint32(b[oCRC:]) {
+	if end > len(b) || frameCRC(b[:end]) != le.Uint32(b[oCRC:]) {
 		return Entry{}, errStale
 	}
 	bad := func(format string, a ...any) (Entry, error) {
