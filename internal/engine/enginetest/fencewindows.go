@@ -15,7 +15,9 @@ import (
 // fence k the lines written since fence k-1 are the un-fenced set, any subset
 // of which may have reached the medium. The walk tries three subsets per
 // window — none, all, and each line alone, which is what an engine that
-// assumed an order between two lines of one interval cannot survive.
+// assumed an order between two lines of one interval cannot survive. The
+// last window is the one after the transaction has returned: whatever its
+// un-fenced lines do, a committed transaction is whole.
 
 // windowsSchema is a users table wide enough for a ten-string row.
 func windowsSchema() []*core.Schema {
@@ -117,7 +119,28 @@ func windowSchedules() []windowSchedule {
 		// The operations an aborted transaction undid, again: recovery must
 		// undo this transaction's entries, and only those.
 		{name: "after-abort", prior: []windowOp{str(5, 2), insert}, priorAbort: true, ops: []windowOp{str(5, 2), insert}},
+		// An update that finds its MemTable leaf full: an LSM engine's put
+		// rewrites the leaf and swaps the new one in behind the rewrite's
+		// journal, where every other schedule's put appends to the leaf and
+		// publishes the entry with its count. The prior transaction fills the
+		// leaf, the load's keys and one entry per update.
+		{name: "full-memtable-leaf", prior: fillLeaf(str), ops: []windowOp{str(3, 5)}},
 	}
+}
+
+// leafEntries is how many entries an nvbtree leaf of the default 512-byte
+// node holds (DESIGN.md, "A lookup loads the lines it uses").
+const leafEntries = 28
+
+// fillLeaf returns the updates that fill an LSM engine's MemTable leaf from
+// the load's windowsKeys entries: each adds an entry, a newer version of key
+// 1's row.
+func fillLeaf(str func(key uint64, col int) windowOp) []windowOp {
+	ops := make([]windowOp, leafEntries-windowsKeys)
+	for i := range ops {
+		ops[i] = str(1, 2+i%10)
+	}
+	return ops
 }
 
 var windowsOpts = core.Options{GroupCommitSize: 1}
@@ -194,16 +217,18 @@ type keptLine struct {
 }
 
 // RunFenceWindows crashes each one-transaction schedule at every fence of the
-// transaction and, for each of three outcomes of the un-fenced lines — all
-// lost, all kept, exactly one kept — recovers a copy of the medium and checks:
-// the table before the transaction is there exactly; the transaction is absent,
-// or, once Commit was running, absent or whole; the engine takes another
-// transaction; and f.Leaks finds no allocator chunk persisted yet unreachable.
-// A failure names the schedule, the fence and the surviving lines.
+// transaction, and once more after it has returned, and, for each of three
+// outcomes of the un-fenced lines — all lost, all kept, exactly one kept —
+// recovers a copy of the medium and checks: the table before the transaction
+// is there exactly; the transaction is absent, or, once Commit was running,
+// absent or whole, and once Commit has returned, whole; the engine takes
+// another transaction; and f.Leaks finds no allocator chunk persisted yet
+// unreachable. A failure names the schedule, the fence and the surviving
+// lines.
 func RunFenceWindows(t *testing.T, f Factory) {
 	for _, sc := range windowSchedules() {
 		t.Run(sc.name, func(t *testing.T) {
-			if _, err := checkFenceWindows(f, sc, -1); err != nil {
+			if _, _, err := checkFenceWindows(f, sc, -1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -220,14 +245,14 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 		if sc.name != schedule {
 			continue
 		}
-		fences, err := checkFenceWindows(f, sc, -1)
+		fences, _, err := checkFenceWindows(f, sc, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fromEnd < 1 || fromEnd > fences {
 			t.Fatalf("%s/%s has %d fences, none is number %d from the end", f.Name, schedule, fences, fromEnd)
 		}
-		if _, err = checkFenceWindows(f, sc, fences-fromEnd); err == nil {
+		if _, _, err = checkFenceWindows(f, sc, fences-fromEnd); err == nil {
 			t.Fatalf("%s/%s: the walk did not notice that fence %d of %d was removed", f.Name, schedule, fences-fromEnd, fences)
 		}
 		t.Logf("caught as expected: %v", err)
@@ -236,38 +261,79 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 	t.Fatalf("no fence-window schedule %q", schedule)
 }
 
+// RunDropEachFence sweeps the walk over deleted fences: on each schedule (the
+// first alone under -short) it deletes each fence of the transaction in turn
+// (nvm.Device.DropFence), from the last back to the first, walks the schedule
+// and logs the crash state that caught the loss, or that none did. A fence no
+// state misses orders nothing the schedules can see: it is redundant, or a
+// schedule is missing. The first fence Commit issues makes an undo-log
+// engine's commit line durable before Commit returns, the commit point, and
+// the walk must catch its loss on every committing schedule.
+func RunDropEachFence(t *testing.T, f Factory) {
+	schedules := windowSchedules()
+	if testing.Short() {
+		schedules = schedules[:1]
+	}
+	for _, sc := range schedules {
+		t.Run(sc.name, func(t *testing.T) {
+			fences, ending, err := checkFenceWindows(f, sc, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fromEnd := 1; fromEnd <= fences; fromEnd++ {
+				drop := fences - fromEnd
+				if _, _, err := checkFenceWindows(f, sc, drop); err != nil {
+					msg := err.Error() // the crash state, then the check it failed
+					if len(msg) > 240 {
+						msg = msg[:240] + "…"
+					}
+					t.Logf("fence %d from the end (%d of %d) dropped: caught: %s", fromEnd, drop, fences, msg)
+					continue
+				}
+				t.Logf("fence %d from the end (%d of %d) dropped: not caught", fromEnd, drop, fences)
+				if drop == ending && !sc.abort {
+					t.Errorf("%s/%s: the commit point's fence, %d of %d, was dropped and no crash state noticed", f.Name, sc.name, drop, fences)
+				}
+			}
+		})
+	}
+}
+
 // checkFenceWindows walks one schedule and returns the number of fences its
-// transaction has. drop >= 0 deletes that fence of the transaction in every
-// pass.
-func checkFenceWindows(f Factory, sc windowSchedule, drop int) (int, error) {
+// transaction has and the number it had issued when it called Commit or
+// Abort. drop >= 0 deletes that fence of the transaction in every pass, and
+// the walk starts behind it.
+func checkFenceWindows(f Factory, sc windowSchedule, drop int) (fences, ending int, err error) {
 	env, e, before, err := windowsEngine(f, sc, drop)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	after := before.clone()
 	start, end, done, err := windowsTxn(env, e, after, sc)
 	if err != nil {
-		return 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
+		return 0, 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
 	}
 	if sc.abort {
 		after = before
 	}
 	if err := checkModel(e, windowsSchema(), after); err != nil {
-		return 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
+		return 0, 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
 	}
-	fences := int(done - start)
-	for k := 0; k < fences; k++ {
-		inCommit := !sc.abort && k >= int(end-start)
-		if err := fenceWindow(f, sc, drop, k, before, after, inCommit); err != nil {
-			return fences, fmt.Errorf("%s/%s: crash at fence %d of %d (Commit starts at %d): %w", f.Name, sc.name, k, fences, end-start, err)
+	fences, ending = int(done-start), int(end-start)
+	// A crash at the deleted fence or before it leaves what the walk with
+	// every fence leaves, which the callers have checked first.
+	for k := drop + 1; k <= fences; k++ {
+		if err := fenceWindow(f, sc, drop, k, fences, ending, before, after); err != nil {
+			return fences, ending, fmt.Errorf("%s/%s: crash at fence %d of %d (Commit starts at %d): %w", f.Name, sc.name, k, fences, ending, err)
 		}
 	}
-	return fences, nil
+	return fences, ending, nil
 }
 
-// fenceWindow crashes one pass at fence k of the transaction and recovers every
-// outcome of the un-fenced lines.
-func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after model, inCommit bool) error {
+// fenceWindow crashes one pass at fence k of the transaction's fences, or
+// after the transaction if k is fences, and recovers every outcome of the
+// un-fenced lines. The transaction calls Commit or Abort at fence ending.
+func fenceWindow(f Factory, sc windowSchedule, drop, k, fences, ending int, before, after model) error {
 	env, e, m, err := windowsEngine(f, sc, drop)
 	if err != nil {
 		return err
@@ -280,8 +346,11 @@ func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after model,
 	if err != nil {
 		return err
 	}
-	if !crashed {
+	switch {
+	case k < fences && !crashed:
 		return fmt.Errorf("the transaction ended before its fence %d", k)
+	case k == fences && crashed:
+		return fmt.Errorf("the transaction ran past its %d fences", fences)
 	}
 	schemas := windowsSchema()
 	return CrashOutcomes(env.Dev, func(dev *nvm.Device) error {
@@ -289,7 +358,11 @@ func fenceWindow(f Factory, sc windowSchedule, drop, k int, before, after model,
 		if err != nil {
 			return err
 		}
-		if err := checkAtomic(e, schemas, before, after, inCommit); err != nil {
+		if k == fences {
+			if err := checkModel(e, schemas, after); err != nil {
+				return fmt.Errorf("the transaction had returned, yet it is not whole: %w", err)
+			}
+		} else if err := checkAtomic(e, schemas, before, after, !sc.abort && k >= ending); err != nil {
 			return err
 		}
 		if f.Leaks != nil {

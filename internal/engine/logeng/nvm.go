@@ -13,21 +13,24 @@ import (
 	"nstore/internal/engine/lsm"
 	"nstore/internal/engine/undolog"
 	"nstore/internal/nvbtree"
+	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
 
 const (
-	hdrMagic = 0x4e564d4c4f473135 // "NVMLOG15": self-validating undo entries
+	hdrMagic = 0x4e564d4c4f473136 // "NVMLOG16": the undo log's commit line
 	rootSlot = 0
 
-	// Engine header layout. Word 8 is reserved.
+	// Engine header layout. The header is a chunk of more than a line, so it
+	// starts one and its payload 16 bytes into it: the payload's second line
+	// starts at hCommit, and is the undo log's alone. Word 40 is reserved.
 	hMagic   = 0
-	hWalHead = 16 // the undo log's epoch
-	hMutable = 24 // current mutable MemTable tree header
-	hRunList = 32 // immutable run list chunk (0 = none)
-	hVlogDir = 40 // reserved, 0: the slot of a value-log segment directory
-	hNTables = 48
-	hAnchors = 56 // per table: secondary tree headers
+	hMutable = 8  // current mutable MemTable tree header
+	hRunList = 16 // immutable run list chunk (0 = none)
+	hVlogDir = 24 // reserved, 0: the slot of a value-log segment directory
+	hNTables = 32
+	hCommit  = 48                     // the undo log's commit line
+	hAnchors = hCommit + nvm.LineSize // per table: secondary tree headers
 
 	// Run list chunk: n u64, then per run {treeHdr, bloomPtr, bloomMeta}.
 	// bloomMeta packs words<<8 | k. Runs are ordered newest first.
@@ -125,7 +128,7 @@ func newNVM(e *Engine, reopen bool) error {
 	if err != nil {
 		return err
 	}
-	s.hdr, s.log = hdr, undolog.Format(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	s.hdr, s.log = hdr, undolog.Format(env.Arena, int64(hdr)+hCommit, e.Tables)
 	d := env.Dev
 	d.WriteU64(int64(hdr)+hMagic, hdrMagic)
 	d.WriteU64(int64(hdr)+hRunList, 0)
@@ -182,14 +185,14 @@ func (s *nvmStore) recover() error {
 	d := env.Dev
 	if m := d.ReadU64(int64(hdr) + hMagic); m != hdrMagic {
 		// A device image is outside input: one of an earlier format — bare
-		// entry pointers (NVMLOG12), linked undo entries (NVMLOG14) — would
-		// be misread.
+		// entry pointers (NVMLOG12), linked undo entries (NVMLOG14), the
+		// epoch in a shared word (NVMLOG15) — would be misread.
 		if m>>16 == hdrMagic>>16 {
 			return core.Corrupt(fmt.Errorf("logeng: nvm-log: image of format %q", binary.BigEndian.AppendUint64(nil, m)))
 		}
 		return fmt.Errorf("logeng: nvm-log: no engine header")
 	}
-	s.hdr, s.log = hdr, undolog.Open(env.Arena, int64(hdr)+hWalHead, s.Tables)
+	s.hdr, s.log = hdr, undolog.Open(env.Arena, int64(hdr)+hCommit, s.Tables)
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(s.Tables) {
 		return fmt.Errorf("logeng: nvm-log: schema mismatch")
 	}
@@ -427,7 +430,10 @@ func (s *nvmStore) write(tm *core.TableMeta, typ uint8, key, oldPtr uint64, ent 
 	if err != nil {
 		return err
 	}
-	// The undo entry makes the new chunk durable with its first fence.
+	// The undo entry and the new chunk are durable at the MemTable put's first
+	// fence, before anything names them: an append publishes its leaf entry
+	// with the count behind a fence of the entries (nvbtree appendEntries),
+	// and a rewrite swaps in its nodes behind its journal's fence.
 	var body [bodySize]byte
 	binary.LittleEndian.PutUint64(body[:], oldPtr)
 	binary.LittleEndian.PutUint64(body[8:], newPtr)

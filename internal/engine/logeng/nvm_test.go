@@ -2,12 +2,14 @@ package logeng
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"nstore/internal/core"
 	"nstore/internal/engine/enginetest"
 	"nstore/internal/engine/lsm"
 	"nstore/internal/engine/undolog"
+	"nstore/internal/nvm"
 )
 
 func TestRotationAndCompaction(t *testing.T) {
@@ -175,13 +177,18 @@ func TestFenceWindows(t *testing.T) {
 
 // TestFenceWindowsCatchDroppedFence: an update whose WAL entry takes back the
 // chunk the previous commit's entry left (pmalloc.Arena.FreeStreamed) ends
-// record, MemTable leaf entry, MemTable count, commit. Without the leaf's
-// fence the count can publish an entry that never reached the medium. (The
-// record's own fence is not the one removed: the leaf's fence drains the
-// record too before the count publishes anything, so the walk rightly finds
-// every state consistent without it, here and on every other schedule.)
+// MemTable leaf entry, MemTable count, commit — three fences; the WAL entry
+// has none of its own, the leaf's drains it too. Without the leaf's fence the
+// count can publish an entry that never reached the medium.
 func TestFenceWindowsCatchDroppedFence(t *testing.T) {
 	enginetest.RunFenceWindowsCatchesDroppedFence(t, nvmFactory(), "over-freed-entry", 3)
+}
+
+// TestDropEachFence: the walk with each fence of a schedule's transaction
+// deleted in turn, every schedule (the first alone under -short); it logs
+// which crash state caught each loss, and must catch the commit line's.
+func TestDropEachFence(t *testing.T) {
+	enginetest.RunDropEachFence(t, nvmFactory())
 }
 
 // TestUpdateCostFlatInDatabaseSize: the steady-state cost of an update does
@@ -265,22 +272,65 @@ func TestOpenRejectsValueLogDirectory(t *testing.T) {
 // TestUpdateTouchesOnlyItsLines: a cold one-column update of a tuple in an
 // immutable run decides existence from tree nodes and Bloom words, writes its
 // delta and reads no image of the tuple, however many or wide its columns:
-// 12 lines (19 while a leaf lookup read every entry of the leaf). It streams
-// the delta's entry chunk and the WAL entry, chunks on lines of their own, so
-// its three CLWBs are the MemTable leaf's entry and count and the WAL epoch
-// word at the commit (four while the WAL head was written back to link the
-// entry too); a read-only transaction writes nothing at all.
+// 11 lines (12 while the commit wrote the epoch through the cache and filled
+// its line, 19 while a leaf lookup read every entry of the leaf). It streams
+// the delta's entry chunk, the WAL entry and the commit line, each on lines
+// of its own, so its two CLWBs are the MemTable leaf's entry and count
+// (three while the epoch shared a line of the header and was written back,
+// four while the WAL head was written back to link the entry too); a
+// read-only transaction writes nothing at all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), 12, 3, 3, 3)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), 11, 2, 2, 2)
+}
+
+// TestCommitLineOwnsItsLine: the undo log's commit line starts a cache line
+// of the engine header, and no other header word lies in it — on the medium,
+// after commits and the rotations and merges they cause, which write the
+// MemTable and run-list words, it holds the epoch and zeros, and the words
+// around it name the engine's trees.
+func TestCommitLineOwnsItsLine(t *testing.T) {
+	env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
+	e, err := NewNVM(env, simpleSchema(), core.Options{MemTableCap: 8, LSMGrowth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.nvm()
+	line := int64(s.hdr) + hCommit
+	if line%nvm.LineSize != 0 || hNTables+8 > hCommit || hAnchors < hCommit+nvm.LineSize {
+		t.Fatalf("the commit line at header offset %d (device %d) is not a line of its own", hCommit, line)
+	}
+	const txns = 40
+	for i := int64(1); i <= txns; i++ {
+		e.Begin()
+		if err := e.Insert("t", uint64(i), row(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.runs) == 0 {
+		t.Fatal("no rotation: the test checks nothing beside the commits")
+	}
+	want := binary.LittleEndian.AppendUint64(nil, 1+txns) // Format's epoch 1, then a commit each
+	if !env.Dev.DurableEqual(line, append(want, make([]byte, nvm.LineSize-8)...)) {
+		t.Error("the commit line is not the epoch and zeros on the medium")
+	}
+	d := env.Dev
+	if d.ReadU64(int64(s.hdr)+hMutable) != s.mem.Header() || d.ReadU64(int64(s.hdr)+hRunList) == 0 || d.ReadU64(int64(s.hdr)+hNTables) != uint64(len(s.Tables)) {
+		t.Error("the header words beside the commit line do not name the engine's trees")
+	}
 }
 
 // TestOpenRejectsUntaggedImage: an image of an earlier format is refused by
 // Open with a typed corrupt error: one written before the kind rode in the
 // entry pointers (NVMLOG12) holds bare pointers, which read as tagged ones
-// would give every entry kind 0, and one written before self-validating undo
-// entries (NVMLOG14) holds a pointer where the epoch word is.
+// would give every entry kind 0; one written before self-validating undo
+// entries (NVMLOG14) holds a pointer where the epoch word was; and one
+// written before the commit line (NVMLOG15) has its MemTable, run list and
+// table count where they are no more.
 func TestOpenRejectsUntaggedImage(t *testing.T) {
-	for _, magic := range []uint64{0x4e564d4c4f473132, 0x4e564d4c4f473134} {
+	for _, magic := range []uint64{0x4e564d4c4f473132, 0x4e564d4c4f473134, 0x4e564d4c4f473135} {
 		env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
 		opts := core.Options{MemTableCap: 8, LSMGrowth: 3}
 		e, err := NewNVM(env, simpleSchema(), opts)
@@ -375,6 +425,7 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	if err := e.nvm().log.Append(undolog.Entry{Type: core.WalInsert, Table: 200, Key: 1, Body: make([]byte, bodySize)}); err != nil {
 		t.Fatal(err)
 	}
+	env.Dev.Fence()
 	env.Dev.Crash()
 	env2, err := env.Reopen()
 	if err != nil {

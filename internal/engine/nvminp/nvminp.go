@@ -7,8 +7,8 @@
 //     of just the updated fields (updates) — no full after-images, since
 //     the referenced data is itself durable on NVM.
 //   - Changes are persisted with the allocator interface's sync primitive
-//     when they happen; commit is a single atomic durable write that moves
-//     the log's epoch on, after which its entries are stale and freed.
+//     when they happen; commit is one streamed line, fenced, that moves the
+//     log's epoch on, after which its entries are stale and freed.
 //   - Indexes are non-volatile B+trees usable immediately after restart.
 //   - Recovery has no redo phase: it only undoes the transactions that were
 //     in flight at the crash, so its latency is independent of the number
@@ -23,19 +23,23 @@ import (
 	"nstore/internal/engine/undolog"
 	"nstore/internal/mvcc"
 	"nstore/internal/nvbtree"
+	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
 
 const (
-	hdrMagic = 0x4e564d494e503133 // "NVMINP13": self-validating undo entries
+	hdrMagic = 0x4e564d494e503134 // "NVMINP14": the undo log's commit line
 
 	rootSlot = 0
 
-	// Engine header layout. Word 8 is reserved.
+	// Engine header layout. The header is a chunk of more than a line, so it
+	// starts one and its payload 16 bytes into it: the payload's second line
+	// starts at hCommit, and is the undo log's alone. Words 16 to 40 are
+	// reserved.
 	hMagic   = 0
-	hWalHead = 16 // the undo log's epoch
-	hNTables = 24
-	hAnchors = 32
+	hNTables = 8
+	hCommit  = 48 // the undo log's commit line
+	hAnchors = hCommit + nvm.LineSize
 
 	// An undo entry's body (undolog): the slot, then an update's
 	// before-image, a record per column (col u8, value u64).
@@ -86,7 +90,7 @@ func New(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, err
 	if err != nil {
 		return nil, err
 	}
-	e.hdr, e.log = hdr, undolog.Format(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	e.hdr, e.log = hdr, undolog.Format(env.Arena, int64(hdr)+hCommit, e.Tables)
 	d := e.Env.Dev
 	d.WriteU64(int64(hdr)+hMagic, hdrMagic)
 	d.WriteU64(int64(hdr)+hNTables, uint64(len(schemas)))
@@ -147,7 +151,7 @@ func Open(env *core.Env, schemas []*core.Schema, opts core.Options) (*Engine, er
 		}
 		return nil, fmt.Errorf("nvminp: no engine header")
 	}
-	e.hdr, e.log = hdr, undolog.Open(env.Arena, int64(hdr)+hWalHead, e.Tables)
+	e.hdr, e.log = hdr, undolog.Open(env.Arena, int64(hdr)+hCommit, e.Tables)
 	d := e.Env.Dev
 	if int(d.ReadU64(int64(hdr)+hNTables)) != len(schemas) {
 		return nil, fmt.Errorf("nvminp: schema mismatch")
@@ -304,10 +308,12 @@ func (e *Engine) readForIndexes(tm *core.TableMeta, h *core.Heap, slot uint64) (
 	return row, nil
 }
 
-// logOp appends the undo entry of an operation on slot (undolog.Log.Append):
-// its body is the slot and an update's before-image, the fields' values and
-// var-slot pointers. It records the op, so Abort can undo a partially applied
-// one from the entry.
+// logOp appends the undo entry of an operation on slot (undolog.Log.Append)
+// and fences it: the operation writes in place next, and a field that
+// reached the medium ahead of the entry that restores it could not be
+// undone. Its body is the slot and an update's before-image, the fields'
+// values and var-slot pointers. It records the op, so Abort can undo a
+// partially applied one from the entry.
 func (e *Engine) logOp(typ uint8, tm *core.TableMeta, key, slot uint64, befCols []int, befVals []uint64, fixes []core.SecFix) error {
 	defer e.Bd.Timer(&e.Bd.Recovery)()
 	b := le.AppendUint64(e.body[:0], slot)
@@ -318,6 +324,7 @@ func (e *Engine) logOp(typ uint8, tm *core.TableMeta, key, slot uint64, befCols 
 	if err := e.log.Append(undolog.Entry{Type: typ, Table: tm.ID, Key: key, Fixes: fixes, Body: b}); err != nil {
 		return err
 	}
+	e.Env.Dev.Fence()
 	e.ops = append(e.ops, txnOp{typ: typ, table: tm.ID, slot: slot})
 	return nil
 }
@@ -334,12 +341,12 @@ func (e *Engine) Begin() error {
 	return nil
 }
 
-// Commit truncates the WAL with one atomic durable write of its next epoch —
-// since the WAL is undo-only and every change was persisted as it happened, a
-// WAL with no entry of the open epoch *is* the committed state — then
-// reclaims space owed by deletes and updates
-// (Table 2: "Reclaim space at the end of transaction"). A transaction that
-// logged nothing left the WAL empty and writes nothing.
+// Commit truncates the WAL with one durable write, its commit line streamed
+// with the next epoch — since the WAL is undo-only and every change was
+// persisted as it happened, a WAL with no entry of the open epoch *is* the
+// committed state — then reclaims space owed by deletes and updates (Table 2:
+// "Reclaim space at the end of transaction"). A transaction that logged
+// nothing left the WAL empty and writes nothing.
 func (e *Engine) Commit() error {
 	if err := e.RequireTx(); err != nil {
 		return err

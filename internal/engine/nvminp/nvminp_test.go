@@ -1,6 +1,7 @@
 package nvminp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -238,6 +239,13 @@ func TestFenceWindowsCatchDroppedFence(t *testing.T) {
 	enginetest.RunFenceWindowsCatchesDroppedFence(t, confFactory(), "over-freed-entry", 3)
 }
 
+// TestDropEachFence: the walk with each fence of a schedule's transaction
+// deleted in turn, every schedule (the first alone under -short); it logs
+// which crash state caught each loss, and must catch the commit line's.
+func TestDropEachFence(t *testing.T) {
+	enginetest.RunDropEachFence(t, confFactory())
+}
+
 func TestRecoveryConformance(t *testing.T) {
 	enginetest.RunRecoveryConformance(t, confFactory())
 }
@@ -303,10 +311,12 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 1.3 / 6.0 / 2.0 / 3.00 — one fence each for the
-// WAL entry, the tuple and the commit, and the WAL entry and new var-slot
-// streamed on lines of their own, the var-slot over the one the previous
-// update superseded. (It was 1.3 / 7.0 / 3.0 / 4.00 while each entry was
+// stores / flushes / fences 1.3 / 6.0 / 1.0 / 3.00 — one fence each for the
+// WAL entry, the tuple and the commit, and the WAL entry, the new var-slot
+// and the commit line streamed on lines of their own, the var-slot over the
+// one the previous update superseded; the one CLWB is the field's. (It was
+// 1.3 / 6.0 / 2.0 / 3.00 while the commit wrote back an epoch word that
+// shared a line of the header; 1.3 / 7.0 / 3.0 / 4.00 while each entry was
 // linked through the WAL head with a durable write of its own; it loaded 2.3
 // while the index lookup read the
 // leaf's every entry and the commit read the superseded var-slot's header to
@@ -317,21 +327,22 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 // persisted behind a fence of its own; it loaded 29.7 lines while Update read
 // the whole row to change one column.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 1.4, Stores: 6.6, Flushes: 2.2, Fences: 3.3})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 1.4, Stores: 6.6, Flushes: 1.1, Fences: 3.3})
 }
 
 // TestUpdateTouchesOnlyItsLines: a cold one-column update loads the index
 // path — of the leaf, its first line and the entry its key's fingerprint
-// matches — the slot's lines and the lines it writes through the cache: 12
+// matches — the slot's lines and the lines it writes through the cache: 11
 // lines, the same with thirty columns or kilobyte ones beside the one it
-// writes; the var-slot it supersedes is kept aside for the next update,
-// unread. It streams its WAL entry and new var-slot, chunks on lines of their
-// own, and writes back the lines it dirtied through the cache, each once: the
-// field's, and the WAL epoch word's for the commit — two (three while the
-// WAL head was written back to link the entry too). A read-only transaction
-// writes nothing at all.
+// writes (12 while the commit wrote the epoch through the cache and filled
+// its line); the var-slot it supersedes is kept aside for the next update,
+// unread. It streams its WAL entry, its new var-slot and the commit line,
+// each on lines of its own, and writes back the one line it dirtied through
+// the cache, the field's — one CLWB (two while the epoch shared a line of
+// the header and was written back, three while the WAL head was written back
+// to link the entry too). A read-only transaction writes nothing at all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 12, 2, 2, 2)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 11, 1, 1, 1)
 }
 
 // TestArenaExhaustion: a full arena is a typed error at the operation, not a
@@ -646,6 +657,7 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	if err := e.log.Append(undolog.Entry{Type: core.WalInsert, Table: 200, Key: 1, Body: make([]byte, 8)}); err != nil {
 		t.Fatal(err)
 	}
+	env.Dev.Fence()
 	env.Dev.Crash()
 	env2, err := env.Reopen()
 	if err != nil {
@@ -656,22 +668,58 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsEarlierFormat: an image of the format before self-validating
-// undo entries (NVMINP12) links its entries from the epoch word. Open refuses
-// it with a corrupt error rather than take a pointer for an epoch.
+// TestOpenRejectsEarlierFormat: an image of an earlier format is refused by
+// Open with a corrupt error. One from before self-validating undo entries
+// (NVMINP12) links its entries from the epoch word, and one from before the
+// commit line (NVMINP13) keeps the epoch at header offset 16, beside other
+// words: Open would take a pointer, or a reserved word, for an epoch.
 func TestOpenRejectsEarlierFormat(t *testing.T) {
+	for _, magic := range []uint64{0x4e564d494e503132, 0x4e564d494e503133} {
+		env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
+		e, err := New(env, simpleSchema(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Dev.WriteU64Durable(int64(e.hdr)+hMagic, magic)
+		env.Dev.Crash()
+		env2, err := env.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
+			t.Fatalf("Open on a %q image: %v, want a corrupt error", binary.BigEndian.AppendUint64(nil, magic), err)
+		}
+	}
+}
+
+// TestCommitLineOwnsItsLine: the undo log's commit line starts a cache line
+// of the engine header, and no other header word lies in it — on the medium,
+// after commits, it holds the epoch and zeros, and the words around it what
+// New wrote.
+func TestCommitLineOwnsItsLine(t *testing.T) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
 	e, err := New(env, simpleSchema(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Dev.WriteU64Durable(int64(e.hdr)+hMagic, 0x4e564d494e503132) // "NVMINP12"
-	env.Dev.Crash()
-	env2, err := env.Reopen()
-	if err != nil {
-		t.Fatal(err)
+	line := int64(e.hdr) + hCommit
+	if line%nvm.LineSize != 0 || hNTables+8 > hCommit || hAnchors < hCommit+nvm.LineSize {
+		t.Fatalf("the commit line at header offset %d (device %d) is not a line of its own", hCommit, line)
 	}
-	if _, err := Open(env2, simpleSchema(), core.Options{}); !core.IsCorrupt(err) {
-		t.Fatalf("Open on an NVMINP12 image: %v, want a corrupt error", err)
+	for k := uint64(1); k <= 3; k++ {
+		e.Begin()
+		if err := e.Insert("t", k, []core.Value{core.IntVal(int64(k)), core.IntVal(0), core.StrVal("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := binary.LittleEndian.AppendUint64(nil, 4) // Format's epoch 1, then three commits
+	if !env.Dev.DurableEqual(line, append(want, make([]byte, nvm.LineSize-8)...)) {
+		t.Error("the commit line is not the epoch and zeros on the medium")
+	}
+	if env.Dev.ReadU64(int64(e.hdr)+hMagic) != hdrMagic || env.Dev.ReadU64(int64(e.hdr)+hNTables) != uint64(len(simpleSchema())) {
+		t.Error("the header words beside the commit line changed")
 	}
 }

@@ -1,15 +1,17 @@
 // Package undolog is the write-ahead log NVM-InP (§4.1) and NVM-Log (§4.3)
 // share: an undo-only log of self-validating entries, one allocator chunk
-// each, and an epoch word in the engine's header that names the open
+// each, and a commit line in the engine's header whose epoch names the open
 // transaction's entries. Each operation's changes are durable before the
 // transaction ends, so moving the epoch on is the commit point; the entries a
 // crash leaves under the open epoch are undone at recovery.
 //
 // The log owns the entry's framing, the secondary-index repair list, the
-// one-fence append, the choice of the entries recovery undoes, truncation and
-// the entries' frees. The engine owns the body it appends, what undoing an
-// entry means, and the one walk over the arena's chunks that hands recovery
-// the log's. DESIGN.md "The undo log" states the format and the protocol.
+// streamed append, the commit line, the choice of the entries recovery
+// undoes, truncation and the entries' frees. The engine owns the body it
+// appends, what undoing an entry means, the fence that orders an entry before
+// the write it guards, and the one walk over the arena's chunks that hands
+// recovery the log's. DESIGN.md "The undo log" states the format and the
+// protocol.
 package undolog
 
 import (
@@ -78,8 +80,8 @@ type Entry struct {
 type Log struct {
 	arena  *pmalloc.Arena
 	dev    *nvm.Device
-	head   int64  // device offset of the epoch word
-	epoch  uint64 // the open epoch, what the word holds
+	line   int64  // device offset of the commit line
+	epoch  uint64 // the open epoch, what the line holds
 	seq    uint32 // the next entry's place in the epoch
 	tables []*core.TableMeta
 	rec    []byte // scratch: the entry being built or read
@@ -93,29 +95,34 @@ type appended struct {
 	n int
 }
 
-// Format writes a new log's first epoch into its word at device offset head,
-// for the caller's sync of its header to make durable, and returns the log,
-// for entries of the given tables.
-func Format(arena *pmalloc.Arena, head int64, tables []*core.TableMeta) *Log {
-	l := &Log{arena: arena, dev: arena.Device(), head: head, epoch: 1, tables: tables}
-	l.dev.WriteU64(head, l.epoch)
+// Format writes a new log's first epoch into its commit line at device offset
+// line, durable at the caller's next fence, and returns the log, for entries
+// of the given tables. line must start a cache line the engine gives the log
+// alone; it panics otherwise.
+func Format(arena *pmalloc.Arena, line int64, tables []*core.TableMeta) *Log {
+	if line%nvm.LineSize != 0 {
+		panic(fmt.Sprintf("undolog: commit line at %d does not start a cache line", line))
+	}
+	l := &Log{arena: arena, dev: arena.Device(), line: line, epoch: 1, tables: tables}
+	l.stream()
 	return l
 }
 
-// Open returns the log whose epoch word is at device offset head. Recover
+// Open returns the log whose commit line is at device offset line. Recover
 // runs before its first append.
-func Open(arena *pmalloc.Arena, head int64, tables []*core.TableMeta) *Log {
-	return &Log{arena: arena, dev: arena.Device(), head: head, epoch: arena.Device().ReadU64(head), tables: tables}
+func Open(arena *pmalloc.Arena, line int64, tables []*core.TableMeta) *Log {
+	return &Log{arena: arena, dev: arena.Device(), line: line, epoch: arena.Device().ReadU64(line), tables: tables}
 }
 
 // Append logs an operation: the entry, which carries the open epoch, its
 // place in it and a CRC of its frame, is streamed into a fresh chunk with its
-// persisted mark and fenced — one fence, after which undo owns what the entry
-// names. No pointer links it: recovery finds it among the arena's chunks, and
-// the CRC tells a whole entry from one a crash tore inside its fence interval.
-// The fence also covers whatever the caller streamed or wrote back before the
-// call. Log-arena exhaustion is reachable from normal traffic: it is an
-// error, nothing was written, and the transaction can be aborted cleanly.
+// persisted mark. It is durable at the caller's next fence, and undo owns
+// what the entry names once it is: the caller fences before it writes
+// anything the entry guards. No pointer links it: recovery finds it among the
+// arena's chunks, and the CRC tells a whole entry from one a crash tore
+// inside its fence interval. Log-arena exhaustion is reachable from normal
+// traffic: it is an error, nothing was written, and the transaction can be
+// aborted cleanly.
 func (l *Log) Append(ent Entry) error {
 	rec := le.AppendUint64(l.rec[:0], l.epoch)
 	rec = le.AppendUint64(rec, uint64(l.seq)) // the CRC word is zero
@@ -136,7 +143,6 @@ func (l *Log) Append(ent Entry) error {
 	if err != nil {
 		return err
 	}
-	l.dev.Fence()
 	l.seq++
 	l.ents = append(l.ents, appended{p, len(rec)})
 	return nil
@@ -165,9 +171,10 @@ func (l *Log) Undo(undo func(i int, ent Entry) error) error {
 // be durable before it. The entries are the persisted log chunks among
 // chunks, the engine's one walk over the arena, that carry the open epoch and
 // a frame whose CRC holds. An entry a crash tore inside its append's fence
-// interval fails its CRC, and guards no write: the operation writes in place
-// only after that fence. A chunk of an earlier epoch — an entry a committed or
-// aborted transaction freed, or one a crash left behind — is not undone.
+// interval fails its CRC, and guards no write: the engine fences the entry
+// before it writes what the entry guards. A chunk of an earlier epoch — an
+// entry a committed or aborted transaction freed, or one a crash left behind
+// — is not undone.
 // Recover frees nothing: every log chunk is the engine's sweep's once the
 // epoch has moved past it. It returns the number of entries undone.
 func (l *Log) Recover(chunks []core.Chunk, undo func(ent Entry) error, fence bool) (int, error) {
@@ -209,11 +216,13 @@ func (l *Log) Recover(chunks []core.Chunk, undo func(ent Entry) error, fence boo
 	return len(found), nil
 }
 
-// Truncate empties the log with one durable write, of the next epoch into its
-// word. That write is the commit point, so the caller fences first whatever
-// must be durable before it. The entries are freed after it, oldest first,
-// free(i) running ahead of entry i's. A transaction that appended nothing
-// writes nothing.
+// Truncate empties the log with one durable write, the commit line with the
+// next epoch. That write is the commit point, so the caller fences first
+// whatever must be durable before it. The entries are freed after it, oldest
+// first, free(i) running ahead of entry i's. A transaction that appended
+// nothing writes nothing. An abort moves the epoch on too, though recovery
+// would undo its entries again harmlessly: no entry of the open epoch
+// outlives its transaction.
 func (l *Log) Truncate(free func(i int)) {
 	if len(l.ents) > 0 {
 		l.advance()
@@ -227,12 +236,26 @@ func (l *Log) Truncate(free func(i int)) {
 	l.ents = l.ents[:0]
 }
 
-// advance closes the open epoch: every entry appended under it is stale from
-// the durable write on.
+// advance closes the open epoch: the commit line is streamed with the next
+// one and fenced, and every entry appended under the old epoch is stale from
+// then on.
 func (l *Log) advance() {
 	l.epoch++
 	l.seq = 0
-	l.dev.WriteU64Durable(l.head, l.epoch)
+	l.stream()
+	l.dev.Fence()
+}
+
+// stream writes the commit line — the open epoch, then zeros, a cache line no
+// other word shares — durable at the next fence. Nothing on the write path
+// reads the line back, so it is streamed whole (nvm.Device.WriteStream): no
+// fill and no CLWB. A crash before that fence keeps the old line or the new
+// one, since the epoch is its first 8-byte word and a torn line keeps whole
+// words.
+func (l *Log) stream() {
+	var b [nvm.LineSize]byte
+	le.PutUint64(b[:], l.epoch)
+	l.dev.WriteStream(l.line, b[:])
 }
 
 // read loads this transaction's entry at p, n bytes, and decodes it. It

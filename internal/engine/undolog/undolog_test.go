@@ -138,17 +138,21 @@ func FuzzUndoEntry(f *testing.F) {
 	})
 }
 
-// newLog formats a log whose epoch word is a chunk of its own.
+// commitOff is where a header chunk's second line starts in its payload: a
+// chunk of more than a line starts one, and its payload 16 bytes into it.
+const commitOff = nvm.LineSize - pmalloc.HeaderSize
+
+// newLog formats a log whose commit line is the second line of a chunk of
+// its own, as in an engine's header.
 func newLog(t *testing.T) (*core.Env, *Log) {
 	t.Helper()
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 8 << 20})
-	hdr, err := env.Arena.Alloc(8, pmalloc.TagOther)
+	hdr, err := env.Arena.Alloc(commitOff+nvm.LineSize, pmalloc.TagOther)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := Format(env.Arena, int64(hdr), testTables())
-	env.Dev.Sync(int64(hdr), 8)
-	env.Arena.SetPersisted(hdr)
+	l := Format(env.Arena, int64(hdr)+commitOff, testTables())
+	env.Arena.SetPersisted(hdr) // its fence makes the line durable too
 	return env, l
 }
 
@@ -163,10 +167,11 @@ func crash(t *testing.T, env *core.Env) *core.Env {
 	return env2
 }
 
-// recoverLog opens the log at head and recovers it, collecting the entries
-// undone in order, and then frees every log chunk as an engine's sweep does.
-func recoverLog(env *core.Env, head int64) (*Log, []Entry, error) {
-	l := Open(env.Arena, head, testTables())
+// recoverLog opens the log whose commit line is at line and recovers it,
+// collecting the entries undone in order, and then frees every log chunk as
+// an engine's sweep does.
+func recoverLog(env *core.Env, line int64) (*Log, []Entry, error) {
+	l := Open(env.Arena, line, testTables())
 	chunks, _ := core.PersistedChunks(env.Arena)
 	var got []Entry
 	_, err := l.Recover(chunks, func(ent Entry) error {
@@ -193,6 +198,7 @@ func TestAppendUndoRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	env.Dev.Fence() // the engine's, before it writes what the entries guard
 	walk := func(got []Entry) {
 		t.Helper()
 		for i := range got {
@@ -215,12 +221,12 @@ func TestAppendUndoRecover(t *testing.T) {
 	walk(got)
 
 	env2 := crash(t, env)
-	l2, got, err := recoverLog(env2, l.head)
+	l2, got, err := recoverLog(env2, l.line)
 	if err != nil {
 		t.Fatal(err)
 	}
 	walk(got)
-	if e, u := env2.Dev.ReadU64(l.head), env2.Arena.Usage()[pmalloc.TagLog]; e != l.epoch+1 || l2.epoch != e || u != 0 {
+	if e, u := env2.Dev.ReadU64(l.line), env2.Arena.Usage()[pmalloc.TagLog]; e != l.epoch+1 || l2.epoch != e || u != 0 {
 		t.Errorf("Recover left epoch %d (the log's %d, want %d) and %d log bytes", e, l2.epoch, l.epoch+1, u)
 	}
 }
@@ -262,7 +268,7 @@ func TestRecoverPicksTheOpenEpoch(t *testing.T) {
 	if stale == 0 {
 		t.Fatal("no committed entry is left persisted: the test checks nothing")
 	}
-	_, got, err := recoverLog(env2, l.head)
+	_, got, err := recoverLog(env2, l.line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,15 +282,13 @@ func TestRecoverPicksTheOpenEpoch(t *testing.T) {
 // lines with three repair records, and the truncation that commits them, on a
 // cold cache (everything evicted before each step) and on a warm one. The
 // transaction measured is the third: the first two carved the chunks it
-// recycles, as a transaction in steady state does.
+// recycles, as a transaction in steady state does. An append streams its
+// lines and fences nothing (the engine's next fence makes it durable); the
+// truncation streams the commit line and the free mark of the entry chunk
+// kept aside before (pmalloc.Arena.FreeStreamed), and fences once — no load
+// and no CLWB on either cache.
 func TestAppendCost(t *testing.T) {
-	env := core.NewEnv(core.EnvConfig{DeviceSize: 8 << 20})
-	hdr, err := env.Arena.Alloc(8, pmalloc.TagOther)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := Format(env.Arena, int64(hdr), testTables())
-	env.Dev.Sync(int64(hdr), 8)
+	env, l := newLog(t)
 	oneLine := Entry{Type: core.WalUpdate, Table: 1, Key: 3, Body: make([]byte, 16)}
 	twoLines := Entry{Type: core.WalUpdate, Table: 0, Key: 9, Body: make([]byte, 16), Fixes: []core.SecFix{
 		{Idx: 0, Sec: 1, PK: 9}, {Idx: 0, Add: true, Sec: 2, PK: 9}, {Idx: 1, Add: true, Sec: 3, PK: 9}}}
@@ -307,8 +311,8 @@ func TestAppendCost(t *testing.T) {
 		cache string
 		want  []counts // per step
 	}{
-		{"cold", []counts{{0, 1, 0, 1}, {0, 2, 0, 1}, {1, 2, 1, 1}}},
-		{"warm", []counts{{0, 1, 0, 1}, {0, 2, 0, 1}, {0, 2, 1, 1}}},
+		{"cold", []counts{{0, 1, 0, 0}, {0, 2, 0, 0}, {0, 2, 0, 1}}},
+		{"warm", []counts{{0, 1, 0, 0}, {0, 2, 0, 0}, {0, 2, 0, 1}}},
 	} {
 		for txn := 0; txn < 3; txn++ {
 			for i, s := range steps {
@@ -324,6 +328,75 @@ func TestAppendCost(t *testing.T) {
 					t.Errorf("%s cache, %s: %d loads, %d stores, %d CLWBs, %d fences; want %+v", c.cache, s.name, got.loads, got.stores, got.clwbs, got.fences, c.want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestCommitLineOwnsItsLine: the commit line starts a cache line — Format
+// refuses one that does not — and holds the epoch and zeros, nothing else, on
+// the medium. A crash between the line's stream and its fence reopens the log
+// at the old epoch or the new one, whatever the crash kept of the line: none
+// of it, all of it, or any 8-byte prefix.
+func TestCommitLineOwnsItsLine(t *testing.T) {
+	env, l := newLog(t)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Format took a commit line 8 bytes into a cache line")
+			}
+		}()
+		Format(env.Arena, l.line+8, testTables())
+	}()
+	want := func(epoch uint64) []byte {
+		return binary.LittleEndian.AppendUint64(make([]byte, 0, nvm.LineSize), epoch)[:nvm.LineSize]
+	}
+	if !env.Dev.DurableEqual(l.line, want(1)) {
+		t.Fatal("the formatted commit line is not epoch 1 and zeros on the medium")
+	}
+	ent := Entry{Type: core.WalUpdate, Table: 1, Key: 3, Body: make([]byte, 16)}
+	if err := l.Append(ent); err != nil {
+		t.Fatal(err)
+	}
+	l.Truncate(nil)
+	if !env.Dev.DurableEqual(l.line, want(2)) {
+		t.Fatal("the committed commit line is not epoch 2 and zeros on the medium")
+	}
+
+	if err := l.Append(ent); err != nil {
+		t.Fatal(err)
+	}
+	env.Dev.Fence()
+	env.Dev.InjectFaults(nvm.FaultPlan{CrashAfterFences: 0})
+	func() {
+		defer func() {
+			if r := recover(); r != nvm.ErrInjectedCrash {
+				t.Fatalf("the truncation's fence did not crash: %v", r)
+			}
+		}()
+		l.Truncate(nil)
+	}()
+	var line []byte
+	env.Dev.Unfenced(func(off int64, buf []byte) {
+		if off == l.line {
+			line = append([]byte(nil), buf...)
+		}
+	})
+	if !bytes.Equal(line, want(3)) {
+		t.Fatalf("the un-fenced commit line is %x, want epoch 3 and zeros", line)
+	}
+	medium := env.Dev.CloneMedium()
+	for kept := 0; kept <= nvm.LineSize; kept += 8 {
+		dev := medium.CloneMedium()
+		if kept > 0 {
+			dev.Write(l.line, line[:kept])
+			dev.Sync(l.line, kept)
+		}
+		env2, err := (&core.Env{Dev: dev}).Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Open(env2.Arena, l.line, testTables()).epoch; got != 2 && got != 3 {
+			t.Errorf("%d bytes of the line kept: the log reopens at epoch %d, want 2 or 3", kept, got)
 		}
 	}
 }
