@@ -281,7 +281,7 @@ type ArenaPager struct {
 	dev   *nvm.Device
 	psize int
 
-	master pmalloc.Ptr // chunk holding two master-record slots, a line each
+	master pmalloc.Ptr // chunk holding two 64 B master-record slots
 	seq    uint64
 	root   uint64
 	meta   uint64
@@ -295,23 +295,19 @@ type ArenaPager struct {
 	ioErr error
 }
 
-// The master block is a chunk of three lines: a chunk of more than a line
-// starts one, and its payload 16 bytes into it, so the payload's second and
-// third lines, from mSlots, are the two slots, each a line no other word
-// shares. A slot holds seq, root, meta and the checksum, then zeros.
-const mSlots = nvm.LineSize - pmalloc.HeaderSize
-
 // CreateArenaPager allocates the master block and stores its pointer in the
 // given arena root slot (the naming mechanism).
 func CreateArenaPager(arena *pmalloc.Arena, rootSlot int, pageSize int) (*ArenaPager, error) {
-	m, err := arena.Alloc(mSlots+2*nvm.LineSize, pmalloc.TagOther)
+	m, err := arena.Alloc(128, pmalloc.TagOther)
 	if err != nil {
 		return nil, err
 	}
 	p := &ArenaPager{arena: arena, dev: arena.Device(), psize: pageSize,
 		master: m, codec: newCodec(pageSize)}
-	p.dev.WriteStream(int64(m)+mSlots, make([]byte, 2*nvm.LineSize))
-	arena.SetPersisted(m) // its fence makes the zeroed slots durable too
+	zero := make([]byte, 128)
+	p.dev.Write(int64(m), zero)
+	p.dev.Sync(int64(m), 128)
+	arena.SetPersisted(m)
 	if err := p.writeMaster(); err != nil {
 		return nil, err
 	}
@@ -329,7 +325,7 @@ func OpenArenaPager(arena *pmalloc.Arena, rootSlot int, pageSize int) (*ArenaPag
 		master: m, codec: newCodec(pageSize)}
 	found := false
 	for slot := int64(0); slot < 2; slot++ {
-		base := int64(m) + mSlots + slot*nvm.LineSize
+		base := int64(m) + slot*64
 		seq := p.dev.ReadU64(base)
 		root := p.dev.ReadU64(base + 8)
 		user := p.dev.ReadU64(base + 16)
@@ -345,19 +341,17 @@ func OpenArenaPager(arena *pmalloc.Arena, rootSlot int, pageSize int) (*ArenaPag
 	return p, nil
 }
 
-// writeMaster streams the alternate master slot whole and fences it. The
-// slot is a line of its own that nothing reads back until Open, so it is
-// written without a fill or a CLWB; the checksum tells a slot a crash tore
-// inside the fence interval.
+// writeMaster writes the alternate master slot with the sync primitive. A
+// slot fits one cache line, so the update is a single-line atomic durable
+// write guarded by a checksum.
 func (p *ArenaPager) writeMaster() error {
 	p.seq++
-	var slot [nvm.LineSize]byte
-	binary.LittleEndian.PutUint64(slot[0:], p.seq)
-	binary.LittleEndian.PutUint64(slot[8:], p.root)
-	binary.LittleEndian.PutUint64(slot[16:], p.meta)
-	binary.LittleEndian.PutUint64(slot[24:], metaSum(arenaMagic, p.seq, p.root, 1, p.meta))
-	p.dev.WriteStream(int64(p.master)+mSlots+int64(p.seq%2)*nvm.LineSize, slot[:])
-	p.dev.Fence()
+	base := int64(p.master) + int64(p.seq%2)*64
+	p.dev.WriteU64(base, p.seq)
+	p.dev.WriteU64(base+8, p.root)
+	p.dev.WriteU64(base+16, p.meta)
+	p.dev.WriteU64(base+24, metaSum(arenaMagic, p.seq, p.root, 1, p.meta))
+	p.dev.Sync(base, 32)
 	return nil
 }
 

@@ -114,74 +114,6 @@ func TestArenaPagerMasterSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestArenaPagerMasterSlotOwnsItsLine: each master-record slot starts a
-// cache line of the master chunk, and a Persist with no page to fence writes
-// it as one streamed line and one fence — no load, no CLWB. A crash between
-// the stream and its fence reopens at the old record or the new one,
-// whatever the crash kept of the line: none of it, all of it, or any 8-byte
-// prefix.
-func TestArenaPagerMasterSlotOwnsItsLine(t *testing.T) {
-	dev := nvm.NewDevice(nvm.DefaultConfig(32 << 20))
-	arena := pmalloc.Format(dev, 0, 32<<20)
-	pg, err := CreateArenaPager(arena, 0, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slot := int64(pg.master) + mSlots; slot%nvm.LineSize != 0 {
-		t.Fatalf("master slot 0 at %d does not start a cache line", slot)
-	}
-	if err := pg.Persist(100, 1); err != nil {
-		t.Fatal(err)
-	}
-	dev.EvictAll()
-	before := dev.Stats()
-	if err := pg.Persist(200, 2); err != nil {
-		t.Fatal(err)
-	}
-	if d := dev.Stats().Sub(before); d.Loads != 0 || d.Stores != 1 || d.Flushes != 0 || d.Fences != 1 {
-		t.Errorf("a master write cost %d loads, %d stores, %d CLWBs, %d fences; want 0, 1, 0, 1", d.Loads, d.Stores, d.Flushes, d.Fences)
-	}
-
-	dev.InjectFaults(nvm.FaultPlan{CrashAfterFences: 0})
-	func() {
-		defer func() {
-			if r := recover(); r != nvm.ErrInjectedCrash {
-				t.Fatalf("the master write's fence did not crash: %v", r)
-			}
-		}()
-		pg.Persist(300, 3)
-	}()
-	slot := int64(pg.master) + mSlots + int64(pg.seq%2)*nvm.LineSize
-	var line []byte
-	dev.Unfenced(func(off int64, buf []byte) {
-		if off == slot {
-			line = append([]byte(nil), buf...)
-		}
-	})
-	if line == nil {
-		t.Fatal("the new master slot is not among the un-fenced lines")
-	}
-	medium := dev.CloneMedium()
-	for kept := 0; kept <= nvm.LineSize; kept += 8 {
-		d := medium.CloneMedium()
-		if kept > 0 {
-			d.Write(slot, line[:kept])
-			d.Sync(slot, kept)
-		}
-		a, err := pmalloc.Open(d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg2, err := OpenArenaPager(a, 0, 4096)
-		if err != nil {
-			t.Fatalf("%d bytes of the slot kept: %v", kept, err)
-		}
-		if root, meta := pg2.Committed(); (root != 200 || meta != 2) && (root != 300 || meta != 3) {
-			t.Errorf("%d bytes of the slot kept: master (%d,%d), want (200,2) or (300,3)", kept, root, meta)
-		}
-	}
-}
-
 // TestArenaPagerUnpersistedPagesReclaimed: a page written but never persisted
 // is one no committed tree reaches. A crash leaves its chunk free, or
 // persisted for the owner's reachability sweep, which frees it.

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/nvbtree"
 )
 
 // Factory describes how to build and recover one engine kind.
@@ -28,6 +29,10 @@ type Factory struct {
 	// by nothing the engine holds — storage no later Open would reclaim. It
 	// needs the engine's internals, so the engine's own test package sets it.
 	Leaks func(e core.Engine) error
+	// MemTable, if set, returns an LSM engine's MemTable tree, so that the
+	// full-memtable-leaf fence-window schedule can check that its walked put
+	// replaced a node of it, the rewrite the schedule is there to cover.
+	MemTable func(e core.Engine) *nvbtree.Tree
 }
 
 // testSchema builds a small two-table schema with a secondary index.

@@ -2,10 +2,13 @@ package enginetest
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/nvbtree"
 	"nstore/internal/nvm"
+	"nstore/internal/pmalloc"
 	"nstore/internal/txn2pc"
 )
 
@@ -85,6 +88,9 @@ type windowSchedule struct {
 	priorAbort bool
 	ops        []windowOp
 	abort      bool
+	// rewrite: the walked put must replace a node of the MemTable, where
+	// the factory names one (Factory.MemTable).
+	rewrite bool
 }
 
 // windowSchedules are the one-transaction schedules the walk covers.
@@ -124,19 +130,15 @@ func windowSchedules() []windowSchedule {
 		// journal, where every other schedule's put appends to the leaf and
 		// publishes the entry with its count. The prior transaction fills the
 		// leaf, the load's keys and one entry per update.
-		{name: "full-memtable-leaf", prior: fillLeaf(str), ops: []windowOp{str(3, 5)}},
+		{name: "full-memtable-leaf", prior: fillLeaf(str), ops: []windowOp{str(3, 5)}, rewrite: true},
 	}
 }
 
-// leafEntries is how many entries an nvbtree leaf of the default 512-byte
-// node holds (DESIGN.md, "A lookup loads the lines it uses").
-const leafEntries = 28
-
-// fillLeaf returns the updates that fill an LSM engine's MemTable leaf from
-// the load's windowsKeys entries: each adds an entry, a newer version of key
-// 1's row.
+// fillLeaf returns the updates that fill an LSM engine's MemTable leaf, a
+// node of windowsOpts' size, from the load's windowsKeys entries: each adds
+// an entry, a newer version of key 1's row.
 func fillLeaf(str func(key uint64, col int) windowOp) []windowOp {
-	ops := make([]windowOp, leafEntries-windowsKeys)
+	ops := make([]windowOp, nvbtree.Capacity(windowsOpts.BTreeNodeSize)-windowsKeys)
 	for i := range ops {
 		ops[i] = str(1, 2+i%10)
 	}
@@ -309,9 +311,13 @@ func checkFenceWindows(f Factory, sc windowSchedule, drop int) (fences, ending i
 		return 0, 0, err
 	}
 	after := before.clone()
+	nodes := memNodes(f, sc, e)
 	start, end, done, err := windowsTxn(env, e, after, sc)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
+	}
+	if nodes != nil && maps.Equal(nodes, memNodes(f, sc, e)) {
+		return 0, 0, fmt.Errorf("%s/%s: the walked put replaced no MemTable node", f.Name, sc.name)
 	}
 	if sc.abort {
 		after = before
@@ -328,6 +334,17 @@ func checkFenceWindows(f Factory, sc windowSchedule, drop int) (fences, ending i
 		}
 	}
 	return fences, ending, nil
+}
+
+// memNodes returns the nodes of the factory's MemTable if the schedule must
+// rewrite one of them, and nil if it need not or the factory names none.
+func memNodes(f Factory, sc windowSchedule, e core.Engine) map[pmalloc.Ptr]bool {
+	if !sc.rewrite || f.MemTable == nil {
+		return nil
+	}
+	nodes := map[pmalloc.Ptr]bool{}
+	f.MemTable(e).Nodes(func(p pmalloc.Ptr) { nodes[p] = true })
+	return nodes
 }
 
 // fenceWindow crashes one pass at fence k of the transaction's fences, or

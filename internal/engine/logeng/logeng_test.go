@@ -8,6 +8,7 @@ import (
 
 	"nstore/internal/core"
 	"nstore/internal/engine/enginetest"
+	"nstore/internal/nvbtree"
 )
 
 type ctor = func(*core.Env, []*core.Schema, core.Options) (*Engine, error)
@@ -31,6 +32,7 @@ func logFactory() enginetest.Factory { return factory("log", New, Open, true) }
 func nvmFactory() enginetest.Factory {
 	f := factory("nvm-log", NewNVM, OpenNVM, false)
 	f.Leaks = func(e core.Engine) error { return checkArenaMatchesReach(e.(*Engine)) }
+	f.MemTable = func(e core.Engine) *nvbtree.Tree { return e.(*Engine).nvm().mem }
 	return f
 }
 

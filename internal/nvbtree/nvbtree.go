@@ -130,6 +130,18 @@ func newHandle(arena *pmalloc.Arena, nodeSize int) *Tree {
 	return t
 }
 
+// Capacity returns how many entries a node of nodeSize bytes (0:
+// DefaultNodeSize) holds: the puts of distinct keys that fill an empty leaf,
+// after which the next put rewrites it.
+func Capacity(nodeSize int) int {
+	if nodeSize == 0 {
+		nodeSize = DefaultNodeSize
+	}
+	var t Tree
+	t.setSize(nodeSize - pmalloc.HeaderSize)
+	return t.cap
+}
+
 // setSize sizes the handle for nodes of nsize payload bytes: the most entries
 // that fit behind the count word, the flag and one fingerprint each, the
 // entries 16-byte aligned.

@@ -443,3 +443,23 @@ func TestCyclicChildPointerEndsDescents(t *testing.T) {
 		t.Fatalf("Iter emitted %d keys under a cyclic root", n)
 	}
 }
+
+// TestCapacityFillsALeaf: Capacity distinct keys fill an empty tree's one
+// leaf in place, and the next put rewrites it — at the default node size
+// (Capacity(0)) and at others.
+func TestCapacityFillsALeaf(t *testing.T) {
+	for _, size := range []int{0, 256, 512, 1024} {
+		_, _, tr := newTree(t, size)
+		root := tr.root()
+		for k := 0; k < Capacity(size); k++ {
+			put(t, tr, uint64(k), 1)
+		}
+		if got := tr.root(); got != root {
+			t.Errorf("node size %d: %d puts rewrote the leaf", size, Capacity(size))
+		}
+		put(t, tr, uint64(Capacity(size)), 1)
+		if got := tr.root(); got == root {
+			t.Errorf("node size %d: put %d found room in a leaf of capacity %d", size, Capacity(size)+1, Capacity(size))
+		}
+	}
+}
