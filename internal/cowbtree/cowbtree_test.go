@@ -405,25 +405,18 @@ func TestQuickCrashInjection(t *testing.T) {
 		persisted := make(map[uint64]string)
 		working := make(map[uint64]string)
 
-		dev.FailAfterFences(rng.Intn(200))
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != nvm.ErrInjectedCrash {
-					panic(r)
-				}
-			}()
+		dev.InjectFaults(nvm.FaultPlan{Mode: nvm.FaultLoseAll, CrashAfterFences: rng.Intn(200)})
+		if _, err := nvm.Crashed(func() error {
 			for i := 0; i < 300; i++ {
 				k := uint64(rng.Intn(200)) + 1
 				v := fmt.Sprintf("v%d-%d", k, i)
 				if err := tr.Put(k, []byte(v)); err != nil {
-					t.Error(err)
-					return
+					return err
 				}
 				working[k] = v
 				if i%25 == 24 {
 					if err := tr.Persist(); err != nil {
-						t.Error(err)
-						return
+						return err
 					}
 					persisted = make(map[uint64]string, len(working))
 					for kk, vv := range working {
@@ -431,7 +424,10 @@ func TestQuickCrashInjection(t *testing.T) {
 					}
 				}
 			}
-		}()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		dev.Crash()
 		pg2, err := OpenFilePager(fs, "cow.db", 4096)
 		if err != nil {

@@ -147,7 +147,7 @@ func recoverySchedule(f Factory, fam faultFamily, seed int64) error {
 	// crash would test only a clean power cut.
 	const maxTxns = 400
 	w := newWorkload(rng, e)
-	crashed, err := crashing(func() error { return w.txns(maxTxns) })
+	crashed, err := nvm.Crashed(func() error { return w.txns(maxTxns) })
 	if err != nil {
 		return err
 	}
@@ -170,48 +170,88 @@ func recoverySchedule(f Factory, fam faultFamily, seed int64) error {
 
 // RunConcurrentRecoveryConformance is the conformance check for crashes
 // inside recovery: a recovery pass must be restartable at any point without
-// changing the state it converges to.
+// changing the state it converges to. It logs, per fault family, the share of
+// schedules whose fault fired inside recovery.
 func RunConcurrentRecoveryConformance(t *testing.T, f Factory) {
 	t.Helper()
-	runSchedules(t, withFamily(f, concurrentSchedule))
+	fired := firings{}
+	runSchedules(t, withFamily(f, fired.concurrent))
+	for _, fam := range conformanceFamilies(f.Volatile) {
+		n := fired[fam.name]
+		t.Logf("%s/%s: the fault fired mid-recovery on %d of %d schedules", f.Name, fam.name, n[1], n[0])
+	}
+}
+
+// firings counts, per fault family, the concurrent-recovery schedules run and
+// those whose fault fired mid-recovery.
+type firings map[string][2]int
+
+// concurrent runs concurrentSchedule and counts whether its fault fired.
+func (fr firings) concurrent(f Factory, fam faultFamily, seed int64) error {
+	crashed, err := concurrentSchedule(f, fam, seed)
+	n := fr[fam.name]
+	n[0]++
+	if crashed {
+		n[1]++
+	}
+	fr[fam.name] = n
+	return err
 }
 
 // concurrentSchedule runs one cycle: workload → clean crash → control
 // recovery → crash → recovery attempt with a fault armed to fire
-// mid-recovery → crash → final recovery, to the same committed state.
-func concurrentSchedule(f Factory, fam faultFamily, seed int64) error {
+// mid-recovery → crash → final recovery, to the same committed state. It
+// reports whether the fault fired inside the attempt.
+func concurrentSchedule(f Factory, fam faultFamily, seed int64) (bool, error) {
 	rng := rand.New(rand.NewSource(seed))
 	env, opts, schemas := scheduleEnv(), scheduleOpts, testSchema()
 	e, err := f.New(env, schemas, opts)
 	if err != nil {
-		return fmt.Errorf("New: %w", err)
+		return false, fmt.Errorf("New: %w", err)
 	}
 	w := newWorkload(rng, e)
 	if err := w.txns(60); err != nil {
-		return err
+		return false, err
 	}
 	if err := e.Flush(); err != nil {
-		return fmt.Errorf("Flush: %w", err)
+		return false, fmt.Errorf("Flush: %w", err)
 	}
 
 	// Control pass: clean power cycle. No transaction was in flight, so the
-	// committed model is unambiguous.
-	e2, err := crashOpen(f, env, schemas, opts)
+	// committed model is unambiguous. It measures the fences the engine's
+	// recovery takes.
+	env.Dev.Crash()
+	env2, err := reattach(f, env)
+	if err != nil {
+		return false, fmt.Errorf("control recovery: %w", err)
+	}
+	start := env.Dev.Stats().Fences
+	e2, err := f.Open(env2, schemas, opts)
+	fences := int(env.Dev.Stats().Fences - start)
 	if err == nil {
 		err = checkModel(e2, schemas, w.committed)
 	}
 	if err != nil {
-		return fmt.Errorf("control recovery: %w", err)
+		return false, fmt.Errorf("control recovery: %w", err)
 	}
 
-	// Power-cycle again, then arm a fault timed to fire during the *next*
-	// recovery's device traffic — the power cut lands mid-replay. (Every
-	// reopen is of env's one device.)
+	// Power-cycle again, then arm a fault timed to fire inside the next
+	// recovery — the power cut lands mid-replay: a device fault at one of the
+	// fences the control recovery took, a sync fault on the filesystem this
+	// recovery opened, not the one before it. (Every reopen is of env's one
+	// device.)
 	env.Dev.Crash()
-	fam.arm(env, seed^0x7ec0, rng, 1, 40, 10)
-	crashed, err := attemptRecovery(f, env, schemas, opts)
+	env3, err := reattach(f, env)
 	if err != nil {
-		return fmt.Errorf("mid-recovery attempt: %w", err)
+		return false, fmt.Errorf("mid-recovery attempt: %w", err)
+	}
+	fam.arm(env3, seed^0x7ec0, rng, 0, max(fences, 1), 10)
+	crashed, err := nvm.Crashed(func() error {
+		_, err := f.Open(env3, schemas, opts)
+		return err
+	})
+	if err != nil {
+		return crashed, fmt.Errorf("mid-recovery attempt: %w", err)
 	}
 
 	// Final pass: cut the power over whatever the interrupted recovery left
@@ -225,18 +265,9 @@ func concurrentSchedule(f Factory, fam faultFamily, seed int64) error {
 		err = probe(e3, "users", userRow(probeKey))
 	}
 	if err != nil {
-		return fmt.Errorf("final recovery (mid-recovery crash fired: %v): %w", crashed, err)
+		return crashed, fmt.Errorf("final recovery (mid-recovery crash fired: %v): %w", crashed, err)
 	}
-	return nil
-}
-
-// attemptRecovery recovers with the fault armed and reports whether it fired
-// (it may land past the recovery's traffic); any other failure is genuine.
-func attemptRecovery(f Factory, env *core.Env, schemas []*core.Schema, opts core.Options) (crashed bool, err error) {
-	return crashing(func() error {
-		_, err := recoverOn(f, env, schemas, opts)
-		return err
-	})
+	return crashed, nil
 }
 
 // userOp applies one random mutation or read to the users table, mirroring

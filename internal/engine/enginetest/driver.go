@@ -1,7 +1,6 @@
 package enginetest
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"maps"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"nstore/internal/core"
-	"nstore/internal/nvm"
 	"nstore/internal/txn2pc"
 )
 
@@ -130,23 +128,6 @@ func (w *workload) txns(n int) error {
 	return nil
 }
 
-// crashing runs fn and reports whether an injected crash (nvm.ErrInjectedCrash,
-// raised or returned) cut it short.
-func crashing(fn func() error) (crashed bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if rerr, ok := r.(error); !ok || !errors.Is(rerr, nvm.ErrInjectedCrash) {
-				panic(r)
-			}
-			crashed, err = true, nil
-		}
-	}()
-	if err = fn(); errors.Is(err, nvm.ErrInjectedCrash) {
-		return true, nil
-	}
-	return false, err
-}
-
 // crashOpen cuts the power under env — an armed fault plan decides what the
 // un-fenced lines leave behind — and recovers f's engine from the medium.
 func crashOpen(f Factory, env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
@@ -154,9 +135,22 @@ func crashOpen(f Factory, env *core.Env, schemas []*core.Schema, opts core.Optio
 	return recoverOn(f, env, schemas, opts)
 }
 
-// recoverOn re-attaches env's device — a volatile engine's arena is
-// reformatted — and opens f's engine on it.
+// recoverOn re-attaches env's device and opens f's engine on it.
 func recoverOn(f Factory, env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
+	env2, err := reattach(f, env)
+	if err != nil {
+		return nil, err
+	}
+	e, err := f.Open(env2, schemas, opts)
+	if err != nil {
+		return nil, fmt.Errorf("recovery open: %w", err)
+	}
+	return e, nil
+}
+
+// reattach opens the filesystem and the arena on env's device, the arena
+// reformatted for a volatile engine.
+func reattach(f Factory, env *core.Env) (*core.Env, error) {
 	reopen := env.Reopen
 	if f.Volatile {
 		reopen = env.ReopenVolatile
@@ -165,11 +159,7 @@ func recoverOn(f Factory, env *core.Env, schemas []*core.Schema, opts core.Optio
 	if err != nil {
 		return nil, fmt.Errorf("env reopen: %w", err)
 	}
-	e, err := f.Open(env2, schemas, opts)
-	if err != nil {
-		return nil, fmt.Errorf("recovery open: %w", err)
-	}
-	return e, nil
+	return env2, nil
 }
 
 // rowReader is what the oracle reads: a core.Engine or a core.ReadView.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/engine/inp"
 	"nstore/internal/engine/nvminp"
 )
 
@@ -33,4 +34,34 @@ func TestReplayNamesTheTest(t *testing.T) {
 			t.Fatalf("failure %q does not carry the schedule's error", err)
 		}
 	})
+}
+
+// TestMidRecoveryFaultFires: the concurrent-recovery battery's device fault
+// lands inside the engine's recovery, at a fence drawn from the ones the
+// control recovery took, on every device-family schedule of inp's -short
+// block. The fsync families' share is logged: inp's recovery replays its WAL
+// into memory and syncs nothing, so their fault, armed on the filesystem
+// recovery opens, has no fsync to fire at.
+func TestMidRecoveryFaultFires(t *testing.T) {
+	f := Factory{
+		Name: "inp",
+		New: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
+			return inp.New(env, schemas, opts)
+		},
+		Open: func(env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
+			return inp.Open(env, schemas, opts)
+		},
+		Volatile: true,
+	}
+	fired := firings{}
+	if err := seedLoop(t.Name(), BaseSeed(), 40, withFamily(f, fired.concurrent)); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range conformanceFamilies(true) {
+		n := fired[fam.name]
+		t.Logf("%s: fired mid-recovery on %d of %d schedules", fam.name, n[1], n[0])
+		if fam.device != nil && n[1] != n[0] {
+			t.Errorf("%s: fired mid-recovery on %d of %d schedules, want all", fam.name, n[1], n[0])
+		}
+	}
 }

@@ -1,26 +1,25 @@
 package enginetest
 
 import (
+	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
 	"testing"
 
 	"nstore/internal/core"
 	"nstore/internal/nvbtree"
 	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
-	"nstore/internal/txn2pc"
 )
 
-// The fence-window walk: where the conformance batteries sample crash points,
-// this visits every one a short transaction has. A transaction is a sequence
-// of fence intervals, and a crash can only matter between two fences: at each
-// fence k the lines written since fence k-1 are the un-fenced set, any subset
-// of which may have reached the medium. The walk tries three subsets per
-// window — none, all, and each line alone, which is what an engine that
-// assumed an order between two lines of one interval cannot survive. The
-// last window is the one after the transaction has returned: whatever its
-// un-fenced lines do, a committed transaction is whole.
+// The fence-window schedules: where the conformance batteries sample crash
+// points, nvm.WalkFences visits every one a short transaction has, and
+// recovers every outcome of the lines behind each fence. These are the
+// transactions it walks on each NVM engine and the checks it makes of each
+// crash state. The last window is the one after the transaction has
+// returned: whatever its un-fenced lines do, a committed transaction is
+// whole.
 
 // windowsSchema is a users table wide enough for a ten-string row.
 func windowsSchema() []*core.Schema {
@@ -79,22 +78,38 @@ func (o windowOp) apply(e core.Engine, mod model) error {
 }
 
 // windowSchedule is one transaction: its operations, then Commit or Abort.
-// A prior transaction, if there is one, runs to its end — committed, or
-// aborted if priorAbort is set — before the one walked, which starts from
-// its effects.
+// The prior transactions run to their end first — each committed, the last
+// aborted if priorAbort is set — and the one walked starts from their
+// effects.
 type windowSchedule struct {
 	name       string
-	prior      []windowOp
+	opts       core.Options // the engine's; every commit is durable (GroupCommitSize 1)
+	prior      [][]windowOp
 	priorAbort bool
 	ops        []windowOp
 	abort      bool
 	// rewrite: the walked put must replace a node of the MemTable, where
 	// the factory names one (Factory.MemTable).
 	rewrite bool
+	// merges: on an engine with a MemTable, the merges run once the walked
+	// transaction has committed — it must be one that merges. After
+	// recovery the engine must merge once more.
+	merges int64
+	// recovery: the crash at Commit's first fence crashes recovery too, at
+	// each of its fences, and recovers again.
+	recovery bool
 }
 
-// windowSchedules are the one-transaction schedules the walk covers.
-func windowSchedules() []windowSchedule {
+// options are the schedule's engine options.
+func (sc windowSchedule) options() core.Options {
+	o := sc.opts
+	o.GroupCommitSize = 1
+	return o
+}
+
+// windowSchedules are the schedules the walk covers; the merge schedules'
+// keys are drawn from seed.
+func windowSchedules(seed int64) []windowSchedule {
 	str := func(key uint64, col int) windowOp {
 		return windowOp{key: key, cols: []int{col}, row: windowsRow(key, 100)}
 	}
@@ -102,7 +117,7 @@ func windowSchedules() []windowSchedule {
 	wide := func(key uint64) windowOp {
 		return windowOp{key: key, cols: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, row: windowsRow(key, 100)}
 	}
-	return []windowSchedule{
+	return append([]windowSchedule{
 		{name: "update-string", ops: []windowOp{str(3, 5)}},
 		{name: "update-indexed-int", ops: []windowOp{{key: 4, cols: []int{1}, row: windowsRow(4, 100)}}},
 		{name: "insert-ten-strings", ops: []windowOp{insert}},
@@ -115,73 +130,155 @@ func windowSchedules() []windowSchedule {
 		// inside its append's fence interval can keep any one line alone
 		// over the old entry's others — a torn entry, which recovery must not
 		// undo.
-		{name: "update-multiline-entry", prior: []windowOp{wide(3)}, ops: []windowOp{wide(4)}},
+		{name: "update-multiline-entry", prior: [][]windowOp{{wide(3)}}, ops: []windowOp{wide(4)}},
 		// The same update as the committed transaction before it, of another
 		// key: an undo log's entry streams over the chunk that transaction's
 		// entry was freed to and kept aside still marked persisted
 		// (pmalloc.Arena.FreeStreamed). A crash that loses the new lines
 		// leaves the old entry whole, which recovery must not undo.
-		{name: "over-freed-entry", prior: []windowOp{str(2, 5)}, ops: []windowOp{str(3, 5)}},
+		{name: "over-freed-entry", prior: [][]windowOp{{str(2, 5)}}, ops: []windowOp{str(3, 5)}},
 		// The operations an aborted transaction undid, again: recovery must
 		// undo this transaction's entries, and only those.
-		{name: "after-abort", prior: []windowOp{str(5, 2), insert}, priorAbort: true, ops: []windowOp{str(5, 2), insert}},
+		{name: "after-abort", prior: [][]windowOp{{str(5, 2), insert}}, priorAbort: true, ops: []windowOp{str(5, 2), insert}},
 		// An update that finds its MemTable leaf full: an LSM engine's put
 		// rewrites the leaf and swaps the new one in behind the rewrite's
 		// journal, where every other schedule's put appends to the leaf and
 		// publishes the entry with its count. The prior transaction fills the
 		// leaf, the load's keys and one entry per update.
-		{name: "full-memtable-leaf", prior: fillLeaf(str), ops: []windowOp{str(3, 5)}, rewrite: true},
-	}
+		{name: "full-memtable-leaf", prior: [][]windowOp{fillLeaf(str)}, ops: []windowOp{str(3, 5)}, rewrite: true},
+		indexRewriteSchedule(),
+		crashedRecoverySchedule(),
+	}, mergeSchedules(seed)...)
 }
 
 // fillLeaf returns the updates that fill an LSM engine's MemTable leaf, a
-// node of windowsOpts' size, from the load's windowsKeys entries: each adds
+// node of the default size, from the load's windowsKeys entries: each adds
 // an entry, a newer version of key 1's row.
 func fillLeaf(str func(key uint64, col int) windowOp) []windowOp {
-	ops := make([]windowOp, nvbtree.Capacity(windowsOpts.BTreeNodeSize)-windowsKeys)
+	ops := make([]windowOp, nvbtree.Capacity(nvbtree.DefaultNodeSize)-windowsKeys)
 	for i := range ops {
 		ops[i] = str(1, 2+i%10)
 	}
 	return ops
 }
 
-var windowsOpts = core.Options{GroupCommitSize: 1}
+// indexRewriteSchedule inserts into three interleaved ascending key streams
+// under 128-byte index nodes, so that the walked insert splits a leaf of the
+// primary index under its parent: recovery completes or rolls back the
+// rewrite from its journal, and must leave no index routing to a free chunk
+// (f.Leaks). Whether the new node takes a chunk the parent still names under
+// a shadowed route is up to the allocator; nvbtree's
+// TestShadowedRouteFenceWindows walks that case on a bare tree.
+func indexRewriteSchedule() windowSchedule {
+	const prior = 32
+	sc := windowSchedule{name: "index-rewrite", opts: core.Options{BTreeNodeSize: 128}}
+	for i := 0; i <= prior; i++ {
+		k := (uint64(1+2*(i%3))*150+uint64(i/3))*2 + 1
+		op := windowOp{key: k, row: windowsRow(k, 0)}
+		if i < prior {
+			sc.prior = append(sc.prior, []windowOp{op})
+		} else {
+			sc.ops = append(sc.ops, op)
+		}
+	}
+	return sc
+}
+
+// crashedRecoverySchedule is a transaction of string updates, moves within
+// the secondary index and inserts, whose recovery is crashed too: undo runs
+// again over whatever a crashed recovery left, so it must free nothing that
+// its own index work could have taken in between, or the second run frees it
+// again as a live chunk.
+func crashedRecoverySchedule() windowSchedule {
+	sc := windowSchedule{name: "crashed-recovery", opts: core.Options{BTreeNodeSize: 128}, recovery: true}
+	for k := uint64(1); k <= 6; k++ {
+		var op windowOp
+		switch k % 3 {
+		case 0:
+			op = windowOp{key: k, cols: []int{2 + int(k%10)}, row: windowsRow(k, 1)}
+		case 1:
+			op = windowOp{key: k, cols: []int{1, 11}, row: windowsRow(k, 2)}
+		default:
+			op = windowOp{key: 100 + k, row: windowsRow(100+k, 3)}
+		}
+		sc.ops = append(sc.ops, op)
+	}
+	return sc
+}
+
+// mergeOpts rotate an LSM engine's MemTable every 8 keys and merge at growth
+// factor 2, so that a few rotations build runs of 8, 16, 24 and 40 keys: sets
+// that reach the oldest run and sets that stop above it.
+var mergeOpts = core.Options{MemTableCap: 8, LSMGrowth: 2, BTreeNodeSize: 128}
+
+// mergeSchedules are two commits that merge, their keys drawn from seed. The
+// load and every prior transaction but the few that update or delete insert
+// one fresh key each, so every eighth rotates; the walked transaction is the
+// insert whose rotation merges.
+func mergeSchedules(seed int64) []windowSchedule {
+	rng := rand.New(rand.NewSource(seed))
+	ins := func(k uint64) []windowOp { return []windowOp{{key: k, row: windowsRow(k, 0)}} }
+	upd := func(k uint64) []windowOp { return []windowOp{{key: k, cols: []int{1}, row: windowsRow(k, 100)}} }
+	del := func(k uint64) []windowOp { return []windowOp{{key: k, del: true}} }
+	fill := func(to uint64) (txns [][]windowOp) {
+		for k := uint64(windowsKeys + 1); k <= to; k++ {
+			txns = append(txns, ins(k))
+		}
+		return txns
+	}
+	taken := map[uint64]bool{}
+	pick := func(lo, hi uint64) uint64 {
+		for {
+			if k := lo + uint64(rng.Int63n(int64(hi-lo+1))); !taken[k] {
+				taken[k] = true
+				return k
+			}
+		}
+	}
+
+	// Stops above the oldest run: the seventh rotation's set is itself and
+	// the 8-key run above the 40-key one (40 > 2 x 16). A key only the oldest
+	// run holds is deleted, so the set holds a lone tombstone, and a key of
+	// the run above is deleted too: both tombstones must be carried forward.
+	// Another key of the run above is updated (read, folded, written) and a
+	// third deleted and re-inserted (the newest image adopted).
+	above := fill(48)
+	gone, upd1, again, lone, gone6 := pick(1, 40), pick(41, 48), pick(41, 48), pick(1, 40), pick(41, 48)
+	above = append(above, del(gone), upd(upd1), del(again), ins(again), upd(lone), del(gone6), ins(49), ins(50))
+
+	// Reaches the oldest run: the fifth rotation's set is 8 + 8 + 24 keys
+	// (24 <= 2 x 16). Keys of both older runs are deleted, so tombstones meet
+	// the images they delete and both are dropped.
+	clear(taken)
+	oldest := fill(32)
+	upd2, gone2, again2, gone3 := pick(1, 24), pick(1, 24), pick(1, 24), pick(25, 32)
+	oldest = append(oldest, upd(upd2), del(gone2), del(gone3), del(again2), ins(again2), ins(33), ins(34), ins(35))
+
+	return []windowSchedule{
+		{name: "merge-stops-above-oldest", opts: mergeOpts, prior: above, ops: ins(51), merges: 4},
+		{name: "merge-reaches-oldest", opts: mergeOpts, prior: oldest, ops: ins(36), merges: 3},
+	}
+}
 
 // windowsEngine builds the table the transaction starts from, and runs the
-// schedule's prior transaction. Everything the load left in the cache is
+// schedule's prior transactions. Everything they left in the cache is
 // evicted — legal at any time — so that every un-fenced line at the crash is
 // the transaction's own. drop >= 0 deletes that fence of the transaction.
 func windowsEngine(f Factory, sc windowSchedule, drop int) (*core.Env, core.Engine, model, error) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 64 << 10})
-	e, err := f.New(env, windowsSchema(), windowsOpts)
+	e, err := f.New(env, windowsSchema(), sc.options())
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	m := model{"users": {}}
 	for k := uint64(1); k <= windowsKeys; k++ {
-		row := windowsRow(k, 0)
-		if err := txn2pc.Run(e, func() error { return e.Insert("users", k, row) }); err != nil {
+		if m, err = runTxn(e, m, []windowOp{{key: k, row: windowsRow(k, 0)}}, false); err != nil {
 			return nil, nil, nil, err
 		}
-		m["users"][k] = row
 	}
-	if sc.prior != nil {
-		if err := e.Begin(); err != nil {
-			return nil, nil, nil, err
-		}
-		after := m.clone()
-		for _, o := range sc.prior {
-			if err := o.apply(e, after); err != nil {
-				return nil, nil, nil, fmt.Errorf("prior transaction: %w", err)
-			}
-		}
-		if sc.priorAbort {
-			err = e.Abort()
-		} else {
-			err, m = e.Commit(), after
-		}
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("prior transaction: %w", err)
+	for i, ops := range sc.prior {
+		if m, err = runTxn(e, m, ops, sc.priorAbort && i == len(sc.prior)-1); err != nil {
+			return nil, nil, nil, fmt.Errorf("prior transaction %d: %w", i, err)
 		}
 	}
 	env.Dev.EvictAll()
@@ -191,10 +288,28 @@ func windowsEngine(f Factory, sc windowSchedule, drop int) (*core.Env, core.Engi
 	return env, e, m, nil
 }
 
-// windowsTxn runs the schedule's transaction and returns the fence counts at
-// its start, when it called Commit or Abort, and at its end.
-func windowsTxn(env *core.Env, e core.Engine, m model, sc windowSchedule) (start, end, done uint64, err error) {
-	start = env.Dev.Stats().Fences
+// runTxn runs ops in one transaction that commits, or aborts if abort is
+// set, and returns the model after it.
+func runTxn(e core.Engine, m model, ops []windowOp, abort bool) (model, error) {
+	if err := e.Begin(); err != nil {
+		return nil, err
+	}
+	after := m.clone()
+	for _, o := range ops {
+		if err := o.apply(e, after); err != nil {
+			return nil, err
+		}
+	}
+	if abort {
+		return m, e.Abort()
+	}
+	return after, e.Commit()
+}
+
+// windowsTxn runs the schedule's transaction, mirroring it in m, and returns
+// the number of fences it had issued when it called Commit or Abort.
+func windowsTxn(env *core.Env, e core.Engine, m model, sc windowSchedule) (ending int, err error) {
+	start := env.Dev.Stats().Fences
 	if err = e.Begin(); err != nil {
 		return
 	}
@@ -203,34 +318,28 @@ func windowsTxn(env *core.Env, e core.Engine, m model, sc windowSchedule) (start
 			return
 		}
 	}
-	end = env.Dev.Stats().Fences
+	ending = int(env.Dev.Stats().Fences - start)
 	if sc.abort {
 		err = e.Abort()
 	} else {
 		err = e.Commit()
 	}
-	done = env.Dev.Stats().Fences
 	return
 }
 
-type keptLine struct {
-	line int64
-	data [nvm.LineSize]byte
-}
-
-// RunFenceWindows crashes each one-transaction schedule at every fence of the
-// transaction, and once more after it has returned, and, for each of three
-// outcomes of the un-fenced lines — all lost, all kept, exactly one kept —
+// RunFenceWindows walks each schedule's transaction with nvm.WalkFences: it
+// crashes it at every fence, and once more after it has returned, and, for
+// each outcome of the un-fenced lines — all lost, all kept, each kept alone —
 // recovers a copy of the medium and checks: the table before the transaction
 // is there exactly; the transaction is absent, or, once Commit was running,
-// absent or whole, and once Commit has returned, whole; the engine takes
-// another transaction; and f.Leaks finds no allocator chunk persisted yet
-// unreachable. A failure names the schedule, the fence and the surviving
-// lines.
+// absent or whole, and once Commit has returned, whole; f.Leaks finds no
+// allocator chunk persisted yet unreachable; and the engine takes another
+// transaction. A failure names the schedule, the fence and the surviving
+// lines. The merge schedules' keys are drawn from -seed.
 func RunFenceWindows(t *testing.T, f Factory) {
-	for _, sc := range windowSchedules() {
+	for _, sc := range windowSchedules(BaseSeed()) {
 		t.Run(sc.name, func(t *testing.T) {
-			if _, _, err := checkFenceWindows(f, sc, -1); err != nil {
+			if _, _, err := walkSchedule(f, sc, -1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -243,18 +352,18 @@ func RunFenceWindows(t *testing.T, f Factory) {
 // report a failure. The engine's test names a fence whose loss some crash
 // state exposes.
 func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string, fromEnd int) {
-	for _, sc := range windowSchedules() {
+	for _, sc := range windowSchedules(BaseSeed()) {
 		if sc.name != schedule {
 			continue
 		}
-		fences, _, err := checkFenceWindows(f, sc, -1)
+		fences, _, err := walkSchedule(f, sc, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fromEnd < 1 || fromEnd > fences {
 			t.Fatalf("%s/%s has %d fences, none is number %d from the end", f.Name, schedule, fences, fromEnd)
 		}
-		if _, _, err = checkFenceWindows(f, sc, fences-fromEnd); err == nil {
+		if _, _, err = walkSchedule(f, sc, fences-fromEnd); err == nil {
 			t.Fatalf("%s/%s: the walk did not notice that fence %d of %d was removed", f.Name, schedule, fences-fromEnd, fences)
 		}
 		t.Logf("caught as expected: %v", err)
@@ -263,8 +372,10 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 	t.Fatalf("no fence-window schedule %q", schedule)
 }
 
-// RunDropEachFence sweeps the walk over deleted fences: on each schedule (the
-// first alone under -short) it deletes each fence of the transaction in turn
+// RunDropEachFence sweeps the walk over deleted fences: on each schedule of
+// the default options (the first alone under -short; the others walk tens of
+// fences, or recovery's too, and a sweep of them costs minutes) it deletes
+// each fence of the transaction in turn
 // (nvm.Device.DropFence), from the last back to the first, walks the schedule
 // and logs the crash state that caught the loss, or that none did. A fence no
 // state misses orders nothing the schedules can see: it is redundant, or a
@@ -272,19 +383,18 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 // engine's commit line durable before Commit returns, the commit point, and
 // the walk must catch its loss on every committing schedule.
 func RunDropEachFence(t *testing.T, f Factory) {
-	schedules := windowSchedules()
-	if testing.Short() {
-		schedules = schedules[:1]
-	}
-	for _, sc := range schedules {
+	for i, sc := range windowSchedules(BaseSeed()) {
+		if sc.opts != (core.Options{}) || testing.Short() && i > 0 {
+			continue
+		}
 		t.Run(sc.name, func(t *testing.T) {
-			fences, ending, err := checkFenceWindows(f, sc, -1)
+			fences, ending, err := walkSchedule(f, sc, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for fromEnd := 1; fromEnd <= fences; fromEnd++ {
 				drop := fences - fromEnd
-				if _, _, err := checkFenceWindows(f, sc, drop); err != nil {
+				if _, _, err := walkSchedule(f, sc, drop); err != nil {
 					msg := err.Error() // the crash state, then the check it failed
 					if len(msg) > 240 {
 						msg = msg[:240] + "…"
@@ -301,37 +411,68 @@ func RunDropEachFence(t *testing.T, f Factory) {
 	}
 }
 
-// checkFenceWindows walks one schedule and returns the number of fences its
-// transaction has and the number it had issued when it called Commit or
-// Abort. drop >= 0 deletes that fence of the transaction in every pass, and
-// the walk starts behind it.
-func checkFenceWindows(f Factory, sc windowSchedule, drop int) (fences, ending int, err error) {
+// walkSchedule runs one schedule uninterrupted and checks it, then walks it,
+// and returns the number of fences its transaction has and the number it had
+// issued when it called Commit or Abort. drop >= 0 deletes that fence of the
+// transaction in every pass.
+func walkSchedule(f Factory, sc windowSchedule, drop int) (fences, ending int, err error) {
+	fail := func(err error) (int, int, error) {
+		return fences, ending, fmt.Errorf("%s/%s: %w", f.Name, sc.name, err)
+	}
 	env, e, before, err := windowsEngine(f, sc, drop)
 	if err != nil {
-		return 0, 0, err
+		return fail(err)
 	}
 	after := before.clone()
 	nodes := memNodes(f, sc, e)
-	start, end, done, err := windowsTxn(env, e, after, sc)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
+	if ending, err = windowsTxn(env, e, after, sc); err != nil {
+		return fail(fmt.Errorf("uninterrupted: %w", err))
 	}
 	if nodes != nil && maps.Equal(nodes, memNodes(f, sc, e)) {
-		return 0, 0, fmt.Errorf("%s/%s: the walked put replaced no MemTable node", f.Name, sc.name)
+		return fail(errors.New("the walked put replaced no MemTable node"))
+	}
+	if sc.merges > 0 && f.MemTable != nil {
+		if got := e.(core.FlushStatser).FlushStats().Compactions; got != sc.merges {
+			return fail(fmt.Errorf("%d merges once the walked transaction committed, want %d", got, sc.merges))
+		}
 	}
 	if sc.abort {
 		after = before
 	}
 	if err := checkModel(e, windowsSchema(), after); err != nil {
-		return 0, 0, fmt.Errorf("%s/%s: uninterrupted: %w", f.Name, sc.name, err)
+		return fail(fmt.Errorf("uninterrupted: %w", err))
 	}
-	fences, ending = int(done-start), int(end-start)
-	// A crash at the deleted fence or before it leaves what the walk with
-	// every fence leaves, which the callers have checked first.
-	for k := drop + 1; k <= fences; k++ {
-		if err := fenceWindow(f, sc, drop, k, fences, ending, before, after); err != nil {
-			return fences, ending, fmt.Errorf("%s/%s: crash at fence %d of %d (Commit starts at %d): %w", f.Name, sc.name, k, fences, ending, err)
+	fences, err = nvm.WalkFences(func() (*nvm.Device, func() error, error) {
+		env, e, m, err := windowsEngine(f, sc, drop)
+		if err != nil {
+			return nil, nil, err
 		}
+		return env.Dev, func() error {
+			_, err := windowsTxn(env, e, m, sc)
+			return err
+		}, nil
+	}, func(k, fences int, dev *nvm.Device) error {
+		returned, inCommit := k == fences, !sc.abort && k >= ending
+		if !sc.recovery || k != ending {
+			return checkRecovered(f, sc, dev, returned, inCommit, before, after)
+		}
+		// Recovery itself, crashed at each of its fences, then run again.
+		_, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
+			d := dev.CloneMedium()
+			return d, func() error {
+				_, err := recoverOn(f, &core.Env{Dev: d}, windowsSchema(), sc.options())
+				return err
+			}, nil
+		}, func(_, _ int, d *nvm.Device) error {
+			return checkRecovered(f, sc, d, returned, inCommit, before, after)
+		})
+		if err != nil {
+			return fmt.Errorf("recovery: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return fail(fmt.Errorf("Commit starts at fence %d: %w", ending, err))
 	}
 	return fences, ending, nil
 }
@@ -347,90 +488,52 @@ func memNodes(f Factory, sc windowSchedule, e core.Engine) map[pmalloc.Ptr]bool 
 	return nodes
 }
 
-// fenceWindow crashes one pass at fence k of the transaction's fences, or
-// after the transaction if k is fences, and recovers every outcome of the
-// un-fenced lines. The transaction calls Commit or Abort at fence ending.
-func fenceWindow(f Factory, sc windowSchedule, drop, k, fences, ending int, before, after model) error {
-	env, e, m, err := windowsEngine(f, sc, drop)
-	if err != nil {
-		return err
-	}
-	env.Dev.InjectFaults(nvm.FaultPlan{Mode: nvm.FaultLoseAll, CrashAfterFences: k})
-	crashed, err := crashing(func() error {
-		_, _, _, err := windowsTxn(env, e, m, sc)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	switch {
-	case k < fences && !crashed:
-		return fmt.Errorf("the transaction ended before its fence %d", k)
-	case k == fences && crashed:
-		return fmt.Errorf("the transaction ran past its %d fences", fences)
-	}
+// checkRecovered recovers f's engine from dev and checks it: once the
+// transaction had returned it is whole; before that it is absent, or, once
+// Commit was running, absent or whole. f.Leaks finds nothing, the engine
+// takes another transaction, and after a merge schedule it merges again.
+func checkRecovered(f Factory, sc windowSchedule, dev *nvm.Device, returned, inCommit bool, before, after model) error {
 	schemas := windowsSchema()
-	return CrashOutcomes(env.Dev, func(dev *nvm.Device) error {
-		e, err := crashOpen(f, &core.Env{Dev: dev}, schemas, windowsOpts)
-		if err != nil {
-			return err
+	e, err := crashOpen(f, &core.Env{Dev: dev}, schemas, sc.options())
+	if err != nil {
+		return err
+	}
+	if returned {
+		if err := checkModel(e, schemas, after); err != nil {
+			return fmt.Errorf("the transaction had returned, yet it is not whole: %w", err)
 		}
-		if k == fences {
-			if err := checkModel(e, schemas, after); err != nil {
-				return fmt.Errorf("the transaction had returned, yet it is not whole: %w", err)
-			}
-		} else if err := checkAtomic(e, schemas, before, after, !sc.abort && k >= ending); err != nil {
-			return err
+	} else if err := checkAtomic(e, schemas, before, after, inCommit); err != nil {
+		return err
+	}
+	if err := leaks(f, e, "after recovery"); err != nil {
+		return err
+	}
+	if err := probe(e, "users", windowsRow(probeKey, 1)); err != nil {
+		return err
+	}
+	if sc.merges == 0 || f.MemTable == nil {
+		return nil
+	}
+	stats := e.(core.FlushStatser)
+	merged := stats.FlushStats().Compactions
+	for k := uint64(1000); stats.FlushStats().Compactions == merged; k++ {
+		if k > 1100 {
+			return errors.New("no merge after recovery")
 		}
-		if f.Leaks != nil {
-			if err := f.Leaks(e); err != nil {
-				return fmt.Errorf("after recovery: %w", err)
-			}
+		if _, err := runTxn(e, model{"users": {}}, []windowOp{{key: k, row: windowsRow(k, 0)}}, false); err != nil {
+			return fmt.Errorf("insert %d after recovery: %w", k, err)
 		}
-		return probe(e, "users", windowsRow(probeKey, 1))
-	})
+	}
+	return leaks(f, e, "after the next merge")
 }
 
-// CrashOutcomes walks the outcomes of the crash d was stopped at by an injected
-// fault: the un-fenced lines all lost, all kept, and each kept alone. For each
-// it calls check with a fresh device holding the medium plus the kept lines; a
-// panic inside check is that outcome's failure. A failure names the surviving
-// lines.
-func CrashOutcomes(d *nvm.Device, check func(dev *nvm.Device) error) error {
-	var unfenced []keptLine
-	d.Unfenced(func(line int64, buf []byte) {
-		kl := keptLine{line: line}
-		copy(kl.data[:], buf)
-		unfenced = append(unfenced, kl)
-	})
-	medium := d.CloneMedium()
-	outcomes := [][]keptLine{nil, unfenced}
-	for i := range unfenced {
-		outcomes = append(outcomes, unfenced[i:i+1])
+// leaks runs f.Leaks, if the factory has one, and says when.
+func leaks(f Factory, e core.Engine, when string) error {
+	if f.Leaks == nil {
+		return nil
 	}
-	for _, kept := range outcomes {
-		if err := checkOutcome(medium, kept, check); err != nil {
-			lines := make([]string, len(kept))
-			for i, kl := range kept {
-				lines[i] = fmt.Sprintf("%#x", kl.line)
-			}
-			return fmt.Errorf("surviving %d of %d un-fenced lines %v: %w", len(kept), len(unfenced), lines, err)
-		}
+	if err := f.Leaks(e); err != nil {
+		return fmt.Errorf("%s: %w", when, err)
 	}
 	return nil
-}
-
-// checkOutcome copies the medium, applies the kept lines and runs check.
-func checkOutcome(medium *nvm.Device, kept []keptLine, check func(dev *nvm.Device) error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("recovery panicked: %v", r)
-		}
-	}()
-	dev := medium.CloneMedium()
-	for _, kl := range kept {
-		dev.Write(kl.line, kl.data[:])
-		dev.Sync(kl.line, nvm.LineSize)
-	}
-	return check(dev)
 }

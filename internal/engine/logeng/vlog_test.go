@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"nstore/internal/core"
-	"nstore/internal/engine/enginetest"
 	"nstore/internal/engine/lsm"
 	"nstore/internal/nvm"
 )
@@ -800,52 +799,26 @@ func TestLargeDeltaSeparatedAtFlush(t *testing.T) {
 		}
 	})
 
-	t.Run("crash-at-every-fence", func(t *testing.T) {
-		env, e := setup(t)
-		want := rows(t, e)
-		lo := env.Dev.Stats().Fences
-		if err := e.FlushMemTable(); err != nil {
-			t.Fatal(err)
-		}
-		hi := env.Dev.Stats().Fences
-		stride := uint64(1)
-		if testing.Short() {
-			stride = 7
-		}
-		for f := lo; f < hi; f += stride {
+	t.Run("fence-windows", func(t *testing.T) {
+		var want map[uint64][]core.Value
+		_, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
 			env, e := setup(t)
-			env.Dev.InjectFaults(nvm.FaultPlan{Mode: nvm.FaultLoseAll, CrashAfterFences: int(f - lo)})
-			if !crashes(func() { _ = e.FlushMemTable() }) {
-				t.Fatalf("fence %d of [%d, %d): the flush did not crash", f, lo, hi)
-			}
-			err := enginetest.CrashOutcomes(env.Dev, func(dev *nvm.Device) error {
-				env, err := (&core.Env{Dev: dev}).ReopenVolatile()
-				if err != nil {
-					return err
-				}
-				e, err := Open(env, sch, opts)
-				if err != nil {
-					return fmt.Errorf("open: %w", err)
-				}
-				return sameState(sch[0], rows(t, e), want)
-			})
+			want = rows(t, e)
+			return env.Dev, e.FlushMemTable, nil
+		}, func(_, _ int, dev *nvm.Device) error {
+			env, err := (&core.Env{Dev: dev}).ReopenVolatile()
 			if err != nil {
-				t.Fatalf("crash at fence %d of [%d, %d): %v", f, lo, hi, err)
+				return err
 			}
+			e, err := Open(env, sch, opts)
+			if err != nil {
+				return fmt.Errorf("open: %w", err)
+			}
+			return sameState(sch[0], rows(t, e), want)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
-// crashes runs fn and reports whether an injected crash stopped it.
-func crashes(fn func()) (crashed bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if p != nvm.ErrInjectedCrash {
-				panic(p)
-			}
-			crashed = true
-		}
-	}()
-	fn()
-	return false
-}

@@ -2,10 +2,7 @@ package nvminp
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math/rand"
-	"slices"
 	"testing"
 
 	"nstore/internal/core"
@@ -186,26 +183,30 @@ func TestVarSlotReclaimedOnUpdateCommit(t *testing.T) {
 	}
 }
 
-// leaks reports a persisted chunk that the engine header, the heaps and the
-// indexes do not reach: after Open the WAL is empty, so every persisted chunk
-// must be one of theirs.
-func leaks(ce core.Engine) error { return leaksOf(ce.(*Engine)) }
-
-// leaksOf is leaks for chunks of the given tags, every tag if none is given.
-func leaksOf(e *Engine, tags ...pmalloc.Tag) error {
+// leaks reports a table or log chunk that is persisted yet unreachable —
+// after Open the WAL is empty, so every persisted chunk must be the header's,
+// a heap's or an index's — and an index node in a free chunk: a node freed
+// while its tree still routes to it. (An index node a rewrite replaced is
+// freed without a write-back, a crash can resurrect it, and NVM-InP does not
+// sweep those.)
+func leaks(ce core.Engine) error {
+	e := ce.(*Engine)
 	reach := map[pmalloc.Ptr]bool{e.hdr: true}
-	mark := func(p pmalloc.Ptr) { reach[p] = true }
+	nodes := map[pmalloc.Ptr]bool{}
 	for t := range e.Tables {
-		e.heaps[t].Reach(mark)
-		e.primary[t].Nodes(mark)
-		for _, st := range e.second[t] {
-			st.Nodes(mark)
+		e.heaps[t].Reach(func(p pmalloc.Ptr) { reach[p] = true })
+		for _, tr := range append([]*nvbtree.Tree{e.primary[t]}, e.second[t]...) {
+			tr.Nodes(func(p pmalloc.Ptr) { nodes[p] = true })
 		}
 	}
 	var err error
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
-		if st == pmalloc.StatePersisted && !reach[p] && err == nil && (len(tags) == 0 || slices.Contains(tags, tag)) {
+		switch {
+		case err != nil:
+		case st == pmalloc.StatePersisted && tag != pmalloc.TagIndex && !reach[p]:
 			err = fmt.Errorf("leaked chunk %d (%s, %d B): persisted and unreachable", p, pmalloc.TagNames[tag], size)
+		case st == pmalloc.StateFree && nodes[p]:
+			err = fmt.Errorf("an index routes to node %d, a free chunk", p)
 		}
 	})
 	return err
@@ -410,233 +411,6 @@ func TestLogEntryCostIgnoresLinePhase(t *testing.T) {
 	}
 	if len(ends) < 2 {
 		t.Fatalf("the heap ended at line phases %v only: the test did not move it", ends)
-	}
-}
-
-// TestCrashInIndexRewriteKeepsLiveNode: an nvbtree rewrite frees the node it
-// replaces, the allocator hands that address to the next rewrite's new node,
-// and the parent's append-only entry array still holds the old, shadowed
-// route to it. A crash between that next rewrite's journal and its commit used
-// to recover as "committed" — some entry of the parent points at the probe —
-// and freed the old node, which the tree still routed to: its chunk was then
-// reused and acked inserts vanished (the serve soak's "acked key lost", about
-// one seeded schedule in twenty). Three interleaved ascending key streams, a
-// lose-everything crash at a seeded fence a third of the way in: after
-// recovery every node of the primary index is an allocated chunk, every
-// committed key reads back, and the rest of the load goes in.
-func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
-	schema := []*core.Schema{{Name: "t", Columns: []core.Column{{Name: "id", Type: core.TInt}, {Name: "v", Type: core.TInt}}}}
-	insert := func(e *Engine, k uint64) {
-		if err := e.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Insert("t", k, []core.Value{core.IntVal(int64(k)), core.IntVal(int64(k) * 3)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for seed := int64(0); seed < 150; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var keys []uint64
-		for i := uint64(0); i < 80; i++ {
-			for _, stream := range []uint64{1, 3, 5} {
-				keys = append(keys, (stream*150+i)*2+1)
-			}
-		}
-		for i := 0; i+1 < len(keys); i++ { // three clients' arrival order
-			if rng.Intn(3) == 0 {
-				keys[i], keys[i+1] = keys[i+1], keys[i]
-			}
-		}
-		env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
-		e, err := New(env, schema, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		armAt, done := 150+rng.Intn(30), 0
-		func() {
-			defer func() {
-				if r := recover(); r != nil && !errors.Is(r.(error), nvm.ErrInjectedCrash) {
-					panic(r)
-				}
-			}()
-			for _, k := range keys {
-				if done == armAt {
-					env.Dev.InjectFaults(nvm.FaultPlan{Seed: seed, Mode: nvm.FaultLoseAll, CrashAfterFences: 10 + rng.Intn(40)})
-				}
-				insert(e, k)
-				done++
-			}
-			t.Fatalf("seed %d: the armed crash never fired", seed)
-		}()
-		env.Dev.Crash()
-		env2, err := env.Reopen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e, err = Open(env2, schema, core.Options{}); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		e.primary[0].Nodes(func(p pmalloc.Ptr) {
-			if env2.Arena.StateOf(p) == pmalloc.StateFree {
-				t.Fatalf("seed %d: after the crash in insert %d the primary index routes to node %d, a free chunk", seed, done, p)
-			}
-		})
-		for _, k := range keys[:done] {
-			if row, ok, err := e.Get("t", k); err != nil || !ok || row[1].I != int64(k)*3 {
-				t.Fatalf("seed %d: committed key %d after recovery: %v found=%v err=%v", seed, k, row, ok, err)
-			}
-		}
-		if _, ok, _ := e.Get("t", keys[done]); ok {
-			done++ // the interrupted insert had reached its commit point
-		}
-		for _, k := range keys[done:] {
-			insert(e, k)
-		}
-	}
-}
-
-// TestCrashInRecoveryKeepsLiveNodes: undo runs again when recovery itself
-// crashes, so it must free nothing that its own index work could have taken
-// in between. The strings here are larger than an index node (BTreeNodeSize
-// 128): a var-slot freed while an entry is still linked is a chunk the next
-// nvbtree rewrite recycles as a node, and a second undo of the same entry
-// would free it under the tree. A transaction that updates strings, moves
-// tuples within a secondary index and inserts is cut off before its commit;
-// recovery is then crashed at every one of its fences, with every un-fenced
-// line lost and with a seeded half of them kept, and run once more to the end:
-// the table is the committed one, every index node is a live chunk, nothing
-// persisted is unreachable, and the engine takes more load.
-func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
-	schema := []*core.Schema{{
-		Name: "t",
-		Columns: []core.Column{
-			{Name: "id", Type: core.TInt},
-			{Name: "a", Type: core.TInt},
-			{Name: "b", Type: core.TString, Size: 400},
-		},
-		Secondary: []core.IndexSpec{{
-			Name:   "by_a",
-			SecKey: func(row []core.Value) uint32 { return uint32(row[1].I) },
-			Cols:   []int{1},
-		}},
-	}}
-	opts := core.Options{BTreeNodeSize: 128}
-	str := func(k uint64, salt int) core.Value {
-		return core.StrVal(fmt.Sprintf("%d/%d:%0*d", k, salt, 200+int(k%5)*40, 0))
-	}
-	const keys = 40
-	for _, mode := range []nvm.FaultMode{nvm.FaultLoseAll, nvm.FaultReorder} {
-		for k := 0; ; k++ {
-			env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
-			e, err := New(env, schema, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := map[uint64][]core.Value{}
-			for key := uint64(1); key <= keys; key++ {
-				want[key] = []core.Value{core.IntVal(int64(key)), core.IntVal(int64(key % 7)), str(key, 0)}
-				e.Begin()
-				if err := e.Insert("t", key, want[key]); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The transaction the crash cuts off.
-			e.Begin()
-			for key := uint64(1); key <= keys; key++ {
-				var err error
-				switch key % 3 {
-				case 0:
-					err = e.Update("t", key, core.Update{Cols: []int{2}, Vals: []core.Value{str(key, 1)}})
-				case 1:
-					err = e.Update("t", key, core.Update{Cols: []int{1, 2}, Vals: []core.Value{core.IntVal(int64(key%7) + 100), str(key, 2)}})
-				default:
-					err = e.Insert("t", keys+key, []core.Value{core.IntVal(int64(keys + key)), core.IntVal(int64(key % 7)), str(key, 3)})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			env.Dev.Crash()
-			env2, err := env.Reopen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Recovery, crashed at its fence k.
-			env2.Dev.InjectFaults(nvm.FaultPlan{Seed: int64(k), Mode: mode, CrashAfterFences: k, KeepProb: 0.5})
-			finished := false
-			func() {
-				defer func() {
-					if r := recover(); r != nil && r != nvm.ErrInjectedCrash {
-						panic(r)
-					}
-				}()
-				if _, err := Open(env2, schema, opts); err != nil {
-					t.Fatalf("%v, recovery to fence %d: %v", mode, k, err)
-				}
-				finished = true
-			}()
-			env2.Dev.Crash()
-			env3, err := env2.Reopen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e3, err := Open(env3, schema, opts)
-			if err != nil {
-				t.Fatalf("%v, recovery crashed at fence %d: the second recovery: %v", mode, k, err)
-			}
-			where := fmt.Sprintf("%v, recovery crashed at fence %d", mode, k)
-			// (An index node a rewrite replaced is freed without a write-back;
-			// the crash resurrects it, and NVM-InP has never swept those.)
-			if err := leaksOf(e3, pmalloc.TagTable, pmalloc.TagLog); err != nil {
-				t.Fatalf("%s: %v", where, err)
-			}
-			for _, tree := range append([]*nvbtree.Tree{e3.primary[0]}, e3.second[0]...) {
-				tree.Nodes(func(p pmalloc.Ptr) {
-					if env3.Arena.StateOf(p) == pmalloc.StateFree {
-						t.Fatalf("%s: an index routes to node %d, a free chunk", where, p)
-					}
-				})
-			}
-			check := func() {
-				n := 0
-				if err := e3.ScanRange("t", 0, ^uint64(0), func(pk uint64, row []core.Value) bool {
-					n++
-					if w, ok := want[pk]; !ok || !core.RowsEqual(schema[0], row, w) {
-						t.Fatalf("%s: key %d reads %v, want %v", where, pk, row, w)
-					}
-					return true
-				}); err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
-				if n != len(want) {
-					t.Fatalf("%s: %d rows, want %d", where, n, len(want))
-				}
-			}
-			check()
-			for key := uint64(200); key < 260; key++ {
-				want[key] = []core.Value{core.IntVal(int64(key)), core.IntVal(int64(key % 7)), str(key, 4)}
-				e3.Begin()
-				if err := e3.Insert("t", key, want[key]); err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
-				if err := e3.Commit(); err != nil {
-					t.Fatalf("%s: %v", where, err)
-				}
-			}
-			check()
-			if finished {
-				if k < 10 {
-					t.Fatalf("%v: recovery finished within %d fences: the test crashed it nowhere", mode, k)
-				}
-				break
-			}
-		}
 	}
 }
 

@@ -367,14 +367,9 @@ func TestCommitLineOwnsItsLine(t *testing.T) {
 	}
 	env.Dev.Fence()
 	env.Dev.InjectFaults(nvm.FaultPlan{CrashAfterFences: 0})
-	func() {
-		defer func() {
-			if r := recover(); r != nvm.ErrInjectedCrash {
-				t.Fatalf("the truncation's fence did not crash: %v", r)
-			}
-		}()
-		l.Truncate(nil)
-	}()
+	if crashed, _ := nvm.Crashed(func() error { l.Truncate(nil); return nil }); !crashed {
+		t.Fatal("the truncation's fence did not crash")
+	}
 	var line []byte
 	env.Dev.Unfenced(func(off int64, buf []byte) {
 		if off == l.line {

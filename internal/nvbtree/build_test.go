@@ -1,6 +1,7 @@
 package nvbtree
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -116,17 +117,25 @@ func TestBuildEqualsPuts(t *testing.T) {
 	}
 }
 
-// TestBuildCrashLeavesNothing: Build makes nothing durable-reachable. A power
-// failure at any of its fences, the last one (the batched persisted mark)
-// included, leaves only chunks the allocator's own recovery scan reclaims.
-// The arena is pre-aged so Build draws from the free lists as well as from
-// the bump region.
-func TestBuildCrashLeavesNothing(t *testing.T) {
+// TestBuildFenceWindows: Build makes nothing durable-reachable. The walk
+// crashes it at each of its fences and after it, with the un-fenced lines all
+// lost, all kept and each kept alone. Up to its last fence, the batched
+// persisted mark, the allocator's recovery scan then leaves the arena holding
+// what it held before Build; from that fence on it may hold chunks Build
+// marked, and each must hold the bytes the uninterrupted Build wrote — a
+// persisted chunk over bytes that never became durable is one the owner's
+// sweep cannot tell from a node. The arena is pre-aged so Build draws from
+// the free lists as well as from the bump region.
+func TestBuildFenceWindows(t *testing.T) {
 	const nodeSize = 256
 	kvs := sortedKVs(rand.New(rand.NewSource(11)), 700)
 	setup := func() (*nvm.Device, *pmalloc.Arena) {
-		dev := nvm.NewDevice(nvm.DefaultConfig(16 << 20))
-		arena := pmalloc.Format(dev, 0, 16<<20)
+		// The device and its cache are small: the walk copies both once per
+		// crash outcome.
+		cfg := nvm.DefaultConfig(1 << 20)
+		cfg.CacheSize = 64 << 10
+		dev := nvm.NewDevice(cfg)
+		arena := pmalloc.Format(dev, 0, 1<<20)
 		var hold []pmalloc.Ptr
 		for i := 0; i < 12; i++ {
 			p, err := arena.Alloc(nodeSize, pmalloc.TagIndex)
@@ -145,35 +154,43 @@ func TestBuildCrashLeavesNothing(t *testing.T) {
 		return dev, arena
 	}
 
-	dev, arena := setup()
-	before := dev.Stats().Fences
+	built, arena := setup()
+	held := arena.Allocated()
 	if _, err := Build(arena, nodeSize, kvs); err != nil {
 		t.Fatal(err)
 	}
-	fences := int(dev.Stats().Fences - before)
-	if fences < 2 {
-		t.Fatalf("Build issued %d fences", fences)
-	}
-
-	for n := 0; n < fences; n++ {
+	fences, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
 		dev, arena := setup()
-		held := arena.Allocated()
-		dev.FailAfterFences(n)
-		func() {
-			defer func() {
-				if r := recover(); r != nvm.ErrInjectedCrash {
-					t.Fatalf("fence %d: Build ended with %v, want the injected crash", n, r)
-				}
-			}()
-			_, _ = Build(arena, nodeSize, kvs)
-		}()
-		dev.Crash()
+		return dev, func() error {
+			_, err := Build(arena, nodeSize, kvs)
+			return err
+		}, nil
+	}, func(k, fences int, dev *nvm.Device) error {
 		arena, err := pmalloc.Open(dev, 0)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if got := arena.Allocated(); got != held {
-			t.Fatalf("crash at fence %d of %d: arena holds %d bytes after recovery, %d before Build", n, fences, got, held)
+		if got := arena.Allocated(); k < fences-1 && got != held {
+			return fmt.Errorf("arena holds %d bytes after recovery, %d before Build", got, held)
 		}
+		var bad error
+		arena.Chunks(func(p pmalloc.Ptr, size int, _ pmalloc.Tag, st pmalloc.State) {
+			if st != pmalloc.StatePersisted || bad != nil {
+				return
+			}
+			got, want := make([]byte, size), make([]byte, size)
+			dev.Read(int64(p), got)
+			built.Read(int64(p), want)
+			if !bytes.Equal(got, want) {
+				bad = fmt.Errorf("chunk %d (%d B) is persisted over bytes Build did not write", p, size)
+			}
+		})
+		return bad
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fences < 2 {
+		t.Fatalf("Build issued %d fences", fences)
 	}
 }

@@ -307,41 +307,31 @@ func TestQuickCrashInjection(t *testing.T) {
 		model := make(map[uint64]uint64)
 
 		// Arm a crash at a random fence within the workload.
-		dev.FailAfterFences(rng.Intn(600))
-		crashed := false
+		dev.InjectFaults(nvm.FaultPlan{Mode: nvm.FaultLoseAll, CrashAfterFences: rng.Intn(600)})
 		var inflightKey uint64
 		var inflightDel bool
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrInjectedCrash {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
+		crashed, err := nvm.Crashed(func() error {
 			for i := 0; i < 400; i++ {
 				k := uint64(rng.Intn(500)) + 1
 				if rng.Intn(4) == 0 {
 					inflightKey, inflightDel = k, true
 					if _, err := tr.Delete(k); err != nil {
-						t.Error(err)
-						return
+						return err
 					}
 					delete(model, k)
 				} else {
 					v := uint64(rng.Intn(1 << 20))
 					inflightKey, inflightDel = k, false
 					if err := tr.Put(k, v); err != nil {
-						t.Error(err)
-						return
+						return err
 					}
 					model[k] = v
 				}
 			}
-		}()
-		if t.Failed() {
-			return
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		dev.Crash()
 		arena2, err := pmalloc.Open(dev, 0)

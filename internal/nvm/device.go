@@ -184,24 +184,13 @@ type Device struct {
 const readerLines = 512
 
 // ErrInjectedCrash is the panic value raised by fault injection (see
-// FailAfterFences). Tests recover it, call Crash, and re-open.
+// InjectFaults). Tests catch it (Crashed), call Crash, and re-open.
 type injectedCrash struct{}
 
 func (injectedCrash) Error() string { return "nvm: injected crash" }
 
 // ErrInjectedCrash is the value panicked by an armed fault injection.
 var ErrInjectedCrash error = injectedCrash{}
-
-// FailAfterFences arms fault injection: after n further Fence calls, the
-// next Fence panics with ErrInjectedCrash before ordering its flushes,
-// simulating a power failure at an arbitrary durability boundary. It is the
-// legacy spelling of InjectFaults with the lose-all fault mode.
-func (d *Device) FailAfterFences(n int) {
-	d.InjectFaults(FaultPlan{Mode: FaultLoseAll, CrashAfterFences: n})
-}
-
-// DisarmFail cancels pending fault injection.
-func (d *Device) DisarmFail() { d.ClearFaults() }
 
 // NewDevice creates a device with the given configuration.
 func NewDevice(cfg Config) *Device {

@@ -122,10 +122,8 @@ func (d *Device) applyFaults() {
 // re-dirtied appears twice (old flushed copy, then newer cache copy); each
 // copy survives independently, with the cache copy overwriting when both do —
 // exactly the set of outcomes an arbitrary write-back schedule allows. buf is
-// the device's own and only valid during the call. A test that walks crash
-// outcomes instead of sampling them (one kept line at a time, say) reads the
-// candidates here and applies its choice to a copy of the medium
-// (WriteSnapshot / ReadSnapshot, then Write + Sync of the kept bytes).
+// the device's own and only valid during the call. WalkFences reads the
+// candidates here and applies each outcome it tries to a copy of the medium.
 func (d *Device) Unfenced(fn func(line int64, buf []byte)) {
 	d.pending.each(fn)
 	c := &d.cache

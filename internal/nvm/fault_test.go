@@ -139,15 +139,9 @@ func TestFaultPlanFenceTrigger(t *testing.T) {
 	d.InjectFaults(FaultPlan{Seed: 1, Mode: FaultLoseAll, CrashAfterFences: 2})
 	d.Fence()
 	d.Fence()
-	func() {
-		defer func() {
-			if r := recover(); r != ErrInjectedCrash {
-				t.Fatalf("want ErrInjectedCrash panic, got %v", r)
-			}
-		}()
-		d.Fence()
+	if crashed, _ := Crashed(func() error { d.Fence(); return nil }); !crashed {
 		t.Fatal("third fence did not crash")
-	}()
+	}
 	d.Crash()
 	// After Crash the plan is consumed: fences run clean.
 	d.Fence()

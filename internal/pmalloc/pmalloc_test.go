@@ -824,19 +824,17 @@ func TestPersistCrashWindows(t *testing.T) {
 						dev.InjectFaults(nvm.FaultPlan{Seed: seed, Mode: mode, CrashAfterFences: fence, KeepProb: 0.5, TearProb: 0.5})
 						var p Ptr
 						fenced := false
-						func() {
-							defer func() {
-								if r := recover(); r != nil && r != nvm.ErrInjectedCrash {
-									panic(r)
-								}
-							}()
+						if _, err := nvm.Crashed(func() error {
 							var err error
 							if p, err = a.StreamPersisted(TagLog, rec); err != nil {
-								t.Fatal(err)
+								return err
 							}
 							dev.Fence()
 							fenced = true
-						}()
+							return nil
+						}); err != nil {
+							t.Fatal(err)
+						}
 						dev.Crash()
 						a2, err := Open(dev, 0)
 						if err != nil {

@@ -14,16 +14,12 @@ func faultFS(t *testing.T) (*nvm.Device, *FS) {
 	return dev, fs
 }
 
-// expectCrash runs fn and requires it to panic with nvm.ErrInjectedCrash.
+// expectCrash runs fn and requires an injected crash to stop it.
 func expectCrash(t *testing.T, fn func()) {
 	t.Helper()
-	defer func() {
-		if r := recover(); r != nvm.ErrInjectedCrash {
-			t.Fatalf("want ErrInjectedCrash, got %v", r)
-		}
-	}()
-	fn()
-	t.Fatal("no crash fired")
+	if crashed, _ := nvm.Crashed(func() error { fn(); return nil }); !crashed {
+		t.Fatal("no crash fired")
+	}
 }
 
 // SyncCrashLost: writes covered by the failed fsync are gone after the crash.

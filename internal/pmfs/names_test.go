@@ -156,17 +156,8 @@ func namesSchedule(seed int64) (err error) {
 		ops := 5 + rng.Intn(30)
 		crashAt := rng.Intn(ops)
 		tornCreate := round == 0 && seed%4 == 0
-		// run returns nil when the crash strikes, and the first fault it sees
-		// before.
-		run := func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if r != nvm.ErrInjectedCrash {
-						panic(r)
-					}
-					err = nil
-				}
-			}()
+		// run ends at the crash, or at the first fault it sees before.
+		run := func() error {
 			for op := 0; ; op++ {
 				kind := rng.Intn(3)
 				if op == crashAt || op > crashAt && tornCreate {
@@ -204,7 +195,7 @@ func namesSchedule(seed int64) (err error) {
 				}
 			}
 		}
-		if err := run(); err != nil {
+		if _, err := nvm.Crashed(run); err != nil {
 			return err
 		}
 		dev.Crash()

@@ -394,7 +394,7 @@ func (rt *Runtime) recoverOne(i int) error {
 	// Fail held acks: those commits sat in the volatile group buffer that
 	// the power cycle below wipes, so they must not be acked.
 	ex.failPendingLocked()
-	rt.db.Env(i).Dev.DisarmFail()
+	rt.db.Env(i).Dev.ClearFaults()
 	rt.db.CrashPartition(i)
 	if err := ex.recoverQuiet(); err != nil {
 		rt.stats.healFails.Add(1)
@@ -709,7 +709,7 @@ drain:
 	}
 
 	env := rt.db.Env(ex.part)
-	env.Dev.DisarmFail() // a still-armed fault plan would fire again below
+	env.Dev.ClearFaults() // a still-armed fault plan would fire again below
 	for {
 		rt.db.CrashPartition(ex.part)
 		if err := ex.recoverQuiet(); err != nil {
