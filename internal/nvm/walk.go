@@ -76,19 +76,19 @@ func crashAt(build func() (*Device, func() error, error), check func(k, fences i
 	case k == fences && crashed:
 		return fmt.Errorf("the step ran past its %d fences", fences)
 	}
-	var unfenced []keptLine
+	var unfenced []unfencedLine
 	d.Unfenced(func(line int64, buf []byte) {
-		kl := keptLine{line: line}
+		kl := unfencedLine{line: line}
 		copy(kl.data[:], buf)
 		unfenced = append(unfenced, kl)
 	})
 	medium := d.CloneMedium()
-	outcomes := [][]keptLine{nil, unfenced}
+	outcomes := [][]unfencedLine{nil, unfenced}
 	for i := range unfenced {
 		outcomes = append(outcomes, unfenced[i:i+1])
 	}
 	for _, kept := range outcomes {
-		if err := checkOutcome(medium, kept, func(dev *Device) error { return check(k, fences, dev) }); err != nil {
+		if err := checkKept(medium, kept, func(dev *Device) error { return check(k, fences, dev) }); err != nil {
 			lines := make([]string, len(kept))
 			for i, kl := range kept {
 				lines[i] = fmt.Sprintf("%#x", kl.line)
@@ -99,14 +99,14 @@ func crashAt(build func() (*Device, func() error, error), check func(k, fences i
 	return nil
 }
 
-// keptLine is an un-fenced line write-back that an outcome keeps.
-type keptLine struct {
+// unfencedLine is an un-fenced line write-back that an outcome keeps.
+type unfencedLine struct {
 	line int64
 	data [LineSize]byte
 }
 
-// checkOutcome runs check on a copy of the medium holding the kept lines.
-func checkOutcome(medium *Device, kept []keptLine, check func(dev *Device) error) (err error) {
+// checkKept runs check on a copy of the medium holding the kept lines.
+func checkKept(medium *Device, kept []unfencedLine, check func(dev *Device) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("check panicked: %v", r)
