@@ -821,4 +821,3 @@ func TestLargeDeltaSeparatedAtFlush(t *testing.T) {
 		}
 	})
 }
-
