@@ -2,11 +2,14 @@ package logeng
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"nstore/internal/core"
+	"nstore/internal/engine/enginetest"
 	"nstore/internal/engine/lsm"
 	"nstore/internal/nvbtree"
+	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
 )
 
@@ -288,4 +291,222 @@ func TestMergeAdoptsNewestFullImage(t *testing.T) {
 	if err := checkArenaMatchesReach(e); err != nil {
 		t.Error(err)
 	}
+}
+
+// adoptCase is a crash-window schedule: its steps, the last of which is the
+// insert whose rotation merges and is walked, and the shape the
+// uninterrupted run must end in, so the schedule provably exercises what it
+// is named for.
+type adoptCase struct {
+	name  string
+	steps []adoptStep
+	shape func(e *Engine) error
+}
+
+// adoptPlan writes a schedule. fill inserts fresh keys, each a new MemTable
+// entry, so every eighth insert rotates.
+type adoptPlan struct {
+	steps []adoptStep
+	next  uint64
+	size  int
+}
+
+func (p *adoptPlan) add(st ...adoptStep) { p.steps = append(p.steps, st...) }
+
+// fill inserts n fresh keys, with 40-byte images when small.
+func (p *adoptPlan) fill(n int, small bool) {
+	for i := 0; i < n; i++ {
+		p.next++
+		size := adoptLen(p.next, p.size)
+		if small {
+			size = 40
+		}
+		p.add(adoptStep{'i', p.next, size})
+	}
+}
+
+// pick draws distinct keys from [lo, hi], odd ones where odd is set (their
+// images are 40 bytes, so a merge that folds a delta into one writes little).
+func pick(rng *rand.Rand, lo, hi uint64, taken map[uint64]bool, odd bool) uint64 {
+	for {
+		k := lo + uint64(rng.Int63n(int64(hi-lo+1)))
+		if !taken[k] && (!odd || k%2 == 1) {
+			taken[k] = true
+			return k
+		}
+	}
+}
+
+// runShape: the runs' key counts newest first, and the tombstones they hold.
+func runShape(e *Engine) (keys []int, tombs int) {
+	for _, r := range e.nvm().runs {
+		keys = append(keys, r.keys)
+		r.tree.Iter(0, func(_, v uint64) bool {
+			if tagKind(v) == lsm.KindTomb {
+				tombs++
+			}
+			return true
+		})
+	}
+	return keys, tombs
+}
+
+func wantShape(e *Engine, merges int64, keys []int, tombs int) error {
+	gotKeys, gotTombs := runShape(e)
+	if e.FlushStats().Compactions != merges || fmt.Sprint(gotKeys) != fmt.Sprint(keys) || gotTombs != tombs {
+		return fmt.Errorf("%d merges, runs of %v keys holding %d tombstones; want %d, %v, %d",
+			e.FlushStats().Compactions, gotKeys, gotTombs, merges, keys, tombs)
+	}
+	return nil
+}
+
+// adoptCases are the two schedules, their keys drawn from the -seed. With
+// rotations every 8 keys at k = 2, the fourth rotation leaves runs of 8 and 24
+// keys, the sixth 8 and 40 (the fifth merged everything).
+func adoptCases(size int, seed int64) []adoptCase {
+	rng := rand.New(rand.NewSource(seed))
+
+	// Stops above the oldest run: the seventh rotation's set is itself and
+	// the 8-key run above the 40-key one (40 > 2 x 16). A key only the oldest
+	// run holds is deleted, so the set holds a lone tombstone, and a key of
+	// the run above is deleted too: both tombstones must be carried forward.
+	// Another key of the run above is updated (read, folded, written) and a
+	// third deleted and re-inserted (the newest image adopted).
+	a := &adoptPlan{size: size}
+	a.fill(48, false)
+	taken := map[uint64]bool{}
+	gone, upd, again, lone := pick(rng, 1, 40, taken, false), pick(rng, 41, 48, taken, true),
+		pick(rng, 41, 48, taken, false), pick(rng, 1, 40, taken, true)
+	gone6 := pick(rng, 41, 48, taken, false)
+	a.add(adoptStep{'d', gone, 0}, adoptStep{'u', upd, 0}, adoptStep{'d', again, 0}, adoptStep{'i', again, adoptLen(again, size)},
+		adoptStep{'u', lone, 0}, adoptStep{'d', gone6, 0})
+	a.fill(3, true)
+
+	// Reaches the oldest run: the fifth rotation's set is 8 + 8 + 24 keys
+	// (24 <= 2 x 16). Keys of both older runs are deleted, so tombstones meet
+	// the images they delete and both are dropped.
+	b := &adoptPlan{size: size}
+	b.fill(32, false)
+	taken = map[uint64]bool{}
+	upd, gone, again = pick(rng, 1, 24, taken, true), pick(rng, 1, 24, taken, false), pick(rng, 1, 24, taken, false)
+	gone2 := pick(rng, 25, 32, taken, false)
+	b.add(adoptStep{'u', upd, 0}, adoptStep{'d', gone, 0}, adoptStep{'d', gone2, 0}, adoptStep{'d', again, 0},
+		adoptStep{'i', again, adoptLen(again, size)})
+	b.fill(4, true)
+
+	return []adoptCase{
+		{"stops-above-oldest", a.steps, func(e *Engine) error { return wantShape(e, 4, []int{13, 40}, 2) }},
+		{"reaches-oldest", b.steps, func(e *Engine) error { return wantShape(e, 3, []int{34}, 0) }},
+	}
+}
+
+// TestAdoptCrashWindows walks the commit that merges — the merge, the bulk
+// load, the run-list swap, the release of the victims — with
+// nvm.WalkFences, on rows whose images are 1 KB or 16 KB and sit inline in
+// their entry chunks, where the fence windows' merge schedules walk the
+// users table's small rows. After recovery from each crash state it
+// requires the committed table on one side of the merging insert (the far
+// side once it has returned), an allocator that holds exactly the reachable
+// set with every kind tag right, and an engine that merges again without
+// tripping over a chunk freed twice.
+func TestAdoptCrashWindows(t *testing.T) {
+	for _, size := range adoptSizes {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			for _, c := range adoptCases(size, enginetest.BaseSeed()) {
+				t.Run(c.name, func(t *testing.T) { adoptCrashWindows(t, c) })
+			}
+		})
+	}
+}
+
+// adoptEnv holds the largest schedule's sixteen-kilobyte images with room to
+// merge. The walk copies the device, cache included, once per crash outcome,
+// so both are kept small.
+var adoptEnv = core.EnvConfig{DeviceSize: 2 << 20, FSFraction: 0.25, FSExtent: 64 << 10, CacheSize: 64 << 10}
+
+func adoptCrashWindows(t *testing.T, c adoptCase) {
+	last := len(c.steps) - 1
+	build := func() (*core.Env, *Engine, error) {
+		env := core.NewEnv(adoptEnv)
+		e, err := NewNVM(env, adoptSchema(), adoptOpts)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, st := range c.steps[:last] {
+			if err := applyAdoptStep(e, st); err != nil {
+				return nil, nil, fmt.Errorf("step %d %c %d: %w", i, st.kind, st.key, err)
+			}
+		}
+		return env, e, nil
+	}
+
+	// The schedule's shape, from an uninterrupted run.
+	_, e, err := build()
+	if err == nil {
+		err = applyAdoptStep(e, c.steps[last])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := adoptModel(c.steps, last+1)
+	for _, check := range []func() error{
+		func() error { return c.shape(e) },
+		func() error { return checkAdoptModel(e, after) },
+		func() error { return checkArenaMatchesReach(e) },
+	} {
+		if err := check(); err != nil {
+			t.Fatalf("uninterrupted: %v", err)
+		}
+	}
+
+	before := adoptModel(c.steps, last)
+	_, err = nvm.WalkFences(func() (*nvm.Device, func() error, error) {
+		env, e, err := build()
+		if err != nil {
+			return nil, nil, err
+		}
+		return env.Dev, func() error { return applyAdoptStep(e, c.steps[last]) }, nil
+	}, func(k, fences int, dev *nvm.Device) error {
+		if k == fences {
+			return recoverAdopt(dev, after, after)
+		}
+		return recoverAdopt(dev, before, after)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverAdopt opens the engine on a crashed device and checks it: the table
+// on one side of the interrupted step, the allocator holding exactly the
+// reachable set, and the same again after the next merge.
+func recoverAdopt(dev *nvm.Device, before, after map[uint64][2]int64) error {
+	env, err := (&core.Env{Dev: dev}).Reopen()
+	if err != nil {
+		return err
+	}
+	e, err := OpenNVM(env, adoptSchema(), adoptOpts)
+	if err != nil {
+		return fmt.Errorf("open: %w", err)
+	}
+	if checkAdoptModel(e, before) != nil {
+		if err := checkAdoptModel(e, after); err != nil {
+			return fmt.Errorf("recovered table matches neither side of the interrupted step: %w", err)
+		}
+	}
+	if err := checkArenaMatchesReach(e); err != nil {
+		return fmt.Errorf("after recovery: %w", err)
+	}
+	for k := uint64(1000); e.FlushStats().Compactions == 0; k++ {
+		if k > 1100 {
+			return fmt.Errorf("no merge after recovery")
+		}
+		if err := applyAdoptStep(e, adoptStep{'i', k, 40}); err != nil {
+			return fmt.Errorf("insert %d after recovery: %w", k, err)
+		}
+	}
+	if err := checkArenaMatchesReach(e); err != nil {
+		return fmt.Errorf("after the next merge: %w", err)
+	}
+	return nil
 }

@@ -799,7 +799,7 @@ func TestLargeDeltaSeparatedAtFlush(t *testing.T) {
 		}
 	})
 
-	t.Run("fence-windows", func(t *testing.T) {
+	t.Run("crash-at-every-fence", func(t *testing.T) {
 		var want map[uint64][]core.Value
 		_, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
 			env, e := setup(t)

@@ -3,6 +3,7 @@ package nvminp
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"nstore/internal/core"
@@ -411,6 +412,277 @@ func TestLogEntryCostIgnoresLinePhase(t *testing.T) {
 	}
 	if len(ends) < 2 {
 		t.Fatalf("the heap ended at line phases %v only: the test did not move it", ends)
+	}
+}
+
+// walkEnv is small: the walk copies the device, cache included, once per
+// crash outcome.
+var walkEnv = core.EnvConfig{DeviceSize: 1 << 20, FSExtent: 64 << 10, CacheSize: 64 << 10}
+
+// TestCrashInIndexRewriteKeepsLiveNode: an nvbtree rewrite frees the node it
+// replaces, the allocator hands that address to the next rewrite's new node,
+// and the parent's append-only entry array still holds the old, shadowed
+// route to it. A crash between that next rewrite's journal and its commit used
+// to recover as "committed" — some entry of the parent points at the probe —
+// and freed the old node, which the tree still routed to: its chunk was then
+// reused and acked inserts vanished (the serve soak's "acked key lost"). The
+// table has two int columns, so no var-slot or second index takes the freed
+// node before the next rewrite does, as they do on the fence windows' users
+// table. Three interleaved ascending key streams arrive in twelve seeded
+// orders (four under -short), and nvm.WalkFences crashes a window of eight
+// inserts a third of the way in at each of its fences: after recovery every
+// node of the primary index is an allocated chunk, the committed keys are a
+// prefix of the arrivals that reaches the window (all of it once the window
+// has returned), and the rest of the load goes in and reads back.
+func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
+	schema := []*core.Schema{{Name: "t", Columns: []core.Column{{Name: "id", Type: core.TInt}, {Name: "v", Type: core.TInt}}}}
+	insert := func(e *Engine, k uint64) error {
+		if err := e.Begin(); err != nil {
+			return err
+		}
+		if err := e.Insert("t", k, []core.Value{core.IntVal(int64(k)), core.IntVal(int64(k) * 3)}); err != nil {
+			return err
+		}
+		return e.Commit()
+	}
+	// readsBack reports how many keys, from the first, read back, and fails
+	// if any key after them does.
+	readsBack := func(e *Engine, keys []uint64) (int, error) {
+		n := -1
+		for i, k := range keys {
+			row, ok, err := e.Get("t", k)
+			switch {
+			case err != nil:
+				return 0, err
+			case ok && n >= 0:
+				return 0, fmt.Errorf("key %d (arrival %d) reads back after a lost arrival %d", k, i, n)
+			case ok && row[1].I != int64(k)*3:
+				return 0, fmt.Errorf("key %d reads %v", k, row)
+			case !ok && n < 0:
+				n = i
+			}
+		}
+		if n < 0 {
+			n = len(keys)
+		}
+		return n, nil
+	}
+	seeds := int64(12) // arrival orders; each walk takes about half a second
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var keys []uint64
+		for i := uint64(0); i < 80; i++ {
+			for _, stream := range []uint64{1, 3, 5} {
+				keys = append(keys, (stream*150+i)*2+1)
+			}
+		}
+		for i := 0; i+1 < len(keys); i++ { // three clients' arrival order
+			if rng.Intn(3) == 0 {
+				keys[i], keys[i+1] = keys[i+1], keys[i]
+			}
+		}
+		at := 150 + rng.Intn(30)
+		window := keys[at : at+8]
+		_, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
+			env := core.NewEnv(walkEnv)
+			e, err := New(env, schema, core.Options{})
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, k := range keys[:at] {
+				if err := insert(e, k); err != nil {
+					return nil, nil, err
+				}
+			}
+			return env.Dev, func() error {
+				for _, k := range window {
+					if err := insert(e, k); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, nil
+		}, func(k, fences int, dev *nvm.Device) error {
+			env, err := (&core.Env{Dev: dev}).Reopen()
+			if err != nil {
+				return err
+			}
+			e, err := Open(env, schema, core.Options{})
+			if err != nil {
+				return fmt.Errorf("open: %w", err)
+			}
+			var bad error
+			e.primary[0].Nodes(func(p pmalloc.Ptr) {
+				if bad == nil && env.Arena.StateOf(p) == pmalloc.StateFree {
+					bad = fmt.Errorf("the primary index routes to node %d, a free chunk", p)
+				}
+			})
+			if bad != nil {
+				return bad
+			}
+			done, err := readsBack(e, keys)
+			switch {
+			case err != nil:
+				return err
+			case done < at || k == fences && done < at+len(window):
+				return fmt.Errorf("%d arrivals read back, %d were committed before the window of %d", done, at, len(window))
+			}
+			for _, k := range keys[done:] {
+				if err := insert(e, k); err != nil {
+					return fmt.Errorf("insert %d after recovery: %w", k, err)
+				}
+			}
+			if n, err := readsBack(e, keys); err != nil || n != len(keys) {
+				return fmt.Errorf("after the rest of the load %d of %d keys read back: %v", n, len(keys), err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("seed %d, the window of arrivals %d..%d: %v", seed, at, at+len(window)-1, err)
+		}
+	}
+}
+
+// TestCrashInRecoveryKeepsLiveNodes: undo runs again when recovery itself
+// crashes, so it must free nothing that its own index work could have taken
+// in between. The strings here are larger than an index node (BTreeNodeSize
+// 128): a var-slot freed while an entry is still linked is a chunk the next
+// nvbtree rewrite recycles as a node, and a second undo of the same entry
+// would free it under the tree. A transaction that updates strings, moves
+// tuples within a secondary index and inserts is cut off before its commit;
+// nvm.WalkFences crashes its recovery at every fence, with the un-fenced
+// lines all lost, all kept and each kept alone, and recovery runs once more
+// to the end: the table is the committed one, every index node is a live
+// chunk, no table or log chunk is persisted yet unreachable, and the engine
+// takes more load.
+func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
+	schema := []*core.Schema{{
+		Name: "t",
+		Columns: []core.Column{
+			{Name: "id", Type: core.TInt},
+			{Name: "a", Type: core.TInt},
+			{Name: "b", Type: core.TString, Size: 400},
+		},
+		Secondary: []core.IndexSpec{{
+			Name:   "by_a",
+			SecKey: func(row []core.Value) uint32 { return uint32(row[1].I) },
+			Cols:   []int{1},
+		}},
+	}}
+	opts := core.Options{BTreeNodeSize: 128}
+	str := func(k uint64, salt int) core.Value {
+		return core.StrVal(fmt.Sprintf("%d/%d:%0*d", k, salt, 200+int(k%5)*40, 0))
+	}
+	row := func(k uint64, salt int) []core.Value {
+		return []core.Value{core.IntVal(int64(k)), core.IntVal(int64(k % 7)), str(k, salt)}
+	}
+	const keys = 40
+	commit := func(e *Engine, ops func() error) error {
+		if err := e.Begin(); err != nil {
+			return err
+		}
+		if err := ops(); err != nil {
+			return err
+		}
+		return e.Commit()
+	}
+	// check: the table is want, and after more load the table with it.
+	check := func(e *Engine) error {
+		want := map[uint64][]core.Value{}
+		for key := uint64(1); key <= keys; key++ {
+			want[key] = row(key, 0)
+		}
+		same := func() error {
+			n := 0
+			var bad error
+			if err := e.ScanRange("t", 0, ^uint64(0), func(pk uint64, r []core.Value) bool {
+				n++
+				if w, ok := want[pk]; !ok || !core.RowsEqual(schema[0], r, w) {
+					bad = fmt.Errorf("key %d reads %v, want %v", pk, r, w)
+				}
+				return bad == nil
+			}); err != nil {
+				return err
+			}
+			if bad == nil && n != len(want) {
+				bad = fmt.Errorf("%d rows, want %d", n, len(want))
+			}
+			return bad
+		}
+		if err := same(); err != nil {
+			return err
+		}
+		for key := uint64(200); key < 260; key++ {
+			want[key] = row(key, 4)
+			if err := commit(e, func() error { return e.Insert("t", key, want[key]) }); err != nil {
+				return fmt.Errorf("insert %d: %w", key, err)
+			}
+		}
+		if err := same(); err != nil {
+			return fmt.Errorf("after more load: %w", err)
+		}
+		return nil
+	}
+	fences, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
+		env := core.NewEnv(walkEnv)
+		e, err := New(env, schema, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		for key := uint64(1); key <= keys; key++ {
+			if err := commit(e, func() error { return e.Insert("t", key, row(key, 0)) }); err != nil {
+				return nil, nil, err
+			}
+		}
+		// The transaction the crash cuts off.
+		if err := e.Begin(); err != nil {
+			return nil, nil, err
+		}
+		for key := uint64(1); key <= keys; key++ {
+			var err error
+			switch key % 3 {
+			case 0:
+				err = e.Update("t", key, core.Update{Cols: []int{2}, Vals: []core.Value{str(key, 1)}})
+			case 1:
+				err = e.Update("t", key, core.Update{Cols: []int{1, 2}, Vals: []core.Value{core.IntVal(int64(key%7) + 100), str(key, 2)}})
+			default:
+				err = e.Insert("t", keys+key, row(keys+key, 3))
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		env.Dev.Crash()
+		env, err = env.Reopen()
+		if err != nil {
+			return nil, nil, err
+		}
+		return env.Dev, func() error {
+			_, err := Open(env, schema, opts)
+			return err
+		}, nil
+	}, func(_, _ int, dev *nvm.Device) error {
+		env, err := (&core.Env{Dev: dev}).Reopen()
+		if err != nil {
+			return err
+		}
+		e, err := Open(env, schema, opts)
+		if err != nil {
+			return fmt.Errorf("the second recovery: %w", err)
+		}
+		if err := leaks(e); err != nil {
+			return err
+		}
+		return check(e)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fences < 10 {
+		t.Fatalf("recovery finished within %d fences: the walk crashed it nowhere", fences)
 	}
 }
 

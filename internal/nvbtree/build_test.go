@@ -117,7 +117,7 @@ func TestBuildEqualsPuts(t *testing.T) {
 	}
 }
 
-// TestBuildFenceWindows: Build makes nothing durable-reachable. The walk
+// TestBuildCrashLeavesNothing: Build makes nothing durable-reachable. The walk
 // crashes it at each of its fences and after it, with the un-fenced lines all
 // lost, all kept and each kept alone. Up to its last fence, the batched
 // persisted mark, the allocator's recovery scan then leaves the arena holding
@@ -126,7 +126,7 @@ func TestBuildEqualsPuts(t *testing.T) {
 // persisted chunk over bytes that never became durable is one the owner's
 // sweep cannot tell from a node. The arena is pre-aged so Build draws from
 // the free lists as well as from the bump region.
-func TestBuildFenceWindows(t *testing.T) {
+func TestBuildCrashLeavesNothing(t *testing.T) {
 	const nodeSize = 256
 	kvs := sortedKVs(rand.New(rand.NewSource(11)), 700)
 	setup := func() (*nvm.Device, *pmalloc.Arena) {
