@@ -132,11 +132,6 @@ func (w *workload) txns(n int) error {
 // un-fenced lines leave behind — and recovers f's engine from the medium.
 func crashOpen(f Factory, env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
 	env.Dev.Crash()
-	return recoverOn(f, env, schemas, opts)
-}
-
-// recoverOn re-attaches env's device and opens f's engine on it.
-func recoverOn(f Factory, env *core.Env, schemas []*core.Schema, opts core.Options) (core.Engine, error) {
 	env2, err := reattach(f, env)
 	if err != nil {
 		return nil, err

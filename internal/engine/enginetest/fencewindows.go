@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
 	"testing"
 
 	"nstore/internal/core"
@@ -78,38 +77,22 @@ func (o windowOp) apply(e core.Engine, mod model) error {
 }
 
 // windowSchedule is one transaction: its operations, then Commit or Abort.
-// The prior transactions run to their end first — each committed, the last
-// aborted if priorAbort is set — and the one walked starts from their
-// effects.
+// A prior transaction, if there is one, runs to its end — committed, or
+// aborted if priorAbort is set — before the one walked, which starts from
+// its effects.
 type windowSchedule struct {
 	name       string
-	opts       core.Options // the engine's; every commit is durable (GroupCommitSize 1)
-	prior      [][]windowOp
+	prior      []windowOp
 	priorAbort bool
 	ops        []windowOp
 	abort      bool
 	// rewrite: the walked put must replace a node of the MemTable, where
 	// the factory names one (Factory.MemTable).
 	rewrite bool
-	// merges: on an engine with a MemTable, the merges run once the walked
-	// transaction has committed — it must be one that merges. After
-	// recovery the engine must merge once more.
-	merges int64
-	// recovery: the crash at Commit's first fence crashes recovery too, at
-	// each of its fences, and recovers again.
-	recovery bool
 }
 
-// options are the schedule's engine options.
-func (sc windowSchedule) options() core.Options {
-	o := sc.opts
-	o.GroupCommitSize = 1
-	return o
-}
-
-// windowSchedules are the schedules the walk covers; the merge schedules'
-// keys are drawn from seed.
-func windowSchedules(seed int64) []windowSchedule {
+// windowSchedules are the one-transaction schedules the walk covers.
+func windowSchedules() []windowSchedule {
 	str := func(key uint64, col int) windowOp {
 		return windowOp{key: key, cols: []int{col}, row: windowsRow(key, 100)}
 	}
@@ -117,7 +100,7 @@ func windowSchedules(seed int64) []windowSchedule {
 	wide := func(key uint64) windowOp {
 		return windowOp{key: key, cols: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, row: windowsRow(key, 100)}
 	}
-	return append([]windowSchedule{
+	return []windowSchedule{
 		{name: "update-string", ops: []windowOp{str(3, 5)}},
 		{name: "update-indexed-int", ops: []windowOp{{key: 4, cols: []int{1}, row: windowsRow(4, 100)}}},
 		{name: "insert-ten-strings", ops: []windowOp{insert}},
@@ -130,143 +113,45 @@ func windowSchedules(seed int64) []windowSchedule {
 		// inside its append's fence interval can keep any one line alone
 		// over the old entry's others — a torn entry, which recovery must not
 		// undo.
-		{name: "update-multiline-entry", prior: [][]windowOp{{wide(3)}}, ops: []windowOp{wide(4)}},
+		{name: "update-multiline-entry", prior: []windowOp{wide(3)}, ops: []windowOp{wide(4)}},
 		// The same update as the committed transaction before it, of another
 		// key: an undo log's entry streams over the chunk that transaction's
 		// entry was freed to and kept aside still marked persisted
 		// (pmalloc.Arena.FreeStreamed). A crash that loses the new lines
 		// leaves the old entry whole, which recovery must not undo.
-		{name: "over-freed-entry", prior: [][]windowOp{{str(2, 5)}}, ops: []windowOp{str(3, 5)}},
+		{name: "over-freed-entry", prior: []windowOp{str(2, 5)}, ops: []windowOp{str(3, 5)}},
 		// The operations an aborted transaction undid, again: recovery must
 		// undo this transaction's entries, and only those.
-		{name: "after-abort", prior: [][]windowOp{{str(5, 2), insert}}, priorAbort: true, ops: []windowOp{str(5, 2), insert}},
+		{name: "after-abort", prior: []windowOp{str(5, 2), insert}, priorAbort: true, ops: []windowOp{str(5, 2), insert}},
 		// An update that finds its MemTable leaf full: an LSM engine's put
 		// rewrites the leaf and swaps the new one in behind the rewrite's
 		// journal, where every other schedule's put appends to the leaf and
 		// publishes the entry with its count. The prior transaction fills the
 		// leaf, the load's keys and one entry per update.
-		{name: "full-memtable-leaf", prior: [][]windowOp{fillLeaf(str)}, ops: []windowOp{str(3, 5)}, rewrite: true},
-		indexRewriteSchedule(),
-		crashedRecoverySchedule(),
-	}, mergeSchedules(seed)...)
+		{name: "full-memtable-leaf", prior: fillLeaf(str), ops: []windowOp{str(3, 5)}, rewrite: true},
+	}
 }
 
 // fillLeaf returns the updates that fill an LSM engine's MemTable leaf, a
-// node of the default size, from the load's windowsKeys entries: each adds
+// node of windowsOpts' size, from the load's windowsKeys entries: each adds
 // an entry, a newer version of key 1's row.
 func fillLeaf(str func(key uint64, col int) windowOp) []windowOp {
-	ops := make([]windowOp, nvbtree.Capacity(nvbtree.DefaultNodeSize)-windowsKeys)
+	ops := make([]windowOp, nvbtree.Capacity(windowsOpts.BTreeNodeSize)-windowsKeys)
 	for i := range ops {
 		ops[i] = str(1, 2+i%10)
 	}
 	return ops
 }
 
-// indexRewriteSchedule inserts into three interleaved ascending key streams
-// under 128-byte index nodes, so that the walked insert splits a leaf of the
-// primary index under its parent: recovery completes or rolls back the
-// rewrite from its journal, and must leave no index routing to a free chunk
-// (f.Leaks). Whether the new node takes a chunk the parent still names under
-// a shadowed route is up to the allocator; nvbtree's
-// TestShadowedRouteFenceWindows walks that case on a bare tree.
-func indexRewriteSchedule() windowSchedule {
-	const prior = 32
-	sc := windowSchedule{name: "index-rewrite", opts: core.Options{BTreeNodeSize: 128}}
-	for i := 0; i <= prior; i++ {
-		k := (uint64(1+2*(i%3))*150+uint64(i/3))*2 + 1
-		op := windowOp{key: k, row: windowsRow(k, 0)}
-		if i < prior {
-			sc.prior = append(sc.prior, []windowOp{op})
-		} else {
-			sc.ops = append(sc.ops, op)
-		}
-	}
-	return sc
-}
-
-// crashedRecoverySchedule is a transaction of string updates, moves within
-// the secondary index and inserts, whose recovery is crashed too: undo runs
-// again over whatever a crashed recovery left, so it must free nothing that
-// its own index work could have taken in between, or the second run frees it
-// again as a live chunk.
-func crashedRecoverySchedule() windowSchedule {
-	sc := windowSchedule{name: "crashed-recovery", opts: core.Options{BTreeNodeSize: 128}, recovery: true}
-	for k := uint64(1); k <= 6; k++ {
-		var op windowOp
-		switch k % 3 {
-		case 0:
-			op = windowOp{key: k, cols: []int{2 + int(k%10)}, row: windowsRow(k, 1)}
-		case 1:
-			op = windowOp{key: k, cols: []int{1, 11}, row: windowsRow(k, 2)}
-		default:
-			op = windowOp{key: 100 + k, row: windowsRow(100+k, 3)}
-		}
-		sc.ops = append(sc.ops, op)
-	}
-	return sc
-}
-
-// mergeOpts rotate an LSM engine's MemTable every 8 keys and merge at growth
-// factor 2, so that a few rotations build runs of 8, 16, 24 and 40 keys: sets
-// that reach the oldest run and sets that stop above it.
-var mergeOpts = core.Options{MemTableCap: 8, LSMGrowth: 2, BTreeNodeSize: 128}
-
-// mergeSchedules are two commits that merge, their keys drawn from seed. The
-// load and every prior transaction but the few that update or delete insert
-// one fresh key each, so every eighth rotates; the walked transaction is the
-// insert whose rotation merges.
-func mergeSchedules(seed int64) []windowSchedule {
-	rng := rand.New(rand.NewSource(seed))
-	ins := func(k uint64) []windowOp { return []windowOp{{key: k, row: windowsRow(k, 0)}} }
-	upd := func(k uint64) []windowOp { return []windowOp{{key: k, cols: []int{1}, row: windowsRow(k, 100)}} }
-	del := func(k uint64) []windowOp { return []windowOp{{key: k, del: true}} }
-	fill := func(to uint64) (txns [][]windowOp) {
-		for k := uint64(windowsKeys + 1); k <= to; k++ {
-			txns = append(txns, ins(k))
-		}
-		return txns
-	}
-	taken := map[uint64]bool{}
-	pick := func(lo, hi uint64) uint64 {
-		for {
-			if k := lo + uint64(rng.Int63n(int64(hi-lo+1))); !taken[k] {
-				taken[k] = true
-				return k
-			}
-		}
-	}
-
-	// Stops above the oldest run: the seventh rotation's set is itself and
-	// the 8-key run above the 40-key one (40 > 2 x 16). A key only the oldest
-	// run holds is deleted, so the set holds a lone tombstone, and a key of
-	// the run above is deleted too: both tombstones must be carried forward.
-	// Another key of the run above is updated (read, folded, written) and a
-	// third deleted and re-inserted (the newest image adopted).
-	above := fill(48)
-	gone, upd1, again, lone, gone6 := pick(1, 40), pick(41, 48), pick(41, 48), pick(1, 40), pick(41, 48)
-	above = append(above, del(gone), upd(upd1), del(again), ins(again), upd(lone), del(gone6), ins(49), ins(50))
-
-	// Reaches the oldest run: the fifth rotation's set is 8 + 8 + 24 keys
-	// (24 <= 2 x 16). Keys of both older runs are deleted, so tombstones meet
-	// the images they delete and both are dropped.
-	clear(taken)
-	oldest := fill(32)
-	upd2, gone2, again2, gone3 := pick(1, 24), pick(1, 24), pick(1, 24), pick(25, 32)
-	oldest = append(oldest, upd(upd2), del(gone2), del(gone3), del(again2), ins(again2), ins(33), ins(34), ins(35))
-
-	return []windowSchedule{
-		{name: "merge-stops-above-oldest", opts: mergeOpts, prior: above, ops: ins(51), merges: 4},
-		{name: "merge-reaches-oldest", opts: mergeOpts, prior: oldest, ops: ins(36), merges: 3},
-	}
-}
+var windowsOpts = core.Options{GroupCommitSize: 1}
 
 // windowsEngine builds the table the transaction starts from, and runs the
-// schedule's prior transactions. Everything they left in the cache is
+// schedule's prior transaction. Everything the load left in the cache is
 // evicted — legal at any time — so that every un-fenced line at the crash is
 // the transaction's own. drop >= 0 deletes that fence of the transaction.
 func windowsEngine(f Factory, sc windowSchedule, drop int) (*core.Env, core.Engine, model, error) {
 	env := core.NewEnv(core.EnvConfig{DeviceSize: 4 << 20, FSExtent: 64 << 10})
-	e, err := f.New(env, windowsSchema(), sc.options())
+	e, err := f.New(env, windowsSchema(), windowsOpts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -276,9 +161,9 @@ func windowsEngine(f Factory, sc windowSchedule, drop int) (*core.Env, core.Engi
 			return nil, nil, nil, err
 		}
 	}
-	for i, ops := range sc.prior {
-		if m, err = runTxn(e, m, ops, sc.priorAbort && i == len(sc.prior)-1); err != nil {
-			return nil, nil, nil, fmt.Errorf("prior transaction %d: %w", i, err)
+	if sc.prior != nil {
+		if m, err = runTxn(e, m, sc.prior, sc.priorAbort); err != nil {
+			return nil, nil, nil, fmt.Errorf("prior transaction: %w", err)
 		}
 	}
 	env.Dev.EvictAll()
@@ -335,9 +220,9 @@ func windowsTxn(env *core.Env, e core.Engine, m model, sc windowSchedule) (endin
 // absent or whole, and once Commit has returned, whole; f.Leaks finds no
 // allocator chunk persisted yet unreachable; and the engine takes another
 // transaction. A failure names the schedule, the fence and the surviving
-// lines. The merge schedules' keys are drawn from -seed.
+// lines.
 func RunFenceWindows(t *testing.T, f Factory) {
-	for _, sc := range windowSchedules(BaseSeed()) {
+	for _, sc := range windowSchedules() {
 		t.Run(sc.name, func(t *testing.T) {
 			if _, _, err := walkSchedule(f, sc, -1); err != nil {
 				t.Fatal(err)
@@ -352,7 +237,7 @@ func RunFenceWindows(t *testing.T, f Factory) {
 // report a failure. The engine's test names a fence whose loss some crash
 // state exposes.
 func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string, fromEnd int) {
-	for _, sc := range windowSchedules(BaseSeed()) {
+	for _, sc := range windowSchedules() {
 		if sc.name != schedule {
 			continue
 		}
@@ -372,10 +257,8 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 	t.Fatalf("no fence-window schedule %q", schedule)
 }
 
-// RunDropEachFence sweeps the walk over deleted fences: on each schedule of
-// the default options (the first alone under -short; the others walk tens of
-// fences, or recovery's too, and a sweep of them costs minutes) it deletes
-// each fence of the transaction in turn
+// RunDropEachFence sweeps the walk over deleted fences: on each schedule (the
+// first alone under -short) it deletes each fence of the transaction in turn
 // (nvm.Device.DropFence), from the last back to the first, walks the schedule
 // and logs the crash state that caught the loss, or that none did. A fence no
 // state misses orders nothing the schedules can see: it is redundant, or a
@@ -383,10 +266,11 @@ func RunFenceWindowsCatchesDroppedFence(t *testing.T, f Factory, schedule string
 // engine's commit line durable before Commit returns, the commit point, and
 // the walk must catch its loss on every committing schedule.
 func RunDropEachFence(t *testing.T, f Factory) {
-	for i, sc := range windowSchedules(BaseSeed()) {
-		if sc.opts != (core.Options{}) || testing.Short() && i > 0 {
-			continue
-		}
+	schedules := windowSchedules()
+	if testing.Short() {
+		schedules = schedules[:1]
+	}
+	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
 			fences, ending, err := walkSchedule(f, sc, -1)
 			if err != nil {
@@ -414,7 +298,8 @@ func RunDropEachFence(t *testing.T, f Factory) {
 // walkSchedule runs one schedule uninterrupted and checks it, then walks it,
 // and returns the number of fences its transaction has and the number it had
 // issued when it called Commit or Abort. drop >= 0 deletes that fence of the
-// transaction in every pass.
+// transaction in every pass, and the walk starts behind it: the callers have
+// walked the crashes before it with every fence.
 func walkSchedule(f Factory, sc windowSchedule, drop int) (fences, ending int, err error) {
 	fail := func(err error) (int, int, error) {
 		return fences, ending, fmt.Errorf("%s/%s: %w", f.Name, sc.name, err)
@@ -430,11 +315,6 @@ func walkSchedule(f Factory, sc windowSchedule, drop int) (fences, ending int, e
 	}
 	if nodes != nil && maps.Equal(nodes, memNodes(f, sc, e)) {
 		return fail(errors.New("the walked put replaced no MemTable node"))
-	}
-	if sc.merges > 0 && f.MemTable != nil {
-		if got := e.(core.FlushStatser).FlushStats().Compactions; got != sc.merges {
-			return fail(fmt.Errorf("%d merges once the walked transaction committed, want %d", got, sc.merges))
-		}
 	}
 	if sc.abort {
 		after = before
@@ -452,24 +332,7 @@ func walkSchedule(f Factory, sc windowSchedule, drop int) (fences, ending int, e
 			return err
 		}, nil
 	}, func(k, fences int, dev *nvm.Device) error {
-		returned, inCommit := k == fences, !sc.abort && k >= ending
-		if !sc.recovery || k != ending {
-			return checkRecovered(f, sc, dev, returned, inCommit, before, after)
-		}
-		// Recovery itself, crashed at each of its fences, then run again.
-		_, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
-			d := dev.CloneMedium()
-			return d, func() error {
-				_, err := recoverOn(f, &core.Env{Dev: d}, windowsSchema(), sc.options())
-				return err
-			}, nil
-		}, func(_, _ int, d *nvm.Device) error {
-			return checkRecovered(f, sc, d, returned, inCommit, before, after)
-		})
-		if err != nil {
-			return fmt.Errorf("recovery: %w", err)
-		}
-		return nil
+		return checkRecovered(f, dev, k == fences, !sc.abort && k >= ending, before, after)
 	})
 	if err != nil {
 		return fail(fmt.Errorf("Commit starts at fence %d: %w", ending, err))
@@ -490,11 +353,11 @@ func memNodes(f Factory, sc windowSchedule, e core.Engine) map[pmalloc.Ptr]bool 
 
 // checkRecovered recovers f's engine from dev and checks it: once the
 // transaction had returned it is whole; before that it is absent, or, once
-// Commit was running, absent or whole. f.Leaks finds nothing, the engine
-// takes another transaction, and after a merge schedule it merges again.
-func checkRecovered(f Factory, sc windowSchedule, dev *nvm.Device, returned, inCommit bool, before, after model) error {
+// Commit was running, absent or whole. f.Leaks finds nothing, and the
+// engine takes another transaction.
+func checkRecovered(f Factory, dev *nvm.Device, returned, inCommit bool, before, after model) error {
 	schemas := windowsSchema()
-	e, err := crashOpen(f, &core.Env{Dev: dev}, schemas, sc.options())
+	e, err := crashOpen(f, &core.Env{Dev: dev}, schemas, windowsOpts)
 	if err != nil {
 		return err
 	}
@@ -505,35 +368,10 @@ func checkRecovered(f Factory, sc windowSchedule, dev *nvm.Device, returned, inC
 	} else if err := checkAtomic(e, schemas, before, after, inCommit); err != nil {
 		return err
 	}
-	if err := leaks(f, e, "after recovery"); err != nil {
-		return err
-	}
-	if err := probe(e, "users", windowsRow(probeKey, 1)); err != nil {
-		return err
-	}
-	if sc.merges == 0 || f.MemTable == nil {
-		return nil
-	}
-	stats := e.(core.FlushStatser)
-	merged := stats.FlushStats().Compactions
-	for k := uint64(1000); stats.FlushStats().Compactions == merged; k++ {
-		if k > 1100 {
-			return errors.New("no merge after recovery")
-		}
-		if _, err := runTxn(e, model{"users": {}}, []windowOp{{key: k, row: windowsRow(k, 0)}}, false); err != nil {
-			return fmt.Errorf("insert %d after recovery: %w", k, err)
+	if f.Leaks != nil {
+		if err := f.Leaks(e); err != nil {
+			return fmt.Errorf("after recovery: %w", err)
 		}
 	}
-	return leaks(f, e, "after the next merge")
-}
-
-// leaks runs f.Leaks, if the factory has one, and says when.
-func leaks(f Factory, e core.Engine, when string) error {
-	if f.Leaks == nil {
-		return nil
-	}
-	if err := f.Leaks(e); err != nil {
-		return fmt.Errorf("%s: %w", when, err)
-	}
-	return nil
+	return probe(e, "users", windowsRow(probeKey, 1))
 }

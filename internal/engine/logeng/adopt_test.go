@@ -403,8 +403,7 @@ func adoptCases(size int, seed int64) []adoptCase {
 // TestAdoptCrashWindows walks the commit that merges — the merge, the bulk
 // load, the run-list swap, the release of the victims — with
 // nvm.WalkFences, on rows whose images are 1 KB or 16 KB and sit inline in
-// their entry chunks, where the fence windows' merge schedules walk the
-// users table's small rows. After recovery from each crash state it
+// their entry chunks. After recovery from each crash state it
 // requires the committed table on one side of the merging insert (the far
 // side once it has returned), an allocator that holds exactly the reachable
 // set with every kind tag right, and an engine that merges again without

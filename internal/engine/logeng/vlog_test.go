@@ -45,6 +45,22 @@ func put1(t *testing.T, e *Engine, i int64, n int) {
 	}
 }
 
+// crashOpen cuts the power under env and opens the engine on what the
+// medium kept.
+func crashOpen(t *testing.T, env *core.Env, sch []*core.Schema, opts core.Options) (*core.Env, *Engine) {
+	t.Helper()
+	env.Dev.Crash()
+	env2, err := env.ReopenVolatile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(env2, sch, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env2, e
+}
+
 // scanAll snapshots table t as key -> row for digest comparison.
 func scanAll(t *testing.T, e *Engine) map[uint64][]core.Value {
 	t.Helper()
@@ -242,15 +258,7 @@ func TestCommitSurfacesFlushFailure(t *testing.T) {
 
 	// Crash NOW, with the flush still failed: the WAL segment behind the
 	// frozen memtable was never released, so every acked commit recovers.
-	env.Dev.Crash()
-	env2, err := env.ReopenVolatile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(env2, bigSchema(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, e2 := crashOpen(t, env, bigSchema(), opts)
 	for i := int64(1); i <= 8; i++ {
 		r, ok, err := e2.Get("t", uint64(i))
 		if err != nil || !ok || r[1].I != i*2 {
@@ -332,15 +340,7 @@ func TestCrashAfterPrepareBeforeInstall(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			env.Dev.Crash()
-			env2, err := env.ReopenVolatile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e2, err := Open(env2, bigSchema(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			env2, e2 := crashOpen(t, env, bigSchema(), opts)
 			for i := int64(1); i <= 50; i++ {
 				r, ok, err := e2.Get("t", uint64(i))
 				if err != nil || !ok || r[1].I != i*2 {
@@ -750,15 +750,7 @@ func TestLargeDeltaSeparatedAtFlush(t *testing.T) {
 		if r := want[1]; string(r[2].S) != strings.Repeat("s", 1000) {
 			t.Fatalf("key 1 reads %.10q..., not the active MemTable's update", r[2].S)
 		}
-		env.Dev.Crash()
-		env2, err := env.ReopenVolatile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2, err := Open(env2, sch, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, e2 := crashOpen(t, env, sch, opts)
 		if err := sameState(sch[0], rows(t, e2), want); err != nil {
 			t.Fatalf("after the reopen: %v", err)
 		}
@@ -779,15 +771,7 @@ func TestLargeDeltaSeparatedAtFlush(t *testing.T) {
 		if len(b.appended) != 2 {
 			t.Fatalf("the build separated %d images, want keys 1 and 3", len(b.appended))
 		}
-		env.Dev.Crash()
-		env2, err := env.ReopenVolatile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2, err := Open(env2, sch, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		env2, e2 := crashOpen(t, env, sch, opts)
 		if err := sameState(sch[0], rows(t, e2), want); err != nil {
 			t.Fatalf("after the crash: %v", err)
 		}

@@ -2,8 +2,10 @@ package nvminp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nstore/internal/core"
@@ -12,6 +14,7 @@ import (
 	"nstore/internal/nvbtree"
 	"nstore/internal/nvm"
 	"nstore/internal/pmalloc"
+	"nstore/internal/txn2pc"
 )
 
 func TestConformance(t *testing.T) {
@@ -48,15 +51,7 @@ func TestImmediateDurability(t *testing.T) {
 	e.Insert("t", 1, []core.Value{core.IntVal(1), core.IntVal(2), core.StrVal("x")})
 	e.Commit()
 	// No Flush — crash immediately.
-	env.Dev.Crash()
-	env2, err := env.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(env2, simpleSchema(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, e2 := crashOpen(t, env, simpleSchema(), core.Options{})
 	row, ok, _ := e2.Get("t", 1)
 	if !ok || row[1].I != 2 {
 		t.Fatalf("commit not durable without group flush: %v,%v", row, ok)
@@ -167,15 +162,7 @@ func TestVarSlotReclaimedOnUpdateCommit(t *testing.T) {
 	if err := leaks(e); err != nil {
 		t.Errorf("beside a kept var-slot: %v", err)
 	}
-	env.Dev.Crash()
-	env2, err := env.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(env2, simpleSchema(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	env2, e2 := crashOpen(t, env, simpleSchema(), core.Options{})
 	if err := leaks(e2); err != nil {
 		t.Errorf("after a crash: %v", err)
 	}
@@ -184,27 +171,44 @@ func TestVarSlotReclaimedOnUpdateCommit(t *testing.T) {
 	}
 }
 
-// leaks reports a table or log chunk that is persisted yet unreachable —
-// after Open the WAL is empty, so every persisted chunk must be the header's,
-// a heap's or an index's — and an index node in a free chunk: a node freed
-// while its tree still routes to it. (An index node a rewrite replaced is
-// freed without a write-back, a crash can resurrect it, and NVM-InP does not
-// sweep those.)
-func leaks(ce core.Engine) error {
-	e := ce.(*Engine)
+// crashOpen cuts the power under env and opens the engine on what the
+// medium kept.
+func crashOpen(t *testing.T, env *core.Env, schemas []*core.Schema, opts core.Options) (*core.Env, *Engine) {
+	t.Helper()
+	env.Dev.Crash()
+	env2, err := env.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(env2, schemas, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env2, e
+}
+
+// leaks reports a persisted chunk that the engine header, the heaps and the
+// indexes do not reach — after Open the WAL is empty, so every persisted chunk
+// must be one of theirs — and an index node in a free chunk: a node freed
+// while its tree still routes to it.
+func leaks(ce core.Engine) error { return leaksOf(ce.(*Engine)) }
+
+// leaksOf is leaks with the unreachable check for chunks of the given tags,
+// every tag if none is given.
+func leaksOf(e *Engine, tags ...pmalloc.Tag) error {
 	reach := map[pmalloc.Ptr]bool{e.hdr: true}
 	nodes := map[pmalloc.Ptr]bool{}
 	for t := range e.Tables {
 		e.heaps[t].Reach(func(p pmalloc.Ptr) { reach[p] = true })
 		for _, tr := range append([]*nvbtree.Tree{e.primary[t]}, e.second[t]...) {
-			tr.Nodes(func(p pmalloc.Ptr) { nodes[p] = true })
+			tr.Nodes(func(p pmalloc.Ptr) { reach[p], nodes[p] = true, true })
 		}
 	}
 	var err error
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
 		switch {
 		case err != nil:
-		case st == pmalloc.StatePersisted && tag != pmalloc.TagIndex && !reach[p]:
+		case st == pmalloc.StatePersisted && !reach[p] && (len(tags) == 0 || slices.Contains(tags, tag)):
 			err = fmt.Errorf("leaked chunk %d (%s, %d B): persisted and unreachable", p, pmalloc.TagNames[tag], size)
 		case st == pmalloc.StateFree && nodes[p]:
 			err = fmt.Errorf("an index routes to node %d, a free chunk", p)
@@ -291,15 +295,7 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 	if _, err := New(env, schemas, core.Options{GroupCommitSize: 1}); err != nil {
 		t.Fatal(err)
 	}
-	env.Dev.Crash()
-	env2, err := env.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(env2, schemas, core.Options{GroupCommitSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, e2 := crashOpen(t, env, schemas, core.Options{GroupCommitSize: 1})
 	for _, s := range schemas {
 		n := 0
 		if err := e2.ScanRange(s.Name, 0, ^uint64(0), func(pk uint64, row []core.Value) bool { n++; return true }); err != nil {
@@ -431,41 +427,16 @@ var walkEnv = core.EnvConfig{DeviceSize: 1 << 20, FSExtent: 64 << 10, CacheSize:
 // table. Three interleaved ascending key streams arrive in twelve seeded
 // orders (four under -short), and nvm.WalkFences crashes a window of eight
 // inserts a third of the way in at each of its fences: after recovery every
-// node of the primary index is an allocated chunk, the committed keys are a
-// prefix of the arrivals that reaches the window (all of it once the window
-// has returned), and the rest of the load goes in and reads back.
+// node of an index is an allocated chunk, no table or log chunk is persisted
+// yet unreachable, the committed keys are a prefix of the arrivals that
+// reaches the window (all of it once the window has returned), and the rest
+// of the load goes in and reads back.
 func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
 	schema := []*core.Schema{{Name: "t", Columns: []core.Column{{Name: "id", Type: core.TInt}, {Name: "v", Type: core.TInt}}}}
 	insert := func(e *Engine, k uint64) error {
-		if err := e.Begin(); err != nil {
-			return err
-		}
-		if err := e.Insert("t", k, []core.Value{core.IntVal(int64(k)), core.IntVal(int64(k) * 3)}); err != nil {
-			return err
-		}
-		return e.Commit()
-	}
-	// readsBack reports how many keys, from the first, read back, and fails
-	// if any key after them does.
-	readsBack := func(e *Engine, keys []uint64) (int, error) {
-		n := -1
-		for i, k := range keys {
-			row, ok, err := e.Get("t", k)
-			switch {
-			case err != nil:
-				return 0, err
-			case ok && n >= 0:
-				return 0, fmt.Errorf("key %d (arrival %d) reads back after a lost arrival %d", k, i, n)
-			case ok && row[1].I != int64(k)*3:
-				return 0, fmt.Errorf("key %d reads %v", k, row)
-			case !ok && n < 0:
-				n = i
-			}
-		}
-		if n < 0 {
-			n = len(keys)
-		}
-		return n, nil
+		return txn2pc.Run(e, func() error {
+			return e.Insert("t", k, []core.Value{core.IntVal(int64(k)), core.IntVal(int64(k) * 3)})
+		})
 	}
 	seeds := int64(12) // arrival orders; each walk takes about half a second
 	if testing.Short() {
@@ -514,29 +485,30 @@ func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
 			if err != nil {
 				return fmt.Errorf("open: %w", err)
 			}
-			var bad error
-			e.primary[0].Nodes(func(p pmalloc.Ptr) {
-				if bad == nil && env.Arena.StateOf(p) == pmalloc.StateFree {
-					bad = fmt.Errorf("the primary index routes to node %d, a free chunk", p)
-				}
-			})
-			if bad != nil {
-				return bad
-			}
-			done, err := readsBack(e, keys)
-			switch {
-			case err != nil:
+			if err := leaksOf(e, pmalloc.TagTable, pmalloc.TagLog); err != nil {
 				return err
-			case done < at || k == fences && done < at+len(window):
-				return fmt.Errorf("%d arrivals read back, %d were committed before the window of %d", done, at, len(window))
 			}
-			for _, k := range keys[done:] {
+			// The window's committed arrivals: a prefix of it, all of it once
+			// it has returned. A later arrival that survived a lost one fails
+			// its insert below as a duplicate.
+			n := at
+			for ; n < at+len(window); n++ {
+				if _, ok, err := e.Get("t", keys[n]); err != nil || !ok {
+					break
+				}
+			}
+			if k == fences && n < at+len(window) {
+				return fmt.Errorf("the window had returned, yet arrival %d is lost", n)
+			}
+			for _, k := range keys[n:] {
 				if err := insert(e, k); err != nil {
 					return fmt.Errorf("insert %d after recovery: %w", k, err)
 				}
 			}
-			if n, err := readsBack(e, keys); err != nil || n != len(keys) {
-				return fmt.Errorf("after the rest of the load %d of %d keys read back: %v", n, len(keys), err)
+			for i, k := range keys {
+				if row, ok, err := e.Get("t", k); err != nil || !ok || row[1].I != int64(k)*3 {
+					return fmt.Errorf("arrival %d, key %d, after the rest of the load: %v found=%v err=%v", i, k, row, ok, err)
+				}
 			}
 			return nil
 		})
@@ -554,10 +526,10 @@ func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
 // would free it under the tree. A transaction that updates strings, moves
 // tuples within a secondary index and inserts is cut off before its commit;
 // nvm.WalkFences crashes its recovery at every fence, with the un-fenced
-// lines all lost, all kept and each kept alone, and recovery runs once more
-// to the end: the table is the committed one, every index node is a live
-// chunk, no table or log chunk is persisted yet unreachable, and the engine
-// takes more load.
+// lines all lost, all kept and each kept alone, and once more at every fence
+// with a seeded half of them kept; recovery then runs once more to the end:
+// the table is the committed one, every index node is a live chunk, no table
+// or log chunk is persisted yet unreachable, and the engine takes more load.
 func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 	schema := []*core.Schema{{
 		Name: "t",
@@ -580,60 +552,15 @@ func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 		return []core.Value{core.IntVal(int64(k)), core.IntVal(int64(k % 7)), str(k, salt)}
 	}
 	const keys = 40
-	commit := func(e *Engine, ops func() error) error {
-		if err := e.Begin(); err != nil {
-			return err
-		}
-		if err := ops(); err != nil {
-			return err
-		}
-		return e.Commit()
-	}
-	// check: the table is want, and after more load the table with it.
-	check := func(e *Engine) error {
-		want := map[uint64][]core.Value{}
-		for key := uint64(1); key <= keys; key++ {
-			want[key] = row(key, 0)
-		}
-		same := func() error {
-			n := 0
-			var bad error
-			if err := e.ScanRange("t", 0, ^uint64(0), func(pk uint64, r []core.Value) bool {
-				n++
-				if w, ok := want[pk]; !ok || !core.RowsEqual(schema[0], r, w) {
-					bad = fmt.Errorf("key %d reads %v, want %v", pk, r, w)
-				}
-				return bad == nil
-			}); err != nil {
-				return err
-			}
-			if bad == nil && n != len(want) {
-				bad = fmt.Errorf("%d rows, want %d", n, len(want))
-			}
-			return bad
-		}
-		if err := same(); err != nil {
-			return err
-		}
-		for key := uint64(200); key < 260; key++ {
-			want[key] = row(key, 4)
-			if err := commit(e, func() error { return e.Insert("t", key, want[key]) }); err != nil {
-				return fmt.Errorf("insert %d: %w", key, err)
-			}
-		}
-		if err := same(); err != nil {
-			return fmt.Errorf("after more load: %w", err)
-		}
-		return nil
-	}
-	fences, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
+	// build cuts the transaction off and returns the recovery to crash.
+	build := func() (*nvm.Device, func() error, error) {
 		env := core.NewEnv(walkEnv)
 		e, err := New(env, schema, opts)
 		if err != nil {
 			return nil, nil, err
 		}
 		for key := uint64(1); key <= keys; key++ {
-			if err := commit(e, func() error { return e.Insert("t", key, row(key, 0)) }); err != nil {
+			if err := txn2pc.Run(e, func() error { return e.Insert("t", key, row(key, 0)) }); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -664,7 +591,11 @@ func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 			_, err := Open(env, schema, opts)
 			return err
 		}, nil
-	}, func(_, _ int, dev *nvm.Device) error {
+	}
+	// again runs the second recovery on the crashed device and checks it.
+	// (An index node a rewrite replaced is freed without a write-back; the
+	// crash resurrects it, and NVM-InP has never swept those.)
+	again := func(_, _ int, dev *nvm.Device) error {
 		env, err := (&core.Env{Dev: dev}).Reopen()
 		if err != nil {
 			return err
@@ -673,16 +604,62 @@ func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("the second recovery: %w", err)
 		}
-		if err := leaks(e); err != nil {
+		if err := leaksOf(e, pmalloc.TagTable, pmalloc.TagLog); err != nil {
 			return err
 		}
-		return check(e)
-	})
+		// The table is the committed one, and after more load the table
+		// with it.
+		want := map[uint64][]core.Value{}
+		for key := uint64(1); key <= keys; key++ {
+			want[key] = row(key, 0)
+		}
+		for i, stage := range []string{"after recovery", "after more load"} {
+			n := 0
+			var bad error
+			err := e.ScanRange("t", 0, ^uint64(0), func(pk uint64, r []core.Value) bool {
+				n++
+				if w, ok := want[pk]; !ok || !core.RowsEqual(schema[0], r, w) {
+					bad = fmt.Errorf("key %d reads %v, want %v", pk, r, w)
+				}
+				return bad == nil
+			})
+			if err == nil && bad == nil && n != len(want) {
+				bad = fmt.Errorf("%d rows, want %d", n, len(want))
+			}
+			if err := errors.Join(err, bad); err != nil {
+				return fmt.Errorf("%s: %w", stage, err)
+			}
+			for key := uint64(200); i == 0 && key < 260; key++ {
+				want[key] = row(key, 4)
+				if err := txn2pc.Run(e, func() error { return e.Insert("t", key, want[key]) }); err != nil {
+					return fmt.Errorf("insert %d: %w", key, err)
+				}
+			}
+		}
+		return nil
+	}
+	fences, err := nvm.WalkFences(build, again)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fences < 10 {
 		t.Fatalf("recovery finished within %d fences: the walk crashed it nowhere", fences)
+	}
+	// The walk keeps none, all or one of the un-fenced lines; a seeded half
+	// keeps several and loses several.
+	for k := 0; k < fences; k++ {
+		dev, recovery, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.InjectFaults(nvm.FaultPlan{Seed: int64(k), Mode: nvm.FaultReorder, CrashAfterFences: k, KeepProb: 0.5})
+		if crashed, err := nvm.Crashed(recovery); !crashed || err != nil {
+			t.Fatalf("recovery to fence %d: crashed %v: %v", k, crashed, err)
+		}
+		dev.Crash()
+		if err := again(k, fences, dev); err != nil {
+			t.Fatalf("recovery crashed at fence %d, a seeded half of its un-fenced lines kept: %v", k, err)
+		}
 	}
 }
 

@@ -13,11 +13,7 @@ import (
 // journalTree builds a tree of n ascending keys (k -> 3k) on a fresh device.
 func journalTree(t *testing.T, n int) (*nvm.Device, *Tree) {
 	t.Helper()
-	// The cache is small: the fence walk copies the device once per crash
-	// outcome.
-	cfg := nvm.DefaultConfig(1 << 20)
-	cfg.CacheSize = 64 << 10
-	dev := nvm.NewDevice(cfg)
+	dev := nvm.NewDevice(nvm.DefaultConfig(1 << 20))
 	arena := pmalloc.Format(dev, 0, 1<<20)
 	// Wide nodes: a parent takes several leaf splits before its own rewrite.
 	tr, err := Create(arena, 512)
@@ -134,7 +130,7 @@ type tornLine struct {
 }
 
 // recoverTorn opens the tree on a copy of the medium with the kept lines
-// applied and checks it (recoverTree).
+// applied and checks keys 1..n, the reachable nodes and further Puts.
 func recoverTorn(medium []byte, kept []tornLine, n int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -149,12 +145,6 @@ func recoverTorn(medium []byte, kept []tornLine, n int) (err error) {
 		dev.Write(tl.line, tl.data[:8*tl.words])
 		dev.Sync(tl.line, 8*tl.words)
 	}
-	return recoverTree(dev, n)
-}
-
-// recoverTree opens the tree at dev's root 0 and checks keys 1..n, the
-// reachable nodes and further Puts.
-func recoverTree(dev *nvm.Device, n int) error {
 	arena, err := pmalloc.Open(dev, 0)
 	if err != nil {
 		return err
@@ -189,53 +179,4 @@ func recoverTree(dev *nvm.Device, n int) error {
 		}
 	}
 	return check(uint64(n) + 40)
-}
-
-// TestShadowedRouteFenceWindows: a rewrite's new node can take the chunk an
-// earlier rewrite under the same parent freed, which the parent's append-only
-// entry array still names under a shadowed route. Recovery used to read any
-// entry naming the probe as the rewrite's commit and freed the replaced node
-// the tree still routed to, whose chunk was then reused under acked keys. The
-// test finds such a Put and walks it (nvm.WalkFences): crashed at each of its
-// fences and after it, with the un-fenced lines all lost, all kept and each
-// kept alone, recovery leaves every key readable, no reachable node free and
-// the tree taking more Puts.
-func TestShadowedRouteFenceWindows(t *testing.T) {
-	target := 0
-	_, tr := journalTree(t, 0)
-	last := tr.journalWords()
-	for k := uint64(1); k < 400 && target == 0; k++ {
-		// Every (inner node, child) pair an entry names, live or shadowed.
-		named := map[[2]uint64]bool{}
-		tr.Nodes(func(p pmalloc.Ptr) {
-			if n := uint64(p); !tr.isLeaf(n) {
-				for i := 0; i < tr.count(n); i++ {
-					named[[2]uint64{n, tr.entAt(n, i).v}] = true
-				}
-			}
-		})
-		put(t, tr, k, 3*k)
-		now := tr.journalWords()
-		word := func(off int) uint64 { return binary.LittleEndian.Uint64(now[off-hJOld:]) }
-		if now != last && named[[2]uint64{word(hJParent), word(hJProbe)}] {
-			target = int(k)
-		}
-		last = now
-	}
-	if target == 0 {
-		t.Fatal("no rewrite's new node took a chunk its parent still names")
-	}
-	_, err := nvm.WalkFences(func() (*nvm.Device, func() error, error) {
-		dev, tr := journalTree(t, target-1)
-		return dev, func() error { return tr.Put(uint64(target), 3*uint64(target)) }, nil
-	}, func(k, fences int, dev *nvm.Device) error {
-		n := target - 1
-		if k == fences {
-			n = target
-		}
-		return recoverTree(dev, n)
-	})
-	if err != nil {
-		t.Fatalf("Put %d: %v", target, err)
-	}
 }

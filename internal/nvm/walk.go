@@ -3,6 +3,7 @@ package nvm
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // The fence walk: where a seeded fault plan samples crash points, the walk
@@ -40,18 +41,20 @@ func Crashed(fn func() error) (crashed bool, err error) {
 // for each outcome of the un-fenced lines: all lost, all kept, and each kept
 // alone. A panic inside check is that outcome's failure. WalkFences returns
 // the step's fence count and the first failure, which names k and the
-// surviving lines.
+// surviving lines. On a device that build gave a deleted fence (DropFence)
+// the walk starts behind it: a crash at that fence or before it leaves what
+// it leaves with every fence.
 func WalkFences(build func() (*Device, func() error, error), check func(k, fences int, dev *Device) error) (fences int, err error) {
 	d, step, err := build()
 	if err != nil {
 		return 0, err
 	}
-	start := d.Stats().Fences
+	from, start := d.dropFence, d.Stats().Fences
 	if crashed, err := Crashed(step); crashed || err != nil {
 		return 0, fmt.Errorf("uninterrupted: crashed %v: %w", crashed, err)
 	}
 	fences = int(d.Stats().Fences - start)
-	for k := 0; k <= fences; k++ {
+	for k := from; k <= fences; k++ {
 		if err := crashAt(build, check, k, fences); err != nil {
 			return fences, fmt.Errorf("crash at fence %d of %d: %w", k, fences, err)
 		}
@@ -78,17 +81,14 @@ func crashAt(build func() (*Device, func() error, error), check func(k, fences i
 	}
 	var unfenced []unfencedLine
 	d.Unfenced(func(line int64, buf []byte) {
-		kl := unfencedLine{line: line}
-		copy(kl.data[:], buf)
-		unfenced = append(unfenced, kl)
+		unfenced = append(unfenced, unfencedLine{line, slices.Clone(buf)})
 	})
-	medium := d.CloneMedium()
 	outcomes := [][]unfencedLine{nil, unfenced}
 	for i := range unfenced {
 		outcomes = append(outcomes, unfenced[i:i+1])
 	}
 	for _, kept := range outcomes {
-		if err := checkKept(medium, kept, func(dev *Device) error { return check(k, fences, dev) }); err != nil {
+		if err := checkKept(d, kept, func(dev *Device) error { return check(k, fences, dev) }); err != nil {
 			lines := make([]string, len(kept))
 			for i, kl := range kept {
 				lines[i] = fmt.Sprintf("%#x", kl.line)
@@ -102,19 +102,20 @@ func crashAt(build func() (*Device, func() error, error), check func(k, fences i
 // unfencedLine is an un-fenced line write-back that an outcome keeps.
 type unfencedLine struct {
 	line int64
-	data [LineSize]byte
+	data []byte
 }
 
-// checkKept runs check on a copy of the medium holding the kept lines.
-func checkKept(medium *Device, kept []unfencedLine, check func(dev *Device) error) (err error) {
+// checkKept runs check on a copy of the crashed device's medium holding the
+// kept lines.
+func checkKept(crashed *Device, kept []unfencedLine, check func(dev *Device) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("check panicked: %v", r)
 		}
 	}()
-	dev := medium.CloneMedium()
+	dev := crashed.CloneMedium()
 	for _, kl := range kept {
-		copy(dev.data[kl.line:], kl.data[:])
+		copy(dev.data[kl.line:], kl.data)
 	}
 	return check(dev)
 }

@@ -94,6 +94,28 @@ func TestWalkFencesChecksEveryWindow(t *testing.T) {
 	}
 }
 
+// TestWalkFencesStartsBehindDroppedFence: with the data's fence deleted
+// (DropFence), the walk crashes nothing at it, whose states are the walk's
+// with every fence, and catches the flag's line kept alone behind it.
+func TestWalkFencesStartsBehindDroppedFence(t *testing.T) {
+	calls := map[int]int{}
+	_, err := WalkFences(func() (*Device, func() error, error) {
+		d, step, err := toyPublish(true)()
+		d.DropFence(0)
+		return d, step, err
+	}, func(k, fences int, dev *Device) error {
+		calls[k]++
+		return toyCheck(k, fences, dev)
+	})
+	want := fmt.Sprintf("crash at fence 1 of 2: surviving 1 of 2 un-fenced lines [%#x]", LineSize)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("failure %v does not name %q", err, want)
+	}
+	if calls[0] != 0 {
+		t.Fatalf("check ran %d times at the deleted fence", calls[0])
+	}
+}
+
 // TestCrashed: an injected crash, panicked or returned, is caught and
 // reported; an ordinary error is returned as it is.
 func TestCrashed(t *testing.T) {
