@@ -277,8 +277,7 @@ func (s *nvmStore) reachable() (reach map[pmalloc.Ptr]bool, runKeys [][]uint64) 
 		reach[list] = true
 	}
 	markTree := func(t *nvbtree.Tree, keys *[]uint64) {
-		t.Nodes(mark)
-		t.Iter(0, func(k, v uint64) bool {
+		t.Walk(0, mark, func(k, v uint64) bool {
 			reach[chunkOf(v)] = true
 			if keys != nil {
 				*keys = append(*keys, k)

@@ -207,18 +207,26 @@ func (e *Engine) undoWAL() error {
 		return err
 	}
 	// Sweep the chunks no one names any more: every persisted WAL chunk (the
-	// epoch has moved past them all), and every persisted table chunk no heap
-	// reaches — a var-slot streamed with its mark for a tuple or a field that
-	// the crash or the undo above took back, or one an update superseded or a
-	// delete released whose free at commit never reached the medium. This is
-	// the one place recovery frees a var-slot: nothing was freed while an
-	// entry that names it could still be replayed.
+	// epoch has moved past them all), and every persisted table or index chunk
+	// no heap or tree reaches — a var-slot streamed with its mark for a tuple
+	// or a field that the crash or the undo above took back, one an update
+	// superseded or a delete released whose free at commit never reached the
+	// medium, and an index node a rewrite replaced, whose free the crash lost.
+	// This is the one place recovery frees a var-slot: nothing was freed while
+	// an entry that names it could still be replayed. The undo's own index
+	// rewrites may have freed a node the walk found.
 	reach := make(map[pmalloc.Ptr]bool)
-	for _, h := range e.heaps {
-		h.Reach(func(p pmalloc.Ptr) { reach[p] = true })
+	mark := func(p pmalloc.Ptr) { reach[p] = true }
+	for t, h := range e.heaps {
+		h.Reach(mark)
+		for _, tr := range append([]*nvbtree.Tree{e.primary[t]}, e.second[t]...) {
+			tr.Nodes(mark)
+		}
 	}
-	core.FreeOrphans(e.Env.Arena, chunks, func(c core.Chunk) bool {
-		return c.Tag == pmalloc.TagLog || c.Tag == pmalloc.TagTable && !reach[c.P]
+	a := e.Env.Arena
+	core.FreeOrphans(a, chunks, func(c core.Chunk) bool {
+		return c.Tag == pmalloc.TagLog || !reach[c.P] && (c.Tag == pmalloc.TagTable ||
+			c.Tag == pmalloc.TagIndex && a.StateOf(c.P) == pmalloc.StatePersisted)
 	})
 	e.Rec = core.RecoveryReport{Records: int64(undone + walked)}
 	return nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"nstore/internal/core"
@@ -191,11 +190,8 @@ func crashOpen(t *testing.T, env *core.Env, schemas []*core.Schema, opts core.Op
 // indexes do not reach — after Open the WAL is empty, so every persisted chunk
 // must be one of theirs — and an index node in a free chunk: a node freed
 // while its tree still routes to it.
-func leaks(ce core.Engine) error { return leaksOf(ce.(*Engine)) }
-
-// leaksOf is leaks with the unreachable check for chunks of the given tags,
-// every tag if none is given.
-func leaksOf(e *Engine, tags ...pmalloc.Tag) error {
+func leaks(ce core.Engine) error {
+	e := ce.(*Engine)
 	reach := map[pmalloc.Ptr]bool{e.hdr: true}
 	nodes := map[pmalloc.Ptr]bool{}
 	for t := range e.Tables {
@@ -208,7 +204,7 @@ func leaksOf(e *Engine, tags ...pmalloc.Tag) error {
 	e.Env.Arena.Chunks(func(p pmalloc.Ptr, size int, tag pmalloc.Tag, st pmalloc.State) {
 		switch {
 		case err != nil:
-		case st == pmalloc.StatePersisted && !reach[p] && (len(tags) == 0 || slices.Contains(tags, tag)):
+		case st == pmalloc.StatePersisted && !reach[p]:
 			err = fmt.Errorf("leaked chunk %d (%s, %d B): persisted and unreachable", p, pmalloc.TagNames[tag], size)
 		case st == pmalloc.StateFree && nodes[p]:
 			err = fmt.Errorf("an index routes to node %d, a free chunk", p)
@@ -427,8 +423,8 @@ var walkEnv = core.EnvConfig{DeviceSize: 1 << 20, FSExtent: 64 << 10, CacheSize:
 // table. Three interleaved ascending key streams arrive in twelve seeded
 // orders (four under -short), and nvm.WalkFences crashes a window of eight
 // inserts a third of the way in at each of its fences: after recovery every
-// node of an index is an allocated chunk, no table or log chunk is persisted
-// yet unreachable, the committed keys are a prefix of the arrivals that
+// node of an index is an allocated chunk, no chunk is persisted yet
+// unreachable, the committed keys are a prefix of the arrivals that
 // reaches the window (all of it once the window has returned), and the rest
 // of the load goes in and reads back.
 func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
@@ -485,7 +481,7 @@ func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
 			if err != nil {
 				return fmt.Errorf("open: %w", err)
 			}
-			if err := leaksOf(e, pmalloc.TagTable, pmalloc.TagLog); err != nil {
+			if err := leaks(e); err != nil {
 				return err
 			}
 			// The window's committed arrivals: a prefix of it, all of it once
@@ -528,8 +524,8 @@ func TestCrashInIndexRewriteKeepsLiveNode(t *testing.T) {
 // nvm.WalkFences crashes its recovery at every fence, with the un-fenced
 // lines all lost, all kept and each kept alone, and once more at every fence
 // with a seeded half of them kept; recovery then runs once more to the end:
-// the table is the committed one, every index node is a live chunk, no table
-// or log chunk is persisted yet unreachable, and the engine takes more load.
+// the table is the committed one, every index node is a live chunk, no chunk
+// is persisted yet unreachable, and the engine takes more load.
 func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 	schema := []*core.Schema{{
 		Name: "t",
@@ -594,7 +590,7 @@ func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 	}
 	// again runs the second recovery on the crashed device and checks it.
 	// (An index node a rewrite replaced is freed without a write-back; the
-	// crash resurrects it, and NVM-InP has never swept those.)
+	// crash resurrects it, and the second recovery's sweep frees it.)
 	again := func(_, _ int, dev *nvm.Device) error {
 		env, err := (&core.Env{Dev: dev}).Reopen()
 		if err != nil {
@@ -604,7 +600,7 @@ func TestCrashInRecoveryKeepsLiveNodes(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("the second recovery: %w", err)
 		}
-		if err := leaksOf(e, pmalloc.TagTable, pmalloc.TagLog); err != nil {
+		if err := leaks(e); err != nil {
 			return err
 		}
 		// The table is the committed one, and after more load the table

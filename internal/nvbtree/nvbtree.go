@@ -488,12 +488,16 @@ func (t *Tree) routeChild(n uint64, k uint64) (child uint64, ok bool) {
 // fences disabled).
 var ErrCorrupt = errors.New("nvbtree: descent exceeds the maximum tree depth or dead-ends (corrupt child pointer)")
 
+// maxDepth bounds every descent by key (Get, Put, Delete) against corrupted
+// child pointers; legitimate trees never approach it.
+const maxDepth = 80
+
 // get is Get with the depth overrun reported.
 func (t *Tree) get(k uint64) (uint64, bool, error) {
 	n := t.root()
 	for depth := 0; !t.isLeaf(n); depth++ {
 		var ok bool
-		if n, ok = t.routeChild(n, k); !ok || depth > maxIterDepth {
+		if n, ok = t.routeChild(n, k); !ok || depth > maxDepth {
 			return 0, false, ErrCorrupt
 		}
 	}
@@ -501,9 +505,9 @@ func (t *Tree) get(k uint64) (uint64, bool, error) {
 	return v, ok, nil
 }
 
-// Get returns the value stored for key k. Like Iter it gives up on a descent
-// past maxIterDepth and reports the key absent; Put and Delete return
-// ErrCorrupt for the same image.
+// Get returns the value stored for key k. It gives up on a descent past
+// maxDepth and reports the key absent; Put and Delete return ErrCorrupt for
+// the same image.
 func (t *Tree) Get(k uint64) (uint64, bool) {
 	v, ok, _ := t.get(k)
 	return v, ok
@@ -540,7 +544,7 @@ func (t *Tree) modify(k, v uint64) error {
 		n := t.root()
 		restart := false
 		for depth := 0; !t.isLeaf(n); depth++ {
-			if depth > maxIterDepth {
+			if depth > maxDepth {
 				return ErrCorrupt
 			}
 			if t.cap-t.count(n) < minFree {
@@ -791,96 +795,80 @@ func (t *Tree) recoverJournal() {
 	d.WriteU64Durable(int64(t.hdr)+hJOld, 0)
 }
 
-// Iter calls fn for each key >= from in ascending order until fn returns
-// false. It re-descends between leaves (the tree keeps no leaf chain, since
-// leaves are replaced copy-on-write).
-func (t *Tree) Iter(from uint64, fn func(k, v uint64) bool) {
-	for {
-		n := t.root()
-		// A healthy tree over 64-bit keys is at most ~64 levels deep; a
-		// longer descent means a corrupted child pointer cycling back on
-		// itself (possible after an injected crash with fences disabled).
-		// Bail out instead of spinning forever.
-		for depth := 0; !t.isLeaf(n); depth++ {
-			var ok bool
-			if n, ok = t.routeChild(n, from); !ok || depth > maxIterDepth {
-				return
+// walk resolves the tree depth first, children in key order, each node once:
+// a child pointer that cycles back, or one a second parent shares — which
+// only a damaged image holds — ends at the node it names again. It skips the
+// subtrees whose keys all fall below from, calls enter (if set) with each
+// node before its children and exit (if set) after them, and stops, returning
+// false, as soon as enter does. It reads the root word once, each node's flag
+// byte once and an inner node's count and committed entries once.
+func (t *Tree) walk(from uint64, enter func(n uint64, leaf bool) bool, exit func(n uint64)) bool {
+	seen := make(map[uint64]bool)
+	var visit func(n uint64) bool
+	visit = func(n uint64) bool {
+		if seen[n] {
+			return true
+		}
+		seen[n] = true
+		leaf := t.isLeaf(n)
+		if enter != nil && !enter(n, leaf) {
+			return false
+		}
+		if !leaf {
+			live := t.resolve(n)
+			for i, e := range live {
+				// Child i covers [its separator, the next one).
+				if (i+1 == len(live) || live[i+1].k > from) && !visit(e.v) {
+					return false
+				}
 			}
 		}
-		live := t.resolve(n)
-		emitted := false
-		var last uint64
-		for _, e := range live {
+		if exit != nil {
+			exit(n)
+		}
+		return true
+	}
+	return visit(t.root())
+}
+
+// Walk calls node (if set) with the header chunk and then every node chunk of
+// the tree, a parent before its children, and entry (if set) with each live
+// key >= from and its value in ascending key order until entry returns false:
+// one walk, which reads each node once, so a recovery sweep marks a tree's
+// nodes and the chunks its values name in one pass.
+func (t *Tree) Walk(from uint64, node func(p pmalloc.Ptr), entry func(k, v uint64) bool) {
+	if node != nil {
+		node(t.hdr)
+	}
+	t.walk(from, func(n uint64, leaf bool) bool {
+		if node != nil {
+			node(pmalloc.Ptr(n))
+		}
+		if !leaf || entry == nil {
+			return true
+		}
+		for _, e := range t.resolve(n) {
+			// Nothing at or below a key already emitted is emitted again,
+			// which keeps the order on a damaged image too.
 			if e.k < from {
 				continue
 			}
-			if !fn(e.k, e.v) {
-				return
+			if !entry(e.k, e.v) || e.k == ^uint64(0) {
+				return false
 			}
-			emitted = true
-			last = e.k
+			from = e.k + 1
 		}
-		if emitted {
-			if last == ^uint64(0) {
-				return
-			}
-			from = last + 1
-			continue
-		}
-		// Nothing >= from in this leaf; probe the next key range. The leaf
-		// with the largest keys simply ends the iteration.
-		next, ok := t.successorLeafStart(from)
-		if !ok {
-			return
-		}
-		// In a healthy tree a successor found outside the routed leaf is
-		// strictly greater than from (an exact match would have been routed
-		// to and emitted above), so equality means corrupt routing.
-		if next <= from {
-			return
-		}
-		from = next
-	}
+		return true
+	}, nil)
 }
 
-// maxIterDepth bounds every interior descent (Get, Put, Delete, Iter) against
-// corrupted child pointers; legitimate trees never approach it.
-const maxIterDepth = 80
+// Iter calls fn for each key >= from in ascending order until fn returns
+// false.
+func (t *Tree) Iter(from uint64, fn func(k, v uint64) bool) { t.Walk(from, nil, fn) }
 
-// successorLeafStart finds the smallest key >= from anywhere in the tree,
-// used when a descent lands on a leaf with no matching entries.
-func (t *Tree) successorLeafStart(from uint64) (uint64, bool) {
-	var best uint64
-	found := false
-	var walk func(n uint64, depth int)
-	walk = func(n uint64, depth int) {
-		if depth > maxIterDepth {
-			return // corrupted child pointer cycle; see Iter
-		}
-		if t.isLeaf(n) {
-			for _, e := range t.resolve(n) {
-				if e.k >= from && (!found || e.k < best) {
-					best, found = e.k, true
-				}
-			}
-			return
-		}
-		live := t.resolve(n)
-		for i, e := range live {
-			// Subtree i covers [sep_i, sep_{i+1}); skip those entirely
-			// below from.
-			if i+1 < len(live) && live[i+1].k <= from {
-				continue
-			}
-			walk(e.v, depth+1)
-			if found {
-				return
-			}
-		}
-	}
-	walk(t.root(), 0)
-	return best, found
-}
+// Nodes calls fn with the header chunk and every node chunk of the tree:
+// recovery sweeps use it to mark reachable index storage.
+func (t *Tree) Nodes(fn func(p pmalloc.Ptr)) { t.Walk(0, fn, nil) }
 
 // Count walks the tree and returns the number of live keys (test helper;
 // the engines track row counts themselves).
@@ -890,40 +878,9 @@ func (t *Tree) Count() int {
 	return n
 }
 
-// Nodes calls fn with every node chunk pointer of the tree plus its header
-// chunk. Recovery sweeps use it to mark reachable index storage. Each node is
-// visited once, so a child pointer that cycles back — which only a damaged
-// image holds — ends the walk instead of recursing for ever.
-func (t *Tree) Nodes(fn func(p pmalloc.Ptr)) {
-	fn(t.hdr)
-	seen := make(map[uint64]bool)
-	var walk func(n uint64)
-	walk = func(n uint64) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		fn(pmalloc.Ptr(n))
-		if !t.isLeaf(n) {
-			for _, e := range t.resolve(n) {
-				walk(e.v)
-			}
-		}
-	}
-	walk(t.root())
-}
-
-// Release frees every node and the header. The tree must not be used after.
+// Release frees every node, children in key order before their parent, and
+// the header last. The tree must not be used after.
 func (t *Tree) Release() {
-	var walk func(n uint64)
-	walk = func(n uint64) {
-		if !t.isLeaf(n) {
-			for _, e := range t.resolve(n) {
-				walk(e.v)
-			}
-		}
-		t.arena.Free(pmalloc.Ptr(n))
-	}
-	walk(t.root())
+	t.walk(0, nil, func(n uint64) { t.arena.Free(pmalloc.Ptr(n)) })
 	t.arena.Free(t.hdr)
 }

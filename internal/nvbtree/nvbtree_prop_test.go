@@ -168,7 +168,7 @@ func shrinkProp(ops []propOp, nodeSize int) []propOp {
 // Seed 193 is pinned: it reproduced a separator bug where rewriting a
 // non-root inner node raised its routing separator from sepOld to its first
 // entry key, stranding min-fallback keys below it (invisible to Get,
-// infinite loop in Iter's successorLeafStart).
+// infinite loop in Iter, which then searched the tree for a successor).
 func TestPropertyRestartCycles(t *testing.T) {
 	seeds := []int64{193, *propSeed, *propSeed + 1, *propSeed + 2, *propSeed + 3}
 	if testing.Short() {

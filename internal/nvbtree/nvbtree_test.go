@@ -3,6 +3,7 @@ package nvbtree
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -406,10 +407,12 @@ func BenchmarkGet(b *testing.B) {
 }
 
 // A child pointer that cycles back on itself (what a fence-less image can
-// hold after a reordering crash) ends every descent at maxIterDepth instead of
-// spinning: Put and Delete report ErrCorrupt, Get and Iter report nothing.
+// hold after a reordering crash) ends every descent by key at maxDepth instead
+// of spinning — Put and Delete report ErrCorrupt, Get reports nothing — and
+// ends a walk at the node it names again: Iter, Count and Nodes read the root
+// once and return nothing past it, and Release frees it once.
 func TestCyclicChildPointerEndsDescents(t *testing.T) {
-	dev, _, tr := newTree(t, 256)
+	dev, arena, tr := newTree(t, 256)
 	for k := uint64(1); k <= 200; k++ {
 		put(t, tr, k, k)
 	}
@@ -429,9 +432,85 @@ func TestCyclicChildPointerEndsDescents(t *testing.T) {
 	if v, ok := tr.Get(7); ok {
 		t.Fatalf("Get found %d under a cyclic root", v)
 	}
-	if n := tr.Count(); n != 0 {
-		t.Fatalf("Iter emitted %d keys under a cyclic root", n)
+	// The root word, then the root's flag byte, count word and entries.
+	once := uint64(8 + 1 + 8 + tr.count(root)*entSize)
+	var keys int
+	var nodes []pmalloc.Ptr
+	for _, w := range []struct {
+		name string
+		run  func()
+	}{
+		{"Iter", func() { tr.Iter(0, func(k, v uint64) bool { keys++; return true }) }},
+		{"Count", func() { keys += tr.Count() }},
+		{"Nodes", func() { tr.Nodes(func(p pmalloc.Ptr) { nodes = append(nodes, p) }) }},
+	} {
+		st := dev.Stats()
+		w.run()
+		if got := dev.Stats().Sub(st).BytesRead; got != once {
+			t.Errorf("%s read %d bytes under a cyclic root, one visit of it reads %d", w.name, got, once)
+		}
 	}
+	if keys != 0 {
+		t.Errorf("Iter and Count emitted %d keys under a cyclic root", keys)
+	}
+	if want := []pmalloc.Ptr{tr.Header(), pmalloc.Ptr(root)}; !slices.Equal(nodes, want) {
+		t.Errorf("Nodes = %v under a cyclic root, want the header and the root %v", nodes, want)
+	}
+	tr.Release() // a second free of the root panics
+	if st := arena.StateOf(pmalloc.Ptr(root)); st != pmalloc.StateFree {
+		t.Errorf("Release left the cyclic root in state %v", st)
+	}
+}
+
+// scanTree is the 20 000-key tree of 512-byte nodes the full-scan test and
+// benchmark walk.
+func scanTree(tb testing.TB) (*nvm.Device, *Tree) {
+	dev, _, tr := newTree(tb, 512)
+	for k := uint64(1); k <= 20000; k++ {
+		put(tb, tr, k*7919%100003, k)
+	}
+	return dev, tr
+}
+
+// TestIterReadsEachNodeOnce: a full scan reads the header's root word and each
+// node's flag byte, count word and committed entries once — no re-descent
+// from the root between leaves.
+func TestIterReadsEachNodeOnce(t *testing.T) {
+	dev, tr := scanTree(t)
+	bound := uint64(8)
+	tr.Nodes(func(p pmalloc.Ptr) {
+		if p != tr.Header() {
+			bound += uint64(1 + 8 + tr.count(uint64(p))*entSize)
+		}
+	})
+	st := dev.Stats()
+	n, last := 0, uint64(0)
+	tr.Iter(0, func(k, v uint64) bool {
+		if n > 0 && k <= last {
+			t.Fatalf("key %d after %d", k, last)
+		}
+		n, last = n+1, k
+		return true
+	})
+	got := dev.Stats().Sub(st).BytesRead
+	if n != 20000 {
+		t.Errorf("Iter emitted %d keys, want 20000", n)
+	}
+	if got > bound {
+		t.Errorf("a full scan read %d bytes; the root word and each node once are %d", got, bound)
+	}
+	t.Logf("a full scan read %d bytes (bound %d)", got, bound)
+}
+
+// BenchmarkIter times a full scan of scanTree.
+func BenchmarkIter(b *testing.B) {
+	dev, tr := scanTree(b)
+	st := dev.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Iter(0, func(k, v uint64) bool { return true })
+	}
+	b.ReportMetric(float64(dev.Stats().Sub(st).BytesRead)/float64(b.N), "B-read/op")
 }
 
 // TestCapacityFillsALeaf: Capacity distinct keys fill an empty tree's one
