@@ -140,6 +140,17 @@ func TestDeviceBudget(t *testing.T) {
 	})
 }
 
+// TestUpdateTouchesOnlyItsLines: on NVM-CoW a cold one-column update copies
+// its tuple — it reads the old one through the dirty tree's path and streams
+// the new one, with its persisted mark, into a chunk sized to it — so what it
+// loads and stores grows with the columns beside the one it writes: 17, 50
+// and 144 lines stored. The pages it dirtied wait for the group's persist, so
+// it issues no CLWB; a read-only transaction writes nothing at all.
+func TestUpdateTouchesOnlyItsLines(t *testing.T) {
+	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), enginetest.UpdateLines{
+		MaxLoads: []uint64{27, 60, 154}, Stores: []uint64{17, 50, 144}, CLWBs: []uint64{0, 0, 0}})
+}
+
 // TestFlushErrorClass: Flush classifies its persist error on both pagers. A
 // failed fsync under the file pager flushed nothing and is retryable; the
 // arena pager never crosses the filesystem, so the same fault does not reach

@@ -171,28 +171,53 @@ func recoverySchedule(f Factory, fam faultFamily, seed int64) error {
 // RunConcurrentRecoveryConformance is the conformance check for crashes
 // inside recovery: a recovery pass must be restartable at any point without
 // changing the state it converges to. It logs, per fault family, the share of
-// schedules whose fault fired inside recovery.
+// schedules whose fault fired inside recovery, among those whose control
+// recovery took what the family's fault fires at — a fence for a device
+// family, an fsync for a sync family. A family whose fault could fire on some
+// schedules and fired on none fails the battery: its schedules would check a
+// clean second recovery only, and pass whatever recovery does when cut. A
+// family whose fault nothing in recovery reaches is logged as such.
 func RunConcurrentRecoveryConformance(t *testing.T, f Factory) {
 	t.Helper()
 	fired := firings{}
 	runSchedules(t, withFamily(f, fired.concurrent))
 	for _, fam := range conformanceFamilies(f.Volatile) {
 		n := fired[fam.name]
-		t.Logf("%s/%s: the fault fired mid-recovery on %d of %d schedules", f.Name, fam.name, n[1], n[0])
+		switch {
+		case n.reachable == 0:
+			t.Logf("%s/%s: recovery took no %s on any of %d schedules: clean second recovery only", f.Name, fam.name, fam.point(), n.run)
+		case n.fired == 0:
+			t.Errorf("%s/%s: the fault fired mid-recovery on none of the %d schedules whose recovery took a %s", f.Name, fam.name, n.reachable, fam.point())
+		default:
+			t.Logf("%s/%s: the fault fired mid-recovery on %d of %d schedules (%d took a %s)", f.Name, fam.name, n.fired, n.run, n.reachable, fam.point())
+		}
 	}
 }
 
-// firings counts, per fault family, the concurrent-recovery schedules run and
-// those whose fault fired mid-recovery.
-type firings map[string][2]int
+// point names what the family's fault fires at.
+func (fam faultFamily) point() string {
+	if fam.device != nil {
+		return "fence"
+	}
+	return "fsync"
+}
 
-// concurrent runs concurrentSchedule and counts whether its fault fired.
+// firings counts, per fault family, the concurrent-recovery schedules run,
+// those whose control recovery took a fence or fsync the family's fault can
+// fire at, and those of them whose fault fired mid-recovery.
+type firings map[string]struct{ run, reachable, fired int }
+
+// concurrent runs concurrentSchedule and counts what its fault could reach
+// and whether it fired.
 func (fr firings) concurrent(f Factory, fam faultFamily, seed int64) error {
-	crashed, err := concurrentSchedule(f, fam, seed)
+	reachable, crashed, err := concurrentSchedule(f, fam, seed)
 	n := fr[fam.name]
-	n[0]++
-	if crashed {
-		n[1]++
+	n.run++
+	if reachable {
+		n.reachable++
+		if crashed {
+			n.fired++
+		}
 	}
 	fr[fam.name] = n
 	return err
@@ -201,20 +226,21 @@ func (fr firings) concurrent(f Factory, fam faultFamily, seed int64) error {
 // concurrentSchedule runs one cycle: workload → clean crash → control
 // recovery → crash → recovery attempt with a fault armed to fire
 // mid-recovery → crash → final recovery, to the same committed state. It
-// reports whether the fault fired inside the attempt.
-func concurrentSchedule(f Factory, fam faultFamily, seed int64) (bool, error) {
+// reports whether the control recovery took a fence (device family) or an
+// fsync (sync family), and whether the fault fired inside the attempt.
+func concurrentSchedule(f Factory, fam faultFamily, seed int64) (reachable, crashed bool, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	env, opts, schemas := scheduleEnv(), scheduleOpts, testSchema()
 	e, err := f.New(env, schemas, opts)
 	if err != nil {
-		return false, fmt.Errorf("New: %w", err)
+		return false, false, fmt.Errorf("New: %w", err)
 	}
 	w := newWorkload(rng, e)
 	if err := w.txns(60); err != nil {
-		return false, err
+		return false, false, err
 	}
 	if err := e.Flush(); err != nil {
-		return false, fmt.Errorf("Flush: %w", err)
+		return false, false, fmt.Errorf("Flush: %w", err)
 	}
 
 	// Control pass: clean power cycle. No transaction was in flight, so the
@@ -223,16 +249,23 @@ func concurrentSchedule(f Factory, fam faultFamily, seed int64) (bool, error) {
 	env.Dev.Crash()
 	env2, err := reattach(f, env)
 	if err != nil {
-		return false, fmt.Errorf("control recovery: %w", err)
+		return false, false, fmt.Errorf("control recovery: %w", err)
 	}
 	start := env.Dev.Stats().Fences
+	syncs, _ := env2.FS.SyncStats()
 	e2, err := f.Open(env2, schemas, opts)
 	fences := int(env.Dev.Stats().Fences - start)
+	if fam.device != nil {
+		reachable = fences > 0
+	} else {
+		n, _ := env2.FS.SyncStats()
+		reachable = n > syncs
+	}
 	if err == nil {
 		err = checkModel(e2, schemas, w.committed)
 	}
 	if err != nil {
-		return false, fmt.Errorf("control recovery: %w", err)
+		return false, false, fmt.Errorf("control recovery: %w", err)
 	}
 
 	// Power-cycle again, then arm a fault timed to fire inside the next
@@ -243,15 +276,15 @@ func concurrentSchedule(f Factory, fam faultFamily, seed int64) (bool, error) {
 	env.Dev.Crash()
 	env3, err := reattach(f, env)
 	if err != nil {
-		return false, fmt.Errorf("mid-recovery attempt: %w", err)
+		return false, false, fmt.Errorf("mid-recovery attempt: %w", err)
 	}
 	fam.arm(env3, seed^0x7ec0, rng, 0, max(fences, 1), 10)
-	crashed, err := nvm.Crashed(func() error {
+	crashed, err = nvm.Crashed(func() error {
 		_, err := f.Open(env3, schemas, opts)
 		return err
 	})
 	if err != nil {
-		return crashed, fmt.Errorf("mid-recovery attempt: %w", err)
+		return reachable, crashed, fmt.Errorf("mid-recovery attempt: %w", err)
 	}
 
 	// Final pass: cut the power over whatever the interrupted recovery left
@@ -265,9 +298,9 @@ func concurrentSchedule(f Factory, fam faultFamily, seed int64) (bool, error) {
 		err = probe(e3, "users", userRow(probeKey))
 	}
 	if err != nil {
-		return crashed, fmt.Errorf("final recovery (mid-recovery crash fired: %v): %w", crashed, err)
+		return reachable, crashed, fmt.Errorf("final recovery (mid-recovery crash fired: %v): %w", crashed, err)
 	}
-	return crashed, nil
+	return reachable, crashed, nil
 }
 
 // userOp applies one random mutation or read to the users table, mirroring

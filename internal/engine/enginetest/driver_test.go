@@ -59,9 +59,9 @@ func TestMidRecoveryFaultFires(t *testing.T) {
 	}
 	for _, fam := range conformanceFamilies(true) {
 		n := fired[fam.name]
-		t.Logf("%s: fired mid-recovery on %d of %d schedules", fam.name, n[1], n[0])
-		if fam.device != nil && n[1] != n[0] {
-			t.Errorf("%s: fired mid-recovery on %d of %d schedules, want all", fam.name, n[1], n[0])
+		t.Logf("%s: fired mid-recovery on %d of %d schedules (%d took a %s)", fam.name, n.fired, n.run, n.reachable, fam.point())
+		if fam.device != nil && n.fired != n.run {
+			t.Errorf("%s: fired mid-recovery on %d of %d schedules, want all", fam.name, n.fired, n.run)
 		}
 	}
 }

@@ -216,7 +216,7 @@ func TestDeviceBudget(t *testing.T) {
 // path, the slot's lines, the old value it logs and the lines it allocates
 // and writes, the same with thirty columns or kilobyte ones beside it.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, factory(), 20)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, factory(), enginetest.UpdateLines{MaxLoads: []uint64{20, 20, 20}})
 }
 
 // TestArenaExhaustion: a full arena is a typed error at the operation, not a

@@ -18,7 +18,7 @@ import (
 )
 
 const (
-	hdrMagic = 0x4e564d4c4f473136 // "NVMLOG16": the undo log's commit line
+	hdrMagic = 0x4e564d4c4f473137 // "NVMLOG17": the packed undo entry header
 	rootSlot = 0
 
 	// Engine header layout. The header is a chunk of more than a line, so it
@@ -186,7 +186,8 @@ func (s *nvmStore) recover() error {
 	if m := d.ReadU64(int64(hdr) + hMagic); m != hdrMagic {
 		// A device image is outside input: one of an earlier format — bare
 		// entry pointers (NVMLOG12), linked undo entries (NVMLOG14), the
-		// epoch in a shared word (NVMLOG15) — would be misread.
+		// epoch in a shared word (NVMLOG15), a padded undo entry header
+		// (NVMLOG16) — would be misread.
 		if m>>16 == hdrMagic>>16 {
 			return core.Corrupt(fmt.Errorf("logeng: nvm-log: image of format %q", binary.BigEndian.AppendUint64(nil, m)))
 		}

@@ -277,10 +277,12 @@ func TestOpenRejectsValueLogDirectory(t *testing.T) {
 // the delta's entry chunk, the WAL entry and the commit line, each on lines
 // of its own, so its two CLWBs are the MemTable leaf's entry and count
 // (three while the epoch shared a line of the header and was written back,
-// four while the WAL head was written back to link the entry too); a
-// read-only transaction writes nothing at all.
+// four while the WAL head was written back to link the entry too): six
+// stores in all, the WAL entry one line of them; a read-only transaction
+// writes nothing at all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), 11, 2, 2, 2)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, nvmFactory(), enginetest.UpdateLines{
+		MaxLoads: []uint64{11, 11, 11}, Stores: []uint64{6, 6, 6}, CLWBs: []uint64{2, 2, 2}})
 }
 
 // TestCommitLineOwnsItsLine: the undo log's commit line starts a cache line
@@ -328,9 +330,11 @@ func TestCommitLineOwnsItsLine(t *testing.T) {
 // would give every entry kind 0; one written before self-validating undo
 // entries (NVMLOG14) holds a pointer where the epoch word was; and one
 // written before the commit line (NVMLOG15) has its MemTable, run list and
-// table count where they are no more.
+// table count where they are no more; and one written before the undo entry
+// header was packed (NVMLOG16) holds entries whose key and body length lie
+// three bytes further on.
 func TestOpenRejectsUntaggedImage(t *testing.T) {
-	for _, magic := range []uint64{0x4e564d4c4f473132, 0x4e564d4c4f473134, 0x4e564d4c4f473135} {
+	for _, magic := range []uint64{0x4e564d4c4f473132, 0x4e564d4c4f473134, 0x4e564d4c4f473135, 0x4e564d4c4f473136} {
 		env := core.NewEnv(core.EnvConfig{DeviceSize: 64 << 20})
 		opts := core.Options{MemTableCap: 8, LSMGrowth: 3}
 		e, err := NewNVM(env, simpleSchema(), opts)

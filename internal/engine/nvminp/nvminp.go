@@ -28,7 +28,7 @@ import (
 )
 
 const (
-	hdrMagic = 0x4e564d494e503134 // "NVMINP14": the undo log's commit line
+	hdrMagic = 0x4e564d494e503135 // "NVMINP15": the packed undo entry header
 
 	rootSlot = 0
 

@@ -305,11 +305,12 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 
 // TestDeviceBudget pins the write path's cost per transaction in device
 // counters, about a tenth above what the fixed schedule costs today: loads /
-// stores / flushes / fences 1.3 / 6.0 / 1.0 / 3.00 — one fence each for the
+// stores / flushes / fences 1.3 / 5.0 / 1.0 / 3.00 — one fence each for the
 // WAL entry, the tuple and the commit, and the WAL entry, the new var-slot
 // and the commit line streamed on lines of their own, the var-slot over the
-// one the previous update superseded; the one CLWB is the field's. (It was
-// 1.3 / 6.0 / 2.0 / 3.00 while the commit wrote back an epoch word that
+// one the previous update superseded; the one CLWB is the field's. (It
+// stored 6.0 while the undo entry header was padded to 32 bytes and a
+// one-column entry spilled onto a second line; it was 1.3 / 6.0 / 2.0 / 3.00 while the commit wrote back an epoch word that
 // shared a line of the header; 1.3 / 7.0 / 3.0 / 4.00 while each entry was
 // linked through the WAL head with a durable write of its own; it loaded 2.3
 // while the index lookup read the
@@ -321,7 +322,7 @@ func TestEmptyTableSurvivesCrash(t *testing.T) {
 // persisted behind a fence of its own; it loaded 29.7 lines while Update read
 // the whole row to change one column.)
 func TestDeviceBudget(t *testing.T) {
-	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 1.4, Stores: 6.6, Flushes: 1.1, Fences: 3.3})
+	enginetest.RunDeviceBudget(t, confFactory(), enginetest.Budget, enginetest.DeviceBudget{Loads: 1.4, Stores: 5.5, Flushes: 1.1, Fences: 3.3})
 }
 
 // TestUpdateTouchesOnlyItsLines: a cold one-column update loads the index
@@ -334,9 +335,13 @@ func TestDeviceBudget(t *testing.T) {
 // each on lines of its own, and writes back the one line it dirtied through
 // the cache, the field's — one CLWB (two while the epoch shared a line of
 // the header and was written back, three while the WAL head was written back
-// to link the entry too). A read-only transaction writes nothing at all.
+// to link the entry too). It stores five lines: the WAL entry one (two while
+// the entry header was padded to 32 bytes and the 49-byte entry spilled one
+// byte onto a second line), the var-slot two, the field's line and the
+// commit line. A read-only transaction writes nothing at all.
 func TestUpdateTouchesOnlyItsLines(t *testing.T) {
-	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), 11, 1, 1, 1)
+	enginetest.RunUpdateTouchesOnlyItsLines(t, confFactory(), enginetest.UpdateLines{
+		MaxLoads: []uint64{11, 11, 11}, Stores: []uint64{5, 5, 5}, CLWBs: []uint64{1, 1, 1}})
 }
 
 // TestArenaExhaustion: a full arena is a typed error at the operation, not a
@@ -691,9 +696,11 @@ func TestOpenRefusesCorruptUndoEntry(t *testing.T) {
 // Open with a corrupt error. One from before self-validating undo entries
 // (NVMINP12) links its entries from the epoch word, and one from before the
 // commit line (NVMINP13) keeps the epoch at header offset 16, beside other
-// words: Open would take a pointer, or a reserved word, for an epoch.
+// words: Open would take a pointer, or a reserved word, for an epoch. One
+// from before the undo entry header was packed (NVMINP14) holds entries whose
+// body length and key lie three bytes further on.
 func TestOpenRejectsEarlierFormat(t *testing.T) {
-	for _, magic := range []uint64{0x4e564d494e503132, 0x4e564d494e503133} {
+	for _, magic := range []uint64{0x4e564d494e503132, 0x4e564d494e503133, 0x4e564d494e503134} {
 		env := core.NewEnv(core.EnvConfig{DeviceSize: 32 << 20})
 		e, err := New(env, simpleSchema(), core.Options{})
 		if err != nil {

@@ -332,6 +332,31 @@ func TestAppendCost(t *testing.T) {
 	}
 }
 
+// TestOneColumnUpdateIsOneLine: NVM-InP's entry for a one-column update — its
+// body the slot and one (column, value) record, 17 bytes — fills one cache
+// line with its chunk header, and its append stores that one line. 19 bytes
+// is the largest body that still fits: a header one byte longer, or any
+// padding in it, spills the entry onto a second line. The append measured
+// is the third of its size, which recycles the chunk the first carved.
+func TestOneColumnUpdateIsOneLine(t *testing.T) {
+	_, l := newLog(t)
+	for _, c := range []struct{ body, lines int }{{17, 1}, {19, 1}, {20, 2}} {
+		if got := pmalloc.ChunkSize(headerSize+c.body) / nvm.LineSize; got != c.lines {
+			t.Errorf("an entry of a %d-byte body is a %d-line chunk, want %d", c.body, got, c.lines)
+		}
+		for txn := 0; txn < 3; txn++ {
+			before := l.dev.Stats()
+			if err := l.Append(Entry{Type: core.WalUpdate, Table: 1, Key: 5, Body: make([]byte, c.body)}); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.dev.Stats().Sub(before).Stores; txn == 2 && got != uint64(c.lines) {
+				t.Errorf("the append of a %d-byte body stored %d lines, want %d", c.body, got, c.lines)
+			}
+			l.Truncate(nil)
+		}
+	}
+}
+
 // TestCommitLineOwnsItsLine: the commit line starts a cache line — Format
 // refuses one that does not — and holds the epoch and zeros, nothing else, on
 // the medium. A crash between the line's stream and its fence reopens the log

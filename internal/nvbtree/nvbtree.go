@@ -23,10 +23,12 @@
 package nvbtree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"sort"
 
 	"nstore/internal/nvm"
@@ -85,6 +87,7 @@ type Tree struct {
 	scratch []byte
 	seen    []uint64
 	fps     []byte // a node's fingerprints (head)
+	walker  *walker
 }
 
 // Create allocates a new empty tree and returns it. Store Header() in an
@@ -386,25 +389,25 @@ func (t *Tree) appendEntries(n uint64, es ...entry) {
 }
 
 // resolve returns the live (shadow- and tombstone-resolved) entries of node
-// n, sorted by key. Later appends win over earlier ones.
-func (t *Tree) resolve(n uint64) []entry {
+// n, sorted by key, in dst's array: later appends win over earlier ones. It
+// allocates only if dst holds fewer than the node's committed entries.
+func (t *Tree) resolve(n uint64, dst []entry) []entry {
 	buf, c := t.readNode(n)
-	m := make(map[uint64]uint64, c)
-	order := make([]uint64, 0, c)
+	all := dst[:0]
+	if cap(all) < c {
+		all = make([]entry, 0, c)
+	}
 	for i := 0; i < c; i++ {
-		e := bufEnt(buf, i)
-		if _, seen := m[e.k]; !seen {
-			order = append(order, e.k)
-		}
-		m[e.k] = e.v
+		all = append(all, bufEnt(buf, i))
 	}
-	live := make([]entry, 0, len(order))
-	for _, k := range order {
-		if v := m[k]; v&tombstone == 0 {
-			live = append(live, entry{k, v})
+	// Stable: a key's entries keep their append order, the newest last.
+	slices.SortStableFunc(all, func(a, b entry) int { return cmp.Compare(a.k, b.k) })
+	live := all[:0]
+	for i, e := range all {
+		if (i+1 == len(all) || all[i+1].k != e.k) && e.v&tombstone == 0 {
+			live = append(live, e)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].k < live[j].k })
 	return live
 }
 
@@ -578,7 +581,7 @@ func (t *Tree) modify(k, v uint64) error {
 // before the journal is written returns an error with the tree untouched:
 // the partially built nodes are freed and nothing became reachable.
 func (t *Tree) rewrite(n, parent uint64, pending *entry) error {
-	live := t.resolve(n)
+	live := t.resolve(n, nil)
 	if pending != nil {
 		// Fold the pending (k,v) into the live set.
 		replaced := false
@@ -733,7 +736,7 @@ func (t *Tree) rewrite(n, parent uint64, pending *entry) error {
 // routingKeyFor returns the separator key of parent's live routing entry
 // whose child is c.
 func (t *Tree) routingKeyFor(parent, c uint64) (uint64, bool) {
-	for _, e := range t.resolve(parent) {
+	for _, e := range t.resolve(parent, nil) {
 		if e.v == c {
 			return e.k, true
 		}
@@ -795,31 +798,74 @@ func (t *Tree) recoverJournal() {
 	d.WriteU64Durable(int64(t.hdr)+hJOld, 0)
 }
 
+// walker is a walk's scratch, which the tree keeps for its next walk, so a
+// walk allocates nothing per node: the nodes walks have entered, and at each
+// depth the live entries of the node the walk resolved there — an inner
+// node's held while its children are visited.
+type walker struct {
+	// seen maps a node to the number of the last walk that entered it, so a
+	// walk starts with no node seen without clearing the map (a clear costs
+	// the size of the largest walk, not of this one). It is cleared once the
+	// nodes only earlier walks entered outnumber this walk's by more than 64.
+	seen  map[uint64]uint64
+	walks uint64
+	depth [][]entry
+}
+
 // walk resolves the tree depth first, children in key order, each node once:
 // a child pointer that cycles back, or one a second parent shares — which
 // only a damaged image holds — ends at the node it names again. It skips the
-// subtrees whose keys all fall below from, calls enter (if set) with each
-// node before its children and exit (if set) after them, and stops, returning
-// false, as soon as enter does. It reads the root word once, each node's flag
-// byte once and an inner node's count and committed entries once.
-func (t *Tree) walk(from uint64, enter func(n uint64, leaf bool) bool, exit func(n uint64)) bool {
-	seen := make(map[uint64]bool)
-	var visit func(n uint64) bool
-	visit = func(n uint64) bool {
-		if seen[n] {
+// subtrees whose keys all fall below from, calls node (if set) with each node
+// before its children, emit (if set) with each live key >= from of a leaf in
+// ascending key order, and exit (if set) with each node after its children,
+// and stops, returning false, as soon as emit does. It reads the root word
+// once, each node's flag byte once and an inner node's count and committed
+// entries once, a leaf's only for emit.
+func (t *Tree) walk(from uint64, node func(p pmalloc.Ptr), emit func(k, v uint64) bool, exit func(n uint64)) bool {
+	w := t.walker
+	if w == nil {
+		w = &walker{seen: make(map[uint64]uint64)}
+	}
+	t.walker = nil // a walk begun inside this one's callbacks makes its own
+	w.walks++
+	entered := 0
+	defer func() {
+		if len(w.seen) > 2*entered+64 {
+			clear(w.seen)
+		}
+		t.walker = w
+	}()
+	next := from // the least key emit may still be given
+	var visit func(n uint64, d int) bool
+	visit = func(n uint64, d int) bool {
+		if w.seen[n] == w.walks {
 			return true
 		}
-		seen[n] = true
+		w.seen[n] = w.walks
+		entered++
 		leaf := t.isLeaf(n)
-		if enter != nil && !enter(n, leaf) {
-			return false
+		if node != nil {
+			node(pmalloc.Ptr(n))
 		}
-		if !leaf {
-			live := t.resolve(n)
+		if !leaf || emit != nil {
+			if d == len(w.depth) {
+				w.depth = append(w.depth, make([]entry, 0, t.cap))
+			}
+			live := t.resolve(n, w.depth[d])
 			for i, e := range live {
-				// Child i covers [its separator, the next one).
-				if (i+1 == len(live) || live[i+1].k > from) && !visit(e.v) {
+				switch {
+				case !leaf:
+					// Child i covers [its separator, the next one).
+					if (i+1 == len(live) || live[i+1].k > from) && !visit(e.v, d+1) {
+						return false
+					}
+				case e.k < next:
+					// Nothing at or below a key already given is given
+					// again, which keeps the order on a damaged image too.
+				case !emit(e.k, e.v) || e.k == ^uint64(0):
 					return false
+				default:
+					next = e.k + 1
 				}
 			}
 		}
@@ -828,7 +874,7 @@ func (t *Tree) walk(from uint64, enter func(n uint64, leaf bool) bool, exit func
 		}
 		return true
 	}
-	return visit(t.root())
+	return visit(t.root(), 0)
 }
 
 // Walk calls node (if set) with the header chunk and then every node chunk of
@@ -840,26 +886,7 @@ func (t *Tree) Walk(from uint64, node func(p pmalloc.Ptr), entry func(k, v uint6
 	if node != nil {
 		node(t.hdr)
 	}
-	t.walk(from, func(n uint64, leaf bool) bool {
-		if node != nil {
-			node(pmalloc.Ptr(n))
-		}
-		if !leaf || entry == nil {
-			return true
-		}
-		for _, e := range t.resolve(n) {
-			// Nothing at or below a key already emitted is emitted again,
-			// which keeps the order on a damaged image too.
-			if e.k < from {
-				continue
-			}
-			if !entry(e.k, e.v) || e.k == ^uint64(0) {
-				return false
-			}
-			from = e.k + 1
-		}
-		return true
-	}, nil)
+	t.walk(from, node, entry, nil)
 }
 
 // Iter calls fn for each key >= from in ascending order until fn returns
@@ -881,6 +908,6 @@ func (t *Tree) Count() int {
 // Release frees every node, children in key order before their parent, and
 // the header last. The tree must not be used after.
 func (t *Tree) Release() {
-	t.walk(0, nil, func(n uint64) { t.arena.Free(pmalloc.Ptr(n)) })
+	t.walk(0, nil, nil, func(n uint64) { t.arena.Free(pmalloc.Ptr(n)) })
 	t.arena.Free(t.hdr)
 }

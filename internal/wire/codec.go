@@ -167,28 +167,40 @@ func (c *codec) str(s *string) {
 	}
 }
 
-// value moves a tagged value: an int as 8 little-endian bytes, a byte string
-// as its length and bytes. A decoded byte string is never nil, so
-// encode(decode(x)) is a fixpoint.
+// value moves a tagged value: the zero value (I 0, S nil) as its tag alone,
+// another int as 8 little-endian bytes, a byte string as its length and
+// bytes. Decoding refuses an int of 8 zero bytes, whose canonical form is the
+// zero tag, and a decoded byte string is never nil, so encode(decode(x)) is a
+// fixpoint.
 func (c *codec) value(v *core.Value) {
 	tag := tagInt
-	if v.S != nil {
+	switch {
+	case v.S != nil:
 		tag = tagBytes
+	case v.I == 0:
+		tag = tagZero
 	}
-	u8(c, &tag, tagBytes, "value tag")
-	if tag == tagInt {
+	u8(c, &tag, tagZero, "value tag")
+	switch tag {
+	case tagZero:
+		if !c.enc {
+			*v = core.Value{}
+		}
+	case tagInt:
 		if c.enc {
 			c.b = binary.LittleEndian.AppendUint64(c.b, uint64(v.I))
 		} else if b := c.take(8); c.err == nil {
-			v.I = int64(binary.LittleEndian.Uint64(b))
+			if v.I = int64(binary.LittleEndian.Uint64(b)); v.I == 0 {
+				c.failf("wire: a zero int not in its one-byte form")
+			}
 		}
-		return
-	}
-	n := c.count(len(v.S), 1)
-	if c.enc {
-		c.b = append(c.b, v.S...)
-	} else if b := c.take(n); c.err == nil {
-		v.S = append(make([]byte, 0, n), b...)
+	default:
+		n := c.count(len(v.S), 1)
+		if c.enc {
+			c.b = append(c.b, v.S...)
+		} else if b := c.take(n); c.err == nil {
+			v.S = append(make([]byte, 0, n), b...)
+		}
 	}
 }
 
@@ -204,8 +216,8 @@ func list[T any](c *codec, s *[]T, min int, each func(*T)) {
 	}
 }
 
-// row moves a row: its width, then each value.
-func (c *codec) row(r *[]core.Value) { list(c, r, 2, c.value) }
+// row moves a row: its width, then each value, a zero one a byte.
+func (c *codec) row(r *[]core.Value) { list(c, r, 1, c.value) }
 
 // keyedRows moves (key, row) pairs held in two parallel slices.
 func (c *codec) keyedRows(keys *[]uint64, rows *[][]core.Value) {

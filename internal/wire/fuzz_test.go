@@ -101,6 +101,8 @@ func FuzzWireValue(f *testing.F) {
 	f.Add([]byte{tagInt, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{tagBytes, 0})
 	f.Add([]byte{tagBytes, 3, 'a', 'b', 'c'})
+	f.Add([]byte{tagZero})
+	f.Add([]byte{tagInt, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v core.Value
 		d := codec{b: data}

@@ -412,9 +412,10 @@ type Response struct {
 	LockKey   uint64
 }
 
-// Value tags inside rows. A decoded TBytes value always has a non-nil S so
-// encode(decode(x)) is a fixpoint.
+// Value tags inside rows. A decoded TBytes value always has a non-nil S, and
+// a zero value always travels as tagZero, so encode(decode(x)) is a fixpoint.
 const (
 	tagInt   byte = 0
 	tagBytes byte = 1
+	tagZero  byte = 2 // core.Value{}: no payload
 )
