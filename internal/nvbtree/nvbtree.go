@@ -799,16 +799,11 @@ func (t *Tree) recoverJournal() {
 }
 
 // walker is a walk's scratch, which the tree keeps for its next walk, so a
-// walk allocates nothing per node: the nodes walks have entered, and at each
-// depth the live entries of the node the walk resolved there — an inner
+// walk allocates nothing per node: the nodes the walk has entered, and at
+// each depth the live entries of the node the walk resolved there — an inner
 // node's held while its children are visited.
 type walker struct {
-	// seen maps a node to the number of the last walk that entered it, so a
-	// walk starts with no node seen without clearing the map (a clear costs
-	// the size of the largest walk, not of this one). It is cleared once the
-	// nodes only earlier walks entered outnumber this walk's by more than 64.
-	seen  map[uint64]uint64
-	walks uint64
+	seen  map[uint64]bool
 	depth [][]entry
 }
 
@@ -824,25 +819,18 @@ type walker struct {
 func (t *Tree) walk(from uint64, node func(p pmalloc.Ptr), emit func(k, v uint64) bool, exit func(n uint64)) bool {
 	w := t.walker
 	if w == nil {
-		w = &walker{seen: make(map[uint64]uint64)}
+		w = &walker{seen: make(map[uint64]bool)}
 	}
 	t.walker = nil // a walk begun inside this one's callbacks makes its own
-	w.walks++
-	entered := 0
-	defer func() {
-		if len(w.seen) > 2*entered+64 {
-			clear(w.seen)
-		}
-		t.walker = w
-	}()
+	defer func() { t.walker = w }()
+	clear(w.seen)
 	next := from // the least key emit may still be given
 	var visit func(n uint64, d int) bool
 	visit = func(n uint64, d int) bool {
-		if w.seen[n] == w.walks {
+		if w.seen[n] {
 			return true
 		}
-		w.seen[n] = w.walks
-		entered++
+		w.seen[n] = true
 		leaf := t.isLeaf(n)
 		if node != nil {
 			node(pmalloc.Ptr(n))

@@ -429,6 +429,16 @@ func TestDecodeRequestRejectsHostileCounts(t *testing.T) {
 	if _, err := DecodeRequest(payload); err == nil {
 		t.Fatal("want error for hostile sub-op count")
 	}
+	// A row takes at least a byte a value, so a PUT whose row claims 2^20
+	// values in three bytes must fail on the count bound, not allocate.
+	put, err := EncodeRequest(&Request{ID: 1, Part: -1, Op: OpPut, Table: "t", Key: 1, Row: make([]core.Value, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := append(append(put[:len(put)-4:len(put)-4], 0x80, 0x80, 0x40), put[len(put)-3:]...)
+	if _, err := DecodeRequest(hostile); err == nil || !strings.Contains(err.Error(), "exceeds remaining payload") {
+		t.Fatalf("want the count bound to refuse a 2^20-value row, got %v", err)
+	}
 	// Trailing garbage after a valid request must be rejected.
 	ok, err := EncodeRequest(&Request{ID: 1, Part: -1, Op: OpGet, Table: "t", Key: 1})
 	if err != nil {
